@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke bench-scale-smoke bench-ring-smoke bench-orderly bench-full serve-smoke obs-smoke crash-smoke fabric-smoke obs-fabric-smoke commit-smoke orderly-smoke fuzz vet fmt examples clean
+.PHONY: all build test race cover bench bench-smoke bench-scale-smoke bench-ring-smoke bench-orderly bench-full serve-smoke obs-smoke crash-smoke fabric-smoke obs-fabric-smoke orderly-smoke fuzz vet fmt examples clean
 
 all: build test
 
@@ -77,19 +77,13 @@ fabric-smoke:
 
 # Fleet observability check: run the fabric load + failover drill with
 # the observability plane mounted (2 replicas so a ship fan-out spans 3
-# Worlds) and -obs-check asserting its two core promises: one trace ID
-# spanning at least three Worlds, and a complete kill -> promote-begin
-# -> promote-commit -> epoch-bump timeline in the event journal.
+# Worlds) and -obs-check asserting its core promises: one trace ID
+# spanning at least three Worlds, a complete kill -> promote-begin
+# -> promote-commit -> epoch-bump timeline in the event journal, and
+# traced commit-leader spans parenting the ship spans (so the trace
+# attributes every replica delta to the round that shipped it).
 obs-fabric-smoke:
 	$(GO) run ./cmd/montsalvat-fabric -shards 3 -replicas 2 -load -failover -clients 4 -requests 24 -metrics-addr 127.0.0.1:0 -obs-check
-
-# Group-commit check: the same fabric load + failover drill on the
-# pipelined durable-write path — batched WAL commits, watermark-gated
-# acks — with -obs-check additionally asserting that traced
-# commit-leader spans parent the batched ship spans (so the trace
-# attributes every replica delta to the commit round that shipped it).
-commit-smoke:
-	$(GO) run ./cmd/montsalvat-fabric -shards 3 -replicas 2 -load -failover -clients 4 -requests 24 -group-commit -metrics-addr 127.0.0.1:0 -obs-check
 
 # Model-check smoke: bounded exhaustive exploration of the boundary,
 # recovery, and failover state machines. The serve side sweeps the

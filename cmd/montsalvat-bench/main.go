@@ -47,7 +47,6 @@ func run(args []string, out io.Writer) error {
 		suite      = fs.String("suite", "rmi", "perf suite for -json: rmi (BENCH_rmi.json), ring (rmi plus payload sweep), persist (BENCH_persist.json), fabric (BENCH_fabric.json), obs (BENCH_obs.json) or orderly (BENCH_orderly.json)")
 		label      = fs.String("label", "run", "entry label for -json records")
 		sweep      = fs.Bool("payload-sweep", false, "with -json -suite rmi: include the ring payload sweep in the entry")
-		groupc     = fs.Bool("group-commit", false, "run fabric experiments on the pipelined group-commit ack path")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -63,7 +62,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	opts := bench.Options{Quick: *quick, Spin: *spin, GroupCommit: *groupc}
+	opts := bench.Options{Quick: *quick, Spin: *spin}
 	if *jsonPath != "" {
 		switch *suite {
 		case "rmi":
@@ -201,24 +200,14 @@ func writeRecoveryPerf(opts bench.Options, path, label string, out io.Writer) er
 		fmt.Fprintf(out, "%s: appended %q (no recovery points)\n", path, label)
 	}
 	if n := len(entry.GroupCommit); n > 0 {
-		best := entry.GroupCommit[0]
-		var baseAtBest float64
+		lone, best := entry.GroupCommit[0], entry.GroupCommit[0]
 		for _, p := range entry.GroupCommit {
-			if p.Grouped && p.PutsPerSec > best.PutsPerSec {
+			if p.PutsPerSec > best.PutsPerSec {
 				best = p
 			}
 		}
-		for _, p := range entry.GroupCommit {
-			if !p.Grouped && p.Writers == best.Writers {
-				baseAtBest = p.PutsPerSec
-			}
-		}
-		line := fmt.Sprintf("%s: group-commit sweep %d cells, best %.0f puts/s at %d writers (batch %.1f, ack p99 %.0fus)",
-			path, n, best.PutsPerSec, best.Writers, best.MeanBatch, best.AckP99US)
-		if baseAtBest > 0 {
-			line += fmt.Sprintf(", %.2fx over single-seal", best.PutsPerSec/baseAtBest)
-		}
-		fmt.Fprintln(out, line)
+		fmt.Fprintf(out, "%s: group-commit sweep %d cells, %.0f puts/s at %d writer(s), best %.0f puts/s at %d writers (batch %.1f, ack p99 %.0fus)\n",
+			path, n, lone.PutsPerSec, lone.Writers, best.PutsPerSec, best.Writers, best.MeanBatch, best.AckP99US)
 	}
 	return nil
 }

@@ -1,8 +1,8 @@
 // Command montsalvat-fabric runs the sharded enclave fabric in one
 // process: N enclave gateways each owning a partition of the demo KV
-// keyspace, R warm-standby replicas per shard fed by synchronous
-// checkpoint shipping over attested peer channels, and a consistent-hash
-// router in front.
+// keyspace, R warm-standby replicas per shard fed by checkpoint
+// shipping over attested peer channels (every ack waits for the round
+// that covers it), and a consistent-hash router in front.
 //
 // Usage:
 //
@@ -13,20 +13,12 @@
 //	                                               # mid-run, promote its
 //	                                               # replica, verify
 //	montsalvat-fabric -metrics-addr :9415          # fleet observability endpoint
-//	montsalvat-fabric -load -group-commit          # pipelined durable-write path
 //
 // With -load the process is its own client: concurrent routers drive
 // the keyspace through attested sessions, every acknowledged write is
 // read back, and the run fails if any is missing. With -failover one
 // primary is killed after the first load phase and its replica promoted
 // — acked writes must survive the switch.
-//
-// -group-commit switches the shards to the pipelined durable-write
-// path: concurrent puts are journaled as batched WAL records (one seal
-// per group) and acks are gated on the replica watermark instead of an
-// inline ship round. -commit-records and -commit-delay tune the batch
-// window. With -obs-check, the run additionally asserts that traced
-// commit-leader spans parent the batched ship spans.
 //
 // -metrics-addr mounts the fabric-wide observability plane: one
 // endpoint serving shard-labeled montsalvat_fabric_* metrics
@@ -36,7 +28,9 @@
 // end of the run. -obs-check additionally asserts the plane's two core
 // promises — a single trace ID spanning at least three Worlds, and a
 // complete kill → promote-begin → promote-commit → epoch-bump
-// timeline — and fails the run if either is missing.
+// timeline — plus the attribution of replication to commit rounds
+// (traced commit-leader spans parent the ship spans), and fails the run
+// if any is missing.
 package main
 
 import (
@@ -79,10 +73,6 @@ func run(args []string, out io.Writer) error {
 		traceSample = fs.Float64("trace-sample", 1, "fraction of routed operations traced (0 disables tracing)")
 		obsCheck    = fs.Bool("obs-check", false, "with -load: assert cross-World trace propagation and (with -failover) a complete promotion timeline")
 		orderlyChk  = fs.Bool("orderly-check", false, "model-check the fabric failover state machine (bounded exhaustive exploration), exit")
-
-		groupCommit   = fs.Bool("group-commit", false, "durable writes: group-commit WAL batching + pipelined replication (acks gated on the replica watermark)")
-		commitRecords = fs.Int("commit-records", 0, "with -group-commit: max records per commit batch (0 = engine default)")
-		commitDelay   = fs.Duration("commit-delay", 0, "with -group-commit: max time a commit leader holds the batch window open (0 = yield-based window)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -106,13 +96,10 @@ func run(args []string, out io.Writer) error {
 	}
 	start := time.Now()
 	f, err := fabric.New(fabric.Options{
-		Shards:           *shards,
-		Replicas:         *replicas,
-		Platform:         sgx.NewPlatformFromSeed([]byte(*attestSeed)),
-		Fleet:            fleet,
-		GroupCommit:      *groupCommit,
-		CommitMaxRecords: *commitRecords,
-		CommitMaxDelay:   *commitDelay,
+		Shards:   *shards,
+		Replicas: *replicas,
+		Platform: sgx.NewPlatformFromSeed([]byte(*attestSeed)),
+		Fleet:    fleet,
 	})
 	if err != nil {
 		return err
@@ -136,11 +123,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *load {
-		// The commit-leader trace assertion needs the pipelined ack
-		// path to actually run: group commit on and at least one
-		// replica to ship to.
-		checkCommit := *groupCommit && *replicas >= 1
-		return runLoad(out, f, fleet, *clients, *requests, *failover, *obsCheck, checkCommit)
+		return runLoad(out, f, fleet, *clients, *requests, *failover, *obsCheck)
 	}
 
 	stop := make(chan os.Signal, 1)
@@ -156,7 +139,7 @@ func run(args []string, out io.Writer) error {
 // acknowledged write is read back at the end. With a fleet attached,
 // failover runs end by dumping the event journal as a timeline, and
 // obsCheck asserts the observability-plane invariants.
-func runLoad(out io.Writer, f *fabric.Fabric, fleet *telemetry.Fleet, clients, requests int, failover, obsCheck, checkCommit bool) error {
+func runLoad(out io.Writer, f *fabric.Fabric, fleet *telemetry.Fleet, clients, requests int, failover, obsCheck bool) error {
 	acked := smoke.NewLedger()
 	phase := func(name string, tolerant bool) error {
 		var wg sync.WaitGroup
@@ -227,7 +210,7 @@ func runLoad(out io.Writer, f *fabric.Fabric, fleet *telemetry.Fleet, clients, r
 		printTimeline(out, fleet)
 	}
 	if obsCheck {
-		if err := checkObservability(out, fleet, failover, checkCommit); err != nil {
+		if err := checkObservability(out, fleet, failover); err != nil {
 			return err
 		}
 	}
@@ -258,13 +241,11 @@ func printTimeline(out io.Writer, fleet *telemetry.Fleet) {
 //  2. with failover, timeline completeness — the event journal holds
 //     kill, promote-begin, promote-commit, and epoch-bump events for
 //     the failover in strictly increasing Seq order;
-//  3. with group commit on the pipelined replication path, batched-ship
-//     attribution — at least one commit-leader span exists and parents
-//     at least one ship span, i.e. the trace shows which commit round a
-//     replica delta was shipped for. (Only a subset of ship spans have
-//     commit-leader parents: attach-time catch-up ships are trace
-//     roots, and sync-fallback ships parent the journaling mutation.)
-func checkObservability(out io.Writer, fleet *telemetry.Fleet, failover, checkCommit bool) error {
+//  3. ship attribution — at least one commit-leader span exists and
+//     parents at least one ship span, i.e. the trace shows which
+//     replication round a replica delta was shipped for. (Attach-time
+//     catch-up ships are trace roots, not children of a round.)
+func checkObservability(out io.Writer, fleet *telemetry.Fleet, failover bool) error {
 	if fleet == nil {
 		return fmt.Errorf("obs-check: no fleet attached")
 	}
@@ -307,28 +288,26 @@ func checkObservability(out io.Writer, fleet *telemetry.Fleet, failover, checkCo
 			seqs[0], seqs[1], seqs[2], seqs[3])
 	}
 
-	if checkCommit {
-		leaders := map[uint64]bool{}
-		nLeaders := 0
-		for _, sp := range spans {
-			if sp.Name == "commit-leader" {
-				leaders[sp.SpanID] = true
-				nLeaders++
-			}
+	leaders := map[uint64]bool{}
+	nLeaders := 0
+	for _, sp := range spans {
+		if sp.Name == "commit-leader" {
+			leaders[sp.SpanID] = true
+			nLeaders++
 		}
-		if nLeaders == 0 {
-			return fmt.Errorf("obs-check: group commit ran but no commit-leader span was traced")
-		}
-		parented := 0
-		for _, sp := range spans {
-			if strings.HasPrefix(sp.Name, "ship ") && leaders[sp.ParentID] {
-				parented++
-			}
-		}
-		if parented == 0 {
-			return fmt.Errorf("obs-check: %d commit-leader spans but none parents a ship span", nLeaders)
-		}
-		fmt.Fprintf(out, "obs-check: %d commit-leader spans parent %d batched ship spans\n", nLeaders, parented)
 	}
+	if nLeaders == 0 {
+		return fmt.Errorf("obs-check: no commit-leader span was traced")
+	}
+	parented := 0
+	for _, sp := range spans {
+		if strings.HasPrefix(sp.Name, "ship ") && leaders[sp.ParentID] {
+			parented++
+		}
+	}
+	if parented == 0 {
+		return fmt.Errorf("obs-check: %d commit-leader spans but none parents a ship span", nLeaders)
+	}
+	fmt.Fprintf(out, "obs-check: %d commit-leader spans parent %d ship spans\n", nLeaders, parented)
 	return nil
 }

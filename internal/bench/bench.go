@@ -29,10 +29,6 @@ type Options struct {
 	Quick bool
 	// Spin charges simulated costs as real busy-wait time.
 	Spin bool
-	// GroupCommit runs the fabric experiments on the pipelined
-	// durable-write path (batched WAL seals, replication off the ack
-	// path) instead of the per-mutation synchronous one.
-	GroupCommit bool
 }
 
 // Config returns the platform configuration for the options.
@@ -257,7 +253,7 @@ func All() []Experiment {
 		{ID: "concurrent-rmi", Title: "Concurrent RMI throughput scaling", Run: ConcurrentRMI},
 		{ID: "ring-sweep", Title: "Zero-copy ring data plane vs frame path (payload sweep)", Run: RingSweep},
 		{ID: "recovery", Title: "Crash-recovery latency: WAL length × checkpoint cadence", Run: RecoveryTime},
-		{ID: "group-commit", Title: "Group commit: durable-put throughput vs writers and commit window", Run: GroupCommit},
+		{ID: "group-commit", Title: "Group commit: durable-put throughput vs concurrent writers", Run: GroupCommit},
 		{ID: "fabric-scale", Title: "Sharded fabric throughput vs shard count", Run: FabricScale},
 		{ID: "failover", Title: "Failover time: replica promotion vs write volume", Run: FailoverTime},
 		{ID: "obs-overhead", Title: "Observability overhead: enabled vs disabled telemetry", Run: ObsOverhead},

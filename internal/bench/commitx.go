@@ -1,13 +1,11 @@
 package bench
 
-// Group-commit experiments: the durable-write cost model with and
-// without the commit queue. Each point drives W concurrent writers
-// through one persist.Manager and measures what the batching actually
-// buys — appends per second, per-ack latency quantiles, the achieved
-// batch size, and sealed bytes per operation. The ungrouped baseline
-// (one sealed frame per append, the fabric-v1 ack path) anchors every
-// writer count, so the table reads as "what did moving the seal out of
-// the per-mutation path change".
+// Group-commit experiment: the durable-write cost model of the commit
+// protocol. Each cell drives W concurrent writers through one
+// persist.Manager and measures what sharing a frame buys — appends per
+// second, per-ack latency quantiles, the achieved group size, and
+// sealed bytes per operation — from the lone writer, where a frame
+// carries one record, to the saturated queue.
 
 import (
 	"fmt"
@@ -26,17 +24,21 @@ func groupCommitWriters(opts Options) []int {
 	return []int{1, 4, 16, 64}
 }
 
-// groupCommitDelays is the commit-window sweep. Zero relies on natural
-// batching (followers pile up while the leader seals); the timed
-// windows trade ack latency for larger groups.
-var groupCommitDelays = []time.Duration{0, 500 * time.Microsecond, 2 * time.Millisecond}
+// groupCommitAppends is the fixed work of every cell, split across the
+// cell's writers. A cell sized per writer (400 puts at one writer, some
+// 2 ms) read 89k, 134k and 226k puts/s on three runs of identical code;
+// at 50k appends and up the cells repeat.
+func groupCommitAppends(opts Options) int { return opts.scale(100_000, 50_000) }
 
 // GroupCommitPoint is one machine-readable cell of the group-commit
 // sweep in BENCH_persist.json.
 type GroupCommitPoint struct {
 	Writers int `json:"writers"`
-	// DelayUS is the commit window in microseconds; -1 marks the
-	// ungrouped baseline (no commit queue at all).
+	// DelayUS and Grouped describe entries recorded while the engine
+	// still had a timed commit window and a single-seal path beside the
+	// commit queue: the window in microseconds (-1 on that single-seal
+	// baseline) and whether the cell ran the queue. Every cell recorded
+	// since runs the one protocol: window 0, grouped.
 	DelayUS          float64 `json:"delay_us"`
 	Grouped          bool    `json:"grouped"`
 	PutsPerSec       float64 `json:"puts_per_sec"`
@@ -47,19 +49,16 @@ type GroupCommitPoint struct {
 	SealedBytesPerOp float64 `json:"sealed_bytes_per_op"`
 }
 
-// runGroupCommitPoint measures one (writers, window) cell: W writers
-// each journal perWriter puts through a fresh manager, and every
-// Append's wall latency is sampled.
-func runGroupCommitPoint(opts Options, writers int, delay time.Duration, grouped bool) (GroupCommitPoint, error) {
-	perWriter := opts.scale(400, 80)
+// runGroupCommitPoint measures one cell: W writers journal
+// groupCommitAppends puts between them through a fresh manager, and
+// every Append's wall latency is sampled.
+func runGroupCommitPoint(opts Options, writers int) (GroupCommitPoint, error) {
+	perWriter := (groupCommitAppends(opts) + writers - 1) / writers
 	l, err := newRecoveryLineage(opts.Config())
 	if err != nil {
 		return GroupCommitPoint{}, err
 	}
-	m, st, err := l.bootWith(persist.Options{
-		GroupCommit:   grouped,
-		GroupMaxDelay: delay,
-	})
+	m, st, err := l.boot()
 	if err != nil {
 		return GroupCommitPoint{}, err
 	}
@@ -115,94 +114,57 @@ func runGroupCommitPoint(opts Options, writers int, delay time.Duration, grouped
 		return float64(all[i].Nanoseconds()) / 1e3
 	}
 
-	pt := GroupCommitPoint{
-		Writers:  writers,
-		DelayUS:  float64(delay.Microseconds()),
-		Grouped:  grouped,
-		AckP50US: quant(0.50),
-		AckP99US: quant(0.99),
-	}
-	if !grouped {
-		pt.DelayUS = -1
-	}
-	if elapsed > 0 {
-		pt.PutsPerSec = float64(total) / elapsed
-	}
 	stats := m.Stats()
-	if grouped {
-		pt.SealedFrames = stats.GroupCommits
-		if stats.GroupCommits > 0 {
-			pt.MeanBatch = float64(stats.GroupedRecords) / float64(stats.GroupCommits)
-		}
-	} else {
-		pt.SealedFrames = stats.Appends
-		pt.MeanBatch = 1
-	}
-	if total > 0 {
-		pt.SealedBytesPerOp = float64(stats.AppendedBytes) / float64(total)
-	}
-	return pt, nil
+	return GroupCommitPoint{
+		Writers:          writers,
+		Grouped:          true,
+		PutsPerSec:       float64(total) / elapsed,
+		AckP50US:         quant(0.50),
+		AckP99US:         quant(0.99),
+		MeanBatch:        float64(stats.GroupedRecords) / float64(stats.GroupCommits),
+		SealedFrames:     stats.GroupCommits,
+		SealedBytesPerOp: float64(stats.AppendedBytes) / float64(total),
+	}, nil
 }
 
-// GroupCommitSweep runs the full (writers × window) grid plus the
-// ungrouped baseline per writer count — the machine-readable record
-// for BENCH_persist.json.
+// GroupCommitSweep runs one cell per writer count — the
+// machine-readable record for BENCH_persist.json.
 func GroupCommitSweep(opts Options) ([]GroupCommitPoint, error) {
 	var pts []GroupCommitPoint
 	for _, w := range groupCommitWriters(opts) {
-		base, err := runGroupCommitPoint(opts, w, 0, false)
+		pt, err := runGroupCommitPoint(opts, w)
 		if err != nil {
-			return nil, fmt.Errorf("group-commit baseline writers=%d: %w", w, err)
+			return nil, fmt.Errorf("group-commit writers=%d: %w", w, err)
 		}
-		pts = append(pts, base)
-		for _, d := range groupCommitDelays {
-			pt, err := runGroupCommitPoint(opts, w, d, true)
-			if err != nil {
-				return nil, fmt.Errorf("group-commit writers=%d delay=%s: %w", w, d, err)
-			}
-			pts = append(pts, pt)
-		}
+		pts = append(pts, pt)
 	}
 	return pts, nil
 }
 
 // GroupCommit regenerates the human-readable group-commit table.
 func GroupCommit(opts Options) (*Table, error) {
-	writers := groupCommitWriters(opts)
 	t := &Table{
 		ID:      "group-commit",
-		Title:   "Group commit: durable-put throughput vs writers and commit window",
+		Title:   "Group commit: durable-put throughput vs concurrent writers",
 		XLabel:  "series \\ writers",
 		Unit:    "puts/s",
-		Columns: intColumns(writers),
+		Columns: intColumns(groupCommitWriters(opts)),
 	}
 	pts, err := GroupCommitSweep(opts)
 	if err != nil {
 		return nil, err
 	}
-	row := func(name string, keep func(GroupCommitPoint) bool, pick func(GroupCommitPoint) float64) {
-		var vals []float64
-		for _, w := range writers {
-			for _, p := range pts {
-				if p.Writers == w && keep(p) {
-					vals = append(vals, pick(p))
-					break
-				}
-			}
+	row := func(name string, pick func(GroupCommitPoint) float64) {
+		vals := make([]float64, len(pts))
+		for i, p := range pts {
+			vals[i] = pick(p)
 		}
 		t.AddRow(name, vals...)
 	}
-	isBase := func(p GroupCommitPoint) bool { return !p.Grouped }
-	forDelay := func(d time.Duration) func(GroupCommitPoint) bool {
-		return func(p GroupCommitPoint) bool { return p.Grouped && p.DelayUS == float64(d.Microseconds()) }
-	}
-	puts := func(p GroupCommitPoint) float64 { return p.PutsPerSec }
-	row("single-seal", isBase, puts)
-	for _, d := range groupCommitDelays {
-		row(fmt.Sprintf("window-%s", d), forDelay(d), puts)
-	}
-	row("batch@window-0", forDelay(0), func(p GroupCommitPoint) float64 { return p.MeanBatch })
-	t.AddNote("single-seal = one sealed WAL frame per append (the old ack path); window-X = commit queue with that max delay")
-	t.AddNote("batch row = mean records per sealed frame at window 0: batching is natural, followers queue while the leader seals")
+	row("puts/s", func(p GroupCommitPoint) float64 { return p.PutsPerSec })
+	row("records/frame", func(p GroupCommitPoint) float64 { return p.MeanBatch })
+	row("ack-p99-us", func(p GroupCommitPoint) float64 { return p.AckP99US })
+	t.AddNote("%d appends per cell split across the writers; one sealed WAL frame per commit group", groupCommitAppends(opts))
+	t.AddNote("grouping is natural: a leader yields once, then seals whatever queued behind it")
 	return t, nil
 }

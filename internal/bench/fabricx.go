@@ -66,8 +66,8 @@ func modeledRate(before, after map[int]int64, ops int) float64 {
 // *degrades* with shard count for setup reasons that have nothing to do
 // with the per-put path (the fabric-v1 entry in BENCH_fabric.json was
 // recorded cold, which is much of its 2->8 shard flatline).
-func runFabricScalePoint(shards, clients, opsPerClient int, groupCommit bool) (fabricLoadPoint, error) {
-	f, err := fabric.New(fabric.Options{Shards: shards, GroupCommit: groupCommit})
+func runFabricScalePoint(shards, clients, opsPerClient int) (fabricLoadPoint, error) {
+	f, err := fabric.New(fabric.Options{Shards: shards})
 	if err != nil {
 		return fabricLoadPoint{}, err
 	}
@@ -193,7 +193,7 @@ func FabricScale(opts Options) (*Table, error) {
 	}
 	var puts, gets, modeled, speed []float64
 	for _, n := range shardCounts {
-		p, err := runFabricScalePoint(n, clients, opsPerClient, opts.GroupCommit)
+		p, err := runFabricScalePoint(n, clients, opsPerClient)
 		if err != nil {
 			return nil, fmt.Errorf("fabric-scale shards=%d: %w", n, err)
 		}
@@ -232,8 +232,8 @@ func fabricFailoverRecords(opts Options) []int {
 // fabric, kills the primary, and measures promotion (recover the
 // shipped root on the standby, rollback check, reopen the gateway).
 // Every acked write is re-read from the promoted shard.
-func runFailoverPoint(records int, groupCommit bool) (promote time.Duration, err error) {
-	f, err := fabric.New(fabric.Options{Shards: 1, Replicas: 1, GroupCommit: groupCommit})
+func runFailoverPoint(records int) (promote time.Duration, err error) {
+	f, err := fabric.New(fabric.Options{Shards: 1, Replicas: 1})
 	if err != nil {
 		return 0, err
 	}
@@ -281,7 +281,7 @@ func FailoverTime(opts Options) (*Table, error) {
 	}
 	var row []float64
 	for _, n := range counts {
-		d, err := runFailoverPoint(n, opts.GroupCommit)
+		d, err := runFailoverPoint(n)
 		if err != nil {
 			return nil, fmt.Errorf("failover n=%d: %w", n, err)
 		}
@@ -289,7 +289,7 @@ func FailoverTime(opts Options) (*Table, error) {
 	}
 	t.AddRow("promote", row...)
 	t.AddNote("promotion = recover shipped root on the standby (unseal checkpoint + replay WAL tail) + rollback check + reopen gateway")
-	t.AddNote("writes were acked only after synchronous shipping, so the standby never trails the promise")
+	t.AddNote("writes were acked only after a ship round covered them, so the standby never trails the promise")
 	return t, nil
 }
 
@@ -320,9 +320,10 @@ type FabricPerfEntry struct {
 	GoMaxProcs int    `json:"gomaxprocs"`
 	Quick      bool   `json:"quick"`
 	Clients    int    `json:"clients"`
-	// GroupCommit records which ack path the run used: false is the
-	// per-mutation synchronous path (fabric-v1), true the pipelined
-	// group-commit one.
+	// GroupCommit is false on entries recorded on the per-mutation
+	// synchronous ack path that once sat beside the group-commit one;
+	// every run since is on the one leader-driven protocol and records
+	// true.
 	GroupCommit bool               `json:"group_commit"`
 	Scale       []FabricScalePoint `json:"scale"`
 	Failover    []FailoverPoint    `json:"failover"`
@@ -347,11 +348,11 @@ func FabricPerf(opts Options, label string) (*FabricPerfEntry, error) {
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Quick:       opts.Quick,
 		Clients:     clients,
-		GroupCommit: opts.GroupCommit,
+		GroupCommit: true,
 	}
 	var base float64
 	for _, n := range fabricShardCounts(opts) {
-		p, err := runFabricScalePoint(n, clients, opsPerClient, opts.GroupCommit)
+		p, err := runFabricScalePoint(n, clients, opsPerClient)
 		if err != nil {
 			return nil, fmt.Errorf("fabric-perf shards=%d: %w", n, err)
 		}
@@ -371,7 +372,7 @@ func FabricPerf(opts Options, label string) (*FabricPerfEntry, error) {
 		e.Scale = append(e.Scale, pt)
 	}
 	for _, n := range fabricFailoverRecords(opts) {
-		d, err := runFailoverPoint(n, opts.GroupCommit)
+		d, err := runFailoverPoint(n)
 		if err != nil {
 			return nil, fmt.Errorf("fabric-perf failover n=%d: %w", n, err)
 		}

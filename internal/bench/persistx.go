@@ -49,13 +49,6 @@ func newRecoveryLineage(cfg simcfg.Config) (*recoveryLineage, error) {
 // storage — one machine lifetime. The signer is shared across boots, so
 // MRSIGNER-sealed blobs written before a crash unseal after it.
 func (l *recoveryLineage) boot() (*persist.Manager, *persist.MapState, error) {
-	return l.bootWith(persist.Options{})
-}
-
-// bootWith boots with caller-chosen durability knobs (the group-commit
-// sweep varies them); identity, storage, and counter wiring are the
-// lineage's.
-func (l *recoveryLineage) bootWith(extra persist.Options) (*persist.Manager, *persist.MapState, error) {
 	clk := cycles.New(simcfg.CPUHz, false)
 	e, err := sgx.Create(l.cfg, clk, 4)
 	if err != nil {
@@ -76,13 +69,7 @@ func (l *recoveryLineage) bootWith(extra persist.Options) (*persist.Manager, *pe
 		return nil, nil, err
 	}
 	st := persist.NewMapState("kv")
-	popts := extra
-	popts.FS = l.fs
-	popts.Enclave = e
-	popts.Secret = l.secret
-	popts.Counter = ctr
-	popts.Dir = "p/"
-	m, err := persist.Open(popts)
+	m, err := persist.Open(persist.Options{FS: l.fs, Enclave: e, Secret: l.secret, Counter: ctr, Dir: "p/"})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -209,10 +196,10 @@ type RecoveryPerfEntry struct {
 	GoMaxProcs int             `json:"gomaxprocs"`
 	Quick      bool            `json:"quick"`
 	Points     []RecoveryPoint `json:"points"`
-	// GroupCommit is the commit-window sweep: durable-put throughput
-	// and ack quantiles per (writers, window) cell, with the ungrouped
-	// single-seal baseline. Absent in entries recorded before the
-	// group-commit engine existed.
+	// GroupCommit is the group-commit sweep: durable-put throughput and
+	// ack quantiles, one cell per writer count (see GroupCommitPoint for
+	// the extra cells of older entries). Absent in entries recorded
+	// before the commit queue existed.
 	GroupCommit []GroupCommitPoint `json:"group_commit,omitempty"`
 }
 

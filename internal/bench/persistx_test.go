@@ -66,31 +66,26 @@ func TestGroupCommitSweepShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	writers := groupCommitWriters(quickOpts())
-	wantCells := len(writers) * (1 + len(groupCommitDelays))
-	if len(pts) != wantCells {
-		t.Fatalf("cells = %d, want %d", len(pts), wantCells)
+	if len(pts) != len(writers) {
+		t.Fatalf("cells = %d, want %d", len(pts), len(writers))
 	}
-	for _, p := range pts {
+	for i, p := range pts {
+		if p.Writers != writers[i] || uint64(p.MeanBatch*float64(p.SealedFrames)+0.5) < uint64(groupCommitAppends(quickOpts())) {
+			t.Errorf("cell %+v: want %d writers and at least %d appends", p, writers[i], groupCommitAppends(quickOpts()))
+		}
 		if p.PutsPerSec <= 0 || p.AckP50US <= 0 || p.AckP99US < p.AckP50US {
 			t.Errorf("cell %+v: degenerate throughput/latency", p)
 		}
-		if !p.Grouped && (p.MeanBatch != 1 || p.DelayUS != -1) {
-			t.Errorf("baseline cell %+v: not single-seal", p)
-		}
-		if p.Grouped && p.MeanBatch < 1 {
-			t.Errorf("grouped cell %+v: batch below 1", p)
+		if p.MeanBatch < 1 {
+			t.Errorf("cell %+v: batch below 1", p)
 		}
 		if p.SealedFrames == 0 || p.SealedBytesPerOp <= 0 {
 			t.Errorf("cell %+v: no sealing accounted", p)
 		}
 	}
-	// The point of the engine: with concurrent writers the commit
+	// The point of the protocol: with concurrent writers the commit
 	// queue seals fewer frames than it journals records.
-	maxW := writers[len(writers)-1]
-	for _, p := range pts {
-		if p.Grouped && p.Writers == maxW && p.MeanBatch > 1 {
-			return
-		}
+	if top := pts[len(pts)-1]; top.MeanBatch <= 1 {
+		t.Fatalf("cell at %d writers achieved batch %.2f, want > 1", top.Writers, top.MeanBatch)
 	}
-	t.Fatalf("no grouped cell at %d writers achieved batch > 1", maxW)
 }

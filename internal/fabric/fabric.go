@@ -2,7 +2,7 @@ package fabric
 
 // fabric.go is the controller: it boots N primary shards and R warm
 // standbys per shard inside one process, wires the replication channels
-// (mutually attested, synchronous in the ack path), publishes the
+// (mutually attested, gating every ack), publishes the
 // routing table, and drives the failure-handling verbs — KillShard
 // captures the acked position of a dying primary, Promote recovers a
 // standby against it. One signer and one platform secret span the
@@ -48,25 +48,6 @@ type Options struct {
 	MaxInFlight int
 	// PeerTimeout bounds peer handshakes (default 10s).
 	PeerTimeout time.Duration
-	// GroupCommit turns on the pipelined durable-write path: each
-	// shard's manager batches concurrent appends into one sealed WAL
-	// frame (persist group commit), the gateway journals through the
-	// async hook, and replication moves off the ack path onto a
-	// per-shard pump. A put acks only once its LSN is durable AND every
-	// replica's acked watermark covers it — same guarantee as the
-	// synchronous path, without a seal, a counter advance, and a ship
-	// round per mutation.
-	GroupCommit bool
-	// CommitMaxRecords / CommitMaxDelay tune the persist commit window
-	// (zero means the persist defaults: 64 records, no timed window).
-	CommitMaxRecords int
-	CommitMaxDelay   time.Duration
-	// SyncFallbackAfter bounds how long an ack may wait on the
-	// pipelined watermark before the shard ships synchronously on the
-	// waiter's behalf (default 25ms). A stalled or paused replica
-	// degrades that waiter to the fabric-v1 synchronous path instead of
-	// losing or indefinitely delaying its ack.
-	SyncFallbackAfter time.Duration
 	// Logf receives diagnostics from every layer of the fabric.
 	Logf func(format string, args ...any)
 	// Signer, when set, replaces the freshly generated fabric signing
@@ -84,14 +65,6 @@ type Options struct {
 	Build *core.BuildResult
 }
 
-// syncFallbackAfter resolves the watermark-wait bound.
-func (f *Fabric) syncFallbackAfter() time.Duration {
-	if f.opts.SyncFallbackAfter > 0 {
-		return f.opts.SyncFallbackAfter
-	}
-	return 25 * time.Millisecond
-}
-
 // Stats are fabric-lifetime counters.
 type Stats struct {
 	Shards                  int
@@ -101,8 +74,8 @@ type Stats struct {
 	Promotions              uint64
 	StalePromotionsRejected uint64
 	PeerHandshakes          uint64
-	// SyncFallbacks counts acks that timed out on the pipelined
-	// watermark and were delivered by a synchronous ship instead.
+	// SyncFallbacks is always 0: the fallback ack path is gone. Read by
+	// benchmark/layers.go; remove with the next benchmark PR.
 	SyncFallbacks uint64
 }
 
@@ -125,7 +98,6 @@ type Fabric struct {
 	promotions     atomic.Uint64
 	staleRejected  atomic.Uint64
 	peerHandshakes atomic.Uint64
-	syncFallbacks  atomic.Uint64
 }
 
 // New boots the fabric: worlds, gateways, peer mesh, replication
@@ -309,7 +281,8 @@ func (f *Fabric) Checkpoint(id int) error {
 	if err := n.manager().Checkpoint(); err != nil {
 		return err
 	}
-	return n.shipAll(telemetry.SpanContext{})
+	_, err = n.shipRound(telemetry.SpanContext{})
+	return err
 }
 
 // PauseReplication stops (or resumes) shipping from a shard to its
@@ -325,7 +298,7 @@ func (f *Fabric) PauseReplication(id int, paused bool) error {
 	shippers := append([]*shipper(nil), n.shippers...)
 	n.mu.Unlock()
 	for _, sh := range shippers {
-		sh.pause(paused)
+		sh.paused.Store(paused)
 	}
 	return nil
 }
@@ -444,7 +417,6 @@ func (f *Fabric) Stats() Stats {
 		Promotions:              f.promotions.Load(),
 		StalePromotionsRejected: f.staleRejected.Load(),
 		PeerHandshakes:          f.peerHandshakes.Load(),
-		SyncFallbacks:           f.syncFallbacks.Load(),
 	}
 }
 
@@ -457,7 +429,6 @@ func (f *Fabric) collectMetrics(reg *telemetry.Registry) {
 	reg.Counter("montsalvat_fabric_promotions_total").Set(f.promotions.Load())
 	reg.Counter("montsalvat_fabric_stale_promotions_rejected_total").Set(f.staleRejected.Load())
 	reg.Counter("montsalvat_fabric_peer_handshakes_total").Set(f.peerHandshakes.Load())
-	reg.Counter("montsalvat_fabric_sync_fallbacks_total").Set(f.syncFallbacks.Load())
 }
 
 // Close drains every gateway and tears the whole fabric down.

@@ -315,10 +315,207 @@ func TestStalePromotionRejected(t *testing.T) {
 	}
 }
 
+// TestFabricPausedReplicaSkipped pins what a pause means on the one ack
+// path: a paused replica is skipped by every round — ship and watermark
+// alike — so acks keep leaving with no timer or fallback involved, and
+// the replica they left behind is stale at promotion. Resuming before
+// the kill instead lets the next put's round ship everything the replica
+// missed, and the promotion is healthy.
+func TestFabricPausedReplicaSkipped(t *testing.T) {
+	for _, resume := range []bool{false, true} {
+		name := "stale at promotion"
+		if resume {
+			name = "resumed catches up"
+		}
+		t.Run(name, func(t *testing.T) {
+			f, err := New(Options{Shards: 1, Replicas: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+
+			client := f.Client(RouterConfig{})
+			defer client.Close()
+			acked := map[string]string{}
+			put := func(k string) {
+				t.Helper()
+				if err := client.Put(k, "v-"+k); err != nil {
+					t.Fatalf("put %q: %v", k, err)
+				}
+				acked[k] = "v-" + k
+			}
+			for i := 0; i < 4; i++ {
+				put(fmt.Sprintf("pre:%d", i))
+			}
+			if err := f.PauseReplication(0, true); err != nil {
+				t.Fatal(err)
+			}
+			rounds := f.Stats().ShipRounds
+			for i := 0; i < 4; i++ {
+				put(fmt.Sprintf("stall:%d", i)) // must still ack
+			}
+			if got := f.Stats().ShipRounds; got != rounds {
+				t.Fatalf("%d ship rounds reached the paused replica", got-rounds)
+			}
+			if resume {
+				if err := f.PauseReplication(0, false); err != nil {
+					t.Fatal(err)
+				}
+				put("resumed")
+			}
+
+			exp, err := f.KillShard(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = f.Promote(0, exp)
+			if !resume {
+				var stale *StaleReplicaError
+				if !errors.As(err, &stale) || stale.HaveLSN >= stale.WantLSN {
+					t.Fatalf("promotion of a skipped replica: %v, want StaleReplicaError on the LSN", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("promote after resume: %v", err)
+			}
+			for k, want := range acked {
+				v, ok, err := client.Get(k)
+				if err != nil || !ok || v != want {
+					t.Fatalf("acked write lost: %q = (%q, %v, %v), want %q", k, v, ok, err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestFabricGroupCommitStalePromotionRejected keeps the rollback
+// defense intact with writes in flight: replication pauses, the primary
+// keeps acking and seals a checkpoint lineage the replica never sees,
+// then dies with puts still mid-round. Promoting the stale replica must
+// be refused with the typed error — the acked position in the
+// expectation includes every write acked while the replica was skipped.
+func TestFabricGroupCommitStalePromotionRejected(t *testing.T) {
+	f, err := New(Options{Shards: 1, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	client := f.Client(RouterConfig{})
+	defer client.Close()
+	for i := 0; i < 6; i++ {
+		if err := client.Put(fmt.Sprintf("pre:%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := f.PauseReplication(0, true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := client.Put(fmt.Sprintf("post:%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Checkpoint(0); err != nil {
+		t.Fatal(err)
+	}
+
+	// Kill with background writers still putting. Their acks either
+	// completed (and are part of the expectation) or fail — never
+	// silently dropped.
+	var wg sync.WaitGroup
+	for wr := 0; wr < 2; wr++ {
+		wg.Add(1)
+		go func(wr int) {
+			defer wg.Done()
+			c := f.Client(RouterConfig{})
+			defer c.Close()
+			for i := 0; i < 16; i++ {
+				_ = c.Put(fmt.Sprintf("inflight:%d:%d", wr, i), "v")
+			}
+		}(wr)
+	}
+	exp, err := f.KillShard(0)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	err = f.Promote(0, exp)
+	if !errors.Is(err, ErrStaleReplica) {
+		t.Fatalf("stale promotion: %v, want ErrStaleReplica", err)
+	}
+	var stale *StaleReplicaError
+	if !errors.As(err, &stale) {
+		t.Fatalf("stale promotion error is not typed: %v", err)
+	}
+	if st := f.Stats(); st.StalePromotionsRejected != 1 || st.Promotions != 0 {
+		t.Fatalf("stats = %+v, want 1 stale rejection, 0 promotions", st)
+	}
+}
+
+// TestUnshippedTailDoesNotBlockPromotion: a put that was appended but
+// whose ship failed was never acked, so the promotion expectation must
+// not quote it — the replica, which holds every acked write, is healthy
+// and must be promoted. (Quoting the manager's last appended LSN here
+// refused it with StaleReplicaError.)
+func TestUnshippedTailDoesNotBlockPromotion(t *testing.T) {
+	f, err := New(Options{Shards: 1, Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	client := f.Client(RouterConfig{})
+	defer client.Close()
+	for i := 0; i < 4; i++ {
+		if err := client.Put(fmt.Sprintf("acked:%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The replication channel dies under the primary: the next put is
+	// appended, its round fails, and the ack is withheld.
+	n, err := f.node(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.mu.Lock()
+	n.shippers[0].close()
+	n.mu.Unlock()
+	if err := client.Put("unshipped", "v"); err == nil {
+		t.Fatal("put acked although its ship failed")
+	}
+	last := n.manager().Stats().LastLSN
+	n.mu.Lock()
+	acked := n.ackedHigh
+	n.mu.Unlock()
+	if last <= acked {
+		t.Fatalf("no appended-but-unacked tail: last LSN %d, acked %d", last, acked)
+	}
+
+	exp, err := f.KillShard(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Promote(0, exp); err != nil {
+		t.Fatalf("healthy replica refused over an unacked tail: %v", err)
+	}
+	for i := 0; i < 4; i++ {
+		if v, ok, err := client.Get(fmt.Sprintf("acked:%d", i)); err != nil || !ok || v != "v" {
+			t.Fatalf("acked write lost: acked:%d = (%q, %v, %v)", i, v, ok, err)
+		}
+	}
+	if _, ok, err := client.Get("unshipped"); err != nil || ok {
+		t.Fatalf("unacked write surfaced on the successor: (%v, %v)", ok, err)
+	}
+}
+
 // TestFabricTracePropagation follows one trace ID across Worlds: a
 // routed put starts a root span on the router, the owning shard's
-// gateway continues it, and the synchronous checkpoint ship carries it
-// to the replica — so the fleet dump must hold spans from at least
+// gateway continues it, and the put's ship round carries it to the
+// replica — so the fleet dump must hold spans from at least
 // three distinct nodes under one TraceID. A direct peer call with an
 // injected context must likewise surface on the callee shard.
 func TestFabricTracePropagation(t *testing.T) {

@@ -6,16 +6,16 @@ package fabric
 // checkpoints, monotonic counter) lives on a per-shard filesystem —
 // the unit that checkpoint shipping replicates and promotion rebuilds.
 // The gateway's ShardCheck predicate rejects keys the consistent-hash
-// ring assigns elsewhere, and its Journal hook appends and
-// synchronously ships every put before the ack leaves, so "acked"
-// always implies "durable on the replica set".
+// ring assigns elsewhere, and its Journal hook appends every put and
+// holds the ack until a ship round has carried the put's LSN to every
+// unpaused replica, so "acked" always implies "durable on the replica
+// set".
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"montsalvat/internal/classmodel"
@@ -32,8 +32,8 @@ import (
 )
 
 // Expectation is the durable position a dead primary had acknowledged:
-// the counter stamp of its last checkpoint lineage and its last
-// journaled LSN. A replica may only be promoted if it recovers to at
+// the counter stamp of its last checkpoint lineage and the highest LSN
+// whose ack left. A replica may only be promoted if it recovers to at
 // least this position — the cross-machine extension of the
 // monotonic-counter rollback defense.
 type Expectation struct {
@@ -65,44 +65,37 @@ type shardNode struct {
 	peerLn   net.Listener
 	peerDone chan error
 
+	// mu guards mgr, shippers, and the ack state below. Lock hierarchy:
+	// n.mu > shipper ioMu > the manager's locks; n.mu is never held
+	// across a ship or a waiter's completion.
 	mu       lockrank.Mutex
 	mgr      *persist.Manager
 	shippers []*shipper
 
-	// Replication pump state (group-commit mode only). Lock hierarchy:
-	// ackMu > n.mu > shipper locks > manager mutex — ackMu may be held
-	// while computing the watermark (which snapshots shippers under
-	// n.mu), never the reverse.
-	ackMu       lockrank.Mutex
-	waiters     []*pendingAck
-	pumpErr     error // non-nil once the pump is stopped; fails new waiters fast
-	pumpStopped bool
+	// waiters are the journaled puts whose acks are parked on the
+	// replication watermark. shipping marks a round leader at work:
+	// waiters non-empty implies shipping, so no waiter is ever parked
+	// without a goroutine shipping on its behalf.
+	waiters  []pendingAck
+	shipping bool
 
-	pumpKick chan struct{}
-	pumpStop chan struct{}
-	pumpDone chan struct{}
-
-	// ackedHigh is the highest LSN this node has acknowledged (group-
-	// commit mode). It seeds from the recovered position at gateway
-	// start and advances with every completed ack. kill() captures it
-	// as the promotion expectation: the durable-but-unacked tail
-	// beyond it carries no promise and must not fail a healthy
-	// successor, while everything at or below it was replicated (or
-	// fallback-shipped) before its ack left.
-	ackedHigh atomic.Uint64
+	// ackedHigh is the highest LSN this node has acknowledged. It seeds
+	// from the recovered position at gateway start and advances with
+	// every completed ack. kill() quotes it as the promotion
+	// expectation: the durable-but-unacked tail beyond it carries no
+	// promise and must not fail a healthy successor, while everything
+	// at or below it was covered by every unpaused replica before its
+	// ack left.
+	ackedHigh uint64
 }
 
 // pendingAck is one journaled put parked on the replication watermark:
-// its ack leaves when every replica's acked LSN covers lsn, when the
-// fallback timer degrades it to a synchronous ship, or when the pump
-// stops. done is guarded by ackMu and makes completion single-shot
-// across those three racing paths.
+// its ack leaves when a ship round covers lsn on every unpaused
+// replica, or fails with the error of the round that left it uncovered.
 type pendingAck struct {
 	lsn      uint64
 	sc       telemetry.SpanContext
 	complete func(error)
-	timer    *time.Timer
-	done     bool
 }
 
 // buildWorld constructs one fabric World. Every world shares the fabric
@@ -153,19 +146,16 @@ func (f *Fabric) openManager(id int, w *world.World, fs shim.FS, kv *persist.Wor
 		return nil, persist.Report{}, err
 	}
 	m, err := persist.Open(persist.Options{
-		FS:              fs,
-		Enclave:         w.Enclave(),
-		Secret:          f.secret,
-		Counter:         ctr,
-		Dir:             shardDir,
-		BeforeCommit:    w.Flush,
-		Telemetry:       tel.Registry(),
-		Events:          tel.Events(),
-		Node:            ShardOrigin(id),
-		Logf:            f.opts.Logf,
-		GroupCommit:     f.opts.GroupCommit,
-		GroupMaxRecords: f.opts.CommitMaxRecords,
-		GroupMaxDelay:   f.opts.CommitMaxDelay,
+		FS:           fs,
+		Enclave:      w.Enclave(),
+		Secret:       f.secret,
+		Counter:      ctr,
+		Dir:          shardDir,
+		BeforeCommit: w.Flush,
+		Telemetry:    tel.Registry(),
+		Events:       tel.Events(),
+		Node:         ShardOrigin(id),
+		Logf:         f.opts.Logf,
 	})
 	if err != nil {
 		return nil, persist.Report{}, err
@@ -194,7 +184,6 @@ func newShardNode(f *Fabric, id int) (*shardNode, error) {
 	}
 	n := &shardNode{id: id, fab: f, tel: tel, w: w, fs: shim.NewMemFS()}
 	n.mu.SetRank(lockrank.RankFabricNode, "fabric.shardNode.mu")
-	n.ackMu.SetRank(lockrank.RankFabricAck, "fabric.shardNode.ackMu")
 	n.kv = persist.NewWorldKV("kv", w)
 	ref, err := newStoreRef(w)
 	if err != nil {
@@ -228,22 +217,13 @@ func (n *shardNode) startGateway() error {
 		ShardCheck:  f.shardCheckFor(n.id),
 		Telemetry:   n.tel,
 		Node:        ShardOrigin(n.id),
+		Journal:     n.journal,
 	}
-	if f.opts.GroupCommit {
-		// Pipelined path: the worker hands the put to the commit queue
-		// and is freed; the ack leaves when the replication watermark
-		// covers the put's LSN. The pump must be live before the first
-		// request lands. Everything recovered counts as acked — it was
-		// validated against the predecessor's expectation.
-		n.ackedHigh.Store(n.mgr.Stats().LastLSN)
-		sOpts.JournalAsync = n.journalAsync
-		n.startPump()
-	} else {
-		sOpts.Journal = n.journal
-	}
+	// Everything recovered counts as acked — it was validated against
+	// the predecessor's expectation.
+	n.ackedHigh = n.mgr.Stats().LastLSN
 	srv, err := serve.New(sOpts)
 	if err != nil {
-		n.stopPump(fmt.Errorf("fabric: shard %d gateway failed to start", n.id))
 		return err
 	}
 	srv.Export("kv", func(env classmodel.Env) (wire.Value, error) {
@@ -255,7 +235,6 @@ func (n *shardNode) startGateway() error {
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		n.stopPump(fmt.Errorf("fabric: shard %d gateway failed to start", n.id))
 		return err
 	}
 	n.srv, n.ln = srv, ln
@@ -282,7 +261,6 @@ func (n *shardNode) startGateway() error {
 	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		ln.Close()
-		n.stopPump(fmt.Errorf("fabric: shard %d gateway failed to start", n.id))
 		return err
 	}
 	n.peerLn = peerLn
@@ -317,31 +295,15 @@ func (n *shardNode) manager() *persist.Manager {
 	return n.mgr
 }
 
-// journal is the gateway's Journal hook: append the put, then ship the
-// delta to every replica before the ack leaves. A ship failure fails
-// the request — an un-replicated write is never acknowledged. The
-// mutation's trace context rides along so the replication leg of the
-// ack path lands in the same trace as the client's put.
-func (n *shardNode) journal(m serve.Mutation) error {
-	if m.Op != serve.MutationCall || m.Class != demo.KVStoreCls || m.Method != "put" || len(m.Args) < 2 {
-		return nil
-	}
-	key, _ := m.Args[0].AsStr()
-	val, _ := m.Args[1].AsStr()
-	if _, err := n.manager().Append("kv", persist.OpPut, key, []byte(val)); err != nil {
-		return err
-	}
-	return n.shipAll(m.Trace)
-}
-
-// journalAsync is the gateway hook on the pipelined path. The append
-// runs inline — concurrent workers parking on the commit queue is
-// exactly what forms a batch, and the pool is wider than any client
-// fan-out — but the ack goes asynchronous the moment it has to wait on
-// replication: complete fires from the pump (watermark) or the
-// fallback ship, not from this worker. Non-put mutations complete
-// immediately.
-func (n *shardNode) journalAsync(m serve.Mutation, complete func(error)) {
+// journal is the gateway's Journal hook. The append runs inline —
+// concurrent workers meeting on the commit queue is exactly what forms
+// a group — and the ack then waits on replication: complete fires once
+// a ship round has covered the put's LSN, with that round's error if it
+// did not. An un-replicated write is never acknowledged. The mutation's
+// trace context rides along so the replication leg of the ack path
+// lands in the same trace as the client's put. Non-put mutations
+// complete immediately.
+func (n *shardNode) journal(m serve.Mutation, complete func(error)) {
 	if m.Op != serve.MutationCall || m.Class != demo.KVStoreCls || m.Method != "put" || len(m.Args) < 2 {
 		complete(nil)
 		return
@@ -353,207 +315,100 @@ func (n *shardNode) journalAsync(m serve.Mutation, complete func(error)) {
 		complete(err)
 		return
 	}
-	n.awaitReplicated(lsn, m.Trace, complete)
+	n.awaitReplicated(pendingAck{lsn: lsn, sc: m.Trace, complete: complete})
 }
 
-// awaitReplicated gates an ack on the replication watermark: complete
-// fires once every replica's acked LSN covers lsn. If the watermark
-// stalls, the fallback timer degrades this waiter to a synchronous
-// ship; if the pump is stopped, the waiter fails immediately.
-func (n *shardNode) awaitReplicated(lsn uint64, sc telemetry.SpanContext, complete func(error)) {
-	n.ackMu.Lock()
-	if n.pumpErr != nil {
-		err := n.pumpErr
-		n.ackMu.Unlock()
-		complete(err)
-		return
-	}
-	if lsn <= n.coveredLSN() {
-		n.ackMu.Unlock()
-		n.noteAckedHigh(lsn)
-		complete(nil)
-		return
-	}
-	pa := &pendingAck{lsn: lsn, sc: sc, complete: complete}
-	pa.timer = time.AfterFunc(n.fab.syncFallbackAfter(), func() { n.ackFallback(pa) })
-	n.waiters = append(n.waiters, pa)
-	n.ackMu.Unlock()
-	n.kickPump()
-}
-
-// coveredLSN is the replication watermark: the highest LSN every
-// attached replica has durably applied. Paused replicas count — a
-// pause freezes the watermark, and stalled waiters degrade through the
-// fallback path rather than acking unreplicated writes early. With no
-// replicas attached there is nothing to wait for.
-func (n *shardNode) coveredLSN() uint64 {
-	covered := ^uint64(0)
+// awaitReplicated parks an ack on the replication watermark. The first
+// waiter to find no round leader becomes one and ships rounds on its
+// own goroutine until no waiter remains — so an uncontended put ships
+// inline, and puts that land while a round is in flight share the next
+// one, however many they are.
+func (n *shardNode) awaitReplicated(pa pendingAck) {
 	n.mu.Lock()
-	for _, sh := range n.shippers {
-		// acked() is one atomic load; cheap enough to take under n.mu
-		// on every journaled put without copying the slice.
-		if a := sh.acked(); a < covered {
-			covered = a
-		}
-	}
-	n.mu.Unlock()
-	return covered
-}
-
-// startPump launches the replication pump: one goroutine per shard
-// that ships deltas whenever waiters are parked, batching however many
-// puts landed since the last round into one ship per replica.
-func (n *shardNode) startPump() {
-	n.pumpKick = make(chan struct{}, 1)
-	n.pumpStop = make(chan struct{})
-	n.pumpDone = make(chan struct{})
-	go n.pumpLoop()
-}
-
-func (n *shardNode) kickPump() {
-	select {
-	case n.pumpKick <- struct{}{}:
-	default: // a round is already scheduled; it will see this waiter
-	}
-}
-
-func (n *shardNode) pumpLoop() {
-	defer close(n.pumpDone)
-	for {
-		select {
-		case <-n.pumpStop:
-			return
-		case <-n.pumpKick:
-			n.pumpRound()
-		}
-	}
-}
-
-// pumpRound ships one delta round to every replica and completes every
-// waiter the advanced watermark now covers. The round is traced as a
-// commit-leader span continuing the oldest waiter's trace; the
-// per-replica ship spans parent under it, so a trace shows one batched
-// replication round serving many puts. Ship errors are not fatal here —
-// a waiter a failed round leaves behind is delivered (value or error)
-// by its fallback ship.
-func (n *shardNode) pumpRound() {
-	n.ackMu.Lock()
-	if len(n.waiters) == 0 {
-		n.ackMu.Unlock()
+	n.waiters = append(n.waiters, pa)
+	if n.shipping {
+		n.mu.Unlock()
 		return
+	}
+	n.shipping = true
+	n.mu.Unlock()
+	for n.ackRound() {
+	}
+}
+
+// ackRound ships one round on behalf of the parked waiters and releases
+// them: those the round covered ack, and if a replica failed the rest
+// fail with its error — precisely the waiters that round left
+// uncovered. A waiter that parked after the round cut its delta (no
+// error, not covered) stays for the next round. It reports false, and
+// resigns the leadership, once no waiter remains. The round is traced
+// as a commit-leader span continuing the oldest waiter's trace; the
+// per-replica ship spans parent under it, so a trace shows one
+// replication round serving many puts.
+func (n *shardNode) ackRound() bool {
+	n.mu.Lock()
+	if len(n.waiters) == 0 {
+		n.shipping = false
+		n.mu.Unlock()
+		return false
 	}
 	sc := n.waiters[0].sc
-	n.ackMu.Unlock()
+	n.mu.Unlock()
 
 	sp := n.tel.Tracer().StartRemote(sc, "commit-leader")
 	sp.SetNode(ShardOrigin(n.id))
-	n.mu.Lock()
-	shippers := append([]*shipper(nil), n.shippers...)
-	n.mu.Unlock()
-	for _, sh := range shippers {
-		_ = sh.ship(sp.Context())
-	}
-	sp.Finish(nil)
-	n.completeCovered()
-}
+	covered, err := n.shipRound(sp.Context())
+	sp.Finish(err)
 
-// completeCovered releases every waiter at or below the watermark.
-func (n *shardNode) completeCovered() {
-	covered := n.coveredLSN()
-	n.ackMu.Lock()
-	var ready []*pendingAck
+	n.mu.Lock()
+	var released []pendingAck
 	rest := n.waiters[:0]
 	for _, pa := range n.waiters {
 		if pa.lsn <= covered {
-			pa.done = true
-			pa.timer.Stop()
-			ready = append(ready, pa)
-		} else {
+			n.ackedHigh = max(n.ackedHigh, pa.lsn)
+		} else if err == nil {
 			rest = append(rest, pa)
+			continue
 		}
+		released = append(released, pa)
 	}
+	clear(n.waiters[len(rest):])
 	n.waiters = rest
-	n.ackMu.Unlock()
-	for _, pa := range ready {
-		n.noteAckedHigh(pa.lsn)
-		pa.complete(nil)
-	}
-}
-
-// noteAckedHigh advances the acked-position watermark monotonically.
-func (n *shardNode) noteAckedHigh(lsn uint64) {
-	for {
-		cur := n.ackedHigh.Load()
-		if lsn <= cur || n.ackedHigh.CompareAndSwap(cur, lsn) {
-			return
+	n.mu.Unlock()
+	for _, pa := range released {
+		if pa.lsn <= covered {
+			pa.complete(nil)
+		} else {
+			pa.complete(err)
 		}
 	}
+	return true
 }
 
-// ackFallback fires when a waiter has sat on the watermark longer than
-// SyncFallbackAfter: the shard ships synchronously on its behalf (the
-// fabric-v1 ack path — paused replicas are skipped there exactly as
-// they always were) and delivers the outcome, error included.
-func (n *shardNode) ackFallback(pa *pendingAck) {
-	n.ackMu.Lock()
-	if pa.done {
-		n.ackMu.Unlock()
-		return
-	}
-	pa.done = true
-	for i, w := range n.waiters {
-		if w == pa {
-			n.waiters = append(n.waiters[:i], n.waiters[i+1:]...)
-			break
-		}
-	}
-	n.ackMu.Unlock()
-	n.fab.syncFallbacks.Add(1)
-	err := n.shipAll(pa.sc)
-	if err == nil {
-		n.noteAckedHigh(pa.lsn)
-	}
-	pa.complete(err)
-}
-
-// stopPump halts the replication pump and fails every parked waiter
-// with err; later awaitReplicated calls fail immediately. Idempotent —
-// the first err wins — and a no-op when the pump never started.
-func (n *shardNode) stopPump(err error) {
-	n.ackMu.Lock()
-	if n.pumpErr == nil {
-		n.pumpErr = err
-	}
-	taken := n.waiters
-	n.waiters = nil
-	for _, pa := range taken {
-		pa.done = true
-		pa.timer.Stop()
-	}
-	stopped := n.pumpStopped
-	n.pumpStopped = true
-	n.ackMu.Unlock()
-	if !stopped && n.pumpDone != nil {
-		close(n.pumpStop)
-		<-n.pumpDone
-	}
-	for _, pa := range taken {
-		pa.complete(err)
-	}
-}
-
-// shipAll pushes the current durable root to every attached replica,
-// continuing sc's trace into each ship.
-func (n *shardNode) shipAll(sc telemetry.SpanContext) error {
+// shipRound pushes the current durable root to every unpaused replica,
+// continuing sc's trace into each ship, and returns the replication
+// watermark — the highest LSN every one of them has durably applied —
+// with the first ship error. A paused replica is skipped by the ship
+// and by the watermark alike: that is how a replica goes stale, and
+// what the promotion-time check exists to catch. With no replica to
+// wait for everything is covered.
+func (n *shardNode) shipRound(sc telemetry.SpanContext) (covered uint64, err error) {
 	n.mu.Lock()
 	shippers := append([]*shipper(nil), n.shippers...)
 	n.mu.Unlock()
+	covered = ^uint64(0)
 	for _, sh := range shippers {
-		if err := sh.ship(sc); err != nil {
-			return fmt.Errorf("fabric: shard %d ship to %s: %w", n.id, sh.conn.RemoteOrigin(), err)
+		if sh.paused.Load() {
+			continue
+		}
+		if serr := sh.ship(sc); serr != nil && err == nil {
+			err = fmt.Errorf("fabric: shard %d ship to %s: %w", n.id, sh.conn.RemoteOrigin(), serr)
+		}
+		if a := sh.ackedLSN.Load(); a < covered {
+			covered = a
 		}
 	}
-	return nil
+	return covered, err
 }
 
 // attachShipper registers a connected replica channel and pushes the
@@ -565,42 +420,35 @@ func (n *shardNode) attachShipper(sh *shipper) error {
 	return sh.ship(telemetry.SpanContext{})
 }
 
-// expectation captures the durable position this primary has
-// acknowledged — what any promoted successor must reach.
-func (n *shardNode) expectation() Expectation {
-	st := n.manager().Stats()
-	exp := Expectation{Stamp: st.Epoch, LSN: st.LastLSN}
-	if n.fab.opts.GroupCommit {
-		// Pipelined mode: the durable-but-unacked tail past the acked
-		// watermark carries no promise, and a healthy replica may not
-		// hold it — a successor only has to cover what was acked.
-		exp.LSN = n.ackedHigh.Load()
-	}
-	return exp
-}
-
-// kill simulates primary failure: capture the acked position, kill the
-// enclave, tear the gateway and peer endpoints down. In-flight requests
-// fail; nothing acked is lost (it was shipped before the ack).
+// kill simulates primary failure: kill the enclave, tear the gateway
+// and peer endpoints down, then quote the acked position. In-flight
+// requests fail or finish through their round leader while the gateway
+// drains; nothing acked is lost (it was shipped before the ack), and
+// the expectation is read after the drain so it bounds every ack that
+// ever left.
 func (n *shardNode) kill() Expectation {
-	exp := n.expectation()
 	n.w.Kill()
-	// Stop the pump before draining the gateway: parked waiters fail
-	// fast instead of holding Shutdown open until their fallback timers.
-	n.stopPump(fmt.Errorf("fabric: shard %d primary killed", n.id))
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	_ = n.srv.Shutdown(ctx)
 	cancel()
 	n.ln.Close()
 	n.teardownPeers()
 	<-n.serveDone
-	return exp
+	// The successor only has to cover what was acked: the
+	// durable-but-unacked tail past ackedHigh carries no promise, and a
+	// healthy replica may not hold it.
+	stamp := n.manager().Stats().Epoch
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return Expectation{Stamp: stamp, LSN: n.ackedHigh}
 }
 
+// teardownPeers closes the replication channels and the peer host. The
+// shippers stay attached: a round that outlives the teardown fails its
+// waiters on the dead channel instead of finding no replica to wait for.
 func (n *shardNode) teardownPeers() {
 	n.mu.Lock()
 	shippers := n.shippers
-	n.shippers = nil
 	n.mu.Unlock()
 	for _, sh := range shippers {
 		sh.close()
@@ -611,12 +459,10 @@ func (n *shardNode) teardownPeers() {
 	}
 }
 
-// shutdown is the graceful path (Fabric.Close): drain the gateway
-// first — in-flight puts finish through the still-running pump — then
-// stop the pump (no waiters can remain).
+// shutdown is the graceful path (Fabric.Close): drain the gateway —
+// in-flight puts finish through their round leaders — then tear down.
 func (n *shardNode) shutdown(ctx context.Context) error {
 	err := n.srv.Shutdown(ctx)
-	n.stopPump(fmt.Errorf("fabric: shard %d shut down", n.id))
 	n.ln.Close()
 	n.teardownPeers()
 	<-n.serveDone

@@ -2,23 +2,21 @@ package fabric
 
 // shipper.go drives checkpoint shipping for one primary→replica pair:
 // it owns the attested peer channel and the locally tracked inventory
-// of what the replica holds, and pushes incremental ReplicaDeltas. With
-// group commit off the gateway's Journal hook calls it synchronously,
-// so replication sits inside the ack path; with group commit on the
-// shard's replication pump drives it off the ack path and acks gate on
-// the acked-LSN watermark instead. A paused shipper (test and
-// operations hook) silently skips rounds: that is exactly how a
+// of what the replica holds, and pushes incremental ReplicaDeltas. The
+// shard's round leader (shard.go) drives it, and acks gate on the
+// acked-LSN watermark it maintains. A paused shipper (test and
+// operations hook) is skipped by every round: that is exactly how a
 // replica goes stale, and what the promotion-time rollback check
 // exists to catch.
 //
 // Locking: ioMu serialises whole ship rounds (delta capture, the
 // network round-trip, the inventory update) so concurrent callers —
-// the pump and a fallback ship — never interleave deltas out of order.
-// The tiny mu guards only the paused flag, so pause/resume (and the
-// pausedNow check at the top of a round) never wait behind a network
-// round-trip. ackedLSN is the replica's replication watermark: the
-// highest primary LSN this replica has durably applied, advanced
-// monotonically after every successful (or provably empty) round.
+// a round leader and a checkpoint ship — never interleave deltas out
+// of order. paused is an atomic flag, so pause/resume never wait behind
+// a network round-trip. ackedLSN is the replica's replication
+// watermark: the highest primary LSN this replica has durably applied,
+// advanced monotonically after every successful (or provably empty)
+// round.
 //
 // Each ship round is instrumented on the primary's registry under the
 // montsalvat_persist_ship_* family (bytes shipped, wall-clock latency,
@@ -45,16 +43,14 @@ type shipper struct {
 	latency      *telemetry.Histogram
 	failures     *telemetry.Counter
 
-	// ioMu serialises ship rounds and guards have. Never held while
-	// taking mu; held across the network round-trip by design (rounds
-	// must not interleave), which is why paused lives under its own
-	// lock.
+	// ioMu serialises ship rounds and guards have. Held across the
+	// network round-trip by design (rounds must not interleave), which
+	// is why paused is not under it.
 	ioMu lockrank.Mutex
 	have map[string]int64
 
-	// mu guards only paused.
-	mu     lockrank.Mutex
-	paused bool
+	// paused makes every round skip this replica (shardNode.shipRound).
+	paused atomic.Bool
 
 	// ackedLSN is the highest primary LSN known durably applied at the
 	// replica — the input to the shard's replication watermark. CAS
@@ -81,21 +77,17 @@ func newShipper(node *shardNode, conn *PeerConn) (*shipper, error) {
 		failures:     reg.Counter("montsalvat_persist_ship_failures_total", "replica", conn.RemoteOrigin()),
 	}
 	sh.ioMu.SetRank(lockrank.RankShipIO, "fabric.shipper.ioMu")
-	sh.mu.SetRank(lockrank.RankShipState, "fabric.shipper.mu")
 	return sh, nil
 }
 
-// ship pushes one delta round, continuing sc's trace (the journaled
-// request or commit group waiting on this) into a per-replica ship
-// span. Lock order: the node's manager pointer is resolved (under
-// n.mu) before sh.ioMu, because n.mu ranks above ioMu in the
-// hierarchy; the manager's own mutex is then taken inside
-// ReplicaDelta while ioMu is held. Callers hold neither n.mu nor the
-// manager's mutex when calling.
+// ship pushes one delta round, continuing sc's trace (the round
+// waiting on this) into a per-replica ship span. Pausing is the round's
+// business (shardNode.shipRound), not ship's. Lock order: the node's
+// manager pointer is resolved (under n.mu) before sh.ioMu, because n.mu
+// ranks above ioMu in the hierarchy; the manager's own mutex is then
+// taken inside ReplicaDelta while ioMu is held. Callers hold neither
+// n.mu nor the manager's mutex when calling.
 func (sh *shipper) ship(sc telemetry.SpanContext) error {
-	if sh.pausedNow() {
-		return nil
-	}
 	mgr := sh.node.manager()
 	sh.ioMu.Lock()
 	defer sh.ioMu.Unlock()
@@ -139,23 +131,6 @@ func (sh *shipper) noteAcked(lsn uint64) {
 			return
 		}
 	}
-}
-
-// acked returns the watermark: every primary LSN <= acked() is durably
-// applied at this replica.
-func (sh *shipper) acked() uint64 { return sh.ackedLSN.Load() }
-
-// pause stops (or resumes) shipping without tearing the channel down.
-func (sh *shipper) pause(v bool) {
-	sh.mu.Lock()
-	sh.paused = v
-	sh.mu.Unlock()
-}
-
-func (sh *shipper) pausedNow() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.paused
 }
 
 func (sh *shipper) close() {

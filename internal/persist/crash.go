@@ -17,19 +17,28 @@ import (
 // CrashPoint identifies one instrumented point in the commit protocols.
 type CrashPoint int
 
-// The crash matrix. Ordering follows the append and checkpoint
-// protocols (see Manager.Append / Manager.Checkpoint).
+// The crash matrix. Ordering follows the commit and checkpoint
+// protocols (see Manager.Append / Manager.Checkpoint). A commit writes
+// one frame for a whole group of mutations, so every append point
+// fails every member of the group together.
 const (
 	// CrashBeforeAppend fires before any WAL bytes are written: the
-	// mutation is applied in-enclave but never journaled (the caller
-	// never acks it).
+	// mutations are applied in-enclave but never journaled (no caller
+	// acks).
 	CrashBeforeAppend CrashPoint = iota
+	// CrashAfterSeal fires after the frame was sealed but before any
+	// bytes reached storage: the whole group is lost, and since no
+	// member was acked, recovery must surface none of them.
+	CrashAfterSeal
 	// CrashMidAppend fires after the length prefix and half the sealed
-	// record have been written — a torn record at the log tail.
+	// frame have been written — a torn frame at the log tail. Replay
+	// drops the entire torn frame, so the group vanishes at
+	// per-mutation granularity.
 	CrashMidAppend
-	// CrashAfterAppend fires after the record is fully durable but
-	// before the caller is told: recovery may legitimately include one
-	// more mutation than was acked.
+	// CrashAfterAppend fires after the frame is fully durable but
+	// before any caller is told or parked waiter woken: recovery may
+	// legitimately surface every mutation of the group even though none
+	// was acked.
 	CrashAfterAppend
 	// CrashBeforeCheckpointSeal fires after the flush barrier, before
 	// any checkpoint state is captured.
@@ -47,20 +56,6 @@ const (
 	// CrashMidTruncate fires after deleting one old segment with more
 	// cleanup remaining.
 	CrashMidTruncate
-	// CrashAfterBatchSeal fires in the group-commit path after the
-	// leader sealed the batch record but before any bytes reached
-	// storage: the whole group is lost, and since no member was acked,
-	// recovery must surface none of them.
-	CrashAfterBatchSeal
-	// CrashMidBatchAppend fires with the batch frame half-written — a
-	// torn batch at the log tail. Replay drops the entire torn frame,
-	// so the group vanishes at per-mutation granularity (none acked).
-	CrashMidBatchAppend
-	// CrashBeforeGroupWake fires after the batch frame is fully durable
-	// but before any parked waiter is woken: the batch analogue of
-	// CrashAfterAppend — recovery may legitimately surface every
-	// mutation of the group even though none was acked.
-	CrashBeforeGroupWake
 
 	numCrashPoints
 )
@@ -76,6 +71,7 @@ func CrashPoints() []CrashPoint {
 
 var crashPointNames = [...]string{
 	"before-append",
+	"after-seal",
 	"mid-append",
 	"after-append",
 	"before-checkpoint-seal",
@@ -83,9 +79,6 @@ var crashPointNames = [...]string{
 	"after-checkpoint-write",
 	"after-counter-bump",
 	"mid-truncate",
-	"after-batch-seal",
-	"mid-batch-append",
-	"before-group-wake",
 }
 
 func (p CrashPoint) String() string {

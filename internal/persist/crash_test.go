@@ -10,210 +10,212 @@ import (
 
 // TestCrashMatrix kills the manager at every instrumented crash point
 // and proves recovery converges to a prefix-consistent state: every
-// acked mutation survives, and at most the single in-flight mutation
-// that was durable-but-unacked may additionally appear.
+// acked mutation survives, and at most the in-flight group that was
+// durable-but-unacked may additionally appear — all of it or none.
 //
 // Workload per point: a run of acked puts (small segments force
 // rotation), a mid-run checkpoint so there is real checkpoint lineage,
-// then the crash — either on a final append (append points) or on an
-// explicit checkpoint (checkpoint points). After the crash the world
-// is rebuilt from scratch (new enclave, same signer) and recovered.
+// then the crash — on a final commit (append points) or on an explicit
+// checkpoint (checkpoint points). Append points run twice: "solo"
+// crashes a lone Append committing its own record, "group" crashes a
+// leader committing a frame of three parked followers. After the crash
+// the world is rebuilt from scratch (new enclave, same signer) and
+// recovered.
 func TestCrashMatrix(t *testing.T) {
 	for _, point := range CrashPoints() {
 		t.Run(point.String(), func(t *testing.T) {
-			appendPoint := point == CrashBeforeAppend || point == CrashMidAppend || point == CrashAfterAppend
-			batchPoint := point == CrashAfterBatchSeal || point == CrashMidBatchAppend || point == CrashBeforeGroupWake
-			e := newEnv(t)
-			inj := &Injector{}
-			opts := Options{Dir: "p/", SegmentBytes: 300, Injector: inj}
-			if batchPoint {
-				// The batch points only exist on the group-commit path.
-				opts.GroupCommit = true
+			if point > CrashAfterAppend {
+				crashMatrixCell(t, point, false)
+				return
 			}
-
-			kv := NewMapState("kv")
-			m := e.open(opts, kv)
-			if _, err := m.Recover(); err != nil {
-				t.Fatal(err)
-			}
-
-			acked := map[string]string{}
-			put := func(k, v string) {
-				t.Helper()
-				kv.Put(k, []byte(v))
-				mustAppend(t, m, "kv", k, v)
-				acked[k] = v
-			}
-			for i := 0; i < 8; i++ {
-				put(fmt.Sprintf("k%02d", i), fmt.Sprintf("v%02d", i))
-			}
-			if err := m.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 8; i < 14; i++ {
-				put(fmt.Sprintf("k%02d", i), fmt.Sprintf("v%02d", i))
-			}
-
-			// The crash. pending holds the in-flight mutations; mayRecover
-			// marks them as legitimately recoverable (durable before the
-			// crash fired).
-			pending := map[string]string{}
-			mayRecover := false
-			switch {
-			case appendPoint:
-				inj.Arm(point)
-				pending["pending"] = "pv"
-				kv.Put("pending", []byte("pv"))
-				_, err := m.Append("kv", OpPut, "pending", []byte("pv"))
-				if !IsCrash(err) {
-					t.Fatalf("append survived armed %s: %v", point, err)
-				}
-				mayRecover = point == CrashAfterAppend
-			case batchPoint:
-				// Crash inside a multi-member batch: park the commit leader
-				// on m.mu so followers provably pile into one group, arm the
-				// point for the group's commit (hit #2 — the leader's own
-				// singleton batch is hit #1), then let it run.
-				gc := m.gc
-				waitFor := func(cond func() bool, what string) {
-					t.Helper()
-					deadline := time.Now().Add(5 * time.Second)
-					for !cond() {
-						if time.Now().After(deadline) {
-							t.Fatalf("timeout waiting for %s", what)
-						}
-						time.Sleep(time.Millisecond)
-					}
-				}
-				m.mu.Lock()
-				kv.Put("lead", []byte("lv"))
-				leaderErr := make(chan error, 1)
-				go func() {
-					_, err := m.Append("kv", OpPut, "lead", []byte("lv"))
-					leaderErr <- err
-				}()
-				waitFor(func() bool {
-					gc.mu.Lock()
-					defer gc.mu.Unlock()
-					return gc.leading && len(gc.pending) == 0
-				}, "leader to drain its own batch")
-				groupKeys := []string{"ga", "gb", "gc"}
-				var wg sync.WaitGroup
-				errs := make([]error, len(groupKeys))
-				for i, k := range groupKeys {
-					kv.Put(k, []byte("gv"))
-					wg.Add(1)
-					go func(i int, k string) {
-						defer wg.Done()
-						_, errs[i] = m.Append("kv", OpPut, k, []byte("gv"))
-					}(i, k)
-				}
-				waitFor(func() bool {
-					gc.mu.Lock()
-					defer gc.mu.Unlock()
-					return len(gc.pending) == len(groupKeys)
-				}, "followers to queue")
-				inj.ArmAfter(point, 2)
-				m.mu.Unlock()
-				if err := <-leaderErr; err != nil {
-					t.Fatalf("leader append before armed %s: %v", point, err)
-				}
-				acked["lead"] = "lv"
-				wg.Wait()
-				for i, err := range errs {
-					if !IsCrash(err) {
-						t.Fatalf("group append %q survived armed %s: %v", groupKeys[i], point, err)
-					}
-				}
-				for _, k := range groupKeys {
-					pending[k] = "gv"
-				}
-				mayRecover = point == CrashBeforeGroupWake
-			default:
-				inj.Arm(point)
-				err := m.Checkpoint()
-				if !IsCrash(err) {
-					t.Fatalf("checkpoint survived armed %s: %v", point, err)
-				}
-			}
-			// Restart: fresh enclave, fresh states, recover from storage.
-			inj.Disarm()
-			kv2 := NewMapState("kv")
-			m2 := e.open(opts, kv2)
-			rep, err := m2.Recover()
-			if err != nil {
-				t.Fatalf("recovery after %s: %v", point, err)
-			}
-			if (point == CrashMidAppend || point == CrashMidBatchAppend) && !rep.TornTail {
-				t.Errorf("%s crash did not surface a torn tail", point)
-			}
-
-			// Prefix consistency: all acked mutations present...
-			assertPrefix := func(s *MapState) {
-				t.Helper()
-				for k, v := range acked {
-					got, ok := s.Get(k)
-					if !ok || string(got) != v {
-						t.Fatalf("acked %q lost after %s: got %q, %v", k, point, got, ok)
-					}
-				}
-				// ...and nothing beyond acked plus (maybe) the pending ops.
-				for _, k := range s.Keys() {
-					if _, ok := acked[k]; ok {
-						continue
-					}
-					if want, ok := pending[k]; ok && mayRecover {
-						if got, _ := s.Get(k); string(got) != want {
-							t.Fatalf("pending %q recovered with wrong value %q", k, got)
-						}
-						continue
-					}
-					t.Fatalf("phantom key %q recovered after %s", k, point)
-				}
-			}
-			assertPrefix(kv2)
-			if batchPoint {
-				// A batch is all-or-nothing: either the whole group was
-				// durable before the crash (before-group-wake) or none of
-				// it survives — never a partial group.
-				recovered := 0
-				for k := range pending {
-					if _, ok := kv2.Get(k); ok {
-						recovered++
-					}
-				}
-				want := 0
-				if mayRecover {
-					want = len(pending)
-				}
-				if recovered != want {
-					t.Fatalf("batch recovered %d/%d members after %s, want %d",
-						recovered, len(pending), point, want)
-				}
-			}
-
-			// The recovered log is live: write, checkpoint, restart again.
-			kv2.Put("post", []byte("crash"))
-			mustAppend(t, m2, "kv", "post", "crash")
-			acked["post"] = "crash"
-			if mayRecover {
-				for k, v := range pending {
-					acked[k] = v // now part of durable state
-				}
-				mayRecover = false
-				pending = map[string]string{}
-			}
-			if err := m2.Checkpoint(); err != nil {
-				t.Fatalf("checkpoint after recovery from %s: %v", point, err)
-			}
-			kv3 := NewMapState("kv")
-			m3 := e.open(opts, kv3)
-			if _, err := m3.Recover(); err != nil {
-				t.Fatalf("second recovery after %s: %v", point, err)
-			}
-			assertPrefix(kv3)
+			t.Run("solo", func(t *testing.T) { crashMatrixCell(t, point, false) })
+			t.Run("group", func(t *testing.T) { crashMatrixCell(t, point, true) })
 		})
 	}
+}
+
+func crashMatrixCell(t *testing.T, point CrashPoint, group bool) {
+	appendPoint := point <= CrashAfterAppend
+	e := newEnv(t)
+	inj := &Injector{}
+	opts := Options{Dir: "p/", SegmentBytes: 300, Injector: inj}
+
+	kv := NewMapState("kv")
+	m := e.open(opts, kv)
+	if _, err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+
+	acked := map[string]string{}
+	put := func(k, v string) {
+		t.Helper()
+		kv.Put(k, []byte(v))
+		mustAppend(t, m, "kv", k, v)
+		acked[k] = v
+	}
+	for i := 0; i < 8; i++ {
+		put(fmt.Sprintf("k%02d", i), fmt.Sprintf("v%02d", i))
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 8; i < 14; i++ {
+		put(fmt.Sprintf("k%02d", i), fmt.Sprintf("v%02d", i))
+	}
+
+	// The crash. pending holds the in-flight mutations; mayRecover
+	// marks them as legitimately recoverable (durable before the
+	// crash fired).
+	pending := map[string]string{}
+	mayRecover := point == CrashAfterAppend
+	switch {
+	case group:
+		// Crash inside a multi-member frame: park a leader on m.mu with
+		// its own frame already sliced off the queue, so followers
+		// provably pile into one group behind it; arm the point for that
+		// group's commit (hit #2 — the leader's own frame is hit #1),
+		// then let it run.
+		waitFor := func(cond func() bool, what string) {
+			t.Helper()
+			deadline := time.Now().Add(5 * time.Second)
+			for !cond() {
+				if time.Now().After(deadline) {
+					t.Fatalf("timeout waiting for %s", what)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		m.mu.Lock()
+		kv.Put("lead", []byte("lv"))
+		m.GroupEnqueue("kv", OpPut, "lead", []byte("lv"))
+		type flushResult struct {
+			n   int
+			err error
+		}
+		leader := make(chan flushResult, 1)
+		go func() {
+			n, err := m.GroupFlush()
+			leader <- flushResult{n, err}
+		}()
+		waitFor(func() bool { return m.GroupPending() == 0 }, "leader to take its own frame")
+		groupKeys := []string{"ga", "gb", "gc"}
+		var wg sync.WaitGroup
+		errs := make([]error, len(groupKeys))
+		for i, k := range groupKeys {
+			kv.Put(k, []byte("gv"))
+			wg.Add(1)
+			go func(i int, k string) {
+				defer wg.Done()
+				_, errs[i] = m.Append("kv", OpPut, k, []byte("gv"))
+			}(i, k)
+		}
+		waitFor(func() bool { return m.GroupPending() == len(groupKeys) }, "followers to queue")
+		inj.ArmAfter(point, 2)
+		m.mu.Unlock()
+		if res := <-leader; res.n != 1 || !IsCrash(res.err) {
+			t.Fatalf("leader term = (%d, %v), want its own record committed then the armed %s", res.n, res.err, point)
+		}
+		acked["lead"] = "lv"
+		wg.Wait()
+		for i, err := range errs {
+			if !IsCrash(err) {
+				t.Fatalf("group append %q survived armed %s: %v", groupKeys[i], point, err)
+			}
+		}
+		for _, k := range groupKeys {
+			pending[k] = "gv"
+		}
+	case appendPoint:
+		inj.Arm(point)
+		pending["pending"] = "pv"
+		kv.Put("pending", []byte("pv"))
+		_, err := m.Append("kv", OpPut, "pending", []byte("pv"))
+		if !IsCrash(err) {
+			t.Fatalf("append survived armed %s: %v", point, err)
+		}
+	default:
+		inj.Arm(point)
+		err := m.Checkpoint()
+		if !IsCrash(err) {
+			t.Fatalf("checkpoint survived armed %s: %v", point, err)
+		}
+	}
+	// Restart: fresh enclave, fresh states, recover from storage.
+	inj.Disarm()
+	kv2 := NewMapState("kv")
+	m2 := e.open(opts, kv2)
+	rep, err := m2.Recover()
+	if err != nil {
+		t.Fatalf("recovery after %s: %v", point, err)
+	}
+	if point == CrashMidAppend && !rep.TornTail {
+		t.Errorf("%s crash did not surface a torn tail", point)
+	}
+
+	// Prefix consistency: all acked mutations present...
+	assertPrefix := func(s *MapState) {
+		t.Helper()
+		for k, v := range acked {
+			got, ok := s.Get(k)
+			if !ok || string(got) != v {
+				t.Fatalf("acked %q lost after %s: got %q, %v", k, point, got, ok)
+			}
+		}
+		// ...and nothing beyond acked plus (maybe) the pending ops.
+		for _, k := range s.Keys() {
+			if _, ok := acked[k]; ok {
+				continue
+			}
+			if want, ok := pending[k]; ok && mayRecover {
+				if got, _ := s.Get(k); string(got) != want {
+					t.Fatalf("pending %q recovered with wrong value %q", k, got)
+				}
+				continue
+			}
+			t.Fatalf("phantom key %q recovered after %s", k, point)
+		}
+	}
+	assertPrefix(kv2)
+	if appendPoint {
+		// A frame is all-or-nothing: either the whole group was durable
+		// before the crash (after-append) or none of it survives —
+		// never a partial group.
+		recovered := 0
+		for k := range pending {
+			if _, ok := kv2.Get(k); ok {
+				recovered++
+			}
+		}
+		want := 0
+		if mayRecover {
+			want = len(pending)
+		}
+		if recovered != want {
+			t.Fatalf("group recovered %d/%d members after %s, want %d",
+				recovered, len(pending), point, want)
+		}
+	}
+
+	// The recovered log is live: write, checkpoint, restart again.
+	kv2.Put("post", []byte("crash"))
+	mustAppend(t, m2, "kv", "post", "crash")
+	acked["post"] = "crash"
+	if mayRecover {
+		for k, v := range pending {
+			acked[k] = v // now part of durable state
+		}
+		mayRecover = false
+		pending = map[string]string{}
+	}
+	if err := m2.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after recovery from %s: %v", point, err)
+	}
+	kv3 := NewMapState("kv")
+	m3 := e.open(opts, kv3)
+	if _, err := m3.Recover(); err != nil {
+		t.Fatalf("second recovery after %s: %v", point, err)
+	}
+	assertPrefix(kv3)
 }
 
 // TestCrashDuringAutoCheckpoint crashes inside a checkpoint triggered

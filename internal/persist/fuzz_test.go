@@ -76,6 +76,87 @@ func TestDecodeWALRecordCorruptInputs(t *testing.T) {
 	}
 }
 
+// TestWALBatchRoundTrip pins the batch codec.
+func TestWALBatchRoundTrip(t *testing.T) {
+	recs := []Record{
+		{LSN: 7, Op: OpPut, State: "kv", Key: "a", Value: []byte("1")},
+		{LSN: 8, Op: OpDelete, State: "kv", Key: "b"},
+		{LSN: 9, Op: OpPut, State: "paldb", Key: "", Value: bytes.Repeat([]byte{0xcc}, 300)},
+	}
+	got, err := DecodeWALBatch(EncodeWALBatch(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
+	}
+	for i := range recs {
+		if got[i].LSN != recs[i].LSN || got[i].Op != recs[i].Op || got[i].State != recs[i].State ||
+			got[i].Key != recs[i].Key || !bytes.Equal(got[i].Value, recs[i].Value) {
+			t.Fatalf("record %d: %+v != %+v", i, got[i], recs[i])
+		}
+	}
+
+	corrupt := []struct {
+		name string
+		buf  []byte
+	}{
+		{"empty", nil},
+		{"single-record version", EncodeWALRecord(recs[0])},
+		{"zero count", []byte{batchRecordVersion, 0}},
+		{"huge count", []byte{batchRecordVersion, 0xff, 0xff, 0xff, 0x7f}},
+		{"truncated member", EncodeWALBatch(recs)[:10]},
+		{"trailing bytes", append(EncodeWALBatch(recs), 0xAA)},
+	}
+	for _, tc := range corrupt {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := DecodeWALBatch(tc.buf); err == nil {
+				t.Fatalf("corrupt batch %x accepted", tc.buf)
+			}
+		})
+	}
+}
+
+// FuzzDecodeWALBatch hardens the frame-payload decoder like
+// FuzzDecodeWALRecord hardens the per-member one: arbitrary bytes must never panic or
+// over-allocate, and a decoded batch must survive a semantic round trip.
+func FuzzDecodeWALBatch(f *testing.F) {
+	seeds := [][]byte{
+		nil,
+		{batchRecordVersion},
+		{batchRecordVersion, 1},
+		EncodeWALBatch([]Record{{LSN: 1, Op: OpPut, State: "kv", Key: "k", Value: []byte("v")}}),
+		EncodeWALBatch([]Record{
+			{LSN: 5, Op: OpPut, State: "kv", Key: "a", Value: []byte("1")},
+			{LSN: 6, Op: OpDelete, State: "kv", Key: "a"},
+		}),
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, err := DecodeWALBatch(data)
+		if err != nil {
+			return
+		}
+		re := EncodeWALBatch(recs)
+		recs2, err := DecodeWALBatch(re)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if len(recs2) != len(recs) {
+			t.Fatalf("round trip count: %d != %d", len(recs2), len(recs))
+		}
+		for i := range recs {
+			if recs2[i].LSN != recs[i].LSN || recs2[i].Op != recs[i].Op ||
+				recs2[i].State != recs[i].State || recs2[i].Key != recs[i].Key ||
+				!bytes.Equal(recs2[i].Value, recs[i].Value) {
+				t.Fatalf("round trip record %d: %+v != %+v", i, recs2[i], recs[i])
+			}
+		}
+	})
+}
+
 // segLog builds a small live log over an env and returns the pieces a
 // corruption test needs: the manager (still open for in-package
 // crafting helpers) and the segment carrying replayable records.
@@ -165,7 +246,7 @@ func TestCorruptSegmentTable(t *testing.T) {
 		if err := m.openSegment(staleSeq, m.epoch-1, m.nextLSN); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.appendRecord(Record{LSN: m.nextLSN, Op: OpPut, State: "kv", Key: "evil", Value: []byte("x")}); err != nil {
+		if err := m.appendFrame([]Record{{LSN: m.nextLSN, Op: OpPut, State: "kv", Key: "evil", Value: []byte("x")}}); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := recoverFresh(t, e)
@@ -178,7 +259,7 @@ func TestCorruptSegmentTable(t *testing.T) {
 		e, m, _, _ := segLog(t)
 		// Re-append the last record's LSN: framing-level duplicate.
 		dup := m.nextLSN - 1
-		if err := m.appendRecord(Record{LSN: dup, Op: OpPut, State: "kv", Key: "dup", Value: []byte("x")}); err != nil {
+		if err := m.appendFrame([]Record{{LSN: dup, Op: OpPut, State: "kv", Key: "dup", Value: []byte("x")}}); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := recoverFresh(t, e)
@@ -189,12 +270,32 @@ func TestCorruptSegmentTable(t *testing.T) {
 
 	t.Run("LSN gap", func(t *testing.T) {
 		e, m, _, _ := segLog(t)
-		if err := m.appendRecord(Record{LSN: m.nextLSN + 5, Op: OpPut, State: "kv", Key: "skip", Value: []byte("x")}); err != nil {
+		if err := m.appendFrame([]Record{{LSN: m.nextLSN + 5, Op: OpPut, State: "kv", Key: "skip", Value: []byte("x")}}); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err := recoverFresh(t, e)
 		if !errors.Is(err, ErrCorruptSegment) {
 			t.Fatalf("LSN gap: %v, want ErrCorruptSegment", err)
+		}
+	})
+
+	t.Run("bare record payload", func(t *testing.T) {
+		e, m, _, _ := segLog(t)
+		// A validly sealed frame whose payload is one bare record rather
+		// than a batch: replay accepts exactly one frame format.
+		rec := Record{LSN: m.nextLSN, Op: OpPut, State: "kv", Key: "bare", Value: []byte("x")}
+		sealed, err := m.seal(EncodeWALRecord(rec), recordAAD(m.curSeq, rec.LSN))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := binary.BigEndian.AppendUint32(nil, uint32(8+len(sealed)))
+		frame = append(appendU64(frame, rec.LSN), sealed...)
+		if _, err := e.fs.Append(m.segmentName(m.curSeq), frame); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = recoverFresh(t, e)
+		if !errors.Is(err, ErrCorruptRecord) {
+			t.Fatalf("bare record payload: %v, want ErrCorruptRecord", err)
 		}
 	})
 
@@ -298,4 +399,63 @@ func TestCheckpointDecodeGuards(t *testing.T) {
 	if _, err := decodeCheckpoint(huge); err == nil {
 		t.Fatal("absurd state-name length accepted")
 	}
+	hugeCount := binary.AppendUvarint(huge[:17:17], 1<<40)
+	if _, err := decodeCheckpoint(hugeCount); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Fatalf("absurd state count: %v, want ErrCorruptCheckpoint", err)
+	}
+}
+
+// FuzzDecodeSegHeader hardens the segment-header decoder: arbitrary
+// bytes must fail with the typed error, and whatever decodes must
+// re-encode to exactly the input (the layout is fixed-width).
+func FuzzDecodeSegHeader(f *testing.F) {
+	valid := encodeSegHeader(segHeader{seq: 3, epoch: 7, baseLSN: 42})
+	for _, s := range [][]byte{nil, {segVersion}, valid, valid[:len(valid)-1], append([]byte{9}, valid[1:]...), append(append([]byte{}, valid...), 0)} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := decodeSegHeader(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptSegment) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		if re := encodeSegHeader(h); !bytes.Equal(re, data) {
+			t.Fatalf("round trip: %x != %x", re, data)
+		}
+	})
+}
+
+// FuzzDecodeCheckpoint hardens the checkpoint payload decoder: arbitrary
+// bytes must never panic or over-allocate, failures carry the typed
+// error, and a decoded checkpoint survives a semantic round trip.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	valid := encodeCheckpoint(checkpoint{stamp: 4, watermark: 9, states: map[string][]byte{"kv": {1, 2, 3}, "paldb": nil}})
+	hugeCount := binary.AppendUvarint(appendU64(appendU64([]byte{ckpVersion}, 1), 1), 1<<40)
+	hugeName := binary.AppendUvarint(binary.AppendUvarint(hugeCount[:17:17], 1), 1<<40)
+	for _, s := range [][]byte{nil, {ckpVersion}, valid, valid[:10], valid[:len(valid)-1], append(append([]byte{}, valid...), 1), hugeCount, hugeName} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := decodeCheckpoint(data)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptCheckpoint) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		c2, err := decodeCheckpoint(encodeCheckpoint(c))
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if c2.stamp != c.stamp || c2.watermark != c.watermark || len(c2.states) != len(c.states) {
+			t.Fatalf("round trip: %+v != %+v", c2, c)
+		}
+		for name, snap := range c.states {
+			if got, ok := c2.states[name]; !ok || !bytes.Equal(got, snap) {
+				t.Fatalf("round trip state %q: %x != %x", name, got, snap)
+			}
+		}
+	})
 }

@@ -57,34 +57,13 @@ type Options struct {
 	Injector *Injector
 	// Logf receives recovery and cleanup notes. Defaults to discard.
 	Logf func(format string, args ...any)
-	// GroupCommit enables the batched append path (DESIGN.md §16):
-	// concurrent Append callers park on a commit queue and a leader
-	// seals one batch WAL record — one AES-GCM seal, one segment
-	// append — for the whole group. Each caller still returns only
-	// after its record is durable; only the per-record fixed costs
-	// amortise. Off by default: the single-record path is unchanged.
-	GroupCommit bool
-	// GroupMaxRecords bounds one commit batch (default 64).
-	GroupMaxRecords int
-	// GroupMaxBytes bounds one batch's key+value payload (default
-	// 256 KiB).
-	GroupMaxBytes int
-	// GroupMaxDelay is how long a commit leader holds the window open
-	// for followers to join before sealing. Default 0: seal
-	// immediately — batches then form only from natural queueing while
-	// a commit is in flight.
-	GroupMaxDelay time.Duration
-	// Yield overrides the scheduler yield a zero-delay commit leader
-	// uses to hold the batch window open (default runtime.Gosched).
-	// Deterministic drivers (the orderly explorer) inject a no-op so a
-	// leadership term never depends on scheduler timing.
-	Yield func()
 }
 
 // Manager is the durability engine: one sealed WAL plus checkpoint
 // lineage over a set of registered States. Safe for concurrent use;
-// appends and checkpoints serialise on one mutex (the WAL is a total
-// order anyway).
+// commits and checkpoints serialise on one mutex (the WAL is a total
+// order anyway), and concurrent Append callers queue in front of it so
+// one of them can commit the whole group as a single frame (commit.go).
 type Manager struct {
 	mu        lockrank.Mutex
 	fs        shim.FS
@@ -108,6 +87,7 @@ type Manager struct {
 	nextLSN   uint64
 	sinceCkpt int
 	curSeq    uint64
+	curName   string // segmentName(curSeq), formatted once per segment
 	curSize   int64
 
 	tel      *telemetry.Registry
@@ -116,9 +96,15 @@ type Manager struct {
 	stats    Stats
 	recovery *telemetry.Histogram
 
-	// gc is the group-commit queue; nil when Options.GroupCommit is
-	// off (Append then takes the single-record path).
-	gc *groupCommitter
+	// The commit queue (commit.go). qmu guards pending and leading and
+	// ranks outside mu: a leader takes qmu to slice off a group, drops
+	// it, then commits under mu while followers keep queueing. batch and
+	// recs are the current leader's scratch buffers.
+	qmu     lockrank.Mutex
+	pending []commitReq
+	leading bool
+	batch   []commitReq
+	recs    []Record
 }
 
 // Stats are the manager's lifetime counters (returned by Stats,
@@ -132,9 +118,9 @@ type Stats struct {
 	Epoch           uint64
 	Watermark       uint64
 	LastLSN         uint64
-	// GroupCommits counts batch WAL records written by the
-	// group-commit path; GroupedRecords counts the mutations inside
-	// them. GroupedRecords / GroupCommits is the achieved batch size.
+	// GroupCommits counts the WAL frames written; GroupedRecords counts
+	// the mutations inside them (equal to Appends).
+	// GroupedRecords / GroupCommits is the achieved group size.
 	GroupCommits   uint64
 	GroupedRecords uint64
 }
@@ -208,10 +194,7 @@ func Open(opts Options) (*Manager, error) {
 		node:      opts.Node,
 	}
 	m.mu.SetRank(lockrank.RankManager, "persist.Manager.mu")
-	if opts.GroupCommit {
-		m.gc = newGroupCommitter(m, opts.GroupMaxRecords, opts.GroupMaxBytes, opts.GroupMaxDelay)
-		m.gc.yield = opts.Yield
-	}
+	m.qmu.SetRank(lockrank.RankGroupQueue, "persist.Manager.qmu")
 	if m.tel != nil {
 		m.recovery = m.tel.Histogram("montsalvat_persist_recovery_duration_nanoseconds")
 		m.tel.RegisterCollector(m.collectMetrics)
@@ -260,57 +243,6 @@ func (m *Manager) Rebind(e *sgx.Enclave) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.enclave = e
-}
-
-// Append journals one mutation against the named state and returns
-// its LSN. The record is durable (sealed and written to the active
-// segment) when Append returns; the caller acks its client only after
-// that. Mutations must be applied to the in-enclave state by the
-// caller — the journal does not echo them back outside recovery.
-//
-// With Options.GroupCommit the call routes through the commit queue:
-// it may park while a leader drains the queue, and several callers'
-// records land in one sealed batch frame. The durability contract is
-// identical either way.
-func (m *Manager) Append(state string, op Op, key string, value []byte) (uint64, error) {
-	if m.gc != nil {
-		return m.gc.append(state, op, key, value)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.recovered {
-		return 0, ErrNotRecovered
-	}
-	if _, ok := m.byName[state]; !ok {
-		return 0, fmt.Errorf("persist: append to unregistered state %q", state)
-	}
-	if err := m.injector.hit(CrashBeforeAppend); err != nil {
-		return 0, err
-	}
-	rec := Record{LSN: m.nextLSN, Op: op, State: state, Key: key, Value: value}
-	if err := m.appendRecord(rec); err != nil {
-		return 0, err
-	}
-	m.stats.Appends++
-	m.stats.AppendedBytes += uint64(len(key) + len(value))
-	m.stats.LastLSN = rec.LSN
-	if err := m.injector.hit(CrashAfterAppend); err != nil {
-		// The record is durable but the caller will never ack it:
-		// recovery may legitimately surface this one extra mutation.
-		return 0, err
-	}
-	m.nextLSN++
-	m.sinceCkpt++
-	if m.ckptEvery > 0 && m.sinceCkpt >= m.ckptEvery {
-		if err := m.checkpointLocked(); err != nil {
-			return 0, err
-		}
-	} else if m.curSize >= m.segBytes {
-		if err := m.openSegment(m.curSeq+1, m.epoch, m.nextLSN); err != nil {
-			return 0, err
-		}
-	}
-	return rec.LSN, nil
 }
 
 // Checkpoint captures all registered state into a sealed,

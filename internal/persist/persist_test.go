@@ -2,6 +2,7 @@ package persist
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -246,6 +247,155 @@ func TestAppendUnregisteredState(t *testing.T) {
 	if _, err := m.Append("nope", OpPut, "k", nil); err == nil {
 		t.Fatal("append to unregistered state accepted")
 	}
+}
+
+// TestGroupCommitConcurrentAppends drives many writers through the
+// commit queue and proves the contract: every Append returns a unique
+// LSN, the LSN space is dense, batching actually happens (fewer sealed
+// frames than records), and a fresh recovery replays every mutation
+// out of the multi-record frames.
+func TestGroupCommitConcurrentAppends(t *testing.T) {
+	const writers, perWriter = 8, 40
+	e := newEnv(t)
+	kv := NewMapState("kv")
+	m := e.open(Options{Dir: "p/"}, kv)
+	if _, err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+
+	var (
+		mu   sync.Mutex
+		lsns = map[uint64]string{}
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				k := fmt.Sprintf("w%02d-%03d", w, i)
+				kv.Put(k, []byte(k))
+				lsn, err := m.Append("kv", OpPut, k, []byte(k))
+				if err != nil {
+					t.Errorf("append %s: %v", k, err)
+					return
+				}
+				mu.Lock()
+				if prev, dup := lsns[lsn]; dup {
+					t.Errorf("LSN %d returned for both %s and %s", lsn, prev, k)
+				}
+				lsns[lsn] = k
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	total := writers * perWriter
+	if len(lsns) != total {
+		t.Fatalf("got %d distinct LSNs, want %d", len(lsns), total)
+	}
+	// Dense: recovery assigned 1..N before the workload, so the
+	// workload's LSNs are exactly a contiguous run.
+	var lo, hi uint64
+	for lsn := range lsns {
+		if lo == 0 || lsn < lo {
+			lo = lsn
+		}
+		if lsn > hi {
+			hi = lsn
+		}
+	}
+	if hi-lo+1 != uint64(total) {
+		t.Fatalf("LSN range [%d,%d] not dense for %d appends", lo, hi, total)
+	}
+
+	st := m.Stats()
+	if st.GroupedRecords != uint64(total) {
+		t.Fatalf("GroupedRecords = %d, want %d", st.GroupedRecords, total)
+	}
+	if st.GroupCommits == 0 || st.GroupCommits >= uint64(total) {
+		// Every leader yields once before sealing, so with 8 writers
+		// runnable every frame being a singleton would mean the yield
+		// never let a single follower reach the queue.
+		t.Fatalf("GroupCommits = %d for %d appends: no batching", st.GroupCommits, total)
+	}
+	t.Logf("batching: %d records in %d commits (mean %.1f)",
+		st.GroupedRecords, st.GroupCommits, float64(st.GroupedRecords)/float64(st.GroupCommits))
+
+	// Recovery replays the frames (no checkpoint covered them).
+	kv2 := NewMapState("kv")
+	m2 := e.open(Options{Dir: "p/"}, kv2)
+	if _, err := m2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range lsns {
+		got, ok := kv2.Get(k)
+		if !ok || string(got) != k {
+			t.Fatalf("record %q lost across recovery: %q, %v", k, got, ok)
+		}
+	}
+}
+
+// TestGroupCommitAutoCheckpoint proves the auto-checkpoint cadence
+// counts records, not frames: one frame of four records crosses a
+// cadence of four exactly like four solo appends do.
+func TestGroupCommitAutoCheckpoint(t *testing.T) {
+	e := newEnv(t)
+	kv := NewMapState("kv")
+	m := e.open(Options{Dir: "p/", CheckpointEvery: 4}, kv)
+	if _, err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	ckpts := m.Stats().Checkpoints
+	for i := 0; i < 4; i++ {
+		k := fmt.Sprintf("k%d", i)
+		kv.Put(k, []byte("v"))
+		mustAppend(t, m, "kv", k, "v")
+	}
+	for i := 4; i < 8; i++ {
+		k := fmt.Sprintf("k%d", i)
+		kv.Put(k, []byte("v"))
+		m.GroupEnqueue("kv", OpPut, k, []byte("v"))
+	}
+	if n, err := m.GroupFlush(); n != 4 || err != nil {
+		t.Fatalf("flush = (%d, %v), want one frame of 4", n, err)
+	}
+	st := m.Stats()
+	if got := st.Checkpoints - ckpts; got != 2 {
+		t.Fatalf("auto-checkpoints after 4 solo + 4 grouped appends: %d, want 2", got)
+	}
+	if st.GroupCommits != 5 || st.GroupedRecords != 8 {
+		t.Fatalf("frames = %d, records = %d, want 5 and 8", st.GroupCommits, st.GroupedRecords)
+	}
+}
+
+// TestGroupCommitUnregisteredState pins that a bad state name fails the
+// whole group together — acceptable, since an unregistered state is a
+// programming error, and in practice every group member targets the
+// same state — and that the next commit is unaffected.
+func TestGroupCommitUnregisteredState(t *testing.T) {
+	e := newEnv(t)
+	kv := NewMapState("kv")
+	m := e.open(Options{}, kv)
+	if _, err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	m.GroupEnqueue("kv", OpPut, "bystander", []byte("v"))
+	if _, err := m.Append("nope", OpPut, "k", []byte("v")); err == nil {
+		t.Fatal("append to unregistered state accepted")
+	}
+	if _, err := m.Append("kv", OpPut, "k", []byte("v")); err != nil {
+		t.Fatalf("append after failed group: %v", err)
+	}
+	kv2 := NewMapState("kv")
+	if _, err := e.open(Options{}, kv2).Recover(); err != nil {
+		t.Fatal(err)
+	}
+	assertKV(t, kv2, map[string]string{"k": "v"}) // the bystander failed with its group
 }
 
 func TestSegmentRotationAndRecovery(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Op identifies a journaled mutation. The subsystem is op-agnostic —
@@ -44,8 +45,9 @@ type Record struct {
 	Value []byte
 }
 
-// Record decode errors. DecodeWALRecord is the untrusted-input surface
-// of the WAL (fuzzed by FuzzDecodeWALRecord); it must fail cleanly on
+// Record decode errors. DecodeWALBatch and the DecodeWALRecord it calls
+// per member are the untrusted-input surface of the WAL (fuzzed by
+// FuzzDecodeWALBatch / FuzzDecodeWALRecord); they must fail cleanly on
 // arbitrary bytes.
 var (
 	// ErrRecordTruncated reports a record plaintext that ends mid-field.
@@ -56,9 +58,10 @@ var (
 
 const (
 	recordVersion = 1
-	// batchRecordVersion tags a group-commit frame: one sealed payload
-	// carrying several consecutive records (DESIGN.md §16). The version
-	// byte doubles as the frame discriminator at replay.
+	// batchRecordVersion tags a WAL frame payload: one sealed payload
+	// carrying one or more consecutive records (DESIGN.md §10). Every
+	// frame the commit protocol writes is a batch; recordVersion survives
+	// only as the version byte of the records inside it.
 	batchRecordVersion = 2
 	// maxRecordField bounds key/value lengths so a corrupted length
 	// prefix cannot drive a huge allocation before the bound check.
@@ -68,11 +71,18 @@ const (
 	maxBatchRecords = 1 << 16
 )
 
-// EncodeWALRecord serialises a record to its plaintext form (the bytes
-// that are sealed into the log). Layout: version u8, op u8, lsn
-// uvarint, then state, key, and value, each uvarint-length-prefixed.
-func EncodeWALRecord(r Record) []byte {
-	buf := make([]byte, 0, 2+binary.MaxVarintLen64*4+len(r.State)+len(r.Key)+len(r.Value))
+// uvarintLen is the encoded size of v as a uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// walRecordSize is the exact encoded size of r (see EncodeWALRecord).
+func walRecordSize(r Record) int {
+	return 2 + uvarintLen(r.LSN) +
+		uvarintLen(uint64(len(r.State))) + len(r.State) +
+		uvarintLen(uint64(len(r.Key))) + len(r.Key) +
+		uvarintLen(uint64(len(r.Value))) + len(r.Value)
+}
+
+func appendWALRecord(buf []byte, r Record) []byte {
 	buf = append(buf, recordVersion, byte(r.Op))
 	buf = binary.AppendUvarint(buf, r.LSN)
 	buf = binary.AppendUvarint(buf, uint64(len(r.State)))
@@ -80,8 +90,14 @@ func EncodeWALRecord(r Record) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(r.Key)))
 	buf = append(buf, r.Key...)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Value)))
-	buf = append(buf, r.Value...)
-	return buf
+	return append(buf, r.Value...)
+}
+
+// EncodeWALRecord serialises a record to its plaintext form (one member
+// of a batch payload). Layout: version u8, op u8, lsn uvarint, then
+// state, key, and value, each uvarint-length-prefixed.
+func EncodeWALRecord(r Record) []byte {
+	return appendWALRecord(make([]byte, 0, walRecordSize(r)), r)
 }
 
 // DecodeWALRecord parses record plaintext produced by EncodeWALRecord.
@@ -130,23 +146,22 @@ func DecodeWALRecord(buf []byte) (Record, error) {
 }
 
 // EncodeWALBatch serialises a group of records into one batch payload
-// (the bytes sealed as a single WAL frame by the group-commit path).
-// Layout: version u8 (batchRecordVersion), count uvarint, then each
-// record's EncodeWALRecord bytes, uvarint-length-prefixed. The records
-// must carry consecutive LSNs; replay enforces that.
+// (the bytes sealed as a single WAL frame). Layout: version u8
+// (batchRecordVersion), count uvarint, then each record's
+// EncodeWALRecord bytes, uvarint-length-prefixed. The records must carry
+// consecutive LSNs; replay enforces that.
 func EncodeWALBatch(recs []Record) []byte {
-	size := 1 + binary.MaxVarintLen64
-	subs := make([][]byte, len(recs))
-	for i, r := range recs {
-		subs[i] = EncodeWALRecord(r)
-		size += binary.MaxVarintLen64 + len(subs[i])
+	size := 1 + uvarintLen(uint64(len(recs)))
+	for _, r := range recs {
+		n := walRecordSize(r)
+		size += uvarintLen(uint64(n)) + n
 	}
 	buf := make([]byte, 0, size)
 	buf = append(buf, batchRecordVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(recs)))
-	for _, sub := range subs {
-		buf = binary.AppendUvarint(buf, uint64(len(sub)))
-		buf = append(buf, sub...)
+	for _, r := range recs {
+		buf = binary.AppendUvarint(buf, uint64(walRecordSize(r)))
+		buf = appendWALRecord(buf, r)
 	}
 	return buf
 }

@@ -21,12 +21,11 @@ import (
 // different positions. Each record is sealed with AAD binding (seq,
 // lsn); the LSN also rides in plaintext framing so replay can skip
 // records below the checkpoint watermark without paying an unseal.
-// A frame's sealed payload is either one record (recordVersion) or a
-// group-commit batch of consecutive records (batchRecordVersion); for
-// a batch, the framing LSN and AAD bind the first LSN, and the
-// watermark skip stays sound because checkpoints and batch appends
-// serialise on the manager mutex — the watermark always lands on a
-// batch boundary.
+// A frame's sealed payload is a batch of one or more consecutive
+// records (batchRecordVersion): the framing LSN and AAD bind the first
+// LSN, and the watermark skip stays sound because checkpoints and
+// commits serialise on the manager mutex — the watermark always lands
+// on a frame boundary.
 // The epoch field is the monotonic-counter value when the segment was
 // opened — the rollback stamp: a segment from before the latest
 // checkpoint can only legitimately contain LSNs at or below the
@@ -146,55 +145,30 @@ func (m *Manager) openSegment(seq, epoch, baseLSN uint64) error {
 	buf = append(buf, walMagic...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(hdr)))
 	buf = append(buf, hdr...)
-	if _, err := m.fs.Append(m.segmentName(seq), buf); err != nil {
+	name := m.segmentName(seq)
+	if _, err := m.fs.Append(name, buf); err != nil {
 		return fmt.Errorf("persist: open segment %d: %w", seq, err)
 	}
 	m.curSeq = seq
+	m.curName = name
 	m.curSize = int64(len(buf))
 	return nil
 }
 
-// appendRecord seals and appends one record to the current segment,
-// honouring the mid-append crash point by writing a torn frame.
-func (m *Manager) appendRecord(rec Record) error {
-	sealed, err := m.seal(EncodeWALRecord(rec), recordAAD(m.curSeq, rec.LSN))
-	if err != nil {
-		return err
-	}
-	if !fitsLen(len(sealed)) {
-		return fmt.Errorf("persist: record too large: %d bytes", len(sealed))
-	}
-	frame := make([]byte, 0, recFrameLen+len(sealed))
-	frame = binary.BigEndian.AppendUint32(frame, uint32(8+len(sealed)))
-	frame = appendU64(frame, rec.LSN)
-	frame = append(frame, sealed...)
-	if err := m.injector.hit(CrashMidAppend); err != nil {
-		// Simulate the torn write the crash would leave behind: the
-		// frame is cut mid-record before the "process" dies.
-		_, _ = m.fs.Append(m.segmentName(m.curSeq), frame[:recFrameLen+len(sealed)/2])
-		return err
-	}
-	if _, err := m.fs.Append(m.segmentName(m.curSeq), frame); err != nil {
-		return fmt.Errorf("persist: append record: %w", err)
-	}
-	m.curSize += int64(len(frame))
-	return nil
-}
-
-// appendBatchRecord seals a group of consecutive records into one
-// frame and appends it (the group-commit fast path). The frame's
-// plaintext LSN is the batch's first LSN; the AAD binds (seq, first
-// LSN) so the host can neither move nor reorder the batch. Honours the
-// batch crash points.
-func (m *Manager) appendBatchRecord(recs []Record) error {
+// appendFrame seals a group of consecutive records into one frame and
+// appends it to the current segment — the only way records reach the
+// log. The frame's plaintext LSN is the group's first LSN; the AAD
+// binds (seq, first LSN) so the host can neither move nor reorder the
+// frame. Honours the seal and append crash points.
+func (m *Manager) appendFrame(recs []Record) error {
 	sealed, err := m.seal(EncodeWALBatch(recs), recordAAD(m.curSeq, recs[0].LSN))
 	if err != nil {
 		return err
 	}
 	if !fitsLen(len(sealed)) {
-		return fmt.Errorf("persist: batch record too large: %d bytes", len(sealed))
+		return fmt.Errorf("persist: frame too large: %d bytes", len(sealed))
 	}
-	if err := m.injector.hit(CrashAfterBatchSeal); err != nil {
+	if err := m.injector.hit(CrashAfterSeal); err != nil {
 		// Sealed but never written: the whole group is lost, which is
 		// fine — no member was acked.
 		return err
@@ -203,32 +177,17 @@ func (m *Manager) appendBatchRecord(recs []Record) error {
 	frame = binary.BigEndian.AppendUint32(frame, uint32(8+len(sealed)))
 	frame = appendU64(frame, recs[0].LSN)
 	frame = append(frame, sealed...)
-	if err := m.injector.hit(CrashMidBatchAppend); err != nil {
-		// Simulate the torn write: half the batch frame reaches the
-		// tail before the "process" dies. Replay drops the whole torn
-		// frame — the group vanishes at per-mutation granularity.
-		_, _ = m.fs.Append(m.segmentName(m.curSeq), frame[:recFrameLen+len(sealed)/2])
+	if err := m.injector.hit(CrashMidAppend); err != nil {
+		// Simulate the torn write the crash would leave behind: the
+		// frame is cut mid-payload before the "process" dies.
+		_, _ = m.fs.Append(m.curName, frame[:recFrameLen+len(sealed)/2])
 		return err
 	}
-	if _, err := m.fs.Append(m.segmentName(m.curSeq), frame); err != nil {
-		return fmt.Errorf("persist: append batch record: %w", err)
+	if _, err := m.fs.Append(m.curName, frame); err != nil {
+		return fmt.Errorf("persist: append frame: %w", err)
 	}
 	m.curSize += int64(len(frame))
 	return nil
-}
-
-// decodeFrameRecords parses a frame's unsealed payload into its
-// records: a batch frame (group commit) yields several, a plain frame
-// yields one. The version byte discriminates.
-func decodeFrameRecords(plain []byte) ([]Record, error) {
-	if len(plain) > 0 && plain[0] == batchRecordVersion {
-		return DecodeWALBatch(plain)
-	}
-	rec, err := DecodeWALRecord(plain)
-	if err != nil {
-		return nil, err
-	}
-	return []Record{rec}, nil
 }
 
 // segRecord is one framed record as read back from a segment.
@@ -346,7 +305,7 @@ func (m *Manager) replayLog(counter, watermark uint64, apply func(Record) error)
 				return replayed, lastLSN, false, fmt.Errorf(
 					"%w: segment %d LSN %d: %v", ErrCorruptRecord, seq, sr.lsn, err)
 			}
-			subs, err := decodeFrameRecords(plain)
+			subs, err := DecodeWALBatch(plain)
 			if err != nil {
 				return replayed, lastLSN, false, fmt.Errorf(
 					"%w: segment %d LSN %d: %v", ErrCorruptRecord, seq, sr.lsn, err)

@@ -143,14 +143,15 @@ func startRecoverableKV(t *testing.T) *recoverableKV {
 		Platform: platform,
 		Logf:     t.Logf,
 		// Journal KVStore puts: key and value are the two string args.
-		Journal: func(mu Mutation) error {
+		Journal: func(mu Mutation, complete func(error)) {
 			if mu.Op != opCall || mu.Class != demo.KVStoreCls || mu.Method != "put" {
-				return nil
+				complete(nil)
+				return
 			}
 			key, _ := mu.Args[0].AsStr()
 			val, _ := mu.Args[1].AsStr()
 			_, err := r.manager().Append("kv", persist.OpPut, key, []byte(val))
-			return err
+			complete(err)
 		},
 	})
 	if err != nil {
@@ -338,11 +339,16 @@ func TestJournalErrorWithholdsAck(t *testing.T) {
 	srv, err := New(Options{
 		World:    w,
 		Platform: platform,
-		Journal: func(m Mutation) error {
-			if m.Method == "put" {
-				return errors.New("disk full")
-			}
-			return nil
+		// Completing off the worker's goroutine is the hook's contract:
+		// the request parks until complete fires.
+		Journal: func(m Mutation, complete func(error)) {
+			go func() {
+				if m.Method == "put" {
+					complete(errors.New("disk full"))
+					return
+				}
+				complete(nil)
+			}()
 		},
 	})
 	if err != nil {

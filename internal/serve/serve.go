@@ -62,22 +62,19 @@ type Options struct {
 	// Journal, when set, receives every successfully executed
 	// state-changing request (new/call) after it ran and before the
 	// client sees the OK — the hook the durability layer uses to put
-	// mutations in the write-ahead log. A journal error withholds the
+	// mutations in the write-ahead log. The hook takes ownership of the
+	// request's completion and calls complete exactly once, from any
+	// goroutine, when the mutation is durable (nil) or failed
+	// (non-nil); only then does the gateway send the ack — or the
+	// error — and release the request's admission slot. A hook that
+	// finishes inline calls complete before returning; one that waits
+	// (replication watermarks) returns first, which frees the pool
+	// worker and parks only the request. A journal error withholds the
 	// ack: the client gets an application error and must treat the
 	// mutation as not durable (it may still surface after recovery if
 	// the append itself landed — the standard durable-but-unacked
 	// window).
-	Journal func(m Mutation) error
-	// JournalAsync is the pipelined variant of Journal: the hook takes
-	// ownership of the request's completion and calls complete exactly
-	// once when the mutation is durable (nil) or failed (non-nil), at
-	// which point the gateway sends the ack — or the error — and
-	// releases the request's admission slot. The executing worker is
-	// freed as soon as the hook returns, so a slow durability path
-	// (group commit, replication watermarks) parks only the request,
-	// not a pool worker. complete may be called from any goroutine.
-	// When both hooks are set, JournalAsync wins.
-	JournalAsync func(m Mutation, complete func(error))
+	Journal func(m Mutation, complete func(error))
 	// Logf, when set, receives diagnostic messages (e.g. teardown
 	// release failures). Defaults to discarding them.
 	Logf func(format string, args ...any)

@@ -176,6 +176,10 @@ func TestServeManyConcurrentSessions(t *testing.T) {
 	srv, addr, cfg := startServer(t, demo.MustKVProgram(), Options{
 		MaxSessions: sessions,
 		MaxInFlight: 16,
+		// Every session may have a request waiting for a slot at once,
+		// and a waiter is still counted for an instant after it gets
+		// one: the default depth (MaxInFlight) is exactly that edge.
+		QueueDepth: sessions,
 	})
 
 	var wg sync.WaitGroup

@@ -150,10 +150,10 @@ func (s *session) dispatch(req request) {
 		sp.SetNode(s.srv.opts.Node)
 		sp.SetQueueWait(time.Since(start))
 		// done finishes the request: span, reply, and the admission
-		// epilogue. On the synchronous path the worker calls it inline;
-		// on the async-journal path the durability layer calls it once
-		// the mutation is durable — possibly long after this worker
-		// moved on. The Once guards a buggy double-completion.
+		// epilogue. The worker calls it inline unless the request was
+		// handed to the Journal hook, which calls it once the mutation
+		// is durable — possibly long after this worker moved on. The
+		// Once guards a buggy double-completion.
 		var once sync.Once
 		done := func(result wire.Value, err error) {
 			once.Do(func() {
@@ -183,7 +183,7 @@ func (s *session) dispatch(req request) {
 		}
 		result, err, async := s.execute(req, deadline, sp, done)
 		if async {
-			return // the async journal hook owns completion
+			return // the journal hook owns completion
 		}
 		done(result, err)
 	})
@@ -238,8 +238,8 @@ func (s *session) reply(id int64, r response) {
 // it, and journaled mutations inherit its context.
 //
 // async reports that the request's completion was handed to the
-// JournalAsync hook (which will call done); the returned value/error
-// are then meaningless and the caller must not complete the request.
+// Journal hook (which will call done); the returned value/error are
+// then meaningless and the caller must not complete the request.
 func (s *session) execute(req request, deadline time.Time, sp *telemetry.Span, done func(wire.Value, error)) (_ wire.Value, _ error, async bool) {
 	if time.Now().After(deadline) {
 		return wire.Value{}, ErrDeadline, false
@@ -283,14 +283,7 @@ func (s *session) execute(req request, deadline time.Time, sp *telemetry.Span, d
 		if err != nil {
 			return wire.Value{}, appErr(err), false
 		}
-		m := Mutation{Op: opNew, Class: req.class, Args: args, Trace: sp.Context()}
-		if s.journalAsync(m, out, done) {
-			return wire.Value{}, nil, true
-		}
-		if err := s.journal(m); err != nil {
-			return wire.Value{}, err, false
-		}
-		return out, nil, false
+		return s.journal(Mutation{Op: opNew, Class: req.class, Args: args, Trace: sp.Context()}, out, done)
 
 	case opBind:
 		provider := s.srv.lookupExport(req.class)
@@ -335,14 +328,7 @@ func (s *session) execute(req request, deadline time.Time, sp *telemetry.Span, d
 		if err != nil {
 			return wire.Value{}, appErr(err), false
 		}
-		m := Mutation{Op: opCall, Class: e.Class, Method: req.method, Args: args, Trace: sp.Context()}
-		if s.journalAsync(m, out, done) {
-			return wire.Value{}, nil, true
-		}
-		if err := s.journal(m); err != nil {
-			return wire.Value{}, err, false
-		}
-		return out, nil, false
+		return s.journal(Mutation{Op: opCall, Class: e.Class, Method: req.method, Args: args, Trace: sp.Context()}, out, done)
 	}
 	return wire.Value{}, ErrBadRequest, false
 }
@@ -359,39 +345,25 @@ func (s *session) shardCheck(op, class, method string, args []wire.Value) error 
 	return check(op, class, method, args)
 }
 
-// journalAsync hands a successfully executed mutation to the pipelined
-// durability hook, transferring completion ownership: the hook calls
-// complete when the mutation is durable, and complete finishes the
-// request with out (or withholds the OK on a journal error — the
-// mutation ran but is not durable, so the client must not be told it
-// succeeded). Returns false when no async hook is configured.
-func (s *session) journalAsync(m Mutation, out wire.Value, done func(wire.Value, error)) bool {
-	ja := s.srv.opts.JournalAsync
-	if ja == nil {
-		return false
+// journal hands a successfully executed mutation to the durability
+// hook, transferring completion ownership: the hook calls complete when
+// the mutation is durable, and complete finishes the request with out
+// (or withholds the OK on a journal error — the mutation ran but is not
+// durable, so the client must not be told it succeeded). Without a hook
+// the request completes inline with out. The results are execute's.
+func (s *session) journal(m Mutation, out wire.Value, done func(wire.Value, error)) (_ wire.Value, _ error, async bool) {
+	j := s.srv.opts.Journal
+	if j == nil {
+		return out, nil, false
 	}
-	ja(m, func(jerr error) {
+	j(m, func(jerr error) {
 		if jerr != nil {
 			done(wire.Value{}, &AppError{Msg: "journal: " + jerr.Error()})
 			return
 		}
 		done(out, nil)
 	})
-	return true
-}
-
-// journal hands a successfully executed mutation to the durability
-// hook. A failure withholds the OK: the mutation ran but is not
-// durable, so the client must not be told it succeeded.
-func (s *session) journal(m Mutation) error {
-	j := s.srv.opts.Journal
-	if j == nil {
-		return nil
-	}
-	if err := j(m); err != nil {
-		return &AppError{Msg: "journal: " + err.Error()}
-	}
-	return nil
+	return wire.Value{}, nil, true
 }
 
 // appErr passes gateway sentinels through and wraps anything else as an

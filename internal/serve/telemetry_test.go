@@ -71,6 +71,12 @@ func TestServeTelemetryCollector(t *testing.T) {
 		t.Fatal("call on released handle succeeded")
 	}
 
+	// A reply leaves before its latency sample lands: wait for the last.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if tel.Registry().Snapshot().Histograms["montsalvat_serve_request_ns"].Count == srv.Stats().Requests {
+			break
+		}
+	}
 	snap := tel.Registry().Snapshot()
 	st := srv.Stats()
 	if got := snap.Counters["montsalvat_serve_sessions_total"]; got != st.SessionsTotal {

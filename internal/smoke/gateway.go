@@ -98,14 +98,15 @@ func StartGateway(opts GatewayOptions) (*Gateway, error) {
 		if err := g.bootStore(); err != nil {
 			return nil, err
 		}
-		sopts.Journal = func(m serve.Mutation) error {
+		sopts.Journal = func(m serve.Mutation, complete func(error)) {
 			if m.Op != serve.MutationCall || m.Class != demo.KVStoreCls || m.Method != "put" {
-				return nil
+				complete(nil)
+				return
 			}
 			key, _ := m.Args[0].AsStr()
 			val, _ := m.Args[1].AsStr()
 			_, err := g.Manager().Append("kv", persist.OpPut, key, []byte(val))
-			return err
+			complete(err)
 		}
 	}
 	srv, err := serve.New(sopts)
