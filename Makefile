@@ -9,13 +9,15 @@ all: build test
 build:
 	$(GO) build ./...
 
-# Tier-1: full suite, vet, and a race pass over the boundary-crossing
-# packages (worker-pool mailboxes, batching queues, and the telemetry
-# instruments they all publish into are concurrent).
+# Tier-1: full suite, vet, and a race pass over the trusted-memory data
+# path (mee, epc, heap, isolate: their scratch buffers are safe only
+# under the epc.Memory mutex and the isolate's serialisation) and the
+# boundary-crossing packages (worker-pool mailboxes, batching queues, and
+# the telemetry instruments they all publish into are concurrent).
 test:
 	$(GO) test ./...
 	$(GO) vet ./...
-	$(GO) test -race ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/serve/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/...
+	$(GO) test -race ./internal/mee/... ./internal/epc/... ./internal/heap/... ./internal/isolate/... ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/serve/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/...
 
 race:
 	$(GO) test -race ./...
@@ -103,6 +105,7 @@ bench-orderly:
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/wire/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/wire/
+	$(GO) test -run=NONE -fuzz=FuzzMemoryModel -fuzztime=30s ./internal/epc/
 
 vet:
 	$(GO) vet ./...

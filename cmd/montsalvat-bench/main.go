@@ -9,6 +9,7 @@
 //	montsalvat-bench -quick               # reduced problem sizes
 //	montsalvat-bench -spin=false          # virtual-only cost accounting
 //	montsalvat-bench -profile-dispatch    # telemetry-instrumented dispatch profile
+//	montsalvat-bench -experiment fig7 -cpuprofile cpu.prof -memprofile mem.prof
 //
 // With -spin (the default), simulated costs — enclave transitions, MEE
 // traffic — are charged as real busy-wait time so wall-clock measurements
@@ -22,6 +23,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"montsalvat/internal/bench"
@@ -34,7 +37,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("montsalvat-bench", flag.ContinueOnError)
 	var (
 		experiment = fs.String("experiment", "all", "experiment ID (see -list) or \"all\"")
@@ -47,6 +50,8 @@ func run(args []string, out io.Writer) error {
 		suite      = fs.String("suite", "rmi", "perf suite for -json: rmi (BENCH_rmi.json), ring (rmi plus payload sweep), persist (BENCH_persist.json), fabric (BENCH_fabric.json), obs (BENCH_obs.json) or orderly (BENCH_orderly.json)")
 		label      = fs.String("label", "run", "entry label for -json records")
 		sweep      = fs.Bool("payload-sweep", false, "with -json -suite rmi: include the ring payload sweep in the entry")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with go tool pprof)")
+		memProfile = fs.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -60,6 +65,25 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "%-22s %s\n", e.ID, e.Title)
 		}
 		return nil
+	}
+
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}()
+	}
+	if *memProfile != "" {
+		defer func() {
+			if werr := writeAllocProfile(*memProfile); err == nil {
+				err = werr
+			}
+		}()
 	}
 
 	opts := bench.Options{Quick: *quick, Spin: *spin}
@@ -114,6 +138,38 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
+}
+
+// startCPUProfile begins profiling into path and returns the function that
+// ends the profile and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		_ = f.Close() // the start error is the one to report
+		return nil, fmt.Errorf("cpuprofile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+// writeAllocProfile writes the allocations of the whole run (after a
+// collection, so the in-use figures are current too) to path.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		_ = f.Close() // the write error is the one to report
+		return fmt.Errorf("memprofile: %w", err)
+	}
+	return f.Close()
 }
 
 // writeRMIPerf runs the RMI perf suite and appends the labelled entry to

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -79,5 +81,30 @@ func TestBadFormat(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-format", "yaml"}, &sb); err == nil {
 		t.Fatal("accepted bad format")
+	}
+}
+
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	var sb strings.Builder
+	if err := run([]string{"-experiment", "fig5a", "-quick", "-spin=false", "-cpuprofile", cpu, "-memprofile", mem}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "GC-in") {
+		t.Fatalf("experiment did not run:\n%s", sb.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		// Profiles are gzip streams.
+		b, err := os.ReadFile(path)
+		if err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Fatalf("%s: %d bytes, %v: not a profile", path, len(b), err)
+		}
+	}
+	if err := run([]string{"-list", "-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}, &sb); err != nil {
+		t.Fatalf("-list must not open profiles: %v", err)
+	}
+	if err := run([]string{"-experiment", "fig5a", "-quick", "-spin=false", "-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}, &sb); err == nil {
+		t.Fatal("accepted an unwritable -cpuprofile path")
 	}
 }

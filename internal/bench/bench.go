@@ -68,11 +68,28 @@ type Table struct {
 type Series struct {
 	Name   string
 	Values []float64
+	// Cycles, where an experiment records it, is the cycle ledger behind
+	// each value: the cycles charged during the measured window, or for a
+	// modelled runtime the overheads its model adds to the measured base.
+	// Values that fold host time in vary from run to run; Cycles repeat
+	// exactly, so the shape tests assert on them. Not rendered.
+	Cycles []int64
 }
 
 // AddRow appends a series.
 func (t *Table) AddRow(name string, values ...float64) {
 	t.Rows = append(t.Rows, Series{Name: name, Values: values})
+}
+
+// AddTimedRow appends a series of measured windows: seconds as the values,
+// with the cycle ledger alongside.
+func (t *Table) AddTimedRow(name string, windows []timing) {
+	s := Series{Name: name}
+	for _, w := range windows {
+		s.Values = append(s.Values, w.elapsed.Seconds())
+		s.Cycles = append(s.Cycles, w.cycles)
+	}
+	t.Rows = append(t.Rows, s)
 }
 
 // AddNote appends a formatted note.
@@ -193,6 +210,22 @@ func startMeter(clk *cycles.Clock) meter {
 		m.cycles = clk.Total()
 	}
 	return m
+}
+
+// timing is one measured window in both currencies: its duration as the
+// figures plot it, and the cycles charged within it.
+type timing struct {
+	elapsed time.Duration
+	cycles  int64
+}
+
+// stop closes the window.
+func (m meter) stop() timing {
+	t := timing{elapsed: m.elapsed()}
+	if m.clock != nil {
+		t.cycles = m.clock.Total() - m.cycles
+	}
+	return t
 }
 
 // elapsed returns the window's duration: wall time plus (when the clock

@@ -25,8 +25,8 @@ type graphchiState struct {
 	set   graphchi.ShardSet
 	// timings are recorded by the bodies so the harness can report the
 	// sharding/engine breakdown of Fig. 9.
-	shardTime  time.Duration
-	engineTime time.Duration
+	shardTime  timing
+	engineTime timing
 	rankSum    float64
 }
 
@@ -61,7 +61,7 @@ func graphchiProgram(sharderAnn, engineAnn classmodel.Annotation, st *graphchiSt
 			if err != nil {
 				return wire.Value{}, err
 			}
-			st.shardTime = m.elapsed()
+			st.shardTime = m.stop()
 			st.set = set
 			return wire.Int(int64(stats.EdgesSharded)), nil
 		},
@@ -95,7 +95,7 @@ func graphchiProgram(sharderAnn, engineAnn classmodel.Annotation, st *graphchiSt
 			if err != nil {
 				return wire.Value{}, err
 			}
-			st.engineTime = m.elapsed()
+			st.engineTime = m.stop()
 			var sum float64
 			for _, r := range ranks {
 				sum += r
@@ -139,13 +139,12 @@ type graphchiConfig struct {
 }
 
 // graphchiRun is the outcome of one sharded PageRank execution.
+// Each phase carries its deterministic simulated-cost component
+// (transitions, MEE traffic) next to its duration.
 type graphchiRun struct {
-	total  time.Duration
-	shard  time.Duration
-	engine time.Duration
-	// cycles is the deterministic simulated-cost component (transitions,
-	// MEE traffic) of the run.
-	cycles int64
+	total  timing
+	shard  timing
+	engine timing
 }
 
 // runGraphChi shards and ranks one graph under one configuration.
@@ -197,12 +196,7 @@ func runGraphChi(opts Options, cfg graphchiConfig, g rmat.Graph, numShards int) 
 	if err != nil {
 		return graphchiRun{}, fmt.Errorf("graphchi %s: %w", cfg.name, err)
 	}
-	return graphchiRun{
-		total:  m.elapsed(),
-		shard:  st.shardTime,
-		engine: st.engineTime,
-		cycles: w.Clock().Total(),
-	}, nil
+	return graphchiRun{total: m.stop(), shard: st.shardTime, engine: st.engineTime}, nil
 }
 
 // Fig9 regenerates the partitioned GraphChi PageRank comparison (§6.5,
@@ -247,9 +241,9 @@ func Fig9(opts Options) (*Table, error) {
 		{name: "NoPart", inEnclave: true},
 		{name: "Part", partitioned: true},
 	}
-	totals := map[string][]float64{}
-	shards := map[string][]float64{}
-	engines := map[string][]float64{}
+	totals := map[string][]timing{}
+	shards := map[string][]timing{}
+	engines := map[string][]timing{}
 	for _, cfg := range configs {
 		for _, gs := range graphs {
 			g, err := rmat.Generate(gs.vertices, gs.edges, 2021)
@@ -261,16 +255,16 @@ func Fig9(opts Options) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				totals[cfg.name] = append(totals[cfg.name], run.total.Seconds())
-				shards[cfg.name] = append(shards[cfg.name], run.shard.Seconds())
-				engines[cfg.name] = append(engines[cfg.name], run.engine.Seconds())
+				totals[cfg.name] = append(totals[cfg.name], run.total)
+				shards[cfg.name] = append(shards[cfg.name], run.shard)
+				engines[cfg.name] = append(engines[cfg.name], run.engine)
 			}
 		}
 	}
 	for _, cfg := range configs {
-		t.AddRow(cfg.name+" total", totals[cfg.name]...)
-		t.AddRow(cfg.name+" sharding", shards[cfg.name]...)
-		t.AddRow(cfg.name+" engine", engines[cfg.name]...)
+		t.AddTimedRow(cfg.name+" total", totals[cfg.name])
+		t.AddTimedRow(cfg.name+" sharding", shards[cfg.name])
+		t.AddTimedRow(cfg.name+" engine", engines[cfg.name])
 	}
 	addRatioNote(t, "NoPart total", "Part total")
 	addRatioNote(t, "Part sharding", "NoSGX sharding")
@@ -306,29 +300,29 @@ func Fig11(opts Options) (*Table, error) {
 		{name: "Part-NI", partitioned: true},
 		{name: "NoPart-NI", inEnclave: true},
 	} {
-		values := make([]float64, 0, len(shardCounts))
+		values := make([]timing, 0, len(shardCounts))
 		for _, ns := range shardCounts {
 			run, err := runGraphChi(opts, cfg, g, ns)
 			if err != nil {
 				return nil, err
 			}
-			values = append(values, run.total.Seconds())
+			values = append(values, run.total)
 		}
-		t.AddRow(cfg.name, values...)
+		t.AddTimedRow(cfg.name, values)
 	}
 
 	// JVM baselines from the runtime cost models over the measured
 	// library run.
 	for _, m := range []jvm.Model{jvm.NoSGXJVM, jvm.SCONEJVM} {
-		values := make([]float64, 0, len(shardCounts))
+		values := make([]timing, 0, len(shardCounts))
 		for _, ns := range shardCounts {
 			d, err := graphchiUnderModel(m, g, ns)
 			if err != nil {
 				return nil, err
 			}
-			values = append(values, d.Seconds())
+			values = append(values, d)
 		}
-		t.AddRow(m.String(), values...)
+		t.AddTimedRow(m.String(), values)
 	}
 
 	addGainNote(t, "SCONE+JVM", "Part-NI")
@@ -340,16 +334,16 @@ func Fig11(opts Options) (*Table, error) {
 // jvm runtime model: shard/engine I/O operations become relayed syscalls,
 // the streamed shard and rank data is the DRAM traffic, and the Java
 // version's per-edge object churn drives the GC term.
-func graphchiUnderModel(m jvm.Model, g rmat.Graph, numShards int) (time.Duration, error) {
+func graphchiUnderModel(m jvm.Model, g rmat.Graph, numShards int) (timing, error) {
 	fs := shim.NewMemFS()
 	start := time.Now()
 	set, sstats, err := graphchi.Shard(fs, g, numShards, "model-graph")
 	if err != nil {
-		return 0, err
+		return timing{}, err
 	}
 	_, estats, err := graphchi.RunPageRank(fs, set, graphchi.PageRankConfig{Iterations: pageRankIterations}, nil)
 	if err != nil {
-		return 0, err
+		return timing{}, err
 	}
 	wall := time.Since(start)
 
@@ -362,6 +356,5 @@ func graphchiUnderModel(m jvm.Model, g rmat.Graph, numShards int) (time.Duration
 	syscalls := int64(sstats.WriteOps + sstats.ReadOps + estats.ReadOps)
 	runner := jvm.NewRunner(0)
 	base := int64(wall.Seconds() * runner.Hz())
-	total := m.Apply(base, work, syscalls).Total()
-	return time.Duration(float64(total) / runner.Hz() * float64(time.Second)), nil
+	return modelled(m.Apply(base, work, syscalls), runner.Hz()), nil
 }

@@ -382,24 +382,24 @@ func Fig5a(opts Options) (*Table, error) {
 
 	const objData = 40
 	heapCfg := heap.Config{InitialSemi: 128 << 20, MaxSemi: 512 << 20}
-	run := func(h *heap.Heap, clk *cycles.Clock, n int) (time.Duration, error) {
+	run := func(h *heap.Heap, clk *cycles.Clock, n int) (timing, error) {
 		for i := 0; i < n; i++ {
 			addr, err := h.Alloc(1, 0, objData)
 			if err != nil {
-				return 0, err
+				return timing{}, err
 			}
 			if _, err := h.NewHandle(addr); err != nil {
-				return 0, err
+				return timing{}, err
 			}
 		}
 		m := startMeter(clk)
 		if err := h.Collect(); err != nil {
-			return 0, err
+			return timing{}, err
 		}
-		return m.elapsed(), nil
+		return m.stop(), nil
 	}
 
-	outVals := make([]float64, 0, len(counts))
+	outVals := make([]timing, 0, len(counts))
 	for _, n := range counts {
 		h, err := heap.NewPlain(heapCfg)
 		if err != nil {
@@ -409,11 +409,11 @@ func Fig5a(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		outVals = append(outVals, d.Seconds())
+		outVals = append(outVals, d)
 	}
-	t.AddRow("GC-out (concrete-out)", outVals...)
+	t.AddTimedRow("GC-out (concrete-out)", outVals)
 
-	inVals := make([]float64, 0, len(counts))
+	inVals := make([]timing, 0, len(counts))
 	for _, n := range counts {
 		eng, err := mee.New()
 		if err != nil {
@@ -434,9 +434,9 @@ func Fig5a(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		inVals = append(inVals, d.Seconds())
+		inVals = append(inVals, d)
 	}
-	t.AddRow("GC-in (concrete-in)", inVals...)
+	t.AddTimedRow("GC-in (concrete-in)", inVals)
 
 	addRatioNote(t, "GC-in (concrete-in)", "GC-out (concrete-out)")
 	return t, nil

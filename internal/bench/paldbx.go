@@ -212,8 +212,8 @@ func paldbKV(n int) (keys, vals []wire.Value, totalValBytes int64) {
 }
 
 // runPalDB executes the write-then-read workload under one scheme and
-// returns its duration.
-func runPalDB(opts Options, scheme paldbScheme, nKeys, batch int) (time.Duration, world.Stats, error) {
+// returns its duration and charged cycles.
+func runPalDB(opts Options, scheme paldbScheme, nKeys, batch int) (timing, world.Stats, error) {
 	readerAnn := scheme.readerAnn
 	writerAnn := scheme.writerAnn
 	if !scheme.partitioned {
@@ -222,7 +222,7 @@ func runPalDB(opts Options, scheme paldbScheme, nKeys, batch int) (time.Duration
 	}
 	prog, err := paldbProgram(readerAnn, writerAnn)
 	if err != nil {
-		return 0, world.Stats{}, err
+		return timing{}, world.Stats{}, err
 	}
 	wopts := world.DefaultOptions()
 	wopts.Cfg = opts.Config()
@@ -236,7 +236,7 @@ func runPalDB(opts Options, scheme paldbScheme, nKeys, batch int) (time.Duration
 		w, _, err = core.NewUnpartitionedWorld(prog, wopts, scheme.inEnclave)
 	}
 	if err != nil {
-		return 0, world.Stats{}, fmt.Errorf("paldb %s: %w", scheme.name, err)
+		return timing{}, world.Stats{}, fmt.Errorf("paldb %s: %w", scheme.name, err)
 	}
 	defer w.Close()
 
@@ -278,12 +278,12 @@ func runPalDB(opts Options, scheme paldbScheme, nKeys, batch int) (time.Duration
 		}
 		return nil
 	})
-	elapsed := m.elapsed()
+	elapsed := m.stop()
 	if err != nil {
-		return 0, world.Stats{}, fmt.Errorf("paldb %s: %w", scheme.name, err)
+		return timing{}, world.Stats{}, fmt.Errorf("paldb %s: %w", scheme.name, err)
 	}
 	if got != wantBytes {
-		return 0, world.Stats{}, fmt.Errorf("paldb %s: read %d bytes, want %d", scheme.name, got, wantBytes)
+		return timing{}, world.Stats{}, fmt.Errorf("paldb %s: read %d bytes, want %d", scheme.name, got, wantBytes)
 	}
 	return elapsed, w.Stats(), nil
 }
@@ -301,13 +301,13 @@ func Fig7(opts Options) (*Table, error) {
 	}
 	var ocallsRTWU, ocallsWTRU float64
 	for _, scheme := range paldbSchemes() {
-		values := make([]float64, 0, len(counts))
+		values := make([]timing, 0, len(counts))
 		for _, n := range counts {
 			d, stats, err := runPalDB(opts, scheme, n, batch)
 			if err != nil {
 				return nil, err
 			}
-			values = append(values, d.Seconds())
+			values = append(values, d)
 			if n == counts[len(counts)-1] {
 				switch scheme.name {
 				case "Part(RTWU)":
@@ -317,7 +317,7 @@ func Fig7(opts Options) (*Table, error) {
 				}
 			}
 		}
-		t.AddRow(scheme.name, values...)
+		t.AddTimedRow(scheme.name, values)
 	}
 	addRatioNote(t, "NoPart", "Part(RTWU)")
 	addRatioNote(t, "NoPart", "Part(WTRU)")
@@ -354,27 +354,27 @@ func Fig10(opts Options) (*Table, error) {
 		{row: "NoSGX-NI", scheme: "NoSGX"},
 	}
 	for _, o := range order {
-		values := make([]float64, 0, len(counts))
+		values := make([]timing, 0, len(counts))
 		for _, n := range counts {
 			d, _, err := runPalDB(opts, schemes[o.scheme], n, batch)
 			if err != nil {
 				return nil, err
 			}
-			values = append(values, d.Seconds())
+			values = append(values, d)
 		}
-		t.AddRow(o.row, values...)
+		t.AddTimedRow(o.row, values)
 	}
 
 	// SCONE+JVM: the same workload under the JVM-in-SCONE cost model.
-	sconeVals := make([]float64, 0, len(counts))
+	sconeVals := make([]timing, 0, len(counts))
 	for _, n := range counts {
 		d, err := paldbUnderModel(jvm.SCONEJVM, n)
 		if err != nil {
 			return nil, err
 		}
-		sconeVals = append(sconeVals, d.Seconds())
+		sconeVals = append(sconeVals, d)
 	}
-	t.AddRow("SCONE+JVM", sconeVals...)
+	t.AddTimedRow("SCONE+JVM", sconeVals)
 
 	addGainNote(t, "SCONE+JVM", "Part(RTWU)")
 	addGainNote(t, "SCONE+JVM", "Part(WTRU)")
@@ -387,33 +387,33 @@ func Fig10(opts Options) (*Table, error) {
 // syscall, the mapped store and record traffic is the enclave's DRAM
 // traffic, and the Java version's per-record object garbage drives the GC
 // term.
-func paldbUnderModel(m jvm.Model, nKeys int) (time.Duration, error) {
+func paldbUnderModel(m jvm.Model, nKeys int) (timing, error) {
 	fs := shim.NewMemFS()
 	keys, vals, _ := paldbKV(nKeys)
 
 	start := time.Now()
 	w, err := paldb.NewWriter(fs, paldbStoreFile)
 	if err != nil {
-		return 0, err
+		return timing{}, err
 	}
 	for i := range keys {
 		k, _ := keys[i].AsStr()
 		v, _ := vals[i].AsStr()
 		if err := w.Put([]byte(k), []byte(v)); err != nil {
-			return 0, err
+			return timing{}, err
 		}
 	}
 	if err := w.Close(); err != nil {
-		return 0, err
+		return timing{}, err
 	}
 	r, err := paldb.Open(fs, paldbStoreFile)
 	if err != nil {
-		return 0, err
+		return timing{}, err
 	}
 	for i := range keys {
 		k, _ := keys[i].AsStr()
 		if _, err := r.Get([]byte(k)); err != nil {
-			return 0, err
+			return timing{}, err
 		}
 	}
 	wall := time.Since(start)
@@ -429,8 +429,16 @@ func paldbUnderModel(m jvm.Model, nKeys int) (time.Duration, error) {
 	syscalls := int64(ws.WriteOps) + int64(rs.MappedBytes)/(1<<20) + 2
 	runner := jvm.NewRunner(0)
 	base := int64(wall.Seconds() * runner.Hz())
-	total := m.Apply(base, work, syscalls).Total()
-	return time.Duration(float64(total) / runner.Hz() * float64(time.Second)), nil
+	return modelled(m.Apply(base, work, syscalls), runner.Hz()), nil
+}
+
+// modelled converts a runtime model's cycle breakdown into a timing: the
+// total at the modelled clock, with the overheads the model charged.
+func modelled(o jvm.Overheads, hz float64) timing {
+	return timing{
+		elapsed: time.Duration(float64(o.Total()) / hz * float64(time.Second)),
+		cycles:  o.Charged(),
+	}
 }
 
 // addGainNote records the mean speedup of row `fast` relative to `slow`.

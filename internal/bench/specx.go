@@ -43,11 +43,12 @@ func Fig12(opts Options) (*Table, error) {
 		measurements[i] = runner.Measure(k, specSize(opts, k))
 	}
 	for _, m := range specModels {
-		values := make([]float64, 0, len(kernels))
+		values := make([]timing, 0, len(kernels))
 		for _, meas := range measurements {
-			values = append(values, runner.ApplyTo(m, meas).Duration.Seconds())
+			res := runner.ApplyTo(m, meas)
+			values = append(values, timing{elapsed: res.Duration, cycles: res.Overheads.Charged()})
 		}
-		t.AddRow(m.String(), values...)
+		t.AddTimedRow(m.String(), values)
 	}
 	return t, nil
 }

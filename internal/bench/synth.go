@@ -149,7 +149,7 @@ func Fig6(opts Options) (*Table, error) {
 		{kind: synthCPU, name: "CPU-intensive"},
 		{kind: synthIO, name: "I/O-intensive"},
 	} {
-		values := make([]float64, 0, len(pcts))
+		values := make([]timing, 0, len(pcts))
 		for _, pct := range pcts {
 			trusted := classes - classes*pct/100
 			prog, err := synthProgram(classes, trusted, variant.kind, fftSize, ioWrites)
@@ -169,12 +169,11 @@ func Fig6(opts Options) (*Table, error) {
 				w.Close()
 				return nil, fmt.Errorf("fig6 %s pct=%d: %w", variant.name, pct, err)
 			}
-			elapsed := m.elapsed()
+			values = append(values, m.stop())
 			w.Close()
-			values = append(values, elapsed.Seconds())
 		}
-		t.AddRow(variant.name, values...)
-		if first, last := values[0], values[len(values)-1]; last > 0 {
+		t.AddTimedRow(variant.name, values)
+		if first, last := values[0].elapsed.Seconds(), values[len(values)-1].elapsed.Seconds(); last > 0 {
 			t.AddNote("%s: 0%% untrusted / 100%% untrusted = %.2fx", variant.name, first/last)
 		}
 	}

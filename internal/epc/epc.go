@@ -28,8 +28,9 @@ import (
 )
 
 const (
-	lineBytes = mee.LineBytes
-	pageBytes = simcfg.PageBytes
+	lineBytes    = mee.LineBytes
+	pageBytes    = simcfg.PageBytes
+	linesPerPage = pageBytes / lineBytes
 )
 
 // ErrOutOfRange is returned for accesses beyond the memory size.
@@ -54,7 +55,7 @@ type Residency struct {
 
 	clock       *cycles.Clock
 	maxResident int
-	resident    map[pageKey]*lruNode
+	resident    int // pages on the LRU list
 	lruHead     *lruNode
 	lruTail     *lruNode
 
@@ -67,13 +68,11 @@ type Residency struct {
 	evictEpoch atomic.Uint64
 }
 
-type pageKey struct {
-	mem  *Memory
-	page int
-}
-
+// lruNode is one resident page. Its Memory's nodes slice points back at
+// it, so a touch finds it by index.
 type lruNode struct {
-	key        pageKey
+	mem        *Memory
+	page       int
 	prev, next *lruNode
 }
 
@@ -88,7 +87,6 @@ func NewResidency(epcBytes int, clock *cycles.Clock) (*Residency, error) {
 	return &Residency{
 		clock:       clock,
 		maxResident: epcBytes / pageBytes,
-		resident:    make(map[pageKey]*lruNode),
 	}, nil
 }
 
@@ -99,7 +97,7 @@ func (r *Residency) Stats() ResidencyStats {
 	return ResidencyStats{
 		PageFaults:    r.faults,
 		Evictions:     r.evictions,
-		ResidentPages: len(r.resident),
+		ResidentPages: r.resident,
 		CapacityPages: r.maxResident,
 	}
 }
@@ -108,26 +106,27 @@ func (r *Residency) Stats() ResidencyStats {
 func (r *Residency) touch(m *Memory, page int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	key := pageKey{mem: m, page: page}
-	if node, ok := r.resident[key]; ok {
+	if node := m.nodes[page]; node != nil {
 		r.moveFront(node)
 		return
 	}
 	r.faults++
 	r.clock.Charge(simcfg.EPCPageLoadCycles)
-	for len(r.resident) >= r.maxResident {
+	for r.resident >= r.maxResident {
 		victim := r.lruTail
 		if victim == nil {
 			break
 		}
 		r.remove(victim)
-		delete(r.resident, victim.key)
+		victim.mem.nodes[victim.page] = nil
+		r.resident--
 		r.evictions++
 		r.evictEpoch.Add(1)
 		r.clock.Charge(simcfg.EPCPageEvictCycles)
 	}
-	node := &lruNode{key: key}
-	r.resident[key] = node
+	node := &lruNode{mem: m, page: page}
+	m.nodes[page] = node
+	r.resident++
 	r.pushFront(node)
 }
 
@@ -165,6 +164,20 @@ func (r *Residency) moveFront(n *lruNode) {
 	r.pushFront(n)
 }
 
+// lineMeta is the per-line state the MEE keeps outside the ciphertext.
+type lineMeta struct {
+	// version counts writes to the line (keystream freshness). Zero means
+	// the line was never written: it reads as zero and has no ciphertext.
+	version uint64
+	tag     mee.Tag
+	// ptOK reports that pt holds the plaintext of the line's current
+	// ciphertext.
+	ptOK bool
+}
+
+// current reports whether pt holds what a read of the line must return.
+func (lm *lineMeta) current() bool { return lm.ptOK || lm.version == 0 }
+
 // Memory is an encrypted, integrity-protected address space inside the
 // EPC. It is safe for concurrent use; accesses are serialised, matching
 // the stop-the-world discipline of the isolate GC that owns it.
@@ -175,20 +188,30 @@ type Memory struct {
 	clock *cycles.Clock
 	res   *Residency // nil disables paging accounting
 
-	ct       []byte    // ciphertext backing store
-	versions []uint64  // per-line write counters (freshness)
-	tags     []mee.Tag // per-line integrity tags
-	inited   []bool    // per-line "has been written" flags
+	size atomic.Int64 // len(ct), readable without mu
+	ct   []byte       // ciphertext backing store
+	meta []lineMeta   // one entry per line of ct
 
 	// pt memoises the plaintext of lines whose current ciphertext has
 	// already been decrypted (or was just encrypted), so repeated reads
 	// of a hot line skip redundant AES work in the emulator. The memo is
-	// semantically transparent — it holds exactly the bytes DecryptLine
-	// would produce for the current (ct, version, tag) — and is dropped
-	// for a line whenever the ciphertext is changed behind the MEE's
-	// back (Tamper). Charged MEE cycles are unaffected.
-	pt   []byte
-	ptOK []bool
+	// semantically transparent — it holds exactly the bytes DecryptLines
+	// would produce for the current (ct, version, tag), and zeros for a
+	// line never written — and is dropped for a line whenever the
+	// ciphertext is changed behind the MEE's back (Tamper). Charged MEE
+	// cycles are unaffected.
+	pt []byte
+
+	// Working memory of the MEE kernel, guarded by mu: a run never spans
+	// a page, so one page's worth of versions and tags is enough.
+	scratch  mee.Scratch
+	versions [linesPerPage]uint64
+	tags     [linesPerPage]mee.Tag
+
+	// nodes[p] is the residency's LRU node of page p while the page is
+	// resident. Guarded by res.mu, not mu: an access to another Memory of
+	// the same enclave may evict a page of this one.
+	nodes []*lruNode
 
 	// MRU page filter: consecutive accesses to the same resident page
 	// skip the shared residency LRU. Valid only while the residency's
@@ -209,27 +232,33 @@ func New(size int, res *Residency, eng *mee.Engine, clock *cycles.Clock) (*Memor
 	if clock == nil {
 		return nil, errors.New("epc: nil clock")
 	}
-	nLines := (size + lineBytes - 1) / lineBytes
-	return &Memory{
-		eng:      eng,
-		clock:    clock,
-		res:      res,
-		ct:       make([]byte, nLines*lineBytes),
-		versions: make([]uint64, nLines),
-		tags:     make([]mee.Tag, nLines),
-		inited:   make([]bool, nLines),
-		pt:       make([]byte, nLines*lineBytes),
-		ptOK:     make([]bool, nLines),
-		lastPage: -1,
-	}, nil
+	m := &Memory{eng: eng, clock: clock, res: res, lastPage: -1}
+	m.resize((size + lineBytes - 1) / lineBytes)
+	return m, nil
+}
+
+// resize reallocates the backing arrays for nLines lines, keeping the
+// existing contents.
+func (m *Memory) resize(nLines int) {
+	ct := make([]byte, nLines*lineBytes)
+	copy(ct, m.ct)
+	pt := make([]byte, nLines*lineBytes)
+	copy(pt, m.pt)
+	meta := make([]lineMeta, nLines)
+	copy(meta, m.meta)
+	m.ct, m.pt, m.meta = ct, pt, meta
+	m.size.Store(int64(len(ct)))
+	if m.res != nil {
+		m.res.mu.Lock()
+		nodes := make([]*lruNode, (len(ct)+pageBytes-1)/pageBytes)
+		copy(nodes, m.nodes)
+		m.nodes = nodes
+		m.res.mu.Unlock()
+	}
 }
 
 // Size returns the addressable size in bytes.
-func (m *Memory) Size() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.ct)
-}
+func (m *Memory) Size() int { return int(m.size.Load()) }
 
 // Read decrypts len(dst) bytes starting at off into dst.
 func (m *Memory) Read(off int, dst []byte) error {
@@ -239,26 +268,33 @@ func (m *Memory) Read(off int, dst []byte) error {
 		return err
 	}
 	m.clock.ChargeBytes(len(dst), simcfg.MEEBytesPerCycle)
-	var line [lineBytes]byte
-	for n := 0; n < len(dst); {
-		li := (off + n) / lineBytes
-		m.touchPage(li * lineBytes / pageBytes)
-		lo := (off + n) % lineBytes
-		if m.inited[li] && m.ptOK[li] {
-			// Memo hit: copy straight out of the plaintext shadow.
-			n += copy(dst[n:], m.pt[li*lineBytes+lo:(li+1)*lineBytes])
-			continue
+	for pos, end := off, off+len(dst); pos < end; {
+		stop := m.enterPage(pos, end)
+		// Decrypt every run of lines the memo does not cover, then copy
+		// the page's share out of the plaintext shadow in one piece.
+		last := (stop - 1) / lineBytes
+		for li := pos / lineBytes; li <= last; li++ {
+			if m.meta[li].current() {
+				continue
+			}
+			run := li
+			for li < last && !m.meta[li+1].current() {
+				li++
+			}
+			if err := m.openLines(run, li-run+1); err != nil {
+				return err
+			}
 		}
-		if err := m.loadLine(li, &line); err != nil {
-			return err
-		}
-		n += copy(dst[n:], line[lo:])
+		copy(dst[pos-off:], m.pt[pos:stop])
+		pos = stop
 	}
 	return nil
 }
 
-// Write encrypts src into the memory starting at off. Partial lines are
-// handled read-modify-write, as a real cache does.
+// Write encrypts src into the memory starting at off. Whole lines go to
+// the MEE as one run per page; a partial first or last line is handled
+// read-modify-write, as a real cache does. On return every touched line's
+// ciphertext, tag and version in the backing store are current.
 func (m *Memory) Write(off int, src []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -266,25 +302,31 @@ func (m *Memory) Write(off int, src []byte) error {
 		return err
 	}
 	m.clock.ChargeBytes(len(src), simcfg.MEEBytesPerCycle)
-	var line [lineBytes]byte
-	for n := 0; n < len(src); {
-		li := (off + n) / lineBytes
-		m.touchPage(li * lineBytes / pageBytes)
-		lo := (off + n) % lineBytes
-		span := lineBytes - lo
-		if span > len(src)-n {
-			span = len(src) - n
-		}
-		if span < lineBytes {
-			if err := m.loadLine(li, &line); err != nil {
-				return err
-			}
-		}
-		copy(line[lo:lo+span], src[n:n+span])
-		if err := m.storeLine(li, &line); err != nil {
+	for pos, end := off, off+len(src); pos < end; {
+		stop := m.enterPage(pos, end)
+		if err := m.storePage(pos, src[pos-off:stop-off]); err != nil {
 			return err
 		}
-		n += span
+		pos = stop
+	}
+	return nil
+}
+
+// Touch accounts for an access of n bytes at off exactly as Read or Write
+// would — bounds check, MEE cycle charge, page residency in address order
+// — and moves no bytes. It stands for a store whose bytes an earlier
+// Write of the same call sequence has already put in place (the heap's
+// fused allocate-and-initialise), so that the cycle ledger and the paging
+// state cannot tell the two sequences apart.
+func (m *Memory) Touch(off, n int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.check(off, n); err != nil {
+		return err
+	}
+	m.clock.ChargeBytes(n, simcfg.MEEBytesPerCycle)
+	for pos, end := off, off+n; pos < end; {
+		pos = m.enterPage(pos, end)
 	}
 	return nil
 }
@@ -298,28 +340,9 @@ func (m *Memory) Grow(newSize int) error {
 	if newSize < 0 {
 		return fmt.Errorf("epc: negative size %d", newSize)
 	}
-	nLines := (newSize + lineBytes - 1) / lineBytes
-	if nLines*lineBytes <= len(m.ct) {
-		return nil
+	if nLines := (newSize + lineBytes - 1) / lineBytes; nLines > len(m.meta) {
+		m.resize(nLines)
 	}
-	ct := make([]byte, nLines*lineBytes)
-	copy(ct, m.ct)
-	m.ct = ct
-	versions := make([]uint64, nLines)
-	copy(versions, m.versions)
-	m.versions = versions
-	tags := make([]mee.Tag, nLines)
-	copy(tags, m.tags)
-	m.tags = tags
-	inited := make([]bool, nLines)
-	copy(inited, m.inited)
-	m.inited = inited
-	pt := make([]byte, nLines*lineBytes)
-	copy(pt, m.pt)
-	m.pt = pt
-	ptOK := make([]bool, nLines)
-	copy(ptOK, m.ptOK)
-	m.ptOK = ptOK
 	return nil
 }
 
@@ -335,7 +358,7 @@ func (m *Memory) Tamper(off int) error {
 	m.ct[off] ^= 0xff
 	// The memoised plaintext no longer matches the ciphertext; the next
 	// read must go through the MEE and fail verification.
-	m.ptOK[off/lineBytes] = false
+	m.meta[off/lineBytes].ptOK = false
 	return nil
 }
 
@@ -346,37 +369,91 @@ func (m *Memory) check(off, n int) error {
 	return nil
 }
 
-// loadLine decrypts line li into dst. Never-written lines read as zero.
-// Lines with a valid plaintext memo skip the AES work entirely.
-func (m *Memory) loadLine(li int, dst *[lineBytes]byte) error {
-	if !m.inited[li] {
-		*dst = [lineBytes]byte{}
-		return nil
+// enterPage makes the page holding pos resident and returns where the
+// access [pos, end) leaves that page.
+func (m *Memory) enterPage(pos, end int) int {
+	page := pos / pageBytes
+	m.touchPage(page)
+	if stop := (page + 1) * pageBytes; stop < end {
+		return stop
 	}
-	if m.ptOK[li] {
-		copy(dst[:], m.pt[li*lineBytes:(li+1)*lineBytes])
-		return nil
+	return end
+}
+
+// storePage writes src at pos; the range lies within one page.
+func (m *Memory) storePage(pos int, src []byte) error {
+	if lo := pos % lineBytes; lo != 0 {
+		n, err := m.patchLine(pos, src, lineBytes-lo)
+		if err != nil {
+			return err
+		}
+		pos, src = pos+n, src[n:]
 	}
-	if err := m.eng.DecryptLine(dst[:], m.ct[li*lineBytes:(li+1)*lineBytes], uint64(li), m.versions[li], m.tags[li]); err != nil {
-		return err
+	if n := len(src) / lineBytes * lineBytes; n > 0 {
+		copy(m.pt[pos:pos+n], src)
+		if err := m.sealLines(pos/lineBytes, n/lineBytes); err != nil {
+			return err
+		}
+		pos, src = pos+n, src[n:]
 	}
-	copy(m.pt[li*lineBytes:(li+1)*lineBytes], dst[:])
-	m.ptOK[li] = true
+	if len(src) > 0 {
+		if _, err := m.patchLine(pos, src, lineBytes); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// storeLine bumps the line version and encrypts src into the backing store.
-func (m *Memory) storeLine(li int, src *[lineBytes]byte) error {
-	m.versions[li]++
-	tag, err := m.eng.EncryptLine(m.ct[li*lineBytes:(li+1)*lineBytes], src[:], uint64(li), m.versions[li])
-	if err != nil {
+// patchLine stores up to max bytes of src into the middle of one line:
+// the line's plaintext is brought up to date, patched and re-encrypted.
+func (m *Memory) patchLine(pos int, src []byte, max int) (int, error) {
+	li := pos / lineBytes
+	if !m.meta[li].current() {
+		if err := m.openLines(li, 1); err != nil {
+			return 0, err
+		}
+	}
+	if len(src) > max {
+		src = src[:max]
+	}
+	copy(m.pt[pos:], src)
+	return len(src), m.sealLines(li, 1)
+}
+
+// sealLines encrypts the n lines from li on (all in one page) out of the
+// plaintext shadow into the backing store, under a fresh version each.
+func (m *Memory) sealLines(li, n int) error {
+	meta := m.meta[li : li+n]
+	for i := range meta {
+		meta[i].version++
+		m.versions[i] = meta[i].version
+	}
+	lo, hi := li*lineBytes, (li+n)*lineBytes
+	if err := m.eng.EncryptLines(&m.scratch, m.ct[lo:hi], m.pt[lo:hi], uint64(li), m.versions[:n], m.tags[:n]); err != nil {
 		return err
 	}
-	m.tags[li] = tag
-	m.inited[li] = true
-	copy(m.pt[li*lineBytes:(li+1)*lineBytes], src[:])
-	m.ptOK[li] = true
+	for i := range meta {
+		meta[i].tag = m.tags[i]
+		meta[i].ptOK = true
+	}
 	return nil
+}
+
+// openLines verifies and decrypts the n written lines from li on (all in
+// one page) into the plaintext shadow. Lines ahead of a failing one keep
+// their memo.
+func (m *Memory) openLines(li, n int) error {
+	meta := m.meta[li : li+n]
+	for i := range meta {
+		m.versions[i] = meta[i].version
+		m.tags[i] = meta[i].tag
+	}
+	lo, hi := li*lineBytes, (li+n)*lineBytes
+	done, err := m.eng.DecryptLines(&m.scratch, m.pt[lo:hi], m.ct[lo:hi], uint64(li), m.versions[:n], m.tags[:n])
+	for i := range meta[:done] {
+		meta[i].ptOK = true
+	}
+	return err
 }
 
 func (m *Memory) touchPage(page int) {

@@ -14,6 +14,9 @@ type Backend interface {
 	Read(off int, dst []byte) error
 	// Write copies src into memory at off.
 	Write(off int, src []byte) error
+	// Touch accounts for an access of n bytes at off as Read or Write
+	// would — bounds, cycle charge, paging — without moving any bytes.
+	Touch(off, n int) error
 	// Size is the current addressable size in bytes.
 	Size() int
 	// Grow extends the address space to at least newSize bytes.
@@ -48,6 +51,15 @@ func (m *PlainMemory) Write(off int, src []byte) error {
 		return fmt.Errorf("plain memory: write out of range: off=%d len=%d size=%d", off, len(src), len(m.buf))
 	}
 	copy(m.buf[off:], src)
+	return nil
+}
+
+// Touch implements Backend: plain memory charges nothing, so only the
+// bounds are checked.
+func (m *PlainMemory) Touch(off, n int) error {
+	if off < 0 || n < 0 || off+n > len(m.buf) {
+		return fmt.Errorf("plain memory: touch out of range: off=%d len=%d size=%d", off, n, len(m.buf))
+	}
 	return nil
 }
 

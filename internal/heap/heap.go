@@ -29,6 +29,10 @@ const (
 	magic = 0xA5
 
 	flagForwarded = 1 << 0
+
+	// maxRefs is the largest reference-slot count the 16-bit header field
+	// can record.
+	maxRefs = 1<<16 - 1
 )
 
 // Addr is the address of an object in the current from-space. The zero
@@ -52,6 +56,7 @@ var (
 	ErrBadWeak        = errors.New("heap: unknown weak reference")
 	ErrBadSlot        = errors.New("heap: reference slot out of range")
 	ErrDataOutOfRange = errors.New("heap: data access out of range")
+	ErrTooManyRefs    = errors.New("heap: too many reference slots")
 )
 
 // Stats describes heap and collector state.
@@ -104,6 +109,15 @@ type Heap struct {
 	weaks      map[WeakRef]Addr
 	nextWeak   WeakRef
 
+	// Scratch for the bytes that cross the Backend interface (a buffer
+	// declared in the caller would escape to the Go heap on every call):
+	// one header, one reference slot, and one object image shared by
+	// allocation and evacuation. Each is consumed before the next heap
+	// operation starts; the isolate serialises those.
+	hdr  [headerBytes]byte
+	word [wordBytes]byte
+	obj  []byte
+
 	stats Stats
 }
 
@@ -152,19 +166,75 @@ func NewPlain(cfg Config) (*Heap, error) {
 // outstanding Addrs; callers holding raw Addrs must re-derive them from
 // Handles afterwards.
 func (h *Heap) Alloc(classID int32, nRefs int, dataBytes int) (Addr, error) {
+	addr, img, err := h.reserve(classID, nRefs, dataBytes)
+	if err != nil {
+		return 0, err
+	}
+	clear(img[headerBytes:])
+	if err := h.initObject(addr, img); err != nil {
+		return 0, err
+	}
+	return addr, nil
+}
+
+// AllocData allocates an object without reference slots whose data area
+// is the concatenation of parts, and stores header and data in a single
+// pass over the backing memory. To the cycle ledger and the EPC paging
+// state it is Alloc followed by one WriteData per part, call for call:
+// the same header checks run, and the same charges and page touches are
+// issued in the same order (Backend.Touch stands in for each part's
+// store). Only the second encryption of every line is saved.
+func (h *Heap) AllocData(classID int32, parts ...[]byte) (Addr, error) {
+	dataBytes := 0
+	for _, p := range parts {
+		dataBytes += len(p)
+	}
+	addr, img, err := h.reserve(classID, 0, dataBytes)
+	if err != nil {
+		return 0, err
+	}
+	data := img[headerBytes:]
+	for _, p := range parts {
+		data = data[copy(data, p):]
+	}
+	if err := h.initObject(addr, img); err != nil {
+		return 0, err
+	}
+	off := 0
+	for _, p := range parts {
+		base, err := h.dataOff(addr, off, len(p))
+		if err != nil {
+			return 0, err
+		}
+		if err := h.from.Touch(base, len(p)); err != nil {
+			return 0, err
+		}
+		off += len(p)
+	}
+	return addr, nil
+}
+
+// reserve makes room for an object (collecting and growing as needed),
+// bumps the allocation pointer and returns the object's address and its
+// image in the heap's scratch: the header is filled in, the rest is for
+// the caller to set.
+func (h *Heap) reserve(classID int32, nRefs int, dataBytes int) (Addr, []byte, error) {
 	if nRefs < 0 || dataBytes < 0 {
-		return 0, fmt.Errorf("heap: invalid allocation: nRefs=%d dataBytes=%d", nRefs, dataBytes)
+		return 0, nil, fmt.Errorf("heap: invalid allocation: nRefs=%d dataBytes=%d", nRefs, dataBytes)
+	}
+	if nRefs > maxRefs {
+		return 0, nil, fmt.Errorf("%w: %d, header holds at most %d", ErrTooManyRefs, nRefs, maxRefs)
 	}
 	// Sizes are exact (no alignment padding) so DataBytes reports the
 	// requested payload size; the simulated memory handles any offset.
 	size := headerBytes + nRefs*wordBytes + dataBytes
 	if h.allocPtr+size > h.semiSize {
 		if err := h.Collect(); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		for h.allocPtr+size > h.semiSize {
 			if err := h.grow(); err != nil {
-				return 0, err
+				return 0, nil, err
 			}
 		}
 	}
@@ -173,12 +243,24 @@ func (h *Heap) Alloc(classID int32, nRefs int, dataBytes int) (Addr, error) {
 	h.stats.AllocatedBytes += uint64(size)
 	h.stats.LiveBytes = h.allocPtr
 
-	buf := make([]byte, size)
-	putHeader(buf, classID, uint16(nRefs), 0, uint64(size))
-	if err := h.from.Write(int(addr), buf); err != nil {
-		return 0, fmt.Errorf("heap: init object: %w", err)
+	img := h.image(size)
+	putHeader(img, classID, uint16(nRefs), 0, uint64(size))
+	return addr, img, nil
+}
+
+func (h *Heap) initObject(addr Addr, img []byte) error {
+	if err := h.from.Write(int(addr), img); err != nil {
+		return fmt.Errorf("heap: init object: %w", err)
 	}
-	return addr, nil
+	return nil
+}
+
+// image returns the object scratch sized to n bytes, contents unspecified.
+func (h *Heap) image(n int) []byte {
+	if cap(h.obj) < n {
+		h.obj = make([]byte, n)
+	}
+	return h.obj[:n]
 }
 
 // ClassID returns the class identifier of the object at addr.
@@ -216,11 +298,10 @@ func (h *Heap) GetRef(addr Addr, i int) (Addr, error) {
 	if err != nil {
 		return 0, err
 	}
-	var buf [wordBytes]byte
-	if err := h.from.Read(off, buf[:]); err != nil {
+	if err := h.from.Read(off, h.word[:]); err != nil {
 		return 0, err
 	}
-	return Addr(binary.LittleEndian.Uint64(buf[:])), nil
+	return Addr(binary.LittleEndian.Uint64(h.word[:])), nil
 }
 
 // SetRef writes reference slot i of the object at addr.
@@ -234,9 +315,8 @@ func (h *Heap) SetRef(addr Addr, i int, target Addr) error {
 			return fmt.Errorf("heap: SetRef target: %w", err)
 		}
 	}
-	var buf [wordBytes]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(target))
-	return h.from.Write(off, buf[:])
+	binary.LittleEndian.PutUint64(h.word[:], uint64(target))
+	return h.from.Write(off, h.word[:])
 }
 
 // ReadData copies len(dst) bytes of the object's raw payload at offset off
@@ -365,11 +445,10 @@ func (h *Heap) Collect() error {
 		size := int(w1)
 		for i := 0; i < nRefs; i++ {
 			slotOff := scan + headerBytes + i*wordBytes
-			var buf [wordBytes]byte
-			if err := h.to.Read(slotOff, buf[:]); err != nil {
+			if err := h.to.Read(slotOff, h.word[:]); err != nil {
 				return err
 			}
-			target := Addr(binary.LittleEndian.Uint64(buf[:]))
+			target := Addr(binary.LittleEndian.Uint64(h.word[:]))
 			if target == 0 {
 				continue
 			}
@@ -378,8 +457,8 @@ func (h *Heap) Collect() error {
 				return err
 			}
 			free = nf
-			binary.LittleEndian.PutUint64(buf[:], uint64(na))
-			if err := h.to.Write(slotOff, buf[:]); err != nil {
+			binary.LittleEndian.PutUint64(h.word[:], uint64(na))
+			if err := h.to.Write(slotOff, h.word[:]); err != nil {
 				return err
 			}
 		}
@@ -432,7 +511,7 @@ func (h *Heap) evacuate(addr Addr, free int) (Addr, int, error) {
 		return Addr(w1), free, nil
 	}
 	size := int(w1)
-	buf := make([]byte, size)
+	buf := h.image(size)
 	if err := h.from.Read(int(addr), buf); err != nil {
 		return 0, free, err
 	}
@@ -443,10 +522,9 @@ func (h *Heap) evacuate(addr Addr, free int) (Addr, int, error) {
 		return 0, free, err
 	}
 	// Install forwarding pointer in from-space.
-	var fwd [headerBytes]byte
-	binary.LittleEndian.PutUint64(fwd[0:8], w0|uint64(flagForwarded))
-	binary.LittleEndian.PutUint64(fwd[8:16], uint64(free))
-	if err := h.from.Write(int(addr), fwd[:]); err != nil {
+	binary.LittleEndian.PutUint64(h.hdr[0:8], w0|uint64(flagForwarded))
+	binary.LittleEndian.PutUint64(h.hdr[8:16], uint64(free))
+	if err := h.from.Write(int(addr), h.hdr[:]); err != nil {
 		return 0, free, err
 	}
 	h.stats.ObjectsCopied++
@@ -485,12 +563,11 @@ func (h *Heap) headerIn(b Backend, addr Addr) (uint64, uint64, error) {
 	if addr == 0 || int(addr)+headerBytes > b.Size() {
 		return 0, 0, fmt.Errorf("%w: %#x", ErrBadAddress, uint64(addr))
 	}
-	var buf [headerBytes]byte
-	if err := b.Read(int(addr), buf[:]); err != nil {
+	if err := b.Read(int(addr), h.hdr[:]); err != nil {
 		return 0, 0, err
 	}
-	w0 := binary.LittleEndian.Uint64(buf[0:8])
-	w1 := binary.LittleEndian.Uint64(buf[8:16])
+	w0 := binary.LittleEndian.Uint64(h.hdr[0:8])
+	w1 := binary.LittleEndian.Uint64(h.hdr[8:16])
 	if byte(w0>>8) != magic {
 		return 0, 0, fmt.Errorf("%w: no object at %#x", ErrBadAddress, uint64(addr))
 	}

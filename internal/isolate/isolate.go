@@ -65,6 +65,10 @@ type Isolate struct {
 
 	classes map[string]*classInfo
 	byID    map[int32]*classInfo
+
+	// word carries one scalar to or from the heap; a buffer local to the
+	// caller would escape through the heap's backend on every access.
+	word [8]byte
 }
 
 // New creates an isolate over h. nextHash supplies identity hashes
@@ -192,18 +196,19 @@ func (iso *Isolate) NewList() (heap.Handle, error) {
 	return iso.heap.NewHandle(listAddr)
 }
 
+// newDataObject allocates a builtin data object: identity hash, then
+// payload. The modelled program allocates, stores the hash and — if there
+// is one — stores the payload; AllocData charges exactly that while
+// encrypting each line once.
 func (iso *Isolate) newDataObject(classID int32, payload []byte) (heap.Handle, error) {
-	addr, err := iso.heap.Alloc(classID, 0, hashBytes+len(payload))
+	binary.LittleEndian.PutUint64(iso.word[:], uint64(iso.nextHash()))
+	parts := [][]byte{iso.word[:], payload}
+	if len(payload) == 0 {
+		parts = parts[:1] // the modelled program skips an empty store
+	}
+	addr, err := iso.heap.AllocData(classID, parts...)
 	if err != nil {
 		return 0, err
-	}
-	if err := iso.writeHash(addr, iso.nextHash()); err != nil {
-		return 0, err
-	}
-	if len(payload) > 0 {
-		if err := iso.heap.WriteData(addr, hashBytes, payload); err != nil {
-			return 0, err
-		}
 	}
 	return iso.heap.NewHandle(addr)
 }
@@ -702,15 +707,13 @@ func (iso *Isolate) readHash(addr heap.Addr) (int64, error) {
 }
 
 func (iso *Isolate) writeInt(addr heap.Addr, off int, v int64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	return iso.heap.WriteData(addr, off, buf[:])
+	binary.LittleEndian.PutUint64(iso.word[:], uint64(v))
+	return iso.heap.WriteData(addr, off, iso.word[:])
 }
 
 func (iso *Isolate) readInt(addr heap.Addr, off int) (int64, error) {
-	var buf [8]byte
-	if err := iso.heap.ReadData(addr, off, buf[:]); err != nil {
+	if err := iso.heap.ReadData(addr, off, iso.word[:]); err != nil {
 		return 0, err
 	}
-	return int64(binary.LittleEndian.Uint64(buf[:])), nil
+	return int64(binary.LittleEndian.Uint64(iso.word[:])), nil
 }

@@ -126,6 +126,13 @@ func (o Overheads) Total() int64 {
 	return o.Base + o.Startup + o.Interp + o.MEE + o.GC + o.Syscalls
 }
 
+// Charged sums the components the work profile alone decides. Base and
+// Interp scale with the measured host time of the kernel; the rest is
+// the model's cycle ledger and repeats exactly from run to run.
+func (o Overheads) Charged() int64 {
+	return o.Startup + o.MEE + o.GC + o.Syscalls
+}
+
 // Apply charges the model's overheads for a workload with the given
 // measured base compute cycles, work profile and relayed system calls.
 func (m Model) Apply(baseCycles int64, w specjvm.Work, syscalls int64) Overheads {

@@ -1,0 +1,182 @@
+package world_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"montsalvat/internal/classmodel"
+	"montsalvat/internal/core"
+	"montsalvat/internal/demo"
+	"montsalvat/internal/heap"
+	"montsalvat/internal/simcfg"
+	"montsalvat/internal/wire"
+	"montsalvat/internal/world"
+)
+
+// ledger is everything the simulated platform charged or counted for one
+// op stream: the currency of the paper's figures. A host-only change to
+// the trusted-memory data path must leave every field untouched, except
+// that LinesEncrypted may drop where heap.AllocData stores in one pass
+// what Alloc + WriteData encrypted twice.
+type ledger struct {
+	Cycles         int64
+	PageFaults     uint64
+	Evictions      uint64
+	Collections    uint64
+	ObjectsCopied  uint64
+	BytesCopied    uint64
+	MEECopiedBytes uint64
+	LinesEncrypted uint64
+}
+
+func ledgerOf(w *world.World) ledger {
+	es := w.Enclave().Stats()
+	hs := w.Trusted().HeapStats()
+	return ledger{
+		Cycles:         w.Clock().Total(),
+		PageFaults:     es.Residency.PageFaults,
+		Evictions:      es.Residency.Evictions,
+		Collections:    hs.Collections,
+		ObjectsCopied:  hs.ObjectsCopied,
+		BytesCopied:    hs.BytesCopied,
+		MEECopiedBytes: w.DispatchStats().MEECopiedBytes,
+		LinesEncrypted: es.MEE.LinesEncrypted,
+	}
+}
+
+// goldenWorld is a partitioned KV world whose EPC holds epcPages pages.
+func goldenWorld(t *testing.T, epcPages int, trusted heap.Config) *world.World {
+	t.Helper()
+	opts := world.DefaultOptions()
+	opts.Cfg.EPCBytes = epcPages * 4096
+	opts.TrustedHeap = trusted
+	w, _, err := core.NewPartitionedWorld(demo.MustKVProgram(), opts)
+	if err != nil {
+		t.Fatalf("NewPartitionedWorld: %v", err)
+	}
+	t.Cleanup(w.Close)
+	return w
+}
+
+// TestCycleLedgerGolden pins the simulated-cost ledger of fixed op
+// streams to the values the line-at-a-time data path produced (commit
+// 937f023, before the line-run kernel); its LinesEncrypted are quoted
+// beside today's. Where the EPC is a few pages against a trusted heap of
+// megabytes, the order of page touches — not only their number — decides
+// the fault and eviction counts. Evacuation order follows Go map order
+// over the roots, so streams that collect under such an EPC keep one root.
+func TestCycleLedgerGolden(t *testing.T) {
+	t.Run("kv-main", func(t *testing.T) {
+		w := goldenWorld(t, 4, heap.Config{InitialSemi: 1 << 20, MaxSemi: 256 << 20})
+		if _, err := w.RunMain(); err != nil {
+			t.Fatalf("RunMain: %v", err)
+		}
+		checkLedger(t, ledgerOf(w), ledger{Cycles: 19238358, PageFaults: 506, Evictions: 502,
+			MEECopiedBytes: 12549, LinesEncrypted: 2387 /* was 2773 */})
+	})
+
+	// sizedPutGet overwrites and reads back a 64 B, a 4 KiB and a 96 KiB
+	// value, rounds times over.
+	sizedPutGet := func(w *world.World, rounds int) error {
+		return w.ExecMain(func(env classmodel.Env) error {
+			store, err := env.New(demo.KVStoreCls)
+			if err != nil {
+				return err
+			}
+			for round := 0; round < rounds; round++ {
+				for _, size := range []int{64, 4 << 10, 96 << 10} {
+					key := wire.Str(fmt.Sprintf("k%d", size))
+					val := strings.Repeat(string(rune('a'+round)), size)
+					if _, err := env.Call(store, "put", key, wire.Str(val)); err != nil {
+						return err
+					}
+					got, err := env.Call(store, "get", key)
+					if err != nil {
+						return err
+					}
+					if s, _ := got.AsStr(); s != val {
+						return fmt.Errorf("get %d B round %d: read back %d bytes, mismatch", size, round, len(s))
+					}
+				}
+			}
+			return nil
+		})
+	}
+
+	t.Run("sized-put-get", func(t *testing.T) {
+		w := goldenWorld(t, 16, heap.Config{InitialSemi: 4 << 20, MaxSemi: 256 << 20})
+		if err := sizedPutGet(w, 3); err != nil {
+			t.Fatal(err)
+		}
+		checkLedger(t, ledgerOf(w), ledger{Cycles: 8411003, PageFaults: 253, Evictions: 237,
+			MEECopiedBytes: 615163, LinesEncrypted: 6252 /* was 11078 */})
+	})
+
+	t.Run("alloc-pressure", func(t *testing.T) {
+		// A 256 KiB semispace makes the 96 KiB allocations collect and
+		// grow from inside AllocData. Several roots are live then, so the
+		// EPC is the default one (faults count first touches only) and
+		// LinesEncrypted, which follows the to-space layout, is not pinned.
+		w := goldenWorld(t, simcfg.DefaultEPCBytes/4096, heap.Config{InitialSemi: 256 << 10, MaxSemi: 256 << 20})
+		if err := sizedPutGet(w, 6); err != nil {
+			t.Fatal(err)
+		}
+		got := ledgerOf(w)
+		got.LinesEncrypted = 0
+		checkLedger(t, got, ledger{Cycles: 6774212, PageFaults: 183, Collections: 1,
+			ObjectsCopied: 271, BytesCopied: 116286, MEECopiedBytes: 1230316})
+	})
+
+	t.Run("collect-live-4k", func(t *testing.T) {
+		w := goldenWorld(t, 16, heap.Config{InitialSemi: 1 << 20, MaxSemi: 256 << 20})
+		live := func(i int) (wire.Value, string) {
+			return wire.Str(fmt.Sprintf("live:%02d", i)), strings.Repeat(string(rune('A'+i%26)), 4<<10)
+		}
+		var store wire.Value
+		err := w.ExecMain(func(env classmodel.Env) error {
+			var err error
+			if store, err = env.New(demo.KVStoreCls); err != nil {
+				return err
+			}
+			for i := 0; i < 40; i++ {
+				key, val := live(i)
+				if _, err := env.Call(store, "put", key, wire.Str(val)); err != nil {
+					return err
+				}
+			}
+			return w.Untrusted().Pin(store)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Trusted().Collect(); err != nil {
+			t.Fatalf("Collect: %v", err)
+		}
+		err = w.ExecMain(func(env classmodel.Env) error {
+			for i := 0; i < 40; i++ {
+				key, val := live(i)
+				got, err := env.Call(store, "get", key)
+				if err != nil {
+					return err
+				}
+				if s, _ := got.AsStr(); s != val {
+					return fmt.Errorf("%v did not survive the collection", key)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLedger(t, ledgerOf(w), ledger{Cycles: 12300410, PageFaults: 362, Evictions: 346, Collections: 1,
+			ObjectsCopied: 382, BytesCopied: 181664, MEECopiedBytes: 329610, LinesEncrypted: 8568 /* was 11302 */})
+	})
+}
+
+func checkLedger(t *testing.T, got, want ledger) {
+	t.Helper()
+	if got != want {
+		t.Errorf("ledger moved:\n got  %#v\n want %#v", got, want)
+	}
+}
