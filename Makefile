@@ -13,11 +13,14 @@ build:
 # path (mee, epc, heap, isolate: their scratch buffers are safe only
 # under the epc.Memory mutex and the isolate's serialisation) and the
 # boundary-crossing packages (worker-pool mailboxes, batching queues, and
-# the telemetry instruments they all publish into are concurrent).
+# the telemetry instruments they all publish into are concurrent; wire
+# values share their payloads between copies, and the buffer pool,
+# the pooled activation records in world and the cached sealing cipher
+# in sgx are reuse across goroutines).
 test:
 	$(GO) test ./...
 	$(GO) vet ./...
-	$(GO) test -race ./internal/mee/... ./internal/epc/... ./internal/heap/... ./internal/isolate/... ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/serve/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/...
+	$(GO) test -race ./internal/wire/... ./internal/boundary/... ./internal/mee/... ./internal/epc/... ./internal/heap/... ./internal/isolate/... ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/serve/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/...
 
 race:
 	$(GO) test -race ./...

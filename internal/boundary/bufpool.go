@@ -69,6 +69,10 @@ func (s BufPoolStats) MissRate() float64 {
 // without contending on a shared free list.
 type BufPool struct {
 	classes [len(bufClasses)]sync.Pool
+	// holders recycles the *[]byte boxes the class pools store (a pool
+	// holds pointers; boxing the slice header anew on every Put would
+	// cost the allocation the pool exists to save).
+	holders sync.Pool
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -77,9 +81,7 @@ type BufPool struct {
 // NewBufPool creates an empty pool.
 func NewBufPool() *BufPool {
 	p := &BufPool{}
-	for i := range p.classes {
-		p.classes[i].New = func() any { return new([]byte) }
-	}
+	p.holders.New = func() any { return new([]byte) }
 	return p
 }
 
@@ -92,11 +94,16 @@ func (p *BufPool) Get(capacity int) []byte {
 		p.misses.Add(1)
 		return make([]byte, 0, capacity)
 	}
-	buf := *p.classes[i].Get().(*[]byte)
-	if cap(buf) < capacity {
+	// Put files a buffer under the largest class its capacity covers,
+	// so whatever class i holds is big enough.
+	h, _ := p.classes[i].Get().(*[]byte)
+	if h == nil {
 		p.misses.Add(1)
 		return make([]byte, 0, bufClasses[i])
 	}
+	buf := *h
+	*h = nil
+	p.holders.Put(h)
 	p.hits.Add(1)
 	return buf[:0]
 }
@@ -112,7 +119,9 @@ func (p *BufPool) Put(buf []byte) {
 		return
 	}
 	if i := putClass(cap(buf)); i >= 0 {
-		p.classes[i].Put(&buf)
+		h := p.holders.Get().(*[]byte)
+		*h = buf
+		p.classes[i].Put(h)
 	}
 	// Below the smallest class: not worth keeping.
 }

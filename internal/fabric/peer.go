@@ -156,6 +156,10 @@ type peerCipher struct {
 	recvDir byte
 	sendCtr uint64
 	recvCtr uint64
+	// Nonce scratch of the one sender and the one receiver (the AEAD is
+	// called through an interface; a stack nonce would escape per frame).
+	sendNonce [12]byte
+	recvNonce [12]byte
 }
 
 const (
@@ -175,22 +179,40 @@ func newPeerCipher(key [32]byte, initiator bool) (*peerCipher, error) {
 	return c, nil
 }
 
-func peerNonce(dir byte, ctr uint64) []byte {
-	nonce := make([]byte, 12)
-	nonce[0] = dir
-	binary.BigEndian.PutUint64(nonce[4:], ctr)
-	return nonce
+// peerFrameHeader is the room a peer frame leaves for its length prefix.
+const peerFrameHeader = 4
+
+// sealFrame turns frame — peerFrameHeader spare bytes, then a plaintext
+// payload — into the wire frame: the payload is sealed where it lies,
+// the tag appended and the length filled in.
+func (c *peerCipher) sealFrame(frame []byte) ([]byte, error) {
+	frame = c.aead.Seal(frame[:peerFrameHeader], c.nextSendNonce(), frame[peerFrameHeader:], nil)
+	if len(frame)-peerFrameHeader > maxPeerFrame {
+		return nil, fmt.Errorf("fabric: peer frame of %d bytes exceeds limit", len(frame)-peerFrameHeader)
+	}
+	binary.BigEndian.PutUint32(frame[:peerFrameHeader], uint32(len(frame)-peerFrameHeader))
+	return frame, nil
 }
 
-func (c *peerCipher) seal(plain []byte) []byte {
-	nonce := peerNonce(c.sendDir, c.sendCtr)
+// nextSendNonce returns the nonce of the next outbound frame and
+// advances the send counter.
+func (c *peerCipher) nextSendNonce() []byte {
+	c.sendNonce[0] = c.sendDir
+	binary.BigEndian.PutUint64(c.sendNonce[4:], c.sendCtr)
 	c.sendCtr++
-	return c.aead.Seal(nil, nonce, plain, nil)
+	return c.sendNonce[:]
 }
 
+// seal encrypts one handshake message into a payload of its own.
+func (c *peerCipher) seal(plain []byte) []byte {
+	return c.aead.Seal(nil, c.nextSendNonce(), plain, nil)
+}
+
+// open decrypts the next inbound frame payload in order, in place.
 func (c *peerCipher) open(sealed []byte) ([]byte, error) {
-	nonce := peerNonce(c.recvDir, c.recvCtr)
-	plain, err := c.aead.Open(nil, nonce, sealed, nil)
+	c.recvNonce[0] = c.recvDir
+	binary.BigEndian.PutUint64(c.recvNonce[4:], c.recvCtr)
+	plain, err := c.aead.Open(sealed[:0], c.recvNonce[:], sealed, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: frame auth: %v", ErrPeerHandshake, err)
 	}
@@ -278,6 +300,9 @@ type PeerConn struct {
 
 	mu   sync.Mutex
 	ciph *peerCipher
+	// sendBuf is the reusable outbound frame, owned by the channel's
+	// single sender (a holder of mu, or the host serve loop).
+	sendBuf []byte
 }
 
 // LocalOrigin returns the shard identity this end presented.
@@ -295,13 +320,39 @@ func (p *PeerConn) Close() error {
 	return p.conn.Close()
 }
 
-// send seals and writes one frame. The caller must be the channel's
-// single sender (roundTrip's lock, or the host serve loop).
-func (p *PeerConn) send(plain []byte) error {
+// frame returns the empty outbound frame: room for the length prefix,
+// behind which the sender encodes its plaintext before sendFrame. The
+// caller must be the channel's single sender.
+func (p *PeerConn) frame() []byte {
+	if cap(p.sendBuf) < peerFrameHeader || cap(p.sendBuf) > keepPeerFrame {
+		p.sendBuf = make([]byte, peerFrameHeader, 512)
+	}
+	return p.sendBuf[:peerFrameHeader]
+}
+
+// keepPeerFrame is the largest outbound frame buffer a channel reuses;
+// one shipped checkpoint does not pin 16 MiB to it.
+const keepPeerFrame = 256 << 10
+
+// sendFrame seals a frame built on p.frame() where it lies and writes
+// it in one Write.
+func (p *PeerConn) sendFrame(frame []byte) error {
 	if p.closed.Load() {
 		return ErrPeerClosed
 	}
-	return writePeerFrame(p.conn, p.ciph.seal(plain))
+	frame, err := p.ciph.sealFrame(frame)
+	if err != nil {
+		return err
+	}
+	p.sendBuf = frame
+	_, err = p.conn.Write(frame)
+	return err
+}
+
+// send seals and writes one frame. The caller must be the channel's
+// single sender (roundTrip's lock, or the host serve loop).
+func (p *PeerConn) send(plain []byte) error {
+	return p.sendFrame(append(p.frame(), plain...))
 }
 
 // recv reads and opens one frame. The caller must be the channel's
@@ -321,7 +372,13 @@ func (p *PeerConn) recv() ([]byte, error) {
 func (p *PeerConn) roundTrip(req []byte) ([]wire.Value, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.send(req); err != nil {
+	return p.exchange(append(p.frame(), req...))
+}
+
+// exchange sends a request frame built on p.frame() and reads its
+// response. Caller holds p.mu.
+func (p *PeerConn) exchange(frame []byte) ([]wire.Value, error) {
+	if err := p.sendFrame(frame); err != nil {
 		return nil, err
 	}
 	resp, err := p.recv()
@@ -610,10 +667,9 @@ func (p *PeerConn) Ship(d persist.Delta) (stamp, lastLSN uint64, err error) {
 // replica's apply span joins the trace that triggered the ship (the
 // client put whose ack is waiting on this delta).
 func (p *PeerConn) ShipCtx(sc telemetry.SpanContext, d persist.Delta) (stamp, lastLSN uint64, err error) {
-	req := wire.MarshalList(append([]wire.Value{
-		wire.Str(peerOpShip), wire.Bytes(persist.EncodeDelta(d)),
-	}, traceVals(sc)...))
-	res, err := p.roundTrip(req)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	res, err := p.exchange(appendShipRequest(p.frame(), sc, d))
 	if err != nil {
 		return 0, 0, err
 	}
@@ -623,6 +679,19 @@ func (p *PeerConn) ShipCtx(sc telemetry.SpanContext, d persist.Delta) (stamp, la
 	s, _ := res[0].AsInt()
 	l, _ := res[1].AsInt()
 	return uint64(s), uint64(l), nil
+}
+
+// appendShipRequest encodes a ship request — [op, delta blob, trace id,
+// span id], as wire.MarshalList would spell it — onto dst, with the blob
+// encoded where the frame will be sealed: a shipped byte is copied once,
+// from the delta into the frame.
+func appendShipRequest(dst []byte, sc telemetry.SpanContext, d persist.Delta) []byte {
+	dst = wire.AppendListHeader(dst, 4)
+	dst = wire.Append(dst, wire.Str(peerOpShip))
+	dst = wire.AppendBytesHeader(dst, persist.DeltaSize(d))
+	dst = persist.AppendDelta(dst, d)
+	dst = wire.Append(dst, wire.Int(int64(sc.TraceID)))
+	return wire.Append(dst, wire.Int(int64(sc.SpanID)))
 }
 
 // BindPeer resolves a named export of the peer shard into a handle in

@@ -271,7 +271,26 @@ var ErrCorruptDelta = errors.New("persist: corrupt replication delta")
 
 // EncodeDelta serialises a delta for shipping.
 func EncodeDelta(d Delta) []byte {
-	buf := []byte{deltaVersion}
+	return AppendDelta(make([]byte, 0, DeltaSize(d)), d)
+}
+
+// DeltaSize returns the exact number of bytes AppendDelta adds, so a
+// shipper can announce the blob's length and encode it straight into its
+// frame.
+func DeltaSize(d Delta) int {
+	n := 1 + 8 + 8 + uvarintLen(uint64(len(d.Remove))) + uvarintLen(uint64(len(d.Chunks)))
+	for _, name := range d.Remove {
+		n += uvarintLen(uint64(len(name))) + len(name)
+	}
+	for _, c := range d.Chunks {
+		n += uvarintLen(uint64(len(c.Name))) + len(c.Name) + 8 + uvarintLen(uint64(len(c.Data))) + len(c.Data)
+	}
+	return n
+}
+
+// AppendDelta serialises a delta onto buf.
+func AppendDelta(buf []byte, d Delta) []byte {
+	buf = append(buf, deltaVersion)
 	buf = appendU64(buf, d.Stamp)
 	buf = appendU64(buf, d.LastLSN)
 	buf = binary.AppendUvarint(buf, uint64(len(d.Remove)))

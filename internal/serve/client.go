@@ -65,7 +65,7 @@ type Client struct {
 	sendBuf []byte // reusable sealed-frame buffer, guarded by writeMu
 
 	mu      sync.Mutex
-	pending map[int64]chan response
+	pending map[int64]*pendingCall
 	readErr error
 	closed  bool
 
@@ -88,7 +88,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg, conn: conn, rd: bufio.NewReaderSize(conn, 4096), pending: make(map[int64]chan response)}
+	c := &Client{cfg: cfg, conn: conn, rd: bufio.NewReaderSize(conn, 4096), sendBuf: newSendBuf(), pending: make(map[int64]*pendingCall)}
 	if err := c.handshake(); err != nil {
 		_ = conn.Close()
 		return nil, err
@@ -170,8 +170,10 @@ func (c *Client) SessionID() int64 { return c.sessionID }
 
 // readLoop demultiplexes responses to their waiting callers.
 func (c *Client) readLoop() {
+	var payload []byte
 	for {
-		payload, err := readFrame(c.rd)
+		var err error
+		payload, err = readFrameInto(c.rd, payload)
 		if err != nil {
 			c.fail(err)
 			return
@@ -186,16 +188,23 @@ func (c *Client) readLoop() {
 			c.fail(err)
 			return
 		}
-		c.mu.Lock()
-		ch, ok := c.pending[resp.id]
-		if ok {
-			delete(c.pending, resp.id)
-		}
-		c.mu.Unlock()
-		if ok {
-			ch <- resp
+		if p := c.takePending(resp.id); p != nil {
+			p.resp <- resp
 		}
 	}
+}
+
+// takePending removes and returns the call waiting for id, if it still
+// is. Whoever takes a call owes it exactly one send on (or the close of)
+// its channel, which has room for one.
+func (c *Client) takePending(id int64) *pendingCall {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := c.pending[id]
+	if p != nil {
+		delete(c.pending, id)
+	}
+	return p
 }
 
 // fail poisons the client: every pending and future call observes err.
@@ -205,10 +214,35 @@ func (c *Client) fail(err error) {
 		c.readErr = err
 	}
 	stale := c.pending
-	c.pending = make(map[int64]chan response)
+	c.pending = make(map[int64]*pendingCall)
 	c.mu.Unlock()
-	for _, ch := range stale {
-		close(ch)
+	for _, p := range stale {
+		close(p.resp)
+	}
+}
+
+// pendingCall is the rendezvous of one request in flight: the channel
+// its response arrives on and the timer that gives up on it. Both are
+// reused from call to call.
+type pendingCall struct {
+	c     *Client
+	id    int64
+	resp  chan response
+	timer *time.Timer // runs expire; stopped while the call is idle
+}
+
+var pendingCalls = sync.Pool{New: func() any {
+	p := &pendingCall{resp: make(chan response, 1)}
+	p.timer = time.AfterFunc(time.Hour, p.expire)
+	p.timer.Stop()
+	return p
+}}
+
+// expire answers the call locally with a deadline rejection, unless its
+// response (or the connection's failure) got there first.
+func (p *pendingCall) expire() {
+	if p.c.takePending(p.id) == p {
+		p.resp <- response{id: p.id, status: statusDeadline}
 	}
 }
 
@@ -233,9 +267,44 @@ func (c *Client) roundTrip(req request) (response, error) {
 	if req.budget <= 0 {
 		req.budget = c.cfg.RequestTimeout
 	}
-	ch := make(chan response, 1)
+	p := pendingCalls.Get().(*pendingCall)
+	p.c, p.id = c, req.id
 	c.mu.Lock()
 	if c.closed || c.readErr != nil {
+		err := c.readErr
+		c.mu.Unlock()
+		pendingCalls.Put(p)
+		if err == nil {
+			err = ErrClosed
+		}
+		return response{}, err
+	}
+	c.pending[req.id] = p
+	c.mu.Unlock()
+
+	c.writeMu.Lock()
+	frame, err := c.ciph.sealFrame(appendRequest(c.sendBuf[:frameHeader], req))
+	c.sendBuf = frame
+	if err == nil {
+		_, err = c.conn.Write(frame)
+	}
+	c.writeMu.Unlock()
+	if err != nil {
+		if c.takePending(req.id) == p {
+			pendingCalls.Put(p)
+		}
+		// Otherwise the connection failed under the write and fail has
+		// closed the channel: the call is not reusable.
+		return response{}, err
+	}
+
+	// Wait a little past the propagated budget so a server-side
+	// deadline rejection can arrive as a typed response.
+	p.timer.Reset(req.budget + 2*time.Second)
+	resp, ok := <-p.resp
+	if !ok {
+		p.timer.Stop()
+		c.mu.Lock()
 		err := c.readErr
 		c.mu.Unlock()
 		if err == nil {
@@ -243,46 +312,12 @@ func (c *Client) roundTrip(req request) (response, error) {
 		}
 		return response{}, err
 	}
-	c.pending[req.id] = ch
-	c.mu.Unlock()
-
-	plain := encodeRequest(req)
-	c.writeMu.Lock()
-	frame, err := c.ciph.sealFrame(c.sendBuf, plain)
-	c.sendBuf = frame
-	if err == nil {
-		_, err = c.conn.Write(frame)
+	// A timer that could not be stopped has started expire, which may
+	// still be looking at this call: leave it to the collector.
+	if p.timer.Stop() {
+		pendingCalls.Put(p)
 	}
-	c.writeMu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, req.id)
-		c.mu.Unlock()
-		return response{}, err
-	}
-
-	// Wait a little past the propagated budget so a server-side
-	// deadline rejection can arrive as a typed response.
-	timer := time.NewTimer(req.budget + 2*time.Second)
-	defer timer.Stop()
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.readErr
-			c.mu.Unlock()
-			if err == nil {
-				err = ErrClosed
-			}
-			return response{}, err
-		}
-		return resp, nil
-	case <-timer.C:
-		c.mu.Lock()
-		delete(c.pending, req.id)
-		c.mu.Unlock()
-		return response{}, ErrDeadline
-	}
+	return resp, nil
 }
 
 // call is the shared request path; timeout zero uses the default.

@@ -238,15 +238,32 @@ func writeFrame(w io.Writer, payload []byte) (int, error) {
 // readFrame reads one length-prefixed frame, rejecting oversized
 // announcements before allocating.
 func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readFrameInto(r, nil)
+}
+
+// readFrameInto is readFrame into buf when the frame fits its capacity
+// (a fresh buffer otherwise). A read loop passes the previous frame back
+// in once nothing refers to it: opening is in place and the decoders
+// copy out everything they keep.
+func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
+	// The header lands in buf too: r is an interface, and a local array
+	// handed to it would be heap-allocated per frame. One large frame
+	// does not pin its buffer to the connection.
+	if cap(buf) < frameHeader || cap(buf) > keepFrameBytes {
+		buf = make([]byte, frameHeader, 512)
+	}
+	hdr := buf[:frameHeader]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrameBytes {
 		return nil, fmt.Errorf("serve: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}
@@ -267,6 +284,11 @@ type sessionCipher struct {
 	recvDir byte
 	sendCtr uint64
 	recvCtr uint64
+	// Nonce scratch of the one sender and the one receiver: the AEAD is
+	// called through an interface, so a nonce built on the stack would
+	// be moved to the heap for every frame.
+	sendNonce [12]byte
+	recvNonce [12]byte
 }
 
 // Directions: client→server frames use dir 1, server→client dir 2.
@@ -287,42 +309,49 @@ func newSessionCipher(key [32]byte, client bool) (*sessionCipher, error) {
 	return c, nil
 }
 
-func nonceFor(dir byte, ctr uint64) []byte {
-	nonce := make([]byte, 12)
-	nonce[0] = dir
-	binary.BigEndian.PutUint64(nonce[4:], ctr)
-	return nonce
+// nextSendNonce returns the nonce of the next outbound frame and
+// advances the send counter.
+func (c *sessionCipher) nextSendNonce() []byte {
+	c.sendNonce[0] = c.sendDir
+	binary.BigEndian.PutUint64(c.sendNonce[4:], c.sendCtr)
+	c.sendCtr++
+	return c.sendNonce[:]
 }
 
 // seal encrypts one outbound frame payload.
 func (c *sessionCipher) seal(plain []byte) []byte {
-	nonce := nonceFor(c.sendDir, c.sendCtr)
-	c.sendCtr++
-	return c.aead.Seal(nil, nonce, plain, nil)
+	return c.aead.Seal(nil, c.nextSendNonce(), plain, nil)
 }
 
-// sealFrame encrypts one outbound payload directly into a reusable
-// wire-frame buffer ([4-byte length][sealed payload]) and returns it,
-// growing buf as needed. The caller owns buf's reuse discipline (the
-// connection write lock).
-func (c *sessionCipher) sealFrame(buf, plain []byte) ([]byte, error) {
-	var nonce [12]byte
-	nonce[0] = c.sendDir
-	binary.BigEndian.PutUint64(nonce[4:], c.sendCtr)
-	c.sendCtr++
-	buf = append(buf[:0], 0, 0, 0, 0)
-	buf = c.aead.Seal(buf, nonce[:], plain, nil)
-	if len(buf)-4 > maxFrameBytes {
-		return buf[:0], fmt.Errorf("%w: frame of %d bytes", ErrBadRequest, len(buf)-4)
+// frameHeader is the room a wire frame leaves for its length prefix;
+// keepFrameBytes is the largest frame buffer a connection reuses.
+const (
+	frameHeader    = 4
+	keepFrameBytes = 64 << 10
+)
+
+// newSendBuf returns an empty reusable outbound frame buffer.
+func newSendBuf() []byte { return make([]byte, frameHeader, 512) }
+
+// sealFrame turns frame — frameHeader spare bytes, then a plaintext
+// payload encoded behind them — into the wire frame ([4-byte
+// length][sealed payload]): the payload is sealed where it lies and the
+// tag appended, growing frame as needed. The caller owns the buffer's
+// reuse discipline (the connection write lock).
+func (c *sessionCipher) sealFrame(frame []byte) ([]byte, error) {
+	frame = c.aead.Seal(frame[:frameHeader], c.nextSendNonce(), frame[frameHeader:], nil)
+	if len(frame)-frameHeader > maxFrameBytes {
+		return frame[:0], fmt.Errorf("%w: frame of %d bytes", ErrBadRequest, len(frame)-frameHeader)
 	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	return buf, nil
+	binary.BigEndian.PutUint32(frame[:frameHeader], uint32(len(frame)-frameHeader))
+	return frame, nil
 }
 
 // open decrypts the next inbound frame payload in order, in place.
 func (c *sessionCipher) open(sealed []byte) ([]byte, error) {
-	nonce := nonceFor(c.recvDir, c.recvCtr)
-	plain, err := c.aead.Open(sealed[:0], nonce, sealed, nil)
+	c.recvNonce[0] = c.recvDir
+	binary.BigEndian.PutUint64(c.recvNonce[4:], c.recvCtr)
+	plain, err := c.aead.Open(sealed[:0], c.recvNonce[:], sealed, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: frame auth: %v", ErrHandshake, err)
 	}
@@ -475,27 +504,50 @@ type request struct {
 	args   []wire.Value          // refs are session handles, not world hashes
 }
 
-func encodeRequest(r request) []byte {
-	vs := []wire.Value{
-		wire.Int(r.id), wire.Str(r.op), wire.Int(int64(r.budget / time.Millisecond)),
-		wire.Int(int64(r.trace.TraceID)), wire.Int(int64(r.trace.SpanID)),
-	}
+// appendRequest encodes r onto dst as one list: five common fields, then
+// the operation's own.
+func appendRequest(dst []byte, r request) []byte {
+	own := 0
 	switch r.op {
 	case opNew:
-		vs = append(vs, wire.Str(r.class), wire.List(r.args...))
+		own = 2
 	case opCall:
-		vs = append(vs, wire.Int(r.handle), wire.Str(r.method), wire.List(r.args...))
-	case opRelease:
-		vs = append(vs, wire.Int(r.handle))
-	case opBind:
-		vs = append(vs, wire.Str(r.class)) // the export name
+		own = 3
+	case opRelease, opBind:
+		own = 1
 	}
-	return wire.MarshalList(vs)
+	dst = wire.AppendListHeader(dst, 5+own)
+	dst = wire.Append(dst, wire.Int(r.id))
+	dst = wire.Append(dst, wire.Str(r.op))
+	dst = wire.Append(dst, wire.Int(int64(r.budget/time.Millisecond)))
+	dst = wire.Append(dst, wire.Int(int64(r.trace.TraceID)))
+	dst = wire.Append(dst, wire.Int(int64(r.trace.SpanID)))
+	switch r.op {
+	case opNew:
+		dst = wire.Append(dst, wire.Str(r.class))
+		dst = wire.AppendValues(dst, r.args)
+	case opCall:
+		dst = wire.Append(dst, wire.Int(r.handle))
+		dst = wire.Append(dst, wire.Str(r.method))
+		dst = wire.AppendValues(dst, r.args)
+	case opRelease:
+		dst = wire.Append(dst, wire.Int(r.handle))
+	case opBind:
+		dst = wire.Append(dst, wire.Str(r.class)) // the export name
+	}
+	return dst
 }
 
 func decodeRequest(buf []byte) (request, error) {
 	vs, err := wire.UnmarshalList(buf)
-	if err != nil || len(vs) < 5 {
+	if err != nil {
+		// The frame opened under the session key, so its sender is the
+		// session's client, whatever it encoded. Tell it which request
+		// was refused, when the id can still be read, instead of
+		// dropping the connection.
+		return request{id: peekRequestID(buf)}, fmt.Errorf("%w: malformed request: %v", ErrBadRequest, err)
+	}
+	if len(vs) < 5 {
 		return request{}, fmt.Errorf("%w: malformed request", ErrBadRequest)
 	}
 	var r request
@@ -553,6 +605,25 @@ func decodeRequest(buf []byte) (request, error) {
 	return r, nil
 }
 
+// peekRequestID reads the id — the first element of the request list —
+// out of a request that did not decode as a whole; 0 when even that much
+// is not there.
+func peekRequestID(buf []byte) int64 {
+	if len(buf) == 0 || wire.Kind(buf[0]) != wire.KindList {
+		return 0
+	}
+	_, n := binary.Uvarint(buf[1:])
+	if n <= 0 {
+		return 0
+	}
+	first, _, err := wire.Unmarshal(buf[1+n:])
+	if err != nil {
+		return 0
+	}
+	id, _ := first.AsInt()
+	return id
+}
+
 // response is one server reply.
 type response struct {
 	id      int64
@@ -561,12 +632,15 @@ type response struct {
 	message string     // rejections and app errors
 }
 
-func encodeResponse(r response) []byte {
+func appendResponse(dst []byte, r response) []byte {
 	payload := r.result
 	if r.status != statusOK {
 		payload = wire.Str(r.message)
 	}
-	return wire.MarshalList([]wire.Value{wire.Int(r.id), wire.Str(r.status), payload})
+	dst = wire.AppendListHeader(dst, 3)
+	dst = wire.Append(dst, wire.Int(r.id))
+	dst = wire.Append(dst, wire.Str(r.status))
+	return wire.Append(dst, payload)
 }
 
 func decodeResponse(buf []byte) (response, error) {

@@ -87,7 +87,7 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 		{id: 4, op: opRelease, handle: 9},
 	}
 	for _, want := range reqs {
-		got, err := decodeRequest(encodeRequest(want))
+		got, err := decodeRequest(appendRequest(nil, want))
 		if err != nil {
 			t.Fatalf("%s: %v", want.op, err)
 		}
@@ -103,7 +103,7 @@ func TestRequestCodecRejects(t *testing.T) {
 	if _, err := decodeRequest(nil); err == nil {
 		t.Fatal("empty request accepted")
 	}
-	bad := encodeRequest(request{id: 7, op: "evict", budget: time.Second})
+	bad := appendRequest(nil, request{id: 7, op: "evict", budget: time.Second})
 	r, err := decodeRequest(bad)
 	if !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("unknown op: %v", err)
@@ -126,7 +126,7 @@ func TestResponseStatusMapping(t *testing.T) {
 		{statusSession, ErrSessionLimit},
 	}
 	for _, tc := range cases {
-		resp, err := decodeResponse(encodeResponse(response{id: 1, status: tc.status, message: "m"}))
+		resp, err := decodeResponse(appendResponse(nil, response{id: 1, status: tc.status, message: "m"}))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.status, err)
 		}
@@ -138,14 +138,14 @@ func TestResponseStatusMapping(t *testing.T) {
 			t.Fatalf("errStatus(%v) = %s, want %s", tc.want, got, tc.status)
 		}
 	}
-	ok, err := decodeResponse(encodeResponse(response{id: 2, status: statusOK, result: wire.Int(5)}))
+	ok, err := decodeResponse(appendResponse(nil, response{id: 2, status: statusOK, result: wire.Int(5)}))
 	if err != nil || ok.err() != nil {
 		t.Fatalf("ok response: %v, %v", err, ok.err())
 	}
 	if n, _ := ok.result.AsInt(); n != 5 {
 		t.Fatalf("result = %v", ok.result)
 	}
-	app, _ := decodeResponse(encodeResponse(response{id: 3, status: statusAppError, message: "boom"}))
+	app, _ := decodeResponse(appendResponse(nil, response{id: 3, status: statusAppError, message: "boom"}))
 	var appErr *AppError
 	if !errors.As(app.err(), &appErr) || appErr.Msg != "boom" {
 		t.Fatalf("app error = %v", app.err())

@@ -193,6 +193,11 @@ type Server struct {
 	ln         net.Listener
 	sessions   map[int64]*session
 	sessionSeq int64
+	// handshaking counts connections that hold a session slot but are
+	// not in sessions yet: a slot is reserved at the MaxSessions check
+	// and either becomes a session or is given back, so the limit bounds
+	// the two together however many clients dial at once.
+	handshaking int
 
 	connWG sync.WaitGroup // one per accepted connection
 	reqWG  sync.WaitGroup // one per admitted request
@@ -510,15 +515,24 @@ func (srv *Server) handshake(conn net.Conn) (*session, error) {
 		return nil, ErrRecovering
 	}
 	srv.mu.Lock()
-	if len(srv.sessions) >= srv.opts.MaxSessions {
+	if len(srv.sessions)+srv.handshaking >= srv.opts.MaxSessions {
 		srv.mu.Unlock()
 		srv.rejSession.Add(1)
 		_, _ = writeFrame(conn, encodeReject(statusSession))
 		return nil, ErrSessionLimit
 	}
+	srv.handshaking++
 	srv.sessionSeq++
 	sid := srv.sessionSeq
 	srv.mu.Unlock()
+	registered := false
+	defer func() {
+		if !registered {
+			srv.mu.Lock()
+			srv.handshaking--
+			srv.mu.Unlock()
+		}
+	}()
 
 	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
@@ -575,7 +589,9 @@ func (srv *Server) handshake(conn net.Conn) (*session, error) {
 		srv.mu.Unlock()
 		return nil, ErrRecovering
 	}
+	srv.handshaking--
 	srv.sessions[sid] = s
+	registered = true
 	srv.mu.Unlock()
 	srv.sessionsTotal.Add(1)
 	srv.events.Emit(telemetry.EventSessionOpen, srv.opts.Node, 0, "session %d from %v", sid, conn.RemoteAddr())

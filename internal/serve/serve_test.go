@@ -20,7 +20,7 @@ import (
 // startServer boots a partitioned world for prog and serves it on a
 // loopback listener. It returns the server, its address and a client
 // config whose platform/measurement match.
-func startServer(t *testing.T, prog *classmodel.Program, opts Options) (*Server, string, ClientConfig) {
+func startServer(t testing.TB, prog *classmodel.Program, opts Options) (*Server, string, ClientConfig) {
 	t.Helper()
 	w, _, err := core.NewPartitionedWorld(prog, world.DefaultOptions())
 	if err != nil {

@@ -41,12 +41,13 @@ type session struct {
 
 func newSession(srv *Server, id int64, conn net.Conn, rd *bufio.Reader, ciph *sessionCipher) *session {
 	return &session{
-		id:   id,
-		srv:  srv,
-		conn: conn,
-		rd:   rd,
-		ns:   registry.NewNamespace(),
-		ciph: ciph,
+		id:      id,
+		srv:     srv,
+		conn:    conn,
+		rd:      rd,
+		ns:      registry.NewNamespace(),
+		ciph:    ciph,
+		sendBuf: newSendBuf(),
 	}
 }
 
@@ -60,8 +61,10 @@ func (s *session) closeConn() {
 // session's reads (bounding this session's queued work to one request).
 func (s *session) loop() {
 	defer s.wg.Wait() // in-flight replies need the connection state
+	var payload []byte
 	for {
-		payload, err := readFrame(s.rd)
+		var err error
+		payload, err = readFrameInto(s.rd, payload)
 		if err != nil {
 			return
 		}
@@ -146,7 +149,10 @@ func (s *session) dispatch(req request) {
 		// joins the injected context (or samples a fresh root for
 		// untraced clients) and is handed to the execution frame, so the
 		// world's proxy-call spans become its children.
-		sp := s.srv.tracer.StartRemote(req.trace, "serve "+req.op)
+		var sp *telemetry.Span
+		if tracer := s.srv.tracer; tracer != nil {
+			sp = tracer.StartRemote(req.trace, "serve "+req.op)
+		}
 		sp.SetNode(s.srv.opts.Node)
 		sp.SetQueueWait(time.Since(start))
 		// done finishes the request: span, reply, and the admission
@@ -209,10 +215,9 @@ func (s *session) countReject(err error) {
 // reply seals and writes one response frame.
 func (s *session) reply(id int64, r response) {
 	r.id = id
-	plain := encodeResponse(r)
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	frame, err := s.ciph.sealFrame(s.sendBuf, plain)
+	frame, err := s.ciph.sealFrame(appendResponse(s.sendBuf[:frameHeader], r))
 	s.sendBuf = frame
 	if err != nil {
 		s.closeConn()

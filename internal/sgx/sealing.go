@@ -43,8 +43,11 @@ func (p SealPolicy) String() string {
 // enclave identity, wrong platform, or tampered ciphertext.
 var ErrUnseal = errors.New("sgx: unseal failed")
 
-// sealedOverhead is nonce + GCM tag.
-const sealedOverhead = 12 + 16
+// A sealed blob is nonce, ciphertext, GCM tag.
+const (
+	sealedNonce    = 12
+	sealedOverhead = sealedNonce + 16
+)
 
 // PlatformSecret is the per-machine hardware seal secret. A Platform
 // owns one; enclaves on the same Platform derive their keys from it.
@@ -63,67 +66,114 @@ func NewPlatformSecret() (PlatformSecret, error) {
 // The enclave must be initialized: MRSIGNER is only known after EINIT.
 func (e *Enclave) SealingKey(secret PlatformSecret, policy SealPolicy) ([32]byte, error) {
 	e.mu.Lock()
-	st := e.st
-	meas := e.measurement
-	signer := e.mrsigner
-	e.mu.Unlock()
-	var key [32]byte
-	if st != stateInitialized {
-		return key, ErrNotInitialized
+	defer e.mu.Unlock()
+	identity, err := e.sealIdentityLocked(policy)
+	if err != nil {
+		return [32]byte{}, err
 	}
-	var identity [32]byte
+	return deriveSealKey(secret, policy, identity), nil
+}
+
+// sealIdentityLocked returns the identity a policy binds to, refusing an
+// enclave that is not (or no longer) initialized. Caller holds e.mu.
+func (e *Enclave) sealIdentityLocked(policy SealPolicy) ([32]byte, error) {
+	if e.st != stateInitialized {
+		return [32]byte{}, ErrNotInitialized
+	}
 	switch policy {
 	case SealToMRENCLAVE:
-		identity = meas
+		return e.measurement, nil
 	case SealToMRSIGNER:
-		identity = signer
+		return e.mrsigner, nil
 	default:
-		return key, fmt.Errorf("sgx: unknown seal policy %d", policy)
+		return [32]byte{}, fmt.Errorf("sgx: unknown seal policy %d", policy)
 	}
+}
+
+func deriveSealKey(secret PlatformSecret, policy SealPolicy, identity [32]byte) [32]byte {
 	mac := hmac.New(sha256.New, secret[:])
 	mac.Write([]byte("sgx-seal-key-v1"))
 	mac.Write([]byte{byte(policy)})
 	mac.Write(identity[:])
-	copy(key[:], mac.Sum(nil))
-	return key, nil
+	var key [32]byte
+	mac.Sum(key[:0])
+	return key
+}
+
+// sealCacheKey names one sealing key by everything it is derived from.
+// The identity is part of the name, not looked up behind it, so a cached
+// cipher can only ever be found by a caller that presents — from the
+// enclave's own state, under its lock — the identity it was derived for.
+type sealCacheKey struct {
+	secret   PlatformSecret
+	policy   SealPolicy
+	identity [32]byte
+}
+
+// maxSealCiphers bounds the per-enclave cipher cache. An enclave seals
+// under one platform secret and at most both policies; the bound only
+// keeps a caller that cycles secrets from growing the cache.
+const maxSealCiphers = 8
+
+// sealAEAD returns the AES-256-GCM instance for (secret, policy) under
+// this enclave's identity, deriving the key, its schedule and the GCM
+// tables on first use and keeping them until the enclave is destroyed.
+// The state check runs on every call: a destroyed or not yet initialized
+// enclave gets ErrNotInitialized, cache or no cache.
+func (e *Enclave) sealAEAD(secret PlatformSecret, policy SealPolicy) (cipher.AEAD, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	identity, err := e.sealIdentityLocked(policy)
+	if err != nil {
+		return nil, err
+	}
+	name := sealCacheKey{secret, policy, identity}
+	if aead, ok := e.sealCiphers[name]; ok {
+		return aead, nil
+	}
+	aead, err := newSealAEAD(deriveSealKey(secret, policy, identity))
+	if err != nil {
+		return nil, err
+	}
+	if len(e.sealCiphers) >= maxSealCiphers {
+		clear(e.sealCiphers)
+	}
+	if e.sealCiphers == nil {
+		e.sealCiphers = make(map[sealCacheKey]cipher.AEAD)
+	}
+	e.sealCiphers[name] = aead
+	return aead, nil
 }
 
 // Seal encrypts and authenticates data under the enclave's sealing key
-// (AES-256-GCM with a random nonce), with additionalData bound into the
-// tag (like the SDK's AAD parameter).
+// (AES-256-GCM with a fresh random nonce per blob), with additionalData
+// bound into the tag (like the SDK's AAD parameter).
 func (e *Enclave) Seal(secret PlatformSecret, policy SealPolicy, data, additionalData []byte) ([]byte, error) {
-	key, err := e.SealingKey(secret, policy)
+	aead, err := e.sealAEAD(secret, policy)
 	if err != nil {
 		return nil, err
 	}
-	aead, err := newSealAEAD(key)
-	if err != nil {
-		return nil, err
-	}
-	nonce := make([]byte, aead.NonceSize())
-	if _, err := rand.Read(nonce); err != nil {
+	// One buffer: the nonce is drawn into its head and the ciphertext
+	// and tag are appended behind it.
+	blob := make([]byte, sealedNonce, sealedOverhead+len(data))
+	if _, err := rand.Read(blob); err != nil {
 		return nil, fmt.Errorf("sgx: seal nonce: %w", err)
 	}
-	return aead.Seal(nonce, nonce, data, additionalData), nil
+	return aead.Seal(blob, blob, data, additionalData), nil
 }
 
 // Unseal recovers data sealed by Seal. It fails for blobs sealed by a
 // different enclave identity (under MRENCLAVE policy), by a different
 // author (MRSIGNER), on a different platform, or tampered with.
 func (e *Enclave) Unseal(secret PlatformSecret, policy SealPolicy, blob, additionalData []byte) ([]byte, error) {
-	key, err := e.SealingKey(secret, policy)
-	if err != nil {
-		return nil, err
-	}
-	aead, err := newSealAEAD(key)
+	aead, err := e.sealAEAD(secret, policy)
 	if err != nil {
 		return nil, err
 	}
 	if len(blob) < sealedOverhead {
 		return nil, fmt.Errorf("%w: blob too short", ErrUnseal)
 	}
-	nonce, ct := blob[:aead.NonceSize()], blob[aead.NonceSize():]
-	plain, err := aead.Open(nil, nonce, ct, additionalData)
+	plain, err := aead.Open(nil, blob[:sealedNonce], blob[sealedNonce:], additionalData)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnseal, err)
 	}

@@ -20,6 +20,7 @@ package sgx
 
 import (
 	"crypto"
+	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/rsa"
@@ -155,6 +156,9 @@ type Enclave struct {
 	heapInUse   int
 	ecallsByID  map[int]uint64
 	ocallsByID  map[int]uint64
+	// sealCiphers caches the sealing ciphers Seal and Unseal have used
+	// (sealing.go); emptied by Destroy.
+	sealCiphers map[sealCacheKey]cipher.AEAD
 
 	tcs chan struct{}
 
@@ -278,6 +282,7 @@ func (e *Enclave) Destroy() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.st = stateDestroyed
+	e.sealCiphers = nil
 }
 
 // Measurement returns the current MRENCLAVE.

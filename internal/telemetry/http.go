@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 )
 
@@ -14,6 +15,9 @@ import (
 //	GET /events    JSON dump of the structured event journal, Seq order
 //	GET /snapshot  JSON snapshot of counters/gauges/histogram quantiles
 //	GET /healthz   liveness probe
+//	GET /debug/pprof/...  the runtime's profiles (net/http/pprof): a CPU
+//	               profile of a served gateway is
+//	               go tool pprof http://<addr>/debug/pprof/profile?seconds=10
 //
 // The endpoint is read-only diagnostics for operators; bind it to
 // loopback or an operations network, never the serving address.
@@ -46,6 +50,14 @@ func Handler(t *Telemetry) http.Handler {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		_, _ = w.Write([]byte("ok\n"))
 	})
+	// Mounted by hand: importing net/http/pprof for its side effect
+	// registers on http.DefaultServeMux, which this endpoint does not
+	// serve. Index also answers the named profiles (heap, allocs, ...).
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

@@ -427,6 +427,14 @@ func TestHTTPEndpoints(t *testing.T) {
 	if get("/healthz") != "ok\n" {
 		t.Fatal("healthz mismatch")
 	}
+	// The runtime's profiles ride the same endpoint: the index lists
+	// them and a named one (goroutine stacks, in text form) comes back.
+	if out := get("/debug/pprof/"); !strings.Contains(out, "goroutine") || !strings.Contains(out, "heap") {
+		t.Fatalf("/debug/pprof/ index lists no profiles:\n%s", out)
+	}
+	if out := get("/debug/pprof/goroutine?debug=1"); !strings.Contains(out, "goroutine profile:") {
+		t.Fatalf("/debug/pprof/goroutine:\n%s", out)
+	}
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {

@@ -34,25 +34,25 @@ func Size(v Value) int {
 	case KindBool:
 		n++
 	case KindInt:
-		n += varintLen(v.i)
+		n += varintLen(int64(v.w))
 	case KindFloat:
 		n += 8
 	case KindString:
 		n += uvarintLen(uint64(len(v.s))) + len(v.s)
 	case KindBytes:
-		n += uvarintLen(uint64(len(v.by))) + len(v.by)
+		n += uvarintLen(v.w) + int(v.w)
 	case KindList:
-		n += uvarintLen(uint64(len(v.list)))
-		for _, e := range v.list {
+		n += uvarintLen(v.w)
+		for _, e := range v.elems() {
 			n += Size(e)
 		}
 	case KindMap:
-		n += uvarintLen(uint64(len(v.pairs)))
-		for _, p := range v.pairs {
+		n += uvarintLen(v.w)
+		for _, p := range v.pairs() {
 			n += uvarintLen(uint64(len(p.Key))) + len(p.Key) + Size(p.Val)
 		}
 	case KindRef:
-		n += varintLen(v.i) + uvarintLen(uint64(len(v.refClass))) + len(v.refClass)
+		n += varintLen(int64(v.w)) + uvarintLen(uint64(len(v.s))) + len(v.s)
 	}
 	return n
 }
@@ -70,12 +70,28 @@ func SizeValues(vs []Value) int {
 // AppendValues encodes the value sequence vs onto dst exactly as
 // Append(dst, List(vs...)) would, without copying vs into a List value.
 func AppendValues(dst []byte, vs []Value) []byte {
-	dst = append(dst, byte(KindList))
-	dst = binary.AppendUvarint(dst, uint64(len(vs)))
+	dst = AppendListHeader(dst, len(vs))
 	for _, v := range vs {
 		dst = Append(dst, v)
 	}
 	return dst
+}
+
+// AppendListHeader starts the encoding of a list of n elements on dst;
+// the caller follows it with exactly n Append calls. A message whose
+// fields are already at hand is encoded this way without first being
+// gathered into a slice.
+func AppendListHeader(dst []byte, n int) []byte {
+	dst = append(dst, byte(KindList))
+	return binary.AppendUvarint(dst, uint64(n))
+}
+
+// AppendBytesHeader starts the encoding of a bytes value of n bytes on
+// dst; the caller follows it with exactly those n bytes, produced in
+// place instead of being copied through a Value.
+func AppendBytesHeader(dst []byte, n int) []byte {
+	dst = append(dst, byte(KindBytes))
+	return binary.AppendUvarint(dst, uint64(n))
 }
 
 // FrameCall is one relay invocation inside a batched transition: the
@@ -138,12 +154,12 @@ func UnmarshalFrame(buf []byte) ([]FrameCall, error) {
 	calls := make([]FrameCall, 0, clampCount(count, len(buf)-n))
 	for i := uint64(0); i < count; i++ {
 		var c FrameCall
-		class, l, err := decodeBytes(buf[n:])
+		class, l, err := decodeView(buf[n:])
 		if err != nil {
 			return nil, err
 		}
 		c.Class, n = string(class), n+l
-		method, l, err := decodeBytes(buf[n:])
+		method, l, err := decodeView(buf[n:])
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -24,6 +25,9 @@ func FuzzUnmarshal(f *testing.F) {
 		MarshalList([]Value{Int(1), List(Bool(true))}),
 		{byte(KindList), 0xff, 0xff, 0xff, 0xff, 0x0f}, // huge count
 		{byte(KindString), 0xff, 0xff, 0x7f},           // huge length
+		// One-element lists nested past MaxDepth: before the decoder
+		// bounded its recursion, 4 MiB of this overflowed the stack.
+		bytes.Repeat([]byte{byte(KindList), 1}, 4*MaxDepth),
 	}
 	for _, s := range seeds {
 		f.Add(s)

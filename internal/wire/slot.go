@@ -105,12 +105,12 @@ func DecodeCall(buf []byte) (class, method string, hash int64, flags byte, args 
 		return "", "", 0, 0, nil, ErrTruncated
 	}
 	flags, n := buf[0], 1
-	cb, l, err := decodeBytes(buf[n:])
+	cb, l, err := decodeView(buf[n:])
 	if err != nil {
 		return "", "", 0, 0, nil, err
 	}
 	class, n = string(cb), n+l
-	mb, l, err := decodeBytes(buf[n:])
+	mb, l, err := decodeView(buf[n:])
 	if err != nil {
 		return "", "", 0, 0, nil, err
 	}

@@ -1,0 +1,230 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/hex"
+	"errors"
+	"math"
+	"testing"
+	"unsafe"
+)
+
+// TestValueSize pins the representation: a Value is passed and returned
+// by value on every Env call, so it must stay five words.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got > 40 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want <= 40", got)
+	}
+}
+
+// TestMarshalGolden pins the encoding of every kind to the bytes the
+// 136-byte representation produced (captured at commit d4dbcbc): the
+// layout of Value is a host-side matter and nothing on the wire, in a
+// WAL record or in a sealed blob may move with it.
+func TestMarshalGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		v    Value
+		want string
+	}{
+		{"invalid", Value{}, "00"},
+		{"null", Null(), "01"},
+		{"true", Bool(true), "0201"},
+		{"false", Bool(false), "0200"},
+		{"int zero", Int(0), "0300"},
+		{"int negative", Int(-123456789), "03a9b4de75"},
+		{"int max", Int(math.MaxInt64), "03feffffffffffffffff01"},
+		{"int min", Int(math.MinInt64), "03ffffffffffffffffff01"},
+		{"float", Float(3.14159), "046e861bf0f9210940"},
+		{"float -inf", Float(math.Inf(-1)), "04000000000000f0ff"},
+		{"string empty", Str(""), "0500"},
+		{"string unicode", Str("héllo∀"), "050968c3a96c6c6fe28880"},
+		{"bytes empty", Bytes(nil), "0600"},
+		{"bytes", Bytes([]byte{0, 1, 2, 255}), "0604000102ff"},
+		{"list empty", List(), "0700"},
+		{"list nested", List(Int(1), Str("two"), List(Bool(true), Null())), "07030302050374776f0702020101"},
+		{"map empty", Map(), "0800"},
+		{"map", Map(Pair{Key: "k1", Val: Int(10)}, Pair{Key: "k0", Val: Bytes([]byte("x"))}), "0802026b30060178026b310314"},
+		{"ref", Ref("Account", 424242), "09e4e433074163636f756e74"},
+		{"ref negative", Ref("X", -7), "090d0158"},
+	}
+	for _, c := range cases {
+		if got := hex.EncodeToString(Marshal(c.v)); got != c.want {
+			t.Errorf("%s: Marshal = %s, want %s", c.name, got, c.want)
+		}
+		if got := Size(c.v); got != len(c.want)/2 {
+			t.Errorf("%s: Size = %d, want %d", c.name, got, len(c.want)/2)
+		}
+	}
+	const putArgs = "07020509757365723a30303031051273657373696f6e2d746f6b656e2d30303031"
+	if got := hex.EncodeToString(MarshalList(putArgVector())); got != putArgs {
+		t.Errorf("MarshalList(put args) = %s, want %s", got, putArgs)
+	}
+	// The streaming helpers spell the same bytes.
+	streamed := AppendListHeader(nil, 2)
+	for _, v := range putArgVector() {
+		streamed = Append(streamed, v)
+	}
+	if got := hex.EncodeToString(streamed); got != putArgs {
+		t.Errorf("AppendListHeader + Append = %s, want %s", got, putArgs)
+	}
+	blob := []byte{0, 1, 2, 255}
+	if got, want := append(AppendBytesHeader(nil, len(blob)), blob...), Marshal(Bytes(blob)); !bytes.Equal(got, want) {
+		t.Errorf("AppendBytesHeader + payload = %x, want %x", got, want)
+	}
+}
+
+// putArgVector is the argument vector of a KV put as the gateway sees it.
+func putArgVector() []Value {
+	return []Value{Str("user:0001"), Str("session-token-0001")}
+}
+
+// TestCopyOnExport checks both directions of the immutability contract
+// for every aggregate: a Value built from a caller's slice keeps its own
+// copy, and what an accessor hands out is a copy too.
+func TestCopyOnExport(t *testing.T) {
+	raw := []byte{1, 2, 3}
+	bv := Bytes(raw)
+	raw[0] = 9
+	out, _ := bv.AsBytes()
+	out[1] = 9
+	if again, _ := bv.AsBytes(); !bytes.Equal(again, []byte{1, 2, 3}) {
+		t.Fatalf("bytes value changed under its caller: %v", again)
+	}
+
+	elems := []Value{Int(1), Int(2)}
+	lv := List(elems...)
+	elems[0] = Int(9)
+	got, _ := lv.AsList()
+	got[1] = Int(9)
+	if !lv.Index(0).Equal(Int(1)) || !lv.Index(1).Equal(Int(2)) {
+		t.Fatalf("list value changed under its caller: %v", lv)
+	}
+
+	pairs := []Pair{{Key: "a", Val: Int(1)}, {Key: "b", Val: Int(2)}}
+	mv := Map(pairs...)
+	pairs[0].Val = Int(9)
+	gotPairs, _ := mv.AsMap()
+	gotPairs[1].Val = Int(9)
+	if !mv.Entry(0).Val.Equal(Int(1)) || !mv.Entry(1).Val.Equal(Int(2)) {
+		t.Fatalf("map value changed under its caller: %v", mv)
+	}
+
+	// A copy of a Value shares the payload; neither copy can write it.
+	alias := lv
+	if !alias.Equal(lv) || alias.Len() != 2 {
+		t.Fatalf("copied list differs: %v vs %v", alias, lv)
+	}
+}
+
+// TestDecodedValueDoesNotAliasBuffer: frame buffers go back to a pool as
+// soon as they are decoded, so no decoded payload may point into them.
+func TestDecodedValueDoesNotAliasBuffer(t *testing.T) {
+	want := List(Str("key"), Bytes([]byte{1, 2, 3}), Ref("Cls", 7), Map(Pair{Key: "k", Val: Str("v")}))
+	buf := Marshal(want)
+	got, _, err := Unmarshal(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := UnmarshalList(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 0xAA
+	}
+	if !got.Equal(want) {
+		t.Fatalf("decoded value changed with its buffer: %v", got)
+	}
+	if !List(vs...).Equal(want) {
+		t.Fatalf("decoded list changed with its buffer: %v", vs)
+	}
+}
+
+// nested returns the encoding of depth one-element lists around a null.
+func nested(kind Kind, depth int) []byte {
+	var buf []byte
+	for i := 0; i < depth; i++ {
+		buf = append(buf, byte(kind), 1)
+		if kind == KindMap {
+			buf = append(buf, 1, 'k')
+		}
+	}
+	return append(buf, byte(KindNull))
+}
+
+func TestUnmarshalDepthBound(t *testing.T) {
+	for _, kind := range []Kind{KindList, KindMap} {
+		v, n, err := Unmarshal(nested(kind, MaxDepth))
+		if err != nil || n != len(nested(kind, MaxDepth)) {
+			t.Fatalf("%s nested MaxDepth deep: n=%d err=%v", kind, n, err)
+		}
+		// What the decoder accepts, every walk handles.
+		if got := Marshal(v); !bytes.Equal(got, nested(kind, MaxDepth)) {
+			t.Fatalf("%s: re-encoding differs", kind)
+		}
+		if !v.Equal(v) || Size(v) != n || v.String() == "" {
+			t.Fatalf("%s: walks disagree on a MaxDepth-deep value", kind)
+		}
+		if _, _, err := Unmarshal(nested(kind, MaxDepth+1)); !errors.Is(err, ErrTooDeep) {
+			t.Fatalf("%s nested MaxDepth+1 deep: err = %v, want ErrTooDeep", kind, err)
+		}
+	}
+	if _, err := UnmarshalList(nested(KindList, MaxDepth+1)); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("UnmarshalList: err = %v, want ErrTooDeep", err)
+	}
+
+	// The frame that killed the process: 4 MiB of list headers, which a
+	// fabric peer frame or any ecall buffer can carry. It is refused at
+	// level MaxDepth+1, whatever follows.
+	hostile := bytes.Repeat([]byte{byte(KindList), 1}, 2<<20)
+	if _, _, err := Unmarshal(hostile); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("hostile frame: err = %v, want ErrTooDeep", err)
+	}
+	allocs := testing.AllocsPerRun(10, func() { _, _, _ = Unmarshal(hostile) })
+	if allocs > MaxDepth+1 {
+		t.Fatalf("hostile frame cost %v allocations, want <= %d", allocs, MaxDepth+1)
+	}
+}
+
+// TestConstructorsRefuseTooDeep: what cannot be decoded cannot be built,
+// so Append, Size, Equal and String never recurse past MaxDepth.
+func TestConstructorsRefuseTooDeep(t *testing.T) {
+	mustPanic := func(name string, build func()) {
+		t.Helper()
+		defer func() {
+			err, _ := recover().(error)
+			if !errors.Is(err, ErrTooDeep) {
+				t.Fatalf("%s: recovered %v, want ErrTooDeep", name, err)
+			}
+		}()
+		build()
+	}
+	v := Null()
+	for i := 0; i < MaxDepth; i++ {
+		if i%2 == 0 {
+			v = List(v)
+		} else {
+			v = Map(Pair{Key: "k", Val: v})
+		}
+	}
+	if _, _, err := Unmarshal(Marshal(v)); err != nil {
+		t.Fatalf("a MaxDepth-deep value must round-trip: %v", err)
+	}
+	mustPanic("List", func() { List(v) })
+	mustPanic("Map", func() { Map(Pair{Key: "k", Val: v}) })
+}
+
+// TestUnmarshalListAllocs: decoding a put's argument vector costs the
+// slice and one allocation per string, nothing per copy.
+func TestUnmarshalListAllocs(t *testing.T) {
+	buf := MarshalList(putArgVector())
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := UnmarshalList(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("UnmarshalList(put args) = %v allocs, want <= 3", allocs)
+	}
+}

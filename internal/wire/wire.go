@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -64,10 +65,20 @@ func (k Kind) String() string {
 	}
 }
 
+// MaxDepth bounds how deeply lists and maps may nest: a scalar has depth
+// 0, an aggregate one more than its deepest element. The decoder rejects
+// deeper input with ErrTooDeep before recursing into it, and List and Map
+// refuse to build a deeper value, so no walk over a Value (Append, Size,
+// Equal, String) recurses further than MaxDepth frames. The world bounds
+// neutral values at 32 levels and the protocols add two or three lists of
+// their own, so nothing legitimate comes near it.
+const MaxDepth = 64
+
 // Errors returned by decoding.
 var (
 	ErrTruncated = errors.New("wire: truncated input")
 	ErrBadTag    = errors.New("wire: unknown type tag")
+	ErrTooDeep   = errors.New("wire: value nested deeper than MaxDepth")
 )
 
 // Pair is one entry of a map value. Map entries are kept sorted by key so
@@ -78,30 +89,58 @@ type Pair struct {
 }
 
 // Value is an immutable tagged union of the types that may cross the
-// enclave boundary.
+// enclave boundary. It is five words (40 bytes), so passing and returning
+// one by value — which every Env call, field access and decode step does —
+// stays in registers:
+//
+//	kind   depth  w                    s             p
+//	null   0      -                    -             -
+//	bool   0      0 or 1               -             -
+//	int    0      the integer          -             -
+//	float  0      IEEE-754 bits        -             -
+//	string 0      -                    the payload   -
+//	ref    0      identity hash        class name    -
+//	bytes  0      length               -             first byte
+//	list   1+max  element count        -             first element (Value)
+//	map    1+max  entry count          -             first entry (Pair)
+//
+// An aggregate payload sits behind the one pointer p, with its length in
+// w: the backing array is allocated once by the constructor or the
+// decoder, never reachable for writing from outside this package, and
+// shared freely between copies of the Value. Callers get at it through
+// Index and Entry (one element, by value) or AsBytes/AsList/AsMap (a copy
+// of the whole payload); nothing hands out the array itself.
 type Value struct {
-	kind     Kind
-	b        bool
-	i        int64
-	f        float64
-	s        string
-	by       []byte
-	list     []Value
-	pairs    []Pair
-	refClass string
+	kind  Kind
+	depth uint8
+	w     uint64
+	s     string
+	p     unsafe.Pointer
 }
+
+// The three views of an aggregate payload. Each is valid only for its own
+// kind; every caller switches on kind first.
+func (v Value) bytes() []byte  { return unsafe.Slice((*byte)(v.p), int(v.w)) }
+func (v Value) elems() []Value { return unsafe.Slice((*Value)(v.p), int(v.w)) }
+func (v Value) pairs() []Pair  { return unsafe.Slice((*Pair)(v.p), int(v.w)) }
 
 // Null returns the null value.
 func Null() Value { return Value{kind: KindNull} }
 
 // Bool wraps a boolean.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	v := Value{kind: KindBool}
+	if b {
+		v.w = 1
+	}
+	return v
+}
 
 // Int wraps a 64-bit integer.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, w: uint64(i)} }
 
 // Float wraps a 64-bit float.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, w: math.Float64bits(f)} }
 
 // Str wraps a string.
 func Str(s string) Value { return Value{kind: KindString, s: s} }
@@ -110,18 +149,41 @@ func Str(s string) Value { return Value{kind: KindString, s: s} }
 func Bytes(b []byte) Value {
 	cp := make([]byte, len(b))
 	copy(cp, b)
-	return Value{kind: KindBytes, by: cp}
+	return bytesOf(cp)
 }
 
-// List wraps a sequence of values; the slice is copied.
+// bytesOf wraps a byte slice the caller gives up.
+func bytesOf(owned []byte) Value {
+	return Value{kind: KindBytes, w: uint64(len(owned)), p: unsafe.Pointer(unsafe.SliceData(owned))}
+}
+
+// List wraps a sequence of values; the slice is copied. It panics with
+// ErrTooDeep when the result would nest deeper than MaxDepth.
 func List(vs ...Value) Value {
 	cp := make([]Value, len(vs))
 	copy(cp, vs)
-	return Value{kind: KindList, list: cp}
+	v, err := listOf(cp)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// listOf wraps an element slice the caller gives up.
+func listOf(owned []Value) (Value, error) {
+	var deepest uint8
+	for i := range owned {
+		deepest = max(deepest, owned[i].depth)
+	}
+	if deepest >= MaxDepth {
+		return Value{}, ErrTooDeep
+	}
+	return Value{kind: KindList, depth: deepest + 1, w: uint64(len(owned)), p: unsafe.Pointer(unsafe.SliceData(owned))}, nil
 }
 
 // Map wraps key/value pairs; entries are copied and sorted by key.
-// Duplicate keys keep the last entry.
+// Duplicate keys keep the last entry. It panics with ErrTooDeep when the
+// result would nest deeper than MaxDepth.
 func Map(pairs ...Pair) Value {
 	cp := make([]Pair, len(pairs))
 	copy(cp, pairs)
@@ -134,12 +196,28 @@ func Map(pairs ...Pair) Value {
 		}
 		out = append(out, p)
 	}
-	return Value{kind: KindMap, pairs: out}
+	v, err := mapOf(out)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// mapOf wraps an entry slice the caller gives up, in the order given.
+func mapOf(owned []Pair) (Value, error) {
+	var deepest uint8
+	for i := range owned {
+		deepest = max(deepest, owned[i].Val.depth)
+	}
+	if deepest >= MaxDepth {
+		return Value{}, ErrTooDeep
+	}
+	return Value{kind: KindMap, depth: deepest + 1, w: uint64(len(owned)), p: unsafe.Pointer(unsafe.SliceData(owned))}, nil
 }
 
 // Ref wraps a cross-runtime object reference.
 func Ref(class string, hash int64) Value {
-	return Value{kind: KindRef, i: hash, refClass: class}
+	return Value{kind: KindRef, w: uint64(hash), s: class}
 }
 
 // Kind reports the value's dynamic type.
@@ -149,50 +227,94 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull || v.kind == KindInvalid }
 
 // AsBool returns the boolean payload; ok is false on kind mismatch.
-func (v Value) AsBool() (b bool, ok bool) { return v.b, v.kind == KindBool }
+func (v Value) AsBool() (b bool, ok bool) {
+	if v.kind != KindBool {
+		return false, false
+	}
+	return v.w != 0, true
+}
 
 // AsInt returns the integer payload; ok is false on kind mismatch.
-func (v Value) AsInt() (i int64, ok bool) { return v.i, v.kind == KindInt }
+func (v Value) AsInt() (i int64, ok bool) {
+	if v.kind != KindInt {
+		return 0, false
+	}
+	return int64(v.w), true
+}
 
 // AsFloat returns the float payload; ok is false on kind mismatch.
-func (v Value) AsFloat() (f float64, ok bool) { return v.f, v.kind == KindFloat }
+func (v Value) AsFloat() (f float64, ok bool) {
+	if v.kind != KindFloat {
+		return 0, false
+	}
+	return math.Float64frombits(v.w), true
+}
 
 // AsStr returns the string payload; ok is false on kind mismatch.
-func (v Value) AsStr() (s string, ok bool) { return v.s, v.kind == KindString }
+func (v Value) AsStr() (s string, ok bool) {
+	if v.kind != KindString {
+		return "", false
+	}
+	return v.s, true
+}
 
 // AsBytes returns a copy of the bytes payload; ok is false on mismatch.
 func (v Value) AsBytes() (b []byte, ok bool) {
 	if v.kind != KindBytes {
 		return nil, false
 	}
-	cp := make([]byte, len(v.by))
-	copy(cp, v.by)
+	cp := make([]byte, v.w)
+	copy(cp, v.bytes())
 	return cp, true
 }
 
 // AsList returns a copy of the list payload; ok is false on mismatch.
+// A reader that only walks the list uses Len and Index, which copy
+// nothing.
 func (v Value) AsList() (vs []Value, ok bool) {
 	if v.kind != KindList {
 		return nil, false
 	}
-	cp := make([]Value, len(v.list))
-	copy(cp, v.list)
+	cp := make([]Value, v.w)
+	copy(cp, v.elems())
 	return cp, true
 }
 
-// AsMap returns a copy of the map payload; ok is false on mismatch.
+// AsMap returns a copy of the map payload; ok is false on mismatch. A
+// reader that only walks the map uses Len and Entry, which copy nothing.
 func (v Value) AsMap() (pairs []Pair, ok bool) {
 	if v.kind != KindMap {
 		return nil, false
 	}
-	cp := make([]Pair, len(v.pairs))
-	copy(cp, v.pairs)
+	cp := make([]Pair, v.w)
+	copy(cp, v.pairs())
 	return cp, true
 }
 
 // AsRef returns the reference payload; ok is false on mismatch.
 func (v Value) AsRef() (class string, hash int64, ok bool) {
-	return v.refClass, v.i, v.kind == KindRef
+	if v.kind != KindRef {
+		return "", 0, false
+	}
+	return v.s, int64(v.w), true
+}
+
+// Index returns element i of a list value, for 0 <= i < Len(). It panics
+// like a slice index when i is out of range or v is not a list.
+func (v Value) Index(i int) Value {
+	if v.kind != KindList {
+		panic("wire: Index of a " + v.kind.String() + " value")
+	}
+	return v.elems()[i]
+}
+
+// Entry returns entry i of a map value, in key order, for 0 <= i < Len().
+// It panics like a slice index when i is out of range or v is not a map.
+func (v Value) Entry(i int) Pair {
+	if v.kind != KindMap {
+		panic("wire: Entry of a " + v.kind.String() + " value")
+	}
+	return v.pairs()[i]
 }
 
 // Get looks up a key in a map value.
@@ -200,9 +322,10 @@ func (v Value) Get(key string) (Value, bool) {
 	if v.kind != KindMap {
 		return Value{}, false
 	}
-	i := sort.Search(len(v.pairs), func(i int) bool { return v.pairs[i].Key >= key })
-	if i < len(v.pairs) && v.pairs[i].Key == key {
-		return v.pairs[i].Val, true
+	pairs := v.pairs()
+	i := sort.Search(len(pairs), func(i int) bool { return pairs[i].Key >= key })
+	if i < len(pairs) && pairs[i].Key == key {
+		return pairs[i].Val, true
 	}
 	return Value{}, false
 }
@@ -211,12 +334,8 @@ func (v Value) Get(key string) (Value, bool) {
 // value, and 0 otherwise.
 func (v Value) Len() int {
 	switch v.kind {
-	case KindList:
-		return len(v.list)
-	case KindMap:
-		return len(v.pairs)
-	case KindBytes:
-		return len(v.by)
+	case KindList, KindMap, KindBytes:
+		return int(v.w)
 	case KindString:
 		return len(v.s)
 	default:
@@ -232,38 +351,39 @@ func (v Value) Equal(o Value) bool {
 	switch v.kind {
 	case KindNull, KindInvalid:
 		return true
-	case KindBool:
-		return v.b == o.b
-	case KindInt:
-		return v.i == o.i
+	case KindBool, KindInt:
+		return v.w == o.w
 	case KindFloat:
-		return v.f == o.f || (math.IsNaN(v.f) && math.IsNaN(o.f))
+		vf, of := math.Float64frombits(v.w), math.Float64frombits(o.w)
+		return vf == of || (math.IsNaN(vf) && math.IsNaN(of))
 	case KindString:
 		return v.s == o.s
 	case KindBytes:
-		return string(v.by) == string(o.by)
+		return string(v.bytes()) == string(o.bytes())
 	case KindList:
-		if len(v.list) != len(o.list) {
+		ve, oe := v.elems(), o.elems()
+		if len(ve) != len(oe) {
 			return false
 		}
-		for i := range v.list {
-			if !v.list[i].Equal(o.list[i]) {
+		for i := range ve {
+			if !ve[i].Equal(oe[i]) {
 				return false
 			}
 		}
 		return true
 	case KindMap:
-		if len(v.pairs) != len(o.pairs) {
+		vp, op := v.pairs(), o.pairs()
+		if len(vp) != len(op) {
 			return false
 		}
-		for i := range v.pairs {
-			if v.pairs[i].Key != o.pairs[i].Key || !v.pairs[i].Val.Equal(o.pairs[i].Val) {
+		for i := range vp {
+			if vp[i].Key != op[i].Key || !vp[i].Val.Equal(op[i].Val) {
 				return false
 			}
 		}
 		return true
 	case KindRef:
-		return v.i == o.i && v.refClass == o.refClass
+		return v.w == o.w && v.s == o.s
 	default:
 		return false
 	}
@@ -281,18 +401,18 @@ func (v Value) format(sb *strings.Builder) {
 	case KindNull, KindInvalid:
 		sb.WriteString("null")
 	case KindBool:
-		sb.WriteString(strconv.FormatBool(v.b))
+		sb.WriteString(strconv.FormatBool(v.w != 0))
 	case KindInt:
-		sb.WriteString(strconv.FormatInt(v.i, 10))
+		sb.WriteString(strconv.FormatInt(int64(v.w), 10))
 	case KindFloat:
-		sb.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
+		sb.WriteString(strconv.FormatFloat(math.Float64frombits(v.w), 'g', -1, 64))
 	case KindString:
 		sb.WriteString(strconv.Quote(v.s))
 	case KindBytes:
-		fmt.Fprintf(sb, "bytes[%d]", len(v.by))
+		fmt.Fprintf(sb, "bytes[%d]", v.w)
 	case KindList:
 		sb.WriteByte('[')
-		for i, e := range v.list {
+		for i, e := range v.elems() {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -301,7 +421,7 @@ func (v Value) format(sb *strings.Builder) {
 		sb.WriteByte(']')
 	case KindMap:
 		sb.WriteByte('{')
-		for i, p := range v.pairs {
+		for i, p := range v.pairs() {
 			if i > 0 {
 				sb.WriteString(", ")
 			}
@@ -311,7 +431,7 @@ func (v Value) format(sb *strings.Builder) {
 		}
 		sb.WriteByte('}')
 	case KindRef:
-		fmt.Fprintf(sb, "ref(%s#%d)", v.refClass, v.i)
+		fmt.Fprintf(sb, "ref(%s#%d)", v.s, int64(v.w))
 	}
 }
 
@@ -321,37 +441,33 @@ func Append(dst []byte, v Value) []byte {
 	switch v.kind {
 	case KindNull, KindInvalid:
 	case KindBool:
-		if v.b {
-			dst = append(dst, 1)
-		} else {
-			dst = append(dst, 0)
-		}
+		dst = append(dst, byte(v.w))
 	case KindInt:
-		dst = binary.AppendVarint(dst, v.i)
+		dst = binary.AppendVarint(dst, int64(v.w))
 	case KindFloat:
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+		dst = binary.LittleEndian.AppendUint64(dst, v.w)
 	case KindString:
 		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 		dst = append(dst, v.s...)
 	case KindBytes:
-		dst = binary.AppendUvarint(dst, uint64(len(v.by)))
-		dst = append(dst, v.by...)
+		dst = binary.AppendUvarint(dst, v.w)
+		dst = append(dst, v.bytes()...)
 	case KindList:
-		dst = binary.AppendUvarint(dst, uint64(len(v.list)))
-		for _, e := range v.list {
+		dst = binary.AppendUvarint(dst, v.w)
+		for _, e := range v.elems() {
 			dst = Append(dst, e)
 		}
 	case KindMap:
-		dst = binary.AppendUvarint(dst, uint64(len(v.pairs)))
-		for _, p := range v.pairs {
+		dst = binary.AppendUvarint(dst, v.w)
+		for _, p := range v.pairs() {
 			dst = binary.AppendUvarint(dst, uint64(len(p.Key)))
 			dst = append(dst, p.Key...)
 			dst = Append(dst, p.Val)
 		}
 	case KindRef:
-		dst = binary.AppendVarint(dst, v.i)
-		dst = binary.AppendUvarint(dst, uint64(len(v.refClass)))
-		dst = append(dst, v.refClass...)
+		dst = binary.AppendVarint(dst, int64(v.w))
+		dst = binary.AppendUvarint(dst, uint64(len(v.s)))
+		dst = append(dst, v.s...)
 	}
 	return dst
 }
@@ -368,8 +484,13 @@ func MarshalList(vs []Value) []byte {
 }
 
 // Unmarshal decodes one value from the front of buf, returning the value
-// and the number of bytes consumed.
+// and the number of bytes consumed. The value aliases nothing in buf.
 func Unmarshal(buf []byte) (Value, int, error) {
+	return unmarshal(buf, 0)
+}
+
+// unmarshal decodes one value that sits inside enclosing aggregates.
+func unmarshal(buf []byte, enclosing int) (Value, int, error) {
 	if len(buf) == 0 {
 		return Value{}, 0, ErrTruncated
 	}
@@ -393,9 +514,9 @@ func Unmarshal(buf []byte) (Value, int, error) {
 		if len(buf) < n+8 {
 			return Value{}, 0, ErrTruncated
 		}
-		return Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[n:]))), n + 8, nil
+		return Value{kind: KindFloat, w: binary.LittleEndian.Uint64(buf[n:])}, n + 8, nil
 	case KindString:
-		s, c, err := decodeBytes(buf[n:])
+		s, c, err := decodeView(buf[n:])
 		if err != nil {
 			return Value{}, 0, err
 		}
@@ -405,8 +526,14 @@ func Unmarshal(buf []byte) (Value, int, error) {
 		if err != nil {
 			return Value{}, 0, err
 		}
-		return Bytes(b), n + c, nil
+		return bytesOf(b), n + c, nil
 	case KindList:
+		// The nesting check comes before the count is read, let alone
+		// honoured: a frame of nothing but list or map headers is refused
+		// at the first level too deep, having allocated MaxDepth slices.
+		if enclosing >= MaxDepth {
+			return Value{}, 0, ErrTooDeep
+		}
 		count, c := binary.Uvarint(buf[n:])
 		if c <= 0 {
 			return Value{}, 0, ErrTruncated
@@ -417,15 +544,19 @@ func Unmarshal(buf []byte) (Value, int, error) {
 		// must not drive a huge allocation before validation.
 		elems := make([]Value, 0, clampCount(count, len(buf)-n))
 		for i := uint64(0); i < count; i++ {
-			e, c, err := Unmarshal(buf[n:])
+			e, c, err := unmarshal(buf[n:], enclosing+1)
 			if err != nil {
 				return Value{}, 0, err
 			}
 			elems = append(elems, e)
 			n += c
 		}
-		return Value{kind: KindList, list: elems}, n, nil
+		v, err := listOf(elems)
+		return v, n, err
 	case KindMap:
+		if enclosing >= MaxDepth {
+			return Value{}, 0, ErrTooDeep
+		}
 		count, c := binary.Uvarint(buf[n:])
 		if c <= 0 {
 			return Value{}, 0, ErrTruncated
@@ -433,26 +564,27 @@ func Unmarshal(buf []byte) (Value, int, error) {
 		n += c
 		pairs := make([]Pair, 0, clampCount(count, len(buf)-n))
 		for i := uint64(0); i < count; i++ {
-			k, c, err := decodeBytes(buf[n:])
+			k, c, err := decodeView(buf[n:])
 			if err != nil {
 				return Value{}, 0, err
 			}
 			n += c
-			val, c, err := Unmarshal(buf[n:])
+			val, c, err := unmarshal(buf[n:], enclosing+1)
 			if err != nil {
 				return Value{}, 0, err
 			}
 			n += c
 			pairs = append(pairs, Pair{Key: string(k), Val: val})
 		}
-		return Value{kind: KindMap, pairs: pairs}, n, nil
+		v, err := mapOf(pairs)
+		return v, n, err
 	case KindRef:
 		hash, c := binary.Varint(buf[n:])
 		if c <= 0 {
 			return Value{}, 0, ErrTruncated
 		}
 		n += c
-		class, c, err := decodeBytes(buf[n:])
+		class, c, err := decodeView(buf[n:])
 		if err != nil {
 			return Value{}, 0, err
 		}
@@ -462,7 +594,9 @@ func Unmarshal(buf []byte) (Value, int, error) {
 	}
 }
 
-// UnmarshalList decodes a buffer produced by MarshalList.
+// UnmarshalList decodes a buffer produced by MarshalList. The returned
+// slice is the caller's own: it is the one the decoder filled, and the
+// list value around it is dropped here.
 func UnmarshalList(buf []byte) ([]Value, error) {
 	v, n, err := Unmarshal(buf)
 	if err != nil {
@@ -471,11 +605,10 @@ func UnmarshalList(buf []byte) ([]Value, error) {
 	if n != len(buf) {
 		return nil, fmt.Errorf("wire: %d trailing bytes", len(buf)-n)
 	}
-	vs, ok := v.AsList()
-	if !ok {
+	if v.kind != KindList {
 		return nil, fmt.Errorf("wire: expected list, got %s", v.Kind())
 	}
-	return vs, nil
+	return v.elems(), nil
 }
 
 // clampCount bounds an attacker-supplied element count by the remaining
@@ -490,7 +623,9 @@ func clampCount(count uint64, remaining int) int {
 	return int(count)
 }
 
-func decodeBytes(buf []byte) ([]byte, int, error) {
+// decodeView decodes a length-prefixed byte string as a view into buf;
+// the caller copies what it keeps (string(view) is that one copy).
+func decodeView(buf []byte) ([]byte, int, error) {
 	l, c := binary.Uvarint(buf)
 	if c <= 0 {
 		return nil, 0, ErrTruncated
@@ -498,7 +633,16 @@ func decodeBytes(buf []byte) ([]byte, int, error) {
 	if uint64(len(buf)-c) < l {
 		return nil, 0, ErrTruncated
 	}
-	out := make([]byte, l)
-	copy(out, buf[c:])
-	return out, c + int(l), nil
+	return buf[c : c+int(l)], c + int(l), nil
+}
+
+// decodeBytes is decodeView with the bytes copied out.
+func decodeBytes(buf []byte) ([]byte, int, error) {
+	view, n, err := decodeView(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make([]byte, len(view))
+	copy(out, view)
+	return out, n, nil
 }

@@ -11,33 +11,28 @@ import (
 	"montsalvat/internal/wire"
 )
 
-// env implements classmodel.Env for one method activation. Method bodies
-// observe identical semantics in either runtime; only the costs differ —
+// A frame is the classmodel.Env of its activation. Method bodies observe
+// identical semantics in either runtime; only the costs differ —
 // instantiating or calling a proxy class triggers an enclave transition.
-type env struct {
-	rt *Runtime
-	fr *frame
-}
-
-var _ classmodel.Env = (*env)(nil)
+var _ classmodel.Env = (*frame)(nil)
 
 // New implements classmodel.Env.
-func (e *env) New(class string, args ...wire.Value) (wire.Value, error) {
-	rt := e.rt
+func (fr *frame) New(class string, args ...wire.Value) (wire.Value, error) {
+	rt := fr.rt
 	if classmodel.IsBuiltin(class) {
-		return e.newBuiltin(class, args)
+		return fr.newBuiltin(class, args)
 	}
-	decl, err := rt.classDecl(class)
-	if err != nil {
-		return wire.Value{}, err
+	ctor := rt.link(class, classmodel.CtorName)
+	if ctor.declErr != nil {
+		return wire.Value{}, ctor.declErr
 	}
 
-	if decl.Proxy {
+	if ctor.decl.Proxy {
 		// Instantiating a class of the opposite runtime: create the
 		// local proxy object, then transition to create the mirror
 		// (Listing 2/3 constructor stubs).
 		hash := rt.w.nextHash()
-		if err := rt.newProxy(e.fr, class, hash); err != nil {
+		if err := rt.newProxy(fr, class, hash); err != nil {
 			return wire.Value{}, err
 		}
 		// Constructor relays return no value, so under Config.Batching
@@ -45,16 +40,15 @@ func (e *env) New(class string, args ...wire.Value) (wire.Value, error) {
 		// the next flush, and a constructor error surfaces there instead
 		// of here. Queue ordering guarantees the mirror exists before
 		// any later call on this proxy reaches the other runtime.
-		if _, err := rt.remoteCall(e.fr, class, classmodel.CtorName, hash, args); err != nil {
+		if _, err := rt.remoteCall(fr, ctor, hash, args); err != nil {
 			return wire.Value{}, err
 		}
 		return wire.Ref(class, hash), nil
 	}
 
 	// Local concrete instantiation.
-	ctorRef := classmodel.MethodRef{Class: class, Method: classmodel.CtorName}
-	if _, _, err := rt.img.Lookup(ctorRef); err != nil {
-		return wire.Value{}, err
+	if ctor.lookErr != nil {
+		return wire.Value{}, ctor.lookErr
 	}
 	rt.w.clock.Charge(simcfg.LocalAllocCycles)
 	hash := rt.w.nextHash()
@@ -62,62 +56,60 @@ func (e *env) New(class string, args ...wire.Value) (wire.Value, error) {
 	h, err := rt.iso.NewObject(class, hash)
 	rt.heapMu.Unlock()
 	if err == nil {
-		_, err = rt.adoptHandle(e.fr, hash, h)
+		_, err = rt.adoptHandle(fr, hash, h)
 	}
 	if err != nil {
 		return wire.Value{}, err
 	}
 	self := wire.Ref(class, hash)
-	if _, err := rt.dispatch(ctorRef, self, args, nil); err != nil {
+	if _, err := rt.dispatch(ctor, self, args, nil); err != nil {
 		return wire.Value{}, err
 	}
 	return self, nil
 }
 
 // Call implements classmodel.Env.
-func (e *env) Call(recv wire.Value, method string, args ...wire.Value) (wire.Value, error) {
+func (fr *frame) Call(recv wire.Value, method string, args ...wire.Value) (wire.Value, error) {
 	class, hash, ok := recv.AsRef()
 	if !ok {
 		return wire.Value{}, fmt.Errorf("%w: cannot call %s on %s", ErrNotRef, method, recv.Kind())
 	}
-	rt := e.rt
+	rt := fr.rt
 	if classmodel.IsBuiltin(class) {
-		return e.callBuiltin(recv, method, args)
+		return fr.callBuiltin(recv, method, args)
 	}
-	decl, err := rt.classDecl(class)
-	if err != nil {
-		return wire.Value{}, err
+	lk := rt.link(class, method)
+	if lk.declErr != nil {
+		return wire.Value{}, lk.declErr
 	}
-	if decl.Proxy {
-		return rt.remoteCall(e.fr, class, method, hash, args)
+	if lk.decl.Proxy {
+		return rt.remoteCall(fr, lk, hash, args)
 	}
-	return rt.dispatch(classmodel.MethodRef{Class: class, Method: method}, recv, args, e.fr)
+	return rt.dispatch(lk, recv, args, fr)
 }
 
 // CallStatic implements classmodel.Env.
-func (e *env) CallStatic(class, method string, args ...wire.Value) (wire.Value, error) {
-	rt := e.rt
-	decl, err := rt.classDecl(class)
-	if err != nil {
-		return wire.Value{}, err
+func (fr *frame) CallStatic(class, method string, args ...wire.Value) (wire.Value, error) {
+	rt := fr.rt
+	lk := rt.link(class, method)
+	if lk.declErr != nil {
+		return wire.Value{}, lk.declErr
 	}
-	if decl.Proxy {
-		return rt.remoteCall(e.fr, class, method, 0, args)
+	if lk.decl.Proxy {
+		return rt.remoteCall(fr, lk, 0, args)
 	}
-	ref := classmodel.MethodRef{Class: class, Method: method}
-	_, m, err := rt.img.Lookup(ref)
-	if err != nil {
-		return wire.Value{}, err
+	if lk.lookErr != nil {
+		return wire.Value{}, lk.lookErr
 	}
-	if !m.Static {
-		return wire.Value{}, fmt.Errorf("world: %s is not static", ref)
+	if !lk.method.Static {
+		return wire.Value{}, fmt.Errorf("world: %s is not static", lk.ref)
 	}
-	return rt.dispatch(ref, wire.Null(), args, e.fr)
+	return rt.dispatch(lk, wire.Null(), args, fr)
 }
 
 // GetField implements classmodel.Env.
-func (e *env) GetField(recv wire.Value, field string) (wire.Value, error) {
-	rt := e.rt
+func (fr *frame) GetField(recv wire.Value, field string) (wire.Value, error) {
+	rt := fr.rt
 	class, hash, ok := recv.AsRef()
 	if !ok {
 		return wire.Value{}, ErrNotRef
@@ -130,7 +122,7 @@ func (e *env) GetField(recv wire.Value, field string) (wire.Value, error) {
 		return wire.Value{}, fmt.Errorf("world: proxy %s has no fields (access fields via methods)", class)
 	}
 	rt.w.clock.Charge(simcfg.FieldAccessCycles)
-	h, err := rt.resolve(e.fr, hash)
+	h, err := rt.resolve(fr, hash)
 	if err != nil {
 		return wire.Value{}, err
 	}
@@ -150,7 +142,7 @@ func (e *env) GetField(recv wire.Value, field string) (wire.Value, error) {
 		return wire.Value{}, err
 	}
 	if isRef && fh != 0 {
-		if _, err := rt.adoptHandle(e.fr, refHash, fh); err != nil {
+		if _, err := rt.adoptHandle(fr, refHash, fh); err != nil {
 			return wire.Value{}, err
 		}
 	}
@@ -158,8 +150,8 @@ func (e *env) GetField(recv wire.Value, field string) (wire.Value, error) {
 }
 
 // SetField implements classmodel.Env.
-func (e *env) SetField(recv wire.Value, field string, v wire.Value) error {
-	rt := e.rt
+func (fr *frame) SetField(recv wire.Value, field string, v wire.Value) error {
+	rt := fr.rt
 	class, hash, ok := recv.AsRef()
 	if !ok {
 		return ErrNotRef
@@ -176,7 +168,7 @@ func (e *env) SetField(recv wire.Value, field string, v wire.Value) error {
 		return fmt.Errorf("world: unknown field %s.%s", class, field)
 	}
 	rt.w.clock.Charge(simcfg.FieldAccessCycles)
-	h, err := rt.resolve(e.fr, hash)
+	h, err := rt.resolve(fr, hash)
 	if err != nil {
 		return err
 	}
@@ -194,7 +186,7 @@ func (e *env) SetField(recv wire.Value, field string, v wire.Value) error {
 		if !isRef {
 			return fmt.Errorf("world: field %s.%s wants a reference, got %s", class, field, v.Kind())
 		}
-		th, err := rt.resolve(e.fr, targetHash)
+		th, err := rt.resolve(fr, targetHash)
 		if err != nil {
 			return err
 		}
@@ -214,22 +206,22 @@ func (e *env) SetField(recv wire.Value, field string, v wire.Value) error {
 
 // MemTouch implements classmodel.Env: streaming n bytes of workload data
 // through enclave memory pays MEE cost; untrusted memory is free.
-func (e *env) MemTouch(n int) {
-	if e.rt.trusted && e.rt.w.enclave != nil {
-		e.rt.w.clock.ChargeBytes(n, simcfg.MEEBytesPerCycle)
+func (fr *frame) MemTouch(n int) {
+	if fr.rt.trusted && fr.rt.encl != nil {
+		fr.rt.w.clock.ChargeBytes(n, simcfg.MEEBytesPerCycle)
 	}
 }
 
 // Trusted implements classmodel.Env.
-func (e *env) Trusted() bool { return e.rt.trusted }
+func (fr *frame) Trusted() bool { return fr.rt.trusted }
 
 // FS implements classmodel.Env.
-func (e *env) FS() shim.FS { return e.rt.fs }
+func (fr *frame) FS() shim.FS { return fr.rt.fs }
 
 // ---- builtin (neutral utility class) dispatch -------------------------
 
-func (e *env) newBuiltin(class string, args []wire.Value) (wire.Value, error) {
-	rt := e.rt
+func (fr *frame) newBuiltin(class string, args []wire.Value) (wire.Value, error) {
+	rt := fr.rt
 	rt.w.clock.Charge(simcfg.LocalAllocCycles)
 	// Validate arguments before entering the heap critical section, so
 	// the section is a straight-line allocate-and-hash.
@@ -268,23 +260,23 @@ func (e *env) newBuiltin(class string, args []wire.Value) (wire.Value, error) {
 	if err != nil {
 		return wire.Value{}, err
 	}
-	if _, err := rt.adoptHandle(e.fr, hash, h); err != nil {
+	if _, err := rt.adoptHandle(fr, hash, h); err != nil {
 		return wire.Value{}, err
 	}
 	return wire.Ref(class, hash), nil
 }
 
-func (e *env) callBuiltin(recv wire.Value, method string, args []wire.Value) (wire.Value, error) {
-	rt := e.rt
+func (fr *frame) callBuiltin(recv wire.Value, method string, args []wire.Value) (wire.Value, error) {
+	rt := fr.rt
 	class, hash, _ := recv.AsRef()
 	rt.w.clock.Charge(simcfg.LocalCallCycles)
-	h, err := rt.resolve(e.fr, hash)
+	h, err := rt.resolve(fr, hash)
 	if err != nil {
 		return wire.Value{}, err
 	}
 	switch class {
 	case classmodel.BuiltinList:
-		return e.callList(h, method, args)
+		return fr.callList(h, method, args)
 	case classmodel.BuiltinString:
 		rt.heapMu.Lock()
 		s, err := rt.iso.StrValue(h)
@@ -324,8 +316,8 @@ func (e *env) callBuiltin(recv wire.Value, method string, args []wire.Value) (wi
 // callList dispatches List methods. The list handle is retained by the
 // activation frame, so it stays valid across the heap critical sections
 // below.
-func (e *env) callList(list heap.Handle, method string, args []wire.Value) (wire.Value, error) {
-	rt := e.rt
+func (fr *frame) callList(list heap.Handle, method string, args []wire.Value) (wire.Value, error) {
+	rt := fr.rt
 	switch method {
 	case "size":
 		rt.heapMu.Lock()
@@ -354,7 +346,7 @@ func (e *env) callList(list heap.Handle, method string, args []wire.Value) (wire
 		if !ok {
 			return wire.Value{}, fmt.Errorf("world: List elements are object references, got %s", args[0].Kind())
 		}
-		eh, err := rt.resolve(e.fr, elemHash)
+		eh, err := rt.resolve(fr, elemHash)
 		if err != nil {
 			return wire.Value{}, err
 		}
@@ -393,7 +385,7 @@ func (e *env) callList(list heap.Handle, method string, args []wire.Value) (wire
 		if eh == 0 {
 			return wire.Null(), nil
 		}
-		if _, err := rt.adoptHandle(e.fr, elemHash, eh); err != nil {
+		if _, err := rt.adoptHandle(fr, elemHash, eh); err != nil {
 			return wire.Value{}, err
 		}
 		return wire.Ref(name, elemHash), nil

@@ -13,7 +13,9 @@ import (
 const tableShards = 16
 
 // objEntry is a reference-counted strong handle in the object table;
-// frames retain and release entries.
+// frames retain and release entries. Entries live in the shard maps by
+// value: an activation that is the only holder of an object adopts and
+// drops its entry without allocating.
 type objEntry struct {
 	handle heap.Handle
 	refs   int
@@ -22,7 +24,7 @@ type objEntry struct {
 // tableShard is one stripe of the object table.
 type tableShard struct {
 	mu      lockrank.Mutex
-	entries map[int64]*objEntry
+	entries map[int64]objEntry
 }
 
 // objTable is a runtime's sharded object table: identity hash →
@@ -44,7 +46,7 @@ type objTable struct {
 func newObjTable() *objTable {
 	t := &objTable{}
 	for i := range t.shards {
-		t.shards[i].entries = make(map[int64]*objEntry)
+		t.shards[i].entries = make(map[int64]objEntry)
 		t.shards[i].mu.SetRank(lockrank.RankWorldTable, "world.tableShard.mu")
 	}
 	return t
@@ -73,6 +75,7 @@ func (t *objTable) retain(hash int64) (heap.Handle, bool) {
 		return 0, false
 	}
 	e.refs++
+	s.entries[hash] = e
 	return e.handle, true
 }
 
@@ -86,12 +89,13 @@ func (t *objTable) adopt(hash int64, handle heap.Handle) (kept, dup heap.Handle)
 	defer s.mu.Unlock()
 	if e, ok := s.entries[hash]; ok {
 		e.refs++
+		s.entries[hash] = e
 		if handle != 0 && handle != e.handle {
 			return e.handle, handle
 		}
 		return e.handle, 0
 	}
-	s.entries[hash] = &objEntry{handle: handle, refs: 1}
+	s.entries[hash] = objEntry{handle: handle, refs: 1}
 	return handle, 0
 }
 
@@ -109,6 +113,7 @@ func (t *objTable) release(hash int64) (drop heap.Handle) {
 	}
 	e.refs--
 	if e.refs > 0 {
+		s.entries[hash] = e
 		return 0
 	}
 	delete(s.entries, hash)

@@ -112,8 +112,8 @@ func (w *World) Restart() error {
 	return nil
 }
 
-// rebuildLocked re-runs the boot sequence of NewPartitioned from the
-// retained inputs. Caller holds stateMu.
+// rebuildLocked runs the boot sequence of a partitioned world from the
+// retained inputs: first boot and every Restart. Caller holds stateMu.
 func (w *World) rebuildLocked() error {
 	if err := w.initEnclave(w.buildOpts, w.tImg); err != nil {
 		return err
@@ -127,6 +127,10 @@ func (w *World) rebuildLocked() error {
 	if err != nil {
 		return err
 	}
+	// Each generation's runtimes point at each other and at no other
+	// generation's; the pointers are set here, before any call can run
+	// on either, and never again (Runtime.peer).
+	w.trusted.peer, w.untrusted.peer = w.untrusted, w.trusted
 	if err := w.initBoundary(); err != nil {
 		return err
 	}

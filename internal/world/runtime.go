@@ -15,6 +15,7 @@ import (
 	"montsalvat/internal/isolate"
 	"montsalvat/internal/lockrank"
 	"montsalvat/internal/registry"
+	"montsalvat/internal/sgx"
 	"montsalvat/internal/shim"
 	"montsalvat/internal/simcfg"
 	"montsalvat/internal/telemetry"
@@ -66,11 +67,22 @@ type Runtime struct {
 	w       *World
 	name    string
 	trusted bool
-	img     *image.Image
-	iso     *isolate.Isolate
-	reg     *registry.Registry // mirrors for proxies living in the opposite runtime
-	weaks   *registry.WeakList // weak refs to proxies living here
-	fs      shim.FS
+	// peer, encl and disp are the rest of the generation this runtime
+	// was built in: the opposite runtime and the dispatcher of a
+	// partitioned world (nil otherwise) and the enclave (nil in
+	// ModeNoSGX). The world sets them while it builds the generation,
+	// before either runtime is published, and never writes them again,
+	// so the call path reads them without World.stateMu: a call in
+	// flight when Kill swaps the world's guts keeps crossing into its
+	// own generation, whose destroyed enclave refuses it, typed.
+	peer  *Runtime
+	encl  *sgx.Enclave
+	disp  *boundary.Dispatcher
+	img   *image.Image
+	iso   *isolate.Isolate
+	reg   *registry.Registry // mirrors for proxies living in the opposite runtime
+	weaks *registry.WeakList // weak refs to proxies living here
+	fs    shim.FS
 	// queue batches this runtime's outbound result-independent calls
 	// (nil unless partitioned; active only with Config.Batching).
 	queue *boundary.Queue
@@ -91,6 +103,15 @@ type Runtime struct {
 	// outermost in the lock order.
 	pinMu lockrank.Mutex
 	pins  *frame
+	// frames recycles the activation records of bodies run in this
+	// runtime (see frame).
+	frames sync.Pool
+
+	// links caches what is fixed once the images are built, per (class,
+	// method): see link. Readers load the map and look up; a miss copies
+	// the map under linkMu and publishes the copy.
+	links  atomic.Pointer[map[classmodel.MethodRef]*link]
+	linkMu sync.Mutex
 
 	remoteOut  atomic.Uint64
 	proxiesNew atomic.Uint64
@@ -134,8 +155,9 @@ func newRuntime(w *World, name string, trusted bool, img *image.Image, h *heap.H
 		reg:     registry.New(h),
 		weaks:   registry.NewWeakList(h),
 		table:   newObjTable(),
-		pins:    &frame{},
 	}
+	rt.pins = &frame{rt: rt}
+	rt.frames.New = func() any { return &frame{rt: rt} }
 	rt.pinMu.SetRank(lockrank.RankWorldPin, "world."+name+".pinMu")
 	rt.heapMu.SetRank(lockrank.RankWorldHeap, "world."+name+".heapMu")
 	// Registry strong-handle drops run outside every registry shard lock
@@ -246,45 +268,86 @@ func (rt *Runtime) Unpin(v wire.Value) error {
 
 // ---- frames ----------------------------------------------------------
 
-// frame tracks the object-table retentions of one method activation (the
-// stand-in for stack/register roots in a real VM). It also carries the
-// activation's trace span: a relay executing a sampled cross-boundary
-// call stores the call's span here, so proxy invocations the body makes
-// become child spans of the same trace — including across the worker
-// goroutines of the switchless pools, which run the closure that
-// captured this frame. Nil when the chain is unsampled or telemetry is
-// off.
+// frame is the activation record of one method execution: the object-
+// table retentions taken on its behalf (the stand-in for stack/register
+// roots in a real VM), the trace span of the chain it belongs to, and —
+// it implements classmodel.Env (env.go) — the environment its body runs
+// against. A relay executing a sampled cross-boundary call stores the
+// call's span here, so proxy invocations the body makes become child
+// spans of the same trace. Nil span when the chain is unsampled or
+// telemetry is off.
+//
+// Frames are pooled, per runtime. Lifetime rule: a frame is released only
+// after the body and every closure the body's calls handed to a worker
+// have returned. The engine keeps it by construction — a switchless
+// mailbox post, a ring submission and a full transition all block their
+// caller until the far side has run — and a body keeps it by not using
+// New, Call, CallStatic, GetField or SetField of its Env past its own
+// return: by then they act on whichever activation holds the record
+// next. Trusted, FS and MemTouch depend on the runtime alone, which a
+// record never changes, so an Env kept for those (a reader that charges
+// its memory traffic through env.MemTouch) stays good.
 type frame struct {
-	owned []int64
+	rt    *Runtime
 	span  *telemetry.Span
+	owned []int64
+	// drops is releaseFrame's scratch list, kept across uses.
+	drops []heap.Handle
+	// inline backs owned until an activation retains more than it holds.
+	inline [frameInlineOwned]int64
 }
+
+// frameInlineOwned covers a leaf activation (self, a few arguments, a
+// field or element it reads); frameKeepOwned bounds what a pooled frame
+// keeps of a larger list, so one scan of a long bucket does not pin its
+// storage in the pool.
+const (
+	frameInlineOwned = 8
+	frameKeepOwned   = 256
+)
 
 // own records a table retention taken on behalf of this frame. A frame
 // belongs to exactly one activation, so no lock guards the slice.
 func (fr *frame) own(hash int64) { fr.owned = append(fr.owned, hash) }
 
-func (rt *Runtime) newFrame() *frame { return &frame{} }
+// newFrame takes an activation record for a body about to run in rt,
+// carrying the trace span of the chain it continues.
+func (rt *Runtime) newFrame(span *telemetry.Span) *frame {
+	fr := rt.frames.Get().(*frame)
+	fr.span = span
+	if fr.owned == nil {
+		fr.owned = fr.inline[:0]
+	}
+	return fr
+}
 
-// releaseFrame drops the frame's retentions; entries reaching zero lose
-// their strong handle — and leave the table eagerly — making the objects
-// collectable. The handle drops batch into one heap critical section.
+// releaseFrame drops the frame's retentions and returns the record to
+// the pool; entries reaching zero lose their strong handle — and leave
+// the table eagerly — making the objects collectable. The handle drops
+// batch into one heap critical section.
 func (rt *Runtime) releaseFrame(fr *frame) {
-	var drops []heap.Handle
+	drops := fr.drops[:0]
 	for _, hash := range fr.owned {
 		if d := rt.table.release(hash); d != 0 {
 			drops = append(drops, d)
 		}
 	}
-	fr.owned = nil
-	if len(drops) == 0 {
-		return
+	if len(drops) > 0 {
+		rt.heapMu.Lock()
+		for _, d := range drops {
+			// Best effort: a released handle only pins memory.
+			_ = rt.iso.Release(d)
+		}
+		rt.heapMu.Unlock()
 	}
-	rt.heapMu.Lock()
-	for _, d := range drops {
-		// Best effort: a released handle only pins memory.
-		_ = rt.iso.Release(d)
+	fr.span = nil
+	fr.drops = drops[:0]
+	if cap(fr.owned) > frameKeepOwned {
+		fr.owned, fr.drops = nil, nil
+	} else {
+		fr.owned = fr.owned[:0]
 	}
-	rt.heapMu.Unlock()
+	rt.frames.Put(fr)
 }
 
 // adoptHandle installs a freshly created strong handle into the object
@@ -359,6 +422,74 @@ func (rt *Runtime) classDecl(class string) (*classmodel.Class, error) {
 	return c, nil
 }
 
+// link is everything the engine resolves by name to run or relay one
+// (class, method) pair, none of which changes after the images and the
+// enclave interface are built: the class declaration, the method as this
+// runtime's image compiled it, and the relay name and edge routine that
+// carry the call to the opposite runtime when the class is a proxy here.
+// Each part keeps the error (or absence) its lookup reported, so a cached
+// failure reads exactly like a fresh one.
+type link struct {
+	ref     classmodel.MethodRef
+	decl    *classmodel.Class
+	declErr error
+	method  *classmodel.Method
+	lookErr error
+	// relayName is transform.RelayName(ref.Method); routine bridges
+	// (ref.Class, relayName) into the opposite runtime, when the
+	// interface has such a routine.
+	relayName  string
+	routine    edl.Routine
+	hasRoutine bool
+}
+
+// linkTable returns the current (immutable) link map; nil before the
+// first link is kept.
+func (rt *Runtime) linkTable() map[classmodel.MethodRef]*link {
+	if m := rt.links.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// link returns the cached resolution of (class, method), resolving it on
+// first use. The hit path takes no lock.
+func (rt *Runtime) link(class, method string) *link {
+	ref := classmodel.MethodRef{Class: class, Method: method}
+	if lk, ok := rt.linkTable()[ref]; ok {
+		return lk
+	}
+	lk := &link{ref: ref, relayName: transform.RelayName(method)}
+	lk.decl, lk.declErr = rt.classDecl(class)
+	_, lk.method, lk.lookErr = rt.img.Lookup(ref)
+	if iface := rt.w.iface; iface != nil {
+		dir := edl.Ecall
+		if rt.trusted {
+			dir = edl.Ocall
+		}
+		lk.routine, lk.hasRoutine = iface.Lookup(dir, class, lk.relayName)
+	}
+	if lk.lookErr != nil && !lk.hasRoutine {
+		// Nothing by that name on either side. Names reach here from
+		// gateway clients; only those the images know are kept, which
+		// bounds the table by the program.
+		return lk
+	}
+	rt.linkMu.Lock()
+	defer rt.linkMu.Unlock()
+	old := rt.linkTable()
+	if winner, ok := old[ref]; ok {
+		return winner
+	}
+	next := make(map[classmodel.MethodRef]*link, len(old)+1)
+	for k, v := range old {
+		next[k] = v
+	}
+	next[ref] = lk
+	rt.links.Store(&next)
+	return lk
+}
+
 // ---- marshalling across the boundary ---------------------------------
 
 // marshalOut prepares an argument/result vector for the boundary
@@ -367,28 +498,26 @@ func (rt *Runtime) classDecl(class string) (*classmodel.Class, error) {
 // runtime may hold proxies to them; references to local proxies cross as
 // their bare hash (the opposite runtime resolves its mirror).
 func (rt *Runtime) marshalOut(fr *frame, vals []wire.Value) ([]byte, error) {
-	out, err := rt.marshalVals(fr, vals)
-	if err != nil {
+	if err := rt.marshalVals(fr, vals); err != nil {
 		return nil, err
 	}
-	return rt.encodeVals(out), nil
+	return rt.encodeVals(vals), nil
 }
 
-// marshalVals is marshalOut's value pass — registry exports, proxy-hash
-// substitution and the serialization charge — without committing to an
-// output buffer, so the ring path can encode the prepared vector
-// straight into a slot while the frame path uses a pooled buffer.
-func (rt *Runtime) marshalVals(fr *frame, vals []wire.Value) ([]wire.Value, error) {
-	out := make([]wire.Value, len(vals))
-	for i, v := range vals {
-		cv, err := rt.marshalValue(fr, v, 0)
-		if err != nil {
-			return nil, err
+// marshalVals is marshalOut's value pass — registry exports, the
+// by-value rules and the serialization charge — without committing to an
+// output buffer, so the ring path can encode the vector straight into a
+// slot while the frame path uses a pooled buffer. The values cross as
+// they are: a ref travels as its hash and class whichever side owns the
+// object, so the pass reads vals and builds nothing.
+func (rt *Runtime) marshalVals(fr *frame, vals []wire.Value) error {
+	for _, v := range vals {
+		if err := rt.marshalValue(fr, v, 0); err != nil {
+			return err
 		}
-		out[i] = cv
 	}
-	rt.chargeSerialization(out, simcfg.SerializeCyclesPerValue)
-	return out, nil
+	rt.chargeSerialization(vals, simcfg.SerializeCyclesPerValue)
+	return nil
 }
 
 // encodeVals encodes a prepared value vector into a pooled buffer.
@@ -420,17 +549,15 @@ func (rt *Runtime) chargeSerialization(vals []wire.Value, perCycles int64) {
 func leafCount(v wire.Value) int {
 	switch v.Kind() {
 	case wire.KindList:
-		elems, _ := v.AsList()
 		n := 0
-		for _, e := range elems {
-			n += leafCount(e)
+		for i, l := 0, v.Len(); i < l; i++ {
+			n += leafCount(v.Index(i))
 		}
 		return n
 	case wire.KindMap:
-		pairs, _ := v.AsMap()
 		n := 0
-		for _, p := range pairs {
-			n += leafCount(p.Val)
+		for i, l := 0, v.Len(); i < l; i++ {
+			n += leafCount(v.Entry(i).Val)
 		}
 		return n
 	default:
@@ -438,56 +565,49 @@ func leafCount(v wire.Value) int {
 	}
 }
 
-func (rt *Runtime) marshalValue(fr *frame, v wire.Value, depth int) (wire.Value, error) {
+// marshalValue prepares one value of an outgoing vector: every ref in it
+// is checked and, where it names a local object, exported (marshalRef).
+func (rt *Runtime) marshalValue(fr *frame, v wire.Value, depth int) error {
 	if depth > maxNeutralDepth {
-		return wire.Value{}, errors.New("world: neutral value too deep (cycle?)")
+		return errors.New("world: neutral value too deep (cycle?)")
 	}
 	switch v.Kind() {
 	case wire.KindList:
-		elems, _ := v.AsList()
-		for i, e := range elems {
-			ce, err := rt.marshalValue(fr, e, depth+1)
-			if err != nil {
-				return wire.Value{}, err
+		for i, l := 0, v.Len(); i < l; i++ {
+			if err := rt.marshalValue(fr, v.Index(i), depth+1); err != nil {
+				return err
 			}
-			elems[i] = ce
 		}
-		return wire.List(elems...), nil
 	case wire.KindMap:
-		pairs, _ := v.AsMap()
-		for i, p := range pairs {
-			cv, err := rt.marshalValue(fr, p.Val, depth+1)
-			if err != nil {
-				return wire.Value{}, err
+		for i, l := 0, v.Len(); i < l; i++ {
+			if err := rt.marshalValue(fr, v.Entry(i).Val, depth+1); err != nil {
+				return err
 			}
-			pairs[i].Val = cv
 		}
-		return wire.Map(pairs...), nil
 	case wire.KindRef:
 		return rt.marshalRef(fr, v)
-	default:
-		return v, nil
 	}
+	return nil
 }
 
 // marshalRef handles an object reference crossing the boundary.
-func (rt *Runtime) marshalRef(fr *frame, v wire.Value) (wire.Value, error) {
+func (rt *Runtime) marshalRef(fr *frame, v wire.Value) error {
 	class, hash, _ := v.AsRef()
 	if classmodel.IsBuiltin(class) {
-		return wire.Value{}, fmt.Errorf("%w: %s#%d", ErrNeutralByValue, class, hash)
+		return fmt.Errorf("%w: %s#%d", ErrNeutralByValue, class, hash)
 	}
 	decl, err := rt.classDecl(class)
 	if err != nil {
-		return wire.Value{}, err
+		return err
 	}
 	if decl.Proxy {
 		// A proxy crossing back to its object's home runtime: the bare
 		// hash suffices; the mirror is in the opposite registry.
-		return v, nil
+		return nil
 	}
 	switch decl.Ann {
 	case classmodel.Neutral:
-		return wire.Value{}, fmt.Errorf("%w: neutral class %s", ErrNeutralByValue, class)
+		return fmt.Errorf("%w: neutral class %s", ErrNeutralByValue, class)
 	default:
 		// A local concrete annotated object leaves the runtime: export
 		// a strong reference into OUR registry so the opposite runtime's
@@ -497,7 +617,7 @@ func (rt *Runtime) marshalRef(fr *frame, v wire.Value) (wire.Value, error) {
 		// the object in between.
 		h, err := rt.resolve(fr, hash)
 		if err != nil {
-			return wire.Value{}, err
+			return err
 		}
 		rt.heapMu.Lock()
 		addr, err := rt.iso.Heap().Deref(h)
@@ -507,14 +627,11 @@ func (rt *Runtime) marshalRef(fr *frame, v wire.Value) (wire.Value, error) {
 		}
 		rt.heapMu.Unlock()
 		if err != nil {
-			return wire.Value{}, err
+			return err
 		}
 		// Export outside heapMu: a duplicate export triggers the
 		// registry's releaser, which takes heapMu itself.
-		if err := rt.reg.Export(hash, regHandle); err != nil {
-			return wire.Value{}, err
-		}
-		return v, nil
+		return rt.reg.Export(hash, regHandle)
 	}
 }
 
@@ -529,49 +646,37 @@ func (rt *Runtime) unmarshalIn(fr *frame, buf []byte) ([]wire.Value, error) {
 	}
 	rt.chargeSerialization(vals, simcfg.DeserializeCyclesPerValue)
 	rt.marshalled.Add(uint64(len(buf)))
-	for i, v := range vals {
-		lv, err := rt.localiseValue(fr, v, 0)
-		if err != nil {
+	for _, v := range vals {
+		if err := rt.localiseValue(fr, v, 0); err != nil {
 			return nil, err
 		}
-		vals[i] = lv
 	}
 	return vals, nil
 }
 
-func (rt *Runtime) localiseValue(fr *frame, v wire.Value, depth int) (wire.Value, error) {
+// localiseValue gives every ref inside an incoming value its local
+// representative (localiseRef); the value itself is used as decoded.
+func (rt *Runtime) localiseValue(fr *frame, v wire.Value, depth int) error {
 	if depth > maxNeutralDepth {
-		return wire.Value{}, errors.New("world: neutral value too deep (cycle?)")
+		return errors.New("world: neutral value too deep (cycle?)")
 	}
 	switch v.Kind() {
 	case wire.KindList:
-		elems, _ := v.AsList()
-		for i, e := range elems {
-			le, err := rt.localiseValue(fr, e, depth+1)
-			if err != nil {
-				return wire.Value{}, err
+		for i, l := 0, v.Len(); i < l; i++ {
+			if err := rt.localiseValue(fr, v.Index(i), depth+1); err != nil {
+				return err
 			}
-			elems[i] = le
 		}
-		return wire.List(elems...), nil
 	case wire.KindMap:
-		pairs, _ := v.AsMap()
-		for i, p := range pairs {
-			lv, err := rt.localiseValue(fr, p.Val, depth+1)
-			if err != nil {
-				return wire.Value{}, err
+		for i, l := 0, v.Len(); i < l; i++ {
+			if err := rt.localiseValue(fr, v.Entry(i).Val, depth+1); err != nil {
+				return err
 			}
-			pairs[i].Val = lv
 		}
-		return wire.Map(pairs...), nil
 	case wire.KindRef:
-		if err := rt.localiseRef(fr, v); err != nil {
-			return wire.Value{}, err
-		}
-		return v, nil
-	default:
-		return v, nil
+		return rt.localiseRef(fr, v)
 	}
+	return nil
 }
 
 // localiseRef ensures a live local object exists for an incoming ref.
@@ -630,7 +735,7 @@ func (rt *Runtime) localiseRef(fr *frame, v wire.Value) error {
 	if dropDuplicateExport {
 		// A live local representative already holds a registry export;
 		// drop the duplicate export made by the sender.
-		if opp := rt.w.opposite(rt); opp != nil {
+		if opp := rt.peer; opp != nil {
 			if _, rerr := opp.reg.Release(hash); rerr != nil {
 				return rerr
 			}
@@ -664,35 +769,40 @@ func (rt *Runtime) newProxy(fr *frame, class string, hash int64) error {
 // methods); refs in args must already be live locally. Refs inside the
 // result are re-retained into adoptInto (when non-nil) before the callee
 // frame is released, so they stay live for the caller.
-func (rt *Runtime) dispatch(ref classmodel.MethodRef, self wire.Value, args []wire.Value, adoptInto *frame) (wire.Value, error) {
-	_, m, err := rt.img.Lookup(ref)
-	if err != nil {
-		return wire.Value{}, err
+func (rt *Runtime) dispatch(lk *link, self wire.Value, args []wire.Value, adoptInto *frame) (wire.Value, error) {
+	if lk.lookErr != nil {
+		return wire.Value{}, lk.lookErr
 	}
+	m := lk.method
 	if m.Body == nil {
-		return wire.Value{}, fmt.Errorf("world: method %s has no body (abstract or runtime-native)", ref)
+		return wire.Value{}, fmt.Errorf("world: method %s has no body (abstract or runtime-native)", lk.ref)
 	}
 	if len(m.Params) != len(args) {
-		return wire.Value{}, fmt.Errorf("%w: %s wants %d args, got %d", ErrBadArity, ref, len(m.Params), len(args))
+		return wire.Value{}, fmt.Errorf("%w: %s wants %d args, got %d", ErrBadArity, lk.ref, len(m.Params), len(args))
 	}
 	rt.w.clock.Charge(simcfg.LocalCallCycles)
-	fr := rt.newFrame()
+	var span *telemetry.Span
 	if adoptInto != nil {
-		fr.span = adoptInto.span
+		span = adoptInto.span
 	}
+	fr := rt.newFrame(span)
 	defer rt.releaseFrame(fr)
 	// Retain self and ref arguments for the duration of the activation.
-	for _, v := range append([]wire.Value{self}, args...) {
+	if self.Kind() == wire.KindRef {
+		if _, err := rt.resolveRef(fr, self); err != nil {
+			return wire.Value{}, err
+		}
+	}
+	for _, v := range args {
 		if v.Kind() == wire.KindRef {
 			if _, err := rt.resolveRef(fr, v); err != nil {
 				return wire.Value{}, err
 			}
 		}
 	}
-	e := &env{rt: rt, fr: fr}
-	result, err := m.Body(e, self, args)
+	result, err := m.Body(fr, self, args)
 	if err != nil {
-		return wire.Value{}, fmt.Errorf("%s: %w", ref, err)
+		return wire.Value{}, fmt.Errorf("%s: %w", lk.ref, err)
 	}
 	if adoptInto != nil {
 		if err := rt.adoptResult(adoptInto, result); err != nil {
@@ -710,16 +820,14 @@ func (rt *Runtime) adoptResult(fr *frame, v wire.Value) error {
 		_, err := rt.resolveRef(fr, v)
 		return err
 	case wire.KindList:
-		elems, _ := v.AsList()
-		for _, e := range elems {
-			if err := rt.adoptResult(fr, e); err != nil {
+		for i, l := 0, v.Len(); i < l; i++ {
+			if err := rt.adoptResult(fr, v.Index(i)); err != nil {
 				return err
 			}
 		}
 	case wire.KindMap:
-		pairs, _ := v.AsMap()
-		for _, p := range pairs {
-			if err := rt.adoptResult(fr, p.Val); err != nil {
+		for i, l := 0, v.Len(); i < l; i++ {
+			if err := rt.adoptResult(fr, v.Entry(i).Val); err != nil {
 				return err
 			}
 		}
@@ -730,24 +838,19 @@ func (rt *Runtime) adoptResult(fr *frame, v wire.Value) error {
 // remoteCall performs a proxy invocation: marshal, transition through the
 // enclave boundary, dispatch the relay in the opposite runtime, and
 // localise the result (§5.2).
-func (rt *Runtime) remoteCall(fr *frame, class, method string, hash int64, args []wire.Value) (wire.Value, error) {
+func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value) (wire.Value, error) {
 	w := rt.w
-	to := w.opposite(rt)
+	to := rt.peer
 	if to == nil {
 		return wire.Value{}, fmt.Errorf("%w: no opposite runtime for remote call", ErrWrongRuntime)
 	}
-	relayName := transform.RelayName(method)
-	dir := edl.Ocall
-	if to.trusted {
-		dir = edl.Ecall
-	}
-	routine, ok := w.iface.Lookup(dir, class, relayName)
-	if !ok {
+	class, relayName, routine := lk.ref.Class, lk.relayName, lk.routine
+	if !lk.hasRoutine {
 		return wire.Value{}, fmt.Errorf("%w: no edge routine for %s.%s", image.ErrClosedWorld, class, relayName)
 	}
+	in := to.trusted // the call enters the enclave
 
-	vals, err := rt.marshalVals(fr, args)
-	if err != nil {
+	if err := rt.marshalVals(fr, args); err != nil {
 		return wire.Value{}, err
 	}
 
@@ -757,7 +860,7 @@ func (rt *Runtime) remoteCall(fr *frame, class, method string, hash int64, args 
 		// null immediately and any call error at the flush.
 		if w.batching && !routine.ReturnsValue {
 			rt.remoteOut.Add(1)
-			return wire.Null(), rt.queue.Enqueue(boundary.Entry{ID: routine.ID, Class: class, Method: relayName, Hash: hash, Args: rt.encodeVals(vals)})
+			return wire.Null(), rt.queue.Enqueue(boundary.Entry{ID: routine.ID, Class: class, Method: relayName, Hash: hash, Args: rt.encodeVals(args)})
 		}
 		// A result-dependent call must observe the effects of every
 		// queued call: flush first.
@@ -783,8 +886,8 @@ func (rt *Runtime) remoteCall(fr *frame, class, method string, hash int64, args 
 	// (zero intermediate copies, in-place crypto) with the opened
 	// response decoded in place. Oversized, busy or ring-less calls fall
 	// through to the frame path below.
-	if w.enclave != nil && w.disp.HasRings(dir == edl.Ecall) {
-		argsLen := wire.SizeValues(vals)
+	if rt.encl != nil && rt.disp.HasRings(in) {
+		argsLen := wire.SizeValues(args)
 		need := wire.CallSize(class, relayName, hash, argsLen)
 		var (
 			results []wire.Value
@@ -792,7 +895,7 @@ func (rt *Runtime) remoteCall(fr *frame, class, method string, hash int64, args 
 		)
 		fill := func(slot []byte) ([]byte, error) {
 			slot = wire.AppendCallHeader(slot, class, relayName, hash, wire.CallWantResult, argsLen)
-			return wire.AppendValues(slot, vals), nil
+			return wire.AppendValues(slot, args), nil
 		}
 		done := func(resp []byte) error {
 			respLen = len(resp)
@@ -800,7 +903,7 @@ func (rt *Runtime) remoteCall(fr *frame, class, method string, hash int64, args 
 			results, derr = rt.unmarshalIn(fr, resp)
 			return derr
 		}
-		ran, rerr := w.disp.InvokeRing(dir == edl.Ecall, routine.ID, need, sp, fill, done)
+		ran, rerr := rt.disp.InvokeRing(in, routine.ID, need, sp, fill, done)
 		if ran {
 			rt.marshalled.Add(uint64(need))
 			sp.AddMarshalBytes(need + respLen)
@@ -817,21 +920,24 @@ func (rt *Runtime) remoteCall(fr *frame, class, method string, hash int64, args 
 		}
 	}
 
-	argBuf := rt.encodeVals(vals)
+	argBuf := rt.encodeVals(args)
 	sp.AddMarshalBytes(len(argBuf))
 
-	var resultBuf []byte
+	var (
+		resultBuf []byte
+		err       error
+	)
 	invoke := func() error {
 		var rerr error
 		resultBuf, rerr = to.dispatchRelay(class, relayName, hash, argBuf, true, sp)
 		return rerr
 	}
-	if w.enclave != nil {
+	if rt.encl != nil {
 		// Copying the argument and result buffers across the boundary
 		// streams them through the MEE.
 		w.clock.ChargeBytes(len(argBuf), simcfg.MEEBytesPerCycle)
 		w.meeBytes.Add(uint64(len(argBuf)))
-		err = w.disp.InvokeSpan(dir == edl.Ecall, routine.ID, false, sp, invoke)
+		err = rt.disp.InvokeSpan(in, routine.ID, false, sp, invoke)
 		if err == nil {
 			w.clock.ChargeBytes(len(resultBuf), simcfg.MEEBytesPerCycle)
 			w.meeBytes.Add(uint64(len(resultBuf)))
@@ -874,7 +980,8 @@ func (rt *Runtime) dispatchRelay(class, relayName string, hash int64, argBuf []b
 	var out []byte
 	err := rt.relayCore(class, relayName, hash, argBuf, parent, func(fr *frame, result wire.Value) error {
 		var merr error
-		out, merr = rt.marshalOut(fr, []wire.Value{result})
+		vals := [1]wire.Value{result}
+		out, merr = rt.marshalOut(fr, vals[:])
 		return merr
 	})
 	return out, err
@@ -890,8 +997,9 @@ func (rt *Runtime) dispatchRelaySlot(class, relayName string, hash int64, argBuf
 		return nil, false, rt.relayCore(class, relayName, hash, argBuf, parent, nil)
 	}
 	err = rt.relayCore(class, relayName, hash, argBuf, parent, func(fr *frame, result wire.Value) error {
-		vals, merr := rt.marshalVals(fr, []wire.Value{result})
-		if merr != nil {
+		one := [1]wire.Value{result}
+		vals := one[:]
+		if merr := rt.marshalVals(fr, vals); merr != nil {
 			return merr
 		}
 		enc, serr := wire.AppendValuesSlot(slot, vals)
@@ -917,17 +1025,16 @@ func (rt *Runtime) dispatchRelaySlot(class, relayName string, hash int64, argBuf
 // before the relay frame is released — result marshalling must happen
 // while the frame still retains the exports.
 func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte, parent *telemetry.Span, finish func(fr *frame, result wire.Value) error) error {
-	_, relay, err := rt.img.Lookup(classmodel.MethodRef{Class: class, Method: relayName})
-	if err != nil {
-		return err
+	relay := rt.link(class, relayName)
+	if relay.lookErr != nil {
+		return relay.lookErr
 	}
-	if !relay.Relay {
+	if !relay.method.Relay {
 		return fmt.Errorf("world: %s.%s is not a relay method", class, relayName)
 	}
-	target := relay.RelayFor
+	target := rt.link(class, relay.method.RelayFor)
 
-	fr := rt.newFrame()
-	fr.span = parent
+	fr := rt.newFrame(parent)
 	defer rt.releaseFrame(fr)
 
 	args, err := rt.unmarshalIn(fr, argBuf)
@@ -937,7 +1044,7 @@ func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte,
 
 	var result wire.Value
 	switch {
-	case target == classmodel.CtorName:
+	case target.ref.Method == classmodel.CtorName:
 		// Mirror instantiation: allocate the concrete object under the
 		// proxy's hash, run the constructor, and export a strong
 		// reference into the mirror–proxy registry. Allocation and the
@@ -967,26 +1074,24 @@ func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte,
 		self := wire.Ref(class, hash)
 		// The relay frame is passed through so the ctor body inherits
 		// the trace span (its null result adopts nothing).
-		if _, err := rt.dispatch(classmodel.MethodRef{Class: class, Method: target}, self, args, fr); err != nil {
+		if _, err := rt.dispatch(target, self, args, fr); err != nil {
 			return err
 		}
 		result = wire.Null()
 
 	default:
 		var self wire.Value
-		targetRef := classmodel.MethodRef{Class: class, Method: target}
-		_, tm, err := rt.img.Lookup(targetRef)
-		if err != nil {
-			return err
+		if target.lookErr != nil {
+			return target.lookErr
 		}
-		if !tm.Static {
+		if !target.method.Static {
 			// Resolve the mirror: it must still be registered.
 			if _, rerr := rt.resolve(fr, hash); rerr != nil {
 				return fmt.Errorf("%w: %s#%d", ErrStaleMirror, class, hash)
 			}
 			self = wire.Ref(class, hash)
 		}
-		result, err = rt.dispatch(targetRef, self, args, fr)
+		result, err = rt.dispatch(target, self, args, fr)
 		if err != nil {
 			return err
 		}

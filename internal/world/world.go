@@ -213,21 +213,8 @@ func NewPartitioned(opts Options, tImg, uImg *image.Image, iface *edl.File) (*Wo
 	w.iface = iface
 	w.buildOpts = opts
 	w.tImg, w.uImg = tImg, uImg
-	if err := w.initEnclave(opts, tImg); err != nil {
-		return nil, err
-	}
-	w.trusted, err = w.newRuntime("trusted", true, tImg, opts.TrustedHeap)
-	if err != nil {
-		return nil, err
-	}
-	w.untrusted, err = w.newRuntime("untrusted", false, uImg, opts.UntrustedHeap)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.initBoundary(); err != nil {
-		return nil, err
-	}
-	if err := w.runStaticInits(); err != nil {
+	// Nothing else can reach w yet, which is as good as holding stateMu.
+	if err := w.rebuildLocked(); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -239,6 +226,7 @@ func NewPartitioned(opts Options, tImg, uImg *image.Image, iface *edl.File) (*Wo
 func (w *World) initBoundary() error {
 	w.disp = boundary.NewDispatcher(w.enclave, w.clock)
 	w.disp.SetTelemetry(w.tel.Registry())
+	w.trusted.disp, w.untrusted.disp = w.disp, w.disp
 	if w.cfg.Switchless {
 		epool, err := w.enclave.StartSwitchless(w.cfg.SwitchlessWorkers)
 		if err != nil {
@@ -398,9 +386,10 @@ func (w *World) newRuntime(name string, trusted bool, img *image.Image, hc heap.
 		h   *heap.Heap
 		err error
 	)
+	encl := w.enclave
 	if trusted {
 		h, err = heap.New(hc, func(size int) (heap.Backend, error) {
-			return w.enclave.NewMemory(size)
+			return encl.NewMemory(size)
 		})
 	} else {
 		h, err = heap.NewPlain(hc)
@@ -412,6 +401,7 @@ func (w *World) newRuntime(name string, trusted bool, img *image.Image, hc heap.
 	if err != nil {
 		return nil, err
 	}
+	rt.encl = encl
 	if reg := w.tel.Registry(); reg != nil {
 		// Lock hold-time histogram of the registry's mutating critical
 		// sections — with the shard-wait gauges, the contention telemetry
@@ -419,7 +409,7 @@ func (w *World) newRuntime(name string, trusted bool, img *image.Image, hc heap.
 		rt.reg.SetHoldObserver(reg.Histogram("montsalvat_registry_lock_hold_ns").Observe)
 	}
 	if trusted {
-		rt.fs = shim.NewTrustedShim(w.enclave, w.hostFS)
+		rt.fs = shim.NewTrustedShim(encl, w.hostFS)
 	} else {
 		rt.fs = w.hostFS
 	}
@@ -439,7 +429,7 @@ func (w *World) runStaticInits() error {
 			if !rt.img.MethodCompiled(ref) {
 				continue
 			}
-			if _, err := rt.dispatch(ref, wire.Null(), nil, nil); err != nil {
+			if _, err := rt.dispatch(rt.link(ref.Class, ref.Method), wire.Null(), nil, nil); err != nil {
 				return fmt.Errorf("world: <clinit> of %s: %w", c.Name, err)
 			}
 		}
@@ -509,7 +499,7 @@ func (w *World) RunMain() (wire.Value, error) {
 	var result wire.Value
 	run := func() error {
 		var err error
-		result, err = rt.dispatch(classmodel.MethodRef{Class: prog.MainClass, Method: prog.MainMethod}, wire.Null(), nil, nil)
+		result, err = rt.dispatch(rt.link(prog.MainClass, prog.MainMethod), wire.Null(), nil, nil)
 		return err
 	}
 	if w.mode == ModeUnpartitionedSGX {
@@ -556,10 +546,9 @@ func (w *World) ExecSpan(trusted bool, sp *telemetry.Span, fn func(env classmode
 		return ErrWrongRuntime
 	}
 	run := func() error {
-		fr := rt.newFrame()
-		fr.span = sp
+		fr := rt.newFrame(sp)
 		defer rt.releaseFrame(fr)
-		return fn(&env{rt: rt, fr: fr})
+		return fn(fr)
 	}
 	if trusted && encl != nil {
 		return encl.Ecall(idExec, run)
@@ -592,7 +581,7 @@ func (w *World) StartGCHelpers() {
 			if rt.trusted {
 				// The trusted helper lives inside the enclave: one
 				// long-running ecall hosts its scan loop.
-				_ = w.enclave.Ecall(idGCHelper, func() error {
+				_ = rt.encl.Ecall(idGCHelper, func() error {
 					w.helperLoop(rt, interval)
 					return nil
 				})
@@ -637,8 +626,8 @@ func (w *World) SweepOnce(rt *Runtime) error {
 	if rt == nil {
 		return ErrWrongRuntime
 	}
-	if rt.trusted && w.enclave != nil {
-		return w.enclave.Ecall(idGCHelper, func() error { return w.sweep(rt) })
+	if rt.trusted && rt.encl != nil {
+		return rt.encl.Ecall(idGCHelper, func() error { return w.sweep(rt) })
 	}
 	return w.sweep(rt)
 }
@@ -660,7 +649,7 @@ func (w *World) sweep(rt *Runtime) error {
 	if len(dead) == 0 {
 		return nil
 	}
-	opposite := w.opposite(rt)
+	opposite := rt.peer
 	if opposite == nil {
 		return nil
 	}
@@ -668,7 +657,7 @@ func (w *World) sweep(rt *Runtime) error {
 	// flush runs any pending relay calls first — while their target
 	// mirrors are still registered — then the releases, all in one
 	// batched transition.
-	if w.batching && rt.queue != nil && w.enclave != nil {
+	if w.batching && rt.queue != nil && rt.encl != nil {
 		for _, hash := range dead {
 			if err := rt.queue.Enqueue(boundary.Entry{ID: idGCSweep, Method: gcReleaseMethod, Hash: hash}); err != nil {
 				return err
@@ -689,21 +678,14 @@ func (w *World) sweep(rt *Runtime) error {
 	}
 	// The removal message crosses the enclave boundary: the trusted
 	// helper ocalls out, the untrusted helper ecalls in.
-	if w.enclave != nil {
+	if rt.encl != nil {
 		sp := w.tel.Tracer().StartRoot("gc-sweep " + rt.name)
 		sp.SetBatchSize(len(dead))
-		err := w.disp.InvokeSpan(!rt.trusted, idGCSweep, false, sp, release)
+		err := rt.disp.InvokeSpan(!rt.trusted, idGCSweep, false, sp, release)
 		sp.Finish(err)
 		return err
 	}
 	return release()
-}
-
-func (w *World) opposite(rt *Runtime) *Runtime {
-	if rt == w.trusted {
-		return w.untrusted
-	}
-	return w.trusted
 }
 
 // batchRun builds rt's queue-flush callback: pack the drained batch
@@ -712,7 +694,7 @@ func (w *World) opposite(rt *Runtime) *Runtime {
 // one failing call does not stop the calls after it.
 func (w *World) batchRun(rt *Runtime) func([]boundary.Entry) error {
 	return func(entries []boundary.Entry) error {
-		to := w.opposite(rt)
+		to := rt.peer
 		if to == nil {
 			return ErrWrongRuntime
 		}
@@ -729,7 +711,7 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry) error {
 		// shared wakeups — adaptive batching without building (and MEE-
 		// copying) a coalesced frame. All-or-nothing: oversized or busy
 		// rings fall through to the frame path.
-		if w.enclave != nil && w.disp.HasRings(to.trusted) {
+		if rt.encl != nil && rt.disp.HasRings(to.trusted) {
 			rents := make([]ring.BatchEntry, len(entries))
 			for i := range entries {
 				e := entries[i]
@@ -743,7 +725,7 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry) error {
 					},
 				}
 			}
-			if ran, rerr := w.disp.InvokeRingBatch(to.trusted, rents); ran {
+			if ran, rerr := rt.disp.InvokeRingBatch(to.trusted, rents); ran {
 				sp.Finish(rerr)
 				for _, e := range entries {
 					w.bufs.Put(e.Args)
@@ -770,12 +752,12 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry) error {
 			return errors.Join(errs...)
 		}
 		var err error
-		if w.enclave != nil {
+		if rt.encl != nil {
 			// The frame crosses the boundary once, streaming through
 			// the MEE like any marshalled argument buffer.
 			w.clock.ChargeBytes(len(frame), simcfg.MEEBytesPerCycle)
 			w.meeBytes.Add(uint64(len(frame)))
-			err = w.disp.InvokeSpan(to.trusted, idBatch, false, sp, invoke)
+			err = rt.disp.InvokeSpan(to.trusted, idBatch, false, sp, invoke)
 		} else {
 			err = invoke()
 		}
@@ -840,8 +822,8 @@ func (w *World) flushQueue(rt *Runtime) error {
 	}
 	// The trusted runtime's flush calls out (an ocall); from outside the
 	// enclave, enter it first — like spawning one helper scan.
-	if rt.trusted && w.enclave != nil && !w.enclave.InEnclave() {
-		return w.enclave.Ecall(idExec, rt.queue.Flush)
+	if rt.trusted && rt.encl != nil && !rt.encl.InEnclave() {
+		return rt.encl.Ecall(idExec, rt.queue.Flush)
 	}
 	return rt.queue.Flush()
 }
