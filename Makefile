@@ -12,7 +12,7 @@ build:
 # Tier-1: full suite, vet, and a race pass over the trusted-memory data
 # path (mee, epc, heap, isolate: their scratch buffers are safe only
 # under the epc.Memory mutex and the isolate's serialisation) and the
-# boundary-crossing packages (worker-pool mailboxes, batching queues, and
+# boundary-crossing packages (ring consumers, batching queues, and
 # the telemetry instruments they all publish into are concurrent; wire
 # values share their payloads between copies, and the buffer pool,
 # the pooled activation records in world and the cached sealing cipher
@@ -33,7 +33,7 @@ bench:
 	$(GO) test -bench=. -benchmem -run=NONE .
 
 # Short-mode dispatch-layer assertions: transition counts and the >=30%
-# cycle-reduction bar for batched+switchless routing.
+# cycle-reduction bar for the batched+switchless mode.
 bench-smoke:
 	$(GO) test -run TestDispatchSmoke -v ./internal/bench/
 

@@ -7,8 +7,9 @@ import (
 	"testing"
 
 	"montsalvat/internal/cycles"
-	"montsalvat/internal/sgx"
+	"montsalvat/internal/ring"
 	"montsalvat/internal/simcfg"
+	"montsalvat/internal/telemetry"
 )
 
 // fakeTransport counts full transitions without charging anything.
@@ -36,165 +37,85 @@ func (t *fakeTransport) Ocall(id int, fn func() error) error {
 	return fn()
 }
 
-// fakePool serves or rejects switchless calls.
-type fakePool struct {
-	mu      sync.Mutex
-	calls   int
-	stopped bool
-	reject  error // returned without running fn when non-nil
-}
-
-func (p *fakePool) TryCall(id int, fn func() error) error {
-	p.mu.Lock()
-	if p.reject != nil {
-		err := p.reject
-		p.mu.Unlock()
-		return err
-	}
-	p.calls++
-	p.mu.Unlock()
-	return fn()
-}
-
-func (p *fakePool) Stop() {
-	p.mu.Lock()
-	p.stopped = true
-	p.mu.Unlock()
-}
-
 func TestDispatcherFullWithoutPools(t *testing.T) {
 	tr := newFakeTransport()
 	d := NewDispatcher(tr, nil)
-	if err := d.Invoke(true, 1, false, func() error { return nil }); err != nil {
+	if err := d.Invoke(true, 1, nil, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Invoke(false, 2, false, func() error { return nil }); err != nil {
+	if err := d.Invoke(false, 2, nil, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if tr.ecalls[1] != 1 || tr.ocalls[2] != 1 {
 		t.Fatalf("transport counts: %v %v", tr.ecalls, tr.ocalls)
 	}
-	st := d.Stats()
-	if st.FullCalls != 2 || st.SwitchlessCalls != 0 {
+	if st := d.Stats(); st.FullCalls != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
-func TestDispatcherRoutesShortCallsSwitchless(t *testing.T) {
-	tr := newFakeTransport()
-	epool, opool := &fakePool{}, &fakePool{}
-	d := NewDispatcher(tr, nil)
-	d.UsePools(epool, opool)
-	for i := 0; i < 5; i++ {
-		if err := d.Invoke(true, 1, false, func() error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Invoke(false, 2, false, func() error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if epool.calls != 5 || opool.calls != 5 {
-		t.Fatalf("pool calls = %d/%d, want 5/5", epool.calls, opool.calls)
-	}
-	if len(tr.ecalls)+len(tr.ocalls) != 0 {
-		t.Fatalf("unexpected full transitions: %v %v", tr.ecalls, tr.ocalls)
-	}
-	if st := d.Stats(); st.SwitchlessCalls != 10 || st.FullCalls != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestDispatcherLongFlagForcesFull(t *testing.T) {
-	tr := newFakeTransport()
-	epool := &fakePool{}
-	d := NewDispatcher(tr, nil)
-	d.UsePools(epool, nil)
-	if err := d.Invoke(true, 9, true, func() error { return nil }); err != nil {
+// TestDispatcherObservesBodyCycles: with a clock and the body-cycles
+// histogram attached, a transition reports what its body charged.
+func TestDispatcherObservesBodyCycles(t *testing.T) {
+	clk := cycles.New(simcfg.CPUHz, false)
+	reg := telemetry.NewRegistry()
+	d := NewDispatcher(newFakeTransport(), clk)
+	d.SetTelemetry(reg)
+	if err := d.Invoke(true, 5, nil, func() error { clk.Charge(700); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if epool.calls != 0 || tr.ecalls[9] != 1 {
-		t.Fatalf("long call touched the pool (%d) or skipped the transport (%v)", epool.calls, tr.ecalls)
-	}
-}
-
-func TestDispatcherAdaptivePolicy(t *testing.T) {
-	clk := cycles.New(simcfg.CPUHz, false)
-	tr := newFakeTransport()
-	epool := &fakePool{}
-	d := NewDispatcher(tr, clk)
-	d.UsePools(epool, nil)
-
-	// First call is optimistically switchless; its body then reveals a
-	// cost above the cutoff, so later calls take full transitions.
-	heavy := func() error {
-		clk.Charge(2 * simcfg.SwitchlessCutoffCycles)
-		return nil
-	}
-	for i := 0; i < 3; i++ {
-		if err := d.Invoke(true, 5, false, heavy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if epool.calls != 1 {
-		t.Fatalf("pool served %d heavy calls, want only the probe", epool.calls)
-	}
-	if tr.ecalls[5] != 2 {
-		t.Fatalf("full transitions = %d, want 2", tr.ecalls[5])
-	}
-	if cost := d.RoutineCost(5); cost < simcfg.SwitchlessCutoffCycles {
-		t.Fatalf("RoutineCost = %g, want above cutoff", cost)
-	}
-
-	// A cheap routine stays switchless throughout.
-	for i := 0; i < 3; i++ {
-		if err := d.Invoke(true, 6, false, func() error { return nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if epool.calls != 4 {
-		t.Fatalf("cheap routine not switchless: pool calls = %d", epool.calls)
-	}
-}
-
-func TestDispatcherFallsBackWhenPoolUnavailable(t *testing.T) {
-	for _, reject := range []error{sgx.ErrPoolBusy, sgx.ErrPoolStopped} {
-		tr := newFakeTransport()
-		epool := &fakePool{reject: reject}
-		d := NewDispatcher(tr, nil)
-		d.UsePools(epool, nil)
-		if err := d.Invoke(true, 3, false, func() error { return nil }); err != nil {
-			t.Fatalf("%v: %v", reject, err)
-		}
-		if tr.ecalls[3] != 1 {
-			t.Fatalf("%v: no full-transition fallback", reject)
-		}
-		if st := d.Stats(); st.FallbackCalls != 1 || st.FullCalls != 1 || st.SwitchlessCalls != 0 {
-			t.Fatalf("%v: stats = %+v", reject, st)
-		}
+	h := reg.Snapshot().Histograms["montsalvat_boundary_body_cycles"]
+	if h.Count != 1 || h.Sum != 700 {
+		t.Fatalf("body-cycles histogram = %+v, want one observation of 700", h)
 	}
 }
 
 func TestDispatcherPropagatesBodyError(t *testing.T) {
 	tr := newFakeTransport()
 	d := NewDispatcher(tr, nil)
-	d.UsePools(&fakePool{}, nil)
 	boom := errors.New("boom")
-	if err := d.Invoke(true, 1, false, func() error { return boom }); !errors.Is(err, boom) {
+	if err := d.Invoke(true, 1, nil, func() error { return boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	// Body errors are not pool-availability errors: no fallback retry.
-	if st := d.Stats(); st.SwitchlessCalls != 1 || st.FullCalls != 0 {
-		t.Fatalf("stats = %+v", st)
+	if st := d.Stats(); st.FullCalls != 1 || tr.ecalls[1] != 1 {
+		t.Fatalf("body error retried or lost: stats = %+v, ecalls = %v", st, tr.ecalls)
 	}
 }
 
+// TestDispatcherClose: the dispatcher owns its ring groups. A call rides
+// while they run; after Close the ring reports "didn't run", counted as
+// a ring fallback, and the caller's full transition still works.
 func TestDispatcherClose(t *testing.T) {
-	epool, opool := &fakePool{}, &fakePool{}
-	d := NewDispatcher(newFakeTransport(), nil)
-	d.UsePools(epool, opool)
+	echo := func(id int, req, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
+		return resp, false, nil
+	}
+	ecalls, err := ring.NewGroup(ring.Config{Workers: 1, Slots: 4, SlotBytes: 64}, nil, echo, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newFakeTransport()
+	d := NewDispatcher(tr, nil)
+	d.UseRings(ecalls, nil)
+	ride := func() (bool, error) {
+		return d.InvokeRing(true, 1, 1, nil,
+			func(slot []byte) ([]byte, error) { return append(slot, 'x'), nil },
+			func([]byte) error { return nil })
+	}
+	if ran, err := ride(); !ran || err != nil {
+		t.Fatalf("live ring: ran=%v err=%v", ran, err)
+	}
+	if ran, err := d.InvokeRing(false, 1, 1, nil, nil, nil); ran || err != nil {
+		t.Fatalf("direction without a group: ran=%v err=%v", ran, err)
+	}
 	d.Close()
-	if !epool.stopped || !opool.stopped {
-		t.Fatal("Close did not stop the pools")
+	if ran, err := ride(); ran || err != nil {
+		t.Fatalf("closed ring: ran=%v err=%v, want a silent fallback", ran, err)
+	}
+	if rs := d.RingStats(); rs.RingCalls != 1 || rs.RingFallbacks != 1 {
+		t.Fatalf("ring stats = %+v, want 1 call, 1 fallback", rs)
+	}
+	if err := d.Invoke(true, 1, nil, func() error { return nil }); err != nil || tr.ecalls[1] != 1 {
+		t.Fatalf("full transition after Close: err=%v ecalls=%v", err, tr.ecalls)
 	}
 }
 

@@ -8,17 +8,17 @@ import (
 	"montsalvat/internal/telemetry"
 )
 
-// Ring routing: the zero-copy data plane (internal/ring) is a third
-// route next to "switchless" and "full". Unlike those, it is not a
-// transition at all — the payload is encoded straight into a shared
-// slot, sealed in place, and served by a resident consumer — so the
-// dispatcher only arbitrates WHETHER a call may ride a ring and keeps
-// the routing counters; the payload mechanics stay in the world layer's
-// fill/done callbacks and the ring package. Any reason a call cannot
-// ride (no group attached, payload over the slot capacity, every
-// producer busy, group stopped) reports "didn't run" and the caller
-// falls through to Invoke's frame path, mirroring the switchless
-// fallback discipline that keeps nested relay chains deadlock-free.
+// Ring routing: the zero-copy data plane (internal/ring) is the route
+// beside the full transition. It is not a transition at all — the
+// payload is encoded straight into a shared slot, sealed in place, and
+// served by a resident consumer — so the dispatcher only arbitrates
+// WHETHER a call may ride a ring and keeps the routing counters; the
+// payload mechanics stay in the world layer's fill/done callbacks and
+// the ring package. Any reason a call cannot ride (no group attached,
+// payload over the slot capacity, every producer busy, group stopped)
+// reports "didn't run" and the caller falls through to Invoke's frame
+// path; never waiting for a ring keeps nested relay chains
+// deadlock-free.
 
 // RingStats counts ring-route outcomes at the dispatcher level.
 type RingStats struct {
@@ -58,7 +58,7 @@ func (d *Dispatcher) HasRings(in bool) bool {
 // encodes the request directly into the slot, done receives the opened
 // response in place. need is the exact encoded request size. The bool
 // reports whether the ring carried the call — (false, nil) means
-// nothing ran and the caller must fall back to InvokeSpan; when true,
+// nothing ran and the caller must fall back to Invoke; when true,
 // the error is the remote handler's (or done's).
 func (d *Dispatcher) InvokeRing(in bool, id, need int, sp *telemetry.Span, fill func(slot []byte) ([]byte, error), done func(resp []byte) error) (bool, error) {
 	g := d.rings(in)

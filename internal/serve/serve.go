@@ -326,7 +326,17 @@ func (srv *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		// Shutdown sets draining and then takes srv.mu before it waits on
+		// connWG, so a connection accepted as the listener closes either
+		// joins the group before that Wait or is dropped here.
+		srv.mu.Lock()
+		if srv.draining.Load() {
+			srv.mu.Unlock()
+			_ = conn.Close()
+			return nil
+		}
 		srv.connWG.Add(1)
+		srv.mu.Unlock()
 		go func() {
 			defer srv.connWG.Done()
 			srv.handleConn(conn)
@@ -547,7 +557,13 @@ func (srv *Server) handshake(conn net.Conn) (*session, error) {
 		return nil, fmt.Errorf("%w: ecdh: %v", ErrHandshake, err)
 	}
 	report := transcriptHash(clientPub, priv.PublicKey().Bytes(), nonce)
-	quote, err := srv.opts.Platform.Quote(srv.w.Enclave(), report)
+	encl := srv.w.Enclave()
+	if encl == nil {
+		// The world was killed under the gateway (a fabric kill tears
+		// the enclave down before it closes the listener).
+		return nil, fmt.Errorf("%w: no enclave to attest", ErrHandshake)
+	}
+	quote, err := srv.opts.Platform.Quote(encl, report)
 	if err != nil {
 		return nil, fmt.Errorf("%w: quote: %v", ErrHandshake, err)
 	}

@@ -111,6 +111,28 @@ func slowProgram(t *testing.T) *classmodel.Program {
 	return p
 }
 
+// TestServeHandshakeOnKilledWorld: a fabric kill destroys the enclave
+// before it closes the gateway's listener, so a dial can land in
+// between. It must fail as a handshake failure, not crash the gateway on
+// the missing enclave.
+func TestServeHandshakeOnKilledWorld(t *testing.T) {
+	srv, addr, cfg := startServer(t, demo.MustKVProgram(), Options{})
+	srv.w.Kill()
+	if c, err := Dial(addr, cfg); !errors.Is(err, ErrHandshake) {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("dial on a killed world: %v, want ErrHandshake", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().HandshakeFailures != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("handshake failures = %d, want 1", srv.Stats().HandshakeFailures)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestServeKVSession drives one attested session end to end: create a
 // store, put/get through the enclave, release, close.
 func TestServeKVSession(t *testing.T) {

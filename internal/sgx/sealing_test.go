@@ -3,7 +3,6 @@ package sgx
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 
 	"montsalvat/internal/cycles"
@@ -160,87 +159,5 @@ func TestSealRequiresInit(t *testing.T) {
 	}
 	if _, err := e.Seal(testSecret(t), SealToMRENCLAVE, []byte("x"), nil); !errors.Is(err, ErrNotInitialized) {
 		t.Fatalf("err = %v, want ErrNotInitialized", err)
-	}
-}
-
-func TestSwitchlessPool(t *testing.T) {
-	e, clk := initializedEnclave(t, []byte("sw image"))
-	before := clk.Total()
-	pool, err := e.StartSwitchless(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startup := clk.Total() - before
-
-	// Calls run inside the enclave (ocalls are legal) at switchless cost.
-	before = clk.Total()
-	const calls = 50
-	for i := 0; i < calls; i++ {
-		ran := false
-		err := pool.Call(7, func() error {
-			ran = true
-			return e.Ocall(8, func() error { return nil })
-		})
-		if err != nil {
-			t.Fatalf("Call %d: %v", i, err)
-		}
-		if !ran {
-			t.Fatal("body did not run")
-		}
-	}
-	perCall := (clk.Total() - before - calls*simcfg.OcallCycles) / calls
-	if perCall != simcfg.SwitchlessCallCycles {
-		t.Fatalf("per-call cost = %d cycles, want %d", perCall, simcfg.SwitchlessCallCycles)
-	}
-	// Workers paid their one-time entry ecalls.
-	if startup < 2*int64(simcfg.EcallCycles) {
-		t.Fatalf("startup charged %d, want >= 2 ecalls", startup)
-	}
-
-	// Errors propagate.
-	wantErr := errors.New("boom")
-	if err := pool.Call(7, func() error { return wantErr }); !errors.Is(err, wantErr) {
-		t.Fatalf("err = %v", err)
-	}
-
-	// Stats count switchless calls as ecalls per routine id.
-	if got := e.Stats().EcallsByID[7]; got != calls+1 {
-		t.Fatalf("EcallsByID[7] = %d, want %d", got, calls+1)
-	}
-
-	pool.Stop()
-	if err := pool.Call(7, func() error { return nil }); !errors.Is(err, ErrPoolStopped) {
-		t.Fatalf("after stop: %v", err)
-	}
-	// Stop is idempotent and releases the TCS slots: a regular ecall
-	// still works.
-	pool.Stop()
-	if err := e.Ecall(1, func() error { return nil }); err != nil {
-		t.Fatalf("ecall after pool stop: %v", err)
-	}
-}
-
-func TestSwitchlessConcurrentCallers(t *testing.T) {
-	e, _ := initializedEnclave(t, []byte("sw image"))
-	pool, err := e.StartSwitchless(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Stop()
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- pool.Call(1, func() error { return nil })
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 }

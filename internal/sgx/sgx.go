@@ -122,13 +122,13 @@ const (
 
 // Stats holds enclave transition and memory counters.
 type Stats struct {
-	// Ecalls and Ocalls count completed transitions, including
-	// switchless calls served by resident worker pools.
+	// Ecalls and Ocalls count completed transitions, including the
+	// entries of resident ring consumers (EnterResident).
 	Ecalls uint64
 	Ocalls uint64
-	// SwitchlessEcalls and SwitchlessOcalls count the subset of the
-	// above that went through a switchless mailbox (charged
-	// simcfg.SwitchlessCallCycles instead of a full transition).
+	// SwitchlessEcalls and SwitchlessOcalls are always 0: the mailbox
+	// that counted them is gone. benchmark/layers.go still reads them;
+	// remove with the next benchmark PR.
 	SwitchlessEcalls uint64
 	SwitchlessOcalls uint64
 	// EcallsByID and OcallsByID break transitions down per edge routine.
@@ -162,11 +162,9 @@ type Enclave struct {
 
 	tcs chan struct{}
 
-	depth    atomic.Int64 // current nesting of enclave execution
-	ecalls   atomic.Uint64
-	ocalls   atomic.Uint64
-	swEcalls atomic.Uint64
-	swOcalls atomic.Uint64
+	depth  atomic.Int64 // current nesting of enclave execution
+	ecalls atomic.Uint64
+	ocalls atomic.Uint64
 }
 
 // Create performs ECREATE: a new enclave shell with empty measurement.
@@ -336,6 +334,30 @@ func (e *Enclave) Ocall(id int, fn func() error) error {
 	return fn()
 }
 
+// EnterResident establishes long-lived enclave residency for the
+// calling goroutine: it takes a TCS slot, charges one entry transition,
+// and marks the goroutine as executing inside the enclave (so nested
+// ocalls are legal). The returned leave releases the slot; it is
+// idempotent. The ring data plane uses this for its trusted-side
+// resident consumers, which poll shared memory.
+func (e *Enclave) EnterResident() (func(), error) {
+	if err := e.checkRunnable(); err != nil {
+		return nil, err
+	}
+	<-e.tcs
+	e.clock.Charge(e.cfg.TransitionCycles(true))
+	e.ecalls.Add(1)
+	e.depth.Add(1)
+	var once sync.Once
+	leave := func() {
+		once.Do(func() {
+			e.depth.Add(-1)
+			e.tcs <- struct{}{}
+		})
+	}
+	return leave, nil
+}
+
 // InEnclave reports whether any enclave thread is currently executing.
 func (e *Enclave) InEnclave() bool { return e.depth.Load() > 0 }
 
@@ -343,7 +365,7 @@ func (e *Enclave) InEnclave() bool { return e.depth.Load() > 0 }
 func (e *Enclave) TCSCap() int { return cap(e.tcs) }
 
 // TCSInUse returns how many TCS slots are currently held — by in-flight
-// ecalls and by resident switchless workers pinning a slot each.
+// ecalls and by resident ring consumers pinning a slot each.
 func (e *Enclave) TCSInUse() int { return cap(e.tcs) - len(e.tcs) }
 
 // NewMemory allocates an encrypted memory region of the given size inside
@@ -386,15 +408,13 @@ func (e *Enclave) Stats() Stats {
 	heap := e.heapInUse
 	e.mu.Unlock()
 	return Stats{
-		Ecalls:           e.ecalls.Load(),
-		Ocalls:           e.ocalls.Load(),
-		SwitchlessEcalls: e.swEcalls.Load(),
-		SwitchlessOcalls: e.swOcalls.Load(),
-		EcallsByID:       ecallsByID,
-		OcallsByID:       ocallsByID,
-		HeapBytesInUse:   heap,
-		Residency:        e.res.Stats(),
-		MEE:              e.eng.Stats(),
+		Ecalls:         e.ecalls.Load(),
+		Ocalls:         e.ocalls.Load(),
+		EcallsByID:     ecallsByID,
+		OcallsByID:     ocallsByID,
+		HeapBytesInUse: heap,
+		Residency:      e.res.Stats(),
+		MEE:            e.eng.Stats(),
 	}
 }
 

@@ -101,6 +101,9 @@ func TestInitRejectsForgedSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Forge a copy: Sign memoizes the SIGSTRUCT, and the shared test
+	// signer would hand the flipped bytes to every later test and -count.
+	ss.Signature = append([]byte(nil), ss.Signature...)
 	ss.Signature[0] ^= 0xff
 	if err := e.Init(ss); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("err = %v, want ErrBadSignature", err)
@@ -180,6 +183,47 @@ func TestSwitchlessModeIsCheaper(t *testing.T) {
 	}
 	if got := clk.Total() - before; got != simcfg.SwitchlessCallCycles {
 		t.Fatalf("switchless ecall charged %d, want %d", got, simcfg.SwitchlessCallCycles)
+	}
+}
+
+// TestEnterResident: each residency takes one TCS slot and charges one
+// entry, ocalls are legal while resident, leave is idempotent, and a
+// destroyed enclave admits no new resident.
+func TestEnterResident(t *testing.T) {
+	e, clk := initializedEnclave(t, []byte("img"))
+	var leaves []func()
+	for n := 1; n <= 2; n++ {
+		before := clk.Total()
+		leave, err := e.EnterResident()
+		if err != nil {
+			t.Fatalf("EnterResident %d: %v", n, err)
+		}
+		leaves = append(leaves, leave)
+		if got := clk.Total() - before; got != simcfg.EcallCycles {
+			t.Fatalf("residency %d charged %d cycles, want %d", n, got, simcfg.EcallCycles)
+		}
+		if got := e.TCSInUse(); got != n {
+			t.Fatalf("TCS in use = %d after %d residencies", got, n)
+		}
+		if got := e.Stats().Ecalls; got != uint64(n) {
+			t.Fatalf("Ecalls = %d after %d residencies", got, n)
+		}
+	}
+	if err := e.Ocall(2, func() error { return nil }); err != nil {
+		t.Fatalf("ocall from a resident thread: %v", err)
+	}
+	leaves[0]()
+	leaves[0]()
+	if got := e.TCSInUse(); got != 1 {
+		t.Fatalf("TCS in use = %d after leaving once (twice called), want 1", got)
+	}
+	leaves[1]()
+	if e.InEnclave() || e.TCSInUse() != 0 {
+		t.Fatalf("still inside after both left: in=%v tcs=%d", e.InEnclave(), e.TCSInUse())
+	}
+	e.Destroy()
+	if _, err := e.EnterResident(); !errors.Is(err, ErrDestroyed) {
+		t.Fatalf("EnterResident after Destroy: %v, want ErrDestroyed", err)
 	}
 }
 

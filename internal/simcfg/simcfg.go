@@ -43,9 +43,10 @@ const (
 	// cycles for the exit path).
 	OcallCycles = 8600
 
-	// SwitchlessCallCycles models the future-work switchless-call mode
-	// (§7, citing [51]): a worker-thread mailbox avoids the context
-	// switch, leaving only cross-core cache-coherence latency.
+	// SwitchlessCallCycles is the transition cost of the future-work
+	// switchless-call mode (§7, citing [51]): a worker-thread mailbox
+	// avoids the context switch, leaving only cross-core cache-coherence
+	// latency. Only the cost is modelled; see Config.Switchless.
 	SwitchlessCallCycles = 1200
 
 	// EPCPageEvictCycles is the cost of evicting one EPC page (EWB):
@@ -85,32 +86,10 @@ const (
 	EnclaveSerializeFactor    = 3.5
 )
 
-// Boundary dispatch layer constants (internal/boundary): adaptive
-// switchless routing and transition batching on the proxy-call hot path.
-const (
-	// DefaultSwitchlessWorkers is the resident-worker count per pool
-	// direction when Config.SwitchlessWorkers is unset. The SDK default
-	// is a small number of workers per direction; two suffice for the
-	// evaluation workloads without wasting TCS slots.
-	DefaultSwitchlessWorkers = 2
-
-	// SwitchlessCutoffCycles is the adaptive-routing threshold: routines
-	// whose moving-average body cost exceeds this keep full transitions,
-	// because a resident worker blocked on a long call (GC helper, bulk
-	// I/O) starves the mailbox. Set a few times the full round-trip
-	// transition cost, so only genuinely long calls are excluded.
-	SwitchlessCutoffCycles = 50_000
-
-	// SwitchlessEWMAWeight is the weight of the newest observation in
-	// the per-routine exponentially-weighted moving average of body
-	// cycles used by the adaptive routing policy.
-	SwitchlessEWMAWeight = 0.25
-
-	// DefaultBatchWatermark is the queue depth at which pending
-	// result-independent relay calls are flushed in one batched
-	// transition when Config.BatchWatermark is unset.
-	DefaultBatchWatermark = 32
-)
+// BatchFlushDepth is the queue depth at which pending
+// result-independent relay calls are flushed in one batched transition
+// (internal/boundary.Queue).
+const BatchFlushDepth = 32
 
 // Zero-copy ring data plane constants (internal/ring): per-worker
 // shared-memory SPSC submission/completion rings replacing the
@@ -143,8 +122,8 @@ const (
 
 	// DefaultRingWorkers is the number of SPSC rings (each with one
 	// resident consumer worker) per direction when Config.RingWorkers is
-	// unset — mirroring DefaultSwitchlessWorkers, since trusted-side
-	// consumers pin TCS slots just like switchless workers.
+	// unset: a small number, since each trusted-side consumer pins a TCS
+	// slot, and two suffice for the evaluation workloads.
 	DefaultRingWorkers = 2
 
 	// DefaultRingSlots is the submission-queue depth per ring when
@@ -210,25 +189,16 @@ type Config struct {
 	EcallCycles int64
 	OcallCycles int64
 
-	// Switchless enables the reduced-cost transition mode (§7 future
-	// work); when true both transition directions cost
-	// SwitchlessCallCycles, and partitioned worlds start resident
-	// switchless worker pools in both directions with the boundary
-	// dispatch layer routing short relay calls through them.
+	// Switchless selects the reduced-cost transition model (§7 future
+	// work): both transition directions cost SwitchlessCallCycles. It is
+	// a cost model only — calls still cross with one Ecall or Ocall.
 	Switchless bool
-
-	// SwitchlessWorkers sizes each resident worker pool when Switchless
-	// is set (<=0 means DefaultSwitchlessWorkers).
-	SwitchlessWorkers int
 
 	// Batching coalesces result-independent relay calls (void-returning
 	// proxy calls, registry releases) into single batched transitions,
-	// flushed on result dependency, the watermark, or World.Flush.
+	// flushed on result dependency, at BatchFlushDepth pending calls, or
+	// by World.Flush.
 	Batching bool
-
-	// BatchWatermark is the pending-call count that triggers a batch
-	// flush (<=0 means DefaultBatchWatermark).
-	BatchWatermark int
 
 	// Rings enables the zero-copy ring data plane: partitioned worlds
 	// start per-worker SPSC submission/completion rings in both

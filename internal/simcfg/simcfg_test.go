@@ -1,0 +1,49 @@
+package simcfg
+
+import "testing"
+
+func TestTransitionCycles(t *testing.T) {
+	switchless := Default()
+	switchless.Switchless = true
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		in, out int64
+	}{
+		{"default", Default(), 13_100, 8_600},
+		{"switchless", switchless, 1_200, 1_200},
+	} {
+		if got := tc.cfg.TransitionCycles(true); got != tc.in {
+			t.Errorf("%s: entering costs %d cycles, want %d", tc.name, got, tc.in)
+		}
+		if got := tc.cfg.TransitionCycles(false); got != tc.out {
+			t.Errorf("%s: exiting costs %d cycles, want %d", tc.name, got, tc.out)
+		}
+	}
+}
+
+func TestPresets(t *testing.T) {
+	const epc = 93*1024*1024 + 512*1024 // §6.1: 93.5 MB usable
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		spin bool
+	}{
+		{"Default", Default(), false},
+		{"ForBench", ForBench(), true},
+		{"ForTest", ForTest(), false},
+	} {
+		if tc.cfg.EPCBytes != epc {
+			t.Errorf("%s: EPC = %d bytes, want %d", tc.name, tc.cfg.EPCBytes, epc)
+		}
+		if tc.cfg.Spin != tc.spin {
+			t.Errorf("%s: Spin = %v, want %v", tc.name, tc.cfg.Spin, tc.spin)
+		}
+		if tc.cfg.Switchless || tc.cfg.Batching || tc.cfg.Rings {
+			t.Errorf("%s: a crossing lever is on by default: %+v", tc.name, tc.cfg)
+		}
+		if tc.cfg.CPUHz != CPUHz || tc.cfg.GCHelperInterval <= 0 {
+			t.Errorf("%s: CPUHz = %g, GCHelperInterval = %v", tc.name, tc.cfg.CPUHz, tc.cfg.GCHelperInterval)
+		}
+	}
+}

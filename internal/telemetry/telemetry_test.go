@@ -278,7 +278,7 @@ func TestTracerConcurrentPublish(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				sp := tr.StartRoot("load")
-				sp.SetRoute("switchless")
+				sp.SetRoute("ring")
 				sp.Finish(nil)
 			}
 		}()
@@ -292,7 +292,7 @@ func TestTracerConcurrentPublish(t *testing.T) {
 func TestWritePrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("montsalvat_boundary_calls_total", "route", "full").Add(3)
-	reg.Counter("montsalvat_boundary_calls_total", "route", "switchless").Add(7)
+	reg.Counter("montsalvat_boundary_calls_total", "route", "ring").Add(7)
 	reg.Gauge("montsalvat_sgx_tcs_in_use").Set(2)
 	h := reg.Histogram("montsalvat_serve_request_ns")
 	h.Observe(10)
@@ -309,7 +309,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE montsalvat_boundary_calls_total counter",
 		`montsalvat_boundary_calls_total{route="full"} 3`,
-		`montsalvat_boundary_calls_total{route="switchless"} 7`,
+		`montsalvat_boundary_calls_total{route="ring"} 7`,
 		"# TYPE montsalvat_sgx_tcs_in_use gauge",
 		"montsalvat_sgx_tcs_in_use 2",
 		"# TYPE montsalvat_serve_request_ns histogram",

@@ -27,9 +27,9 @@ type Span struct {
 	Name string `json:"name"`
 	// Dir is the transition direction: "ecall" or "ocall".
 	Dir string `json:"dir,omitempty"`
-	// Route records the dispatcher's decision: "switchless", "full",
-	// "fallback-full" (wanted switchless, pool saturated), or
-	// "batched".
+	// Route records the dispatcher's decision: "ring" or "full"
+	// ("ring-fallback" only while a call that found every ring producer
+	// busy is on its way to the full transition).
 	Route string `json:"route,omitempty"`
 	// RoutineID is the EDL routine id of the transition.
 	RoutineID int `json:"routine_id,omitempty"`

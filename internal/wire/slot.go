@@ -7,20 +7,20 @@ import (
 )
 
 // This file is the wire vocabulary of the zero-copy ring data plane
-// (internal/ring): fixed-capacity "slot" encoding variants and the
+// (internal/ring): the fixed-capacity "slot" encoder and the
 // single-call submission format.
 //
 // A ring slot is a fixed region of untrusted shared memory. Encoding
 // into it must never reallocate — a grown slice would silently point at
 // private Go memory instead of the slot, defeating the zero-copy path
-// and the in-place seal that follows. The *Slot variants therefore
-// check the exact precomputed size (Size/SizeValues/FrameSize) against
-// the slot's remaining capacity up front and fail with ErrSlotFull
-// instead of growing.
+// and the in-place seal that follows. AppendValuesSlot therefore checks
+// the exact precomputed size (SizeValues) against the slot's remaining
+// capacity up front and fails with ErrSlotFull instead of growing; a
+// submission is sized with CallSize before a slot is claimed for it.
 
-// ErrSlotFull is returned by the slot-encoding variants when the
-// encoded payload would exceed the slot's fixed capacity. Callers fall
-// back to the (growable, pooled) frame path.
+// ErrSlotFull is returned by AppendValuesSlot when the encoded payload
+// would exceed the slot's fixed capacity. Callers fall back to the
+// (growable, pooled) frame path.
 var ErrSlotFull = errors.New("wire: encoded payload exceeds slot capacity")
 
 // AppendValuesSlot is AppendValues into a fixed-capacity slot buffer:
@@ -33,15 +33,6 @@ func AppendValuesSlot(slot []byte, vs []Value) ([]byte, error) {
 		return slot, ErrSlotFull
 	}
 	return AppendValues(slot, vs), nil
-}
-
-// AppendFrameSlot is AppendFrame into a fixed-capacity slot buffer,
-// with the same no-reallocation guarantee as AppendValuesSlot.
-func AppendFrameSlot(slot []byte, calls []FrameCall) ([]byte, error) {
-	if FrameSize(calls) > cap(slot)-len(slot) {
-		return slot, ErrSlotFull
-	}
-	return AppendFrame(slot, calls), nil
 }
 
 // Ring-call header flags.
@@ -81,23 +72,8 @@ func AppendCallHeader(dst []byte, class, method string, hash int64, flags byte, 
 	return dst
 }
 
-// AppendCallSlot encodes one complete ring submission — header plus
-// argument vector — into a fixed-capacity slot buffer with zero
-// intermediate copies: the arguments are encoded in place after the
-// header, whose length prefix comes from the exact-size precompute.
-// Returns ErrSlotFull, without writing, when the submission does not
-// fit.
-func AppendCallSlot(slot []byte, class, method string, hash int64, flags byte, args []Value) ([]byte, error) {
-	argsLen := SizeValues(args)
-	if CallSize(class, method, hash, argsLen) > cap(slot)-len(slot) {
-		return slot, ErrSlotFull
-	}
-	slot = AppendCallHeader(slot, class, method, hash, flags, argsLen)
-	return AppendValues(slot, args), nil
-}
-
-// DecodeCall decodes a ring submission produced by AppendCallSlot (or
-// AppendCallHeader + argument bytes). The returned args slice ALIASES
+// DecodeCall decodes a ring submission: an AppendCallHeader header
+// followed by its argument bytes. The returned args slice ALIASES
 // buf — the zero-copy read side — so it is valid only until the slot is
 // reused; class and method are copies.
 func DecodeCall(buf []byte) (class, method string, hash int64, flags byte, args []byte, err error) {

@@ -127,19 +127,11 @@ func TestAppendValuesSlotFull(t *testing.T) {
 	}
 }
 
-func TestAppendFrameSlot(t *testing.T) {
-	calls := []FrameCall{{Class: "C", Method: "m", Hash: 5, Args: []byte{1, 2}}}
-	slot := make([]byte, 0, FrameSize(calls))
-	out, err := AppendFrameSlot(slot, calls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, AppendFrame(nil, calls)) {
-		t.Fatal("slot frame differs from plain frame")
-	}
-	if _, err := AppendFrameSlot(make([]byte, 0, 3), calls); !errors.Is(err, ErrSlotFull) {
-		t.Fatalf("got %v, want ErrSlotFull", err)
-	}
+// appendCall builds one ring submission the way the world layer fills a
+// slot: the header, then the argument vector encoded in place behind it.
+func appendCall(slot []byte, class, method string, hash int64, flags byte, args []Value) []byte {
+	slot = AppendCallHeader(slot, class, method, hash, flags, SizeValues(args))
+	return AppendValues(slot, args)
 }
 
 func TestCallSlotRoundTrip(t *testing.T) {
@@ -147,12 +139,12 @@ func TestCallSlotRoundTrip(t *testing.T) {
 	argsLen := SizeValues(args)
 	need := CallSize("app.Obj", "relay$get", -3, argsLen)
 	slot := make([]byte, 0, need)
-	buf, err := AppendCallSlot(slot, "app.Obj", "relay$get", -3, CallWantResult, args)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := appendCall(slot, "app.Obj", "relay$get", -3, CallWantResult, args)
 	if len(buf) != need {
 		t.Fatalf("encoded %d bytes, CallSize says %d", len(buf), need)
+	}
+	if &buf[0] != &slot[0:1][0] {
+		t.Fatal("submission sized by CallSize reallocated out of its slot")
 	}
 	class, method, hash, flags, argBytes, err := DecodeCall(buf)
 	if err != nil {
@@ -179,18 +171,8 @@ func TestCallSlotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAppendCallSlotFull(t *testing.T) {
-	args := []Value{Bytes(make([]byte, 200))}
-	if _, err := AppendCallSlot(make([]byte, 0, 64), "C", "m", 1, 0, args); !errors.Is(err, ErrSlotFull) {
-		t.Fatalf("got %v, want ErrSlotFull", err)
-	}
-}
-
 func TestDecodeCallCorrupt(t *testing.T) {
-	good, err := AppendCallSlot(make([]byte, 0, 64), "C", "m", 7, CallWantResult, []Value{Int(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := appendCall(nil, "C", "m", 7, CallWantResult, []Value{Int(1)})
 	for _, tc := range [][]byte{
 		nil,
 		good[:1],

@@ -7,12 +7,13 @@ import (
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/core"
 	"montsalvat/internal/demo"
+	"montsalvat/internal/simcfg"
 	"montsalvat/internal/wire"
 	"montsalvat/internal/world"
 )
 
 // batchingWorld builds the partitioned bank app with transition batching
-// enabled (and optionally switchless worker pools).
+// enabled (and optionally the switchless transition cost).
 func batchingWorld(t *testing.T, switchless bool) *world.World {
 	t.Helper()
 	opts := world.DefaultOptions()
@@ -243,24 +244,29 @@ func TestSweepBatchesReleases(t *testing.T) {
 	}
 }
 
-// TestSwitchlessEndToEnd: with worker pools on, proxy calls are served
-// through the mailbox instead of full transitions.
+// TestSwitchlessEndToEnd: the bank program runs on the Switchless +
+// Batching world, and every transition of the run is charged
+// SwitchlessCallCycles — the run differs from the same run at regular
+// transition cost by exactly that price difference per ecall and ocall.
 func TestSwitchlessEndToEnd(t *testing.T) {
-	w := batchingWorld(t, true)
-	result, err := w.RunMain()
-	if err != nil {
-		t.Fatal(err)
+	run := func(switchless bool) world.Stats {
+		w := batchingWorld(t, switchless)
+		result, err := w.RunMain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBankResult(t, result)
+		return w.Stats()
 	}
-	wantBankResult(t, result)
-	ds := w.DispatchStats()
-	if ds.SwitchlessCalls == 0 {
-		t.Fatalf("no switchless calls: %+v", ds)
+	sw, full := run(true), run(false)
+	if sw.Enclave.Ecalls == 0 || sw.Enclave.Ecalls != full.Enclave.Ecalls || sw.Enclave.Ocalls != full.Enclave.Ocalls {
+		t.Fatalf("transitions differ: switchless %d/%d, regular %d/%d",
+			sw.Enclave.Ecalls, sw.Enclave.Ocalls, full.Enclave.Ecalls, full.Enclave.Ocalls)
 	}
-	if ds.SwitchlessEcalls == 0 {
-		t.Fatalf("enclave saw no switchless ecalls: %+v", ds)
-	}
-	if ds.SwitchlessCalls != ds.SwitchlessEcalls+ds.SwitchlessOcalls {
-		t.Fatalf("dispatcher (%d) and enclave (%d+%d) disagree on switchless calls",
-			ds.SwitchlessCalls, ds.SwitchlessEcalls, ds.SwitchlessOcalls)
+	saved := int64(sw.Enclave.Ecalls)*(simcfg.EcallCycles-simcfg.SwitchlessCallCycles) +
+		int64(sw.Enclave.Ocalls)*(simcfg.OcallCycles-simcfg.SwitchlessCallCycles)
+	if got := full.Cycles - sw.Cycles; got != saved {
+		t.Fatalf("switchless run is %d cycles cheaper, want %d (%d ecalls, %d ocalls at %d each)",
+			got, saved, sw.Enclave.Ecalls, sw.Enclave.Ocalls, simcfg.SwitchlessCallCycles)
 	}
 }

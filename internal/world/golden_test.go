@@ -21,6 +21,8 @@ import (
 // what Alloc + WriteData encrypted twice.
 type ledger struct {
 	Cycles         int64
+	Ecalls         uint64
+	Ocalls         uint64
 	PageFaults     uint64
 	Evictions      uint64
 	Collections    uint64
@@ -35,6 +37,8 @@ func ledgerOf(w *world.World) ledger {
 	hs := w.Trusted().HeapStats()
 	return ledger{
 		Cycles:         w.Clock().Total(),
+		Ecalls:         es.Ecalls,
+		Ocalls:         es.Ocalls,
 		PageFaults:     es.Residency.PageFaults,
 		Evictions:      es.Residency.Evictions,
 		Collections:    hs.Collections,
@@ -62,7 +66,7 @@ func goldenWorld(t *testing.T, epcPages int, trusted heap.Config) *world.World {
 // TestCycleLedgerGolden pins the simulated-cost ledger of fixed op
 // streams to the values the line-at-a-time data path produced (commit
 // 937f023, before the line-run kernel); its LinesEncrypted are quoted
-// beside today's. Where the EPC is a few pages against a trusted heap of
+// beside today's. Ecalls and Ocalls are those of commit c25050b. Where the EPC is a few pages against a trusted heap of
 // megabytes, the order of page touches — not only their number — decides
 // the fault and eviction counts. Evacuation order follows Go map order
 // over the roots, so streams that collect under such an EPC keep one root.
@@ -72,7 +76,7 @@ func TestCycleLedgerGolden(t *testing.T) {
 		if _, err := w.RunMain(); err != nil {
 			t.Fatalf("RunMain: %v", err)
 		}
-		checkLedger(t, ledgerOf(w), ledger{Cycles: 19238358, PageFaults: 506, Evictions: 502,
+		checkLedger(t, ledgerOf(w), ledger{Cycles: 19238358, Ecalls: 302, Ocalls: 101, PageFaults: 506, Evictions: 502,
 			MEECopiedBytes: 12549, LinesEncrypted: 2387 /* was 2773 */})
 	})
 
@@ -109,7 +113,7 @@ func TestCycleLedgerGolden(t *testing.T) {
 		if err := sizedPutGet(w, 3); err != nil {
 			t.Fatal(err)
 		}
-		checkLedger(t, ledgerOf(w), ledger{Cycles: 8411003, PageFaults: 253, Evictions: 237,
+		checkLedger(t, ledgerOf(w), ledger{Cycles: 8411003, Ecalls: 19, Ocalls: 10, PageFaults: 253, Evictions: 237,
 			MEECopiedBytes: 615163, LinesEncrypted: 6252 /* was 11078 */})
 	})
 
@@ -124,7 +128,7 @@ func TestCycleLedgerGolden(t *testing.T) {
 		}
 		got := ledgerOf(w)
 		got.LinesEncrypted = 0
-		checkLedger(t, got, ledger{Cycles: 6774212, PageFaults: 183, Collections: 1,
+		checkLedger(t, got, ledger{Cycles: 6774212, Ecalls: 37, Ocalls: 19, PageFaults: 183, Collections: 1,
 			ObjectsCopied: 271, BytesCopied: 116286, MEECopiedBytes: 1230316})
 	})
 
@@ -169,8 +173,44 @@ func TestCycleLedgerGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkLedger(t, ledgerOf(w), ledger{Cycles: 12300410, PageFaults: 362, Evictions: 346, Collections: 1,
+		checkLedger(t, ledgerOf(w), ledger{Cycles: 12300410, Ecalls: 81, Ocalls: 41, PageFaults: 362, Evictions: 346, Collections: 1,
 			ObjectsCopied: 382, BytesCopied: 181664, MEECopiedBytes: 329610, LinesEncrypted: 8568 /* was 11302 */})
+	})
+
+	t.Run("switchless+batching", func(t *testing.T) {
+		// 300 void RMIs closed by one read, under the §7 transition cost
+		// and the batching queue. Measured from after boot, as commit
+		// c25050b charged it when resident mailbox workers carried these
+		// calls (their two boot-time entries are not part of the stream):
+		// a second crossing mechanism may not come back at another price.
+		w := batchingWorld(t, true)
+		boot := ledgerOf(w)
+		err := w.ExecMain(func(env classmodel.Env) error {
+			acct, err := env.New(demo.Account, wire.Str("Ada"), wire.Int(0))
+			if err != nil {
+				return err
+			}
+			for i := 0; i < 300; i++ {
+				if _, err := env.Call(acct, "updateBalance", wire.Int(1)); err != nil {
+					return err
+				}
+			}
+			bal, err := env.Call(acct, "getBalance")
+			if err != nil {
+				return err
+			}
+			if !bal.Equal(wire.Int(300)) {
+				return fmt.Errorf("balance = %v, want 300", bal)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ledgerOf(w)
+		checkLedger(t, ledger{Cycles: got.Cycles - boot.Cycles, Ecalls: got.Ecalls - boot.Ecalls,
+			Ocalls: got.Ocalls - boot.Ocalls, MEECopiedBytes: got.MEECopiedBytes - boot.MEECopiedBytes},
+			ledger{Cycles: 279459, Ecalls: 11, MEECopiedBytes: 10249})
 	})
 }
 

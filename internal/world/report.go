@@ -60,21 +60,17 @@ func (w *World) RenderTransitionReport() string {
 }
 
 // DispatchStats aggregates the boundary dispatch layer's counters: how
-// cross-runtime calls were routed (full transitions, switchless worker
-// mailboxes, fallbacks when the mailbox was busy) and how effectively
-// result-independent calls were coalesced into batched frames.
+// cross-runtime calls were routed (full transitions, rings) and how
+// effectively result-independent calls were coalesced into batched
+// frames.
 type DispatchStats struct {
 	// FullCalls is the number of calls routed through full transitions.
 	FullCalls uint64
-	// SwitchlessCalls is the number of calls served by worker pools.
+	// SwitchlessCalls and FallbackCalls are always 0: the mailbox route
+	// that counted them is gone. benchmark/layers.go still reads them;
+	// remove with the next benchmark PR.
 	SwitchlessCalls uint64
-	// FallbackCalls counts switchless attempts that fell back to a full
-	// transition because the mailbox was busy or stopped.
-	FallbackCalls uint64
-	// SwitchlessEcalls/SwitchlessOcalls are the enclave-level counters
-	// (a subset of the Stats totals).
-	SwitchlessEcalls uint64
-	SwitchlessOcalls uint64
+	FallbackCalls   uint64
 	// BatchFlushes is the number of batched transitions performed.
 	BatchFlushes uint64
 	// BatchedCalls is the total number of calls those flushes carried.
@@ -108,10 +104,7 @@ type DispatchStats struct {
 func (w *World) DispatchStats() DispatchStats {
 	var ds DispatchStats
 	if w.disp != nil {
-		bs := w.disp.Stats()
-		ds.FullCalls = bs.FullCalls
-		ds.SwitchlessCalls = bs.SwitchlessCalls
-		ds.FallbackCalls = bs.FallbackCalls
+		ds.FullCalls = w.disp.Stats().FullCalls
 		rs := w.disp.RingStats()
 		ds.RingCalls = rs.RingCalls
 		ds.RingFallbacks = rs.RingFallbacks
@@ -126,11 +119,6 @@ func (w *World) DispatchStats() DispatchStats {
 		ds.RingOverflowBytes += gs.OverflowBytes
 	}
 	ds.MEECopiedBytes = w.meeBytes.Load()
-	if w.enclave != nil {
-		es := w.enclave.Stats()
-		ds.SwitchlessEcalls = es.SwitchlessEcalls
-		ds.SwitchlessOcalls = es.SwitchlessOcalls
-	}
 	for _, rt := range []*Runtime{w.untrusted, w.trusted} {
 		if rt == nil || rt.queue == nil {
 			continue

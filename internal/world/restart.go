@@ -9,7 +9,7 @@ import (
 var ErrNotKilled = errors.New("world: restart of a live world (call Kill first)")
 
 // Kill tears down the trusted side of a partitioned world in place: GC
-// helpers stop, the dispatcher and its switchless pools shut down, and
+// helpers stop, the dispatcher and its ring groups shut down, and
 // the enclave is destroyed — the simulation of the enclave process
 // dying (crash, host restart, EPC eviction storm). The World object
 // itself survives: the clock keeps running, telemetry stays registered,
@@ -36,21 +36,23 @@ func (w *World) Kill() {
 		return
 	}
 	w.helpersOn = helpersOn
+	w.teardownLocked()
+	w.killed = true
+}
+
+// teardownLocked takes the current generation — whole or half-built —
+// down to the killed shape: ring consumers stopped (their TCS slots
+// released), the enclave destroyed, every rebuildable pointer nil.
+// Caller holds stateMu, or is the only one who can reach w.
+func (w *World) teardownLocked() {
 	if w.disp != nil {
-		w.disp.Close() // stops both switchless pools and ring groups
+		w.disp.Close()
 	}
 	if w.enclave != nil {
 		w.enclave.Destroy()
 	}
-	w.enclave = nil
-	w.trusted = nil
-	w.untrusted = nil
-	w.disp = nil
-	w.epool = nil
-	w.opool = nil
-	w.erings = nil
-	w.orings = nil
-	w.killed = true
+	w.enclave, w.trusted, w.untrusted = nil, nil, nil
+	w.disp, w.erings, w.orings = nil, nil, nil
 }
 
 // Killed reports whether the world is between Kill and Restart.
@@ -89,15 +91,7 @@ func (w *World) Restart() error {
 	if err := w.rebuildLocked(); err != nil {
 		// A half-built world is torn back down to the killed state so the
 		// caller can retry.
-		if w.disp != nil {
-			w.disp.Close()
-		}
-		if w.enclave != nil {
-			w.enclave.Destroy()
-		}
-		w.enclave, w.trusted, w.untrusted = nil, nil, nil
-		w.disp, w.epool, w.opool = nil, nil, nil
-		w.erings, w.orings = nil, nil
+		w.teardownLocked()
 		w.stateMu.Unlock()
 		return fmt.Errorf("world: restart: %w", err)
 	}

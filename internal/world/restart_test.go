@@ -2,12 +2,15 @@ package world_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/core"
 	"montsalvat/internal/demo"
 	"montsalvat/internal/sgx"
+	"montsalvat/internal/wire"
 	"montsalvat/internal/world"
 )
 
@@ -148,4 +151,47 @@ func TestRestartRevivesGCHelpers(t *testing.T) {
 	// Close stops the revived helpers; a leaked helper would deadlock the
 	// test (helperWG.Wait) or panic on the dead enclave.
 	w.StopGCHelpers()
+}
+
+// TestFailedFirstBootLeavesNothingBehind: a trusted static initialiser
+// that fails aborts NewPartitioned after the ring groups are up; the
+// half-built generation must be torn down — the resident ring consumers
+// gone, not parked on their TCS slots for the life of the process.
+func TestFailedFirstBootLeavesNothingBehind(t *testing.T) {
+	errBoot := errors.New("static initialiser refused")
+	prog := demo.MustBankProgram()
+	acct, _ := prog.Class(demo.Account)
+	if err := acct.AddMethod(&classmodel.Method{
+		Name: classmodel.StaticInitName, Static: true,
+		Body: func(classmodel.Env, wire.Value, []wire.Value) (wire.Value, error) {
+			return wire.Value{}, errBoot
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	build, err := core.BuildPartitioned(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := world.DefaultOptions()
+	opts.Cfg.Rings = true
+
+	before := runtime.NumGoroutine()
+	w, err := world.NewPartitioned(opts, build.TrustedImage, build.UntrustedImage, build.Transform.Interface)
+	if !errors.Is(err, errBoot) {
+		if w != nil {
+			w.Close()
+		}
+		t.Fatalf("NewPartitioned: %v, want the static initialiser's error", err)
+	}
+	if w != nil {
+		t.Fatal("NewPartitioned returned a world beside its error")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before the failed boot, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -279,9 +279,9 @@ func (rt *Runtime) Unpin(v wire.Value) error {
 //
 // Frames are pooled, per runtime. Lifetime rule: a frame is released only
 // after the body and every closure the body's calls handed to a worker
-// have returned. The engine keeps it by construction — a switchless
-// mailbox post, a ring submission and a full transition all block their
-// caller until the far side has run — and a body keeps it by not using
+// have returned. The engine keeps it by construction — a ring
+// submission and a full transition both block their caller until the
+// far side has run — and a body keeps it by not using
 // New, Call, CallStatic, GetField or SetField of its Env past its own
 // return: by then they act on whichever activation holds the record
 // next. Trusted, FS and MemTouch depend on the runtime alone, which a
@@ -937,7 +937,7 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 		// streams them through the MEE.
 		w.clock.ChargeBytes(len(argBuf), simcfg.MEEBytesPerCycle)
 		w.meeBytes.Add(uint64(len(argBuf)))
-		err = rt.disp.InvokeSpan(in, routine.ID, false, sp, invoke)
+		err = rt.disp.Invoke(in, routine.ID, sp, invoke)
 		if err == nil {
 			w.clock.ChargeBytes(len(resultBuf), simcfg.MEEBytesPerCycle)
 			w.meeBytes.Add(uint64(len(resultBuf)))

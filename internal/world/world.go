@@ -140,9 +140,9 @@ type World struct {
 	untrusted *Runtime // nil in ModeUnpartitionedSGX
 
 	// stateMu guards the rebuildable state (enclave, runtimes,
-	// dispatcher, pools) against the restart path: Kill/Restart swap
-	// them under the write lock while accessors, Exec and the telemetry
-	// collector read under the read lock. buildOpts/tImg/uImg retain the
+	// dispatcher, ring groups) against the restart path: Kill/Restart
+	// swap them under the write lock while accessors, Exec and the
+	// telemetry collector read under the read lock. buildOpts/tImg/uImg retain the
 	// build inputs — including the signing identity, so a re-created
 	// enclave keeps its MRSIGNER and can unseal persistent state.
 	stateMu   sync.RWMutex
@@ -168,12 +168,10 @@ type World struct {
 	orings   *ring.Group
 	meeBytes atomic.Uint64
 
-	// tel is the optional observability layer (nil when disabled); epool
-	// and opool are retained for the occupancy collector. hMarshal is the
-	// cached marshal-bytes histogram (nil when telemetry is off).
+	// tel is the optional observability layer (nil when disabled);
+	// hMarshal is the cached marshal-bytes histogram (nil when telemetry
+	// is off).
 	tel      *telemetry.Telemetry
-	epool    *sgx.SwitchlessPool
-	opool    *sgx.HostPool
 	hMarshal *telemetry.Histogram
 
 	hashCounter atomic.Int64
@@ -215,6 +213,8 @@ func NewPartitioned(opts Options, tImg, uImg *image.Image, iface *edl.File) (*Wo
 	w.tImg, w.uImg = tImg, uImg
 	// Nothing else can reach w yet, which is as good as holding stateMu.
 	if err := w.rebuildLocked(); err != nil {
+		w.teardownLocked()
+		w.clock.Stop()
 		return nil, err
 	}
 	return w, nil
@@ -222,24 +222,11 @@ func NewPartitioned(opts Options, tImg, uImg *image.Image, iface *edl.File) (*Wo
 
 // initBoundary builds the boundary dispatch layer of a partitioned
 // world: the routing dispatcher, the per-runtime batching queues, and —
-// in switchless mode — the resident worker pools of both directions.
+// with Rings on — the ring groups of both directions.
 func (w *World) initBoundary() error {
 	w.disp = boundary.NewDispatcher(w.enclave, w.clock)
 	w.disp.SetTelemetry(w.tel.Registry())
 	w.trusted.disp, w.untrusted.disp = w.disp, w.disp
-	if w.cfg.Switchless {
-		epool, err := w.enclave.StartSwitchless(w.cfg.SwitchlessWorkers)
-		if err != nil {
-			return fmt.Errorf("world: switchless ecall pool: %w", err)
-		}
-		opool, err := w.enclave.StartSwitchlessHost(w.cfg.SwitchlessWorkers)
-		if err != nil {
-			epool.Stop()
-			return fmt.Errorf("world: switchless ocall pool: %w", err)
-		}
-		w.disp.UsePools(epool, opool)
-		w.epool, w.opool = epool, opool
-	}
 	if w.cfg.Rings {
 		rcfg := ring.Config{
 			Workers:   w.cfg.RingWorkers,
@@ -247,9 +234,8 @@ func (w *World) initBoundary() error {
 			SlotBytes: w.cfg.RingSlotBytes,
 		}
 		// The ecall group's consumers are resident INSIDE the enclave
-		// (each holds a TCS slot for the group's lifetime, like a
-		// switchless worker); the ocall group's consumers are plain host
-		// goroutines.
+		// (each holds a TCS slot for the group's lifetime); the ocall
+		// group's consumers are plain host goroutines.
 		erings, err := ring.NewGroup(rcfg, w.clock, w.ringHandler(w.trusted), w.enclave.EnterResident)
 		if err != nil {
 			return fmt.Errorf("world: ecall ring group: %w", err)
@@ -265,12 +251,8 @@ func (w *World) initBoundary() error {
 		w.erings, w.orings = erings, orings
 	}
 	w.batching = w.cfg.Batching
-	watermark := w.cfg.BatchWatermark
-	if watermark <= 0 {
-		watermark = simcfg.DefaultBatchWatermark
-	}
-	w.trusted.queue = boundary.NewQueue(watermark, w.batchRun(w.trusted))
-	w.untrusted.queue = boundary.NewQueue(watermark, w.batchRun(w.untrusted))
+	w.trusted.queue = boundary.NewQueue(simcfg.BatchFlushDepth, w.batchRun(w.trusted))
+	w.untrusted.queue = boundary.NewQueue(simcfg.BatchFlushDepth, w.batchRun(w.untrusted))
 	if reg := w.tel.Registry(); reg != nil {
 		wait := reg.Histogram("montsalvat_boundary_queue_wait_ns")
 		size := reg.Histogram("montsalvat_boundary_batch_size")
@@ -681,7 +663,7 @@ func (w *World) sweep(rt *Runtime) error {
 	if rt.encl != nil {
 		sp := w.tel.Tracer().StartRoot("gc-sweep " + rt.name)
 		sp.SetBatchSize(len(dead))
-		err := rt.disp.InvokeSpan(!rt.trusted, idGCSweep, false, sp, release)
+		err := rt.disp.Invoke(!rt.trusted, idGCSweep, sp, release)
 		sp.Finish(err)
 		return err
 	}
@@ -757,7 +739,7 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry) error {
 			// the MEE like any marshalled argument buffer.
 			w.clock.ChargeBytes(len(frame), simcfg.MEEBytesPerCycle)
 			w.meeBytes.Add(uint64(len(frame)))
-			err = rt.disp.InvokeSpan(to.trusted, idBatch, false, sp, invoke)
+			err = rt.disp.Invoke(to.trusted, idBatch, sp, invoke)
 		} else {
 			err = invoke()
 		}
@@ -828,7 +810,7 @@ func (w *World) flushQueue(rt *Runtime) error {
 	return rt.queue.Flush()
 }
 
-// Close flushes pending batched calls, stops helpers and worker pools,
+// Close flushes pending batched calls, stops helpers and ring consumers,
 // and destroys the enclave. Flush errors are dropped; callers that must
 // observe them (e.g. the gateway's graceful drain) use CloseErr.
 func (w *World) Close() { _ = w.CloseErr() }
@@ -871,9 +853,8 @@ type Stats struct {
 // collectMetrics is the telemetry collector of the world layer: it
 // absorbs the snapshot-style statistics every subsystem already keeps —
 // dispatcher routing counters, batching queues, enclave transitions,
-// TCS and pool occupancy, GC sweeps, registry sizes — into stable
-// registry metrics at scrape time, so the producing hot paths stay
-// untouched.
+// TCS occupancy, GC sweeps, registry sizes — into stable registry
+// metrics at scrape time, so the producing hot paths stay untouched.
 func (w *World) collectMetrics(reg *telemetry.Registry) {
 	// The collector outlives any single enclave incarnation (it is
 	// registered once, while Kill/Restart swap the world's guts), so it
@@ -885,8 +866,6 @@ func (w *World) collectMetrics(reg *telemetry.Registry) {
 	if w.disp != nil {
 		ds := w.disp.Stats()
 		reg.Counter("montsalvat_boundary_calls_total", "route", "full").Set(ds.FullCalls)
-		reg.Counter("montsalvat_boundary_calls_total", "route", "switchless").Set(ds.SwitchlessCalls)
-		reg.Counter("montsalvat_boundary_calls_total", "route", "fallback").Set(ds.FallbackCalls)
 		rs := w.disp.RingStats()
 		reg.Counter("montsalvat_boundary_calls_total", "route", "ring").Set(rs.RingCalls)
 		reg.Counter("montsalvat_boundary_calls_total", "route", "ring-fallback").Set(rs.RingFallbacks)
@@ -928,23 +907,9 @@ func (w *World) collectMetrics(reg *telemetry.Registry) {
 		es := w.enclave.Stats()
 		reg.Counter("montsalvat_sgx_ecalls_total").Set(es.Ecalls)
 		reg.Counter("montsalvat_sgx_ocalls_total").Set(es.Ocalls)
-		reg.Counter("montsalvat_sgx_switchless_ecalls_total").Set(es.SwitchlessEcalls)
-		reg.Counter("montsalvat_sgx_switchless_ocalls_total").Set(es.SwitchlessOcalls)
 		reg.Gauge("montsalvat_sgx_heap_bytes_in_use").Set(int64(es.HeapBytesInUse))
 		reg.Gauge("montsalvat_sgx_tcs_in_use").Set(int64(w.enclave.TCSInUse()))
 		reg.Gauge("montsalvat_sgx_tcs_cap").Set(int64(w.enclave.TCSCap()))
-	}
-	if w.epool != nil {
-		ps := w.epool.Stats()
-		reg.Gauge("montsalvat_sgx_pool_workers", "dir", "ecall").Set(int64(ps.Workers))
-		reg.Gauge("montsalvat_sgx_pool_busy", "dir", "ecall").Set(int64(ps.Busy))
-		reg.Gauge("montsalvat_sgx_pool_queued", "dir", "ecall").Set(int64(ps.Queued))
-	}
-	if w.opool != nil {
-		ps := w.opool.Stats()
-		reg.Gauge("montsalvat_sgx_pool_workers", "dir", "ocall").Set(int64(ps.Workers))
-		reg.Gauge("montsalvat_sgx_pool_busy", "dir", "ocall").Set(int64(ps.Busy))
-		reg.Gauge("montsalvat_sgx_pool_queued", "dir", "ocall").Set(int64(ps.Queued))
 	}
 
 	for _, rt := range []*Runtime{w.trusted, w.untrusted} {
