@@ -16,11 +16,13 @@ build:
 # the telemetry instruments they all publish into are concurrent; wire
 # values share their payloads between copies, and the buffer pool,
 # the pooled activation records in world and the cached sealing cipher
-# in sgx are reuse across goroutines).
+# in sgx are reuse across goroutines; a channel's two directions run on
+# two goroutines, and handle namespaces are shared by a session's
+# in-flight requests).
 test:
 	$(GO) test ./...
 	$(GO) vet ./...
-	$(GO) test -race ./internal/wire/... ./internal/boundary/... ./internal/mee/... ./internal/epc/... ./internal/heap/... ./internal/isolate/... ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/serve/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/...
+	$(GO) test -race ./internal/channel/... ./internal/registry/... ./internal/wire/... ./internal/boundary/... ./internal/mee/... ./internal/epc/... ./internal/heap/... ./internal/isolate/... ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/serve/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/...
 
 race:
 	$(GO) test -race ./...
@@ -105,10 +107,17 @@ orderly-smoke:
 bench-orderly:
 	$(GO) run ./cmd/montsalvat-bench -json BENCH_orderly.json -suite orderly -quick -spin=false
 
+# Every fuzz target in the tree, FUZZTIME each (`go test -fuzz` takes
+# one target of one package per run). A target added anywhere joins the
+# run without an edit here.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/wire/
-	$(GO) test -run=NONE -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/wire/
-	$(GO) test -run=NONE -fuzz=FuzzMemoryModel -fuzztime=30s ./internal/epc/
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "== $$pkg $$target"; \
+			$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 vet:
 	$(GO) vet ./...

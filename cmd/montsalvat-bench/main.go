@@ -172,6 +172,38 @@ func writeAllocProfile(path string) error {
 	return f.Close()
 }
 
+// trajectory is the on-disk shape of every BENCH_*.json: an append-only
+// list of labelled entries under the suite's schema name.
+type trajectory[E any] struct {
+	Schema  string `json:"schema"`
+	Entries []E    `json:"entries"`
+}
+
+// appendEntry appends entry to the trajectory file at path, creating it
+// when absent. The entries already there are decoded and written back as
+// they were.
+func appendEntry[E any](path, schema string, entry E) error {
+	var file trajectory[E]
+	raw, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(raw, &file); err != nil {
+			return fmt.Errorf("parse %s: %w", path, err)
+		}
+	case errors.Is(err, os.ErrNotExist):
+		// First record: start a fresh trajectory.
+	default:
+		return err
+	}
+	file.Schema = schema
+	file.Entries = append(file.Entries, entry)
+	enc, err := json.MarshalIndent(&file, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(enc, '\n'), 0o644)
+}
+
 // writeRMIPerf runs the RMI perf suite and appends the labelled entry to
 // the trajectory file, creating it when absent. With sweep, the entry
 // additionally carries the ring-vs-frame payload sweep.
@@ -184,25 +216,7 @@ func writeRMIPerf(opts bench.Options, path, label string, sweep bool, out io.Wri
 	if err != nil {
 		return err
 	}
-	var file bench.RMIPerfFile
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &file); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// First record: start a fresh trajectory.
-	default:
-		return err
-	}
-	file.Schema = bench.RMIPerfSchema
-	file.Entries = append(file.Entries, *entry)
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
+	if err := appendEntry(path, bench.RMIPerfSchema, *entry); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "%s: appended %q (single %.0f ops/s, 8-goroutine speedup %.2fx)\n",
@@ -222,25 +236,7 @@ func writeRecoveryPerf(opts bench.Options, path, label string, out io.Writer) er
 	if err != nil {
 		return err
 	}
-	var file bench.RecoveryPerfFile
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &file); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// First record: start a fresh trajectory.
-	default:
-		return err
-	}
-	file.Schema = bench.RecoveryPerfSchema
-	file.Entries = append(file.Entries, *entry)
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
+	if err := appendEntry(path, bench.RecoveryPerfSchema, *entry); err != nil {
 		return err
 	}
 	if len(entry.Points) > 0 {
@@ -276,25 +272,7 @@ func writeFabricPerf(opts bench.Options, path, label string, out io.Writer) erro
 	if err != nil {
 		return err
 	}
-	var file bench.FabricPerfFile
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &file); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// First record: start a fresh trajectory.
-	default:
-		return err
-	}
-	file.Schema = bench.FabricPerfSchema
-	file.Entries = append(file.Entries, *entry)
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
+	if err := appendEntry(path, bench.FabricPerfSchema, *entry); err != nil {
 		return err
 	}
 	top := entry.Scale[len(entry.Scale)-1]
@@ -316,25 +294,7 @@ func writeObsPerf(opts bench.Options, path, label string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var file bench.ObsPerfFile
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &file); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// First record: start a fresh trajectory.
-	default:
-		return err
-	}
-	file.Schema = bench.ObsPerfSchema
-	file.Entries = append(file.Entries, *entry)
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
+	if err := appendEntry(path, bench.ObsPerfSchema, *entry); err != nil {
 		return err
 	}
 	worst := entry.Points[len(entry.Points)-1]
@@ -351,25 +311,7 @@ func writeOrderlyPerf(opts bench.Options, path, label string, out io.Writer) err
 	if err != nil {
 		return err
 	}
-	var file bench.OrderlyPerfFile
-	raw, err := os.ReadFile(path)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(raw, &file); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-	case errors.Is(err, os.ErrNotExist):
-		// First record: start a fresh trajectory.
-	default:
-		return err
-	}
-	file.Schema = bench.OrderlyPerfSchema
-	file.Entries = append(file.Entries, *entry)
-	enc, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(enc, '\n'), 0o644); err != nil {
+	if err := appendEntry(path, bench.OrderlyPerfSchema, *entry); err != nil {
 		return err
 	}
 	for _, p := range entry.Points {

@@ -188,13 +188,6 @@ type RMIPerfEntry struct {
 	PayloadSweep []PayloadPoint `json:"payload_sweep,omitempty"`
 }
 
-// RMIPerfFile is the on-disk shape of BENCH_rmi.json: an append-only
-// list of labelled runs.
-type RMIPerfFile struct {
-	Schema  string         `json:"schema"`
-	Entries []RMIPerfEntry `json:"entries"`
-}
-
 // RMIPerfSchema identifies the BENCH_rmi.json format.
 const RMIPerfSchema = "montsalvat-bench-rmi/v1"
 

@@ -329,13 +329,6 @@ type FabricPerfEntry struct {
 	Failover    []FailoverPoint    `json:"failover"`
 }
 
-// FabricPerfFile is the on-disk shape of BENCH_fabric.json: an
-// append-only list of labelled runs.
-type FabricPerfFile struct {
-	Schema  string            `json:"schema"`
-	Entries []FabricPerfEntry `json:"entries"`
-}
-
 // FabricPerfSchema identifies the BENCH_fabric.json format.
 const FabricPerfSchema = "montsalvat-bench-fabric/v1"
 

@@ -225,13 +225,6 @@ type ObsPerfEntry struct {
 	Points     []ObsPerfPoint `json:"points"`
 }
 
-// ObsPerfFile is the on-disk shape of BENCH_obs.json: an append-only
-// list of labelled runs.
-type ObsPerfFile struct {
-	Schema  string         `json:"schema"`
-	Entries []ObsPerfEntry `json:"entries"`
-}
-
 // ObsPerfSchema identifies the BENCH_obs.json format.
 const ObsPerfSchema = "montsalvat-bench-obs/v1"
 

@@ -44,13 +44,6 @@ type OrderlyPerfEntry struct {
 	Points     []OrderlyPerfPoint `json:"points"`
 }
 
-// OrderlyPerfFile is the on-disk shape of BENCH_orderly.json: an
-// append-only list of labelled runs.
-type OrderlyPerfFile struct {
-	Schema  string             `json:"schema"`
-	Entries []OrderlyPerfEntry `json:"entries"`
-}
-
 // OrderlyPerfSchema identifies the BENCH_orderly.json format.
 const OrderlyPerfSchema = "montsalvat-bench-orderly/v1"
 

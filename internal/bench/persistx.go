@@ -238,13 +238,6 @@ type RecoveryPerfEntry struct {
 	GroupCommit []GroupCommitPoint `json:"group_commit,omitempty"`
 }
 
-// RecoveryPerfFile is the on-disk shape of BENCH_persist.json: an
-// append-only list of labelled runs.
-type RecoveryPerfFile struct {
-	Schema  string              `json:"schema"`
-	Entries []RecoveryPerfEntry `json:"entries"`
-}
-
 // RecoveryPerfSchema identifies the BENCH_persist.json format.
 const RecoveryPerfSchema = "montsalvat-bench-persist/v1"
 

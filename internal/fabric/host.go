@@ -169,11 +169,11 @@ func (h *PeerHost) serveConn(conn net.Conn) {
 	}()
 
 	for {
-		req, err := pc.recv()
+		req, err := pc.ch.Recv()
 		if err != nil {
 			return // teardown or peer hangup
 		}
-		if err := pc.send(h.dispatch(ns, req)); err != nil {
+		if _, err := pc.ch.Send(wire.AppendValues(pc.ch.Frame(), h.dispatch(ns, req))); err != nil {
 			return
 		}
 	}
@@ -193,19 +193,23 @@ func (h *PeerHost) releaseAll(ns *registry.Namespace) {
 	}
 }
 
-func peerOK(vals ...wire.Value) []byte {
-	return wire.MarshalList(append([]wire.Value{wire.Str(peerStatusOK)}, vals...))
+// peerOK, peerError and peerForeign build a response: the status, then
+// the results or a message.
+func peerOK(vals ...wire.Value) []wire.Value {
+	return append([]wire.Value{wire.Str(peerStatusOK)}, vals...)
 }
 
-func peerError(format string, args ...any) []byte {
-	return wire.MarshalList([]wire.Value{wire.Str(peerStatusError), wire.Str(fmt.Sprintf(format, args...))})
+func peerError(format string, args ...any) []wire.Value {
+	return []wire.Value{wire.Str(peerStatusError), wire.Str(fmt.Sprintf(format, args...))}
 }
 
-func peerForeign(format string, args ...any) []byte {
-	return wire.MarshalList([]wire.Value{wire.Str(peerStatusForeign), wire.Str(fmt.Sprintf(format, args...))})
+func peerForeign(err error) []wire.Value {
+	return []wire.Value{wire.Str(peerStatusForeign), wire.Str(err.Error())}
 }
 
-func (h *PeerHost) dispatch(ns *registry.Namespace, req []byte) []byte {
+// dispatch decodes one request — a list of the operation and exactly
+// that operation's fields — and serves it.
+func (h *PeerHost) dispatch(ns *registry.Namespace, req []byte) []wire.Value {
 	vs, err := wire.UnmarshalList(req)
 	if err != nil || len(vs) < 1 {
 		return peerError("malformed peer request")
@@ -225,7 +229,7 @@ func (h *PeerHost) dispatch(ns *registry.Namespace, req []byte) []byte {
 	}
 }
 
-func (h *PeerHost) serveHave() []byte {
+func (h *PeerHost) serveHave() []wire.Value {
 	if h.Have == nil {
 		return peerError("replication not served here")
 	}
@@ -245,18 +249,18 @@ func (h *PeerHost) serveHave() []byte {
 	return peerOK(wire.List(entries...))
 }
 
-func (h *PeerHost) serveShip(args []wire.Value) []byte {
+func (h *PeerHost) serveShip(args []wire.Value) []wire.Value {
 	if h.Apply == nil {
 		return peerError("replication not served here")
 	}
-	if len(args) != 1 && len(args) != 3 {
+	if len(args) != 3 {
 		return peerError("ship arity")
 	}
 	blob, ok := args[0].AsBytes()
 	if !ok {
 		return peerError("ship payload")
 	}
-	sc := traceFromVals(args[1:])
+	sc := traceOf(args[1], args[2])
 	sp := h.Telemetry.Tracer().StartRemote(sc, "ship-apply")
 	sp.SetNode(h.Identity.Origin)
 	sp.SetSealedBytes(len(blob))
@@ -276,7 +280,7 @@ func (h *PeerHost) serveShip(args []wire.Value) []byte {
 	return peerOK(wire.Int(int64(stamp)), wire.Int(int64(lsn)))
 }
 
-func (h *PeerHost) serveBind(ns *registry.Namespace, args []wire.Value) []byte {
+func (h *PeerHost) serveBind(ns *registry.Namespace, args []wire.Value) []wire.Value {
 	if h.World == nil {
 		return peerError("objects not served here")
 	}
@@ -292,102 +296,79 @@ func (h *PeerHost) serveBind(ns *registry.Namespace, args []wire.Value) []byte {
 	if err != nil {
 		return peerError("export %q: %v", name, err)
 	}
-	out, err := h.exportValue(ns, ref)
+	out, err := wire.MapRefs(ref, h.exportRef(ns))
 	if err != nil {
 		return peerError("export %q: %v", name, err)
 	}
 	return peerOK(out)
 }
 
-func (h *PeerHost) serveCall(ns *registry.Namespace, args []wire.Value) []byte {
+func (h *PeerHost) serveCall(ns *registry.Namespace, args []wire.Value) []wire.Value {
 	if h.World == nil {
 		return peerError("objects not served here")
 	}
-	if len(args) != 4 && len(args) != 6 {
+	if len(args) != 6 {
 		return peerError("call arity")
 	}
 	origin, _ := args[0].AsStr()
 	handle, _ := args[1].AsInt()
 	method, _ := args[2].AsStr()
-	callArgs, ok := args[3].AsList()
-	if !ok {
+	if args[3].Kind() != wire.KindList {
 		return peerError("call argument vector")
 	}
-	sc := traceFromVals(args[4:])
-	// The cross-shard namespace check: the handle resolves only when the
-	// caller presents the origin shard that issued it.
-	e, ok := ns.LookupFrom(origin, handle)
-	if !ok {
-		return peerForeign("handle %d is not origin %q (host namespace %q)", handle, origin, ns.Origin())
-	}
-	imported := make([]wire.Value, len(callArgs))
-	for i, a := range callArgs {
-		v, err := h.importValue(ns, origin, a)
-		if err != nil {
-			return peerForeign("argument %d: %v", i, err)
+	sc := traceOf(args[4], args[5])
+	// The cross-shard namespace check: a handle — the receiver's, or one
+	// embedded anywhere in the arguments — resolves only when the caller
+	// presents the origin shard that issued it.
+	importRef := func(ref wire.Value) (wire.Value, error) {
+		_, handle, _ := ref.AsRef()
+		e, ok := ns.LookupFrom(origin, handle)
+		if !ok {
+			return wire.Value{}, fmt.Errorf("handle %d is not origin %q (host namespace %q)", handle, origin, ns.Origin())
 		}
-		imported[i] = v
+		return wire.Ref(e.Class, e.Hash), nil
 	}
+	recv, err := importRef(wire.Ref("", handle))
+	if err == nil {
+		args[3], err = wire.MapRefs(args[3], importRef)
+	}
+	if err != nil {
+		return peerForeign(err)
+	}
+	imported, _ := args[3].AsList()
 	sp := h.Telemetry.Tracer().StartRemote(sc, "peer-call "+method)
 	sp.SetNode(h.Identity.Origin)
 	var out wire.Value
-	err := h.World.ExecSpan(false, sp, func(env classmodel.Env) error {
-		v, err := env.Call(wire.Ref(e.Class, e.Hash), method, imported...)
+	err = h.World.ExecSpan(false, sp, func(env classmodel.Env) error {
+		v, err := env.Call(recv, method, imported...)
 		if err != nil {
 			return err
 		}
-		out, err = h.exportValue(ns, v)
+		out, err = wire.MapRefs(v, h.exportRef(ns))
 		return err
 	})
 	sp.Finish(err)
 	if err != nil {
-		return peerError("call %s.%s: %v", e.Class, method, err)
+		class, _, _ := recv.AsRef()
+		return peerError("call %s.%s: %v", class, method, err)
 	}
 	return peerOK(out)
 }
 
-// importValue translates peer handles in arguments back to world refs,
-// enforcing the origin check on every embedded ref.
-func (h *PeerHost) importValue(ns *registry.Namespace, origin string, v wire.Value) (wire.Value, error) {
-	switch v.Kind() {
-	case wire.KindRef:
-		_, handle, _ := v.AsRef()
-		e, ok := ns.LookupFrom(origin, handle)
-		if !ok {
-			return wire.Value{}, fmt.Errorf("handle %d is not origin %q", handle, origin)
-		}
-		return wire.Ref(e.Class, e.Hash), nil
-	case wire.KindList:
-		vs, _ := v.AsList()
-		out := make([]wire.Value, len(vs))
-		for i, el := range vs {
-			iv, err := h.importValue(ns, origin, el)
-			if err != nil {
-				return wire.Value{}, err
-			}
-			out[i] = iv
-		}
-		return wire.List(out...), nil
-	default:
-		return v, nil
-	}
-}
-
-// exportValue pins ref results and issues origin-tagged handles for
-// them, mirroring a serve session's export path.
-func (h *PeerHost) exportValue(ns *registry.Namespace, v wire.Value) (wire.Value, error) {
-	switch v.Kind() {
-	case wire.KindRef:
-		class, hash, _ := v.AsRef()
+// exportRef pins a ref result and issues an origin-tagged handle for it,
+// as a serve session's export path does.
+func (h *PeerHost) exportRef(ns *registry.Namespace) func(wire.Value) (wire.Value, error) {
+	return func(ref wire.Value) (wire.Value, error) {
+		class, hash, _ := ref.AsRef()
 		rt := h.World.Untrusted()
-		if err := rt.Pin(v); err != nil {
+		if err := rt.Pin(ref); err != nil {
 			return wire.Value{}, err
 		}
 		handle, added := ns.Add(class, hash)
 		if !added {
 			// Already named by this channel (or the namespace drained):
 			// drop the duplicate pin.
-			if err := rt.Unpin(v); err != nil {
+			if err := rt.Unpin(ref); err != nil {
 				return wire.Value{}, err
 			}
 			if handle == 0 {
@@ -395,18 +376,5 @@ func (h *PeerHost) exportValue(ns *registry.Namespace, v wire.Value) (wire.Value
 			}
 		}
 		return wire.Ref(class, handle), nil
-	case wire.KindList:
-		vs, _ := v.AsList()
-		out := make([]wire.Value, len(vs))
-		for i, el := range vs {
-			ev, err := h.exportValue(ns, el)
-			if err != nil {
-				return wire.Value{}, err
-			}
-			out[i] = ev
-		}
-		return wire.List(out...), nil
-	default:
-		return v, nil
 	}
 }

@@ -2,9 +2,15 @@ package fabric
 
 import (
 	"bytes"
+	"errors"
+	"net"
+	"runtime"
 	"testing"
+	"time"
 
+	"montsalvat/internal/channel"
 	"montsalvat/internal/persist"
+	"montsalvat/internal/registry"
 	"montsalvat/internal/telemetry"
 	"montsalvat/internal/wire"
 )
@@ -40,4 +46,121 @@ func TestShipRequestBytesUnchanged(t *testing.T) {
 			t.Fatalf("DeltaSize = %d, encoding is %d bytes", n, len(persist.EncodeDelta(d)))
 		}
 	}
+}
+
+// TestPeerCallEmbeddedHandles: a handle buried in a call argument is
+// translated and origin-checked wherever it sits — in a map as in a list.
+// The host's own walker used to skip maps, so a map-wrapped handle the
+// channel's namespace never issued reached the world as a raw identity
+// hash.
+func TestPeerCallEmbeddedHandles(t *testing.T) {
+	f, err := New(Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	conn, err := f.PeerDial(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	h, err := conn.BindPeer("kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	smuggled := wire.Ref(h.Class, h.ID+1000) // nothing this channel was ever handed
+	for name, arg := range map[string]wire.Value{
+		"bare":           smuggled,
+		"in a list":      wire.List(wire.Str("x"), smuggled),
+		"in a map":       wire.Map(wire.Pair{Key: "k", Val: smuggled}),
+		"map in a list":  wire.List(wire.Map(wire.Pair{Key: "k", Val: smuggled})),
+		"list in a map":  wire.Map(wire.Pair{Key: "k", Val: wire.List(smuggled)}),
+		"beside a valid": wire.Map(wire.Pair{Key: "a", Val: wire.Ref(h.Class, h.ID)}, wire.Pair{Key: "b", Val: smuggled}),
+	} {
+		if _, err := conn.CallPeer(h, "put", wire.Str("k"), arg); !errors.Is(err, ErrPeerForeignHandle) {
+			t.Errorf("smuggled handle %s: %v, want ErrPeerForeignHandle", name, err)
+		}
+	}
+	// The channel and the handle it does hold are none the worse.
+	if _, err := conn.CallPeer(h, "put", wire.Str("k"), wire.Str("v")); err != nil {
+		t.Fatalf("put after the refusals: %v", err)
+	}
+}
+
+// TestPeerListenerCapsPlaintextFrames: before attestation a peer
+// listener reads nothing larger than the handshake cap, like the
+// gateway. It used to accept any announcement up to the 16 MiB budget of
+// an attested channel and allocate it on the word of whoever connected.
+func TestPeerListenerCapsPlaintextFrames(t *testing.T) {
+	refused := make(chan error, 1)
+	host := &PeerHost{
+		Identity: PeerIdentity{Origin: "shard-0"},
+		Logf: func(_ string, args ...any) {
+			for _, a := range args {
+				if err, ok := a.(error); ok {
+					refused <- err
+				}
+			}
+		},
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- host.Serve(ln) }()
+	defer func() {
+		host.Close()
+		<-served
+	}()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{0x01, 0x00, 0x00, 0x00, 0xAA}); err != nil { // "16 MiB follow"
+		t.Fatal(err)
+	}
+	select {
+	case err := <-refused:
+		if !errors.Is(err, ErrPeerHandshake) || !errors.Is(err, channel.ErrFrameTooLarge) {
+			t.Fatalf("16 MiB hello: %v, want ErrPeerHandshake over ErrFrameTooLarge", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the host is still waiting for the rest of a 16 MiB hello")
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Fatalf("%d bytes allocated on the word of an unauthenticated peer", grown)
+	}
+}
+
+// FuzzPeerRequest: whatever an attested peer sends, a host that serves
+// nothing answers with a typed error reply and never panics.
+func FuzzPeerRequest(f *testing.F) {
+	sc := telemetry.SpanContext{TraceID: 7, SpanID: 9}
+	f.Add(wire.MarshalList([]wire.Value{wire.Str(peerOpHave)}))
+	f.Add(appendShipRequest(nil, sc, persist.Delta{Stamp: 1, Chunks: []persist.Chunk{{Name: "p/wal-0001", Data: []byte("x")}}}))
+	f.Add(wire.MarshalList([]wire.Value{wire.Str(peerOpBind), wire.Str("kv")}))
+	f.Add(wire.MarshalList([]wire.Value{
+		wire.Str(peerOpCall), wire.Str("shard-1"), wire.Int(1), wire.Str("put"),
+		wire.List(wire.Str("k"), wire.Map(wire.Pair{Key: "r", Val: wire.Ref("KVStore", 3)})), wire.Int(7), wire.Int(9),
+	}))
+	f.Add(wire.MarshalList([]wire.Value{wire.Str("evict")}))
+	host := &PeerHost{Identity: PeerIdentity{Origin: "shard-0"}}
+	f.Fuzz(func(t *testing.T, req []byte) {
+		resp := host.dispatch(registry.NewNamespaceFor("shard-0"), req)
+		if len(resp) != 2 {
+			t.Fatalf("reply of %d fields", len(resp))
+		}
+		if status, _ := resp[0].AsStr(); status != peerStatusError {
+			t.Fatalf("status %q from a host that serves nothing", status)
+		}
+		if msg, ok := resp[1].AsStr(); !ok || msg == "" {
+			t.Fatal("error reply without a message")
+		}
+	})
 }

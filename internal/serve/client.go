@@ -1,16 +1,13 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
-	"crypto/ecdh"
-	"crypto/rand"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"montsalvat/internal/channel"
 	"montsalvat/internal/sgx"
 	"montsalvat/internal/telemetry"
 	"montsalvat/internal/wire"
@@ -55,14 +52,11 @@ func AsHandle(v wire.Value) (Handle, bool) {
 // use: calls are demultiplexed by request id, so many goroutines can
 // issue requests over the single connection.
 type Client struct {
-	cfg       ClientConfig
-	conn      net.Conn
-	rd        *bufio.Reader // owns all reads from conn
-	sessionID int64
+	cfg  ClientConfig
+	conn net.Conn
+	ch   *channel.Conn // read by readLoop alone
 
-	writeMu sync.Mutex // serialises frame writes and the send counter
-	ciph    *sessionCipher
-	sendBuf []byte // reusable sealed-frame buffer, guarded by writeMu
+	writeMu sync.Mutex // serialises the channel's senders
 
 	mu      sync.Mutex
 	pending map[int64]*pendingCall
@@ -88,97 +82,22 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg, conn: conn, rd: bufio.NewReaderSize(conn, 4096), sendBuf: newSendBuf(), pending: make(map[int64]*pendingCall)}
-	if err := c.handshake(); err != nil {
+	// The client speaks for no enclave: the handshake is the one-sided
+	// case, and fails unless the gateway's quote carries cfg.Measurement.
+	ch, err := channel.Initiate(conn, sessionPlane, channel.Identity{Platform: cfg.Platform}, "", cfg.Measurement, cfg.DialTimeout)
+	if err != nil {
 		_ = conn.Close()
-		return nil, err
+		return nil, handshakeErr(err)
 	}
+	c := &Client{cfg: cfg, conn: conn, ch: ch, pending: make(map[int64]*pendingCall)}
 	go c.readLoop()
 	return c, nil
 }
 
-// handshake is the client side of the attested key exchange; see
-// Server.handshake for the message flow.
-func (c *Client) handshake() error {
-	deadline := time.Now().Add(c.cfg.DialTimeout)
-	_ = c.conn.SetDeadline(deadline)
-	defer c.conn.SetDeadline(time.Time{})
-
-	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
-	if err != nil {
-		return fmt.Errorf("%w: keygen: %v", ErrHandshake, err)
-	}
-	nonce := make([]byte, 16)
-	if _, err := rand.Read(nonce); err != nil {
-		return fmt.Errorf("%w: nonce: %v", ErrHandshake, err)
-	}
-	clientPub := priv.PublicKey().Bytes()
-	if _, err := writeFrame(c.conn, encodeHello(clientPub, nonce)); err != nil {
-		return fmt.Errorf("%w: hello: %v", ErrHandshake, err)
-	}
-
-	buf, err := readFrame(c.rd)
-	if err != nil {
-		return fmt.Errorf("%w: attest: %v", ErrHandshake, err)
-	}
-	serverPub, quote, err := decodeAttest(buf)
-	if err != nil {
-		return err
-	}
-	// The quote must (a) verify under the shared platform against the
-	// expected measurement and (b) carry report data hashing exactly
-	// this handshake's transcript — otherwise it could be a replay of a
-	// quote issued for someone else's session.
-	if err := c.cfg.Platform.Verify(quote, c.cfg.Measurement); err != nil {
-		return fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
-	wantReport := transcriptHash(clientPub, serverPub, nonce)
-	if !bytes.Equal(quote.ReportData, wantReport) {
-		return fmt.Errorf("%w: quote not bound to this session", ErrHandshake)
-	}
-
-	peer, err := ecdh.X25519().NewPublicKey(serverPub)
-	if err != nil {
-		return fmt.Errorf("%w: server key: %v", ErrHandshake, err)
-	}
-	shared, err := priv.ECDH(peer)
-	if err != nil {
-		return fmt.Errorf("%w: ecdh: %v", ErrHandshake, err)
-	}
-	c.ciph, err = newSessionCipher(sessionKey(shared, wantReport), true)
-	if err != nil {
-		return fmt.Errorf("%w: cipher: %v", ErrHandshake, err)
-	}
-
-	if _, err := writeFrame(c.conn, c.ciph.seal(encodeAck())); err != nil {
-		return fmt.Errorf("%w: ack: %v", ErrHandshake, err)
-	}
-	buf, err = readFrame(c.rd)
-	if err != nil {
-		return fmt.Errorf("%w: ready: %v", ErrHandshake, err)
-	}
-	plain, err := c.ciph.open(buf)
-	if err != nil {
-		return err
-	}
-	c.sessionID, err = decodeReady(plain)
-	return err
-}
-
-// SessionID returns the server-assigned session identifier.
-func (c *Client) SessionID() int64 { return c.sessionID }
-
 // readLoop demultiplexes responses to their waiting callers.
 func (c *Client) readLoop() {
-	var payload []byte
 	for {
-		var err error
-		payload, err = readFrameInto(c.rd, payload)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		plain, err := c.ciph.open(payload)
+		plain, err := c.ch.Recv()
 		if err != nil {
 			c.fail(err)
 			return
@@ -283,11 +202,7 @@ func (c *Client) roundTrip(req request) (response, error) {
 	c.mu.Unlock()
 
 	c.writeMu.Lock()
-	frame, err := c.ciph.sealFrame(appendRequest(c.sendBuf[:frameHeader], req))
-	c.sendBuf = frame
-	if err == nil {
-		_, err = c.conn.Write(frame)
-	}
+	_, err := c.ch.Send(appendRequest(c.ch.Frame(), req))
 	c.writeMu.Unlock()
 	if err != nil {
 		if c.takePending(req.id) == p {

@@ -20,34 +20,14 @@
 package serve
 
 import (
-	"crypto/cipher"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
-	"montsalvat/internal/sgx"
+	"montsalvat/internal/channel"
 	"montsalvat/internal/telemetry"
 	"montsalvat/internal/wire"
-)
-
-// Protocol identifiers. The version tag is baked into every magic so a
-// future incompatible revision fails the handshake instead of
-// misparsing.
-const (
-	msgHello  = "msv/hello/1"
-	msgAttest = "msv/attest/1"
-	msgReject = "msv/reject/1"
-	msgAck    = "msv/ack/1"
-	msgReady  = "msv/ready/1"
-
-	// kxLabel salts the transcript hash that becomes the quote's report
-	// data, binding the session key exchange to the enclave identity.
-	kxLabel = "msv/kx/1"
-	// keyLabel salts session-key derivation from the ECDH shared secret.
-	keyLabel = "msv/session-key/1"
 )
 
 // Request operations.
@@ -74,8 +54,11 @@ const (
 	statusWrongShard = "wrong-shard"
 )
 
-// maxFrameBytes bounds one length-prefixed frame; the decoder rejects
-// larger announcements before allocating (served traffic is adversarial).
+// sessionPlane is the gateway's plane of the attested channel: the
+// session purpose tag and the budget of one sealed request or response
+// frame (served traffic is adversarial; nothing larger is read).
+var sessionPlane = channel.Plane{Purpose: channel.Session, MaxFrame: maxFrameBytes}
+
 const maxFrameBytes = 1 << 20
 
 // Typed gateway errors. Server-side rejections travel as status codes
@@ -105,7 +88,7 @@ var (
 	ErrSessionLimit = errors.New("serve: session limit reached")
 	// ErrHandshake covers attestation-handshake failures: forged or
 	// mismatched quotes, wrong platform, malformed hellos.
-	ErrHandshake = errors.New("serve: attestation handshake failed")
+	ErrHandshake = channel.ErrHandshake
 	// ErrClosed reports use of a closed client or server.
 	ErrClosed = errors.New("serve: connection closed")
 	// ErrWrongShard rejects a request whose key this gateway does not
@@ -162,52 +145,39 @@ func parseWrongShard(message string) error {
 	return &e
 }
 
-// statusErr maps a rejection status to its sentinel.
+// rejections pairs each rejection status with its sentinel.
+var rejections = []struct {
+	status string
+	err    error
+}{
+	{statusOverloaded, ErrOverloaded},
+	{statusDraining, ErrDraining},
+	{statusRecovering, ErrRecovering},
+	{statusDeadline, ErrDeadline},
+	{statusForeignRef, ErrForeignRef},
+	{statusBadRequest, ErrBadRequest},
+	{statusSession, ErrSessionLimit},
+	{statusWrongShard, ErrWrongShard},
+}
+
+// statusErr maps a rejection status to its sentinel; nil for any other.
 func statusErr(status string) error {
-	switch status {
-	case statusOverloaded:
-		return ErrOverloaded
-	case statusDraining:
-		return ErrDraining
-	case statusRecovering:
-		return ErrRecovering
-	case statusDeadline:
-		return ErrDeadline
-	case statusForeignRef:
-		return ErrForeignRef
-	case statusBadRequest:
-		return ErrBadRequest
-	case statusSession:
-		return ErrSessionLimit
-	case statusWrongShard:
-		return ErrWrongShard
-	default:
-		return nil
+	for _, r := range rejections {
+		if r.status == status {
+			return r.err
+		}
 	}
+	return nil
 }
 
 // errStatus maps a server-side execution error to its wire status.
 func errStatus(err error) string {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		return statusOverloaded
-	case errors.Is(err, ErrDraining):
-		return statusDraining
-	case errors.Is(err, ErrRecovering):
-		return statusRecovering
-	case errors.Is(err, ErrDeadline):
-		return statusDeadline
-	case errors.Is(err, ErrForeignRef):
-		return statusForeignRef
-	case errors.Is(err, ErrBadRequest):
-		return statusBadRequest
-	case errors.Is(err, ErrSessionLimit):
-		return statusSession
-	case errors.Is(err, ErrWrongShard):
-		return statusWrongShard
-	default:
-		return statusAppError
+	for _, r := range rejections {
+		if errors.Is(err, r.err) {
+			return r.status
+		}
 	}
+	return statusAppError
 }
 
 // AppError carries an application-level failure (the served method
@@ -217,277 +187,17 @@ type AppError struct{ Msg string }
 
 func (e *AppError) Error() string { return "serve: application error: " + e.Msg }
 
-// ---- frame I/O --------------------------------------------------------
-
-// writeFrame writes one length-prefixed frame and returns the bytes put
-// on the wire. Header and payload go out in a single Write so each frame
-// costs one syscall on an unbuffered conn.
-func writeFrame(w io.Writer, payload []byte) (int, error) {
-	if len(payload) > maxFrameBytes {
-		return 0, fmt.Errorf("%w: frame of %d bytes", ErrBadRequest, len(payload))
-	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	copy(buf[4:], payload)
-	if _, err := w.Write(buf); err != nil {
-		return 0, err
-	}
-	return len(buf), nil
-}
-
-// readFrame reads one length-prefixed frame, rejecting oversized
-// announcements before allocating.
-func readFrame(r io.Reader) ([]byte, error) {
-	return readFrameInto(r, nil)
-}
-
-// readFrameInto is readFrame into buf when the frame fits its capacity
-// (a fresh buffer otherwise). A read loop passes the previous frame back
-// in once nothing refers to it: opening is in place and the decoders
-// copy out everything they keep.
-func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	// The header lands in buf too: r is an interface, and a local array
-	// handed to it would be heap-allocated per frame. One large frame
-	// does not pin its buffer to the connection.
-	if cap(buf) < frameHeader || cap(buf) > keepFrameBytes {
-		buf = make([]byte, frameHeader, 512)
-	}
-	hdr := buf[:frameHeader]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n > maxFrameBytes {
-		return nil, fmt.Errorf("serve: frame of %d bytes exceeds limit", n)
-	}
-	if int(n) > cap(buf) {
-		buf = make([]byte, n)
-	}
-	payload := buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
-// ---- session channel crypto ------------------------------------------
-
-// sessionCipher seals post-handshake frames with the session key
-// (AES-256-GCM). Nonces are direction-tagged counters, never
-// transmitted: both sides keep strictly ordered send/receive counters,
-// which doubles as replay and reordering protection. The sender must be
-// externally serialised (the connection write lock); the receiver is the
-// single read loop.
-type sessionCipher struct {
-	aead    cipher.AEAD
-	sendDir byte
-	recvDir byte
-	sendCtr uint64
-	recvCtr uint64
-	// Nonce scratch of the one sender and the one receiver: the AEAD is
-	// called through an interface, so a nonce built on the stack would
-	// be moved to the heap for every frame.
-	sendNonce [12]byte
-	recvNonce [12]byte
-}
-
-// Directions: client→server frames use dir 1, server→client dir 2.
-const (
-	dirClient byte = 1
-	dirServer byte = 2
-)
-
-func newSessionCipher(key [32]byte, client bool) (*sessionCipher, error) {
-	aead, err := sgx.NewChannelAEAD(key)
-	if err != nil {
-		return nil, err
-	}
-	c := &sessionCipher{aead: aead, sendDir: dirServer, recvDir: dirClient}
-	if client {
-		c.sendDir, c.recvDir = dirClient, dirServer
-	}
-	return c, nil
-}
-
-// nextSendNonce returns the nonce of the next outbound frame and
-// advances the send counter.
-func (c *sessionCipher) nextSendNonce() []byte {
-	c.sendNonce[0] = c.sendDir
-	binary.BigEndian.PutUint64(c.sendNonce[4:], c.sendCtr)
-	c.sendCtr++
-	return c.sendNonce[:]
-}
-
-// seal encrypts one outbound frame payload.
-func (c *sessionCipher) seal(plain []byte) []byte {
-	return c.aead.Seal(nil, c.nextSendNonce(), plain, nil)
-}
-
-// frameHeader is the room a wire frame leaves for its length prefix;
-// keepFrameBytes is the largest frame buffer a connection reuses.
-const (
-	frameHeader    = 4
-	keepFrameBytes = 64 << 10
-)
-
-// newSendBuf returns an empty reusable outbound frame buffer.
-func newSendBuf() []byte { return make([]byte, frameHeader, 512) }
-
-// sealFrame turns frame — frameHeader spare bytes, then a plaintext
-// payload encoded behind them — into the wire frame ([4-byte
-// length][sealed payload]): the payload is sealed where it lies and the
-// tag appended, growing frame as needed. The caller owns the buffer's
-// reuse discipline (the connection write lock).
-func (c *sessionCipher) sealFrame(frame []byte) ([]byte, error) {
-	frame = c.aead.Seal(frame[:frameHeader], c.nextSendNonce(), frame[frameHeader:], nil)
-	if len(frame)-frameHeader > maxFrameBytes {
-		return frame[:0], fmt.Errorf("%w: frame of %d bytes", ErrBadRequest, len(frame)-frameHeader)
-	}
-	binary.BigEndian.PutUint32(frame[:frameHeader], uint32(len(frame)-frameHeader))
-	return frame, nil
-}
-
-// open decrypts the next inbound frame payload in order, in place.
-func (c *sessionCipher) open(sealed []byte) ([]byte, error) {
-	c.recvNonce[0] = c.recvDir
-	binary.BigEndian.PutUint64(c.recvNonce[4:], c.recvCtr)
-	plain, err := c.aead.Open(sealed[:0], c.recvNonce[:], sealed, nil)
-	if err != nil {
-		return nil, fmt.Errorf("%w: frame auth: %v", ErrHandshake, err)
-	}
-	c.recvCtr++
-	return plain, nil
-}
-
-// sessionKey derives the channel key from the ECDH shared secret and the
-// attested transcript hash, so the key is bound to the quoted identity.
-func sessionKey(shared, reportData []byte) [32]byte {
-	h := sha256.New()
-	h.Write([]byte(keyLabel))
-	h.Write(shared)
-	h.Write(reportData)
-	var key [32]byte
-	copy(key[:], h.Sum(nil))
-	return key
-}
-
-// transcriptHash computes the handshake transcript digest used as quote
-// report data: it binds both key-exchange public keys and the client
-// nonce, so the quote attests this session's channel, not a replayed
-// one.
-func transcriptHash(clientPub, serverPub, nonce []byte) []byte {
-	h := sha256.New()
-	h.Write([]byte(kxLabel))
-	h.Write(clientPub)
-	h.Write(serverPub)
-	h.Write(nonce)
-	return h.Sum(nil)
-}
-
-// ---- handshake messages ----------------------------------------------
-
-func encodeHello(pub, nonce []byte) []byte {
-	return wire.MarshalList([]wire.Value{wire.Str(msgHello), wire.Bytes(pub), wire.Bytes(nonce)})
-}
-
-func decodeHello(buf []byte) (pub, nonce []byte, err error) {
-	vs, err := wire.UnmarshalList(buf)
-	if err != nil || len(vs) != 3 {
-		return nil, nil, fmt.Errorf("%w: malformed hello", ErrHandshake)
-	}
-	magic, _ := vs[0].AsStr()
-	if magic != msgHello {
-		return nil, nil, fmt.Errorf("%w: unexpected message %q", ErrHandshake, magic)
-	}
-	pub, ok1 := vs[1].AsBytes()
-	nonce, ok2 := vs[2].AsBytes()
-	if !ok1 || !ok2 || len(pub) == 0 || len(nonce) == 0 {
-		return nil, nil, fmt.Errorf("%w: malformed hello", ErrHandshake)
-	}
-	return pub, nonce, nil
-}
-
-func encodeAttest(serverPub []byte, q sgx.Quote) []byte {
-	return wire.MarshalList([]wire.Value{
-		wire.Str(msgAttest),
-		wire.Bytes(serverPub),
-		wire.Bytes(q.Measurement[:]),
-		wire.Bytes(q.MRSigner[:]),
-		wire.Bytes(q.ReportData),
-		wire.Bytes(q.MAC[:]),
-	})
-}
-
-func decodeAttest(buf []byte) (serverPub []byte, q sgx.Quote, err error) {
-	vs, err := wire.UnmarshalList(buf)
-	if err != nil || len(vs) != 6 {
-		return nil, sgx.Quote{}, fmt.Errorf("%w: malformed attestation", ErrHandshake)
-	}
-	magic, _ := vs[0].AsStr()
-	if magic == msgReject {
-		// The server refused before attesting (draining, session limit).
-		status, _ := vs[1].AsStr()
-		if serr := statusErr(status); serr != nil {
-			return nil, sgx.Quote{}, serr
+// handshakeErr gives a refusal the gateway sent in place of its
+// attestation (draining, recovering, session limit) its typed error, on
+// the end that sent it and the end that read it alike.
+func handshakeErr(err error) error {
+	var rej *channel.RejectError
+	if errors.As(err, &rej) {
+		if serr := statusErr(rej.Status); serr != nil {
+			return serr
 		}
-		return nil, sgx.Quote{}, fmt.Errorf("%w: rejected (%s)", ErrHandshake, status)
 	}
-	if magic != msgAttest {
-		return nil, sgx.Quote{}, fmt.Errorf("%w: unexpected message %q", ErrHandshake, magic)
-	}
-	serverPub, _ = vs[1].AsBytes()
-	meas, _ := vs[2].AsBytes()
-	signer, _ := vs[3].AsBytes()
-	report, _ := vs[4].AsBytes()
-	mac, _ := vs[5].AsBytes()
-	if len(serverPub) == 0 || len(meas) != 32 || len(signer) != 32 || len(mac) != 32 {
-		return nil, sgx.Quote{}, fmt.Errorf("%w: malformed attestation", ErrHandshake)
-	}
-	copy(q.Measurement[:], meas)
-	copy(q.MRSigner[:], signer)
-	copy(q.MAC[:], mac)
-	q.ReportData = report
-	return serverPub, q, nil
-}
-
-// encodeReject is the plaintext pre-attestation refusal (draining or
-// session limit): the server cannot yet seal frames for this client.
-func encodeReject(status string) []byte {
-	// Padded to the attest arity so decodeAttest can parse either shape.
-	return wire.MarshalList([]wire.Value{
-		wire.Str(msgReject), wire.Str(status), wire.Null(), wire.Null(), wire.Null(), wire.Null(),
-	})
-}
-
-func encodeAck() []byte {
-	return wire.MarshalList([]wire.Value{wire.Str(msgAck)})
-}
-
-func decodeAck(buf []byte) error {
-	vs, err := wire.UnmarshalList(buf)
-	if err != nil || len(vs) != 1 {
-		return fmt.Errorf("%w: malformed ack", ErrHandshake)
-	}
-	if magic, _ := vs[0].AsStr(); magic != msgAck {
-		return fmt.Errorf("%w: unexpected message", ErrHandshake)
-	}
-	return nil
-}
-
-func encodeReady(sessionID int64) []byte {
-	return wire.MarshalList([]wire.Value{wire.Str(msgReady), wire.Int(sessionID)})
-}
-
-func decodeReady(buf []byte) (int64, error) {
-	vs, err := wire.UnmarshalList(buf)
-	if err != nil || len(vs) != 2 {
-		return 0, fmt.Errorf("%w: malformed ready", ErrHandshake)
-	}
-	if magic, _ := vs[0].AsStr(); magic != msgReady {
-		return 0, fmt.Errorf("%w: unexpected message", ErrHandshake)
-	}
-	id, _ := vs[1].AsInt()
-	return id, nil
+	return err
 }
 
 // ---- requests and responses ------------------------------------------

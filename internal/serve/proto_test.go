@@ -3,82 +3,19 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"montsalvat/internal/channel"
+	"montsalvat/internal/telemetry"
 	"montsalvat/internal/wire"
 )
 
-func testCipherPair(t *testing.T) (client, server *sessionCipher) {
-	t.Helper()
-	var key [32]byte
-	copy(key[:], []byte("0123456789abcdef0123456789abcdef"))
-	c, err := newSessionCipher(key, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := newSessionCipher(key, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, s
-}
-
-func TestSessionCipherRoundTrip(t *testing.T) {
-	c, s := testCipherPair(t)
-	for i := 0; i < 5; i++ {
-		msg := []byte{byte(i), 1, 2, 3}
-		got, err := s.open(c.seal(msg))
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if !bytes.Equal(got, msg) {
-			t.Fatalf("frame %d: got %x, want %x", i, got, msg)
-		}
-		back, err := c.open(s.seal([]byte("reply")))
-		if err != nil || string(back) != "reply" {
-			t.Fatalf("reply %d: %q, %v", i, back, err)
-		}
-	}
-}
-
-func TestSessionCipherRejectsTamper(t *testing.T) {
-	c, s := testCipherPair(t)
-	sealed := c.seal([]byte("payload"))
-	sealed[len(sealed)/2] ^= 0x01
-	if _, err := s.open(sealed); err == nil {
-		t.Fatal("tampered frame accepted")
-	}
-}
-
-// TestSessionCipherRejectsReplayAndReorder: the counter nonce makes each
-// frame valid exactly once, in order.
-func TestSessionCipherRejectsReplayAndReorder(t *testing.T) {
-	c, s := testCipherPair(t)
-	f1 := c.seal([]byte("one"))
-	f2 := c.seal([]byte("two"))
-	if _, err := s.open(f2); err == nil {
-		t.Fatal("out-of-order frame accepted")
-	}
-	if _, err := s.open(f1); err != nil {
-		t.Fatalf("in-order frame rejected: %v", err)
-	}
-	if _, err := s.open(f1); err == nil {
-		t.Fatal("replayed frame accepted")
-	}
-}
-
-// TestSessionCipherDirectionality: a peer cannot reflect a frame back.
-func TestSessionCipherDirectionality(t *testing.T) {
-	c, _ := testCipherPair(t)
-	sealed := c.seal([]byte("to server"))
-	if _, err := c.open(sealed); err == nil {
-		t.Fatal("reflected frame accepted")
-	}
-}
-
-func TestRequestCodecRoundTrip(t *testing.T) {
-	reqs := []request{
+// codecRequests is one request of each shape; the fuzz targets are
+// seeded from it.
+func codecRequests() []request {
+	return []request{
 		{id: 1, op: opPing, budget: time.Second},
 		{id: 2, op: opNew, class: "KVStore", budget: 250 * time.Millisecond,
 			args: []wire.Value{wire.Str("x"), wire.Int(7)}},
@@ -86,7 +23,10 @@ func TestRequestCodecRoundTrip(t *testing.T) {
 			args: []wire.Value{wire.Ref("Entry", 5), wire.List(wire.Bool(true))}},
 		{id: 4, op: opRelease, handle: 9},
 	}
-	for _, want := range reqs {
+}
+
+func TestRequestCodecRoundTrip(t *testing.T) {
+	for _, want := range codecRequests() {
 		got, err := decodeRequest(appendRequest(nil, want))
 		if err != nil {
 			t.Fatalf("%s: %v", want.op, err)
@@ -152,10 +92,78 @@ func TestResponseStatusMapping(t *testing.T) {
 	}
 }
 
-func TestReadFrameRejectsOversized(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readFrame(&buf); err == nil {
-		t.Fatal("oversized frame announcement accepted")
+// TestHandshakeRefusalsAreTyped: a refusal the gateway sends in place of
+// its attestation comes out of the channel as a *channel.RejectError
+// carrying the status (channel.TestHandshake, "reject before attest");
+// both Dial and Server.handshake hand it on as the sentinel.
+func TestHandshakeRefusalsAreTyped(t *testing.T) {
+	for status, want := range map[string]error{
+		statusDraining:   ErrDraining,
+		statusRecovering: ErrRecovering,
+		statusSession:    ErrSessionLimit,
+	} {
+		err := handshakeErr(fmt.Errorf("admission: %w", &channel.RejectError{Status: status}))
+		if !errors.Is(err, want) || errors.Is(err, ErrHandshake) {
+			t.Fatalf("refusal %q surfaces as %v, want exactly %v", status, err, want)
+		}
 	}
+	// Anything else stays the handshake failure it was.
+	for _, err := range []error{
+		&channel.RejectError{Status: channel.StatusVersion},
+		fmt.Errorf("%w: quote not bound", channel.ErrHandshake),
+	} {
+		if got := handshakeErr(err); got != err || !errors.Is(got, ErrHandshake) {
+			t.Fatalf("handshakeErr(%v) = %v", err, got)
+		}
+	}
+}
+
+// FuzzDecodeRequest: whatever opens under a session key decodes into a
+// request or a typed ErrBadRequest, and a request that decodes is a
+// fixed point of the codec.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, r := range codecRequests() {
+		f.Add(appendRequest(nil, r))
+	}
+	f.Add(appendRequest(nil, request{id: 5, op: opBind, class: "kv", trace: telemetry.SpanContext{TraceID: 7, SpanID: 9}}))
+	f.Add(appendRequest(nil, request{id: 7, op: "evict"}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := decodeRequest(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		enc := appendRequest(nil, r)
+		again, err := decodeRequest(enc)
+		if err != nil {
+			t.Fatalf("re-encoding of %+v does not decode: %v", r, err)
+		}
+		if !bytes.Equal(appendRequest(nil, again), enc) {
+			t.Fatalf("%+v is not a fixed point of the codec", r)
+		}
+	})
+}
+
+// FuzzDecodeResponse is the same for what a client reads back.
+func FuzzDecodeResponse(f *testing.F) {
+	f.Add(appendResponse(nil, response{id: 1, status: statusOK, result: wire.List(wire.Ref("KVStore", 3), wire.Null())}))
+	f.Add(appendResponse(nil, response{id: 2, status: statusWrongShard, message: "owner=3 epoch=9"}))
+	f.Add(appendResponse(nil, response{id: 3, status: statusAppError, message: "boom"}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := decodeResponse(data)
+		if err != nil {
+			return
+		}
+		_ = r.err() // whatever the status and message, a typed error or nil
+		enc := appendResponse(nil, r)
+		again, err := decodeResponse(enc)
+		if err != nil {
+			t.Fatalf("re-encoding of %+v does not decode: %v", r, err)
+		}
+		if !bytes.Equal(appendResponse(nil, again), enc) {
+			t.Fatalf("%+v is not a fixed point of the codec", r)
+		}
+	})
 }

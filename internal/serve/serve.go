@@ -1,10 +1,7 @@
 package serve
 
 import (
-	"bufio"
 	"context"
-	"crypto/ecdh"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"net"
@@ -12,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"montsalvat/internal/channel"
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/sgx"
 	"montsalvat/internal/telemetry"
@@ -482,117 +480,55 @@ func (srv *Server) handleConn(conn net.Conn) {
 	s.loop()
 }
 
-// handshake performs the server side of the attested key exchange:
-//
-//	C→S  hello   (client X25519 public key, nonce)            plaintext
-//	S→C  attest  (server X25519 public key, SGX quote whose
-//	             report data hashes the key-exchange transcript) plaintext
-//	C→S  ack                                                   sealed
-//	S→C  ready   (session id)                                  sealed
-//
-// The quote binds the server's ephemeral key and the client's nonce to
-// the enclave measurement; the session key is derived from the ECDH
-// shared secret and that attested transcript, so a verified handshake
-// yields a channel that terminates inside the quoted enclave identity.
+// handshake attests the world's enclave to a new connection — the
+// responder's side of the attested channel (internal/channel), in its
+// one-sided form: the client proves nothing — and registers the session.
+// Admission runs once the hello is read and before anything is quoted;
+// its refusals reach the client in place of the attestation and surface
+// there, as here, as ErrDraining, ErrRecovering or ErrSessionLimit.
 func (srv *Server) handshake(conn net.Conn) (*session, error) {
-	deadline := time.Now().Add(srv.opts.HandshakeTimeout)
-	_ = conn.SetDeadline(deadline)
-	defer conn.SetDeadline(time.Time{})
-
-	// One buffered reader owns the conn's read side for the whole
-	// session lifetime (handshake and request loop).
-	rd := bufio.NewReaderSize(conn, 4096)
-	buf, err := readFrame(rd)
-	if err != nil {
-		return nil, fmt.Errorf("%w: hello: %v", ErrHandshake, err)
-	}
-	clientPub, nonce, err := decodeHello(buf)
-	if err != nil {
-		return nil, err
-	}
-
-	// Pre-attestation refusals are plaintext: no channel exists yet.
-	if srv.draining.Load() {
-		srv.rejDraining.Add(1)
-		_, _ = writeFrame(conn, encodeReject(statusDraining))
-		return nil, ErrDraining
-	}
-	if srv.recovering.Load() {
-		// The enclave being quoted is mid-rebuild: tell the client to
-		// retry instead of attesting a half-recovered identity.
-		srv.rejRecovering.Add(1)
-		_, _ = writeFrame(conn, encodeReject(statusRecovering))
-		return nil, ErrRecovering
-	}
-	srv.mu.Lock()
-	if len(srv.sessions)+srv.handshaking >= srv.opts.MaxSessions {
-		srv.mu.Unlock()
-		srv.rejSession.Add(1)
-		_, _ = writeFrame(conn, encodeReject(statusSession))
-		return nil, ErrSessionLimit
-	}
-	srv.handshaking++
-	srv.sessionSeq++
-	sid := srv.sessionSeq
-	srv.mu.Unlock()
+	// A slot is reserved at the limit check and either becomes a session
+	// or is given back.
+	var sid int64
 	registered := false
 	defer func() {
-		if !registered {
+		if sid != 0 && !registered {
 			srv.mu.Lock()
 			srv.handshaking--
 			srv.mu.Unlock()
 		}
 	}()
-
-	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
+	admit := func(string) (*[32]byte, error) {
+		if srv.draining.Load() {
+			srv.rejDraining.Add(1)
+			return nil, &channel.RejectError{Status: statusDraining}
+		}
+		if srv.recovering.Load() {
+			// The enclave being quoted is mid-rebuild: tell the client to
+			// retry instead of attesting a half-recovered identity.
+			srv.rejRecovering.Add(1)
+			return nil, &channel.RejectError{Status: statusRecovering}
+		}
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		if len(srv.sessions)+srv.handshaking >= srv.opts.MaxSessions {
+			srv.rejSession.Add(1)
+			return nil, &channel.RejectError{Status: statusSession}
+		}
+		srv.handshaking++
+		srv.sessionSeq++
+		sid = srv.sessionSeq
+		return nil, nil // a client proves nothing
+	}
+	// A killed world has no enclave (a fabric kill tears it down before it
+	// closes the listener); the channel refuses to attest nothing.
+	local := channel.Identity{Platform: srv.opts.Platform, Enclave: srv.w.Enclave()}
+	ch, err := channel.Accept(conn, sessionPlane, local, admit, srv.opts.HandshakeTimeout)
 	if err != nil {
-		return nil, fmt.Errorf("%w: keygen: %v", ErrHandshake, err)
-	}
-	peer, err := ecdh.X25519().NewPublicKey(clientPub)
-	if err != nil {
-		return nil, fmt.Errorf("%w: client key: %v", ErrHandshake, err)
-	}
-	shared, err := priv.ECDH(peer)
-	if err != nil {
-		return nil, fmt.Errorf("%w: ecdh: %v", ErrHandshake, err)
-	}
-	report := transcriptHash(clientPub, priv.PublicKey().Bytes(), nonce)
-	encl := srv.w.Enclave()
-	if encl == nil {
-		// The world was killed under the gateway (a fabric kill tears
-		// the enclave down before it closes the listener).
-		return nil, fmt.Errorf("%w: no enclave to attest", ErrHandshake)
-	}
-	quote, err := srv.opts.Platform.Quote(encl, report)
-	if err != nil {
-		return nil, fmt.Errorf("%w: quote: %v", ErrHandshake, err)
-	}
-	if _, err := writeFrame(conn, encodeAttest(priv.PublicKey().Bytes(), quote)); err != nil {
-		return nil, fmt.Errorf("%w: attest: %v", ErrHandshake, err)
-	}
-
-	ciph, err := newSessionCipher(sessionKey(shared, report), false)
-	if err != nil {
-		return nil, fmt.Errorf("%w: cipher: %v", ErrHandshake, err)
-	}
-	// The sealed ack proves the client derived the same key, i.e. it
-	// really holds the private half of the hello it sent.
-	buf, err = readFrame(rd)
-	if err != nil {
-		return nil, fmt.Errorf("%w: ack: %v", ErrHandshake, err)
-	}
-	plain, err := ciph.open(buf)
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeAck(plain); err != nil {
-		return nil, err
-	}
-	if _, err := writeFrame(conn, ciph.seal(encodeReady(sid))); err != nil {
-		return nil, fmt.Errorf("%w: ready: %v", ErrHandshake, err)
+		return nil, handshakeErr(err)
 	}
 
-	s := newSession(srv, sid, conn, rd, ciph)
+	s := newSession(srv, sid, conn, ch)
 	srv.mu.Lock()
 	if srv.draining.Load() {
 		srv.mu.Unlock()
@@ -606,11 +542,11 @@ func (srv *Server) handshake(conn net.Conn) (*session, error) {
 		return nil, ErrRecovering
 	}
 	srv.handshaking--
-	srv.sessions[sid] = s
+	srv.sessions[s.id] = s
 	registered = true
 	srv.mu.Unlock()
 	srv.sessionsTotal.Add(1)
-	srv.events.Emit(telemetry.EventSessionOpen, srv.opts.Node, 0, "session %d from %v", sid, conn.RemoteAddr())
+	srv.events.Emit(telemetry.EventSessionOpen, srv.opts.Node, 0, "session %d from %v", s.id, conn.RemoteAddr())
 	return s, nil
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -9,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"montsalvat/internal/channel"
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/registry"
 	"montsalvat/internal/telemetry"
@@ -23,12 +23,10 @@ type session struct {
 	id   int64
 	srv  *Server
 	conn net.Conn
-	rd   *bufio.Reader // owns all reads from conn (shared with the handshake)
+	ch   *channel.Conn // read by loop alone
 	ns   *registry.Namespace
 
-	writeMu sync.Mutex // serialises response writes and the send counter
-	ciph    *sessionCipher
-	sendBuf []byte // reusable sealed-frame buffer, guarded by writeMu
+	writeMu sync.Mutex // serialises the channel's senders
 
 	inflight  atomic.Int64 // per-session admitted requests
 	wg        sync.WaitGroup
@@ -39,16 +37,8 @@ type session struct {
 	dead atomic.Bool
 }
 
-func newSession(srv *Server, id int64, conn net.Conn, rd *bufio.Reader, ciph *sessionCipher) *session {
-	return &session{
-		id:      id,
-		srv:     srv,
-		conn:    conn,
-		rd:      rd,
-		ns:      registry.NewNamespace(),
-		ciph:    ciph,
-		sendBuf: newSendBuf(),
-	}
+func newSession(srv *Server, id int64, conn net.Conn, ch *channel.Conn) *session {
+	return &session{id: id, srv: srv, conn: conn, ch: ch, ns: registry.NewNamespace()}
 }
 
 func (s *session) closeConn() {
@@ -61,21 +51,17 @@ func (s *session) closeConn() {
 // session's reads (bounding this session's queued work to one request).
 func (s *session) loop() {
 	defer s.wg.Wait() // in-flight replies need the connection state
-	var payload []byte
 	for {
-		var err error
-		payload, err = readFrameInto(s.rd, payload)
+		plain, err := s.ch.Recv()
 		if err != nil {
+			if errors.Is(err, channel.ErrAuth) {
+				// Tampered or replayed traffic: the channel is no longer
+				// trustworthy, drop the session.
+				s.srv.opts.Logf("serve: session %d: %v", s.id, err)
+			}
 			return
 		}
-		s.srv.bytesIn.Add(uint64(4 + len(payload)))
-		plain, err := s.ciph.open(payload)
-		if err != nil {
-			// Tampered or replayed traffic: the channel is no longer
-			// trustworthy, drop the session.
-			s.srv.opts.Logf("serve: session %d: %v", s.id, err)
-			return
-		}
+		s.srv.bytesIn.Add(uint64(len(plain) + channel.Overhead))
 		req, err := decodeRequest(plain)
 		if err != nil {
 			// Content decode failed under a valid seal: report and keep
@@ -217,19 +203,12 @@ func (s *session) reply(id int64, r response) {
 	r.id = id
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	frame, err := s.ciph.sealFrame(appendResponse(s.sendBuf[:frameHeader], r))
-	s.sendBuf = frame
-	if err != nil {
-		s.closeConn()
-		return
-	}
 	_ = s.conn.SetWriteDeadline(time.Now().Add(s.srv.opts.WriteTimeout))
-	_, err = s.conn.Write(frame)
-	n := len(frame)
+	n, err := s.ch.Send(appendResponse(s.ch.Frame(), r))
 	_ = s.conn.SetWriteDeadline(time.Time{})
 	if err != nil {
-		// The read loop will observe the broken connection and tear the
-		// session down; nothing more to do here.
+		// A response over the frame budget, or a broken connection: the
+		// read loop will observe the close and tear the session down.
 		s.closeConn()
 		return
 	}
@@ -385,101 +364,52 @@ func appErr(err error) error {
 func (s *session) importValues(vals []wire.Value) ([]wire.Value, error) {
 	out := make([]wire.Value, len(vals))
 	for i, v := range vals {
-		iv, err := s.importValue(v)
-		if err != nil {
+		var err error
+		if out[i], err = wire.MapRefs(v, s.importRef); err != nil {
 			return nil, err
 		}
-		out[i] = iv
 	}
 	return out, nil
 }
 
-func (s *session) importValue(v wire.Value) (wire.Value, error) {
-	switch v.Kind() {
-	case wire.KindRef:
-		_, handle, _ := v.AsRef()
-		e, ok := s.ns.Lookup(handle)
-		if !ok {
-			return wire.Value{}, ErrForeignRef
-		}
-		return wire.Ref(e.Class, e.Hash), nil
-	case wire.KindList:
-		vs, _ := v.AsList()
-		out := make([]wire.Value, len(vs))
-		for i, el := range vs {
-			iv, err := s.importValue(el)
-			if err != nil {
-				return wire.Value{}, err
-			}
-			out[i] = iv
-		}
-		return wire.List(out...), nil
-	case wire.KindMap:
-		pairs, _ := v.AsMap()
-		out := make([]wire.Pair, len(pairs))
-		for i, p := range pairs {
-			iv, err := s.importValue(p.Val)
-			if err != nil {
-				return wire.Value{}, err
-			}
-			out[i] = wire.Pair{Key: p.Key, Val: iv}
-		}
-		return wire.Map(out...), nil
-	default:
-		return v, nil
+func (s *session) importRef(ref wire.Value) (wire.Value, error) {
+	_, handle, _ := ref.AsRef()
+	e, ok := s.ns.Lookup(handle)
+	if !ok {
+		return wire.Value{}, ErrForeignRef
 	}
+	return wire.Ref(e.Class, e.Hash), nil
 }
 
 // exportValue translates a result for the wire: every object ref is
 // pinned (so it survives the Exec frame's release) and renamed to a
 // session handle. Must run inside the Exec frame, while the frame still
-// retains the object. An object the namespace already names keeps its
-// canonical handle and the duplicate pin is dropped.
+// retains the object.
 func (s *session) exportValue(v wire.Value) (wire.Value, error) {
-	switch v.Kind() {
-	case wire.KindRef:
-		class, hash, _ := v.AsRef()
-		rt := s.srv.w.Untrusted()
-		if err := rt.Pin(v); err != nil {
+	return wire.MapRefs(v, s.exportRef)
+}
+
+// exportRef pins one object and names it in the session's namespace. An
+// object the namespace already names keeps its canonical handle and the
+// duplicate pin is dropped.
+func (s *session) exportRef(ref wire.Value) (wire.Value, error) {
+	class, hash, _ := ref.AsRef()
+	rt := s.srv.w.Untrusted()
+	if err := rt.Pin(ref); err != nil {
+		return wire.Value{}, err
+	}
+	handle, added := s.ns.Add(class, hash)
+	if !added {
+		// Duplicate (or a namespace drained by teardown racing this
+		// request): keep exactly one retention per live handle.
+		if err := rt.Unpin(ref); err != nil {
 			return wire.Value{}, err
 		}
-		handle, added := s.ns.Add(class, hash)
-		if !added {
-			// Duplicate (or a namespace drained by teardown racing this
-			// request): keep exactly one retention per live handle.
-			if err := rt.Unpin(v); err != nil {
-				return wire.Value{}, err
-			}
-			if handle == 0 {
-				return wire.Value{}, ErrDraining
-			}
+		if handle == 0 {
+			return wire.Value{}, ErrDraining
 		}
-		return wire.Ref(class, handle), nil
-	case wire.KindList:
-		vs, _ := v.AsList()
-		out := make([]wire.Value, len(vs))
-		for i, el := range vs {
-			ev, err := s.exportValue(el)
-			if err != nil {
-				return wire.Value{}, err
-			}
-			out[i] = ev
-		}
-		return wire.List(out...), nil
-	case wire.KindMap:
-		pairs, _ := v.AsMap()
-		out := make([]wire.Pair, len(pairs))
-		for i, p := range pairs {
-			ev, err := s.exportValue(p.Val)
-			if err != nil {
-				return wire.Value{}, err
-			}
-			out[i] = wire.Pair{Key: p.Key, Val: ev}
-		}
-		return wire.Map(out...), nil
-	default:
-		return v, nil
 	}
+	return wire.Ref(class, handle), nil
 }
 
 // teardown releases everything the session owns: the namespace drains,

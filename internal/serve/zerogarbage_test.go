@@ -21,11 +21,7 @@ func sendRaw(t *testing.T, c *Client, id int64, plain []byte) response {
 	c.pending[id] = p
 	c.mu.Unlock()
 	c.writeMu.Lock()
-	frame, err := c.ciph.sealFrame(append(c.sendBuf[:frameHeader], plain...))
-	c.sendBuf = frame
-	if err == nil {
-		_, err = c.conn.Write(frame)
-	}
+	_, err := c.ch.Send(append(c.ch.Frame(), plain...))
 	c.writeMu.Unlock()
 	if err != nil {
 		t.Fatalf("raw send: %v", err)

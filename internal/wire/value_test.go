@@ -228,3 +228,60 @@ func TestUnmarshalListAllocs(t *testing.T) {
 		t.Fatalf("UnmarshalList(put args) = %v allocs, want <= 3", allocs)
 	}
 }
+
+// TestMapRefs: the walk reaches a reference wherever it sits — bare, in a
+// list, in a map value, at any mix of the two — leaves everything else
+// and the input alone, and stops at the first error.
+func TestMapRefs(t *testing.T) {
+	rename := func(ref Value) (Value, error) {
+		class, hash, _ := ref.AsRef()
+		if hash < 0 {
+			return Value{}, ErrBadTag
+		}
+		return Ref(class, hash+100), nil
+	}
+	in := List(
+		Ref("A", 1),
+		Str("s"),
+		Map(Pair{Key: "m", Val: Ref("B", 2)}, Pair{Key: "n", Val: List(Ref("C", 3), Bytes([]byte{9}))}),
+		List(Map(Pair{Key: "deep", Val: Ref("D", 4)})),
+		List(), Map(), Null(),
+	)
+	want := List(
+		Ref("A", 101),
+		Str("s"),
+		Map(Pair{Key: "m", Val: Ref("B", 102)}, Pair{Key: "n", Val: List(Ref("C", 103), Bytes([]byte{9}))}),
+		List(Map(Pair{Key: "deep", Val: Ref("D", 104)})),
+		List(), Map(), Null(),
+	)
+	before := Marshal(in)
+	got, err := MapRefs(in, rename)
+	if err != nil || !got.Equal(want) {
+		t.Fatalf("MapRefs = %v, %v\nwant %v", got, err, want)
+	}
+	if !bytes.Equal(Marshal(got), Marshal(want)) || !bytes.Equal(Marshal(in), before) {
+		t.Fatal("result does not encode as built, or the input moved")
+	}
+	if got, err := MapRefs(Ref("A", 1), rename); err != nil || !got.Equal(Ref("A", 101)) {
+		t.Fatalf("bare ref: %v, %v", got, err)
+	}
+	for _, bad := range []Value{
+		Ref("X", -1),
+		List(Ref("A", 1), Ref("X", -1)),
+		Map(Pair{Key: "k", Val: Ref("X", -1)}),
+		List(Map(Pair{Key: "k", Val: List(Ref("X", -1))})),
+	} {
+		if _, err := MapRefs(bad, rename); !errors.Is(err, ErrBadTag) {
+			t.Fatalf("MapRefs(%v) = %v, want the rename error", bad, err)
+		}
+	}
+	// A rename that deepens a value already at the limit is an error,
+	// not a panic.
+	deep := Ref("A", 1)
+	for i := 0; i < MaxDepth; i++ {
+		deep = List(deep)
+	}
+	if _, err := MapRefs(deep, func(Value) (Value, error) { return List(Int(1)), nil }); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("deepening rename: %v, want ErrTooDeep", err)
+	}
+}

@@ -220,6 +220,36 @@ func Ref(class string, hash int64) Value {
 	return Value{kind: KindRef, w: uint64(hash), s: class}
 }
 
+// MapRefs returns v with every object reference in it — v itself, or one
+// nested at any depth of lists and map values — replaced by rename(ref).
+// It is the one walk that renames references where they cross from one
+// handle namespace into another; the first error stops it.
+func MapRefs(v Value, rename func(ref Value) (Value, error)) (Value, error) {
+	var err error
+	switch v.kind {
+	case KindRef:
+		return rename(v)
+	case KindList:
+		out := make([]Value, v.w)
+		for i, el := range v.elems() {
+			if out[i], err = MapRefs(el, rename); err != nil {
+				return Value{}, err
+			}
+		}
+		return listOf(out)
+	case KindMap:
+		out := make([]Pair, v.w)
+		for i, p := range v.pairs() {
+			out[i].Key = p.Key
+			if out[i].Val, err = MapRefs(p.Val, rename); err != nil {
+				return Value{}, err
+			}
+		}
+		return mapOf(out)
+	}
+	return v, nil
+}
+
 // Kind reports the value's dynamic type.
 func (v Value) Kind() Kind { return v.kind }
 

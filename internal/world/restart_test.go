@@ -159,17 +159,7 @@ func TestRestartRevivesGCHelpers(t *testing.T) {
 // gone, not parked on their TCS slots for the life of the process.
 func TestFailedFirstBootLeavesNothingBehind(t *testing.T) {
 	errBoot := errors.New("static initialiser refused")
-	prog := demo.MustBankProgram()
-	acct, _ := prog.Class(demo.Account)
-	if err := acct.AddMethod(&classmodel.Method{
-		Name: classmodel.StaticInitName, Static: true,
-		Body: func(classmodel.Env, wire.Value, []wire.Value) (wire.Value, error) {
-			return wire.Value{}, errBoot
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	build, err := core.BuildPartitioned(prog)
+	build, err := core.BuildPartitioned(bankWithFailingInit(t, errBoot))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +168,59 @@ func TestFailedFirstBootLeavesNothingBehind(t *testing.T) {
 
 	before := runtime.NumGoroutine()
 	w, err := world.NewPartitioned(opts, build.TrustedImage, build.UntrustedImage, build.Transform.Interface)
+	nothingLeftBehind(t, "NewPartitioned", w, err, errBoot, before)
+}
+
+// TestFailedUnpartitionedBootLeavesNothingBehind is the same for the
+// single-image constructor, whose error paths returned without a
+// teardown: the enclave stayed alive and a sleeping clock's tick
+// broadcaster ran for the life of the process.
+func TestFailedUnpartitionedBootLeavesNothingBehind(t *testing.T) {
+	errBoot := errors.New("static initialiser refused")
+	img, err := core.BuildUnpartitioned(bankWithFailingInit(t, errBoot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := world.DefaultOptions()
+	opts.Cfg.Spin, opts.Cfg.SleepCharges = true, true // a ModeSleep clock
+
+	before := runtime.NumGoroutine()
+	w, err := world.NewUnpartitioned(opts, img, true)
+	nothingLeftBehind(t, "NewUnpartitioned", w, err, errBoot, before)
+}
+
+// bankWithFailingInit is the bank program with a static initialiser on
+// Account that fails with errBoot.
+func bankWithFailingInit(t *testing.T, errBoot error) *classmodel.Program {
+	t.Helper()
+	prog := demo.MustBankProgram()
+	acct, _ := prog.Class(demo.Account)
+	if err := acct.AddMethod(&classmodel.Method{
+		Name: classmodel.StaticInitName, Static: true,
+		Body: func(env classmodel.Env, _ wire.Value, _ []wire.Value) (wire.Value, error) {
+			// Some work first: a charge long enough to start a sleeping
+			// clock's broadcaster.
+			env.MemTouch(1 << 20)
+			return wire.Value{}, errBoot
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// nothingLeftBehind checks that a constructor failed with errBoot,
+// returned no world, and that every goroutine it started has gone.
+func nothingLeftBehind(t *testing.T, ctor string, w *world.World, err, errBoot error, before int) {
+	t.Helper()
 	if !errors.Is(err, errBoot) {
 		if w != nil {
 			w.Close()
 		}
-		t.Fatalf("NewPartitioned: %v, want the static initialiser's error", err)
+		t.Fatalf("%s: %v, want the static initialiser's error", ctor, err)
 	}
 	if w != nil {
-		t.Fatal("NewPartitioned returned a world beside its error")
+		t.Fatalf("%s returned a world beside its error", ctor)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before {

@@ -276,24 +276,28 @@ func NewUnpartitioned(opts Options, img *image.Image, inEnclave bool) (*World, e
 	if err != nil {
 		return nil, err
 	}
-	if inEnclave {
-		if err := w.initEnclave(opts, img); err != nil {
-			return nil, err
-		}
-		w.trusted, err = w.newRuntime("trusted", true, img, opts.TrustedHeap)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		w.untrusted, err = w.newRuntime("untrusted", false, img, opts.UntrustedHeap)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := w.runStaticInits(); err != nil {
+	// Nothing else can reach w yet, which is as good as holding stateMu.
+	if err := w.bootUnpartitioned(opts, img, inEnclave); err != nil {
+		w.teardownLocked()
+		w.clock.Stop()
 		return nil, err
 	}
 	return w, nil
+}
+
+func (w *World) bootUnpartitioned(opts Options, img *image.Image, inEnclave bool) (err error) {
+	if inEnclave {
+		if err := w.initEnclave(opts, img); err != nil {
+			return err
+		}
+		w.trusted, err = w.newRuntime("trusted", true, img, opts.TrustedHeap)
+	} else {
+		w.untrusted, err = w.newRuntime("untrusted", false, img, opts.UntrustedHeap)
+	}
+	if err != nil {
+		return err
+	}
+	return w.runStaticInits()
 }
 
 func newWorld(mode Mode, opts Options) (*World, error) {
@@ -339,6 +343,9 @@ func (w *World) initEnclave(opts Options, tImg *image.Image) error {
 	if err != nil {
 		return err
 	}
+	// The world owns the enclave from here: a failure below leaves it to
+	// the caller's teardown.
+	w.enclave = encl
 	if err := encl.AddPages(tImg.Bytes()); err != nil {
 		return err
 	}
@@ -356,7 +363,6 @@ func (w *World) initEnclave(opts Options, tImg *image.Image) error {
 	if err := encl.Init(ss); err != nil {
 		return fmt.Errorf("world: enclave init: %w", err)
 	}
-	w.enclave = encl
 	return nil
 }
 
