@@ -18,11 +18,11 @@ build:
 # the pooled activation records in world and the cached sealing cipher
 # in sgx are reuse across goroutines; a channel's two directions run on
 # two goroutines, and handle namespaces are shared by a session's
-# in-flight requests).
+# in-flight requests; DirFS shares one table of open file handles).
 test:
 	$(GO) test ./...
 	$(GO) vet ./...
-	$(GO) test -race ./internal/channel/... ./internal/registry/... ./internal/wire/... ./internal/boundary/... ./internal/mee/... ./internal/epc/... ./internal/heap/... ./internal/isolate/... ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/serve/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/...
+	$(GO) test -race ./internal/channel/... ./internal/registry/... ./internal/wire/... ./internal/boundary/... ./internal/mee/... ./internal/epc/... ./internal/heap/... ./internal/isolate/... ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/serve/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/... ./internal/shim/...
 
 race:
 	$(GO) test -race ./...

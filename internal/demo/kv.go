@@ -145,11 +145,12 @@ func kvAuditLogClass() *classmodel.Class {
 }
 
 // kvStoreClass holds Entry objects on the enclave heap, reachable two
-// ways: a flat insertion-ordered list (the O(1) enumeration surface the
-// durability layer's snapshot walker drives through keyat) and a
-// fixed-fan-out hash index of bucket lists (the near-constant lookup
-// path put/get take). Both reference the same Entry objects, so an
-// in-place setvalue is visible through either route.
+// ways: a flat insertion-ordered list, "entries" (what the durability
+// layer's snapshot pass walks once inside the enclave, reading each
+// Entry's key and value), and a fixed-fan-out hash index of bucket
+// lists (the near-constant lookup path put/get take). Both reference
+// the same Entry objects, so an in-place setvalue is visible through
+// either route.
 func kvStoreClass(fanout int) *classmodel.Class {
 	c := classmodel.NewClass(KVStoreCls, classmodel.Trusted)
 	mustField(c, classmodel.Field{Name: "entries", Kind: classmodel.FieldRef, ClassName: classmodel.BuiltinList})
@@ -290,9 +291,11 @@ func kvStoreClass(fanout int) *classmodel.Class {
 			{Class: classmodel.BuiltinList, Method: "get"},
 			{Class: KVEntry, Method: "getkey"},
 		},
-		// keyat enumerates the store by index — with get, the iteration
-		// surface the durability layer's snapshot walker uses to drain
-		// the enclave-resident entries into a sealed checkpoint.
+		// keyat enumerates the store by index from outside. Nothing in
+		// the tree calls it any more — the snapshot is one trusted pass
+		// over the entries list (persist.WorldKV) — but it stays: it is
+		// part of the closed-world image, and removing it would change
+		// the measured build.
 		Body: func(env classmodel.Env, self wire.Value, args []wire.Value) (wire.Value, error) {
 			list, err := env.GetField(self, "entries")
 			if err != nil {
@@ -340,9 +343,9 @@ func kvFrontEndClass() *classmodel.Class {
 			{Class: KVStoreCls, Method: "put"},
 			{Class: KVStoreCls, Method: "get"},
 			{Class: KVStoreCls, Method: "size"},
-			// Keeps the snapshot-enumeration surface reachable in the
-			// closed-world build for gateway deployments that persist the
-			// store (the build prunes undeclared methods).
+			// Keeps keyat, the by-index enumeration surface, reachable in
+			// the closed-world build (the build prunes undeclared methods);
+			// see keyat for why it stays.
 			{Class: KVStoreCls, Method: "keyat"},
 		},
 		Body: func(env classmodel.Env, self wire.Value, args []wire.Value) (wire.Value, error) {

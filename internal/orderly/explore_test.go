@@ -1,8 +1,11 @@
 package orderly
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -174,17 +177,55 @@ func TestSeedRoundTrip(t *testing.T) {
 	if config != "world" || !reflect.DeepEqual(trace, []string{"ocall-put", "kill", "recover"}) {
 		t.Fatalf("parsed (%q, %v)", config, trace)
 	}
-	if _, _, err := ParseSeed("not-a-seed"); err == nil {
-		t.Fatal("want error for malformed seed")
+	if _, _, err := ParseSeed("not-a-seed"); !errors.Is(err, ErrBadSeed) {
+		t.Fatalf("malformed seed: %v, want ErrBadSeed", err)
 	}
-	if _, _, err := ParseSeed("orderly:v1::x"); err == nil {
-		t.Fatal("want error for empty config")
+	if _, _, err := ParseSeed("orderly:v1::x"); !errors.Is(err, ErrBadSeed) {
+		t.Fatalf("empty config: %v, want ErrBadSeed", err)
 	}
 	// Empty trace is legal (a config smoke boot).
 	config, trace, err = ParseSeed("orderly:v1:fabric:")
 	if err != nil || config != "fabric" || len(trace) != 0 {
 		t.Fatalf("empty-trace seed: (%q, %v, %v)", config, trace, err)
 	}
+}
+
+// FuzzParseSeed feeds hostile seeds to the parser: it must fail with
+// ErrBadSeed or return a seed that formats back to itself, and never
+// panic.
+func FuzzParseSeed(f *testing.F) {
+	f.Add(FormatSeed("world", []string{"ocall-put", "kill", "recover"}))
+	f.Add("orderly:v1:fabric:")
+	f.Add("orderly:v1::x")
+	f.Add("orderly:v1:world:a,,b")
+	f.Add("  orderly:v1:gateway: put , get\n")
+	f.Add("not-a-seed")
+	if seeds, err := filepath.Glob(filepath.Join("testdata", "corpus", "*.seed")); err == nil {
+		for _, path := range seeds {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				f.Fatal(err)
+			}
+			for _, line := range strings.Split(string(b), "\n") {
+				if !strings.HasPrefix(line, "#") {
+					f.Add(line)
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed string) {
+		config, trace, err := ParseSeed(seed)
+		if err != nil {
+			if !errors.Is(err, ErrBadSeed) {
+				t.Fatalf("ParseSeed(%q) = %v, want an ErrBadSeed", seed, err)
+			}
+			return
+		}
+		config2, trace2, err := ParseSeed(FormatSeed(config, trace))
+		if err != nil || config2 != config || !reflect.DeepEqual(trace2, trace) {
+			t.Fatalf("ParseSeed(%q) = (%q, %q) does not round-trip: (%q, %q, %v)", seed, config, trace, config2, trace2, err)
+		}
+	})
 }
 
 func TestReplayDeterminismToy(t *testing.T) {

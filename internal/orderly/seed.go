@@ -1,6 +1,7 @@
 package orderly
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -17,6 +18,11 @@ import (
 
 const seedPrefix = "orderly:v1:"
 
+// ErrBadSeed reports a seed that does not parse. Every ParseSeed
+// failure wraps it: a seed is pasted in from a CI log or read from the
+// corpus, so malformed input is expected, never a panic.
+var ErrBadSeed = errors.New("orderly: malformed seed")
+
 // FormatSeed renders a replayable seed.
 func FormatSeed(config string, trace []string) string {
 	return seedPrefix + config + ":" + strings.Join(trace, ",")
@@ -26,11 +32,11 @@ func FormatSeed(config string, trace []string) string {
 func ParseSeed(seed string) (config string, trace []string, err error) {
 	body, ok := strings.CutPrefix(strings.TrimSpace(seed), seedPrefix)
 	if !ok {
-		return "", nil, fmt.Errorf("orderly: seed %q: want prefix %q", seed, seedPrefix)
+		return "", nil, fmt.Errorf("%w %q: want prefix %q", ErrBadSeed, seed, seedPrefix)
 	}
 	config, rest, ok := strings.Cut(body, ":")
 	if !ok || config == "" {
-		return "", nil, fmt.Errorf("orderly: seed %q: want %s<config>:<actions>", seed, seedPrefix)
+		return "", nil, fmt.Errorf("%w %q: want %s<config>:<actions>", ErrBadSeed, seed, seedPrefix)
 	}
 	if rest == "" {
 		return config, nil, nil
@@ -38,7 +44,7 @@ func ParseSeed(seed string) (config string, trace []string, err error) {
 	for _, name := range strings.Split(rest, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
-			return "", nil, fmt.Errorf("orderly: seed %q: empty action name", seed)
+			return "", nil, fmt.Errorf("%w %q: empty action name", ErrBadSeed, seed)
 		}
 		trace = append(trace, name)
 	}

@@ -6,10 +6,8 @@ package persist
 // enclave-resident objects, not just in-process maps.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"montsalvat/internal/classmodel"
@@ -23,12 +21,16 @@ import (
 var ErrNoStoreRef = errors.New("persist: WorldKV has no live store ref (SetRef after boot and after every restart)")
 
 // WorldKV adapts an enclave-resident key-value store object (the demo
-// KVStore shape: put/get/size/keyat, string keys and values) to State.
-// Snapshot drains the store through its enumeration surface
-// (keyat/get) into the deterministic MapState encoding; Restore and
-// Apply drive mutations back in through put. The adapter holds a world
-// ref, not the object: after a crash/restart cycle the caller re-creates
-// the store and re-points the adapter with SetRef before Recover.
+// KVStore shape: put, string keys and values, an "entries" list of
+// Entry objects with getkey/getvalue) to State. Each State method is
+// one pass run inside the runtime that hosts the store — the trusted
+// one whenever the world has an enclave — so a recovery phase costs one
+// ecall, not one per key: Restore and Apply drive put from inside,
+// Snapshot walks the entries list once into the deterministic encoding
+// MapState uses, so a WorldKV checkpoint restores into either adapter.
+// The adapter holds a world ref, not the object: after a crash/restart
+// cycle the caller re-creates the store and re-points the adapter with
+// SetRef before Recover.
 type WorldKV struct {
 	name string
 	w    *world.World
@@ -59,99 +61,80 @@ func (k *WorldKV) Ref() wire.Value {
 	return k.ref
 }
 
-func (k *WorldKV) liveRef() (wire.Value, error) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.ref.IsNull() {
-		return wire.Value{}, ErrNoStoreRef
-	}
-	return k.ref, nil
-}
-
 // Name implements State.
 func (k *WorldKV) Name() string { return k.name }
 
-// Snapshot implements State: the store is enumerated inside one Exec
-// frame (size, then keyat/get per index) and encoded as sorted
-// length-prefixed pairs — the same deterministic shape MapState uses,
-// so a WorldKV checkpoint restores into either adapter.
-func (k *WorldKV) Snapshot() ([]byte, error) {
-	ref, err := k.liveRef()
-	if err != nil {
-		return nil, err
+// pass runs fn once inside the runtime hosting the store, with the
+// store ref. A proxy and its mirror share one identity hash, so the
+// ref the untrusted side holds names the mirror in the enclave. The
+// world's batch queues are flushed first: a store whose constructor
+// relay is still queued has no mirror yet, and queued puts must land
+// before a snapshot reads the store.
+func (k *WorldKV) pass(fn func(env classmodel.Env, ref wire.Value) error) error {
+	k.mu.Lock()
+	ref := k.ref
+	k.mu.Unlock()
+	if ref.IsNull() {
+		return ErrNoStoreRef
 	}
-	pairs := map[string]string{}
-	err = k.w.Exec(false, func(env classmodel.Env) error {
-		sz, err := env.Call(ref, "size")
+	if err := k.w.Flush(); err != nil {
+		return err
+	}
+	return k.w.Exec(k.w.Mode() != world.ModeNoSGX, func(env classmodel.Env) error {
+		return fn(env, ref)
+	})
+}
+
+// Snapshot implements State: one pass reads the key and value of every
+// Entry on the store's entries list.
+func (k *WorldKV) Snapshot() ([]byte, error) {
+	var pairs []kvPair
+	err := k.pass(func(env classmodel.Env, ref wire.Value) error {
+		entries, err := env.GetField(ref, "entries")
+		if err != nil {
+			return err
+		}
+		sz, err := env.Call(entries, "size")
 		if err != nil {
 			return err
 		}
 		n, _ := sz.AsInt()
+		pairs = make([]kvPair, 0, n)
 		for i := int64(0); i < n; i++ {
-			kv, err := env.Call(ref, "keyat", wire.Int(i))
+			e, err := env.Call(entries, "get", wire.Int(i))
+			if err != nil {
+				return err
+			}
+			kv, err := env.Call(e, "getkey")
+			if err != nil {
+				return err
+			}
+			vv, err := env.Call(e, "getvalue")
 			if err != nil {
 				return err
 			}
 			key, _ := kv.AsStr()
-			vv, err := env.Call(ref, "get", wire.Str(key))
-			if err != nil {
-				return err
-			}
 			val, _ := vv.AsStr()
-			pairs[key] = val
+			pairs = append(pairs, kvPair{key, []byte(val)})
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("persist: snapshot %s: %w", k.name, err)
 	}
-	keys := make([]string, 0, len(pairs))
-	for key := range pairs {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	buf := binary.AppendUvarint(nil, uint64(len(keys)))
-	for _, key := range keys {
-		buf = binary.AppendUvarint(buf, uint64(len(key)))
-		buf = append(buf, key...)
-		buf = binary.AppendUvarint(buf, uint64(len(pairs[key])))
-		buf = append(buf, pairs[key]...)
-	}
-	return buf, nil
+	return encodePairs(pairs), nil
 }
 
-// Restore implements State: the snapshot's pairs are written into the
-// (freshly re-created, empty) store through put.
+// Restore implements State: one pass writes the snapshot's pairs into
+// the (freshly re-created, empty) store through put.
 func (k *WorldKV) Restore(data []byte) error {
-	ref, err := k.liveRef()
+	pairs, err := decodePairs(data)
 	if err != nil {
 		return err
 	}
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return fmt.Errorf("%w: kv count", ErrRecordTruncated)
-	}
-	data = data[n:]
-	type pair struct{ key, val string }
-	pairs := make([]pair, 0, count)
-	for i := uint64(0); i < count; i++ {
-		key, rest, err := decodeField(data, "kv key")
-		if err != nil {
-			return err
-		}
-		val, rest, err := decodeField(rest, "kv value")
-		if err != nil {
-			return err
-		}
-		pairs = append(pairs, pair{string(key), string(val)})
-		data = rest
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("%w: %d trailing snapshot bytes", ErrRecordMalformed, len(data))
-	}
-	err = k.w.Exec(false, func(env classmodel.Env) error {
+	err = k.pass(func(env classmodel.Env, ref wire.Value) error {
 		for _, p := range pairs {
-			if _, err := env.Call(ref, "put", wire.Str(p.key), wire.Str(p.val)); err != nil {
+			if _, err := env.Call(ref, "put", wire.Str(p.key), wire.Str(string(p.val))); err != nil {
 				return err
 			}
 		}
@@ -163,23 +146,22 @@ func (k *WorldKV) Restore(data []byte) error {
 	return nil
 }
 
-// Apply implements State: a journaled put replays through the store's
-// put (idempotent — last write wins). The demo store has no delete
-// surface, so OpDelete is a replay error.
-func (k *WorldKV) Apply(rec Record) error {
-	ref, err := k.liveRef()
-	if err != nil {
-		return err
+// Apply implements State: one pass replays a segment's puts through the
+// store's put (idempotent — last write wins). The demo store has no
+// delete surface, so OpDelete is a replay error, raised before the pass
+// starts.
+func (k *WorldKV) Apply(recs []Record) error {
+	for _, rec := range recs {
+		if rec.Op != OpPut {
+			return fmt.Errorf("%w: op %d on world kv", ErrRecordMalformed, rec.Op)
+		}
 	}
-	if rec.Op != OpPut {
-		return fmt.Errorf("%w: op %d on world kv", ErrRecordMalformed, rec.Op)
-	}
-	err = k.w.Exec(false, func(env classmodel.Env) error {
-		_, err := env.Call(ref, "put", wire.Str(rec.Key), wire.Str(string(rec.Value)))
-		return err
+	return k.pass(func(env classmodel.Env, ref wire.Value) error {
+		for _, rec := range recs {
+			if _, err := env.Call(ref, "put", wire.Str(rec.Key), wire.Str(string(rec.Value))); err != nil {
+				return fmt.Errorf("persist: replay %s put %q: %w", k.name, rec.Key, err)
+			}
+		}
+		return nil
 	})
-	if err != nil {
-		return fmt.Errorf("persist: replay %s put %q: %w", k.name, rec.Key, err)
-	}
-	return nil
 }

@@ -59,7 +59,10 @@ func (p *PalDBState) Restore(data []byte) error {
 	return nil
 }
 
-// Apply implements State.
-func (p *PalDBState) Apply(rec Record) error {
-	return fmt.Errorf("%w: %s record for %q", ErrImmutableState, p.name, rec.Key)
+// Apply implements State: every journaled record is refused.
+func (p *PalDBState) Apply(recs []Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: %s record for %q", ErrImmutableState, p.name, recs[0].Key)
 }

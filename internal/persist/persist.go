@@ -376,16 +376,7 @@ func (m *Manager) Recover() (Report, error) {
 	}
 	m.epoch = live
 
-	replayed, lastLSN, torn, err := m.replayLog(live, m.watermark, func(rec Record) error {
-		s, ok := m.byName[rec.State]
-		if !ok {
-			// A state this build no longer registers (e.g. removed in an
-			// upgrade): its journal entries are inert, not fatal.
-			m.logf("persist: skipping record LSN %d for unknown state %q", rec.LSN, rec.State)
-			return nil
-		}
-		return s.Apply(rec)
-	})
+	replayed, lastLSN, torn, err := m.replayLog(live, m.watermark, m.applySegment)
 	if err != nil {
 		return rep, err
 	}
@@ -423,6 +414,34 @@ func (m *Manager) Recover() (Report, error) {
 	m.events.Emit(telemetry.EventRecoveryReplay, m.node, 0, "%s", rep)
 	m.logf("persist: recovered %s", rep)
 	return rep, nil
+}
+
+// applySegment replays the records of one WAL segment: each registered
+// state receives its own records in log order through one Apply call,
+// so a state behind the enclave boundary costs one crossing per
+// segment, not one per record.
+func (m *Manager) applySegment(recs []Record) error {
+	var order []State
+	byState := make(map[State][]Record)
+	for _, rec := range recs {
+		s, ok := m.byName[rec.State]
+		if !ok {
+			// A state this build no longer registers (e.g. removed in an
+			// upgrade): its journal entries are inert, not fatal.
+			m.logf("persist: skipping record LSN %d for unknown state %q", rec.LSN, rec.State)
+			continue
+		}
+		if _, seen := byState[s]; !seen {
+			order = append(order, s)
+		}
+		byState[s] = append(byState[s], rec)
+	}
+	for _, s := range order {
+		if err := s.Apply(byState[s]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Stats returns lifetime counters.

@@ -503,7 +503,7 @@ type probeState struct {
 
 func (p *probeState) Name() string              { return p.inner.Name() }
 func (p *probeState) Restore(data []byte) error { return p.inner.Restore(data) }
-func (p *probeState) Apply(rec Record) error    { return p.inner.Apply(rec) }
+func (p *probeState) Apply(recs []Record) error { return p.inner.Apply(recs) }
 func (p *probeState) Snapshot() ([]byte, error) {
 	if p.onSnapshot != nil {
 		p.onSnapshot()

@@ -3,7 +3,9 @@ package persist
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"montsalvat/internal/shim"
@@ -14,6 +16,10 @@ import (
 // during recovery. Apply must be idempotent (last-write-wins): the WAL
 // tail replayed after a checkpoint may overlap mutations the snapshot
 // already captured.
+//
+// Each method is one recovery phase, so a state whose data lives behind
+// a boundary (WorldKV) runs each call as one pass over it rather than
+// one crossing per key.
 type State interface {
 	// Name identifies the state inside checkpoints; it must be stable
 	// across restarts and unique within a Manager.
@@ -22,8 +28,9 @@ type State interface {
 	Snapshot() ([]byte, error)
 	// Restore replaces the state from a snapshot.
 	Restore(data []byte) error
-	// Apply replays one journaled mutation.
-	Apply(rec Record) error
+	// Apply replays the journaled mutations of one WAL segment that
+	// belong to this state, in log order. recs is never empty.
+	Apply(recs []Record) error
 }
 
 // MapState is a string→bytes map implementing State — the in-memory
@@ -89,43 +96,22 @@ func (s *MapState) Keys() []string {
 func (s *MapState) Snapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
+	pairs := make([]kvPair, 0, len(s.m))
+	for k, v := range s.m {
+		pairs = append(pairs, kvPair{k, v})
 	}
-	sort.Strings(keys)
-	buf := binary.AppendUvarint(nil, uint64(len(keys)))
-	for _, k := range keys {
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
-		buf = binary.AppendUvarint(buf, uint64(len(s.m[k])))
-		buf = append(buf, s.m[k]...)
-	}
-	return buf, nil
+	return encodePairs(pairs), nil
 }
 
 // Restore implements State.
 func (s *MapState) Restore(data []byte) error {
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return fmt.Errorf("%w: map count", ErrRecordTruncated)
+	pairs, err := decodePairs(data)
+	if err != nil {
+		return err
 	}
-	data = data[n:]
-	m := make(map[string][]byte, count)
-	for i := uint64(0); i < count; i++ {
-		key, rest, err := decodeField(data, "map key")
-		if err != nil {
-			return err
-		}
-		val, rest, err := decodeField(rest, "map value")
-		if err != nil {
-			return err
-		}
-		m[string(key)] = append([]byte(nil), val...)
-		data = rest
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("%w: %d trailing snapshot bytes", ErrRecordMalformed, len(data))
+	m := make(map[string][]byte, len(pairs))
+	for _, p := range pairs {
+		m[p.key] = append([]byte(nil), p.val...)
 	}
 	s.mu.Lock()
 	s.m = m
@@ -134,16 +120,76 @@ func (s *MapState) Restore(data []byte) error {
 }
 
 // Apply implements State.
-func (s *MapState) Apply(rec Record) error {
-	switch rec.Op {
-	case OpPut:
-		s.Put(rec.Key, rec.Value)
-	case OpDelete:
-		s.Delete(rec.Key)
-	default:
-		return fmt.Errorf("%w: op %d", ErrRecordMalformed, rec.Op)
+func (s *MapState) Apply(recs []Record) error {
+	for _, rec := range recs {
+		switch rec.Op {
+		case OpPut:
+			s.Put(rec.Key, rec.Value)
+		case OpDelete:
+			s.Delete(rec.Key)
+		default:
+			return fmt.Errorf("%w: op %d", ErrRecordMalformed, rec.Op)
+		}
 	}
 	return nil
+}
+
+// kvPair is one (key, value) entry of a key-value snapshot.
+type kvPair struct {
+	key string
+	val []byte
+}
+
+// encodePairs is the snapshot encoding MapState and WorldKV share:
+// uvarint count, then the pairs sorted by key, each field
+// uvarint-length-prefixed. Keys must be unique; pairs is sorted in
+// place.
+func encodePairs(pairs []kvPair) []byte {
+	slices.SortFunc(pairs, func(a, b kvPair) int { return strings.Compare(a.key, b.key) })
+	size := binary.MaxVarintLen64
+	for _, p := range pairs {
+		size += 2*binary.MaxVarintLen64 + len(p.key) + len(p.val)
+	}
+	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(pairs)))
+	for _, p := range pairs {
+		buf = binary.AppendUvarint(buf, uint64(len(p.key)))
+		buf = append(buf, p.key...)
+		buf = binary.AppendUvarint(buf, uint64(len(p.val)))
+		buf = append(buf, p.val...)
+	}
+	return buf
+}
+
+// decodePairs parses an encodePairs snapshot, rejecting truncation and
+// trailing bytes. Values alias data.
+func decodePairs(data []byte) ([]kvPair, error) {
+	count, n := binary.Uvarint(data)
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: snapshot count", ErrRecordTruncated)
+	}
+	data = data[n:]
+	// Every pair takes at least two bytes, so a hostile count cannot
+	// size the slice past the input.
+	if count > uint64(len(data)/2) {
+		return nil, fmt.Errorf("%w: snapshot count %d over %d bytes", ErrRecordTruncated, count, len(data))
+	}
+	pairs := make([]kvPair, 0, count)
+	for i := uint64(0); i < count; i++ {
+		key, rest, err := decodeField(data, "snapshot key")
+		if err != nil {
+			return nil, err
+		}
+		val, rest, err := decodeField(rest, "snapshot value")
+		if err != nil {
+			return nil, err
+		}
+		pairs = append(pairs, kvPair{string(key), val})
+		data = rest
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing snapshot bytes", ErrRecordMalformed, len(data))
+	}
+	return pairs, nil
 }
 
 // FSCounterStore persists monotonic-counter values on a shim.FS — the

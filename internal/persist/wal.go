@@ -260,10 +260,12 @@ func (m *Manager) readSegment(seq uint64, final bool) (hdr segHeader, recs []seg
 }
 
 // replayLog walks every segment, validates stamps and LSN discipline,
-// and applies records above the checkpoint watermark. It returns the
-// number of records replayed, the highest LSN seen, and whether the
-// final segment ended in a torn record.
-func (m *Manager) replayLog(counter, watermark uint64, apply func(Record) error) (replayed int, lastLSN uint64, torn bool, err error) {
+// and applies the records above the checkpoint watermark one segment at
+// a time: apply receives a segment's validated records (never an empty
+// slice) once the whole segment has been checked. It returns the number
+// of records replayed, the highest LSN seen, and whether the final
+// segment ended in a torn record.
+func (m *Manager) replayLog(counter, watermark uint64, apply func([]Record) error) (replayed int, lastLSN uint64, torn bool, err error) {
 	seqs, err := m.listSegments()
 	if err != nil {
 		return 0, 0, false, err
@@ -280,6 +282,7 @@ func (m *Manager) replayLog(counter, watermark uint64, apply func(Record) error)
 				"%w: segment %d epoch %d ahead of counter %d", ErrStaleCounter, seq, hdr.epoch, counter)
 		}
 		stale := hdr.epoch < counter
+		var segRecs []Record
 		for _, sr := range recs {
 			if sr.lsn <= watermark {
 				continue // captured by the checkpoint; normal overlap
@@ -323,14 +326,15 @@ func (m *Manager) replayLog(counter, watermark uint64, apply func(Record) error)
 					return replayed, lastLSN, false, fmt.Errorf(
 						"%w: segment %d batch LSN %d after %d", ErrCorruptRecord, seq, rec.LSN, lastLSN)
 				}
-				if apply != nil {
-					if err := apply(rec); err != nil {
-						return replayed, lastLSN, false, err
-					}
-				}
-				replayed++
+				segRecs = append(segRecs, rec)
 				lastLSN = rec.LSN
 			}
+		}
+		if len(segRecs) > 0 {
+			if err := apply(segRecs); err != nil {
+				return replayed, lastLSN, false, err
+			}
+			replayed += len(segRecs)
 		}
 		torn = torn || segTorn
 	}

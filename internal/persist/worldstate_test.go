@@ -1,7 +1,9 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"montsalvat/internal/classmodel"
@@ -183,11 +185,11 @@ func TestWorldKVRequiresRef(t *testing.T) {
 	if _, err := kv.Snapshot(); !errors.Is(err, ErrNoStoreRef) {
 		t.Fatalf("Snapshot without ref: %v, want ErrNoStoreRef", err)
 	}
-	if err := kv.Apply(Record{Op: OpPut, Key: "k"}); !errors.Is(err, ErrNoStoreRef) {
+	if err := kv.Apply([]Record{{Op: OpPut, Key: "k"}}); !errors.Is(err, ErrNoStoreRef) {
 		t.Fatalf("Apply without ref: %v, want ErrNoStoreRef", err)
 	}
 	kv.SetRef(newKVStore(t, w))
-	if err := kv.Apply(Record{Op: OpDelete, Key: "k"}); !errors.Is(err, ErrRecordMalformed) {
+	if err := kv.Apply([]Record{{Op: OpDelete, Key: "k"}}); !errors.Is(err, ErrRecordMalformed) {
 		t.Fatalf("delete on world kv: %v, want ErrRecordMalformed", err)
 	}
 }
@@ -239,7 +241,285 @@ func TestPalDBStateDurability(t *testing.T) {
 			t.Fatalf("recovered %s = %q, %v; want %q", kv[0], got, err, kv[1])
 		}
 	}
-	if err := st2.Apply(Record{Op: OpPut, Key: "x"}); !errors.Is(err, ErrImmutableState) {
+	if err := st2.Apply([]Record{{Op: OpPut, Key: "x"}}); !errors.Is(err, ErrImmutableState) {
 		t.Fatalf("Apply on paldb state: %v, want ErrImmutableState", err)
+	}
+}
+
+// recoveryFixture is a partitioned KV world with a durable root that
+// survives World.Kill/Restart: the setting of the crossing test.
+type recoveryFixture struct {
+	t      *testing.T
+	w      *world.World
+	fs     *shim.MemFS
+	secret sgx.PlatformSecret
+	ctrs   *sgx.MemCounterStore
+}
+
+func newRecoveryFixture(t *testing.T) *recoveryFixture {
+	t.Helper()
+	w, _, err := core.NewPartitionedWorld(demo.MustKVProgram(), world.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	secret, err := sgx.NewPlatformSecret()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &recoveryFixture{t: t, w: w, fs: shim.NewMemFS(), secret: secret, ctrs: sgx.NewMemCounterStore()}
+}
+
+// boot creates a fresh store in the current enclave and opens a
+// manager over it with small segments, without recovering yet.
+func (f *recoveryFixture) boot() (*Manager, wire.Value) {
+	f.t.Helper()
+	ref := newKVStore(f.t, f.w)
+	kv := NewWorldKV("kv", f.w)
+	kv.SetRef(ref)
+	ctr, err := sgx.NewMonotonicCounter(f.secret, f.ctrs, "crossings")
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	m, err := Open(Options{
+		FS: f.fs, Enclave: f.w.Enclave(), Secret: f.secret, Counter: ctr,
+		Dir: "p/", SegmentBytes: 512, BeforeCommit: f.w.Flush,
+	})
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	if err := m.Register(kv); err != nil {
+		f.t.Fatal(err)
+	}
+	return m, ref
+}
+
+// put writes through the store and journals the write, as the gateway
+// does.
+func (f *recoveryFixture) put(m *Manager, ref wire.Value, k, v string) {
+	f.t.Helper()
+	err := f.w.Exec(false, func(env classmodel.Env) error {
+		_, err := env.Call(ref, "put", wire.Str(k), wire.Str(v))
+		return err
+	})
+	if err != nil {
+		f.t.Fatalf("put %q: %v", k, err)
+	}
+	if _, err := m.Append("kv", OpPut, k, []byte(v)); err != nil {
+		f.t.Fatalf("journal %q: %v", k, err)
+	}
+}
+
+// tailSegments counts the live WAL segments holding at least one
+// record: the segments replay will apply.
+func tailSegments(t *testing.T, m *Manager) int {
+	t.Helper()
+	seqs, err := m.listSegments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for i, seq := range seqs {
+		_, recs, _, err := m.readSegment(seq, i == len(seqs)-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRecoveryCrossings pins what recovering an enclave-resident store
+// costs in transitions: restore, replay and the recovery checkpoint are
+// each one trusted pass — one ecall for the restore, one per WAL
+// segment for the replay, one for the checkpoint snapshot — however
+// many keys they carry. The only other crossings are the audit ocalls
+// every KVStore.put makes, one per restored key and per replayed
+// record.
+func TestRecoveryCrossings(t *testing.T) {
+	const checkpointed, tail = 40, 24
+	f := newRecoveryFixture(t)
+	m, ref := f.boot()
+	if _, err := m.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for i := 0; i < checkpointed; i++ {
+		k, v := fmt.Sprintf("key-%03d", i), fmt.Sprintf("v0-%03d", i)
+		f.put(m, ref, k, v)
+		want[k] = v
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < tail; i++ {
+		// Every other tail record overwrites a checkpointed key.
+		k, v := fmt.Sprintf("key-%03d", i*3), fmt.Sprintf("v1-%03d", i)
+		if i%2 == 1 {
+			k = fmt.Sprintf("new-%03d", i)
+		}
+		f.put(m, ref, k, v)
+		want[k] = v
+	}
+	segs := tailSegments(t, m)
+	if segs < 2 || segs >= tail {
+		t.Fatalf("fixture laid the %d tail records over %d segments; want several records in each of several segments", tail, segs)
+	}
+
+	f.w.Kill()
+	if err := f.w.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	m2, ref2 := f.boot()
+	before := f.w.Enclave().Stats()
+	rep, err := m2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := f.w.Enclave().Stats()
+	if rep.ReplayedRecords != tail {
+		t.Fatalf("replayed %d records, want %d", rep.ReplayedRecords, tail)
+	}
+	if got, wantEcalls := after.Ecalls-before.Ecalls, uint64(1+segs+1); got != wantEcalls {
+		t.Errorf("recovery made %d ecalls, want %d (restore + %d segments + checkpoint)", got, wantEcalls, segs)
+	}
+	if got, wantOcalls := after.Ocalls-before.Ocalls, uint64(checkpointed+tail); got != wantOcalls {
+		t.Errorf("recovery made %d ocalls, want %d (one audit ocall per restored key and replayed record)", got, wantOcalls)
+	}
+	for k, v := range want {
+		if got := kvGet(t, f.w, ref2, k); got != v {
+			t.Errorf("recovered %q = %q, want %q", k, got, v)
+		}
+	}
+}
+
+// newMainStore creates and pins a KVStore from the runtime that runs
+// main in w's mode — the untrusted one unless the whole program is in
+// the enclave. A local object lives only as long as the frame that
+// made it, so it is pinned before the frame ends.
+func newMainStore(t *testing.T, w *world.World) wire.Value {
+	t.Helper()
+	rt := w.Untrusted()
+	if w.Mode() == world.ModeUnpartitionedSGX {
+		rt = w.Trusted()
+	}
+	var ref wire.Value
+	err := w.ExecMain(func(env classmodel.Env) error {
+		var err error
+		if ref, err = env.New(demo.KVStoreCls); err != nil {
+			return err
+		}
+		return rt.Pin(ref)
+	})
+	if err != nil {
+		t.Fatalf("new KVStore: %v", err)
+	}
+	return ref
+}
+
+// TestWorldKVSnapshotMatchesMapState checks the claim that a WorldKV
+// checkpoint restores into either adapter: for the same puts, in every
+// deployment mode, WorldKV and MapState snapshot byte-identically, and
+// each one's snapshot restored into the other snapshots the same bytes
+// again.
+func TestWorldKVSnapshotMatchesMapState(t *testing.T) {
+	modes := []struct {
+		name string
+		boot func() (*world.World, error)
+	}{
+		{"partitioned", func() (*world.World, error) {
+			w, _, err := core.NewPartitionedWorld(demo.MustKVProgram(), world.DefaultOptions())
+			return w, err
+		}},
+		{"unpartitioned-sgx", func() (*world.World, error) {
+			w, _, err := core.NewUnpartitionedWorld(demo.MustKVProgram(), world.DefaultOptions(), true)
+			return w, err
+		}},
+		{"no-sgx", func() (*world.World, error) {
+			w, _, err := core.NewUnpartitionedWorld(demo.MustKVProgram(), world.DefaultOptions(), false)
+			return w, err
+		}},
+	}
+	puts := [][2]string{{"bob", "50"}, {"alice", "75"}, {"", "empty key"}, {"carol", ""}, {"alice", "20"}, {"zed", "9"}}
+	for _, mode := range modes {
+		t.Run(mode.name, func(t *testing.T) {
+			w, err := mode.boot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			kv := NewWorldKV("kv", w)
+			ref := newMainStore(t, w)
+			kv.SetRef(ref)
+			ms := NewMapState("kv")
+			for _, p := range puts {
+				err := w.ExecMain(func(env classmodel.Env) error {
+					_, err := env.Call(ref, "put", wire.Str(p[0]), wire.Str(p[1]))
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms.Put(p[0], []byte(p[1]))
+			}
+			worldSnap, err := kv.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mapSnap, err := ms.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(worldSnap, mapSnap) {
+				t.Fatalf("WorldKV snapshot %x\nMapState snapshot %x", worldSnap, mapSnap)
+			}
+
+			intoMap := NewMapState("kv")
+			if err := intoMap.Restore(worldSnap); err != nil {
+				t.Fatal(err)
+			}
+			intoWorld := NewWorldKV("kv", w)
+			intoWorld.SetRef(newMainStore(t, w))
+			if err := intoWorld.Restore(mapSnap); err != nil {
+				t.Fatal(err)
+			}
+			for name, s := range map[string]State{"MapState": intoMap, "WorldKV": intoWorld} {
+				again, err := s.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again, mapSnap) {
+					t.Errorf("%s restored from the other adapter snapshots %x, want %x", name, again, mapSnap)
+				}
+			}
+		})
+	}
+}
+
+// TestWorldKVFlushesBeforePass pins the flush-before-trusted-pass rule:
+// with batching on, a store's constructor relay is void, so it waits in
+// the batch queue and the enclave holds no mirror yet. A pass that
+// entered without flushing would find no object behind the ref.
+func TestWorldKVFlushesBeforePass(t *testing.T) {
+	opts := world.DefaultOptions()
+	opts.Cfg.Batching = true
+	w, _, err := core.NewPartitionedWorld(demo.MustKVProgram(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	kv := NewWorldKV("kv", w)
+	kv.SetRef(newKVStore(t, w))
+	if err := kv.Restore(encodePairs([]kvPair{{"k", []byte("v")}})); err != nil {
+		t.Fatalf("restore into a store whose constructor is still queued: %v", err)
+	}
+	snap, err := kv.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := encodePairs([]kvPair{{"k", []byte("v")}}); !bytes.Equal(snap, want) {
+		t.Fatalf("snapshot %x, want %x", snap, want)
 	}
 }

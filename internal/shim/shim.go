@@ -189,9 +189,27 @@ func (fs *MemFS) List() ([]string, error) {
 }
 
 // DirFS is an FS rooted at a host directory. File names must be simple
-// relative paths (no traversal).
+// relative paths (no traversal); a name with a directory part ("p/x")
+// creates that directory on its first write.
+//
+// DirFS keeps one read-write handle open per file it has touched and
+// tracks each file's size from its own writes, so an Append is a single
+// pwrite at the tracked end — no open, stat or close. The rule that
+// buys: one writer per root. A file another process (or another DirFS
+// on the same root) changes behind its back is not seen. Remove closes
+// the file's handle; Close closes them all.
 type DirFS struct {
 	root string
+
+	mu    sync.Mutex
+	files map[string]*dirFile // by host path, so aliases share a handle
+}
+
+// dirFile is an open handle and the file's size as DirFS has written
+// it.
+type dirFile struct {
+	f    *os.File
+	size int64
 }
 
 var _ FS = (*DirFS)(nil)
@@ -205,7 +223,7 @@ func NewDirFS(root string) (*DirFS, error) {
 	if !info.IsDir() {
 		return nil, fmt.Errorf("shim: %s is not a directory", root)
 	}
-	return &DirFS{root: root}, nil
+	return &DirFS{root: root, files: make(map[string]*dirFile)}, nil
 }
 
 func (fs *DirFS) path(name string) (string, error) {
@@ -215,40 +233,75 @@ func (fs *DirFS) path(name string) (string, error) {
 	return filepath.Join(fs.root, name), nil
 }
 
+// file returns the open handle of name, opening it on first use. With
+// create a missing file (and its missing parent directories) is made;
+// without, a missing file is ErrNotFound. Caller holds fs.mu.
+func (fs *DirFS) file(name string, create bool) (*dirFile, error) {
+	p, err := fs.path(name)
+	if err != nil {
+		return nil, err
+	}
+	if df, ok := fs.files[p]; ok {
+		return df, nil
+	}
+	flags := os.O_RDWR
+	if create {
+		flags |= os.O_CREATE
+	}
+	f, err := os.OpenFile(p, flags, 0o644)
+	if create && errors.Is(err, os.ErrNotExist) {
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			return nil, fmt.Errorf("shim: %w", err)
+		}
+		f, err = os.OpenFile(p, flags, 0o644)
+	}
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+		}
+		return nil, fmt.Errorf("shim: %w", err)
+	}
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("shim: %w", err)
+	}
+	df := &dirFile{f: f, size: info.Size()}
+	fs.files[p] = df
+	return df, nil
+}
+
 // WriteAt implements FS.
 func (fs *DirFS) WriteAt(name string, off int64, data []byte) error {
-	p, err := fs.path(name)
+	if off < 0 {
+		return fmt.Errorf("shim: negative offset %d", off)
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	df, err := fs.file(name, true)
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(p, os.O_CREATE|os.O_WRONLY, 0o644)
+	n, err := df.f.WriteAt(data, off)
+	df.size = max(df.size, off+int64(n))
 	if err != nil {
-		return fmt.Errorf("shim: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.WriteAt(data, off); err != nil {
 		return fmt.Errorf("shim: %w", err)
 	}
 	return nil
 }
 
-// Append implements FS.
+// Append implements FS: one pwrite at the tracked end of the file.
 func (fs *DirFS) Append(name string, data []byte) (int64, error) {
-	p, err := fs.path(name)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	df, err := fs.file(name, true)
 	if err != nil {
 		return 0, err
 	}
-	f, err := os.OpenFile(p, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	off := df.size
+	n, err := df.f.WriteAt(data, off)
+	df.size += int64(n)
 	if err != nil {
-		return 0, fmt.Errorf("shim: %w", err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("shim: %w", err)
-	}
-	off := info.Size()
-	if _, err := f.Write(data); err != nil {
 		return 0, fmt.Errorf("shim: %w", err)
 	}
 	return off, nil
@@ -256,20 +309,20 @@ func (fs *DirFS) Append(name string, data []byte) (int64, error) {
 
 // ReadAt implements FS.
 func (fs *DirFS) ReadAt(name string, off int64, n int) ([]byte, error) {
-	p, err := fs.path(name)
+	if off < 0 || n < 0 {
+		return nil, fmt.Errorf("shim: invalid read off=%d n=%d", off, n)
+	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	df, err := fs.file(name, false)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(p)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-		}
-		return nil, fmt.Errorf("shim: %w", err)
+	if off+int64(n) > df.size {
+		return nil, fmt.Errorf("shim: read past EOF: %s off=%d n=%d size=%d", name, off, n, df.size)
 	}
-	defer f.Close()
 	out := make([]byte, n)
-	if _, err := f.ReadAt(out, off); err != nil {
+	if _, err := df.f.ReadAt(out, off); err != nil {
 		return nil, fmt.Errorf("shim: %w", err)
 	}
 	return out, nil
@@ -277,18 +330,13 @@ func (fs *DirFS) ReadAt(name string, off int64, n int) ([]byte, error) {
 
 // Size implements FS.
 func (fs *DirFS) Size(name string) (int64, error) {
-	p, err := fs.path(name)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	df, err := fs.file(name, false)
 	if err != nil {
 		return 0, err
 	}
-	info, err := os.Stat(p)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
-		}
-		return 0, fmt.Errorf("shim: %w", err)
-	}
-	return info.Size(), nil
+	return df.size, nil
 }
 
 // Remove implements FS.
@@ -297,6 +345,12 @@ func (fs *DirFS) Remove(name string) error {
 	if err != nil {
 		return err
 	}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if df, ok := fs.files[p]; ok {
+		delete(fs.files, p)
+		df.f.Close()
+	}
 	if err := os.Remove(p); err != nil {
 		if os.IsNotExist(err) {
 			return fmt.Errorf("%w: %s", ErrNotFound, name)
@@ -304,6 +358,19 @@ func (fs *DirFS) Remove(name string) error {
 		return fmt.Errorf("shim: %w", err)
 	}
 	return nil
+}
+
+// Close closes every open handle. The DirFS stays usable: the next
+// operation on a file reopens it.
+func (fs *DirFS) Close() error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	var errs []error
+	for p, df := range fs.files {
+		errs = append(errs, df.f.Close())
+		delete(fs.files, p)
+	}
+	return errors.Join(errs...)
 }
 
 // List implements FS.

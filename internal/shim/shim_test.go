@@ -3,6 +3,10 @@ package shim
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"montsalvat/internal/cycles"
@@ -85,6 +89,146 @@ func TestDirFSContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	fsContract(t, fs)
+}
+
+// newDirFS is a DirFS on a fresh temp dir whose handles close with the
+// test.
+func newDirFS(t *testing.T) (*DirFS, string) {
+	t.Helper()
+	root := t.TempDir()
+	fs, err := NewDirFS(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	return fs, root
+}
+
+// TestDirFSAppendAcrossRemove pins the tracked append offset: it
+// restarts at zero for a file removed and created again, and it agrees
+// with the host file.
+func TestDirFSAppendAcrossRemove(t *testing.T) {
+	fs, root := newDirFS(t)
+	for i, want := range []int64{0, 3, 6} {
+		if off, err := fs.Append("seg", []byte("abc")); err != nil || off != want {
+			t.Fatalf("append %d = %d, %v; want %d", i, off, err, want)
+		}
+	}
+	if err := fs.Remove("seg"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Size("seg"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Size after Remove: %v, want ErrNotFound", err)
+	}
+	if off, err := fs.Append("seg", []byte("xy")); err != nil || off != 0 {
+		t.Fatalf("append after Remove = %d, %v; want 0", off, err)
+	}
+	if off, err := fs.Append("seg", []byte("z")); err != nil || off != 2 {
+		t.Fatalf("second append after Remove = %d, %v; want 2", off, err)
+	}
+	host, err := os.ReadFile(filepath.Join(root, "seg"))
+	if err != nil || string(host) != "xyz" {
+		t.Fatalf("host file = %q, %v; want \"xyz\"", host, err)
+	}
+}
+
+// TestDirFSSizeTracksWrites checks the tracked size against WriteAt:
+// a write past the end extends it, one inside leaves it, and an Append
+// lands after the extended end.
+func TestDirFSSizeTracksWrites(t *testing.T) {
+	fs, _ := newDirFS(t)
+	steps := []struct {
+		off  int64
+		data string
+		size int64
+	}{{0, "hello", 5}, {10, "world", 15}, {2, "LL", 15}}
+	for _, st := range steps {
+		if err := fs.WriteAt("f", st.off, []byte(st.data)); err != nil {
+			t.Fatal(err)
+		}
+		if size, err := fs.Size("f"); err != nil || size != st.size {
+			t.Fatalf("Size after WriteAt(%d, %q) = %d, %v; want %d", st.off, st.data, size, err, st.size)
+		}
+	}
+	if off, err := fs.Append("f", []byte("!")); err != nil || off != 15 {
+		t.Fatalf("Append = %d, %v; want 15", off, err)
+	}
+	got, err := fs.ReadAt("f", 0, 16)
+	if err != nil || string(got) != "heLLo\x00\x00\x00\x00\x00world!" {
+		t.Fatalf("ReadAt = %q, %v", got, err)
+	}
+}
+
+// TestDirFSMissingFile checks that reads never create: ReadAt and Size
+// of a missing file are ErrNotFound and leave nothing behind.
+func TestDirFSMissingFile(t *testing.T) {
+	fs, root := newDirFS(t)
+	if _, err := fs.ReadAt("p/nope", 0, 1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ReadAt missing: %v, want ErrNotFound", err)
+	}
+	if _, err := fs.Size("nope"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Size missing: %v, want ErrNotFound", err)
+	}
+	if _, err := fs.ReadAt("nope", 0, -1); err == nil {
+		t.Fatal("negative read length accepted")
+	}
+	entries, err := os.ReadDir(root)
+	if err != nil || len(entries) != 0 {
+		t.Fatalf("root after failed reads = %v, %v; want empty", entries, err)
+	}
+}
+
+// TestDirFSCreatesParents checks that the first write of a prefixed
+// name makes the directory, and that List stays root-only.
+func TestDirFSCreatesParents(t *testing.T) {
+	fs, root := newDirFS(t)
+	if _, err := fs.Append("p/wal-00000001.seg", []byte("rec")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteAt("p/q/ckpt", 4, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(filepath.Join(root, "p", "wal-00000001.seg")); err != nil || string(b) != "rec" {
+		t.Fatalf("host segment = %q, %v", b, err)
+	}
+	if size, err := fs.Size("p/q/ckpt"); err != nil || size != 5 {
+		t.Fatalf("Size = %d, %v; want 5", size, err)
+	}
+	if names, err := fs.List(); err != nil || len(names) != 0 {
+		t.Fatalf("List = %v, %v; want the root's files only (none)", names, err)
+	}
+}
+
+// TestDirFSConcurrentAppends races appenders on two files: every
+// record lands whole at a distinct offset (run under -race in make
+// test).
+func TestDirFSConcurrentAppends(t *testing.T) {
+	fs, _ := newDirFS(t)
+	const writers, each = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			name := fmt.Sprintf("f%d", w%2)
+			for i := 0; i < each; i++ {
+				if _, err := fs.Append(name, []byte("0123456789")); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := fs.Size(name); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, name := range []string{"f0", "f1"} {
+		if size, err := fs.Size(name); err != nil || size != writers/2*each*10 {
+			t.Fatalf("%s size = %d, %v; want %d", name, size, err, writers/2*each*10)
+		}
+	}
 }
 
 func TestDirFSRejectsTraversal(t *testing.T) {
