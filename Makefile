@@ -10,8 +10,9 @@ build:
 	$(GO) build ./...
 
 # Tier-1: full suite, vet, and a race pass over the trusted-memory data
-# path (mee, epc, heap, isolate: their scratch buffers are safe only
-# under the epc.Memory mutex and the isolate's serialisation) and the
+# path (mee, epc, heap, isolate: none of them locks, so their scratch
+# buffers and the EPC memory are safe only under the owning world
+# runtime's heapMu, which must wrap every isolate/heap call) and the
 # boundary-crossing packages (ring consumers, batching queues, and
 # the telemetry instruments they all publish into are concurrent; wire
 # values share their payloads between copies, and the buffer pool,

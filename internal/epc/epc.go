@@ -179,18 +179,20 @@ type lineMeta struct {
 func (lm *lineMeta) current() bool { return lm.ptOK || lm.version == 0 }
 
 // Memory is an encrypted, integrity-protected address space inside the
-// EPC. It is safe for concurrent use; accesses are serialised, matching
-// the stop-the-world discipline of the isolate GC that owns it.
+// EPC. It is owner-serialised, like the heap.Heap whose semispace it is:
+// not safe for concurrent use, and Read, Write, Touch, Grow, Tamper and
+// Size must not overlap. In the product the owner's lock is the world
+// runtime's heapMu, which already wraps every isolate and heap call, so
+// the data path takes one lock per heap call rather than one per memory
+// access. The Residency it shares with the enclave's other memories keeps
+// its own lock.
 type Memory struct {
-	mu sync.Mutex
-
 	eng   *mee.Engine
 	clock *cycles.Clock
 	res   *Residency // nil disables paging accounting
 
-	size atomic.Int64 // len(ct), readable without mu
-	ct   []byte       // ciphertext backing store
-	meta []lineMeta   // one entry per line of ct
+	ct   []byte     // ciphertext backing store
+	meta []lineMeta // one entry per line of ct
 
 	// pt memoises the plaintext of lines whose current ciphertext has
 	// already been decrypted (or was just encrypted), so repeated reads
@@ -202,15 +204,16 @@ type Memory struct {
 	// cycles are unaffected.
 	pt []byte
 
-	// Working memory of the MEE kernel, guarded by mu: a run never spans
-	// a page, so one page's worth of versions and tags is enough.
+	// Working memory of the MEE kernel, serialised with the accesses that
+	// use it: a run never spans a page, so one page's worth of versions
+	// and tags is enough.
 	scratch  mee.Scratch
 	versions [linesPerPage]uint64
 	tags     [linesPerPage]mee.Tag
 
 	// nodes[p] is the residency's LRU node of page p while the page is
-	// resident. Guarded by res.mu, not mu: an access to another Memory of
-	// the same enclave may evict a page of this one.
+	// resident. Guarded by res.mu, not by the owner: an access to another
+	// Memory of the same enclave may evict a page of this one.
 	nodes []*lruNode
 
 	// MRU page filter: consecutive accesses to the same resident page
@@ -247,7 +250,6 @@ func (m *Memory) resize(nLines int) {
 	meta := make([]lineMeta, nLines)
 	copy(meta, m.meta)
 	m.ct, m.pt, m.meta = ct, pt, meta
-	m.size.Store(int64(len(ct)))
 	if m.res != nil {
 		m.res.mu.Lock()
 		nodes := make([]*lruNode, (len(ct)+pageBytes-1)/pageBytes)
@@ -258,12 +260,10 @@ func (m *Memory) resize(nLines int) {
 }
 
 // Size returns the addressable size in bytes.
-func (m *Memory) Size() int { return int(m.size.Load()) }
+func (m *Memory) Size() int { return len(m.ct) }
 
 // Read decrypts len(dst) bytes starting at off into dst.
 func (m *Memory) Read(off int, dst []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if err := m.check(off, len(dst)); err != nil {
 		return err
 	}
@@ -296,8 +296,6 @@ func (m *Memory) Read(off int, dst []byte) error {
 // read-modify-write, as a real cache does. On return every touched line's
 // ciphertext, tag and version in the backing store are current.
 func (m *Memory) Write(off int, src []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if err := m.check(off, len(src)); err != nil {
 		return err
 	}
@@ -319,8 +317,6 @@ func (m *Memory) Write(off int, src []byte) error {
 // fused allocate-and-initialise), so that the cycle ledger and the paging
 // state cannot tell the two sequences apart.
 func (m *Memory) Touch(off, n int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if err := m.check(off, n); err != nil {
 		return err
 	}
@@ -335,8 +331,6 @@ func (m *Memory) Touch(off, n int) error {
 // contents are preserved. Growth models the enclave heap expanding within
 // its configured bound; the caller enforces the bound.
 func (m *Memory) Grow(newSize int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if newSize < 0 {
 		return fmt.Errorf("epc: negative size %d", newSize)
 	}
@@ -350,8 +344,6 @@ func (m *Memory) Grow(newSize int) error {
 // the MEE — the simulation analog of a physical attacker flipping bits in
 // DRAM. A subsequent Read of that line fails integrity verification.
 func (m *Memory) Tamper(off int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if off < 0 || off >= len(m.ct) {
 		return ErrOutOfRange
 	}

@@ -268,15 +268,6 @@ func TestRunAcrossPagesFaultsLikeLineAtATime(t *testing.T) {
 	}
 }
 
-func TestSizeDoesNotBlockOnAccess(t *testing.T) {
-	m, _, _ := testMemory(t, 4096, 0)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if got := m.Size(); got != 4096 {
-		t.Fatalf("Size() = %d, want 4096", got)
-	}
-}
-
 func TestAccessDoesNotAllocate(t *testing.T) {
 	m, _, _ := testMemory(t, 64<<10, 16<<10)
 	for _, n := range []int{16, 64, 4096} {

@@ -116,8 +116,8 @@ func TestAllocDataMatchesAllocThenWriteData(t *testing.T) {
 			}
 		}
 
-		// Keep only the latest object alive (one root: evacuation order
-		// is then fixed), so the next allocation finds garbage to collect.
+		// Keep only the latest object alive, so the next allocation finds
+		// garbage to collect.
 		for _, x := range []struct {
 			h  epcHeap
 			hd *Handle

@@ -12,6 +12,11 @@
 // collection; anything that must survive a collection — or any call that
 // may allocate — must be held via a Handle or WeakRef. This matches the
 // discipline of a real moving collector.
+//
+// A Heap and the Backend memories under it are owner-serialised: nothing
+// in this package locks, and the owner (the world runtime's heapMu in the
+// product) must keep every call on one heap from overlapping with any
+// other.
 package heap
 
 import (
@@ -41,7 +46,25 @@ type Addr uint64
 
 // Handle is a GC-stable strong reference to an object. Objects reachable
 // from a handle are never collected until the handle is released.
+//
+// A handle names a slot of the heap's handle table and the generation the
+// slot had when the handle was issued: slot | generation<<32. Releasing a
+// handle frees its slot for reuse and bumps the slot's generation, so a
+// released (stale) handle fails with ErrBadHandle and never aliases the
+// handle that reuses its slot. Generations start at 1, so no handle is 0.
 type Handle uint64
+
+func makeHandle(slot, gen uint32) Handle { return Handle(uint64(gen)<<32 | uint64(slot)) }
+
+func (hd Handle) slot() uint32 { return uint32(hd) }
+func (hd Handle) gen() uint32  { return uint32(hd >> 32) }
+
+// handleSlot is one entry of the handle table. A free slot holds addr 0:
+// a live handle always points at an object, and no object lives at 0.
+type handleSlot struct {
+	addr Addr
+	gen  uint32
+}
 
 // WeakRef is a GC-stable weak reference: it does not keep its target
 // alive, and reads as cleared once the target has been collected. This is
@@ -95,7 +118,7 @@ func DefaultConfig() Config {
 }
 
 // Heap is a semispace managed heap. It is not safe for concurrent use;
-// each isolate serialises access to its heap (stop-the-world discipline).
+// its owner serialises every call (stop-the-world discipline).
 type Heap struct {
 	newBackend func(size int) (Backend, error)
 	from       Backend
@@ -104,10 +127,12 @@ type Heap struct {
 	maxSemi    int
 	allocPtr   int
 
-	handles    map[Handle]Addr
-	nextHandle Handle
-	weaks      map[WeakRef]Addr
-	nextWeak   WeakRef
+	// handles is the handle table, indexed by slot; freeSlots lists the
+	// released slots, reused last-in first-out.
+	handles   []handleSlot
+	freeSlots []uint32
+	weaks     map[WeakRef]Addr
+	nextWeak  WeakRef
 
 	// Scratch for the bytes that cross the Backend interface (a buffer
 	// declared in the caller would escape to the Go heap on every call):
@@ -148,7 +173,6 @@ func New(cfg Config, newBackend func(size int) (Backend, error)) (*Heap, error) 
 		semiSize:   cfg.InitialSemi,
 		maxSemi:    cfg.MaxSemi,
 		allocPtr:   wordBytes, // Addr 0 is reserved for null.
-		handles:    make(map[Handle]Addr),
 		weaks:      make(map[WeakRef]Addr),
 	}, nil
 }
@@ -343,26 +367,50 @@ func (h *Heap) NewHandle(addr Addr) (Handle, error) {
 	if _, _, err := h.header(addr); err != nil {
 		return 0, err
 	}
-	h.nextHandle++
-	h.handles[h.nextHandle] = addr
-	return h.nextHandle, nil
+	var slot uint32
+	if n := len(h.freeSlots); n > 0 {
+		slot = h.freeSlots[n-1]
+		h.freeSlots = h.freeSlots[:n-1]
+	} else {
+		slot = uint32(len(h.handles))
+		h.handles = append(h.handles, handleSlot{gen: 1})
+	}
+	s := &h.handles[slot]
+	s.addr = addr
+	return makeHandle(slot, s.gen), nil
+}
+
+// lookup returns the table slot of a live handle.
+func (h *Heap) lookup(hd Handle) (*handleSlot, error) {
+	if i := hd.slot(); int(i) < len(h.handles) {
+		if s := &h.handles[i]; s.gen == hd.gen() && s.addr != 0 {
+			return s, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: %#x", ErrBadHandle, uint64(hd))
 }
 
 // Deref resolves a handle to the object's current address.
 func (h *Heap) Deref(hd Handle) (Addr, error) {
-	addr, ok := h.handles[hd]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrBadHandle, hd)
+	s, err := h.lookup(hd)
+	if err != nil {
+		return 0, err
 	}
-	return addr, nil
+	return s.addr, nil
 }
 
-// Release drops a strong handle. Releasing an unknown handle is an error.
+// Release drops a strong handle. Releasing an unknown or already released
+// handle is an error.
 func (h *Heap) Release(hd Handle) error {
-	if _, ok := h.handles[hd]; !ok {
-		return fmt.Errorf("%w: %d", ErrBadHandle, hd)
+	s, err := h.lookup(hd)
+	if err != nil {
+		return err
 	}
-	delete(h.handles, hd)
+	s.addr = 0
+	if s.gen++; s.gen == 0 {
+		s.gen = 1
+	}
+	h.freeSlots = append(h.freeSlots, hd.slot())
 	return nil
 }
 
@@ -400,7 +448,7 @@ func (h *Heap) Stats() Stats {
 	s := h.stats
 	s.LiveBytes = h.allocPtr
 	s.SemiSize = h.semiSize
-	s.Handles = len(h.handles)
+	s.Handles = len(h.handles) - len(h.freeSlots)
 	s.Weaks = len(h.weaks)
 	return s
 }
@@ -422,16 +470,18 @@ func (h *Heap) Collect() error {
 	scan := wordBytes
 	free := wordBytes
 
-	// Evacuate roots: the handle table.
-	for hd, addr := range h.handles {
-		if addr == 0 {
+	// Evacuate roots: the handle table, in slot order, so to-space
+	// placement is a function of the operation sequence.
+	for i := range h.handles {
+		s := &h.handles[i]
+		if s.addr == 0 {
 			continue
 		}
-		na, nf, err := h.evacuate(addr, free)
+		na, nf, err := h.evacuate(s.addr, free)
 		if err != nil {
 			return err
 		}
-		h.handles[hd] = na
+		s.addr = na
 		free = nf
 	}
 

@@ -108,7 +108,8 @@ type Tag [TagBytes]byte
 // one line of keystream and the tag block. The AES block operations go
 // through cipher.Block, so buffers declared inside the kernel would
 // escape to the heap once per line; instead each serialised caller keeps
-// one Scratch (epc.Memory keeps its own under its mutex) and the Engine
+// one Scratch (each epc.Memory keeps its own, serialised by the Memory's
+// owner) and the Engine
 // holds no mutable state beyond its counters.
 type Scratch struct {
 	ctr  [aes.BlockSize]byte

@@ -1,6 +1,8 @@
 package world_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"montsalvat/internal/classmodel"
@@ -36,6 +38,56 @@ func BenchmarkLocalCall(b *testing.B) {
 			sinkResult = v
 		}
 		b.StopTimer()
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkKVGet is one KVStore get inside the enclave on a store of
+// 8 keys per bucket and 64 B values: a bucket scan of list reads and
+// Entry key reads, then the value read — the trusted heap path of a
+// served get without the gateway around it.
+func BenchmarkKVGet(b *testing.B) {
+	const buckets, perBucket = 16, 8
+	prog, err := demo.KVProgramWithBuckets(buckets)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, _, err := core.NewPartitionedWorld(prog, world.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	keys := make([]wire.Value, buckets*perBucket)
+	for i := range keys {
+		keys[i] = wire.Str(fmt.Sprintf("key:%04d", i))
+	}
+	value := wire.Str(strings.Repeat("v", 64))
+	b.ReportAllocs()
+	err = w.Exec(true, func(env classmodel.Env) error {
+		store, err := env.New(demo.KVStoreCls)
+		if err != nil {
+			return err
+		}
+		for _, k := range keys {
+			if _, err := env.Call(store, "put", k, value); err != nil {
+				return err
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v, err := env.Call(store, "get", keys[i%len(keys)])
+			if err != nil {
+				return err
+			}
+			sinkResult = v
+		}
+		b.StopTimer()
+		if !sinkResult.Equal(value) {
+			return fmt.Errorf("get = %v, want the 64 B value", sinkResult)
+		}
 		return nil
 	})
 	if err != nil {

@@ -150,8 +150,11 @@ func TestConcurrentCrossingStress(t *testing.T) {
 			}
 
 			// Collector: force proxy deaths so the helper sweeps run
-			// against live traffic. Not part of wg — it runs until the
-			// callers finish, then is told to stop.
+			// against live traffic, and move the enclave heap under the
+			// trusted bodies — its EPC memory takes no lock of its own, so
+			// heapMu alone must order the collection against them. Not
+			// part of wg — it runs until the callers finish, then is told
+			// to stop.
 			done := make(chan struct{})
 			collectorDone := make(chan struct{})
 			go func() {
@@ -162,9 +165,11 @@ func TestConcurrentCrossingStress(t *testing.T) {
 						return
 					case <-time.After(2 * time.Millisecond):
 					}
-					if err := w.Untrusted().Collect(); err != nil {
-						errs <- fmt.Errorf("collect: %w", err)
-						return
+					for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
+						if err := rt.Collect(); err != nil {
+							errs <- fmt.Errorf("collect %s: %w", rt.Name(), err)
+							return
+						}
 					}
 				}
 			}()
@@ -188,7 +193,15 @@ func TestConcurrentCrossingStress(t *testing.T) {
 				}
 			}
 
-			// Quiesce: tables must drain once all frames are gone.
+			// Quiesce: tables must drain once all frames are gone. Under
+			// batching a body may leave void calls queued — an untrusted
+			// Person constructor queues its Account's — which the next
+			// flush runs, possibly a helper sweep's after the callers
+			// returned. Stop the helpers and run what is queued first.
+			w.StopGCHelpers()
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
 			for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
 				if got := rt.ObjectTableLen(); got != 0 {
 					t.Errorf("%s object table has %d entries after stress, want 0", rt.Name(), got)

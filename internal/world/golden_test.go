@@ -68,8 +68,9 @@ func goldenWorld(t *testing.T, epcPages int, trusted heap.Config) *world.World {
 // 937f023, before the line-run kernel); its LinesEncrypted are quoted
 // beside today's. Ecalls and Ocalls are those of commit c25050b. Where the EPC is a few pages against a trusted heap of
 // megabytes, the order of page touches — not only their number — decides
-// the fault and eviction counts. Evacuation order follows Go map order
-// over the roots, so streams that collect under such an EPC keep one root.
+// the fault and eviction counts. The streams that collect under such an
+// EPC keep one root; they were written when evacuation followed Go map
+// order over the roots (it follows handle-slot order now).
 func TestCycleLedgerGolden(t *testing.T) {
 	t.Run("kv-main", func(t *testing.T) {
 		w := goldenWorld(t, 4, heap.Config{InitialSemi: 1 << 20, MaxSemi: 256 << 20})

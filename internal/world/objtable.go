@@ -34,8 +34,8 @@ type tableShard struct {
 // critical section ever touches the heap. Operations that make an entry's
 // strong handle redundant (racing adopts, last-reference releases) hand
 // the handle back to the caller, who drops it under the runtime's heap
-// lock; handles are never reused by the heap, so a stale drop fails
-// cleanly rather than aliasing.
+// lock; a heap handle carries its slot's generation, so a stale drop
+// fails cleanly rather than aliasing the handle that reuses the slot.
 type objTable struct {
 	shards [tableShards]tableShard
 	// waits counts shard-lock acquisitions that found the lock held —

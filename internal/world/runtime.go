@@ -94,7 +94,10 @@ type Runtime struct {
 	// calling into the opposite runtime, or around a table/registry
 	// mutation. Handles are GC-stable and may cross heapMu critical
 	// sections; raw heap addresses may not (a collection between
-	// sections moves objects).
+	// sections moves objects). It is the one lock of the trusted heap
+	// path: the isolate, the heap and the heap's epc.Memory semispaces
+	// are owner-serialised and take none of their own, so every call
+	// into them must hold it.
 	heapMu lockrank.Mutex
 	// table is the sharded object table: identity hash → refcounted
 	// strong handle, retained and released by activation frames.
@@ -251,8 +254,8 @@ func (rt *Runtime) Unpin(v wire.Value) error {
 	}
 	rt.pinMu.Lock()
 	defer rt.pinMu.Unlock()
-	for i, h := range rt.pins.owned {
-		if h != hash {
+	for i, o := range rt.pins.owned {
+		if o.hash != hash {
 			continue
 		}
 		rt.pins.owned = append(rt.pins.owned[:i], rt.pins.owned[i+1:]...)
@@ -290,17 +293,24 @@ func (rt *Runtime) Unpin(v wire.Value) error {
 type frame struct {
 	rt    *Runtime
 	span  *telemetry.Span
-	owned []int64
+	owned []ownedRef
 	// drops is releaseFrame's scratch list, kept across uses.
 	drops []heap.Handle
 	// inline backs owned until an activation retains more than it holds.
-	inline [frameInlineOwned]int64
+	inline [frameInlineOwned]ownedRef
+}
+
+// ownedRef is one object-table retention of a frame and the handle the
+// table holds for it, which cannot change while the retention lasts.
+type ownedRef struct {
+	hash   int64
+	handle heap.Handle
 }
 
 // frameInlineOwned covers a leaf activation (self, a few arguments, a
-// field or element it reads); frameKeepOwned bounds what a pooled frame
-// keeps of a larger list, so one scan of a long bucket does not pin its
-// storage in the pool.
+// field or element it reads) and bounds the search of held;
+// frameKeepOwned bounds what a pooled frame keeps of a larger list, so
+// one scan of a long bucket does not pin its storage in the pool.
 const (
 	frameInlineOwned = 8
 	frameKeepOwned   = 256
@@ -308,7 +318,28 @@ const (
 
 // own records a table retention taken on behalf of this frame. A frame
 // belongs to exactly one activation, so no lock guards the slice.
-func (fr *frame) own(hash int64) { fr.owned = append(fr.owned, hash) }
+func (fr *frame) own(hash int64, h heap.Handle) {
+	fr.owned = append(fr.owned, ownedRef{hash: hash, handle: h})
+}
+
+// held returns the handle of hash when one of the frame's first
+// frameInlineOwned retentions is of it: what an activation resolves again
+// and again — self, its arguments, the list it scans — it resolved first.
+// The window keeps the search O(1) in a frame that owns thousands of refs
+// (a recovery pass, a snapshot walk); a hash beyond it is retained in the
+// table once more, as before. The pin frame never answers: each Pin is
+// one retention, which Unpin drops.
+func (fr *frame) held(hash int64) (heap.Handle, bool) {
+	if fr == fr.rt.pins {
+		return 0, false
+	}
+	for _, o := range fr.owned[:min(len(fr.owned), frameInlineOwned)] {
+		if o.hash == hash {
+			return o.handle, true
+		}
+	}
+	return 0, false
+}
 
 // newFrame takes an activation record for a body about to run in rt,
 // carrying the trace span of the chain it continues.
@@ -327,8 +358,8 @@ func (rt *Runtime) newFrame(span *telemetry.Span) *frame {
 // batch into one heap critical section.
 func (rt *Runtime) releaseFrame(fr *frame) {
 	drops := fr.drops[:0]
-	for _, hash := range fr.owned {
-		if d := rt.table.release(hash); d != 0 {
+	for _, o := range fr.owned {
+		if d := rt.table.release(o.hash); d != 0 {
 			drops = append(drops, d)
 		}
 	}
@@ -351,11 +382,17 @@ func (rt *Runtime) releaseFrame(fr *frame) {
 }
 
 // adoptHandle installs a freshly created strong handle into the object
-// table and retains it in fr. When a racing goroutine adopted the hash
-// first, the table keeps the established handle and the redundant fresh
-// one is dropped here, under the heap lock, outside all table locks.
+// table and retains it in fr. When fr already holds the hash, or a racing
+// goroutine adopted it first, the established handle is kept and the
+// redundant fresh one is dropped here, under the heap lock, outside all
+// table locks.
 func (rt *Runtime) adoptHandle(fr *frame, hash int64, fresh heap.Handle) (heap.Handle, error) {
-	kept, dup := rt.table.adopt(hash, fresh)
+	kept, ok := fr.held(hash)
+	dup := fresh
+	if !ok {
+		kept, dup = rt.table.adopt(hash, fresh)
+		fr.own(hash, kept)
+	}
 	if dup != 0 {
 		rt.heapMu.Lock()
 		err := rt.iso.Release(dup)
@@ -364,18 +401,30 @@ func (rt *Runtime) adoptHandle(fr *frame, hash int64, fresh heap.Handle) (heap.H
 			return 0, err
 		}
 	}
-	fr.own(hash)
 	return kept, nil
 }
 
-// resolve finds a live local object for hash, looking through the object
-// table, the mirror–proxy registry, and the weak list (canonical
-// proxies). The returned handle is retained in fr. The slow path
-// materialises a fresh handle under the heap lock, then adopts it —
+// retain makes hash live in fr without touching the heap: the handle fr
+// already holds, or one more table retention of an existing entry. It
+// reports false when neither has the hash.
+func (rt *Runtime) retain(fr *frame, hash int64) (heap.Handle, bool) {
+	if h, ok := fr.held(hash); ok {
+		return h, true
+	}
+	h, ok := rt.table.retain(hash)
+	if ok {
+		fr.own(hash, h)
+	}
+	return h, ok
+}
+
+// resolve finds a live local object for hash, looking through the frame,
+// the object table, the mirror–proxy registry, and the weak list
+// (canonical proxies). The returned handle is retained in fr. The slow
+// path materialises a fresh handle under the heap lock, then adopts it —
 // losing an adoption race only costs the redundant handle.
 func (rt *Runtime) resolve(fr *frame, hash int64) (heap.Handle, error) {
-	if h, ok := rt.table.retain(hash); ok {
-		fr.own(hash)
+	if h, ok := rt.retain(fr, hash); ok {
 		return h, nil
 	}
 	rt.heapMu.Lock()
@@ -706,8 +755,7 @@ func (rt *Runtime) localiseRef(fr *frame, v wire.Value) error {
 	// the adoption race keeps one canonical proxy, the loser's becomes
 	// garbage and its sender export is reclaimed by a later sweep.
 	dropDuplicateExport := false
-	if _, ok := rt.table.retain(hash); ok {
-		fr.own(hash)
+	if _, ok := rt.retain(fr, hash); ok {
 		dropDuplicateExport = true
 	} else {
 		rt.heapMu.Lock()
