@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke bench-scale-smoke bench-ring-smoke bench-orderly bench-full serve-smoke obs-smoke crash-smoke fabric-smoke obs-fabric-smoke orderly-smoke fuzz vet fmt examples clean
+.PHONY: all build test race cover bench bench-scale-smoke bench-ring-smoke bench-orderly bench-full serve-smoke obs-smoke crash-smoke fabric-smoke obs-fabric-smoke orderly-smoke fuzz vet fmt examples clean
 
 all: build test
 
@@ -13,13 +13,15 @@ build:
 # path (mee, epc, heap, isolate: none of them locks, so their scratch
 # buffers and the EPC memory are safe only under the owning world
 # runtime's heapMu, which must wrap every isolate/heap call) and the
-# boundary-crossing packages (ring consumers, batching queues, and
-# the telemetry instruments they all publish into are concurrent; wire
-# values share their payloads between copies, and the buffer pool,
-# the pooled activation records in world and the cached sealing cipher
-# in sgx are reuse across goroutines; a channel's two directions run on
-# two goroutines, and handle namespaces are shared by a session's
-# in-flight requests; DirFS shares one table of open file handles).
+# boundary-crossing packages (the ring consumers, world's crossing and
+# the batching queue and buffer pool of internal/boundary that it
+# shares across goroutines are concurrent, as are the telemetry
+# instruments they all publish into; wire values share their payloads
+# between copies, and the pooled activation records in world and the
+# cached sealing cipher in sgx are reused across goroutines; a
+# channel's two directions run on two goroutines, and handle namespaces
+# are shared by a session's in-flight requests; DirFS shares one table
+# of open file handles).
 test:
 	$(GO) test ./...
 	$(GO) vet ./...
@@ -34,11 +36,6 @@ cover:
 # testing.B benchmarks (quick experiment scale + substrate benchmarks).
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE .
-
-# Short-mode dispatch-layer assertions: transition counts and the >=30%
-# cycle-reduction bar for the batched+switchless mode.
-bench-smoke:
-	$(GO) test -run TestDispatchSmoke -v ./internal/bench/
 
 # Parallel-scaling sanity check: boot the gateway in-process and compare
 # 1-client vs 2-client attested throughput through the worker pool and

@@ -130,13 +130,3 @@ func (p *BufPool) Put(buf []byte) {
 func (p *BufPool) Stats() BufPoolStats {
 	return BufPoolStats{Hits: p.hits.Load(), Misses: p.misses.Load()}
 }
-
-// ResetStats zeroes the hit/miss counters without touching the pooled
-// buffers, so a benchmark run can measure its own pool behaviour instead
-// of inheriting warm-up traffic. Concurrent Gets racing the reset land
-// on one side or the other of the zeroing; the counters never go
-// negative and MissRate stays in [0,1].
-func (p *BufPool) ResetStats() {
-	p.hits.Store(0)
-	p.misses.Store(0)
-}

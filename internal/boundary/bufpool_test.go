@@ -76,9 +76,9 @@ func TestBufPoolStats(t *testing.T) {
 }
 
 // TestBufPoolIdleMissRateZero pins the idle-gauge contract: before any
-// Get — and again right after a stats reset — MissRate is exactly 0,
-// never NaN. The world telemetry collector exports this value scaled to
-// basis points; a NaN here would convert to a garbage gauge sample.
+// Get, MissRate is exactly 0, never NaN. The world telemetry collector
+// exports this value scaled to basis points; a NaN here would convert to
+// a garbage gauge sample.
 func TestBufPoolIdleMissRateZero(t *testing.T) {
 	p := NewBufPool()
 	if r := p.Stats().MissRate(); r != 0 || math.IsNaN(r) {
@@ -89,33 +89,48 @@ func TestBufPoolIdleMissRateZero(t *testing.T) {
 	}
 }
 
-// TestBufPoolResetStats: the reset hook gives benchmarks clean per-run
-// numbers — counters return to zero (and MissRate to 0, not NaN) while
-// pooled buffers stay warm.
-func TestBufPoolResetStats(t *testing.T) {
-	if raceEnabled {
-		t.Skip("exact hit counts need a sync.Pool that keeps every Put")
-	}
+func TestBufPoolReuse(t *testing.T) {
 	p := NewBufPool()
-	b := p.Get(100) // miss
-	p.Put(b)
-	b = p.Get(100) // hit
-	p.Put(b)
-	if s := p.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("pre-reset stats %+v", s)
+	buf := p.Get(100)
+	if len(buf) != 0 || cap(buf) < 100 {
+		t.Fatalf("Get: len=%d cap=%d", len(buf), cap(buf))
 	}
-	p.ResetStats()
-	s := p.Stats()
-	if s.Hits != 0 || s.Misses != 0 {
-		t.Fatalf("post-reset stats %+v, want zeros", s)
+	buf = append(buf, 1, 2, 3)
+	p.Put(buf)
+	again := p.Get(2)
+	if len(again) != 0 {
+		t.Fatalf("recycled buffer not reset: len=%d", len(again))
 	}
-	if r := s.MissRate(); r != 0 || math.IsNaN(r) {
-		t.Fatalf("post-reset miss rate = %v, want exactly 0", r)
+	// Oversized buffers are dropped rather than pinned.
+	p.Put(make([]byte, 0, maxPooledCap+1))
+	p.Put(nil)
+}
+
+func TestBufPoolSizeClasses(t *testing.T) {
+	p := NewBufPool()
+	// A buffer recycled into a small class must not satisfy a larger
+	// request with insufficient capacity.
+	p.Put(make([]byte, 0, 256))
+	big := p.Get(10000)
+	if cap(big) < 10000 {
+		t.Fatalf("Get(10000): cap=%d", cap(big))
 	}
-	// The pool itself was not drained: the buffer recycled before the
-	// reset still serves the next Get as a hit.
-	p.Get(100)
-	if s := p.Stats(); s.Hits != 1 || s.Misses != 0 {
-		t.Fatalf("post-reset traffic stats %+v, want 1 hit", s)
+	// Each class hands back at least its class size, so repeated small
+	// requests reuse one allocation.
+	for want, n := range map[int]int{256: 1, 4096: 300, 65536: 5000, 1 << 20: 70000} {
+		buf := p.Get(n)
+		if cap(buf) < want {
+			t.Fatalf("Get(%d): cap=%d, want >= %d", n, cap(buf), want)
+		}
+		p.Put(buf)
+		if again := p.Get(n); cap(again) < n {
+			t.Fatalf("recycled Get(%d): cap=%d", n, cap(again))
+		}
 	}
+	// Beyond the largest class: exact allocation, never pooled.
+	huge := p.Get(maxPooledCap + 1)
+	if cap(huge) < maxPooledCap+1 {
+		t.Fatalf("huge Get: cap=%d", cap(huge))
+	}
+	p.Put(huge)
 }

@@ -1,3 +1,13 @@
+// Package boundary holds the two algorithms the world layer's boundary
+// crossings share: the Queue that coalesces result-independent calls
+// into one batched transition, and the size-classed BufPool that
+// recycles marshal buffers. Each hides a policy worth its own tests (the
+// flush watermark and ordering; class choice by current capacity).
+//
+// The crossing itself is not here. The world runtime makes its full
+// transitions with sgx.Enclave.Ecall/Ocall and its ring submissions with
+// ring.Group.TryCall/TryBatch directly; see internal/world (runtime.go,
+// cross and rode) and DESIGN.md §6.
 package boundary
 
 import (

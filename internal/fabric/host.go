@@ -355,26 +355,19 @@ func (h *PeerHost) serveCall(ns *registry.Namespace, args []wire.Value) []wire.V
 	return peerOK(out)
 }
 
-// exportRef pins a ref result and issues an origin-tagged handle for it,
-// as a serve session's export path does.
+// exportRef pins a ref result and issues an origin-tagged handle for it
+// (world.Runtime.PinNamed), as a serve session's export path does. A
+// namespace drained by the channel's close refuses it.
 func (h *PeerHost) exportRef(ns *registry.Namespace) func(wire.Value) (wire.Value, error) {
 	return func(ref wire.Value) (wire.Value, error) {
-		class, hash, _ := ref.AsRef()
-		rt := h.World.Untrusted()
-		if err := rt.Pin(ref); err != nil {
+		handle, err := h.World.Untrusted().PinNamed(ns, ref)
+		if err != nil {
 			return wire.Value{}, err
 		}
-		handle, added := ns.Add(class, hash)
-		if !added {
-			// Already named by this channel (or the namespace drained):
-			// drop the duplicate pin.
-			if err := rt.Unpin(ref); err != nil {
-				return wire.Value{}, err
-			}
-			if handle == 0 {
-				return wire.Value{}, ErrPeerClosed
-			}
+		if handle == 0 {
+			return wire.Value{}, ErrPeerClosed
 		}
+		class, _, _ := ref.AsRef()
 		return wire.Ref(class, handle), nil
 	}
 }

@@ -82,7 +82,7 @@ type Stats struct {
 // Group is a set of SPSC rings serving one crossing direction. Callers
 // submit through TryCall/TryBatch, which are strictly non-blocking on
 // ring acquisition: when every ring's producer side is occupied the
-// group reports ErrBusy and the dispatcher falls back to the frame
+// group reports ErrBusy and the caller falls back to the frame
 // path, so nested call chains can never deadlock on ring capacity.
 type Group struct {
 	cfg   Config

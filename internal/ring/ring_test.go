@@ -163,7 +163,7 @@ func TestTooLarge(t *testing.T) {
 
 // TestBusyFallback occupies every ring's producer side and verifies the
 // group reports ErrBusy instead of blocking (the deadlock-freedom
-// contract the dispatcher's frame fallback relies on).
+// contract the caller's frame fallback relies on).
 func TestBusyFallback(t *testing.T) {
 	g, _ := echoGroup(t, Config{Workers: 2, Slots: 4, SlotBytes: 64})
 	for _, r := range g.rings {

@@ -389,26 +389,18 @@ func (s *session) exportValue(v wire.Value) (wire.Value, error) {
 	return wire.MapRefs(v, s.exportRef)
 }
 
-// exportRef pins one object and names it in the session's namespace. An
-// object the namespace already names keeps its canonical handle and the
-// duplicate pin is dropped.
+// exportRef pins one object and names it in the session's namespace
+// (world.Runtime.PinNamed). A namespace drained by teardown racing this
+// request refuses it.
 func (s *session) exportRef(ref wire.Value) (wire.Value, error) {
-	class, hash, _ := ref.AsRef()
-	rt := s.srv.w.Untrusted()
-	if err := rt.Pin(ref); err != nil {
+	handle, err := s.srv.w.Untrusted().PinNamed(s.ns, ref)
+	if err != nil {
 		return wire.Value{}, err
 	}
-	handle, added := s.ns.Add(class, hash)
-	if !added {
-		// Duplicate (or a namespace drained by teardown racing this
-		// request): keep exactly one retention per live handle.
-		if err := rt.Unpin(ref); err != nil {
-			return wire.Value{}, err
-		}
-		if handle == 0 {
-			return wire.Value{}, ErrDraining
-		}
+	if handle == 0 {
+		return wire.Value{}, ErrDraining
 	}
+	class, _, _ := ref.AsRef()
 	return wire.Ref(class, handle), nil
 }
 

@@ -202,7 +202,7 @@ type Config struct {
 
 	// Rings enables the zero-copy ring data plane: partitioned worlds
 	// start per-worker SPSC submission/completion rings in both
-	// directions and the boundary dispatcher routes fitting proxy calls
+	// directions and the world routes fitting proxy calls
 	// through them, falling back to the frame path when a payload
 	// exceeds the slot capacity or every ring producer is busy.
 	Rings bool

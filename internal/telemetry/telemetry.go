@@ -11,7 +11,7 @@
 //     pointer, so instrumented code pays one branch, not an interface
 //     call, when observability is off;
 //   - snapshot-style statistics that already exist elsewhere (the
-//     dispatcher's routing counters, the gateway's admission counters,
+//     crossing route counters, the gateway's admission counters,
 //     the GC helpers' sweep stats) are absorbed through registered
 //     collectors rather than duplicated on the hot path — the registry
 //     is the single facade an operator scrapes, while the producing

@@ -27,9 +27,9 @@ type Span struct {
 	Name string `json:"name"`
 	// Dir is the transition direction: "ecall" or "ocall".
 	Dir string `json:"dir,omitempty"`
-	// Route records the dispatcher's decision: "ring" or "full"
-	// ("ring-fallback" only while a call that found every ring producer
-	// busy is on its way to the full transition).
+	// Route records how the call crossed: "ring" or "full". A call that
+	// found its ring busy or stopped crosses in full and reads "full";
+	// the ring-fallback route is counted, not traced.
 	Route string `json:"route,omitempty"`
 	// RoutineID is the EDL routine id of the transition.
 	RoutineID int `json:"routine_id,omitempty"`
@@ -93,7 +93,7 @@ func (sp *Span) SetDir(in bool) {
 	}
 }
 
-// SetRoute records the dispatcher's routing decision.
+// SetRoute records how the call crossed.
 func (sp *Span) SetRoute(route string) {
 	if sp == nil {
 		return

@@ -1,5 +1,7 @@
 package world
 
+import "montsalvat/internal/ring"
+
 // TableRefs reports the object-table reference count of hash in rt: the
 // retentions frames and pins hold on it (0 when the table has no entry).
 func (rt *Runtime) TableRefs(hash int64) int {
@@ -8,3 +10,11 @@ func (rt *Runtime) TableRefs(hash int64) int {
 	defer s.mu.Unlock()
 	return s.entries[hash].refs
 }
+
+// RingHandler is the consumer callback a ring worker runs for each
+// submission addressed to rt.
+func (w *World) RingHandler(rt *Runtime) ring.Handler { return w.ringHandler(rt) }
+
+// CloseRings stops the ring group rt's outgoing calls ride, as Kill
+// does, leaving the rest of the generation live.
+func (rt *Runtime) CloseRings() { rt.rings.Close() }

@@ -103,13 +103,6 @@ type DispatchStats struct {
 // DispatchStats snapshots the boundary dispatch counters.
 func (w *World) DispatchStats() DispatchStats {
 	var ds DispatchStats
-	if w.disp != nil {
-		ds.FullCalls = w.disp.Stats().FullCalls
-		rs := w.disp.RingStats()
-		ds.RingCalls = rs.RingCalls
-		ds.RingFallbacks = rs.RingFallbacks
-		ds.RingOversize = rs.RingOversize
-	}
 	for _, g := range []*ring.Group{w.erings, w.orings} {
 		gs := g.Stats() // nil-safe: zero for a missing group
 		ds.RingSubmits += gs.Submits
@@ -120,7 +113,14 @@ func (w *World) DispatchStats() DispatchStats {
 	}
 	ds.MEECopiedBytes = w.meeBytes.Load()
 	for _, rt := range []*Runtime{w.untrusted, w.trusted} {
-		if rt == nil || rt.queue == nil {
+		if rt == nil {
+			continue
+		}
+		ds.FullCalls += rt.fullCalls.Load()
+		ds.RingCalls += rt.ringCalls.Load()
+		ds.RingFallbacks += rt.ringFallbacks.Load()
+		ds.RingOversize += rt.ringOversize.Load()
+		if rt.queue == nil {
 			continue
 		}
 		qs := rt.queue.Stats()

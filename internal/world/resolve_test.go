@@ -6,6 +6,8 @@ import (
 
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/core"
+	"montsalvat/internal/demo"
+	"montsalvat/internal/registry"
 	"montsalvat/internal/wire"
 	"montsalvat/internal/world"
 )
@@ -141,5 +143,51 @@ func TestFrameOwningThousandsResolvesBounded(t *testing.T) {
 	}
 	if got := w.Trusted().ObjectTableLen(); got != 0 {
 		t.Fatalf("object table has %d entries after all frames closed, want 0", got)
+	}
+}
+
+// TestPinNamedOneRetentionPerHandle: naming an object in a namespace pins
+// it once however often it is named; a drained namespace names nothing
+// and keeps no pin.
+func TestPinNamedOneRetentionPerHandle(t *testing.T) {
+	w := bankWorld(t)
+	rt := w.Untrusted()
+	ns := registry.NewNamespace()
+	var hash int64
+	err := w.Exec(false, func(env classmodel.Env) error {
+		p, err := env.New(demo.Person, wire.Str("Ann"), wire.Int(4))
+		if err != nil {
+			return err
+		}
+		_, hash, _ = p.AsRef()
+		first, err := rt.PinNamed(ns, p)
+		if err != nil {
+			return err
+		}
+		again, err := rt.PinNamed(ns, p)
+		if err != nil {
+			return err
+		}
+		if first == 0 || again != first {
+			return fmt.Errorf("handles %d then %d, want one nonzero handle", first, again)
+		}
+		// The Exec frame's retention plus the one pin.
+		if got := rt.TableRefs(hash); got != 2 {
+			return fmt.Errorf("%d table retentions after naming twice, want 2", got)
+		}
+		ns.Drain()
+		if h, err := rt.PinNamed(ns, p); h != 0 || err != nil {
+			return fmt.Errorf("drained namespace: handle %d, err %v; want 0, nil", h, err)
+		}
+		if got := rt.TableRefs(hash); got != 2 {
+			return fmt.Errorf("%d table retentions after naming in a drained namespace, want 2", got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.TableRefs(hash); got != 1 {
+		t.Fatalf("%d table retentions once the frame closed, want the pin's 1", got)
 	}
 }

@@ -9,7 +9,7 @@ import (
 var ErrNotKilled = errors.New("world: restart of a live world (call Kill first)")
 
 // Kill tears down the trusted side of a partitioned world in place: GC
-// helpers stop, the dispatcher and its ring groups shut down, and
+// helpers stop, the ring groups shut down (their consumers exit), and
 // the enclave is destroyed — the simulation of the enclave process
 // dying (crash, host restart, EPC eviction storm). The World object
 // itself survives: the clock keeps running, telemetry stays registered,
@@ -45,14 +45,13 @@ func (w *World) Kill() {
 // released), the enclave destroyed, every rebuildable pointer nil.
 // Caller holds stateMu, or is the only one who can reach w.
 func (w *World) teardownLocked() {
-	if w.disp != nil {
-		w.disp.Close()
-	}
+	w.erings.Close()
+	w.orings.Close()
 	if w.enclave != nil {
 		w.enclave.Destroy()
 	}
 	w.enclave, w.trusted, w.untrusted = nil, nil, nil
-	w.disp, w.erings, w.orings = nil, nil, nil
+	w.erings, w.orings = nil, nil
 }
 
 // Killed reports whether the world is between Kill and Restart.
@@ -65,8 +64,8 @@ func (w *World) Killed() bool {
 // Restart rebuilds a killed partitioned world: a fresh enclave is
 // created, measured and verified from the retained trusted image
 // (re-attestation — same lifecycle as first boot), both runtimes are
-// re-created empty, the boundary dispatch layer is rebuilt, and static
-// initialisers run again. Application state does NOT come back by
+// re-created empty with fresh batching queues and ring groups, and
+// static initialisers run again. Application state does NOT come back by
 // itself: callers recover it from the persistence layer (unseal the
 // latest counter-valid checkpoint, replay the WAL tail) after Restart
 // returns — see internal/persist and serve.Server.Recover.
@@ -121,12 +120,15 @@ func (w *World) rebuildLocked() error {
 	if err != nil {
 		return err
 	}
-	// Each generation's runtimes point at each other and at no other
-	// generation's; the pointers are set here, before any call can run
-	// on either, and never again (Runtime.peer).
-	w.trusted.peer, w.untrusted.peer = w.untrusted, w.trusted
 	if err := w.initBoundary(); err != nil {
 		return err
 	}
+	// Each generation's runtimes point at each other and at their own
+	// outgoing ring group — the untrusted runtime enters through the
+	// ecall group, the trusted one leaves through the ocall group — and at
+	// no other generation's; the pointers are set here, before any call
+	// can run on either, and never again (Runtime.peer).
+	w.trusted.peer, w.untrusted.peer = w.untrusted, w.trusted
+	w.untrusted.rings, w.trusted.rings = w.erings, w.orings
 	return w.runStaticInits()
 }

@@ -126,7 +126,7 @@ func TestRestartGuards(t *testing.T) {
 }
 
 // TestCloseAfterKill: tearing down a killed world must degrade cleanly
-// (nil runtimes, nil dispatcher, no enclave) — the gateway calls
+// (nil runtimes, no ring groups, no enclave) — the gateway calls
 // CloseErr on shutdown regardless of recovery state.
 func TestCloseAfterKill(t *testing.T) {
 	w, _, err := core.NewPartitionedWorld(demo.MustBankProgram(), world.DefaultOptions())

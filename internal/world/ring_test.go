@@ -2,6 +2,7 @@ package world_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/core"
 	"montsalvat/internal/demo"
+	"montsalvat/internal/simcfg"
 	"montsalvat/internal/wire"
 	"montsalvat/internal/world"
 )
@@ -247,5 +249,76 @@ func TestRingConcurrentStress(t *testing.T) {
 	}
 	if ds.PendingCalls != 0 {
 		t.Fatalf("pending calls %d after quiesce", ds.PendingCalls)
+	}
+}
+
+// TestRingStoppedFallsThrough: a call whose ring group has stopped
+// crosses through exactly one full transition and counts exactly one
+// ring fallback.
+func TestRingStoppedFallsThrough(t *testing.T) {
+	w := ringWorld(t, demo.MustBankProgram(), nil)
+	err := w.Exec(false, func(env classmodel.Env) error {
+		acct, err := env.New(demo.Account, wire.Str("Eve"), wire.Int(9))
+		if err != nil {
+			return err
+		}
+		w.Untrusted().CloseRings()
+		before, ecalls := w.DispatchStats(), w.Enclave().Stats().Ecalls
+		bal, err := env.Call(acct, "getBalance")
+		if err != nil {
+			return err
+		}
+		if !bal.Equal(wire.Int(9)) {
+			return fmt.Errorf("balance = %v, want 9", bal)
+		}
+		after := w.DispatchStats()
+		if full, fell := after.FullCalls-before.FullCalls, after.RingFallbacks-before.RingFallbacks; full != 1 || fell != 1 {
+			return fmt.Errorf("%d full transitions and %d ring fallbacks, want 1 and 1", full, fell)
+		}
+		if after.RingCalls != before.RingCalls {
+			return fmt.Errorf("%d calls rode a stopped ring", after.RingCalls-before.RingCalls)
+		}
+		if got := w.Enclave().Stats().Ecalls - ecalls; got != 1 {
+			return fmt.Errorf("%d ecalls, want 1", got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKillStopsRingConsumers: Kill stops the consumers of both ring
+// groups — the ecall group's, resident in the enclave, and the ocall
+// group's host goroutines — not only the enclave they serve. It counts
+// the goroutines in a consumer loop rather than all goroutines, which
+// other tests' leftovers still winding down would blur.
+func TestKillStopsRingConsumers(t *testing.T) {
+	before := ringConsumers()
+	w := ringWorld(t, demo.MustBankProgram(), nil)
+	if _, err := w.RunMain(); err != nil {
+		t.Fatal(err)
+	}
+	if running := ringConsumers() - before; running != 2*simcfg.DefaultRingWorkers {
+		t.Fatalf("%d ring consumers for two groups of %d workers", running, simcfg.DefaultRingWorkers)
+	}
+	w.Kill()
+	deadline := time.Now().Add(5 * time.Second)
+	for ringConsumers() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("ring consumers: %d before the world, %d after Kill", before, ringConsumers())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// ringConsumers counts the goroutines running a ring consumer loop.
+func ringConsumers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "internal/ring.(*Ring).serve(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"montsalvat/internal/isolate"
 	"montsalvat/internal/lockrank"
 	"montsalvat/internal/registry"
+	"montsalvat/internal/ring"
 	"montsalvat/internal/sgx"
 	"montsalvat/internal/shim"
 	"montsalvat/internal/simcfg"
@@ -67,17 +68,18 @@ type Runtime struct {
 	w       *World
 	name    string
 	trusted bool
-	// peer, encl and disp are the rest of the generation this runtime
-	// was built in: the opposite runtime and the dispatcher of a
-	// partitioned world (nil otherwise) and the enclave (nil in
-	// ModeNoSGX). The world sets them while it builds the generation,
-	// before either runtime is published, and never writes them again,
-	// so the call path reads them without World.stateMu: a call in
-	// flight when Kill swaps the world's guts keeps crossing into its
-	// own generation, whose destroyed enclave refuses it, typed.
+	// peer, encl and rings are the rest of the generation this runtime
+	// was built in: the opposite runtime of a partitioned world (nil
+	// otherwise), the enclave (nil in ModeNoSGX) and the ring group this
+	// runtime's outgoing calls ride (nil unless Config.Rings). The world
+	// sets them while it builds the generation, before either runtime is
+	// published, and never writes them again, so the call path reads
+	// them without World.stateMu: a call in flight when Kill swaps the
+	// world's guts keeps crossing into its own generation, whose
+	// destroyed enclave and stopped rings refuse it, typed.
 	peer  *Runtime
 	encl  *sgx.Enclave
-	disp  *boundary.Dispatcher
+	rings *ring.Group
 	img   *image.Image
 	iso   *isolate.Isolate
 	reg   *registry.Registry // mirrors for proxies living in the opposite runtime
@@ -119,6 +121,14 @@ type Runtime struct {
 	remoteOut  atomic.Uint64
 	proxiesNew atomic.Uint64
 	marshalled atomic.Uint64
+
+	// The routes this runtime's outgoing calls took (see cross and
+	// rode). Like queue they belong to the generation, so Restart starts
+	// them at zero.
+	fullCalls     atomic.Uint64
+	ringCalls     atomic.Uint64
+	ringFallbacks atomic.Uint64
+	ringOversize  atomic.Uint64
 
 	// sweepMu guards the helper-sweep statistics (the GC helper and
 	// stats readers race).
@@ -267,6 +277,26 @@ func (rt *Runtime) Unpin(v wire.Value) error {
 		return nil
 	}
 	return fmt.Errorf("%w: %d not pinned", ErrNoSuchObject, hash)
+}
+
+// PinNamed pins the object behind ref and names it in ns, returning its
+// handle there — how a gateway session or a fabric peer channel hands an
+// object to a remote client. An object ns already names keeps its
+// canonical handle and the duplicate pin is dropped, so every live handle
+// owns exactly one retention. A drained ns keeps nothing and returns
+// handle 0; each caller maps that to its own closed error.
+func (rt *Runtime) PinNamed(ns *registry.Namespace, ref wire.Value) (int64, error) {
+	class, hash, _ := ref.AsRef()
+	if err := rt.Pin(ref); err != nil {
+		return 0, err
+	}
+	handle, added := ns.Add(class, hash)
+	if !added {
+		if err := rt.Unpin(ref); err != nil {
+			return 0, err
+		}
+	}
+	return handle, nil
 }
 
 // ---- frames ----------------------------------------------------------
@@ -933,8 +963,9 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 	// Ring route first: encode the call straight into a shared slot
 	// (zero intermediate copies, in-place crypto) with the opened
 	// response decoded in place. Oversized, busy or ring-less calls fall
-	// through to the frame path below.
-	if rt.encl != nil && rt.disp.HasRings(in) {
+	// through to the frame path below; never waiting for a ring keeps
+	// nested relay chains deadlock-free.
+	if rt.encl != nil && rt.rings != nil {
 		argsLen := wire.SizeValues(args)
 		need := wire.CallSize(class, relayName, hash, argsLen)
 		var (
@@ -951,8 +982,17 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 			results, derr = rt.unmarshalIn(fr, resp)
 			return derr
 		}
-		ran, rerr := rt.disp.InvokeRing(in, routine.ID, need, sp, fill, done)
-		if ran {
+		sp.SetDir(in)
+		sp.SetRoutine(routine.ID)
+		var start time.Time
+		if w.hDispatchNS != nil {
+			start = time.Now()
+		}
+		if rerr := rt.rings.TryCall(routine.ID, need, sp, fill, done); rt.rode(rerr, 1) {
+			sp.SetRoute("ring")
+			if w.hDispatchNS != nil {
+				w.hDispatchNS.ObserveDuration(time.Since(start))
+			}
 			rt.marshalled.Add(uint64(need))
 			sp.AddMarshalBytes(need + respLen)
 			sp.Finish(rerr)
@@ -985,7 +1025,7 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 		// streams them through the MEE.
 		w.clock.ChargeBytes(len(argBuf), simcfg.MEEBytesPerCycle)
 		w.meeBytes.Add(uint64(len(argBuf)))
-		err = rt.disp.Invoke(in, routine.ID, sp, invoke)
+		err = rt.cross(routine.ID, sp, invoke)
 		if err == nil {
 			w.clock.ChargeBytes(len(resultBuf), simcfg.MEEBytesPerCycle)
 			w.meeBytes.Add(uint64(len(resultBuf)))
@@ -1011,6 +1051,70 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 		return wire.Value{}, fmt.Errorf("world: relay %s.%s returned %d values", class, relayName, len(results))
 	}
 	return results[0], nil
+}
+
+// ---- crossing ---------------------------------------------------------
+//
+// A call leaves a runtime one of two ways, and these two functions are
+// the only places that tell them apart: the full transition (cross) and
+// the ring submission, whose outcome rode settles. remoteCall, the batch
+// flush and the GC sweep are their callers.
+
+// cross makes one full transition to the opposite runtime and runs fn
+// there: an ecall from the untrusted runtime, an ocall from the trusted
+// one, each charging simcfg.Config.TransitionCycles. sp (nil when
+// unsampled) receives the direction, routine id, route and the cycles fn
+// charged on the far side; the caller owns Finish.
+func (rt *Runtime) cross(id int, sp *telemetry.Span, fn func() error) error {
+	w := rt.w
+	in := !rt.trusted
+	sp.SetDir(in)
+	sp.SetRoutine(id)
+	sp.SetRoute("full")
+	var start time.Time
+	if w.hDispatchNS != nil {
+		start = time.Now()
+	}
+	if sp != nil || w.hBodyCycles != nil {
+		body := fn
+		fn = func() error {
+			before := w.clock.Total()
+			err := body()
+			spent := w.clock.Total() - before
+			sp.SetBodyCycles(spent)
+			w.hBodyCycles.Observe(spent)
+			return err
+		}
+	}
+	rt.fullCalls.Add(1)
+	var err error
+	if in {
+		err = rt.encl.Ecall(id, fn)
+	} else {
+		err = rt.encl.Ocall(id, fn)
+	}
+	if w.hDispatchNS != nil {
+		w.hDispatchNS.ObserveDuration(time.Since(start))
+	}
+	return err
+}
+
+// rode reports whether a ring submission of n calls rode the ring, from
+// the error TryCall or TryBatch returned, and counts its route.
+// ErrTooLarge (the oversize route) and ErrBusy or ErrStopped (the
+// fallback route) mean nothing ran: the caller crosses in full instead.
+// Any other outcome rode, and err is the far side's.
+func (rt *Runtime) rode(err error, n int) bool {
+	switch {
+	case errors.Is(err, ring.ErrTooLarge):
+		rt.ringOversize.Add(1)
+		return false
+	case errors.Is(err, ring.ErrBusy), errors.Is(err, ring.ErrStopped):
+		rt.ringFallbacks.Add(1)
+		return false
+	}
+	rt.ringCalls.Add(uint64(n))
+	return true
 }
 
 // dispatchRelay executes a relay method natively (the generated

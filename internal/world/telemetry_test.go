@@ -4,10 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"montsalvat/internal/classmodel"
 	"montsalvat/internal/core"
 	"montsalvat/internal/demo"
 	"montsalvat/internal/simcfg"
 	"montsalvat/internal/telemetry"
+	"montsalvat/internal/wire"
 	"montsalvat/internal/world"
 )
 
@@ -38,7 +40,7 @@ func TestTelemetryMetricsAbsorbed(t *testing.T) {
 	snap := tel.Registry().Snapshot()
 	ds := w.DispatchStats()
 	if got := snap.Counters[`montsalvat_boundary_calls_total{route="full"}`]; got != ds.FullCalls {
-		t.Fatalf("full calls metric = %d, dispatcher says %d", got, ds.FullCalls)
+		t.Fatalf("full calls metric = %d, DispatchStats says %d", got, ds.FullCalls)
 	}
 	es := w.Enclave().Stats()
 	if got := snap.Counters["montsalvat_sgx_ecalls_total"]; got != es.Ecalls {
@@ -182,5 +184,82 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 	}
 	if _, err := w.RunMain(); err != nil {
 		t.Fatalf("RunMain: %v", err)
+	}
+}
+
+// TestFullTransitionSpanCarriesBodyCycles: the sampled span of a full
+// transition records what the far side charged — here a known memory
+// touch plus the relay's own small bookkeeping — and not the transition.
+func TestFullTransitionSpanCarriesBodyCycles(t *testing.T) {
+	var (
+		w       *world.World
+		touched int64
+	)
+	prog := classmodel.NewProgram()
+	burner := classmodel.NewClass("Burner", classmodel.Trusted)
+	for _, m := range []*classmodel.Method{
+		{
+			Name: classmodel.CtorName, Public: true,
+			Body: func(classmodel.Env, wire.Value, []wire.Value) (wire.Value, error) { return wire.Null(), nil },
+		},
+		{
+			Name: "burn", Public: true, Returns: wire.KindInt,
+			Body: func(env classmodel.Env, _ wire.Value, _ []wire.Value) (wire.Value, error) {
+				start := w.Clock().Total()
+				env.MemTouch(1 << 20)
+				touched = w.Clock().Total() - start
+				return wire.Int(1), nil
+			},
+		},
+	} {
+		if err := burner.AddMethod(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mainC := classmodel.NewClass("BurnMain", classmodel.Untrusted)
+	if err := mainC.AddMethod(&classmodel.Method{
+		Name: classmodel.MainMethodName, Static: true, Public: true,
+		Body: func(env classmodel.Env, _ wire.Value, _ []wire.Value) (wire.Value, error) {
+			b, err := env.New("Burner")
+			if err != nil {
+				return wire.Value{}, err
+			}
+			return env.Call(b, "burn")
+		},
+		Allocates: []string{"Burner"},
+		Calls:     []classmodel.MethodRef{{Class: "Burner", Method: "burn"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*classmodel.Class{burner, mainC} {
+		if err := prog.AddClass(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog.MainClass = "BurnMain"
+
+	tel := telemetry.New(telemetry.Options{TraceSampleRate: 1, TraceBuffer: 64})
+	opts := world.DefaultOptions()
+	opts.Telemetry = tel
+	var err error
+	if w, _, err = core.NewPartitionedWorld(prog, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.RunMain(); err != nil {
+		t.Fatal(err)
+	}
+	var burn *telemetry.Span
+	for _, sp := range tel.Tracer().Dump() {
+		if strings.Contains(sp.Name, "Burner.relay$burn") {
+			burn = &sp
+		}
+	}
+	if burn == nil || burn.Route != "full" {
+		t.Fatalf("no full-route span of the burn relay: %+v", burn)
+	}
+	transition := opts.Cfg.TransitionCycles(true)
+	if touched == 0 || burn.BodyCycles < touched || burn.BodyCycles >= touched+transition {
+		t.Fatalf("span body cycles %d, want the body's %d touch cycles plus less than a transition (%d)", burn.BodyCycles, touched, transition)
 	}
 }

@@ -43,7 +43,7 @@ import (
 const (
 	idGCHelper = 9100 // long-running ecall hosting the trusted GC helper
 	idGCSweep  = 9101 // cross-boundary mirror-release batches
-	idBatch    = 9102 // batched relay-call frames (boundary dispatch layer)
+	idBatch    = 9102 // batched relay-call frames (boundary.Queue flushes)
 	idMain     = 9200 // unpartitioned main entry ecall
 	idExec     = 9201 // ad-hoc trusted execution (benchmark harness)
 )
@@ -139,9 +139,9 @@ type World struct {
 	trusted   *Runtime // nil in ModeNoSGX
 	untrusted *Runtime // nil in ModeUnpartitionedSGX
 
-	// stateMu guards the rebuildable state (enclave, runtimes,
-	// dispatcher, ring groups) against the restart path: Kill/Restart
-	// swap them under the write lock while accessors, Exec and the
+	// stateMu guards the rebuildable state (enclave, runtimes, ring
+	// groups) against the restart path: Kill/Restart swap them under
+	// the write lock while accessors, Exec and the
 	// telemetry collector read under the read lock. buildOpts/tImg/uImg retain the
 	// build inputs — including the signing identity, so a re-created
 	// enclave keeps its MRSIGNER and can unseal persistent state.
@@ -152,27 +152,29 @@ type World struct {
 	killed    bool
 	helpersOn bool // helpers were running when Kill hit; Restart revives them
 
-	// disp routes every cross-runtime transition (nil unless
-	// partitioned); bufs recycles marshal buffers; batching mirrors
-	// cfg.Batching for the remote-call hot path.
-	disp     *boundary.Dispatcher
+	// bufs recycles marshal buffers; batching mirrors cfg.Batching for
+	// the remote-call hot path.
 	bufs     *boundary.BufPool
 	batching bool
 
 	// erings/orings are the zero-copy ring groups (nil unless
-	// cfg.Rings); the dispatcher owns their shutdown, these references
-	// feed the stats collectors. meeBytes counts bytes charged at MEE
-	// copy rate on the frame path — the "copies" component of the
-	// dispatch cycle breakdown.
+	// cfg.Rings), each also held by the runtime that submits into it
+	// (Runtime.rings); teardownLocked closes them. meeBytes counts bytes
+	// charged at MEE copy rate on the frame path — the "copies"
+	// component of the dispatch cycle breakdown.
 	erings   *ring.Group
 	orings   *ring.Group
 	meeBytes atomic.Uint64
 
-	// tel is the optional observability layer (nil when disabled);
-	// hMarshal is the cached marshal-bytes histogram (nil when telemetry
-	// is off).
-	tel      *telemetry.Telemetry
-	hMarshal *telemetry.Histogram
+	// tel is the optional observability layer (nil when disabled). The
+	// cached histograms are nil when it is off: hMarshal takes the bytes
+	// each call marshals; hDispatchNS (wall time of a crossing) and
+	// hBodyCycles (far-side cost of a full transition) exist only in a
+	// partitioned world.
+	tel         *telemetry.Telemetry
+	hMarshal    *telemetry.Histogram
+	hDispatchNS *telemetry.Histogram
+	hBodyCycles *telemetry.Histogram
 
 	hashCounter atomic.Int64
 
@@ -220,13 +222,10 @@ func NewPartitioned(opts Options, tImg, uImg *image.Image, iface *edl.File) (*Wo
 	return w, nil
 }
 
-// initBoundary builds the boundary dispatch layer of a partitioned
-// world: the routing dispatcher, the per-runtime batching queues, and —
-// with Rings on — the ring groups of both directions.
+// initBoundary builds the boundary plumbing of a partitioned world: the
+// per-runtime batching queues and — with Rings on — the ring groups of
+// both directions.
 func (w *World) initBoundary() error {
-	w.disp = boundary.NewDispatcher(w.enclave, w.clock)
-	w.disp.SetTelemetry(w.tel.Registry())
-	w.trusted.disp, w.untrusted.disp = w.disp, w.disp
 	if w.cfg.Rings {
 		rcfg := ring.Config{
 			Workers:   w.cfg.RingWorkers,
@@ -247,7 +246,6 @@ func (w *World) initBoundary() error {
 		}
 		erings.SetTelemetry(w.tel.Registry(), "ecall")
 		orings.SetTelemetry(w.tel.Registry(), "ocall")
-		w.disp.UseRings(erings, orings)
 		w.erings, w.orings = erings, orings
 	}
 	w.batching = w.cfg.Batching
@@ -327,6 +325,10 @@ func newWorld(mode Mode, opts Options) (*World, error) {
 	}
 	if reg := w.tel.Registry(); reg != nil {
 		w.hMarshal = reg.Histogram("montsalvat_boundary_marshal_bytes")
+		if mode == ModePartitioned {
+			w.hDispatchNS = reg.Histogram("montsalvat_boundary_dispatch_ns")
+			w.hBodyCycles = reg.Histogram("montsalvat_boundary_body_cycles")
+		}
 		reg.RegisterCollector(w.collectMetrics)
 	}
 	return w, nil
@@ -669,7 +671,7 @@ func (w *World) sweep(rt *Runtime) error {
 	if rt.encl != nil {
 		sp := w.tel.Tracer().StartRoot("gc-sweep " + rt.name)
 		sp.SetBatchSize(len(dead))
-		err := rt.disp.Invoke(!rt.trusted, idGCSweep, sp, release)
+		err := rt.cross(idGCSweep, sp, release)
 		sp.Finish(err)
 		return err
 	}
@@ -699,7 +701,7 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry) error {
 		// shared wakeups — adaptive batching without building (and MEE-
 		// copying) a coalesced frame. All-or-nothing: oversized or busy
 		// rings fall through to the frame path.
-		if rt.encl != nil && rt.disp.HasRings(to.trusted) {
+		if rt.encl != nil && rt.rings != nil {
 			rents := make([]ring.BatchEntry, len(entries))
 			for i := range entries {
 				e := entries[i]
@@ -713,7 +715,7 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry) error {
 					},
 				}
 			}
-			if ran, rerr := rt.disp.InvokeRingBatch(to.trusted, rents); ran {
+			if rerr := rt.rings.TryBatch(rents); rt.rode(rerr, len(rents)) {
 				sp.Finish(rerr)
 				for _, e := range entries {
 					w.bufs.Put(e.Args)
@@ -745,7 +747,7 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry) error {
 			// the MEE like any marshalled argument buffer.
 			w.clock.ChargeBytes(len(frame), simcfg.MEEBytesPerCycle)
 			w.meeBytes.Add(uint64(len(frame)))
-			err = rt.disp.Invoke(to.trusted, idBatch, sp, invoke)
+			err = rt.cross(idBatch, sp, invoke)
 		} else {
 			err = invoke()
 		}
@@ -827,9 +829,8 @@ func (w *World) Close() { _ = w.CloseErr() }
 func (w *World) CloseErr() error {
 	err := w.Flush()
 	w.StopGCHelpers()
-	if w.disp != nil {
-		w.disp.Close()
-	}
+	w.erings.Close()
+	w.orings.Close()
 	if w.enclave != nil {
 		w.enclave.Destroy()
 	}
@@ -858,9 +859,9 @@ type Stats struct {
 
 // collectMetrics is the telemetry collector of the world layer: it
 // absorbs the snapshot-style statistics every subsystem already keeps —
-// dispatcher routing counters, batching queues, enclave transitions,
-// TCS occupancy, GC sweeps, registry sizes — into stable registry
-// metrics at scrape time, so the producing hot paths stay untouched.
+// crossing routes, batching queues, enclave transitions, TCS occupancy,
+// GC sweeps, registry sizes — into stable registry metrics at scrape
+// time, so the producing hot paths stay untouched.
 func (w *World) collectMetrics(reg *telemetry.Registry) {
 	// The collector outlives any single enclave incarnation (it is
 	// registered once, while Kill/Restart swap the world's guts), so it
@@ -869,13 +870,12 @@ func (w *World) collectMetrics(reg *telemetry.Registry) {
 	defer w.stateMu.RUnlock()
 	reg.Gauge("montsalvat_world_cycles_total").Set(w.clock.Total())
 
-	if w.disp != nil {
-		ds := w.disp.Stats()
+	ds := w.DispatchStats()
+	if w.mode == ModePartitioned && !w.killed {
 		reg.Counter("montsalvat_boundary_calls_total", "route", "full").Set(ds.FullCalls)
-		rs := w.disp.RingStats()
-		reg.Counter("montsalvat_boundary_calls_total", "route", "ring").Set(rs.RingCalls)
-		reg.Counter("montsalvat_boundary_calls_total", "route", "ring-fallback").Set(rs.RingFallbacks)
-		reg.Counter("montsalvat_boundary_calls_total", "route", "ring-oversize").Set(rs.RingOversize)
+		reg.Counter("montsalvat_boundary_calls_total", "route", "ring").Set(ds.RingCalls)
+		reg.Counter("montsalvat_boundary_calls_total", "route", "ring-fallback").Set(ds.RingFallbacks)
+		reg.Counter("montsalvat_boundary_calls_total", "route", "ring-oversize").Set(ds.RingOversize)
 	}
 	for dir, g := range map[string]*ring.Group{"ecall": w.erings, "ocall": w.orings} {
 		if g == nil {
@@ -898,16 +898,8 @@ func (w *World) collectMetrics(reg *telemetry.Registry) {
 		reg.Gauge("montsalvat_bufpool_miss_rate_bps").Set(int64(ps.MissRate() * 10000))
 	}
 
-	var flushes, batched uint64
-	for _, rt := range []*Runtime{w.trusted, w.untrusted} {
-		if rt != nil && rt.queue != nil {
-			qs := rt.queue.Stats()
-			flushes += qs.Flushes
-			batched += qs.BatchedCalls
-		}
-	}
-	reg.Counter("montsalvat_boundary_batch_flushes_total").Set(flushes)
-	reg.Counter("montsalvat_boundary_batched_calls_total").Set(batched)
+	reg.Counter("montsalvat_boundary_batch_flushes_total").Set(ds.BatchFlushes)
+	reg.Counter("montsalvat_boundary_batched_calls_total").Set(ds.BatchedCalls)
 
 	if w.enclave != nil {
 		es := w.enclave.Stats()
@@ -981,21 +973,4 @@ func (w *World) LiveObjects() int {
 		n += rt.weaks.Len()
 	}
 	return n
-}
-
-// PoolStats snapshots the marshal-buffer pool's hit/miss counters.
-func (w *World) PoolStats() boundary.BufPoolStats {
-	if w.bufs == nil {
-		return boundary.BufPoolStats{}
-	}
-	return w.bufs.Stats()
-}
-
-// ResetPoolStats zeroes the marshal-buffer pool's hit/miss counters
-// while keeping the pooled buffers warm, so a benchmark phase measures
-// its own pool behaviour rather than inheriting boot traffic.
-func (w *World) ResetPoolStats() {
-	if w.bufs != nil {
-		w.bufs.ResetStats()
-	}
 }

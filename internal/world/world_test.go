@@ -191,7 +191,7 @@ func TestGCHelperThreads(t *testing.T) {
 // twoWayProgram extends the bank program with a trusted Auditor class
 // whose method references Person, so the Person proxy is reachable in the
 // trusted image and trusted->untrusted calls are possible.
-func twoWayProgram(t *testing.T) *classmodel.Program {
+func twoWayProgram(t testing.TB) *classmodel.Program {
 	t.Helper()
 	p := demo.MustBankProgram()
 	auditor := classmodel.NewClass("Auditor", classmodel.Trusted)
