@@ -15,26 +15,18 @@ import (
 	"sync/atomic"
 	"time"
 
+	"montsalvat/internal/ring"
 	"montsalvat/internal/telemetry"
 )
 
-// Entry is one queued cross-runtime call: the routing key (EDL routine
-// id) plus the already-marshalled invocation the flusher packs into a
-// batched frame. Only result-independent calls may be queued — the
-// caller observes nothing of a queued call until a flush, so errors are
-// deferred to the flushing caller.
-type Entry struct {
-	ID     int
-	Class  string
-	Method string
-	Hash   int64
-	Args   []byte
-
-	// EnqueuedNS is the wall clock at Enqueue, stamped only when
-	// telemetry is attached (zero otherwise) — it feeds the queue-wait
-	// histogram and batch flush spans.
-	EnqueuedNS int64
-}
+// Entry is one queued cross-runtime call, encoded once at Enqueue: the
+// EDL routine id and Req, the call's ring-slot form — a zero flags byte
+// followed by its wire.Call record. A flush hands the entries to
+// ring.Group.TryBatch as they are, or packs their records, flags byte
+// dropped, into one batch frame. Only result-independent calls may be
+// queued — the caller observes nothing of a queued call until a flush,
+// so errors are deferred to the flushing caller.
+type Entry = ring.BatchEntry
 
 // Queue coalesces result-independent calls from one runtime into
 // batched transitions. Enqueued entries are flushed — in order — by the
@@ -42,10 +34,14 @@ type Entry struct {
 // needs the queue empty first, or World.Flush is called explicitly.
 type Queue struct {
 	watermark int
-	run       func([]Entry) error
+	run       func(batch []Entry, waited time.Duration) error
 
 	mu      sync.Mutex
 	pending []Entry
+	// oldest is the wall clock at which pending[0] was enqueued, stamped
+	// only when telemetry is attached (zero otherwise) — it feeds the
+	// queue-wait histogram and batch flush spans.
+	oldest int64
 
 	// flushMu serializes flushes so concurrent flushers cannot reorder
 	// two drained batches relative to each other. It is taken before
@@ -60,7 +56,9 @@ type Queue struct {
 }
 
 // NewQueue builds a queue flushing through run at the given watermark.
-func NewQueue(watermark int, run func([]Entry) error) *Queue {
+// run receives the drained batch and how long its oldest entry waited
+// (zero unless telemetry is attached).
+func NewQueue(watermark int, run func(batch []Entry, waited time.Duration) error) *Queue {
 	return &Queue{watermark: watermark, run: run}
 }
 
@@ -75,10 +73,14 @@ func (q *Queue) SetTelemetry(wait, size *telemetry.Histogram) {
 // the watermark. The returned error is a flush error; the enqueued call
 // itself reports nothing until a later flush.
 func (q *Queue) Enqueue(e Entry) error {
+	var now int64
 	if q.hWait != nil {
-		e.EnqueuedNS = time.Now().UnixNano()
+		now = time.Now().UnixNano()
 	}
 	q.mu.Lock()
+	if len(q.pending) == 0 {
+		q.oldest = now
+	}
 	q.pending = append(q.pending, e)
 	full := len(q.pending) >= q.watermark
 	q.mu.Unlock()
@@ -95,7 +97,7 @@ func (q *Queue) Flush() error {
 	q.flushMu.Lock()
 	defer q.flushMu.Unlock()
 	q.mu.Lock()
-	batch := q.pending
+	batch, oldest := q.pending, q.oldest
 	q.pending = nil
 	q.mu.Unlock()
 	if len(batch) == 0 {
@@ -104,10 +106,12 @@ func (q *Queue) Flush() error {
 	q.flushes.Add(1)
 	q.batched.Add(uint64(len(batch)))
 	q.hSize.Observe(int64(len(batch)))
-	if q.hWait != nil && batch[0].EnqueuedNS != 0 {
-		q.hWait.Observe(time.Now().UnixNano() - batch[0].EnqueuedNS)
+	var waited time.Duration
+	if oldest != 0 {
+		waited = time.Duration(time.Now().UnixNano() - oldest)
+		q.hWait.Observe(int64(waited))
 	}
-	return q.run(batch)
+	return q.run(batch, waited)
 }
 
 // Len returns the number of calls waiting to be flushed.

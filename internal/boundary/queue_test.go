@@ -5,20 +5,21 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestQueueOrderAndWatermark(t *testing.T) {
-	var got []int64
+	var got []int
 	var batches []int
-	q := NewQueue(4, func(es []Entry) error {
+	q := NewQueue(4, func(es []Entry, _ time.Duration) error {
 		batches = append(batches, len(es))
 		for _, e := range es {
-			got = append(got, e.Hash)
+			got = append(got, e.ID)
 		}
 		return nil
 	})
 	for i := 0; i < 10; i++ {
-		if err := q.Enqueue(Entry{Hash: int64(i)}); err != nil {
+		if err := q.Enqueue(Entry{ID: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -26,7 +27,7 @@ func TestQueueOrderAndWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, h := range got {
-		if h != int64(i) {
+		if h != i {
 			t.Fatalf("order broken at %d: %v", i, got)
 		}
 	}
@@ -42,7 +43,7 @@ func TestQueueOrderAndWatermark(t *testing.T) {
 }
 
 func TestQueueFlushEmptyIsNoop(t *testing.T) {
-	q := NewQueue(4, func(es []Entry) error { return errors.New("must not run") })
+	q := NewQueue(4, func(es []Entry, _ time.Duration) error { return errors.New("must not run") })
 	if err := q.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -53,15 +54,15 @@ func TestQueueFlushEmptyIsNoop(t *testing.T) {
 
 func TestQueueConcurrentEnqueueKeepsAllCalls(t *testing.T) {
 	var mu sync.Mutex
-	seen := make(map[int64]bool)
-	q := NewQueue(8, func(es []Entry) error {
+	seen := make(map[int]bool)
+	q := NewQueue(8, func(es []Entry, _ time.Duration) error {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, e := range es {
-			if seen[e.Hash] {
-				return fmt.Errorf("hash %d flushed twice", e.Hash)
+			if seen[e.ID] {
+				return fmt.Errorf("call %d flushed twice", e.ID)
 			}
-			seen[e.Hash] = true
+			seen[e.ID] = true
 		}
 		return nil
 	})
@@ -72,7 +73,7 @@ func TestQueueConcurrentEnqueueKeepsAllCalls(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := q.Enqueue(Entry{Hash: int64(w*per + i)}); err != nil {
+				if err := q.Enqueue(Entry{ID: w*per + i}); err != nil {
 					t.Error(err)
 				}
 			}

@@ -28,6 +28,7 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -37,6 +38,13 @@ import (
 	"montsalvat/internal/heap"
 	"montsalvat/internal/lockrank"
 )
+
+// ErrUnknownHash is returned by Release for a hash the registry holds no
+// mirror for: one it was never given, or one whose mirror a release
+// already dropped. Release hashes arrive from the opposite runtime — for
+// the enclave, from the host — so a forged or replayed one must fail
+// here, typed, and change nothing.
+var ErrUnknownHash = errors.New("registry: release of unknown hash")
 
 // numShards is the stripe count of a Registry. Identity hashes are
 // assigned sequentially by the world, so hash & (numShards-1)
@@ -190,7 +198,7 @@ func (r *Registry) Release(hash int64) (removed bool, err error) {
 	r.holdEnd(t0)
 	s.mu.Unlock()
 	if !ok {
-		return false, fmt.Errorf("registry: release of unknown hash %d", hash)
+		return false, fmt.Errorf("%w %d", ErrUnknownHash, hash)
 	}
 	if drop != 0 {
 		if err := r.release(drop); err != nil {

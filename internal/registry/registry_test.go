@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"errors"
 	"testing"
 
 	"montsalvat/internal/heap"
@@ -49,8 +50,8 @@ func TestExportResolveRelease(t *testing.T) {
 	if _, ok := r.Resolve(42); ok {
 		t.Fatal("resolved released hash")
 	}
-	if _, err := r.Release(42); err == nil {
-		t.Fatal("double release accepted")
+	if _, err := r.Release(42); !errors.Is(err, ErrUnknownHash) {
+		t.Fatalf("double release: err = %v, want ErrUnknownHash", err)
 	}
 }
 

@@ -43,13 +43,11 @@ func (c Config) withDefaults() Config {
 }
 
 // BatchEntry is one void (result-independent) call submitted through
-// TryBatch. Fill encodes the complete submission into the slot — it
-// must use the exact-size slot writers and may not reallocate.
+// TryBatch: the routine id its slot is sealed under and Req, the
+// complete encoded request, which TryBatch copies into the slot as is.
 type BatchEntry struct {
-	ID   int
-	Need int
-	Sp   *telemetry.Span
-	Fill func(slot []byte) ([]byte, error)
+	ID  int
+	Req []byte
 }
 
 // Stats is an aggregate snapshot of a ring group's activity counters.
@@ -204,10 +202,11 @@ func (g *Group) TryCall(id, need int, sp *telemetry.Span, fill func(slot []byte)
 // consumer is draining rides the same wakeup. When the ring fills
 // mid-batch the producer stalls on the oldest completion and drains
 // (backpressure), so batches larger than the ring depth still go
-// through. Returns ErrTooLarge (before submitting anything) when any
-// entry exceeds the slot, ErrBusy when no producer slot is free; after
-// submission, handler errors are joined.
-func (g *Group) TryBatch(entries []BatchEntry) error {
+// through. sp is the flush's trace span (nil when unsampled), handed to
+// every entry's handler. Returns ErrTooLarge (before submitting
+// anything) when any entry exceeds the slot, ErrBusy when no producer
+// slot is free; after submission, handler errors are joined.
+func (g *Group) TryBatch(sp *telemetry.Span, entries []BatchEntry) error {
 	if g == nil || g.closed.Load() {
 		return ErrStopped
 	}
@@ -215,7 +214,7 @@ func (g *Group) TryBatch(entries []BatchEntry) error {
 		return nil
 	}
 	for _, e := range entries {
-		if e.Need > g.cfg.SlotBytes {
+		if len(e.Req) > g.cfg.SlotBytes {
 			return ErrTooLarge
 		}
 	}
@@ -226,8 +225,7 @@ func (g *Group) TryBatch(entries []BatchEntry) error {
 	defer r.prodMu.Unlock()
 	var errs []error
 	first := r.reaped // next completion whose outcome we still owe the caller
-	for i := range entries {
-		e := &entries[i]
+	for _, e := range entries {
 		s, idx, err := g.reserve(r)
 		if err != nil {
 			errs = append(errs, err)
@@ -240,16 +238,9 @@ func (g *Group) TryBatch(entries []BatchEntry) error {
 				errs = append(errs, ferr)
 			}
 		}
-		plain, err := e.Fill(s.buf[:0])
-		if err != nil {
-			// Reserved but never published: tail is unchanged, so the
-			// slot is simply handed out again next time.
-			errs = append(errs, err)
-			break
-		}
 		s.id = e.ID
-		s.sp = e.Sp
-		s.reqN = len(r.seal(s, plain, nonceReq))
+		s.sp = sp
+		s.reqN = len(r.seal(s, append(s.buf[:0], e.Req...), nonceReq))
 		r.publish(idx)
 	}
 	if tail := r.tail.Load(); tail > first {

@@ -378,8 +378,8 @@ func (r *Ring) consume(s *slot, idx uint64) {
 		s.err = herr
 		switch {
 		case herr != nil:
-			// Errors cross out of band (as on the closure-based frame
-			// path); no response payload.
+			// Errors cross out of band, as on the frame path: no
+			// response payload.
 		case overflow:
 			s.over = out
 			r.stats.overflows.Add(1)

@@ -94,14 +94,9 @@ func TestBatchBackpressure(t *testing.T) {
 	const n = 37 // deliberately not a multiple of the ring size
 	entries := make([]BatchEntry, n)
 	for i := range entries {
-		payload := []byte(fmt.Sprintf("batched-%d", i))
-		entries[i] = BatchEntry{
-			ID:   3,
-			Need: len(payload),
-			Fill: func(slot []byte) ([]byte, error) { return append(slot, payload...), nil },
-		}
+		entries[i] = BatchEntry{ID: 3, Req: []byte(fmt.Sprintf("batched-%d", i))}
 	}
-	if err := g.TryBatch(entries); err != nil {
+	if err := g.TryBatch(nil, entries); err != nil {
 		t.Fatal(err)
 	}
 	if served.Load() != n {
@@ -152,7 +147,7 @@ func TestTooLarge(t *testing.T) {
 	if _, err := callEcho(g, make([]byte, 65)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
-	err := g.TryBatch([]BatchEntry{{ID: 1, Need: 65, Fill: func(s []byte) ([]byte, error) { return s, nil }}})
+	err := g.TryBatch(nil, []BatchEntry{{ID: 1, Req: make([]byte, 65)}})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("batch: got %v, want ErrTooLarge", err)
 	}
@@ -254,11 +249,9 @@ func TestConcurrentStress(t *testing.T) {
 				if i%5 == 4 {
 					entries := make([]BatchEntry, 3)
 					for j := range entries {
-						payload := []byte(fmt.Sprintf("p%d-b%d-%d", p, i, j))
-						entries[j] = BatchEntry{ID: 2, Need: len(payload),
-							Fill: func(slot []byte) ([]byte, error) { return append(slot, payload...), nil }}
+						entries[j] = BatchEntry{ID: 2, Req: []byte(fmt.Sprintf("p%d-b%d-%d", p, i, j))}
 					}
-					switch err := g.TryBatch(entries); {
+					switch err := g.TryBatch(nil, entries); {
 					case err == nil:
 						riding.Add(3)
 					case errors.Is(err, ErrBusy):

@@ -11,9 +11,9 @@ import (
 //   - exact-size precompute (Size/SizeValues) and copy-free list encoding
 //     (AppendValues), so the marshalling hot path can reserve one
 //     right-sized — and poolable — buffer instead of growing it;
-//   - the batched-transition frame (FrameCall, MarshalFrame,
-//     UnmarshalFrame): a length-prefixed sequence of relay invocations
-//     coalesced into a single ecall/ocall.
+//   - the batched-transition frame (ReadFrame): a count of call records
+//     (slot.go) coalesced into a single ecall/ocall, read through the
+//     same record decoder as a ring slot.
 
 // uvarintLen returns the encoded length of binary.AppendUvarint(nil, x).
 func uvarintLen(x uint64) int {
@@ -94,90 +94,44 @@ func AppendBytesHeader(dst []byte, n int) []byte {
 	return binary.AppendUvarint(dst, uint64(n))
 }
 
-// FrameCall is one relay invocation inside a batched transition: the
-// same (class, relay method, receiver hash, marshalled argument vector)
-// tuple a single transition would carry.
-type FrameCall struct {
-	Class  string
-	Method string
-	Hash   int64
-	Args   []byte
-}
+// Frame iterates the call records of a batch frame — a uvarint record
+// count followed by that many records — that ReadFrame accepted.
+type Frame struct{ rest []byte }
 
-// frameCallSize returns the encoded size of one frame entry.
-func frameCallSize(c FrameCall) int {
-	return uvarintLen(uint64(len(c.Class))) + len(c.Class) +
-		uvarintLen(uint64(len(c.Method))) + len(c.Method) +
-		varintLen(c.Hash) +
-		uvarintLen(uint64(len(c.Args))) + len(c.Args)
-}
-
-// FrameSize returns the exact encoded size of a call frame.
-func FrameSize(calls []FrameCall) int {
-	n := uvarintLen(uint64(len(calls)))
-	for _, c := range calls {
-		n += frameCallSize(c)
-	}
-	return n
-}
-
-// AppendFrame encodes a batched-call frame onto dst: a uvarint call
-// count followed by, per call, length-prefixed class and method names, a
-// varint receiver hash, and the length-prefixed marshalled arguments.
-func AppendFrame(dst []byte, calls []FrameCall) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(calls)))
-	for _, c := range calls {
-		dst = binary.AppendUvarint(dst, uint64(len(c.Class)))
-		dst = append(dst, c.Class...)
-		dst = binary.AppendUvarint(dst, uint64(len(c.Method)))
-		dst = append(dst, c.Method...)
-		dst = binary.AppendVarint(dst, c.Hash)
-		dst = binary.AppendUvarint(dst, uint64(len(c.Args)))
-		dst = append(dst, c.Args...)
-	}
-	return dst
-}
-
-// MarshalFrame encodes a batched-call frame into a fresh exact-size
-// buffer.
-func MarshalFrame(calls []FrameCall) []byte {
-	return AppendFrame(make([]byte, 0, FrameSize(calls)), calls)
-}
-
-// UnmarshalFrame decodes a buffer produced by MarshalFrame. Decoded
-// fields are copies; the input buffer may be reused afterwards.
-func UnmarshalFrame(buf []byte) ([]FrameCall, error) {
+// ReadFrame checks that buf is one complete batch frame and returns an
+// iterator over its records. A frame is all or nothing: every record is
+// decoded (as views, copying nothing) before ReadFrame returns, so a
+// frame with one bad record yields an error and no record at all. buf
+// must not change while the Frame is in use.
+func ReadFrame(buf []byte) (Frame, error) {
 	count, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, ErrTruncated
+	// A record spans at least four bytes: a count larger than the bytes
+	// left fails before the walk.
+	if n <= 0 || count > uint64(len(buf)-n) {
+		return Frame{}, ErrTruncated
 	}
-	calls := make([]FrameCall, 0, clampCount(count, len(buf)-n))
-	for i := uint64(0); i < count; i++ {
-		var c FrameCall
-		class, l, err := decodeView(buf[n:])
+	rest := buf[n:]
+	for ; count > 0; count-- {
+		_, _, _, _, l, err := decodeCall(rest)
 		if err != nil {
-			return nil, err
+			return Frame{}, err
 		}
-		c.Class, n = string(class), n+l
-		method, l, err := decodeView(buf[n:])
-		if err != nil {
-			return nil, err
-		}
-		c.Method, n = string(method), n+l
-		hash, l := binary.Varint(buf[n:])
-		if l <= 0 {
-			return nil, ErrTruncated
-		}
-		c.Hash, n = hash, n+l
-		args, l, err := decodeBytes(buf[n:])
-		if err != nil {
-			return nil, err
-		}
-		c.Args, n = args, n+l
-		calls = append(calls, c)
+		rest = rest[l:]
 	}
-	if n != len(buf) {
-		return nil, fmt.Errorf("wire: %d trailing frame bytes", len(buf)-n)
+	if len(rest) != 0 {
+		return Frame{}, fmt.Errorf("%w: %d after the batch frame", ErrTrailing, len(rest))
 	}
-	return calls, nil
+	return Frame{rest: buf[n:]}, nil
+}
+
+// Next returns the frame's next record, whose Args alias the frame
+// buffer, or ok=false once every record was returned.
+func (f *Frame) Next() (c Call, ok bool) {
+	c, n, err := DecodeCall(f.rest)
+	if err != nil { // the end (or a buffer changed since ReadFrame)
+		f.rest = nil
+		return Call{}, false
+	}
+	f.rest = f.rest[n:]
+	return c, true
 }

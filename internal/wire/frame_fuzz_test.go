@@ -2,53 +2,71 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 )
 
-// FuzzDecodeFrame hardens the batched-transition frame decoder the same
-// way FuzzUnmarshal hardens the value decoder: frames cross the enclave
-// boundary, so arbitrary input must never panic or over-allocate, and a
-// decoded frame must re-encode canonically.
+// FuzzDecodeFrame hardens the batched-transition frame reader the way
+// FuzzUnmarshal hardens the value decoder — frames cross the enclave
+// boundary, so no input may panic or over-allocate — and checks it
+// against the ring slot decoder: a frame and a slot carry the same call
+// record through the same decoder, so every record the frame yields must
+// decode identically as a slot, behind a flags byte. A rejected frame
+// must fail with a typed error and yield no records.
 func FuzzDecodeFrame(f *testing.F) {
 	seeds := [][]byte{
 		nil,
 		{0},
 		{1},
 		{0xff, 0xff, 0xff, 0xff, 0x0f}, // huge call count, no payload
-		MarshalFrame(nil),
-		MarshalFrame([]FrameCall{{Class: "Account", Method: "relay$set", Hash: -1, Args: MarshalList([]Value{Int(7)})}}),
-		MarshalFrame([]FrameCall{
+		appendFrame(nil, nil),
+		appendFrame(nil, []Call{{Class: "Account", Method: "relay$set", Hash: -1, Args: MarshalList([]Value{Int(7)})}}),
+		appendFrame(nil, []Call{
 			{Class: "KV", Method: "relay$put", Hash: 1 << 40, Args: MarshalList([]Value{Str("k"), Bytes([]byte{1, 2})})},
 			{Class: "", Method: "<gc-release>", Hash: 0, Args: nil},
 		}),
+		goldenFrame(),
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		calls, err := UnmarshalFrame(data)
+		fr, err := ReadFrame(data)
 		if err != nil {
+			if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrTrailing) {
+				t.Fatalf("untyped frame error: %v", err)
+			}
+			if _, ok := fr.Next(); ok {
+				t.Fatal("a rejected frame yielded a record")
+			}
 			return
 		}
-		// Varint encodings are not unique (the decoder accepts padded
-		// forms), so the invariant is semantic: re-encoding decodes to
-		// the same calls, and the re-encoded form is a fixed point.
-		re := MarshalFrame(calls)
-		calls2, err := UnmarshalFrame(re)
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if len(calls2) != len(calls) {
-			t.Fatalf("re-decode count %d != %d", len(calls2), len(calls))
-		}
-		for i := range calls {
-			if calls2[i].Class != calls[i].Class || calls2[i].Method != calls[i].Method ||
-				calls2[i].Hash != calls[i].Hash || !bytes.Equal(calls2[i].Args, calls[i].Args) {
-				t.Fatalf("round trip call %d: %+v != %+v", i, calls2[i], calls[i])
+		// Walk the records' raw bytes alongside the iterator.
+		count, off := binary.Uvarint(data)
+		for i := uint64(0); i < count; i++ {
+			c, ok := fr.Next()
+			if !ok {
+				t.Fatalf("frame ended after %d of %d records", i, count)
 			}
+			_, n, err := DecodeCall(data[off:])
+			if err != nil {
+				t.Fatalf("record %d: %v", i, err)
+			}
+			for _, flags := range []byte{0, CallWantResult} {
+				slot := append([]byte{flags}, data[off:off+n]...)
+				s, sflags, err := DecodeSlot(slot)
+				if err != nil {
+					t.Fatalf("record %d as a slot: %v", i, err)
+				}
+				if sflags != flags || s.Class != c.Class || s.Method != c.Method || s.Hash != c.Hash || !bytes.Equal(s.Args, c.Args) {
+					t.Fatalf("record %d: frame %+v, slot %+v (flags %d)", i, c, s, sflags)
+				}
+			}
+			off += n
 		}
-		if re2 := MarshalFrame(calls2); !bytes.Equal(re2, re) {
-			t.Fatalf("re-encode not stable: %x != %x", re2, re)
+		if _, ok := fr.Next(); ok || off != len(data) {
+			t.Fatalf("frame yields past its %d records (%d of %d bytes read)", count, off, len(data))
 		}
 	})
 }
@@ -57,7 +75,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // decoder on specific malformed shapes — the named cousins of the random
 // truncation loop in TestFrameErrors.
 func TestFrameCorruptInputs(t *testing.T) {
-	valid := MarshalFrame([]FrameCall{
+	valid := appendFrame(nil, []Call{
 		{Class: "Account", Method: "relay$set", Hash: 9, Args: MarshalList([]Value{Int(1)})},
 	})
 	cases := []struct {
@@ -79,8 +97,8 @@ func TestFrameCorruptInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := UnmarshalFrame(tc.buf); err == nil {
-				t.Fatalf("corrupt frame %x accepted", tc.buf)
+			if _, err := ReadFrame(tc.buf); !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrTrailing) {
+				t.Fatalf("corrupt frame %x: err = %v, want a typed error", tc.buf, err)
 			}
 		})
 	}
@@ -90,10 +108,10 @@ func TestFrameCorruptInputs(t *testing.T) {
 // absurd call count must fail on the missing payload without first
 // allocating storage for the announced count.
 func TestFrameCountClamp(t *testing.T) {
-	// Announces 2^32 calls with a 1-byte payload. clampCount bounds the
-	// preallocation by the remaining bytes; decode must error, not OOM.
+	// Announces 2^32 calls with a 1-byte payload. The count is checked
+	// against the bytes left before any record is walked.
 	buf := []byte{0x80, 0x80, 0x80, 0x80, 0x10, 0x00}
-	if _, err := UnmarshalFrame(buf); err == nil {
-		t.Fatal("frame with 2^32 announced calls accepted")
+	if _, err := ReadFrame(buf); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("frame with 2^32 announced calls: err = %v, want ErrTruncated", err)
 	}
 }

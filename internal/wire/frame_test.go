@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -50,17 +53,37 @@ func TestAppendValuesMatchesList(t *testing.T) {
 	}
 }
 
+// appendFrame encodes a batch frame the way a flush does: the record
+// count, then each record.
+func appendFrame(dst []byte, calls []Call) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(calls)))
+	for _, c := range calls {
+		dst = append(AppendCallHeader(dst, c.Class, c.Method, c.Hash, len(c.Args)), c.Args...)
+	}
+	return dst
+}
+
+// readFrame collects every record of a frame.
+func readFrame(buf []byte) ([]Call, error) {
+	f, err := ReadFrame(buf)
+	if err != nil {
+		return nil, err
+	}
+	var calls []Call
+	for c, ok := f.Next(); ok; c, ok = f.Next() {
+		calls = append(calls, c)
+	}
+	return calls, nil
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	calls := []FrameCall{
+	calls := []Call{
 		{Class: "Account", Method: "relay$set", Hash: -42, Args: MarshalList([]Value{Int(7)})},
 		{Class: "", Method: "<release>", Hash: 1 << 40, Args: nil},
 		{Class: "KV", Method: "relay$put", Hash: 0, Args: MarshalList([]Value{Str("k"), Bytes([]byte{1, 2, 3})})},
 	}
-	buf := MarshalFrame(calls)
-	if len(buf) != FrameSize(calls) {
-		t.Fatalf("FrameSize = %d, encoded %d bytes", FrameSize(calls), len(buf))
-	}
-	got, err := UnmarshalFrame(buf)
+	buf := appendFrame(nil, calls)
+	got, err := readFrame(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,42 +96,57 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("call %d: got %+v, want %+v", i, g, c)
 		}
 	}
+	// The records' arguments are views of the frame, each capped at its
+	// own end.
+	last := got[len(got)-1]
+	if &last.Args[0] != &buf[len(buf)-len(last.Args)] {
+		t.Fatal("decoded args do not alias the frame buffer")
+	}
+	if first := got[0]; cap(first.Args) != len(first.Args) {
+		t.Fatalf("args view has capacity %d past its %d bytes", cap(first.Args), len(first.Args))
+	}
 }
 
 func TestFrameEmptyRoundTrip(t *testing.T) {
-	got, err := UnmarshalFrame(MarshalFrame(nil))
+	got, err := readFrame(appendFrame(nil, nil))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty frame: %v, %d calls", err, len(got))
 	}
 }
 
-func TestFrameDecodedArgsAreCopies(t *testing.T) {
-	calls := []FrameCall{{Class: "C", Method: "m", Args: []byte{1, 2, 3}}}
-	buf := MarshalFrame(calls)
-	got, err := UnmarshalFrame(buf)
-	if err != nil {
-		t.Fatal(err)
+func TestFrameErrors(t *testing.T) {
+	calls := []Call{{Class: "Account", Method: "relay$set", Hash: 9, Args: []byte{1, 2}}}
+	buf := appendFrame(nil, calls)
+	for cut := 1; cut < len(buf); cut++ {
+		if _, err := ReadFrame(buf[:cut]); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("truncation at %d/%d bytes: err = %v, want ErrTruncated", cut, len(buf), err)
+		}
 	}
-	for i := range buf {
-		buf[i] = 0xff
+	if _, err := ReadFrame(append(buf, 0)); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("trailing bytes: err = %v, want ErrTrailing", err)
 	}
-	if string(got[0].Args) != string([]byte{1, 2, 3}) {
-		t.Fatal("decoded args alias the input buffer")
+	if _, err := ReadFrame(nil); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("empty input: err = %v, want ErrTruncated", err)
 	}
 }
 
-func TestFrameErrors(t *testing.T) {
-	calls := []FrameCall{{Class: "Account", Method: "relay$set", Hash: 9, Args: []byte{1, 2}}}
-	buf := MarshalFrame(calls)
-	for cut := 1; cut < len(buf); cut++ {
-		if _, err := UnmarshalFrame(buf[:cut]); err == nil {
-			t.Fatalf("truncation at %d/%d bytes not detected", cut, len(buf))
-		}
-	}
-	if _, err := UnmarshalFrame(append(buf, 0)); err == nil {
-		t.Fatal("trailing bytes not detected")
-	}
-	if _, err := UnmarshalFrame(nil); err == nil {
-		t.Fatal("empty input not detected")
+// goldenFrame is one mixed batch frame: a relay call with arguments, a
+// GC release (empty class, no argument bytes) and a call whose argument
+// bytes are empty.
+func goldenFrame() []byte {
+	return appendFrame(nil, []Call{
+		{Class: "Account", Method: "relay$updateBalance", Hash: -42, Args: MarshalList([]Value{Int(7), Str("x")})},
+		{Class: "", Method: "<gc-release>", Hash: 1 << 40},
+		{Class: "Bank", Method: "relay$tick", Hash: 3, Args: []byte{}},
+	})
+}
+
+// TestFrameGolden pins the batch frame bytes: a uvarint call count
+// followed by the call records, each length-prefixed class and method,
+// a varint hash and length-prefixed argument bytes.
+func TestFrameGolden(t *testing.T) {
+	const want = "03074163636f756e741372656c61792475706461746542616c616e636553070702030e050178000c3c67632d72656c656173653e808080808040000442616e6b0a72656c6179247469636b0600"
+	if got := hex.EncodeToString(goldenFrame()); got != want {
+		t.Fatalf("frame bytes moved:\n got  %s\n want %s", got, want)
 	}
 }

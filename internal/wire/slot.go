@@ -6,9 +6,10 @@ import (
 	"fmt"
 )
 
-// This file is the wire vocabulary of the zero-copy ring data plane
-// (internal/ring): the fixed-capacity "slot" encoder and the
-// single-call submission format.
+// This file is the wire vocabulary of the boundary crossing: the
+// fixed-capacity "slot" encoder of the zero-copy ring data plane
+// (internal/ring) and the call record that a ring slot and a batch frame
+// (frame.go) both carry, with its one decoder.
 //
 // A ring slot is a fixed region of untrusted shared memory. Encoding
 // into it must never reallocate — a grown slice would silently point at
@@ -43,26 +44,43 @@ const (
 	CallWantResult = 1 << 0
 )
 
-// CallSize returns the exact slot bytes of one ring submission: the
-// call header (flags, class, method, hash, argument length prefix)
-// followed by argsLen bytes of marshalled arguments. Pass
+// Call is one call record, the unit that crosses the boundary: the
+// (class, relay method, receiver hash, marshalled argument vector)
+// tuple of one relay invocation or GC release (§5.2, §5.5). Encoded, it
+// is
+//
+//	uvarint len(class) · class · uvarint len(method) · method ·
+//	varint hash · uvarint len(args) · args
+//
+// A ring slot carries one flags byte and one record; a batch frame
+// carries a record count and that many records. A decoded Call's Args
+// ALIASES the buffer it was decoded from — valid only until that slot
+// is reused or that frame recycled — while Class and Method are copies.
+type Call struct {
+	Class  string
+	Method string
+	Hash   int64
+	Args   []byte
+}
+
+// CallSize returns the exact size of one call record whose argument
+// vector is argsLen bytes. A ring slot adds one flags byte. Pass
 // SizeValues(args) as argsLen to size a zero-copy encode.
 func CallSize(class, method string, hash int64, argsLen int) int {
-	return 1 + // flags
-		uvarintLen(uint64(len(class))) + len(class) +
+	return uvarintLen(uint64(len(class))) + len(class) +
 		uvarintLen(uint64(len(method))) + len(method) +
 		varintLen(hash) +
 		uvarintLen(uint64(argsLen)) + argsLen
 }
 
-// AppendCallHeader encodes a ring-call header onto dst: flags,
-// length-prefixed class and method names, the varint receiver hash and
-// the argument byte-length prefix. The caller appends exactly argsLen
-// marshalled argument bytes afterwards — for the zero-copy path via
+// AppendCallHeader encodes a call record up to its argument bytes onto
+// dst: length-prefixed class and method names, the varint receiver hash
+// and the argument byte-length prefix. The caller appends exactly
+// argsLen argument bytes afterwards — on the zero-copy path via
 // AppendValues straight into the slot, with the length prefix trusted
-// from the exact-size precompute.
-func AppendCallHeader(dst []byte, class, method string, hash int64, flags byte, argsLen int) []byte {
-	dst = append(dst, flags)
+// from the exact-size precompute. A ring slot's flags byte goes before
+// the header.
+func AppendCallHeader(dst []byte, class, method string, hash int64, argsLen int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(class)))
 	dst = append(dst, class...)
 	dst = binary.AppendUvarint(dst, uint64(len(method)))
@@ -72,38 +90,53 @@ func AppendCallHeader(dst []byte, class, method string, hash int64, flags byte, 
 	return dst
 }
 
-// DecodeCall decodes a ring submission: an AppendCallHeader header
-// followed by its argument bytes. The returned args slice ALIASES
-// buf — the zero-copy read side — so it is valid only until the slot is
-// reused; class and method are copies.
-func DecodeCall(buf []byte) (class, method string, hash int64, flags byte, args []byte, err error) {
-	if len(buf) == 0 {
-		return "", "", 0, 0, nil, ErrTruncated
-	}
-	flags, n := buf[0], 1
-	cb, l, err := decodeView(buf[n:])
+// DecodeCall decodes the call record at the start of buf and returns it
+// with the number of bytes it spans. The record's Args alias buf.
+func DecodeCall(buf []byte) (Call, int, error) {
+	class, method, hash, args, n, err := decodeCall(buf)
 	if err != nil {
-		return "", "", 0, 0, nil, err
+		return Call{}, 0, err
 	}
-	class, n = string(cb), n+l
-	mb, l, err := decodeView(buf[n:])
+	return Call{Class: string(class), Method: string(method), Hash: hash, Args: args}, n, nil
+}
+
+// decodeCall is DecodeCall with every field a view, so that validating
+// a whole frame copies nothing. args is capped at its own length: an
+// append to it cannot run over the next record.
+func decodeCall(buf []byte) (class, method []byte, hash int64, args []byte, n int, err error) {
+	class, n, err = decodeView(buf)
 	if err != nil {
-		return "", "", 0, 0, nil, err
+		return nil, nil, 0, nil, 0, err
 	}
-	method, n = string(mb), n+l
+	method, l, err := decodeView(buf[n:])
+	if err != nil {
+		return nil, nil, 0, nil, 0, err
+	}
+	n += l
 	hash, l = binary.Varint(buf[n:])
 	if l <= 0 {
-		return "", "", 0, 0, nil, ErrTruncated
+		return nil, nil, 0, nil, 0, ErrTruncated
 	}
 	n += l
-	argsLen, l := binary.Uvarint(buf[n:])
-	if l <= 0 || uint64(len(buf)-n-l) < argsLen {
-		return "", "", 0, 0, nil, ErrTruncated
+	args, l, err = decodeView(buf[n:])
+	if err != nil {
+		return nil, nil, 0, nil, 0, err
 	}
-	n += l
-	args = buf[n : n+int(argsLen)]
-	if n+int(argsLen) != len(buf) {
-		return "", "", 0, 0, nil, fmt.Errorf("wire: %d trailing call-slot bytes", len(buf)-n-int(argsLen))
+	return class, method, hash, args[:len(args):len(args)], n + l, nil
+}
+
+// DecodeSlot decodes a ring submission: one flags byte followed by
+// exactly one call record, whose Args alias buf.
+func DecodeSlot(buf []byte) (c Call, flags byte, err error) {
+	if len(buf) == 0 {
+		return Call{}, 0, ErrTruncated
 	}
-	return class, method, hash, flags, args, nil
+	c, n, err := DecodeCall(buf[1:])
+	if err != nil {
+		return Call{}, 0, err
+	}
+	if 1+n != len(buf) {
+		return Call{}, 0, fmt.Errorf("%w: %d after the call slot", ErrTrailing, len(buf)-1-n)
+	}
+	return c, buf[0], nil
 }

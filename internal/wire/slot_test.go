@@ -128,32 +128,38 @@ func TestAppendValuesSlotFull(t *testing.T) {
 }
 
 // appendCall builds one ring submission the way the world layer fills a
-// slot: the header, then the argument vector encoded in place behind it.
+// slot: the flags byte, the record header, then the argument vector
+// encoded in place behind it.
 func appendCall(slot []byte, class, method string, hash int64, flags byte, args []Value) []byte {
-	slot = AppendCallHeader(slot, class, method, hash, flags, SizeValues(args))
+	slot = AppendCallHeader(append(slot, flags), class, method, hash, SizeValues(args))
 	return AppendValues(slot, args)
 }
 
 func TestCallSlotRoundTrip(t *testing.T) {
 	args := []Value{Int(9), Str("arg"), Ref("app.Obj", -3)}
 	argsLen := SizeValues(args)
-	need := CallSize("app.Obj", "relay$get", -3, argsLen)
+	need := 1 + CallSize("app.Obj", "relay$get", -3, argsLen)
 	slot := make([]byte, 0, need)
 	buf := appendCall(slot, "app.Obj", "relay$get", -3, CallWantResult, args)
 	if len(buf) != need {
-		t.Fatalf("encoded %d bytes, CallSize says %d", len(buf), need)
+		t.Fatalf("encoded %d bytes, CallSize says %d plus the flags byte", len(buf), need-1)
 	}
 	if &buf[0] != &slot[0:1][0] {
 		t.Fatal("submission sized by CallSize reallocated out of its slot")
 	}
-	class, method, hash, flags, argBytes, err := DecodeCall(buf)
+	c, flags, err := DecodeSlot(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if class != "app.Obj" || method != "relay$get" || hash != -3 || flags != CallWantResult {
-		t.Fatalf("decoded %s.%s#%d flags=%d", class, method, hash, flags)
+	if c.Class != "app.Obj" || c.Method != "relay$get" || c.Hash != -3 || flags != CallWantResult {
+		t.Fatalf("decoded %s.%s#%d flags=%d", c.Class, c.Method, c.Hash, flags)
 	}
-	got, err := UnmarshalList(argBytes)
+	// The slot minus its flags byte is one record, decoded the same.
+	rec, n, err := DecodeCall(buf[1:])
+	if err != nil || n != need-1 || rec.Class != c.Class || rec.Method != c.Method || rec.Hash != c.Hash || !bytes.Equal(rec.Args, c.Args) {
+		t.Fatalf("record decode: %+v, %d bytes, %v", rec, n, err)
+	}
+	got, err := UnmarshalList(c.Args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,21 +172,27 @@ func TestCallSlotRoundTrip(t *testing.T) {
 		}
 	}
 	// The decoded args view aliases the input buffer (zero-copy read).
-	if len(argBytes) > 0 && &argBytes[0] != &buf[need-argsLen] {
-		t.Fatal("DecodeCall args do not alias the slot buffer")
+	if len(c.Args) > 0 && &c.Args[0] != &buf[need-argsLen] {
+		t.Fatal("DecodeSlot args do not alias the slot buffer")
 	}
 }
 
 func TestDecodeCallCorrupt(t *testing.T) {
 	good := appendCall(nil, "C", "m", 7, CallWantResult, []Value{Int(1)})
-	for _, tc := range [][]byte{
-		nil,
-		good[:1],
-		good[:len(good)-1],                      // truncated args
-		append(append([]byte{}, good...), 0xFF), // trailing byte
+	for _, tc := range []struct {
+		buf  []byte
+		want error
+	}{
+		{nil, ErrTruncated},
+		{good[:1], ErrTruncated},
+		{good[:len(good)-1], ErrTruncated},                     // truncated args
+		{append(append([]byte{}, good...), 0xFF), ErrTrailing}, // trailing byte
 	} {
-		if _, _, _, _, _, derr := DecodeCall(tc); derr == nil {
-			t.Errorf("corrupt input %v decoded cleanly", tc)
+		if _, _, err := DecodeSlot(tc.buf); !errors.Is(err, tc.want) {
+			t.Errorf("corrupt slot %v: err = %v, want %v", tc.buf, err, tc.want)
 		}
+	}
+	if _, _, err := DecodeCall(nil); !errors.Is(err, ErrTruncated) {
+		t.Errorf("empty record: err = %v, want ErrTruncated", err)
 	}
 }

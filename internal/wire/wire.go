@@ -79,6 +79,7 @@ var (
 	ErrTruncated = errors.New("wire: truncated input")
 	ErrBadTag    = errors.New("wire: unknown type tag")
 	ErrTooDeep   = errors.New("wire: value nested deeper than MaxDepth")
+	ErrTrailing  = errors.New("wire: trailing bytes")
 )
 
 // Pair is one entry of a map value. Map entries are kept sorted by key so
@@ -633,7 +634,7 @@ func UnmarshalList(buf []byte) ([]Value, error) {
 		return nil, err
 	}
 	if n != len(buf) {
-		return nil, fmt.Errorf("wire: %d trailing bytes", len(buf)-n)
+		return nil, fmt.Errorf("%w: %d after the value list", ErrTrailing, len(buf)-n)
 	}
 	if v.kind != KindList {
 		return nil, fmt.Errorf("wire: expected list, got %s", v.Kind())

@@ -1,13 +1,18 @@
 package world_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
+	"montsalvat/internal/boundary"
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/core"
 	"montsalvat/internal/demo"
+	"montsalvat/internal/registry"
 	"montsalvat/internal/simcfg"
+	"montsalvat/internal/transform"
 	"montsalvat/internal/wire"
 	"montsalvat/internal/world"
 )
@@ -268,5 +273,208 @@ func TestSwitchlessEndToEnd(t *testing.T) {
 	if got := full.Cycles - sw.Cycles; got != saved {
 		t.Fatalf("switchless run is %d cycles cheaper, want %d (%d ecalls, %d ocalls at %d each)",
 			got, saved, sw.Enclave.Ecalls, sw.Enclave.Ocalls, simcfg.SwitchlessCallCycles)
+	}
+}
+
+// TestBatchedBytesOutliveFrame: a batched setter's bytes argument is
+// decoded out of the batch frame before the flush recycles the frame
+// buffer, so overwriting the recycled buffers changes neither the stored
+// field nor the argument value the callee kept.
+func TestBatchedBytesOutliveFrame(t *testing.T) {
+	var kept wire.Value
+	p := demo.MustBankProgram()
+	box := classmodel.NewClass("ByteBox", classmodel.Trusted)
+	if err := box.AddField(classmodel.Field{Name: "data", Kind: classmodel.FieldBytes}); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*classmodel.Method{
+		{
+			Name: classmodel.CtorName, Public: true,
+			Body: func(env classmodel.Env, self wire.Value, args []wire.Value) (wire.Value, error) {
+				return wire.Null(), nil
+			},
+		},
+		{
+			Name: "set", Public: true,
+			Params: []classmodel.Param{{Name: "b", Kind: wire.KindBytes}},
+			Body: func(env classmodel.Env, self wire.Value, args []wire.Value) (wire.Value, error) {
+				kept = args[0]
+				return wire.Null(), env.SetField(self, "data", args[0])
+			},
+		},
+		{
+			Name: "get", Public: true, Returns: wire.KindBytes,
+			Body: func(env classmodel.Env, self wire.Value, args []wire.Value) (wire.Value, error) {
+				return env.GetField(self, "data")
+			},
+		},
+	} {
+		if err := box.AddMethod(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.AddClass(box); err != nil {
+		t.Fatal(err)
+	}
+	// Untrusted code reaches the setter and the getter through main.
+	mainC := classmodel.NewClass("ByteBoxMain", classmodel.Untrusted)
+	if err := mainC.AddMethod(&classmodel.Method{
+		Name: classmodel.MainMethodName, Static: true, Public: true,
+		Body: func(env classmodel.Env, self wire.Value, args []wire.Value) (wire.Value, error) {
+			return wire.Null(), nil
+		},
+		Allocates: []string{"ByteBox"},
+		Calls:     []classmodel.MethodRef{{Class: "ByteBox", Method: "set"}, {Class: "ByteBox", Method: "get"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddClass(mainC); err != nil {
+		t.Fatal(err)
+	}
+	p.MainClass = "ByteBoxMain"
+	opts := world.DefaultOptions()
+	opts.Cfg.Batching = true
+	w, _, err := core.NewPartitionedWorld(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	payload := bytes.Repeat([]byte{0x5a}, 1000)
+	var obj wire.Value
+	err = w.Exec(false, func(env classmodel.Env) error {
+		var err error
+		if obj, err = env.New("ByteBox"); err != nil {
+			return err
+		}
+		if _, err := env.Call(obj, "set", wire.Bytes(payload)); err != nil {
+			return err
+		}
+		return w.Untrusted().Pin(obj)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.DispatchStats().PendingCalls; got != 2 {
+		t.Fatalf("%d calls queued, want the ctor and the setter", got)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The flush returned its frame (and the queued calls' buffers) to
+	// the pool: draw every buffer of that size class and scribble on it.
+	pool := w.BufPool()
+	var drawn [][]byte
+	for i := 0; i < 8; i++ {
+		b := pool.Get(len(payload) + 64)
+		b = b[:cap(b)]
+		for j := range b {
+			b[j] = 0xee
+		}
+		drawn = append(drawn, b)
+	}
+	for _, b := range drawn {
+		pool.Put(b)
+	}
+
+	if b, _ := kept.AsBytes(); !bytes.Equal(b, payload) {
+		t.Fatal("the setter's argument value aliased a recycled buffer")
+	}
+	err = w.Exec(false, func(env classmodel.Env) error {
+		got, err := env.Call(obj, "get")
+		if err != nil {
+			return err
+		}
+		if b, _ := got.AsBytes(); !bytes.Equal(b, payload) {
+			return fmt.Errorf("stored field reads back %d bytes, not the payload", len(b))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForgedReleasesAreTyped: the host forges <gc-release> records, for
+// a hash it was never given and for a mirror a release already dropped,
+// through both routes into the one executor of call records — a ring
+// submission and a batch frame. Each fails with registry.ErrUnknownHash
+// and leaves the registry as it was; in a frame, the calls after a
+// forged release still run.
+func TestForgedReleasesAreTyped(t *testing.T) {
+	w := batchingWorld(t, false)
+	var dropped, good int64
+	err := w.Exec(false, func(env classmodel.Env) error {
+		for _, h := range []*int64{&dropped, &good} {
+			acct, err := env.New(demo.Account, wire.Str("Ann"), wire.Int(1))
+			if err != nil {
+				return err
+			}
+			if err := w.Untrusted().Pin(acct); err != nil {
+				return err
+			}
+			_, *h, _ = acct.AsRef()
+		}
+		return w.Flush()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := w.Trusted().Registry()
+	if _, err := reg.Release(dropped); err != nil {
+		t.Fatal(err)
+	}
+	size := reg.Size()
+	const neverGiven = 1<<40 + 7
+	release := func(hash int64) []byte {
+		return wire.AppendCallHeader([]byte{0}, "", "<gc-release>", hash, 0)
+	}
+
+	handle := w.RingHandler(w.Trusted())
+	for _, hash := range []int64{neverGiven, dropped} {
+		err := w.Exec(true, func(classmodel.Env) error {
+			slot := make([]byte, 0, 64)
+			out, overflow, herr := handle(1, append(slot, release(hash)...), slot, nil)
+			if out != nil || overflow {
+				t.Errorf("release of %d answered %d bytes", hash, len(out))
+			}
+			return herr
+		})
+		if !errors.Is(err, registry.ErrUnknownHash) {
+			t.Errorf("ring release of %d: err = %v, want ErrUnknownHash", hash, err)
+		}
+		if got := reg.Size(); got != size {
+			t.Fatalf("registry holds %d mirrors after a forged release, want %d", got, size)
+		}
+	}
+
+	args := wire.AppendValues(nil, []wire.Value{wire.Int(5)})
+	deposit := append(wire.AppendCallHeader([]byte{0}, demo.Account, transform.RelayName("updateBalance"), good, len(args)), args...)
+	for _, req := range [][]byte{release(neverGiven), deposit, release(dropped), deposit} {
+		if err := w.Untrusted().Enqueue(boundary.Entry{Req: req}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); !errors.Is(err, registry.ErrUnknownHash) {
+		t.Fatalf("frame flush: err = %v, want ErrUnknownHash", err)
+	}
+	if got := reg.Size(); got != size {
+		t.Fatalf("registry holds %d mirrors after forged releases, want %d", got, size)
+	}
+	if ds := w.DispatchStats(); ds.RingCalls != 0 {
+		t.Fatalf("the flush rode a ring: %+v", ds)
+	}
+	err = w.Exec(false, func(env classmodel.Env) error {
+		bal, err := env.Call(wire.Ref(demo.Account, good), "getBalance")
+		if err != nil {
+			return err
+		}
+		if !bal.Equal(wire.Int(11)) {
+			return fmt.Errorf("balance = %v, want 11: a call after a forged release did not run", bal)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -213,6 +213,67 @@ func TestCycleLedgerGolden(t *testing.T) {
 			Ocalls: got.Ocalls - boot.Ocalls, MEECopiedBytes: got.MEECopiedBytes - boot.MEECopiedBytes},
 			ledger{Cycles: 279459, Ecalls: 11, MEECopiedBytes: 10249})
 	})
+
+	t.Run("batch-frames", func(t *testing.T) {
+		// Every flush crosses as one batch frame (batching on, rings
+		// off): void relay calls queued in both directions, then GC
+		// releases swept from both runtimes.
+		opts := world.DefaultOptions()
+		opts.Cfg.Batching = true
+		w, _, err := core.NewPartitionedWorld(twoWayProgram(t), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		if _, err := w.RunMain(); err != nil {
+			t.Fatalf("RunMain: %v", err)
+		}
+		err = w.Exec(false, func(env classmodel.Env) error {
+			for i := 0; i < 20; i++ {
+				acct, err := env.New(demo.Account, wire.Str(fmt.Sprintf("acct%02d", i)), wire.Int(int64(i)))
+				if err != nil {
+					return err
+				}
+				for j := 0; j < 5; j++ {
+					if _, err := env.Call(acct, "updateBalance", wire.Int(int64(j))); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Exec(true, func(env classmodel.Env) error {
+			for i := 0; i < 6; i++ {
+				if _, err := env.New(demo.Person, wire.Str(fmt.Sprintf("p%d", i)), wire.Int(int64(i))); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
+			if err := rt.Collect(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.SweepOnce(rt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ds := w.DispatchStats(); ds.BatchFlushes == 0 || ds.RingCalls != 0 {
+			t.Fatalf("want frame-path flushes only: %+v", ds)
+		}
+		got := ledgerOf(w)
+		checkLedger(t, ledger{Cycles: got.Cycles, Ecalls: got.Ecalls, Ocalls: got.Ocalls, MEECopiedBytes: got.MEECopiedBytes},
+			ledger{Cycles: 362471, Ecalls: 12, Ocalls: 2, MEECopiedBytes: 5175})
+	})
 }
 
 func checkLedger(t *testing.T, got, want ledger) {

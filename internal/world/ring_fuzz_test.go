@@ -26,8 +26,8 @@ const fuzzAllocPerSlotByte = 64
 
 // FuzzRingSlot feeds arbitrary slot bytes to the ring consumer's decode
 // and dispatch path: the handler a ring worker runs on each opened
-// submission (wire.DecodeCall, then a relay dispatch or a registry
-// release), on a fresh bank world per input (twoWayProgram, so trusted
+// submission (wire.DecodeSlot, then the one executor of a decoded call
+// record: a relay dispatch or a registry release), on a fresh bank world per input (twoWayProgram, so trusted
 // code can reach Person too) whose trusted side holds an Account mirror
 // and whose untrusted side holds a Person mirror. Every input must end
 // in an error or a valid dispatch — a one-value response in place in the
@@ -79,7 +79,7 @@ func FuzzRingSlot(f *testing.F) {
 	w.Close()
 	call := func(class, method string, hash int64, flags byte, args ...wire.Value) []byte {
 		argBuf := wire.AppendValues(nil, args)
-		return append(wire.AppendCallHeader(nil, class, transform.RelayName(method), hash, flags, len(argBuf)), argBuf...)
+		return append(wire.AppendCallHeader([]byte{flags}, class, transform.RelayName(method), hash, len(argBuf)), argBuf...)
 	}
 	const want = wire.CallWantResult
 	for _, seed := range []struct {
@@ -90,7 +90,7 @@ func FuzzRingSlot(f *testing.F) {
 		{true, call(demo.Account, "getOwner", acct, want)},
 		{true, call(demo.Account, "updateBalance", acct, 0, wire.Int(-7))},
 		{true, call(demo.Account, classmodel.CtorName, 1<<40, want, wire.Str("Carol"), wire.Int(3))},
-		{true, wire.AppendCallHeader(nil, "", "<gc-release>", acct, 0, 0)},
+		{true, wire.AppendCallHeader([]byte{0}, "", "<gc-release>", acct, 0)},
 		{false, call(demo.Person, "getName", person, want)},
 		{false, call(demo.Person, "getAccount", person, want)},
 		{false, call(demo.Person, "transfer", person, want, wire.Ref(demo.Person, person), wire.Int(1))},
@@ -143,13 +143,13 @@ func FuzzRingSlot(f *testing.F) {
 			}
 			return
 		}
-		_, method, _, flags, _, err := wire.DecodeCall(req)
+		c, flags, err := wire.DecodeSlot(req)
 		if err != nil {
 			t.Fatalf("dispatched a submission that does not decode: %v", err)
 		}
-		if method == "<gc-release>" || flags&wire.CallWantResult == 0 {
+		if c.Method == "<gc-release>" || flags&wire.CallWantResult == 0 {
 			if out != nil || overflow {
-				t.Fatalf("void %s answered %d bytes", method, len(out))
+				t.Fatalf("void %s answered %d bytes", c.Method, len(out))
 			}
 			return
 		}

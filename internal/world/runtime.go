@@ -938,7 +938,10 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 		// null immediately and any call error at the flush.
 		if w.batching && !routine.ReturnsValue {
 			rt.remoteOut.Add(1)
-			return wire.Null(), rt.queue.Enqueue(boundary.Entry{ID: routine.ID, Class: class, Method: relayName, Hash: hash, Args: rt.encodeVals(args)})
+			argsLen := wire.SizeValues(args)
+			rt.marshalled.Add(uint64(argsLen))
+			req := wire.AppendValues(w.queuedCall(class, relayName, hash, argsLen), args)
+			return wire.Null(), rt.queue.Enqueue(boundary.Entry{ID: routine.ID, Req: req})
 		}
 		// A result-dependent call must observe the effects of every
 		// queued call: flush first.
@@ -967,13 +970,13 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 	// nested relay chains deadlock-free.
 	if rt.encl != nil && rt.rings != nil {
 		argsLen := wire.SizeValues(args)
-		need := wire.CallSize(class, relayName, hash, argsLen)
+		need := 1 + wire.CallSize(class, relayName, hash, argsLen)
 		var (
 			results []wire.Value
 			respLen int
 		)
 		fill := func(slot []byte) ([]byte, error) {
-			slot = wire.AppendCallHeader(slot, class, relayName, hash, wire.CallWantResult, argsLen)
+			slot = wire.AppendCallHeader(append(slot, wire.CallWantResult), class, relayName, hash, argsLen)
 			return wire.AppendValues(slot, args), nil
 		}
 		done := func(resp []byte) error {
@@ -1017,7 +1020,7 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 	)
 	invoke := func() error {
 		var rerr error
-		resultBuf, rerr = to.dispatchRelay(class, relayName, hash, argBuf, true, sp)
+		resultBuf, rerr = to.dispatchRelay(class, relayName, hash, argBuf, sp)
 		return rerr
 	}
 	if rt.encl != nil {
@@ -1117,18 +1120,34 @@ func (rt *Runtime) rode(err error, n int) bool {
 	return true
 }
 
+// execCall runs one call record that crossed the boundary — from a ring
+// slot or a batch frame — on the receiving runtime rt: a registry
+// release from the GC sweep, or a relay call. want asks for the relay's
+// result, marshalled into resp (see dispatchRelaySlot); a void call —
+// every batched call — answers nothing, and its error names the call.
+// sp parents any calls the relay makes.
+func (rt *Runtime) execCall(c wire.Call, want bool, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
+	switch {
+	case c.Method == gcReleaseMethod:
+		_, err := rt.reg.Release(c.Hash)
+		return nil, false, err
+	case want:
+		return rt.dispatchRelaySlot(c.Class, c.Method, c.Hash, c.Args, resp, sp)
+	}
+	if err := rt.relayCore(c.Class, c.Method, c.Hash, c.Args, sp, nil); err != nil {
+		return nil, false, fmt.Errorf("world: batched call %s.%s: %w", c.Class, c.Method, err)
+	}
+	return nil, false, nil
+}
+
 // dispatchRelay executes a relay method natively (the generated
 // @CEntryPoint wrappers of Listing 4): constructor relays instantiate the
 // mirror and register it; instance relays resolve the mirror in the
-// registry and invoke the concrete method. Batched void calls pass
-// wantResult=false to skip serializing (and charging for) the result.
-// parent is the caller's trace span (nil when unsampled); it is threaded
-// into the relay's frame so calls the body makes back across the
-// boundary become children of the same trace.
-func (rt *Runtime) dispatchRelay(class, relayName string, hash int64, argBuf []byte, wantResult bool, parent *telemetry.Span) ([]byte, error) {
-	if !wantResult {
-		return nil, rt.relayCore(class, relayName, hash, argBuf, parent, nil)
-	}
+// registry and invoke the concrete method. It returns the marshalled
+// result. parent is the caller's trace span (nil when unsampled); it is
+// threaded into the relay's frame so calls the body makes back across
+// the boundary become children of the same trace.
+func (rt *Runtime) dispatchRelay(class, relayName string, hash int64, argBuf []byte, parent *telemetry.Span) ([]byte, error) {
 	var out []byte
 	err := rt.relayCore(class, relayName, hash, argBuf, parent, func(fr *frame, result wire.Value) error {
 		var merr error
@@ -1144,10 +1163,7 @@ func (rt *Runtime) dispatchRelay(class, relayName string, hash int64, argBuf []b
 // buffer aliases slot), or — when it does not fit — into a fresh
 // overflow buffer reported with overflow=true, which the ring producer
 // side charges at MEE rate as a plain copy.
-func (rt *Runtime) dispatchRelaySlot(class, relayName string, hash int64, argBuf, slot []byte, wantResult bool, parent *telemetry.Span) (out []byte, overflow bool, err error) {
-	if !wantResult {
-		return nil, false, rt.relayCore(class, relayName, hash, argBuf, parent, nil)
-	}
+func (rt *Runtime) dispatchRelaySlot(class, relayName string, hash int64, argBuf, slot []byte, parent *telemetry.Span) (out []byte, overflow bool, err error) {
 	err = rt.relayCore(class, relayName, hash, argBuf, parent, func(fr *frame, result wire.Value) error {
 		one := [1]wire.Value{result}
 		vals := one[:]
@@ -1165,10 +1181,7 @@ func (rt *Runtime) dispatchRelaySlot(class, relayName string, hash int64, argBuf
 		rt.marshalled.Add(uint64(len(out)))
 		return nil
 	})
-	if err != nil {
-		return nil, false, err
-	}
-	return out, overflow, nil
+	return out, overflow, err
 }
 
 // relayCore is the shared body of the relay entry points: look up the

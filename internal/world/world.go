@@ -18,6 +18,7 @@
 package world
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -48,9 +49,9 @@ const (
 	idExec     = 9201 // ad-hoc trusted execution (benchmark harness)
 )
 
-// gcReleaseMethod marks a batched-frame entry as a registry release
-// rather than a relay invocation. The name cannot collide with relay
-// methods, which all carry the transform.RelayPrefix.
+// gcReleaseMethod marks a call record as a registry release rather than
+// a relay invocation. The name cannot collide with relay methods, which
+// all carry the transform.RelayPrefix.
 const gcReleaseMethod = "<gc-release>"
 
 // Mode selects the deployment configuration evaluated in the paper.
@@ -649,7 +650,7 @@ func (w *World) sweep(rt *Runtime) error {
 	// batched transition.
 	if w.batching && rt.queue != nil && rt.encl != nil {
 		for _, hash := range dead {
-			if err := rt.queue.Enqueue(boundary.Entry{ID: idGCSweep, Method: gcReleaseMethod, Hash: hash}); err != nil {
+			if err := rt.queue.Enqueue(boundary.Entry{ID: idGCSweep, Req: w.queuedCall("", gcReleaseMethod, hash, 0)}); err != nil {
 				return err
 			}
 		}
@@ -678,12 +679,23 @@ func (w *World) sweep(rt *Runtime) error {
 	return release()
 }
 
-// batchRun builds rt's queue-flush callback: pack the drained batch
-// into one wire frame, cross the boundary once, and run every call on
-// the opposite runtime in order. Individual call errors are joined —
-// one failing call does not stop the calls after it.
-func (w *World) batchRun(rt *Runtime) func([]boundary.Entry) error {
-	return func(entries []boundary.Entry) error {
+// queuedCall starts the ring-slot form of a call bound for a batching
+// queue in a pooled buffer sized for all of it: a zero flags byte (no
+// result wanted) and the call record's header. The caller appends the
+// argsLen argument bytes. A flush copies the whole into a ring slot, or
+// everything after the flags byte into a batch frame, and then recycles
+// the buffer.
+func (w *World) queuedCall(class, method string, hash int64, argsLen int) []byte {
+	req := append(w.bufs.Get(1+wire.CallSize(class, method, hash, argsLen)), 0)
+	return wire.AppendCallHeader(req, class, method, hash, argsLen)
+}
+
+// batchRun builds rt's queue-flush callback: cross the boundary once
+// with the drained batch and run every call on the opposite runtime in
+// order. Individual call errors are joined — one failing call does not
+// stop the calls after it.
+func (w *World) batchRun(rt *Runtime) func([]boundary.Entry, time.Duration) error {
+	return func(entries []boundary.Entry, waited time.Duration) error {
 		to := rt.peer
 		if to == nil {
 			return ErrWrongRuntime
@@ -692,52 +704,47 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry) error {
 		// transition, parenting any calls its batched relays make.
 		sp := w.tel.Tracer().StartRoot("batch-flush " + rt.name)
 		sp.SetBatchSize(len(entries))
-		if sp != nil && entries[0].EnqueuedNS != 0 {
-			sp.SetQueueWait(time.Duration(time.Now().UnixNano() - entries[0].EnqueuedNS))
-		}
+		sp.SetQueueWait(waited)
+		defer func() {
+			for _, e := range entries {
+				w.bufs.Put(e.Req)
+			}
+		}()
 
-		// Ring route first: each batched call becomes its own submission
+		// Ring route first: each queued call becomes its own submission
 		// entry, published back to back so the consumer drains them in
 		// shared wakeups — adaptive batching without building (and MEE-
 		// copying) a coalesced frame. All-or-nothing: oversized or busy
 		// rings fall through to the frame path.
 		if rt.encl != nil && rt.rings != nil {
-			rents := make([]ring.BatchEntry, len(entries))
-			for i := range entries {
-				e := entries[i]
-				rents[i] = ring.BatchEntry{
-					ID:   e.ID,
-					Need: wire.CallSize(e.Class, e.Method, e.Hash, len(e.Args)),
-					Sp:   sp,
-					Fill: func(slot []byte) ([]byte, error) {
-						slot = wire.AppendCallHeader(slot, e.Class, e.Method, e.Hash, 0, len(e.Args))
-						return append(slot, e.Args...), nil
-					},
-				}
-			}
-			if rerr := rt.rings.TryBatch(rents); rt.rode(rerr, len(rents)) {
+			if rerr := rt.rings.TryBatch(sp, entries); rt.rode(rerr, len(entries)) {
 				sp.Finish(rerr)
-				for _, e := range entries {
-					w.bufs.Put(e.Args)
-				}
 				return rerr
 			}
 		}
 
-		calls := make([]wire.FrameCall, len(entries))
-		for i, e := range entries {
-			calls[i] = wire.FrameCall{Class: e.Class, Method: e.Method, Hash: e.Hash, Args: e.Args}
+		// Frame route: the record count, then each call's record — its
+		// slot form minus the flags byte.
+		size := binary.MaxVarintLen64
+		for _, e := range entries {
+			size += len(e.Req) - 1
 		}
-		frame := wire.AppendFrame(w.bufs.Get(wire.FrameSize(calls)), calls)
+		frame := binary.AppendUvarint(w.bufs.Get(size), uint64(len(entries)))
+		for _, e := range entries {
+			frame = append(frame, e.Req[1:]...)
+		}
 		sp.AddMarshalBytes(len(frame))
 		invoke := func() error {
-			decoded, err := wire.UnmarshalFrame(frame)
+			// The whole frame is read before any call runs: a corrupt
+			// frame runs nothing.
+			calls, err := wire.ReadFrame(frame)
 			if err != nil {
 				return fmt.Errorf("world: corrupt batch frame: %w", err)
 			}
 			var errs []error
-			for _, c := range decoded {
-				errs = append(errs, w.runBatchedCall(to, c, sp))
+			for c, ok := calls.Next(); ok; c, ok = calls.Next() {
+				_, _, cerr := to.execCall(c, false, nil, sp)
+				errs = append(errs, cerr)
 			}
 			return errors.Join(errs...)
 		}
@@ -752,9 +759,8 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry) error {
 			err = invoke()
 		}
 		sp.Finish(err)
-		for _, e := range entries {
-			w.bufs.Put(e.Args)
-		}
+		// Every call has run: the records' argument views into the
+		// frame are dead, so the frame may be recycled.
 		w.bufs.Put(frame)
 		return err
 	}
@@ -766,31 +772,12 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry) error {
 // dispatch runs and the response is encoded only afterwards.
 func (w *World) ringHandler(rt *Runtime) ring.Handler {
 	return func(id int, req, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
-		class, method, hash, flags, args, err := wire.DecodeCall(req)
+		c, flags, err := wire.DecodeSlot(req)
 		if err != nil {
 			return nil, false, err
 		}
-		if method == gcReleaseMethod {
-			_, rerr := rt.reg.Release(hash)
-			return nil, false, rerr
-		}
-		want := flags&wire.CallWantResult != 0
-		return rt.dispatchRelaySlot(class, method, hash, args, resp, want, sp)
+		return rt.execCall(c, flags&wire.CallWantResult != 0, resp, sp)
 	}
-}
-
-// runBatchedCall executes one decoded frame entry on the receiving
-// runtime: a registry release from the GC sweep, or a void relay call.
-// The flush span parents any nested calls the relay makes.
-func (w *World) runBatchedCall(to *Runtime, c wire.FrameCall, sp *telemetry.Span) error {
-	if c.Method == gcReleaseMethod {
-		_, err := to.reg.Release(c.Hash)
-		return err
-	}
-	if _, err := to.dispatchRelay(c.Class, c.Method, c.Hash, c.Args, false, sp); err != nil {
-		return fmt.Errorf("world: batched call %s.%s: %w", c.Class, c.Method, err)
-	}
-	return nil
 }
 
 // Flush drains both runtimes' batching queues, running any pending
