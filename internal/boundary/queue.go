@@ -32,9 +32,11 @@ type Entry = ring.BatchEntry
 // batched transitions. Enqueued entries are flushed — in order — by the
 // run callback when the watermark is reached, a result-dependent call
 // needs the queue empty first, or World.Flush is called explicitly.
-type Queue struct {
+// The flushing caller passes its context C through to run: the world
+// passes the gateway lane, if any, that the flush crosses on.
+type Queue[C any] struct {
 	watermark int
-	run       func(batch []Entry, waited time.Duration) error
+	run       func(batch []Entry, waited time.Duration, via C) error
 
 	mu      sync.Mutex
 	pending []Entry
@@ -56,23 +58,23 @@ type Queue struct {
 }
 
 // NewQueue builds a queue flushing through run at the given watermark.
-// run receives the drained batch and how long its oldest entry waited
-// (zero unless telemetry is attached).
-func NewQueue(watermark int, run func(batch []Entry, waited time.Duration) error) *Queue {
-	return &Queue{watermark: watermark, run: run}
+// run receives the drained batch, how long its oldest entry waited (zero
+// unless telemetry is attached) and the flushing caller's context.
+func NewQueue[C any](watermark int, run func(batch []Entry, waited time.Duration, via C) error) *Queue[C] {
+	return &Queue[C]{watermark: watermark, run: run}
 }
 
 // SetTelemetry attaches the queue-wait and batch-size histograms.
 // Enqueue stamps entries with a wall clock only once these are set.
-func (q *Queue) SetTelemetry(wait, size *telemetry.Histogram) {
+func (q *Queue[C]) SetTelemetry(wait, size *telemetry.Histogram) {
 	q.hWait = wait
 	q.hSize = size
 }
 
-// Enqueue appends a call, flushing first the moment the queue reaches
-// the watermark. The returned error is a flush error; the enqueued call
-// itself reports nothing until a later flush.
-func (q *Queue) Enqueue(e Entry) error {
+// Enqueue appends a call, flushing — with via — the moment the queue
+// reaches the watermark. The returned error is a flush error; the
+// enqueued call itself reports nothing until a later flush.
+func (q *Queue[C]) Enqueue(e Entry, via C) error {
 	var now int64
 	if q.hWait != nil {
 		now = time.Now().UnixNano()
@@ -85,15 +87,15 @@ func (q *Queue) Enqueue(e Entry) error {
 	full := len(q.pending) >= q.watermark
 	q.mu.Unlock()
 	if full {
-		return q.Flush()
+		return q.Flush(via)
 	}
 	return nil
 }
 
-// Flush drains the queue and runs the drained batch in one transition.
-// A no-op on an empty queue. Errors from individual batched calls are
-// joined by the run callback.
-func (q *Queue) Flush() error {
+// Flush drains the queue and runs the drained batch in one transition,
+// handing via to run. A no-op on an empty queue. Errors from individual
+// batched calls are joined by the run callback.
+func (q *Queue[C]) Flush(via C) error {
 	q.flushMu.Lock()
 	defer q.flushMu.Unlock()
 	q.mu.Lock()
@@ -111,11 +113,11 @@ func (q *Queue) Flush() error {
 		waited = time.Duration(time.Now().UnixNano() - oldest)
 		q.hWait.Observe(int64(waited))
 	}
-	return q.run(batch, waited)
+	return q.run(batch, waited, via)
 }
 
 // Len returns the number of calls waiting to be flushed.
-func (q *Queue) Len() int {
+func (q *Queue[C]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.pending)
@@ -130,6 +132,6 @@ type QueueStats struct {
 }
 
 // Stats returns a snapshot of the batching counters.
-func (q *Queue) Stats() QueueStats {
+func (q *Queue[C]) Stats() QueueStats {
 	return QueueStats{Flushes: q.flushes.Load(), BatchedCalls: q.batched.Load()}
 }

@@ -11,7 +11,7 @@ import (
 func TestQueueOrderAndWatermark(t *testing.T) {
 	var got []int
 	var batches []int
-	q := NewQueue(4, func(es []Entry, _ time.Duration) error {
+	q := NewQueue(4, func(es []Entry, _ time.Duration, _ any) error {
 		batches = append(batches, len(es))
 		for _, e := range es {
 			got = append(got, e.ID)
@@ -19,11 +19,11 @@ func TestQueueOrderAndWatermark(t *testing.T) {
 		return nil
 	})
 	for i := 0; i < 10; i++ {
-		if err := q.Enqueue(Entry{ID: i}); err != nil {
+		if err := q.Enqueue(Entry{ID: i}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := q.Flush(); err != nil {
+	if err := q.Flush(nil); err != nil {
 		t.Fatal(err)
 	}
 	for i, h := range got {
@@ -43,8 +43,8 @@ func TestQueueOrderAndWatermark(t *testing.T) {
 }
 
 func TestQueueFlushEmptyIsNoop(t *testing.T) {
-	q := NewQueue(4, func(es []Entry, _ time.Duration) error { return errors.New("must not run") })
-	if err := q.Flush(); err != nil {
+	q := NewQueue(4, func(es []Entry, _ time.Duration, _ any) error { return errors.New("must not run") })
+	if err := q.Flush(nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := q.Stats(); st.Flushes != 0 {
@@ -55,7 +55,7 @@ func TestQueueFlushEmptyIsNoop(t *testing.T) {
 func TestQueueConcurrentEnqueueKeepsAllCalls(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[int]bool)
-	q := NewQueue(8, func(es []Entry, _ time.Duration) error {
+	q := NewQueue(8, func(es []Entry, _ time.Duration, _ any) error {
 		mu.Lock()
 		defer mu.Unlock()
 		for _, e := range es {
@@ -73,17 +73,38 @@ func TestQueueConcurrentEnqueueKeepsAllCalls(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := q.Enqueue(Entry{ID: w*per + i}); err != nil {
+				if err := q.Enqueue(Entry{ID: w*per + i}, nil); err != nil {
 					t.Error(err)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if err := q.Flush(); err != nil {
+	if err := q.Flush(nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != workers*per {
 		t.Fatalf("flushed %d calls, want %d", len(seen), workers*per)
+	}
+}
+
+// TestQueuePassesVia: a flush hands run the context of the caller that
+// caused it, whether Enqueue reached the watermark or Flush was called.
+func TestQueuePassesVia(t *testing.T) {
+	var got []string
+	q := NewQueue(2, func(es []Entry, _ time.Duration, via string) error {
+		got = append(got, fmt.Sprintf("%s:%d", via, len(es)))
+		return nil
+	})
+	for i, via := range []string{"a", "b", "c"} {
+		if err := q.Enqueue(Entry{ID: i}, via); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := q.Flush("d"); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[b:2 d:1]" {
+		t.Fatalf("flushes = %v, want [b:2 d:1]", got)
 	}
 }

@@ -339,7 +339,7 @@ func (h *PeerHost) serveCall(ns *registry.Namespace, args []wire.Value) []wire.V
 	sp := h.Telemetry.Tracer().StartRemote(sc, "peer-call "+method)
 	sp.SetNode(h.Identity.Origin)
 	var out wire.Value
-	err = h.World.ExecSpan(false, sp, func(env classmodel.Env) error {
+	err = h.World.ExecSpan(false, sp, nil, func(env classmodel.Env) error {
 		v, err := env.Call(recv, method, imported...)
 		if err != nil {
 			return err

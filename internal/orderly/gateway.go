@@ -43,7 +43,9 @@ var gwPlatform = sgx.NewPlatformFromSeed([]byte("orderly-gateway-platform"))
 // smoke runs use. Its invariants are the session-namespace isolation
 // check (a handle minted by one session must never resolve in
 // another's), the drain check (no session admitted while recovery is
-// draining), and the acked-durability audit after every recovery.
+// draining), the acked-durability audit after every recovery, and the
+// lane-residency check (the TCS slots held are the gateway's lanes and
+// the ring consumers', before and after every recovery).
 type gatewaySystem struct {
 	cfg GatewayConfig
 	wld *world.World
@@ -273,7 +275,29 @@ func (g *gatewaySystem) Check() error {
 	if ss.Sessions != len(g.sessions) {
 		return Violated("session-accounting", "gateway reports %d active sessions, model has %d", ss.Sessions, len(g.sessions))
 	}
-	return nil
+	return g.checkResidency(ss.Lanes)
+}
+
+// checkResidency asserts the lane-residency invariant: between actions,
+// crash recovery included, the enclave's TCS slots are held by the
+// gateway's lanes and the ring consumers and nothing else (no
+// GC helper runs here). Ring consumers and session teardown's sweep
+// enter asynchronously, so the count gets a moment to settle.
+func (g *gatewaySystem) checkResidency(lanes int) error {
+	opts, err := orderlyWorldOptions()
+	if err != nil {
+		return err
+	}
+	rings := opts.Cfg.RingWorkers
+	held := -1 // no enclave
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+		if e := g.wld.Enclave(); e != nil {
+			if held = e.TCSInUse(); held == lanes+rings {
+				return nil
+			}
+		}
+	}
+	return Violated("lane-residency", "%d TCS slots held, want %d lanes + %d ring consumers", held, lanes, rings)
 }
 
 func (g *gatewaySystem) Close() {

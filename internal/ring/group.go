@@ -143,6 +143,15 @@ func (g *Group) SlotBytes() int {
 	return g.cfg.SlotBytes
 }
 
+// Workers reports the group's resident consumer workers, one per ring;
+// 0 for a nil group.
+func (g *Group) Workers() int {
+	if g == nil {
+		return 0
+	}
+	return len(g.rings)
+}
+
 // acquire try-locks a ring's producer side, round-robin from a rotating
 // start so load spreads across rings. Strictly non-blocking.
 func (g *Group) acquire() *Ring {

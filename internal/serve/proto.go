@@ -11,12 +11,13 @@
 // handle namespace (registry.Namespace), so one client's proxies can
 // neither collide with nor leak into another's, and session teardown
 // releases all of the session's objects through the existing GC-release
-// path. Requests fan in through the world's boundary dispatch layer, so
-// cross-session transition batching and switchless routing apply to
-// served traffic. Admission control (bounded in-flight, per-session and
-// global limits, deadline propagation, graceful drain) makes overload
-// degrade into typed ErrOverloaded/ErrDraining rejections instead of
-// collapse.
+// path. Each admitted request runs on a worker that holds an enclave
+// lane (world.Lane), so its calls into the enclave are switchless
+// hand-offs to that worker's resident thread, and its void calls join
+// the world's cross-session batching queue as before. Admission control
+// (bounded in-flight, per-session and global limits, deadline
+// propagation, graceful drain) makes overload degrade into typed
+// ErrOverloaded/ErrDraining rejections instead of collapse.
 package serve
 
 import (

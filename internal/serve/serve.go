@@ -33,7 +33,9 @@ type Options struct {
 	// MaxSessions bounds concurrently connected sessions (default 64).
 	MaxSessions int
 	// MaxInFlight bounds concurrently executing requests across all
-	// sessions (default 32).
+	// sessions (default 32). Each runs on one of up to MaxInFlight
+	// workers, each holding a world.Lane: as many as the enclave's TCS
+	// budget allows (world.OpenLanes).
 	MaxInFlight int
 	// QueueDepth bounds requests waiting for an execution slot before
 	// admission rejects with ErrOverloaded (default MaxInFlight).
@@ -66,7 +68,7 @@ type Options struct {
 	// (non-nil); only then does the gateway send the ack — or the
 	// error — and release the request's admission slot. A hook that
 	// finishes inline calls complete before returning; one that waits
-	// (replication watermarks) returns first, which frees the pool
+	// (replication watermarks) returns first, which frees the lane
 	// worker and parks only the request. A journal error withholds the
 	// ack: the client gets an application error and must treat the
 	// mutation as not durable (it may still surface after recovery if
@@ -138,6 +140,9 @@ type Stats struct {
 	// is the high-water mark (never exceeds MaxInFlight).
 	InFlight     int
 	PeakInFlight int
+	// Lanes is the number of request workers, each holding an enclave
+	// lane (world.OpenLanes grants at most MaxInFlight).
+	Lanes int
 	// Typed rejection counters. RejectedOverload counts global
 	// queue/deadline overflow; RejectedSessionBusy counts requests turned
 	// away at one session's SessionInFlight cap (reported to the client
@@ -200,9 +205,12 @@ type Server struct {
 	connWG sync.WaitGroup // one per accepted connection
 	reqWG  sync.WaitGroup // one per admitted request
 
-	// pool runs admitted requests on MaxInFlight resident workers, so
-	// concurrent sessions' proxy calls execute in parallel.
-	pool *workerPool
+	// calls feeds admitted requests to one worker per lane, so
+	// concurrent sessions' proxy calls execute in parallel, each handed
+	// into the enclave through its worker's own resident thread.
+	calls   chan *call
+	workers sync.WaitGroup
+	lanes   int
 
 	sessionsTotal  atomic.Uint64
 	handshakeFails atomic.Uint64
@@ -242,6 +250,13 @@ func New(opts Options) (*Server, error) {
 		return nil, errors.New("serve: Options.Platform is required")
 	}
 	o := opts.withDefaults()
+	lanes, err := o.World.OpenLanes(o.MaxInFlight)
+	if err != nil {
+		return nil, fmt.Errorf("serve: lanes: %w", err)
+	}
+	if len(lanes) == 0 {
+		return nil, errors.New("serve: no TCS slot left for a lane")
+	}
 	srv := &Server{
 		opts:     o,
 		w:        o.World,
@@ -249,7 +264,18 @@ func New(opts Options) (*Server, error) {
 		drainCh:  make(chan struct{}),
 		sessions: make(map[int64]*session),
 		exports:  make(map[string]func(env classmodel.Env) (wire.Value, error)),
-		pool:     newWorkerPool(o.MaxInFlight),
+		calls:    make(chan *call),
+		lanes:    len(lanes),
+	}
+	srv.workers.Add(len(lanes))
+	for _, lane := range lanes {
+		go func() {
+			defer srv.workers.Done()
+			defer lane.Close()
+			for c := range srv.calls {
+				c.run(lane)
+			}
+		}()
 	}
 	if len(o.Classes) > 0 {
 		srv.allowed = make(map[string]bool, len(o.Classes))
@@ -409,9 +435,10 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 		s.closeConn()
 	}
 	srv.connWG.Wait()
-	// Every session loop has exited, so no further submits: retire the
-	// worker pool.
-	srv.pool.stop()
+	// Every session loop has exited, so no further calls: retire the
+	// workers, which close their lanes.
+	close(srv.calls)
+	srv.workers.Wait()
 
 	// Surface batched-call errors from the final flush instead of
 	// dropping them (the CloseErr contract).
@@ -431,6 +458,7 @@ func (srv *Server) Stats() Stats {
 		AppErrors:           srv.appErrors.Load(),
 		InFlight:            srv.adm.current(),
 		PeakInFlight:        srv.adm.peakInFlight(),
+		Lanes:               srv.lanes,
 		RejectedOverload:    srv.rejOverload.Load(),
 		RejectedDraining:    srv.rejDraining.Load(),
 		RejectedRecovering:  srv.rejRecovering.Load(),

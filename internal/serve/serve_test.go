@@ -26,6 +26,13 @@ func startServer(t testing.TB, prog *classmodel.Program, opts Options) (*Server,
 	if err != nil {
 		t.Fatalf("build world: %v", err)
 	}
+	return serveWorld(t, w, opts)
+}
+
+// serveWorld is startServer over a world the caller built; the cleanup
+// closes it.
+func serveWorld(t testing.TB, w *world.World, opts Options) (*Server, string, ClientConfig) {
+	t.Helper()
 	platform := sgx.NewPlatformFromSeed([]byte("serve-test-platform"))
 	opts.World = w
 	opts.Platform = platform

@@ -13,6 +13,7 @@ import (
 	"montsalvat/internal/registry"
 	"montsalvat/internal/telemetry"
 	"montsalvat/internal/wire"
+	"montsalvat/internal/world"
 )
 
 // session is one attested client connection. It owns a private handle
@@ -46,7 +47,7 @@ func (s *session) closeConn() {
 }
 
 // loop reads sealed request frames until the connection drops. Admitted
-// requests execute on the server's worker pool; admission itself runs
+// requests execute on the server's lane workers; admission itself runs
 // on the loop goroutine, so a saturated gateway back-pressures the
 // session's reads (bounding this session's queued work to one request).
 func (s *session) loop() {
@@ -76,8 +77,9 @@ func (s *session) loop() {
 	}
 }
 
-// dispatch admits one request and runs it. Typed rejections
-// (overload, draining, deadline) reply immediately without executing.
+// dispatch admits one request and hands it to a lane worker (call).
+// Typed rejections (overload, draining, deadline) reply immediately
+// without executing.
 func (s *session) dispatch(req request) {
 	var deadline time.Time
 	budget := s.srv.opts.RequestTimeout
@@ -129,56 +131,94 @@ func (s *session) dispatch(req request) {
 	s.wg.Add(1)
 	s.srv.reqWG.Add(1)
 	s.srv.drainMu.RUnlock()
-	start := time.Now()
-	s.srv.pool.submit(func() {
-		// Continue the client's trace across the session frame: the span
-		// joins the injected context (or samples a fresh root for
-		// untraced clients) and is handed to the execution frame, so the
-		// world's proxy-call spans become its children.
-		var sp *telemetry.Span
-		if tracer := s.srv.tracer; tracer != nil {
-			sp = tracer.StartRemote(req.trace, "serve "+req.op)
-		}
-		sp.SetNode(s.srv.opts.Node)
-		sp.SetQueueWait(time.Since(start))
-		// done finishes the request: span, reply, and the admission
-		// epilogue. The worker calls it inline unless the request was
-		// handed to the Journal hook, which calls it once the mutation
-		// is durable — possibly long after this worker moved on. The
-		// Once guards a buggy double-completion.
-		var once sync.Once
-		done := func(result wire.Value, err error) {
-			once.Do(func() {
-				var ws *WrongShardError
-				if errors.As(err, &ws) {
-					sp.SetEpoch(ws.Epoch)
-					s.srv.events.Emit(telemetry.EventRedirect, s.srv.opts.Node, req.trace.TraceID,
-						"%s -> owner %d epoch %d", req.op, ws.Owner, ws.Epoch)
-				}
-				sp.Finish(err)
-				if err != nil {
-					s.countReject(err)
-					status := errStatus(err)
-					if status == statusAppError {
-						s.srv.appErrors.Add(1)
-					}
-					s.reply(req.id, response{status: status, message: errMessage(err)})
-				} else {
-					s.reply(req.id, response{status: statusOK, result: result})
-				}
-				s.srv.hRequest.ObserveDuration(time.Since(start))
-				s.srv.adm.release()
-				s.inflight.Add(-1)
-				s.srv.reqWG.Done()
-				s.wg.Done()
-			})
-		}
-		result, err, async := s.execute(req, deadline, sp, done)
-		if async {
-			return // the journal hook owns completion
-		}
-		done(result, err)
+	c := calls.Get().(*call)
+	*c = call{s: s, req: req, deadline: deadline, start: time.Now()}
+	// A call waits here only for an admitted one to finish; blocking the
+	// session's read loop meanwhile is the gateway's back-pressure.
+	s.srv.calls <- c
+}
+
+// call is one admitted request on its way through a lane worker, in a
+// pooled record that complete returns.
+type call struct {
+	s        *session
+	req      request
+	deadline time.Time
+	start    time.Time
+	sp       *telemetry.Span
+}
+
+var calls = sync.Pool{New: func() any { return new(call) }}
+
+// run executes the call on the worker's lane and completes it, or hands
+// completion to the Journal hook.
+func (c *call) run(lane *world.Lane) {
+	// Continue the client's trace across the session frame: the span
+	// joins the injected context (or samples a fresh root for untraced
+	// clients) and is handed to the execution frame, so the world's
+	// proxy-call spans become its children.
+	if tracer := c.s.srv.tracer; tracer != nil {
+		c.sp = tracer.StartRemote(c.req.trace, "serve "+c.req.op)
+	}
+	c.sp.SetNode(c.s.srv.opts.Node)
+	c.sp.SetQueueWait(time.Since(c.start))
+	out, m, err := c.s.execute(c, lane)
+	if j := c.s.srv.opts.Journal; err == nil && m.Op != "" && j != nil {
+		c.journal(j, m, out)
+		return
+	}
+	c.complete(out, err)
+}
+
+// journal hands the mutation c made to the Journal hook, which owns
+// completion from here: it calls back once the mutation is durable, and
+// the OK is withheld on a journal error — the mutation ran but is not
+// durable, so the client must not be told it succeeded. A second call
+// back, by a buggy hook, is dropped.
+func (c *call) journal(j func(Mutation, func(error)), m Mutation, out wire.Value) {
+	m.Trace = c.sp.Context()
+	var once sync.Once
+	j(m, func(jerr error) {
+		once.Do(func() {
+			if jerr != nil {
+				c.complete(wire.Value{}, &AppError{Msg: "journal: " + jerr.Error()})
+				return
+			}
+			c.complete(out, nil)
+		})
 	})
+}
+
+// complete finishes the request — span, reply, and the admission
+// epilogue — and recycles the record. It runs exactly once per call:
+// inline on the worker, or from the Journal hook once the mutation is
+// durable.
+func (c *call) complete(result wire.Value, err error) {
+	s, sp := c.s, c.sp
+	var ws *WrongShardError
+	if errors.As(err, &ws) {
+		sp.SetEpoch(ws.Epoch)
+		s.srv.events.Emit(telemetry.EventRedirect, s.srv.opts.Node, c.req.trace.TraceID,
+			"%s -> owner %d epoch %d", c.req.op, ws.Owner, ws.Epoch)
+	}
+	sp.Finish(err)
+	if err != nil {
+		s.countReject(err)
+		status := errStatus(err)
+		if status == statusAppError {
+			s.srv.appErrors.Add(1)
+		}
+		s.reply(c.req.id, response{status: status, message: errMessage(err)})
+	} else {
+		s.reply(c.req.id, response{status: statusOK, result: result})
+	}
+	s.srv.hRequest.ObserveDuration(time.Since(c.start))
+	s.srv.adm.release()
+	s.inflight.Add(-1)
+	s.srv.reqWG.Done()
+	s.wg.Done()
+	*c = call{}
+	calls.Put(c)
 }
 
 func (s *session) countReject(err error) {
@@ -215,106 +255,94 @@ func (s *session) reply(id int64, r response) {
 	s.srv.bytesOut.Add(uint64(n))
 }
 
-// execute runs one admitted request against the world. All object
-// traffic goes through the session namespace; the world only ever sees
-// hashes this session legitimately owns. sp (nil-safe) is the request's
-// serve span: execution frames carry it so proxy-call spans nest under
-// it, and journaled mutations inherit its context.
-//
-// async reports that the request's completion was handed to the
-// Journal hook (which will call done); the returned value/error are
-// then meaningless and the caller must not complete the request.
-func (s *session) execute(req request, deadline time.Time, sp *telemetry.Span, done func(wire.Value, error)) (_ wire.Value, _ error, async bool) {
-	if time.Now().After(deadline) {
-		return wire.Value{}, ErrDeadline, false
+// execute runs one admitted request against the world, on lane. All
+// object traffic goes through the session namespace; the world only ever
+// sees hashes this session legitimately owns. c.sp (nil-safe) is the
+// request's serve span: execution frames carry it so proxy-call spans
+// nest under it. A state-changing request that ran returns the Mutation
+// for the Journal hook; any other returns a zero one.
+func (s *session) execute(c *call, lane *world.Lane) (wire.Value, Mutation, error) {
+	req, sp := c.req, c.sp
+	if time.Now().After(c.deadline) {
+		return wire.Value{}, Mutation{}, ErrDeadline
 	}
 	switch req.op {
 	case opPing:
-		return wire.Null(), nil, false
+		return wire.Null(), Mutation{}, nil
 
 	case opRelease:
 		e, ok := s.ns.Remove(req.handle)
 		if !ok {
-			return wire.Value{}, ErrForeignRef, false
+			return wire.Value{}, Mutation{}, ErrForeignRef
 		}
 		// Unpinning makes the object collectable; the mirror is freed by
 		// the regular GC-release path (next sweep), not synchronously.
 		if err := s.srv.w.Untrusted().Unpin(wire.Ref(e.Class, e.Hash)); err != nil {
-			return wire.Value{}, &AppError{Msg: err.Error()}, false
+			return wire.Value{}, Mutation{}, &AppError{Msg: err.Error()}
 		}
-		return wire.Null(), nil, false
+		return wire.Null(), Mutation{}, nil
 
 	case opNew:
 		if err := s.srv.checkClass(req.class); err != nil {
-			return wire.Value{}, err, false
+			return wire.Value{}, Mutation{}, err
 		}
 		if err := s.shardCheck(opNew, req.class, "", req.args); err != nil {
-			return wire.Value{}, err, false
+			return wire.Value{}, Mutation{}, err
 		}
 		args, err := s.importValues(req.args)
 		if err != nil {
-			return wire.Value{}, err, false
+			return wire.Value{}, Mutation{}, err
 		}
-		var out wire.Value
-		err = s.srv.w.ExecSpan(false, sp, func(env classmodel.Env) error {
-			v, err := env.New(req.class, args...)
-			if err != nil {
-				return err
-			}
-			out, err = s.exportValue(v)
-			return err
+		out, err := s.exec(sp, lane, func(env classmodel.Env) (wire.Value, error) {
+			return env.New(req.class, args...)
 		})
-		if err != nil {
-			return wire.Value{}, appErr(err), false
-		}
-		return s.journal(Mutation{Op: opNew, Class: req.class, Args: args, Trace: sp.Context()}, out, done)
+		return out, Mutation{Op: opNew, Class: req.class, Args: args}, err
 
 	case opBind:
 		provider := s.srv.lookupExport(req.class)
 		if provider == nil {
-			return wire.Value{}, fmt.Errorf("%w: no export named %q", ErrBadRequest, req.class), false
+			return wire.Value{}, Mutation{}, fmt.Errorf("%w: no export named %q", ErrBadRequest, req.class)
 		}
-		var out wire.Value
-		err := s.srv.w.ExecSpan(false, sp, func(env classmodel.Env) error {
-			v, err := provider(env)
-			if err != nil {
-				return err
-			}
-			out, err = s.exportValue(v)
-			return err
-		})
-		if err != nil {
-			return wire.Value{}, appErr(err), false
-		}
-		return out, nil, false
+		out, err := s.exec(sp, lane, provider)
+		return out, Mutation{}, err
 
 	case opCall:
 		e, ok := s.ns.Lookup(req.handle)
 		if !ok {
-			return wire.Value{}, ErrForeignRef, false
+			return wire.Value{}, Mutation{}, ErrForeignRef
 		}
 		if err := s.shardCheck(opCall, e.Class, req.method, req.args); err != nil {
-			return wire.Value{}, err, false
+			return wire.Value{}, Mutation{}, err
 		}
 		args, err := s.importValues(req.args)
 		if err != nil {
-			return wire.Value{}, err, false
+			return wire.Value{}, Mutation{}, err
 		}
-		var out wire.Value
-		err = s.srv.w.ExecSpan(false, sp, func(env classmodel.Env) error {
-			v, err := env.Call(wire.Ref(e.Class, e.Hash), req.method, args...)
-			if err != nil {
-				return err
-			}
-			out, err = s.exportValue(v)
-			return err
+		out, err := s.exec(sp, lane, func(env classmodel.Env) (wire.Value, error) {
+			return env.Call(wire.Ref(e.Class, e.Hash), req.method, args...)
 		})
-		if err != nil {
-			return wire.Value{}, appErr(err), false
-		}
-		return s.journal(Mutation{Op: opCall, Class: e.Class, Method: req.method, Args: args, Trace: sp.Context()}, out, done)
+		return out, Mutation{Op: opCall, Class: e.Class, Method: req.method, Args: args}, err
 	}
-	return wire.Value{}, ErrBadRequest, false
+	return wire.Value{}, Mutation{}, ErrBadRequest
+}
+
+// exec runs body in an untrusted frame on lane, carrying sp, and
+// translates its result for the wire: every object ref is pinned (so it
+// survives the frame's release) and renamed to a session handle — inside
+// the frame, while the frame still retains the object.
+func (s *session) exec(sp *telemetry.Span, lane *world.Lane, body func(env classmodel.Env) (wire.Value, error)) (wire.Value, error) {
+	var out wire.Value
+	err := s.srv.w.ExecSpan(false, sp, lane, func(env classmodel.Env) error {
+		v, err := body(env)
+		if err == nil {
+			out, err = wire.MapRefs(v, s.exportRef)
+		}
+		return err
+	})
+	if err != nil {
+		return wire.Value{}, appErr(err)
+	}
+	return out, nil
 }
 
 // shardCheck consults the partition predicate before a state-touching
@@ -327,27 +355,6 @@ func (s *session) shardCheck(op, class, method string, args []wire.Value) error 
 		return nil
 	}
 	return check(op, class, method, args)
-}
-
-// journal hands a successfully executed mutation to the durability
-// hook, transferring completion ownership: the hook calls complete when
-// the mutation is durable, and complete finishes the request with out
-// (or withholds the OK on a journal error — the mutation ran but is not
-// durable, so the client must not be told it succeeded). Without a hook
-// the request completes inline with out. The results are execute's.
-func (s *session) journal(m Mutation, out wire.Value, done func(wire.Value, error)) (_ wire.Value, _ error, async bool) {
-	j := s.srv.opts.Journal
-	if j == nil {
-		return out, nil, false
-	}
-	j(m, func(jerr error) {
-		if jerr != nil {
-			done(wire.Value{}, &AppError{Msg: "journal: " + jerr.Error()})
-			return
-		}
-		done(out, nil)
-	})
-	return wire.Value{}, nil, true
 }
 
 // appErr passes gateway sentinels through and wraps anything else as an
@@ -379,14 +386,6 @@ func (s *session) importRef(ref wire.Value) (wire.Value, error) {
 		return wire.Value{}, ErrForeignRef
 	}
 	return wire.Ref(e.Class, e.Hash), nil
-}
-
-// exportValue translates a result for the wire: every object ref is
-// pinned (so it survives the Exec frame's release) and renamed to a
-// session handle. Must run inside the Exec frame, while the frame still
-// retains the object.
-func (s *session) exportValue(v wire.Value) (wire.Value, error) {
-	return wire.MapRefs(v, s.exportRef)
 }
 
 // exportRef pins one object and names it in the session's namespace

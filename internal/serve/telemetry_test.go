@@ -88,6 +88,14 @@ func TestServeTelemetryCollector(t *testing.T) {
 	if got := snap.Counters[`montsalvat_serve_rejected_total{reason="foreign_ref"}`]; got != 1 {
 		t.Fatalf("foreign_ref rejections = %d, want 1", got)
 	}
+	// The store's constructor and the put were handed to lanes: the only
+	// ecalls are the entries of the default 32 lanes.
+	if got := snap.Counters[`montsalvat_boundary_calls_total{route="resident"}`]; got != 2 {
+		t.Fatalf("resident crossings = %d, want 2", got)
+	}
+	if got := snap.Counters["montsalvat_sgx_ecalls_total"]; got != 32 {
+		t.Fatalf("ecalls = %d, want the 32 lane entries", got)
+	}
 	// All declared reasons stay visible even at zero, so dashboards can
 	// reference them before the first incident.
 	for _, reason := range []string{"overloaded", "draining", "deadline", "session_limit", "session_busy"} {

@@ -175,12 +175,17 @@ func warmKVClient(tb testing.TB) (*Client, Handle) {
 // clientGetAllocCeiling bounds the heap allocations of one served get,
 // counted over the whole process: client encode and rendezvous, session
 // decode and admission, the Exec frame, the relayed call into the enclave
-// with its bucket scan, and the response back. The parent commit spends
-// 91; what is left is the request's own values (decoded strings and
-// argument vectors on both sides), the closures that carry a request
-// through the worker pool and across the boundary, and the variadic
-// argument slices of the KV program's own Env calls.
-const clientGetAllocCeiling = 40
+// with its bucket scan, and the response back. What is left is the
+// request's own values (decoded strings and argument vectors on both
+// sides), the closures that carry the Exec body across the boundary, and
+// the variadic argument slices of the KV program's own Env calls; a
+// request rides its lane worker in a pooled record (session.call), which
+// allocates nothing.
+const clientGetAllocCeiling = 22
+
+// raceAllocSlack is what the race detector's sync.Pool drops add to a
+// served get: 27 or 28 allocations are measured under -race.
+const raceAllocSlack = 8
 
 func TestClientGetAllocs(t *testing.T) {
 	c, store := warmKVClient(t)
@@ -191,8 +196,12 @@ func TestClientGetAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("one served get: %v allocations", allocs)
-	if allocs > clientGetAllocCeiling {
-		t.Fatalf("one served get = %v allocs, want <= %d", allocs, clientGetAllocCeiling)
+	ceiling := clientGetAllocCeiling
+	if raceEnabled {
+		ceiling += raceAllocSlack
+	}
+	if allocs > float64(ceiling) {
+		t.Fatalf("one served get = %v allocs, want <= %d", allocs, ceiling)
 	}
 }
 

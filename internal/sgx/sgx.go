@@ -123,12 +123,12 @@ const (
 // Stats holds enclave transition and memory counters.
 type Stats struct {
 	// Ecalls and Ocalls count completed transitions, including the
-	// entries of resident ring consumers (EnterResident).
+	// entries of resident threads (EnterResident).
 	Ecalls uint64
 	Ocalls uint64
-	// SwitchlessEcalls and SwitchlessOcalls are always 0: the mailbox
-	// that counted them is gone. benchmark/layers.go still reads them;
-	// remove with the next benchmark PR.
+	// SwitchlessEcalls counts calls handed to an already-resident thread
+	// (Switchless). SwitchlessOcalls is always 0: no ocall is handed off.
+	// benchmark/layers.go still reads it; remove with the next benchmark PR.
 	SwitchlessEcalls uint64
 	SwitchlessOcalls uint64
 	// EcallsByID and OcallsByID break transitions down per edge routine.
@@ -162,9 +162,10 @@ type Enclave struct {
 
 	tcs chan struct{}
 
-	depth  atomic.Int64 // current nesting of enclave execution
-	ecalls atomic.Uint64
-	ocalls atomic.Uint64
+	depth      atomic.Int64 // current nesting of enclave execution
+	ecalls     atomic.Uint64
+	ocalls     atomic.Uint64
+	switchless atomic.Uint64
 }
 
 // Create performs ECREATE: a new enclave shell with empty measurement.
@@ -335,11 +336,13 @@ func (e *Enclave) Ocall(id int, fn func() error) error {
 }
 
 // EnterResident establishes long-lived enclave residency for the
-// calling goroutine: it takes a TCS slot, charges one entry transition,
-// and marks the goroutine as executing inside the enclave (so nested
-// ocalls are legal). The returned leave releases the slot; it is
-// idempotent. The ring data plane uses this for its trusted-side
-// resident consumers, which poll shared memory.
+// calling goroutine: it takes a TCS slot and charges one entry
+// transition. The returned leave releases the slot; it is idempotent.
+// A resident thread executes enclave code only inside RunResident or
+// Switchless, so between calls it does not count as executing
+// (InEnclave). The ring data plane uses this for its trusted-side
+// resident consumers, which poll shared memory, and the world for its
+// gateway lanes.
 func (e *Enclave) EnterResident() (func(), error) {
 	if err := e.checkRunnable(); err != nil {
 		return nil, err
@@ -347,15 +350,36 @@ func (e *Enclave) EnterResident() (func(), error) {
 	<-e.tcs
 	e.clock.Charge(e.cfg.TransitionCycles(true))
 	e.ecalls.Add(1)
-	e.depth.Add(1)
 	var once sync.Once
 	leave := func() {
-		once.Do(func() {
-			e.depth.Add(-1)
-			e.tcs <- struct{}{}
-		})
+		once.Do(func() { e.tcs <- struct{}{} })
 	}
 	return leave, nil
+}
+
+// RunResident runs fn as enclave code on a thread that is already
+// resident (EnterResident), charging nothing: the thread is executing
+// inside the enclave for as long as fn runs, so nested ocalls are
+// legal. A ring consumer runs each slot it handles this way.
+func (e *Enclave) RunResident(fn func() error) error {
+	e.depth.Add(1)
+	defer e.depth.Add(-1)
+	return fn()
+}
+
+// Switchless hands fn to an enclave thread that is already resident
+// (EnterResident) — the in-enclave worker thread of the paper's §7
+// switchless calls: the caller passes fn over through shared memory
+// instead of switching context, so the call charges
+// simcfg.SwitchlessCallCycles, not a transition, and takes no TCS slot
+// of its own. fn runs as RunResident runs it.
+func (e *Enclave) Switchless(fn func() error) error {
+	if err := e.checkRunnable(); err != nil {
+		return err
+	}
+	e.clock.Charge(simcfg.SwitchlessCallCycles)
+	e.switchless.Add(1)
+	return e.RunResident(fn)
 }
 
 // InEnclave reports whether any enclave thread is currently executing.
@@ -365,7 +389,8 @@ func (e *Enclave) InEnclave() bool { return e.depth.Load() > 0 }
 func (e *Enclave) TCSCap() int { return cap(e.tcs) }
 
 // TCSInUse returns how many TCS slots are currently held — by in-flight
-// ecalls and by resident ring consumers pinning a slot each.
+// ecalls and by resident threads (ring consumers, gateway lanes) pinning
+// a slot each.
 func (e *Enclave) TCSInUse() int { return cap(e.tcs) - len(e.tcs) }
 
 // NewMemory allocates an encrypted memory region of the given size inside
@@ -408,13 +433,14 @@ func (e *Enclave) Stats() Stats {
 	heap := e.heapInUse
 	e.mu.Unlock()
 	return Stats{
-		Ecalls:         e.ecalls.Load(),
-		Ocalls:         e.ocalls.Load(),
-		EcallsByID:     ecallsByID,
-		OcallsByID:     ocallsByID,
-		HeapBytesInUse: heap,
-		Residency:      e.res.Stats(),
-		MEE:            e.eng.Stats(),
+		Ecalls:           e.ecalls.Load(),
+		Ocalls:           e.ocalls.Load(),
+		SwitchlessEcalls: e.switchless.Load(),
+		EcallsByID:       ecallsByID,
+		OcallsByID:       ocallsByID,
+		HeapBytesInUse:   heap,
+		Residency:        e.res.Stats(),
+		MEE:              e.eng.Stats(),
 	}
 }
 

@@ -187,8 +187,9 @@ func TestSwitchlessModeIsCheaper(t *testing.T) {
 }
 
 // TestEnterResident: each residency takes one TCS slot and charges one
-// entry, ocalls are legal while resident, leave is idempotent, and a
-// destroyed enclave admits no new resident.
+// entry, ocalls are legal while a resident runs enclave code
+// (RunResident) and refused while it only holds its slot, leave is
+// idempotent, and a destroyed enclave admits no new resident.
 func TestEnterResident(t *testing.T) {
 	e, clk := initializedEnclave(t, []byte("img"))
 	var leaves []func()
@@ -209,8 +210,18 @@ func TestEnterResident(t *testing.T) {
 			t.Fatalf("Ecalls = %d after %d residencies", got, n)
 		}
 	}
-	if err := e.Ocall(2, func() error { return nil }); err != nil {
+	if e.InEnclave() {
+		t.Fatal("an idle resident counts as executing")
+	}
+	if err := e.Ocall(2, func() error { return nil }); !errors.Is(err, ErrOcallOutside) {
+		t.Fatalf("ocall beside idle residents: %v, want ErrOcallOutside", err)
+	}
+	before := clk.Total()
+	if err := e.RunResident(func() error { return e.Ocall(2, func() error { return nil }) }); err != nil {
 		t.Fatalf("ocall from a resident thread: %v", err)
+	}
+	if got := clk.Total() - before; got != simcfg.OcallCycles {
+		t.Fatalf("resident run with one ocall charged %d cycles, want %d", got, simcfg.OcallCycles)
 	}
 	leaves[0]()
 	leaves[0]()
@@ -224,6 +235,42 @@ func TestEnterResident(t *testing.T) {
 	e.Destroy()
 	if _, err := e.EnterResident(); !errors.Is(err, ErrDestroyed) {
 		t.Fatalf("EnterResident after Destroy: %v, want ErrDestroyed", err)
+	}
+}
+
+// TestSwitchless: a call handed to a resident thread charges
+// SwitchlessCallCycles, counts as a switchless ecall rather than an
+// ecall, takes no TCS slot, may ocall, and is refused by a destroyed
+// enclave.
+func TestSwitchless(t *testing.T) {
+	e, clk := initializedEnclave(t, []byte("img"))
+	leave, err := e.EnterResident()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leave()
+	before, ecalls := clk.Total(), e.Stats().Ecalls
+	err = e.Switchless(func() error {
+		if got := e.TCSInUse(); got != 1 {
+			t.Errorf("TCS in use during a hand-off = %d, want the resident's 1", got)
+		}
+		return e.Ocall(2, func() error { return nil })
+	})
+	if err != nil {
+		t.Fatalf("Switchless: %v", err)
+	}
+	if got := clk.Total() - before; got != simcfg.SwitchlessCallCycles+simcfg.OcallCycles {
+		t.Fatalf("hand-off with one ocall charged %d cycles, want %d", got, simcfg.SwitchlessCallCycles+simcfg.OcallCycles)
+	}
+	if s := e.Stats(); s.SwitchlessEcalls != 1 || s.Ecalls != ecalls || s.SwitchlessOcalls != 0 {
+		t.Fatalf("stats after one hand-off: %+v", s)
+	}
+	if e.InEnclave() {
+		t.Fatal("the resident still counts as executing after its hand-off returned")
+	}
+	e.Destroy()
+	if err := e.Switchless(func() error { return nil }); !errors.Is(err, ErrDestroyed) {
+		t.Fatalf("Switchless after Destroy: %v, want ErrDestroyed", err)
 	}
 }
 

@@ -27,9 +27,10 @@ type Span struct {
 	Name string `json:"name"`
 	// Dir is the transition direction: "ecall" or "ocall".
 	Dir string `json:"dir,omitempty"`
-	// Route records how the call crossed: "ring" or "full". A call that
-	// found its ring busy or stopped crosses in full and reads "full";
-	// the ring-fallback route is counted, not traced.
+	// Route records how the call crossed: "ring", "resident" (handed to
+	// a gateway lane) or "full". A call that found its ring busy or
+	// stopped crosses in full and reads "full"; the ring-fallback route
+	// is counted, not traced.
 	Route string `json:"route,omitempty"`
 	// RoutineID is the EDL routine id of the transition.
 	RoutineID int `json:"routine_id,omitempty"`

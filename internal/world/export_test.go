@@ -28,4 +28,4 @@ func (w *World) BufPool() *boundary.BufPool { return w.bufs }
 
 // Enqueue queues an encoded call on rt's batching queue, as a void proxy
 // call or a GC sweep does; the next flush runs it.
-func (rt *Runtime) Enqueue(e boundary.Entry) error { return rt.queue.Enqueue(e) }
+func (rt *Runtime) Enqueue(e boundary.Entry) error { return rt.queue.Enqueue(e, nil) }

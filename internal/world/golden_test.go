@@ -22,6 +22,7 @@ import (
 type ledger struct {
 	Cycles         int64
 	Ecalls         uint64
+	Switchless     uint64
 	Ocalls         uint64
 	PageFaults     uint64
 	Evictions      uint64
@@ -38,6 +39,7 @@ func ledgerOf(w *world.World) ledger {
 	return ledger{
 		Cycles:         w.Clock().Total(),
 		Ecalls:         es.Ecalls,
+		Switchless:     es.SwitchlessEcalls,
 		Ocalls:         es.Ocalls,
 		PageFaults:     es.Residency.PageFaults,
 		Evictions:      es.Residency.Evictions,
@@ -81,41 +83,29 @@ func TestCycleLedgerGolden(t *testing.T) {
 			MEECopiedBytes: 12549, LinesEncrypted: 2387 /* was 2773 */})
 	})
 
-	// sizedPutGet overwrites and reads back a 64 B, a 4 KiB and a 96 KiB
-	// value, rounds times over.
-	sizedPutGet := func(w *world.World, rounds int) error {
-		return w.ExecMain(func(env classmodel.Env) error {
-			store, err := env.New(demo.KVStoreCls)
-			if err != nil {
-				return err
-			}
-			for round := 0; round < rounds; round++ {
-				for _, size := range []int{64, 4 << 10, 96 << 10} {
-					key := wire.Str(fmt.Sprintf("k%d", size))
-					val := strings.Repeat(string(rune('a'+round)), size)
-					if _, err := env.Call(store, "put", key, wire.Str(val)); err != nil {
-						return err
-					}
-					got, err := env.Call(store, "get", key)
-					if err != nil {
-						return err
-					}
-					if s, _ := got.AsStr(); s != val {
-						return fmt.Errorf("get %d B round %d: read back %d bytes, mismatch", size, round, len(s))
-					}
-				}
-			}
-			return nil
-		})
-	}
-
 	t.Run("sized-put-get", func(t *testing.T) {
 		w := goldenWorld(t, 16, heap.Config{InitialSemi: 4 << 20, MaxSemi: 256 << 20})
-		if err := sizedPutGet(w, 3); err != nil {
+		if err := sizedPutGet(w, 3, nil); err != nil {
 			t.Fatal(err)
 		}
 		checkLedger(t, ledgerOf(w), ledger{Cycles: 8411003, Ecalls: 19, Ocalls: 10, PageFaults: 253, Evictions: 237,
 			MEECopiedBytes: 615163, LinesEncrypted: 6252 /* was 11078 */})
+	})
+
+	t.Run("served-sized-put-get", func(t *testing.T) {
+		// sized-put-get as a gateway worker runs it: on a lane, whose
+		// one entry is charged when it opens and whose 19 hand-offs
+		// replace the stream's 19 ecalls, 11,900 cycles cheaper each.
+		w := goldenWorld(t, 16, heap.Config{InitialSemi: 4 << 20, MaxSemi: 256 << 20})
+		lanes, err := w.OpenLanes(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sizedPutGet(w, 3, lanes[0]); err != nil {
+			t.Fatal(err)
+		}
+		checkLedger(t, ledgerOf(w), ledger{Cycles: 8198003, Ecalls: 1, Switchless: 19, Ocalls: 10, PageFaults: 253, Evictions: 237,
+			MEECopiedBytes: 615163, LinesEncrypted: 6252})
 	})
 
 	t.Run("alloc-pressure", func(t *testing.T) {
@@ -124,7 +114,7 @@ func TestCycleLedgerGolden(t *testing.T) {
 		// EPC is the default one (faults count first touches only) and
 		// LinesEncrypted, which follows the to-space layout, is not pinned.
 		w := goldenWorld(t, simcfg.DefaultEPCBytes/4096, heap.Config{InitialSemi: 256 << 10, MaxSemi: 256 << 20})
-		if err := sizedPutGet(w, 6); err != nil {
+		if err := sizedPutGet(w, 6, nil); err != nil {
 			t.Fatal(err)
 		}
 		got := ledgerOf(w)
@@ -273,6 +263,35 @@ func TestCycleLedgerGolden(t *testing.T) {
 		got := ledgerOf(w)
 		checkLedger(t, ledger{Cycles: got.Cycles, Ecalls: got.Ecalls, Ocalls: got.Ocalls, MEECopiedBytes: got.MEECopiedBytes},
 			ledger{Cycles: 362471, Ecalls: 12, Ocalls: 2, MEECopiedBytes: 5175})
+	})
+}
+
+// sizedPutGet overwrites and reads back a 64 B, a 4 KiB and a 96 KiB
+// value, rounds times over, from the untrusted runtime — on lane when it
+// is not nil.
+func sizedPutGet(w *world.World, rounds int, lane *world.Lane) error {
+	return w.ExecSpan(false, nil, lane, func(env classmodel.Env) error {
+		store, err := env.New(demo.KVStoreCls)
+		if err != nil {
+			return err
+		}
+		for round := 0; round < rounds; round++ {
+			for _, size := range []int{64, 4 << 10, 96 << 10} {
+				key := wire.Str(fmt.Sprintf("k%d", size))
+				val := strings.Repeat(string(rune('a'+round)), size)
+				if _, err := env.Call(store, "put", key, wire.Str(val)); err != nil {
+					return err
+				}
+				got, err := env.Call(store, "get", key)
+				if err != nil {
+					return err
+				}
+				if s, _ := got.AsStr(); s != val {
+					return fmt.Errorf("get %d B round %d: read back %d bytes, mismatch", size, round, len(s))
+				}
+			}
+		}
+		return nil
 	})
 }
 

@@ -66,9 +66,9 @@ func (w *World) RenderTransitionReport() string {
 type DispatchStats struct {
 	// FullCalls is the number of calls routed through full transitions.
 	FullCalls uint64
-	// SwitchlessCalls and FallbackCalls are always 0: the mailbox route
-	// that counted them is gone. benchmark/layers.go still reads them;
-	// remove with the next benchmark PR.
+	// SwitchlessCalls were handed to a lane's resident thread (Lane).
+	// FallbackCalls is always 0 (the mailbox route is gone), but
+	// benchmark/layers.go reads it; remove with the next benchmark PR.
 	SwitchlessCalls uint64
 	FallbackCalls   uint64
 	// BatchFlushes is the number of batched transitions performed.
@@ -117,6 +117,7 @@ func (w *World) DispatchStats() DispatchStats {
 			continue
 		}
 		ds.FullCalls += rt.fullCalls.Load()
+		ds.SwitchlessCalls += rt.laneCalls.Load()
 		ds.RingCalls += rt.ringCalls.Load()
 		ds.RingFallbacks += rt.ringFallbacks.Load()
 		ds.RingOversize += rt.ringOversize.Load()

@@ -9,14 +9,14 @@ import (
 var ErrNotKilled = errors.New("world: restart of a live world (call Kill first)")
 
 // Kill tears down the trusted side of a partitioned world in place: GC
-// helpers stop, the ring groups shut down (their consumers exit), and
-// the enclave is destroyed — the simulation of the enclave process
-// dying (crash, host restart, EPC eviction storm). The World object
-// itself survives: the clock keeps running, telemetry stays registered,
-// and the retained build inputs (images, options, signing identity) let
-// Restart re-create the trusted runtime with the same MRSIGNER, so
-// MRSIGNER-sealed persistent state written before the kill remains
-// unsealable after it.
+// helpers stop, the ring groups shut down (their consumers exit), lanes
+// release their slots, and the enclave is destroyed — the simulation of
+// the enclave process dying (crash, host restart, EPC eviction storm).
+// The World object itself survives: the clock keeps running, telemetry
+// stays registered, and the retained build inputs (images, options,
+// signing identity) let Restart re-create the trusted runtime with the
+// same MRSIGNER, so MRSIGNER-sealed persistent state written before the
+// kill remains unsealable after it.
 //
 // After Kill, Enclave/Trusted/Untrusted return nil, Exec returns
 // ErrWrongRuntime, and CloseErr degrades to a plain clock stop.
@@ -41,10 +41,13 @@ func (w *World) Kill() {
 }
 
 // teardownLocked takes the current generation — whole or half-built —
-// down to the killed shape: ring consumers stopped (their TCS slots
-// released), the enclave destroyed, every rebuildable pointer nil.
-// Caller holds stateMu, or is the only one who can reach w.
+// down to the killed shape: ring consumers stopped and lanes left (their
+// TCS slots released), the enclave destroyed, every rebuildable pointer
+// nil. Caller holds stateMu, or is the only one who can reach w.
 func (w *World) teardownLocked() {
+	for _, l := range w.lanes {
+		l.leaveLocked()
+	}
 	w.erings.Close()
 	w.orings.Close()
 	if w.enclave != nil {
@@ -64,11 +67,12 @@ func (w *World) Killed() bool {
 // Restart rebuilds a killed partitioned world: a fresh enclave is
 // created, measured and verified from the retained trusted image
 // (re-attestation — same lifecycle as first boot), both runtimes are
-// re-created empty with fresh batching queues and ring groups, and
-// static initialisers run again. Application state does NOT come back by
-// itself: callers recover it from the persistence layer (unseal the
-// latest counter-valid checkpoint, replay the WAL tail) after Restart
-// returns — see internal/persist and serve.Server.Recover.
+// re-created empty with fresh batching queues and ring groups, every
+// open lane re-enters, and static initialisers run again. Application
+// state does NOT come back by itself: callers recover it from the
+// persistence layer (unseal the latest counter-valid checkpoint, replay
+// the WAL tail) after Restart returns — see internal/persist and
+// serve.Server.Recover.
 //
 // Because the build options retain the original signing identity, the
 // new enclave reports the same MRSIGNER: sealed blobs written under
@@ -130,5 +134,10 @@ func (w *World) rebuildLocked() error {
 	// can run on either, and never again (Runtime.peer).
 	w.trusted.peer, w.untrusted.peer = w.untrusted, w.trusted
 	w.untrusted.rings, w.trusted.rings = w.erings, w.orings
+	for _, l := range w.lanes {
+		if l.leave, err = w.enclave.EnterResident(); err != nil {
+			return err
+		}
+	}
 	return w.runStaticInits()
 }

@@ -87,7 +87,7 @@ type Runtime struct {
 	fs    shim.FS
 	// queue batches this runtime's outbound result-independent calls
 	// (nil unless partitioned; active only with Config.Batching).
-	queue *boundary.Queue
+	queue *boundary.Queue[*Lane]
 
 	// heapMu is the narrow isolate/heap lock of the concurrent crossing
 	// engine: it serialises actual heap mutation (allocation — which may
@@ -126,6 +126,7 @@ type Runtime struct {
 	// rode). Like queue they belong to the generation, so Restart starts
 	// them at zero.
 	fullCalls     atomic.Uint64
+	laneCalls     atomic.Uint64
 	ringCalls     atomic.Uint64
 	ringFallbacks atomic.Uint64
 	ringOversize  atomic.Uint64
@@ -303,12 +304,12 @@ func (rt *Runtime) PinNamed(ns *registry.Namespace, ref wire.Value) (int64, erro
 
 // frame is the activation record of one method execution: the object-
 // table retentions taken on its behalf (the stand-in for stack/register
-// roots in a real VM), the trace span of the chain it belongs to, and —
-// it implements classmodel.Env (env.go) — the environment its body runs
-// against. A relay executing a sampled cross-boundary call stores the
-// call's span here, so proxy invocations the body makes become child
-// spans of the same trace. Nil span when the chain is unsampled or
-// telemetry is off.
+// roots in a real VM), the trace span and the lane (see cross) of the
+// chain it belongs to, and — it implements classmodel.Env (env.go) — the
+// environment its body runs against. A relay executing a sampled
+// cross-boundary call stores the call's span here, so proxy invocations
+// the body makes become child spans of the same trace. Nil span when the
+// chain is unsampled or telemetry is off.
 //
 // Frames are pooled, per runtime. Lifetime rule: a frame is released only
 // after the body and every closure the body's calls handed to a worker
@@ -323,6 +324,7 @@ func (rt *Runtime) PinNamed(ns *registry.Namespace, ref wire.Value) (int64, erro
 type frame struct {
 	rt    *Runtime
 	span  *telemetry.Span
+	lane  *Lane
 	owned []ownedRef
 	// drops is releaseFrame's scratch list, kept across uses.
 	drops []heap.Handle
@@ -401,7 +403,7 @@ func (rt *Runtime) releaseFrame(fr *frame) {
 		}
 		rt.heapMu.Unlock()
 	}
-	fr.span = nil
+	fr.span, fr.lane = nil, nil
 	fr.drops = drops[:0]
 	if cap(fr.owned) > frameKeepOwned {
 		fr.owned, fr.drops = nil, nil
@@ -859,11 +861,10 @@ func (rt *Runtime) dispatch(lk *link, self wire.Value, args []wire.Value, adoptI
 		return wire.Value{}, fmt.Errorf("%w: %s wants %d args, got %d", ErrBadArity, lk.ref, len(m.Params), len(args))
 	}
 	rt.w.clock.Charge(simcfg.LocalCallCycles)
-	var span *telemetry.Span
+	fr := rt.newFrame(nil)
 	if adoptInto != nil {
-		span = adoptInto.span
+		fr.span, fr.lane = adoptInto.span, adoptInto.lane
 	}
-	fr := rt.newFrame(span)
 	defer rt.releaseFrame(fr)
 	// Retain self and ref arguments for the duration of the activation.
 	if self.Kind() == wire.KindRef {
@@ -935,17 +936,18 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 	if rt.queue != nil {
 		// Result-independent calls (void-returning relays) are queued
 		// and coalesced into one batched transition; the caller observes
-		// null immediately and any call error at the flush.
+		// null immediately and any call error at the flush. A flush this
+		// frame causes crosses on the frame's lane, if it has one.
 		if w.batching && !routine.ReturnsValue {
 			rt.remoteOut.Add(1)
 			argsLen := wire.SizeValues(args)
 			rt.marshalled.Add(uint64(argsLen))
 			req := wire.AppendValues(w.queuedCall(class, relayName, hash, argsLen), args)
-			return wire.Null(), rt.queue.Enqueue(boundary.Entry{ID: routine.ID, Req: req})
+			return wire.Null(), rt.queue.Enqueue(boundary.Entry{ID: routine.ID, Req: req}, fr.lane)
 		}
 		// A result-dependent call must observe the effects of every
 		// queued call: flush first.
-		if err := rt.queue.Flush(); err != nil {
+		if err := rt.queue.Flush(fr.lane); err != nil {
 			return wire.Value{}, fmt.Errorf("world: flushing batched calls before %s.%s: %w", class, relayName, err)
 		}
 	}
@@ -967,8 +969,9 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 	// (zero intermediate copies, in-place crypto) with the opened
 	// response decoded in place. Oversized, busy or ring-less calls fall
 	// through to the frame path below; never waiting for a ring keeps
-	// nested relay chains deadlock-free.
-	if rt.encl != nil && rt.rings != nil {
+	// nested relay chains deadlock-free. A frame on a lane has its own
+	// resident thread and hands the call to it instead (cross).
+	if rt.encl != nil && rt.rings != nil && fr.lane == nil {
 		argsLen := wire.SizeValues(args)
 		need := 1 + wire.CallSize(class, relayName, hash, argsLen)
 		var (
@@ -1020,7 +1023,7 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 	)
 	invoke := func() error {
 		var rerr error
-		resultBuf, rerr = to.dispatchRelay(class, relayName, hash, argBuf, sp)
+		resultBuf, rerr = to.dispatchRelay(class, relayName, hash, argBuf, sp, fr.lane)
 		return rerr
 	}
 	if rt.encl != nil {
@@ -1028,7 +1031,7 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 		// streams them through the MEE.
 		w.clock.ChargeBytes(len(argBuf), simcfg.MEEBytesPerCycle)
 		w.meeBytes.Add(uint64(len(argBuf)))
-		err = rt.cross(routine.ID, sp, invoke)
+		err = rt.cross(routine.ID, fr.lane, sp, invoke)
 		if err == nil {
 			w.clock.ChargeBytes(len(resultBuf), simcfg.MEEBytesPerCycle)
 			w.meeBytes.Add(uint64(len(resultBuf)))
@@ -1059,16 +1062,18 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 // ---- crossing ---------------------------------------------------------
 //
 // A call leaves a runtime one of two ways, and these two functions are
-// the only places that tell them apart: the full transition (cross) and
-// the ring submission, whose outcome rode settles. remoteCall, the batch
+// the only places that tell them apart: the crossing (cross) and the
+// ring submission, whose outcome rode settles. remoteCall, the batch
 // flush and the GC sweep are their callers.
 
-// cross makes one full transition to the opposite runtime and runs fn
-// there: an ecall from the untrusted runtime, an ocall from the trusted
-// one, each charging simcfg.Config.TransitionCycles. sp (nil when
-// unsampled) receives the direction, routine id, route and the cycles fn
-// charged on the far side; the caller owns Finish.
-func (rt *Runtime) cross(id int, sp *telemetry.Span, fn func() error) error {
+// cross runs fn on the opposite runtime and decides what crossing costs:
+// a call into the enclave from a frame on a lane is handed to the lane's
+// resident thread (sgx.Enclave.Switchless, the "resident" route); any
+// other is a full transition, an ecall or an ocall charging
+// simcfg.Config.TransitionCycles. sp (nil when unsampled) receives the
+// direction, routine id, route and the cycles fn charged on the far
+// side; the caller owns Finish.
+func (rt *Runtime) cross(id int, lane *Lane, sp *telemetry.Span, fn func() error) error {
 	w := rt.w
 	in := !rt.trusted
 	sp.SetDir(in)
@@ -1089,11 +1094,17 @@ func (rt *Runtime) cross(id int, sp *telemetry.Span, fn func() error) error {
 			return err
 		}
 	}
-	rt.fullCalls.Add(1)
 	var err error
-	if in {
+	switch {
+	case in && lane != nil:
+		sp.SetRoute("resident")
+		rt.laneCalls.Add(1)
+		err = rt.encl.Switchless(fn)
+	case in:
+		rt.fullCalls.Add(1)
 		err = rt.encl.Ecall(id, fn)
-	} else {
+	default:
+		rt.fullCalls.Add(1)
 		err = rt.encl.Ocall(id, fn)
 	}
 	if w.hDispatchNS != nil {
@@ -1125,8 +1136,9 @@ func (rt *Runtime) rode(err error, n int) bool {
 // release from the GC sweep, or a relay call. want asks for the relay's
 // result, marshalled into resp (see dispatchRelaySlot); a void call —
 // every batched call — answers nothing, and its error names the call.
-// sp parents any calls the relay makes.
-func (rt *Runtime) execCall(c wire.Call, want bool, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
+// sp parents any calls the relay makes, and the relay runs on lane (nil
+// off the gateway; see relayCore).
+func (rt *Runtime) execCall(c wire.Call, want bool, resp []byte, sp *telemetry.Span, lane *Lane) ([]byte, bool, error) {
 	switch {
 	case c.Method == gcReleaseMethod:
 		_, err := rt.reg.Release(c.Hash)
@@ -1134,7 +1146,7 @@ func (rt *Runtime) execCall(c wire.Call, want bool, resp []byte, sp *telemetry.S
 	case want:
 		return rt.dispatchRelaySlot(c.Class, c.Method, c.Hash, c.Args, resp, sp)
 	}
-	if err := rt.relayCore(c.Class, c.Method, c.Hash, c.Args, sp, nil); err != nil {
+	if err := rt.relayCore(c.Class, c.Method, c.Hash, c.Args, sp, lane, nil); err != nil {
 		return nil, false, fmt.Errorf("world: batched call %s.%s: %w", c.Class, c.Method, err)
 	}
 	return nil, false, nil
@@ -1146,10 +1158,11 @@ func (rt *Runtime) execCall(c wire.Call, want bool, resp []byte, sp *telemetry.S
 // registry and invoke the concrete method. It returns the marshalled
 // result. parent is the caller's trace span (nil when unsampled); it is
 // threaded into the relay's frame so calls the body makes back across
-// the boundary become children of the same trace.
-func (rt *Runtime) dispatchRelay(class, relayName string, hash int64, argBuf []byte, parent *telemetry.Span) ([]byte, error) {
+// the boundary become children of the same trace. lane is the caller's
+// (see relayCore).
+func (rt *Runtime) dispatchRelay(class, relayName string, hash int64, argBuf []byte, parent *telemetry.Span, lane *Lane) ([]byte, error) {
 	var out []byte
-	err := rt.relayCore(class, relayName, hash, argBuf, parent, func(fr *frame, result wire.Value) error {
+	err := rt.relayCore(class, relayName, hash, argBuf, parent, lane, func(fr *frame, result wire.Value) error {
 		var merr error
 		vals := [1]wire.Value{result}
 		out, merr = rt.marshalOut(fr, vals[:])
@@ -1164,7 +1177,7 @@ func (rt *Runtime) dispatchRelay(class, relayName string, hash int64, argBuf []b
 // overflow buffer reported with overflow=true, which the ring producer
 // side charges at MEE rate as a plain copy.
 func (rt *Runtime) dispatchRelaySlot(class, relayName string, hash int64, argBuf, slot []byte, parent *telemetry.Span) (out []byte, overflow bool, err error) {
-	err = rt.relayCore(class, relayName, hash, argBuf, parent, func(fr *frame, result wire.Value) error {
+	err = rt.relayCore(class, relayName, hash, argBuf, parent, nil, func(fr *frame, result wire.Value) error {
 		one := [1]wire.Value{result}
 		vals := one[:]
 		if merr := rt.marshalVals(fr, vals); merr != nil {
@@ -1188,8 +1201,12 @@ func (rt *Runtime) dispatchRelaySlot(class, relayName string, hash int64, argBuf
 // relay, decode the arguments, run the constructor or instance
 // dispatch, and hand the raw result to finish (nil for void calls)
 // before the relay frame is released — result marshalling must happen
-// while the frame still retains the exports.
-func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte, parent *telemetry.Span, finish func(fr *frame, result wire.Value) error) error {
+// while the frame still retains the exports. The relay frame carries the
+// caller's lane: a call back into the enclave made under an ocall from
+// a lane is handed to the same resident thread, as a nested ecall in
+// SGX reuses the calling thread's TCS, so no chain a lane started waits
+// for a free slot.
+func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte, parent *telemetry.Span, lane *Lane, finish func(fr *frame, result wire.Value) error) error {
 	relay := rt.link(class, relayName)
 	if relay.lookErr != nil {
 		return relay.lookErr
@@ -1200,6 +1217,7 @@ func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte,
 	target := rt.link(class, relay.method.RelayFor)
 
 	fr := rt.newFrame(parent)
+	fr.lane = lane
 	defer rt.releaseFrame(fr)
 
 	args, err := rt.unmarshalIn(fr, argBuf)

@@ -102,8 +102,9 @@ type Options struct {
 	UntrustedHeap heap.Config
 	// HostFS is the untrusted filesystem (defaults to an in-memory FS).
 	HostFS shim.FS
-	// NumTCS bounds concurrent enclave threads (default 32; relay chains
-	// consume one slot per nesting level).
+	// NumTCS bounds concurrent enclave threads (default 64; relay chains
+	// consume one slot per nesting level, and every ring consumer, the
+	// trusted GC helper and each gateway lane holds one for its life).
 	NumTCS int
 	// Signer signs the trusted image (generated when nil).
 	Signer *sgx.Signer
@@ -160,11 +161,12 @@ type World struct {
 
 	// erings/orings are the zero-copy ring groups (nil unless
 	// cfg.Rings), each also held by the runtime that submits into it
-	// (Runtime.rings); teardownLocked closes them. meeBytes counts bytes
-	// charged at MEE copy rate on the frame path — the "copies"
-	// component of the dispatch cycle breakdown.
+	// (Runtime.rings); teardownLocked closes them, and leaves the open
+	// lanes. meeBytes counts bytes charged at MEE copy rate on the frame
+	// path — the "copies" component of the dispatch cycle breakdown.
 	erings   *ring.Group
 	orings   *ring.Group
+	lanes    []*Lane
 	meeBytes atomic.Uint64
 
 	// tel is the optional observability layer (nil when disabled). The
@@ -340,7 +342,7 @@ func newWorld(mode Mode, opts Options) (*World, error) {
 func (w *World) initEnclave(opts Options, tImg *image.Image) error {
 	numTCS := opts.NumTCS
 	if numTCS <= 0 {
-		numTCS = 32
+		numTCS = 64
 	}
 	encl, err := sgx.Create(w.cfg, w.clock, numTCS)
 	if err != nil {
@@ -516,14 +518,15 @@ func (w *World) ExecMain(fn func(env classmodel.Env) error) error {
 // harness used by benchmarks and examples to drive application objects
 // directly. Trusted execution enters the enclave through one ecall.
 func (w *World) Exec(trusted bool, fn func(env classmodel.Env) error) error {
-	return w.ExecSpan(trusted, nil, fn)
+	return w.ExecSpan(trusted, nil, nil, fn)
 }
 
-// ExecSpan is Exec with an inbound trace span attached to the execution
-// frame: proxy calls made by fn become children of sp, so a trace that
-// began on another World (a gateway request, a peer call) continues
-// through this one. A nil sp is exactly Exec.
-func (w *World) ExecSpan(trusted bool, sp *telemetry.Span, fn func(env classmodel.Env) error) error {
+// ExecSpan is Exec with an inbound trace span and a lane attached to the
+// execution frame. Proxy calls made by fn become children of sp, so a
+// trace that began on another World (a gateway request, a peer call)
+// continues through this one, and enter the enclave through the lane
+// (see Lane) when one is given. Nil sp and lane are exactly Exec.
+func (w *World) ExecSpan(trusted bool, sp *telemetry.Span, lane *Lane, fn func(env classmodel.Env) error) error {
 	w.stateMu.RLock()
 	var rt *Runtime
 	if trusted {
@@ -532,12 +535,17 @@ func (w *World) ExecSpan(trusted bool, sp *telemetry.Span, fn func(env classmode
 		rt = w.untrusted
 	}
 	encl := w.enclave
+	closed := lane != nil && lane.leave == nil
 	w.stateMu.RUnlock()
 	if rt == nil {
 		return ErrWrongRuntime
 	}
+	if closed {
+		return ErrLaneClosed
+	}
 	run := func() error {
 		fr := rt.newFrame(sp)
+		fr.lane = lane
 		defer rt.releaseFrame(fr)
 		return fn(fr)
 	}
@@ -650,11 +658,11 @@ func (w *World) sweep(rt *Runtime) error {
 	// batched transition.
 	if w.batching && rt.queue != nil && rt.encl != nil {
 		for _, hash := range dead {
-			if err := rt.queue.Enqueue(boundary.Entry{ID: idGCSweep, Req: w.queuedCall("", gcReleaseMethod, hash, 0)}); err != nil {
+			if err := rt.queue.Enqueue(boundary.Entry{ID: idGCSweep, Req: w.queuedCall("", gcReleaseMethod, hash, 0)}, nil); err != nil {
 				return err
 			}
 		}
-		return rt.queue.Flush()
+		return rt.queue.Flush(nil)
 	}
 	release := func() error {
 		// Registry releases take only shard locks; the dropped mirror
@@ -672,7 +680,7 @@ func (w *World) sweep(rt *Runtime) error {
 	if rt.encl != nil {
 		sp := w.tel.Tracer().StartRoot("gc-sweep " + rt.name)
 		sp.SetBatchSize(len(dead))
-		err := rt.cross(idGCSweep, sp, release)
+		err := rt.cross(idGCSweep, nil, sp, release)
 		sp.Finish(err)
 		return err
 	}
@@ -693,9 +701,10 @@ func (w *World) queuedCall(class, method string, hash int64, argsLen int) []byte
 // batchRun builds rt's queue-flush callback: cross the boundary once
 // with the drained batch and run every call on the opposite runtime in
 // order. Individual call errors are joined — one failing call does not
-// stop the calls after it.
-func (w *World) batchRun(rt *Runtime) func([]boundary.Entry, time.Duration) error {
-	return func(entries []boundary.Entry, waited time.Duration) error {
+// stop the calls after it. A flush caused by a frame on a lane crosses
+// on that lane (cross), never on a ring, and its calls run on it.
+func (w *World) batchRun(rt *Runtime) func([]boundary.Entry, time.Duration, *Lane) error {
+	return func(entries []boundary.Entry, waited time.Duration, lane *Lane) error {
 		to := rt.peer
 		if to == nil {
 			return ErrWrongRuntime
@@ -716,7 +725,7 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry, time.Duration) erro
 		// shared wakeups — adaptive batching without building (and MEE-
 		// copying) a coalesced frame. All-or-nothing: oversized or busy
 		// rings fall through to the frame path.
-		if rt.encl != nil && rt.rings != nil {
+		if rt.encl != nil && rt.rings != nil && lane == nil {
 			if rerr := rt.rings.TryBatch(sp, entries); rt.rode(rerr, len(entries)) {
 				sp.Finish(rerr)
 				return rerr
@@ -743,7 +752,7 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry, time.Duration) erro
 			}
 			var errs []error
 			for c, ok := calls.Next(); ok; c, ok = calls.Next() {
-				_, _, cerr := to.execCall(c, false, nil, sp)
+				_, _, cerr := to.execCall(c, false, nil, sp, lane)
 				errs = append(errs, cerr)
 			}
 			return errors.Join(errs...)
@@ -754,7 +763,7 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry, time.Duration) erro
 			// the MEE like any marshalled argument buffer.
 			w.clock.ChargeBytes(len(frame), simcfg.MEEBytesPerCycle)
 			w.meeBytes.Add(uint64(len(frame)))
-			err = rt.cross(idBatch, sp, invoke)
+			err = rt.cross(idBatch, lane, sp, invoke)
 		} else {
 			err = invoke()
 		}
@@ -769,14 +778,25 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry, time.Duration) erro
 // ringHandler builds the ring consumer callback executing submissions
 // on the receiving runtime rt. req and resp alias the same slot, which
 // is safe because decoding copies every argument into Values before the
-// dispatch runs and the response is encoded only afterwards.
+// dispatch runs and the response is encoded only afterwards. A trusted
+// consumer is resident in the enclave and runs each slot as enclave code
+// (sgx.Enclave.RunResident).
 func (w *World) ringHandler(rt *Runtime) ring.Handler {
-	return func(id int, req, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
+	return func(id int, req, resp []byte, sp *telemetry.Span) (out []byte, overflow bool, err error) {
 		c, flags, err := wire.DecodeSlot(req)
 		if err != nil {
 			return nil, false, err
 		}
-		return rt.execCall(c, flags&wire.CallWantResult != 0, resp, sp)
+		run := func() error {
+			out, overflow, err = rt.execCall(c, flags&wire.CallWantResult != 0, resp, sp, nil)
+			return err
+		}
+		if rt.trusted {
+			err = rt.encl.RunResident(run)
+		} else {
+			err = run()
+		}
+		return out, overflow, err
 	}
 }
 
@@ -800,9 +820,9 @@ func (w *World) flushQueue(rt *Runtime) error {
 	// The trusted runtime's flush calls out (an ocall); from outside the
 	// enclave, enter it first — like spawning one helper scan.
 	if rt.trusted && rt.encl != nil && !rt.encl.InEnclave() {
-		return rt.encl.Ecall(idExec, rt.queue.Flush)
+		return rt.encl.Ecall(idExec, func() error { return rt.queue.Flush(nil) })
 	}
-	return rt.queue.Flush()
+	return rt.queue.Flush(nil)
 }
 
 // Close flushes pending batched calls, stops helpers and ring consumers,
@@ -860,6 +880,7 @@ func (w *World) collectMetrics(reg *telemetry.Registry) {
 	ds := w.DispatchStats()
 	if w.mode == ModePartitioned && !w.killed {
 		reg.Counter("montsalvat_boundary_calls_total", "route", "full").Set(ds.FullCalls)
+		reg.Counter("montsalvat_boundary_calls_total", "route", "resident").Set(ds.SwitchlessCalls)
 		reg.Counter("montsalvat_boundary_calls_total", "route", "ring").Set(ds.RingCalls)
 		reg.Counter("montsalvat_boundary_calls_total", "route", "ring-fallback").Set(ds.RingFallbacks)
 		reg.Counter("montsalvat_boundary_calls_total", "route", "ring-oversize").Set(ds.RingOversize)
