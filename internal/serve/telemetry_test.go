@@ -88,13 +88,18 @@ func TestServeTelemetryCollector(t *testing.T) {
 	if got := snap.Counters[`montsalvat_serve_rejected_total{reason="foreign_ref"}`]; got != 1 {
 		t.Fatalf("foreign_ref rejections = %d, want 1", got)
 	}
-	// The store's constructor and the put were handed to lanes: the only
-	// ecalls are the entries of the default 32 lanes.
-	if got := snap.Counters[`montsalvat_boundary_calls_total{route="resident"}`]; got != 2 {
-		t.Fatalf("resident crossings = %d, want 2", got)
+	// The store's constructor and the put were handed to lanes, and so
+	// were the ocalls they made (the audit log's constructor and its
+	// record): the only ecalls are the entries of the default 32 lanes,
+	// and no call left the enclave.
+	if got := snap.Counters[`montsalvat_boundary_calls_total{route="resident"}`]; got != 4 {
+		t.Fatalf("resident crossings = %d, want 4", got)
 	}
 	if got := snap.Counters["montsalvat_sgx_ecalls_total"]; got != 32 {
 		t.Fatalf("ecalls = %d, want the 32 lane entries", got)
+	}
+	if got := snap.Counters["montsalvat_sgx_ocalls_total"]; got != 0 {
+		t.Fatalf("ocalls = %d, want 0", got)
 	}
 	// All declared reasons stay visible even at zero, so dashboards can
 	// reference them before the first incident.

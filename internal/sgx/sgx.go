@@ -127,8 +127,9 @@ type Stats struct {
 	Ecalls uint64
 	Ocalls uint64
 	// SwitchlessEcalls counts calls handed to an already-resident thread
-	// (Switchless). SwitchlessOcalls is always 0: no ocall is handed off.
-	// benchmark/layers.go still reads it; remove with the next benchmark PR.
+	// (Switchless), SwitchlessOcalls the ocalls handed out of one to the
+	// untrusted thread waiting on it (SwitchlessOcall). Neither counts
+	// in Ecalls/Ocalls or the per-routine maps: no transition happens.
 	SwitchlessEcalls uint64
 	SwitchlessOcalls uint64
 	// EcallsByID and OcallsByID break transitions down per edge routine.
@@ -162,10 +163,11 @@ type Enclave struct {
 
 	tcs chan struct{}
 
-	depth      atomic.Int64 // current nesting of enclave execution
-	ecalls     atomic.Uint64
-	ocalls     atomic.Uint64
-	switchless atomic.Uint64
+	depth            atomic.Int64 // current nesting of enclave execution
+	ecalls           atomic.Uint64
+	ocalls           atomic.Uint64
+	switchlessEcalls atomic.Uint64
+	switchlessOcalls atomic.Uint64
 }
 
 // Create performs ECREATE: a new enclave shell with empty measurement.
@@ -378,8 +380,24 @@ func (e *Enclave) Switchless(fn func() error) error {
 		return err
 	}
 	e.clock.Charge(simcfg.SwitchlessCallCycles)
-	e.switchless.Add(1)
+	e.switchlessEcalls.Add(1)
 	return e.RunResident(fn)
+}
+
+// SwitchlessOcall is Switchless outward: enclave code hands fn to the
+// untrusted thread polling for its result, which runs it for
+// simcfg.SwitchlessCallCycles instead of an exit and re-entry. It keeps
+// Ocall's guards: ErrOcallOutside when no enclave thread is executing.
+func (e *Enclave) SwitchlessOcall(fn func() error) error {
+	if err := e.checkRunnable(); err != nil {
+		return err
+	}
+	if e.depth.Load() == 0 {
+		return ErrOcallOutside
+	}
+	e.clock.Charge(simcfg.SwitchlessCallCycles)
+	e.switchlessOcalls.Add(1)
+	return fn()
 }
 
 // InEnclave reports whether any enclave thread is currently executing.
@@ -435,7 +453,8 @@ func (e *Enclave) Stats() Stats {
 	return Stats{
 		Ecalls:           e.ecalls.Load(),
 		Ocalls:           e.ocalls.Load(),
-		SwitchlessEcalls: e.switchless.Load(),
+		SwitchlessEcalls: e.switchlessEcalls.Load(),
+		SwitchlessOcalls: e.switchlessOcalls.Load(),
 		EcallsByID:       ecallsByID,
 		OcallsByID:       ocallsByID,
 		HeapBytesInUse:   heap,

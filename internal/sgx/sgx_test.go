@@ -274,6 +274,45 @@ func TestSwitchless(t *testing.T) {
 	}
 }
 
+// TestSwitchlessOcall: an ocall handed out to the waiting untrusted
+// thread keeps Ocall's guard — with only an idle resident open, no
+// thread is executing, so it is refused with ErrOcallOutside, runs
+// nothing and charges nothing — and from executing enclave code it
+// charges exactly SwitchlessCallCycles and counts as a switchless ocall
+// rather than an ocall.
+func TestSwitchlessOcall(t *testing.T) {
+	e, clk := initializedEnclave(t, []byte("img"))
+	leave, err := e.EnterResident()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leave()
+	ran := false
+	before, stats := clk.Total(), e.Stats()
+	if err := e.SwitchlessOcall(func() error { ran = true; return nil }); !errors.Is(err, ErrOcallOutside) {
+		t.Fatalf("hand-off out beside an idle resident: %v, want ErrOcallOutside", err)
+	}
+	if got := clk.Total() - before; got != 0 || ran || e.Stats().SwitchlessOcalls != 0 {
+		t.Fatalf("refused hand-off charged %d cycles, ran=%v, counted %d", got, ran, e.Stats().SwitchlessOcalls)
+	}
+	if err := e.RunResident(func() error {
+		before = clk.Total()
+		return e.SwitchlessOcall(func() error { ran = true; return nil })
+	}); err != nil {
+		t.Fatalf("hand-off out from a resident thread: %v", err)
+	}
+	if got := clk.Total() - before; got != simcfg.SwitchlessCallCycles || !ran {
+		t.Fatalf("hand-off out charged %d cycles (ran=%v), want %d", got, ran, simcfg.SwitchlessCallCycles)
+	}
+	if s := e.Stats(); s.SwitchlessOcalls != 1 || s.Ocalls != stats.Ocalls || len(s.OcallsByID) != 0 {
+		t.Fatalf("stats after one hand-off out: %+v", s)
+	}
+	e.Destroy()
+	if err := e.SwitchlessOcall(func() error { return nil }); !errors.Is(err, ErrDestroyed) {
+		t.Fatalf("SwitchlessOcall after Destroy: %v, want ErrDestroyed", err)
+	}
+}
+
 func TestOcallOutsideEnclaveRejected(t *testing.T) {
 	e, _ := initializedEnclave(t, []byte("img"))
 	if err := e.Ocall(1, func() error { return nil }); !errors.Is(err, ErrOcallOutside) {

@@ -27,8 +27,8 @@ type Span struct {
 	Name string `json:"name"`
 	// Dir is the transition direction: "ecall" or "ocall".
 	Dir string `json:"dir,omitempty"`
-	// Route records how the call crossed: "ring", "resident" (handed to
-	// a gateway lane) or "full". A call that found its ring busy or
+	// Route records how the call crossed: "ring", "resident" (handed
+	// across a gateway lane, either way) or "full". A call that found its ring busy or
 	// stopped crosses in full and reads "full"; the ring-fallback route
 	// is counted, not traced.
 	Route string `json:"route,omitempty"`

@@ -9,12 +9,14 @@ import (
 var ErrLaneClosed = errors.New("world: lane closed")
 
 // Lane is an enclave residency a gateway worker takes once and keeps for
-// its lifetime: the in-enclave worker thread of the paper's §7
-// switchless calls. A frame run on a lane (ExecSpan) hands its calls
-// into the enclave to that thread (sgx.Enclave.Switchless) instead of
-// paying a full ecall; nested ocalls, MEE traffic and marshalling are
-// unchanged. Like ring consumers, lanes belong to the generation: Kill
-// releases their TCS slots and Restart re-enters every open lane.
+// its lifetime: the two-way mailbox of the paper's §7 switchless calls.
+// A frame run on a lane (ExecSpan) hands its calls into the enclave to
+// that in-enclave thread (sgx.Enclave.Switchless) instead of paying a
+// full ecall, and the ocalls they make to the worker, which polls for
+// the result meanwhile (sgx.Enclave.SwitchlessOcall), instead of a full
+// exit; MEE traffic and marshalling are unchanged. Like ring consumers,
+// lanes belong to the generation: Kill releases their TCS slots and
+// Restart re-enters every open lane.
 type Lane struct {
 	w *World
 	// leave releases the residency in the current generation; nil while

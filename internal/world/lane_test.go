@@ -20,9 +20,10 @@ import (
 // TestLaneCrossingCost runs one op stream through plain World.Exec and
 // on a lane, with batching off and on: each crossing into the enclave —
 // a call, or a batch flush the lane frame causes — costs exactly
-// EcallCycles − SwitchlessCallCycles less on the lane, is a hand-off
-// rather than an ecall, and everything else the ledger counts — ocalls,
-// MEE bytes, paging, the calls batched — is the same.
+// EcallCycles − SwitchlessCallCycles less on the lane, each nested
+// ocall exactly OcallCycles − SwitchlessCallCycles less, both are
+// hand-offs rather than transitions, and everything else the ledger
+// counts — MEE bytes, paging, the calls batched — is the same.
 func TestLaneCrossingCost(t *testing.T) {
 	for _, batching := range []bool{false, true} {
 		t.Run(map[bool]string{false: "unbatched", true: "batched"}[batching], func(t *testing.T) {
@@ -50,40 +51,54 @@ func testLaneCrossingCost(t *testing.T, batching bool) {
 			}
 			lane = lanes[0]
 		}
-		before, ds := ledgerOf(w), w.DispatchStats()
-		if err := sizedPutGet(w, 2, lane); err != nil {
-			t.Fatal(err)
-		}
-		after, da := ledgerOf(w), w.DispatchStats()
-		return ledger{
-				Cycles: after.Cycles - before.Cycles, Ecalls: after.Ecalls - before.Ecalls,
-				Switchless: after.Switchless - before.Switchless, Ocalls: after.Ocalls - before.Ocalls,
-				PageFaults: after.PageFaults - before.PageFaults, MEECopiedBytes: after.MEECopiedBytes - before.MEECopiedBytes,
-			}, world.DispatchStats{
-				FullCalls: da.FullCalls - ds.FullCalls, SwitchlessCalls: da.SwitchlessCalls - ds.SwitchlessCalls,
-				BatchedCalls: da.BatchedCalls - ds.BatchedCalls,
-			}
+		return laneDelta(t, w, func() error { return sizedPutGet(w, 2, lane) })
 	}
 	plain, plainRoutes := run(false)
 	onLane, laneRoutes := run(true)
-	// Full crossings go both ways; only those into the enclave ride a
-	// lane, the nested ocalls cross as before.
-	crossings := plain.Ecalls
-	if crossings == 0 || plainRoutes.FullCalls != crossings+plain.Ocalls || plainRoutes.SwitchlessCalls != 0 {
+	// Full crossings go both ways, and on a lane both ways are handed
+	// off: the crossings into the enclave and the ocalls nested in them.
+	in, out := plain.Ecalls, plain.Ocalls
+	if in == 0 || out == 0 || plainRoutes.FullCalls != in+out || plainRoutes.SwitchlessCalls != 0 {
 		t.Fatalf("plain stream: routes %+v, ledger %+v", plainRoutes, plain)
 	}
-	if laneRoutes.SwitchlessCalls != crossings || laneRoutes.FullCalls != onLane.Ocalls || onLane.Ecalls != 0 || onLane.Switchless != crossings {
-		t.Fatalf("lane stream: routes %+v, ledger %+v; want all %d ecalls handed off", laneRoutes, onLane, crossings)
+	if laneRoutes.SwitchlessCalls != in+out || laneRoutes.FullCalls != 0 || onLane.Ecalls != 0 || onLane.Ocalls != 0 ||
+		onLane.SwitchlessEcalls != in || onLane.SwitchlessOcalls != out {
+		t.Fatalf("lane stream: routes %+v, ledger %+v; want all %d ecalls and %d ocalls handed off", laneRoutes, onLane, in, out)
 	}
 	if batching && (plainRoutes.BatchedCalls == 0 || laneRoutes.BatchedCalls != plainRoutes.BatchedCalls) {
 		t.Fatalf("batched calls: %d plain, %d on the lane; want the same, above 0", plainRoutes.BatchedCalls, laneRoutes.BatchedCalls)
 	}
-	saved := int64(crossings) * (simcfg.EcallCycles - simcfg.SwitchlessCallCycles)
+	saved := int64(in)*(simcfg.EcallCycles-simcfg.SwitchlessCallCycles) + int64(out)*(simcfg.OcallCycles-simcfg.SwitchlessCallCycles)
 	if d := plain.Cycles - onLane.Cycles; d != saved {
-		t.Fatalf("lane saves %d cycles over %d crossings, want exactly %d", d, crossings, saved)
+		t.Fatalf("lane saves %d cycles over %d crossings in and %d out, want exactly %d", d, in, out, saved)
 	}
-	onLane.Cycles, onLane.Ecalls, onLane.Switchless = plain.Cycles, plain.Ecalls, plain.Switchless
+	onLane.Cycles, onLane.Ecalls, onLane.SwitchlessEcalls = plain.Cycles, plain.Ecalls, plain.SwitchlessEcalls
+	onLane.Ocalls, onLane.SwitchlessOcalls = plain.Ocalls, plain.SwitchlessOcalls
 	checkLedger(t, onLane, plain)
+}
+
+// laneDelta runs fn on w and returns what it charged: the ledger fields
+// and the routes the lane tests compare.
+func laneDelta(t *testing.T, w *world.World, fn func() error) (ledger, world.DispatchStats) {
+	t.Helper()
+	before, ds := ledgerOf(w), w.DispatchStats()
+	if err := fn(); err != nil {
+		t.Fatal(err)
+	}
+	after, da := ledgerOf(w), w.DispatchStats()
+	return ledger{
+			Cycles:           after.Cycles - before.Cycles,
+			Ecalls:           after.Ecalls - before.Ecalls,
+			SwitchlessEcalls: after.SwitchlessEcalls - before.SwitchlessEcalls,
+			Ocalls:           after.Ocalls - before.Ocalls,
+			SwitchlessOcalls: after.SwitchlessOcalls - before.SwitchlessOcalls,
+			PageFaults:       after.PageFaults - before.PageFaults,
+			MEECopiedBytes:   after.MEECopiedBytes - before.MEECopiedBytes,
+		}, world.DispatchStats{
+			FullCalls:       da.FullCalls - ds.FullCalls,
+			SwitchlessCalls: da.SwitchlessCalls - ds.SwitchlessCalls,
+			BatchedCalls:    da.BatchedCalls - ds.BatchedCalls,
+		}
 }
 
 // TestLanesKeepOcallGuard: an open lane — or an idle ring consumer —
@@ -125,6 +140,52 @@ func TestLanesKeepOcallGuard(t *testing.T) {
 	}
 	if got := e.Stats().Ecalls - before; got != 1 {
 		t.Fatalf("World.Flush made %d ecalls with lanes open, want the 1 that enters", got)
+	}
+}
+
+// TestLanelessOcallsStayFull: with lanes open, trusted Exec's frame
+// carries no lane, so its ocalls still exit the enclave in full: every
+// one counts in Ocalls, none is handed off, and the ledger is that of a
+// world without lanes. The same run handed to a lane crosses neither
+// way in full.
+func TestLanelessOcallsStayFull(t *testing.T) {
+	audit := func(env classmodel.Env) error {
+		log, err := env.New(demo.KVAuditLog)
+		if err == nil {
+			_, err = env.Call(log, "record", wire.Str("k"))
+		}
+		return err
+	}
+	run := func(lanes int, onLane bool) (ledger, world.DispatchStats) {
+		w := goldenWorld(t, 16, heap.Config{InitialSemi: 1 << 20, MaxSemi: 256 << 20})
+		open, err := w.OpenLanes(lanes)
+		if err != nil || len(open) != lanes {
+			t.Fatalf("OpenLanes(%d) = %d lanes, %v", lanes, len(open), err)
+		}
+		var lane *world.Lane
+		if onLane {
+			lane = open[0]
+		}
+		return laneDelta(t, w, func() error { return w.ExecSpan(true, nil, lane, audit) })
+	}
+	plain, plainRoutes := run(0, false)
+	offLane, offLaneRoutes := run(2, false)
+	if plain.Ecalls != 1 || plain.Ocalls != 2 || plain.SwitchlessOcalls != 0 || plainRoutes.FullCalls != 2 {
+		t.Fatalf("trusted Exec: routes %+v, ledger %+v; want 1 ecall, 2 full ocalls", plainRoutes, plain)
+	}
+	if offLaneRoutes != plainRoutes {
+		t.Fatalf("trusted Exec beside open lanes: routes %+v, want %+v", offLaneRoutes, plainRoutes)
+	}
+	checkLedger(t, offLane, plain)
+
+	onLane, laneRoutes := run(2, true)
+	if onLane.Ecalls != 0 || onLane.Ocalls != 0 || onLane.SwitchlessEcalls != 1 || onLane.SwitchlessOcalls != 2 ||
+		laneRoutes.FullCalls != 0 || laneRoutes.SwitchlessCalls != 2 {
+		t.Fatalf("trusted ExecSpan on a lane: routes %+v, ledger %+v; want 1 hand-off in, 2 out", laneRoutes, onLane)
+	}
+	saved := int64(simcfg.EcallCycles - simcfg.SwitchlessCallCycles + 2*(simcfg.OcallCycles-simcfg.SwitchlessCallCycles))
+	if d := plain.Cycles - onLane.Cycles; d != saved {
+		t.Fatalf("the lane saves %d cycles, want exactly %d", d, saved)
 	}
 }
 
@@ -191,7 +252,8 @@ func relayChainProgram(t *testing.T, entered chan<- struct{}, release <-chan str
 // spare TCS slot free, a call on a lane whose trusted code ocalls and is
 // called back into the enclave twice (ocall→ecall→ocall→ecall) finishes:
 // the re-entries are handed to the same lane and take no slot, where two
-// nested ecalls would wait for a second free slot forever.
+// nested ecalls would wait for a second free slot forever, and the
+// ocalls are handed to the lane's worker.
 func TestLaneRelayChainNeedsNoSlot(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	opts := world.DefaultOptions()
@@ -244,13 +306,17 @@ func TestLaneRelayChainNeedsNoSlot(t *testing.T) {
 		t.Fatal("a relay chain on a lane waited for a TCS slot")
 	}
 	// Gate's ctor and in(2), then per hop Up's ctor and out ocalled and
-	// Gate's ctor and in called back: 6 hand-offs, 4 ocalls, no ecall.
+	// Gate's ctor and in called back: 6 hand-offs in, 4 out, no ecall
+	// and no ocall.
 	after := w.Enclave().Stats()
 	if d := after.SwitchlessEcalls - before.SwitchlessEcalls; d != 6 {
-		t.Errorf("%d hand-offs, want 6", d)
+		t.Errorf("%d hand-offs in, want 6", d)
 	}
-	if d := after.Ocalls - before.Ocalls; d != 4 {
-		t.Errorf("%d ocalls, want 4", d)
+	if d := after.SwitchlessOcalls - before.SwitchlessOcalls; d != 4 {
+		t.Errorf("%d hand-offs out, want 4", d)
+	}
+	if d := after.Ocalls - before.Ocalls; d != 0 {
+		t.Errorf("%d ocalls, want 0", d)
 	}
 	if d := after.Ecalls - before.Ecalls; d != 0 {
 		t.Errorf("%d ecalls, want 0", d)

@@ -66,7 +66,7 @@ func (w *World) RenderTransitionReport() string {
 type DispatchStats struct {
 	// FullCalls is the number of calls routed through full transitions.
 	FullCalls uint64
-	// SwitchlessCalls were handed to a lane's resident thread (Lane).
+	// SwitchlessCalls were handed across on a lane (Lane), either way.
 	// FallbackCalls is always 0 (the mailbox route is gone), but
 	// benchmark/layers.go reads it; remove with the next benchmark PR.
 	SwitchlessCalls uint64

@@ -969,8 +969,8 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 	// (zero intermediate copies, in-place crypto) with the opened
 	// response decoded in place. Oversized, busy or ring-less calls fall
 	// through to the frame path below; never waiting for a ring keeps
-	// nested relay chains deadlock-free. A frame on a lane has its own
-	// resident thread and hands the call to it instead (cross).
+	// nested relay chains deadlock-free. A frame on a lane hands the
+	// call across on the lane instead (cross), in either direction.
 	if rt.encl != nil && rt.rings != nil && fr.lane == nil {
 		argsLen := wire.SizeValues(args)
 		need := 1 + wire.CallSize(class, relayName, hash, argsLen)
@@ -1067,9 +1067,9 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 // flush and the GC sweep are their callers.
 
 // cross runs fn on the opposite runtime and decides what crossing costs:
-// a call into the enclave from a frame on a lane is handed to the lane's
-// resident thread (sgx.Enclave.Switchless, the "resident" route); any
-// other is a full transition, an ecall or an ocall charging
+// from a frame on a lane, a hand-off to the lane's resident thread
+// (sgx.Enclave.Switchless) or, outward, to its polling worker
+// (SwitchlessOcall), the "resident" route; else a full ecall or ocall at
 // simcfg.Config.TransitionCycles. sp (nil when unsampled) receives the
 // direction, routine id, route and the cycles fn charged on the far
 // side; the caller owns Finish.
@@ -1096,10 +1096,14 @@ func (rt *Runtime) cross(id int, lane *Lane, sp *telemetry.Span, fn func() error
 	}
 	var err error
 	switch {
-	case in && lane != nil:
+	case lane != nil:
 		sp.SetRoute("resident")
 		rt.laneCalls.Add(1)
-		err = rt.encl.Switchless(fn)
+		if in {
+			err = rt.encl.Switchless(fn)
+		} else {
+			err = rt.encl.SwitchlessOcall(fn)
+		}
 	case in:
 		rt.fullCalls.Add(1)
 		err = rt.encl.Ecall(id, fn)
