@@ -21,12 +21,14 @@ build:
 # cached sealing cipher in sgx are reused across goroutines; a
 # channel's two directions run on two goroutines, and handle namespaces
 # are shared by a session's in-flight requests; DirFS shares one table
-# of open file handles). The lane ledgers are re-run on 4 Ps, three
-# times, to show they repeat under real parallelism.
+# of open file handles). The lane ledgers, the gateway's and the
+# recovery passes', are re-run on 4 Ps, three times, to show they
+# repeat under real parallelism.
 test:
 	$(GO) test ./...
 	$(GO) vet ./...
 	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestCycleLedgerGolden|TestLane' ./internal/world
+	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestRecovery' ./internal/persist
 	$(GO) test -race ./internal/channel/... ./internal/registry/... ./internal/wire/... ./internal/boundary/... ./internal/mee/... ./internal/epc/... ./internal/heap/... ./internal/isolate/... ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/serve/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/... ./internal/shim/...
 
 race:

@@ -69,8 +69,12 @@ func (k *WorldKV) Name() string { return k.name }
 // ref the untrusted side holds names the mirror in the enclave. The
 // world's batch queues are flushed first: a store whose constructor
 // relay is still queued has no mirror yet, and queued puts must land
-// before a snapshot reads the store.
-func (k *WorldKV) pass(fn func(env classmodel.Env, ref wire.Value) error) error {
+// before a snapshot reads the store. A pass that drives put (puts)
+// runs on a lane of its own when the TCS budget grants one: it enters
+// by the lane's hand-off and serves each put's audit ocall itself,
+// instead of paying a full transition per put (world.Lane). Without a
+// lane it crosses in full.
+func (k *WorldKV) pass(puts bool, fn func(env classmodel.Env, ref wire.Value) error) error {
 	k.mu.Lock()
 	ref := k.ref
 	k.mu.Unlock()
@@ -80,7 +84,14 @@ func (k *WorldKV) pass(fn func(env classmodel.Env, ref wire.Value) error) error 
 	if err := k.w.Flush(); err != nil {
 		return err
 	}
-	return k.w.Exec(k.w.Mode() != world.ModeNoSGX, func(env classmodel.Env) error {
+	var lane *world.Lane
+	if puts {
+		if lanes, err := k.w.OpenLanes(1); err == nil && len(lanes) == 1 {
+			lane = lanes[0]
+			defer lane.Close()
+		}
+	}
+	return k.w.ExecSpan(k.w.Mode() != world.ModeNoSGX, nil, lane, func(env classmodel.Env) error {
 		return fn(env, ref)
 	})
 }
@@ -89,7 +100,7 @@ func (k *WorldKV) pass(fn func(env classmodel.Env, ref wire.Value) error) error 
 // Entry on the store's entries list.
 func (k *WorldKV) Snapshot() ([]byte, error) {
 	var pairs []kvPair
-	err := k.pass(func(env classmodel.Env, ref wire.Value) error {
+	err := k.pass(false, func(env classmodel.Env, ref wire.Value) error {
 		entries, err := env.GetField(ref, "entries")
 		if err != nil {
 			return err
@@ -126,13 +137,14 @@ func (k *WorldKV) Snapshot() ([]byte, error) {
 }
 
 // Restore implements State: one pass writes the snapshot's pairs into
-// the (freshly re-created, empty) store through put.
+// the (freshly re-created, empty) store through put. A snapshot with
+// no pairs makes no pass.
 func (k *WorldKV) Restore(data []byte) error {
 	pairs, err := decodePairs(data)
-	if err != nil {
+	if err != nil || len(pairs) == 0 {
 		return err
 	}
-	err = k.pass(func(env classmodel.Env, ref wire.Value) error {
+	err = k.pass(true, func(env classmodel.Env, ref wire.Value) error {
 		for _, p := range pairs {
 			if _, err := env.Call(ref, "put", wire.Str(p.key), wire.Str(string(p.val))); err != nil {
 				return err
@@ -156,7 +168,7 @@ func (k *WorldKV) Apply(recs []Record) error {
 			return fmt.Errorf("%w: op %d on world kv", ErrRecordMalformed, rec.Op)
 		}
 	}
-	return k.pass(func(env classmodel.Env, ref wire.Value) error {
+	return k.pass(true, func(env classmodel.Env, ref wire.Value) error {
 		for _, rec := range recs {
 			if _, err := env.Call(ref, "put", wire.Str(rec.Key), wire.Str(string(rec.Value))); err != nil {
 				return fmt.Errorf("persist: replay %s put %q: %w", k.name, rec.Key, err)

@@ -331,31 +331,32 @@ func tailSegments(t *testing.T, m *Manager) int {
 	return n
 }
 
-// TestRecoveryCrossings pins what recovering an enclave-resident store
-// costs in transitions: restore, replay and the recovery checkpoint are
-// each one trusted pass — one ecall for the restore, one per WAL
-// segment for the replay, one for the checkpoint snapshot — however
-// many keys they carry. The only other crossings are the audit ocalls
-// every KVStore.put makes, one per restored key and per replayed
-// record.
-func TestRecoveryCrossings(t *testing.T) {
-	const checkpointed, tail = 40, 24
-	f := newRecoveryFixture(t)
+// The recovery tests' stream: C checkpointed puts, then R tail puts,
+// which fill S = 4 WAL segments of 512 bytes.
+const recoveryC, recoveryR = 40, 24
+
+// crash lays the recovery tests' op stream on a fresh fixture: boot
+// and recover an empty root, C puts, a checkpoint, R puts over several
+// WAL segments (every other one overwriting a checkpointed key), then
+// Kill and Restart. It returns a manager and an empty store booted in
+// the new enclave, not yet recovered, the contents recovery must
+// rebuild, and the number of tail segments.
+func (f *recoveryFixture) crash() (*Manager, wire.Value, map[string]string, int) {
+	f.t.Helper()
 	m, ref := f.boot()
 	if _, err := m.Recover(); err != nil {
-		t.Fatal(err)
+		f.t.Fatal(err)
 	}
 	want := map[string]string{}
-	for i := 0; i < checkpointed; i++ {
+	for i := 0; i < recoveryC; i++ {
 		k, v := fmt.Sprintf("key-%03d", i), fmt.Sprintf("v0-%03d", i)
 		f.put(m, ref, k, v)
 		want[k] = v
 	}
 	if err := m.Checkpoint(); err != nil {
-		t.Fatal(err)
+		f.t.Fatal(err)
 	}
-	for i := 0; i < tail; i++ {
-		// Every other tail record overwrites a checkpointed key.
+	for i := 0; i < recoveryR; i++ {
 		k, v := fmt.Sprintf("key-%03d", i*3), fmt.Sprintf("v1-%03d", i)
 		if i%2 == 1 {
 			k = fmt.Sprintf("new-%03d", i)
@@ -363,35 +364,159 @@ func TestRecoveryCrossings(t *testing.T) {
 		f.put(m, ref, k, v)
 		want[k] = v
 	}
-	segs := tailSegments(t, m)
-	if segs < 2 || segs >= tail {
-		t.Fatalf("fixture laid the %d tail records over %d segments; want several records in each of several segments", tail, segs)
+	segs := tailSegments(f.t, m)
+	if segs < 2 || segs >= recoveryR {
+		f.t.Fatalf("fixture laid the %d tail records over %d segments; want several records in each of several segments", recoveryR, segs)
 	}
-
 	f.w.Kill()
 	if err := f.w.Restart(); err != nil {
-		t.Fatal(err)
+		f.t.Fatal(err)
 	}
 	m2, ref2 := f.boot()
-	before := f.w.Enclave().Stats()
-	rep, err := m2.Recover()
+	return m2, ref2, want, segs
+}
+
+// recoveryLedger is what the simulated platform charged and counted
+// over one Recover: the fields of the world package's cycle-ledger
+// golden that a recovery moves.
+type recoveryLedger struct {
+	Cycles           int64
+	Ecalls           uint64
+	SwitchlessEcalls uint64
+	Ocalls           uint64
+	SwitchlessOcalls uint64
+	PageFaults       uint64
+	MEECopiedBytes   uint64
+}
+
+func (f *recoveryFixture) ledger() recoveryLedger {
+	es := f.w.Enclave().Stats()
+	return recoveryLedger{
+		Cycles:           f.w.Clock().Total(),
+		Ecalls:           es.Ecalls,
+		SwitchlessEcalls: es.SwitchlessEcalls,
+		Ocalls:           es.Ocalls,
+		SwitchlessOcalls: es.SwitchlessOcalls,
+		PageFaults:       es.Residency.PageFaults,
+		MEECopiedBytes:   f.w.DispatchStats().MEECopiedBytes,
+	}
+}
+
+// recover runs m.Recover, checks that it replayed the R tail records,
+// rebuilt want into ref and gave back every TCS slot it took, and
+// returns what it charged.
+func (f *recoveryFixture) recover(m *Manager, ref wire.Value, want map[string]string) recoveryLedger {
+	f.t.Helper()
+	inUse := f.w.Enclave().TCSInUse()
+	before := f.ledger()
+	rep, err := m.Recover()
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	after := f.ledger()
+	if got := f.w.Enclave().TCSInUse(); got != inUse {
+		f.t.Errorf("recovery left %d TCS slots in use, want %d: a pass kept its lane", got, inUse)
+	}
+	if rep.ReplayedRecords != recoveryR {
+		f.t.Fatalf("replayed %d records, want %d", rep.ReplayedRecords, recoveryR)
+	}
+	for k, v := range want {
+		if got := kvGet(f.t, f.w, ref, k); got != v {
+			f.t.Errorf("recovered %q = %q, want %q", k, got, v)
+		}
+	}
+	return recoveryLedger{
+		Cycles:           after.Cycles - before.Cycles,
+		Ecalls:           after.Ecalls - before.Ecalls,
+		SwitchlessEcalls: after.SwitchlessEcalls - before.SwitchlessEcalls,
+		Ocalls:           after.Ocalls - before.Ocalls,
+		SwitchlessOcalls: after.SwitchlessOcalls - before.SwitchlessOcalls,
+		PageFaults:       after.PageFaults - before.PageFaults,
+		MEECopiedBytes:   after.MEECopiedBytes - before.MEECopiedBytes,
+	}
+}
+
+// TestRecoveryCrossings pins what recovering an enclave-resident store
+// costs in transitions: restore, replay and the recovery checkpoint are
+// each one trusted pass — the restore, one per WAL segment for the
+// replay, the checkpoint snapshot — however many keys they carry. The
+// restore and replay passes drive put, so each runs on a lane of its
+// own: one entry when the lane opens and one hand-off in, and the
+// audit ocall every KVStore.put makes, one per restored key and per
+// replayed record, is handed out to the recovering goroutine. The
+// snapshot makes no ocall and takes one full ecall. This test pins
+// the lane mechanism itself: with it gone, the C + R audit ocalls
+// cross in full again.
+func TestRecoveryCrossings(t *testing.T) {
+	f := newRecoveryFixture(t)
+	m, ref, want, segs := f.crash()
+	got := f.recover(m, ref, want)
+	passes := uint64(1 + segs)
+	if wantEcalls := passes + 1; got.Ecalls != wantEcalls {
+		t.Errorf("recovery made %d ecalls, want %d (restore + %d segments + checkpoint)", got.Ecalls, wantEcalls, segs)
+	}
+	if got.SwitchlessEcalls != passes {
+		t.Errorf("recovery made %d lane hand-offs in, want %d (restore + %d segments)", got.SwitchlessEcalls, passes, segs)
+	}
+	if got.Ocalls != 0 {
+		t.Errorf("recovery made %d full ocalls, want 0", got.Ocalls)
+	}
+	if want := uint64(recoveryC + recoveryR); got.SwitchlessOcalls != want {
+		t.Errorf("recovery handed %d ocalls out, want %d (one audit ocall per restored key and replayed record)", got.SwitchlessOcalls, want)
+	}
+}
+
+// recoveryFullLedger is the recovery stream's ledger with every pass
+// crossing in full: 1 + S + 1 ecalls and C + R audit ocalls.
+var recoveryFullLedger = recoveryLedger{Cycles: 912448, Ecalls: 6, Ocalls: 64, PageFaults: 2, MEECopiedBytes: 961}
+
+// TestRecoveryLedgerGolden pins the whole recovery ledger. Beside
+// recoveryFullLedger it is the lanes' before/after table: the C + R
+// audit ocalls are each 7,400 cycles cheaper handed out, each of the
+// 1 + S put passes pays a 1,200-cycle hand-off on top of its lane's
+// entry, and nothing else moves.
+func TestRecoveryLedgerGolden(t *testing.T) {
+	f := newRecoveryFixture(t)
+	m, ref, want, _ := f.crash()
+	got := f.recover(m, ref, want)
+	// 912,448 − 64 × 7,400 + 5 × 1,200.
+	wantLedger := recoveryLedger{Cycles: 444848, Ecalls: 6, SwitchlessEcalls: 5, SwitchlessOcalls: 64, PageFaults: 2, MEECopiedBytes: 961}
+	if got != wantLedger {
+		t.Errorf("recovery ledger moved:\n got  %#v\n want %#v", got, wantLedger)
+	}
+}
+
+// TestRecoveryWithoutLane recovers in a world whose open lanes already
+// hold every TCS slot the budget grants, as a gateway's workers do:
+// the passes get no lane and cross in full, exactly as before lanes.
+func TestRecoveryWithoutLane(t *testing.T) {
+	f := newRecoveryFixture(t)
+	m, ref, want, _ := f.crash()
+	lanes, err := f.w.OpenLanes(f.w.Enclave().TCSCap())
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := f.w.Enclave().Stats()
-	if rep.ReplayedRecords != tail {
-		t.Fatalf("replayed %d records, want %d", rep.ReplayedRecords, tail)
+	if len(lanes) == 0 {
+		t.Fatal("the TCS budget granted no lane to take")
 	}
-	if got, wantEcalls := after.Ecalls-before.Ecalls, uint64(1+segs+1); got != wantEcalls {
-		t.Errorf("recovery made %d ecalls, want %d (restore + %d segments + checkpoint)", got, wantEcalls, segs)
+	if got := f.recover(m, ref, want); got != recoveryFullLedger {
+		t.Errorf("laneless recovery ledger moved:\n got  %#v\n want %#v", got, recoveryFullLedger)
 	}
-	if got, wantOcalls := after.Ocalls-before.Ocalls, uint64(checkpointed+tail); got != wantOcalls {
-		t.Errorf("recovery made %d ocalls, want %d (one audit ocall per restored key and replayed record)", got, wantOcalls)
+}
+
+// TestRecoveryEmptyRestore pins that restoring a checkpoint with no
+// pairs — a fresh replica's boot checkpoint — makes no pass: no flush,
+// no crossing, no cycle.
+func TestRecoveryEmptyRestore(t *testing.T) {
+	f := newRecoveryFixture(t)
+	kv := NewWorldKV("kv", f.w)
+	kv.SetRef(newKVStore(t, f.w))
+	before := f.ledger()
+	if err := kv.Restore(encodePairs(nil)); err != nil {
+		t.Fatal(err)
 	}
-	for k, v := range want {
-		if got := kvGet(t, f.w, ref2, k); got != v {
-			t.Errorf("recovered %q = %q, want %q", k, got, v)
-		}
+	if after := f.ledger(); after != before {
+		t.Errorf("empty restore charged:\n before %#v\n after  %#v", before, after)
 	}
 }
 

@@ -28,7 +28,8 @@ type Lane struct {
 // ring consumers' slots, the trusted GC helper's and a spare one — for
 // sweeps, session teardown, recovery and trusted Exec — are never taken.
 // It holds the world's state lock while it waits for the slots, so it
-// belongs at set-up, as in serve.New. ErrWrongRuntime when the world is
+// belongs at set-up, as in serve.New and in persist's recovery passes,
+// which run before the store serves. ErrWrongRuntime when the world is
 // not a live partitioned one.
 func (w *World) OpenLanes(n int) ([]*Lane, error) {
 	w.stateMu.Lock()
