@@ -22,13 +22,15 @@ build:
 # channel's two directions run on two goroutines, and handle namespaces
 # are shared by a session's in-flight requests; DirFS shares one table
 # of open file handles). The lane ledgers, the gateway's and the
-# recovery passes', are re-run on 4 Ps, three times, to show they
-# repeat under real parallelism.
+# recovery passes', and the gateway's lifecycle gate (Shutdown and
+# Recover drains against typed refusals) are re-run on 4 Ps, three
+# times, to show they repeat under real parallelism.
 test:
 	$(GO) test ./...
 	$(GO) vet ./...
 	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestCycleLedgerGolden|TestLane' ./internal/world
 	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestRecovery' ./internal/persist
+	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestGatewayLifecycleGate|TestServeDrain|TestGateway|TestRecoverReentersLanes' ./internal/serve
 	$(GO) test -race ./internal/channel/... ./internal/registry/... ./internal/wire/... ./internal/boundary/... ./internal/mee/... ./internal/epc/... ./internal/heap/... ./internal/isolate/... ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/serve/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/... ./internal/shim/...
 
 race:

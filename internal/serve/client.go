@@ -251,12 +251,17 @@ func (c *Client) call(req request, timeout time.Duration) (wire.Value, error) {
 // New instantiates a served class and returns the session-scoped handle.
 func (c *Client) New(class string, args ...wire.Value) (Handle, error) {
 	v, err := c.call(request{op: opNew, class: class, args: args}, 0)
+	return returnedHandle(opNew, v, err)
+}
+
+// returnedHandle reads the handle a new or bind request returned.
+func returnedHandle(op string, v wire.Value, err error) (Handle, error) {
 	if err != nil {
 		return Handle{}, err
 	}
 	h, ok := AsHandle(v)
 	if !ok {
-		return Handle{}, fmt.Errorf("%w: new returned %v", ErrBadRequest, v.Kind())
+		return Handle{}, fmt.Errorf("%w: %s returned %v", ErrBadRequest, op, v.Kind())
 	}
 	return h, nil
 }
@@ -288,14 +293,7 @@ func (c *Client) CallCtx(sc telemetry.SpanContext, timeout time.Duration, h Hand
 // recovered objects are reachable only by their exported names.
 func (c *Client) Bind(name string) (Handle, error) {
 	v, err := c.call(request{op: opBind, class: name}, 0)
-	if err != nil {
-		return Handle{}, err
-	}
-	h, ok := AsHandle(v)
-	if !ok {
-		return Handle{}, fmt.Errorf("%w: bind returned %v", ErrBadRequest, v.Kind())
-	}
-	return h, nil
+	return returnedHandle(opBind, v, err)
 }
 
 // Release drops a handle; the server unpins the object so the next GC

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"montsalvat/internal/channel"
@@ -119,9 +120,9 @@ func (e *WrongShardError) Error() string {
 // Unwrap makes errors.Is(err, ErrWrongShard) hold for the typed form.
 func (e *WrongShardError) Unwrap() error { return ErrWrongShard }
 
-// wrongShardMessage is the wire message for a wrong-shard rejection;
+// message is the wire message for a wrong-shard rejection;
 // parseWrongShard rebuilds the typed error client-side.
-func wrongShardMessage(e *WrongShardError) string {
+func (e *WrongShardError) message() string {
 	return fmt.Sprintf("owner=%d epoch=%d", e.Owner, e.Epoch)
 }
 
@@ -131,7 +132,7 @@ func wrongShardMessage(e *WrongShardError) string {
 func errMessage(err error) string {
 	var ws *WrongShardError
 	if errors.As(err, &ws) {
-		return wrongShardMessage(ws)
+		return ws.message()
 	}
 	return err.Error()
 }
@@ -146,19 +147,21 @@ func parseWrongShard(message string) error {
 	return &e
 }
 
-// rejections pairs each rejection status with its sentinel.
+// rejections pairs each rejection status with its sentinel and the
+// gateway counter a rejection for it moves (nil: none).
 var rejections = []struct {
-	status string
-	err    error
+	status  string
+	err     error
+	counter func(*Server) *atomic.Uint64
 }{
-	{statusOverloaded, ErrOverloaded},
-	{statusDraining, ErrDraining},
-	{statusRecovering, ErrRecovering},
-	{statusDeadline, ErrDeadline},
-	{statusForeignRef, ErrForeignRef},
-	{statusBadRequest, ErrBadRequest},
-	{statusSession, ErrSessionLimit},
-	{statusWrongShard, ErrWrongShard},
+	{statusOverloaded, ErrOverloaded, func(s *Server) *atomic.Uint64 { return &s.rejOverload }},
+	{statusDraining, ErrDraining, func(s *Server) *atomic.Uint64 { return &s.rejDraining }},
+	{statusRecovering, ErrRecovering, func(s *Server) *atomic.Uint64 { return &s.rejRecovering }},
+	{statusDeadline, ErrDeadline, func(s *Server) *atomic.Uint64 { return &s.rejDeadline }},
+	{statusForeignRef, ErrForeignRef, func(s *Server) *atomic.Uint64 { return &s.rejForeign }},
+	{statusBadRequest, ErrBadRequest, nil},
+	{statusSession, ErrSessionLimit, func(s *Server) *atomic.Uint64 { return &s.rejSession }},
+	{statusWrongShard, ErrWrongShard, func(s *Server) *atomic.Uint64 { return &s.rejWrongShard }},
 }
 
 // statusErr maps a rejection status to its sentinel; nil for any other.
@@ -171,13 +174,19 @@ func statusErr(status string) error {
 	return nil
 }
 
-// errStatus maps a server-side execution error to its wire status.
-func errStatus(err error) string {
+// countReject counts a request or handshake turned away with err — as
+// an application error when err is no rejection — and returns the wire
+// status err travels as.
+func (srv *Server) countReject(err error) string {
 	for _, r := range rejections {
 		if errors.Is(err, r.err) {
+			if r.counter != nil {
+				r.counter(srv).Add(1)
+			}
 			return r.status
 		}
 	}
+	srv.appErrors.Add(1)
 	return statusAppError
 }
 

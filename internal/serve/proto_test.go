@@ -73,9 +73,9 @@ func TestResponseStatusMapping(t *testing.T) {
 		if got := resp.err(); !errors.Is(got, tc.want) {
 			t.Fatalf("%s: err = %v, want %v", tc.status, got, tc.want)
 		}
-		// errStatus is the inverse map.
-		if got := errStatus(tc.want); got != tc.status {
-			t.Fatalf("errStatus(%v) = %s, want %s", tc.want, got, tc.status)
+		// countReject is the inverse map.
+		if got := new(Server).countReject(tc.want); got != tc.status {
+			t.Fatalf("countReject(%v) = %s, want %s", tc.want, got, tc.status)
 		}
 	}
 	ok, err := decodeResponse(appendResponse(nil, response{id: 2, status: statusOK, result: wire.Int(5)}))

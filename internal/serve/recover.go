@@ -70,7 +70,8 @@ func (srv *Server) lookupExport(name string) func(env classmodel.Env) (wire.Valu
 //     (clients see ErrRecovering: reconnect and retry, unlike the
 //     terminal ErrDraining).
 //  2. In-flight requests drain, bounded by ctx — they run against the
-//     old enclave, which is still alive.
+//     old enclave, which is still alive. Requests queued for a slot
+//     keep waiting and are refused once they get one.
 //  3. Every session is invalidated and its connection closed: session
 //     keys and handles are bound to the dead enclave incarnation, so
 //     they cannot be resumed, only re-established. Session teardown
@@ -85,58 +86,44 @@ func (srv *Server) lookupExport(name string) func(env classmodel.Env) (wire.Valu
 // untouched and the gateway reopens (the crash-recovery cycle simply
 // did not happen). If restore itself fails the gateway stays in the
 // recovering state — there is no consistent world to serve — and
-// Recover may be called again to retry.
+// Recover may be called again to retry. Shutdown wins: a Recover called
+// after it returns ErrClosed, and so does one still in its drain when
+// Shutdown starts.
 func (srv *Server) Recover(ctx context.Context, restore func() error) error {
 	srv.recoverMu.Lock()
 	defer srv.recoverMu.Unlock()
-	if srv.draining.Load() {
+	// Draining is final; a retry after a failed restore finds the gateway
+	// recovering already.
+	if !srv.adm.state.CompareAndSwap(nil, &ErrRecovering) && srv.adm.refusal() != ErrRecovering {
 		return ErrClosed
 	}
 	start := time.Now()
-	srv.recovering.Store(true)
 	srv.events.Emit(telemetry.EventDrain, srv.opts.Node, 0, "recovery drain")
-	// Barrier: after this, every request observes recovering before it
-	// could join reqWG, so the Wait below cannot race an Add.
-	srv.drainMu.Lock()
-	srv.drainMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
-
-	done := make(chan struct{})
-	go func() {
-		srv.reqWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// Nothing was torn down yet: abort the cycle and keep serving.
-		srv.recovering.Store(false)
-		return fmt.Errorf("serve: recovery drain: %w", ctx.Err())
+	// A Shutdown that starts meanwhile wins: it closes abort.
+	if err := srv.adm.drain(ctx, srv.adm.abort); err != nil {
+		// Nothing was torn down yet: abort the cycle and keep serving,
+		// unless a Shutdown took over.
+		if !srv.adm.state.CompareAndSwap(&ErrRecovering, nil) {
+			return ErrClosed
+		}
+		return fmt.Errorf("serve: recovery drain: %w", err)
 	}
 
 	// Invalidate every session. The dead mark makes teardown skip the
 	// GC-release path even after recovering clears — these handles
 	// belong to the old enclave no matter when the loop goroutine gets
 	// around to exiting.
-	srv.mu.Lock()
-	open := make([]*session, 0, len(srv.sessions))
-	for _, s := range srv.sessions {
-		open = append(open, s)
-	}
-	srv.mu.Unlock()
-	for _, s := range open {
-		s.dead.Store(true)
-		s.closeConn()
-	}
+	invalidated := srv.closeSessions(true)
 
 	if err := restore(); err != nil {
 		return fmt.Errorf("serve: restore: %w", err)
 	}
 
-	srv.recovering.Store(false)
+	srv.adm.state.CompareAndSwap(&ErrRecovering, nil)
 	srv.recoveries.Add(1)
 	srv.events.Emit(telemetry.EventRecoveryReplay, srv.opts.Node, 0,
-		"gateway recovered in %v, %d sessions invalidated", time.Since(start).Round(time.Millisecond), len(open))
+		"gateway recovered in %v, %d sessions invalidated", time.Since(start).Round(time.Millisecond), invalidated)
 	srv.opts.Logf("serve: recovered in %v (%d sessions invalidated, %d recoveries total)",
-		time.Since(start).Round(time.Millisecond), len(open), srv.recoveries.Load())
+		time.Since(start).Round(time.Millisecond), invalidated, srv.recoveries.Load())
 	return nil
 }

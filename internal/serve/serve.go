@@ -176,21 +176,13 @@ type Server struct {
 	w       *world.World
 	allowed map[string]bool
 
-	adm      *admission
-	draining atomic.Bool
-	drainCh  chan struct{}
-	// recovering rejects new work with statusRecovering while
-	// Server.Recover restores the enclave; recoverMu serialises Recover
-	// calls. exports maps bind names to providers (see Export).
-	recovering atomic.Bool
-	recoverMu  sync.Mutex
-	exportsMu  sync.RWMutex
-	exports    map[string]func(env classmodel.Env) (wire.Value, error)
-	// drainMu orders request registration against Shutdown's wait: a
-	// request holds the read side while it checks draining and joins
-	// reqWG, so the drain barrier (write lock) guarantees every admitted
-	// request is either counted by reqWG.Wait or typed-rejected.
-	drainMu sync.RWMutex
+	// adm bounds execution and gates the gateway's lifecycle: it refuses
+	// new work while Shutdown or Recover drains. recoverMu serialises
+	// Recover calls. exports maps bind names to providers (see Export).
+	adm       *admission
+	recoverMu sync.Mutex
+	exportsMu sync.RWMutex
+	exports   map[string]func(env classmodel.Env) (wire.Value, error)
 
 	mu         sync.Mutex
 	ln         net.Listener
@@ -203,7 +195,6 @@ type Server struct {
 	handshaking int
 
 	connWG sync.WaitGroup // one per accepted connection
-	reqWG  sync.WaitGroup // one per admitted request
 
 	// calls feeds admitted requests to one worker per lane, so
 	// concurrent sessions' proxy calls execute in parallel, each handed
@@ -261,7 +252,6 @@ func New(opts Options) (*Server, error) {
 		opts:     o,
 		w:        o.World,
 		adm:      newAdmission(o.MaxInFlight, o.QueueDepth),
-		drainCh:  make(chan struct{}),
 		sessions: make(map[int64]*session),
 		exports:  make(map[string]func(env classmodel.Env) (wire.Value, error)),
 		calls:    make(chan *call),
@@ -338,23 +328,23 @@ func (srv *Server) Serve(ln net.Listener) error {
 	// A Shutdown that raced this registration found srv.ln nil and had
 	// no listener to close; honour the drain here instead of parking in
 	// Accept on a listener nothing will ever close.
-	if srv.draining.Load() {
+	if srv.adm.refusal() == ErrDraining {
 		_ = ln.Close()
 		return nil
 	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			if srv.draining.Load() {
+			if srv.adm.refusal() == ErrDraining {
 				return nil
 			}
 			return err
 		}
-		// Shutdown sets draining and then takes srv.mu before it waits on
-		// connWG, so a connection accepted as the listener closes either
-		// joins the group before that Wait or is dropped here.
+		// Shutdown starts draining and then takes srv.mu before it waits
+		// on connWG, so a connection accepted as the listener closes
+		// either joins the group before that Wait or is dropped here.
 		srv.mu.Lock()
-		if srv.draining.Load() {
+		if srv.adm.refusal() == ErrDraining {
 			srv.mu.Unlock()
 			_ = conn.Close()
 			return nil
@@ -368,72 +358,34 @@ func (srv *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves. Addr returns the bound
-// address once serving starts.
-func (srv *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return srv.Serve(ln)
-}
-
-// Addr returns the listener address, or nil before Serve.
-func (srv *Server) Addr() net.Addr {
-	srv.mu.Lock()
-	defer srv.mu.Unlock()
-	if srv.ln == nil {
-		return nil
-	}
-	return srv.ln.Addr()
-}
-
 // Shutdown drains the gateway: it stops accepting, rejects new work
-// with ErrDraining, waits (bounded by ctx) for in-flight requests,
-// tears down every session through the GC-release path, and flushes the
-// world's batching queues, surfacing any batched-call errors — the
-// failure mode World.Close used to swallow.
+// with ErrDraining (queued requests included), waits for in-flight
+// requests, tears down every session through the GC-release path, and
+// flushes the world's batching queues, surfacing any batched-call
+// errors — the failure mode World.Close used to swallow. A Recover in
+// progress gives way to it.
+//
+// ctx bounds the wait for admission slots only: once it expires,
+// Shutdown closes the sessions anyway, but each session still waits for
+// its own requests before it exits, so a request the Journal hook has
+// parked holds Shutdown until the hook completes it, and Shutdown then
+// returns ctx's error.
 func (srv *Server) Shutdown(ctx context.Context) error {
-	if !srv.draining.CompareAndSwap(false, true) {
+	if srv.adm.state.Swap(&ErrDraining) == &ErrDraining {
 		return ErrClosed
 	}
+	close(srv.adm.abort)
 	srv.events.Emit(telemetry.EventDrain, srv.opts.Node, 0, "shutdown drain")
-	close(srv.drainCh)
-	// Barrier: after this, every new request observes draining before it
-	// could join reqWG, so the Wait below cannot race an Add.
-	srv.drainMu.Lock()
-	srv.drainMu.Unlock() //nolint:staticcheck // empty critical section is the barrier
 	srv.mu.Lock()
-	ln := srv.ln
+	if srv.ln != nil {
+		_ = srv.ln.Close()
+	}
 	srv.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-
-	// Wait for admitted requests to finish (new ones are rejected).
-	done := make(chan struct{})
-	go func() {
-		srv.reqWG.Wait()
-		close(done)
-	}()
-	var ctxErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		ctxErr = ctx.Err()
-	}
+	ctxErr := srv.adm.drain(ctx, nil)
 
 	// Close every session connection; read loops exit and tear down
 	// their namespaces through the GC-release path.
-	srv.mu.Lock()
-	open := make([]*session, 0, len(srv.sessions))
-	for _, s := range srv.sessions {
-		open = append(open, s)
-	}
-	srv.mu.Unlock()
-	for _, s := range open {
-		s.closeConn()
-	}
+	srv.closeSessions(false)
 	srv.connWG.Wait()
 	// Every session loop has exited, so no further calls: retire the
 	// workers, which close their lanes.
@@ -443,6 +395,21 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 	// Surface batched-call errors from the final flush instead of
 	// dropping them (the CloseErr contract).
 	return errors.Join(ctxErr, srv.w.Flush())
+}
+
+// closeSessions closes every session's connection, first marking each
+// dead (see session.dead) when recovery invalidates them, and returns
+// how many it closed.
+func (srv *Server) closeSessions(dead bool) int {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for _, s := range srv.sessions {
+		if dead {
+			s.dead.Store(true)
+		}
+		s.closeConn()
+	}
+	return len(srv.sessions)
 }
 
 // Stats snapshots the gateway counters.
@@ -456,14 +423,14 @@ func (srv *Server) Stats() Stats {
 		HandshakeFailures:   srv.handshakeFails.Load(),
 		Requests:            srv.requests.Load(),
 		AppErrors:           srv.appErrors.Load(),
-		InFlight:            srv.adm.current(),
-		PeakInFlight:        srv.adm.peakInFlight(),
+		InFlight:            int(srv.adm.inFlight.Load()),
+		PeakInFlight:        int(srv.adm.peak.Load()),
 		Lanes:               srv.lanes,
 		RejectedOverload:    srv.rejOverload.Load(),
 		RejectedDraining:    srv.rejDraining.Load(),
 		RejectedRecovering:  srv.rejRecovering.Load(),
 		Recoveries:          srv.recoveries.Load(),
-		Recovering:          srv.recovering.Load(),
+		Recovering:          srv.adm.refusal() == ErrRecovering,
 		RejectedDeadline:    srv.rejDeadline.Load(),
 		RejectedForeign:     srv.rejForeign.Load(),
 		RejectedSession:     srv.rejSession.Load(),
@@ -515,33 +482,17 @@ func (srv *Server) handleConn(conn net.Conn) {
 // its refusals reach the client in place of the attestation and surface
 // there, as here, as ErrDraining, ErrRecovering or ErrSessionLimit.
 func (srv *Server) handshake(conn net.Conn) (*session, error) {
-	// A slot is reserved at the limit check and either becomes a session
-	// or is given back.
 	var sid int64
-	registered := false
-	defer func() {
-		if sid != 0 && !registered {
-			srv.mu.Lock()
-			srv.handshaking--
-			srv.mu.Unlock()
-		}
-	}()
 	admit := func(string) (*[32]byte, error) {
-		if srv.draining.Load() {
-			srv.rejDraining.Add(1)
-			return nil, &channel.RejectError{Status: statusDraining}
-		}
-		if srv.recovering.Load() {
-			// The enclave being quoted is mid-rebuild: tell the client to
-			// retry instead of attesting a half-recovered identity.
-			srv.rejRecovering.Add(1)
-			return nil, &channel.RejectError{Status: statusRecovering}
+		// A recovering enclave is mid-rebuild: the client retries instead
+		// of attesting a half-recovered identity.
+		if err := srv.adm.refusal(); err != nil {
+			return nil, &channel.RejectError{Status: srv.countReject(err)}
 		}
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
 		if len(srv.sessions)+srv.handshaking >= srv.opts.MaxSessions {
-			srv.rejSession.Add(1)
-			return nil, &channel.RejectError{Status: statusSession}
+			return nil, &channel.RejectError{Status: srv.countReject(ErrSessionLimit)}
 		}
 		srv.handshaking++
 		srv.sessionSeq++
@@ -552,27 +503,24 @@ func (srv *Server) handshake(conn net.Conn) (*session, error) {
 	// closes the listener); the channel refuses to attest nothing.
 	local := channel.Identity{Platform: srv.opts.Platform, Enclave: srv.w.Enclave()}
 	ch, err := channel.Accept(conn, sessionPlane, local, admit, srv.opts.HandshakeTimeout)
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	if sid != 0 {
+		// The slot admit reserved becomes a session or is given back.
+		srv.handshaking--
+	}
 	if err != nil {
 		return nil, handshakeErr(err)
 	}
-
+	if err := srv.adm.refusal(); err != nil {
+		// Shutdown and Recover close the sessions after their drain; a
+		// handshake that raced past admit must not slip a live session
+		// into a gateway that is closing or a world that is being torn
+		// down. Not counted: admit already let it in.
+		return nil, err
+	}
 	s := newSession(srv, sid, conn, ch)
-	srv.mu.Lock()
-	if srv.draining.Load() {
-		srv.mu.Unlock()
-		return nil, ErrDraining
-	}
-	if srv.recovering.Load() {
-		// Recover snapshots the session map after its drain barrier; a
-		// handshake that raced past the early check must not slip a live
-		// session into a world that is being torn down.
-		srv.mu.Unlock()
-		return nil, ErrRecovering
-	}
-	srv.handshaking--
 	srv.sessions[s.id] = s
-	registered = true
-	srv.mu.Unlock()
 	srv.sessionsTotal.Add(1)
 	srv.events.Emit(telemetry.EventSessionOpen, srv.opts.Node, 0, "session %d from %v", s.id, conn.RemoteAddr())
 	return s, nil

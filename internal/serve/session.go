@@ -78,8 +78,8 @@ func (s *session) loop() {
 }
 
 // dispatch admits one request and hands it to a lane worker (call).
-// Typed rejections (overload, draining, deadline) reply immediately
-// without executing.
+// Typed rejections (draining, recovering, overload, deadline) reply
+// immediately without executing.
 func (s *session) dispatch(req request) {
 	var deadline time.Time
 	budget := s.srv.opts.RequestTimeout
@@ -88,14 +88,8 @@ func (s *session) dispatch(req request) {
 	}
 	deadline = time.Now().Add(budget)
 
-	if s.srv.draining.Load() {
-		s.srv.rejDraining.Add(1)
-		s.reply(req.id, response{status: statusDraining, message: ErrDraining.Error()})
-		return
-	}
-	if s.srv.recovering.Load() {
-		s.srv.rejRecovering.Add(1)
-		s.reply(req.id, response{status: statusRecovering, message: ErrRecovering.Error()})
+	if err := s.srv.adm.refusal(); err != nil {
+		s.reject(req.id, err)
 		return
 	}
 	if s.inflight.Load() >= int64(s.srv.opts.SessionInFlight) {
@@ -106,31 +100,13 @@ func (s *session) dispatch(req request) {
 		s.reply(req.id, response{status: statusOverloaded, message: "session in-flight limit"})
 		return
 	}
-	if err := s.srv.adm.acquire(deadline, s.srv.drainCh); err != nil {
-		s.countReject(err)
-		s.reply(req.id, response{status: errStatus(err), message: err.Error()})
-		return
-	}
-	s.srv.drainMu.RLock()
-	if s.srv.draining.Load() {
-		s.srv.drainMu.RUnlock()
-		s.srv.adm.release()
-		s.srv.rejDraining.Add(1)
-		s.reply(req.id, response{status: statusDraining, message: ErrDraining.Error()})
-		return
-	}
-	if s.srv.recovering.Load() {
-		s.srv.drainMu.RUnlock()
-		s.srv.adm.release()
-		s.srv.rejRecovering.Add(1)
-		s.reply(req.id, response{status: statusRecovering, message: ErrRecovering.Error()})
+	if err := s.srv.adm.acquire(deadline); err != nil {
+		s.reject(req.id, err)
 		return
 	}
 	s.srv.requests.Add(1)
 	s.inflight.Add(1)
 	s.wg.Add(1)
-	s.srv.reqWG.Add(1)
-	s.srv.drainMu.RUnlock()
 	c := calls.Get().(*call)
 	*c = call{s: s, req: req, deadline: deadline, start: time.Now()}
 	// A call waits here only for an admitted one to finish; blocking the
@@ -203,39 +179,22 @@ func (c *call) complete(result wire.Value, err error) {
 	}
 	sp.Finish(err)
 	if err != nil {
-		s.countReject(err)
-		status := errStatus(err)
-		if status == statusAppError {
-			s.srv.appErrors.Add(1)
-		}
-		s.reply(c.req.id, response{status: status, message: errMessage(err)})
+		s.reject(c.req.id, err)
 	} else {
 		s.reply(c.req.id, response{status: statusOK, result: result})
 	}
 	s.srv.hRequest.ObserveDuration(time.Since(c.start))
 	s.srv.adm.release()
 	s.inflight.Add(-1)
-	s.srv.reqWG.Done()
 	s.wg.Done()
 	*c = call{}
 	calls.Put(c)
 }
 
-func (s *session) countReject(err error) {
-	switch {
-	case errors.Is(err, ErrOverloaded):
-		s.srv.rejOverload.Add(1)
-	case errors.Is(err, ErrDraining):
-		s.srv.rejDraining.Add(1)
-	case errors.Is(err, ErrRecovering):
-		s.srv.rejRecovering.Add(1)
-	case errors.Is(err, ErrDeadline):
-		s.srv.rejDeadline.Add(1)
-	case errors.Is(err, ErrForeignRef):
-		s.srv.rejForeign.Add(1)
-	case errors.Is(err, ErrWrongShard):
-		s.srv.rejWrongShard.Add(1)
-	}
+// reject counts a request that failed with err and replies with its
+// typed status.
+func (s *session) reject(id int64, err error) {
+	s.reply(id, response{status: s.srv.countReject(err), message: errMessage(err)})
 }
 
 // reply seals and writes one response frame.
@@ -415,7 +374,7 @@ func (s *session) teardown() {
 	if len(entries) == 0 {
 		return
 	}
-	if s.dead.Load() || s.srv.recovering.Load() {
+	if s.dead.Load() || s.srv.adm.refusal() == ErrRecovering {
 		// The session was invalidated by recovery: its objects died with
 		// the enclave incarnation that owned them, and the world may be
 		// mid-rebuild. Nothing to release.

@@ -36,7 +36,7 @@ func TestObjectTableDrainsAfterFrames(t *testing.T) {
 		}
 	}
 	for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
-		if got := rt.ObjectTableLen(); got != 0 {
+		if got := rt.Stats().ObjectTableLen; got != 0 {
 			t.Errorf("%s object table has %d entries after all frames closed, want 0", rt.Name(), got)
 		}
 	}
@@ -54,13 +54,13 @@ func TestObjectTableDrainsAfterFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Untrusted().ObjectTableLen(); got == 0 {
+	if got := w.Untrusted().Stats().ObjectTableLen; got == 0 {
 		t.Fatal("pinned object not retained in table")
 	}
 	if err := w.Untrusted().Unpin(pinned); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Untrusted().ObjectTableLen(); got != 0 {
+	if got := w.Untrusted().Stats().ObjectTableLen; got != 0 {
 		t.Errorf("object table has %d entries after unpin, want 0", got)
 	}
 }
@@ -203,7 +203,7 @@ func TestConcurrentCrossingStress(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
-				if got := rt.ObjectTableLen(); got != 0 {
+				if got := rt.Stats().ObjectTableLen; got != 0 {
 					t.Errorf("%s object table has %d entries after stress, want 0", rt.Name(), got)
 				}
 			}

@@ -188,7 +188,7 @@ func TestPooledFrameOutlivesParkedClosures(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
-				if got := rt.ObjectTableLen(); got != 0 {
+				if got := rt.Stats().ObjectTableLen; got != 0 {
 					t.Errorf("%s object table has %d entries after all frames closed, want 0", rt.Name(), got)
 				}
 			}

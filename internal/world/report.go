@@ -135,32 +135,27 @@ func (w *World) DispatchStats() DispatchStats {
 	return ds
 }
 
+// fixedRoutines labels the transition ids the runtime and the shim
+// reserve.
+var fixedRoutines = map[int]string{
+	idGCHelper:        "<gc-helper thread>",
+	idGCSweep:         "<gc-helper mirror release>",
+	idMain:            "<main>",
+	idExec:            "<harness exec>",
+	idBatch:           "<batched relay frame>",
+	shim.OcallWriteAt: "shim:write",
+	shim.OcallAppend:  "shim:append",
+	shim.OcallReadAt:  "shim:read",
+	shim.OcallSize:    "shim:size",
+	shim.OcallRemove:  "shim:remove",
+	shim.OcallList:    "shim:list",
+}
+
 // routineName resolves a transition id to its edge-routine symbol or a
 // runtime-internal label.
 func (w *World) routineName(id int) string {
-	switch id {
-	case idGCHelper:
-		return "<gc-helper thread>"
-	case idGCSweep:
-		return "<gc-helper mirror release>"
-	case idMain:
-		return "<main>"
-	case idExec:
-		return "<harness exec>"
-	case idBatch:
-		return "<batched relay frame>"
-	case shim.OcallWriteAt:
-		return "shim:write"
-	case shim.OcallAppend:
-		return "shim:append"
-	case shim.OcallReadAt:
-		return "shim:read"
-	case shim.OcallSize:
-		return "shim:size"
-	case shim.OcallRemove:
-		return "shim:remove"
-	case shim.OcallList:
-		return "shim:list"
+	if name, ok := fixedRoutines[id]; ok {
+		return name
 	}
 	if w.iface != nil {
 		for _, r := range append(w.iface.Ecalls(), w.iface.Ocalls()...) {

@@ -101,7 +101,7 @@ func TestBodyResolvesSelfOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Trusted().ObjectTableLen(); got != 0 {
+	if got := w.Trusted().Stats().ObjectTableLen; got != 0 {
 		t.Fatalf("object table has %d entries after all frames closed, want 0", got)
 	}
 }
@@ -141,7 +141,7 @@ func TestFrameOwningThousandsResolvesBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Trusted().ObjectTableLen(); got != 0 {
+	if got := w.Trusted().Stats().ObjectTableLen; got != 0 {
 		t.Fatalf("object table has %d entries after all frames closed, want 0", got)
 	}
 }

@@ -201,9 +201,6 @@ func newRuntime(w *World, name string, trusted bool, img *image.Image, h *heap.H
 // Name returns the runtime name ("trusted" or "untrusted").
 func (rt *Runtime) Name() string { return rt.name }
 
-// TrustedSide reports whether the runtime executes inside the enclave.
-func (rt *Runtime) TrustedSide() bool { return rt.trusted }
-
 // Image returns the loaded native image.
 func (rt *Runtime) Image() *image.Image { return rt.img }
 
@@ -238,10 +235,6 @@ func (rt *Runtime) Stats() RuntimeStats {
 		ObjectTableLen:  rt.table.len(),
 	}
 }
-
-// ObjectTableLen reports the number of live object-table entries — zero
-// once every frame and pin retaining objects has been released.
-func (rt *Runtime) ObjectTableLen() int { return rt.table.len() }
 
 // Pin adds a permanent strong root for the object behind a ref — the
 // analog of storing it in a static field. The object must currently be
@@ -573,24 +566,17 @@ func (rt *Runtime) link(class, method string) *link {
 
 // ---- marshalling across the boundary ---------------------------------
 
-// marshalOut prepares an argument/result vector for the boundary
+// marshalVals prepares an argument/result vector for the boundary
 // crossing: neutral values are serialized; references to local concrete
 // annotated objects are exported into the registry so the opposite
 // runtime may hold proxies to them; references to local proxies cross as
-// their bare hash (the opposite runtime resolves its mirror).
-func (rt *Runtime) marshalOut(fr *frame, vals []wire.Value) ([]byte, error) {
-	if err := rt.marshalVals(fr, vals); err != nil {
-		return nil, err
-	}
-	return rt.encodeVals(vals), nil
-}
-
-// marshalVals is marshalOut's value pass — registry exports, the
-// by-value rules and the serialization charge — without committing to an
-// output buffer, so the ring path can encode the vector straight into a
-// slot while the frame path uses a pooled buffer. The values cross as
-// they are: a ref travels as its hash and class whichever side owns the
-// object, so the pass reads vals and builds nothing.
+// their bare hash (the opposite runtime resolves its mirror). It runs the
+// value pass — registry exports, the by-value rules and the
+// serialization charge — without committing to an output buffer, so the
+// ring path can encode the vector straight into a slot while the frame
+// path uses a pooled buffer (encodeVals). The values cross as they are:
+// a ref travels as its hash and class whichever side owns the object, so
+// the pass reads vals and builds nothing.
 func (rt *Runtime) marshalVals(fr *frame, vals []wire.Value) error {
 	for _, v := range vals {
 		if err := rt.marshalValue(fr, v, 0); err != nil {
@@ -1167,10 +1153,12 @@ func (rt *Runtime) execCall(c wire.Call, want bool, resp []byte, sp *telemetry.S
 func (rt *Runtime) dispatchRelay(class, relayName string, hash int64, argBuf []byte, parent *telemetry.Span, lane *Lane) ([]byte, error) {
 	var out []byte
 	err := rt.relayCore(class, relayName, hash, argBuf, parent, lane, func(fr *frame, result wire.Value) error {
-		var merr error
 		vals := [1]wire.Value{result}
-		out, merr = rt.marshalOut(fr, vals[:])
-		return merr
+		if err := rt.marshalVals(fr, vals[:]); err != nil {
+			return err
+		}
+		out = rt.encodeVals(vals[:])
+		return nil
 	})
 	return out, err
 }

@@ -467,21 +467,16 @@ func (w *World) Telemetry() *telemetry.Telemetry { return w.tel }
 
 func (w *World) nextHash() int64 { return w.hashCounter.Add(1) }
 
-// mainRuntime returns the runtime hosting the application main.
-func (w *World) mainRuntime() *Runtime {
-	if w.mode == ModeUnpartitionedSGX {
-		return w.trusted
-	}
-	return w.untrusted
-}
-
 // RunMain invokes the application's main entry point and returns its
 // result value. In partitioned and NoSGX modes main runs in the untrusted
 // runtime (§5.3); in unpartitioned SGX mode the whole application —
 // including main — executes inside the enclave behind a single ecall
 // (§5.6).
 func (w *World) RunMain() (wire.Value, error) {
-	rt := w.mainRuntime()
+	rt := w.untrusted
+	if w.mode == ModeUnpartitionedSGX {
+		rt = w.trusted
+	}
 	if rt == nil {
 		return wire.Value{}, ErrWrongRuntime
 	}
