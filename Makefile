@@ -24,10 +24,14 @@ build:
 # of open file handles). The lane ledgers, the gateway's and the
 # recovery passes', and the gateway's lifecycle gate (Shutdown and
 # Recover drains against typed refusals) are re-run on 4 Ps, three
-# times, to show they repeat under real parallelism.
+# times, to show they repeat under real parallelism. The benchmark
+# harness is its own module (benchmark/go.mod), so ./... does not reach
+# it: it is vetted and tested on its own, outside any workspace.
 test:
 	$(GO) test ./...
 	$(GO) vet ./...
+	GOFLAGS= GOWORK=off $(GO) -C benchmark vet ./...
+	GOFLAGS= GOWORK=off $(GO) -C benchmark test ./...
 	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestCycleLedgerGolden|TestLane' ./internal/world
 	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestRecovery' ./internal/persist
 	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestGatewayLifecycleGate|TestServeDrain|TestGateway|TestRecoverReentersLanes' ./internal/serve
@@ -106,10 +110,12 @@ orderly-smoke:
 	$(GO) run ./cmd/montsalvat-serve -orderly-check
 	$(GO) run ./cmd/montsalvat-fabric -orderly-check
 
-# Model-checker throughput: the orderly explorer's budgeted deep mode,
-# recording distinct states/sec per configuration to BENCH_orderly.json.
+# Model-checker throughput: the orderly-rate experiment (the orderly
+# explorer's budgeted deep mode) appends its distinct states/sec per
+# configuration to BENCH.json as one record; an invariant violation
+# fails the run.
 bench-orderly:
-	$(GO) run ./cmd/montsalvat-bench -json BENCH_orderly.json -suite orderly -quick -spin=false
+	$(GO) run ./cmd/montsalvat-bench -experiment orderly-rate -quick -spin=false -json BENCH.json
 
 # Every fuzz target in the tree, FUZZTIME each (`go test -fuzz` takes
 # one target of one package per run). A target added anywhere joins the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -113,35 +114,48 @@ func TestProfileFlags(t *testing.T) {
 	}
 }
 
-// TestAppendEntryKeepsHistory: appending to a recorded trajectory writes
-// back every entry already there byte for byte, for each of the five
-// suites, and a missing file starts a fresh trajectory.
-func TestAppendEntryKeepsHistory(t *testing.T) {
-	keepsHistory(t, "BENCH_rmi.json", bench.RMIPerfSchema, bench.RMIPerfEntry{Label: "appended"})
-	keepsHistory(t, "BENCH_persist.json", bench.RecoveryPerfSchema, bench.RecoveryPerfEntry{Label: "appended"})
-	keepsHistory(t, "BENCH_fabric.json", bench.FabricPerfSchema, bench.FabricPerfEntry{Label: "appended"})
-	keepsHistory(t, "BENCH_obs.json", bench.ObsPerfSchema, bench.ObsPerfEntry{Label: "appended"})
-	keepsHistory(t, "BENCH_orderly.json", bench.OrderlyPerfSchema, bench.OrderlyPerfEntry{Label: "appended"})
-
-	fresh := filepath.Join(t.TempDir(), "BENCH_new.json")
-	if err := appendEntry(fresh, bench.ObsPerfSchema, bench.ObsPerfEntry{Label: "first"}); err != nil {
+// TestJSONRecordsSelectedExperiment: -json records exactly the
+// experiments -experiment selects, each as the experiment's own table.
+func TestJSONRecordsSelectedExperiment(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "b.json")
+	var sb strings.Builder
+	if err := run([]string{"-json", path, "-label", "t", "-experiment", "fig5a", "-quick", "-spin=false"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(fresh)
+	recs := readTrajectory(t, path)
+	if len(recs) != 1 {
+		t.Fatalf("%d records, want 1", len(recs))
+	}
+	rec := recs[0]
+	if rec.Label != "t" || !rec.Quick || rec.Spin || rec.GoMaxProcs < 1 || rec.Table == nil || rec.Table.ID != "fig5a" {
+		t.Fatalf("record = %+v", rec)
+	}
+	want, err := bench.Fig5a(bench.Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var file trajectory[bench.ObsPerfEntry]
-	if err := json.Unmarshal(raw, &file); err != nil {
-		t.Fatal(err)
+	got := rec.Table
+	if !reflect.DeepEqual(got.Columns, want.Columns) || len(got.Rows) != len(want.Rows) {
+		t.Fatalf("recorded table %+v, want the shape of %+v", got, want)
 	}
-	if file.Schema != bench.ObsPerfSchema || len(file.Entries) != 1 || file.Entries[0].Label != "first" {
-		t.Fatalf("fresh trajectory = %+v", file)
+	// Values fold host time in; the row names, the value counts and
+	// the cycle ledger repeat exactly.
+	for i, w := range want.Rows {
+		g := got.Rows[i]
+		if g.Name != w.Name || len(g.Values) != len(w.Values) || !reflect.DeepEqual(g.Cycles, w.Cycles) {
+			t.Errorf("row %d = %s %d values, cycles %v; want %s %d values, cycles %v",
+				i, g.Name, len(g.Values), g.Cycles, w.Name, len(w.Values), w.Cycles)
+		}
 	}
 }
 
-func keepsHistory[E any](t *testing.T, name, schema string, entry E) {
-	t.Helper()
+// TestRecordedTrajectory checks the checked-in BENCH.json: every record
+// names a registered experiment and every row has one value (and, when
+// it carries a ledger, one cycle count) per column. Appending to it
+// keeps every earlier byte, a missing file starts a fresh trajectory and
+// a file under another schema is refused.
+func TestRecordedTrajectory(t *testing.T) {
+	const name = "BENCH.json"
 	recorded, err := os.ReadFile(filepath.Join("..", "..", name))
 	if err != nil {
 		t.Fatal(err)
@@ -150,27 +164,78 @@ func keepsHistory[E any](t *testing.T, name, schema string, entry E) {
 	if err := os.WriteFile(path, recorded, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := appendEntry(path, schema, entry); err != nil {
-		t.Fatalf("%s: %v", name, err)
+	recs := readTrajectory(t, path)
+	if len(recs) == 0 {
+		t.Fatal("no records")
+	}
+	for i, rec := range recs {
+		if rec.Label == "" || rec.Table == nil {
+			t.Fatalf("record %d = %+v", i, rec)
+		}
+		tab := rec.Table
+		if _, err := bench.ByID(tab.ID); err != nil {
+			t.Errorf("record %d (%s): %v", i, rec.Label, err)
+		}
+		for _, r := range tab.Rows {
+			if len(r.Values) != len(tab.Columns) || (r.Cycles != nil && len(r.Cycles) != len(tab.Columns)) {
+				t.Errorf("record %d (%s %s) row %q: %d values, %d cycles for %d columns",
+					i, rec.Label, tab.ID, r.Name, len(r.Values), len(r.Cycles), len(tab.Columns))
+			}
+		}
+	}
+
+	tab := &bench.Table{ID: "fig3", Columns: []string{"1"}}
+	tab.AddRow("appended", 1)
+	if err := appendRecord(path, record{Label: "appended", Table: tab}); err != nil {
+		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var file trajectory[E]
-	if err := json.Unmarshal(raw, &file); err != nil {
-		t.Fatalf("%s: %v", name, err)
+	// Only the closing of the records list moves.
+	kept := bytes.TrimSuffix(recorded, []byte("\n  ]\n}\n"))
+	if len(kept) == len(recorded) || !bytes.HasPrefix(raw, kept) {
+		t.Fatalf("%s: the append did not keep the recorded bytes", name)
 	}
-	if file.Schema != schema || len(file.Entries) < 2 {
-		t.Fatalf("%s: schema %q, %d entries after the append", name, file.Schema, len(file.Entries))
+	if got := readTrajectory(t, path); len(got) != len(recs)+1 || got[len(recs)].Label != "appended" {
+		t.Fatalf("%d records after the append, want %d", len(got), len(recs)+1)
 	}
-	// Without the appended entry the file is the recorded one again.
-	file.Entries = file.Entries[:len(file.Entries)-1]
-	enc, err := json.MarshalIndent(&file, "", "  ")
+
+	fresh := filepath.Join(t.TempDir(), "new.json")
+	if err := appendRecord(fresh, record{Label: "first", Table: tab}); err != nil {
+		t.Fatal(err)
+	}
+	if got := readTrajectory(t, fresh); len(got) != 1 || got[0].Label != "first" {
+		t.Fatalf("fresh trajectory = %+v", got)
+	}
+
+	old := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(old, []byte(`{"schema": "montsalvat-bench-rmi/v1", "entries": []}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendRecord(old, record{Label: "x", Table: tab}); err == nil {
+		t.Fatal("appended to a file under another schema")
+	}
+}
+
+// readTrajectory decodes the records of a trajectory file, checking its
+// schema.
+func readTrajectory(t *testing.T, path string) []record {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(append(enc, '\n'), recorded) {
-		t.Fatalf("%s does not re-encode byte-identically", name)
+	var file struct {
+		Schema  string   `json:"schema"`
+		Records []record `json:"records"`
 	}
+	if err := json.Unmarshal(raw, &file); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if file.Schema != schema {
+		t.Fatalf("%s: schema %q, want %q", path, file.Schema, schema)
+	}
+	return file.Records
 }

@@ -125,10 +125,8 @@ func runCrashSmoke(out io.Writer, platform *sgx.Platform, sessions, requests int
 		return err
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := g.Shutdown(ctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
+	if err := drain(g); err != nil {
+		return err
 	}
 	st := g.W.Stats()
 	if st.Recoveries != 2 {

@@ -48,6 +48,7 @@ import (
 	"montsalvat/internal/serve"
 	"montsalvat/internal/sgx"
 	"montsalvat/internal/simcfg"
+	"montsalvat/internal/smoke"
 	"montsalvat/internal/telemetry"
 	"montsalvat/internal/world"
 )
@@ -285,7 +286,7 @@ func runScale(out io.Writer, platform *sgx.Platform, clients, requests int, cfg 
 		return err
 	}
 	defer w.Close()
-	srv, err := serve.New(serve.Options{
+	g, err := smoke.StartGateway(smoke.GatewayOptions{
 		World:       w,
 		Platform:    platform,
 		MaxInFlight: cfg.maxInflight,
@@ -295,19 +296,12 @@ func runScale(out io.Writer, platform *sgx.Platform, clients, requests int, cfg 
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-	fmt.Fprintf(out, "scale: gateway on %s, %d requests/client\n", ln.Addr(), requests)
+	fmt.Fprintf(out, "scale: gateway on %s, %d requests/client\n", g.Addr(), requests)
 
-	client := serve.ClientConfig{Platform: platform, Measurement: srv.Measurement()}
 	run := func(n int) (bench.ServeLoadResult, error) {
 		res, err := bench.ServeLoad(bench.ServeLoadOptions{
-			Addr:     ln.Addr().String(),
-			Client:   client,
+			Addr:     g.Addr(),
+			Client:   g.ClientConfig(),
 			Sessions: n,
 			Requests: requests,
 		})
@@ -332,16 +326,22 @@ func runScale(out io.Writer, platform *sgx.Platform, clients, requests int, cfg 
 	fmt.Fprintf(out, "scale: %2d clients: %8.0f req/s  p50 %v  speedup %.2fx\n",
 		clients, par.Throughput, par.P50.Round(time.Microsecond), par.Throughput/solo.Throughput)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if err := <-serveDone; err != nil {
+	if err := drain(g); err != nil {
 		return err
 	}
 	if par.Throughput <= 0 {
 		return fmt.Errorf("scale failed: zero parallel throughput at %d clients", clients)
+	}
+	return nil
+}
+
+// drain shuts the gateway down, bounded at 30 s, and joins its serve
+// goroutine.
+func drain(g *smoke.Gateway) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := g.Shutdown(ctx); err != nil {
+		return fmt.Errorf("drain: %w", err)
 	}
 	return nil
 }
@@ -358,7 +358,7 @@ func runSmoke(out io.Writer, platform *sgx.Platform, sessions, requests int, cfg
 		return err
 	}
 	defer w.Close()
-	srv, err := serve.New(serve.Options{
+	g, err := smoke.StartGateway(smoke.GatewayOptions{
 		World:       w,
 		Platform:    platform,
 		MaxInFlight: cfg.maxInflight,
@@ -368,24 +368,18 @@ func runSmoke(out io.Writer, platform *sgx.Platform, sessions, requests int, cfg
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
 	obsAddr, stopObs, err := startObservability(out, cfg, tel)
 	if err != nil {
-		_ = ln.Close()
+		g.Close()
 		return err
 	}
 	defer stopObs()
-	meas := srv.Measurement()
-	fmt.Fprintf(out, "smoke: gateway on %s, measurement %x\n", ln.Addr(), meas[:8])
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
+	client := g.ClientConfig()
+	fmt.Fprintf(out, "smoke: gateway on %s, measurement %x\n", g.Addr(), client.Measurement[:8])
 
 	res, err := bench.ServeLoad(bench.ServeLoadOptions{
-		Addr:     ln.Addr().String(),
-		Client:   serve.ClientConfig{Platform: platform, Measurement: srv.Measurement()},
+		Addr:     g.Addr(),
+		Client:   client,
 		Sessions: sessions,
 		Requests: requests,
 	})
@@ -400,15 +394,10 @@ func runSmoke(out io.Writer, platform *sgx.Platform, sessions, requests int, cfg
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if err := <-serveDone; err != nil {
+	if err := drain(g); err != nil {
 		return err
 	}
-	printStats(out, srv)
+	printStats(out, g.W)
 
 	if res.HandshakeFailures > 0 {
 		return fmt.Errorf("smoke failed: %d handshake failures", res.HandshakeFailures)
@@ -420,7 +409,7 @@ func runSmoke(out io.Writer, platform *sgx.Platform, sessions, requests int, cfg
 	if res.Requests != want {
 		return fmt.Errorf("smoke failed: completed %d/%d requests", res.Requests, want)
 	}
-	st := srv.Stats()
+	st := g.W.Stats()
 	if st.HandshakeFailures > 0 {
 		return fmt.Errorf("smoke failed: server counted %d handshake failures", st.HandshakeFailures)
 	}

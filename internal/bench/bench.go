@@ -47,33 +47,34 @@ func (o Options) scale(full, quick int) int {
 	return full
 }
 
-// Table is one regenerated figure or table.
+// Table is one regenerated figure or table. It is also the body of a
+// recorded run: montsalvat-bench -json writes it as is.
 type Table struct {
 	// ID is the experiment identifier (fig3 ... table1).
-	ID string
+	ID string `json:"id"`
 	// Title describes the experiment.
-	Title string
+	Title string `json:"title"`
 	// XLabel and Unit describe the columns.
-	XLabel string
-	Unit   string
+	XLabel string `json:"xlabel"`
+	Unit   string `json:"unit,omitempty"`
 	// Columns are the x-axis values (e.g. object counts, shard counts).
-	Columns []string
+	Columns []string `json:"columns"`
 	// Rows are the series, in display order.
-	Rows []Series
+	Rows []Series `json:"rows"`
 	// Notes carry observations (e.g. computed speedups) for the report.
-	Notes []string
+	Notes []string `json:"notes,omitempty"`
 }
 
 // Series is one line/bar group of a figure.
 type Series struct {
-	Name   string
-	Values []float64
+	Name   string    `json:"name"`
+	Values []float64 `json:"values"`
 	// Cycles, where an experiment records it, is the cycle ledger behind
 	// each value: the cycles charged during the measured window, or for a
 	// modelled runtime the overheads its model adds to the measured base.
 	// Values that fold host time in vary from run to run; Cycles repeat
 	// exactly, so the shape tests assert on them. Not rendered.
-	Cycles []int64
+	Cycles []int64 `json:"cycles,omitempty"`
 }
 
 // AddRow appends a series.
@@ -290,6 +291,7 @@ func All() []Experiment {
 		{ID: "fabric-scale", Title: "Sharded fabric throughput vs shard count", Run: FabricScale},
 		{ID: "failover", Title: "Failover time: replica promotion vs write volume", Run: FailoverTime},
 		{ID: "obs-overhead", Title: "Observability overhead: enabled vs disabled telemetry", Run: ObsOverhead},
+		{ID: "orderly-rate", Title: "Model-checker exploration rate (orderly deep mode)", Run: OrderlyRate},
 	}
 }
 

@@ -17,6 +17,7 @@ func TestAllExperimentsRegistered(t *testing.T) {
 		"ablation-switchless", "ablation-dispatch", "ablation-tcb",
 		"ablation-transition", "concurrent-rmi", "ring-sweep", "recovery",
 		"group-commit", "fabric-scale", "failover", "obs-overhead",
+		"orderly-rate",
 	}
 	all := All()
 	if len(all) != len(want) {
@@ -428,5 +429,33 @@ func TestTableRenderCSV(t *testing.T) {
 	want := "series,a,\"b,c\"\n\"row,1\",1.5,0.25\n"
 	if out != want {
 		t.Fatalf("csv = %q, want %q", out, want)
+	}
+}
+
+// TestOrderlyRateShape: both budgeted passes explore, and each column
+// carries every figure of its pass.
+func TestOrderlyRateShape(t *testing.T) {
+	tab, err := OrderlyRate(quickOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(tab.Columns, ",") != "world,fabric" {
+		t.Fatalf("columns = %v", tab.Columns)
+	}
+	for _, r := range tab.Rows {
+		if len(r.Values) != len(tab.Columns) {
+			t.Fatalf("row %s has %d values, want %d", r.Name, len(r.Values), len(tab.Columns))
+		}
+	}
+	for _, name := range []string{"states/s", "states", "transitions", "resets", "elapsed-ms"} {
+		r, ok := tab.Row(name)
+		if !ok {
+			t.Fatalf("no %s row", name)
+		}
+		for i, v := range r.Values {
+			if v <= 0 {
+				t.Errorf("%s %s = %g, want > 0", tab.Columns[i], name, v)
+			}
+		}
 	}
 }

@@ -30,40 +30,31 @@ func groupCommitWriters(opts Options) []int {
 // at 50k appends and up the cells repeat.
 func groupCommitAppends(opts Options) int { return opts.scale(100_000, 50_000) }
 
-// GroupCommitPoint is one machine-readable cell of the group-commit
-// sweep in BENCH_persist.json.
-type GroupCommitPoint struct {
-	Writers int `json:"writers"`
-	// DelayUS and Grouped describe entries recorded while the engine
-	// still had a timed commit window and a single-seal path beside the
-	// commit queue: the window in microseconds (-1 on that single-seal
-	// baseline) and whether the cell ran the queue. Every cell recorded
-	// since runs the one protocol: window 0, grouped.
-	DelayUS          float64 `json:"delay_us"`
-	Grouped          bool    `json:"grouped"`
-	PutsPerSec       float64 `json:"puts_per_sec"`
-	AckP50US         float64 `json:"ack_p50_us"`
-	AckP99US         float64 `json:"ack_p99_us"`
-	MeanBatch        float64 `json:"mean_batch"`
-	SealedFrames     uint64  `json:"sealed_frames"`
-	SealedBytesPerOp float64 `json:"sealed_bytes_per_op"`
+// commitCell is one measured writer count of the group-commit sweep.
+type commitCell struct {
+	putsPerSec       float64
+	ackP50US         float64
+	ackP99US         float64
+	meanBatch        float64
+	sealedFrames     uint64
+	sealedBytesPerOp float64
 }
 
-// runGroupCommitPoint measures one cell: W writers journal
+// runCommitCell measures one cell: W writers journal
 // groupCommitAppends puts between them through a fresh manager, and
 // every Append's wall latency is sampled.
-func runGroupCommitPoint(opts Options, writers int) (GroupCommitPoint, error) {
+func runCommitCell(opts Options, writers int) (commitCell, error) {
 	perWriter := (groupCommitAppends(opts) + writers - 1) / writers
 	l, err := newRecoveryLineage(opts.Config())
 	if err != nil {
-		return GroupCommitPoint{}, err
+		return commitCell{}, err
 	}
 	m, st, err := l.boot()
 	if err != nil {
-		return GroupCommitPoint{}, err
+		return commitCell{}, err
 	}
 	if _, err := m.Recover(); err != nil {
-		return GroupCommitPoint{}, err
+		return commitCell{}, err
 	}
 
 	val := make([]byte, 64)
@@ -97,7 +88,7 @@ func runGroupCommitPoint(opts Options, writers int) (GroupCommitPoint, error) {
 	elapsed := time.Since(start).Seconds()
 	for _, err := range errs {
 		if err != nil {
-			return GroupCommitPoint{}, err
+			return commitCell{}, err
 		}
 	}
 
@@ -115,55 +106,48 @@ func runGroupCommitPoint(opts Options, writers int) (GroupCommitPoint, error) {
 	}
 
 	stats := m.Stats()
-	return GroupCommitPoint{
-		Writers:          writers,
-		Grouped:          true,
-		PutsPerSec:       float64(total) / elapsed,
-		AckP50US:         quant(0.50),
-		AckP99US:         quant(0.99),
-		MeanBatch:        float64(stats.GroupedRecords) / float64(stats.GroupCommits),
-		SealedFrames:     stats.GroupCommits,
-		SealedBytesPerOp: float64(stats.AppendedBytes) / float64(total),
+	return commitCell{
+		putsPerSec:       float64(total) / elapsed,
+		ackP50US:         quant(0.50),
+		ackP99US:         quant(0.99),
+		meanBatch:        float64(stats.GroupedRecords) / float64(stats.GroupCommits),
+		sealedFrames:     stats.GroupCommits,
+		sealedBytesPerOp: float64(stats.AppendedBytes) / float64(total),
 	}, nil
 }
 
-// GroupCommitSweep runs one cell per writer count — the
-// machine-readable record for BENCH_persist.json.
-func GroupCommitSweep(opts Options) ([]GroupCommitPoint, error) {
-	var pts []GroupCommitPoint
-	for _, w := range groupCommitWriters(opts) {
-		pt, err := runGroupCommitPoint(opts, w)
-		if err != nil {
-			return nil, fmt.Errorf("group-commit writers=%d: %w", w, err)
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
-}
-
-// GroupCommit regenerates the human-readable group-commit table.
+// GroupCommit regenerates the group-commit table: one column per writer
+// count.
 func GroupCommit(opts Options) (*Table, error) {
+	writers := groupCommitWriters(opts)
 	t := &Table{
 		ID:      "group-commit",
 		Title:   "Group commit: durable-put throughput vs concurrent writers",
 		XLabel:  "series \\ writers",
 		Unit:    "puts/s",
-		Columns: intColumns(groupCommitWriters(opts)),
+		Columns: intColumns(writers),
 	}
-	pts, err := GroupCommitSweep(opts)
-	if err != nil {
-		return nil, err
+	cells := make([]commitCell, len(writers))
+	for i, w := range writers {
+		c, err := runCommitCell(opts, w)
+		if err != nil {
+			return nil, fmt.Errorf("group-commit writers=%d: %w", w, err)
+		}
+		cells[i] = c
 	}
-	row := func(name string, pick func(GroupCommitPoint) float64) {
-		vals := make([]float64, len(pts))
-		for i, p := range pts {
-			vals[i] = pick(p)
+	row := func(name string, pick func(commitCell) float64) {
+		vals := make([]float64, len(cells))
+		for i, c := range cells {
+			vals[i] = pick(c)
 		}
 		t.AddRow(name, vals...)
 	}
-	row("puts/s", func(p GroupCommitPoint) float64 { return p.PutsPerSec })
-	row("records/frame", func(p GroupCommitPoint) float64 { return p.MeanBatch })
-	row("ack-p99-us", func(p GroupCommitPoint) float64 { return p.AckP99US })
+	row("puts/s", func(c commitCell) float64 { return c.putsPerSec })
+	row("records/frame", func(c commitCell) float64 { return c.meanBatch })
+	row("ack-p50-us", func(c commitCell) float64 { return c.ackP50US })
+	row("ack-p99-us", func(c commitCell) float64 { return c.ackP99US })
+	row("sealed-frames", func(c commitCell) float64 { return float64(c.sealedFrames) })
+	row("sealed-bytes/op", func(c commitCell) float64 { return c.sealedBytesPerOp })
 	t.AddNote("%d appends per cell split across the writers; one sealed WAL frame per commit group", groupCommitAppends(opts))
 	t.AddNote("grouping is natural: a leader yields once, then seals whatever queued behind it")
 	return t, nil

@@ -33,9 +33,7 @@ func concurrentCfg(opts Options) simcfg.Config {
 
 // concResult is one concurrent-RMI measurement point.
 type concResult struct {
-	Goroutines  int
 	Ops         int
-	Wall        time.Duration
 	OpsPerSec   float64
 	P50         time.Duration
 	P99         time.Duration
@@ -111,9 +109,7 @@ func runConcurrentRMI(cfg simcfg.Config, n, iters int) (concResult, error) {
 	}
 	ops := n * iters
 	r := concResult{
-		Goroutines:  n,
 		Ops:         ops,
-		Wall:        wall,
 		P50:         pct(0.50),
 		P99:         pct(0.99),
 		Transitions: s1.Enclave.Ecalls + s1.Enclave.Ocalls - s0.Enclave.Ecalls - s0.Enclave.Ocalls,
@@ -140,88 +136,29 @@ func ConcurrentRMI(opts Options) (*Table, error) {
 		Unit:    "ops/s",
 		Columns: intColumns(concGoroutines),
 	}
-	var thr, speed []float64
-	var base float64
+	var thr, speed, p50, p99, trans, cyc []float64
 	for _, g := range concGoroutines {
 		r, err := runConcurrentRMI(cfg, g, iters)
 		if err != nil {
 			return nil, fmt.Errorf("concurrent-rmi g=%d: %w", g, err)
 		}
-		if base == 0 {
-			base = r.OpsPerSec
-		}
 		thr = append(thr, r.OpsPerSec)
-		if base > 0 {
-			speed = append(speed, r.OpsPerSec/base)
+		if thr[0] > 0 {
+			speed = append(speed, r.OpsPerSec/thr[0])
 		} else {
 			speed = append(speed, 0)
 		}
+		p50 = append(p50, float64(r.P50.Nanoseconds()))
+		p99 = append(p99, float64(r.P99.Nanoseconds()))
+		trans = append(trans, float64(r.Transitions)/float64(r.Ops))
+		cyc = append(cyc, float64(r.Cycles)/float64(r.Ops))
 	}
 	t.AddRow("throughput", thr...)
 	t.AddRow("speedup-vs-1", speed...)
+	t.AddRow("p50-ns", p50...)
+	t.AddRow("p99-ns", p99...)
+	t.AddRow("transitions/op", trans...)
+	t.AddRow("cycles/op", cyc...)
 	t.AddNote("GOMAXPROCS=%d; stall-modelled transition costs overlap as timer waits", runtime.GOMAXPROCS(0))
 	return t, nil
-}
-
-// RMIScalePoint is one goroutine-count measurement of an RMIPerf run.
-type RMIScalePoint struct {
-	Goroutines int     `json:"goroutines"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	Speedup    float64 `json:"speedup_vs_1"`
-}
-
-// RMIPerfEntry is one machine-readable RMI performance record — the
-// perf-trajectory format of BENCH_rmi.json that future changes compare
-// against.
-type RMIPerfEntry struct {
-	Label            string          `json:"label"`
-	GoMaxProcs       int             `json:"gomaxprocs"`
-	Quick            bool            `json:"quick"`
-	SingleOpsPerSec  float64         `json:"single_ops_per_sec"`
-	SingleP50NS      int64           `json:"single_p50_ns"`
-	SingleP99NS      int64           `json:"single_p99_ns"`
-	TransitionsPerOp float64         `json:"transitions_per_op"`
-	CyclesPerOp      float64         `json:"cycles_per_op"`
-	Scaling          []RMIScalePoint `json:"scaling"`
-	// PayloadSweep is present on ring-suite records: frame vs ring
-	// cycles/op across payload sizes (see RingPayloadSweep).
-	PayloadSweep []PayloadPoint `json:"payload_sweep,omitempty"`
-}
-
-// RMIPerfSchema identifies the BENCH_rmi.json format.
-const RMIPerfSchema = "montsalvat-bench-rmi/v1"
-
-// RMIPerf produces one labelled RMI performance record: single-goroutine
-// latency/throughput plus the concurrent scaling sweep.
-func RMIPerf(opts Options, label string) (*RMIPerfEntry, error) {
-	iters := opts.scale(300, 40)
-	cfg := concurrentCfg(opts)
-	e := &RMIPerfEntry{
-		Label:      label,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Quick:      opts.Quick,
-	}
-	var base float64
-	for _, g := range concGoroutines {
-		r, err := runConcurrentRMI(cfg, g, iters)
-		if err != nil {
-			return nil, fmt.Errorf("rmi-perf g=%d: %w", g, err)
-		}
-		if g == 1 {
-			base = r.OpsPerSec
-			e.SingleOpsPerSec = r.OpsPerSec
-			e.SingleP50NS = r.P50.Nanoseconds()
-			e.SingleP99NS = r.P99.Nanoseconds()
-			if r.Ops > 0 {
-				e.TransitionsPerOp = float64(r.Transitions) / float64(r.Ops)
-				e.CyclesPerOp = float64(r.Cycles) / float64(r.Ops)
-			}
-		}
-		p := RMIScalePoint{Goroutines: g, OpsPerSec: r.OpsPerSec}
-		if base > 0 {
-			p.Speedup = r.OpsPerSec / base
-		}
-		e.Scaling = append(e.Scaling, p)
-	}
-	return e, nil
 }

@@ -9,7 +9,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,8 +63,8 @@ func modeledRate(before, after map[int]int64, ops int) float64 {
 // EPC. Without it the put phase mostly measures session establishment —
 // the handshake count grows with shards x clients, so the cold curve
 // *degrades* with shard count for setup reasons that have nothing to do
-// with the per-put path (the fabric-v1 entry in BENCH_fabric.json was
-// recorded cold, which is much of its 2->8 shard flatline).
+// with the per-put path (the fabric-v1 record in BENCH.json was taken
+// cold, which is much of its 2->8 shard flatline).
 func runFabricScalePoint(shards, clients, opsPerClient int) (fabricLoadPoint, error) {
 	f, err := fabric.New(fabric.Options{Shards: shards})
 	if err != nil {
@@ -191,7 +190,7 @@ func FabricScale(opts Options) (*Table, error) {
 		Unit:    "ops/s",
 		Columns: intColumns(shardCounts),
 	}
-	var puts, gets, modeled, speed []float64
+	var puts, gets, modeled, modeledGets, speed []float64
 	for _, n := range shardCounts {
 		p, err := runFabricScalePoint(n, clients, opsPerClient)
 		if err != nil {
@@ -200,6 +199,7 @@ func FabricScale(opts Options) (*Table, error) {
 		puts = append(puts, p.PutsPerSec)
 		gets = append(gets, p.GetsPerSec)
 		modeled = append(modeled, p.ModeledPutsPerSec)
+		modeledGets = append(modeledGets, p.ModeledGetsPerSec)
 		if modeled[0] > 0 {
 			speed = append(speed, p.ModeledPutsPerSec/modeled[0])
 		} else {
@@ -209,6 +209,7 @@ func FabricScale(opts Options) (*Table, error) {
 	t.AddRow("put-wall", puts...)
 	t.AddRow("get-wall", gets...)
 	t.AddRow("put-modeled", modeled...)
+	t.AddRow("get-modeled", modeledGets...)
 	t.AddRow("put-modeled-speedup", speed...)
 	last := len(shardCounts) - 1
 	t.AddNote("%d clients x %d ops/phase, measured after a warm-up round (sessions dialed, EPC hot); every op is an attested session call plus a per-shard WAL append",
@@ -291,85 +292,4 @@ func FailoverTime(opts Options) (*Table, error) {
 	t.AddNote("promotion = recover shipped root on the standby (unseal checkpoint + replay WAL tail) + rollback check + reopen gateway")
 	t.AddNote("writes were acked only after a ship round covered them, so the standby never trails the promise")
 	return t, nil
-}
-
-// FabricScalePoint is one machine-readable shard-scaling cell of
-// BENCH_fabric.json. The modeled rates are derived from the busiest
-// shard's charged virtual cycles (host-core-independent); the speedup
-// is the modeled rate normalised to the single-shard baseline.
-type FabricScalePoint struct {
-	Shards            int     `json:"shards"`
-	PutsPerSec        float64 `json:"puts_per_sec"`
-	GetsPerSec        float64 `json:"gets_per_sec"`
-	ModeledPutsPerSec float64 `json:"modeled_puts_per_sec"`
-	ModeledGetsPerSec float64 `json:"modeled_gets_per_sec"`
-	PutSpeedup        float64 `json:"put_speedup"`
-}
-
-// FailoverPoint is one machine-readable failover measurement.
-type FailoverPoint struct {
-	Records   int     `json:"records"`
-	PromoteMS float64 `json:"promote_ms"`
-}
-
-// FabricPerfEntry is one labelled fabric performance record — the
-// perf-trajectory format of BENCH_fabric.json that future changes
-// compare against.
-type FabricPerfEntry struct {
-	Label      string `json:"label"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Quick      bool   `json:"quick"`
-	Clients    int    `json:"clients"`
-	// GroupCommit is false on entries recorded on the per-mutation
-	// synchronous ack path that once sat beside the group-commit one;
-	// every run since is on the one leader-driven protocol and records
-	// true.
-	GroupCommit bool               `json:"group_commit"`
-	Scale       []FabricScalePoint `json:"scale"`
-	Failover    []FailoverPoint    `json:"failover"`
-}
-
-// FabricPerfSchema identifies the BENCH_fabric.json format.
-const FabricPerfSchema = "montsalvat-bench-fabric/v1"
-
-// FabricPerf produces one labelled fabric performance record: the
-// shard-scaling sweep plus the failover-latency sweep.
-func FabricPerf(opts Options, label string) (*FabricPerfEntry, error) {
-	clients, opsPerClient := fabricScaleParams(opts)
-	e := &FabricPerfEntry{
-		Label:       label,
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Quick:       opts.Quick,
-		Clients:     clients,
-		GroupCommit: true,
-	}
-	var base float64
-	for _, n := range fabricShardCounts(opts) {
-		p, err := runFabricScalePoint(n, clients, opsPerClient)
-		if err != nil {
-			return nil, fmt.Errorf("fabric-perf shards=%d: %w", n, err)
-		}
-		pt := FabricScalePoint{
-			Shards:            n,
-			PutsPerSec:        p.PutsPerSec,
-			GetsPerSec:        p.GetsPerSec,
-			ModeledPutsPerSec: p.ModeledPutsPerSec,
-			ModeledGetsPerSec: p.ModeledGetsPerSec,
-		}
-		if base == 0 {
-			base = p.ModeledPutsPerSec
-		}
-		if base > 0 {
-			pt.PutSpeedup = p.ModeledPutsPerSec / base
-		}
-		e.Scale = append(e.Scale, pt)
-	}
-	for _, n := range fabricFailoverRecords(opts) {
-		d, err := runFailoverPoint(n)
-		if err != nil {
-			return nil, fmt.Errorf("fabric-perf failover n=%d: %w", n, err)
-		}
-		e.Failover = append(e.Failover, FailoverPoint{Records: n, PromoteMS: float64(d.Microseconds()) / 1000})
-	}
-	return e, nil
 }

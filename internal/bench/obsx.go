@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -202,52 +201,4 @@ func ObsOverhead(opts Options) (*Table, error) {
 		}
 	}
 	return t, nil
-}
-
-// ObsPerfPoint is one telemetry mode's measurement in a perf record.
-type ObsPerfPoint struct {
-	Mode        string  `json:"mode"`
-	CyclesPerOp float64 `json:"cycles_per_op"`
-	WallNSPerOp float64 `json:"wall_ns_per_op"`
-	// CycleDelta is CyclesPerOp minus the disabled mode's — 0 by the
-	// cycle-neutrality invariant.
-	CycleDelta float64 `json:"cycle_delta"`
-	// WallOverhead is the fractional wall-clock cost over disabled.
-	WallOverhead float64 `json:"wall_overhead"`
-}
-
-// ObsPerfEntry is one labelled observability-overhead record — the
-// perf-trajectory format of BENCH_obs.json.
-type ObsPerfEntry struct {
-	Label      string         `json:"label"`
-	GoMaxProcs int            `json:"gomaxprocs"`
-	Quick      bool           `json:"quick"`
-	Points     []ObsPerfPoint `json:"points"`
-}
-
-// ObsPerfSchema identifies the BENCH_obs.json format.
-const ObsPerfSchema = "montsalvat-bench-obs/v1"
-
-// ObsPerf produces one labelled observability-overhead record.
-func ObsPerf(opts Options, label string) (*ObsPerfEntry, error) {
-	table, err := ObsOverhead(opts)
-	if err != nil {
-		return nil, err
-	}
-	cyc, _ := table.Row("virtual cycles/op")
-	wall, _ := table.Row("wall ns/op (best of reps)")
-	e := &ObsPerfEntry{Label: label, GoMaxProcs: runtime.GOMAXPROCS(0), Quick: opts.Quick}
-	for i, mode := range table.Columns {
-		p := ObsPerfPoint{
-			Mode:        mode,
-			CyclesPerOp: cyc.Values[i],
-			WallNSPerOp: wall.Values[i],
-			CycleDelta:  cyc.Values[i] - cyc.Values[0],
-		}
-		if i > 0 && wall.Values[0] > 0 {
-			p.WallOverhead = (wall.Values[i] - wall.Values[0]) / wall.Values[0]
-		}
-		e.Points = append(e.Points, p)
-	}
-	return e, nil
 }

@@ -1,8 +1,7 @@
 package bench
 
-// orderlyx.go is the model-checker throughput suite behind
-// `montsalvat-bench -json BENCH_orderly.json -suite orderly`: the
-// orderly explorer's deep mode, run at a fixed wall-clock budget per
+// orderlyx.go is the model-checker throughput experiment: the orderly
+// explorer's deep mode, run at a fixed wall-clock budget per
 // configuration, recording distinct canonical states per second. The
 // rate is the capacity planning number for the verification schedules —
 // it says how much interleaving space a CI minute actually buys on this
@@ -11,49 +10,17 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"montsalvat/internal/orderly"
 )
 
-// OrderlyPerfPoint is one configuration's exploration-rate measurement.
-type OrderlyPerfPoint struct {
-	Config   string `json:"config"`
-	MaxDepth int    `json:"max_depth"`
-	// States is the distinct canonical states visited inside the
-	// budget; Transitions counts frontier action applications and
-	// Resets full system rebuilds (the replay-from-scratch backtracking
-	// cost).
-	States       int     `json:"states"`
-	Transitions  int64   `json:"transitions"`
-	Resets       int64   `json:"resets"`
-	ElapsedMS    float64 `json:"elapsed_ms"`
-	StatesPerSec float64 `json:"states_per_sec"`
-	// Bounded reports the budget (not depth exhaustion) stopped the
-	// pass — expected true for the deep world sweep.
-	Bounded bool `json:"bounded"`
-}
-
-// OrderlyPerfEntry is one labelled model-checker throughput record —
-// the perf-trajectory format of BENCH_orderly.json.
-type OrderlyPerfEntry struct {
-	Label      string             `json:"label"`
-	GoMaxProcs int                `json:"gomaxprocs"`
-	Quick      bool               `json:"quick"`
-	Points     []OrderlyPerfPoint `json:"points"`
-}
-
-// OrderlyPerfSchema identifies the BENCH_orderly.json format.
-const OrderlyPerfSchema = "montsalvat-bench-orderly/v1"
-
-// OrderlyPerf produces one labelled model-checker throughput record:
-// the in-process world alphabet explored deep under a wall-clock
-// budget, and the two-shard fabric failover alphabet under a smaller
-// one (a fabric rebuild costs ~10x a world rebuild, so its rate is the
-// interesting floor). Any invariant violation fails the run — the
-// throughput suite doubles as one more clean sweep.
-func OrderlyPerf(opts Options, label string) (*OrderlyPerfEntry, error) {
+// OrderlyRate explores the in-process world alphabet deep under a
+// wall-clock budget, and the two-shard fabric failover alphabet under a
+// smaller one (a fabric rebuild costs ~10x a world rebuild, so its rate
+// is the interesting floor). Any invariant violation fails the run — the
+// throughput experiment doubles as one more clean sweep.
+func OrderlyRate(opts Options) (*Table, error) {
 	passes := []struct {
 		config string
 		depth  int
@@ -62,7 +29,13 @@ func OrderlyPerf(opts Options, label string) (*OrderlyPerfEntry, error) {
 		{"world", 12, time.Duration(opts.scale(10, 2)) * time.Second},
 		{"fabric", 8, time.Duration(opts.scale(5, 1)) * time.Second},
 	}
-	e := &OrderlyPerfEntry{Label: label, GoMaxProcs: runtime.GOMAXPROCS(0), Quick: opts.Quick}
+	t := &Table{
+		ID:     "orderly-rate",
+		Title:  "Model-checker exploration rate (orderly deep mode)",
+		XLabel: "metric \\ config",
+		Unit:   "per budgeted pass",
+	}
+	var depth, states, transitions, resets, elapsed, rate, bounded []float64
 	for _, p := range passes {
 		build, err := orderly.Config(p.config)
 		if err != nil {
@@ -74,22 +47,33 @@ func OrderlyPerf(opts Options, label string) (*OrderlyPerfEntry, error) {
 			Budget:   p.budget,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("orderly perf %s: %w", p.config, err)
+			return nil, fmt.Errorf("orderly-rate %s: %w", p.config, err)
 		}
 		if v := res.Violation; v != nil {
-			return nil, fmt.Errorf("orderly perf %s: invariant violated: %v (seed %s)",
+			return nil, fmt.Errorf("orderly-rate %s: invariant violated: %v (seed %s)",
 				p.config, v.Err, orderly.FormatSeed(p.config, v.Trace))
 		}
-		e.Points = append(e.Points, OrderlyPerfPoint{
-			Config:       p.config,
-			MaxDepth:     p.depth,
-			States:       res.States,
-			Transitions:  res.Transitions,
-			Resets:       res.Resets,
-			ElapsedMS:    float64(res.Elapsed) / float64(time.Millisecond),
-			StatesPerSec: res.StatesPerSec(),
-			Bounded:      res.Bounded,
-		})
+		t.Columns = append(t.Columns, p.config)
+		depth = append(depth, float64(p.depth))
+		states = append(states, float64(res.States))
+		transitions = append(transitions, float64(res.Transitions))
+		resets = append(resets, float64(res.Resets))
+		elapsed = append(elapsed, float64(res.Elapsed)/float64(time.Millisecond))
+		rate = append(rate, res.StatesPerSec())
+		if res.Bounded {
+			bounded = append(bounded, 1)
+		} else {
+			bounded = append(bounded, 0)
+		}
 	}
-	return e, nil
+	t.AddRow("states/s", rate...)
+	t.AddRow("states", states...)
+	t.AddRow("transitions", transitions...)
+	t.AddRow("resets", resets...)
+	t.AddRow("elapsed-ms", elapsed...)
+	t.AddRow("max-depth", depth...)
+	t.AddRow("bounded", bounded...)
+	t.AddNote("states are distinct canonical states; transitions count frontier action applications, resets full system rebuilds (replay-from-scratch backtracking)")
+	t.AddNote("bounded 1 means the wall-clock budget, not depth exhaustion, ended the pass")
+	return t, nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
 	"montsalvat/internal/cycles"
 	"montsalvat/internal/persist"
@@ -169,6 +168,10 @@ func intervalName(interval int) string {
 	return fmt.Sprintf("ckpt/%d", interval)
 }
 
+// replayedName labels the row counting the WAL records a cadence's
+// recoveries replayed.
+func replayedName(interval int) string { return intervalName(interval) + " replayed" }
+
 // RecoveryTime regenerates the durability experiment: crash-recovery
 // latency as a function of WAL length and checkpoint cadence. Recovery
 // is dominated by the WAL tail — unsealing and replaying every record
@@ -185,9 +188,11 @@ func RecoveryTime(opts Options) (*Table, error) {
 		Columns: intColumns(counts),
 	}
 	var worst, best []float64
+	var replayedRows []Series
 	for _, interval := range recoveryIntervals {
 		values := make([]float64, 0, len(counts))
 		ledger := make([]int64, 0, len(counts))
+		replayed := make([]float64, 0, len(counts))
 		for _, n := range counts {
 			rep, err := runRecovery(cfg, n, interval)
 			if err != nil {
@@ -195,8 +200,10 @@ func RecoveryTime(opts Options) (*Table, error) {
 			}
 			values = append(values, float64(rep.Duration.Microseconds())/1000)
 			ledger = append(ledger, rep.Cycles)
+			replayed = append(replayed, float64(rep.ReplayedRecords))
 		}
 		t.Rows = append(t.Rows, Series{Name: intervalName(interval), Values: values, Cycles: ledger})
+		replayedRows = append(replayedRows, Series{Name: replayedName(interval), Values: replayed})
 		switch interval {
 		case 0:
 			worst = values
@@ -204,75 +211,13 @@ func RecoveryTime(opts Options) (*Table, error) {
 			best = values
 		}
 	}
+	t.Rows = append(t.Rows, replayedRows...)
 	if len(worst) > 0 && len(best) > 0 && best[len(best)-1] > 0 {
 		t.AddNote("full-WAL replay vs %s at max records: %.1fx slower recovery",
 			intervalName(recoveryIntervals[len(recoveryIntervals)-1]),
 			worst[len(worst)-1]/best[len(best)-1])
 	}
 	t.AddNote("recovery = unseal counter-valid checkpoint + replay sealed WAL tail + recovery checkpoint")
+	t.AddNote("each cadence's \"replayed\" row counts the WAL records its recoveries replayed")
 	return t, nil
-}
-
-// RecoveryPoint is one (records, cadence) measurement of a RecoveryPerf
-// run.
-type RecoveryPoint struct {
-	Records         int     `json:"records"`
-	CkptInterval    int     `json:"ckpt_interval"`
-	RecoverMS       float64 `json:"recover_ms"`
-	ReplayedRecords int     `json:"replayed_records"`
-	RecordsPerSec   float64 `json:"replayed_per_sec"`
-}
-
-// RecoveryPerfEntry is one machine-readable recovery performance record
-// — the perf-trajectory format of BENCH_persist.json that future
-// changes compare against.
-type RecoveryPerfEntry struct {
-	Label      string          `json:"label"`
-	GoMaxProcs int             `json:"gomaxprocs"`
-	Quick      bool            `json:"quick"`
-	Points     []RecoveryPoint `json:"points"`
-	// GroupCommit is the group-commit sweep: durable-put throughput and
-	// ack quantiles, one cell per writer count (see GroupCommitPoint for
-	// the extra cells of older entries). Absent in entries recorded
-	// before the commit queue existed.
-	GroupCommit []GroupCommitPoint `json:"group_commit,omitempty"`
-}
-
-// RecoveryPerfSchema identifies the BENCH_persist.json format.
-const RecoveryPerfSchema = "montsalvat-bench-persist/v1"
-
-// RecoveryPerf produces one labelled recovery performance record: the
-// full (records × cadence) sweep with replay throughput per point.
-func RecoveryPerf(opts Options, label string) (*RecoveryPerfEntry, error) {
-	counts := sweep(opts.scale(1_000, 200), opts.scale(8_000, 1_000), opts.scale(4, 3))
-	cfg := opts.Config()
-	e := &RecoveryPerfEntry{
-		Label:      label,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Quick:      opts.Quick,
-	}
-	for _, interval := range recoveryIntervals {
-		for _, n := range counts {
-			rep, err := runRecovery(cfg, n, interval)
-			if err != nil {
-				return nil, fmt.Errorf("recovery-perf n=%d interval=%d: %w", n, interval, err)
-			}
-			p := RecoveryPoint{
-				Records:         n,
-				CkptInterval:    interval,
-				RecoverMS:       float64(rep.Duration.Microseconds()) / 1000,
-				ReplayedRecords: rep.ReplayedRecords,
-			}
-			if secs := rep.Duration.Seconds(); secs > 0 && rep.ReplayedRecords > 0 {
-				p.RecordsPerSec = float64(rep.ReplayedRecords) / secs
-			}
-			e.Points = append(e.Points, p)
-		}
-	}
-	gc, err := GroupCommitSweep(opts)
-	if err != nil {
-		return nil, fmt.Errorf("recovery-perf group-commit sweep: %w", err)
-	}
-	e.GroupCommit = gc
-	return e, nil
 }

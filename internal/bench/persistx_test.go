@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"encoding/json"
+	"strconv"
+	"testing"
+)
 
 func TestRecoveryTimeShape(t *testing.T) {
 	tab, err := RecoveryTime(quickOpts())
@@ -10,13 +14,16 @@ func TestRecoveryTimeShape(t *testing.T) {
 	if tab.ID != "recovery" {
 		t.Fatalf("ID = %s", tab.ID)
 	}
-	if len(tab.Rows) != len(recoveryIntervals) {
-		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(recoveryIntervals))
+	if len(tab.Rows) != 2*len(recoveryIntervals) {
+		t.Fatalf("rows = %d, want %d", len(tab.Rows), 2*len(recoveryIntervals))
 	}
 	for _, r := range tab.Rows {
 		if len(r.Values) != len(tab.Columns) {
 			t.Fatalf("row %s has %d values, want %d", r.Name, len(r.Values), len(tab.Columns))
 		}
+	}
+	for _, interval := range recoveryIntervals {
+		r, _ := tab.Row(intervalName(interval))
 		for i, v := range r.Values {
 			if v <= 0 {
 				t.Errorf("row %s col %d: non-positive recovery time %g", r.Name, i, v)
@@ -59,57 +66,86 @@ func TestRecoveryTimeShape(t *testing.T) {
 	}
 }
 
+// TestRecoveryPerfEntry checks the recorded form of the recovery
+// experiment — the table as montsalvat-bench -json writes it — carries
+// a positive recovery time for every point and the records each
+// recovery replayed.
 func TestRecoveryPerfEntry(t *testing.T) {
-	e, err := RecoveryPerf(quickOpts(), "test")
+	tab, err := RecoveryTime(quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Label != "test" || !e.Quick {
-		t.Fatalf("entry meta = %+v", e)
+	raw, err := json.Marshal(tab)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(e.Points) == 0 {
-		t.Fatal("no points")
+	var rec Table
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range e.Points {
-		if p.RecoverMS <= 0 {
-			t.Errorf("point %+v: non-positive recovery time", p)
+	if rec.ID != "recovery" || len(rec.Columns) == 0 {
+		t.Fatalf("record = %+v", rec)
+	}
+	for _, interval := range recoveryIntervals {
+		r, ok := rec.Row(intervalName(interval))
+		if !ok || len(r.Values) != len(rec.Columns) {
+			t.Fatalf("row %q = %+v", intervalName(interval), r)
 		}
-		// With no checkpoints, every record replays from the WAL.
-		if p.CkptInterval == 0 && p.ReplayedRecords != p.Records {
-			t.Errorf("no-ckpt point replayed %d of %d records", p.ReplayedRecords, p.Records)
+		for i, v := range r.Values {
+			if v <= 0 {
+				t.Errorf("row %s col %s: non-positive recovery time %g", r.Name, rec.Columns[i], v)
+			}
 		}
 	}
-	if len(e.GroupCommit) == 0 {
-		t.Fatal("no group-commit sweep in entry")
+	// With no checkpoint, every record replays from the WAL.
+	replayed, ok := rec.Row(replayedName(0))
+	if !ok || len(replayed.Values) != len(rec.Columns) {
+		t.Fatalf("row %q = %+v", replayedName(0), replayed)
+	}
+	for i, col := range rec.Columns {
+		if n, _ := strconv.Atoi(col); replayed.Values[i] != float64(n) {
+			t.Errorf("no-ckpt recovery replayed %g of %d records", replayed.Values[i], n)
+		}
 	}
 }
 
 func TestGroupCommitSweepShape(t *testing.T) {
-	pts, err := GroupCommitSweep(quickOpts())
+	tab, err := GroupCommit(quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	writers := groupCommitWriters(quickOpts())
-	if len(pts) != len(writers) {
-		t.Fatalf("cells = %d, want %d", len(pts), len(writers))
+	if len(tab.Columns) != len(writers) {
+		t.Fatalf("cells = %d, want %d", len(tab.Columns), len(writers))
 	}
-	for i, p := range pts {
-		if p.Writers != writers[i] || uint64(p.MeanBatch*float64(p.SealedFrames)+0.5) < uint64(groupCommitAppends(quickOpts())) {
-			t.Errorf("cell %+v: want %d writers and at least %d appends", p, writers[i], groupCommitAppends(quickOpts()))
+	row := func(name string) []float64 {
+		r, ok := tab.Row(name)
+		if !ok || len(r.Values) != len(writers) {
+			t.Fatalf("row %q = %+v", name, r)
 		}
-		if p.PutsPerSec <= 0 || p.AckP50US <= 0 || p.AckP99US < p.AckP50US {
-			t.Errorf("cell %+v: degenerate throughput/latency", p)
+		return r.Values
+	}
+	puts, batch, p50, p99 := row("puts/s"), row("records/frame"), row("ack-p50-us"), row("ack-p99-us")
+	frames, bytesPerOp := row("sealed-frames"), row("sealed-bytes/op")
+	appends := float64(groupCommitAppends(quickOpts()))
+	for i, w := range writers {
+		if tab.Columns[i] != strconv.Itoa(w) || batch[i]*frames[i]+0.5 < appends {
+			t.Errorf("cell %s: %.2f records x %g frames, want %d writers and at least %g appends",
+				tab.Columns[i], batch[i], frames[i], w, appends)
 		}
-		if p.MeanBatch < 1 {
-			t.Errorf("cell %+v: batch below 1", p)
+		if puts[i] <= 0 || p50[i] <= 0 || p99[i] < p50[i] {
+			t.Errorf("cell %d writers: degenerate throughput/latency: %g puts/s, ack p50 %gus p99 %gus", w, puts[i], p50[i], p99[i])
 		}
-		if p.SealedFrames == 0 || p.SealedBytesPerOp <= 0 {
-			t.Errorf("cell %+v: no sealing accounted", p)
+		if batch[i] < 1 {
+			t.Errorf("cell %d writers: batch %.2f below 1", w, batch[i])
+		}
+		if frames[i] == 0 || bytesPerOp[i] <= 0 {
+			t.Errorf("cell %d writers: no sealing accounted (%g frames, %g B/op)", w, frames[i], bytesPerOp[i])
 		}
 	}
 	// The point of the protocol: with concurrent writers the commit
 	// queue seals fewer frames than it journals records.
-	if top := pts[len(pts)-1]; top.MeanBatch <= 1 {
-		t.Fatalf("cell at %d writers achieved batch %.2f, want > 1", top.Writers, top.MeanBatch)
+	if top := len(writers) - 1; batch[top] <= 1 {
+		t.Fatalf("cell at %d writers achieved batch %.2f, want > 1", writers[top], batch[top])
 	}
 }

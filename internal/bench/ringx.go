@@ -111,7 +111,7 @@ func RingSweep(opts Options) (*Table, error) {
 		Unit:    "cycles/op",
 		Columns: intColumns(payloads),
 	}
-	var frameRow, ringRow, speedRow, cryptoShare []float64
+	var frameRow, ringRow, speedRow, cryptoShare, handoff, copies, oversize []float64
 	for _, payload := range payloads {
 		fp, err := runRingPoint(frameCfg, payload, iters)
 		if err != nil {
@@ -125,85 +125,26 @@ func RingSweep(opts Options) (*Table, error) {
 		ringRow = append(ringRow, rp.CyclesPerOp)
 		if rp.CyclesPerOp > 0 {
 			speedRow = append(speedRow, fp.CyclesPerOp/rp.CyclesPerOp)
-		} else {
-			speedRow = append(speedRow, 0)
-		}
-		if rp.CyclesPerOp > 0 {
 			cryptoShare = append(cryptoShare, rp.CryptoCycles/rp.CyclesPerOp)
 		} else {
+			speedRow = append(speedRow, 0)
 			cryptoShare = append(cryptoShare, 0)
 		}
+		handoff = append(handoff, rp.HandoffCycles)
+		copies = append(copies, fp.CopyCycles)
+		oversize = append(oversize, float64(rp.Oversize))
 	}
 	t.AddRow("frame-path", frameRow...)
 	t.AddRow("ring-path", ringRow...)
 	t.AddRow("frame/ring", speedRow...)
 	t.AddRow("ring-crypto-share", cryptoShare...)
+	t.AddRow("ring-handoff-cycles", handoff...)
+	t.AddRow("frame-copy-cycles", copies...)
+	t.AddRow("ring-oversize", oversize...)
 	last := len(payloads) - 1
 	t.AddNote("at %d B the ring path spends %.0f%% of its cycles in the in-place crypto pass (frame path: per-byte MEE copies)",
 		payloads[last], cryptoShare[last]*100)
 	t.AddNote("frame-path MEE copy rate %.1f B/cycle vs ring streaming AES-GCM %.1f B/cycle, charged once per direction",
 		simcfg.MEEBytesPerCycle, simcfg.RingCryptoBytesPerCycle)
 	return t, nil
-}
-
-// PayloadPoint is one machine-readable cell of the ring payload sweep
-// recorded in BENCH_rmi.json.
-type PayloadPoint struct {
-	PayloadBytes       int     `json:"payload_bytes"`
-	FrameCyclesPerOp   float64 `json:"frame_cycles_per_op"`
-	RingCyclesPerOp    float64 `json:"ring_cycles_per_op"`
-	Speedup            float64 `json:"speedup"`
-	RingCryptoShare    float64 `json:"ring_crypto_share"`
-	RingHandoffCycles  float64 `json:"ring_handoff_cycles_per_op"`
-	FrameCopyCycles    float64 `json:"frame_copy_cycles_per_op"`
-	RingOversizeEvents uint64  `json:"ring_oversize_events,omitempty"`
-}
-
-// RingPayloadSweep produces the machine-readable payload sweep.
-func RingPayloadSweep(opts Options) ([]PayloadPoint, error) {
-	payloads := ringPayloads(opts)
-	iters := opts.scale(50, 10)
-	frameCfg, ringCfg := ringSweepCfg(opts)
-
-	points := make([]PayloadPoint, 0, len(payloads))
-	for _, payload := range payloads {
-		fp, err := runRingPoint(frameCfg, payload, iters)
-		if err != nil {
-			return nil, fmt.Errorf("ring-perf frame payload=%d: %w", payload, err)
-		}
-		rp, err := runRingPoint(ringCfg, payload, iters)
-		if err != nil {
-			return nil, fmt.Errorf("ring-perf ring payload=%d: %w", payload, err)
-		}
-		pt := PayloadPoint{
-			PayloadBytes:       payload,
-			FrameCyclesPerOp:   fp.CyclesPerOp,
-			RingCyclesPerOp:    rp.CyclesPerOp,
-			RingHandoffCycles:  rp.HandoffCycles,
-			FrameCopyCycles:    fp.CopyCycles,
-			RingOversizeEvents: rp.Oversize,
-		}
-		if rp.CyclesPerOp > 0 {
-			pt.Speedup = fp.CyclesPerOp / rp.CyclesPerOp
-			pt.RingCryptoShare = rp.CryptoCycles / rp.CyclesPerOp
-		}
-		points = append(points, pt)
-	}
-	return points, nil
-}
-
-// RingPerf produces one labelled ring-suite record: the single-goroutine
-// RMI numbers measured with the ring data plane on, plus the payload
-// sweep against the frame path.
-func RingPerf(opts Options, label string) (*RMIPerfEntry, error) {
-	e, err := RMIPerf(opts, label)
-	if err != nil {
-		return nil, err
-	}
-	sweep, err := RingPayloadSweep(opts)
-	if err != nil {
-		return nil, err
-	}
-	e.PayloadSweep = sweep
-	return e, nil
 }

@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // TestRingSweepShape pins the zero-copy claim at quick scale: the ring
 // path never loses to the frame path, wins clearly at the largest
@@ -41,25 +44,42 @@ func TestRingSweepShape(t *testing.T) {
 	}
 }
 
-// TestRingPayloadSweepJSON checks the machine-readable sweep is
-// internally consistent with the table generator's claims.
+// TestRingPayloadSweepJSON checks the recorded form of the sweep — the
+// table as montsalvat-bench -json writes it — is internally consistent
+// with the table generator's claims. No call outgrows its slot.
 func TestRingPayloadSweepJSON(t *testing.T) {
-	points, err := RingPayloadSweep(quickOpts())
+	tab, err := RingSweep(quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != len(ringPayloads(quickOpts())) {
-		t.Fatalf("points = %d, want %d", len(points), len(ringPayloads(quickOpts())))
+	raw, err := json.Marshal(tab)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range points {
-		if p.RingCyclesPerOp <= 0 || p.FrameCyclesPerOp <= 0 {
-			t.Errorf("payload %d: non-positive cycles %+v", p.PayloadBytes, p)
+	var rec Table
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Columns) != len(ringPayloads(quickOpts())) {
+		t.Fatalf("payloads = %d, want %d", len(rec.Columns), len(ringPayloads(quickOpts())))
+	}
+	row := func(name string) []float64 {
+		r, ok := rec.Row(name)
+		if !ok || len(r.Values) != len(rec.Columns) {
+			t.Fatalf("row %q = %+v", name, r)
 		}
-		if p.Speedup <= 0.9 {
-			t.Errorf("payload %d: speedup %.2f, want ~>=1", p.PayloadBytes, p.Speedup)
+		return r.Values
+	}
+	frame, ring, speed, oversize := row("frame-path"), row("ring-path"), row("frame/ring"), row("ring-oversize")
+	for i, payload := range rec.Columns {
+		if ring[i] <= 0 || frame[i] <= 0 {
+			t.Errorf("payload %s: non-positive cycles: frame %g, ring %g", payload, frame[i], ring[i])
 		}
-		if p.RingOversizeEvents != 0 {
-			t.Errorf("payload %d: unexpected oversize fallbacks (slots sized to the sweep)", p.PayloadBytes)
+		if speed[i] <= 0.9 {
+			t.Errorf("payload %s: frame/ring %.2f, want ~>=1", payload, speed[i])
+		}
+		if oversize[i] != 0 {
+			t.Errorf("payload %s: %g oversize fallbacks (slots are sized to the sweep)", payload, oversize[i])
 		}
 	}
 }
