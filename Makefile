@@ -35,6 +35,7 @@ test:
 	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestCycleLedgerGolden|TestLane' ./internal/world
 	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestRecovery' ./internal/persist
 	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestGatewayLifecycleGate|TestServeDrain|TestGateway|TestRecoverReentersLanes' ./internal/serve
+	$(GO) test -run NONE -bench . -benchtime 1x ./internal/heap ./internal/epc ./internal/isolate ./internal/world
 	$(GO) test -race ./internal/channel/... ./internal/registry/... ./internal/wire/... ./internal/boundary/... ./internal/mee/... ./internal/epc/... ./internal/heap/... ./internal/isolate/... ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/serve/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/... ./internal/shim/...
 
 race:

@@ -190,7 +190,11 @@ func benchmarkGC(b *testing.B, inEnclave bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := h.NewHandle(addr); err != nil {
+		o, err := h.View(addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := h.NewHandle(o); err != nil {
 			b.Fatal(err)
 		}
 	}

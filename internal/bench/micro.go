@@ -388,7 +388,11 @@ func Fig5a(opts Options) (*Table, error) {
 			if err != nil {
 				return timing{}, err
 			}
-			if _, err := h.NewHandle(addr); err != nil {
+			o, err := h.View(addr)
+			if err != nil {
+				return timing{}, err
+			}
+			if _, err := h.NewHandle(o); err != nil {
 				return timing{}, err
 			}
 		}

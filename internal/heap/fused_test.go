@@ -42,12 +42,8 @@ func newEPCHeap(tb testing.TB, cfg Config, epcPages int) epcHeap {
 
 func TestAllocRejectsMoreRefsThanHeaderHolds(t *testing.T) {
 	h := testHeap(t, Config{InitialSemi: 1 << 20, MaxSemi: 4 << 20})
-	addr, err := h.Alloc(1, 65535, 8)
-	if err != nil {
-		t.Fatalf("Alloc with 65535 slots: %v", err)
-	}
-	if n, err := h.NumRefs(addr); err != nil || n != 65535 {
-		t.Fatalf("NumRefs = %d, %v; want 65535", n, err)
+	if n := mustAlloc(t, h, 1, 65535, 8).NumRefs(); n != 65535 {
+		t.Fatalf("NumRefs = %d; want 65535", n)
 	}
 	before := h.Stats()
 	if _, err := h.Alloc(1, 65536, 8); !errors.Is(err, ErrTooManyRefs) {
@@ -59,10 +55,11 @@ func TestAllocRejectsMoreRefsThanHeaderHolds(t *testing.T) {
 }
 
 // AllocData must be indistinguishable — object contents, cycle ledger,
-// paging counters, collections — from the Alloc + WriteData sequence it
-// stands for, including when the allocation collects and grows the heap
-// and when the EPC is far smaller than the objects. Only the number of
-// lines encrypted may differ, and only downwards.
+// paging counters, collections — from the sequence it stands for: Alloc,
+// one View of the new object, and one WriteData per part against that
+// view. That holds when the allocation collects and grows the heap and
+// when the EPC is far smaller than the objects. Only the number of lines
+// encrypted may differ, and only downwards.
 func TestAllocDataMatchesAllocThenWriteData(t *testing.T) {
 	cfg := Config{InitialSemi: 64 << 10, MaxSemi: 4 << 20}
 	fused := newEPCHeap(t, cfg, 3)
@@ -78,7 +75,7 @@ func TestAllocDataMatchesAllocThenWriteData(t *testing.T) {
 			parts = parts[:1] // the modelled program skips an empty store
 		}
 
-		fa, err := fused.AllocData(int32(i+1), parts...)
+		fo, err := fused.AllocData(int32(i+1), parts...)
 		if err != nil {
 			t.Fatalf("AllocData(%d): %v", size, err)
 		}
@@ -87,32 +84,35 @@ func TestAllocDataMatchesAllocThenWriteData(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Alloc(%d): %v", size, err)
 		}
+		po := mustView(t, plain.Heap, pa)
 		off := 0
 		for _, p := range parts {
-			if err := plain.WriteData(pa, off, p); err != nil {
+			if err := plain.WriteData(po, off, p); err != nil {
 				t.Fatalf("WriteData(%d): %v", size, err)
 			}
 			off += len(p)
 		}
 
-		if fa != pa {
-			t.Fatalf("size %d: fused object at %#x, unfused at %#x", size, fa, pa)
+		if fo != po {
+			t.Fatalf("size %d: fused view %+v, unfused %+v", size, fo, po)
 		}
-		// The same reads on both sides: they are charged too.
+		// The same reads on both sides, against the views already taken:
+		// they are charged too.
 		want := append(append([]byte(nil), head...), body...)
 		for _, x := range []struct {
 			name string
 			h    epcHeap
-		}{{"fused", fused}, {"unfused", plain}} {
+			o    Obj
+		}{{"fused", fused, fo}, {"unfused", plain, po}} {
 			got := make([]byte, len(want))
-			if err := x.h.ReadData(fa, 0, got); err != nil || !bytes.Equal(got, want) {
+			if err := x.h.ReadData(x.o, 0, got); err != nil || !bytes.Equal(got, want) {
 				t.Fatalf("size %d: %s object holds the wrong bytes (%v)", size, x.name, err)
 			}
-			if cid, err := x.h.ClassID(fa); err != nil || cid != int32(i+1) {
-				t.Fatalf("size %d: %s class id %d, %v", size, x.name, cid, err)
+			if cid := x.o.ClassID(); cid != int32(i+1) {
+				t.Fatalf("size %d: %s class id %d", size, x.name, cid)
 			}
-			if n, err := x.h.DataBytes(fa); err != nil || n != len(want) {
-				t.Fatalf("size %d: %s DataBytes = %d, %v", size, x.name, n, err)
+			if n := x.o.DataBytes(); n != len(want) {
+				t.Fatalf("size %d: %s DataBytes = %d", size, x.name, n)
 			}
 		}
 
@@ -121,14 +121,14 @@ func TestAllocDataMatchesAllocThenWriteData(t *testing.T) {
 		for _, x := range []struct {
 			h  epcHeap
 			hd *Handle
-			a  Addr
-		}{{fused, &fh, fa}, {plain, &ph, pa}} {
+			o  Obj
+		}{{fused, &fh, fo}, {plain, &ph, po}} {
 			if *x.hd != 0 {
 				if err := x.h.Release(*x.hd); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if *x.hd, err = x.h.NewHandle(x.a); err != nil {
+			if *x.hd, err = x.h.NewHandle(x.o); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -156,34 +156,29 @@ func TestAllocDataMatchesAllocThenWriteData(t *testing.T) {
 
 func TestAllocDataOnPlainHeap(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	addr, err := h.AllocData(7, []byte("ab"), nil, []byte("cde"))
+	o, err := h.AllocData(7, []byte("ab"), nil, []byte("cde"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 5)
-	if err := h.ReadData(addr, 0, got); err != nil || string(got) != "abcde" {
+	if err := h.ReadData(o, 0, got); err != nil || string(got) != "abcde" {
 		t.Fatalf("ReadData = %q, %v", got, err)
 	}
-	if n, _ := h.NumRefs(addr); n != 0 {
+	if n := o.NumRefs(); n != 0 {
 		t.Fatalf("NumRefs = %d", n)
+	}
+	if o != mustView(t, h, o.Addr()) {
+		t.Fatalf("AllocData view %+v differs from the header it wrote", o)
 	}
 }
 
 func TestAccessorsDoNotAllocate(t *testing.T) {
 	h := newEPCHeap(t, Config{InitialSemi: 1 << 16, MaxSemi: 1 << 20}, 64)
-	obj, err := h.Alloc(9, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := h.Alloc(9, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj := mustAlloc(t, h.Heap, 9, 2, 8)
+	other := mustAlloc(t, h.Heap, 9, 0, 8)
 	word := make([]byte, 8)
 	for name, fn := range map[string]func() error{
-		"ClassID":   func() error { _, err := h.ClassID(obj); return err },
-		"NumRefs":   func() error { _, err := h.NumRefs(obj); return err },
-		"DataBytes": func() error { _, err := h.DataBytes(obj); return err },
+		"View":      func() error { _, err := h.View(obj.Addr()); return err },
 		"GetRef":    func() error { _, err := h.GetRef(obj, 1); return err },
 		"SetRef":    func() error { return h.SetRef(obj, 1, other) },
 		"ReadData":  func() error { return h.ReadData(obj, 0, word) },
@@ -212,7 +207,7 @@ func BenchmarkHeaderRead(b *testing.B) {
 	b.SetBytes(headerBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.ClassID(objs[i%len(objs)]); err != nil {
+		if _, err := h.View(objs[i%len(objs)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,11 +217,7 @@ func BenchmarkHeaderRead(b *testing.B) {
 func BenchmarkCollect(b *testing.B) {
 	h := newEPCHeap(b, Config{InitialSemi: 1 << 20, MaxSemi: 1 << 20}, simcfg.DefaultEPCBytes/simcfg.PageBytes)
 	const live = 64
-	root, err := h.Alloc(1, live, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rootHd, err := h.NewHandle(root)
+	rootHd, err := h.NewHandle(mustAlloc(b, h.Heap, 1, live, 0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -235,8 +226,7 @@ func BenchmarkCollect(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		root, _ = h.Deref(rootHd)
-		if err := h.SetRef(root, i, obj); err != nil {
+		if err := h.SetRef(deref(b, h.Heap, rootHd), i, obj); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"montsalvat/internal/epc"
 )
 
 // A released handle's slot is reused by the next NewHandle, under a new
@@ -12,8 +14,8 @@ import (
 // that now holds its slot.
 func TestStaleHandleAfterSlotReuse(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	a, _ := h.Alloc(1, 0, 8)
-	b, _ := h.Alloc(2, 0, 8)
+	a := mustAlloc(t, h, 1, 0, 8)
+	b := mustAlloc(t, h, 2, 0, 8)
 	stale, err := h.NewHandle(a)
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +36,8 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 	if err := h.Release(stale); !errors.Is(err, ErrBadHandle) {
 		t.Fatalf("Release(stale) err = %v, want ErrBadHandle", err)
 	}
-	if got, err := h.Deref(fresh); err != nil || got != b {
-		t.Fatalf("Deref(fresh) = %#x, %v; want %#x (the stale release must not drop it)", got, err, b)
+	if got, err := h.Deref(fresh); err != nil || got != b.Addr() {
+		t.Fatalf("Deref(fresh) = %#x, %v; want %#x (the stale release must not drop it)", got, err, b.Addr())
 	}
 	if err := h.Release(fresh); err != nil {
 		t.Fatal(err)
@@ -53,7 +55,7 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 // Stats().Handles counts live handles, not slots.
 func TestStatsCountLiveHandles(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	addr, _ := h.Alloc(1, 0, 8)
+	addr := mustAlloc(t, h, 1, 0, 8)
 	var hds []Handle
 	for i := 0; i < 5; i++ {
 		hd, err := h.NewHandle(addr)
@@ -82,7 +84,7 @@ func TestStatsCountLiveHandles(t *testing.T) {
 // grows past the peak number of live handles plus one.
 func TestHandleSlotsAreReused(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	addr, _ := h.Alloc(1, 0, 8)
+	addr := mustAlloc(t, h, 1, 0, 8)
 	r := rand.New(rand.NewSource(1))
 	var live []Handle
 	peak := 0
@@ -121,18 +123,12 @@ func TestCollectIsDeterministic(t *testing.T) {
 		r := rand.New(rand.NewSource(7))
 		var roots []Handle
 		for i := 0; i < 200; i++ {
-			addr, err := h.Alloc(int32(i), 2, 1+r.Intn(40))
-			if err != nil {
-				t.Fatal(err)
-			}
+			addr := mustAlloc(t, h, int32(i), 2, 1+r.Intn(40))
 			if err := h.WriteData(addr, 0, []byte{byte(i)}); err != nil {
 				t.Fatal(err)
 			}
 			if len(roots) > 0 {
-				child, err := h.Deref(roots[r.Intn(len(roots))])
-				if err != nil {
-					t.Fatal(err)
-				}
+				child := deref(t, h, roots[r.Intn(len(roots))])
 				if err := h.SetRef(addr, 0, child); err != nil {
 					t.Fatal(err)
 				}
@@ -167,5 +163,116 @@ func TestCollectIsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(sa, sb) {
 		t.Fatalf("to-space differs between two runs of the same operations (%d and %d bytes live)", len(sa), len(sb))
+	}
+}
+
+// A released weak reference's slot is reused by the next NewWeak, under
+// a new generation: the stale reference neither resolves nor releases
+// the one that now holds its slot.
+func TestStaleWeakAfterSlotReuse(t *testing.T) {
+	h := testHeap(t, smallCfg())
+	a := mustAlloc(t, h, 1, 0, 8)
+	b := mustAlloc(t, h, 2, 0, 8)
+	stale, err := h.NewWeak(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ReleaseWeak(stale); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := h.NewWeak(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.slot() != stale.slot() || fresh == stale {
+		t.Fatalf("fresh weak %#x does not reuse the slot of %#x under a new generation", uint64(fresh), uint64(stale))
+	}
+	if _, _, err := h.WeakGet(stale); !errors.Is(err, ErrBadWeak) {
+		t.Fatalf("WeakGet(stale) err = %v, want ErrBadWeak", err)
+	}
+	if err := h.ReleaseWeak(stale); !errors.Is(err, ErrBadWeak) {
+		t.Fatalf("ReleaseWeak(stale) err = %v, want ErrBadWeak", err)
+	}
+	if got, ok, err := h.WeakGet(fresh); err != nil || !ok || got != b.Addr() {
+		t.Fatalf("WeakGet(fresh) = %#x, %v, %v; want %#x", got, ok, err, b.Addr())
+	}
+	if got := h.Stats().Weaks; got != 1 {
+		t.Fatalf("Weaks = %d, want 1", got)
+	}
+	for _, forged := range []WeakRef{0, makeWeak(fresh.slot(), fresh.gen()+1), makeWeak(99, 1)} {
+		if _, _, err := h.WeakGet(forged); !errors.Is(err, ErrBadWeak) {
+			t.Errorf("WeakGet(%#x) err = %v, want ErrBadWeak", uint64(forged), err)
+		}
+	}
+}
+
+// The collector fixes weak references up in slot order, so under an EPC
+// of a few pages — where the order of its header reads is the paging
+// order — a collection with many weak references charges the same
+// ledger every time.
+func TestWeakFixupLedgerRepeats(t *testing.T) {
+	type ledger struct {
+		cycles int64
+		paging epc.ResidencyStats
+		heap   Stats
+	}
+	run := func() ledger {
+		h := newEPCHeap(t, Config{InitialSemi: 64 << 10, MaxSemi: 1 << 20}, 3)
+		const n = 96
+		var weaks []WeakRef
+		for i := 0; i < n; i++ {
+			// ~26 KiB of objects: from-space spans more pages than the EPC.
+			o := mustAlloc(t, h.Heap, int32(i+1), 0, 200+i)
+			w, err := h.NewWeak(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			weaks = append(weaks, w)
+			if i%3 == 0 {
+				if _, err := h.NewHandle(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Free a few slots so the table has holes the collector skips.
+		for _, w := range weaks[10:20] {
+			if err := h.ReleaseWeak(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := h.Collect(); err != nil {
+			t.Fatal(err)
+		}
+		live := 0
+		for i, w := range weaks {
+			if i >= 10 && i < 20 {
+				continue
+			}
+			_, ok, err := h.WeakGet(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != (i%3 == 0) {
+				t.Fatalf("weak %d: live = %v after the collection", i, ok)
+			}
+			if ok {
+				live++
+			}
+		}
+		if live < 20 {
+			t.Fatalf("only %d weak references survived", live)
+		}
+		s := h.Stats()
+		s.LastPause, s.TotalPause = 0, 0
+		return ledger{cycles: h.clk.Total(), paging: h.res.Stats(), heap: s}
+	}
+	first := run()
+	if first.paging.Evictions == 0 {
+		t.Fatalf("the stream never evicted: %+v", first.paging)
+	}
+	for i := 0; i < 4; i++ {
+		if again := run(); again != first {
+			t.Fatalf("run %d charged %+v, the first %+v", i+2, again, first)
+		}
 	}
 }

@@ -13,6 +13,12 @@
 // may allocate — must be held via a Handle or WeakRef. This matches the
 // discipline of a real moving collector.
 //
+// An object is accessed through an Obj, the view one header read takes of
+// it (View). The view carries the header fields that read validated, and
+// every accessor checks its slot and data ranges against the view instead
+// of reading the header again: a heap call reads and charges each
+// object's header once, as compiled code does (DESIGN.md §17).
+//
 // A Heap and the Backend memories under it are owner-serialised: nothing
 // in this package locks, and the owner (the world runtime's heapMu in the
 // product) must keep every call on one heap from overlapping with any
@@ -69,7 +75,53 @@ type handleSlot struct {
 // WeakRef is a GC-stable weak reference: it does not keep its target
 // alive, and reads as cleared once the target has been collected. This is
 // the primitive the Montsalvat GC helper scans (§5.5).
+//
+// Like a Handle, a WeakRef names a slot of a table — the weak table — and
+// the slot's generation: slot | generation<<32. The collector fixes weak
+// references up in slot order, so the order of its header reads, and with
+// it the EPC paging order, is a function of the operation sequence.
 type WeakRef uint64
+
+func makeWeak(slot, gen uint32) WeakRef { return WeakRef(uint64(gen)<<32 | uint64(slot)) }
+
+func (w WeakRef) slot() uint32 { return uint32(w) }
+func (w WeakRef) gen() uint32  { return uint32(w >> 32) }
+
+// weakSlot is one entry of the weak table. addr is 0 once the referent
+// has been collected; used tells a registered weak reference from a free
+// slot.
+type weakSlot struct {
+	addr Addr
+	gen  uint32
+	used bool
+}
+
+// Obj is a validated view of one object: its address and the header
+// fields one header read found behind the magic and bounds checks. The
+// zero Obj is the null reference.
+//
+// A view is good for the heap call that took it, and only until the next
+// allocation: an allocation may collect, which moves objects and
+// overwrites their old headers with forwarding words. Callers take the
+// view again after any allocation.
+type Obj struct {
+	addr    Addr
+	classID int32
+	nRefs   int
+	size    int
+}
+
+// Addr returns the object's address (0 for the null view).
+func (o Obj) Addr() Addr { return o.addr }
+
+// ClassID returns the object's class identifier.
+func (o Obj) ClassID() int32 { return o.classID }
+
+// NumRefs returns the number of reference slots of the object.
+func (o Obj) NumRefs() int { return o.nRefs }
+
+// DataBytes returns the object's raw data payload size.
+func (o Obj) DataBytes() int { return o.size - headerBytes - o.nRefs*wordBytes }
 
 // Errors returned by heap operations.
 var (
@@ -131,8 +183,10 @@ type Heap struct {
 	// released slots, reused last-in first-out.
 	handles   []handleSlot
 	freeSlots []uint32
-	weaks     map[WeakRef]Addr
-	nextWeak  WeakRef
+	// weaks is the weak table, indexed by slot; freeWeaks lists its
+	// released slots, reused last-in first-out.
+	weaks     []weakSlot
+	freeWeaks []uint32
 
 	// Scratch for the bytes that cross the Backend interface (a buffer
 	// declared in the caller would escape to the Go heap on every call):
@@ -173,7 +227,6 @@ func New(cfg Config, newBackend func(size int) (Backend, error)) (*Heap, error) 
 		semiSize:   cfg.InitialSemi,
 		maxSemi:    cfg.MaxSemi,
 		allocPtr:   wordBytes, // Addr 0 is reserved for null.
-		weaks:      make(map[WeakRef]Addr),
 	}, nil
 }
 
@@ -202,40 +255,45 @@ func (h *Heap) Alloc(classID int32, nRefs int, dataBytes int) (Addr, error) {
 }
 
 // AllocData allocates an object without reference slots whose data area
-// is the concatenation of parts, and stores header and data in a single
-// pass over the backing memory. To the cycle ledger and the EPC paging
-// state it is Alloc followed by one WriteData per part, call for call:
-// the same header checks run, and the same charges and page touches are
+// is the concatenation of parts, stores header and data in a single pass
+// over the backing memory, and returns the object's view. To the cycle
+// ledger and the EPC paging state it is Alloc, one View of the new
+// object, and one WriteData per part against that view: the same header
+// read and range checks run, and the same charges and page touches are
 // issued in the same order (Backend.Touch stands in for each part's
 // store). Only the second encryption of every line is saved.
-func (h *Heap) AllocData(classID int32, parts ...[]byte) (Addr, error) {
+func (h *Heap) AllocData(classID int32, parts ...[]byte) (Obj, error) {
 	dataBytes := 0
 	for _, p := range parts {
 		dataBytes += len(p)
 	}
 	addr, img, err := h.reserve(classID, 0, dataBytes)
 	if err != nil {
-		return 0, err
+		return Obj{}, err
 	}
 	data := img[headerBytes:]
 	for _, p := range parts {
 		data = data[copy(data, p):]
 	}
 	if err := h.initObject(addr, img); err != nil {
-		return 0, err
+		return Obj{}, err
+	}
+	o, err := h.View(addr)
+	if err != nil {
+		return Obj{}, err
 	}
 	off := 0
 	for _, p := range parts {
-		base, err := h.dataOff(addr, off, len(p))
+		base, err := dataOff(o, off, len(p))
 		if err != nil {
-			return 0, err
+			return Obj{}, err
 		}
 		if err := h.from.Touch(base, len(p)); err != nil {
-			return 0, err
+			return Obj{}, err
 		}
 		off += len(p)
 	}
-	return addr, nil
+	return o, nil
 }
 
 // reserve makes room for an object (collecting and growing as needed),
@@ -287,38 +345,20 @@ func (h *Heap) image(n int) []byte {
 	return h.obj[:n]
 }
 
-// ClassID returns the class identifier of the object at addr.
-func (h *Heap) ClassID(addr Addr) (int32, error) {
-	w0, _, err := h.header(addr)
-	if err != nil {
-		return 0, err
-	}
-	return int32(w0 >> 32), nil
-}
-
-// NumRefs returns the number of reference slots of the object at addr.
-func (h *Heap) NumRefs(addr Addr) (int, error) {
-	w0, _, err := h.header(addr)
-	if err != nil {
-		return 0, err
-	}
-	return int(uint16(w0 >> 16)), nil
-}
-
-// DataBytes returns the raw data payload size of the object at addr
-// (excluding padding).
-func (h *Heap) DataBytes(addr Addr) (int, error) {
+// View reads and validates the header of the object at addr — the one
+// header read a heap call makes per object — and returns the view every
+// other accessor works against.
+func (h *Heap) View(addr Addr) (Obj, error) {
 	w0, w1, err := h.header(addr)
 	if err != nil {
-		return 0, err
+		return Obj{}, err
 	}
-	nRefs := int(uint16(w0 >> 16))
-	return int(w1) - headerBytes - nRefs*wordBytes, nil
+	return Obj{addr: addr, classID: int32(w0 >> 32), nRefs: int(uint16(w0 >> 16)), size: int(w1)}, nil
 }
 
-// GetRef reads reference slot i of the object at addr.
-func (h *Heap) GetRef(addr Addr, i int) (Addr, error) {
-	off, err := h.refOff(addr, i)
+// GetRef reads reference slot i of the object o.
+func (h *Heap) GetRef(o Obj, i int) (Addr, error) {
+	off, err := refOff(o, i)
 	if err != nil {
 		return 0, err
 	}
@@ -328,44 +368,40 @@ func (h *Heap) GetRef(addr Addr, i int) (Addr, error) {
 	return Addr(binary.LittleEndian.Uint64(h.word[:])), nil
 }
 
-// SetRef writes reference slot i of the object at addr.
-func (h *Heap) SetRef(addr Addr, i int, target Addr) error {
-	off, err := h.refOff(addr, i)
+// SetRef writes reference slot i of the object o to point at target; the
+// null view stores null.
+func (h *Heap) SetRef(o Obj, i int, target Obj) error {
+	off, err := refOff(o, i)
 	if err != nil {
 		return err
 	}
-	if target != 0 {
-		if _, _, err := h.header(target); err != nil {
-			return fmt.Errorf("heap: SetRef target: %w", err)
-		}
-	}
-	binary.LittleEndian.PutUint64(h.word[:], uint64(target))
+	binary.LittleEndian.PutUint64(h.word[:], uint64(target.addr))
 	return h.from.Write(off, h.word[:])
 }
 
-// ReadData copies len(dst) bytes of the object's raw payload at offset off
-// into dst.
-func (h *Heap) ReadData(addr Addr, off int, dst []byte) error {
-	base, err := h.dataOff(addr, off, len(dst))
+// ReadData copies len(dst) bytes of o's raw payload at offset off into
+// dst.
+func (h *Heap) ReadData(o Obj, off int, dst []byte) error {
+	base, err := dataOff(o, off, len(dst))
 	if err != nil {
 		return err
 	}
 	return h.from.Read(base, dst)
 }
 
-// WriteData copies src into the object's raw payload at offset off.
-func (h *Heap) WriteData(addr Addr, off int, src []byte) error {
-	base, err := h.dataOff(addr, off, len(src))
+// WriteData copies src into o's raw payload at offset off.
+func (h *Heap) WriteData(o Obj, off int, src []byte) error {
+	base, err := dataOff(o, off, len(src))
 	if err != nil {
 		return err
 	}
 	return h.from.Write(base, src)
 }
 
-// NewHandle registers a strong reference to the object at addr.
-func (h *Heap) NewHandle(addr Addr) (Handle, error) {
-	if _, _, err := h.header(addr); err != nil {
-		return 0, err
+// NewHandle registers a strong reference to the object o.
+func (h *Heap) NewHandle(o Obj) (Handle, error) {
+	if o.addr == 0 {
+		return 0, fmt.Errorf("%w: handle to null", ErrBadAddress)
 	}
 	var slot uint32
 	if n := len(h.freeSlots); n > 0 {
@@ -376,7 +412,7 @@ func (h *Heap) NewHandle(addr Addr) (Handle, error) {
 		h.handles = append(h.handles, handleSlot{gen: 1})
 	}
 	s := &h.handles[slot]
-	s.addr = addr
+	s.addr = o.addr
 	return makeHandle(slot, s.gen), nil
 }
 
@@ -414,32 +450,56 @@ func (h *Heap) Release(hd Handle) error {
 	return nil
 }
 
-// NewWeak registers a weak reference to the object at addr.
-func (h *Heap) NewWeak(addr Addr) (WeakRef, error) {
-	if _, _, err := h.header(addr); err != nil {
-		return 0, err
+// NewWeak registers a weak reference to the object o.
+func (h *Heap) NewWeak(o Obj) (WeakRef, error) {
+	if o.addr == 0 {
+		return 0, fmt.Errorf("%w: weak reference to null", ErrBadAddress)
 	}
-	h.nextWeak++
-	h.weaks[h.nextWeak] = addr
-	return h.nextWeak, nil
+	var slot uint32
+	if n := len(h.freeWeaks); n > 0 {
+		slot = h.freeWeaks[n-1]
+		h.freeWeaks = h.freeWeaks[:n-1]
+	} else {
+		slot = uint32(len(h.weaks))
+		h.weaks = append(h.weaks, weakSlot{gen: 1})
+	}
+	s := &h.weaks[slot]
+	s.addr, s.used = o.addr, true
+	return makeWeak(slot, s.gen), nil
+}
+
+// weak returns the table slot of a registered weak reference.
+func (h *Heap) weak(w WeakRef) (*weakSlot, error) {
+	if i := w.slot(); int(i) < len(h.weaks) {
+		if s := &h.weaks[i]; s.gen == w.gen() && s.used {
+			return s, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: %#x", ErrBadWeak, uint64(w))
 }
 
 // WeakGet resolves a weak reference. ok is false once the referent has
 // been collected ("null referent", §5.5).
 func (h *Heap) WeakGet(w WeakRef) (Addr, bool, error) {
-	addr, present := h.weaks[w]
-	if !present {
-		return 0, false, fmt.Errorf("%w: %d", ErrBadWeak, w)
+	s, err := h.weak(w)
+	if err != nil {
+		return 0, false, err
 	}
-	return addr, addr != 0, nil
+	return s.addr, s.addr != 0, nil
 }
 
-// ReleaseWeak drops a weak reference.
+// ReleaseWeak drops a weak reference. Its slot is freed for reuse under
+// a new generation, so the released WeakRef fails with ErrBadWeak.
 func (h *Heap) ReleaseWeak(w WeakRef) error {
-	if _, ok := h.weaks[w]; !ok {
-		return fmt.Errorf("%w: %d", ErrBadWeak, w)
+	s, err := h.weak(w)
+	if err != nil {
+		return err
 	}
-	delete(h.weaks, w)
+	s.addr, s.used = 0, false
+	if s.gen++; s.gen == 0 {
+		s.gen = 1
+	}
+	h.freeWeaks = append(h.freeWeaks, w.slot())
 	return nil
 }
 
@@ -449,7 +509,7 @@ func (h *Heap) Stats() Stats {
 	s.LiveBytes = h.allocPtr
 	s.SemiSize = h.semiSize
 	s.Handles = len(h.handles) - len(h.freeSlots)
-	s.Weaks = len(h.weaks)
+	s.Weaks = len(h.weaks) - len(h.freeWeaks)
 	return s
 }
 
@@ -515,20 +575,21 @@ func (h *Heap) Collect() error {
 		scan += size
 	}
 
-	// Fix up weak references: forwarded targets are updated, unreached
-	// targets are cleared.
-	for w, addr := range h.weaks {
-		if addr == 0 {
+	// Fix up weak references, in slot order: forwarded targets are
+	// updated, unreached targets are cleared.
+	for i := range h.weaks {
+		s := &h.weaks[i]
+		if s.addr == 0 {
 			continue
 		}
-		w0, w1, err := h.header(addr)
+		w0, w1, err := h.header(s.addr)
 		if err != nil {
 			return fmt.Errorf("heap: weak fixup: %w", err)
 		}
 		if w0&uint64(flagForwarded) != 0 {
-			h.weaks[w] = Addr(w1)
+			s.addr = Addr(w1)
 		} else {
-			h.weaks[w] = 0
+			s.addr = 0
 		}
 	}
 
@@ -624,29 +685,28 @@ func (h *Heap) headerIn(b Backend, addr Addr) (uint64, uint64, error) {
 	return w0, w1, nil
 }
 
-func (h *Heap) refOff(addr Addr, i int) (int, error) {
-	w0, _, err := h.header(addr)
-	if err != nil {
-		return 0, err
+// refOff checks slot i against o's validated header and returns the
+// slot's offset.
+func refOff(o Obj, i int) (int, error) {
+	if o.addr == 0 {
+		return 0, fmt.Errorf("%w: null object", ErrBadAddress)
 	}
-	nRefs := int(uint16(w0 >> 16))
-	if i < 0 || i >= nRefs {
-		return 0, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, i, nRefs)
+	if i < 0 || i >= o.nRefs {
+		return 0, fmt.Errorf("%w: slot %d of %d", ErrBadSlot, i, o.nRefs)
 	}
-	return int(addr) + headerBytes + i*wordBytes, nil
+	return int(o.addr) + headerBytes + i*wordBytes, nil
 }
 
-func (h *Heap) dataOff(addr Addr, off, n int) (int, error) {
-	w0, w1, err := h.header(addr)
-	if err != nil {
-		return 0, err
+// dataOff checks the data range [off, off+n) against o's validated header
+// and returns its offset.
+func dataOff(o Obj, off, n int) (int, error) {
+	if o.addr == 0 {
+		return 0, fmt.Errorf("%w: null object", ErrBadAddress)
 	}
-	nRefs := int(uint16(w0 >> 16))
-	dataBytes := int(w1) - headerBytes - nRefs*wordBytes
-	if off < 0 || n < 0 || off+n > dataBytes {
+	if dataBytes := o.DataBytes(); off < 0 || n < 0 || off+n > dataBytes {
 		return 0, fmt.Errorf("%w: off=%d len=%d data=%d", ErrDataOutOfRange, off, n, dataBytes)
 	}
-	return int(addr) + headerBytes + nRefs*wordBytes + off, nil
+	return int(o.addr) + headerBytes + o.nRefs*wordBytes + off, nil
 }
 
 // putHeader encodes an object header into buf:

@@ -25,29 +25,53 @@ func smallCfg() Config {
 	return Config{InitialSemi: 4096, MaxSemi: 1 << 20}
 }
 
+// mustView takes the view of the object at addr.
+func mustView(tb testing.TB, h *Heap, addr Addr) Obj {
+	tb.Helper()
+	o, err := h.View(addr)
+	if err != nil {
+		tb.Fatalf("View(%#x): %v", uint64(addr), err)
+	}
+	return o
+}
+
+// mustAlloc allocates an object and takes its view.
+func mustAlloc(tb testing.TB, h *Heap, classID int32, nRefs, dataBytes int) Obj {
+	tb.Helper()
+	addr, err := h.Alloc(classID, nRefs, dataBytes)
+	if err != nil {
+		tb.Fatalf("Alloc: %v", err)
+	}
+	return mustView(tb, h, addr)
+}
+
+// deref takes the view of the object behind a handle.
+func deref(tb testing.TB, h *Heap, hd Handle) Obj {
+	tb.Helper()
+	addr, err := h.Deref(hd)
+	if err != nil {
+		tb.Fatalf("Deref: %v", err)
+	}
+	return mustView(tb, h, addr)
+}
+
 func TestAllocAndAccessors(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	addr, err := h.Alloc(42, 3, 20)
-	if err != nil {
-		t.Fatalf("Alloc: %v", err)
+	o := mustAlloc(t, h, 42, 3, 20)
+	if cid := o.ClassID(); cid != 42 {
+		t.Fatalf("ClassID = %d; want 42", cid)
 	}
-	if cid, err := h.ClassID(addr); err != nil || cid != 42 {
-		t.Fatalf("ClassID = %d, %v; want 42", cid, err)
+	if n := o.NumRefs(); n != 3 {
+		t.Fatalf("NumRefs = %d; want 3", n)
 	}
-	if n, err := h.NumRefs(addr); err != nil || n != 3 {
-		t.Fatalf("NumRefs = %d, %v; want 3", n, err)
-	}
-	if n, err := h.DataBytes(addr); err != nil || n < 20 {
-		t.Fatalf("DataBytes = %d, %v; want >= 20", n, err)
+	if n := o.DataBytes(); n != 20 {
+		t.Fatalf("DataBytes = %d; want 20", n)
 	}
 }
 
 func TestDataRoundTrip(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	addr, err := h.Alloc(1, 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := mustAlloc(t, h, 1, 0, 64)
 	src := []byte("some object payload data here")
 	if err := h.WriteData(addr, 5, src); err != nil {
 		t.Fatalf("WriteData: %v", err)
@@ -63,7 +87,7 @@ func TestDataRoundTrip(t *testing.T) {
 
 func TestDataOutOfRange(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	addr, _ := h.Alloc(1, 0, 16)
+	addr := mustAlloc(t, h, 1, 0, 16)
 	if err := h.WriteData(addr, 20, make([]byte, 8)); !errors.Is(err, ErrDataOutOfRange) {
 		t.Fatalf("err = %v, want ErrDataOutOfRange", err)
 	}
@@ -74,8 +98,8 @@ func TestDataOutOfRange(t *testing.T) {
 
 func TestRefSlots(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	a, _ := h.Alloc(1, 2, 0)
-	b, _ := h.Alloc(2, 0, 8)
+	a := mustAlloc(t, h, 1, 2, 0)
+	b := mustAlloc(t, h, 2, 0, 8)
 	if err := h.SetRef(a, 0, b); err != nil {
 		t.Fatalf("SetRef: %v", err)
 	}
@@ -83,8 +107,8 @@ func TestRefSlots(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GetRef: %v", err)
 	}
-	if got != b {
-		t.Fatalf("GetRef = %#x, want %#x", got, b)
+	if got != b.Addr() {
+		t.Fatalf("GetRef = %#x, want %#x", got, b.Addr())
 	}
 	// Unset slot reads null.
 	if got, _ := h.GetRef(a, 1); got != 0 {
@@ -94,22 +118,38 @@ func TestRefSlots(t *testing.T) {
 	if _, err := h.GetRef(a, 2); !errors.Is(err, ErrBadSlot) {
 		t.Fatalf("err = %v, want ErrBadSlot", err)
 	}
-	// Null target is allowed (clearing a field).
-	if err := h.SetRef(a, 0, 0); err != nil {
+	// The null view is allowed as a target (clearing a field).
+	if err := h.SetRef(a, 0, Obj{}); err != nil {
 		t.Fatalf("SetRef null: %v", err)
 	}
-	// Garbage target is rejected.
-	if err := h.SetRef(a, 0, Addr(3)); !errors.Is(err, ErrBadAddress) {
+	if got, _ := h.GetRef(a, 0); got != 0 {
+		t.Fatalf("cleared slot = %#x, want 0", got)
+	}
+	// A garbage target has no view to store.
+	if _, err := h.View(Addr(3)); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("err = %v, want ErrBadAddress", err)
+	}
+	// The null view has no slots and no data.
+	if _, err := h.GetRef(Obj{}, 0); !errors.Is(err, ErrBadAddress) {
+		t.Fatalf("GetRef on null: err = %v, want ErrBadAddress", err)
+	}
+	if err := h.WriteData(Obj{}, 0, []byte{1}); !errors.Is(err, ErrBadAddress) {
+		t.Fatalf("WriteData on null: err = %v, want ErrBadAddress", err)
+	}
+	if _, err := h.NewHandle(Obj{}); !errors.Is(err, ErrBadAddress) {
+		t.Fatalf("NewHandle on null: err = %v, want ErrBadAddress", err)
+	}
+	if _, err := h.NewWeak(Obj{}); !errors.Is(err, ErrBadAddress) {
+		t.Fatalf("NewWeak on null: err = %v, want ErrBadAddress", err)
 	}
 }
 
 func TestBadAddress(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	if _, err := h.ClassID(0); !errors.Is(err, ErrBadAddress) {
+	if _, err := h.View(0); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("null addr: err = %v, want ErrBadAddress", err)
 	}
-	if _, err := h.ClassID(Addr(1 << 40)); !errors.Is(err, ErrBadAddress) {
+	if _, err := h.View(Addr(1 << 40)); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("huge addr: err = %v, want ErrBadAddress", err)
 	}
 }
@@ -117,11 +157,11 @@ func TestBadAddress(t *testing.T) {
 func TestCollectPreservesReachableGraph(t *testing.T) {
 	h := testHeap(t, smallCfg())
 	// root -> a -> b, with payload on each.
-	b, _ := h.Alloc(3, 0, 8)
+	b := mustAlloc(t, h, 3, 0, 8)
 	if err := h.WriteData(b, 0, []byte("leafleaf")); err != nil {
 		t.Fatal(err)
 	}
-	a, _ := h.Alloc(2, 1, 8)
+	a := mustAlloc(t, h, 2, 1, 8)
 	if err := h.SetRef(a, 0, b); err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +177,8 @@ func TestCollectPreservesReachableGraph(t *testing.T) {
 		t.Fatalf("Collect: %v", err)
 	}
 
-	na, err := h.Deref(root)
-	if err != nil {
-		t.Fatalf("Deref after GC: %v", err)
-	}
-	if cid, _ := h.ClassID(na); cid != 2 {
+	na := deref(t, h, root)
+	if cid := na.ClassID(); cid != 2 {
 		t.Fatalf("class after GC = %d, want 2", cid)
 	}
 	buf := make([]byte, 8)
@@ -152,14 +189,14 @@ func TestCollectPreservesReachableGraph(t *testing.T) {
 	if err != nil || nb == 0 {
 		t.Fatalf("child ref after GC = %#x, %v", nb, err)
 	}
-	if err := h.ReadData(nb, 0, buf); err != nil || string(buf) != "leafleaf" {
+	if err := h.ReadData(mustView(t, h, nb), 0, buf); err != nil || string(buf) != "leafleaf" {
 		t.Fatalf("leaf data after GC = %q, %v", buf, err)
 	}
 }
 
 func TestCollectReclaimsGarbage(t *testing.T) {
 	h := testHeap(t, Config{InitialSemi: 1 << 16, MaxSemi: 1 << 16})
-	keep, _ := h.Alloc(1, 0, 16)
+	keep := mustAlloc(t, h, 1, 0, 16)
 	hd, _ := h.NewHandle(keep)
 	for i := 0; i < 100; i++ {
 		if _, err := h.Alloc(2, 0, 32); err != nil {
@@ -185,9 +222,9 @@ func TestCollectReclaimsGarbage(t *testing.T) {
 
 func TestSharedObjectCopiedOnce(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	shared, _ := h.Alloc(9, 0, 8)
-	a, _ := h.Alloc(1, 1, 0)
-	b, _ := h.Alloc(2, 1, 0)
+	shared := mustAlloc(t, h, 9, 0, 8)
+	a := mustAlloc(t, h, 1, 1, 0)
+	b := mustAlloc(t, h, 2, 1, 0)
 	if err := h.SetRef(a, 0, shared); err != nil {
 		t.Fatal(err)
 	}
@@ -199,10 +236,8 @@ func TestSharedObjectCopiedOnce(t *testing.T) {
 	if err := h.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	na, _ := h.Deref(ha)
-	nb, _ := h.Deref(hb)
-	sa, _ := h.GetRef(na, 0)
-	sb, _ := h.GetRef(nb, 0)
+	sa, _ := h.GetRef(deref(t, h, ha), 0)
+	sb, _ := h.GetRef(deref(t, h, hb), 0)
 	if sa != sb || sa == 0 {
 		t.Fatalf("shared object duplicated: %#x vs %#x", sa, sb)
 	}
@@ -213,8 +248,8 @@ func TestSharedObjectCopiedOnce(t *testing.T) {
 
 func TestCycleSurvivesCollection(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	a, _ := h.Alloc(1, 1, 0)
-	b, _ := h.Alloc(2, 1, 0)
+	a := mustAlloc(t, h, 1, 1, 0)
+	b := mustAlloc(t, h, 2, 1, 0)
 	if err := h.SetRef(a, 0, b); err != nil {
 		t.Fatal(err)
 	}
@@ -225,17 +260,17 @@ func TestCycleSurvivesCollection(t *testing.T) {
 	if err := h.Collect(); err != nil {
 		t.Fatalf("Collect on cyclic graph: %v", err)
 	}
-	na, _ := h.Deref(ha)
+	na := deref(t, h, ha)
 	nb, _ := h.GetRef(na, 0)
-	back, _ := h.GetRef(nb, 0)
-	if back != na {
-		t.Fatalf("cycle broken: back=%#x, want %#x", back, na)
+	back, _ := h.GetRef(mustView(t, h, nb), 0)
+	if back != na.Addr() {
+		t.Fatalf("cycle broken: back=%#x, want %#x", back, na.Addr())
 	}
 }
 
 func TestWeakRefClearedForGarbage(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	obj, _ := h.Alloc(1, 0, 8)
+	obj := mustAlloc(t, h, 1, 0, 8)
 	w, err := h.NewWeak(obj)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +288,7 @@ func TestWeakRefClearedForGarbage(t *testing.T) {
 
 func TestWeakRefUpdatedForSurvivor(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	obj, _ := h.Alloc(7, 0, 8)
+	obj := mustAlloc(t, h, 7, 0, 8)
 	if err := h.WriteData(obj, 0, []byte("survivor")); err != nil {
 		t.Fatal(err)
 	}
@@ -271,14 +306,14 @@ func TestWeakRefUpdatedForSurvivor(t *testing.T) {
 		t.Fatalf("weak addr = %#x, want %#x", addr, want)
 	}
 	buf := make([]byte, 8)
-	if err := h.ReadData(addr, 0, buf); err != nil || string(buf) != "survivor" {
+	if err := h.ReadData(mustView(t, h, addr), 0, buf); err != nil || string(buf) != "survivor" {
 		t.Fatalf("weak target data = %q, %v", buf, err)
 	}
 }
 
 func TestWeakDoesNotKeepAlive(t *testing.T) {
 	h := testHeap(t, Config{InitialSemi: 1 << 14, MaxSemi: 1 << 14})
-	obj, _ := h.Alloc(1, 0, 1024)
+	obj := mustAlloc(t, h, 1, 0, 1024)
 	if _, err := h.NewWeak(obj); err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +328,7 @@ func TestWeakDoesNotKeepAlive(t *testing.T) {
 
 func TestHandleReleaseMakesGarbage(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	obj, _ := h.Alloc(1, 0, 8)
+	obj := mustAlloc(t, h, 1, 0, 8)
 	hd, _ := h.NewHandle(obj)
 	w, _ := h.NewWeak(obj)
 	if err := h.Collect(); err != nil {
@@ -341,7 +376,7 @@ func TestOutOfMemoryAtMax(t *testing.T) {
 			break
 		}
 		var hd Handle
-		hd, err = h.NewHandle(addr)
+		hd, err = h.NewHandle(mustView(t, h, addr))
 		if err != nil {
 			break
 		}
@@ -357,11 +392,7 @@ func TestHeapGrowsUpToMax(t *testing.T) {
 	h := testHeap(t, Config{InitialSemi: 1 << 12, MaxSemi: 1 << 16})
 	var handles []Handle
 	for i := 0; i < 100; i++ {
-		addr, err := h.Alloc(1, 0, 256)
-		if err != nil {
-			t.Fatalf("Alloc %d: %v", i, err)
-		}
-		hd, err := h.NewHandle(addr)
+		hd, err := h.NewHandle(mustAlloc(t, h, 1, 0, 256))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,10 +421,7 @@ func TestEPCBackedHeap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New EPC heap: %v", err)
 	}
-	obj, err := h.Alloc(5, 1, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obj := mustAlloc(t, h, 5, 1, 32)
 	if err := h.WriteData(obj, 0, []byte("secret in the enclave heap!!")); err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +429,7 @@ func TestEPCBackedHeap(t *testing.T) {
 	if err := h.Collect(); err != nil {
 		t.Fatalf("Collect on EPC heap: %v", err)
 	}
-	na, _ := h.Deref(hd)
+	na := deref(t, h, hd)
 	buf := make([]byte, 28)
 	if err := h.ReadData(na, 0, buf); err != nil || string(buf) != "secret in the enclave heap!!" {
 		t.Fatalf("EPC heap data after GC = %q, %v", buf, err)
@@ -416,8 +444,7 @@ func TestEPCBackedHeap(t *testing.T) {
 
 func TestStatsProgression(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	addr, _ := h.Alloc(1, 0, 8)
-	if _, err := h.NewHandle(addr); err != nil {
+	if _, err := h.NewHandle(mustAlloc(t, h, 1, 0, 8)); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Collect(); err != nil {
@@ -457,7 +484,7 @@ func TestQuickGCPreservesGraph(t *testing.T) {
 		}
 		n := 2 + r.Intn(20)
 		nodes := make([]node, n)
-		addrs := make([]Addr, n)
+		objs := make([]Obj, n)
 		// Allocate all nodes first (no GC can trigger: heap is large
 		// enough for this phase), then wire references.
 		for i := range nodes {
@@ -468,21 +495,25 @@ func TestQuickGCPreservesGraph(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if err := h.WriteData(addr, 0, payload); err != nil {
+			o, err := h.View(addr)
+			if err != nil {
 				return false
 			}
-			addrs[i] = addr
+			if err := h.WriteData(o, 0, payload); err != nil {
+				return false
+			}
+			objs[i] = o
 			nodes[i] = node{payload: payload, refs: make([]int, nRefs)}
 		}
 		for i := range nodes {
 			for s := range nodes[i].refs {
 				target := r.Intn(n)
 				nodes[i].refs[s] = target
-				if err := h.SetRef(addrs[i], s, addrs[target]); err != nil {
+				if err := h.SetRef(objs[i], s, objs[target]); err != nil {
 					return false
 				}
 			}
-			hd, err := h.NewHandle(addrs[i])
+			hd, err := h.NewHandle(objs[i])
 			if err != nil {
 				return false
 			}
@@ -494,29 +525,30 @@ func TestQuickGCPreservesGraph(t *testing.T) {
 			}
 		}
 		// Verify the shadow model.
-		newAddrs := make([]Addr, n)
+		newObjs := make([]Obj, n)
 		for i := range nodes {
 			addr, err := h.Deref(nodes[i].handle)
 			if err != nil {
 				return false
 			}
-			newAddrs[i] = addr
+			if newObjs[i], err = h.View(addr); err != nil {
+				return false
+			}
 		}
 		for i := range nodes {
-			cid, err := h.ClassID(newAddrs[i])
-			if err != nil || cid != int32(i) {
+			if cid := newObjs[i].ClassID(); cid != int32(i) {
 				return false
 			}
 			buf := make([]byte, len(nodes[i].payload))
-			if err := h.ReadData(newAddrs[i], 0, buf); err != nil {
+			if err := h.ReadData(newObjs[i], 0, buf); err != nil {
 				return false
 			}
 			if !bytes.Equal(buf, nodes[i].payload) {
 				return false
 			}
 			for s, target := range nodes[i].refs {
-				got, err := h.GetRef(newAddrs[i], s)
-				if err != nil || got != newAddrs[target] {
+				got, err := h.GetRef(newObjs[i], s)
+				if err != nil || got != newObjs[target].Addr() {
 					return false
 				}
 			}
@@ -532,10 +564,7 @@ func TestHugeObjectForcesGrowth(t *testing.T) {
 	h := testHeap(t, Config{InitialSemi: 1 << 12, MaxSemi: 1 << 20})
 	// A single object far larger than the current semispace must grow
 	// the heap rather than fail.
-	addr, err := h.Alloc(1, 0, 200_000)
-	if err != nil {
-		t.Fatalf("huge alloc: %v", err)
-	}
+	addr := mustAlloc(t, h, 1, 0, 200_000)
 	hd, err := h.NewHandle(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -547,12 +576,8 @@ func TestHugeObjectForcesGrowth(t *testing.T) {
 	if err := h.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	na, err := h.Deref(hd)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := make([]byte, 200_000)
-	if err := h.ReadData(na, 0, got); err != nil {
+	if err := h.ReadData(deref(t, h, hd), 0, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {

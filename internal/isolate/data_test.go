@@ -47,7 +47,7 @@ func TestListAddSurfacesTooManyRefs(t *testing.T) {
 	if n, err := iso.ListSize(list); err != nil || n != full {
 		t.Fatalf("ListSize after the refused add = %d, %v; want %d", n, err, full)
 	}
-	last, err := iso.ListGet(list, full-1)
+	last, _, _, err := iso.ListGet(list, full-1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,11 @@
 // Montsalvat creates one default isolate per runtime (trusted and
 // untrusted); the multi-isolate extension from the paper's future work
 // (§7) is supported by giving each isolate an ID.
+//
+// Each operation takes one heap.Obj view per object it touches and runs
+// every later check of that object against the view, so it reads each
+// header once. Only an allocation inside the operation makes it take the
+// views it still needs again (heap.Obj).
 package isolate
 
 import (
@@ -134,41 +139,52 @@ func (iso *Isolate) NewObject(class string, hash int64) (heap.Handle, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownClass, class)
 	}
-	addr, err := iso.heap.Alloc(info.id, info.layout.NumRefs, hashBytes+info.layout.DataBytes)
+	o, err := iso.alloc(info.id, info.layout.NumRefs, hashBytes+info.layout.DataBytes)
 	if err != nil {
 		return 0, err
 	}
-	if err := iso.writeHash(addr, hash); err != nil {
+	if err := iso.writeHash(o, hash); err != nil {
 		return 0, err
 	}
-	return iso.heap.NewHandle(addr)
+	return iso.heap.NewHandle(o)
+}
+
+// alloc allocates an object and takes its view.
+func (iso *Isolate) alloc(classID int32, nRefs, dataBytes int) (heap.Obj, error) {
+	addr, err := iso.heap.Alloc(classID, nRefs, dataBytes)
+	if err != nil {
+		return heap.Obj{}, err
+	}
+	return iso.heap.View(addr)
 }
 
 // NewString allocates a String object.
 func (iso *Isolate) NewString(s string) (heap.Handle, error) {
-	return iso.newDataObject(ClassIDString, []byte(s))
+	return iso.newHandled(ClassIDString, []byte(s))
 }
 
 // NewBytes allocates a Bytes object.
 func (iso *Isolate) NewBytes(b []byte) (heap.Handle, error) {
-	return iso.newDataObject(ClassIDBytes, b)
+	return iso.newHandled(ClassIDBytes, b)
 }
 
 // NewBlob allocates a Blob holding one serialized neutral value.
 func (iso *Isolate) NewBlob(v wire.Value) (heap.Handle, error) {
-	return iso.newDataObject(ClassIDBlob, wire.Marshal(v))
+	return iso.newHandled(ClassIDBlob, wire.Marshal(v))
 }
 
-// NewList allocates an empty List (growable reference list).
+// NewList allocates an empty List (growable reference list). The array is
+// viewed twice: once when it is made, and once after the List's own
+// allocation, which may have moved it.
 func (iso *Isolate) NewList() (heap.Handle, error) {
-	arrAddr, err := iso.heap.Alloc(ClassIDArray, 4, hashBytes)
+	arr, err := iso.alloc(ClassIDArray, 4, hashBytes)
 	if err != nil {
 		return 0, err
 	}
-	if err := iso.writeHash(arrAddr, iso.nextHash()); err != nil {
+	if err := iso.writeHash(arr, iso.nextHash()); err != nil {
 		return 0, err
 	}
-	arrHd, err := iso.heap.NewHandle(arrAddr)
+	arrHd, err := iso.heap.NewHandle(arr)
 	if err != nil {
 		return 0, err
 	}
@@ -176,71 +192,70 @@ func (iso *Isolate) NewList() (heap.Handle, error) {
 		// The wrapper's ref slot keeps the array alive after this.
 		_ = iso.heap.Release(arrHd)
 	}()
-	listAddr, err := iso.heap.Alloc(ClassIDList, 1, hashBytes+8)
+	list, err := iso.alloc(ClassIDList, 1, hashBytes+8)
 	if err != nil {
 		return 0, err
 	}
-	if err := iso.writeHash(listAddr, iso.nextHash()); err != nil {
+	if err := iso.writeHash(list, iso.nextHash()); err != nil {
 		return 0, err
 	}
-	arrAddr, err = iso.heap.Deref(arrHd)
-	if err != nil {
+	if arr, err = iso.view(arrHd); err != nil {
 		return 0, err
 	}
-	if err := iso.heap.SetRef(listAddr, 0, arrAddr); err != nil {
+	if err := iso.heap.SetRef(list, 0, arr); err != nil {
 		return 0, err
 	}
-	if err := iso.writeInt(listAddr, hashBytes, 0); err != nil {
+	if err := iso.writeInt(list, hashBytes, 0); err != nil {
 		return 0, err
 	}
-	return iso.heap.NewHandle(listAddr)
+	return iso.heap.NewHandle(list)
 }
 
-// newDataObject allocates a builtin data object: identity hash, then
-// payload. The modelled program allocates, stores the hash and — if there
-// is one — stores the payload; AllocData charges exactly that while
-// encrypting each line once.
-func (iso *Isolate) newDataObject(classID int32, payload []byte) (heap.Handle, error) {
+// newHandled allocates a builtin data object and hands out a strong
+// handle to it.
+func (iso *Isolate) newHandled(classID int32, payload []byte) (heap.Handle, error) {
+	o, err := iso.newDataObject(classID, payload)
+	if err != nil {
+		return 0, err
+	}
+	return iso.heap.NewHandle(o)
+}
+
+// newDataObject allocates a builtin data object, identity hash then
+// payload, and returns its view. The modelled program allocates, views
+// the new object, stores the hash and — if there is one — stores the
+// payload; AllocData charges exactly that while encrypting each line
+// once.
+func (iso *Isolate) newDataObject(classID int32, payload []byte) (heap.Obj, error) {
 	binary.LittleEndian.PutUint64(iso.word[:], uint64(iso.nextHash()))
 	parts := [][]byte{iso.word[:], payload}
 	if len(payload) == 0 {
 		parts = parts[:1] // the modelled program skips an empty store
 	}
-	addr, err := iso.heap.AllocData(classID, parts...)
+	return iso.heap.AllocData(classID, parts...)
+}
+
+// view resolves a handle and takes the view of its object: the one header
+// read of that object in the calling operation.
+func (iso *Isolate) view(h heap.Handle) (heap.Obj, error) {
+	addr, err := iso.heap.Deref(h)
 	if err != nil {
-		return 0, err
+		return heap.Obj{}, err
 	}
-	return iso.heap.NewHandle(addr)
+	return iso.heap.View(addr)
 }
 
 // HashOf reads an object's identity hash.
 func (iso *Isolate) HashOf(h heap.Handle) (int64, error) {
-	addr, err := iso.heap.Deref(h)
+	o, err := iso.view(h)
 	if err != nil {
 		return 0, err
 	}
-	return iso.readHash(addr)
+	return iso.readHash(o)
 }
 
-// ClassIDOf returns the class id of the object behind h.
-func (iso *Isolate) ClassIDOf(h heap.Handle) (int32, error) {
-	addr, err := iso.heap.Deref(h)
-	if err != nil {
-		return 0, err
-	}
-	return iso.heap.ClassID(addr)
-}
-
-// ClassNameOf returns the class name of the object behind h.
-func (iso *Isolate) ClassNameOf(h heap.Handle) (string, error) {
-	id, err := iso.ClassIDOf(h)
-	if err != nil {
-		return "", err
-	}
-	return iso.classNameByID(id)
-}
-
-func (iso *Isolate) classNameByID(id int32) (string, error) {
+// ClassName returns the name of the class with identifier id.
+func (iso *Isolate) ClassName(id int32) (string, error) {
 	switch id {
 	case ClassIDString:
 		return classmodel.BuiltinString, nil
@@ -265,17 +280,21 @@ func (iso *Isolate) Release(h heap.Handle) error { return iso.heap.Release(h) }
 
 // NewWeak creates a weak reference to the object behind h.
 func (iso *Isolate) NewWeak(h heap.Handle) (heap.WeakRef, error) {
-	addr, err := iso.heap.Deref(h)
+	o, err := iso.view(h)
 	if err != nil {
 		return 0, err
 	}
-	return iso.heap.NewWeak(addr)
+	return iso.heap.NewWeak(o)
 }
 
 // HandleAt wraps a raw address in a fresh strong handle. The address must
 // be current (no allocation since it was obtained).
 func (iso *Isolate) HandleAt(addr heap.Addr) (heap.Handle, error) {
-	return iso.heap.NewHandle(addr)
+	o, err := iso.heap.View(addr)
+	if err != nil {
+		return 0, err
+	}
+	return iso.heap.NewHandle(o)
 }
 
 // Collect runs a stop-and-copy GC cycle on the isolate heap.
@@ -283,7 +302,7 @@ func (iso *Isolate) Collect() error { return iso.heap.Collect() }
 
 // SetFieldScalar writes an int, double or boolean field.
 func (iso *Isolate) SetFieldScalar(h heap.Handle, field string, v wire.Value) error {
-	info, f, err := iso.fieldOf(h, field)
+	o, info, f, err := iso.fieldOf(h, field)
 	if err != nil {
 		return err
 	}
@@ -312,184 +331,161 @@ func (iso *Isolate) SetFieldScalar(h heap.Handle, field string, v wire.Value) er
 	default:
 		return fmt.Errorf("%w: %s.%s is not scalar", ErrKindMismatch, info.name, field)
 	}
-	addr, err := iso.heap.Deref(h)
-	if err != nil {
-		return err
-	}
-	return iso.writeInt(addr, hashBytes+info.layout.DataOff[field], int64(raw))
+	return iso.writeInt(o, hashBytes+info.layout.DataOff[field], int64(raw))
 }
 
 // SetFieldData writes a String, byte[] or serialized-value field by
 // allocating a fresh child object (the previous child becomes garbage).
+// The receiver is viewed twice: once to find the field, and once after
+// the child's allocation, which may have moved it.
 func (iso *Isolate) SetFieldData(h heap.Handle, field string, v wire.Value) error {
-	info, f, err := iso.fieldOf(h, field)
+	_, info, f, err := iso.fieldOf(h, field)
 	if err != nil {
 		return err
 	}
-	var child heap.Handle
+	var (
+		classID int32
+		payload []byte
+	)
 	switch f.Kind {
 	case classmodel.FieldString:
 		s, ok := v.AsStr()
 		if !ok {
 			return fmt.Errorf("%w: %s.%s wants String, got %s", ErrKindMismatch, info.name, field, v.Kind())
 		}
-		child, err = iso.NewString(s)
+		classID, payload = ClassIDString, []byte(s)
 	case classmodel.FieldBytes:
 		b, ok := v.AsBytes()
 		if !ok {
 			return fmt.Errorf("%w: %s.%s wants byte[], got %s", ErrKindMismatch, info.name, field, v.Kind())
 		}
-		child, err = iso.NewBytes(b)
+		classID, payload = ClassIDBytes, b
 	case classmodel.FieldValue:
-		child, err = iso.NewBlob(v)
+		classID, payload = ClassIDBlob, wire.Marshal(v)
 	default:
 		return fmt.Errorf("%w: %s.%s is not a data field", ErrKindMismatch, info.name, field)
 	}
+	// Nothing allocates between the child's allocation and the store, so
+	// its view stays current and no handle has to pin it.
+	child, err := iso.newDataObject(classID, payload)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		// The parent's ref slot keeps the child alive from here on.
-		_ = iso.heap.Release(child)
-	}()
-	childAddr, err := iso.heap.Deref(child)
+	o, err := iso.view(h)
 	if err != nil {
 		return err
 	}
-	addr, err := iso.heap.Deref(h)
-	if err != nil {
-		return err
-	}
-	return iso.heap.SetRef(addr, info.layout.RefSlot[field], childAddr)
+	return iso.heap.SetRef(o, info.layout.RefSlot[field], child)
 }
 
 // SetFieldRef writes a reference field. target==0 stores null.
 func (iso *Isolate) SetFieldRef(h heap.Handle, field string, target heap.Handle) error {
-	info, f, err := iso.fieldOf(h, field)
+	o, info, f, err := iso.fieldOf(h, field)
 	if err != nil {
 		return err
 	}
 	if f.Kind != classmodel.FieldRef {
 		return fmt.Errorf("%w: %s.%s is not a reference field", ErrKindMismatch, info.name, field)
 	}
-	var targetAddr heap.Addr
+	var t heap.Obj
 	if target != 0 {
-		targetAddr, err = iso.heap.Deref(target)
-		if err != nil {
+		if t, err = iso.view(target); err != nil {
 			return err
 		}
 	}
-	addr, err := iso.heap.Deref(h)
-	if err != nil {
-		return err
-	}
-	return iso.heap.SetRef(addr, info.layout.RefSlot[field], targetAddr)
+	return iso.heap.SetRef(o, info.layout.RefSlot[field], t)
 }
 
 // GetField reads any field as a wire value. Reference fields come back as
 // wire.Ref(class, hash) (null if unset); String/byte[]/value fields are
 // read out of their child objects.
 func (iso *Isolate) GetField(h heap.Handle, field string) (wire.Value, error) {
-	info, f, err := iso.fieldOf(h, field)
+	v, _, err := iso.getField(h, field, false)
+	return v, err
+}
+
+// GetFieldRef is GetField that, for a non-null reference field, also
+// returns a fresh strong handle to the object the field points at (0
+// otherwise). The caller owns the handle.
+func (iso *Isolate) GetFieldRef(h heap.Handle, field string) (wire.Value, heap.Handle, error) {
+	return iso.getField(h, field, true)
+}
+
+func (iso *Isolate) getField(h heap.Handle, field string, wantHandle bool) (wire.Value, heap.Handle, error) {
+	o, info, f, err := iso.fieldOf(h, field)
 	if err != nil {
-		return wire.Value{}, err
-	}
-	addr, err := iso.heap.Deref(h)
-	if err != nil {
-		return wire.Value{}, err
+		return wire.Value{}, 0, err
 	}
 	if !f.Kind.IsRefLike() {
-		raw, err := iso.readInt(addr, hashBytes+info.layout.DataOff[field])
+		raw, err := iso.readInt(o, hashBytes+info.layout.DataOff[field])
 		if err != nil {
-			return wire.Value{}, err
+			return wire.Value{}, 0, err
 		}
 		switch f.Kind {
 		case classmodel.FieldInt:
-			return wire.Int(raw), nil
+			return wire.Int(raw), 0, nil
 		case classmodel.FieldFloat:
-			return wire.Float(math.Float64frombits(uint64(raw))), nil
+			return wire.Float(math.Float64frombits(uint64(raw))), 0, nil
 		default:
-			return wire.Bool(raw != 0), nil
+			return wire.Bool(raw != 0), 0, nil
 		}
 	}
-	child, err := iso.heap.GetRef(addr, info.layout.RefSlot[field])
+	childAddr, err := iso.heap.GetRef(o, info.layout.RefSlot[field])
 	if err != nil {
-		return wire.Value{}, err
+		return wire.Value{}, 0, err
 	}
-	if child == 0 {
-		return wire.Null(), nil
+	if childAddr == 0 {
+		return wire.Null(), 0, nil
+	}
+	child, err := iso.heap.View(childAddr)
+	if err != nil {
+		return wire.Value{}, 0, err
 	}
 	switch f.Kind {
 	case classmodel.FieldString:
 		b, err := iso.dataPayload(child, ClassIDString)
 		if err != nil {
-			return wire.Value{}, err
+			return wire.Value{}, 0, err
 		}
-		return wire.Str(string(b)), nil
+		return wire.Str(string(b)), 0, nil
 	case classmodel.FieldBytes:
 		b, err := iso.dataPayload(child, ClassIDBytes)
 		if err != nil {
-			return wire.Value{}, err
+			return wire.Value{}, 0, err
 		}
-		return wire.Bytes(b), nil
+		return wire.Bytes(b), 0, nil
 	case classmodel.FieldValue:
 		b, err := iso.dataPayload(child, ClassIDBlob)
 		if err != nil {
-			return wire.Value{}, err
+			return wire.Value{}, 0, err
 		}
 		v, _, err := wire.Unmarshal(b)
 		if err != nil {
-			return wire.Value{}, fmt.Errorf("isolate: corrupt blob field %s.%s: %w", info.name, field, err)
+			return wire.Value{}, 0, fmt.Errorf("isolate: corrupt blob field %s.%s: %w", info.name, field, err)
 		}
-		return v, nil
+		return v, 0, nil
 	default: // FieldRef
 		hash, err := iso.readHash(child)
 		if err != nil {
-			return wire.Value{}, err
+			return wire.Value{}, 0, err
 		}
-		cid, err := iso.heap.ClassID(child)
+		name, err := iso.ClassName(child.ClassID())
 		if err != nil {
-			return wire.Value{}, err
+			return wire.Value{}, 0, err
 		}
-		name, err := iso.classNameByID(cid)
-		if err != nil {
-			return wire.Value{}, err
+		var ch heap.Handle
+		if wantHandle {
+			if ch, err = iso.heap.NewHandle(child); err != nil {
+				return wire.Value{}, 0, err
+			}
 		}
-		return wire.Ref(name, hash), nil
+		return wire.Ref(name, hash), ch, nil
 	}
-}
-
-// GetFieldRefHandle returns a fresh strong handle to the object a
-// reference field points at (0 for null). The caller owns the handle.
-func (iso *Isolate) GetFieldRefHandle(h heap.Handle, field string) (heap.Handle, error) {
-	info, f, err := iso.fieldOf(h, field)
-	if err != nil {
-		return 0, err
-	}
-	if f.Kind != classmodel.FieldRef {
-		return 0, fmt.Errorf("%w: %s.%s is not a reference field", ErrKindMismatch, info.name, field)
-	}
-	addr, err := iso.heap.Deref(h)
-	if err != nil {
-		return 0, err
-	}
-	child, err := iso.heap.GetRef(addr, info.layout.RefSlot[field])
-	if err != nil {
-		return 0, err
-	}
-	if child == 0 {
-		return 0, nil
-	}
-	return iso.heap.NewHandle(child)
 }
 
 // StrValue reads a String object.
 func (iso *Isolate) StrValue(h heap.Handle) (string, error) {
-	addr, err := iso.heap.Deref(h)
-	if err != nil {
-		return "", err
-	}
-	b, err := iso.dataPayload(addr, ClassIDString)
+	b, err := iso.payloadOf(h, ClassIDString)
 	if err != nil {
 		return "", err
 	}
@@ -498,20 +494,12 @@ func (iso *Isolate) StrValue(h heap.Handle) (string, error) {
 
 // BytesValue reads a Bytes object.
 func (iso *Isolate) BytesValue(h heap.Handle) ([]byte, error) {
-	addr, err := iso.heap.Deref(h)
-	if err != nil {
-		return nil, err
-	}
-	return iso.dataPayload(addr, ClassIDBytes)
+	return iso.payloadOf(h, ClassIDBytes)
 }
 
 // BlobValue reads a Blob object.
 func (iso *Isolate) BlobValue(h heap.Handle) (wire.Value, error) {
-	addr, err := iso.heap.Deref(h)
-	if err != nil {
-		return wire.Value{}, err
-	}
-	b, err := iso.dataPayload(addr, ClassIDBlob)
+	b, err := iso.payloadOf(h, ClassIDBlob)
 	if err != nil {
 		return wire.Value{}, err
 	}
@@ -524,54 +512,48 @@ func (iso *Isolate) BlobValue(h heap.Handle) (wire.Value, error) {
 
 // ListSize returns the number of elements in a List object.
 func (iso *Isolate) ListSize(list heap.Handle) (int, error) {
-	addr, err := iso.listAddr(list)
+	o, err := iso.listOf(list)
 	if err != nil {
 		return 0, err
 	}
-	n, err := iso.readInt(addr, hashBytes)
+	n, err := iso.readInt(o, hashBytes)
 	return int(n), err
 }
 
 // ListAdd appends the object behind elem to a List, growing the backing
 // array as needed.
 func (iso *Isolate) ListAdd(list heap.Handle, elem heap.Handle) error {
-	addr, err := iso.listAddr(list)
+	o, err := iso.listOf(list)
 	if err != nil {
 		return err
 	}
-	length64, err := iso.readInt(addr, hashBytes)
+	length64, err := iso.readInt(o, hashBytes)
 	if err != nil {
 		return err
 	}
 	length := int(length64)
-	backing, err := iso.heap.GetRef(addr, 0)
+	backing, err := iso.refAt(o, 0)
 	if err != nil {
 		return err
 	}
-	capacity, err := iso.heap.NumRefs(backing)
-	if err != nil {
-		return err
-	}
-	if length == capacity {
+	if capacity := backing.NumRefs(); length == capacity {
 		// Grow: allocate a doubled array (may trigger GC, invalidating
-		// raw addresses), then re-derive everything from handles.
-		newArr, err := iso.heap.Alloc(ClassIDArray, capacity*2, hashBytes)
+		// every view), then take the views again from handles.
+		newArr, err := iso.alloc(ClassIDArray, capacity*2, hashBytes)
 		if err != nil {
 			return err
 		}
 		if err := iso.writeHash(newArr, iso.nextHash()); err != nil {
 			return err
 		}
-		addr, err = iso.heap.Deref(list)
-		if err != nil {
+		if o, err = iso.view(list); err != nil {
 			return err
 		}
-		backing, err = iso.heap.GetRef(addr, 0)
-		if err != nil {
+		if backing, err = iso.refAt(o, 0); err != nil {
 			return err
 		}
 		for i := 0; i < length; i++ {
-			e, err := iso.heap.GetRef(backing, i)
+			e, err := iso.refAt(backing, i)
 			if err != nil {
 				return err
 			}
@@ -579,140 +561,151 @@ func (iso *Isolate) ListAdd(list heap.Handle, elem heap.Handle) error {
 				return err
 			}
 		}
-		if err := iso.heap.SetRef(addr, 0, newArr); err != nil {
+		if err := iso.heap.SetRef(o, 0, newArr); err != nil {
 			return err
 		}
 		backing = newArr
 	}
-	elemAddr, err := iso.heap.Deref(elem)
+	e, err := iso.view(elem)
 	if err != nil {
 		return err
 	}
-	if err := iso.heap.SetRef(backing, length, elemAddr); err != nil {
+	if err := iso.heap.SetRef(backing, length, e); err != nil {
 		return err
 	}
-	return iso.writeInt(addr, hashBytes, int64(length+1))
+	return iso.writeInt(o, hashBytes, int64(length+1))
 }
 
-// ListGet returns a fresh strong handle to element i (caller owns it).
-func (iso *Isolate) ListGet(list heap.Handle, i int) (heap.Handle, error) {
-	addr, err := iso.listAddr(list)
+// ListGet returns a fresh strong handle to element i (caller owns it),
+// with the element's identity hash and class id; all three come from the
+// element's one view. A null element returns a zero handle.
+func (iso *Isolate) ListGet(list heap.Handle, i int) (heap.Handle, int64, int32, error) {
+	backing, err := iso.elementsOf(list, i)
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
-	length, err := iso.readInt(addr, hashBytes)
+	e, err := iso.refAt(backing, i)
+	if err != nil || e.Addr() == 0 {
+		return 0, 0, 0, err
+	}
+	hash, err := iso.readHash(e)
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
-	if i < 0 || int64(i) >= length {
-		return 0, fmt.Errorf("%w: %d of %d", ErrIndex, i, length)
-	}
-	backing, err := iso.heap.GetRef(addr, 0)
+	h, err := iso.heap.NewHandle(e)
 	if err != nil {
-		return 0, err
+		return 0, 0, 0, err
 	}
-	e, err := iso.heap.GetRef(backing, i)
-	if err != nil {
-		return 0, err
-	}
-	if e == 0 {
-		return 0, nil
-	}
-	return iso.heap.NewHandle(e)
+	return h, hash, e.ClassID(), nil
 }
 
 // ListSet overwrites element i with the object behind elem.
 func (iso *Isolate) ListSet(list heap.Handle, i int, elem heap.Handle) error {
-	addr, err := iso.listAddr(list)
+	backing, err := iso.elementsOf(list, i)
 	if err != nil {
 		return err
 	}
-	length, err := iso.readInt(addr, hashBytes)
-	if err != nil {
-		return err
-	}
-	if i < 0 || int64(i) >= length {
-		return fmt.Errorf("%w: %d of %d", ErrIndex, i, length)
-	}
-	backing, err := iso.heap.GetRef(addr, 0)
-	if err != nil {
-		return err
-	}
-	var elemAddr heap.Addr
+	var e heap.Obj
 	if elem != 0 {
-		elemAddr, err = iso.heap.Deref(elem)
-		if err != nil {
+		if e, err = iso.view(elem); err != nil {
 			return err
 		}
 	}
-	return iso.heap.SetRef(backing, i, elemAddr)
+	return iso.heap.SetRef(backing, i, e)
 }
 
-func (iso *Isolate) listAddr(list heap.Handle) (heap.Addr, error) {
-	addr, err := iso.heap.Deref(list)
+// listOf takes the view of a List object.
+func (iso *Isolate) listOf(list heap.Handle) (heap.Obj, error) {
+	o, err := iso.view(list)
 	if err != nil {
-		return 0, err
+		return heap.Obj{}, err
 	}
-	cid, err := iso.heap.ClassID(addr)
-	if err != nil {
-		return 0, err
+	if cid := o.ClassID(); cid != ClassIDList {
+		return heap.Obj{}, fmt.Errorf("%w: want List, got id %d", ErrNotBuiltin, cid)
 	}
-	if cid != ClassIDList {
-		return 0, fmt.Errorf("%w: want List, got id %d", ErrNotBuiltin, cid)
-	}
-	return addr, nil
+	return o, nil
 }
 
-func (iso *Isolate) fieldOf(h heap.Handle, field string) (*classInfo, classmodel.Field, error) {
-	id, err := iso.ClassIDOf(h)
+// elementsOf checks index i against a List's length and returns the view
+// of its backing array.
+func (iso *Isolate) elementsOf(list heap.Handle, i int) (heap.Obj, error) {
+	o, err := iso.listOf(list)
 	if err != nil {
-		return nil, classmodel.Field{}, err
+		return heap.Obj{}, err
 	}
-	info, ok := iso.byID[id]
+	length, err := iso.readInt(o, hashBytes)
+	if err != nil {
+		return heap.Obj{}, err
+	}
+	if i < 0 || int64(i) >= length {
+		return heap.Obj{}, fmt.Errorf("%w: %d of %d", ErrIndex, i, length)
+	}
+	return iso.refAt(o, 0)
+}
+
+// refAt takes the view of the object reference slot i of o points at
+// (the null view for a null slot).
+func (iso *Isolate) refAt(o heap.Obj, i int) (heap.Obj, error) {
+	addr, err := iso.heap.GetRef(o, i)
+	if err != nil || addr == 0 {
+		return heap.Obj{}, err
+	}
+	return iso.heap.View(addr)
+}
+
+// fieldOf takes the view of the object behind h and looks up one of its
+// class's declared fields.
+func (iso *Isolate) fieldOf(h heap.Handle, field string) (heap.Obj, *classInfo, classmodel.Field, error) {
+	o, err := iso.view(h)
+	if err != nil {
+		return heap.Obj{}, nil, classmodel.Field{}, err
+	}
+	info, ok := iso.byID[o.ClassID()]
 	if !ok {
-		return nil, classmodel.Field{}, fmt.Errorf("%w: id %d has no fields", ErrUnknownClass, id)
+		return heap.Obj{}, nil, classmodel.Field{}, fmt.Errorf("%w: id %d has no fields", ErrUnknownClass, o.ClassID())
 	}
 	f, ok := info.decl.Field(field)
 	if !ok {
-		return nil, classmodel.Field{}, fmt.Errorf("%w: %s.%s", ErrUnknownField, info.name, field)
+		return heap.Obj{}, nil, classmodel.Field{}, fmt.Errorf("%w: %s.%s", ErrUnknownField, info.name, field)
 	}
-	return info, f, nil
+	return o, info, f, nil
 }
 
-func (iso *Isolate) dataPayload(addr heap.Addr, wantClass int32) ([]byte, error) {
-	cid, err := iso.heap.ClassID(addr)
+// payloadOf reads the payload of the builtin data object behind h.
+func (iso *Isolate) payloadOf(h heap.Handle, wantClass int32) ([]byte, error) {
+	o, err := iso.view(h)
 	if err != nil {
 		return nil, err
 	}
-	if cid != wantClass {
+	return iso.dataPayload(o, wantClass)
+}
+
+func (iso *Isolate) dataPayload(o heap.Obj, wantClass int32) ([]byte, error) {
+	if cid := o.ClassID(); cid != wantClass {
 		return nil, fmt.Errorf("%w: want id %d, got %d", ErrNotBuiltin, wantClass, cid)
 	}
-	size, err := iso.heap.DataBytes(addr)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, size-hashBytes)
-	if err := iso.heap.ReadData(addr, hashBytes, out); err != nil {
+	out := make([]byte, o.DataBytes()-hashBytes)
+	if err := iso.heap.ReadData(o, hashBytes, out); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-func (iso *Isolate) writeHash(addr heap.Addr, hash int64) error {
-	return iso.writeInt(addr, 0, hash)
+func (iso *Isolate) writeHash(o heap.Obj, hash int64) error {
+	return iso.writeInt(o, 0, hash)
 }
 
-func (iso *Isolate) readHash(addr heap.Addr) (int64, error) {
-	return iso.readInt(addr, 0)
+func (iso *Isolate) readHash(o heap.Obj) (int64, error) {
+	return iso.readInt(o, 0)
 }
 
-func (iso *Isolate) writeInt(addr heap.Addr, off int, v int64) error {
+func (iso *Isolate) writeInt(o heap.Obj, off int, v int64) error {
 	binary.LittleEndian.PutUint64(iso.word[:], uint64(v))
-	return iso.heap.WriteData(addr, off, iso.word[:])
+	return iso.heap.WriteData(o, off, iso.word[:])
 }
 
-func (iso *Isolate) readInt(addr heap.Addr, off int) (int64, error) {
-	if err := iso.heap.ReadData(addr, off, iso.word[:]); err != nil {
+func (iso *Isolate) readInt(o heap.Obj, off int) (int64, error) {
+	if err := iso.heap.ReadData(o, off, iso.word[:]); err != nil {
 		return 0, err
 	}
 	return int64(binary.LittleEndian.Uint64(iso.word[:])), nil

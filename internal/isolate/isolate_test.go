@@ -18,6 +18,13 @@ func testIsolate(t *testing.T) *Isolate {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return accountIsolate(t, h)
+}
+
+// accountIsolate builds an isolate over h with the Account class
+// registered.
+func accountIsolate(t *testing.T, h *heap.Heap) *Isolate {
+	t.Helper()
 	var hashCounter int64
 	iso, err := New(0, h, func() int64 { hashCounter++; return hashCounter })
 	if err != nil {
@@ -54,9 +61,13 @@ func TestNewObjectHashAndClass(t *testing.T) {
 	if err != nil || hash != 777 {
 		t.Fatalf("HashOf = %d, %v; want 777", hash, err)
 	}
-	name, err := iso.ClassNameOf(h)
+	o, err := iso.view(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, err := iso.ClassName(o.ClassID())
 	if err != nil || name != "Account" {
-		t.Fatalf("ClassNameOf = %q, %v", name, err)
+		t.Fatalf("ClassName = %q, %v", name, err)
 	}
 }
 
@@ -169,9 +180,9 @@ func TestRefField(t *testing.T) {
 		t.Fatalf("linked = %v", v)
 	}
 	// Handle access.
-	bh, err := iso.GetFieldRefHandle(a, "linked")
-	if err != nil || bh == 0 {
-		t.Fatalf("GetFieldRefHandle: %v, %v", bh, err)
+	rv, bh, err := iso.GetFieldRef(a, "linked")
+	if err != nil || bh == 0 || !rv.Equal(v) {
+		t.Fatalf("GetFieldRef = %v, %v, %v", rv, bh, err)
 	}
 	if got, _ := iso.HashOf(bh); got != 20 {
 		t.Fatalf("target hash = %d, want 20", got)
@@ -183,8 +194,8 @@ func TestRefField(t *testing.T) {
 	if v, _ := iso.GetField(a, "linked"); !v.IsNull() {
 		t.Fatalf("cleared ref = %v", v)
 	}
-	if bh, err := iso.GetFieldRefHandle(a, "linked"); err != nil || bh != 0 {
-		t.Fatalf("cleared ref handle = %v, %v", bh, err)
+	if rv, bh, err := iso.GetFieldRef(a, "linked"); err != nil || bh != 0 || !rv.IsNull() {
+		t.Fatalf("cleared ref = %v, handle %v, %v", rv, bh, err)
 	}
 }
 
@@ -213,7 +224,7 @@ func TestFieldsSurviveGC(t *testing.T) {
 	if v, _ := iso.GetField(a, "balance"); !v.Equal(wire.Int(100)) {
 		t.Fatalf("balance after GC = %v", v)
 	}
-	lh, err := iso.GetFieldRefHandle(a, "linked")
+	_, lh, err := iso.GetFieldRef(a, "linked")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,12 +266,15 @@ func TestListOperations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < count; i++ {
-		e, err := iso.ListGet(list, i)
+		e, hash, cid, err := iso.ListGet(list, i)
 		if err != nil {
 			t.Fatalf("ListGet %d: %v", i, err)
 		}
-		if hash, _ := iso.HashOf(e); hash != int64(100+i) {
-			t.Fatalf("elem %d hash = %d", i, hash)
+		if hash != int64(100+i) || cid != 1 {
+			t.Fatalf("elem %d hash = %d, class id %d", i, hash, cid)
+		}
+		if h, _ := iso.HashOf(e); h != hash {
+			t.Fatalf("elem %d: handle's hash %d, ListGet's %d", i, h, hash)
 		}
 		if v, _ := iso.GetField(e, "balance"); !v.Equal(wire.Int(int64(i * i))) {
 			t.Fatalf("elem %d balance = %v", i, v)
@@ -269,7 +283,7 @@ func TestListOperations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := iso.ListGet(list, count); !errors.Is(err, ErrIndex) {
+	if _, _, _, err := iso.ListGet(list, count); !errors.Is(err, ErrIndex) {
 		t.Fatalf("OOB get: err = %v, want ErrIndex", err)
 	}
 }
@@ -285,8 +299,7 @@ func TestListSet(t *testing.T) {
 	if err := iso.ListSet(list, 0, b); err != nil {
 		t.Fatal(err)
 	}
-	e, _ := iso.ListGet(list, 0)
-	if hash, _ := iso.HashOf(e); hash != 2 {
+	if _, hash, _, _ := iso.ListGet(list, 0); hash != 2 {
 		t.Fatalf("after set hash = %d, want 2", hash)
 	}
 	if err := iso.ListSet(list, 5, b); !errors.Is(err, ErrIndex) {
@@ -403,7 +416,7 @@ func TestManyObjectsStress(t *testing.T) {
 		t.Fatalf("kept = %d, want 167", n)
 	}
 	for i := 0; i < n; i++ {
-		e, err := iso.ListGet(list, i)
+		e, _, _, err := iso.ListGet(list, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -436,9 +449,10 @@ func TestFieldKindMisuse(t *testing.T) {
 	if err := iso.SetFieldData(a, "raw", wire.Str("x")); !errors.Is(err, ErrKindMismatch) {
 		t.Fatalf("SetFieldData str into bytes: %v", err)
 	}
-	// GetFieldRefHandle on a non-ref field.
-	if _, err := iso.GetFieldRefHandle(a, "balance"); !errors.Is(err, ErrKindMismatch) {
-		t.Fatalf("GetFieldRefHandle on int: %v", err)
+	// GetFieldRef on a non-ref field reads the value and hands out no
+	// handle.
+	if v, hd, err := iso.GetFieldRef(a, "balance"); err != nil || hd != 0 || !v.Equal(wire.Int(0)) {
+		t.Fatalf("GetFieldRef on int = %v, handle %v, %v", v, hd, err)
 	}
 	// Unknown fields.
 	if _, err := iso.GetField(a, "ghost"); !errors.Is(err, ErrUnknownField) {
@@ -475,7 +489,7 @@ func TestListAddRejectsNonList(t *testing.T) {
 	if err := iso.ListAdd(a, b); !errors.Is(err, ErrNotBuiltin) {
 		t.Fatalf("ListAdd on Account: %v", err)
 	}
-	if _, err := iso.ListGet(a, 0); !errors.Is(err, ErrNotBuiltin) {
+	if _, _, _, err := iso.ListGet(a, 0); !errors.Is(err, ErrNotBuiltin) {
 		t.Fatalf("ListGet on Account: %v", err)
 	}
 }

@@ -468,7 +468,7 @@ func TestRecoveryCrossings(t *testing.T) {
 
 // recoveryFullLedger is the recovery stream's ledger with every pass
 // crossing in full: 1 + S + 1 ecalls and C + R audit ocalls.
-var recoveryFullLedger = recoveryLedger{Cycles: 912448, Ecalls: 6, Ocalls: 64, PageFaults: 2, MEECopiedBytes: 961}
+var recoveryFullLedger = recoveryLedger{Cycles: 863808, Ecalls: 6, Ocalls: 64, PageFaults: 2, MEECopiedBytes: 961}
 
 // TestRecoveryLedgerGolden pins the whole recovery ledger. Beside
 // recoveryFullLedger it is the lanes' before/after table: the C + R
@@ -479,8 +479,8 @@ func TestRecoveryLedgerGolden(t *testing.T) {
 	f := newRecoveryFixture(t)
 	m, ref, want, _ := f.crash()
 	got := f.recover(m, ref, want)
-	// 912,448 − 64 × 7,400 + 5 × 1,200.
-	wantLedger := recoveryLedger{Cycles: 444848, Ecalls: 6, SwitchlessEcalls: 5, SwitchlessOcalls: 64, PageFaults: 2, MEECopiedBytes: 961}
+	// 863,808 − 64 × 7,400 + 5 × 1,200.
+	wantLedger := recoveryLedger{Cycles: 396208, Ecalls: 6, SwitchlessEcalls: 5, SwitchlessOcalls: 64, PageFaults: 2, MEECopiedBytes: 961}
 	if got != wantLedger {
 		t.Errorf("recovery ledger moved:\n got  %#v\n want %#v", got, wantLedger)
 	}

@@ -16,13 +16,23 @@ func testHeap(t *testing.T) *heap.Heap {
 	return h
 }
 
-func allocHandle(t *testing.T, h *heap.Heap) heap.Handle {
+// alloc allocates an object and takes its view.
+func alloc(t *testing.T, h *heap.Heap, dataBytes int) heap.Obj {
 	t.Helper()
-	addr, err := h.Alloc(1, 0, 16)
+	addr, err := h.Alloc(1, 0, dataBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hd, err := h.NewHandle(addr)
+	o, err := h.View(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+func allocHandle(t *testing.T, h *heap.Heap) heap.Handle {
+	t.Helper()
+	hd, err := h.NewHandle(alloc(t, h, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +96,7 @@ func TestRefCounting(t *testing.T) {
 func TestReleaseFreesMirror(t *testing.T) {
 	h := testHeap(t)
 	r := New(h)
-	addr, err := h.Alloc(1, 0, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := alloc(t, h, 16)
 	hd, err := h.NewHandle(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -137,12 +144,12 @@ func TestWeakListSweep(t *testing.T) {
 	l := NewWeakList(h)
 
 	// Proxy A stays referenced; proxy B becomes garbage.
-	addrA, _ := h.Alloc(1, 0, 8)
+	addrA := alloc(t, h, 8)
 	hdA, _ := h.NewHandle(addrA)
 	wA, _ := h.NewWeak(addrA)
 	l.Track(wA, 100)
 
-	addrB, _ := h.Alloc(1, 0, 8)
+	addrB := alloc(t, h, 8)
 	wB, _ := h.NewWeak(addrB)
 	l.Track(wB, 200)
 
@@ -173,13 +180,13 @@ func TestWeakListSweep(t *testing.T) {
 func TestLiveHash(t *testing.T) {
 	h := testHeap(t)
 	l := NewWeakList(h)
-	addr, _ := h.Alloc(1, 0, 8)
+	addr := alloc(t, h, 8)
 	hd, _ := h.NewHandle(addr)
 	w, _ := h.NewWeak(addr)
 	l.Track(w, 5)
 
 	got, ok := l.LiveHash(5)
-	if !ok || got != addr {
+	if !ok || got != addr.Addr() {
 		t.Fatalf("LiveHash = %v, %v", got, ok)
 	}
 	if _, ok := l.LiveHash(6); ok {
@@ -202,10 +209,7 @@ func TestSweepScalesToManyEntries(t *testing.T) {
 	l := NewWeakList(h)
 	var handles []heap.Handle
 	for i := 0; i < 500; i++ {
-		addr, err := h.Alloc(1, 0, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
+		addr := alloc(t, h, 8)
 		w, err := h.NewWeak(addr)
 		if err != nil {
 			t.Fatal(err)

@@ -126,22 +126,18 @@ func (fr *frame) GetField(recv wire.Value, field string) (wire.Value, error) {
 	if err != nil {
 		return wire.Value{}, err
 	}
-	// The field read and the ref-handle creation share one heap critical
-	// section, so the slot cannot change between them; the fresh handle
-	// is then adopted (a racing adopter's entry wins, the duplicate
-	// handle is dropped).
+	// The field read and the ref-handle creation are one isolate call, so
+	// the slot cannot change between them; the fresh handle is then
+	// adopted (a racing adopter's entry wins, the duplicate handle is
+	// dropped).
 	rt.heapMu.Lock()
-	v, err := rt.iso.GetField(h, field)
-	var fh heap.Handle
-	_, refHash, isRef := v.AsRef()
-	if err == nil && isRef {
-		fh, err = rt.iso.GetFieldRefHandle(h, field)
-	}
+	v, fh, err := rt.iso.GetFieldRef(h, field)
 	rt.heapMu.Unlock()
 	if err != nil {
 		return wire.Value{}, err
 	}
-	if isRef && fh != 0 {
+	if fh != 0 {
+		_, refHash, _ := v.AsRef()
 		if _, err := rt.adoptHandle(fr, refHash, fh); err != nil {
 			return wire.Value{}, err
 		}
@@ -364,18 +360,14 @@ func (fr *frame) callList(list heap.Handle, method string, args []wire.Value) (w
 		if !ok {
 			return wire.Value{}, fmt.Errorf("world: List.get index must be int")
 		}
-		// Element handle, hash and class name come from one critical
-		// section; the fresh handle is then adopted into the table.
+		// Element handle, hash and class id come from one isolate call;
+		// the fresh handle is then adopted into the table.
 		rt.heapMu.Lock()
-		eh, err := rt.iso.ListGet(list, int(i))
-		var (
-			elemHash int64
-			name     string
-		)
+		eh, elemHash, cid, err := rt.iso.ListGet(list, int(i))
+		var name string
 		if err == nil && eh != 0 {
-			elemHash, err = rt.iso.HashOf(eh)
-			if err == nil {
-				name, err = rt.iso.ClassNameOf(eh)
+			if name, err = rt.iso.ClassName(cid); err != nil {
+				_ = rt.iso.Release(eh)
 			}
 		}
 		rt.heapMu.Unlock()
