@@ -46,7 +46,10 @@ const (
 	// SwitchlessCallCycles is the transition cost of the future-work
 	// switchless-call mode (§7, citing [51]): a worker-thread mailbox
 	// avoids the context switch, leaving only cross-core cache-coherence
-	// latency. Only the cost is modelled; see Config.Switchless.
+	// latency. It prices two things: the cost model Config.Switchless
+	// applies to every ecall and ocall, and the lane mechanism's
+	// hand-offs to a resident thread (sgx.Enclave.Switchless in,
+	// SwitchlessOcall out).
 	SwitchlessCallCycles = 1200
 
 	// EPCPageEvictCycles is the cost of evicting one EPC page (EWB):

@@ -39,8 +39,9 @@ func AppendValuesSlot(slot []byte, vs []Value) ([]byte, error) {
 // Ring-call header flags.
 const (
 	// CallWantResult marks a submission whose completion carries a
-	// marshalled result vector; batched void calls leave it clear so
-	// the consumer skips (and never charges for) result serialization.
+	// marshalled result vector; a void call, batched or not, leaves it
+	// clear so the consumer skips (and never charges for) result
+	// serialization.
 	CallWantResult = 1 << 0
 )
 

@@ -914,6 +914,7 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 		return wire.Value{}, fmt.Errorf("%w: no edge routine for %s.%s", image.ErrClosedWorld, class, relayName)
 	}
 	in := to.trusted // the call enters the enclave
+	want := routine.ReturnsValue
 
 	if err := rt.marshalVals(fr, args); err != nil {
 		return wire.Value{}, err
@@ -924,7 +925,7 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 		// and coalesced into one batched transition; the caller observes
 		// null immediately and any call error at the flush. A flush this
 		// frame causes crosses on the frame's lane, if it has one.
-		if w.batching && !routine.ReturnsValue {
+		if w.batching && !want {
 			rt.remoteOut.Add(1)
 			argsLen := wire.SizeValues(args)
 			rt.marshalled.Add(uint64(argsLen))
@@ -953,19 +954,20 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 
 	// Ring route first: encode the call straight into a shared slot
 	// (zero intermediate copies, in-place crypto) with the opened
-	// response decoded in place. Oversized, busy or ring-less calls fall
-	// through to the frame path below; never waiting for a ring keeps
-	// nested relay chains deadlock-free. A frame on a lane hands the
-	// call across on the lane instead (cross), in either direction.
+	// response, if the call is not void, decoded in place. Oversized,
+	// busy or ring-less calls fall through to the frame path below; never
+	// waiting for a ring keeps nested relay chains deadlock-free. A frame
+	// on a lane hands the call across on the lane instead (cross).
 	if rt.encl != nil && rt.rings != nil && fr.lane == nil {
 		argsLen := wire.SizeValues(args)
 		need := 1 + wire.CallSize(class, relayName, hash, argsLen)
 		var (
 			results []wire.Value
 			respLen int
+			flags   byte = wire.CallWantResult
 		)
 		fill := func(slot []byte) ([]byte, error) {
-			slot = wire.AppendCallHeader(append(slot, wire.CallWantResult), class, relayName, hash, argsLen)
+			slot = wire.AppendCallHeader(append(slot, flags), class, relayName, hash, argsLen)
 			return wire.AppendValues(slot, args), nil
 		}
 		done := func(resp []byte) error {
@@ -973,6 +975,9 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 			var derr error
 			results, derr = rt.unmarshalIn(fr, resp)
 			return derr
+		}
+		if !want {
+			flags, done = 0, nil
 		}
 		sp.SetDir(in)
 		sp.SetRoutine(routine.ID)
@@ -993,6 +998,9 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 				return wire.Value{}, rerr
 			}
 			rt.remoteOut.Add(1)
+			if !want {
+				return wire.Null(), nil
+			}
 			if len(results) != 1 {
 				return wire.Value{}, fmt.Errorf("world: relay %s.%s returned %d values", class, relayName, len(results))
 			}
@@ -1009,12 +1017,12 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 	)
 	invoke := func() error {
 		var rerr error
-		resultBuf, rerr = to.dispatchRelay(class, relayName, hash, argBuf, sp, fr.lane)
+		resultBuf, rerr = to.dispatchRelay(class, relayName, hash, argBuf, want, sp, fr.lane)
 		return rerr
 	}
 	if rt.encl != nil {
 		// Copying the argument and result buffers across the boundary
-		// streams them through the MEE.
+		// streams them through the MEE; a void call has no result buffer.
 		w.clock.ChargeBytes(len(argBuf), simcfg.MEEBytesPerCycle)
 		w.meeBytes.Add(uint64(len(argBuf)))
 		err = rt.cross(routine.ID, fr.lane, sp, invoke)
@@ -1033,6 +1041,9 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 		return wire.Value{}, err
 	}
 	rt.remoteOut.Add(1)
+	if !want {
+		return wire.Null(), nil
+	}
 
 	results, err := rt.unmarshalIn(fr, resultBuf)
 	w.bufs.Put(resultBuf)
@@ -1124,8 +1135,8 @@ func (rt *Runtime) rode(err error, n int) bool {
 // execCall runs one call record that crossed the boundary — from a ring
 // slot or a batch frame — on the receiving runtime rt: a registry
 // release from the GC sweep, or a relay call. want asks for the relay's
-// result, marshalled into resp (see dispatchRelaySlot); a void call —
-// every batched call — answers nothing, and its error names the call.
+// result, marshalled into resp (see dispatchRelaySlot); a void call,
+// batched or not, answers nothing, and its error names the call.
 // sp parents any calls the relay makes, and the relay runs on lane (nil
 // off the gateway; see relayCore).
 func (rt *Runtime) execCall(c wire.Call, want bool, resp []byte, sp *telemetry.Span, lane *Lane) ([]byte, bool, error) {
@@ -1137,7 +1148,7 @@ func (rt *Runtime) execCall(c wire.Call, want bool, resp []byte, sp *telemetry.S
 		return rt.dispatchRelaySlot(c.Class, c.Method, c.Hash, c.Args, resp, sp)
 	}
 	if err := rt.relayCore(c.Class, c.Method, c.Hash, c.Args, sp, lane, nil); err != nil {
-		return nil, false, fmt.Errorf("world: batched call %s.%s: %w", c.Class, c.Method, err)
+		return nil, false, fmt.Errorf("world: void call %s.%s: %w", c.Class, c.Method, err)
 	}
 	return nil, false, nil
 }
@@ -1146,11 +1157,14 @@ func (rt *Runtime) execCall(c wire.Call, want bool, resp []byte, sp *telemetry.S
 // @CEntryPoint wrappers of Listing 4): constructor relays instantiate the
 // mirror and register it; instance relays resolve the mirror in the
 // registry and invoke the concrete method. It returns the marshalled
-// result. parent is the caller's trace span (nil when unsampled); it is
-// threaded into the relay's frame so calls the body makes back across
-// the boundary become children of the same trace. lane is the caller's
-// (see relayCore).
-func (rt *Runtime) dispatchRelay(class, relayName string, hash int64, argBuf []byte, parent *telemetry.Span, lane *Lane) ([]byte, error) {
+// result if want; a void relay answers nothing. parent is the caller's
+// trace span (nil when unsampled), threaded into the relay's frame so
+// calls the body makes back across the boundary become children of the
+// same trace. lane is the caller's (see relayCore).
+func (rt *Runtime) dispatchRelay(class, relayName string, hash int64, argBuf []byte, want bool, parent *telemetry.Span, lane *Lane) ([]byte, error) {
+	if !want {
+		return nil, rt.relayCore(class, relayName, hash, argBuf, parent, lane, nil)
+	}
 	var out []byte
 	err := rt.relayCore(class, relayName, hash, argBuf, parent, lane, func(fr *frame, result wire.Value) error {
 		vals := [1]wire.Value{result}
@@ -1191,13 +1205,13 @@ func (rt *Runtime) dispatchRelaySlot(class, relayName string, hash int64, argBuf
 
 // relayCore is the shared body of the relay entry points: look up the
 // relay, decode the arguments, run the constructor or instance
-// dispatch, and hand the raw result to finish (nil for void calls)
-// before the relay frame is released — result marshalling must happen
-// while the frame still retains the exports. The relay frame carries the
-// caller's lane: a call back into the enclave made under an ocall from
-// a lane is handed to the same resident thread, as a nested ecall in
-// SGX reuses the calling thread's TCS, so no chain a lane started waits
-// for a free slot.
+// dispatch, and hand the raw result to finish (nil for a void call on
+// any route) before the relay frame is released — result marshalling
+// must happen while the frame still retains the exports. The relay
+// frame carries the caller's lane: a call back into the enclave made
+// under an ocall from a lane is handed to the same resident thread, as
+// a nested ecall in SGX reuses the calling thread's TCS, so no chain a
+// lane started waits for a free slot.
 func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte, parent *telemetry.Span, lane *Lane, finish func(fr *frame, result wire.Value) error) error {
 	relay := rt.link(class, relayName)
 	if relay.lookErr != nil {
