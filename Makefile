@@ -22,10 +22,11 @@ build:
 # channel's two directions run on two goroutines, and handle namespaces
 # are shared by a session's in-flight requests; DirFS shares one table
 # of open file handles). The lane ledgers, the gateway's and the
-# recovery passes', the void relays on every route, and the gateway's
-# lifecycle gate (Shutdown and Recover drains against typed refusals)
-# are re-run on 4 Ps, three times, to show they repeat under real
-# parallelism. The benchmark
+# recovery passes', the void relays on every route, the GC-helper steps
+# (swept by the collecting goroutine, beside concurrent mutators) and the
+# gateway's lifecycle gate (Shutdown and Recover drains against typed
+# refusals) are re-run on 4 Ps, three times, to show they repeat under
+# real parallelism. The benchmark
 # harness is its own module (benchmark/go.mod), so ./... does not reach
 # it: it is vetted and tested on its own, outside any workspace.
 test:
@@ -33,7 +34,7 @@ test:
 	$(GO) vet ./...
 	GOFLAGS= GOWORK=off $(GO) -C benchmark vet ./...
 	GOFLAGS= GOWORK=off $(GO) -C benchmark test ./...
-	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestCycleLedgerGolden|TestLane|TestVoidRelay' ./internal/world
+	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestCycleLedgerGolden|TestLane|TestVoidRelay|TestGCHelper|TestHelpers' ./internal/world
 	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestRecovery' ./internal/persist
 	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestGatewayLifecycleGate|TestServeDrain|TestGateway|TestRecoverReentersLanes' ./internal/serve
 	$(GO) test -run NONE -bench . -benchtime 1x ./internal/heap ./internal/epc ./internal/isolate ./internal/world

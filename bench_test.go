@@ -98,7 +98,7 @@ func BenchmarkMEELine(b *testing.B) {
 // spinning (pure dispatch) — compare with simcfg.EcallCycles.
 func BenchmarkEcallTransition(b *testing.B) {
 	clk := cycles.New(simcfg.CPUHz, false)
-	e, err := sgx.Create(simcfg.ForTest(), clk, 4)
+	e, err := sgx.Create(simcfg.Default(), clk, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func BenchmarkHeapAllocPlain(b *testing.B) {
 
 func BenchmarkHeapAllocEPC(b *testing.B) {
 	clk := cycles.New(simcfg.CPUHz, false)
-	e, err := sgx.Create(simcfg.ForTest(), clk, 4)
+	e, err := sgx.Create(simcfg.Default(), clk, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func benchmarkGC(b *testing.B, inEnclave bool) {
 	cfg := heap.Config{InitialSemi: 16 << 20, MaxSemi: 64 << 20}
 	if inEnclave {
 		clk := cycles.New(simcfg.CPUHz, false)
-		e, cerr := sgx.Create(simcfg.ForTest(), clk, 4)
+		e, cerr := sgx.Create(simcfg.Default(), clk, 4)
 		if cerr != nil {
 			b.Fatal(cerr)
 		}
@@ -310,8 +310,8 @@ func TestTelemetryCycleNeutral(t *testing.T) {
 		return telemetry.New(telemetry.Options{TraceSampleRate: 1, TraceBuffer: 1024, EventBuffer: 1024})
 	}
 
-	off := runKVCycles(t, nil, simcfg.ForTest())
-	on := runKVCycles(t, fullTel(), simcfg.ForTest())
+	off := runKVCycles(t, nil, simcfg.Default())
+	on := runKVCycles(t, fullTel(), simcfg.Default())
 	if off != on {
 		t.Fatalf("telemetry changed the simulated-cycle ledger: off=%d on=%d", off, on)
 	}
@@ -325,7 +325,7 @@ func TestTelemetryCycleNeutral(t *testing.T) {
 	// benchmark pins its ledger passes the same way).
 	ringOff, ringOn := func() (int64, int64) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		ringCfg := simcfg.ForTest()
+		ringCfg := simcfg.Default()
 		ringCfg.Rings = true
 		return runKVCycles(t, nil, ringCfg), runKVCycles(t, fullTel(), ringCfg)
 	}()

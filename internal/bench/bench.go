@@ -36,7 +36,7 @@ func (o Options) Config() simcfg.Config {
 	if o.Spin {
 		return simcfg.ForBench()
 	}
-	return simcfg.ForTest()
+	return simcfg.Default()
 }
 
 // scale picks full or quick experiment parameters.

@@ -218,7 +218,7 @@ func testEnclave(t *testing.T, image string) *sgx.Enclave {
 			t.Fatal(err)
 		}
 	})
-	e, err := sgx.Create(simcfg.ForTest(), cycles.New(simcfg.CPUHz, false), 1)
+	e, err := sgx.Create(simcfg.Default(), cycles.New(simcfg.CPUHz, false), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

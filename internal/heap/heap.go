@@ -29,6 +29,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 )
 
@@ -154,6 +155,9 @@ type Stats struct {
 	SemiSize int
 	Handles  int
 	Weaks    int
+	// WeaksCleared counts the weak references collections have cleared:
+	// a weak reader can find a dead referent only after it moves.
+	WeaksCleared uint64
 }
 
 // Config sizes a heap.
@@ -198,6 +202,9 @@ type Heap struct {
 	obj  []byte
 
 	stats Stats
+	// weaksCleared is Stats.WeaksCleared, kept apart so that WeaksCleared
+	// can read it without the owner's serialisation.
+	weaksCleared atomic.Uint64
 }
 
 // New creates a heap whose semispaces are produced by newBackend — plain
@@ -510,8 +517,13 @@ func (h *Heap) Stats() Stats {
 	s.SemiSize = h.semiSize
 	s.Handles = len(h.handles) - len(h.freeSlots)
 	s.Weaks = len(h.weaks) - len(h.freeWeaks)
+	s.WeaksCleared = h.weaksCleared.Load()
 	return s
 }
+
+// WeaksCleared returns Stats().WeaksCleared. Unlike every other method,
+// it may be called concurrently with the owner's calls.
+func (h *Heap) WeaksCleared() uint64 { return h.weaksCleared.Load() }
 
 // Collect runs one stop-and-copy cycle: objects reachable from the handle
 // table are evacuated to to-space (Cheney's algorithm), weak references to
@@ -590,6 +602,7 @@ func (h *Heap) Collect() error {
 			s.addr = Addr(w1)
 		} else {
 			s.addr = 0
+			h.weaksCleared.Add(1)
 		}
 	}
 

@@ -326,6 +326,30 @@ func TestWeakDoesNotKeepAlive(t *testing.T) {
 	}
 }
 
+// TestWeaksClearedCounts: Stats.WeaksCleared moves by one for each weak
+// reference a collection clears, and not for a survivor's or for one
+// already cleared.
+func TestWeaksClearedCounts(t *testing.T) {
+	h := testHeap(t, smallCfg())
+	live := mustAlloc(t, h, 1, 0, 8)
+	if _, err := h.NewHandle(live); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range []Obj{live, mustAlloc(t, h, 1, 0, 8), mustAlloc(t, h, 1, 0, 8)} {
+		if _, err := h.NewWeak(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, want := range []uint64{2, 2} {
+		if err := h.Collect(); err != nil {
+			t.Fatal(err)
+		}
+		if got := h.Stats().WeaksCleared; got != want {
+			t.Fatalf("collection %d: WeaksCleared = %d, want %d", i+1, got, want)
+		}
+	}
+}
+
 func TestHandleReleaseMakesGarbage(t *testing.T) {
 	h := testHeap(t, smallCfg())
 	obj := mustAlloc(t, h, 1, 0, 8)

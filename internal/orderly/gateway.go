@@ -280,9 +280,9 @@ func (g *gatewaySystem) Check() error {
 
 // checkResidency asserts the lane-residency invariant: between actions,
 // crash recovery included, the enclave's TCS slots are held by the
-// gateway's lanes and the ring consumers and nothing else (no
-// GC helper runs here). Ring consumers and session teardown's sweep
-// enter asynchronously, so the count gets a moment to settle.
+// gateway's lanes and the ring consumers and nothing else. Ring
+// consumers and session teardown's sweep enter asynchronously, so the
+// count gets a moment to settle.
 func (g *gatewaySystem) checkResidency(lanes int) error {
 	opts, err := orderlyWorldOptions()
 	if err != nil {

@@ -78,14 +78,14 @@ func worldFixture() (*sgx.Signer, *core.BuildResult, error) {
 // orderlyWorldOptions is the world configuration every orderly system
 // boots: shared signer and images, small heaps (cheap kill/restart),
 // batching and rings on so those planes are part of the explored
-// surface, GC helpers off — sweeps are explorer actions, not
-// background timers.
+// surface, GC helpers off — sweeps are explorer actions, not steps
+// every collection triggers.
 func orderlyWorldOptions() (world.Options, error) {
 	signer, _, err := worldFixture()
 	if err != nil {
 		return world.Options{}, err
 	}
-	cfg := simcfg.ForTest()
+	cfg := simcfg.Default()
 	cfg.Batching = true
 	cfg.Rings = true
 	// One small ring per direction: the default geometry (2 workers x

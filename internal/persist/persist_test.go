@@ -35,7 +35,7 @@ func testSigner(t *testing.T) *sgx.Signer {
 func testEnclave(t *testing.T, image string) *sgx.Enclave {
 	t.Helper()
 	clk := cycles.New(simcfg.CPUHz, false)
-	e, err := sgx.Create(simcfg.ForTest(), clk, 4)
+	e, err := sgx.Create(simcfg.Default(), clk, 4)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}

@@ -22,9 +22,9 @@
 // Each runtime also owns one WeakList tracking (weak reference, hash)
 // pairs for the proxy objects living locally ("When a proxy object is
 // created, Montsalvat stores a weak reference and the hash of the former
-// in a global list"). The GC helper periodically sweeps the list for
-// dead proxies and releases the corresponding mirrors in the opposite
-// registry (§5.5).
+// in a global list"). The GC helper sweeps the list for dead proxies
+// after a collection has cleared a weak reference, and releases the
+// corresponding mirrors in the opposite registry (§5.5).
 package registry
 
 import (
@@ -58,7 +58,7 @@ type regShard struct {
 }
 
 // Registry is one runtime's mirror–proxy registry. It is safe for
-// concurrent use (the GC helper thread and any number of mutators).
+// concurrent use (GC-helper sweeps and any number of mutators).
 type Registry struct {
 	heap   *heap.Heap
 	shards [numShards]regShard

@@ -62,26 +62,23 @@ func waitTCS(t *testing.T, w *world.World, want int) {
 }
 
 // TestLanesLeaveASlot fills every lane with a call that blocks inside
-// the enclave, with the trusted GC helper holding its own slot: the
-// spare slot the lane budget keeps lets a GC sweep, a session teardown
-// and a trusted Exec all enter and finish before any lane frees up.
-// After Shutdown no lane holds a slot.
+// the enclave, with the GC helpers started: the spare slot the lane
+// budget keeps lets a GC sweep, a session teardown and a trusted Exec
+// all enter and finish before any lane frees up. After Shutdown no lane
+// holds a slot.
 func TestLanesLeaveASlot(t *testing.T) {
-	const numTCS, helpers = 6, 1
-	const lanes = numTCS - helpers - 1
+	const numTCS = 6
+	const lanes = numTCS - 1
 	entered, release := make(chan struct{}), make(chan struct{})
 	opts := world.DefaultOptions()
 	opts.NumTCS = numTCS
-	// The helper holds its slot for the test and never sweeps on its
-	// own, so every sweep counted below is one the test caused.
-	opts.GCHelperInterval = time.Hour
 	w, _, err := core.NewPartitionedWorld(holdProgram(t, entered, release), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.StartGCHelpers()
 	srv, addr, cfg := serveWorld(t, w, Options{MaxInFlight: 2 * lanes, SessionInFlight: 2 * lanes})
-	waitTCS(t, w, lanes+helpers)
+	waitTCS(t, w, lanes)
 
 	// A session that owns an object, for the teardown below.
 	owner, err := Dial(addr, cfg)
@@ -115,11 +112,13 @@ func TestLanesLeaveASlot(t *testing.T) {
 	if err := w.SweepOnce(w.Trusted()); err != nil {
 		t.Fatalf("trusted sweep with every lane busy: %v", err)
 	}
+	// Teardown's collection is swept by the helper step, then by the
+	// teardown's own SweepOnce, which finds nothing left.
 	before := w.Stats().UntrustedSweeps
 	owner.Close()
 	waitFor(t, func() bool {
 		s := w.Stats().UntrustedSweeps
-		return s.Sweeps == before.Sweeps+1 && s.Released > before.Released
+		return s.Sweeps == before.Sweeps+2 && s.Released > before.Released
 	})
 	if err := w.Exec(true, func(env classmodel.Env) error { return nil }); err != nil {
 		t.Fatalf("trusted Exec with every lane busy: %v", err)
@@ -142,20 +141,21 @@ func TestLanesLeaveASlot(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Enclave().TCSInUse(); got != helpers {
-		t.Fatalf("after Shutdown %d TCS slots held, want the helper's %d", got, helpers)
+	if got := w.Enclave().TCSInUse(); got != 0 {
+		t.Fatalf("after Shutdown %d TCS slots held, want 0", got)
 	}
 }
 
 // TestRecoverReentersLanes: Server.Recover's restore kills and restarts
-// the world; on the new enclave the gateway's lanes and the revived GC
-// helpers hold exactly their slots, and served calls ride the lanes.
+// the world; on the new enclave the gateway's lanes hold exactly their
+// slots — started GC helpers hold none —, and served calls ride the
+// lanes.
 func TestRecoverReentersLanes(t *testing.T) {
 	r := startRecoverableKV(t)
 	const lanes = 32 // the default MaxInFlight fits the default TCS budget
 	waitTCS(t, r.w, lanes)
 	r.w.StartGCHelpers()
-	waitTCS(t, r.w, lanes+1)
+	waitTCS(t, r.w, lanes)
 	old := r.w.Enclave()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -165,7 +165,7 @@ func TestRecoverReentersLanes(t *testing.T) {
 	if r.w.Enclave() == old {
 		t.Fatal("Recover kept the old enclave")
 	}
-	waitTCS(t, r.w, lanes+1)
+	waitTCS(t, r.w, lanes)
 	if got := old.TCSInUse(); got != 0 {
 		t.Fatalf("the killed enclave still has %d slots held", got)
 	}

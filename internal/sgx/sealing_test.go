@@ -153,7 +153,7 @@ func TestSealBindsPlatform(t *testing.T) {
 
 func TestSealRequiresInit(t *testing.T) {
 	clk := cycles.New(simcfg.CPUHz, false)
-	e, err := Create(simcfg.ForTest(), clk, 1)
+	e, err := Create(simcfg.Default(), clk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

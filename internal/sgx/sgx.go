@@ -301,9 +301,9 @@ func (e *Enclave) MRSigner() [32]byte {
 }
 
 // Ecall enters the enclave, runs fn as enclave code, and returns. The
-// round-trip transition cost is charged and a TCS slot is held for the
-// duration (long-running ecalls, such as the in-enclave GC helper thread,
-// occupy their slot until they return).
+// round-trip transition cost is charged and a TCS slot is held until fn
+// returns; while it runs the enclave counts as executing (InEnclave).
+// Long-lived residency takes EnterResident instead.
 func (e *Enclave) Ecall(id int, fn func() error) error {
 	if err := e.checkRunnable(); err != nil {
 		return err

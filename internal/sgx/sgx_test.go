@@ -28,7 +28,7 @@ func testSigner(t *testing.T) *Signer {
 func initializedEnclave(t *testing.T, image []byte) (*Enclave, *cycles.Clock) {
 	t.Helper()
 	clk := cycles.New(simcfg.CPUHz, false)
-	e, err := Create(simcfg.ForTest(), clk, 4)
+	e, err := Create(simcfg.Default(), clk, 4)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestLifecycleHappyPath(t *testing.T) {
 
 func TestEcallBeforeInitFails(t *testing.T) {
 	clk := cycles.New(simcfg.CPUHz, false)
-	e, err := Create(simcfg.ForTest(), clk, 1)
+	e, err := Create(simcfg.Default(), clk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestEcallBeforeInitFails(t *testing.T) {
 
 func TestInitRejectsTamperedImage(t *testing.T) {
 	clk := cycles.New(simcfg.CPUHz, false)
-	e, err := Create(simcfg.ForTest(), clk, 1)
+	e, err := Create(simcfg.Default(), clk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestInitRejectsTamperedImage(t *testing.T) {
 
 func TestInitRejectsForgedSignature(t *testing.T) {
 	clk := cycles.New(simcfg.CPUHz, false)
-	e, err := Create(simcfg.ForTest(), clk, 1)
+	e, err := Create(simcfg.Default(), clk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +112,8 @@ func TestInitRejectsForgedSignature(t *testing.T) {
 
 func TestMeasurementDependsOnImage(t *testing.T) {
 	clk := cycles.New(simcfg.CPUHz, false)
-	e1, _ := Create(simcfg.ForTest(), clk, 1)
-	e2, _ := Create(simcfg.ForTest(), clk, 1)
+	e1, _ := Create(simcfg.Default(), clk, 1)
+	e2, _ := Create(simcfg.Default(), clk, 1)
 	if err := e1.AddPages([]byte("image A")); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTransitionCostsCharged(t *testing.T) {
 
 func TestSwitchlessModeIsCheaper(t *testing.T) {
 	clk := cycles.New(simcfg.CPUHz, false)
-	cfg := simcfg.ForTest()
+	cfg := simcfg.Default()
 	cfg.Switchless = true
 	e, err := Create(cfg, clk, 1)
 	if err != nil {
@@ -388,7 +388,7 @@ func TestTCSLimitsConcurrency(t *testing.T) {
 
 func TestEnclaveHeapBound(t *testing.T) {
 	clk := cycles.New(simcfg.CPUHz, false)
-	cfg := simcfg.ForTest()
+	cfg := simcfg.Default()
 	cfg.EnclaveHeapBytes = 1 << 20
 	e, err := Create(cfg, clk, 1)
 	if err != nil {
@@ -461,7 +461,7 @@ func TestQuoteVerification(t *testing.T) {
 
 func TestQuoteRequiresInit(t *testing.T) {
 	clk := cycles.New(simcfg.CPUHz, false)
-	e, err := Create(simcfg.ForTest(), clk, 1)
+	e, err := Create(simcfg.Default(), clk, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

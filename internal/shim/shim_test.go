@@ -252,7 +252,7 @@ func TestDirFSRequiresDirectory(t *testing.T) {
 func testEnclave(t *testing.T) *sgx.Enclave {
 	t.Helper()
 	clk := cycles.New(simcfg.CPUHz, false)
-	e, err := sgx.Create(simcfg.ForTest(), clk, 2)
+	e, err := sgx.Create(simcfg.Default(), clk, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,6 @@
 // so that wall-clock time reflects the charged cycles.
 package simcfg
 
-import "time"
-
 // CPU and SGX platform constants, from the paper's experimental setup
 // (§6.1: quad-core Intel Xeon E3-1270 @ 3.80 GHz, EPC 128 MB of which
 // 93.5 MB usable) and §2.1 (transitions cost up to 13,100 cycles).
@@ -242,10 +240,6 @@ type Config struct {
 	// benchmarks use it to measure lock scaling on hosts with few cores.
 	// Ignored when Spin is false.
 	SleepCharges bool
-
-	// GCHelperInterval is the scan period of the GC helper threads
-	// (§5.5 "periodically (e.g., every second)"; tests use milliseconds).
-	GCHelperInterval time.Duration
 }
 
 // Default returns the configuration matching the paper's evaluation
@@ -259,24 +253,14 @@ func Default() Config {
 		EnclaveHeapBytes:  4 << 30,
 		EnclaveStackBytes: 8 << 20,
 		Spin:              false,
-		GCHelperInterval:  time.Second,
 	}
 }
 
-// ForBench returns a configuration with real busy-wait cost charging and a
-// fast GC-helper scan interval suitable for benchmarks.
+// ForBench returns a configuration with real busy-wait cost charging,
+// for benchmarks.
 func ForBench() Config {
 	cfg := Default()
 	cfg.Spin = true
-	cfg.GCHelperInterval = 20 * time.Millisecond
-	return cfg
-}
-
-// ForTest returns a deterministic configuration with virtual-only cost
-// accounting and a fast GC-helper interval.
-func ForTest() Config {
-	cfg := Default()
-	cfg.GCHelperInterval = 2 * time.Millisecond
 	return cfg
 }
 

@@ -66,7 +66,8 @@ func TestObjectTableDrainsAfterFrames(t *testing.T) {
 }
 
 // TestConcurrentCrossingStress hammers the crossing engine from both
-// directions while the GC helpers sweep: G goroutines per side run
+// directions while the GC helpers sweep after every collection that
+// clears a weak reference: G goroutines per side run
 // proxy-creating, proxy-calling frames concurrently with collections,
 // across batching on/off. Run under -race (it is in the Makefile race
 // list) this exercises the shard locks, the narrow heap locks, and the
@@ -76,14 +77,12 @@ func TestConcurrentCrossingStress(t *testing.T) {
 		t.Run(fmt.Sprintf("batching=%v", batching), func(t *testing.T) {
 			opts := world.DefaultOptions()
 			opts.Cfg.Batching = batching
-			opts.GCHelperInterval = time.Millisecond
 			w, _, err := core.NewPartitionedWorld(twoWayProgram(t), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer w.Close()
 			w.StartGCHelpers()
-			defer w.StopGCHelpers()
 
 			const goroutines = 8
 			iters := 30
@@ -149,8 +148,8 @@ func TestConcurrentCrossingStress(t *testing.T) {
 				}()
 			}
 
-			// Collector: force proxy deaths so the helper sweeps run
-			// against live traffic, and move the enclave heap under the
+			// Collector: force proxy deaths so the helper sweeps its
+			// collections trigger run against live traffic, and move the enclave heap under the
 			// trusted bodies — its EPC memory takes no lock of its own, so
 			// heapMu alone must order the collection against them. Not
 			// part of wg — it runs until the callers finish, then is told
@@ -196,9 +195,7 @@ func TestConcurrentCrossingStress(t *testing.T) {
 			// Quiesce: tables must drain once all frames are gone. Under
 			// batching a body may leave void calls queued — an untrusted
 			// Person constructor queues its Account's — which the next
-			// flush runs, possibly a helper sweep's after the callers
-			// returned. Stop the helpers and run what is queued first.
-			w.StopGCHelpers()
+			// flush runs: run what is queued first.
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}

@@ -32,6 +32,8 @@ func TestRunAfterClose(t *testing.T) {
 	w.Close()
 }
 
+// TestStartStopHelpersIdempotent: start and stop each repeat as
+// no-ops, and stopped helpers sweep nothing.
 func TestStartStopHelpersIdempotent(t *testing.T) {
 	w := bankWorld(t)
 	w.StartGCHelpers()
@@ -40,11 +42,21 @@ func TestStartStopHelpersIdempotent(t *testing.T) {
 	w.StopGCHelpers() // second stop is a no-op
 	w.StartGCHelpers()
 	w.StopGCHelpers()
+	if _, err := w.RunMain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Untrusted().Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if s := w.Stats().UntrustedSweeps; s.Sweeps != 0 {
+		t.Fatalf("stopped helpers swept: %+v", s)
+	}
 }
 
+// TestHelpersUnderChurn: the goroutines that churn proxies also collect,
+// so the helper steps their collections trigger sweep concurrently with
+// the other mutator; everything must stay consistent at the end.
 func TestHelpersUnderChurn(t *testing.T) {
-	// Helpers sweep concurrently while the mutator churns proxies;
-	// everything must stay consistent at the end.
 	w, _, err := core.NewPartitionedWorld(demo.MustBankProgram(), world.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -82,14 +94,13 @@ func TestHelpersUnderChurn(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	w.StopGCHelpers()
-
-	// Drain: after a final collect + sweep the registries agree with the
-	// surviving proxies.
-	if err := w.Untrusted().Collect(); err != nil {
-		t.Fatal(err)
+	if s := w.Stats().UntrustedSweeps; s.Sweeps == 0 || s.Released == 0 {
+		t.Fatalf("no helper sweep under churn: %+v", s)
 	}
-	if err := w.SweepOnce(w.Untrusted()); err != nil {
+
+	// Drain: after a final collect, swept by its helper step, the
+	// registries agree with the surviving proxies.
+	if err := w.Untrusted().Collect(); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := w.Trusted().Registry().Size(), w.Untrusted().WeakList().Len(); got != want {

@@ -29,3 +29,7 @@ func (w *World) BufPool() *boundary.BufPool { return w.bufs }
 // Enqueue queues an encoded call on rt's batching queue, as a void proxy
 // call or a GC sweep does; the next flush runs it.
 func (rt *Runtime) Enqueue(e boundary.Entry) error { return rt.queue.Enqueue(e, nil) }
+
+// IDExec is the enclave entry of trusted Exec and of a flush entered
+// from outside.
+const IDExec = idExec

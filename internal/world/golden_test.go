@@ -276,6 +276,76 @@ func TestCycleLedgerGolden(t *testing.T) {
 		checkLedger(t, ledger{Cycles: got.Cycles, Ecalls: got.Ecalls, Ocalls: got.Ocalls, MEECopiedBytes: got.MEECopiedBytes},
 			ledger{Cycles: 356487, Ecalls: 12, Ocalls: 2, MEECopiedBytes: 5175})
 	})
+
+	t.Run("helpers-lifecycle", func(t *testing.T) {
+		// The proxy life cycle of the benchmark's rmi workload with the
+		// GC helpers started and no rings: create a trusted Entry from
+		// outside, call it twice, drop it; every 32nd cycle collects the
+		// untrusted heap first, and that collection's helper step
+		// releases the mirrors of the proxies it found dead.
+		w := lifecycleWorld(t)
+		w.StartGCHelpers()
+		boot := ledgerOf(w)
+		for i := 1; i <= 128; i++ {
+			if i%32 == 0 {
+				if err := w.Untrusted().Collect(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			key, val := wire.Str(fmt.Sprintf("e%03d", i)), wire.Str("v")
+			err := w.Exec(false, func(env classmodel.Env) error {
+				e, err := env.New(demo.KVEntry, key, val)
+				if err != nil {
+					return err
+				}
+				for _, m := range []string{"getkey", "getvalue"} {
+					if _, err := env.Call(e, m); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := ledgerOf(w)
+		checkLedger(t, ledger{Cycles: got.Cycles - boot.Cycles, Ecalls: got.Ecalls - boot.Ecalls, Ocalls: got.Ocalls - boot.Ocalls,
+			MEECopiedBytes: got.MEECopiedBytes - boot.MEECopiedBytes},
+			ledger{Cycles: 1124889, Ecalls: 388, MEECopiedBytes: 8649})
+		// 3 calls in per cycle, and one batch frame per sweep, which
+		// releases every proxy dropped since the last one: 31, then 32
+		// three times. The trusted heap never collects, so its helper
+		// never scans.
+		st := w.Stats()
+		if st.UntrustedSweeps.Sweeps != 4 || st.UntrustedSweeps.Released != 127 || st.TrustedSweeps.Sweeps != 0 {
+			t.Errorf("sweeps: untrusted %+v, trusted %+v", st.UntrustedSweeps, st.TrustedSweeps)
+		}
+	})
+}
+
+// lifecycleWorld is a partitioned KV world with the rmi workload's
+// crossing levers but rings, whose untrusted image keeps Entry's proxy
+// so that untrusted code can create one.
+func lifecycleWorld(t *testing.T) *world.World {
+	t.Helper()
+	build, err := core.BuildPartitionedConfig(demo.MustKVProgram(), core.BuildConfig{UntrustedReflection: []classmodel.MethodRef{
+		{Class: demo.KVEntry, Method: classmodel.CtorName},
+		{Class: demo.KVEntry, Method: "getkey"},
+		{Class: demo.KVEntry, Method: "getvalue"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := world.DefaultOptions()
+	opts.Cfg.Switchless = true
+	opts.Cfg.Batching = true
+	w, err := world.NewPartitioned(opts, build.TrustedImage, build.UntrustedImage, build.Transform.Interface)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	return w
 }
 
 // sizedPutGet overwrites and reads back a 64 B, a 4 KiB and a 96 KiB

@@ -25,8 +25,8 @@ type Lane struct {
 }
 
 // OpenLanes enters up to n lanes, as many as the TCS budget allows: the
-// ring consumers' slots, the trusted GC helper's and a spare one — for
-// sweeps, session teardown, recovery and trusted Exec — are never taken.
+// ring consumers' slots and a spare one — for sweeps, session teardown,
+// recovery and trusted Exec — are never taken.
 // It holds the world's state lock while it waits for the slots, so it
 // belongs at set-up, as in serve.New and in persist's recovery passes,
 // which run before the store serves. ErrWrongRuntime when the world is
@@ -37,8 +37,8 @@ func (w *World) OpenLanes(n int) ([]*Lane, error) {
 	if w.mode != ModePartitioned || w.killed {
 		return nil, ErrWrongRuntime
 	}
-	// Open lanes, the GC helper's slot, the spare and the ring consumers'.
-	reserved := len(w.lanes) + 2 + w.erings.Workers()
+	// Open lanes, the spare and the ring consumers'.
+	reserved := len(w.lanes) + 1 + w.erings.Workers()
 	lanes := make([]*Lane, max(0, min(n, w.enclave.TCSCap()-reserved)))
 	for i := range lanes {
 		leave, err := w.enclave.EnterResident()

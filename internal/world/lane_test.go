@@ -2,6 +2,7 @@ package world_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -104,42 +105,81 @@ func laneDelta(t *testing.T, w *world.World, fn func() error) (ledger, world.Dis
 // TestLanesKeepOcallGuard: an open lane — or an idle ring consumer —
 // holds its TCS slot but is not executing enclave code, so the enclave
 // still refuses an ocall from outside and World.Flush still enters the
-// enclave to flush the trusted runtime's queue.
+// enclave to flush the trusted runtime's queue. Started GC helpers hold
+// no enclave thread either, even after a trusted sweep.
 func TestLanesKeepOcallGuard(t *testing.T) {
-	opts := world.DefaultOptions()
-	opts.Cfg.Batching = true
-	opts.Cfg.Rings = true
-	opts.Cfg.RingWorkers = 1
-	w, _, err := core.NewPartitionedWorld(demo.MustKVProgram(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if _, err := w.OpenLanes(2); err != nil {
-		t.Fatal(err)
-	}
-	e := w.Enclave()
-	for e.TCSInUse() != 2+opts.Cfg.RingWorkers {
-		time.Sleep(time.Millisecond) // ring consumers enter asynchronously
-	}
-	if e.InEnclave() {
-		t.Fatal("open lanes count as executing enclave code")
-	}
-	if err := e.Ocall(1, func() error { return nil }); !errors.Is(err, sgx.ErrOcallOutside) {
-		t.Fatalf("ocall from outside with lanes open: %v, want ErrOcallOutside", err)
-	}
-	// A release of a hash nobody exported, queued on the trusted side:
-	// the flush must enter the enclave to ocall it out.
-	release := wire.AppendCallHeader([]byte{0}, "", "<gc-release>", 1<<40, 0)
-	if err := w.Trusted().Enqueue(boundary.Entry{Req: release}); err != nil {
-		t.Fatal(err)
-	}
-	before := e.Stats().Ecalls
-	if err := w.Flush(); !errors.Is(err, registry.ErrUnknownHash) {
-		t.Fatalf("flush of a forged release: %v, want ErrUnknownHash", err)
-	}
-	if got := e.Stats().Ecalls - before; got != 1 {
-		t.Fatalf("World.Flush made %d ecalls with lanes open, want the 1 that enters", got)
+	for _, helpers := range []bool{false, true} {
+		t.Run(fmt.Sprintf("helpers=%v", helpers), func(t *testing.T) {
+			opts := world.DefaultOptions()
+			opts.Cfg.Batching = true
+			opts.Cfg.Rings = true
+			opts.Cfg.RingWorkers = 1
+			w, _, err := core.NewPartitionedWorld(demo.MustKVProgram(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if helpers {
+				w.StartGCHelpers()
+			}
+			if _, err := w.OpenLanes(2); err != nil {
+				t.Fatal(err)
+			}
+			e := w.Enclave()
+			for e.TCSInUse() != 2+opts.Cfg.RingWorkers {
+				time.Sleep(time.Millisecond) // ring consumers enter asynchronously
+			}
+			if helpers {
+				// A trusted helper step enters and leaves: the KVStore
+				// constructor leaves an untrusted KVAuditLog mirror
+				// (once its queued constructor call is flushed) that
+				// only the trusted sweep after the store's death
+				// releases.
+				if err := w.Exec(false, func(env classmodel.Env) error {
+					_, err := env.New(demo.KVStoreCls)
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if n := w.Untrusted().Registry().Size(); n != 1 {
+					t.Fatalf("%d untrusted mirrors before the sweeps, want the audit log's", n)
+				}
+				for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
+					if err := rt.Collect(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if n := w.Untrusted().Registry().Size(); n != 0 {
+					t.Fatalf("%d untrusted mirrors left after the trusted helper step", n)
+				}
+			}
+			if e.InEnclave() {
+				t.Fatal("open lanes count as executing enclave code")
+			}
+			if err := e.Ocall(1, func() error { return nil }); !errors.Is(err, sgx.ErrOcallOutside) {
+				t.Fatalf("ocall from outside with lanes open: %v, want ErrOcallOutside", err)
+			}
+			// A release of a hash nobody exported, queued on the trusted
+			// side: the flush must enter the enclave to ocall it out.
+			release := wire.AppendCallHeader([]byte{0}, "", "<gc-release>", 1<<40, 0)
+			if err := w.Trusted().Enqueue(boundary.Entry{Req: release}); err != nil {
+				t.Fatal(err)
+			}
+			before := e.Stats()
+			if err := w.Flush(); !errors.Is(err, registry.ErrUnknownHash) {
+				t.Fatalf("flush of a forged release: %v, want ErrUnknownHash", err)
+			}
+			after := e.Stats()
+			if got := after.Ecalls - before.Ecalls; got != 1 {
+				t.Fatalf("World.Flush made %d ecalls with lanes open, want the 1 that enters", got)
+			}
+			if got := after.EcallsByID[world.IDExec] - before.EcallsByID[world.IDExec]; got != 1 {
+				t.Fatalf("World.Flush entered through %d harness ecalls, want 1", got)
+			}
+		})
 	}
 }
 
@@ -258,31 +298,31 @@ func TestLaneRelayChainNeedsNoSlot(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	opts := world.DefaultOptions()
 	opts.NumTCS = 4
-	opts.GCHelperInterval = time.Hour // the helper holds its slot and never sweeps
 	w, _, err := core.NewPartitionedWorld(relayChainProgram(t, entered, release), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	defer w.StopGCHelpers()
-	w.StartGCHelpers()
+	w.StartGCHelpers() // a started helper holds no slot
 	lanes, err := w.OpenLanes(opts.NumTCS)
-	if err != nil || len(lanes) != 2 {
-		t.Fatalf("OpenLanes = %d lanes, %v; want 4 slots - the helper's - the spare", len(lanes), err)
+	if err != nil || len(lanes) != opts.NumTCS-1 {
+		t.Fatalf("OpenLanes = %d lanes, %v; want 4 slots - the spare", len(lanes), err)
 	}
-	held := make(chan error, 1)
-	go func() {
-		held <- w.ExecSpan(false, nil, lanes[1], func(env classmodel.Env) error {
-			g, err := env.New("Gate")
-			if err == nil {
-				_, err = env.Call(g, "hold")
-			}
-			return err
-		})
-	}()
-	<-entered
-	for w.Enclave().TCSInUse() != opts.NumTCS-1 {
-		time.Sleep(time.Millisecond) // the helper's ecall enters asynchronously
+	held := make(chan error, len(lanes)-1)
+	for _, l := range lanes[1:] {
+		go func() {
+			held <- w.ExecSpan(false, nil, l, func(env classmodel.Env) error {
+				g, err := env.New("Gate")
+				if err == nil {
+					_, err = env.Call(g, "hold")
+				}
+				return err
+			})
+		}()
+		<-entered
+	}
+	if got := w.Enclave().TCSInUse(); got != opts.NumTCS-1 {
+		t.Fatalf("%d TCS slots held, want the %d lanes'", got, opts.NumTCS-1)
 	}
 
 	before := w.Enclave().Stats()
@@ -322,13 +362,15 @@ func TestLaneRelayChainNeedsNoSlot(t *testing.T) {
 		t.Errorf("%d ecalls, want 0", d)
 	}
 	close(release)
-	if err := <-held; err != nil {
-		t.Fatal(err)
+	for range lanes[1:] {
+		if err := <-held; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// TestLaneBudget: lanes never take the ring consumers' slots, the
-// trusted GC helper's or the spare one, however many are asked for.
+// TestLaneBudget: lanes never take the ring consumers' slots or the
+// spare one, however many are asked for.
 func TestLaneBudget(t *testing.T) {
 	opts := world.DefaultOptions()
 	opts.NumTCS = 8
@@ -343,10 +385,10 @@ func TestLaneBudget(t *testing.T) {
 	if err != nil || len(first) != 3 {
 		t.Fatalf("OpenLanes(3) = %d lanes, %v", len(first), err)
 	}
-	// 8 slots - 2 ring consumers - the helper - the spare - 3 open.
+	// 8 slots - 2 ring consumers - the spare - 3 open.
 	more, err := w.OpenLanes(100)
-	if err != nil || len(more) != 1 {
-		t.Fatalf("OpenLanes(100) = %d lanes, %v; want the 1 left", len(more), err)
+	if err != nil || len(more) != 2 {
+		t.Fatalf("OpenLanes(100) = %d lanes, %v; want the 2 left", len(more), err)
 	}
 	if none, err := w.OpenLanes(1); err != nil || len(none) != 0 {
 		t.Fatalf("OpenLanes past the budget = %d lanes, %v", len(none), err)

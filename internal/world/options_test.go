@@ -30,45 +30,6 @@ func TestCloseErrSurfacesFlushResult(t *testing.T) {
 	}
 }
 
-// TestGCHelperIntervalOption: a positive Options.GCHelperInterval
-// overrides the platform config, and sweep statistics report helper
-// activity (sweep count and released proxies) without manual SweepOnce
-// calls.
-func TestGCHelperIntervalOption(t *testing.T) {
-	opts := world.DefaultOptions()
-	opts.GCHelperInterval = time.Millisecond
-	w, _, err := core.NewPartitionedWorld(demo.MustBankProgram(), opts)
-	if err != nil {
-		t.Fatalf("NewPartitionedWorld: %v", err)
-	}
-	defer w.Close()
-	w.StartGCHelpers()
-
-	// Create proxy garbage: run main, whose frame-held proxies become
-	// unreachable when the activation ends.
-	if _, err := w.RunMain(); err != nil {
-		t.Fatalf("RunMain: %v", err)
-	}
-	if err := w.Untrusted().Collect(); err != nil {
-		t.Fatalf("Collect: %v", err)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := w.Stats()
-		if st.UntrustedSweeps.Sweeps > 0 && st.UntrustedSweeps.Released > 0 {
-			if st.UntrustedSweeps.LastSweep.IsZero() {
-				t.Fatal("LastSweep not recorded")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("helper sweeps not observed: %+v", st.UntrustedSweeps)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // TestSweepStatsManual: SweepOnce accounts into the runtime's sweep
 // stats even without helpers.
 func TestSweepStatsManual(t *testing.T) {

@@ -138,7 +138,7 @@ func (w *World) DispatchStats() DispatchStats {
 // fixedRoutines labels the transition ids the runtime and the shim
 // reserve.
 var fixedRoutines = map[int]string{
-	idGCHelper:        "<gc-helper thread>",
+	idGCHelper:        "<gc-helper scan>",
 	idGCSweep:         "<gc-helper mirror release>",
 	idMain:            "<main>",
 	idExec:            "<harness exec>",

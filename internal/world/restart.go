@@ -8,9 +8,9 @@ import (
 // ErrNotKilled is returned by Restart when the world is still live.
 var ErrNotKilled = errors.New("world: restart of a live world (call Kill first)")
 
-// Kill tears down the trusted side of a partitioned world in place: GC
-// helpers stop, the ring groups shut down (their consumers exit), lanes
-// release their slots, and the enclave is destroyed — the simulation of
+// Kill tears down the trusted side of a partitioned world in place: the
+// ring groups shut down (their consumers exit), lanes release their
+// slots, and the enclave is destroyed — the simulation of
 // the enclave process dying (crash, host restart, EPC eviction storm).
 // The World object itself survives: the clock keeps running, telemetry
 // stays registered, and the retained build inputs (images, options,
@@ -25,17 +25,11 @@ func (w *World) Kill() {
 	if w.mode != ModePartitioned {
 		return
 	}
-	// Helpers hold a long-running ecall; stop them before destroying the
-	// enclave, and outside the state lock (their sweep paths read state).
-	helpersOn := w.helperOn
-	w.StopGCHelpers()
-
 	w.stateMu.Lock()
 	defer w.stateMu.Unlock()
 	if w.killed {
 		return
 	}
-	w.helpersOn = helpersOn
 	w.teardownLocked()
 	w.killed = true
 }
@@ -80,32 +74,24 @@ func (w *World) Killed() bool {
 // MRENCLAVE-sealed blobs survive only if the trusted image is
 // bit-identical (it is — the image is retained, not rebuilt).
 //
-// If the GC helpers were running when Kill hit, Restart revives them.
+// The GC helpers' setting (StartGCHelpers) is the world's, so it holds
+// across Kill and Restart.
 func (w *World) Restart() error {
 	w.stateMu.Lock()
+	defer w.stateMu.Unlock()
 	if w.mode != ModePartitioned {
-		w.stateMu.Unlock()
 		return ErrWrongRuntime
 	}
 	if !w.killed {
-		w.stateMu.Unlock()
 		return ErrNotKilled
 	}
 	if err := w.rebuildLocked(); err != nil {
 		// A half-built world is torn back down to the killed state so the
 		// caller can retry.
 		w.teardownLocked()
-		w.stateMu.Unlock()
 		return fmt.Errorf("world: restart: %w", err)
 	}
 	w.killed = false
-	revive := w.helpersOn
-	w.helpersOn = false
-	w.stateMu.Unlock()
-
-	if revive {
-		w.StartGCHelpers()
-	}
 	return nil
 }
 

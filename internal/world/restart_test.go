@@ -139,8 +139,9 @@ func TestCloseAfterKill(t *testing.T) {
 	}
 }
 
-// TestRestartRevivesGCHelpers: helpers running at kill time come back
-// after restart (and stop cleanly on Close).
+// TestRestartRevivesGCHelpers: helpers started before a kill still
+// run after the restart: a collection on the new generation that clears
+// a weak reference is swept.
 func TestRestartRevivesGCHelpers(t *testing.T) {
 	w := bankWorld(t)
 	w.StartGCHelpers()
@@ -148,9 +149,18 @@ func TestRestartRevivesGCHelpers(t *testing.T) {
 	if err := w.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	// Close stops the revived helpers; a leaked helper would deadlock the
-	// test (helperWG.Wait) or panic on the dead enclave.
-	w.StopGCHelpers()
+	if _, err := w.RunMain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Untrusted().Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if s := w.Untrusted().SweepStats(); s.Sweeps != 1 || s.Released == 0 {
+		t.Fatalf("post-restart collection not swept: %+v", s)
+	}
+	if got := w.Trusted().Registry().Size(); got != 0 {
+		t.Fatalf("helper left %d mirrors registered after restart", got)
+	}
 }
 
 // TestFailedFirstBootLeavesNothingBehind: a trusted static initialiser

@@ -135,19 +135,17 @@ func TestRingKillRestart(t *testing.T) {
 }
 
 // TestRingConcurrentStress hammers the rings from both directions while
-// the GC helpers sweep and the batch queues flush — run under -race
-// (internal/world is in the Makefile race list) this exercises the ring
-// producer locks and Dekker doorbells against the crossing engine's
-// shard and heap locks.
+// collections trigger GC-helper sweeps and the batch queues flush — run
+// under -race (internal/world is in the Makefile race list) this
+// exercises the ring producer locks and Dekker doorbells against the
+// crossing engine's shard and heap locks.
 func TestRingConcurrentStress(t *testing.T) {
 	opts := func(o *world.Options) {
 		o.Cfg.Batching = true
 		o.Cfg.RingSlots = 8 // small rings: force wraparound and stalls
-		o.GCHelperInterval = time.Millisecond
 	}
 	w := ringWorld(t, twoWayProgram(t), opts)
 	w.StartGCHelpers()
-	defer w.StopGCHelpers()
 
 	const goroutines = 6
 	iters := 25
@@ -218,11 +216,16 @@ func TestRingConcurrentStress(t *testing.T) {
 		}()
 	}
 
-	// Sweeper: explicit collections racing the crossings.
+	// Sweeper: collections, each followed by the helper step, and
+	// explicit sweeps racing the crossings.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
+			if err := w.Untrusted().Collect(); err != nil {
+				errs <- err
+				return
+			}
 			if err := w.SweepOnce(w.Untrusted()); err != nil {
 				errs <- err
 				return

@@ -46,10 +46,9 @@ type RuntimeStats struct {
 
 // SweepStats describes the GC helper's sweep activity over one runtime's
 // weak list: how often it ran, how much it reclaimed, and when it last
-// fired — the observability needed to tune Options.GCHelperInterval
-// under many concurrent gateway sessions.
+// fired.
 type SweepStats struct {
-	// Sweeps counts completed weak-list scans (helper ticks plus
+	// Sweeps counts completed weak-list scans (GC-helper steps plus
 	// explicit SweepOnce calls).
 	Sweeps uint64
 	// Released is the total number of dead proxies whose mirrors were
@@ -131,10 +130,13 @@ type Runtime struct {
 	ringFallbacks atomic.Uint64
 	ringOversize  atomic.Uint64
 
-	// sweepMu guards the helper-sweep statistics (the GC helper and
-	// stats readers race).
+	// sweepMu guards the helper-sweep statistics (sweeps and stats
+	// readers race).
 	sweepMu sync.Mutex
 	sweeps  SweepStats
+	// swept is the heap's WeaksCleared as of the GC helper's last step
+	// on this runtime; it only grows.
+	swept atomic.Uint64
 }
 
 // recordSweep accounts one completed weak-list sweep and the number of
@@ -146,6 +148,20 @@ func (rt *Runtime) recordSweep(dead int) {
 	rt.sweeps.LastReleased = dead
 	rt.sweeps.LastSweep = time.Now()
 	rt.sweepMu.Unlock()
+}
+
+// sweepDue reports whether the collector has cleared a weak reference
+// since the GC helper's last step here, and takes the step's turn: of
+// concurrent callers, one sees each clearing, and a caller that sees
+// none has taken no lock.
+func (rt *Runtime) sweepDue() bool {
+	n := rt.iso.Heap().WeaksCleared()
+	for old := rt.swept.Load(); old < n; old = rt.swept.Load() {
+		if rt.swept.CompareAndSwap(old, n) {
+			return true
+		}
+	}
+	return false
 }
 
 // SweepStats snapshots the runtime's GC-helper sweep statistics.
@@ -210,8 +226,10 @@ func (rt *Runtime) Registry() *registry.Registry { return rt.reg }
 // WeakList returns the runtime's proxy weak-reference list.
 func (rt *Runtime) WeakList() *registry.WeakList { return rt.weaks }
 
-// Collect forces a stop-and-copy GC cycle on the runtime's heap.
+// Collect forces a stop-and-copy GC cycle on the runtime's heap, then
+// runs the world's GC-helper step.
 func (rt *Runtime) Collect() error {
+	defer rt.w.gcStep(rt)
 	rt.heapMu.Lock()
 	defer rt.heapMu.Unlock()
 	return rt.iso.Collect()

@@ -29,7 +29,7 @@ func kvTelemetryWorld(t *testing.T, cfg simcfg.Config) (*world.World, *telemetry
 }
 
 func TestTelemetryMetricsAbsorbed(t *testing.T) {
-	w, tel := kvTelemetryWorld(t, simcfg.ForTest())
+	w, tel := kvTelemetryWorld(t, simcfg.Default())
 	if _, err := w.RunMain(); err != nil {
 		t.Fatalf("RunMain: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestTelemetryMetricsAbsorbed(t *testing.T) {
 // ecall relay (KVStore.put) with a nested ocall child (AuditLog.record)
 // sharing its trace id.
 func TestTelemetryNestedOcallTrace(t *testing.T) {
-	w, tel := kvTelemetryWorld(t, simcfg.ForTest())
+	w, tel := kvTelemetryWorld(t, simcfg.Default())
 	if _, err := w.RunMain(); err != nil {
 		t.Fatalf("RunMain: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestTelemetryNestedOcallTrace(t *testing.T) {
 // TestTelemetryTraceThroughSwitchlessAndBatching exercises span
 // propagation across pool worker goroutines and batched flush roots.
 func TestTelemetryTraceThroughSwitchlessAndBatching(t *testing.T) {
-	cfg := simcfg.ForTest()
+	cfg := simcfg.Default()
 	cfg.Switchless = true
 	cfg.Batching = true
 	w, tel := kvTelemetryWorld(t, cfg)

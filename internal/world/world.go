@@ -12,9 +12,10 @@
 // runtime, which resolves the mirror object in its mirror–proxy registry.
 //
 // GC synchronisation follows §5.5: each runtime weak-tracks its proxy
-// objects; a GC helper thread per runtime periodically sweeps the weak
-// list and releases the mirrors of dead proxies in the opposite runtime's
-// registry, making them collectable.
+// objects; a GC helper per runtime sweeps the weak list after its
+// collector has cleared a weak reference and releases the mirrors of
+// dead proxies in the opposite runtime's registry, making them
+// collectable.
 package world
 
 import (
@@ -42,7 +43,7 @@ import (
 // Reserved transition identifiers (application relay routines use the
 // EDL-assigned positive IDs; the shim uses the 9000 range).
 const (
-	idGCHelper = 9100 // long-running ecall hosting the trusted GC helper
+	idGCHelper = 9100 // one trusted GC-helper scan entered from outside
 	idGCSweep  = 9101 // cross-boundary mirror-release batches
 	idBatch    = 9102 // batched relay-call frames (boundary.Queue flushes)
 	idMain     = 9200 // unpartitioned main entry ecall
@@ -103,16 +104,11 @@ type Options struct {
 	// HostFS is the untrusted filesystem (defaults to an in-memory FS).
 	HostFS shim.FS
 	// NumTCS bounds concurrent enclave threads (default 64; relay chains
-	// consume one slot per nesting level, and every ring consumer, the
-	// trusted GC helper and each gateway lane holds one for its life).
+	// consume one slot per nesting level, and every ring consumer and
+	// each gateway lane holds one for its life).
 	NumTCS int
 	// Signer signs the trusted image (generated when nil).
 	Signer *sgx.Signer
-	// GCHelperInterval overrides Cfg.GCHelperInterval when positive: the
-	// scan period of the GC helper threads. Long-lived servers with many
-	// sessions tune this down so released sessions' mirrors are reclaimed
-	// promptly (see World.SweepStats for observed cadence).
-	GCHelperInterval time.Duration
 	// Telemetry, when non-nil, instruments every boundary crossing:
 	// transition latency/cycle histograms, batching queue waits, GC sweep
 	// counters and — if the bundle has tracing enabled — sampled spans
@@ -124,7 +120,7 @@ type Options struct {
 // DefaultOptions returns options suitable for tests.
 func DefaultOptions() Options {
 	return Options{
-		Cfg:           simcfg.ForTest(),
+		Cfg:           simcfg.Default(),
 		TrustedHeap:   heap.Config{InitialSemi: 1 << 20, MaxSemi: 256 << 20},
 		UntrustedHeap: heap.Config{InitialSemi: 1 << 20, MaxSemi: 256 << 20},
 	}
@@ -152,7 +148,6 @@ type World struct {
 	tImg      *image.Image
 	uImg      *image.Image
 	killed    bool
-	helpersOn bool // helpers were running when Kill hit; Restart revives them
 
 	// bufs recycles marshal buffers; batching mirrors cfg.Batching for
 	// the remote-call hot path.
@@ -181,10 +176,9 @@ type World struct {
 
 	hashCounter atomic.Int64
 
-	helperStop     chan struct{}
-	helperWG       sync.WaitGroup
-	helperOn       bool
-	helperInterval time.Duration
+	// helpers turns the GC-helper step on (StartGCHelpers); it outlives
+	// Kill and Restart.
+	helpers atomic.Bool
 
 	hostFS shim.FS
 }
@@ -308,7 +302,7 @@ func newWorld(mode Mode, opts Options) (*World, error) {
 	}
 	cfg := opts.Cfg
 	if cfg.CPUHz == 0 {
-		cfg = simcfg.ForTest()
+		cfg = simcfg.Default()
 	}
 	clockMode := cycles.ModeVirtual
 	if cfg.Spin {
@@ -318,13 +312,12 @@ func newWorld(mode Mode, opts Options) (*World, error) {
 		}
 	}
 	w := &World{
-		mode:           mode,
-		cfg:            cfg,
-		clock:          cycles.NewWithMode(cfg.CPUHz, clockMode),
-		bufs:           boundary.NewBufPool(),
-		hostFS:         hostFS,
-		helperInterval: opts.GCHelperInterval,
-		tel:            opts.Telemetry,
+		mode:   mode,
+		cfg:    cfg,
+		clock:  cycles.NewWithMode(cfg.CPUHz, clockMode),
+		bufs:   boundary.NewBufPool(),
+		hostFS: hostFS,
+		tel:    opts.Telemetry,
 	}
 	if reg := w.tel.Registry(); reg != nil {
 		w.hMarshal = reg.Histogram("montsalvat_boundary_marshal_bytes")
@@ -484,6 +477,7 @@ func (w *World) RunMain() (wire.Value, error) {
 	if prog.MainClass == "" {
 		return wire.Value{}, errors.New("world: image has no main entry point")
 	}
+	defer w.gcStep(rt)
 	var result wire.Value
 	run := func() error {
 		var err error
@@ -539,6 +533,7 @@ func (w *World) ExecSpan(trusted bool, sp *telemetry.Span, lane *Lane, fn func(e
 	if closed {
 		return ErrLaneClosed
 	}
+	defer w.gcStep(rt)
 	run := func() error {
 		fr := rt.newFrame(sp)
 		fr.lane = lane
@@ -554,64 +549,34 @@ func (w *World) ExecSpan(trusted bool, sp *telemetry.Span, lane *Lane, fn func(e
 	return run()
 }
 
-// StartGCHelpers spawns the per-runtime GC helper threads (§5.5: "two GC
-// helper threads are spawned in the application: one to scan the trusted
-// list in the enclave, and the other to scan the untrusted list"). The
-// trusted helper occupies an enclave thread for its lifetime.
+// StartGCHelpers turns on the GC helpers of a partitioned world (§5.5:
+// one scans the trusted list in the enclave, the other the untrusted
+// list). A helper is a step, not a thread: at the exit of ExecSpan,
+// RunMain and Runtime.Collect, the runtime they ran on and its peer are
+// each scanned once, on the calling goroutine, if its collector has
+// cleared a weak reference since its last scan (gcStep). The setting
+// outlives Kill and Restart.
 func (w *World) StartGCHelpers() {
-	if w.helperOn || w.mode != ModePartitioned {
-		return
-	}
-	w.helperOn = true
-	w.helperStop = make(chan struct{})
-	interval := w.helperInterval
-	if interval <= 0 {
-		interval = w.cfg.GCHelperInterval
-	}
-	if interval <= 0 {
-		interval = time.Second
-	}
-	for _, rt := range []*Runtime{w.trusted, w.untrusted} {
-		rt := rt
-		w.helperWG.Add(1)
-		go func() {
-			defer w.helperWG.Done()
-			if rt.trusted {
-				// The trusted helper lives inside the enclave: one
-				// long-running ecall hosts its scan loop.
-				_ = rt.encl.Ecall(idGCHelper, func() error {
-					w.helperLoop(rt, interval)
-					return nil
-				})
-				return
-			}
-			w.helperLoop(rt, interval)
-		}()
+	if w.mode == ModePartitioned {
+		w.helpers.Store(true)
 	}
 }
 
-// StopGCHelpers stops the helper threads and waits for them to exit.
-func (w *World) StopGCHelpers() {
-	if !w.helperOn {
+// StopGCHelpers turns the GC helpers off.
+func (w *World) StopGCHelpers() { w.helpers.Store(false) }
+
+// gcStep runs the GC helpers' step (see StartGCHelpers) on rt and its
+// peer, the generation rt belongs to. Only a collection clears a weak
+// referent, so a scan at any other time would find no dead proxy. A
+// failed scan is dropped: it is not the error of the operation whose
+// exit ran it.
+func (w *World) gcStep(rt *Runtime) {
+	if !w.helpers.Load() {
 		return
 	}
-	close(w.helperStop)
-	w.helperWG.Wait()
-	w.helperOn = false
-}
-
-func (w *World) helperLoop(rt *Runtime, interval time.Duration) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			// The helper already executes inside its hosting thread
-			// (the trusted helper's long-running ecall), so it sweeps
-			// directly.
-			_ = w.sweep(rt) // helper degrades gracefully
-		case <-w.helperStop:
-			return
+	for _, r := range [2]*Runtime{rt, rt.peer} {
+		if r != nil && r.sweepDue() {
+			_ = w.SweepOnce(r)
 		}
 	}
 }
@@ -619,7 +584,7 @@ func (w *World) helperLoop(rt *Runtime, interval time.Duration) {
 // SweepOnce performs one GC-helper scan for rt: dead proxies are removed
 // from the weak list and their mirrors released in the opposite runtime's
 // registry, via a single batched transition. Sweeping the trusted runtime
-// from outside enters the enclave first, like spawning one helper scan.
+// enters the enclave first (idGCHelper).
 func (w *World) SweepOnce(rt *Runtime) error {
 	if rt == nil {
 		return ErrWrongRuntime
@@ -630,12 +595,9 @@ func (w *World) SweepOnce(rt *Runtime) error {
 	return w.sweep(rt)
 }
 
-// sweep is SweepOnce's body, callable from a thread already inside the
-// enclave.
+// sweep is SweepOnce's body, run inside the enclave for the trusted
+// runtime.
 func (w *World) sweep(rt *Runtime) error {
-	if rt == nil {
-		return ErrWrongRuntime
-	}
 	// SweepDead dereferences weak refs on rt's heap: hold rt's heap lock.
 	rt.heapMu.Lock()
 	dead, err := rt.weaks.SweepDead()
@@ -817,7 +779,7 @@ func (w *World) flushQueue(rt *Runtime) error {
 		return nil
 	}
 	// The trusted runtime's flush calls out (an ocall); from outside the
-	// enclave, enter it first — like spawning one helper scan.
+	// enclave, enter it first, as a trusted SweepOnce does.
 	if rt.trusted && rt.encl != nil && !rt.encl.InEnclave() {
 		return rt.encl.Ecall(idExec, func() error { return rt.queue.Flush(nil) })
 	}
@@ -854,10 +816,9 @@ type Stats struct {
 	UntrustedHeap heap.Stats
 	Trusted       RuntimeStats
 	Untrusted     RuntimeStats
-	// TrustedSweeps and UntrustedSweeps report the GC helpers' observed
-	// sweep cadence per runtime, so servers tuning
-	// Options.GCHelperInterval can see whether mirrors are reclaimed
-	// promptly.
+	// TrustedSweeps and UntrustedSweeps report each runtime's weak-list
+	// scans (GC-helper steps and SweepOnce calls) and the mirrors they
+	// released.
 	TrustedSweeps   SweepStats
 	UntrustedSweeps SweepStats
 	Shim            shim.Stats

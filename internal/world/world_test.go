@@ -2,9 +2,9 @@ package world_test
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/core"
@@ -169,22 +169,40 @@ func TestGCConsistencySweep(t *testing.T) {
 	}
 }
 
+// TestGCHelperThreads: started GC helpers start no goroutine; the
+// collection that clears a dead proxy's weak reference is swept before
+// Collect returns — the registry drained, the sweep stats recording it
+// — and a collection that clears none is not swept.
 func TestGCHelperThreads(t *testing.T) {
 	w := bankWorld(t)
 	if _, err := w.RunMain(); err != nil {
 		t.Fatal(err)
 	}
+	before := runtime.NumGoroutine()
 	w.StartGCHelpers()
-	defer w.StopGCHelpers()
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("StartGCHelpers: %d goroutines, %d before", got, before)
+	}
 	if err := w.Untrusted().Collect(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for w.Trusted().Registry().Size() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("helper did not drain registry: size = %d", w.Trusted().Registry().Size())
-		}
-		time.Sleep(5 * time.Millisecond)
+	if got := w.Trusted().Registry().Size(); got != 0 {
+		t.Fatalf("helper left %d mirrors registered", got)
+	}
+	st := w.Stats()
+	us := st.UntrustedSweeps
+	if us.Sweeps != 1 || us.Released == 0 || us.LastReleased != int(us.Released) || us.LastSweep.IsZero() {
+		t.Fatalf("untrusted sweeps after one clearing collection: %+v", us)
+	}
+	if st.TrustedSweeps.Sweeps != 0 {
+		t.Fatalf("trusted runtime swept with nothing cleared: %+v", st.TrustedSweeps)
+	}
+	// Nothing is left to clear: the next collection is not swept.
+	if err := w.Untrusted().Collect(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Stats().UntrustedSweeps; got != us {
+		t.Fatalf("a collection that cleared nothing was swept: %+v, was %+v", got, us)
 	}
 }
 
