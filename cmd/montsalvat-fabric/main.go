@@ -25,12 +25,9 @@
 // (/metrics, /snapshot), the fleet-shared trace ring (/traces), and
 // the structured event journal (/events). With -failover the event
 // journal is dumped as a one-line-per-event failover timeline at the
-// end of the run. -obs-check additionally asserts the plane's two core
-// promises — a single trace ID spanning at least three Worlds, and a
-// complete kill → promote-begin → promote-commit → epoch-bump
-// timeline — plus the attribution of replication to commit rounds
-// (traced commit-leader spans parent the ship spans), and fails the run
-// if any is missing.
+// end of the run. The plane's promises (cross-World traces, commit
+// rounds parenting their ships, a complete promotion timeline) are
+// asserted by the tests of internal/fabric.
 package main
 
 import (
@@ -39,8 +36,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -71,7 +66,6 @@ func run(args []string, out io.Writer) error {
 		attestSeed  = fs.String("attest-seed", "montsalvat-fabric-demo", "attestation platform seed")
 		metricsAddr = fs.String("metrics-addr", "", "fleet observability HTTP endpoint address (empty disables)")
 		traceSample = fs.Float64("trace-sample", 1, "fraction of routed operations traced (0 disables tracing)")
-		obsCheck    = fs.Bool("obs-check", false, "with -load: assert cross-World trace propagation and (with -failover) a complete promotion timeline")
 		orderlyChk  = fs.Bool("orderly-check", false, "model-check the fabric failover state machine (bounded exhaustive exploration), exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -86,12 +80,9 @@ func run(args []string, out io.Writer) error {
 	if *failover && *replicas < 1 {
 		return fmt.Errorf("-failover needs -replicas >= 1")
 	}
-	if *obsCheck && !*load {
-		return fmt.Errorf("-obs-check requires -load")
-	}
 
 	var fleet *telemetry.Fleet
-	if *metricsAddr != "" || *obsCheck {
+	if *metricsAddr != "" {
 		fleet = telemetry.NewFleet(telemetry.Options{TraceSampleRate: *traceSample, TraceBuffer: 4096})
 	}
 	start := time.Now()
@@ -113,7 +104,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "fabric: shard %d on %s measurement %x\n", s.ID, s.Addr, s.Measurement[:8])
 	}
 
-	if fleet != nil && *metricsAddr != "" {
+	if fleet != nil {
 		ms, err := telemetry.Serve(*metricsAddr, fleet.Telemetry())
 		if err != nil {
 			return err
@@ -123,7 +114,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *load {
-		return runLoad(out, f, fleet, *clients, *requests, *failover, *obsCheck)
+		return runLoad(out, f, fleet, *clients, *requests, *failover)
 	}
 
 	stop := make(chan os.Signal, 1)
@@ -137,9 +128,8 @@ func run(args []string, out io.Writer) error {
 // runLoad drives phases of writes through concurrent routers, killing
 // and promoting one shard between phases when failover is set. Every
 // acknowledged write is read back at the end. With a fleet attached,
-// failover runs end by dumping the event journal as a timeline, and
-// obsCheck asserts the observability-plane invariants.
-func runLoad(out io.Writer, f *fabric.Fabric, fleet *telemetry.Fleet, clients, requests int, failover, obsCheck bool) error {
+// failover runs end by dumping the event journal as a timeline.
+func runLoad(out io.Writer, f *fabric.Fabric, fleet *telemetry.Fleet, clients, requests int, failover bool) error {
 	acked := smoke.NewLedger()
 	phase := func(name string, tolerant bool) error {
 		var wg sync.WaitGroup
@@ -209,11 +199,6 @@ func runLoad(out io.Writer, f *fabric.Fabric, fleet *telemetry.Fleet, clients, r
 	if fleet != nil && failover {
 		printTimeline(out, fleet)
 	}
-	if obsCheck {
-		if err := checkObservability(out, fleet, failover); err != nil {
-			return err
-		}
-	}
 	fmt.Fprintln(out, "load: OK")
 	return nil
 }
@@ -230,84 +215,4 @@ func printTimeline(out io.Writer, fleet *telemetry.Fleet) {
 	for _, ev := range events {
 		fmt.Fprintf(out, "  %s\n", ev.Line(base))
 	}
-}
-
-// checkObservability asserts the fleet plane's core promises over the
-// run that just completed:
-//
-//  1. cross-World tracing — at least one trace ID whose spans landed on
-//     three or more distinct fabric nodes (router excluded), i.e. the
-//     trace followed a request across Worlds rather than staying local;
-//  2. with failover, timeline completeness — the event journal holds
-//     kill, promote-begin, promote-commit, and epoch-bump events for
-//     the failover in strictly increasing Seq order;
-//  3. ship attribution — at least one commit-leader span exists and
-//     parents at least one ship span, i.e. the trace shows which
-//     replication round a replica delta was shipped for. (Attach-time
-//     catch-up ships are trace roots, not children of a round.)
-func checkObservability(out io.Writer, fleet *telemetry.Fleet, failover bool) error {
-	if fleet == nil {
-		return fmt.Errorf("obs-check: no fleet attached")
-	}
-	spans := fleet.Telemetry().Tracer().Dump()
-	worlds := map[uint64]map[string]bool{}
-	for _, sp := range spans {
-		if sp.Node == "" || sp.Node == "router" {
-			continue
-		}
-		m := worlds[sp.TraceID]
-		if m == nil {
-			m = map[string]bool{}
-			worlds[sp.TraceID] = m
-		}
-		m[sp.Node] = true
-	}
-	var bestTrace uint64
-	best := 0
-	for id, m := range worlds {
-		if len(m) > best {
-			best, bestTrace = len(m), id
-		}
-	}
-	if best < 3 {
-		return fmt.Errorf("obs-check: no trace spans 3 Worlds (best trace covers %d; need -replicas >= 2 or a redirect)", best)
-	}
-	nodes := make([]string, 0, best)
-	for n := range worlds[bestTrace] {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	fmt.Fprintf(out, "obs-check: trace %d spans %d Worlds: %s\n", bestTrace, best, strings.Join(nodes, ", "))
-
-	if failover {
-		seqs, err := smoke.FailoverTimeline(fleet.Telemetry().Events().Dump(), 1)
-		if err != nil {
-			return fmt.Errorf("obs-check: failover timeline incomplete: %w", err)
-		}
-		fmt.Fprintf(out, "obs-check: failover timeline complete (kill %d -> promote-begin %d -> promote-commit %d -> epoch-bump %d)\n",
-			seqs[0], seqs[1], seqs[2], seqs[3])
-	}
-
-	leaders := map[uint64]bool{}
-	nLeaders := 0
-	for _, sp := range spans {
-		if sp.Name == "commit-leader" {
-			leaders[sp.SpanID] = true
-			nLeaders++
-		}
-	}
-	if nLeaders == 0 {
-		return fmt.Errorf("obs-check: no commit-leader span was traced")
-	}
-	parented := 0
-	for _, sp := range spans {
-		if strings.HasPrefix(sp.Name, "ship ") && leaders[sp.ParentID] {
-			parented++
-		}
-	}
-	if parented == 0 {
-		return fmt.Errorf("obs-check: %d commit-leader spans but none parents a ship span", nLeaders)
-	}
-	fmt.Fprintf(out, "obs-check: %d commit-leader spans parent %d ship spans\n", nLeaders, parented)
-	return nil
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestLoadMode boots the in-process fabric and drives the load burst:
-// the same path CI's fabric-smoke target runs, at reduced scale.
+// TestLoadMode boots the in-process fabric and drives the load burst
+// at reduced scale.
 func TestLoadMode(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{"-shards", "2", "-replicas", "0", "-load", "-clients", "2", "-requests", "8"}, &out)

@@ -5,37 +5,6 @@ import (
 	"testing"
 )
 
-// TestSmokeMode boots the in-process gateway + load burst: the same
-// path CI's serve-smoke target runs, at reduced scale.
-func TestSmokeMode(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-smoke", "-sessions", "4", "-requests", "8"}, &out)
-	if err != nil {
-		t.Fatalf("run -smoke: %v\noutput:\n%s", err, out.String())
-	}
-	for _, want := range []string{"smoke: OK", "throughput", "latency p99", "handshake failures  0"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
-// TestSmokeModeObservability runs the smoke with the introspection
-// endpoint up: the run must scrape its own /metrics and /traces and
-// find the core families plus a sampled nested-ocall trace.
-func TestSmokeModeObservability(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-smoke", "-sessions", "2", "-requests", "8", "-metrics-addr", "127.0.0.1:0"}, &out)
-	if err != nil {
-		t.Fatalf("run -smoke -metrics-addr: %v\noutput:\n%s", err, out.String())
-	}
-	for _, want := range []string{"telemetry on http://", "nested ocall present", "smoke: OK"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
 // TestBadFlags rejects unknown flags.
 func TestBadFlags(t *testing.T) {
 	var out strings.Builder

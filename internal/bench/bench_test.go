@@ -357,11 +357,11 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-// TestDispatchSmoke is the `make bench-smoke` entry point: short-mode
-// transition-count and cycle assertions for the dispatch modes. The
-// acceptance bar is the issue's: batching + switchless must cut total
-// simulated cycles on the proxy-call workload by >= 30% versus
-// full-transition dispatch, with strictly fewer enclave transitions.
+// TestDispatchSmoke makes short-mode transition-count and cycle
+// assertions for the dispatch modes. The acceptance bar: batching +
+// switchless must cut total simulated cycles on the proxy-call workload
+// by >= 30% versus full-transition dispatch, with strictly fewer
+// enclave transitions.
 func TestDispatchSmoke(t *testing.T) {
 	const invocations = 300
 	runs := make(map[string]dispatchRun)

@@ -514,13 +514,15 @@ func TestUnshippedTailDoesNotBlockPromotion(t *testing.T) {
 
 // TestFabricTracePropagation follows one trace ID across Worlds: a
 // routed put starts a root span on the router, the owning shard's
-// gateway continues it, and the put's ship round carries it to the
-// replica — so the fleet dump must hold spans from at least
-// three distinct nodes under one TraceID. A direct peer call with an
-// injected context must likewise surface on the callee shard.
+// gateway continues it, and the put's ship round carries it to both
+// replicas — so the fleet dump must hold spans from router, shard and
+// replica under one TraceID, three of them off the router. The round
+// is a commit-leader span that parents its ship spans. A direct peer
+// call with an injected context must likewise surface on the callee
+// shard.
 func TestFabricTracePropagation(t *testing.T) {
 	fleet := telemetry.NewFleet(telemetry.Options{TraceSampleRate: 1, TraceBuffer: 4096, EventBuffer: 1024})
-	f, err := New(Options{Shards: 2, Replicas: 1, Fleet: fleet})
+	f, err := New(Options{Shards: 2, Replicas: 2, Fleet: fleet})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,13 +540,18 @@ func TestFabricTracePropagation(t *testing.T) {
 	// router root, shard dispatch, replica ship-apply.
 	byTrace := map[uint64]map[string]bool{}
 	names := map[uint64]map[string]bool{}
-	for _, sp := range fleet.Telemetry().Tracer().Dump() {
+	leaders := map[uint64]bool{}
+	spans := fleet.Telemetry().Tracer().Dump()
+	for _, sp := range spans {
 		if byTrace[sp.TraceID] == nil {
 			byTrace[sp.TraceID] = map[string]bool{}
 			names[sp.TraceID] = map[string]bool{}
 		}
 		byTrace[sp.TraceID][sp.Node] = true
 		names[sp.TraceID][sp.Name] = true
+		if sp.Name == "commit-leader" {
+			leaders[sp.SpanID] = true
+		}
 	}
 	var full uint64
 	for id, nodes := range byTrace {
@@ -569,6 +576,28 @@ func TestFabricTracePropagation(t *testing.T) {
 	}
 	if !names[full]["ship-apply"] {
 		t.Fatalf("cross-World trace %d has no replica ship-apply span: %v", full, names[full])
+	}
+	widest := 0
+	for _, nodes := range byTrace {
+		n := 0
+		for node := range nodes {
+			if node != "" && node != "router" {
+				n++
+			}
+		}
+		widest = max(widest, n)
+	}
+	if widest < 3 {
+		t.Fatalf("no trace spans 3 non-router nodes (widest covers %d): %v", widest, byTrace)
+	}
+	parented := 0
+	for _, sp := range spans {
+		if strings.HasPrefix(sp.Name, "ship ") && leaders[sp.ParentID] {
+			parented++
+		}
+	}
+	if parented == 0 {
+		t.Fatalf("%d commit-leader spans, none parents a ship span", len(leaders))
 	}
 
 	// Peer-channel leg: a context injected into CallPeer surfaces as a

@@ -39,8 +39,8 @@ var gwPlatform = sgx.NewPlatformFromSeed([]byte("orderly-gateway-platform"))
 // minting, cross-session foreign probes, checkpoint, and the full
 // kill→drain→recover cycle. The gateway stack itself — world behind a
 // loopback listener, journaled durable store, crash/restore plumbing —
-// is the shared smoke.Gateway, the same bring-up the command-line
-// smoke runs use. Its invariants are the session-namespace isolation
+// is the shared smoke.Gateway, the same bring-up the served tests of
+// internal/smoke use. Its invariants are the session-namespace isolation
 // check (a handle minted by one session must never resolve in
 // another's), the drain check (no session admitted while recovery is
 // draining), the acked-durability audit after every recovery, and the

@@ -26,15 +26,9 @@ type GatewayOptions struct {
 	World *world.World
 	// Platform is the attestation platform sessions handshake against.
 	Platform *sgx.Platform
-	// MaxInFlight / MaxSessions are the gateway admission bounds
-	// (0 = serve defaults).
-	MaxInFlight int
-	MaxSessions int
 	// Telemetry, when set, is handed to the server and the persist
 	// manager.
 	Telemetry *telemetry.Telemetry
-	// Logf, when set, receives gateway log lines and recovery reports.
-	Logf func(format string, args ...any)
 	// Durable journals acked KVStore puts through a persist.Manager
 	// over FS and exports the recovered store as "kv". Without it the
 	// gateway serves the world as-is (no export, no journal).
@@ -46,8 +40,8 @@ type GatewayOptions struct {
 }
 
 // Gateway is a served enclave world on a loopback listener, optionally
-// wired to a durable store: the in-process fixture the smoke runs, the
-// crash-recovery checks, and the orderly gateway driver all share.
+// wired to a durable store: the in-process fixture the served tests,
+// the benchmark harness and the orderly gateway driver all share.
 type Gateway struct {
 	W   *serve.Server
 	ln  net.Listener
@@ -80,12 +74,9 @@ func StartGateway(opts GatewayOptions) (*Gateway, error) {
 		g.fs = shim.NewMemFS()
 	}
 	sopts := serve.Options{
-		World:       opts.World,
-		Platform:    opts.Platform,
-		MaxInFlight: opts.MaxInFlight,
-		MaxSessions: opts.MaxSessions,
-		Telemetry:   opts.Telemetry,
-		Logf:        opts.Logf,
+		World:     opts.World,
+		Platform:  opts.Platform,
+		Telemetry: opts.Telemetry,
 	}
 	if opts.Durable {
 		secret, err := sgx.NewPlatformSecret()
@@ -198,12 +189,8 @@ func (g *Gateway) bootStore() error {
 	if err := m.Register(g.kv); err != nil {
 		return err
 	}
-	rep, err := m.Recover()
-	if err != nil {
+	if _, err := m.Recover(); err != nil {
 		return err
-	}
-	if g.opts.Logf != nil {
-		g.opts.Logf("recovered: %s", rep)
 	}
 	g.mu.Lock()
 	g.mgr = m
@@ -262,17 +249,9 @@ func (g *Gateway) Settle(n int) error {
 	return nil
 }
 
-// Shutdown drains the server and joins the serve goroutine.
-func (g *Gateway) Shutdown(ctx context.Context) error {
-	if err := g.W.Shutdown(ctx); err != nil {
-		return err
-	}
-	return <-g.done
-}
-
-// Close is the unconditional teardown for error paths: best-effort
-// drain with a short deadline. The world stays open — the caller owns
-// it.
+// Close is the unconditional teardown: best-effort drain with a short
+// deadline, then it joins the serve goroutine. The world stays open —
+// the caller owns it.
 func (g *Gateway) Close() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

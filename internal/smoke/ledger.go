@@ -7,7 +7,7 @@ import (
 )
 
 // Ledger records writes the system acknowledged to a client. An ack is
-// a durability promise, so every smoke run finishes by reading the
+// a durability promise, so every served check finishes by reading the
 // ledger back through the system and failing on any divergence.
 type Ledger struct {
 	mu sync.Mutex
