@@ -28,7 +28,7 @@ build:
 # recovery passes', the void relays on every route, the GC-helper steps
 # (swept by the collecting goroutine, beside concurrent mutators) and the
 # gateway's lifecycle gate (Shutdown and Recover drains against typed
-# refusals) are re-run on 4 Ps, three times, to show they repeat under
+# refusals) are re-run on 4 Ps, ten times, to show they repeat under
 # real parallelism. The benchmark
 # harness is its own module (benchmark/go.mod), so ./... does not reach
 # it: it is vetted and tested on its own, outside any workspace.
@@ -37,9 +37,9 @@ test:
 	$(GO) vet ./...
 	GOFLAGS= GOWORK=off $(GO) -C benchmark vet ./...
 	GOFLAGS= GOWORK=off $(GO) -C benchmark test ./...
-	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestCycleLedgerGolden|TestLane|TestVoidRelay|TestGCHelper|TestHelpers' ./internal/world
-	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestRecovery' ./internal/persist
-	GOMAXPROCS=4 $(GO) test -count=3 -run 'TestGatewayLifecycleGate|TestServeDrain|TestGateway|TestRecoverReentersLanes' ./internal/serve
+	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestCycleLedgerGolden|TestLane|TestVoidRelay|TestGCHelper|TestHelpers' ./internal/world
+	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestRecovery' ./internal/persist
+	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestGatewayLifecycleGate|TestServeDrain|TestGateway|TestRecoverReentersLanes' ./internal/serve
 	$(GO) test -run NONE -bench . -benchtime 1x ./internal/heap ./internal/epc ./internal/isolate ./internal/world
 	$(GO) test -race ./internal/channel/... ./internal/registry/... ./internal/wire/... ./internal/boundary/... ./internal/mee/... ./internal/epc/... ./internal/heap/... ./internal/isolate/... ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/serve/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/... ./internal/shim/... ./internal/smoke/...
 

@@ -15,22 +15,6 @@ import (
 // concGoroutines is the goroutine sweep of the scaling experiment.
 var concGoroutines = []int{1, 2, 4, 8, 16}
 
-// concurrentCfg is the platform configuration of the concurrency
-// experiments: regular transition cost, no batching reordering the
-// call stream, and — when costs
-// are charged as real time — timer-wait charging, so the stall-modelled
-// transition costs of concurrent crossings overlap and the measurement
-// exposes lock scaling rather than core count.
-func concurrentCfg(opts Options) simcfg.Config {
-	cfg := opts.Config()
-	cfg.Switchless = false
-	cfg.Batching = false
-	if cfg.Spin {
-		cfg.SleepCharges = true
-	}
-	return cfg
-}
-
 // concResult is one concurrent-RMI measurement point.
 type concResult struct {
 	Ops         int
@@ -128,7 +112,9 @@ func runConcurrentRMI(cfg simcfg.Config, n, iters int) (concResult, error) {
 // parallel through the sharded registries and object tables.
 func ConcurrentRMI(opts Options) (*Table, error) {
 	iters := opts.scale(300, 40)
-	cfg := concurrentCfg(opts)
+	// Regular transition cost, and no batching reordering the call stream.
+	cfg := opts.Config()
+	cfg.Switchless, cfg.Batching = false, false
 	t := &Table{
 		ID:      "concurrent-rmi",
 		Title:   "Concurrent RMI throughput scaling (goroutines driving proxy calls)",
@@ -159,6 +145,6 @@ func ConcurrentRMI(opts Options) (*Table, error) {
 	t.AddRow("p99-ns", p99...)
 	t.AddRow("transitions/op", trans...)
 	t.AddRow("cycles/op", cyc...)
-	t.AddNote("GOMAXPROCS=%d; stall-modelled transition costs overlap as timer waits", runtime.GOMAXPROCS(0))
+	t.AddNote("GOMAXPROCS=%d; with -spin every charge busy-waits its core, so host cores bound the speedup", runtime.GOMAXPROCS(0))
 	return t, nil
 }

@@ -16,22 +16,17 @@ import (
 var recoveryIntervals = []int{0, 1024, 256, 64}
 
 // recoveryLineage is one durable lineage prepared for a recovery
-// measurement: the untrusted storage plus the identity (signer, platform
-// secret, counter store) that survives a crash.
+// measurement: the untrusted storage plus the platform secret and
+// counter store that survive a crash.
 type recoveryLineage struct {
 	cfg    simcfg.Config
 	fs     shim.FS
 	secret sgx.PlatformSecret
 	ctrs   *sgx.MemCounterStore
-	signer *sgx.Signer
 }
 
 func newRecoveryLineage(cfg simcfg.Config) (*recoveryLineage, error) {
 	secret, err := sgx.NewPlatformSecret()
-	if err != nil {
-		return nil, err
-	}
-	signer, err := sgx.NewSigner()
 	if err != nil {
 		return nil, err
 	}
@@ -40,13 +35,13 @@ func newRecoveryLineage(cfg simcfg.Config) (*recoveryLineage, error) {
 		fs:     shim.NewMemFS(),
 		secret: secret,
 		ctrs:   sgx.NewMemCounterStore(),
-		signer: signer,
 	}, nil
 }
 
 // boot builds an initialized enclave and a Manager over the lineage's
-// storage — one machine lifetime. The signer is shared across boots, so
-// MRSIGNER-sealed blobs written before a crash unseal after it.
+// storage — one machine lifetime. Every boot is signed by the
+// process-wide author, so MRSIGNER-sealed blobs written before a crash
+// unseal after it.
 func (l *recoveryLineage) boot() (*persist.Manager, *persist.MapState, error) {
 	m, st, _, err := l.bootOn(false)
 	return m, st, err
@@ -64,7 +59,11 @@ func (l *recoveryLineage) bootOn(shimmed bool) (*persist.Manager, *persist.MapSt
 	if err := e.AddPages([]byte("bench recovery image")); err != nil {
 		return nil, nil, nil, err
 	}
-	ss, err := l.signer.Sign(e.Measurement())
+	signer, err := sgx.DefaultSigner()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ss, err := signer.Sign(e.Measurement())
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -3,11 +3,16 @@ package bench
 import (
 	"encoding/json"
 	"strconv"
+	"sync"
 	"testing"
 )
 
+// recoveryTable is the quick-scale recovery table, computed once for
+// both tests that read it.
+var recoveryTable = sync.OnceValues(func() (*Table, error) { return RecoveryTime(quickOpts()) })
+
 func TestRecoveryTimeShape(t *testing.T) {
-	tab, err := RecoveryTime(quickOpts())
+	tab, err := recoveryTable()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +76,7 @@ func TestRecoveryTimeShape(t *testing.T) {
 // a positive recovery time for every point and the records each
 // recovery replayed.
 func TestRecoveryPerfEntry(t *testing.T) {
-	tab, err := RecoveryTime(quickOpts())
+	tab, err := recoveryTable()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,20 @@ package bench
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 )
+
+// ringSweepTable is the quick-scale ring sweep, computed once for both
+// tests that read it.
+var ringSweepTable = sync.OnceValues(func() (*Table, error) { return RingSweep(quickOpts()) })
 
 // TestRingSweepShape pins the zero-copy claim at quick scale: the ring
 // path never loses to the frame path, wins clearly at the largest
 // payload, and is crypto-dominated there (copies dominate the frame
 // path instead).
 func TestRingSweepShape(t *testing.T) {
-	tab, err := RingSweep(quickOpts())
+	tab, err := ringSweepTable()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +53,7 @@ func TestRingSweepShape(t *testing.T) {
 // table as montsalvat-bench -json writes it — is internally consistent
 // with the table generator's claims. No call outgrows its slot.
 func TestRingPayloadSweepJSON(t *testing.T) {
-	tab, err := RingSweep(quickOpts())
+	tab, err := ringSweepTable()
 	if err != nil {
 		t.Fatal(err)
 	}

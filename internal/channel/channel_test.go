@@ -204,20 +204,13 @@ func TestFrameBuffersReused(t *testing.T) {
 
 // ---- handshake ---------------------------------------------------------
 
-var (
-	signerOnce sync.Once
-	signer     *sgx.Signer
-)
-
 // testEnclave boots an enclave over image; equal images measure equal.
 func testEnclave(t *testing.T, image string) *sgx.Enclave {
 	t.Helper()
-	signerOnce.Do(func() {
-		var err error
-		if signer, err = sgx.NewSigner(); err != nil {
-			t.Fatal(err)
-		}
-	})
+	signer, err := sgx.DefaultSigner()
+	if err != nil {
+		t.Fatal(err)
+	}
 	e, err := sgx.Create(simcfg.Default(), cycles.New(simcfg.CPUHz, false), 1)
 	if err != nil {
 		t.Fatal(err)

@@ -366,11 +366,6 @@ func (p *Program) Classes() []*Class {
 	return out
 }
 
-// ClassNames returns the registered class names in registration order.
-func (p *Program) ClassNames() []string {
-	return append([]string(nil), p.order...)
-}
-
 // Lookup resolves a method reference.
 func (p *Program) Lookup(ref MethodRef) (*Class, *Method, bool) {
 	c, ok := p.classes[ref.Class]

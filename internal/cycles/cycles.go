@@ -8,100 +8,44 @@
 package cycles
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Mode selects how charged cycles are converted to wall-clock time.
-type Mode int
-
-const (
-	// ModeVirtual keeps the deterministic ledger only (tests).
-	ModeVirtual Mode = iota
-	// ModeSpin busy-waits for the charged duration, occupying the core
-	// (single-threaded benchmarks: wall time reflects charged cycles).
-	ModeSpin
-	// ModeSleep waits on shared clock ticks for the charged duration
-	// instead of burning the core. Transition and MEE costs are
-	// stall-dominated on real hardware; modelling them as timer waits
-	// lets concurrently crossing goroutines overlap their charged
-	// costs, so concurrency benchmarks measure lock scaling even on
-	// hosts with few cores. All waiters of one Clock share a broadcast
-	// tick, so the effective wait quantum — however coarse the host's
-	// timers — is identical for solo and concurrent runs and cancels
-	// out of throughput ratios.
-	ModeSleep
-)
-
-// tickQuantum is the nominal broadcast period of a ModeSleep clock.
-// Hosts with coarse timers stretch it (the OS decides when the ticker
-// actually fires); waits are counted in ticks, so the stretch applies
-// uniformly to every waiter.
-const tickQuantum = 250 * time.Microsecond
-
-// Clock accounts simulated CPU cycles. It is safe for concurrent use.
+// Clock accounts simulated CPU cycles. It is safe for concurrent use
+// and holds no background state.
 type Clock struct {
 	hz      float64
-	mode    Mode
+	spin    bool
 	virtual atomic.Int64
-
-	// Tick broadcaster state (ModeSleep only). tick is closed and
-	// replaced at every quantum; waiters grab the current channel and
-	// block on it. stop ends the broadcaster goroutine.
-	tickOnce sync.Once
-	tickMu   sync.Mutex
-	tick     chan struct{}
-	stop     chan struct{}
-	stopOnce sync.Once
 }
 
 // New returns a Clock modelling a core running at hz cycles per second.
 // When spin is true, Charge busy-waits for the charged duration.
 func New(hz float64, spin bool) *Clock {
-	mode := ModeVirtual
-	if spin {
-		mode = ModeSpin
-	}
-	return NewWithMode(hz, mode)
-}
-
-// NewWithMode returns a Clock with an explicit charging mode.
-func NewWithMode(hz float64, mode Mode) *Clock {
 	if hz <= 0 {
 		hz = 1e9
 	}
-	c := &Clock{hz: hz, mode: mode}
-	if mode == ModeSleep {
-		c.tick = make(chan struct{})
-		c.stop = make(chan struct{})
-	}
-	return c
+	return &Clock{hz: hz, spin: spin}
 }
 
 // Hz reports the modelled clock frequency.
 func (c *Clock) Hz() float64 { return c.hz }
 
-// Spinning reports whether the clock charges real wall-clock time
-// (busy-waiting or sleeping).
-func (c *Clock) Spinning() bool { return c.mode != ModeVirtual }
+// Spinning reports whether the clock charges real wall-clock time by
+// busy-waiting.
+func (c *Clock) Spinning() bool { return c.spin }
 
-// ChargeMode reports how charged cycles convert to wall-clock time.
-func (c *Clock) ChargeMode() Mode { return c.mode }
-
-// Charge records n cycles on the virtual ledger and, when the mode
-// charges real time, waits for the corresponding wall-clock duration.
+// Charge records n cycles on the virtual ledger and, when the clock
+// spins, busy-waits for the corresponding wall-clock duration.
 // Non-positive charges are ignored.
 func (c *Clock) Charge(n int64) {
 	if n <= 0 {
 		return
 	}
 	c.virtual.Add(n)
-	switch c.mode {
-	case ModeSpin:
+	if c.spin {
 		spinFor(c.Duration(n))
-	case ModeSleep:
-		c.waitTicks(c.Duration(n))
 	}
 }
 
@@ -143,68 +87,4 @@ func spinFor(d time.Duration) {
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
 	}
-}
-
-// sleepMin is the shortest charge worth a tick wait: below it the wait
-// quantum dwarfs the charge, so tiny costs (compiled calls, per-value
-// serialization) busy-wait instead. Multi-thousand-cycle transition
-// charges land well above it.
-const sleepMin = 2 * time.Microsecond
-
-// waitTicks waits out a charge of duration d on the clock's shared tick
-// broadcast without occupying the core, so concurrent waiters overlap.
-// A charge costs ceil(d/tickQuantum) ticks. Because every waiter counts
-// the same broadcasts, coarse host timers inflate solo and concurrent
-// series identically and cancel out of throughput ratios.
-func (c *Clock) waitTicks(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if d < sleepMin {
-		spinFor(d)
-		return
-	}
-	c.tickOnce.Do(c.startTicker)
-	n := int((d + tickQuantum - 1) / tickQuantum)
-	for i := 0; i < n; i++ {
-		c.tickMu.Lock()
-		ch := c.tick
-		c.tickMu.Unlock()
-		select {
-		case <-ch:
-		case <-c.stop:
-			return
-		}
-	}
-}
-
-// startTicker launches the broadcast goroutine: every quantum it
-// releases all current waiters by closing the tick channel and
-// installing a fresh one.
-func (c *Clock) startTicker() {
-	go func() {
-		tk := time.NewTicker(tickQuantum)
-		defer tk.Stop()
-		for {
-			select {
-			case <-tk.C:
-				c.tickMu.Lock()
-				close(c.tick)
-				c.tick = make(chan struct{})
-				c.tickMu.Unlock()
-			case <-c.stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop ends the tick broadcaster of a ModeSleep clock and releases any
-// blocked waiters; other modes have no background state and ignore it.
-// Charges after Stop complete without waiting.
-func (c *Clock) Stop() {
-	if c.mode != ModeSleep {
-		return
-	}
-	c.stopOnce.Do(func() { close(c.stop) })
 }

@@ -50,11 +50,9 @@ type Options struct {
 	PeerTimeout time.Duration
 	// Logf receives diagnostics from every layer of the fabric.
 	Logf func(format string, args ...any)
-	// Signer, when set, replaces the freshly generated fabric signing
-	// key. Signers memoize SIGSTRUCTs per measurement, so a shared
-	// signer makes repeated fabric construction — the orderly
-	// explorer rebuilds the fabric on every backtrack — pay RSA key
-	// generation and signing once instead of per boot.
+	// Signer signs every node's enclave; nil means sgx.DefaultSigner.
+	// Signers memoize SIGSTRUCTs per measurement, so a shared signer
+	// makes repeated fabric construction pay RSA signing once.
 	Signer *sgx.Signer
 	// Build, when set, is a prebuilt partitioned KV build whose images
 	// every node's World loads instead of re-running the partitioning
@@ -118,8 +116,7 @@ func New(opts Options) (*Fabric, error) {
 	signer := opts.Signer
 	if signer == nil {
 		var err error
-		signer, err = sgx.NewSigner()
-		if err != nil {
+		if signer, err = sgx.DefaultSigner(); err != nil {
 			return nil, err
 		}
 	}

@@ -516,7 +516,8 @@ func TestUnshippedTailDoesNotBlockPromotion(t *testing.T) {
 // routed put starts a root span on the router, the owning shard's
 // gateway continues it, and the put's ship round carries it to both
 // replicas — so the fleet dump must hold spans from router, shard and
-// replica under one TraceID, three of them off the router. The round
+// replica under one TraceID, three of them off the router, and every
+// span in it must name the node that recorded it. The round
 // is a commit-leader span that parents its ship spans. A direct peer
 // call with an injected context must likewise surface on the callee
 // shard.
@@ -543,6 +544,9 @@ func TestFabricTracePropagation(t *testing.T) {
 	leaders := map[uint64]bool{}
 	spans := fleet.Telemetry().Tracer().Dump()
 	for _, sp := range spans {
+		if sp.Node == "" {
+			t.Errorf("span %q (trace %d, parent %d) carries no node", sp.Name, sp.TraceID, sp.ParentID)
+		}
 		if byTrace[sp.TraceID] == nil {
 			byTrace[sp.TraceID] = map[string]bool{}
 			names[sp.TraceID] = map[string]bool{}
@@ -581,7 +585,7 @@ func TestFabricTracePropagation(t *testing.T) {
 	for _, nodes := range byTrace {
 		n := 0
 		for node := range nodes {
-			if node != "" && node != "router" {
+			if node != "router" {
 				n++
 			}
 		}

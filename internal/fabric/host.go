@@ -262,7 +262,6 @@ func (h *PeerHost) serveShip(args []wire.Value) []wire.Value {
 	}
 	sc := traceOf(args[1], args[2])
 	sp := h.Telemetry.Tracer().StartRemote(sc, "ship-apply")
-	sp.SetNode(h.Identity.Origin)
 	sp.SetSealedBytes(len(blob))
 	d, err := persist.DecodeDelta(blob)
 	if err != nil {
@@ -337,7 +336,6 @@ func (h *PeerHost) serveCall(ns *registry.Namespace, args []wire.Value) []wire.V
 	}
 	imported, _ := args[3].AsList()
 	sp := h.Telemetry.Tracer().StartRemote(sc, "peer-call "+method)
-	sp.SetNode(h.Identity.Origin)
 	var out wire.Value
 	err = h.World.ExecSpan(false, sp, nil, func(env classmodel.Env) error {
 		v, err := env.Call(recv, method, imported...)

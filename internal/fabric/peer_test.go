@@ -34,7 +34,7 @@ func TestShipRequestBytesUnchanged(t *testing.T) {
 	sc := telemetry.SpanContext{TraceID: 0xFEEDFACE, SpanID: 42}
 	for _, d := range deltas {
 		want := wire.MarshalList([]wire.Value{
-			wire.Str(peerOpShip), wire.Bytes(persist.EncodeDelta(d)),
+			wire.Str(peerOpShip), wire.Bytes(persist.AppendDelta(nil, d)),
 			wire.Int(int64(sc.TraceID)), wire.Int(int64(sc.SpanID)),
 		})
 		prefix := []byte{0, 0, 0, 0}
@@ -42,8 +42,8 @@ func TestShipRequestBytesUnchanged(t *testing.T) {
 		if !bytes.Equal(got[:4], prefix) || !bytes.Equal(got[4:], want) {
 			t.Fatalf("ship request for %+v:\n got %x\nwant %x", d, got[4:], want)
 		}
-		if n := persist.DeltaSize(d); n != len(persist.EncodeDelta(d)) {
-			t.Fatalf("DeltaSize = %d, encoding is %d bytes", n, len(persist.EncodeDelta(d)))
+		if n := persist.DeltaSize(d); n != len(persist.AppendDelta(nil, d)) {
+			t.Fatalf("DeltaSize = %d, encoding is %d bytes", n, len(persist.AppendDelta(nil, d)))
 		}
 	}
 }

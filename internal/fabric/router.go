@@ -277,7 +277,6 @@ func (r *Router) do(method, key string, args ...wire.Value) (v wire.Value, err e
 			// follow the redirect hint directly.
 			r.redirects.Add(1)
 			hop := r.tracer.StartChild(sp, "redirect")
-			hop.SetNode("router")
 			hop.SetRedirect(owner, ws.Owner, ws.Epoch)
 			hop.Finish(nil)
 			r.events.Emit(telemetry.EventRedirect, "router", sp.Context().TraceID,

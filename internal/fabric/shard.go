@@ -356,7 +356,6 @@ func (n *shardNode) ackRound() bool {
 	n.mu.Unlock()
 
 	sp := n.tel.Tracer().StartRemote(sc, "commit-leader")
-	sp.SetNode(ShardOrigin(n.id))
 	covered, err := n.shipRound(sp.Context())
 	sp.Finish(err)
 

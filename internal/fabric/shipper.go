@@ -103,7 +103,6 @@ func (sh *shipper) ship(sc telemetry.SpanContext) error {
 		return nil
 	}
 	sp := sh.node.tel.Tracer().StartRemote(sc, "ship "+sh.conn.RemoteOrigin())
-	sp.SetNode(ShardOrigin(sh.node.id))
 	sp.SetSealedBytes(d.Bytes())
 	start := time.Now()
 	if _, _, err := sh.conn.ShipCtx(sp.Context(), d); err != nil {

@@ -168,11 +168,6 @@ type Config struct {
 	MaxSemi int
 }
 
-// DefaultConfig returns a small heap suitable for tests.
-func DefaultConfig() Config {
-	return Config{InitialSemi: 1 << 20, MaxSemi: 64 << 20}
-}
-
 // Heap is a semispace managed heap. It is not safe for concurrent use;
 // its owner serialises every call (stop-the-world discipline).
 type Heap struct {

@@ -122,15 +122,6 @@ func (iso *Isolate) RegisterClass(c *classmodel.Class, id int32) error {
 	return nil
 }
 
-// ClassDecl returns the registered declaration of a class.
-func (iso *Isolate) ClassDecl(name string) (*classmodel.Class, bool) {
-	info, ok := iso.classes[name]
-	if !ok {
-		return nil, false
-	}
-	return info.decl, true
-}
-
 // NewObject allocates an instance of an application class with the given
 // identity hash. Proxy classes have no declared fields, so their
 // instances carry only the hash (Listings 2-3).

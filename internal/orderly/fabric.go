@@ -52,7 +52,7 @@ type fabricSystem struct {
 // FabricBuilder returns a Builder for the fabric system.
 func FabricBuilder(cfg FabricConfig) Builder {
 	return func() (System, error) {
-		signer, build, err := worldFixture()
+		build, err := worldFixture()
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +61,6 @@ func FabricBuilder(cfg FabricConfig) Builder {
 			Shards:   2,
 			Replicas: 1,
 			Fleet:    fleet,
-			Signer:   signer,
 			Build:    build,
 			Logf:     func(string, ...any) {},
 		})

@@ -284,11 +284,7 @@ func (g *gatewaySystem) Check() error {
 // consumers and session teardown's sweep enter asynchronously, so the
 // count gets a moment to settle.
 func (g *gatewaySystem) checkResidency(lanes int) error {
-	opts, err := orderlyWorldOptions()
-	if err != nil {
-		return err
-	}
-	rings := opts.Cfg.RingWorkers
+	rings := orderlyWorldOptions().Cfg.RingWorkers
 	held := -1 // no enclave
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
 		if e := g.wld.Enclave(); e != nil {

@@ -38,25 +38,19 @@ type WorldConfig struct {
 	Break string
 }
 
-// worldFx holds the fixtures every world build shares: the program is
-// compiled once, the images are immutable, and the signer memoizes
-// SIGSTRUCTs per measurement — together they take a rebuild from
+// worldFx holds the build every world shares: the program is compiled
+// once and the images are immutable; with the process-wide signer,
+// which memoizes SIGSTRUCTs per measurement, that takes a rebuild from
 // hundreds of milliseconds (RSA keygen + signing) to ~100µs, which is
 // what makes replay-from-scratch backtracking affordable.
 var worldFx struct {
-	once   sync.Once
-	err    error
-	signer *sgx.Signer
-	build  *core.BuildResult
+	once  sync.Once
+	err   error
+	build *core.BuildResult
 }
 
-func worldFixture() (*sgx.Signer, *core.BuildResult, error) {
+func worldFixture() (*core.BuildResult, error) {
 	worldFx.once.Do(func() {
-		signer, err := sgx.NewSigner()
-		if err != nil {
-			worldFx.err = err
-			return
-		}
 		// A small hash-index fan-out keeps the KVStore constructor —
 		// which the explorer pays on every backtracking reset — off the
 		// reset critical path without changing the serving surface.
@@ -70,21 +64,17 @@ func worldFixture() (*sgx.Signer, *core.BuildResult, error) {
 			worldFx.err = err
 			return
 		}
-		worldFx.signer, worldFx.build = signer, build
+		worldFx.build = build
 	})
-	return worldFx.signer, worldFx.build, worldFx.err
+	return worldFx.build, worldFx.err
 }
 
 // orderlyWorldOptions is the world configuration every orderly system
-// boots: shared signer and images, small heaps (cheap kill/restart),
+// boots: shared images, small heaps (cheap kill/restart),
 // batching and rings on so those planes are part of the explored
 // surface, GC helpers off — sweeps are explorer actions, not steps
 // every collection triggers.
-func orderlyWorldOptions() (world.Options, error) {
-	signer, _, err := worldFixture()
-	if err != nil {
-		return world.Options{}, err
-	}
+func orderlyWorldOptions() world.Options {
 	cfg := simcfg.Default()
 	cfg.Batching = true
 	cfg.Rings = true
@@ -105,8 +95,7 @@ func orderlyWorldOptions() (world.Options, error) {
 		TrustedHeap:   heap.Config{InitialSemi: 128 << 10, MaxSemi: 256 << 10},
 		UntrustedHeap: heap.Config{InitialSemi: 128 << 10, MaxSemi: 256 << 10},
 		NumTCS:        8,
-		Signer:        signer,
-	}, nil
+	}
 }
 
 // journalEntry is one enqueued-but-unflushed group-commit mutation.
@@ -193,15 +182,11 @@ func (s *worldSystem) bootWorld() error {
 // the shared fixture; the gateway system serves one through a
 // smoke.Gateway, the world system drives one directly.
 func newOrderlyWorld() (*world.World, error) {
-	_, build, err := worldFixture()
+	build, err := worldFixture()
 	if err != nil {
 		return nil, err
 	}
-	opts, err := orderlyWorldOptions()
-	if err != nil {
-		return nil, err
-	}
-	return world.NewPartitioned(opts, build.TrustedImage, build.UntrustedImage, build.Transform.Interface)
+	return world.NewPartitioned(orderlyWorldOptions(), build.TrustedImage, build.UntrustedImage, build.Transform.Interface)
 }
 
 // bootStore wires the durable side to the current enclave

@@ -19,9 +19,9 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		{recordVersion},
 		{recordVersion, byte(OpPut)},
 		{recordVersion, byte(OpPut), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
-		EncodeWALRecord(Record{LSN: 1, Op: OpPut, State: "kv", Key: "k", Value: []byte("v")}),
-		EncodeWALRecord(Record{LSN: 1 << 40, Op: OpDelete, State: "kv", Key: "gone"}),
-		EncodeWALRecord(Record{LSN: 7, Op: OpPut, State: "", Key: "", Value: bytes.Repeat([]byte{0xaa}, 300)}),
+		appendWALRecord(nil, Record{LSN: 1, Op: OpPut, State: "kv", Key: "k", Value: []byte("v")}),
+		appendWALRecord(nil, Record{LSN: 1 << 40, Op: OpDelete, State: "kv", Key: "gone"}),
+		appendWALRecord(nil, Record{LSN: 7, Op: OpPut, State: "", Key: "", Value: bytes.Repeat([]byte{0xaa}, 300)}),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -34,7 +34,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 		// Varint encodings are not unique, so the invariant is semantic:
 		// re-encoding decodes to the same record, and the re-encoded form
 		// is a fixed point.
-		re := EncodeWALRecord(rec)
+		re := appendWALRecord(nil, rec)
 		rec2, err := DecodeWALRecord(re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
@@ -43,7 +43,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 			rec2.Key != rec.Key || !bytes.Equal(rec2.Value, rec.Value) {
 			t.Fatalf("round trip: %+v != %+v", rec2, rec)
 		}
-		if re2 := EncodeWALRecord(rec2); !bytes.Equal(re2, re) {
+		if re2 := appendWALRecord(nil, rec2); !bytes.Equal(re2, re) {
 			t.Fatalf("re-encode not stable: %x != %x", re2, re)
 		}
 	})
@@ -52,7 +52,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 // TestDecodeWALRecordCorruptInputs pins the error behaviour on named
 // malformed shapes.
 func TestDecodeWALRecordCorruptInputs(t *testing.T) {
-	valid := EncodeWALRecord(Record{LSN: 3, Op: OpPut, State: "kv", Key: "k", Value: []byte("v")})
+	valid := appendWALRecord(nil, Record{LSN: 3, Op: OpPut, State: "kv", Key: "k", Value: []byte("v")})
 	cases := []struct {
 		name string
 		buf  []byte
@@ -102,7 +102,7 @@ func TestWALBatchRoundTrip(t *testing.T) {
 		buf  []byte
 	}{
 		{"empty", nil},
-		{"single-record version", EncodeWALRecord(recs[0])},
+		{"single-record version", appendWALRecord(nil, recs[0])},
 		{"zero count", []byte{batchRecordVersion, 0}},
 		{"huge count", []byte{batchRecordVersion, 0xff, 0xff, 0xff, 0x7f}},
 		{"truncated member", EncodeWALBatch(recs)[:10]},
@@ -284,7 +284,7 @@ func TestCorruptSegmentTable(t *testing.T) {
 		// A validly sealed frame whose payload is one bare record rather
 		// than a batch: replay accepts exactly one frame format.
 		rec := Record{LSN: m.nextLSN, Op: OpPut, State: "kv", Key: "bare", Value: []byte("x")}
-		sealed, err := m.seal(EncodeWALRecord(rec), recordAAD(m.curSeq, rec.LSN))
+		sealed, err := m.seal(appendWALRecord(nil, rec), recordAAD(m.curSeq, rec.LSN))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,16 +22,14 @@ var (
 type Options struct {
 	// FS is the untrusted storage the log and checkpoints live on.
 	FS shim.FS
-	// Enclave is the sealing identity. With the default MRSIGNER
-	// policy, a re-created (or upgraded) enclave signed by the same
-	// author can recover state sealed by its predecessor.
+	// Enclave is the sealing identity. Blobs are sealed to MRSIGNER, so
+	// a re-created (or upgraded) enclave signed by the same author can
+	// recover state sealed by its predecessor.
 	Enclave *sgx.Enclave
 	// Secret is the platform secret (EGETKEY input).
 	Secret sgx.PlatformSecret
 	// Counter is the rollback-protection monotonic counter.
 	Counter *sgx.MonotonicCounter
-	// Policy is the seal policy; default SealToMRSIGNER.
-	Policy sgx.SealPolicy
 	// Dir prefixes every file name (e.g. "persist/").
 	Dir string
 	// SegmentBytes rotates the active segment when it grows past this
@@ -70,7 +68,6 @@ type Manager struct {
 	enclave   *sgx.Enclave
 	secret    sgx.PlatformSecret
 	counter   *sgx.MonotonicCounter
-	policy    sgx.SealPolicy
 	dir       string
 	segBytes  int64
 	ckptEvery int
@@ -161,9 +158,6 @@ func Open(opts Options) (*Manager, error) {
 	if opts.Counter == nil {
 		return nil, errors.New("persist: Options.Counter is required")
 	}
-	if opts.Policy == 0 {
-		opts.Policy = sgx.SealToMRSIGNER
-	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = 256 << 10
 	}
@@ -181,7 +175,6 @@ func Open(opts Options) (*Manager, error) {
 		enclave:   opts.Enclave,
 		secret:    opts.Secret,
 		counter:   opts.Counter,
-		policy:    opts.Policy,
 		dir:       opts.Dir,
 		segBytes:  opts.SegmentBytes,
 		ckptEvery: opts.CheckpointEvery,
@@ -226,23 +219,14 @@ func (m *Manager) Register(s State) error {
 	return nil
 }
 
-// seal / unseal run the enclave's sealing primitive under the
-// manager's policy. Callers hold m.mu (Rebind swaps the enclave).
+// seal / unseal run the enclave's sealing primitive to MRSIGNER, so
+// every enclave the same author signs derives the same key.
 func (m *Manager) seal(plain, aad []byte) ([]byte, error) {
-	return m.enclave.Seal(m.secret, m.policy, plain, aad)
+	return m.enclave.Seal(m.secret, sgx.SealToMRSIGNER, plain, aad)
 }
 
 func (m *Manager) unseal(blob, aad []byte) ([]byte, error) {
-	return m.enclave.Unseal(m.secret, m.policy, blob, aad)
-}
-
-// Rebind points the manager at a re-created enclave after a restart.
-// Under the MRSIGNER policy the new instance derives the same sealing
-// key, so existing blobs stay readable.
-func (m *Manager) Rebind(e *sgx.Enclave) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.enclave = e
+	return m.enclave.Unseal(m.secret, sgx.SealToMRSIGNER, blob, aad)
 }
 
 // Checkpoint captures all registered state into a sealed,

@@ -14,23 +14,8 @@ import (
 	"montsalvat/internal/telemetry"
 )
 
-var (
-	signerOnce sync.Once
-	signer     *sgx.Signer
-	signerErr  error
-)
-
-func testSigner(t *testing.T) *sgx.Signer {
-	t.Helper()
-	signerOnce.Do(func() { signer, signerErr = sgx.NewSigner() })
-	if signerErr != nil {
-		t.Fatalf("NewSigner: %v", signerErr)
-	}
-	return signer
-}
-
 // testEnclave builds an initialized enclave from image — a fresh one
-// per call, all signed by the shared test signer, so "restarting the
+// per call, all signed by the process-wide author, so "restarting the
 // enclave" is just another call (optionally with an upgraded image).
 func testEnclave(t *testing.T, image string) *sgx.Enclave {
 	t.Helper()
@@ -42,7 +27,11 @@ func testEnclave(t *testing.T, image string) *sgx.Enclave {
 	if err := e.AddPages([]byte(image)); err != nil {
 		t.Fatalf("AddPages: %v", err)
 	}
-	ss, err := testSigner(t).Sign(e.Measurement())
+	signer, err := sgx.DefaultSigner()
+	if err != nil {
+		t.Fatalf("DefaultSigner: %v", err)
+	}
+	ss, err := signer.Sign(e.Measurement())
 	if err != nil {
 		t.Fatalf("Sign: %v", err)
 	}

@@ -74,7 +74,7 @@ const (
 // uvarintLen is the encoded size of v as a uvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// walRecordSize is the exact encoded size of r (see EncodeWALRecord).
+// walRecordSize is the exact encoded size of r (see appendWALRecord).
 func walRecordSize(r Record) int {
 	return 2 + uvarintLen(r.LSN) +
 		uvarintLen(uint64(len(r.State))) + len(r.State) +
@@ -82,6 +82,9 @@ func walRecordSize(r Record) int {
 		uvarintLen(uint64(len(r.Value))) + len(r.Value)
 }
 
+// appendWALRecord serialises a record to its plaintext form (one member
+// of a batch payload) onto buf. Layout: version u8, op u8, lsn uvarint,
+// then state, key, and value, each uvarint-length-prefixed.
 func appendWALRecord(buf []byte, r Record) []byte {
 	buf = append(buf, recordVersion, byte(r.Op))
 	buf = binary.AppendUvarint(buf, r.LSN)
@@ -93,14 +96,7 @@ func appendWALRecord(buf []byte, r Record) []byte {
 	return append(buf, r.Value...)
 }
 
-// EncodeWALRecord serialises a record to its plaintext form (one member
-// of a batch payload). Layout: version u8, op u8, lsn uvarint, then
-// state, key, and value, each uvarint-length-prefixed.
-func EncodeWALRecord(r Record) []byte {
-	return appendWALRecord(make([]byte, 0, walRecordSize(r)), r)
-}
-
-// DecodeWALRecord parses record plaintext produced by EncodeWALRecord.
+// DecodeWALRecord parses record plaintext produced by appendWALRecord.
 // Trailing garbage after the value is rejected.
 func DecodeWALRecord(buf []byte) (Record, error) {
 	var r Record
@@ -148,7 +144,7 @@ func DecodeWALRecord(buf []byte) (Record, error) {
 // EncodeWALBatch serialises a group of records into one batch payload
 // (the bytes sealed as a single WAL frame). Layout: version u8
 // (batchRecordVersion), count uvarint, then each record's
-// EncodeWALRecord bytes, uvarint-length-prefixed. The records must carry
+// appendWALRecord bytes, uvarint-length-prefixed. The records must carry
 // consecutive LSNs; replay enforces that.
 func EncodeWALBatch(recs []Record) []byte {
 	size := 1 + uvarintLen(uint64(len(recs)))

@@ -269,11 +269,6 @@ const deltaVersion = 1
 // ErrCorruptDelta reports a delta blob that fails structural decoding.
 var ErrCorruptDelta = errors.New("persist: corrupt replication delta")
 
-// EncodeDelta serialises a delta for shipping.
-func EncodeDelta(d Delta) []byte {
-	return AppendDelta(make([]byte, 0, DeltaSize(d)), d)
-}
-
 // DeltaSize returns the exact number of bytes AppendDelta adds, so a
 // shipper can announce the blob's length and encode it straight into its
 // frame.

@@ -62,7 +62,7 @@ func (e *replicaEnv) ship(follower *shim.MemFS, have map[string]int64) Delta {
 	if err != nil {
 		e.t.Fatalf("ReplicaDelta: %v", err)
 	}
-	decoded, err := DecodeDelta(EncodeDelta(d))
+	decoded, err := DecodeDelta(AppendDelta(nil, d))
 	if err != nil {
 		e.t.Fatalf("decode(encode(delta)): %v", err)
 	}
@@ -225,7 +225,7 @@ func TestReplicaDeltaRequiresRecovery(t *testing.T) {
 // TestDecodeDeltaRejectsJunk: structural decoding failures are typed,
 // and a truncated blob never panics.
 func TestDecodeDeltaRejectsJunk(t *testing.T) {
-	good := EncodeDelta(Delta{
+	good := AppendDelta(nil, Delta{
 		Stamp: 3, LastLSN: 17,
 		Remove: []string{"p/wal-00000001.seg"},
 		Chunks: []Chunk{{Name: "p/wal-00000002.seg", Off: 8, Data: []byte("abc")}},

@@ -9,7 +9,6 @@ import (
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/core"
 	"montsalvat/internal/demo"
-	"montsalvat/internal/paldb"
 	"montsalvat/internal/sgx"
 	"montsalvat/internal/shim"
 	"montsalvat/internal/wire"
@@ -191,58 +190,6 @@ func TestWorldKVRequiresRef(t *testing.T) {
 	kv.SetRef(newKVStore(t, w))
 	if err := kv.Apply([]Record{{Op: OpDelete, Key: "k"}}); !errors.Is(err, ErrRecordMalformed) {
 		t.Fatalf("delete on world kv: %v, want ErrRecordMalformed", err)
-	}
-}
-
-// TestPalDBStateDurability checkpoints a built paldb store file, wipes
-// it (host-side data loss), and proves recovery rewrites a byte-exact,
-// openable store. Journaled mutations are rejected: the store is
-// write-once.
-func TestPalDBStateDurability(t *testing.T) {
-	e := newEnv(t)
-	write, err := paldb.NewWriter(e.fs, "idx.paldb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kv := range [][2]string{{"k1", "v1"}, {"k2", "v2"}, {"k3", "v3"}} {
-		if err := write.Put([]byte(kv[0]), []byte(kv[1])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := write.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st := NewPalDBState("index", e.fs, "idx.paldb")
-	m := e.open(Options{Dir: "p/"}, st)
-	if _, err := m.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Host loses the store file; recovery restores it from the sealed
-	// checkpoint.
-	if err := e.fs.Remove("idx.paldb"); err != nil {
-		t.Fatal(err)
-	}
-	st2 := NewPalDBState("index", e.fs, "idx.paldb")
-	m2 := e.open(Options{Dir: "p/"}, st2)
-	if _, err := m2.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := paldb.Open(e.fs, "idx.paldb")
-	if err != nil {
-		t.Fatalf("recovered store does not open: %v", err)
-	}
-	for _, kv := range [][2]string{{"k1", "v1"}, {"k2", "v2"}, {"k3", "v3"}} {
-		got, err := r.Get([]byte(kv[0]))
-		if err != nil || string(got) != kv[1] {
-			t.Fatalf("recovered %s = %q, %v; want %q", kv[0], got, err, kv[1])
-		}
-	}
-	if err := st2.Apply([]Record{{Op: OpPut, Key: "x"}}); !errors.Is(err, ErrImmutableState) {
-		t.Fatalf("Apply on paldb state: %v, want ErrImmutableState", err)
 	}
 }
 

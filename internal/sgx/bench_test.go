@@ -20,7 +20,7 @@ func BenchmarkSeal128(b *testing.B) {
 	if err := e.AddPages([]byte("image")); err != nil {
 		b.Fatal(err)
 	}
-	signer, err := NewSigner()
+	signer, err := DefaultSigner()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -72,6 +72,21 @@ func NewSigner() (*Signer, error) {
 	return &Signer{key: key}, nil
 }
 
+var defaultSigner struct {
+	once   sync.Once
+	signer *Signer
+	err    error
+}
+
+// DefaultSigner returns the process-wide enclave author, generating its
+// key on first use. Every enclave built without an explicit signer is
+// signed by it, so they all share one MRSIGNER and the process pays RSA
+// key generation once.
+func DefaultSigner() (*Signer, error) {
+	defaultSigner.once.Do(func() { defaultSigner.signer, defaultSigner.err = NewSigner() })
+	return defaultSigner.signer, defaultSigner.err
+}
+
 // SigStruct is a signed statement binding an enclave measurement to its
 // author.
 type SigStruct struct {

@@ -9,18 +9,11 @@ import (
 	"montsalvat/internal/simcfg"
 )
 
-// sharedSigner avoids regenerating RSA keys in every test.
-var (
-	signerOnce sync.Once
-	signer     *Signer
-	signerErr  error
-)
-
 func testSigner(t *testing.T) *Signer {
 	t.Helper()
-	signerOnce.Do(func() { signer, signerErr = NewSigner() })
-	if signerErr != nil {
-		t.Fatalf("NewSigner: %v", signerErr)
+	signer, err := DefaultSigner()
+	if err != nil {
+		t.Fatalf("DefaultSigner: %v", err)
 	}
 	return signer
 }

@@ -259,7 +259,7 @@ func testEnclave(t *testing.T) *sgx.Enclave {
 	if err := e.AddPages([]byte("img")); err != nil {
 		t.Fatal(err)
 	}
-	signer, err := sgx.NewSigner()
+	signer, err := sgx.DefaultSigner()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,35 +224,24 @@ type Config struct {
 	// trigger paging.
 	EPCBytes int
 
-	// EnclaveHeapBytes and EnclaveStackBytes bound the enclave (§6.1:
-	// 4 GB heap, 8 MB stack). The simulator enforces the heap bound.
-	EnclaveHeapBytes  int
-	EnclaveStackBytes int
+	// EnclaveHeapBytes bounds the enclave heap (§6.1: 4 GB).
+	EnclaveHeapBytes int
 
 	// Spin selects real busy-wait charging (benchmarks) versus pure
 	// virtual accounting (tests).
 	Spin bool
-
-	// SleepCharges, together with Spin, charges costs as timer waits
-	// instead of busy-waits: stall-dominated costs (transitions, MEE
-	// traffic) release the core while they elapse, so concurrently
-	// crossing goroutines overlap their charged time. The concurrency
-	// benchmarks use it to measure lock scaling on hosts with few cores.
-	// Ignored when Spin is false.
-	SleepCharges bool
 }
 
 // Default returns the configuration matching the paper's evaluation
 // platform (§6.1).
 func Default() Config {
 	return Config{
-		CPUHz:             CPUHz,
-		EcallCycles:       EcallCycles,
-		OcallCycles:       OcallCycles,
-		EPCBytes:          DefaultEPCBytes,
-		EnclaveHeapBytes:  4 << 30,
-		EnclaveStackBytes: 8 << 20,
-		Spin:              false,
+		CPUHz:            CPUHz,
+		EcallCycles:      EcallCycles,
+		OcallCycles:      OcallCycles,
+		EPCBytes:         DefaultEPCBytes,
+		EnclaveHeapBytes: 4 << 30,
+		Spin:             false,
 	}
 }
 

@@ -35,13 +35,12 @@ type GatewayOptions struct {
 	Durable bool
 	// FS is the untrusted durable storage (default: fresh MemFS).
 	FS shim.FS
-	// Addr is the listen address (default: loopback, ephemeral port).
-	Addr string
 }
 
-// Gateway is a served enclave world on a loopback listener, optionally
-// wired to a durable store: the in-process fixture the served tests,
-// the benchmark harness and the orderly gateway driver all share.
+// Gateway is a served enclave world on an ephemeral loopback port,
+// optionally wired to a durable store: the in-process fixture the
+// served tests, the benchmark harness and the orderly gateway driver
+// all share.
 type Gateway struct {
 	W   *serve.Server
 	ln  net.Listener
@@ -113,11 +112,7 @@ func StartGateway(opts GatewayOptions) (*Gateway, error) {
 			return ref, nil
 		})
 	}
-	addr := opts.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}

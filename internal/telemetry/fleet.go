@@ -49,8 +49,9 @@ func (f *Fleet) Telemetry() *Telemetry {
 }
 
 // Node returns (creating on first use) the telemetry bundle for the
-// named fleet actor: a private registry plus the shared tracer and
-// event journal. Nil when f is nil, so a fleet-less fabric stays a
+// named fleet actor: a private registry plus the shared event journal
+// and a view of the shared tracer that stamps name on the spans it
+// starts. Nil when f is nil, so a fleet-less fabric stays a
 // disabled telemetry layer.
 func (f *Fleet) Node(name string) *Telemetry {
 	if f == nil {
@@ -61,7 +62,7 @@ func (f *Fleet) Node(name string) *Telemetry {
 	if t, ok := f.nodes[name]; ok {
 		return t
 	}
-	t := &Telemetry{reg: NewRegistry(), tracer: f.tel.tracer, events: f.tel.events}
+	t := &Telemetry{reg: NewRegistry(), tracer: f.tel.tracer.forNode(name), events: f.tel.events}
 	f.nodes[name] = t
 	return t
 }

@@ -49,7 +49,10 @@ type Span struct {
 	// BatchSize is the number of coalesced calls for a batched flush.
 	BatchSize int `json:"batch_size,omitempty"`
 	// Node names the fabric actor that recorded this span ("router",
-	// "shard-2", "shard-2/replica-0", ...). Empty for single-World runs.
+	// "shard-2", "shard-2/replica-0", ...), stamped where the span
+	// starts: a child takes its parent's node, any other span its
+	// tracer's (a fleet node's view, see Fleet.Node). Empty for
+	// single-World runs.
 	Node string `json:"node,omitempty"`
 	// Epoch is the fabric table epoch observed by this hop.
 	Epoch uint64 `json:"epoch,omitempty"`
@@ -213,8 +216,15 @@ func (sp *Span) Finish(err error) {
 
 // Tracer samples boundary-call chains into a fixed-size lock-free ring
 // of completed spans. Sampling is decided at the root of a chain; child
-// spans of a sampled root are always captured.
+// spans of a sampled root are always captured. The nodes of a fleet
+// share one ring through views that differ only in the node they stamp.
 type Tracer struct {
+	*spanRing
+	node string
+}
+
+// spanRing is the state every view of one tracer shares.
+type spanRing struct {
 	ring   []atomic.Pointer[Span]
 	next   atomic.Uint64 // ring write cursor
 	thresh uint64        // sample iff next prng draw < thresh
@@ -228,7 +238,7 @@ func NewTracer(sampleRate float64, buffer int, seed uint64) *Tracer {
 	if buffer <= 0 {
 		buffer = 256
 	}
-	t := &Tracer{ring: make([]atomic.Pointer[Span], buffer)}
+	t := &Tracer{spanRing: &spanRing{ring: make([]atomic.Pointer[Span], buffer)}}
 	switch {
 	case sampleRate >= 1:
 		t.thresh = math.MaxUint64
@@ -239,6 +249,15 @@ func NewTracer(sampleRate float64, buffer int, seed uint64) *Tracer {
 	}
 	t.rng.Store(seed)
 	return t
+}
+
+// forNode returns a view of t that stamps node on the spans it starts
+// without a parent (nil when t is nil).
+func (t *Tracer) forNode(node string) *Tracer {
+	if t == nil {
+		return nil
+	}
+	return &Tracer{spanRing: t.spanRing, node: node}
 }
 
 // splitmix64 advances the sampler state and returns the next draw. The
@@ -278,6 +297,7 @@ func (t *Tracer) StartRoot(name string) *Span {
 		TraceID: id,
 		SpanID:  id,
 		Name:    name,
+		Node:    t.node,
 		StartNS: time.Now().UnixNano(),
 	}
 }
@@ -300,6 +320,7 @@ func (t *Tracer) StartRemote(sc SpanContext, name string) *Span {
 		SpanID:   t.ids.Add(1),
 		ParentID: sc.SpanID,
 		Name:     name,
+		Node:     t.node,
 		StartNS:  time.Now().UnixNano(),
 	}
 }
@@ -316,6 +337,7 @@ func (t *Tracer) StartChild(parent *Span, name string) *Span {
 		SpanID:   t.ids.Add(1),
 		ParentID: parent.SpanID,
 		Name:     name,
+		Node:     parent.Node,
 		StartNS:  time.Now().UnixNano(),
 	}
 }

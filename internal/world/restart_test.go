@@ -183,8 +183,7 @@ func TestFailedFirstBootLeavesNothingBehind(t *testing.T) {
 
 // TestFailedUnpartitionedBootLeavesNothingBehind is the same for the
 // single-image constructor, whose error paths returned without a
-// teardown: the enclave stayed alive and a sleeping clock's tick
-// broadcaster ran for the life of the process.
+// teardown: the enclave stayed alive.
 func TestFailedUnpartitionedBootLeavesNothingBehind(t *testing.T) {
 	errBoot := errors.New("static initialiser refused")
 	img, err := core.BuildUnpartitioned(bankWithFailingInit(t, errBoot))
@@ -192,7 +191,6 @@ func TestFailedUnpartitionedBootLeavesNothingBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := world.DefaultOptions()
-	opts.Cfg.Spin, opts.Cfg.SleepCharges = true, true // a ModeSleep clock
 
 	before := runtime.NumGoroutine()
 	w, err := world.NewUnpartitioned(opts, img, true)
@@ -208,8 +206,7 @@ func bankWithFailingInit(t *testing.T, errBoot error) *classmodel.Program {
 	if err := acct.AddMethod(&classmodel.Method{
 		Name: classmodel.StaticInitName, Static: true,
 		Body: func(env classmodel.Env, _ wire.Value, _ []wire.Value) (wire.Value, error) {
-			// Some work first: a charge long enough to start a sleeping
-			// clock's broadcaster.
+			// Some work first, so the failure comes mid-boot.
 			env.MemTouch(1 << 20)
 			return wire.Value{}, errBoot
 		},

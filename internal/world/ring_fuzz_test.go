@@ -7,7 +7,6 @@ import (
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/core"
 	"montsalvat/internal/demo"
-	"montsalvat/internal/sgx"
 	"montsalvat/internal/transform"
 	"montsalvat/internal/wire"
 	"montsalvat/internal/world"
@@ -39,12 +38,7 @@ func FuzzRingSlot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	signer, err := sgx.NewSigner()
-	if err != nil {
-		f.Fatal(err)
-	}
 	opts := world.DefaultOptions()
-	opts.Signer = signer
 	// fixture boots the world and makes the two mirrors; it returns their
 	// hashes, which are the same in every fresh world.
 	fixture := func(tb testing.TB) (w *world.World, acct, person int64) {

@@ -107,7 +107,9 @@ type Options struct {
 	// consume one slot per nesting level, and every ring consumer and
 	// each gateway lane holds one for its life).
 	NumTCS int
-	// Signer signs the trusted image (generated when nil).
+	// Signer signs the trusted image (sgx.DefaultSigner when nil). A
+	// restart re-signs with the same author, so MRSIGNER-sealed state
+	// stays readable.
 	Signer *sgx.Signer
 	// Telemetry, when non-nil, instruments every boundary crossing:
 	// transition latency/cycle histograms, batching queue waits, GC sweep
@@ -193,16 +195,6 @@ func NewPartitioned(opts Options, tImg, uImg *image.Image, iface *edl.File) (*Wo
 	if tImg.Kind() != image.TrustedImage || uImg.Kind() != image.UntrustedImage {
 		return nil, errors.New("world: image kinds mismatched")
 	}
-	if opts.Signer == nil {
-		// Generate the signing identity up front and retain it in the
-		// build options: a restarted enclave must be re-signed by the
-		// same author or its MRSIGNER-sealed state becomes unreadable.
-		signer, err := sgx.NewSigner()
-		if err != nil {
-			return nil, err
-		}
-		opts.Signer = signer
-	}
 	w, err := newWorld(ModePartitioned, opts)
 	if err != nil {
 		return nil, err
@@ -213,7 +205,6 @@ func NewPartitioned(opts Options, tImg, uImg *image.Image, iface *edl.File) (*Wo
 	// Nothing else can reach w yet, which is as good as holding stateMu.
 	if err := w.rebuildLocked(); err != nil {
 		w.teardownLocked()
-		w.clock.Stop()
 		return nil, err
 	}
 	return w, nil
@@ -274,7 +265,6 @@ func NewUnpartitioned(opts Options, img *image.Image, inEnclave bool) (*World, e
 	// Nothing else can reach w yet, which is as good as holding stateMu.
 	if err := w.bootUnpartitioned(opts, img, inEnclave); err != nil {
 		w.teardownLocked()
-		w.clock.Stop()
 		return nil, err
 	}
 	return w, nil
@@ -304,17 +294,10 @@ func newWorld(mode Mode, opts Options) (*World, error) {
 	if cfg.CPUHz == 0 {
 		cfg = simcfg.Default()
 	}
-	clockMode := cycles.ModeVirtual
-	if cfg.Spin {
-		clockMode = cycles.ModeSpin
-		if cfg.SleepCharges {
-			clockMode = cycles.ModeSleep
-		}
-	}
 	w := &World{
 		mode:   mode,
 		cfg:    cfg,
-		clock:  cycles.NewWithMode(cfg.CPUHz, clockMode),
+		clock:  cycles.New(cfg.CPUHz, cfg.Spin),
 		bufs:   boundary.NewBufPool(),
 		hostFS: hostFS,
 		tel:    opts.Telemetry,
@@ -349,8 +332,7 @@ func (w *World) initEnclave(opts Options, tImg *image.Image) error {
 	}
 	signer := opts.Signer
 	if signer == nil {
-		signer, err = sgx.NewSigner()
-		if err != nil {
+		if signer, err = sgx.DefaultSigner(); err != nil {
 			return err
 		}
 	}
@@ -802,7 +784,6 @@ func (w *World) CloseErr() error {
 	if w.enclave != nil {
 		w.enclave.Destroy()
 	}
-	w.clock.Stop()
 	return err
 }
 
