@@ -7,14 +7,14 @@
 //	montsalvat-bench -experiment fig7     # one experiment
 //	montsalvat-bench -list                # list experiment IDs
 //	montsalvat-bench -quick               # reduced problem sizes
-//	montsalvat-bench -spin=false          # virtual-only cost accounting
 //	montsalvat-bench -profile-dispatch    # telemetry-instrumented dispatch profile
 //	montsalvat-bench -experiment fig7 -cpuprofile cpu.prof -memprofile mem.prof
 //	montsalvat-bench -experiment fig7 -json BENCH.json -label L  # record the run
 //
-// With -spin (the default), simulated costs — enclave transitions, MEE
-// traffic — are charged as real busy-wait time so wall-clock measurements
-// reflect them; -spin=false keeps runs fast and fully deterministic.
+// Simulated costs — enclave transitions, MEE traffic — are charged on a
+// deterministic cycle ledger; a timed value is the host time measured
+// plus the ledger's delta at the modelled clock rate, and each table
+// carries the ledger itself (Series.Cycles).
 //
 // With -json, every experiment run also appends one record — its label,
 // the run's options and the experiment's table, cycle ledger included —
@@ -47,7 +47,6 @@ func run(args []string, out io.Writer) (err error) {
 	var (
 		experiment = fs.String("experiment", "all", "experiment ID (see -list) or \"all\"")
 		quick      = fs.Bool("quick", false, "reduced problem sizes")
-		spin       = fs.Bool("spin", true, "charge simulated costs as real busy-wait time")
 		list       = fs.Bool("list", false, "list experiment IDs and exit")
 		format     = fs.String("format", "text", "output format: text or csv")
 		profile    = fs.Bool("profile-dispatch", false, "run the KV demo with full-rate telemetry and print the dispatch profile")
@@ -89,7 +88,7 @@ func run(args []string, out io.Writer) (err error) {
 		}()
 	}
 
-	opts := bench.Options{Quick: *quick, Spin: *spin}
+	opts := bench.Options{Quick: *quick}
 	if *profile {
 		report, err := bench.DispatchProfile(opts)
 		if err != nil {
@@ -122,7 +121,7 @@ func run(args []string, out io.Writer) (err error) {
 			fmt.Fprintf(out, "(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		}
 		if *jsonPath != "" {
-			rec := record{Label: *label, GoMaxProcs: runtime.GOMAXPROCS(0), Quick: opts.Quick, Spin: opts.Spin, Table: table}
+			rec := record{Label: *label, GoMaxProcs: runtime.GOMAXPROCS(0), Quick: opts.Quick, Table: table}
 			if err := appendRecord(*jsonPath, rec); err != nil {
 				return err
 			}
@@ -172,7 +171,6 @@ type record struct {
 	Label      string       `json:"label"`
 	GoMaxProcs int          `json:"gomaxprocs"`
 	Quick      bool         `json:"quick"`
-	Spin       bool         `json:"spin"`
 	Table      *bench.Table `json:"table"`
 }
 

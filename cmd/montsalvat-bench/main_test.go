@@ -27,7 +27,7 @@ func TestList(t *testing.T) {
 
 func TestSingleExperimentQuick(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-experiment", "table1", "-quick", "-spin=false"}, &sb); err != nil {
+	if err := run([]string{"-experiment", "table1", "-quick"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -38,7 +38,7 @@ func TestSingleExperimentQuick(t *testing.T) {
 
 func TestProfileDispatch(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-profile-dispatch", "-quick", "-spin=false"}, &sb); err != nil {
+	if err := run([]string{"-profile-dispatch", "-quick"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -71,7 +71,7 @@ func TestBadFlag(t *testing.T) {
 
 func TestCSVFormat(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-experiment", "ablation-tcb", "-quick", "-spin=false", "-format", "csv"}, &sb); err != nil {
+	if err := run([]string{"-experiment", "ablation-tcb", "-quick", "-format", "csv"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -93,7 +93,7 @@ func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
 	var sb strings.Builder
-	if err := run([]string{"-experiment", "fig5a", "-quick", "-spin=false", "-cpuprofile", cpu, "-memprofile", mem}, &sb); err != nil {
+	if err := run([]string{"-experiment", "fig5a", "-quick", "-cpuprofile", cpu, "-memprofile", mem}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "GC-in") {
@@ -109,7 +109,7 @@ func TestProfileFlags(t *testing.T) {
 	if err := run([]string{"-list", "-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}, &sb); err != nil {
 		t.Fatalf("-list must not open profiles: %v", err)
 	}
-	if err := run([]string{"-experiment", "fig5a", "-quick", "-spin=false", "-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}, &sb); err == nil {
+	if err := run([]string{"-experiment", "fig5a", "-quick", "-cpuprofile", filepath.Join(dir, "missing", "cpu.prof")}, &sb); err == nil {
 		t.Fatal("accepted an unwritable -cpuprofile path")
 	}
 }
@@ -119,7 +119,7 @@ func TestProfileFlags(t *testing.T) {
 func TestJSONRecordsSelectedExperiment(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "b.json")
 	var sb strings.Builder
-	if err := run([]string{"-json", path, "-label", "t", "-experiment", "fig5a", "-quick", "-spin=false"}, &sb); err != nil {
+	if err := run([]string{"-json", path, "-label", "t", "-experiment", "fig5a", "-quick"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	recs := readTrajectory(t, path)
@@ -127,7 +127,7 @@ func TestJSONRecordsSelectedExperiment(t *testing.T) {
 		t.Fatalf("%d records, want 1", len(recs))
 	}
 	rec := recs[0]
-	if rec.Label != "t" || !rec.Quick || rec.Spin || rec.GoMaxProcs < 1 || rec.Table == nil || rec.Table.ID != "fig5a" {
+	if rec.Label != "t" || !rec.Quick || rec.GoMaxProcs < 1 || rec.Table == nil || rec.Table.ID != "fig5a" {
 		t.Fatalf("record = %+v", rec)
 	}
 	want, err := bench.Fig5a(bench.Options{Quick: true})
@@ -200,6 +200,21 @@ func TestRecordedTrajectory(t *testing.T) {
 	}
 	if got := readTrajectory(t, path); len(got) != len(recs)+1 || got[len(recs)].Label != "appended" {
 		t.Fatalf("%d records after the append, want %d", len(got), len(recs)+1)
+	}
+	// Runs recorded while the clock still had a busy-wait mode carry a
+	// "spin" key, kept by the append above; a new record has none.
+	var keyed struct {
+		Records []map[string]json.RawMessage `json:"records"`
+	}
+	if err := json.Unmarshal(raw, &keyed); err != nil {
+		t.Fatal(err)
+	}
+	spun := false
+	for _, r := range keyed.Records[:len(recs)] {
+		spun = spun || string(r["spin"]) == "true"
+	}
+	if _, ok := keyed.Records[len(recs)]["spin"]; !spun || ok {
+		t.Fatalf("%s: an old record with \"spin\": true = %v, the appended record has a spin key = %v", name, spun, ok)
 	}
 
 	fresh := filepath.Join(t.TempDir(), "new.json")

@@ -36,7 +36,6 @@ func AblationSwitchless(opts Options) (*Table, error) {
 			return nil, err
 		}
 		wopts := world.DefaultOptions()
-		wopts.Cfg = opts.Config()
 		wopts.Cfg.Switchless = mode.switchless
 		w, _, err := core.NewPartitionedWorld(p, wopts)
 		if err != nil {
@@ -107,7 +106,6 @@ func runDispatchMode(opts Options, switchless, batching bool, invocations int) (
 		return dispatchRun{}, err
 	}
 	wopts := world.DefaultOptions()
-	wopts.Cfg = opts.Config()
 	wopts.Cfg.Switchless = switchless
 	wopts.Cfg.Batching = batching
 	w, _, err := core.NewPartitionedWorld(p, wopts)
@@ -243,7 +241,6 @@ func AblationTransitionCost(opts Options) (*Table, error) {
 			return nil, err
 		}
 		wopts := world.DefaultOptions()
-		wopts.Cfg = opts.Config()
 		wopts.Cfg.EcallCycles = cost
 		wopts.Cfg.OcallCycles = cost * 2 / 3
 		wopts.UntrustedHeap = heap.Config{InitialSemi: 8 << 20, MaxSemi: 1 << 30}

@@ -6,11 +6,10 @@
 //
 // Experiments measure a combination of real work (AES in the MEE,
 // serialization, kernel compute) and charged simulated cycles (enclave
-// transitions, MEE traffic accounted on the virtual ledger). The meter
-// below reports both consistently: with spinning enabled (benchmark
-// mode), charged cycles are already wall-clock time; without it (test
-// mode) they are added analytically, keeping experiments deterministic
-// and fast.
+// transitions, MEE traffic accounted on the cycle ledger). The meter
+// below reports both: host wall time plus the ledger's delta converted
+// at the modelled clock rate. The ledger repeats exactly, so the shape
+// tests assert on it.
 package bench
 
 import (
@@ -20,23 +19,12 @@ import (
 	"time"
 
 	"montsalvat/internal/cycles"
-	"montsalvat/internal/simcfg"
 )
 
 // Options tunes experiment scale.
 type Options struct {
 	// Quick shrinks problem sizes for fast runs (tests, -quick).
 	Quick bool
-	// Spin charges simulated costs as real busy-wait time.
-	Spin bool
-}
-
-// Config returns the platform configuration for the options.
-func (o Options) Config() simcfg.Config {
-	if o.Spin {
-		return simcfg.ForBench()
-	}
-	return simcfg.Default()
 }
 
 // scale picks full or quick experiment parameters.
@@ -195,8 +183,8 @@ func formatValue(v float64) string {
 	}
 }
 
-// meter measures elapsed experiment time consistently across spinning and
-// virtual cost accounting.
+// meter measures an experiment window in both currencies: host wall time
+// and the cycles charged on the ledger.
 type meter struct {
 	clock  *cycles.Clock
 	start  time.Time
@@ -229,11 +217,11 @@ func (m meter) stop() timing {
 	return t
 }
 
-// elapsed returns the window's duration: wall time plus (when the clock
-// does not spin) the charged virtual cycles.
+// elapsed returns the window's duration: wall time plus the charged
+// cycles at the modelled clock rate.
 func (m meter) elapsed() time.Duration {
 	wall := time.Since(m.start)
-	if m.clock == nil || m.clock.Spinning() {
+	if m.clock == nil {
 		return wall
 	}
 	return wall + m.clock.Duration(m.clock.Total()-m.cycles)

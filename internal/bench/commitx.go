@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"montsalvat/internal/persist"
+	"montsalvat/internal/simcfg"
 )
 
 // groupCommitWriters is the concurrency sweep.
@@ -45,7 +46,7 @@ type commitCell struct {
 // every Append's wall latency is sampled.
 func runCommitCell(opts Options, writers int) (commitCell, error) {
 	perWriter := (groupCommitAppends(opts) + writers - 1) / writers
-	l, err := newRecoveryLineage(opts.Config())
+	l, err := newRecoveryLineage(simcfg.Default())
 	if err != nil {
 		return commitCell{}, err
 	}

@@ -113,7 +113,7 @@ func runConcurrentRMI(cfg simcfg.Config, n, iters int) (concResult, error) {
 func ConcurrentRMI(opts Options) (*Table, error) {
 	iters := opts.scale(300, 40)
 	// Regular transition cost, and no batching reordering the call stream.
-	cfg := opts.Config()
+	cfg := simcfg.Default()
 	cfg.Switchless, cfg.Batching = false, false
 	t := &Table{
 		ID:      "concurrent-rmi",
@@ -145,6 +145,6 @@ func ConcurrentRMI(opts Options) (*Table, error) {
 	t.AddRow("p99-ns", p99...)
 	t.AddRow("transitions/op", trans...)
 	t.AddRow("cycles/op", cyc...)
-	t.AddNote("GOMAXPROCS=%d; with -spin every charge busy-waits its core, so host cores bound the speedup", runtime.GOMAXPROCS(0))
+	t.AddNote("GOMAXPROCS=%d; throughput is the simulator's host throughput (charges take no wall time); a modelled multi-core capacity needs a per-lane ledger", runtime.GOMAXPROCS(0))
 	return t, nil
 }

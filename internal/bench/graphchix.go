@@ -164,7 +164,6 @@ func runGraphChi(opts Options, cfg graphchiConfig, g rmat.Graph, numShards int) 
 		return graphchiRun{}, err
 	}
 	wopts := world.DefaultOptions()
-	wopts.Cfg = opts.Config()
 	wopts.TrustedHeap = heap.Config{InitialSemi: 8 << 20, MaxSemi: 1 << 30}
 	wopts.UntrustedHeap = heap.Config{InitialSemi: 8 << 20, MaxSemi: 1 << 30}
 	if cfg.partitioned {

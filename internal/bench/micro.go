@@ -132,8 +132,8 @@ func microProgram() (*classmodel.Program, error) {
 
 // microWorld builds a partitioned world for the micro-benchmarks with
 // heaps sized for the object-count sweeps.
-func microWorld(opts Options) (*world.World, error) {
-	return microWorldCfg(opts.Config())
+func microWorld() (*world.World, error) {
+	return microWorldCfg(simcfg.Default())
 }
 
 // microWorldCfg is microWorld with an explicit platform configuration
@@ -175,7 +175,7 @@ func cleanupMicro(w *world.World) error {
 // Fig3 measures proxy-object creation versus concrete-object creation in
 // and out of the enclave (§6.2).
 func Fig3(opts Options) (*Table, error) {
-	w, err := microWorld(opts)
+	w, err := microWorld()
 	if err != nil {
 		return nil, err
 	}
@@ -233,7 +233,7 @@ func Fig3(opts Options) (*Table, error) {
 // Fig4a measures remote method invocation latency versus concrete
 // invocation (§6.3, Fig. 4a, the non-serialized series).
 func Fig4a(opts Options) (*Table, error) {
-	w, err := microWorld(opts)
+	w, err := microWorld()
 	if err != nil {
 		return nil, err
 	}
@@ -295,7 +295,7 @@ func Fig4a(opts Options) (*Table, error) {
 // Fig. 4b): a fixed number of invocations carrying a list of 16-byte
 // strings whose length is swept.
 func Fig4b(opts Options) (*Table, error) {
-	w, err := microWorld(opts)
+	w, err := microWorld()
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +423,7 @@ func Fig5a(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		clk := cycles.New(simcfg.CPUHz, opts.Spin)
+		clk := cycles.New(simcfg.CPUHz)
 		res, err := epc.NewResidency(simcfg.DefaultEPCBytes, clk)
 		if err != nil {
 			return nil, err
@@ -452,7 +452,7 @@ func Fig5a(opts Options) (*Table, error) {
 // objects in the in-enclave registry are sampled; the two series must
 // track each other.
 func Fig5b(opts Options) (*Table, error) {
-	w, err := microWorld(opts)
+	w, err := microWorld()
 	if err != nil {
 		return nil, err
 	}

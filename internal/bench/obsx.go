@@ -27,7 +27,6 @@ func DispatchProfile(opts Options) (string, error) {
 		Seed:            1,
 	})
 	wopts := world.DefaultOptions()
-	wopts.Cfg = opts.Config()
 	wopts.Telemetry = tel
 	w, _, err := core.NewPartitionedWorld(demo.MustKVProgram(), wopts)
 	if err != nil {
@@ -139,7 +138,6 @@ func obsModes() []obsMode {
 // and returns the charged virtual cycles and wall time of the run.
 func obsRun(opts Options, tel *telemetry.Telemetry) (cycles int64, wall time.Duration, err error) {
 	wopts := world.DefaultOptions()
-	wopts.Cfg = opts.Config()
 	wopts.Telemetry = tel
 	w, _, err := core.NewPartitionedWorld(demo.MustKVProgram(), wopts)
 	if err != nil {

@@ -225,7 +225,6 @@ func runPalDB(opts Options, scheme paldbScheme, nKeys, batch int) (timing, world
 		return timing{}, world.Stats{}, err
 	}
 	wopts := world.DefaultOptions()
-	wopts.Cfg = opts.Config()
 	wopts.TrustedHeap = heap.Config{InitialSemi: 8 << 20, MaxSemi: 1 << 30}
 	wopts.UntrustedHeap = heap.Config{InitialSemi: 8 << 20, MaxSemi: 1 << 30}
 

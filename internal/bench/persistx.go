@@ -51,7 +51,7 @@ func (l *recoveryLineage) boot() (*persist.Manager, *persist.MapState, error) {
 // storage itself or, shimmed, the new enclave's shim over it, whose
 // every operation is a charged ocall.
 func (l *recoveryLineage) bootOn(shimmed bool) (*persist.Manager, *persist.MapState, *sgx.Enclave, error) {
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	e, err := sgx.Create(l.cfg, clk, 4)
 	if err != nil {
 		return nil, nil, nil, err
@@ -178,7 +178,7 @@ func replayedName(interval int) string { return intervalName(interval) + " repla
 // at the cost of more sealed snapshot writes during normal operation.
 func RecoveryTime(opts Options) (*Table, error) {
 	counts := sweep(opts.scale(1_000, 200), opts.scale(8_000, 1_000), opts.scale(4, 3))
-	cfg := opts.Config()
+	cfg := simcfg.Default()
 	t := &Table{
 		ID:      "recovery",
 		Title:   "Crash-recovery latency vs WAL length and checkpoint cadence",

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"montsalvat/internal/simcfg"
 )
 
 // recoveryTable is the quick-scale recovery table, computed once for
@@ -54,11 +56,11 @@ func TestRecoveryTimeShape(t *testing.T) {
 		}
 	}
 	const records = 1000
-	whole, err := runRecovery(quickOpts().Config(), records, 0)
+	whole, err := runRecovery(simcfg.Default(), records, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail, err := runRecovery(quickOpts().Config(), records, tightest)
+	tail, err := runRecovery(simcfg.Default(), records, tightest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestRecoveryTimeShape(t *testing.T) {
 		t.Errorf("replayed %d records without checkpoints and %d at ckpt/%d, want %d and %d",
 			whole.ReplayedRecords, tail.ReplayedRecords, tightest, records, records%tightest)
 	}
-	if again, err := runRecovery(quickOpts().Config(), records, tightest); err != nil || again.Cycles != tail.Cycles {
+	if again, err := runRecovery(simcfg.Default(), records, tightest); err != nil || again.Cycles != tail.Cycles {
 		t.Errorf("recovery ledger does not repeat: %d then %d cycles (%v)", tail.Cycles, again.Cycles, err)
 	}
 }

@@ -31,7 +31,7 @@ func ringPayloads(opts Options) []int {
 // sweep: the tuned frame path (switchless cost, no rings) and the ring
 // data plane (slots sized to hold the largest payload in the sweep).
 func ringSweepCfg(opts Options) (frame, rings simcfg.Config) {
-	frame = opts.Config()
+	frame = simcfg.Default()
 	frame.Switchless = true
 	frame.Batching = false
 	frame.Rings = false

@@ -157,7 +157,6 @@ func Fig6(opts Options) (*Table, error) {
 				return nil, err
 			}
 			wopts := world.DefaultOptions()
-			wopts.Cfg = opts.Config()
 			wopts.TrustedHeap = heap.Config{InitialSemi: 4 << 20, MaxSemi: 512 << 20}
 			wopts.UntrustedHeap = heap.Config{InitialSemi: 4 << 20, MaxSemi: 512 << 20}
 			w, _, err := core.NewPartitionedWorld(prog, wopts)

@@ -211,7 +211,7 @@ func testEnclave(t *testing.T, image string) *sgx.Enclave {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := sgx.Create(simcfg.Default(), cycles.New(simcfg.CPUHz, false), 1)
+	e, err := sgx.Create(simcfg.Default(), cycles.New(simcfg.CPUHz), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

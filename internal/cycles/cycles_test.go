@@ -7,20 +7,16 @@ import (
 )
 
 func TestChargeAccumulates(t *testing.T) {
-	c := New(3.8e9, false)
+	c := New(3.8e9)
 	c.Charge(100)
 	c.Charge(250)
 	if got := c.Total(); got != 350 {
 		t.Fatalf("Total() = %d, want 350", got)
 	}
-	c.Reset()
-	if got := c.Total(); got != 0 {
-		t.Fatalf("Total() after Reset = %d, want 0", got)
-	}
 }
 
 func TestChargeIgnoresNonPositive(t *testing.T) {
-	c := New(1e9, false)
+	c := New(1e9)
 	c.Charge(0)
 	c.Charge(-5)
 	if got := c.Total(); got != 0 {
@@ -42,7 +38,7 @@ func TestChargeBytes(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			c := New(1e9, false)
+			c := New(1e9)
 			c.ChargeBytes(tt.bytes, tt.bytesPerCycle)
 			if got := c.Total(); got != tt.want {
 				t.Errorf("Total() = %d, want %d", got, tt.want)
@@ -52,37 +48,21 @@ func TestChargeBytes(t *testing.T) {
 }
 
 func TestDurationConversion(t *testing.T) {
-	c := New(1e9, false) // 1 GHz: 1 cycle == 1 ns
+	c := New(1e9) // 1 GHz: 1 cycle == 1 ns
 	if got := c.Duration(1000); got != time.Microsecond {
 		t.Fatalf("Duration(1000) = %v, want 1µs", got)
-	}
-	if got := c.Cycles(time.Microsecond); got != 1000 {
-		t.Fatalf("Cycles(1µs) = %d, want 1000", got)
 	}
 }
 
 func TestDefaultHzOnInvalid(t *testing.T) {
-	c := New(0, false)
-	if c.Hz() != 1e9 {
-		t.Fatalf("Hz() = %v, want fallback 1e9", c.Hz())
-	}
-}
-
-func TestSpinningChargesWallClock(t *testing.T) {
-	c := New(1e9, true) // 1 cycle == 1 ns
-	start := time.Now()
-	c.Charge(2_000_000) // 2 ms
-	elapsed := time.Since(start)
-	if elapsed < 1500*time.Microsecond {
-		t.Fatalf("spin charge of 2ms elapsed only %v", elapsed)
-	}
-	if !c.Spinning() {
-		t.Fatal("Spinning() = false, want true")
+	c := New(0) // falls back to 1 GHz: 1 cycle == 1 ns
+	if got := c.Duration(1000); got != time.Microsecond {
+		t.Fatalf("Duration(1000) = %v, want the 1 GHz fallback's 1µs", got)
 	}
 }
 
 func TestConcurrentCharge(t *testing.T) {
-	c := New(1e9, false)
+	c := New(1e9)
 	const (
 		goroutines = 8
 		perG       = 1000

@@ -21,7 +21,7 @@ func testMemory(t *testing.T, size, epcBytes int) (*Memory, *Residency, *cycles.
 	if err != nil {
 		t.Fatalf("mee.NewWithKey: %v", err)
 	}
-	clk := cycles.New(3.8e9, false)
+	clk := cycles.New(3.8e9)
 	var res *Residency
 	if epcBytes > 0 {
 		res, err = NewResidency(epcBytes, clk)
@@ -191,7 +191,7 @@ func TestResidencySharedAcrossMemories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := cycles.New(1e9, false)
+	clk := cycles.New(1e9)
 	res, err := NewResidency(2*4096, clk)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := cycles.New(1e9, false)
+	clk := cycles.New(1e9)
 	if _, err := New(-1, nil, eng, clk); err == nil {
 		t.Fatal("New accepted negative size")
 	}

@@ -129,7 +129,7 @@ func newModelled(t testing.TB, size, epcPages int) *modelled {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := cycles.New(3.8e9, false)
+	clk := cycles.New(3.8e9)
 	res, err := NewResidency(epcPages*pageBytes, clk)
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func benchMemory(b *testing.B) *Memory {
 	if err != nil {
 		b.Fatal(err)
 	}
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	res, err := NewResidency(simcfg.DefaultEPCBytes, clk)
 	if err != nil {
 		b.Fatal(err)

@@ -26,7 +26,7 @@ func newEPCHeap(tb testing.TB, cfg Config, epcPages int) epcHeap {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	res, err := epc.NewResidency(epcPages*simcfg.PageBytes, clk)
 	if err != nil {
 		tb.Fatal(err)

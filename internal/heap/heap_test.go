@@ -438,7 +438,7 @@ func TestEPCBackedHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := cycles.New(3.8e9, false)
+	clk := cycles.New(3.8e9)
 	h, err := New(Config{InitialSemi: 1 << 14, MaxSemi: 1 << 18}, func(size int) (Backend, error) {
 		return epc.New(size, nil, eng, clk)
 	})

@@ -62,7 +62,7 @@ func epcIsolate(tb testing.TB) (*Isolate, *mee.Engine) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	res, err := epc.NewResidency(simcfg.DefaultEPCBytes, clk)
 	if err != nil {
 		tb.Fatal(err)

@@ -185,7 +185,7 @@ func tamperIsolate(t *testing.T) (*Isolate, *[]*epc.Memory) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	var mems []*epc.Memory
 	h, err := heap.New(heap.Config{InitialSemi: 1 << 16, MaxSemi: 1 << 16}, func(size int) (heap.Backend, error) {
 		m, err := epc.New(size, nil, eng, clk)

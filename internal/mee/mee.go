@@ -16,8 +16,8 @@
 // cipher). What makes memory-bound enclave workloads slower than their
 // untrusted counterparts in the figures, though, is not this host work
 // but the cycle ledger: the EPC layer charges simcfg.MEEBytesPerCycle for
-// every byte moved, and with simcfg.Config.Spin that charge is wall-clock
-// time. The kernel here is kept as cheap as the construction allows so
+// every byte moved, and a measurement adds that charge to the host time it
+// took. The kernel here is kept as cheap as the construction allows so
 // that the simulator's own overhead stays out of the measurements.
 //
 // The tag is AES over the ciphertext XOR-folded to one block. It binds

@@ -19,7 +19,7 @@ import (
 // enclave" is just another call (optionally with an upgraded image).
 func testEnclave(t *testing.T, image string) *sgx.Enclave {
 	t.Helper()
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	e, err := sgx.Create(simcfg.Default(), clk, 4)
 	if err != nil {
 		t.Fatalf("Create: %v", err)

@@ -13,7 +13,7 @@ var sinkBlob []byte
 // per commit.
 func BenchmarkSeal128(b *testing.B) {
 	b.ReportAllocs()
-	e, err := Create(simcfg.Default(), cycles.New(simcfg.CPUHz, false), 4)
+	e, err := Create(simcfg.Default(), cycles.New(simcfg.CPUHz), 4)
 	if err != nil {
 		b.Fatal(err)
 	}

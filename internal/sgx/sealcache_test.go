@@ -13,7 +13,7 @@ import (
 // enclaveSignedBy is initializedEnclave under a given signing identity.
 func enclaveSignedBy(t *testing.T, s *Signer, image []byte) *Enclave {
 	t.Helper()
-	e, err := Create(simcfg.Default(), cycles.New(simcfg.CPUHz, false), 4)
+	e, err := Create(simcfg.Default(), cycles.New(simcfg.CPUHz), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func TestSealBindsPlatform(t *testing.T) {
 }
 
 func TestSealRequiresInit(t *testing.T) {
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	e, err := Create(simcfg.Default(), clk, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ func testSigner(t *testing.T) *Signer {
 
 func initializedEnclave(t *testing.T, image []byte) (*Enclave, *cycles.Clock) {
 	t.Helper()
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	e, err := Create(simcfg.Default(), clk, 4)
 	if err != nil {
 		t.Fatalf("Create: %v", err)
@@ -50,7 +50,7 @@ func TestLifecycleHappyPath(t *testing.T) {
 }
 
 func TestEcallBeforeInitFails(t *testing.T) {
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	e, err := Create(simcfg.Default(), clk, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestEcallBeforeInitFails(t *testing.T) {
 }
 
 func TestInitRejectsTamperedImage(t *testing.T) {
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	e, err := Create(simcfg.Default(), clk, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestInitRejectsTamperedImage(t *testing.T) {
 }
 
 func TestInitRejectsForgedSignature(t *testing.T) {
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	e, err := Create(simcfg.Default(), clk, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestInitRejectsForgedSignature(t *testing.T) {
 }
 
 func TestMeasurementDependsOnImage(t *testing.T) {
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	e1, _ := Create(simcfg.Default(), clk, 1)
 	e2, _ := Create(simcfg.Default(), clk, 1)
 	if err := e1.AddPages([]byte("image A")); err != nil {
@@ -156,7 +156,7 @@ func TestTransitionCostsCharged(t *testing.T) {
 }
 
 func TestSwitchlessModeIsCheaper(t *testing.T) {
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	cfg := simcfg.Default()
 	cfg.Switchless = true
 	e, err := Create(cfg, clk, 1)
@@ -380,7 +380,7 @@ func TestTCSLimitsConcurrency(t *testing.T) {
 }
 
 func TestEnclaveHeapBound(t *testing.T) {
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	cfg := simcfg.Default()
 	cfg.EnclaveHeapBytes = 1 << 20
 	e, err := Create(cfg, clk, 1)
@@ -453,7 +453,7 @@ func TestQuoteVerification(t *testing.T) {
 }
 
 func TestQuoteRequiresInit(t *testing.T) {
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	e, err := Create(simcfg.Default(), clk, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -251,7 +251,7 @@ func TestDirFSRequiresDirectory(t *testing.T) {
 
 func testEnclave(t *testing.T) *sgx.Enclave {
 	t.Helper()
-	clk := cycles.New(simcfg.CPUHz, false)
+	clk := cycles.New(simcfg.CPUHz)
 	e, err := sgx.Create(simcfg.Default(), clk, 2)
 	if err != nil {
 		t.Fatal(err)

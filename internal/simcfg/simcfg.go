@@ -9,8 +9,8 @@
 //   - memory-traffic costs (MEE encryption/decryption, EPC paging), charged
 //     per byte moved in or out of the enclave page cache.
 //
-// Tests use the deterministic virtual clock (no spinning); benchmarks spin
-// so that wall-clock time reflects the charged cycles.
+// Both are charged on a deterministic cycle ledger (package cycles), the
+// currency every test and figure asserts on.
 package simcfg
 
 // CPU and SGX platform constants, from the paper's experimental setup
@@ -226,10 +226,6 @@ type Config struct {
 
 	// EnclaveHeapBytes bounds the enclave heap (§6.1: 4 GB).
 	EnclaveHeapBytes int
-
-	// Spin selects real busy-wait charging (benchmarks) versus pure
-	// virtual accounting (tests).
-	Spin bool
 }
 
 // Default returns the configuration matching the paper's evaluation
@@ -241,16 +237,7 @@ func Default() Config {
 		OcallCycles:      OcallCycles,
 		EPCBytes:         DefaultEPCBytes,
 		EnclaveHeapBytes: 4 << 30,
-		Spin:             false,
 	}
-}
-
-// ForBench returns a configuration with real busy-wait cost charging,
-// for benchmarks.
-func ForBench() Config {
-	cfg := Default()
-	cfg.Spin = true
-	return cfg
 }
 
 // TransitionCycles returns the cycle cost of a transition entering

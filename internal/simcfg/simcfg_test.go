@@ -24,25 +24,14 @@ func TestTransitionCycles(t *testing.T) {
 
 func TestPresets(t *testing.T) {
 	const epc = 93*1024*1024 + 512*1024 // §6.1: 93.5 MB usable
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-		spin bool
-	}{
-		{"Default", Default(), false},
-		{"ForBench", ForBench(), true},
-	} {
-		if tc.cfg.EPCBytes != epc {
-			t.Errorf("%s: EPC = %d bytes, want %d", tc.name, tc.cfg.EPCBytes, epc)
-		}
-		if tc.cfg.Spin != tc.spin {
-			t.Errorf("%s: Spin = %v, want %v", tc.name, tc.cfg.Spin, tc.spin)
-		}
-		if tc.cfg.Switchless || tc.cfg.Batching || tc.cfg.Rings {
-			t.Errorf("%s: a crossing lever is on by default: %+v", tc.name, tc.cfg)
-		}
-		if tc.cfg.CPUHz != CPUHz {
-			t.Errorf("%s: CPUHz = %g", tc.name, tc.cfg.CPUHz)
-		}
+	cfg := Default()
+	if cfg.EPCBytes != epc {
+		t.Errorf("EPC = %d bytes, want %d", cfg.EPCBytes, epc)
+	}
+	if cfg.Switchless || cfg.Batching || cfg.Rings {
+		t.Errorf("a crossing lever is on by default: %+v", cfg)
+	}
+	if cfg.CPUHz != CPUHz {
+		t.Errorf("CPUHz = %g", cfg.CPUHz)
 	}
 }

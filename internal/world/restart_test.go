@@ -182,8 +182,8 @@ func TestFailedFirstBootLeavesNothingBehind(t *testing.T) {
 }
 
 // TestFailedUnpartitionedBootLeavesNothingBehind is the same for the
-// single-image constructor, whose error paths returned without a
-// teardown: the enclave stayed alive.
+// single-image constructor: the boot's error comes back under errors.Is,
+// with no world beside it and no goroutine left running.
 func TestFailedUnpartitionedBootLeavesNothingBehind(t *testing.T) {
 	errBoot := errors.New("static initialiser refused")
 	img, err := core.BuildUnpartitioned(bankWithFailingInit(t, errBoot))

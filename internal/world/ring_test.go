@@ -297,7 +297,7 @@ func TestRingStoppedFallsThrough(t *testing.T) {
 // the goroutines in a consumer loop rather than all goroutines, which
 // other tests' leftovers still winding down would blur.
 func TestKillStopsRingConsumers(t *testing.T) {
-	before := ringConsumers()
+	before := settledRingConsumers()
 	w := ringWorld(t, demo.MustBankProgram(), nil)
 	if _, err := w.RunMain(); err != nil {
 		t.Fatal(err)
@@ -313,6 +313,26 @@ func TestKillStopsRingConsumers(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// settledRingConsumers is ringConsumers once earlier tests' consumers
+// have left. Group.Close returns when every consumer has run its
+// deferred WaitGroup.Done, which is still inside the consumer loop's
+// frame, so a consumer of a world closed just before can still be
+// counted here and gone a moment later. It waits until the count holds
+// for 10 ms (at most 5 s).
+func settledRingConsumers() int {
+	n := ringConsumers()
+	deadline := time.Now().Add(5 * time.Second)
+	for held := 0; held < 10 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := ringConsumers(); m == n {
+			held++
+		} else {
+			n, held = m, 0
+		}
+	}
+	return n
 }
 
 // ringConsumers counts the goroutines running a ring consumer loop.

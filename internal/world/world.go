@@ -262,9 +262,9 @@ func NewUnpartitioned(opts Options, img *image.Image, inEnclave bool) (*World, e
 	if err != nil {
 		return nil, err
 	}
-	// Nothing else can reach w yet, which is as good as holding stateMu.
+	// A failed boot leaves nothing to take down: this mode has no rings,
+	// lanes or goroutines, and the half-built world is unreachable.
 	if err := w.bootUnpartitioned(opts, img, inEnclave); err != nil {
-		w.teardownLocked()
 		return nil, err
 	}
 	return w, nil
@@ -297,7 +297,7 @@ func newWorld(mode Mode, opts Options) (*World, error) {
 	w := &World{
 		mode:   mode,
 		cfg:    cfg,
-		clock:  cycles.New(cfg.CPUHz, cfg.Spin),
+		clock:  cycles.New(cfg.CPUHz),
 		bufs:   boundary.NewBufPool(),
 		hostFS: hostFS,
 		tel:    opts.Telemetry,

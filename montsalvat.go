@@ -167,17 +167,9 @@ const (
 	ModeNoSGX            = world.ModeNoSGX
 )
 
-// DefaultOptions returns options with the paper's platform parameters and
-// deterministic (non-spinning) cost accounting.
+// DefaultOptions returns options with the paper's platform parameters;
+// simulated costs are charged on the world's cycle ledger (World.Clock).
 func DefaultOptions() Options { return world.DefaultOptions() }
-
-// BenchOptions returns options whose simulated costs are charged as real
-// busy-wait time, so wall-clock measurements reflect them.
-func BenchOptions() Options {
-	opts := world.DefaultOptions()
-	opts.Cfg = simcfg.ForBench()
-	return opts
-}
 
 // NewPartitionedWorld runs the full Montsalvat pipeline on an annotated
 // program and returns the running world plus the build artefacts.

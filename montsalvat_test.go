@@ -175,13 +175,3 @@ func TestFacadeFS(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBenchOptionsSpin(t *testing.T) {
-	opts := BenchOptions()
-	if !opts.Cfg.Spin {
-		t.Fatal("BenchOptions does not spin")
-	}
-	if DefaultOptions().Cfg.Spin {
-		t.Fatal("DefaultOptions spins")
-	}
-}
