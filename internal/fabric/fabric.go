@@ -33,8 +33,6 @@ type Options struct {
 	// Platform issues and verifies quotes for every enclave of the
 	// fabric and for its clients. Defaults to a seeded platform.
 	Platform *sgx.Platform
-	// Telemetry, when set, receives montsalvat_fabric_* metrics.
-	Telemetry *telemetry.Telemetry
 	// Fleet, when set, is the fabric-wide observability plane: every
 	// node gets a private shard-labeled metrics registry from it, while
 	// all nodes share the fleet's tracer and event journal — one trace
@@ -98,10 +96,9 @@ type Fabric struct {
 	peerHandshakes atomic.Uint64
 }
 
-// New boots the fabric: worlds, gateways, peer mesh, replication
-// channels, routing table (epoch 1). On return every shard is serving
-// and every replica holds a full copy of its primary's (empty) durable
-// root.
+// New boots the fabric: worlds, gateways, replication channels, routing
+// table (epoch 1). On return every shard is serving and every replica
+// holds a full copy of its primary's (empty) durable root.
 func New(opts Options) (*Fabric, error) {
 	if opts.Shards < 1 {
 		return nil, errors.New("fabric: need at least one shard")
@@ -147,7 +144,6 @@ func New(opts Options) (*Fabric, error) {
 		f.nodes[id] = n
 	}
 	f.publishTable()
-	f.refreshPeerMesh()
 
 	for id := 0; id < opts.Shards; id++ {
 		n := f.nodes[id]
@@ -157,34 +153,44 @@ func New(opts Options) (*Fabric, error) {
 				return fail(fmt.Errorf("fabric: shard %d replica %d: %w", id, j, err))
 			}
 			f.reps[id] = append(f.reps[id], r)
-			conn, err := DialPeer(
-				r.ln.Addr().String(),
-				PeerIdentity{Platform: platform, Enclave: n.w.Enclave(), Origin: ShardOrigin(id)},
-				replicaOrigin(id, j),
-				r.measurement(),
-				opts.PeerTimeout,
-			)
-			if err != nil {
-				return fail(fmt.Errorf("fabric: shard %d replica %d channel: %w", id, j, err))
-			}
-			sh, err := newShipper(n, conn)
-			if err != nil {
-				conn.Close()
-				return fail(fmt.Errorf("fabric: shard %d replica %d inventory: %w", id, j, err))
-			}
-			if err := n.attachShipper(sh); err != nil {
-				return fail(fmt.Errorf("fabric: shard %d replica %d initial ship: %w", id, j, err))
-			}
+		}
+		if err := f.shipTo(n, f.reps[id]); err != nil {
+			return fail(err)
 		}
 	}
 
-	if opts.Telemetry != nil {
-		opts.Telemetry.Registry().RegisterCollector(f.collectMetrics)
-	}
 	if ft := opts.Fleet.Telemetry(); ft != nil {
 		ft.Registry().RegisterCollector(f.collectMetrics)
 	}
 	return f, nil
+}
+
+// shipTo opens an attested replication channel from primary n to each
+// standby in reps and pushes each its first delta: everything the
+// standby lacks of n's durable root. Once it returns, n's acks wait on
+// every one of them.
+func (f *Fabric) shipTo(n *shardNode, reps []*replicaNode) error {
+	for _, r := range reps {
+		conn, err := DialPeer(
+			r.ln.Addr().String(),
+			PeerIdentity{Platform: f.platform, Enclave: n.w.Enclave(), Origin: ShardOrigin(n.id)},
+			replicaOrigin(n.id, r.idx),
+			r.measurement(),
+			f.opts.PeerTimeout,
+		)
+		if err != nil {
+			return fmt.Errorf("fabric: shard %d replica %d channel: %w", n.id, r.idx, err)
+		}
+		sh, err := newShipper(n, conn)
+		if err != nil {
+			conn.Close()
+			return fmt.Errorf("fabric: shard %d replica %d inventory: %w", n.id, r.idx, err)
+		}
+		if err := n.attachShipper(sh); err != nil {
+			return fmt.Errorf("fabric: shard %d replica %d initial ship: %w", n.id, r.idx, err)
+		}
+	}
+	return nil
 }
 
 // nodeTel returns the per-node telemetry slice for a fabric node (nil
@@ -217,24 +223,6 @@ func (f *Fabric) publishTableLocked() {
 	f.table.Store(NewTable(cur.Epoch+1, infos))
 	f.fleetEvents().Emit(telemetry.EventEpochBump, "fabric", 0,
 		"epoch %d -> %d (%d shards)", cur.Epoch, cur.Epoch+1, len(infos))
-}
-
-// refreshPeerMesh re-installs, on every live shard's peer host, the set
-// of sibling origins allowed to open cross-shard channels.
-func (f *Fabric) refreshPeerMesh() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.refreshPeerMeshLocked()
-}
-
-func (f *Fabric) refreshPeerMeshLocked() {
-	peers := make(map[string][32]byte, len(f.nodes))
-	for id, n := range f.nodes {
-		peers[ShardOrigin(id)] = n.w.Enclave().Measurement()
-	}
-	for _, n := range f.nodes {
-		n.peerHost.SetPeers(peers)
-	}
 }
 
 // Table returns the current routing table. Fabric implements the
@@ -321,7 +309,10 @@ func (f *Fabric) KillShard(id int) (Expectation, error) {
 }
 
 // Promote installs the next standby of a shard as its primary, provided
-// it recovers to at least the expectation captured at KillShard. On a
+// it recovers to at least the expectation captured at KillShard. The new
+// primary ships to the shard's surviving standbys before the routing
+// table names it, so its first ack is as replicated as its
+// predecessor's; a standby it cannot reach fails the promotion. On a
 // stale standby the promotion is refused (ErrStaleReplica), the standby
 // is discarded, and the shard stays dark — the next standby (if any)
 // can be tried.
@@ -336,8 +327,8 @@ func (f *Fabric) Promote(id int, expect Expectation) error {
 		f.mu.Unlock()
 		return fmt.Errorf("fabric: shard %d has no standby to promote", id)
 	}
-	r := list[0]
-	f.reps[id] = list[1:]
+	r, rest := list[0], list[1:]
+	f.reps[id] = rest
 	f.mu.Unlock()
 
 	start := time.Now()
@@ -351,6 +342,12 @@ func (f *Fabric) Promote(id int, expect Expectation) error {
 		r.w.Close()
 		return err
 	}
+	if err := f.shipTo(n, rest); err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = n.shutdown(ctx)
+		return err
+	}
 	dur := time.Since(start)
 	f.mu.Lock()
 	f.nodes[id] = n
@@ -360,32 +357,11 @@ func (f *Fabric) Promote(id int, expect Expectation) error {
 	f.fleetEvents().Emit(telemetry.EventPromoteCommit, ShardOrigin(id), 0,
 		"replica %d promoted in %v", r.idx, dur.Round(time.Millisecond))
 	f.publishTableLocked()
-	f.refreshPeerMeshLocked()
 	f.mu.Unlock()
 	f.promotions.Add(1)
 	f.opts.Fleet.Telemetry().Registry().
 		Histogram("montsalvat_fabric_promotion_duration_ns").ObserveDuration(dur)
 	return nil
-}
-
-// PeerDial opens an attested cross-shard channel from one live shard to
-// another — the enclave-to-enclave path cross-shard handles travel.
-func (f *Fabric) PeerDial(from, to int) (*PeerConn, error) {
-	src, err := f.node(from)
-	if err != nil {
-		return nil, err
-	}
-	dst, err := f.node(to)
-	if err != nil {
-		return nil, err
-	}
-	return DialPeer(
-		dst.peerLn.Addr().String(),
-		PeerIdentity{Platform: f.platform, Enclave: src.w.Enclave(), Origin: ShardOrigin(from)},
-		ShardOrigin(to),
-		dst.w.Enclave().Measurement(),
-		f.opts.PeerTimeout,
-	)
 }
 
 // ShardBusyCycles snapshots each live primary's charged virtual-cycle

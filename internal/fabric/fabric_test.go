@@ -104,75 +104,46 @@ func TestFabricRoutingAndRedirect(t *testing.T) {
 	}
 }
 
-// TestPeerChannelNamespaces exercises the attested enclave-to-enclave
-// channel: cross-shard calls work through origin-tagged handles, and a
-// handle presented under the wrong shard origin is refused instead of
-// resolving.
-func TestPeerChannelNamespaces(t *testing.T) {
-	f, err := New(Options{Shards: 2})
+// TestReplicaHostRefusesHandshakes: a standby's peer host admits its
+// own shard's primary and no one else. A sibling shard's primary — an
+// origin the host has no measurement for — is refused during the
+// handshake, before any operation, and a dialer expecting the wrong
+// measurement refuses the channel itself.
+func TestReplicaHostRefusesHandshakes(t *testing.T) {
+	f, err := New(Options{Shards: 2, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 
-	conn, err := f.PeerDial(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	h, err := conn.BindPeer("kv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Origin != ShardOrigin(1) {
-		t.Fatalf("peer handle origin %q, want %q", h.Origin, ShardOrigin(1))
-	}
-	if _, err := conn.CallPeer(h, "put", wire.Str("peer-key"), wire.Str("peer-val")); err != nil {
-		t.Fatalf("cross-shard put: %v", err)
-	}
-	v, err := conn.CallPeer(h, "get", wire.Str("peer-key"))
-	if err != nil {
-		t.Fatalf("cross-shard get: %v", err)
-	}
-	if s, _ := v.AsStr(); s != "peer-val" {
-		t.Fatalf("cross-shard get = %q", s)
-	}
-
-	// The same numeric handle under a different shard origin must not
-	// resolve: handles are pinned to the namespace that issued them.
-	smuggled := PeerHandle{Origin: ShardOrigin(0), Class: h.Class, ID: h.ID}
-	if _, err := conn.CallPeer(smuggled, "get", wire.Str("peer-key")); !errors.Is(err, ErrPeerForeignHandle) {
-		t.Fatalf("smuggled handle: %v, want ErrPeerForeignHandle", err)
-	}
-
-	// A dialer claiming an origin the host does not know is refused
-	// during the handshake, before any operation.
-	dst, err := f.node(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := f.node(0)
+	f.mu.Lock()
+	standby := f.reps[0][0]
+	f.mu.Unlock()
+	sibling, err := f.node(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = DialPeer(
-		dst.peerLn.Addr().String(),
-		PeerIdentity{Platform: f.Platform(), Enclave: src.w.Enclave(), Origin: "shard-99"},
-		ShardOrigin(1),
-		dst.w.Enclave().Measurement(),
+		standby.ln.Addr().String(),
+		PeerIdentity{Platform: f.Platform(), Enclave: sibling.w.Enclave(), Origin: ShardOrigin(1)},
+		replicaOrigin(0, 0),
+		standby.measurement(),
 		0,
 	)
-	if err == nil {
-		t.Fatal("bogus origin accepted")
+	if !errors.Is(err, ErrPeerHandshake) {
+		t.Fatalf("sibling shard's channel to shard 0's standby: %v, want ErrPeerHandshake", err)
 	}
 
-	// A dialer expecting the wrong measurement must refuse the channel.
+	primary, err := f.node(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wrong [32]byte
 	wrong[0] = 0xff
 	_, err = DialPeer(
-		dst.peerLn.Addr().String(),
-		PeerIdentity{Platform: f.Platform(), Enclave: src.w.Enclave(), Origin: ShardOrigin(0)},
-		ShardOrigin(1),
+		standby.ln.Addr().String(),
+		PeerIdentity{Platform: f.Platform(), Enclave: primary.w.Enclave(), Origin: ShardOrigin(0)},
+		replicaOrigin(0, 0),
 		wrong,
 		0,
 	)
@@ -259,6 +230,56 @@ func TestFabricFailover(t *testing.T) {
 	}
 	if st.ShipRounds == 0 || st.ShipBytes == 0 {
 		t.Fatalf("no shipping recorded: %+v", st)
+	}
+}
+
+// TestDoubleFailover: with two standbys, a promoted primary ships to the
+// one that survives, so its acks are replicated and a second failover
+// keeps every acked write. Each promotion opens one channel per
+// surviving standby. A promoted primary used to ship to no one: it
+// acked alone, and the second promotion was refused as stale.
+func TestDoubleFailover(t *testing.T) {
+	fleet := telemetry.NewFleet(telemetry.Options{})
+	f, err := New(Options{Shards: 1, Replicas: 2, Fleet: fleet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	client := f.Client(RouterConfig{})
+	defer client.Close()
+	acked := map[string]string{}
+	handshakes := []uint64{f.Stats().PeerHandshakes}
+	for round := 0; round < 3; round++ {
+		if round > 0 {
+			exp, err := f.KillShard(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Promote(0, exp); err != nil {
+				t.Fatalf("promotion %d: %v", round, err)
+			}
+			handshakes = append(handshakes, f.Stats().PeerHandshakes)
+		}
+		for i := 0; i < 10; i++ {
+			k, v := fmt.Sprintf("r%d:%d", round, i), fmt.Sprintf("v%d", i)
+			if err := client.Put(k, v); err != nil {
+				t.Fatalf("put %q: %v", k, err)
+			}
+			acked[k] = v
+		}
+	}
+	for k, want := range acked {
+		v, ok, err := client.Get(k)
+		if err != nil || !ok || v != want {
+			t.Fatalf("acked write lost: %q = (%q, %v, %v), want %q", k, v, ok, err, want)
+		}
+	}
+	if want := []uint64{2, 3, 3}; fmt.Sprint(handshakes) != fmt.Sprint(want) {
+		t.Fatalf("peer handshakes after boot and each promotion = %v, want %v", handshakes, want)
+	}
+	if got := fleet.Telemetry().Registry().Snapshot().Counters["montsalvat_fabric_peer_handshakes_total"]; got != 3 {
+		t.Fatalf("montsalvat_fabric_peer_handshakes_total = %d, want 3", got)
 	}
 }
 
@@ -518,9 +539,8 @@ func TestUnshippedTailDoesNotBlockPromotion(t *testing.T) {
 // replicas — so the fleet dump must hold spans from router, shard and
 // replica under one TraceID, three of them off the router, and every
 // span in it must name the node that recorded it. The round
-// is a commit-leader span that parents its ship spans. A direct peer
-// call with an injected context must likewise surface on the callee
-// shard.
+// is a commit-leader span that parents its ship spans. Booting 2 shards
+// with 2 standbys each opens 4 attested peer channels.
 func TestFabricTracePropagation(t *testing.T) {
 	fleet := telemetry.NewFleet(telemetry.Options{TraceSampleRate: 1, TraceBuffer: 4096, EventBuffer: 1024})
 	f, err := New(Options{Shards: 2, Replicas: 2, Fleet: fleet})
@@ -528,6 +548,12 @@ func TestFabricTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
+	if got := f.Stats().PeerHandshakes; got != 4 {
+		t.Fatalf("peer handshakes after booting 2x2 = %d, want 4", got)
+	}
+	if got := fleet.Telemetry().Registry().Snapshot().Counters["montsalvat_fabric_peer_handshakes_total"]; got != 4 {
+		t.Fatalf("montsalvat_fabric_peer_handshakes_total = %d, want 4", got)
+	}
 
 	client := f.Client(RouterConfig{})
 	defer client.Close()
@@ -602,36 +628,6 @@ func TestFabricTracePropagation(t *testing.T) {
 	}
 	if parented == 0 {
 		t.Fatalf("%d commit-leader spans, none parents a ship span", len(leaders))
-	}
-
-	// Peer-channel leg: a context injected into CallPeer surfaces as a
-	// peer-call span on the callee shard under the same trace.
-	conn, err := f.PeerDial(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	h, err := conn.BindPeer("kv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := fleet.Telemetry().Tracer().StartRoot("peer-test")
-	sc := root.Context()
-	if _, err := conn.CallPeerCtx(sc, h, "put", wire.Str("peer-trace"), wire.Str("v")); err != nil {
-		t.Fatalf("traced peer call: %v", err)
-	}
-	root.Finish(nil)
-	foundPeer := false
-	for _, sp := range fleet.Telemetry().Tracer().Dump() {
-		if sp.TraceID == sc.TraceID && sp.Node == ShardOrigin(1) && strings.HasPrefix(sp.Name, "peer-call") {
-			foundPeer = true
-			if sp.ParentID != sc.SpanID {
-				t.Fatalf("peer-call span parent %d, want injected span %d", sp.ParentID, sc.SpanID)
-			}
-		}
-	}
-	if !foundPeer {
-		t.Fatalf("no peer-call span on %s under trace %d", ShardOrigin(1), sc.TraceID)
 	}
 }
 

@@ -7,9 +7,9 @@ package fabric
 // demands, for the shard origin the initiator claims, a quote carrying
 // that origin's measurement over the same key-exchange transcript, so
 // two enclaves of the fabric mutually attest before any replication
-// payload or cross-shard handle crosses the wire. Both origins are
-// folded into the transcript: a channel cannot be spliced between
-// shards after the fact.
+// payload crosses the wire. Both origins are folded into the
+// transcript: a channel cannot be spliced between shards after the
+// fact.
 //
 // The established channel carries the same sealed frames as a session,
 // with a larger budget: replication deltas ship whole checkpoints.
@@ -38,16 +38,14 @@ var peerPlane = channel.Plane{Purpose: channel.Peer, MaxFrame: 16 << 20}
 // has no measurement for.
 const statusUnknownOrigin = "unknown-origin"
 
-// Peer operations and statuses.
+// Peer operations and statuses. A peer channel carries replication
+// only: the primary asks a standby what it holds and ships it deltas.
 const (
 	peerOpHave = "have"
 	peerOpShip = "ship"
-	peerOpBind = "bind"
-	peerOpCall = "call"
 
-	peerStatusOK      = "ok"
-	peerStatusError   = "error"
-	peerStatusForeign = "foreign-handle"
+	peerStatusOK    = "ok"
+	peerStatusError = "error"
 )
 
 // Typed peer-channel errors.
@@ -58,10 +56,6 @@ var (
 	ErrPeerHandshake = channel.ErrHandshake
 	// ErrPeerClosed reports use of a closed peer channel.
 	ErrPeerClosed = errors.New("fabric: peer channel closed")
-	// ErrPeerForeignHandle rejects a handle presented with the wrong
-	// origin shard: the cross-shard namespace check refused to resolve
-	// it.
-	ErrPeerForeignHandle = errors.New("fabric: handle from foreign shard namespace")
 	// ErrPeerRejected carries a peer-side execution failure.
 	ErrPeerRejected = errors.New("fabric: peer rejected request")
 )
@@ -71,19 +65,10 @@ var (
 // origin this end speaks for.
 type PeerIdentity = channel.Identity
 
-// PeerHandle names an object another shard exported over a peer
-// channel. Origin pins the handle to the shard namespace that issued
-// it: presenting the handle anywhere else fails the LookupFrom check.
-type PeerHandle struct {
-	Origin string
-	Class  string
-	ID     int64
-}
-
 // ---- PeerConn --------------------------------------------------------
 
 // PeerConn is one attested channel between two enclaves. The initiator
-// side drives request/response exchanges (Have/Ship/BindPeer/CallPeer);
+// side drives request/response exchanges (Have/ShipCtx);
 // the responder side is driven by a PeerHost's serve loop. Exchanges
 // are serialised — one request in flight per channel — which is all the
 // replication shipper needs and keeps the cipher counters trivially
@@ -108,13 +93,6 @@ func (p *PeerConn) Close() error {
 	return p.conn.Close()
 }
 
-// roundTrip performs one serialised request/response exchange.
-func (p *PeerConn) roundTrip(req ...wire.Value) ([]wire.Value, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.exchange(wire.AppendValues(p.ch.Frame(), req))
-}
-
 // exchange sends a request frame built on p.ch.Frame() and reads its
 // response: the status, then the results (every operation has one) or
 // the failure's message. Caller holds p.mu.
@@ -134,12 +112,8 @@ func (p *PeerConn) exchange(frame []byte) ([]wire.Value, error) {
 	if status == peerStatusOK {
 		return vs[1:], nil
 	}
-	failure := ErrPeerRejected
-	if status == peerStatusForeign {
-		failure = ErrPeerForeignHandle
-	}
 	msg, _ := vs[1].AsStr()
-	return nil, fmt.Errorf("%w: %s", failure, msg)
+	return nil, fmt.Errorf("%w: %s", ErrPeerRejected, msg)
 }
 
 // DialPeer opens and mutually attests a channel to the peer at addr.
@@ -181,21 +155,14 @@ func AcceptPeer(conn net.Conn, local PeerIdentity, peers map[string][32]byte, ti
 	return &PeerConn{conn: conn, ch: ch}, nil
 }
 
-// traceOf decodes the two trailing request fields every traced peer
-// operation carries: the caller's span context, two zeros for "no
-// trace".
-func traceOf(tid, sid wire.Value) telemetry.SpanContext {
-	t, _ := tid.AsInt()
-	s, _ := sid.AsInt()
-	return telemetry.SpanContext{TraceID: uint64(t), SpanID: uint64(s)}
-}
-
 // ---- initiator-side operations ---------------------------------------
 
 // Have asks the peer for its durable-root inventory (file → size), the
 // basis for an incremental ReplicaDelta.
 func (p *PeerConn) Have() (map[string]int64, error) {
-	res, err := p.roundTrip(wire.Str(peerOpHave))
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	res, err := p.exchange(wire.AppendValues(p.ch.Frame(), []wire.Value{wire.Str(peerOpHave)}))
 	if err != nil {
 		return nil, err
 	}
@@ -250,45 +217,4 @@ func appendShipRequest(dst []byte, sc telemetry.SpanContext, d persist.Delta) []
 	dst = persist.AppendDelta(dst, d)
 	dst = wire.Append(dst, wire.Int(int64(sc.TraceID)))
 	return wire.Append(dst, wire.Int(int64(sc.SpanID)))
-}
-
-// BindPeer resolves a named export of the peer shard into a handle in
-// the peer's origin-tagged namespace.
-func (p *PeerConn) BindPeer(name string) (PeerHandle, error) {
-	res, err := p.roundTrip(wire.Str(peerOpBind), wire.Str(name))
-	if err != nil {
-		return PeerHandle{}, err
-	}
-	if len(res) != 1 {
-		return PeerHandle{}, fmt.Errorf("%w: bind arity", ErrPeerRejected)
-	}
-	class, id, ok := res[0].AsRef()
-	if !ok {
-		return PeerHandle{}, fmt.Errorf("%w: bind payload", ErrPeerRejected)
-	}
-	return PeerHandle{Origin: p.RemoteOrigin(), Class: class, ID: id}, nil
-}
-
-// CallPeer invokes a method on a peer handle. The handle's origin
-// travels with the request: the peer resolves it with LookupFrom, so a
-// handle issued by a different shard's namespace is refused with
-// ErrPeerForeignHandle rather than resolving to an unrelated object.
-// Ref results come back as handles in the peer's namespace.
-func (p *PeerConn) CallPeer(h PeerHandle, method string, args ...wire.Value) (wire.Value, error) {
-	return p.CallPeerCtx(telemetry.SpanContext{}, h, method, args...)
-}
-
-// CallPeerCtx is CallPeer carrying the caller's trace context: the host
-// shard continues sc's trace across the peer channel, so a cross-shard
-// call chain shares one trace ID end to end.
-func (p *PeerConn) CallPeerCtx(sc telemetry.SpanContext, h PeerHandle, method string, args ...wire.Value) (wire.Value, error) {
-	res, err := p.roundTrip(wire.Str(peerOpCall), wire.Str(h.Origin), wire.Int(h.ID), wire.Str(method), wire.List(args...),
-		wire.Int(int64(sc.TraceID)), wire.Int(int64(sc.SpanID)))
-	if err != nil {
-		return wire.Value{}, err
-	}
-	if len(res) != 1 {
-		return wire.Value{}, fmt.Errorf("%w: call arity", ErrPeerRejected)
-	}
-	return res[0], nil
 }

@@ -64,9 +64,10 @@ type replicaNode struct {
 	appliedLSN   atomic.Uint64
 }
 
-// newReplicaNode boots a standby for shardID accepting shipments only
-// from that shard's primary (primaryMeas). The peer host serves
-// replication but no objects: a standby has nothing to call.
+// newReplicaNode boots a standby for shardID whose peer host admits one
+// origin, the shard's, proving primaryMeas. Every primary of the shard
+// runs the same image under the same signer, so a standby promoted in
+// its predecessor's place passes the same check.
 func newReplicaNode(f *Fabric, shardID, idx int, primaryMeas [32]byte) (*replicaNode, error) {
 	tel := f.nodeTel(replicaOrigin(shardID, idx))
 	w, err := f.buildWorld(tel)
@@ -76,6 +77,7 @@ func newReplicaNode(f *Fabric, shardID, idx int, primaryMeas [32]byte) (*replica
 	r := &replicaNode{shardID: shardID, idx: idx, fab: f, w: w, fs: shim.NewMemFS()}
 	r.host = &PeerHost{
 		Identity: PeerIdentity{Platform: f.platform, Enclave: w.Enclave(), Origin: replicaOrigin(shardID, idx)},
+		Peers:    map[string][32]byte{ShardOrigin(shardID): primaryMeas},
 		Timeout:  f.opts.PeerTimeout,
 		Have:     func() (map[string]int64, error) { return persist.HaveMap(r.fs, shardDir) },
 		Apply: func(d persist.Delta) (uint64, uint64, error) {
@@ -90,7 +92,6 @@ func newReplicaNode(f *Fabric, shardID, idx int, primaryMeas [32]byte) (*replica
 		OnHandshake: func() { f.peerHandshakes.Add(1) },
 		Telemetry:   tel,
 	}
-	r.host.SetPeers(map[string][32]byte{ShardOrigin(shardID): primaryMeas})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		w.Close()

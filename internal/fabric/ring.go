@@ -15,11 +15,9 @@
 //   - Attested enclave-to-enclave channels: the serve X25519+quote
 //     handshake applied symmetrically — each side quotes the key
 //     exchange transcript and verifies the other's measurement — giving
-//     an AES-256-GCM peer channel between two enclaves with no client
-//     in the loop. Cross-shard object handles issued over a peer
-//     channel live in an origin-tagged registry.Namespace: resolving a
-//     handle requires presenting the origin shard that issued it, so a
-//     handle can never silently cross shard namespaces.
+//     an AES-256-GCM peer channel from a primary to each of its
+//     standbys with no client in the loop. The channel carries
+//     replication only: an inventory request and delta shipments.
 //
 //   - Checkpoint-shipping replication: each primary streams its sealed
 //     durable root (persist checkpoints + WAL tail + monotonic-counter

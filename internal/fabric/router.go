@@ -24,9 +24,13 @@ import (
 	"montsalvat/internal/wire"
 )
 
-// ErrRedirectBudget reports a request that could not land after the
-// configured number of redirects/refreshes.
+// ErrRedirectBudget reports a request that could not land after
+// maxRedirects redirects/refreshes.
 var ErrRedirectBudget = errors.New("fabric: redirect budget exhausted")
+
+// maxRedirects bounds how many redirect-or-refresh hops one request may
+// take.
+const maxRedirects = 3
 
 // TableSource supplies the current routing table; *Fabric implements
 // it in-process, and a remote deployment would implement it over a
@@ -37,9 +41,6 @@ type TableSource interface {
 
 // RouterConfig tunes a Router.
 type RouterConfig struct {
-	// MaxRedirects bounds how many redirect-or-refresh hops one request
-	// may take (default 3).
-	MaxRedirects int
 	// DialTimeout / RequestTimeout are passed to each shard session.
 	DialTimeout    time.Duration
 	RequestTimeout time.Duration
@@ -88,9 +89,6 @@ type routerConn struct {
 // NewRouter builds a router over src. Shard sessions are dialed on
 // first use.
 func NewRouter(src TableSource, platform *sgx.Platform, cfg RouterConfig) *Router {
-	if cfg.MaxRedirects <= 0 {
-		cfg.MaxRedirects = 3
-	}
 	return &Router{
 		src:      src,
 		platform: platform,
@@ -237,7 +235,7 @@ func isTransportErr(err error) bool {
 
 // do routes one operation: hash the key, call the owner, and on a
 // redirect or dead session refresh the table and retry — at most
-// MaxRedirects hops. A sampled operation is one root span whose context
+// maxRedirects hops. A sampled operation is one root span whose context
 // rides every hop, so the retry after a WrongShardError joins the
 // originating trace instead of starting a fresh one; each redirect is a
 // child span annotated with the old and new owner and the table epoch.
@@ -249,7 +247,7 @@ func (r *Router) do(method, key string, args ...wire.Value) (v wire.Value, err e
 	t := r.currentTable()
 	forced := -1 // owner hint from the last redirect, when the refreshed table still disagrees
 	var lastErr error
-	for attempt := 0; attempt <= r.cfg.MaxRedirects; attempt++ {
+	for attempt := 0; attempt <= maxRedirects; attempt++ {
 		owner := t.Owner(key)
 		if forced >= 0 {
 			owner = forced
@@ -293,5 +291,5 @@ func (r *Router) do(method, key string, args ...wire.Value) (v wire.Value, err e
 			return wire.Value{}, err
 		}
 	}
-	return wire.Value{}, fmt.Errorf("%w (%d hops): %v", ErrRedirectBudget, r.cfg.MaxRedirects, lastErr)
+	return wire.Value{}, fmt.Errorf("%w (%d hops): %v", ErrRedirectBudget, maxRedirects, lastErr)
 }

@@ -41,9 +41,9 @@ type Expectation struct {
 	LSN   uint64
 }
 
-// shardNode is one primary shard: world, gateway, durable manager,
-// peer host (for sibling shards' cross-shard calls), and the shippers
-// feeding its replicas.
+// shardNode is one primary shard: world, gateway, durable manager, and
+// the shippers feeding its standbys. A primary opens one listener, its
+// gateway's: it dials its standbys and accepts no peer channel.
 type shardNode struct {
 	id  int
 	fab *Fabric
@@ -60,10 +60,6 @@ type shardNode struct {
 	srv       *serve.Server
 	ln        net.Listener
 	serveDone chan error
-
-	peerHost *PeerHost
-	peerLn   net.Listener
-	peerDone chan error
 
 	// mu guards mgr, shippers, and the ack state below. Lock hierarchy:
 	// n.mu > shipper ioMu > the manager's locks; n.mu is never held
@@ -173,9 +169,9 @@ func (f *Fabric) openManager(id int, w *world.World, fs shim.FS, kv *persist.Wor
 // shardDir is the durable-root directory on each shard's filesystem.
 const shardDir = "p/"
 
-// newShardNode boots primary id: world, store, manager, gateway, peer
-// host. Shippers attach later (connectReplicas), once the replica
-// listeners exist.
+// newShardNode boots primary id: world, store, manager, gateway.
+// Shippers attach later (Fabric.shipTo), once the replica listeners
+// exist.
 func newShardNode(f *Fabric, id int) (*shardNode, error) {
 	tel := f.nodeTel(ShardOrigin(id))
 	w, err := f.buildWorld(tel)
@@ -204,8 +200,7 @@ func newShardNode(f *Fabric, id int) (*shardNode, error) {
 	return n, nil
 }
 
-// startGateway opens the serve endpoint and the peer host for this
-// shard's world.
+// startGateway opens the serve endpoint for this shard's world.
 func (n *shardNode) startGateway() error {
 	f := n.fab
 	sOpts := serve.Options{
@@ -240,32 +235,6 @@ func (n *shardNode) startGateway() error {
 	n.srv, n.ln = srv, ln
 	n.serveDone = make(chan error, 1)
 	go func() { n.serveDone <- srv.Serve(ln) }()
-
-	n.peerHost = &PeerHost{
-		Identity: PeerIdentity{Platform: f.platform, Enclave: n.w.Enclave(), Origin: ShardOrigin(n.id)},
-		Timeout:  f.opts.PeerTimeout,
-		World:    n.w,
-		Exports: map[string]func() (wire.Value, error){
-			"kv": func() (wire.Value, error) {
-				ref := n.kv.Ref()
-				if ref.IsNull() {
-					return wire.Value{}, errors.New("store not initialised")
-				}
-				return ref, nil
-			},
-		},
-		Logf:        f.opts.Logf,
-		OnHandshake: func() { f.peerHandshakes.Add(1) },
-		Telemetry:   n.tel,
-	}
-	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		ln.Close()
-		return err
-	}
-	n.peerLn = peerLn
-	n.peerDone = make(chan error, 1)
-	go func() { n.peerDone <- n.peerHost.Serve(peerLn) }()
 	return nil
 }
 
@@ -420,18 +389,18 @@ func (n *shardNode) attachShipper(sh *shipper) error {
 }
 
 // kill simulates primary failure: kill the enclave, tear the gateway
-// and peer endpoints down, then quote the acked position. In-flight
-// requests fail or finish through their round leader while the gateway
-// drains; nothing acked is lost (it was shipped before the ack), and
-// the expectation is read after the drain so it bounds every ack that
-// ever left.
+// and the replication channels down, then quote the acked position.
+// In-flight requests fail or finish through their round leader while
+// the gateway drains; nothing acked is lost (it was shipped before the
+// ack), and the expectation is read after the drain so it bounds every
+// ack that ever left.
 func (n *shardNode) kill() Expectation {
 	n.w.Kill()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	_ = n.srv.Shutdown(ctx)
 	cancel()
 	n.ln.Close()
-	n.teardownPeers()
+	n.closeShippers()
 	<-n.serveDone
 	// The successor only has to cover what was acked: the
 	// durable-but-unacked tail past ackedHigh carries no promise, and a
@@ -442,19 +411,15 @@ func (n *shardNode) kill() Expectation {
 	return Expectation{Stamp: stamp, LSN: n.ackedHigh}
 }
 
-// teardownPeers closes the replication channels and the peer host. The
-// shippers stay attached: a round that outlives the teardown fails its
-// waiters on the dead channel instead of finding no replica to wait for.
-func (n *shardNode) teardownPeers() {
+// closeShippers closes the replication channels. The shippers stay
+// attached: a round that outlives the close fails its waiters on the
+// dead channel instead of finding no replica to wait for.
+func (n *shardNode) closeShippers() {
 	n.mu.Lock()
 	shippers := n.shippers
 	n.mu.Unlock()
 	for _, sh := range shippers {
 		sh.close()
-	}
-	if n.peerHost != nil {
-		n.peerHost.Close()
-		<-n.peerDone
 	}
 }
 
@@ -463,7 +428,7 @@ func (n *shardNode) teardownPeers() {
 func (n *shardNode) shutdown(ctx context.Context) error {
 	err := n.srv.Shutdown(ctx)
 	n.ln.Close()
-	n.teardownPeers()
+	n.closeShippers()
 	<-n.serveDone
 	n.w.Close()
 	return err

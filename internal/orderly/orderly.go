@@ -12,7 +12,7 @@
 // depth-first search with canonical state hashing and iterative
 // deepening, asserting machine-checked invariants after every step:
 //
-//   - no handle crosses session or peer namespaces;
+//   - no handle crosses session namespaces;
 //   - object-table refcounts drain to zero at quiescence;
 //   - every acked write survives recovery and is covered by the
 //     replica watermark (acked ⇒ durable ∧ replicated);

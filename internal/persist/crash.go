@@ -128,21 +128,6 @@ func (in *Injector) ArmAfter(point CrashPoint, n int) {
 	in.remain = n
 }
 
-// Armed reports the currently armed crash point, if any. Deterministic
-// drivers use it to fold the injector's state into their canonical
-// state hash.
-func (in *Injector) Armed() (CrashPoint, bool) {
-	if in == nil {
-		return 0, false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if !in.armed {
-		return 0, false
-	}
-	return in.point, true
-}
-
 // Disarm clears any armed crash point.
 func (in *Injector) Disarm() {
 	in.mu.Lock()

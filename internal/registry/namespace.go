@@ -17,17 +17,7 @@ import (
 // requests served by several gateway workers). Lookups dominate the
 // request path — every call and release resolves a handle — so reads
 // take a shared lock and only Add/Remove/Drain write-lock.
-//
-// A namespace may carry an origin: the identity of the domain whose
-// objects it names — in the distributed fabric, the shard World a
-// cross-shard proxy handle was issued by. The origin extends the
-// foreign-ref check across shard boundaries: a handle is only
-// resolvable through LookupFrom when the caller presents the origin the
-// namespace was created for, so a handle can never silently cross from
-// one shard's handle space into another's even when the numeric handle
-// happens to exist in both.
 type Namespace struct {
-	origin   string
 	mu       sync.RWMutex
 	next     int64
 	byHandle map[int64]NSEntry
@@ -43,31 +33,15 @@ type NSEntry struct {
 	Class string
 	// Hash is the world identity hash behind the handle.
 	Hash int64
-	// Origin is the domain the issuing namespace belongs to ("" for
-	// plain session namespaces; a shard identity for fabric peer
-	// namespaces).
-	Origin string
 }
 
-// NewNamespace creates an empty session namespace with no origin.
+// NewNamespace creates an empty session namespace.
 func NewNamespace() *Namespace {
-	return NewNamespaceFor("")
-}
-
-// NewNamespaceFor creates an empty namespace owned by origin — the
-// shard-tagged variant the fabric peer channels use so cross-shard
-// handles stay pinned to the shard that issued them.
-func NewNamespaceFor(origin string) *Namespace {
 	return &Namespace{
-		origin:   origin,
 		byHandle: make(map[int64]NSEntry),
 		byHash:   make(map[int64]int64),
 	}
 }
-
-// Origin returns the domain this namespace was created for ("" for
-// plain session namespaces).
-func (ns *Namespace) Origin() string { return ns.origin }
 
 // Add issues a handle for (class, hash). An object already named by this
 // namespace keeps its canonical handle: added reports false and the
@@ -95,23 +69,7 @@ func (ns *Namespace) Lookup(handle int64) (NSEntry, bool) {
 	ns.mu.RLock()
 	defer ns.mu.RUnlock()
 	e, ok := ns.byHandle[handle]
-	if ok {
-		e.Origin = ns.origin
-	}
 	return e, ok
-}
-
-// LookupFrom resolves a handle only when the caller presents the origin
-// the namespace was created for. This is the cross-shard foreign-ref
-// check: a fabric peer channel resolves handles with its own shard
-// identity, so a handle smuggled from another shard's namespace — even
-// one whose numeric value happens to be live here — is refused instead
-// of silently resolving to an unrelated object.
-func (ns *Namespace) LookupFrom(origin string, handle int64) (NSEntry, bool) {
-	if origin != ns.origin {
-		return NSEntry{}, false
-	}
-	return ns.Lookup(handle)
 }
 
 // Remove forgets a handle, returning its entry so the caller can drop
@@ -125,7 +83,6 @@ func (ns *Namespace) Remove(handle int64) (NSEntry, bool) {
 	}
 	delete(ns.byHandle, handle)
 	delete(ns.byHash, e.Hash)
-	e.Origin = ns.origin
 	return e, true
 }
 
@@ -144,7 +101,6 @@ func (ns *Namespace) Drain() []NSEntry {
 	defer ns.mu.Unlock()
 	out := make([]NSEntry, 0, len(ns.byHandle))
 	for _, e := range ns.byHandle {
-		e.Origin = ns.origin
 		out = append(out, e)
 	}
 	ns.byHandle = make(map[int64]NSEntry)

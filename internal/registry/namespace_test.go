@@ -79,58 +79,6 @@ func TestNamespaceDrainCloses(t *testing.T) {
 	}
 }
 
-// TestNamespaceOrigin pins the cross-shard foreign-ref check: handles
-// only resolve through LookupFrom when the caller presents the origin
-// the namespace was created for, so a handle from one shard's namespace
-// can never silently resolve inside another's.
-func TestNamespaceOrigin(t *testing.T) {
-	ns := NewNamespaceFor("shard-0")
-	if got := ns.Origin(); got != "shard-0" {
-		t.Fatalf("Origin = %q, want shard-0", got)
-	}
-	h, added := ns.Add("KVStore", 42)
-	if !added {
-		t.Fatal("Add not fresh")
-	}
-	e, ok := ns.LookupFrom("shard-0", h)
-	if !ok || e.Origin != "shard-0" || e.Hash != 42 {
-		t.Fatalf("LookupFrom(shard-0) = %+v, %v", e, ok)
-	}
-	// Same numeric handle presented with another shard's identity — or
-	// with no identity at all — must be refused.
-	if _, ok := ns.LookupFrom("shard-1", h); ok {
-		t.Fatal("handle resolved across shard namespaces")
-	}
-	if _, ok := ns.LookupFrom("", h); ok {
-		t.Fatal("handle resolved without an origin")
-	}
-	// Plain namespaces keep the old behaviour: empty origin matches.
-	plain := NewNamespace()
-	ph, _ := plain.Add("KVStore", 7)
-	if _, ok := plain.LookupFrom("", ph); !ok {
-		t.Fatal("plain namespace refused its own origin")
-	}
-	if _, ok := plain.LookupFrom("shard-0", ph); ok {
-		t.Fatal("plain namespace resolved a shard-tagged lookup")
-	}
-	// Entries surfaced by Lookup/Remove/Drain carry the origin tag.
-	if le, _ := ns.Lookup(h); le.Origin != "shard-0" {
-		t.Fatalf("Lookup entry origin = %q", le.Origin)
-	}
-	re, _ := ns.Remove(h)
-	if re.Origin != "shard-0" {
-		t.Fatalf("Remove entry origin = %q", re.Origin)
-	}
-	ns.Add("KVStore", 43)
-	for _, de := range ns.Drain() {
-		if de.Origin != "shard-0" {
-			t.Fatalf("Drain entry origin = %q", de.Origin)
-		}
-	}
-}
-
-// TestNamespaceConcurrent exercises the lock under parallel sessions'
-// worth of traffic (race detector is the oracle).
 func TestNamespaceConcurrent(t *testing.T) {
 	ns := NewNamespace()
 	var wg sync.WaitGroup

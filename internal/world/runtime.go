@@ -292,8 +292,8 @@ func (rt *Runtime) Unpin(v wire.Value) error {
 }
 
 // PinNamed pins the object behind ref and names it in ns, returning its
-// handle there — how a gateway session or a fabric peer channel hands an
-// object to a remote client. An object ns already names keeps its
+// handle there — how a gateway session hands an object to a remote
+// client. An object ns already names keeps its
 // canonical handle and the duplicate pin is dropped, so every live handle
 // owns exactly one retention. A drained ns keeps nothing and returns
 // handle 0; each caller maps that to its own closed error.

@@ -494,9 +494,9 @@ func (w *World) Exec(trusted bool, fn func(env classmodel.Env) error) error {
 
 // ExecSpan is Exec with an inbound trace span and a lane attached to the
 // execution frame. Proxy calls made by fn become children of sp, so a
-// trace that began on another World (a gateway request, a peer call)
-// continues through this one, and cross the boundary on the lane (see
-// Lane) when one is given; a trusted fn is itself handed to the lane.
+// trace that began on another World (a gateway request) continues
+// through this one, and cross the boundary on the lane (see Lane) when
+// one is given; a trusted fn is itself handed to the lane.
 // Nil sp and lane are exactly Exec.
 func (w *World) ExecSpan(trusted bool, sp *telemetry.Span, lane *Lane, fn func(env classmodel.Env) error) error {
 	w.stateMu.RLock()
