@@ -24,7 +24,6 @@ func DispatchProfile(opts Options) (string, error) {
 	tel := telemetry.New(telemetry.Options{
 		TraceSampleRate: 1,
 		TraceBuffer:     4096,
-		Seed:            1,
 	})
 	wopts := world.DefaultOptions()
 	wopts.Telemetry = tel

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"montsalvat/internal/cycles"
 	"montsalvat/internal/sgx"
@@ -322,10 +321,10 @@ func (s *setup) run(t *testing.T) (ic, rc *Conn, ierr, rerr error) {
 	t.Helper()
 	return pipe(t,
 		func(nc net.Conn) (*Conn, error) {
-			return Initiate(nc, s.initPlane, s.init, s.dialOrigin, s.expect, 5*time.Second)
+			return Initiate(nc, s.initPlane, s.init, s.dialOrigin, s.expect)
 		},
 		func(nc net.Conn) (*Conn, error) {
-			return Accept(nc, s.respPlane, s.resp, s.admit, 5*time.Second)
+			return Accept(nc, s.respPlane, s.resp, s.admit)
 		})
 }
 
@@ -413,7 +412,7 @@ func TestHandshake(t *testing.T) {
 			// hello — but with the quote it would issue for a client
 			// session over the same keys, nonce and origins.
 			splice := func(nc net.Conn) (*Conn, error) {
-				c, priv, err := begin(nc, 5*time.Second)
+				c, priv, err := begin(nc)
 				if err != nil {
 					return nil, err
 				}
@@ -434,7 +433,7 @@ func TestHandshake(t *testing.T) {
 				return nil, err
 			}
 			_, _, ierr, _ := pipe(t, func(nc net.Conn) (*Conn, error) {
-				return Initiate(nc, s.initPlane, s.init, s.dialOrigin, s.expect, 5*time.Second)
+				return Initiate(nc, s.initPlane, s.init, s.dialOrigin, s.expect)
 			}, splice)
 			if !errors.Is(ierr, ErrHandshake) || errors.Is(ierr, sgx.ErrQuoteForged) {
 				t.Fatalf("spliced session quote: %v, want ErrHandshake for an unbound quote", ierr)
@@ -482,7 +481,7 @@ func TestHandshake(t *testing.T) {
 			// An initiator that proves itself where nothing was demanded
 			// is off protocol: prove carries a quote exactly when asked.
 			eager := func(nc net.Conn) (*Conn, error) {
-				c, priv, err := begin(nc, 5*time.Second)
+				c, priv, err := begin(nc)
 				if err != nil {
 					return nil, err
 				}
@@ -509,7 +508,7 @@ func TestHandshake(t *testing.T) {
 				return nil, err
 			}
 			_, _, _, rerr := pipe(t, eager, func(nc net.Conn) (*Conn, error) {
-				return Accept(nc, s.respPlane, s.resp, s.admit, 5*time.Second)
+				return Accept(nc, s.respPlane, s.resp, s.admit)
 			})
 			if !errors.Is(rerr, ErrHandshake) {
 				t.Fatalf("responder: %v, want ErrHandshake", rerr)
@@ -519,7 +518,7 @@ func TestHandshake(t *testing.T) {
 			hello := appendMessage(nil, message{kind: kindHello, purpose: s.respPlane.Purpose, pub: make([]byte, 32), nonce: make([]byte, 16)})
 			hello[1] = Version + 1
 			_, _, ierr, rerr := pipe(t, rawInitiator(hello), func(nc net.Conn) (*Conn, error) {
-				return Accept(nc, s.respPlane, s.resp, s.admit, 5*time.Second)
+				return Accept(nc, s.respPlane, s.resp, s.admit)
 			})
 			if !errors.Is(rerr, ErrVersion) || !errors.Is(rerr, ErrHandshake) {
 				t.Fatalf("responder: %v, want ErrVersion (an ErrHandshake)", rerr)
@@ -563,7 +562,7 @@ func TestHandshake(t *testing.T) {
 				_, err := nc.Write([]byte{0x01, 0x00, 0x00, 0x00, 0xAA})
 				return nil, err
 			}, func(nc net.Conn) (*Conn, error) {
-				return Accept(nc, s.respPlane, s.resp, s.admit, 5*time.Second)
+				return Accept(nc, s.respPlane, s.resp, s.admit)
 			})
 			runtime.ReadMemStats(&after)
 			if !errors.Is(rerr, ErrHandshake) || !errors.Is(rerr, ErrFrameTooLarge) {

@@ -42,6 +42,10 @@ import (
 // the rest of it is parsed.
 const Version byte = 1
 
+// HandshakeTimeout bounds a whole handshake, and the TCP dial before it
+// on the initiator's side.
+const HandshakeTimeout = 10 * time.Second
+
 // Purpose names the plane a channel serves. It travels in the hello and
 // is folded into the transcript, so a quote issued for a client session
 // never verifies inside a peer handshake.
@@ -310,13 +314,10 @@ func (c *Conn) expect(kind msgKind) (message, error) {
 	return m, err
 }
 
-// begin puts the handshake under its deadline and generates this end's
-// ephemeral key. The caller clears the deadline when it returns.
-func begin(nc net.Conn, timeout time.Duration) (*Conn, *ecdh.PrivateKey, error) {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	_ = nc.SetDeadline(time.Now().Add(timeout)) // a conn without deadlines runs unbounded
+// begin puts the handshake under HandshakeTimeout and generates this
+// end's ephemeral key. The caller clears the deadline when it returns.
+func begin(nc net.Conn) (*Conn, *ecdh.PrivateKey, error) {
+	_ = nc.SetDeadline(time.Now().Add(HandshakeTimeout)) // a conn without deadlines runs unbounded
 	priv, err := ecdh.X25519().GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: keygen: %v", ErrHandshake, err)
@@ -331,8 +332,8 @@ func begin(nc net.Conn, timeout time.Duration) (*Conn, *ecdh.PrivateKey, error) 
 // proves local.Enclave in return when the responder demands it. A
 // refusal before attestation comes back as a *RejectError. nc stays the
 // caller's to close, on failure too.
-func Initiate(nc net.Conn, plane Plane, local Identity, remoteOrigin string, expect [32]byte, timeout time.Duration) (*Conn, error) {
-	c, priv, err := begin(nc, timeout)
+func Initiate(nc net.Conn, plane Plane, local Identity, remoteOrigin string, expect [32]byte) (*Conn, error) {
+	c, priv, err := begin(nc)
 	if err != nil {
 		return nil, err
 	}
@@ -385,8 +386,8 @@ func Initiate(nc net.Conn, plane Plane, local Identity, remoteOrigin string, exp
 // on a one-sided plane), or a *RejectError whose status is sent back in
 // place of the attestation. The error admit returns is the error Accept
 // returns.
-func Accept(nc net.Conn, plane Plane, local Identity, admit func(origin string) (demand *[32]byte, err error), timeout time.Duration) (*Conn, error) {
-	c, priv, err := begin(nc, timeout)
+func Accept(nc net.Conn, plane Plane, local Identity, admit func(origin string) (demand *[32]byte, err error)) (*Conn, error) {
+	c, priv, err := begin(nc)
 	if err != nil {
 		return nil, err
 	}

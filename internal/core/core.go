@@ -89,9 +89,9 @@ func prepare(prog *classmodel.Program) (*classmodel.Program, error) {
 // BuildConfig tunes the image-partitioning phase.
 type BuildConfig struct {
 	// TrustedReflection and UntrustedReflection are reflection roots
-	// forced into the respective image (the reflect-config.json analog
-	// of §2.2): methods with no static call edge that must stay
-	// dynamically invokable.
+	// forced into the respective image (the reflection configuration of
+	// §2.2, given programmatically): methods with no static call edge
+	// that must stay dynamically invokable.
 	TrustedReflection   []classmodel.MethodRef
 	UntrustedReflection []classmodel.MethodRef
 }

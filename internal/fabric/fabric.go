@@ -40,12 +40,6 @@ type Options struct {
 	// timeline records session, replication, and failover events. The
 	// fleet registry also receives the montsalvat_fabric_* counters.
 	Fleet *telemetry.Fleet
-	// MaxSessions / MaxInFlight are passed through to each gateway
-	// (zero means the serve defaults).
-	MaxSessions int
-	MaxInFlight int
-	// PeerTimeout bounds peer handshakes (default 10s).
-	PeerTimeout time.Duration
 	// Logf receives diagnostics from every layer of the fabric.
 	Logf func(format string, args ...any)
 	// Signer signs every node's enclave; nil means sgx.DefaultSigner.
@@ -176,7 +170,6 @@ func (f *Fabric) shipTo(n *shardNode, reps []*replicaNode) error {
 			PeerIdentity{Platform: f.platform, Enclave: n.w.Enclave(), Origin: ShardOrigin(n.id)},
 			replicaOrigin(n.id, r.idx),
 			r.measurement(),
-			f.opts.PeerTimeout,
 		)
 		if err != nil {
 			return fmt.Errorf("fabric: shard %d replica %d channel: %w", n.id, r.idx, err)
@@ -225,21 +218,18 @@ func (f *Fabric) publishTableLocked() {
 		"epoch %d -> %d (%d shards)", cur.Epoch, cur.Epoch+1, len(infos))
 }
 
-// Table returns the current routing table. Fabric implements the
-// Router's TableSource.
+// Table returns the current routing table.
 func (f *Fabric) Table() Table {
 	return f.table.Load().(Table)
 }
 
-// Client builds a routing client over this fabric's topology. With a
-// Fleet configured and no explicit RouterConfig.Telemetry, the router
+// Client builds a routing client over this fabric's topology; shard
+// sessions are dialed on first use. With a Fleet configured the router
 // joins the fleet plane: its route spans and redirect events land in
 // the shared tracer and journal.
-func (f *Fabric) Client(cfg RouterConfig) *Router {
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = f.opts.Fleet.Telemetry()
-	}
-	return NewRouter(f, f.platform, cfg)
+func (f *Fabric) Client(RouterConfig) *Router {
+	tel := f.opts.Fleet.Telemetry()
+	return &Router{f: f, tracer: tel.Tracer(), events: tel.Events(), table: f.Table(), conns: make(map[int]*routerConn)}
 }
 
 // Platform returns the attestation platform shared by the fabric.

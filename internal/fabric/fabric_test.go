@@ -128,7 +128,6 @@ func TestReplicaHostRefusesHandshakes(t *testing.T) {
 		PeerIdentity{Platform: f.Platform(), Enclave: sibling.w.Enclave(), Origin: ShardOrigin(1)},
 		replicaOrigin(0, 0),
 		standby.measurement(),
-		0,
 	)
 	if !errors.Is(err, ErrPeerHandshake) {
 		t.Fatalf("sibling shard's channel to shard 0's standby: %v, want ErrPeerHandshake", err)
@@ -145,7 +144,6 @@ func TestReplicaHostRefusesHandshakes(t *testing.T) {
 		PeerIdentity{Platform: f.Platform(), Enclave: primary.w.Enclave(), Origin: ShardOrigin(0)},
 		replicaOrigin(0, 0),
 		wrong,
-		0,
 	)
 	if !errors.Is(err, ErrPeerHandshake) {
 		t.Fatalf("wrong measurement: %v, want ErrPeerHandshake", err)

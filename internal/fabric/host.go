@@ -11,7 +11,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"time"
 
 	"montsalvat/internal/persist"
 	"montsalvat/internal/telemetry"
@@ -26,8 +25,6 @@ type PeerHost struct {
 	// Peers maps each origin allowed to open channels here to the
 	// measurement that origin's enclave must prove.
 	Peers map[string][32]byte
-	// Timeout bounds the handshake.
-	Timeout time.Duration
 
 	// Have reports the host's durable-root inventory; nil rejects
 	// replication inventory requests.
@@ -110,7 +107,7 @@ func (h *PeerHost) Close() {
 
 func (h *PeerHost) serveConn(conn net.Conn) {
 	defer h.wg.Done()
-	pc, err := AcceptPeer(conn, h.Identity, h.Peers, h.Timeout)
+	pc, err := AcceptPeer(conn, h.Identity, h.Peers)
 	if err != nil {
 		h.logf("fabric: peer accept (%s): %v", h.Identity.Origin, err)
 		conn.Close()

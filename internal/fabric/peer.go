@@ -20,7 +20,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"montsalvat/internal/channel"
 	"montsalvat/internal/persist"
@@ -119,15 +118,12 @@ func (p *PeerConn) exchange(frame []byte) ([]wire.Value, error) {
 // DialPeer opens and mutually attests a channel to the peer at addr.
 // expect is the measurement the remote enclave must prove;
 // remoteOrigin is the shard identity it must claim (and quote).
-func DialPeer(addr string, local PeerIdentity, remoteOrigin string, expect [32]byte, timeout time.Duration) (*PeerConn, error) {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+func DialPeer(addr string, local PeerIdentity, remoteOrigin string, expect [32]byte) (*PeerConn, error) {
+	conn, err := net.DialTimeout("tcp", addr, channel.HandshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
-	ch, err := channel.Initiate(conn, peerPlane, local, remoteOrigin, expect, timeout)
+	ch, err := channel.Initiate(conn, peerPlane, local, remoteOrigin, expect)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -141,14 +137,14 @@ func DialPeer(addr string, local PeerIdentity, remoteOrigin string, expect [32]b
 // initiator claiming any other origin is refused before the responder
 // quotes anything. The claimed origin is folded into the attested
 // transcript, so the initiator's own quote certifies the claim.
-func AcceptPeer(conn net.Conn, local PeerIdentity, peers map[string][32]byte, timeout time.Duration) (*PeerConn, error) {
+func AcceptPeer(conn net.Conn, local PeerIdentity, peers map[string][32]byte) (*PeerConn, error) {
 	ch, err := channel.Accept(conn, peerPlane, local, func(origin string) (*[32]byte, error) {
 		expect, ok := peers[origin]
 		if !ok {
 			return nil, fmt.Errorf("peer claims unknown origin %q: %w", origin, &channel.RejectError{Status: statusUnknownOrigin})
 		}
 		return &expect, nil
-	}, timeout)
+	})
 	if err != nil {
 		return nil, err
 	}

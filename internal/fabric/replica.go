@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
 
 	"montsalvat/internal/persist"
 	"montsalvat/internal/shim"
@@ -57,11 +56,6 @@ type replicaNode struct {
 	host     *PeerHost
 	ln       net.Listener
 	hostDone chan error
-
-	// Applied positions, updated as deltas land (telemetry/debugging;
-	// the authoritative promotion check recovers from the filesystem).
-	appliedStamp atomic.Uint64
-	appliedLSN   atomic.Uint64
 }
 
 // newReplicaNode boots a standby for shardID whose peer host admits one
@@ -78,14 +72,11 @@ func newReplicaNode(f *Fabric, shardID, idx int, primaryMeas [32]byte) (*replica
 	r.host = &PeerHost{
 		Identity: PeerIdentity{Platform: f.platform, Enclave: w.Enclave(), Origin: replicaOrigin(shardID, idx)},
 		Peers:    map[string][32]byte{ShardOrigin(shardID): primaryMeas},
-		Timeout:  f.opts.PeerTimeout,
 		Have:     func() (map[string]int64, error) { return persist.HaveMap(r.fs, shardDir) },
 		Apply: func(d persist.Delta) (uint64, uint64, error) {
 			if err := persist.ApplyDelta(r.fs, d); err != nil {
 				return 0, 0, err
 			}
-			r.appliedStamp.Store(d.Stamp)
-			r.appliedLSN.Store(d.LastLSN)
 			return d.Stamp, d.LastLSN, nil
 		},
 		Logf:        f.opts.Logf,

@@ -54,10 +54,6 @@ type ShardInfo struct {
 	Measurement [32]byte
 }
 
-// Origin renders the shard's namespace origin tag — the identity peer
-// channels present when resolving handles the shard issued.
-func (s ShardInfo) Origin() string { return ShardOrigin(s.ID) }
-
 // ShardOrigin is the canonical namespace origin for a shard ID.
 func ShardOrigin(id int) string { return fmt.Sprintf("shard-%d", id) }
 

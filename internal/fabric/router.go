@@ -5,7 +5,7 @@ package fabric
 // shard's measurement from the routing table) and maps each key through
 // the consistent-hash ring. Topology is discovered, not configured: on
 // a WrongShardError redirect or a dead connection the router refreshes
-// its table from the source and retries toward the owner, under a
+// its table from the fabric and retries toward the owner, under a
 // bounded redirect budget so a stale or disagreeing topology degrades
 // into a typed error instead of a loop.
 
@@ -16,10 +16,8 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"montsalvat/internal/serve"
-	"montsalvat/internal/sgx"
 	"montsalvat/internal/telemetry"
 	"montsalvat/internal/wire"
 )
@@ -32,26 +30,10 @@ var ErrRedirectBudget = errors.New("fabric: redirect budget exhausted")
 // take.
 const maxRedirects = 3
 
-// TableSource supplies the current routing table; *Fabric implements
-// it in-process, and a remote deployment would implement it over a
-// control channel.
-type TableSource interface {
-	Table() Table
-}
-
-// RouterConfig tunes a Router.
-type RouterConfig struct {
-	// DialTimeout / RequestTimeout are passed to each shard session.
-	DialTimeout    time.Duration
-	RequestTimeout time.Duration
-	// Telemetry, when set, starts a root span per routed operation and
-	// propagates its context to the owning shard — the client end of
-	// every cross-shard trace. Redirect hops are annotated as child
-	// spans carrying the old and new owner and the table epoch, and the
-	// retry call continues the originating trace rather than starting a
-	// new one.
-	Telemetry *telemetry.Telemetry
-}
+// RouterConfig is empty: every Router is configured by its Fabric.
+// Fabric.Client keeps the parameter because benchmark/stack.go passes
+// it; remove with the next benchmark PR.
+type RouterConfig struct{}
 
 // RouterStats counts routing events.
 type RouterStats struct {
@@ -65,11 +47,9 @@ type RouterStats struct {
 
 // Router is a sharded KV client.
 type Router struct {
-	src      TableSource
-	platform *sgx.Platform
-	cfg      RouterConfig
-	tracer   *telemetry.Tracer
-	events   *telemetry.EventLog
+	f      *Fabric
+	tracer *telemetry.Tracer
+	events *telemetry.EventLog
 
 	mu    sync.Mutex
 	table Table
@@ -84,20 +64,6 @@ type routerConn struct {
 	c    *serve.Client
 	kv   serve.Handle
 	addr string
-}
-
-// NewRouter builds a router over src. Shard sessions are dialed on
-// first use.
-func NewRouter(src TableSource, platform *sgx.Platform, cfg RouterConfig) *Router {
-	return &Router{
-		src:      src,
-		platform: platform,
-		cfg:      cfg,
-		tracer:   cfg.Telemetry.Tracer(),
-		events:   cfg.Telemetry.Events(),
-		table:    src.Table(),
-		conns:    make(map[int]*routerConn),
-	}
 }
 
 // Put routes a write to the owner of key.
@@ -146,10 +112,10 @@ func (r *Router) currentTable() Table {
 	return r.table
 }
 
-// refresh re-reads the table from the source and drops sessions whose
+// refresh re-reads the fabric's table and drops sessions whose
 // shard moved (new address or measurement).
 func (r *Router) refresh() Table {
-	t := r.src.Table()
+	t := r.f.Table()
 	r.refreshes.Add(1)
 	var stale []*routerConn
 	r.mu.Lock()
@@ -185,12 +151,7 @@ func (r *Router) conn(t Table, id int) (*routerConn, error) {
 	if !ok {
 		return nil, fmt.Errorf("fabric: shard %d not in routing table (epoch %d)", id, t.Epoch)
 	}
-	c, err := serve.Dial(info.Addr, serve.ClientConfig{
-		Platform:       r.platform,
-		Measurement:    info.Measurement,
-		DialTimeout:    r.cfg.DialTimeout,
-		RequestTimeout: r.cfg.RequestTimeout,
-	})
+	c, err := serve.Dial(info.Addr, serve.ClientConfig{Platform: r.f.platform, Measurement: info.Measurement})
 	if err != nil {
 		return nil, err
 	}

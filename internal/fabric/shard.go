@@ -142,16 +142,15 @@ func (f *Fabric) openManager(id int, w *world.World, fs shim.FS, kv *persist.Wor
 		return nil, persist.Report{}, err
 	}
 	m, err := persist.Open(persist.Options{
-		FS:           fs,
-		Enclave:      w.Enclave(),
-		Secret:       f.secret,
-		Counter:      ctr,
-		Dir:          shardDir,
-		BeforeCommit: w.Flush,
-		Telemetry:    tel.Registry(),
-		Events:       tel.Events(),
-		Node:         ShardOrigin(id),
-		Logf:         f.opts.Logf,
+		FS:        fs,
+		Enclave:   w.Enclave(),
+		Secret:    f.secret,
+		Counter:   ctr,
+		Dir:       shardDir,
+		Telemetry: tel.Registry(),
+		Events:    tel.Events(),
+		Node:      ShardOrigin(id),
+		Logf:      f.opts.Logf,
 	})
 	if err != nil {
 		return nil, persist.Report{}, err
@@ -204,15 +203,13 @@ func newShardNode(f *Fabric, id int) (*shardNode, error) {
 func (n *shardNode) startGateway() error {
 	f := n.fab
 	sOpts := serve.Options{
-		World:       n.w,
-		Platform:    f.platform,
-		MaxSessions: f.opts.MaxSessions,
-		MaxInFlight: f.opts.MaxInFlight,
-		Logf:        f.opts.Logf,
-		ShardCheck:  f.shardCheckFor(n.id),
-		Telemetry:   n.tel,
-		Node:        ShardOrigin(n.id),
-		Journal:     n.journal,
+		World:      n.w,
+		Platform:   f.platform,
+		Logf:       f.opts.Logf,
+		ShardCheck: f.shardCheckFor(n.id),
+		Telemetry:  n.tel,
+		Node:       ShardOrigin(n.id),
+		Journal:    n.journal,
 	}
 	// Everything recovered counts as acked — it was validated against
 	// the predecessor's expectation.

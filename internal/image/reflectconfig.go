@@ -1,7 +1,6 @@
 package image
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"montsalvat/internal/classmodel"
@@ -22,47 +21,6 @@ type Config struct {
 	// they become additional analysis entry points even when no static
 	// call edge reaches them.
 	ExtraRoots []classmodel.MethodRef
-}
-
-// reflectConfigJSON is the on-disk format of the reflection
-// configuration, shaped after GraalVM's reflect-config.json.
-type reflectConfigJSON []struct {
-	Name    string `json:"name"` // class name
-	Methods []struct {
-		Name string `json:"name"`
-	} `json:"methods"`
-	// AllDeclaredMethods forces every method of the class in (GraalVM's
-	// allDeclaredMethods flag).
-	AllDeclaredMethods bool `json:"allDeclaredMethods"`
-}
-
-// ParseReflectConfig parses a reflect-config.json document against a
-// program, returning the method roots it names.
-func ParseReflectConfig(data []byte, prog *classmodel.Program) ([]classmodel.MethodRef, error) {
-	var cfg reflectConfigJSON
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		return nil, fmt.Errorf("image: reflect config: %w", err)
-	}
-	var roots []classmodel.MethodRef
-	for _, entry := range cfg {
-		c, ok := prog.Class(entry.Name)
-		if !ok {
-			return nil, fmt.Errorf("image: reflect config names unknown class %s", entry.Name)
-		}
-		if entry.AllDeclaredMethods {
-			for _, m := range c.Methods {
-				roots = append(roots, classmodel.MethodRef{Class: c.Name, Method: m.Name})
-			}
-			continue
-		}
-		for _, m := range entry.Methods {
-			if _, ok := c.Method(m.Name); !ok {
-				return nil, fmt.Errorf("image: reflect config names unknown method %s.%s", entry.Name, m.Name)
-			}
-			roots = append(roots, classmodel.MethodRef{Class: entry.Name, Method: m.Name})
-		}
-	}
-	return roots, nil
 }
 
 // BuildWithConfig compiles a class set like Build, additionally forcing

@@ -77,55 +77,3 @@ func TestBuildWithConfigRejectsUnknownRoot(t *testing.T) {
 		t.Fatalf("err = %v, want ErrClosedWorld", err)
 	}
 }
-
-func TestParseReflectConfig(t *testing.T) {
-	p := reflectProgram(t)
-	doc := []byte(`[
-		{"name": "App", "methods": [{"name": "invokedReflectively"}]}
-	]`)
-	roots, err := ParseReflectConfig(doc, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(roots) != 1 || roots[0] != (classmodel.MethodRef{Class: "App", Method: "invokedReflectively"}) {
-		t.Fatalf("roots = %v", roots)
-	}
-}
-
-func TestParseReflectConfigAllDeclaredMethods(t *testing.T) {
-	p := reflectProgram(t)
-	doc := []byte(`[{"name": "App", "allDeclaredMethods": true}]`)
-	roots, err := ParseReflectConfig(doc, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(roots) != 3 {
-		t.Fatalf("roots = %v, want all 3 methods", roots)
-	}
-	img, err := BuildWithConfig(UntrustedImage, p, Config{ExtraRoots: roots})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !img.MethodCompiled(classmodel.MethodRef{Class: "App", Method: "alsoDynamic"}) {
-		t.Fatal("allDeclaredMethods root pruned")
-	}
-}
-
-func TestParseReflectConfigErrors(t *testing.T) {
-	p := reflectProgram(t)
-	tests := []struct {
-		name string
-		doc  string
-	}{
-		{name: "malformed json", doc: `{not json`},
-		{name: "unknown class", doc: `[{"name": "Ghost"}]`},
-		{name: "unknown method", doc: `[{"name": "App", "methods": [{"name": "nope"}]}]`},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := ParseReflectConfig([]byte(tt.doc), p); err == nil {
-				t.Fatal("accepted invalid config")
-			}
-		})
-	}
-}

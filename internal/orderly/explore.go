@@ -37,9 +37,6 @@ type Options struct {
 	// the deepest world sweeps leave it off and a dedicated shallower
 	// pass turns it on.
 	LockCheck bool
-	// Progress, when set, is called after every completed deepening
-	// round with the round depth and cumulative distinct states.
-	Progress func(depth, states int)
 }
 
 // Violation is a falsified invariant with its action trace.
@@ -215,9 +212,6 @@ func (e *explorer) run() error {
 			return err
 		}
 		e.res.MaxDepth = depth
-		if e.opts.Progress != nil {
-			e.opts.Progress(depth, e.states.Len())
-		}
 	}
 	return nil
 }

@@ -218,12 +218,11 @@ func (s *worldSystem) bootStore() error {
 		return err
 	}
 	m, err := persist.Open(persist.Options{
-		FS:           s.fs,
-		Enclave:      s.w.Enclave(),
-		Secret:       s.secret,
-		Counter:      ctr,
-		Dir:          "p/",
-		BeforeCommit: s.w.Flush,
+		FS:      s.fs,
+		Enclave: s.w.Enclave(),
+		Secret:  s.secret,
+		Counter: ctr,
+		Dir:     "p/",
 	})
 	if err != nil {
 		return err

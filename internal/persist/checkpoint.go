@@ -17,16 +17,17 @@ import (
 // sealed with AAD binding the stamp, so a blob cannot be renamed into a
 // different counter position. The commit protocol orders:
 //
-//	1. flush the boundary (BeforeCommit) — batched relay calls land
-//	2. snapshot registered states, seal with stamp = counter + 1
-//	3. write the checkpoint file
-//	4. increment the monotonic counter  ← the commit point
-//	5. delete older checkpoints, truncate covered segments
-//	6. rotate to a fresh segment at the new epoch
+//	1. snapshot registered states, seal with stamp = counter + 1 (a
+//	   WorldKV flushes the world's batch queues before it reads the
+//	   store, so queued relay calls land in the snapshot)
+//	2. write the checkpoint file
+//	3. increment the monotonic counter  ← the commit point
+//	4. delete older checkpoints, truncate covered segments
+//	5. rotate to a fresh segment at the new epoch
 //
-// A crash before 4 leaves a checkpoint stamped ahead of the counter:
+// A crash before 3 leaves a checkpoint stamped ahead of the counter:
 // recovery discards it (incomplete commit) and uses the predecessor
-// plus the untruncated WAL tail. A crash after 4 leaves stale files:
+// plus the untruncated WAL tail. A crash after 3 leaves stale files:
 // recovery ignores them. Only a checkpoint whose stamp equals the live
 // counter is acceptable; a best-available stamp below the counter means
 // the matching blob was destroyed or replaced — ErrRollback.

@@ -8,9 +8,10 @@ import (
 
 // Crash injection. The durability protocol is only as good as its worst
 // crash site, so the Manager instruments every interesting point with a
-// crashpoint hook. In production the Injector is nil and the hooks cost
-// one nil check; in tests an armed Injector makes the Manager return a
-// typed *Crash mid-operation, after which the harness kills the world
+// crashpoint hook. In production the Manager's Injector stays disarmed
+// and a hook costs one uncontended lock; in tests an armed Injector
+// (Manager.CrashInjector) makes the Manager return a typed *Crash
+// mid-operation, after which the harness kills the world
 // (World.Kill) and drives recovery. The matrix test in crash_test.go
 // walks CrashPoints end to end.
 
@@ -136,11 +137,8 @@ func (in *Injector) Disarm() {
 }
 
 // hit is called by the Manager at each instrumented point; it returns a
-// *Crash when the armed point fires. A nil Injector never fires.
+// *Crash when the armed point fires.
 func (in *Injector) hit(point CrashPoint) error {
-	if in == nil {
-		return nil
-	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if !in.armed || in.point != point {

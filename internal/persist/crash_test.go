@@ -37,11 +37,11 @@ func TestCrashMatrix(t *testing.T) {
 func crashMatrixCell(t *testing.T, point CrashPoint, group bool) {
 	appendPoint := point <= CrashAfterAppend
 	e := newEnv(t)
-	inj := &Injector{}
-	opts := Options{Dir: "p/", SegmentBytes: 300, Injector: inj}
+	opts := Options{Dir: "p/", SegmentBytes: 300}
 
 	kv := NewMapState("kv")
 	m := e.open(opts, kv)
+	inj := m.CrashInjector()
 	if _, err := m.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +224,10 @@ func crashMatrixCell(t *testing.T, point CrashPoint, group bool) {
 // an error.
 func TestCrashDuringAutoCheckpoint(t *testing.T) {
 	e := newEnv(t)
-	inj := &Injector{}
-	opts := Options{CheckpointEvery: 3, Injector: inj}
+	opts := Options{CheckpointEvery: 3}
 	kv := NewMapState("kv")
 	m := e.open(opts, kv)
+	inj := m.CrashInjector()
 	if _, err := m.Recover(); err != nil {
 		t.Fatal(err)
 	}

@@ -38,12 +38,6 @@ type Options struct {
 	// CheckpointEvery takes an automatic checkpoint after this many
 	// appends. 0 means checkpoints are caller-driven only.
 	CheckpointEvery int
-	// BeforeCommit runs before every checkpoint snapshot — the
-	// flush-before-commit barrier. The World wires its boundary flush
-	// here so batched (result-independent) relay calls land before
-	// state is captured; without it a checkpoint could seal state that
-	// still has mutations parked in the transition batch queue.
-	BeforeCommit func() error
 	// Telemetry receives montsalvat_persist_* metrics. Optional.
 	Telemetry *telemetry.Registry
 	// Events, when set, journals durability transitions (checkpoint
@@ -51,8 +45,6 @@ type Options struct {
 	Events *telemetry.EventLog
 	// Node labels this manager's events in a fleet ("shard-2").
 	Node string
-	// Injector arms crash points. Nil in production.
-	Injector *Injector
 	// Logf receives recovery and cleanup notes. Defaults to discard.
 	Logf func(format string, args ...any)
 }
@@ -71,7 +63,6 @@ type Manager struct {
 	dir       string
 	segBytes  int64
 	ckptEvery int
-	before    func() error
 	injector  *Injector
 	logf      func(string, ...any)
 
@@ -164,12 +155,6 @@ func Open(opts Options) (*Manager, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	if opts.Injector == nil {
-		// Always carry a (disarmed) injector so callers can arm crash
-		// points deterministically through CrashInjector without having
-		// to plumb one at Open time — the model checker's hook.
-		opts.Injector = &Injector{}
-	}
 	m := &Manager{
 		fs:        opts.FS,
 		enclave:   opts.Enclave,
@@ -178,8 +163,7 @@ func Open(opts Options) (*Manager, error) {
 		dir:       opts.Dir,
 		segBytes:  opts.SegmentBytes,
 		ckptEvery: opts.CheckpointEvery,
-		before:    opts.BeforeCommit,
-		injector:  opts.Injector,
+		injector:  &Injector{},
 		logf:      opts.Logf,
 		byName:    make(map[string]State),
 		tel:       opts.Telemetry,
@@ -195,11 +179,10 @@ func Open(opts Options) (*Manager, error) {
 	return m, nil
 }
 
-// CrashInjector returns the manager's crash-point injector (never nil).
-// Arming a point makes the corresponding protocol step return a typed
-// *Crash — the public deterministic hook the orderly explorer (and any
-// crash-matrix harness) uses to schedule failures without plumbing an
-// Injector through Open.
+// CrashInjector returns the manager's crash-point injector, disarmed
+// until a caller arms it. Arming a point makes the corresponding
+// protocol step return a typed *Crash — the deterministic hook the
+// orderly explorer and the crash matrix use to schedule failures.
 func (m *Manager) CrashInjector() *Injector { return m.injector }
 
 // Register adds a durable state. All states must be registered before
@@ -243,13 +226,6 @@ func (m *Manager) Checkpoint() error {
 // checkpointLocked runs the commit protocol described in
 // checkpoint.go. The monotonic-counter increment is the commit point.
 func (m *Manager) checkpointLocked() error {
-	if m.before != nil {
-		// Flush-before-commit: batched boundary work must land before
-		// state is captured.
-		if err := m.before(); err != nil {
-			return fmt.Errorf("persist: pre-checkpoint flush: %w", err)
-		}
-	}
 	if err := m.injector.hit(CrashBeforeCheckpointSeal); err != nil {
 		return err
 	}

@@ -457,47 +457,39 @@ func TestAutoCheckpointTruncatesLog(t *testing.T) {
 	}
 }
 
-func TestFlushBeforeCommitOrdering(t *testing.T) {
+// TestCheckpointSnapshotErrorCommitsNothing pins the failure path of
+// the commit protocol's snapshot step: a state whose Snapshot fails
+// makes Checkpoint return that error before the counter moves, so the
+// live checkpoint stays the one recovery committed.
+func TestCheckpointSnapshotErrorCommitsNothing(t *testing.T) {
 	e := newEnv(t)
-	kv := NewMapState("kv")
-	flushed := 0
-	snapshotsAtFlush := -1
-	probe := &probeState{inner: kv, onSnapshot: func() {
-		if snapshotsAtFlush == -1 {
-			snapshotsAtFlush = flushed
-		}
-	}}
-	m := e.open(Options{BeforeCommit: func() error { flushed++; return nil }}, probe)
+	kv := &failingSnapshot{MapState: NewMapState("kv")}
+	m := e.open(Options{}, kv)
 	if _, err := m.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if flushed == 0 {
-		t.Fatal("BeforeCommit never ran")
+	mustAppend(t, m, "kv", "a", "1")
+	epoch := m.Stats().Epoch
+	kv.err = errors.New("snapshot failed")
+	if err := m.Checkpoint(); !errors.Is(err, kv.err) {
+		t.Fatalf("Checkpoint with a failing snapshot: %v, want %v", err, kv.err)
 	}
-	if snapshotsAtFlush < 1 {
-		t.Fatalf("snapshot taken before the flush barrier (flushed=%d at first snapshot)", snapshotsAtFlush)
-	}
-	flushErr := errors.New("flush failed")
-	m.before = func() error { return flushErr }
-	if err := m.Checkpoint(); !errors.Is(err, flushErr) {
-		t.Fatalf("Checkpoint with failing flush: %v", err)
+	if got := m.Stats().Epoch; got != epoch {
+		t.Fatalf("epoch %d after a failed checkpoint, want %d", got, epoch)
 	}
 }
 
-// probeState wraps a State to observe snapshot ordering.
-type probeState struct {
-	inner      State
-	onSnapshot func()
+// failingSnapshot is a MapState whose Snapshot returns err once set.
+type failingSnapshot struct {
+	*MapState
+	err error
 }
 
-func (p *probeState) Name() string              { return p.inner.Name() }
-func (p *probeState) Restore(data []byte) error { return p.inner.Restore(data) }
-func (p *probeState) Apply(recs []Record) error { return p.inner.Apply(recs) }
-func (p *probeState) Snapshot() ([]byte, error) {
-	if p.onSnapshot != nil {
-		p.onSnapshot()
+func (f *failingSnapshot) Snapshot() ([]byte, error) {
+	if f.err != nil {
+		return nil, f.err
 	}
-	return p.inner.Snapshot()
+	return f.MapState.Snapshot()
 }
 
 func TestRecoverRejectsTamperedCounter(t *testing.T) {

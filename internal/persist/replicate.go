@@ -205,13 +205,13 @@ func (m *Manager) shipClass(name string) int {
 // ApplyDelta applies one shipment to a follower filesystem: removals
 // first, then chunks in order. Idempotent for a re-delivered delta
 // whose writes all landed; a torn apply is repaired by the next
-// delta (size mismatches re-ship whole files).
+// delta (size mismatches re-ship whole files). A file already gone is
+// removed; any other failed removal fails the apply, since a file the
+// primary re-ships from offset 0 would otherwise keep a stale tail.
 func ApplyDelta(fs shim.FS, d Delta) error {
 	for _, name := range d.Remove {
-		if err := fs.Remove(name); err != nil {
-			// Already gone is fine: removal is reconciliation, not a
-			// protocol step.
-			continue
+		if err := fs.Remove(name); err != nil && !errors.Is(err, shim.ErrNotFound) {
+			return fmt.Errorf("persist: apply remove %s: %w", name, err)
 		}
 	}
 	for _, c := range d.Chunks {

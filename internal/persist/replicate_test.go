@@ -251,3 +251,42 @@ func TestDecodeDeltaRejectsJunk(t *testing.T) {
 		t.Fatalf("trailing byte accepted")
 	}
 }
+
+// failingRemoveFS is a MemFS whose Remove fails with err for every file
+// that exists.
+type failingRemoveFS struct {
+	*shim.MemFS
+	err error
+}
+
+func (fs failingRemoveFS) Remove(name string) error {
+	if _, err := fs.Size(name); err != nil {
+		return fs.MemFS.Remove(name)
+	}
+	return fs.err
+}
+
+// TestApplyDeltaRemoveErrors pins ApplyDelta's removal step: a file
+// already gone counts as removed, and any other failed removal fails
+// the apply before a chunk lands, so a segment the primary re-ships
+// from offset 0 cannot keep a stale tail while the round acks.
+func TestApplyDeltaRemoveErrors(t *testing.T) {
+	ioErr := errors.New("i/o error")
+	fs := failingRemoveFS{MemFS: shim.NewMemFS(), err: ioErr}
+	if err := ApplyDelta(fs, Delta{Remove: []string{"p/gone.seg"}}); err != nil {
+		t.Fatalf("removing a missing file: %v", err)
+	}
+	if err := fs.WriteAt("p/wal.seg", 0, []byte("stale tail")); err != nil {
+		t.Fatal(err)
+	}
+	err := ApplyDelta(fs, Delta{
+		Remove: []string{"p/wal.seg"},
+		Chunks: []Chunk{{Name: "p/wal.seg", Off: 0, Data: []byte("new")}},
+	})
+	if !errors.Is(err, ioErr) {
+		t.Fatalf("ApplyDelta with a failing remove: %v, want %v", err, ioErr)
+	}
+	if data, _ := fs.ReadAt("p/wal.seg", 0, 10); string(data) != "stale tail" {
+		t.Fatalf("a chunk landed after the failed remove: %q", data)
+	}
+}

@@ -78,12 +78,11 @@ func TestWorldKVRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		m, err := Open(Options{
-			FS:           fs,
-			Enclave:      w.Enclave(),
-			Secret:       secret,
-			Counter:      ctr,
-			Dir:          "p/",
-			BeforeCommit: w.Flush, // batched mutations land before capture
+			FS:      fs,
+			Enclave: w.Enclave(),
+			Secret:  secret,
+			Counter: ctr,
+			Dir:     "p/",
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +229,7 @@ func (f *recoveryFixture) boot() (*Manager, wire.Value) {
 	}
 	m, err := Open(Options{
 		FS: f.fs, Enclave: f.w.Enclave(), Secret: f.secret, Counter: ctr,
-		Dir: "p/", SegmentBytes: 512, BeforeCommit: f.w.Flush,
+		Dir: "p/", SegmentBytes: 512,
 	})
 	if err != nil {
 		f.t.Fatal(err)
@@ -593,5 +592,69 @@ func TestWorldKVFlushesBeforePass(t *testing.T) {
 	}
 	if want := encodePairs([]kvPair{{"k", []byte("v")}}); !bytes.Equal(snap, want) {
 		t.Fatalf("snapshot %x, want %x", snap, want)
+	}
+}
+
+// TestWorldKVCheckpointSealsQueuedPuts pins the checkpoint barrier:
+// with batching on, a put waits in the batch queue, and a checkpoint
+// must seal it. The WorldKV's pass flushes the queue before the
+// snapshot reads the store, so the checkpoint files, reopened into a
+// MapState, hold the put although the WAL never saw it.
+func TestWorldKVCheckpointSealsQueuedPuts(t *testing.T) {
+	opts := world.DefaultOptions()
+	opts.Cfg.Batching = true
+	w, _, err := core.NewPartitionedWorld(demo.MustKVProgram(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	ref := newKVStore(t, w)
+	if err := w.Flush(); err != nil { // the store's constructor lands
+		t.Fatal(err)
+	}
+	fs := shim.NewMemFS()
+	secret, err := sgx.NewPlatformSecret()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrs := sgx.NewMemCounterStore()
+	recoverInto := func(s State) *Manager {
+		t.Helper()
+		ctr, err := sgx.NewMonotonicCounter(secret, ctrs, "queued")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := Open(Options{FS: fs, Enclave: w.Enclave(), Secret: secret, Counter: ctr, Dir: "p/"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Register(s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	kv := NewWorldKV("kv", w)
+	kv.SetRef(ref)
+	m := recoverInto(kv)
+	err = w.Exec(false, func(env classmodel.Env) error {
+		_, err := env.Call(ref, "put", wire.Str("k"), wire.Str("v"))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.DispatchStats().PendingCalls == 0 {
+		t.Fatal("the put did not wait in the batch queue")
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	sealed := NewMapState("kv")
+	recoverInto(sealed)
+	if v, ok := sealed.Get("k"); !ok || string(v) != "v" {
+		t.Fatalf("checkpoint holds k = %q (present %v), want \"v\"", v, ok)
 	}
 }

@@ -13,7 +13,9 @@ import (
 	"montsalvat/internal/wire"
 )
 
-// ClientConfig configures Dial.
+// ClientConfig configures Dial. The TCP dial and the handshake each run
+// under channel.HandshakeTimeout; a request without a deadline of its
+// own gets requestTimeout, which travels to the server as its budget.
 type ClientConfig struct {
 	// Platform verifies the server's attestation quote. Required; must
 	// share the attestation key with the gateway (same seed).
@@ -22,11 +24,6 @@ type ClientConfig struct {
 	// fails unless the quote carries exactly this identity — connecting
 	// to the wrong (or tampered) enclave is an error, not a downgrade.
 	Measurement [32]byte
-	// DialTimeout bounds connection + handshake (default 10s).
-	DialTimeout time.Duration
-	// RequestTimeout is the default per-request deadline, propagated to
-	// the server as the request budget (default 30s).
-	RequestTimeout time.Duration
 }
 
 // Handle names a server-side object owned by this client's session.
@@ -52,7 +49,6 @@ func AsHandle(v wire.Value) (Handle, bool) {
 // use: calls are demultiplexed by request id, so many goroutines can
 // issue requests over the single connection.
 type Client struct {
-	cfg  ClientConfig
 	conn net.Conn
 	ch   *channel.Conn // read by readLoop alone
 
@@ -72,24 +68,18 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.Platform == nil {
 		return nil, fmt.Errorf("%w: ClientConfig.Platform is required", ErrHandshake)
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 30 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", addr, channel.HandshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
 	// The client speaks for no enclave: the handshake is the one-sided
 	// case, and fails unless the gateway's quote carries cfg.Measurement.
-	ch, err := channel.Initiate(conn, sessionPlane, channel.Identity{Platform: cfg.Platform}, "", cfg.Measurement, cfg.DialTimeout)
+	ch, err := channel.Initiate(conn, sessionPlane, channel.Identity{Platform: cfg.Platform}, "", cfg.Measurement)
 	if err != nil {
 		_ = conn.Close()
 		return nil, handshakeErr(err)
 	}
-	c := &Client{cfg: cfg, conn: conn, ch: ch, pending: make(map[int64]*pendingCall)}
+	c := &Client{conn: conn, ch: ch, pending: make(map[int64]*pendingCall)}
 	go c.readLoop()
 	return c, nil
 }
@@ -184,7 +174,7 @@ func (c *Client) Close() error {
 func (c *Client) roundTrip(req request) (response, error) {
 	req.id = c.seq.Add(1)
 	if req.budget <= 0 {
-		req.budget = c.cfg.RequestTimeout
+		req.budget = requestTimeout
 	}
 	p := pendingCalls.Get().(*pendingCall)
 	p.c, p.id = c, req.id

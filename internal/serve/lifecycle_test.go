@@ -158,7 +158,7 @@ func (g *lifecycleGateway) pending(t *testing.T) net.Conn {
 
 // hello runs the client's side of the handshake on a pending connection.
 func (g *lifecycleGateway) hello(conn net.Conn) error {
-	_, err := channel.Initiate(conn, sessionPlane, channel.Identity{Platform: g.cfg.Platform}, "", g.cfg.Measurement, 10*time.Second)
+	_, err := channel.Initiate(conn, sessionPlane, channel.Identity{Platform: g.cfg.Platform}, "", g.cfg.Measurement)
 	return handshakeErr(err)
 }
 

@@ -50,12 +50,11 @@ func (r *recoverableKV) openManager(t *testing.T) *persist.Manager {
 		t.Fatal(err)
 	}
 	m, err := persist.Open(persist.Options{
-		FS:           r.fs,
-		Enclave:      r.w.Enclave(),
-		Secret:       r.secret,
-		Counter:      ctr,
-		Dir:          "p/",
-		BeforeCommit: r.w.Flush,
+		FS:      r.fs,
+		Enclave: r.w.Enclave(),
+		Secret:  r.secret,
+		Counter: ctr,
+		Dir:     "p/",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,17 @@ import (
 	"montsalvat/internal/world"
 )
 
-// Options configures a gateway Server.
+// requestTimeout is the deadline of a request: the client's budget when
+// it declares none, and the cap on the server side whatever it declares.
+const requestTimeout = 30 * time.Second
+
+// writeTimeout bounds one response write so a stalled client cannot
+// wedge a serving goroutine.
+const writeTimeout = 10 * time.Second
+
+// Options configures a gateway Server. The handshake runs under
+// channel.HandshakeTimeout, a request under requestTimeout and a
+// response write under writeTimeout.
 type Options struct {
 	// World is the partitioned world the gateway serves. Required; must
 	// be in world.ModePartitioned.
@@ -44,14 +54,6 @@ type Options struct {
 	// requests, so a single client cannot monopolise the gateway
 	// (default 4).
 	SessionInFlight int
-	// RequestTimeout caps the server-side deadline of any request,
-	// regardless of the client's declared budget (default 30s).
-	RequestTimeout time.Duration
-	// HandshakeTimeout bounds the attestation handshake (default 10s).
-	HandshakeTimeout time.Duration
-	// WriteTimeout bounds one response write so a stalled client cannot
-	// wedge a serving goroutine (default 10s).
-	WriteTimeout time.Duration
 	// ShardCheck, when set, runs before any state-touching request
 	// (new/call) executes. A fabric gateway installs the partition
 	// predicate here: return a *WrongShardError for keys this shard does
@@ -104,15 +106,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if opts.SessionInFlight <= 0 {
 		opts.SessionInFlight = 4
-	}
-	if opts.RequestTimeout <= 0 {
-		opts.RequestTimeout = 30 * time.Second
-	}
-	if opts.HandshakeTimeout <= 0 {
-		opts.HandshakeTimeout = 10 * time.Second
-	}
-	if opts.WriteTimeout <= 0 {
-		opts.WriteTimeout = 10 * time.Second
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
@@ -502,7 +495,7 @@ func (srv *Server) handshake(conn net.Conn) (*session, error) {
 	// A killed world has no enclave (a fabric kill tears it down before it
 	// closes the listener); the channel refuses to attest nothing.
 	local := channel.Identity{Platform: srv.opts.Platform, Enclave: srv.w.Enclave()}
-	ch, err := channel.Accept(conn, sessionPlane, local, admit, srv.opts.HandshakeTimeout)
+	ch, err := channel.Accept(conn, sessionPlane, local, admit)
 	srv.mu.Lock()
 	defer srv.mu.Unlock()
 	if sid != 0 {

@@ -82,7 +82,7 @@ func (s *session) loop() {
 // immediately without executing.
 func (s *session) dispatch(req request) {
 	var deadline time.Time
-	budget := s.srv.opts.RequestTimeout
+	budget := requestTimeout
 	if req.budget > 0 && req.budget < budget {
 		budget = req.budget
 	}
@@ -202,7 +202,7 @@ func (s *session) reply(id int64, r response) {
 	r.id = id
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	_ = s.conn.SetWriteDeadline(time.Now().Add(s.srv.opts.WriteTimeout))
+	_ = s.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	n, err := s.ch.Send(appendResponse(s.ch.Frame(), r))
 	_ = s.conn.SetWriteDeadline(time.Time{})
 	if err != nil {

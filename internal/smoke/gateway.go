@@ -167,12 +167,11 @@ func (g *Gateway) bootStore() error {
 		return err
 	}
 	popts := persist.Options{
-		FS:           g.fs,
-		Enclave:      g.wld.Enclave(),
-		Secret:       g.secret,
-		Counter:      ctr,
-		Dir:          "p/",
-		BeforeCommit: g.wld.Flush,
+		FS:      g.fs,
+		Enclave: g.wld.Enclave(),
+		Secret:  g.secret,
+		Counter: ctr,
+		Dir:     "p/",
 	}
 	if g.opts.Telemetry != nil {
 		popts.Telemetry = g.opts.Telemetry.Registry()

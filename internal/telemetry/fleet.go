@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,21 +64,6 @@ func (f *Fleet) Node(name string) *Telemetry {
 	t := &Telemetry{reg: NewRegistry(), tracer: f.tel.tracer.forNode(name), events: f.tel.events}
 	f.nodes[name] = t
 	return t
-}
-
-// NodeNames returns the registered node names, sorted.
-func (f *Fleet) NodeNames() []string {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	names := make([]string, 0, len(f.nodes))
-	for n := range f.nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // scrape is the fleet registry's collector: it snapshots every node

@@ -24,7 +24,9 @@ import (
 	"time"
 )
 
-// Options configures a Telemetry bundle.
+// Options configures a Telemetry bundle. Its sampler is seeded with 1:
+// two bundles at the same rate make the same sampling decisions in the
+// same order.
 type Options struct {
 	// TraceSampleRate is the fraction of boundary-call roots that start
 	// a trace (0 disables tracing, 1 traces everything). Children of a
@@ -33,10 +35,6 @@ type Options struct {
 	// TraceBuffer is the capacity of the completed-span ring buffer
 	// (default 256). Old spans are overwritten, never blocked on.
 	TraceBuffer int
-	// Seed seeds the deterministic sampler (default 1). Two tracers
-	// with the same seed and rate make the same sampling decisions in
-	// the same order — tests rely on this.
-	Seed uint64
 	// EventBuffer is the capacity of the structured event journal
 	// (default 1024). Old events are overwritten, never blocked on.
 	EventBuffer int
@@ -57,12 +55,9 @@ func New(opts Options) *Telemetry {
 	if opts.TraceBuffer <= 0 {
 		opts.TraceBuffer = 256
 	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
 	t := &Telemetry{reg: NewRegistry(), events: NewEventLog(opts.EventBuffer)}
 	if opts.TraceSampleRate > 0 {
-		t.tracer = NewTracer(opts.TraceSampleRate, opts.TraceBuffer, opts.Seed)
+		t.tracer = NewTracer(opts.TraceSampleRate, opts.TraceBuffer, 1)
 	}
 	return t
 }

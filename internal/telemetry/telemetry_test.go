@@ -641,7 +641,7 @@ func TestFleetAggregation(t *testing.T) {
 
 	// Nil fleet: the whole plane degrades to the disabled layer.
 	var nf *Fleet
-	if nf.Telemetry() != nil || nf.Node("x") != nil || nf.NodeNames() != nil {
+	if nf.Telemetry() != nil || nf.Node("x") != nil {
 		t.Fatal("nil fleet must return nil bundles")
 	}
 }

@@ -745,10 +745,9 @@ func (w *World) ringHandler(rt *Runtime) ring.Handler {
 
 // Flush drains both runtimes' batching queues, running any pending
 // result-independent calls. Errors of individual batched calls surface
-// here, joined. A no-op when nothing is pending (or batching is off).
-// This is also the flush-before-commit barrier the persistence layer
-// runs before sealing a checkpoint: batched mutations must land before
-// trusted state is captured.
+// here, joined. A no-op that charges nothing when nothing is pending
+// (or batching is off). persist.WorldKV runs it at the head of every
+// trusted pass, so a checkpoint snapshot seals batched mutations too.
 func (w *World) Flush() error {
 	w.stateMu.RLock()
 	trusted, untrusted := w.trusted, w.untrusted
