@@ -40,7 +40,7 @@ test:
 	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestCycleLedgerGolden|TestLane|TestVoidRelay|TestGCHelper|TestHelpers' ./internal/world
 	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestRecovery' ./internal/persist
 	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestGatewayLifecycleGate|TestServeDrain|TestGateway|TestRecoverReentersLanes' ./internal/serve
-	$(GO) test -run NONE -bench . -benchtime 1x ./internal/heap ./internal/epc ./internal/isolate ./internal/world
+	$(GO) test -run NONE -bench . -benchtime 1x -benchmem ./internal/heap ./internal/epc ./internal/isolate ./internal/world
 	$(GO) test -race ./internal/channel/... ./internal/registry/... ./internal/wire/... ./internal/boundary/... ./internal/mee/... ./internal/epc/... ./internal/heap/... ./internal/isolate/... ./internal/sgx/... ./internal/ring/... ./internal/world/... ./internal/serve/... ./internal/telemetry/... ./internal/persist/... ./internal/fabric/... ./internal/orderly/... ./internal/shim/... ./internal/smoke/...
 
 race:
@@ -70,10 +70,11 @@ orderly-smoke:
 
 # Model-checker throughput: the orderly-rate experiment (the orderly
 # explorer's budgeted deep mode) appends its distinct states/sec per
-# configuration to BENCH.json as one record; an invariant violation
-# fails the run.
+# configuration to BENCH.json as one record labelled LABEL; an invariant
+# violation fails the run.
+LABEL ?= run
 bench-orderly:
-	$(GO) run ./cmd/montsalvat-bench -experiment orderly-rate -quick -json BENCH.json
+	$(GO) run ./cmd/montsalvat-bench -experiment orderly-rate -quick -json BENCH.json -label $(LABEL)
 
 # Every fuzz target in the tree, FUZZTIME each (`go test -fuzz` takes
 # one target of one package per run). A target added anywhere joins the

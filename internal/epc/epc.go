@@ -7,6 +7,10 @@
 // 64-byte cache-line granularity, performing real AES work and charging
 // MEE cycles.
 //
+// A Memory backs a 4 KB page (ciphertext, plaintext shadow, line
+// metadata) on its first write; a never-written page reads as zeros and
+// costs no host memory. Every charge is per access, never per backing byte.
+//
 // The usable EPC is limited (93.5 MB on the paper's machine, §6.1) and is
 // shared by all memory regions of an enclave, so residency is tracked by a
 // Residency object shared across Memory instances. When the resident set
@@ -178,6 +182,21 @@ type lineMeta struct {
 // current reports whether pt holds what a read of the line must return.
 func (lm *lineMeta) current() bool { return lm.ptOK || lm.version == 0 }
 
+// backing is one page's ciphertext, plaintext shadow and line metadata.
+type backing struct {
+	ct   [pageBytes]byte
+	meta [linesPerPage]lineMeta
+	// pt memoises the plaintext of lines whose current ciphertext has
+	// already been decrypted (or was just encrypted), so repeated reads
+	// of a hot line skip redundant AES work in the emulator. The memo is
+	// semantically transparent — it holds exactly the bytes DecryptLines
+	// would produce for the current (ct, version, tag), and zeros for a
+	// line never written — and is dropped for a line whenever the
+	// ciphertext is changed behind the MEE's back (Tamper). Charged MEE
+	// cycles are unaffected.
+	pt [pageBytes]byte
+}
+
 // Memory is an encrypted, integrity-protected address space inside the
 // EPC. It is owner-serialised, like the heap.Heap whose semispace it is:
 // not safe for concurrent use, and Read, Write, Touch, Grow, Tamper and
@@ -191,18 +210,8 @@ type Memory struct {
 	clock *cycles.Clock
 	res   *Residency // nil disables paging accounting
 
-	ct   []byte     // ciphertext backing store
-	meta []lineMeta // one entry per line of ct
-
-	// pt memoises the plaintext of lines whose current ciphertext has
-	// already been decrypted (or was just encrypted), so repeated reads
-	// of a hot line skip redundant AES work in the emulator. The memo is
-	// semantically transparent — it holds exactly the bytes DecryptLines
-	// would produce for the current (ct, version, tag), and zeros for a
-	// line never written — and is dropped for a line whenever the
-	// ciphertext is changed behind the MEE's back (Tamper). Charged MEE
-	// cycles are unaffected.
-	pt []byte
+	size  int        // addressable bytes, in whole lines
+	pages []*backing // page p's backing, nil until p is first written
 
 	// Working memory of the MEE kernel, serialised with the accesses that
 	// use it: a run never spans a page, so one page's worth of versions
@@ -236,31 +245,12 @@ func New(size int, res *Residency, eng *mee.Engine, clock *cycles.Clock) (*Memor
 		return nil, errors.New("epc: nil clock")
 	}
 	m := &Memory{eng: eng, clock: clock, res: res, lastPage: -1}
-	m.resize((size + lineBytes - 1) / lineBytes)
+	_ = m.Grow(size) // only extends the page table: it cannot fail
 	return m, nil
 }
 
-// resize reallocates the backing arrays for nLines lines, keeping the
-// existing contents.
-func (m *Memory) resize(nLines int) {
-	ct := make([]byte, nLines*lineBytes)
-	copy(ct, m.ct)
-	pt := make([]byte, nLines*lineBytes)
-	copy(pt, m.pt)
-	meta := make([]lineMeta, nLines)
-	copy(meta, m.meta)
-	m.ct, m.pt, m.meta = ct, pt, meta
-	if m.res != nil {
-		m.res.mu.Lock()
-		nodes := make([]*lruNode, (len(ct)+pageBytes-1)/pageBytes)
-		copy(nodes, m.nodes)
-		m.nodes = nodes
-		m.res.mu.Unlock()
-	}
-}
-
 // Size returns the addressable size in bytes.
-func (m *Memory) Size() int { return len(m.ct) }
+func (m *Memory) Size() int { return m.size }
 
 // Read decrypts len(dst) bytes starting at off into dst.
 func (m *Memory) Read(off int, dst []byte) error {
@@ -270,22 +260,29 @@ func (m *Memory) Read(off int, dst []byte) error {
 	m.clock.ChargeBytes(len(dst), simcfg.MEEBytesPerCycle)
 	for pos, end := off, off+len(dst); pos < end; {
 		stop := m.enterPage(pos, end)
+		p, base := pos/pageBytes, pos/pageBytes*pageBytes
+		pg := m.pages[p]
+		if pg == nil {
+			clear(dst[pos-off : stop-off])
+			pos = stop
+			continue
+		}
 		// Decrypt every run of lines the memo does not cover, then copy
 		// the page's share out of the plaintext shadow in one piece.
-		last := (stop - 1) / lineBytes
-		for li := pos / lineBytes; li <= last; li++ {
-			if m.meta[li].current() {
+		last := (stop - 1 - base) / lineBytes
+		for li := (pos - base) / lineBytes; li <= last; li++ {
+			if pg.meta[li].current() {
 				continue
 			}
 			run := li
-			for li < last && !m.meta[li+1].current() {
+			for li < last && !pg.meta[li+1].current() {
 				li++
 			}
-			if err := m.openLines(run, li-run+1); err != nil {
+			if err := m.openLines(p, run, li-run+1); err != nil {
 				return err
 			}
 		}
-		copy(dst[pos-off:], m.pt[pos:stop])
+		copy(dst[pos-off:], pg.pt[pos-base:stop-base])
 		pos = stop
 	}
 	return nil
@@ -327,36 +324,43 @@ func (m *Memory) Touch(off, n int) error {
 	return nil
 }
 
-// Grow extends the address space to at least newSize bytes. Existing
-// contents are preserved. Growth models the enclave heap expanding within
-// its configured bound; the caller enforces the bound.
+// Grow extends the address space to at least newSize bytes: only the
+// page table grows, and contents are preserved. Growth models the enclave
+// heap expanding within its configured bound; the caller enforces it.
 func (m *Memory) Grow(newSize int) error {
-	if newSize < 0 {
-		return fmt.Errorf("epc: negative size %d", newSize)
+	size := (newSize + lineBytes - 1) / lineBytes * lineBytes
+	if size <= m.size {
+		return nil
 	}
-	if nLines := (newSize + lineBytes - 1) / lineBytes; nLines > len(m.meta) {
-		m.resize(nLines)
+	m.size = size
+	n := (size + pageBytes - 1) / pageBytes
+	m.pages = append(m.pages, make([]*backing, n-len(m.pages))...)
+	if m.res != nil {
+		m.res.mu.Lock()
+		m.nodes = append(m.nodes, make([]*lruNode, n-len(m.nodes))...)
+		m.res.mu.Unlock()
 	}
 	return nil
 }
 
 // Tamper XORs a byte of the ciphertext backing store directly, bypassing
 // the MEE — the simulation analog of a physical attacker flipping bits in
-// DRAM. A subsequent Read of that line fails integrity verification.
+// DRAM. A subsequent Read of that line fails integrity verification. A
+// line never written has no ciphertext to verify and still reads zeros.
 func (m *Memory) Tamper(off int) error {
-	if off < 0 || off >= len(m.ct) {
+	if off < 0 || off >= m.size {
 		return ErrOutOfRange
 	}
-	m.ct[off] ^= 0xff
-	// The memoised plaintext no longer matches the ciphertext; the next
-	// read must go through the MEE and fail verification.
-	m.meta[off/lineBytes].ptOK = false
+	if pg := m.pages[off/pageBytes]; pg != nil {
+		pg.ct[off%pageBytes] ^= 0xff
+		pg.meta[off%pageBytes/lineBytes].ptOK = false // the memo is stale
+	}
 	return nil
 }
 
 func (m *Memory) check(off, n int) error {
-	if off < 0 || n < 0 || off+n > len(m.ct) {
-		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, n, len(m.ct))
+	if off < 0 || n < 0 || off+n > m.size {
+		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, n, m.size)
 	}
 	return nil
 }
@@ -374,54 +378,62 @@ func (m *Memory) enterPage(pos, end int) int {
 
 // storePage writes src at pos; the range lies within one page.
 func (m *Memory) storePage(pos int, src []byte) error {
+	p := pos / pageBytes
+	if m.pages[p] == nil {
+		m.pages[p] = new(backing)
+	}
+	pos -= p * pageBytes
 	if lo := pos % lineBytes; lo != 0 {
-		n, err := m.patchLine(pos, src, lineBytes-lo)
+		n, err := m.patchLine(p, pos, src, lineBytes-lo)
 		if err != nil {
 			return err
 		}
 		pos, src = pos+n, src[n:]
 	}
 	if n := len(src) / lineBytes * lineBytes; n > 0 {
-		copy(m.pt[pos:pos+n], src)
-		if err := m.sealLines(pos/lineBytes, n/lineBytes); err != nil {
+		copy(m.pages[p].pt[pos:pos+n], src)
+		if err := m.sealLines(p, pos/lineBytes, n/lineBytes); err != nil {
 			return err
 		}
 		pos, src = pos+n, src[n:]
 	}
 	if len(src) > 0 {
-		if _, err := m.patchLine(pos, src, lineBytes); err != nil {
+		if _, err := m.patchLine(p, pos, src, lineBytes); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// patchLine stores up to max bytes of src into the middle of one line:
-// the line's plaintext is brought up to date, patched and re-encrypted.
-func (m *Memory) patchLine(pos int, src []byte, max int) (int, error) {
-	li := pos / lineBytes
-	if !m.meta[li].current() {
-		if err := m.openLines(li, 1); err != nil {
+// patchLine stores up to max bytes of src into the middle of one line of
+// page p, at pos within the page: the line's plaintext is brought up to
+// date, patched and re-encrypted.
+func (m *Memory) patchLine(p, pos int, src []byte, max int) (int, error) {
+	pg, li := m.pages[p], pos/lineBytes
+	if !pg.meta[li].current() {
+		if err := m.openLines(p, li, 1); err != nil {
 			return 0, err
 		}
 	}
 	if len(src) > max {
 		src = src[:max]
 	}
-	copy(m.pt[pos:], src)
-	return len(src), m.sealLines(li, 1)
+	copy(pg.pt[pos:], src)
+	return len(src), m.sealLines(p, li, 1)
 }
 
-// sealLines encrypts the n lines from li on (all in one page) out of the
-// plaintext shadow into the backing store, under a fresh version each.
-func (m *Memory) sealLines(li, n int) error {
-	meta := m.meta[li : li+n]
+// sealLines encrypts the n lines of page p from its line li on out of
+// the plaintext shadow into the backing store, under a fresh version
+// each.
+func (m *Memory) sealLines(p, li, n int) error {
+	pg := m.pages[p]
+	meta := pg.meta[li : li+n]
 	for i := range meta {
 		meta[i].version++
 		m.versions[i] = meta[i].version
 	}
 	lo, hi := li*lineBytes, (li+n)*lineBytes
-	if err := m.eng.EncryptLines(&m.scratch, m.ct[lo:hi], m.pt[lo:hi], uint64(li), m.versions[:n], m.tags[:n]); err != nil {
+	if err := m.eng.EncryptLines(&m.scratch, pg.ct[lo:hi], pg.pt[lo:hi], uint64(p*linesPerPage+li), m.versions[:n], m.tags[:n]); err != nil {
 		return err
 	}
 	for i := range meta {
@@ -431,17 +443,18 @@ func (m *Memory) sealLines(li, n int) error {
 	return nil
 }
 
-// openLines verifies and decrypts the n written lines from li on (all in
-// one page) into the plaintext shadow. Lines ahead of a failing one keep
+// openLines verifies and decrypts the n written lines of page p from its
+// line li on into the plaintext shadow. Lines ahead of a failing one keep
 // their memo.
-func (m *Memory) openLines(li, n int) error {
-	meta := m.meta[li : li+n]
+func (m *Memory) openLines(p, li, n int) error {
+	pg := m.pages[p]
+	meta := pg.meta[li : li+n]
 	for i := range meta {
 		m.versions[i] = meta[i].version
 		m.tags[i] = meta[i].tag
 	}
 	lo, hi := li*lineBytes, (li+n)*lineBytes
-	done, err := m.eng.DecryptLines(&m.scratch, m.pt[lo:hi], m.ct[lo:hi], uint64(li), m.versions[:n], m.tags[:n])
+	done, err := m.eng.DecryptLines(&m.scratch, pg.pt[lo:hi], pg.ct[lo:hi], uint64(p*linesPerPage+li), m.versions[:n], m.tags[:n])
 	for i := range meta[:done] {
 		meta[i].ptOK = true
 	}

@@ -1,7 +1,10 @@
 package heap
 
 import (
+	"errors"
 	"fmt"
+
+	"montsalvat/internal/simcfg"
 )
 
 // Backend abstracts the memory a heap semispace lives in. The untrusted
@@ -23,56 +26,80 @@ type Backend interface {
 	Grow(newSize int) error
 }
 
+// ErrOutOfRange is returned by PlainMemory for an access beyond its size.
+var ErrOutOfRange = errors.New("heap: plain memory access out of range")
+
+var zeroPage [simcfg.PageBytes]byte // a never-written page reads as this
+
 // PlainMemory is an unencrypted Backend: ordinary process memory, as used
-// by the untrusted runtime's heap.
+// by the untrusted runtime's heap. A page is backed on its first write.
 type PlainMemory struct {
-	buf []byte
+	size  int
+	pages []*[simcfg.PageBytes]byte
 }
 
 var _ Backend = (*PlainMemory)(nil)
 
 // NewPlainMemory returns a zeroed plain memory of the given size.
 func NewPlainMemory(size int) *PlainMemory {
-	return &PlainMemory{buf: make([]byte, size)}
+	m := &PlainMemory{}
+	_ = m.Grow(size) // only extends the page table: it cannot fail
+	return m
+}
+
+func (m *PlainMemory) check(off, n int) error {
+	if off < 0 || n < 0 || off+n > m.size {
+		return fmt.Errorf("%w: off=%d len=%d size=%d", ErrOutOfRange, off, n, m.size)
+	}
+	return nil
 }
 
 // Read implements Backend.
 func (m *PlainMemory) Read(off int, dst []byte) error {
-	if off < 0 || off+len(dst) > len(m.buf) {
-		return fmt.Errorf("plain memory: read out of range: off=%d len=%d size=%d", off, len(dst), len(m.buf))
+	if err := m.check(off, len(dst)); err != nil {
+		return err
 	}
-	copy(dst, m.buf[off:])
+	for len(dst) > 0 {
+		pg := m.pages[off/simcfg.PageBytes]
+		if pg == nil {
+			pg = &zeroPage
+		}
+		n := copy(dst, pg[off%simcfg.PageBytes:])
+		off, dst = off+n, dst[n:]
+	}
 	return nil
 }
 
 // Write implements Backend.
 func (m *PlainMemory) Write(off int, src []byte) error {
-	if off < 0 || off+len(src) > len(m.buf) {
-		return fmt.Errorf("plain memory: write out of range: off=%d len=%d size=%d", off, len(src), len(m.buf))
+	if err := m.check(off, len(src)); err != nil {
+		return err
 	}
-	copy(m.buf[off:], src)
+	for len(src) > 0 {
+		p := off / simcfg.PageBytes
+		if m.pages[p] == nil {
+			m.pages[p] = new([simcfg.PageBytes]byte)
+		}
+		n := copy(m.pages[p][off%simcfg.PageBytes:], src)
+		off, src = off+n, src[n:]
+	}
 	return nil
 }
 
 // Touch implements Backend: plain memory charges nothing, so only the
 // bounds are checked.
-func (m *PlainMemory) Touch(off, n int) error {
-	if off < 0 || n < 0 || off+n > len(m.buf) {
-		return fmt.Errorf("plain memory: touch out of range: off=%d len=%d size=%d", off, n, len(m.buf))
-	}
-	return nil
-}
+func (m *PlainMemory) Touch(off, n int) error { return m.check(off, n) }
 
 // Size implements Backend.
-func (m *PlainMemory) Size() int { return len(m.buf) }
+func (m *PlainMemory) Size() int { return m.size }
 
-// Grow implements Backend.
+// Grow implements Backend. Only the page table grows.
 func (m *PlainMemory) Grow(newSize int) error {
-	if newSize <= len(m.buf) {
+	if newSize <= m.size {
 		return nil
 	}
-	buf := make([]byte, newSize)
-	copy(buf, m.buf)
-	m.buf = buf
+	m.size = newSize
+	n := (newSize + simcfg.PageBytes - 1) / simcfg.PageBytes
+	m.pages = append(m.pages, make([]*[simcfg.PageBytes]byte, n-len(m.pages))...)
 	return nil
 }

@@ -157,7 +157,13 @@ func TestCollectIsDeterministic(t *testing.T) {
 		return h
 	}
 	a, b := build(), build()
-	sa, sb := a.from.(*PlainMemory).buf[:a.allocPtr], b.from.(*PlainMemory).buf[:b.allocPtr]
+	sa, sb := make([]byte, a.allocPtr), make([]byte, b.allocPtr)
+	if err := a.from.Read(0, sa); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.from.Read(0, sb); err != nil {
+		t.Fatal(err)
+	}
 	if a.Stats().Handles < 2 {
 		t.Fatal("fewer than two roots: nothing to order")
 	}

@@ -2,7 +2,7 @@ package ring
 
 import (
 	"errors"
-	"sync"
+	"math/bits"
 	"sync/atomic"
 
 	"montsalvat/internal/cycles"
@@ -94,29 +94,40 @@ type Group struct {
 	hBatch *telemetry.Histogram
 
 	closed atomic.Bool
-	stopWg sync.WaitGroup
 }
 
-// NewGroup builds the rings, generates the group's AES-256-GCM session
-// key, and starts one resident consumer worker per ring. enter, when
-// non-nil, establishes the worker's residency on the consuming side
-// (e.g. taking an enclave TCS slot) and returns the matching leave.
-func NewGroup(cfg Config, clock *cycles.Clock, h Handler, enter func() (func(), error)) (*Group, error) {
+// Slots is the slot memory of a group. A group owns it from NewGroup
+// until its Close returns; then it may back the next group of the same
+// Config. A slot's fields but its buffer are set anew on every reserve.
+type Slots []slot
+
+// NewSlots allocates the slot memory of a group of cfg.
+func NewSlots(cfg Config) Slots {
 	cfg = cfg.withDefaults()
-	key, err := generateKey()
-	if err != nil {
-		return nil, err
+	mem := make(Slots, cfg.Workers<<bits.Len(uint(cfg.Slots-1)))
+	for i := range mem {
+		mem[i].buf = make([]byte, 0, cfg.SlotBytes+gcmOverhead)
 	}
-	aead, err := newAEAD(key)
+	return mem
+}
+
+// NewGroup builds the rings over mem (from NewSlots(cfg)), generates the
+// group's AES-256-GCM session key, and starts one resident consumer
+// worker per ring. enter, when non-nil, establishes the worker's
+// residency on the consuming side (e.g. taking an enclave TCS slot) and
+// returns the matching leave.
+func NewGroup(cfg Config, mem Slots, clock *cycles.Clock, h Handler, enter func() (func(), error)) (*Group, error) {
+	cfg = cfg.withDefaults()
+	n := len(mem) / cfg.Workers
+	aead, err := newAEAD()
 	if err != nil {
 		return nil, err
 	}
 	g := &Group{cfg: cfg, clock: clock}
 	for i := 0; i < cfg.Workers; i++ {
-		r := newRing(i, cfg.Slots, cfg.SlotBytes, cfg.PollSpins, aead, clock, h)
+		r := newRing(i, mem[i*n:(i+1)*n:(i+1)*n], cfg.PollSpins, aead, clock, h)
 		g.rings = append(g.rings, r)
-		g.stopWg.Add(1)
-		go r.serve(enter, g.observeBatch, &g.stopWg)
+		go r.serve(enter, g.observeBatch)
 	}
 	return g, nil
 }
@@ -132,15 +143,6 @@ func (g *Group) SetTelemetry(reg *telemetry.Registry, dir string) {
 
 func (g *Group) observeBatch(n int) {
 	g.hBatch.Observe(int64(n))
-}
-
-// SlotBytes reports the plaintext payload capacity of one slot; larger
-// submissions must take the frame path.
-func (g *Group) SlotBytes() int {
-	if g == nil {
-		return 0
-	}
-	return g.cfg.SlotBytes
 }
 
 // Workers reports the group's resident consumer workers, one per ring;
@@ -308,7 +310,9 @@ func (g *Group) Stats() Stats {
 }
 
 // Close stops the consumer workers and rejects further submissions.
-// Safe to call more than once.
+// On return no goroutine touches the slot memory: the consumers have
+// left, and every producer lock is taken and kept. Safe to call more
+// than once.
 func (g *Group) Close() {
 	if g == nil || !g.closed.CompareAndSwap(false, true) {
 		return
@@ -316,5 +320,8 @@ func (g *Group) Close() {
 	for _, r := range g.rings {
 		close(r.stop)
 	}
-	g.stopWg.Wait()
+	for _, r := range g.rings {
+		<-r.exited
+		r.prodMu.Lock()
+	}
 }

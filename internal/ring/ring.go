@@ -102,17 +102,16 @@ type slot struct {
 	over  []byte // overflow response (plain bounce buffer, rare)
 	err   error
 	sp    *telemetry.Span
-	buf   []byte // fixed capacity: payloadCap + gcmOverhead
+	buf   []byte // fixed capacity: Config.SlotBytes + gcmOverhead
 }
 
 // Ring is one SPSC submission/completion queue pair with a resident
 // consumer worker. Producers serialise on prodMu (holding it for the
 // duration of a call preserves the single-producer discipline).
 type Ring struct {
-	idx        int
-	slots      []slot
-	mask       uint64
-	payloadCap int
+	idx   int
+	slots []slot
+	mask  uint64
 
 	aead  cipher.AEAD
 	clock *cycles.Clock
@@ -133,6 +132,7 @@ type Ring struct {
 	bell   chan struct{} // consumer doorbell
 	pbell  chan struct{} // producer completion doorbell
 	stop   chan struct{}
+	exited chan struct{} // closed when the consumer has left serve
 
 	pollSpins int
 	handler   Handler
@@ -152,28 +152,20 @@ type ringStats struct {
 	overBytes atomic.Uint64 // bytes bounced via overflow buffers
 }
 
-func newRing(idx, slots, payloadCap, pollSpins int, aead cipher.AEAD, clock *cycles.Clock, h Handler) *Ring {
-	n := 1
-	for n < slots {
-		n <<= 1
+func newRing(idx int, slots []slot, pollSpins int, aead cipher.AEAD, clock *cycles.Clock, h Handler) *Ring {
+	return &Ring{
+		idx:       idx,
+		slots:     slots,
+		mask:      uint64(len(slots) - 1),
+		aead:      aead,
+		clock:     clock,
+		bell:      make(chan struct{}, 1),
+		pbell:     make(chan struct{}, 1),
+		stop:      make(chan struct{}),
+		exited:    make(chan struct{}),
+		pollSpins: pollSpins,
+		handler:   h,
 	}
-	r := &Ring{
-		idx:        idx,
-		slots:      make([]slot, n),
-		mask:       uint64(n - 1),
-		payloadCap: payloadCap,
-		aead:       aead,
-		clock:      clock,
-		bell:       make(chan struct{}, 1),
-		pbell:      make(chan struct{}, 1),
-		stop:       make(chan struct{}),
-		pollSpins:  pollSpins,
-		handler:    h,
-	}
-	for i := range r.slots {
-		r.slots[i].buf = make([]byte, 0, payloadCap+gcmOverhead)
-	}
-	return r
 }
 
 // nonce derives the unique 96-bit nonce of one sealed payload: ring
@@ -286,6 +278,8 @@ func (r *Ring) awaitComp(idx uint64) error {
 			spun = 0
 		case <-r.stop:
 			r.psleep.Store(false)
+			// Once the consumer has left, "not completed" is "never ran".
+			<-r.exited
 			if r.comp.Load() > idx {
 				return nil
 			}
@@ -296,8 +290,8 @@ func (r *Ring) awaitComp(idx uint64) error {
 
 // serve is the resident consumer loop: poll the submission tail, drain
 // every published entry per wakeup, then spin-then-sleep.
-func (r *Ring) serve(enter func() (func(), error), onBatch func(int), wg *sync.WaitGroup) {
-	defer wg.Done()
+func (r *Ring) serve(enter func() (func(), error), onBatch func(int)) {
+	defer close(r.exited)
 	if enter != nil {
 		leave, err := enter()
 		if err != nil {
@@ -436,17 +430,13 @@ func (r *Ring) occupancy() int {
 	return int(r.tail.Load() - r.comp.Load())
 }
 
-// generateKey returns a fresh 32-byte AES-256 session key.
-func generateKey() ([]byte, error) {
+// newAEAD builds the AES-256-GCM sealer shared by a ring group, under a
+// fresh 32-byte session key.
+func newAEAD() (cipher.AEAD, error) {
 	key := make([]byte, 32)
 	if _, err := rand.Read(key); err != nil {
 		return nil, err
 	}
-	return key, nil
-}
-
-// newAEAD builds the AES-256-GCM sealer shared by a ring group.
-func newAEAD(key []byte) (cipher.AEAD, error) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
 		return nil, err

@@ -23,12 +23,19 @@ func echoGroup(t *testing.T, cfg Config) (*Group, *atomic.Uint64) {
 		cp := append([]byte(nil), req...)
 		return append(resp, cp...), false, nil
 	}
-	g, err := NewGroup(cfg, nil, h, nil)
+	return newGroup(t, cfg, h), &served
+}
+
+// newGroup builds a group of cfg over fresh slot memory, with no clock
+// and no residency, and closes it at cleanup.
+func newGroup(t *testing.T, cfg Config, h Handler) *Group {
+	t.Helper()
+	g, err := NewGroup(cfg, NewSlots(cfg), nil, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(g.Close)
-	return g, &served
+	return g
 }
 
 func callEcho(g *Group, payload []byte) ([]byte, error) {
@@ -182,11 +189,7 @@ func TestHandlerError(t *testing.T) {
 	h := func(id int, req, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
 		return nil, false, boom
 	}
-	g, err := NewGroup(Config{Workers: 1, Slots: 4, SlotBytes: 64}, nil, h, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
+	g := newGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 64}, h)
 	_, cerr := callEcho(g, []byte("x"))
 	if !errors.Is(cerr, boom) {
 		t.Fatalf("got %v, want handler error", cerr)
@@ -200,13 +203,9 @@ func TestOverflowResponse(t *testing.T) {
 	h := func(id int, req, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
 		return append([]byte(nil), big...), true, nil
 	}
-	g, err := NewGroup(Config{Workers: 1, Slots: 4, SlotBytes: 64}, nil, h, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
+	g := newGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 64}, h)
 	var got []byte
-	err = g.TryCall(1, 1, nil,
+	err := g.TryCall(1, 1, nil,
 		func(slot []byte) ([]byte, error) { return append(slot, 'q'), nil },
 		func(resp []byte) error { got = append([]byte(nil), resp...); return nil })
 	if err != nil {
@@ -218,6 +217,95 @@ func TestOverflowResponse(t *testing.T) {
 	st := g.Stats()
 	if st.Overflows != 1 || st.OverflowBytes != uint64(len(big)) {
 		t.Fatalf("stats %+v, want 1 overflow of %d bytes", st, len(big))
+	}
+}
+
+// TestCloseMidCallReportsTheRun: a call whose handler is running when
+// the group closes completes with the handler's outcome. ErrStopped
+// tells the caller nothing ran, so the call would cross again by the
+// frame path: a second run of one call.
+func TestCloseMidCallReportsTheRun(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var runs atomic.Int32
+	h := func(id int, req, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
+		runs.Add(1)
+		close(entered)
+		<-release
+		return append(resp, 'k'), false, nil
+	}
+	g := newGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 64, PollSpins: 1}, h)
+	callErr := make(chan error, 1)
+	go func() {
+		_, err := callEcho(g, []byte("x"))
+		callErr <- err
+	}()
+	<-entered
+	closed := make(chan struct{})
+	go func() {
+		g.Close()
+		close(closed)
+	}()
+	// The call must not return while its handler runs, stop or not.
+	select {
+	case err := <-callErr:
+		t.Fatalf("the call returned %v while its handler was still running", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-callErr; err != nil {
+		t.Fatalf("a call whose handler ran returned %v, want its outcome (nil)", err)
+	}
+	<-closed
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("handler ran %d times, want 1", n)
+	}
+}
+
+// TestCloseWaitsForProducers: Close does not return while a producer
+// that got past the closed check still fills a slot, so the slot memory
+// it hands on is free: a new group over it serves calls.
+func TestCloseWaitsForProducers(t *testing.T) {
+	cfg := Config{Workers: 1, Slots: 4, SlotBytes: 64}
+	mem := NewSlots(cfg)
+	echo := func(id int, req, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
+		return append(resp, req...), false, nil
+	}
+	g, err := NewGroup(cfg, mem, nil, echo, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filling, release := make(chan struct{}), make(chan struct{})
+	callErr := make(chan error, 1)
+	go func() {
+		callErr <- g.TryCall(1, 1, nil, func(slot []byte) ([]byte, error) {
+			close(filling)
+			<-release
+			return append(slot, 'x'), nil
+		}, nil)
+	}()
+	<-filling
+	closed := make(chan struct{})
+	go func() {
+		g.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a producer was filling a slot")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	if err := <-callErr; !errors.Is(err, ErrStopped) {
+		t.Fatalf("a call its consumer never took returned %v, want ErrStopped", err)
+	}
+	next, err := NewGroup(cfg, mem, nil, echo, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	if got, err := callEcho(next, []byte("reused")); err != nil || string(got) != "reused" {
+		t.Fatalf("call on a group over the handed-on slots: %q, %v", got, err)
 	}
 }
 

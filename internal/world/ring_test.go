@@ -316,8 +316,8 @@ func TestKillStopsRingConsumers(t *testing.T) {
 }
 
 // settledRingConsumers is ringConsumers once earlier tests' consumers
-// have left. Group.Close returns when every consumer has run its
-// deferred WaitGroup.Done, which is still inside the consumer loop's
+// have left. Group.Close returns when every consumer has closed its
+// exited channel, a deferred call still inside the consumer loop's
 // frame, so a consumer of a world closed just before can still be
 // counted here and gone a moment later. It waits until the count holds
 // for 10 ms (at most 5 s).
@@ -343,5 +343,88 @@ func ringConsumers() int {
 			return strings.Count(string(buf[:n]), "internal/ring.(*Ring).serve(")
 		}
 		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestRestartReusesRingSlotsRaceFree: a World killed with ring traffic
+// in flight in both directions hands its slot memory to the groups
+// Restart builds. Calls of the killed generation keep running through
+// the kill while calls on the new generation ride the same slots; a
+// write by a goroutine of the killed generation to a slot the new group
+// owns is a data race under -race (internal/world is in make test's race
+// list) and a failed slot authentication or a wrong balance without it.
+func TestRestartReusesRingSlotsRaceFree(t *testing.T) {
+	w := ringWorld(t, twoWayProgram(t), func(o *world.Options) {
+		o.Cfg.RingSlots = 4 // small rings: every slot is reused soon
+	})
+	// traffic runs one round of calls in each direction. A round that
+	// meets a kill fails, typed; one that succeeds read correct results.
+	traffic := func() error {
+		err := w.Exec(false, func(env classmodel.Env) error {
+			acct, err := env.New(demo.Account, wire.Str("Slot"), wire.Int(9))
+			if err != nil {
+				return err
+			}
+			for i := 0; i < 8; i++ {
+				bal, err := env.Call(acct, "getBalance")
+				if err != nil {
+					return err
+				}
+				if !bal.Equal(wire.Int(9)) {
+					t.Errorf("balance = %v, want 9", bal)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		return w.Exec(true, func(env classmodel.Env) error {
+			p, err := env.New(demo.Person, wire.Str("Dave"), wire.Int(1))
+			if err != nil {
+				return err
+			}
+			name, err := env.Call(p, "getName")
+			if err != nil {
+				return err
+			}
+			if !name.Equal(wire.Str("Dave")) {
+				t.Errorf("name = %v, want Dave", name)
+			}
+			return nil
+		})
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_ = traffic()
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for gen := 0; gen < 5; gen++ {
+		// Kill only once this generation's rings carry traffic.
+		for w.DispatchStats().RingCalls < 32 {
+			runtime.Gosched()
+		}
+		w.Kill()
+		if err := w.Restart(); err != nil {
+			t.Fatalf("generation %d: Restart: %v", gen+1, err)
+		}
+		if err := traffic(); err != nil {
+			t.Fatalf("generation %d: calls on the new generation: %v", gen+1, err)
+		}
 	}
 }

@@ -943,7 +943,7 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 		// and coalesced into one batched transition; the caller observes
 		// null immediately and any call error at the flush. A flush this
 		// frame causes crosses on the frame's lane, if it has one.
-		if w.batching && !want {
+		if w.cfg.Batching && !want {
 			rt.remoteOut.Add(1)
 			argsLen := wire.SizeValues(args)
 			rt.marshalled.Add(uint64(argsLen))

@@ -151,10 +151,8 @@ type World struct {
 	uImg      *image.Image
 	killed    bool
 
-	// bufs recycles marshal buffers; batching mirrors cfg.Batching for
-	// the remote-call hot path.
-	bufs     *boundary.BufPool
-	batching bool
+	// bufs recycles marshal buffers.
+	bufs *boundary.BufPool
 
 	// erings/orings are the zero-copy ring groups (nil unless
 	// cfg.Rings), each also held by the runtime that submits into it
@@ -163,6 +161,7 @@ type World struct {
 	// path — the "copies" component of the dispatch cycle breakdown.
 	erings   *ring.Group
 	orings   *ring.Group
+	slots    [2]ring.Slots // their slot memory, made once for every generation
 	lanes    []*Lane
 	meeBytes atomic.Uint64
 
@@ -220,14 +219,17 @@ func (w *World) initBoundary() error {
 			Slots:     w.cfg.RingSlots,
 			SlotBytes: w.cfg.RingSlotBytes,
 		}
+		if w.slots[0] == nil {
+			w.slots = [2]ring.Slots{ring.NewSlots(rcfg), ring.NewSlots(rcfg)}
+		}
 		// The ecall group's consumers are resident INSIDE the enclave
 		// (each holds a TCS slot for the group's lifetime); the ocall
 		// group's consumers are plain host goroutines.
-		erings, err := ring.NewGroup(rcfg, w.clock, w.ringHandler(w.trusted), w.enclave.EnterResident)
+		erings, err := ring.NewGroup(rcfg, w.slots[0], w.clock, w.ringHandler(w.trusted), w.enclave.EnterResident)
 		if err != nil {
 			return fmt.Errorf("world: ecall ring group: %w", err)
 		}
-		orings, err := ring.NewGroup(rcfg, w.clock, w.ringHandler(w.untrusted), nil)
+		orings, err := ring.NewGroup(rcfg, w.slots[1], w.clock, w.ringHandler(w.untrusted), nil)
 		if err != nil {
 			erings.Close()
 			return fmt.Errorf("world: ocall ring group: %w", err)
@@ -236,7 +238,6 @@ func (w *World) initBoundary() error {
 		orings.SetTelemetry(w.tel.Registry(), "ocall")
 		w.erings, w.orings = erings, orings
 	}
-	w.batching = w.cfg.Batching
 	w.trusted.queue = boundary.NewQueue(simcfg.BatchFlushDepth, w.batchRun(w.trusted))
 	w.untrusted.queue = boundary.NewQueue(simcfg.BatchFlushDepth, w.batchRun(w.untrusted))
 	if reg := w.tel.Registry(); reg != nil {
@@ -599,7 +600,7 @@ func (w *World) sweep(rt *Runtime) error {
 	// flush runs any pending relay calls first — while their target
 	// mirrors are still registered — then the releases, all in one
 	// batched transition.
-	if w.batching && rt.queue != nil && rt.encl != nil {
+	if w.cfg.Batching && rt.queue != nil && rt.encl != nil {
 		for _, hash := range dead {
 			if err := rt.queue.Enqueue(boundary.Entry{ID: idGCSweep, Req: w.queuedCall("", gcReleaseMethod, hash, 0)}, nil); err != nil {
 				return err
