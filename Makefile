@@ -29,12 +29,16 @@ build:
 # (swept by the collecting goroutine, beside concurrent mutators) and the
 # gateway's lifecycle gate (Shutdown and Recover drains against typed
 # refusals) are re-run on 4 Ps, ten times, to show they repeat under
-# real parallelism. The benchmark
+# real parallelism. The MEE's portable block path (other architectures,
+# amd64 without AES-NI) is tested under -tags purego and cross-vetted for
+# arm64, since an amd64 host with AES-NI runs the assembly kernel. The benchmark
 # harness is its own module (benchmark/go.mod), so ./... does not reach
 # it: it is vetted and tested on its own, outside any workspace.
 test:
 	$(GO) test ./...
 	$(GO) vet ./...
+	$(GO) test -tags purego ./internal/mee ./internal/epc
+	GOARCH=arm64 $(GO) vet ./internal/mee ./internal/epc
 	GOFLAGS= GOWORK=off $(GO) -C benchmark vet ./...
 	GOFLAGS= GOWORK=off $(GO) -C benchmark test ./...
 	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestCycleLedgerGolden|TestLane|TestVoidRelay|TestGCHelper|TestHelpers' ./internal/world

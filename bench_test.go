@@ -92,23 +92,27 @@ func BenchmarkAblationTransition(b *testing.B) { benchExperiment(b, "ablation-tr
 // Substrate benchmarks: the primitive costs underneath the figures.
 
 // BenchmarkMEELine measures one cache-line encrypt+decrypt round trip —
-// the unit of all enclave memory traffic.
+// the unit of all enclave memory traffic — as a run of one through the
+// MEE kernel.
 func BenchmarkMEELine(b *testing.B) {
 	eng, err := mee.New()
 	if err != nil {
 		b.Fatal(err)
 	}
+	var s mee.Scratch
 	var line [mee.LineBytes]byte
 	ct := make([]byte, mee.LineBytes)
 	out := make([]byte, mee.LineBytes)
+	version := make([]uint64, 1)
+	tag := make([]mee.Tag, 1)
 	b.SetBytes(mee.LineBytes)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tag, err := eng.EncryptLine(ct, line[:], uint64(i), uint64(i))
-		if err != nil {
+		version[0] = uint64(i)
+		if err := eng.EncryptLines(&s, ct, line[:], uint64(i), version, tag); err != nil {
 			b.Fatal(err)
 		}
-		if err := eng.DecryptLine(out, ct, uint64(i), uint64(i), tag); err != nil {
+		if _, err := eng.DecryptLines(&s, out, ct, uint64(i), version, tag); err != nil {
 			b.Fatal(err)
 		}
 	}

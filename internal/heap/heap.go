@@ -724,10 +724,3 @@ func putHeader(buf []byte, classID int32, nRefs uint16, flags uint8, size uint64
 	binary.LittleEndian.PutUint64(buf[0:8], w0)
 	binary.LittleEndian.PutUint64(buf[8:16], size)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

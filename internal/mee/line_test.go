@@ -1,0 +1,19 @@
+package mee
+
+// EncryptLine encrypts exactly LineBytes from src into dst (which may
+// alias src) and returns the integrity tag: EncryptLines for a run of one.
+func (e *Engine) EncryptLine(dst, src []byte, addr uint64, version uint64) (Tag, error) {
+	var s Scratch
+	var tag [1]Tag
+	err := e.EncryptLines(&s, dst, src, addr, []uint64{version}, tag[:])
+	return tag[0], err
+}
+
+// DecryptLine verifies the tag for the ciphertext in src and decrypts it
+// into dst (which may alias src): DecryptLines for a run of one. It
+// returns ErrIntegrity if the tag does not match.
+func (e *Engine) DecryptLine(dst, src []byte, addr uint64, version uint64, tag Tag) error {
+	var s Scratch
+	_, err := e.DecryptLines(&s, dst, src, addr, []uint64{version}, []Tag{tag})
+	return err
+}

@@ -214,59 +214,71 @@ func (g *Group) TryCall(id, need int, sp *telemetry.Span, fill func(slot []byte)
 // mid-batch the producer stalls on the oldest completion and drains
 // (backpressure), so batches larger than the ring depth still go
 // through. sp is the flush's trace span (nil when unsampled), handed to
-// every entry's handler. Returns ErrTooLarge (before submitting
-// anything) when any entry exceeds the slot, ErrBusy when no producer
-// slot is free; after submission, handler errors are joined.
-func (g *Group) TryBatch(sp *telemetry.Span, entries []BatchEntry) error {
+// every entry's handler. It returns how many leading entries ran; the
+// rest did not and must cross another way. Returns ErrTooLarge (before
+// submitting anything) when any entry exceeds the slot, ErrBusy when no
+// producer slot is free, ErrStopped when the group closed before any
+// entry ran; otherwise the handler errors of the entries that ran,
+// joined. A Close part-way through the batch stops it after the entry
+// the consumer is running.
+func (g *Group) TryBatch(sp *telemetry.Span, entries []BatchEntry) (int, error) {
 	if g == nil || g.closed.Load() {
-		return ErrStopped
+		return 0, ErrStopped
 	}
 	if len(entries) == 0 {
-		return nil
+		return 0, nil
 	}
 	for _, e := range entries {
 		if len(e.Req) > g.cfg.SlotBytes {
-			return ErrTooLarge
+			return 0, ErrTooLarge
 		}
 	}
 	r := g.acquire()
 	if r == nil {
-		return ErrBusy
+		return 0, ErrBusy
 	}
 	defer r.prodMu.Unlock()
 	var errs []error
+	base := r.tail.Load()
 	first := r.reaped // next completion whose outcome we still owe the caller
-	for _, e := range entries {
-		s, idx, err := g.reserve(r)
-		if err != nil {
-			errs = append(errs, err)
-			break
-		}
-		// A full ring makes reserve drain completed slots (backpressure);
-		// collect their handler errors as reaped advances past them.
-		for ; first < r.reaped; first++ {
+	reap := func(end uint64) {
+		for ; first < end; first++ {
 			if ferr := r.finish(&r.slots[first&r.mask], nil); ferr != nil {
 				errs = append(errs, ferr)
 			}
 		}
+	}
+	var stop error
+	for _, e := range entries {
+		s, idx, err := g.reserve(r)
+		if err != nil {
+			stop = err
+			break
+		}
+		// A full ring makes reserve drain completed slots (backpressure);
+		// collect their handler errors as reaped advances past them.
+		reap(r.reaped)
 		s.id = e.ID
 		s.sp = sp
 		s.reqN = len(r.seal(s, append(s.buf[:0], e.Req...), nonceReq))
 		r.publish(idx)
 	}
-	if tail := r.tail.Load(); tail > first {
-		if err := r.awaitComp(tail - 1); err != nil {
-			errs = append(errs, err)
-		} else {
-			for ; first < tail; first++ {
-				if ferr := r.finish(&r.slots[first&r.mask], nil); ferr != nil {
-					errs = append(errs, ferr)
-				}
-			}
-			r.reaped = tail
-		}
+	if stop == nil {
+		stop = r.awaitComp(r.tail.Load() - 1)
 	}
-	return errors.Join(errs...)
+	end := r.tail.Load()
+	if stop != nil {
+		// The consumer has left (awaitComp saw it exit), so the
+		// completion count is final: the entries it covers ran, and the
+		// rest never will.
+		end = r.comp.Load()
+	}
+	reap(end)
+	r.reaped = first
+	if end <= base {
+		return 0, stop
+	}
+	return int(end - base), errors.Join(errs...)
 }
 
 // reserve wraps Ring.reserve with the group's stall accounting.

@@ -103,8 +103,8 @@ func TestBatchBackpressure(t *testing.T) {
 	for i := range entries {
 		entries[i] = BatchEntry{ID: 3, Req: []byte(fmt.Sprintf("batched-%d", i))}
 	}
-	if err := g.TryBatch(nil, entries); err != nil {
-		t.Fatal(err)
+	if ran, err := g.TryBatch(nil, entries); err != nil || ran != n {
+		t.Fatalf("TryBatch = %d, %v; want %d, nil", ran, err, n)
 	}
 	if served.Load() != n {
 		t.Fatalf("served %d, want %d", served.Load(), n)
@@ -154,8 +154,8 @@ func TestTooLarge(t *testing.T) {
 	if _, err := callEcho(g, make([]byte, 65)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
-	err := g.TryBatch(nil, []BatchEntry{{ID: 1, Req: make([]byte, 65)}})
-	if !errors.Is(err, ErrTooLarge) {
+	ran, err := g.TryBatch(nil, []BatchEntry{{ID: 1, Req: make([]byte, 65)}})
+	if !errors.Is(err, ErrTooLarge) || ran != 0 {
 		t.Fatalf("batch: got %v, want ErrTooLarge", err)
 	}
 	if served.Load() != 0 {
@@ -261,6 +261,49 @@ func TestCloseMidCallReportsTheRun(t *testing.T) {
 	}
 }
 
+// TestCloseMidBatchRunsEachEntryOnce: a Close while the second of three
+// void entries runs stops the batch after it. TryBatch reports the two
+// that ran, so a caller that sends the rest another way, as the world's
+// batch flush does, runs every entry exactly once.
+func TestCloseMidBatchRunsEachEntryOnce(t *testing.T) {
+	entered := make(chan struct{})
+	var g *Group
+	var runs [3]atomic.Int32
+	h := func(id int, req, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
+		runs[req[0]].Add(1)
+		if req[0] == 1 {
+			close(entered)
+			<-g.rings[0].stop
+		}
+		return resp, false, nil
+	}
+	g = newGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 64, PollSpins: 1}, h)
+	entries := []BatchEntry{{Req: []byte{0}}, {Req: []byte{1}}, {Req: []byte{2}}}
+	type result struct {
+		ran int
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		ran, err := g.TryBatch(nil, entries)
+		done <- result{ran, err}
+	}()
+	<-entered
+	g.Close()
+	res := <-done
+	if res.ran != 2 || res.err != nil {
+		t.Fatalf("TryBatch = %d, %v; want 2, nil", res.ran, res.err)
+	}
+	for _, e := range entries[res.ran:] {
+		runs[e.Req[0]].Add(1) // the caller's other route
+	}
+	for i := range runs {
+		if n := runs[i].Load(); n != 1 {
+			t.Fatalf("entry %d ran %d times, want 1", i, n)
+		}
+	}
+}
+
 // TestCloseWaitsForProducers: Close does not return while a producer
 // that got past the closed check still fills a slot, so the slot memory
 // it hands on is free: a new group over it serves calls.
@@ -339,8 +382,8 @@ func TestConcurrentStress(t *testing.T) {
 					for j := range entries {
 						entries[j] = BatchEntry{ID: 2, Req: []byte(fmt.Sprintf("p%d-b%d-%d", p, i, j))}
 					}
-					switch err := g.TryBatch(nil, entries); {
-					case err == nil:
+					switch ran, err := g.TryBatch(nil, entries); {
+					case err == nil && ran == 3:
 						riding.Add(3)
 					case errors.Is(err, ErrBusy):
 						fell.Add(3)

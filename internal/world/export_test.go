@@ -1,6 +1,9 @@
 package world
 
 import (
+	"errors"
+	"math"
+
 	"montsalvat/internal/boundary"
 	"montsalvat/internal/ring"
 )
@@ -21,6 +24,12 @@ func (w *World) RingHandler(rt *Runtime) ring.Handler { return w.ringHandler(rt)
 // CloseRings stops the ring group rt's outgoing calls ride, as Kill
 // does, leaving the rest of the generation live.
 func (rt *Runtime) CloseRings() { rt.rings.Close() }
+
+// RingsClosed reports whether CloseRings has begun: the group refuses a
+// submission too large for any slot as stopped, not as too large.
+func (rt *Runtime) RingsClosed() bool {
+	return errors.Is(rt.rings.TryCall(0, math.MaxInt, nil, nil, nil), ring.ErrStopped)
+}
 
 // BufPool is the pool the world's marshal buffers and batch frames are drawn
 // from and recycled to.

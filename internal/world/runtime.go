@@ -1132,11 +1132,11 @@ func (rt *Runtime) cross(id int, lane *Lane, sp *telemetry.Span, fn func() error
 	return err
 }
 
-// rode reports whether a ring submission of n calls rode the ring, from
-// the error TryCall or TryBatch returned, and counts its route.
-// ErrTooLarge (the oversize route) and ErrBusy or ErrStopped (the
-// fallback route) mean nothing ran: the caller crosses in full instead.
-// Any other outcome rode, and err is the far side's.
+// rode reports whether a ring submission rode the ring, from the error
+// TryCall or TryBatch returned, and counts its route and the n calls
+// that ran on it. ErrTooLarge (the oversize route) and ErrBusy or
+// ErrStopped (the fallback route) mean nothing ran: the caller crosses
+// in full instead. Any other outcome rode, and err is the far side's.
 func (rt *Runtime) rode(err error, n int) bool {
 	switch {
 	case errors.Is(err, ring.ErrTooLarge):

@@ -667,23 +667,30 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry, time.Duration, *Lan
 		// Ring route first: each queued call becomes its own submission
 		// entry, published back to back so the consumer drains them in
 		// shared wakeups — adaptive batching without building (and MEE-
-		// copying) a coalesced frame. All-or-nothing: oversized or busy
-		// rings fall through to the frame path.
+		// copying) a coalesced frame. Oversized or busy rings fall through
+		// to the frame path; a ring closed part-way ran a prefix of the
+		// batch, whose errors are kept, and only the rest goes by frame.
+		rest, ringErr := entries, error(nil)
 		if rt.encl != nil && rt.rings != nil && lane == nil {
-			if rerr := rt.rings.TryBatch(sp, entries); rt.rode(rerr, len(entries)) {
-				sp.Finish(rerr)
-				return rerr
+			ran, rerr := rt.rings.TryBatch(sp, entries)
+			if rt.rode(rerr, ran) {
+				if ran == len(entries) {
+					sp.Finish(rerr)
+					return rerr
+				}
+				rt.ringFallbacks.Add(1)
+				rest, ringErr = entries[ran:], rerr
 			}
 		}
 
 		// Frame route: the record count, then each call's record — its
 		// slot form minus the flags byte.
 		size := binary.MaxVarintLen64
-		for _, e := range entries {
+		for _, e := range rest {
 			size += len(e.Req) - 1
 		}
-		frame := binary.AppendUvarint(w.bufs.Get(size), uint64(len(entries)))
-		for _, e := range entries {
+		frame := binary.AppendUvarint(w.bufs.Get(size), uint64(len(rest)))
+		for _, e := range rest {
 			frame = append(frame, e.Req[1:]...)
 		}
 		sp.AddMarshalBytes(len(frame))
@@ -711,6 +718,7 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry, time.Duration, *Lan
 		} else {
 			err = invoke()
 		}
+		err = errors.Join(ringErr, err)
 		sp.Finish(err)
 		// Every call has run: the records' argument views into the
 		// frame are dead, so the frame may be recycled.
