@@ -33,7 +33,11 @@ build:
 # amd64 without AES-NI) is tested under -tags purego and cross-vetted for
 # arm64, since an amd64 host with AES-NI runs the assembly kernel. The benchmark
 # harness is its own module (benchmark/go.mod), so ./... does not reach
-# it: it is vetted and tested on its own, outside any workspace.
+# it: it is vetted and tested on its own, outside any workspace. The
+# product-surface check (internal/surface) runs inside the first line:
+# it type-checks this module and benchmark/, and fails on an exported
+# name in internal/ that only tests reference, or on a struct field
+# that is written and never read.
 test:
 	$(GO) test ./...
 	$(GO) vet ./...

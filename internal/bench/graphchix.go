@@ -27,7 +27,6 @@ type graphchiState struct {
 	// sharding/engine breakdown of Fig. 9.
 	shardTime  timing
 	engineTime timing
-	rankSum    float64
 }
 
 // pageRankIterations matches GraphChi's example PageRank configuration.
@@ -100,7 +99,6 @@ func graphchiProgram(sharderAnn, engineAnn classmodel.Annotation, st *graphchiSt
 			for _, r := range ranks {
 				sum += r
 			}
-			st.rankSum = sum
 			return wire.Float(sum), nil
 		},
 	}); err != nil {

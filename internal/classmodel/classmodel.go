@@ -18,7 +18,6 @@ package classmodel
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"montsalvat/internal/shim"
 	"montsalvat/internal/wire"
@@ -377,25 +376,6 @@ func (p *Program) Lookup(ref MethodRef) (*Class, *Method, bool) {
 		return nil, nil, false
 	}
 	return c, m, true
-}
-
-// ByAnnotation partitions the program's class names into trusted,
-// untrusted and neutral sets (the T, U, N sets of §5.3), sorted.
-func (p *Program) ByAnnotation() (trusted, untrusted, neutral []string) {
-	for name, c := range p.classes {
-		switch c.Ann {
-		case Trusted:
-			trusted = append(trusted, name)
-		case Untrusted:
-			untrusted = append(untrusted, name)
-		default:
-			neutral = append(neutral, name)
-		}
-	}
-	sort.Strings(trusted)
-	sort.Strings(untrusted)
-	sort.Strings(neutral)
-	return trusted, untrusted, neutral
 }
 
 // Validate checks closed-world consistency: the main entry point exists

@@ -244,15 +244,13 @@ func TestByAnnotation(t *testing.T) {
 	if err := p.AddClass(util); err != nil {
 		t.Fatal(err)
 	}
-	tr, un, ne := p.ByAnnotation()
-	if len(tr) != 1 || tr[0] != "Account" {
-		t.Fatalf("trusted = %v", tr)
+	for name, want := range map[string]Annotation{"Account": Trusted, "Main": Untrusted, "Util": Neutral} {
+		if c, ok := p.Class(name); !ok || c.Ann != want {
+			t.Fatalf("class %s: annotation %v, want %v", name, c.Ann, want)
+		}
 	}
-	if len(un) != 1 || un[0] != "Main" {
-		t.Fatalf("untrusted = %v", un)
-	}
-	if len(ne) != 1 || ne[0] != "Util" {
-		t.Fatalf("neutral = %v", ne)
+	if n := len(p.Classes()); n != 3 {
+		t.Fatalf("program has %d classes, want 3", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package demo
 
 import (
+	"reflect"
 	"testing"
 
 	"montsalvat/internal/classmodel"
@@ -21,15 +22,16 @@ func TestBankProgramValidates(t *testing.T) {
 
 func TestBankProgramShape(t *testing.T) {
 	p := MustBankProgram()
-	tr, un, ne := p.ByAnnotation()
-	if len(tr) != 2 || tr[0] != Account || tr[1] != AccountRegistry {
-		t.Fatalf("trusted = %v", tr)
+	ann := map[string]classmodel.Annotation{}
+	for _, c := range p.Classes() {
+		ann[c.Name] = c.Ann
 	}
-	if len(un) != 2 || un[0] != Main || un[1] != Person {
-		t.Fatalf("untrusted = %v", un)
+	want := map[string]classmodel.Annotation{
+		Account: classmodel.Trusted, AccountRegistry: classmodel.Trusted,
+		Main: classmodel.Untrusted, Person: classmodel.Untrusted,
 	}
-	if len(ne) != 0 {
-		t.Fatalf("neutral = %v", ne)
+	if !reflect.DeepEqual(ann, want) {
+		t.Fatalf("annotations = %v, want %v", ann, want)
 	}
 	if p.MainClass != Main {
 		t.Fatalf("MainClass = %q", p.MainClass)

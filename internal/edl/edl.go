@@ -211,7 +211,7 @@ func cType(k wire.Kind) string {
 		return "int64_t"
 	case wire.KindFloat:
 		return "double"
-	case wire.KindString, wire.KindBytes, wire.KindList, wire.KindMap:
+	case wire.KindString, wire.KindBytes, wire.KindList:
 		return "[user_check] const char*"
 	case wire.KindRef:
 		return "int" // proxy hash

@@ -232,9 +232,6 @@ func (f *Fabric) Client(RouterConfig) *Router {
 	return &Router{f: f, tracer: tel.Tracer(), events: tel.Events(), table: f.Table(), conns: make(map[int]*routerConn)}
 }
 
-// Platform returns the attestation platform shared by the fabric.
-func (f *Fabric) Platform() *sgx.Platform { return f.platform }
-
 // node returns the live primary for a shard.
 func (f *Fabric) node(id int) (*shardNode, error) {
 	f.mu.Lock()

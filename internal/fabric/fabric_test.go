@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"montsalvat/internal/channel"
 	"montsalvat/internal/serve"
 	"montsalvat/internal/telemetry"
 	"montsalvat/internal/wire"
@@ -81,7 +82,7 @@ func TestFabricRoutingAndRedirect(t *testing.T) {
 		}
 	}
 	info, _ := tbl.Shard(0)
-	c, err := serve.Dial(info.Addr, serve.ClientConfig{Platform: f.Platform(), Measurement: info.Measurement})
+	c, err := serve.Dial(info.Addr, serve.ClientConfig{Platform: f.platform, Measurement: info.Measurement})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,12 +126,12 @@ func TestReplicaHostRefusesHandshakes(t *testing.T) {
 	}
 	_, err = DialPeer(
 		standby.ln.Addr().String(),
-		PeerIdentity{Platform: f.Platform(), Enclave: sibling.w.Enclave(), Origin: ShardOrigin(1)},
+		PeerIdentity{Platform: f.platform, Enclave: sibling.w.Enclave(), Origin: ShardOrigin(1)},
 		replicaOrigin(0, 0),
 		standby.measurement(),
 	)
-	if !errors.Is(err, ErrPeerHandshake) {
-		t.Fatalf("sibling shard's channel to shard 0's standby: %v, want ErrPeerHandshake", err)
+	if !errors.Is(err, channel.ErrHandshake) {
+		t.Fatalf("sibling shard's channel to shard 0's standby: %v, want channel.ErrHandshake", err)
 	}
 
 	primary, err := f.node(0)
@@ -141,12 +142,12 @@ func TestReplicaHostRefusesHandshakes(t *testing.T) {
 	wrong[0] = 0xff
 	_, err = DialPeer(
 		standby.ln.Addr().String(),
-		PeerIdentity{Platform: f.Platform(), Enclave: primary.w.Enclave(), Origin: ShardOrigin(0)},
+		PeerIdentity{Platform: f.platform, Enclave: primary.w.Enclave(), Origin: ShardOrigin(0)},
 		replicaOrigin(0, 0),
 		wrong,
 	)
-	if !errors.Is(err, ErrPeerHandshake) {
-		t.Fatalf("wrong measurement: %v, want ErrPeerHandshake", err)
+	if !errors.Is(err, channel.ErrHandshake) {
+		t.Fatalf("wrong measurement: %v, want channel.ErrHandshake", err)
 	}
 }
 

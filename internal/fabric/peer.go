@@ -49,10 +49,6 @@ const (
 
 // Typed peer-channel errors.
 var (
-	// ErrPeerHandshake covers mutual-attestation failures: a quote that
-	// does not verify, is not bound to this channel's transcript, or a
-	// peer claiming an origin the channel was not configured for.
-	ErrPeerHandshake = channel.ErrHandshake
 	// ErrPeerClosed reports use of a closed peer channel.
 	ErrPeerClosed = errors.New("fabric: peer channel closed")
 	// ErrPeerRejected carries a peer-side execution failure.

@@ -86,8 +86,8 @@ func TestPeerListenerCapsPlaintextFrames(t *testing.T) {
 	}
 	select {
 	case err := <-refused:
-		if !errors.Is(err, ErrPeerHandshake) || !errors.Is(err, channel.ErrFrameTooLarge) {
-			t.Fatalf("16 MiB hello: %v, want ErrPeerHandshake over ErrFrameTooLarge", err)
+		if !errors.Is(err, channel.ErrHandshake) || !errors.Is(err, channel.ErrFrameTooLarge) {
+			t.Fatalf("16 MiB hello: %v, want channel.ErrHandshake over ErrFrameTooLarge", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("the host is still waiting for the rest of a 16 MiB hello")
@@ -108,7 +108,7 @@ func FuzzPeerRequest(f *testing.F) {
 	f.Add(wire.MarshalList([]wire.Value{wire.Str("bind"), wire.Str("kv")}))
 	f.Add(wire.MarshalList([]wire.Value{
 		wire.Str("call"), wire.Str("shard-1"), wire.Int(1), wire.Str("put"),
-		wire.List(wire.Str("k"), wire.Map(wire.Pair{Key: "r", Val: wire.Ref("KVStore", 3)})), wire.Int(7), wire.Int(9),
+		wire.List(wire.Str("k"), wire.List(wire.Str("r"), wire.Ref("KVStore", 3))), wire.Int(7), wire.Int(9),
 	}))
 	f.Add(wire.MarshalList([]wire.Value{wire.Str("evict")}))
 	host := &PeerHost{Identity: PeerIdentity{Origin: "shard-0"}}

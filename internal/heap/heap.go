@@ -171,12 +171,11 @@ type Config struct {
 // Heap is a semispace managed heap. It is not safe for concurrent use;
 // its owner serialises every call (stop-the-world discipline).
 type Heap struct {
-	newBackend func(size int) (Backend, error)
-	from       Backend
-	to         Backend
-	semiSize   int
-	maxSemi    int
-	allocPtr   int
+	from     Backend
+	to       Backend
+	semiSize int
+	maxSemi  int
+	allocPtr int
 
 	// handles is the handle table, indexed by slot; freeSlots lists the
 	// released slots, reused last-in first-out.
@@ -223,12 +222,11 @@ func New(cfg Config, newBackend func(size int) (Backend, error)) (*Heap, error) 
 		return nil, fmt.Errorf("heap: to-space: %w", err)
 	}
 	return &Heap{
-		newBackend: newBackend,
-		from:       from,
-		to:         to,
-		semiSize:   cfg.InitialSemi,
-		maxSemi:    cfg.MaxSemi,
-		allocPtr:   wordBytes, // Addr 0 is reserved for null.
+		from:     from,
+		to:       to,
+		semiSize: cfg.InitialSemi,
+		maxSemi:  cfg.MaxSemi,
+		allocPtr: wordBytes, // Addr 0 is reserved for null.
 	}, nil
 }
 

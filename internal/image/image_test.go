@@ -2,6 +2,7 @@ package image
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"montsalvat/internal/classmodel"
@@ -47,7 +48,7 @@ func TestBuildBothImages(t *testing.T) {
 	}
 	// Trusted image entry points are exactly the relays.
 	for _, ep := range tImg.EntryPoints() {
-		if !transform.IsRelayName(ep.Method) {
+		if !strings.HasPrefix(ep.Method, transform.RelayPrefix) {
 			t.Fatalf("non-relay trusted entry point %s", ep)
 		}
 	}

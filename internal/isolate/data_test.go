@@ -22,7 +22,7 @@ func TestListAddSurfacesTooManyRefs(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hash int64
-	iso, err := New(0, h, func() int64 { hash++; return hash })
+	iso, err := New(h, func() int64 { hash++; return hash })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func epcIsolate(tb testing.TB) (*Isolate, *mee.Engine) {
 		tb.Fatal(err)
 	}
 	var hash int64
-	iso, err := New(0, h, func() int64 { hash++; return hash })
+	iso, err := New(h, func() int64 { hash++; return hash })
 	if err != nil {
 		tb.Fatal(err)
 	}

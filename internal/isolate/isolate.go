@@ -64,7 +64,6 @@ type classInfo struct {
 // a native image. It is not safe for concurrent use; the owning runtime
 // serialises access (stop-the-world discipline).
 type Isolate struct {
-	id       int
 	heap     *heap.Heap
 	nextHash func() int64
 
@@ -79,7 +78,7 @@ type Isolate struct {
 // New creates an isolate over h. nextHash supplies identity hashes
 // (shared across runtimes so hashes are globally unique, the paper's
 // "hashing algorithm like MD5 to minimize hash collisions").
-func New(id int, h *heap.Heap, nextHash func() int64) (*Isolate, error) {
+func New(h *heap.Heap, nextHash func() int64) (*Isolate, error) {
 	if h == nil {
 		return nil, errors.New("isolate: nil heap")
 	}
@@ -87,16 +86,12 @@ func New(id int, h *heap.Heap, nextHash func() int64) (*Isolate, error) {
 		return nil, errors.New("isolate: nil hash source")
 	}
 	return &Isolate{
-		id:       id,
 		heap:     h,
 		nextHash: nextHash,
 		classes:  make(map[string]*classInfo),
 		byID:     make(map[int32]*classInfo),
 	}, nil
 }
-
-// ID returns the isolate identifier.
-func (iso *Isolate) ID() int { return iso.id }
 
 // Heap exposes the underlying heap (for registries, GC helpers, stats).
 func (iso *Isolate) Heap() *heap.Heap { return iso.heap }
@@ -387,17 +382,11 @@ func (iso *Isolate) SetFieldRef(h heap.Handle, field string, target heap.Handle)
 	return iso.heap.SetRef(o, info.layout.RefSlot[field], t)
 }
 
-// GetField reads any field as a wire value. Reference fields come back as
-// wire.Ref(class, hash) (null if unset); String/byte[]/value fields are
-// read out of their child objects.
-func (iso *Isolate) GetField(h heap.Handle, field string) (wire.Value, error) {
-	v, _, err := iso.getField(h, field, false)
-	return v, err
-}
-
-// GetFieldRef is GetField that, for a non-null reference field, also
-// returns a fresh strong handle to the object the field points at (0
-// otherwise). The caller owns the handle.
+// GetFieldRef reads any field as a wire value. Reference fields come
+// back as wire.Ref(class, hash) (null if unset), with a fresh strong
+// handle to the object the field points at (0 otherwise) that the
+// caller owns; String/byte[]/value fields are read out of their child
+// objects.
 func (iso *Isolate) GetFieldRef(h heap.Handle, field string) (wire.Value, heap.Handle, error) {
 	return iso.getField(h, field, true)
 }

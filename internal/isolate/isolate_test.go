@@ -26,7 +26,7 @@ func testIsolate(t *testing.T) *Isolate {
 func accountIsolate(t *testing.T, h *heap.Heap) *Isolate {
 	t.Helper()
 	var hashCounter int64
-	iso, err := New(0, h, func() int64 { hashCounter++; return hashCounter })
+	iso, err := New(h, func() int64 { hashCounter++; return hashCounter })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestBuiltinValues(t *testing.T) {
 	if b, err := iso.BytesValue(bh); err != nil || !bytes.Equal(b, []byte{9, 8}) {
 		t.Fatalf("BytesValue = %v, %v", b, err)
 	}
-	v := wire.Map(wire.Pair{Key: "k", Val: wire.Int(1)})
+	v := wire.List(wire.Str("k"), wire.Int(1))
 	vh, err := iso.NewBlob(v)
 	if err != nil {
 		t.Fatal(err)
@@ -474,10 +474,10 @@ func TestNewIsolateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(0, nil, func() int64 { return 1 }); err == nil {
+	if _, err := New(nil, func() int64 { return 1 }); err == nil {
 		t.Fatal("nil heap accepted")
 	}
-	if _, err := New(0, h, nil); err == nil {
+	if _, err := New(h, nil); err == nil {
 		t.Fatal("nil hash source accepted")
 	}
 }
@@ -492,4 +492,11 @@ func TestListAddRejectsNonList(t *testing.T) {
 	if _, _, _, err := iso.ListGet(a, 0); !errors.Is(err, ErrNotBuiltin) {
 		t.Fatalf("ListGet on Account: %v", err)
 	}
+}
+
+// GetField reads any field as a wire value, as GetFieldRef does, without
+// taking a handle to a referenced object.
+func (iso *Isolate) GetField(h heap.Handle, field string) (wire.Value, error) {
+	v, _, err := iso.getField(h, field, false)
+	return v, err
 }

@@ -256,8 +256,3 @@ func (r *Runner) ApplyTo(m Model, meas Measurement) Result {
 		Duration:  time.Duration(float64(o.Total()) / r.hz * float64(time.Second)),
 	}
 }
-
-// Run measures a kernel and applies the model in one step.
-func (r *Runner) Run(m Model, k specjvm.Kernel, size int) Result {
-	return r.ApplyTo(m, r.Measure(k, size))
-}

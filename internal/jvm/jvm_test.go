@@ -108,11 +108,8 @@ func TestAllocationHeavyWorkFavoursJVM(t *testing.T) {
 
 func TestRunnerProducesResults(t *testing.T) {
 	r := NewRunner(0)
-	k, err := specjvm.KernelByName("sor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := r.Run(SGXNI, k, 64)
+	k := kernel(t, "sor")
+	res := r.ApplyTo(SGXNI, r.Measure(k, 64))
 	if res.Kernel != "sor" || res.Size != 64 {
 		t.Fatalf("result meta: %+v", res)
 	}
@@ -123,7 +120,7 @@ func TestRunnerProducesResults(t *testing.T) {
 		t.Fatal("SGX model charged no overhead")
 	}
 	// Default size kicks in for size <= 0.
-	res2 := r.Run(NoSGXNI, k, 0)
+	res2 := r.ApplyTo(NoSGXNI, r.Measure(k, 0))
 	if res2.Size != k.DefaultSize {
 		t.Fatalf("default size = %d", res2.Size)
 	}
@@ -149,4 +146,16 @@ func TestTable1Shape(t *testing.T) {
 			t.Errorf("%s: gain = %.2f, want > 1", k.Name, gain)
 		}
 	}
+}
+
+// kernel returns the specjvm kernel called name.
+func kernel(t *testing.T, name string) specjvm.Kernel {
+	t.Helper()
+	for _, k := range specjvm.Kernels() {
+		if k.Name == name {
+			return k
+		}
+	}
+	t.Fatalf("no kernel %q", name)
+	return specjvm.Kernel{}
 }

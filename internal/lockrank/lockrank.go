@@ -77,9 +77,6 @@ func Enable() (disable func()) {
 	return func() { enabled.Store(false) }
 }
 
-// Enabled reports whether hierarchy checking is on.
-func Enabled() bool { return enabled.Load() }
-
 // TakeViolations drains and returns the recorded hierarchy violations.
 func TakeViolations() []string {
 	stateMu.Lock()

@@ -128,6 +128,32 @@ func TestExploreFindsAndShrinksViolation(t *testing.T) {
 	}
 }
 
+// TestNonReproducibleViolationNamesTrace: a violation that does not
+// reproduce on replay is a determinism bug, and its report carries the
+// trace that violated, so the run can be replayed.
+func TestNonReproducibleViolationNamesTrace(t *testing.T) {
+	builds := 0
+	firstBuildOnly := func() (System, error) {
+		builds++
+		if builds == 1 {
+			return &toySystem{boomAt: 1}, nil
+		}
+		return &toySystem{}, nil
+	}
+	out, err := replayNames(firstBuildOnly, []string{"inc-b", "inc-a"}, false)
+	if err != nil || out.Violation == nil {
+		t.Fatalf("first build: violation %v, err %v", out.Violation, err)
+	}
+	_, err = Shrink(firstBuildOnly, out.Violation.Raw, false)
+	var nr *nonReproducibleError
+	if !errors.As(err, &nr) {
+		t.Fatalf("Shrink: %v, want a non-reproducible error", err)
+	}
+	if !strings.Contains(err.Error(), "inc-b,inc-a") {
+		t.Fatalf("error %q does not name the trace inc-b,inc-a", err)
+	}
+}
+
 func TestShrinkIsOneMinimal(t *testing.T) {
 	// A deliberately padded trace: only [inc-a inc-a boom-guard]
 	// matters (in any order).

@@ -1,5 +1,7 @@
 package orderly
 
+import "strings"
+
 // Shrink reduces a violating action trace to a 1-minimal reproduction:
 // removing any single remaining action either stops the violation,
 // changes which invariant fails, or disables a later action's guard.
@@ -44,5 +46,5 @@ func Shrink(build Builder, trace []string, lockCheck bool) ([]string, error) {
 type nonReproducibleError struct{ trace []string }
 
 func (e *nonReproducibleError) Error() string {
-	return "orderly: violation did not reproduce on replay (non-deterministic system?)"
+	return "orderly: violation did not reproduce on replay (non-deterministic system?): trace " + strings.Join(e.trace, ",")
 }

@@ -172,7 +172,6 @@ type ReaderStats struct {
 // concurrent use.
 type Reader struct {
 	data     []byte // the "memory-mapped" store file
-	count    int
 	indexOff int64
 	capacity int
 	stats    ReaderStats
@@ -199,7 +198,6 @@ func Open(fs shim.FS, name string) (*Reader, error) {
 	if string(data[:8]) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	count := int(binary.LittleEndian.Uint64(data[8:]))
 	indexOff := int64(binary.LittleEndian.Uint64(data[16:]))
 	if indexOff < headerSize || indexOff+8 > size {
 		return nil, fmt.Errorf("%w: bad index offset", ErrCorrupt)
@@ -210,7 +208,6 @@ func Open(fs shim.FS, name string) (*Reader, error) {
 	}
 	return &Reader{
 		data:     data,
-		count:    count,
 		indexOff: indexOff,
 		capacity: capacity,
 		stats:    ReaderStats{MappedBytes: size},
@@ -220,9 +217,6 @@ func Open(fs shim.FS, name string) (*Reader, error) {
 // SetTouch installs a hook invoked with the mapped bytes each lookup
 // touches.
 func (r *Reader) SetTouch(touch func(n int)) { r.touch = touch }
-
-// Count returns the number of records.
-func (r *Reader) Count() int { return r.count }
 
 // Get returns the value stored for key.
 func (r *Reader) Get(key []byte) ([]byte, error) {

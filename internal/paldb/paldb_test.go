@@ -2,6 +2,7 @@ package paldb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -42,8 +43,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if r.Count() != len(kv) {
-		t.Fatalf("Count = %d, want %d", r.Count(), len(kv))
+	if got := binary.LittleEndian.Uint64(r.data[8:]); got != uint64(len(kv)) {
+		t.Fatalf("header record count = %d, want %d", got, len(kv))
 	}
 	for k, v := range kv {
 		got, err := r.Get([]byte(k))

@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -592,4 +593,24 @@ func TestManagerStatsAndMetrics(t *testing.T) {
 	if reg.Histogram("montsalvat_persist_recovery_duration_nanoseconds").Count() != 1 {
 		t.Fatal("recovery duration histogram empty")
 	}
+}
+
+// Get returns the value for key.
+func (s *MapState) Get(key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := s.m[key]
+	return v, ok
+}
+
+// Keys returns the keys in sorted order.
+func (s *MapState) Keys() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([]string, 0, len(s.m))
+	for k := range s.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

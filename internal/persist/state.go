@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -57,14 +56,6 @@ func (s *MapState) Put(key string, value []byte) {
 	s.m[key] = append([]byte(nil), value...)
 }
 
-// Get returns the value for key.
-func (s *MapState) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.m[key]
-	return v, ok
-}
-
 // Delete removes a key.
 func (s *MapState) Delete(key string) {
 	s.mu.Lock()
@@ -77,18 +68,6 @@ func (s *MapState) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.m)
-}
-
-// Keys returns the keys in sorted order.
-func (s *MapState) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Snapshot implements State: count, then sorted (key, value) pairs,

@@ -127,25 +127,6 @@ func (r *Result) MethodReachable(ref classmodel.MethodRef) bool { return r.metho
 // ClassReachable reports whether a class is referenced by reachable code.
 func (r *Result) ClassReachable(name string) bool { return r.reachableCls[name] }
 
-// ClassInstantiated reports whether any reachable method allocates the
-// class.
-func (r *Result) ClassInstantiated(name string) bool { return r.instantiated[name] }
-
-// Methods returns the reachable methods in deterministic order.
-func (r *Result) Methods() []classmodel.MethodRef {
-	out := make([]classmodel.MethodRef, 0, len(r.methods))
-	for ref := range r.methods {
-		out = append(out, ref)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Class != out[j].Class {
-			return out[i].Class < out[j].Class
-		}
-		return out[i].Method < out[j].Method
-	})
-	return out
-}
-
 // Classes returns the reachable classes in sorted order.
 func (r *Result) Classes() []string {
 	out := make([]string, 0, len(r.reachableCls))
@@ -154,11 +135,6 @@ func (r *Result) Classes() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// EntryPoints returns the entry points the analysis started from.
-func (r *Result) EntryPoints() []classmodel.MethodRef {
-	return append([]classmodel.MethodRef(nil), r.entryPoints...)
 }
 
 // Report summarises the analysis for logs and the CLI.

@@ -119,7 +119,7 @@ func TestAllocationPullsCtorAndClinit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.ClassInstantiated("Obj") {
+	if !r.instantiated["Obj"] {
 		t.Fatal("Obj not instantiated")
 	}
 	if !r.MethodReachable(ref("Obj", classmodel.CtorName)) {
@@ -164,7 +164,7 @@ func TestRefFieldTypeReachable(t *testing.T) {
 	if !r.ClassReachable("Other") {
 		t.Fatal("ref field type not reachable")
 	}
-	if r.ClassInstantiated("Other") {
+	if r.instantiated["Other"] {
 		t.Fatal("ref field type spuriously instantiated")
 	}
 }
@@ -226,12 +226,6 @@ func TestDeterministicOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := r.Methods()
-	for i := 1; i < len(ms); i++ {
-		if ms[i-1].Class > ms[i].Class {
-			t.Fatalf("Methods() not sorted: %v", ms)
-		}
-	}
 	cs := r.Classes()
 	if len(cs) != 3 || cs[0] != "A" || cs[1] != "M" || cs[2] != "Z" {
 		t.Fatalf("Classes() = %v", cs)
@@ -272,7 +266,7 @@ func TestQuickMonotonicity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, m := range r1.Methods() {
+		for m := range r1.methods {
 			if !r2.MethodReachable(m) {
 				return false
 			}

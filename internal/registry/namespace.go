@@ -86,13 +86,6 @@ func (ns *Namespace) Remove(handle int64) (NSEntry, bool) {
 	return e, true
 }
 
-// Len returns the number of live handles.
-func (ns *Namespace) Len() int {
-	ns.mu.RLock()
-	defer ns.mu.RUnlock()
-	return len(ns.byHandle)
-}
-
 // Drain empties the namespace and closes it against further Adds,
 // returning every live entry so session teardown can release the
 // session's objects through the GC-release path exactly once.

@@ -22,8 +22,8 @@ func TestNamespaceAddLookupRemove(t *testing.T) {
 	if _, ok := ns.Lookup(h1 + 1000); ok {
 		t.Fatal("lookup of never-issued handle succeeded")
 	}
-	if ns.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", ns.Len())
+	if live(ns) != 2 {
+		t.Fatalf("live handles = %d, want 2", live(ns))
 	}
 	re, ok := ns.Remove(h1)
 	if !ok || re.Hash != 101 {
@@ -49,8 +49,8 @@ func TestNamespaceCanonicalises(t *testing.T) {
 	if added || h2 != h1 {
 		t.Fatalf("duplicate add = (%d, %v), want (%d, false)", h2, added, h1)
 	}
-	if ns.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", ns.Len())
+	if live(ns) != 1 {
+		t.Fatalf("live handles = %d, want 1", live(ns))
 	}
 	// After removal the hash can be renamed.
 	ns.Remove(h1)
@@ -68,8 +68,8 @@ func TestNamespaceDrainCloses(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("Drain returned %d entries, want 2", len(entries))
 	}
-	if ns.Len() != 0 {
-		t.Fatalf("Len after drain = %d", ns.Len())
+	if live(ns) != 0 {
+		t.Fatalf("live handles after drain = %d", live(ns))
 	}
 	if h, added := ns.Add("C", 3); added || h != 0 {
 		t.Fatalf("Add after drain = (%d, %v), want closed", h, added)
@@ -99,7 +99,7 @@ func TestNamespaceConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if ns.Len() == 0 {
+	if live(ns) == 0 {
 		t.Fatal("expected surviving handles")
 	}
 }
@@ -148,4 +148,11 @@ func BenchmarkNamespaceMixed(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// live returns the number of live handles in ns.
+func live(ns *Namespace) int {
+	ns.mu.RLock()
+	defer ns.mu.RUnlock()
+	return len(ns.byHandle)
 }

@@ -30,7 +30,6 @@ package registry
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,7 +59,6 @@ type regShard struct {
 // Registry is one runtime's mirror–proxy registry. It is safe for
 // concurrent use (GC-helper sweeps and any number of mutators).
 type Registry struct {
-	heap   *heap.Heap
 	shards [numShards]regShard
 
 	// release drops a strong handle once an entry no longer needs it.
@@ -86,8 +84,7 @@ type entry struct {
 
 // New creates a registry whose strong references live on h.
 func New(h *heap.Heap) *Registry {
-	r := &Registry{heap: h}
-	r.release = h.Release
+	r := &Registry{release: h.Release}
 	for i := range r.shards {
 		r.shards[i].entries = make(map[int64]*entry)
 	}
@@ -219,21 +216,6 @@ func (r *Registry) Size() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// Hashes returns the registered hashes in ascending order.
-func (r *Registry) Hashes() []int64 {
-	var out []int64
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for h := range s.entries {
-			out = append(out, h)
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // WeakList tracks the proxies living in one runtime via weak references.

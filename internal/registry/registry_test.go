@@ -133,9 +133,13 @@ func TestHashes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := r.Hashes()
-	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
-		t.Fatalf("Hashes = %v", got)
+	for _, hash := range []int64{10, 20, 30} {
+		if _, ok := r.Resolve(hash); !ok {
+			t.Fatalf("exported hash %d does not resolve", hash)
+		}
+	}
+	if _, ok := r.Resolve(40); ok || r.Size() != 3 {
+		t.Fatalf("Resolve(40) = %v, Size = %d; want false, 3", ok, r.Size())
 	}
 }
 

@@ -85,7 +85,6 @@ type Stats struct {
 type Group struct {
 	cfg   Config
 	rings []*Ring
-	clock *cycles.Clock
 
 	next   atomic.Uint32
 	busy   atomic.Uint64
@@ -123,7 +122,7 @@ func NewGroup(cfg Config, mem Slots, clock *cycles.Clock, h Handler, enter func(
 	if err != nil {
 		return nil, err
 	}
-	g := &Group{cfg: cfg, clock: clock}
+	g := &Group{cfg: cfg}
 	for i := 0; i < cfg.Workers; i++ {
 		r := newRing(i, mem[i*n:(i+1)*n:(i+1)*n], cfg.PollSpins, aead, clock, h)
 		g.rings = append(g.rings, r)

@@ -33,9 +33,6 @@ type Handle struct {
 	ID    int64
 }
 
-// Value renders the handle as a wire ref for use in request arguments.
-func (h Handle) Value() wire.Value { return wire.Ref(h.Class, h.ID) }
-
 // AsHandle extracts a Handle from a result value that is an object ref.
 func AsHandle(v wire.Value) (Handle, bool) {
 	class, id, ok := v.AsRef()
@@ -262,16 +259,11 @@ func (c *Client) Call(h Handle, method string, args ...wire.Value) (wire.Value, 
 	return c.call(request{op: opCall, handle: h.ID, method: method, args: args}, 0)
 }
 
-// CallTimeout is Call with an explicit deadline budget, propagated to
-// the server.
-func (c *Client) CallTimeout(timeout time.Duration, h Handle, method string, args ...wire.Value) (wire.Value, error) {
-	return c.call(request{op: opCall, handle: h.ID, method: method, args: args}, timeout)
-}
-
-// CallCtx is CallTimeout carrying the caller's trace context: the
-// gateway continues sc's trace across the session frame, so a span
-// started client-side (the fabric router's route span) and the server's
-// serve/exec spans share one trace ID. A zero sc is exactly CallTimeout.
+// CallCtx is Call with a deadline budget, propagated to the server, and
+// the caller's trace context: the gateway continues sc's trace across
+// the session frame, so a span started client-side (the fabric router's
+// route span) and the server's serve/exec spans share one trace ID. With
+// a zero sc it is Call under that budget.
 func (c *Client) CallCtx(sc telemetry.SpanContext, timeout time.Duration, h Handle, method string, args ...wire.Value) (wire.Value, error) {
 	return c.call(request{op: opCall, trace: sc, handle: h.ID, method: method, args: args}, timeout)
 }
@@ -290,11 +282,5 @@ func (c *Client) Bind(name string) (Handle, error) {
 // sweep reclaims it.
 func (c *Client) Release(h Handle) error {
 	_, err := c.call(request{op: opRelease, handle: h.ID}, 0)
-	return err
-}
-
-// Ping round-trips an empty request through admission control.
-func (c *Client) Ping() error {
-	_, err := c.call(request{op: opPing}, 0)
 	return err
 }

@@ -11,6 +11,7 @@ import (
 	"montsalvat/internal/channel"
 	"montsalvat/internal/core"
 	"montsalvat/internal/sgx"
+	"montsalvat/internal/telemetry"
 	"montsalvat/internal/wire"
 	"montsalvat/internal/world"
 )
@@ -249,7 +250,7 @@ func TestGatewayLifecycleGate(t *testing.T) {
 			counts := refusalsOf(g.srv.Stats())
 			queuedErr := make(chan error, 1)
 			go func() {
-				_, err := queued.CallTimeout(tc.queuedBudget, queuedH, "work", wire.Int(0))
+				_, err := queued.CallCtx(telemetry.SpanContext{}, tc.queuedBudget, queuedH, "work", wire.Int(0))
 				queuedErr <- err
 			}()
 			waitFor(t, func() bool { return g.srv.adm.waiters.Load() == 1 })

@@ -37,7 +37,6 @@ const (
 	opNew     = "new"
 	opCall    = "call"
 	opRelease = "release"
-	opPing    = "ping"
 	opBind    = "bind"
 )
 
@@ -318,7 +317,6 @@ func decodeRequest(buf []byte) (request, error) {
 			return r, fmt.Errorf("%w: bind arity", ErrBadRequest)
 		}
 		r.class, _ = rest[0].AsStr()
-	case opPing:
 	default:
 		return r, fmt.Errorf("%w: unknown op %q", ErrBadRequest, r.op)
 	}

@@ -16,7 +16,7 @@ import (
 // seeded from it.
 func codecRequests() []request {
 	return []request{
-		{id: 1, op: opPing, budget: time.Second},
+		{id: 1, op: opBind, class: "kv", budget: time.Second},
 		{id: 2, op: opNew, class: "KVStore", budget: 250 * time.Millisecond,
 			args: []wire.Value{wire.Str("x"), wire.Int(7)}},
 		{id: 3, op: opCall, handle: 42, method: "put",
@@ -43,13 +43,15 @@ func TestRequestCodecRejects(t *testing.T) {
 	if _, err := decodeRequest(nil); err == nil {
 		t.Fatal("empty request accepted")
 	}
-	bad := appendRequest(nil, request{id: 7, op: "evict", budget: time.Second})
-	r, err := decodeRequest(bad)
-	if !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("unknown op: %v", err)
-	}
-	if r.id != 7 {
-		t.Fatalf("request id lost on decode error: %d", r.id)
+	for _, op := range []string{"evict", "ping"} {
+		bad := appendRequest(nil, request{id: 7, op: op, budget: time.Second})
+		r, err := decodeRequest(bad)
+		if !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("unknown op %q: %v", op, err)
+		}
+		if r.id != 7 {
+			t.Fatalf("op %q: request id lost on decode error: %d", op, r.id)
+		}
 	}
 }
 

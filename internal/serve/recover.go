@@ -17,7 +17,7 @@ import (
 // across restarts should log only value-typed arguments (the demo
 // KVStore journal does exactly that).
 type Mutation struct {
-	// Op is MutationNew or MutationCall.
+	// Op is "new" for an instantiation or MutationCall.
 	Op string
 	// Class is the instantiated class (new) or the receiver's class
 	// (call).
@@ -32,11 +32,9 @@ type Mutation struct {
 	Trace telemetry.SpanContext
 }
 
-// Mutation.Op values, matching the wire ops that produced them.
-const (
-	MutationNew  = opNew
-	MutationCall = opCall
-)
+// MutationCall is the Mutation.Op of a method call, matching the wire op
+// that produced it.
+const MutationCall = opCall
 
 // Export registers (or, with a nil provider, removes) a named binding:
 // a well-known server-side object clients resolve with Client.Bind. The

@@ -13,6 +13,7 @@ import (
 	"montsalvat/internal/core"
 	"montsalvat/internal/demo"
 	"montsalvat/internal/sgx"
+	"montsalvat/internal/telemetry"
 	"montsalvat/internal/wire"
 	"montsalvat/internal/world"
 )
@@ -185,8 +186,8 @@ func TestServeKVSession(t *testing.T) {
 	if _, err := c.Call(store, "size"); !errors.Is(err, ErrForeignRef) {
 		t.Fatalf("call after release: %v, want ErrForeignRef", err)
 	}
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping: %v", err)
+	if _, err := c.New(demo.KVStoreCls); err != nil {
+		t.Fatalf("new after release: %v", err)
 	}
 	st := srv.Stats()
 	if st.HandshakeFailures != 0 {
@@ -313,7 +314,7 @@ func TestServeCrossSessionIsolation(t *testing.T) {
 	// to B's own object (if any) — never to A's. A handle B's namespace
 	// never issued is rejected even buried inside an argument.
 	never := Handle{Class: demo.KVStoreCls, ID: store.ID + 1000}
-	if _, err := b.Call(bStore, "put", wire.Str("k"), never.Value()); !errors.Is(err, ErrForeignRef) {
+	if _, err := b.Call(bStore, "put", wire.Str("k"), wire.Ref(never.Class, never.ID)); !errors.Is(err, ErrForeignRef) {
 		t.Fatalf("foreign argument: %v, want ErrForeignRef", err)
 	}
 	// A's data is untouched.
@@ -428,7 +429,7 @@ func TestServeDeadline(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(100 * time.Millisecond) // let the long call occupy the slot
-	if _, err := b.CallTimeout(150*time.Millisecond, hb, "work", wire.Int(10)); !errors.Is(err, ErrDeadline) {
+	if _, err := b.CallCtx(telemetry.SpanContext{}, 150*time.Millisecond, hb, "work", wire.Int(10)); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("queued call: %v, want ErrDeadline", err)
 	}
 	if err := <-done; err != nil {
@@ -535,8 +536,8 @@ func TestServeHandshakeFailures(t *testing.T) {
 		t.Fatalf("good dial after failures: %v", err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
-		t.Fatalf("ping: %v", err)
+	if _, err := c.New(demo.KVStoreCls); err != nil {
+		t.Fatalf("new: %v", err)
 	}
 }
 

@@ -226,9 +226,6 @@ func (s *session) execute(c *call, lane *world.Lane) (wire.Value, Mutation, erro
 		return wire.Value{}, Mutation{}, ErrDeadline
 	}
 	switch req.op {
-	case opPing:
-		return wire.Null(), Mutation{}, nil
-
 	case opRelease:
 		e, ok := s.ns.Remove(req.handle)
 		if !ok {

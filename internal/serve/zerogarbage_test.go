@@ -75,7 +75,7 @@ func TestServeOverDeepRequest(t *testing.T) {
 		t.Fatalf("second dial: %v", err)
 	}
 	defer c2.Close()
-	if err := c2.Ping(); err != nil {
+	if _, err := c2.New(demo.KVStoreCls); err != nil {
 		t.Fatal(err)
 	}
 	if s := srv.Stats(); s.Sessions != 2 {

@@ -165,9 +165,6 @@ func (c *MonotonicCounter) Increment() (uint64, error) {
 	return next, nil
 }
 
-// ID returns the counter's name.
-func (c *MonotonicCounter) ID() string { return c.id }
-
 func (c *MonotonicCounter) mac(value uint64) []byte {
 	h := hmac.New(sha256.New, c.key[:])
 	var buf [8]byte

@@ -62,18 +62,6 @@ func NewPlatformSecret() (PlatformSecret, error) {
 	return s, nil
 }
 
-// SealingKey derives the enclave's sealing key for a policy (EGETKEY).
-// The enclave must be initialized: MRSIGNER is only known after EINIT.
-func (e *Enclave) SealingKey(secret PlatformSecret, policy SealPolicy) ([32]byte, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	identity, err := e.sealIdentityLocked(policy)
-	if err != nil {
-		return [32]byte{}, err
-	}
-	return deriveSealKey(secret, policy, identity), nil
-}
-
 // sealIdentityLocked returns the identity a policy binds to, refusing an
 // enclave that is not (or no longer) initialized. Caller holds e.mu.
 func (e *Enclave) sealIdentityLocked(policy SealPolicy) ([32]byte, error) {

@@ -308,13 +308,6 @@ func (e *Enclave) Measurement() [32]byte {
 	return e.measurement
 }
 
-// MRSigner returns the signer identity recorded at Init.
-func (e *Enclave) MRSigner() [32]byte {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.mrsigner
-}
-
 // Ecall enters the enclave, runs fn as enclave code, and returns. The
 // round-trip transition cost is charged and a TCS slot is held until fn
 // returns; while it runs the enclave counts as executing (InEnclave).
@@ -448,9 +441,6 @@ func (e *Enclave) NewMemory(size int) (*epc.Memory, error) {
 
 // Clock returns the cycle clock all enclave costs are charged to.
 func (e *Enclave) Clock() *cycles.Clock { return e.clock }
-
-// Config returns the platform configuration the enclave was created with.
-func (e *Enclave) Config() simcfg.Config { return e.cfg }
 
 // Stats returns a snapshot of transition and memory counters.
 func (e *Enclave) Stats() Stats {

@@ -20,10 +20,6 @@ const (
 	// CPUHz is the modelled clock frequency (§6.1: 3.80 GHz).
 	CPUHz = 3.8e9
 
-	// CacheLineBytes is the MEE encryption granularity: the MEE
-	// encrypts/decrypts EPC data at CPU cache-line granularity (§2.1).
-	CacheLineBytes = 64
-
 	// PageBytes is the EPC page size used by the SGX paging mechanism.
 	PageBytes = 4096
 

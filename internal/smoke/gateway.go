@@ -43,7 +43,6 @@ type GatewayOptions struct {
 // all share.
 type Gateway struct {
 	W   *serve.Server
-	ln  net.Listener
 	fs  shim.FS
 	wld *world.World
 
@@ -117,7 +116,6 @@ func StartGateway(opts GatewayOptions) (*Gateway, error) {
 		return nil, err
 	}
 	g.W = srv
-	g.ln = ln
 	g.addr = ln.Addr().String()
 	g.done = make(chan error, 1)
 	go func() { g.done <- srv.Serve(ln) }()

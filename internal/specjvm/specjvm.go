@@ -17,7 +17,6 @@
 package specjvm
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -64,16 +63,6 @@ func Kernels() []Kernel {
 		{Name: "lu", DefaultSize: 350, Run: LU},
 		{Name: "sparse", DefaultSize: 50_000, Run: Sparse},
 	}
-}
-
-// KernelByName finds a kernel.
-func KernelByName(name string) (Kernel, error) {
-	for _, k := range Kernels() {
-		if k.Name == name {
-			return k, nil
-		}
-	}
-	return Kernel{}, fmt.Errorf("specjvm: unknown kernel %q", name)
 }
 
 // lcg is the deterministic random source shared by the kernels.

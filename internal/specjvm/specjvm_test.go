@@ -20,16 +20,6 @@ func TestKernelsComplete(t *testing.T) {
 	}
 }
 
-func TestKernelByName(t *testing.T) {
-	k, err := KernelByName("fft")
-	if err != nil || k.Name != "fft" {
-		t.Fatalf("KernelByName(fft) = %v, %v", k, err)
-	}
-	if _, err := KernelByName("ghost"); err == nil {
-		t.Fatal("found nonexistent kernel")
-	}
-}
-
 func TestKernelsDeterministic(t *testing.T) {
 	for _, k := range Kernels() {
 		k := k

@@ -104,14 +104,6 @@ func (l *EventLog) Dump() []Event {
 	return out
 }
 
-// Len reports how many events are currently retained.
-func (l *EventLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.Dump())
-}
-
 // Line renders one timeline line: "000042 +12.345ms promote-commit
 // shard-3 [trace 7] detail...". Offsets are relative to baseNS.
 func (ev Event) Line(baseNS int64) string {

@@ -85,14 +85,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // Max returns the exact largest observation (0 when empty).
 func (h *Histogram) Max() int64 {
 	if h == nil {

@@ -159,14 +159,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
 // Value returns the current value (0 for nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -371,11 +371,3 @@ func (t *Tracer) Dump() []Span {
 	}
 	return out
 }
-
-// Len reports how many spans are currently retained.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.Dump())
-}

@@ -23,7 +23,6 @@ package transform
 
 import (
 	"fmt"
-	"strings"
 
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/edl"
@@ -35,9 +34,6 @@ const RelayPrefix = "relay$"
 
 // RelayName returns the relay method name for a concrete method.
 func RelayName(method string) string { return RelayPrefix + method }
-
-// IsRelayName reports whether a method name denotes a generated relay.
-func IsRelayName(name string) bool { return strings.HasPrefix(name, RelayPrefix) }
 
 // Report summarises a transformation, mirroring the numbers a build log
 // would show.

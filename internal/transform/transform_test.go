@@ -259,7 +259,4 @@ func TestRelayNameHelpers(t *testing.T) {
 	if RelayName("m") != "relay$m" {
 		t.Fatal("RelayName")
 	}
-	if !IsRelayName("relay$m") || IsRelayName("m") {
-		t.Fatal("IsRelayName")
-	}
 }

@@ -46,11 +46,6 @@ func Size(v Value) int {
 		for _, e := range v.elems() {
 			n += Size(e)
 		}
-	case KindMap:
-		n += uvarintLen(v.w)
-		for _, p := range v.pairs() {
-			n += uvarintLen(uint64(len(p.Key))) + len(p.Key) + Size(p.Val)
-		}
 	case KindRef:
 		n += varintLen(int64(v.w)) + uvarintLen(uint64(len(v.s))) + len(v.s)
 	}

@@ -21,7 +21,7 @@ func FuzzUnmarshal(f *testing.F) {
 		Marshal(Str("hello")),
 		Marshal(Bytes([]byte{1, 2, 3})),
 		Marshal(List(Int(1), Str("x"), Ref("C", 9))),
-		Marshal(Map(Pair{Key: "k", Val: Float(1.5)})),
+		Marshal(List(Str("k"), Float(1.5))),
 		MarshalList([]Value{Int(1), List(Bool(true))}),
 		{byte(KindList), 0xff, 0xff, 0xff, 0xff, 0x0f}, // huge count
 		{byte(KindString), 0xff, 0xff, 0x7f},           // huge length

@@ -33,8 +33,7 @@ func allKindValues() []Value {
 		List(),
 		List(Int(1), Str("x"), Ref("C", 9)),
 		List(List(List(Bool(true)))),
-		Map(),
-		Map(Pair{Key: "k", Val: Float(1.5)}, Pair{Key: "a", Val: List(Int(7))}),
+		List(Str("k"), Float(1.5), List(Int(7))),
 	}
 }
 
@@ -85,7 +84,7 @@ func TestExactSizeInvariantFuzzCorpus(t *testing.T) {
 		Marshal(Str("hello")),
 		Marshal(Bytes([]byte{1, 2, 3})),
 		Marshal(List(Int(1), Str("x"), Ref("C", 9))),
-		Marshal(Map(Pair{Key: "k", Val: Float(1.5)})),
+		Marshal(List(Str("k"), Float(1.5))),
 		MarshalList([]Value{Int(1), List(Bool(true))}),
 	}
 	for _, s := range seeds {

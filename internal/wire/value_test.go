@@ -43,8 +43,6 @@ func TestMarshalGolden(t *testing.T) {
 		{"bytes", Bytes([]byte{0, 1, 2, 255}), "0604000102ff"},
 		{"list empty", List(), "0700"},
 		{"list nested", List(Int(1), Str("two"), List(Bool(true), Null())), "07030302050374776f0702020101"},
-		{"map empty", Map(), "0800"},
-		{"map", Map(Pair{Key: "k1", Val: Int(10)}, Pair{Key: "k0", Val: Bytes([]byte("x"))}), "0802026b30060178026b310314"},
 		{"ref", Ref("Account", 424242), "09e4e433074163636f756e74"},
 		{"ref negative", Ref("X", -7), "090d0158"},
 	}
@@ -101,15 +99,6 @@ func TestCopyOnExport(t *testing.T) {
 		t.Fatalf("list value changed under its caller: %v", lv)
 	}
 
-	pairs := []Pair{{Key: "a", Val: Int(1)}, {Key: "b", Val: Int(2)}}
-	mv := Map(pairs...)
-	pairs[0].Val = Int(9)
-	gotPairs, _ := mv.AsMap()
-	gotPairs[1].Val = Int(9)
-	if !mv.Entry(0).Val.Equal(Int(1)) || !mv.Entry(1).Val.Equal(Int(2)) {
-		t.Fatalf("map value changed under its caller: %v", mv)
-	}
-
 	// A copy of a Value shares the payload; neither copy can write it.
 	alias := lv
 	if !alias.Equal(lv) || alias.Len() != 2 {
@@ -120,7 +109,7 @@ func TestCopyOnExport(t *testing.T) {
 // TestDecodedValueDoesNotAliasBuffer: frame buffers go back to a pool as
 // soon as they are decoded, so no decoded payload may point into them.
 func TestDecodedValueDoesNotAliasBuffer(t *testing.T) {
-	want := List(Str("key"), Bytes([]byte{1, 2, 3}), Ref("Cls", 7), Map(Pair{Key: "k", Val: Str("v")}))
+	want := List(Str("key"), Bytes([]byte{1, 2, 3}), Ref("Cls", 7), List(Str("v")))
 	buf := Marshal(want)
 	got, _, err := Unmarshal(buf)
 	if err != nil {
@@ -142,35 +131,26 @@ func TestDecodedValueDoesNotAliasBuffer(t *testing.T) {
 }
 
 // nested returns the encoding of depth one-element lists around a null.
-func nested(kind Kind, depth int) []byte {
-	var buf []byte
-	for i := 0; i < depth; i++ {
-		buf = append(buf, byte(kind), 1)
-		if kind == KindMap {
-			buf = append(buf, 1, 'k')
-		}
-	}
-	return append(buf, byte(KindNull))
+func nested(depth int) []byte {
+	return append(bytes.Repeat([]byte{byte(KindList), 1}, depth), byte(KindNull))
 }
 
 func TestUnmarshalDepthBound(t *testing.T) {
-	for _, kind := range []Kind{KindList, KindMap} {
-		v, n, err := Unmarshal(nested(kind, MaxDepth))
-		if err != nil || n != len(nested(kind, MaxDepth)) {
-			t.Fatalf("%s nested MaxDepth deep: n=%d err=%v", kind, n, err)
-		}
-		// What the decoder accepts, every walk handles.
-		if got := Marshal(v); !bytes.Equal(got, nested(kind, MaxDepth)) {
-			t.Fatalf("%s: re-encoding differs", kind)
-		}
-		if !v.Equal(v) || Size(v) != n || v.String() == "" {
-			t.Fatalf("%s: walks disagree on a MaxDepth-deep value", kind)
-		}
-		if _, _, err := Unmarshal(nested(kind, MaxDepth+1)); !errors.Is(err, ErrTooDeep) {
-			t.Fatalf("%s nested MaxDepth+1 deep: err = %v, want ErrTooDeep", kind, err)
-		}
+	v, n, err := Unmarshal(nested(MaxDepth))
+	if err != nil || n != len(nested(MaxDepth)) {
+		t.Fatalf("nested MaxDepth deep: n=%d err=%v", n, err)
 	}
-	if _, err := UnmarshalList(nested(KindList, MaxDepth+1)); !errors.Is(err, ErrTooDeep) {
+	// What the decoder accepts, every walk handles.
+	if got := Marshal(v); !bytes.Equal(got, nested(MaxDepth)) {
+		t.Fatal("re-encoding differs")
+	}
+	if !v.Equal(v) || Size(v) != n || v.String() == "" {
+		t.Fatal("walks disagree on a MaxDepth-deep value")
+	}
+	if _, _, err := Unmarshal(nested(MaxDepth + 1)); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("nested MaxDepth+1 deep: err = %v, want ErrTooDeep", err)
+	}
+	if _, err := UnmarshalList(nested(MaxDepth + 1)); !errors.Is(err, ErrTooDeep) {
 		t.Fatalf("UnmarshalList: err = %v, want ErrTooDeep", err)
 	}
 
@@ -202,17 +182,12 @@ func TestConstructorsRefuseTooDeep(t *testing.T) {
 	}
 	v := Null()
 	for i := 0; i < MaxDepth; i++ {
-		if i%2 == 0 {
-			v = List(v)
-		} else {
-			v = Map(Pair{Key: "k", Val: v})
-		}
+		v = List(v)
 	}
 	if _, _, err := Unmarshal(Marshal(v)); err != nil {
 		t.Fatalf("a MaxDepth-deep value must round-trip: %v", err)
 	}
 	mustPanic("List", func() { List(v) })
-	mustPanic("Map", func() { Map(Pair{Key: "k", Val: v}) })
 }
 
 // TestUnmarshalListAllocs: decoding a put's argument vector costs the
@@ -230,7 +205,7 @@ func TestUnmarshalListAllocs(t *testing.T) {
 }
 
 // TestMapRefs: the walk reaches a reference wherever it sits — bare, in a
-// list, in a map value, at any mix of the two — leaves everything else
+// list, in a list inside a list — leaves everything else
 // and the input alone, and stops at the first error.
 func TestMapRefs(t *testing.T) {
 	rename := func(ref Value) (Value, error) {
@@ -243,16 +218,16 @@ func TestMapRefs(t *testing.T) {
 	in := List(
 		Ref("A", 1),
 		Str("s"),
-		Map(Pair{Key: "m", Val: Ref("B", 2)}, Pair{Key: "n", Val: List(Ref("C", 3), Bytes([]byte{9}))}),
-		List(Map(Pair{Key: "deep", Val: Ref("D", 4)})),
-		List(), Map(), Null(),
+		List(Ref("B", 2), List(Ref("C", 3), Bytes([]byte{9}))),
+		List(List(Ref("D", 4))),
+		List(), Null(),
 	)
 	want := List(
 		Ref("A", 101),
 		Str("s"),
-		Map(Pair{Key: "m", Val: Ref("B", 102)}, Pair{Key: "n", Val: List(Ref("C", 103), Bytes([]byte{9}))}),
-		List(Map(Pair{Key: "deep", Val: Ref("D", 104)})),
-		List(), Map(), Null(),
+		List(Ref("B", 102), List(Ref("C", 103), Bytes([]byte{9}))),
+		List(List(Ref("D", 104))),
+		List(), Null(),
 	)
 	before := Marshal(in)
 	got, err := MapRefs(in, rename)
@@ -268,8 +243,8 @@ func TestMapRefs(t *testing.T) {
 	for _, bad := range []Value{
 		Ref("X", -1),
 		List(Ref("A", 1), Ref("X", -1)),
-		Map(Pair{Key: "k", Val: Ref("X", -1)}),
-		List(Map(Pair{Key: "k", Val: List(Ref("X", -1))})),
+		List(List(Ref("A", 1)), List(Ref("X", -1))),
+		List(List(List(Ref("X", -1)))),
 	} {
 		if _, err := MapRefs(bad, rename); !errors.Is(err, ErrBadTag) {
 			t.Fatalf("MapRefs(%v) = %v, want the rename error", bad, err)

@@ -4,7 +4,7 @@
 // In the paper (§5.2), parameters of relay methods are restricted to
 // primitive types, pointers to serialized buffers of neutral objects, and
 // proxy/mirror hashes. This package provides exactly that vocabulary: a
-// tagged Value union (null, bool, int, float, string, bytes, list, map,
+// tagged Value union (null, bool, int, float, string, bytes, list,
 // object reference) and a compact binary encoding used by the edge
 // routines that marshal data into and out of the enclave.
 package wire
@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -33,7 +32,9 @@ const (
 	KindString
 	KindBytes
 	KindList
-	KindMap
+	// Tag 8 is unused and decodes as an unknown tag; KindRef keeps 9 so
+	// that encoded values, sealed blobs and WAL records read the same.
+	_
 	// KindRef is a cross-runtime object reference: the identity hash of a
 	// proxy/mirror pair plus its class name (§5.2 "the hash of the
 	// corresponding proxy is passed as parameter").
@@ -56,8 +57,6 @@ func (k Kind) String() string {
 		return "bytes"
 	case KindList:
 		return "list"
-	case KindMap:
-		return "map"
 	case KindRef:
 		return "ref"
 	default:
@@ -65,10 +64,10 @@ func (k Kind) String() string {
 	}
 }
 
-// MaxDepth bounds how deeply lists and maps may nest: a scalar has depth
-// 0, an aggregate one more than its deepest element. The decoder rejects
-// deeper input with ErrTooDeep before recursing into it, and List and Map
-// refuse to build a deeper value, so no walk over a Value (Append, Size,
+// MaxDepth bounds how deeply lists may nest: a scalar has depth 0, a
+// list one more than its deepest element. The decoder rejects deeper
+// input with ErrTooDeep before recursing into it, and List refuses to
+// build a deeper value, so no walk over a Value (Append, Size,
 // Equal, String) recurses further than MaxDepth frames. The world bounds
 // neutral values at 32 levels and the protocols add two or three lists of
 // their own, so nothing legitimate comes near it.
@@ -81,13 +80,6 @@ var (
 	ErrTooDeep   = errors.New("wire: value nested deeper than MaxDepth")
 	ErrTrailing  = errors.New("wire: trailing bytes")
 )
-
-// Pair is one entry of a map value. Map entries are kept sorted by key so
-// that encoding is deterministic.
-type Pair struct {
-	Key string
-	Val Value
-}
 
 // Value is an immutable tagged union of the types that may cross the
 // enclave boundary. It is five words (40 bytes), so passing and returning
@@ -103,14 +95,13 @@ type Pair struct {
 //	ref    0      identity hash        class name    -
 //	bytes  0      length               -             first byte
 //	list   1+max  element count        -             first element (Value)
-//	map    1+max  entry count          -             first entry (Pair)
 //
 // An aggregate payload sits behind the one pointer p, with its length in
 // w: the backing array is allocated once by the constructor or the
 // decoder, never reachable for writing from outside this package, and
 // shared freely between copies of the Value. Callers get at it through
-// Index and Entry (one element, by value) or AsBytes/AsList/AsMap (a copy
-// of the whole payload); nothing hands out the array itself.
+// Index (one element, by value) or AsBytes/AsList (a copy of the whole
+// payload); nothing hands out the array itself.
 type Value struct {
 	kind  Kind
 	depth uint8
@@ -119,11 +110,10 @@ type Value struct {
 	p     unsafe.Pointer
 }
 
-// The three views of an aggregate payload. Each is valid only for its own
+// The two views of an aggregate payload. Each is valid only for its own
 // kind; every caller switches on kind first.
 func (v Value) bytes() []byte  { return unsafe.Slice((*byte)(v.p), int(v.w)) }
 func (v Value) elems() []Value { return unsafe.Slice((*Value)(v.p), int(v.w)) }
-func (v Value) pairs() []Pair  { return unsafe.Slice((*Pair)(v.p), int(v.w)) }
 
 // Null returns the null value.
 func Null() Value { return Value{kind: KindNull} }
@@ -182,47 +172,13 @@ func listOf(owned []Value) (Value, error) {
 	return Value{kind: KindList, depth: deepest + 1, w: uint64(len(owned)), p: unsafe.Pointer(unsafe.SliceData(owned))}, nil
 }
 
-// Map wraps key/value pairs; entries are copied and sorted by key.
-// Duplicate keys keep the last entry. It panics with ErrTooDeep when the
-// result would nest deeper than MaxDepth.
-func Map(pairs ...Pair) Value {
-	cp := make([]Pair, len(pairs))
-	copy(cp, pairs)
-	sort.SliceStable(cp, func(i, j int) bool { return cp[i].Key < cp[j].Key })
-	// Deduplicate, keeping the last occurrence of each key.
-	out := cp[:0]
-	for i, p := range cp {
-		if i+1 < len(cp) && cp[i+1].Key == p.Key {
-			continue
-		}
-		out = append(out, p)
-	}
-	v, err := mapOf(out)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// mapOf wraps an entry slice the caller gives up, in the order given.
-func mapOf(owned []Pair) (Value, error) {
-	var deepest uint8
-	for i := range owned {
-		deepest = max(deepest, owned[i].Val.depth)
-	}
-	if deepest >= MaxDepth {
-		return Value{}, ErrTooDeep
-	}
-	return Value{kind: KindMap, depth: deepest + 1, w: uint64(len(owned)), p: unsafe.Pointer(unsafe.SliceData(owned))}, nil
-}
-
 // Ref wraps a cross-runtime object reference.
 func Ref(class string, hash int64) Value {
 	return Value{kind: KindRef, w: uint64(hash), s: class}
 }
 
 // MapRefs returns v with every object reference in it — v itself, or one
-// nested at any depth of lists and map values — replaced by rename(ref).
+// nested at any depth of lists — replaced by rename(ref).
 // It is the one walk that renames references where they cross from one
 // handle namespace into another; the first error stops it.
 func MapRefs(v Value, rename func(ref Value) (Value, error)) (Value, error) {
@@ -238,15 +194,6 @@ func MapRefs(v Value, rename func(ref Value) (Value, error)) (Value, error) {
 			}
 		}
 		return listOf(out)
-	case KindMap:
-		out := make([]Pair, v.w)
-		for i, p := range v.pairs() {
-			out[i].Key = p.Key
-			if out[i].Val, err = MapRefs(p.Val, rename); err != nil {
-				return Value{}, err
-			}
-		}
-		return mapOf(out)
 	}
 	return v, nil
 }
@@ -311,17 +258,6 @@ func (v Value) AsList() (vs []Value, ok bool) {
 	return cp, true
 }
 
-// AsMap returns a copy of the map payload; ok is false on mismatch. A
-// reader that only walks the map uses Len and Entry, which copy nothing.
-func (v Value) AsMap() (pairs []Pair, ok bool) {
-	if v.kind != KindMap {
-		return nil, false
-	}
-	cp := make([]Pair, v.w)
-	copy(cp, v.pairs())
-	return cp, true
-}
-
 // AsRef returns the reference payload; ok is false on mismatch.
 func (v Value) AsRef() (class string, hash int64, ok bool) {
 	if v.kind != KindRef {
@@ -339,33 +275,11 @@ func (v Value) Index(i int) Value {
 	return v.elems()[i]
 }
 
-// Entry returns entry i of a map value, in key order, for 0 <= i < Len().
-// It panics like a slice index when i is out of range or v is not a map.
-func (v Value) Entry(i int) Pair {
-	if v.kind != KindMap {
-		panic("wire: Entry of a " + v.kind.String() + " value")
-	}
-	return v.pairs()[i]
-}
-
-// Get looks up a key in a map value.
-func (v Value) Get(key string) (Value, bool) {
-	if v.kind != KindMap {
-		return Value{}, false
-	}
-	pairs := v.pairs()
-	i := sort.Search(len(pairs), func(i int) bool { return pairs[i].Key >= key })
-	if i < len(pairs) && pairs[i].Key == key {
-		return pairs[i].Val, true
-	}
-	return Value{}, false
-}
-
-// Len returns the number of elements of a list, map, bytes or string
-// value, and 0 otherwise.
+// Len returns the number of elements of a list, bytes or string value,
+// and 0 otherwise.
 func (v Value) Len() int {
 	switch v.kind {
-	case KindList, KindMap, KindBytes:
+	case KindList, KindBytes:
 		return int(v.w)
 	case KindString:
 		return len(v.s)
@@ -398,17 +312,6 @@ func (v Value) Equal(o Value) bool {
 		}
 		for i := range ve {
 			if !ve[i].Equal(oe[i]) {
-				return false
-			}
-		}
-		return true
-	case KindMap:
-		vp, op := v.pairs(), o.pairs()
-		if len(vp) != len(op) {
-			return false
-		}
-		for i := range vp {
-			if vp[i].Key != op[i].Key || !vp[i].Val.Equal(op[i].Val) {
 				return false
 			}
 		}
@@ -450,17 +353,6 @@ func (v Value) format(sb *strings.Builder) {
 			e.format(sb)
 		}
 		sb.WriteByte(']')
-	case KindMap:
-		sb.WriteByte('{')
-		for i, p := range v.pairs() {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(p.Key)
-			sb.WriteString(": ")
-			p.Val.format(sb)
-		}
-		sb.WriteByte('}')
 	case KindRef:
 		fmt.Fprintf(sb, "ref(%s#%d)", v.s, int64(v.w))
 	}
@@ -487,13 +379,6 @@ func Append(dst []byte, v Value) []byte {
 		dst = binary.AppendUvarint(dst, v.w)
 		for _, e := range v.elems() {
 			dst = Append(dst, e)
-		}
-	case KindMap:
-		dst = binary.AppendUvarint(dst, v.w)
-		for _, p := range v.pairs() {
-			dst = binary.AppendUvarint(dst, uint64(len(p.Key)))
-			dst = append(dst, p.Key...)
-			dst = Append(dst, p.Val)
 		}
 	case KindRef:
 		dst = binary.AppendVarint(dst, int64(v.w))
@@ -560,7 +445,7 @@ func unmarshal(buf []byte, enclosing int) (Value, int, error) {
 		return bytesOf(b), n + c, nil
 	case KindList:
 		// The nesting check comes before the count is read, let alone
-		// honoured: a frame of nothing but list or map headers is refused
+		// honoured: a frame of nothing but list headers is refused
 		// at the first level too deep, having allocated MaxDepth slices.
 		if enclosing >= MaxDepth {
 			return Value{}, 0, ErrTooDeep
@@ -583,31 +468,6 @@ func unmarshal(buf []byte, enclosing int) (Value, int, error) {
 			n += c
 		}
 		v, err := listOf(elems)
-		return v, n, err
-	case KindMap:
-		if enclosing >= MaxDepth {
-			return Value{}, 0, ErrTooDeep
-		}
-		count, c := binary.Uvarint(buf[n:])
-		if c <= 0 {
-			return Value{}, 0, ErrTruncated
-		}
-		n += c
-		pairs := make([]Pair, 0, clampCount(count, len(buf)-n))
-		for i := uint64(0); i < count; i++ {
-			k, c, err := decodeView(buf[n:])
-			if err != nil {
-				return Value{}, 0, err
-			}
-			n += c
-			val, c, err := unmarshal(buf[n:], enclosing+1)
-			if err != nil {
-				return Value{}, 0, err
-			}
-			n += c
-			pairs = append(pairs, Pair{Key: string(k), Val: val})
-		}
-		v, err := mapOf(pairs)
 		return v, n, err
 	case KindRef:
 		hash, c := binary.Varint(buf[n:])

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -53,7 +54,7 @@ func TestRoundTripComposites(t *testing.T) {
 		Int(1),
 		Str("two"),
 		List(Bool(true), Null()),
-		Map(Pair{Key: "k1", Val: Int(10)}, Pair{Key: "k0", Val: Bytes([]byte("x"))}),
+		List(Str("k0"), Bytes([]byte("x"))),
 		Ref("Registry", 99),
 	)
 	buf := Marshal(v)
@@ -66,27 +67,6 @@ func TestRoundTripComposites(t *testing.T) {
 	}
 	if !got.Equal(v) {
 		t.Fatalf("round trip: got %v, want %v", got, v)
-	}
-}
-
-func TestMapSortedAndDeduplicated(t *testing.T) {
-	v := Map(
-		Pair{Key: "b", Val: Int(1)},
-		Pair{Key: "a", Val: Int(2)},
-		Pair{Key: "b", Val: Int(3)}, // later duplicate wins
-	)
-	pairs, ok := v.AsMap()
-	if !ok {
-		t.Fatal("AsMap failed")
-	}
-	if len(pairs) != 2 || pairs[0].Key != "a" || pairs[1].Key != "b" {
-		t.Fatalf("pairs = %v, want sorted a,b", pairs)
-	}
-	if got, _ := v.Get("b"); !got.Equal(Int(3)) {
-		t.Fatalf("Get(b) = %v, want 3", got)
-	}
-	if _, ok := v.Get("missing"); ok {
-		t.Fatal("Get(missing) reported ok")
 	}
 }
 
@@ -143,7 +123,6 @@ func TestUnmarshalErrors(t *testing.T) {
 		{name: "truncated float", buf: []byte{byte(KindFloat), 1, 2}},
 		{name: "truncated string", buf: []byte{byte(KindString), 10, 'a'}},
 		{name: "truncated list elem", buf: []byte{byte(KindList), 2, byte(KindInt), 2}},
-		{name: "truncated map", buf: []byte{byte(KindMap), 1, 3, 'a'}},
 		{name: "truncated ref", buf: []byte{byte(KindRef), 2}},
 	}
 	for _, tt := range tests {
@@ -152,6 +131,41 @@ func TestUnmarshalErrors(t *testing.T) {
 				t.Fatal("Unmarshal accepted malformed input")
 			}
 		})
+	}
+}
+
+// TestTagEightIsUnknown: 8 tags no kind, so a value carrying it fails
+// with ErrBadTag wherever it is decoded, whatever bytes follow.
+func TestTagEightIsUnknown(t *testing.T) {
+	// Three key/value entries, the first and last with the same key.
+	entries := []byte{8, 3, 2, 'k', '1', 3, 2, 2, 'k', '0', 3, 4, 2, 'k', '1', 3, 6}
+	inList := append([]byte{byte(KindList), 2, byte(KindInt), 2}, entries...)
+	frame := appendFrame(nil, []Call{{Class: "C", Method: "m", Hash: 1, Args: inList}})
+	tests := []struct {
+		name   string
+		decode func() error
+	}{
+		{"top level", func() error { _, _, err := Unmarshal(entries); return err }},
+		{"top level, empty", func() error { _, _, err := Unmarshal([]byte{8, 0}); return err }},
+		{"in a list", func() error { _, _, err := Unmarshal(inList); return err }},
+		{"argument vector", func() error { _, err := UnmarshalList(inList); return err }},
+		{"batch frame record", func() error {
+			f, err := ReadFrame(frame)
+			if err != nil {
+				return err
+			}
+			c, ok := f.Next()
+			if !ok {
+				return errors.New("frame yielded no record")
+			}
+			_, err = UnmarshalList(c.Args)
+			return err
+		}},
+	}
+	for _, tt := range tests {
+		if err := tt.decode(); !errors.Is(err, ErrBadTag) {
+			t.Errorf("%s: err = %v, want ErrBadTag", tt.name, err)
+		}
 	}
 }
 
@@ -186,7 +200,7 @@ func TestLen(t *testing.T) {
 func randomValue(r *rand.Rand, depth int) Value {
 	kinds := []Kind{KindNull, KindBool, KindInt, KindFloat, KindString, KindBytes, KindRef}
 	if depth > 0 {
-		kinds = append(kinds, KindList, KindMap)
+		kinds = append(kinds, KindList)
 	}
 	switch kinds[r.Intn(len(kinds))] {
 	case KindNull:
@@ -209,20 +223,13 @@ func randomValue(r *rand.Rand, depth int) Value {
 		return Bytes(b)
 	case KindRef:
 		return Ref("C", r.Int63())
-	case KindList:
+	default: // KindList
 		n := r.Intn(5)
 		elems := make([]Value, n)
 		for i := range elems {
 			elems[i] = randomValue(r, depth-1)
 		}
 		return List(elems...)
-	default: // KindMap
-		n := r.Intn(5)
-		pairs := make([]Pair, n)
-		for i := range pairs {
-			pairs[i] = Pair{Key: string(rune('a' + i)), Val: randomValue(r, depth-1)}
-		}
-		return Map(pairs...)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestObjectTableDrainsAfterFrames(t *testing.T) {
 	}
 	for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
 		if got := rt.Stats().ObjectTableLen; got != 0 {
-			t.Errorf("%s object table has %d entries after all frames closed, want 0", rt.Name(), got)
+			t.Errorf("%s object table has %d entries after all frames closed, want 0", sideOf(w, rt), got)
 		}
 	}
 
@@ -166,7 +166,7 @@ func TestConcurrentCrossingStress(t *testing.T) {
 					}
 					for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
 						if err := rt.Collect(); err != nil {
-							errs <- fmt.Errorf("collect %s: %w", rt.Name(), err)
+							errs <- fmt.Errorf("collect %s: %w", sideOf(w, rt), err)
 							return
 						}
 					}
@@ -201,9 +201,17 @@ func TestConcurrentCrossingStress(t *testing.T) {
 			}
 			for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
 				if got := rt.Stats().ObjectTableLen; got != 0 {
-					t.Errorf("%s object table has %d entries after stress, want 0", rt.Name(), got)
+					t.Errorf("%s object table has %d entries after stress, want 0", sideOf(w, rt), got)
 				}
 			}
 		})
 	}
+}
+
+// sideOf names the side rt runs on, for failure messages.
+func sideOf(w *world.World, rt *world.Runtime) string {
+	if rt == w.Trusted() {
+		return "trusted"
+	}
+	return "untrusted"
 }

@@ -189,7 +189,7 @@ func TestPooledFrameOutlivesParkedClosures(t *testing.T) {
 			}
 			for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
 				if got := rt.Stats().ObjectTableLen; got != 0 {
-					t.Errorf("%s object table has %d entries after all frames closed, want 0", rt.Name(), got)
+					t.Errorf("%s object table has %d entries after all frames closed, want 0", sideOf(w, rt), got)
 				}
 			}
 		})

@@ -51,13 +51,6 @@ func (w *World) teardownLocked() {
 	w.erings, w.orings = nil, nil
 }
 
-// Killed reports whether the world is between Kill and Restart.
-func (w *World) Killed() bool {
-	w.stateMu.RLock()
-	defer w.stateMu.RUnlock()
-	return w.killed
-}
-
 // Restart rebuilds a killed partitioned world: a fresh enclave is
 // created, measured and verified from the retained trusted image
 // (re-attestation — same lifecycle as first boot), both runtimes are

@@ -24,12 +24,18 @@ func TestKillRestart(t *testing.T) {
 		t.Fatalf("first RunMain: %v", err)
 	}
 	firstMR := w.Enclave().Measurement()
-	firstSigner := w.Enclave().MRSigner()
+	// The signer identity, as a quote of the enclave reports it.
+	signer := func() [32]byte {
+		t.Helper()
+		q, err := sgx.NewPlatformFromSeed([]byte("restart")).Quote(w.Enclave(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q.MRSigner
+	}
+	firstSigner := signer()
 
 	w.Kill()
-	if !w.Killed() {
-		t.Fatal("Killed() false after Kill")
-	}
 	if w.Enclave() != nil || w.Trusted() != nil || w.Untrusted() != nil {
 		t.Fatal("killed world still exposes live state")
 	}
@@ -41,15 +47,15 @@ func TestKillRestart(t *testing.T) {
 	if err := w.Restart(); err != nil {
 		t.Fatalf("Restart: %v", err)
 	}
-	if w.Killed() {
-		t.Fatal("Killed() true after Restart")
+	if err := w.Restart(); !errors.Is(err, world.ErrNotKilled) {
+		t.Fatalf("second Restart: %v, want ErrNotKilled", err)
 	}
 	// Re-attestation: the same image re-measures to the same MRENCLAVE,
 	// and the retained signing identity yields the same MRSIGNER.
 	if w.Enclave().Measurement() != firstMR {
 		t.Fatal("restarted enclave has a different measurement")
 	}
-	if w.Enclave().MRSigner() != firstSigner {
+	if signer() != firstSigner {
 		t.Fatal("restarted enclave has a different MRSIGNER")
 	}
 	if _, err := w.RunMain(); err != nil {
@@ -117,8 +123,8 @@ func TestRestartGuards(t *testing.T) {
 	}
 	defer solo.Close()
 	solo.Kill() // no-op
-	if solo.Killed() {
-		t.Fatal("Kill marked an unpartitioned world killed")
+	if _, err := solo.RunMain(); err != nil {
+		t.Fatalf("RunMain after Kill of an unpartitioned world: %v", err)
 	}
 	if err := solo.Restart(); !errors.Is(err, world.ErrWrongRuntime) {
 		t.Fatalf("Restart of unpartitioned world: %v, want ErrWrongRuntime", err)

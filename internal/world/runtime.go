@@ -172,7 +172,7 @@ func (rt *Runtime) SweepStats() SweepStats {
 }
 
 func newRuntime(w *World, name string, trusted bool, img *image.Image, h *heap.Heap) (*Runtime, error) {
-	iso, err := isolate.New(0, h, w.nextHash)
+	iso, err := isolate.New(h, w.nextHash)
 	if err != nil {
 		return nil, err
 	}
@@ -213,9 +213,6 @@ func newRuntime(w *World, name string, trusted bool, img *image.Image, h *heap.H
 	}
 	return rt, nil
 }
-
-// Name returns the runtime name ("trusted" or "untrusted").
-func (rt *Runtime) Name() string { return rt.name }
 
 // Image returns the loaded native image.
 func (rt *Runtime) Image() *image.Image { return rt.img }
@@ -639,12 +636,6 @@ func leafCount(v wire.Value) int {
 			n += leafCount(v.Index(i))
 		}
 		return n
-	case wire.KindMap:
-		n := 0
-		for i, l := 0, v.Len(); i < l; i++ {
-			n += leafCount(v.Entry(i).Val)
-		}
-		return n
 	default:
 		return 1
 	}
@@ -660,12 +651,6 @@ func (rt *Runtime) marshalValue(fr *frame, v wire.Value, depth int) error {
 	case wire.KindList:
 		for i, l := 0, v.Len(); i < l; i++ {
 			if err := rt.marshalValue(fr, v.Index(i), depth+1); err != nil {
-				return err
-			}
-		}
-	case wire.KindMap:
-		for i, l := 0, v.Len(); i < l; i++ {
-			if err := rt.marshalValue(fr, v.Entry(i).Val, depth+1); err != nil {
 				return err
 			}
 		}
@@ -749,12 +734,6 @@ func (rt *Runtime) localiseValue(fr *frame, v wire.Value, depth int) error {
 	case wire.KindList:
 		for i, l := 0, v.Len(); i < l; i++ {
 			if err := rt.localiseValue(fr, v.Index(i), depth+1); err != nil {
-				return err
-			}
-		}
-	case wire.KindMap:
-		for i, l := 0, v.Len(); i < l; i++ {
-			if err := rt.localiseValue(fr, v.Entry(i).Val, depth+1); err != nil {
 				return err
 			}
 		}
@@ -905,12 +884,6 @@ func (rt *Runtime) adoptResult(fr *frame, v wire.Value) error {
 	case wire.KindList:
 		for i, l := 0, v.Len(); i < l; i++ {
 			if err := rt.adoptResult(fr, v.Index(i)); err != nil {
-				return err
-			}
-		}
-	case wire.KindMap:
-		for i, l := 0, v.Len(); i < l; i++ {
-			if err := rt.adoptResult(fr, v.Entry(i).Val); err != nil {
 				return err
 			}
 		}

@@ -179,7 +179,7 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 		t.Fatalf("NewPartitionedWorld: %v", err)
 	}
 	defer w.Close()
-	if w.Telemetry() != nil {
+	if opts.Telemetry != nil {
 		t.Fatal("telemetry must default to nil")
 	}
 	if _, err := w.RunMain(); err != nil {

@@ -438,9 +438,6 @@ func (w *World) Untrusted() *Runtime {
 // HostFS returns the untrusted filesystem.
 func (w *World) HostFS() shim.FS { return w.hostFS }
 
-// Telemetry returns the observability layer (nil when disabled).
-func (w *World) Telemetry() *telemetry.Telemetry { return w.tel }
-
 func (w *World) nextHash() int64 { return w.hashCounter.Add(1) }
 
 // RunMain invokes the application's main entry point and returns its

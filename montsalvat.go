@@ -110,7 +110,6 @@ const (
 	KindString = wire.KindString
 	KindBytes  = wire.KindBytes
 	KindList   = wire.KindList
-	KindMap    = wire.KindMap
 	KindRef    = wire.KindRef
 )
 
