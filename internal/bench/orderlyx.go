@@ -51,7 +51,7 @@ func OrderlyRate(opts Options) (*Table, error) {
 		}
 		if v := res.Violation; v != nil {
 			return nil, fmt.Errorf("orderly-rate %s: invariant violated: %v (seed %s)",
-				p.config, v.Err, orderly.FormatSeed(p.config, v.Trace))
+				p.config, v.Err, v.Seed(p.config))
 		}
 		t.Columns = append(t.Columns, p.config)
 		depth = append(depth, float64(p.depth))

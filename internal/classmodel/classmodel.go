@@ -298,10 +298,10 @@ func (c *Class) Clone() *Class {
 // Layout describes how a class's fields map onto a heap object: reference
 // slots for ref-like fields, 8-byte data slots for scalars.
 type Layout struct {
-	// RefSlot maps field name to reference slot index.
-	RefSlot map[string]int
-	// DataOff maps field name to byte offset in the data area.
-	DataOff map[string]int
+	// Slot places the class's fields, in declaration order: field i sits
+	// in reference slot Slot[i] when it is ref-like, else at byte offset
+	// Slot[i] of the data area.
+	Slot []int
 	// NumRefs and DataBytes size the object.
 	NumRefs   int
 	DataBytes int
@@ -309,13 +309,13 @@ type Layout struct {
 
 // LayoutOf computes the deterministic object layout of a class.
 func LayoutOf(c *Class) Layout {
-	l := Layout{RefSlot: make(map[string]int), DataOff: make(map[string]int)}
-	for _, f := range c.Fields {
+	l := Layout{Slot: make([]int, len(c.Fields))}
+	for i, f := range c.Fields {
 		if f.Kind.IsRefLike() {
-			l.RefSlot[f.Name] = l.NumRefs
+			l.Slot[i] = l.NumRefs
 			l.NumRefs++
 		} else {
-			l.DataOff[f.Name] = l.DataBytes
+			l.Slot[i] = l.DataBytes
 			l.DataBytes += 8
 		}
 	}

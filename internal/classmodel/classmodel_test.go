@@ -1,6 +1,7 @@
 package classmodel
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,11 +92,9 @@ func TestLayoutOf(t *testing.T) {
 	if l.DataBytes != 16 {
 		t.Fatalf("DataBytes = %d, want 16", l.DataBytes)
 	}
-	if l.RefSlot["s"] != 0 || l.RefSlot["r"] != 1 || l.RefSlot["v"] != 2 {
-		t.Fatalf("RefSlot = %v", l.RefSlot)
-	}
-	if l.DataOff["a"] != 0 || l.DataOff["b"] != 8 {
-		t.Fatalf("DataOff = %v", l.DataOff)
+	// a and b at data offsets 0 and 8; s, r and v in ref slots 0, 1, 2.
+	if want := []int{0, 0, 8, 1, 2}; !slices.Equal(l.Slot, want) {
+		t.Fatalf("Slot = %v, want %v", l.Slot, want)
 	}
 }
 

@@ -82,3 +82,28 @@ func TestConcurrentCharge(t *testing.T) {
 		t.Fatalf("Total() = %d, want %d", got, want)
 	}
 }
+
+// TestTabSettlesWhatTheClockWouldCharge: a Tab rounds each charge as the
+// Clock does, so settling many fractional charges adds their per-charge
+// sum, not the rounded sum of their bytes, and nothing reaches the
+// clock before Settle.
+func TestTabSettlesWhatTheClockWouldCharge(t *testing.T) {
+	direct, held := New(1e9), New(1e9)
+	tab := NewTab(held)
+	for _, n := range []int{3, 5, 0, -2, 7, 64} {
+		direct.ChargeBytes(n, 2.0)
+		tab.ChargeBytes(n, 2.0)
+	}
+	tab.ChargeBytes(8, 0)
+	if got := held.Total(); got != 0 {
+		t.Fatalf("clock holds %d cycles before Settle, want 0", got)
+	}
+	tab.Settle()
+	if got, want := held.Total(), direct.Total(); got != want || want != 1+2+3+32 {
+		t.Fatalf("settled tab charged %d cycles, direct charges %d, want 38", got, want)
+	}
+	tab.Settle()
+	if got := held.Total(); got != 38 {
+		t.Fatalf("a second Settle moved the clock to %d, want 38", got)
+	}
+}

@@ -23,7 +23,6 @@ package epc
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"montsalvat/internal/cycles"
@@ -35,6 +34,9 @@ const (
 	lineBytes    = mee.LineBytes
 	pageBytes    = simcfg.PageBytes
 	linesPerPage = pageBytes / lineBytes
+	// A page's stale lines are the bits of one uint64 (backing.stale):
+	// this constant overflows, failing the build, past 64 lines a page.
+	_ = uint64(1) << (linesPerPage - 1)
 )
 
 // ErrOutOfRange is returned for accesses beyond the memory size.
@@ -53,23 +55,25 @@ type ResidencyStats struct {
 }
 
 // Residency models the limited EPC resident set shared by all memory
-// regions of one enclave. It is safe for concurrent use.
+// regions of one enclave. Like the memories it serves, it is
+// owner-serialised: one owner serialises every access to all the
+// memories that share it (in the product, the trusted runtime's heapMu
+// guards both semispaces of its heap, the only enclave memories), so a
+// page switch updates the LRU without a lock of its own. Stats is safe
+// from any goroutine.
 type Residency struct {
-	mu sync.Mutex
-
 	clock       *cycles.Clock
 	maxResident int
-	resident    int // pages on the LRU list
 	lruHead     *lruNode
 	lruTail     *lruNode
 
-	faults    uint64
-	evictions uint64
-
-	// evictEpoch increments on every eviction. Memories use it to
-	// validate their MRU page filter: a repeated touch of the same page
-	// may be skipped only while no eviction could have displaced it.
-	evictEpoch atomic.Uint64
+	// The counters Stats reads. evictions doubles as the eviction epoch
+	// that validates the memories' MRU page filter: a repeated touch of
+	// the same page may be skipped only while no eviction could have
+	// displaced it.
+	resident  atomic.Int64 // pages on the LRU list
+	faults    atomic.Uint64
+	evictions atomic.Uint64
 }
 
 // lruNode is one resident page. Its Memory's nodes slice points back at
@@ -96,41 +100,36 @@ func NewResidency(epcBytes int, clock *cycles.Clock) (*Residency, error) {
 
 // Stats returns a snapshot of the paging counters.
 func (r *Residency) Stats() ResidencyStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return ResidencyStats{
-		PageFaults:    r.faults,
-		Evictions:     r.evictions,
-		ResidentPages: r.resident,
+		PageFaults:    r.faults.Load(),
+		Evictions:     r.evictions.Load(),
+		ResidentPages: int(r.resident.Load()),
 		CapacityPages: r.maxResident,
 	}
 }
 
 // touch marks a page most-recently-used, charging fault/eviction costs.
 func (r *Residency) touch(m *Memory, page int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if node := m.nodes[page]; node != nil {
 		r.moveFront(node)
 		return
 	}
-	r.faults++
+	r.faults.Add(1)
 	r.clock.Charge(simcfg.EPCPageLoadCycles)
-	for r.resident >= r.maxResident {
+	for r.resident.Load() >= int64(r.maxResident) {
 		victim := r.lruTail
 		if victim == nil {
 			break
 		}
 		r.remove(victim)
 		victim.mem.nodes[victim.page] = nil
-		r.resident--
-		r.evictions++
-		r.evictEpoch.Add(1)
+		r.resident.Add(-1)
+		r.evictions.Add(1)
 		r.clock.Charge(simcfg.EPCPageEvictCycles)
 	}
 	node := &lruNode{mem: m, page: page}
 	m.nodes[page] = node
-	r.resident++
+	r.resident.Add(1)
 	r.pushFront(node)
 }
 
@@ -174,18 +173,18 @@ type lineMeta struct {
 	// the line was never written: it reads as zero and has no ciphertext.
 	version uint64
 	tag     mee.Tag
-	// ptOK reports that pt holds the plaintext of the line's current
-	// ciphertext.
-	ptOK bool
 }
-
-// current reports whether pt holds what a read of the line must return.
-func (lm *lineMeta) current() bool { return lm.ptOK || lm.version == 0 }
 
 // backing is one page's ciphertext, plaintext shadow and line metadata.
 type backing struct {
-	ct   [pageBytes]byte
-	meta [linesPerPage]lineMeta
+	// stale has bit li set while pt does not hold what a read of line li
+	// must return: the line was written and its ciphertext has been
+	// changed behind the MEE's back (Tamper) since pt last matched it.
+	// A read opens exactly those lines; every other line reads from pt,
+	// and a read that finds no bit of its lines set reads no metadata.
+	stale uint64
+	ct    [pageBytes]byte
+	meta  [linesPerPage]lineMeta
 	// pt memoises the plaintext of lines whose current ciphertext has
 	// already been decrypted (or was just encrypted), so repeated reads
 	// of a hot line skip redundant AES work in the emulator. The memo is
@@ -203,12 +202,15 @@ type backing struct {
 // Size must not overlap. In the product the owner's lock is the world
 // runtime's heapMu, which already wraps every isolate and heap call, so
 // the data path takes one lock per heap call rather than one per memory
-// access. The Residency it shares with the enclave's other memories keeps
-// its own lock.
+// access. The same owner serialises the Residency it shares with the
+// enclave's other memories.
 type Memory struct {
 	eng   *mee.Engine
 	clock *cycles.Clock
-	res   *Residency // nil disables paging accounting
+	// tab, when set (ChargeTo), holds back the MEE charge of every access
+	// until its owner settles it.
+	tab *cycles.Tab
+	res *Residency // nil disables paging accounting
 
 	size  int        // addressable bytes, in whole lines
 	pages []*backing // page p's backing, nil until p is first written
@@ -221,13 +223,13 @@ type Memory struct {
 	tags     [linesPerPage]mee.Tag
 
 	// nodes[p] is the residency's LRU node of page p while the page is
-	// resident. Guarded by res.mu, not by the owner: an access to another
-	// Memory of the same enclave may evict a page of this one.
+	// resident. An access to another Memory of the same enclave may
+	// evict a page of this one.
 	nodes []*lruNode
 
 	// MRU page filter: consecutive accesses to the same resident page
 	// skip the shared residency LRU. Valid only while the residency's
-	// eviction epoch is unchanged (guarded in touchPage).
+	// eviction count is unchanged (guarded in touchPage).
 	lastPage  int
 	lastEvict uint64
 }
@@ -252,41 +254,83 @@ func New(size int, res *Residency, eng *mee.Engine, clock *cycles.Clock) (*Memor
 // Size returns the addressable size in bytes.
 func (m *Memory) Size() int { return m.size }
 
+// ChargeTo makes the MEE charge of every later access wait on t until
+// its owner settles it, instead of reaching the clock one access at a
+// time. t must be a Tab on the memory's own clock, serialised by the
+// memory's owner.
+func (m *Memory) ChargeTo(t *cycles.Tab) { m.tab = t }
+
+// charge charges the MEE cost of moving n bytes.
+func (m *Memory) charge(n int) {
+	if m.tab != nil {
+		m.tab.ChargeBytes(n, simcfg.MEEBytesPerCycle)
+		return
+	}
+	m.clock.ChargeBytes(n, simcfg.MEEBytesPerCycle)
+}
+
 // Read decrypts len(dst) bytes starting at off into dst.
 func (m *Memory) Read(off int, dst []byte) error {
 	if err := m.check(off, len(dst)); err != nil {
 		return err
 	}
-	m.clock.ChargeBytes(len(dst), simcfg.MEEBytesPerCycle)
-	for pos, end := off, off+len(dst); pos < end; {
+	m.charge(len(dst))
+	end := off + len(dst)
+	if p := off / pageBytes; len(dst) > 0 && (end-1)/pageBytes == p {
+		// Within one page, as a header, a word or a short payload is.
+		m.touchPage(p)
+		return m.readPage(p, off, dst)
+	}
+	for pos := off; pos < end; {
 		stop := m.enterPage(pos, end)
-		p, base := pos/pageBytes, pos/pageBytes*pageBytes
-		pg := m.pages[p]
-		if pg == nil {
-			clear(dst[pos-off : stop-off])
-			pos = stop
-			continue
+		if err := m.readPage(pos/pageBytes, pos, dst[pos-off:stop-off]); err != nil {
+			return err
 		}
-		// Decrypt every run of lines the memo does not cover, then copy
-		// the page's share out of the plaintext shadow in one piece.
-		last := (stop - 1 - base) / lineBytes
-		for li := (pos - base) / lineBytes; li <= last; li++ {
-			if pg.meta[li].current() {
-				continue
-			}
-			run := li
-			for li < last && !pg.meta[li+1].current() {
-				li++
-			}
-			if err := m.openLines(p, run, li-run+1); err != nil {
-				return err
-			}
-		}
-		copy(dst[pos-off:], pg.pt[pos-base:stop-base])
 		pos = stop
 	}
 	return nil
 }
+
+// readPage reads dst at pos, which lies within page p: every run of stale
+// lines is decrypted, then the page's share is copied out of the
+// plaintext shadow in one piece.
+func (m *Memory) readPage(p, pos int, dst []byte) error {
+	pg := m.pages[p]
+	if pg == nil {
+		clear(dst)
+		return nil
+	}
+	base := p * pageBytes
+	first, last := (pos-base)/lineBytes, (pos+len(dst)-1-base)/lineBytes
+	for li := first; li <= last; li++ {
+		if !pg.isStale(li) {
+			continue
+		}
+		run := li
+		for li < last && pg.isStale(li+1) {
+			li++
+		}
+		if err := m.openLines(p, run, li-run+1); err != nil {
+			return err
+		}
+	}
+	// A word and a header, most reads, copy inline rather than by a call.
+	switch src := pg.pt[pos-base:]; len(dst) {
+	case 8:
+		*(*[8]byte)(dst) = *(*[8]byte)(src)
+	case 16:
+		*(*[16]byte)(dst) = *(*[16]byte)(src)
+	default:
+		copy(dst, src)
+	}
+	return nil
+}
+
+// isStale reports whether line li must be opened before pt serves it.
+func (pg *backing) isStale(li int) bool { return pg.stale&(1<<li) != 0 }
+
+// lineBits is the stale mask of the n lines from li on.
+func lineBits(li, n int) uint64 { return (1<<n - 1) << li }
 
 // Write encrypts src into the memory starting at off. Whole lines go to
 // the MEE as one run per page; a partial first or last line is handled
@@ -296,7 +340,7 @@ func (m *Memory) Write(off int, src []byte) error {
 	if err := m.check(off, len(src)); err != nil {
 		return err
 	}
-	m.clock.ChargeBytes(len(src), simcfg.MEEBytesPerCycle)
+	m.charge(len(src))
 	for pos, end := off, off+len(src); pos < end; {
 		stop := m.enterPage(pos, end)
 		if err := m.storePage(pos, src[pos-off:stop-off]); err != nil {
@@ -317,7 +361,7 @@ func (m *Memory) Touch(off, n int) error {
 	if err := m.check(off, n); err != nil {
 		return err
 	}
-	m.clock.ChargeBytes(n, simcfg.MEEBytesPerCycle)
+	m.charge(n)
 	for pos, end := off, off+n; pos < end; {
 		pos = m.enterPage(pos, end)
 	}
@@ -336,9 +380,7 @@ func (m *Memory) Grow(newSize int) error {
 	n := (size + pageBytes - 1) / pageBytes
 	m.pages = append(m.pages, make([]*backing, n-len(m.pages))...)
 	if m.res != nil {
-		m.res.mu.Lock()
 		m.nodes = append(m.nodes, make([]*lruNode, n-len(m.nodes))...)
-		m.res.mu.Unlock()
 	}
 	return nil
 }
@@ -353,7 +395,9 @@ func (m *Memory) Tamper(off int) error {
 	}
 	if pg := m.pages[off/pageBytes]; pg != nil {
 		pg.ct[off%pageBytes] ^= 0xff
-		pg.meta[off%pageBytes/lineBytes].ptOK = false // the memo is stale
+		if li := off % pageBytes / lineBytes; pg.meta[li].version != 0 {
+			pg.stale |= lineBits(li, 1) // the memo is stale
+		}
 	}
 	return nil
 }
@@ -410,7 +454,7 @@ func (m *Memory) storePage(pos int, src []byte) error {
 // date, patched and re-encrypted.
 func (m *Memory) patchLine(p, pos int, src []byte, max int) (int, error) {
 	pg, li := m.pages[p], pos/lineBytes
-	if !pg.meta[li].current() {
+	if pg.isStale(li) {
 		if err := m.openLines(p, li, 1); err != nil {
 			return 0, err
 		}
@@ -438,8 +482,8 @@ func (m *Memory) sealLines(p, li, n int) error {
 	}
 	for i := range meta {
 		meta[i].tag = m.tags[i]
-		meta[i].ptOK = true
 	}
+	pg.stale &^= lineBits(li, n)
 	return nil
 }
 
@@ -455,9 +499,7 @@ func (m *Memory) openLines(p, li, n int) error {
 	}
 	lo, hi := li*lineBytes, (li+n)*lineBytes
 	done, err := m.eng.DecryptLines(&m.scratch, pg.pt[lo:hi], pg.ct[lo:hi], uint64(p*linesPerPage+li), m.versions[:n], m.tags[:n])
-	for i := range meta[:done] {
-		meta[i].ptOK = true
-	}
+	pg.stale &^= lineBits(li, done)
 	return err
 }
 
@@ -465,14 +507,14 @@ func (m *Memory) touchPage(page int) {
 	if m.res == nil {
 		return
 	}
-	if page == m.lastPage && m.res.evictEpoch.Load() == m.lastEvict {
+	if page == m.lastPage && m.res.evictions.Load() == m.lastEvict {
 		// Same page, no eviction since it was made MRU: it is still
 		// resident and no fault can be due — skip the shared LRU.
 		return
 	}
-	// Snapshot the epoch before touching: any eviction that races (or is
-	// caused by) this touch invalidates the filter conservatively.
-	epoch := m.res.evictEpoch.Load()
+	// Snapshot the epoch before touching: an eviction this touch causes
+	// invalidates the filter conservatively.
+	epoch := m.res.evictions.Load()
 	m.res.touch(m, page)
 	m.lastPage, m.lastEvict = page, epoch
 }

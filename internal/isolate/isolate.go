@@ -23,6 +23,7 @@
 package isolate
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -68,11 +69,17 @@ type Isolate struct {
 	nextHash func() int64
 
 	classes map[string]*classInfo
-	byID    map[int32]*classInfo
+	// byID is indexed by class id; the image numbers its classes densely
+	// from 1.
+	byID []*classInfo
 
 	// word carries one scalar to or from the heap; a buffer local to the
 	// caller would escape through the heap's backend on every access.
 	word [8]byte
+	// buf carries a data object's payload to or from the heap: a string
+	// read copies once, out of buf into the string, and a string store
+	// copies once, into buf.
+	buf []byte
 }
 
 // New creates an isolate over h. nextHash supplies identity hashes
@@ -89,7 +96,6 @@ func New(h *heap.Heap, nextHash func() int64) (*Isolate, error) {
 		heap:     h,
 		nextHash: nextHash,
 		classes:  make(map[string]*classInfo),
-		byID:     make(map[int32]*classInfo),
 	}, nil
 }
 
@@ -113,6 +119,9 @@ func (iso *Isolate) RegisterClass(c *classmodel.Class, id int32) error {
 	}
 	info := &classInfo{name: c.Name, id: id, decl: c, layout: classmodel.LayoutOf(c)}
 	iso.classes[c.Name] = info
+	if int(id) >= len(iso.byID) {
+		iso.byID = append(iso.byID, make([]*classInfo, int(id)+1-len(iso.byID))...)
+	}
 	iso.byID[id] = info
 	return nil
 }
@@ -146,7 +155,7 @@ func (iso *Isolate) alloc(classID int32, nRefs, dataBytes int) (heap.Obj, error)
 
 // NewString allocates a String object.
 func (iso *Isolate) NewString(s string) (heap.Handle, error) {
-	return iso.newHandled(ClassIDString, []byte(s))
+	return iso.newHandled(ClassIDString, iso.staged(s))
 }
 
 // NewBytes allocates a Bytes object.
@@ -254,8 +263,8 @@ func (iso *Isolate) ClassName(id int32) (string, error) {
 	case ClassIDList:
 		return classmodel.BuiltinList, nil
 	}
-	info, ok := iso.byID[id]
-	if !ok {
+	info := iso.classByID(id)
+	if info == nil {
 		return "", fmt.Errorf("%w: id %d", ErrUnknownClass, id)
 	}
 	return info.name, nil
@@ -288,7 +297,7 @@ func (iso *Isolate) Collect() error { return iso.heap.Collect() }
 
 // SetFieldScalar writes an int, double or boolean field.
 func (iso *Isolate) SetFieldScalar(h heap.Handle, field string, v wire.Value) error {
-	o, info, f, err := iso.fieldOf(h, field)
+	o, info, f, slot, err := iso.fieldOf(h, field)
 	if err != nil {
 		return err
 	}
@@ -317,7 +326,7 @@ func (iso *Isolate) SetFieldScalar(h heap.Handle, field string, v wire.Value) er
 	default:
 		return fmt.Errorf("%w: %s.%s is not scalar", ErrKindMismatch, info.name, field)
 	}
-	return iso.writeInt(o, hashBytes+info.layout.DataOff[field], int64(raw))
+	return iso.writeInt(o, hashBytes+slot, int64(raw))
 }
 
 // SetFieldData writes a String, byte[] or serialized-value field by
@@ -325,7 +334,7 @@ func (iso *Isolate) SetFieldScalar(h heap.Handle, field string, v wire.Value) er
 // The receiver is viewed twice: once to find the field, and once after
 // the child's allocation, which may have moved it.
 func (iso *Isolate) SetFieldData(h heap.Handle, field string, v wire.Value) error {
-	_, info, f, err := iso.fieldOf(h, field)
+	_, info, f, slot, err := iso.fieldOf(h, field)
 	if err != nil {
 		return err
 	}
@@ -339,7 +348,7 @@ func (iso *Isolate) SetFieldData(h heap.Handle, field string, v wire.Value) erro
 		if !ok {
 			return fmt.Errorf("%w: %s.%s wants String, got %s", ErrKindMismatch, info.name, field, v.Kind())
 		}
-		classID, payload = ClassIDString, []byte(s)
+		classID, payload = ClassIDString, iso.staged(s)
 	case classmodel.FieldBytes:
 		b, ok := v.AsBytes()
 		if !ok {
@@ -361,12 +370,12 @@ func (iso *Isolate) SetFieldData(h heap.Handle, field string, v wire.Value) erro
 	if err != nil {
 		return err
 	}
-	return iso.heap.SetRef(o, info.layout.RefSlot[field], child)
+	return iso.heap.SetRef(o, slot, child)
 }
 
 // SetFieldRef writes a reference field. target==0 stores null.
 func (iso *Isolate) SetFieldRef(h heap.Handle, field string, target heap.Handle) error {
-	o, info, f, err := iso.fieldOf(h, field)
+	o, info, f, slot, err := iso.fieldOf(h, field)
 	if err != nil {
 		return err
 	}
@@ -379,7 +388,7 @@ func (iso *Isolate) SetFieldRef(h heap.Handle, field string, target heap.Handle)
 			return err
 		}
 	}
-	return iso.heap.SetRef(o, info.layout.RefSlot[field], t)
+	return iso.heap.SetRef(o, slot, t)
 }
 
 // GetFieldRef reads any field as a wire value. Reference fields come
@@ -392,12 +401,12 @@ func (iso *Isolate) GetFieldRef(h heap.Handle, field string) (wire.Value, heap.H
 }
 
 func (iso *Isolate) getField(h heap.Handle, field string, wantHandle bool) (wire.Value, heap.Handle, error) {
-	o, info, f, err := iso.fieldOf(h, field)
+	o, info, f, slot, err := iso.fieldOf(h, field)
 	if err != nil {
 		return wire.Value{}, 0, err
 	}
 	if !f.Kind.IsRefLike() {
-		raw, err := iso.readInt(o, hashBytes+info.layout.DataOff[field])
+		raw, err := iso.readInt(o, hashBytes+slot)
 		if err != nil {
 			return wire.Value{}, 0, err
 		}
@@ -410,7 +419,7 @@ func (iso *Isolate) getField(h heap.Handle, field string, wantHandle bool) (wire
 			return wire.Bool(raw != 0), 0, nil
 		}
 	}
-	childAddr, err := iso.heap.GetRef(o, info.layout.RefSlot[field])
+	childAddr, err := iso.heap.GetRef(o, slot)
 	if err != nil {
 		return wire.Value{}, 0, err
 	}
@@ -433,7 +442,7 @@ func (iso *Isolate) getField(h heap.Handle, field string, wantHandle bool) (wire
 		if err != nil {
 			return wire.Value{}, 0, err
 		}
-		return wire.Bytes(b), 0, nil
+		return wire.Bytes(bytes.Clone(b)), 0, nil
 	case classmodel.FieldValue:
 		b, err := iso.dataPayload(child, ClassIDBlob)
 		if err != nil {
@@ -472,9 +481,13 @@ func (iso *Isolate) StrValue(h heap.Handle) (string, error) {
 	return string(b), nil
 }
 
-// BytesValue reads a Bytes object.
+// BytesValue reads a Bytes object into a slice of its own.
 func (iso *Isolate) BytesValue(h heap.Handle) ([]byte, error) {
-	return iso.payloadOf(h, ClassIDBytes)
+	b, err := iso.payloadOf(h, ClassIDBytes)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(b), nil
 }
 
 // BlobValue reads a Blob object.
@@ -633,22 +646,31 @@ func (iso *Isolate) refAt(o heap.Obj, i int) (heap.Obj, error) {
 	return iso.heap.View(addr)
 }
 
+// classByID returns the application class with identifier id, or nil.
+func (iso *Isolate) classByID(id int32) *classInfo {
+	if id < 0 || int(id) >= len(iso.byID) {
+		return nil
+	}
+	return iso.byID[id]
+}
+
 // fieldOf takes the view of the object behind h and looks up one of its
-// class's declared fields.
-func (iso *Isolate) fieldOf(h heap.Handle, field string) (heap.Obj, *classInfo, classmodel.Field, error) {
+// class's declared fields with its layout slot.
+func (iso *Isolate) fieldOf(h heap.Handle, field string) (heap.Obj, *classInfo, classmodel.Field, int, error) {
 	o, err := iso.view(h)
 	if err != nil {
-		return heap.Obj{}, nil, classmodel.Field{}, err
+		return heap.Obj{}, nil, classmodel.Field{}, 0, err
 	}
-	info, ok := iso.byID[o.ClassID()]
-	if !ok {
-		return heap.Obj{}, nil, classmodel.Field{}, fmt.Errorf("%w: id %d has no fields", ErrUnknownClass, o.ClassID())
+	info := iso.classByID(o.ClassID())
+	if info == nil {
+		return heap.Obj{}, nil, classmodel.Field{}, 0, fmt.Errorf("%w: id %d has no fields", ErrUnknownClass, o.ClassID())
 	}
-	f, ok := info.decl.Field(field)
-	if !ok {
-		return heap.Obj{}, nil, classmodel.Field{}, fmt.Errorf("%w: %s.%s", ErrUnknownField, info.name, field)
+	for i, f := range info.decl.Fields {
+		if f.Name == field {
+			return o, info, f, info.layout.Slot[i], nil
+		}
 	}
-	return o, info, f, nil
+	return heap.Obj{}, nil, classmodel.Field{}, 0, fmt.Errorf("%w: %s.%s", ErrUnknownField, info.name, field)
 }
 
 // payloadOf reads the payload of the builtin data object behind h.
@@ -660,15 +682,32 @@ func (iso *Isolate) payloadOf(h heap.Handle, wantClass int32) ([]byte, error) {
 	return iso.dataPayload(o, wantClass)
 }
 
+// dataPayload reads the payload of the builtin data object o into buf.
+// The bytes are good until the isolate's next call: a caller that keeps
+// them copies them (into a string, a decoded value or a slice of its
+// own).
 func (iso *Isolate) dataPayload(o heap.Obj, wantClass int32) ([]byte, error) {
 	if cid := o.ClassID(); cid != wantClass {
 		return nil, fmt.Errorf("%w: want id %d, got %d", ErrNotBuiltin, wantClass, cid)
 	}
-	out := make([]byte, o.DataBytes()-hashBytes)
+	out := iso.scratch(o.DataBytes() - hashBytes)
 	if err := iso.heap.ReadData(o, hashBytes, out); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// scratch returns buf resized to n bytes.
+func (iso *Isolate) scratch(n int) []byte {
+	if cap(iso.buf) < n {
+		iso.buf = make([]byte, n)
+	}
+	return iso.buf[:n]
+}
+
+// staged copies s into buf, to be stored as a payload.
+func (iso *Isolate) staged(s string) []byte {
+	return append(iso.scratch(len(s))[:0], s...)
 }
 
 func (iso *Isolate) writeHash(o heap.Obj, hash int64) error {

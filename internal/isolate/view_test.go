@@ -85,7 +85,16 @@ func TestOneHeaderReadPerObject(t *testing.T) {
 		must(err)
 		return a
 	}
-	fieldSlot := func(field string) int { return iso.classes["Account"].layout.RefSlot[field] }
+	fieldSlot := func(field string) int {
+		info := iso.classes["Account"]
+		for i, f := range info.decl.Fields {
+			if f.Name == field {
+				return info.layout.Slot[i]
+			}
+		}
+		t.Fatalf("Account has no field %s", field)
+		return 0
+	}
 
 	a, b, e0, e1 := newAccount(1), newAccount(2), newAccount(3), newAccount(4)
 	must(iso.SetFieldData(a, "owner", wire.Str("alice")))

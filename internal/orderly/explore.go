@@ -48,6 +48,21 @@ type Violation struct {
 	Raw []string
 	// Err is the violated invariant.
 	Err error
+	// ShrinkErr is why Trace is Raw unshrunk, nil when shrinking worked.
+	// A violation that does not reproduce on replay (a determinism bug
+	// in the system) carries a non-reproducible error here: its seed
+	// will not replay either.
+	ShrinkErr error
+}
+
+// Seed formats the violation's replay seed for config; when shrinking
+// failed it adds why, so a seed that does not replay says so.
+func (v *Violation) Seed(config string) string {
+	seed := FormatSeed(config, v.Trace)
+	if v.ShrinkErr != nil {
+		seed += " (" + v.ShrinkErr.Error() + ")"
+	}
+	return seed
 }
 
 // Result summarises one exploration.
@@ -160,9 +175,10 @@ func Explore(opts Options) (*Result, error) {
 		v := verr.v
 		shrunk, serr := Shrink(opts.Build, v.Raw, opts.LockCheck)
 		if serr != nil {
-			// The violation stands even if shrinking misbehaved;
-			// fall back to the raw trace.
+			// The violation stands even if shrinking misbehaved; fall
+			// back to the raw trace and keep the reason with it.
 			shrunk = append([]string(nil), v.Raw...)
+			v.ShrinkErr = serr
 		}
 		v.Trace = shrunk
 		e.res.Violation = v

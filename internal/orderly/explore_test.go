@@ -154,6 +154,48 @@ func TestNonReproducibleViolationNamesTrace(t *testing.T) {
 	}
 }
 
+// TestExploreKeepsNonReproducibleError: Explore on a Builder whose
+// system violates only on its first build finds the violation, cannot
+// shrink it, and returns it with the non-reproducible error and the raw
+// trace; the violation's seed says that it does not replay.
+func TestExploreKeepsNonReproducibleError(t *testing.T) {
+	builds := 0
+	firstBuildOnly := func() (System, error) {
+		builds++
+		if builds == 1 {
+			return &toySystem{boomAt: 1}, nil
+		}
+		return &toySystem{}, nil
+	}
+	res, err := Explore(Options{Build: firstBuildOnly, MaxDepth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := res.Violation
+	if v == nil {
+		t.Fatal("Explore found no violation on a system that violates on its first build")
+	}
+	var nr *nonReproducibleError
+	if !errors.As(v.ShrinkErr, &nr) {
+		t.Fatalf("violation's ShrinkErr = %v, want a non-reproducible error", v.ShrinkErr)
+	}
+	if !reflect.DeepEqual(v.Trace, v.Raw) {
+		t.Fatalf("trace %v, want the raw trace %v", v.Trace, v.Raw)
+	}
+	seed := v.Seed("toy")
+	if want := FormatSeed("toy", v.Raw); !strings.HasPrefix(seed, want) || !strings.Contains(seed, "did not reproduce on replay") {
+		t.Fatalf("seed %q: want %q and that it does not replay", seed, want)
+	}
+	// A violation that shrinks prints the bare seed.
+	res, err = Explore(Options{Build: toyBuilder(1, false), MaxDepth: 3})
+	if err != nil || res.Violation == nil {
+		t.Fatalf("Explore: violation %v, err %v", res.Violation, err)
+	}
+	if v := res.Violation; v.ShrinkErr != nil || v.Seed("toy") != FormatSeed("toy", v.Trace) {
+		t.Fatalf("shrunk violation: ShrinkErr %v, seed %q", v.ShrinkErr, v.Seed("toy"))
+	}
+}
+
 func TestShrinkIsOneMinimal(t *testing.T) {
 	// A deliberately padded trace: only [inc-a inc-a boom-guard]
 	// matters (in any order).

@@ -86,7 +86,7 @@ func RunCheck(out io.Writer, passes []CheckPass) error {
 			res.Elapsed.Round(time.Millisecond), bounded)
 		if v := res.Violation; v != nil {
 			fmt.Fprintf(out, "orderly-check: VIOLATION in %s: %v\n", p.Label, v.Err)
-			fmt.Fprintf(out, "orderly-check: replay seed: %s\n", FormatSeed(p.Config, v.Trace))
+			fmt.Fprintf(out, "orderly-check: replay seed: %s\n", v.Seed(p.Config))
 			return fmt.Errorf("orderly-check: %s: %w", p.Label, v.Err)
 		}
 	}

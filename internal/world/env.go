@@ -54,7 +54,7 @@ func (fr *frame) New(class string, args ...wire.Value) (wire.Value, error) {
 	hash := rt.w.nextHash()
 	rt.heapMu.Lock()
 	h, err := rt.iso.NewObject(class, hash)
-	rt.heapMu.Unlock()
+	rt.unlockHeap()
 	if err == nil {
 		_, err = rt.adoptHandle(fr, hash, h)
 	}
@@ -62,7 +62,7 @@ func (fr *frame) New(class string, args ...wire.Value) (wire.Value, error) {
 		return wire.Value{}, err
 	}
 	self := wire.Ref(class, hash)
-	if _, err := rt.dispatch(ctor, self, args, nil); err != nil {
+	if _, err := rt.dispatch(ctor, self, args, fr, nil); err != nil {
 		return wire.Value{}, err
 	}
 	return self, nil
@@ -85,7 +85,7 @@ func (fr *frame) Call(recv wire.Value, method string, args ...wire.Value) (wire.
 	if lk.decl.Proxy {
 		return rt.remoteCall(fr, lk, hash, args)
 	}
-	return rt.dispatch(lk, recv, args, fr)
+	return rt.dispatch(lk, recv, args, fr, fr)
 }
 
 // CallStatic implements classmodel.Env.
@@ -104,7 +104,7 @@ func (fr *frame) CallStatic(class, method string, args ...wire.Value) (wire.Valu
 	if !lk.method.Static {
 		return wire.Value{}, fmt.Errorf("world: %s is not static", lk.ref)
 	}
-	return rt.dispatch(lk, wire.Null(), args, fr)
+	return rt.dispatch(lk, wire.Null(), args, fr, fr)
 }
 
 // GetField implements classmodel.Env.
@@ -132,7 +132,7 @@ func (fr *frame) GetField(recv wire.Value, field string) (wire.Value, error) {
 	// dropped).
 	rt.heapMu.Lock()
 	v, fh, err := rt.iso.GetFieldRef(h, field)
-	rt.heapMu.Unlock()
+	rt.unlockHeap()
 	if err != nil {
 		return wire.Value{}, err
 	}
@@ -175,7 +175,7 @@ func (fr *frame) SetField(recv wire.Value, field string, v wire.Value) error {
 	case classmodel.FieldRef:
 		if v.IsNull() {
 			rt.heapMu.Lock()
-			defer rt.heapMu.Unlock()
+			defer rt.unlockHeap()
 			return rt.iso.SetFieldRef(h, field, 0)
 		}
 		_, targetHash, isRef := v.AsRef()
@@ -187,15 +187,15 @@ func (fr *frame) SetField(recv wire.Value, field string, v wire.Value) error {
 			return err
 		}
 		rt.heapMu.Lock()
-		defer rt.heapMu.Unlock()
+		defer rt.unlockHeap()
 		return rt.iso.SetFieldRef(h, field, th)
 	case classmodel.FieldInt, classmodel.FieldFloat, classmodel.FieldBool:
 		rt.heapMu.Lock()
-		defer rt.heapMu.Unlock()
+		defer rt.unlockHeap()
 		return rt.iso.SetFieldScalar(h, field, v)
 	default:
 		rt.heapMu.Lock()
-		defer rt.heapMu.Unlock()
+		defer rt.unlockHeap()
 		return rt.iso.SetFieldData(h, field, v)
 	}
 }
@@ -252,7 +252,7 @@ func (fr *frame) newBuiltin(class string, args []wire.Value) (wire.Value, error)
 	if err == nil {
 		hash, err = rt.iso.HashOf(h)
 	}
-	rt.heapMu.Unlock()
+	rt.unlockHeap()
 	if err != nil {
 		return wire.Value{}, err
 	}
@@ -276,7 +276,7 @@ func (fr *frame) callBuiltin(recv wire.Value, method string, args []wire.Value) 
 	case classmodel.BuiltinString:
 		rt.heapMu.Lock()
 		s, err := rt.iso.StrValue(h)
-		rt.heapMu.Unlock()
+		rt.unlockHeap()
 		if err != nil {
 			return wire.Value{}, err
 		}
@@ -289,7 +289,7 @@ func (fr *frame) callBuiltin(recv wire.Value, method string, args []wire.Value) 
 	case classmodel.BuiltinBytes:
 		rt.heapMu.Lock()
 		b, err := rt.iso.BytesValue(h)
-		rt.heapMu.Unlock()
+		rt.unlockHeap()
 		if err != nil {
 			return wire.Value{}, err
 		}
@@ -302,7 +302,7 @@ func (fr *frame) callBuiltin(recv wire.Value, method string, args []wire.Value) 
 	case classmodel.BuiltinBlob:
 		if method == "value" {
 			rt.heapMu.Lock()
-			defer rt.heapMu.Unlock()
+			defer rt.unlockHeap()
 			return rt.iso.BlobValue(h)
 		}
 	}
@@ -318,7 +318,7 @@ func (fr *frame) callList(list heap.Handle, method string, args []wire.Value) (w
 	case "size":
 		rt.heapMu.Lock()
 		n, err := rt.iso.ListSize(list)
-		rt.heapMu.Unlock()
+		rt.unlockHeap()
 		if err != nil {
 			return wire.Value{}, err
 		}
@@ -347,7 +347,7 @@ func (fr *frame) callList(list heap.Handle, method string, args []wire.Value) (w
 			return wire.Value{}, err
 		}
 		rt.heapMu.Lock()
-		defer rt.heapMu.Unlock()
+		defer rt.unlockHeap()
 		if method == "add" {
 			return wire.Null(), rt.iso.ListAdd(list, eh)
 		}
@@ -370,7 +370,7 @@ func (fr *frame) callList(list heap.Handle, method string, args []wire.Value) (w
 				_ = rt.iso.Release(eh)
 			}
 		}
-		rt.heapMu.Unlock()
+		rt.unlockHeap()
 		if err != nil {
 			return wire.Value{}, err
 		}

@@ -14,7 +14,10 @@ func (rt *Runtime) TableRefs(hash int64) int {
 	s := rt.table.shard(hash)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.entries[hash].refs
+	if i := s.find(hash); i >= 0 {
+		return s.slots[i].refs
+	}
+	return 0
 }
 
 // RingHandler is the consumer callback a ring worker runs for each

@@ -2,11 +2,13 @@ package world_test
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/core"
+	"montsalvat/internal/demo"
 	"montsalvat/internal/wire"
 	"montsalvat/internal/world"
 )
@@ -213,6 +215,68 @@ func TestLocalCallAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("env.Call(list, \"size\") = %v allocs, want 0", allocs)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// kvGetAllocCeiling bounds the host allocations of one in-enclave
+// KVStore get on 8 keys per bucket: a string key read per Entry scanned,
+// the value read and the relay values around them. 18 until a string
+// field read stopped copying its payload twice; raceAllocSlack covers the
+// activation records sync.Pool drops under the race detector.
+const (
+	kvGetAllocCeiling = 13
+	raceAllocSlack    = 8
+)
+
+// TestKVGetAllocBound: an in-enclave KVStore get allocates at most
+// kvGetAllocCeiling times on the host. AllocsPerRun counts allocations,
+// not time, so the bound holds on any machine.
+func TestKVGetAllocBound(t *testing.T) {
+	const buckets, perBucket = 16, 8
+	prog, err := demo.KVProgramWithBuckets(buckets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := core.NewPartitionedWorld(prog, world.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	keys := make([]wire.Value, buckets*perBucket)
+	for i := range keys {
+		keys[i] = wire.Str(fmt.Sprintf("key:%04d", i))
+	}
+	value := wire.Str(strings.Repeat("v", 64))
+	err = w.Exec(true, func(env classmodel.Env) error {
+		store, err := env.New(demo.KVStoreCls)
+		if err != nil {
+			return err
+		}
+		for _, k := range keys {
+			if _, err := env.Call(store, "put", k, value); err != nil {
+				return err
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(len(keys), func() {
+			v, err := env.Call(store, "get", keys[i%len(keys)])
+			if err != nil || !v.Equal(value) {
+				t.Errorf("get %v = %v, %v; want the 64 B value", keys[i%len(keys)], v, err)
+			}
+			i++
+		})
+		t.Logf("one in-enclave get: %v allocations", allocs)
+		ceiling := kvGetAllocCeiling
+		if raceEnabled {
+			ceiling += raceAllocSlack
+		}
+		if allocs > float64(ceiling) {
+			t.Errorf("one in-enclave get = %v allocs, want <= %d", allocs, ceiling)
 		}
 		return nil
 	})

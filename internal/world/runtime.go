@@ -9,6 +9,7 @@ import (
 
 	"montsalvat/internal/boundary"
 	"montsalvat/internal/classmodel"
+	"montsalvat/internal/cycles"
 	"montsalvat/internal/edl"
 	"montsalvat/internal/heap"
 	"montsalvat/internal/image"
@@ -100,6 +101,11 @@ type Runtime struct {
 	// are owner-serialised and take none of their own, so every call
 	// into them must hold it.
 	heapMu lockrank.Mutex
+	// tab holds the MEE charges of the heap accesses made under heapMu
+	// until unlockHeap settles them: each heap critical section puts its
+	// charges on the clock at once, so outside the sections the ledger
+	// reads exactly as if every access had charged it.
+	tab *cycles.Tab
 	// table is the sharded object table: identity hash → refcounted
 	// strong handle, retained and released by activation frames.
 	table *objTable
@@ -113,9 +119,15 @@ type Runtime struct {
 
 	// links caches what is fixed once the images are built, per (class,
 	// method): see link. Readers load the map and look up; a miss copies
-	// the map under linkMu and publishes the copy.
+	// the map under linkMu and publishes the copy. hot fronts the map: a
+	// direct-mapped array of the links last looked up, indexed by a hash of
+	// the two names' lengths and end bytes (linkSlot), so a hit compares
+	// two strings instead of hashing them.
 	links  atomic.Pointer[map[classmodel.MethodRef]*link]
 	linkMu sync.Mutex
+	hot    [linkSlots]atomic.Pointer[link]
+	// hotDecls fronts the image's class map the same way, for classDecl.
+	hotDecls [declSlots]atomic.Pointer[classmodel.Class]
 
 	remoteOut  atomic.Uint64
 	proxiesNew atomic.Uint64
@@ -171,7 +183,7 @@ func (rt *Runtime) SweepStats() SweepStats {
 	return rt.sweeps
 }
 
-func newRuntime(w *World, name string, trusted bool, img *image.Image, h *heap.Heap) (*Runtime, error) {
+func newRuntime(w *World, name string, trusted bool, img *image.Image, h *heap.Heap, tab *cycles.Tab) (*Runtime, error) {
 	iso, err := isolate.New(h, w.nextHash)
 	if err != nil {
 		return nil, err
@@ -185,6 +197,7 @@ func newRuntime(w *World, name string, trusted bool, img *image.Image, h *heap.H
 		reg:     registry.New(h),
 		weaks:   registry.NewWeakList(h),
 		table:   newObjTable(),
+		tab:     tab,
 	}
 	rt.pins = &frame{rt: rt}
 	rt.frames.New = func() any { return &frame{rt: rt} }
@@ -196,7 +209,7 @@ func newRuntime(w *World, name string, trusted bool, img *image.Image, h *heap.H
 	// heapMu across mutating registry calls (Export/Release).
 	rt.reg.SetReleaser(func(hd heap.Handle) error {
 		rt.heapMu.Lock()
-		defer rt.heapMu.Unlock()
+		defer rt.unlockHeap()
 		return rt.iso.Release(hd)
 	})
 	for _, c := range img.Classes() {
@@ -228,14 +241,14 @@ func (rt *Runtime) WeakList() *registry.WeakList { return rt.weaks }
 func (rt *Runtime) Collect() error {
 	defer rt.w.gcStep(rt)
 	rt.heapMu.Lock()
-	defer rt.heapMu.Unlock()
+	defer rt.unlockHeap()
 	return rt.iso.Collect()
 }
 
 // HeapStats snapshots the heap statistics.
 func (rt *Runtime) HeapStats() heap.Stats {
 	rt.heapMu.Lock()
-	defer rt.heapMu.Unlock()
+	defer rt.unlockHeap()
 	return rt.iso.Heap().Stats()
 }
 
@@ -281,7 +294,7 @@ func (rt *Runtime) Unpin(v wire.Value) error {
 		if drop := rt.table.release(hash); drop != 0 {
 			rt.heapMu.Lock()
 			_ = rt.iso.Release(drop)
-			rt.heapMu.Unlock()
+			rt.unlockHeap()
 		}
 		return nil
 	}
@@ -306,6 +319,13 @@ func (rt *Runtime) PinNamed(ns *registry.Namespace, ref wire.Value) (int64, erro
 		}
 	}
 	return handle, nil
+}
+
+// unlockHeap settles the heap critical section's charges and leaves it.
+// Every heapMu.Lock pairs with it.
+func (rt *Runtime) unlockHeap() {
+	rt.tab.Settle()
+	rt.heapMu.Unlock()
 }
 
 // ---- frames ----------------------------------------------------------
@@ -341,10 +361,13 @@ type frame struct {
 }
 
 // ownedRef is one object-table retention of a frame and the handle the
-// table holds for it, which cannot change while the retention lasts.
+// table holds for it, which cannot change while the retention lasts. A
+// borrowed ref is a retention of the caller's that the callee uses
+// without taking one of its own (see borrow): releaseFrame skips it.
 type ownedRef struct {
-	hash   int64
-	handle heap.Handle
+	hash     int64
+	handle   heap.Handle
+	borrowed bool
 }
 
 // frameInlineOwned covers a leaf activation (self, a few arguments, a
@@ -363,20 +386,25 @@ func (fr *frame) own(hash int64, h heap.Handle) {
 }
 
 // held returns the handle of hash when one of the frame's first
-// frameInlineOwned retentions is of it: what an activation resolves again
-// and again — self, its arguments, the list it scans — it resolved first.
-// The window keeps the search O(1) in a frame that owns thousands of refs
-// (a recovery pass, a snapshot walk); a hash beyond it is retained in the
-// table once more, as before. The pin frame never answers: each Pin is
-// one retention, which Unpin drops.
+// frameInlineOwned retentions, or its latest, is of it: what an activation
+// resolves again and again — self, its arguments, the list it scans — it
+// resolved first, and what it hands a callee next — the element it just
+// read — it resolved last. The window keeps the search O(1) in a frame
+// that owns thousands of refs (a recovery pass, a snapshot walk); a hash
+// beyond it is retained in the table once more, as before. The pin frame
+// never answers: each Pin is one retention, which Unpin drops.
 func (fr *frame) held(hash int64) (heap.Handle, bool) {
 	if fr == fr.rt.pins {
 		return 0, false
 	}
-	for _, o := range fr.owned[:min(len(fr.owned), frameInlineOwned)] {
+	n := len(fr.owned)
+	for _, o := range fr.owned[:min(n, frameInlineOwned)] {
 		if o.hash == hash {
 			return o.handle, true
 		}
+	}
+	if n > frameInlineOwned && fr.owned[n-1].hash == hash {
+		return fr.owned[n-1].handle, true
 	}
 	return 0, false
 }
@@ -399,6 +427,9 @@ func (rt *Runtime) newFrame(span *telemetry.Span) *frame {
 func (rt *Runtime) releaseFrame(fr *frame) {
 	drops := fr.drops[:0]
 	for _, o := range fr.owned {
+		if o.borrowed {
+			continue
+		}
 		if d := rt.table.release(o.hash); d != 0 {
 			drops = append(drops, d)
 		}
@@ -409,7 +440,7 @@ func (rt *Runtime) releaseFrame(fr *frame) {
 			// Best effort: a released handle only pins memory.
 			_ = rt.iso.Release(d)
 		}
-		rt.heapMu.Unlock()
+		rt.unlockHeap()
 	}
 	fr.span, fr.lane = nil, nil
 	fr.drops = drops[:0]
@@ -436,7 +467,7 @@ func (rt *Runtime) adoptHandle(fr *frame, hash int64, fresh heap.Handle) (heap.H
 	if dup != 0 {
 		rt.heapMu.Lock()
 		err := rt.iso.Release(dup)
-		rt.heapMu.Unlock()
+		rt.unlockHeap()
 		if err != nil {
 			return 0, err
 		}
@@ -483,7 +514,7 @@ func (rt *Runtime) resolve(fr *frame, hash int64) (heap.Handle, error) {
 	} else if addr, ok := rt.weaks.LiveHash(hash); ok {
 		fresh, err = rt.iso.HandleAt(addr)
 	}
-	rt.heapMu.Unlock()
+	rt.unlockHeap()
 	if err != nil {
 		return 0, err
 	}
@@ -502,12 +533,38 @@ func (rt *Runtime) resolveRef(fr *frame, v wire.Value) (heap.Handle, error) {
 	return rt.resolve(fr, hash)
 }
 
+// borrow makes the object behind hash live in callee for its activation.
+// When caller holds it (held), callee records the caller's handle as
+// borrowed and the table is not touched: the caller frame outlives its
+// synchronous callee — it is released only after its own body returns,
+// which is after every call the body made has returned — so the caller's
+// retention covers the callee's whole activation. Otherwise the callee
+// resolves the object as any activation does.
+func (rt *Runtime) borrow(callee, caller *frame, hash int64) error {
+	if _, ok := callee.held(hash); ok {
+		return nil
+	}
+	if caller != nil {
+		if h, ok := caller.held(hash); ok {
+			callee.owned = append(callee.owned, ownedRef{hash: hash, handle: h, borrowed: true})
+			return nil
+		}
+	}
+	_, err := rt.resolve(callee, hash)
+	return err
+}
+
 // classDecl returns the image declaration of a ref's class.
 func (rt *Runtime) classDecl(class string) (*classmodel.Class, error) {
+	hot := &rt.hotDecls[linkSlot(class, "")&(declSlots-1)]
+	if c := hot.Load(); c != nil && c.Name == class {
+		return c, nil
+	}
 	c, ok := rt.img.Program().Class(class)
 	if !ok {
 		return nil, fmt.Errorf("%w: class %s", image.ErrClosedWorld, class)
 	}
+	hot.Store(c)
 	return c, nil
 }
 
@@ -541,9 +598,43 @@ func (rt *Runtime) linkTable() map[classmodel.MethodRef]*link {
 	return nil
 }
 
+// linkSlots and declSlots size Runtime.hot and Runtime.hotDecls: powers
+// of two, about four times the (class, method) pairs and the classes of
+// the largest image in the tree.
+const (
+	linkSlots = 128
+	declSlots = 32
+)
+
+// linkSlot places (class, method) in Runtime.hot. It reads no more than
+// the names' lengths and end bytes: two links that share a slot only
+// take turns in it.
+func linkSlot(class, method string) int {
+	h := uint(len(class))<<7 ^ uint(len(method))
+	if n := len(class); n > 0 {
+		h = h*31 + uint(class[n-1])
+	}
+	if n := len(method); n > 0 {
+		h = h*31 + uint(method[0])
+		h = h*31 + uint(method[n-1])
+	}
+	return int((h ^ h>>7) & (linkSlots - 1))
+}
+
 // link returns the cached resolution of (class, method), resolving it on
-// first use. The hit path takes no lock.
+// first use. The hit path takes no lock and hashes no string.
 func (rt *Runtime) link(class, method string) *link {
+	hot := &rt.hot[linkSlot(class, method)]
+	if lk := hot.Load(); lk != nil && lk.ref.Method == method && lk.ref.Class == class {
+		return lk
+	}
+	lk := rt.resolveLink(class, method)
+	hot.Store(lk)
+	return lk
+}
+
+// resolveLink is link behind Runtime.hot: the link map, then the lookups.
+func (rt *Runtime) resolveLink(class, method string) *link {
 	ref := classmodel.MethodRef{Class: class, Method: method}
 	if lk, ok := rt.linkTable()[ref]; ok {
 		return lk
@@ -695,7 +786,7 @@ func (rt *Runtime) marshalRef(fr *frame, v wire.Value) error {
 		if err == nil {
 			regHandle, err = rt.iso.HandleAt(addr)
 		}
-		rt.heapMu.Unlock()
+		rt.unlockHeap()
 		if err != nil {
 			return err
 		}
@@ -779,7 +870,7 @@ func (rt *Runtime) localiseRef(fr *frame, v wire.Value) error {
 		if live {
 			fresh, err = rt.iso.HandleAt(addr)
 		}
-		rt.heapMu.Unlock()
+		rt.unlockHeap()
 		if err != nil {
 			return err
 		}
@@ -816,7 +907,7 @@ func (rt *Runtime) newProxy(fr *frame, class string, hash int64) error {
 	if err == nil {
 		w, err = rt.iso.NewWeak(h)
 	}
-	rt.heapMu.Unlock()
+	rt.unlockHeap()
 	if err != nil {
 		return err
 	}
@@ -829,10 +920,13 @@ func (rt *Runtime) newProxy(fr *frame, class string, hash int64) error {
 // ---- dispatch ---------------------------------------------------------
 
 // dispatch runs a method body locally. self is a ref (or null for static
-// methods); refs in args must already be live locally. Refs inside the
-// result are re-retained into adoptInto (when non-nil) before the callee
-// frame is released, so they stay live for the caller.
-func (rt *Runtime) dispatch(lk *link, self wire.Value, args []wire.Value, adoptInto *frame) (wire.Value, error) {
+// methods); refs in args must already be live locally. caller is the
+// activation making the call (nil for none), whose retentions of self and
+// of ref arguments the callee borrows. adoptInto (nil, or caller) hands
+// the callee its trace span and lane, and refs inside the result are
+// re-retained into it before the callee frame is released, so they stay
+// live for the caller.
+func (rt *Runtime) dispatch(lk *link, self wire.Value, args []wire.Value, caller, adoptInto *frame) (wire.Value, error) {
 	if lk.lookErr != nil {
 		return wire.Value{}, lk.lookErr
 	}
@@ -849,15 +943,16 @@ func (rt *Runtime) dispatch(lk *link, self wire.Value, args []wire.Value, adoptI
 		fr.span, fr.lane = adoptInto.span, adoptInto.lane
 	}
 	defer rt.releaseFrame(fr)
-	// Retain self and ref arguments for the duration of the activation.
-	if self.Kind() == wire.KindRef {
-		if _, err := rt.resolveRef(fr, self); err != nil {
+	// Self and ref arguments stay live for the duration of the
+	// activation, on the caller's retentions where it holds them.
+	if _, hash, ok := self.AsRef(); ok {
+		if err := rt.borrow(fr, caller, hash); err != nil {
 			return wire.Value{}, err
 		}
 	}
 	for _, v := range args {
-		if v.Kind() == wire.KindRef {
-			if _, err := rt.resolveRef(fr, v); err != nil {
+		if _, hash, ok := v.AsRef(); ok {
+			if err := rt.borrow(fr, caller, hash); err != nil {
 				return wire.Value{}, err
 			}
 		}
@@ -1241,7 +1336,7 @@ func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte,
 				regHandle, err = rt.iso.HandleAt(addr)
 			}
 		}
-		rt.heapMu.Unlock()
+		rt.unlockHeap()
 		if err != nil {
 			return err
 		}
@@ -1254,7 +1349,7 @@ func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte,
 		self := wire.Ref(class, hash)
 		// The relay frame is passed through so the ctor body inherits
 		// the trace span (its null result adopts nothing).
-		if _, err := rt.dispatch(target, self, args, fr); err != nil {
+		if _, err := rt.dispatch(target, self, args, fr, fr); err != nil {
 			return err
 		}
 		result = wire.Null()
@@ -1271,7 +1366,7 @@ func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte,
 			}
 			self = wire.Ref(class, hash)
 		}
-		result, err = rt.dispatch(target, self, args, fr)
+		result, err = rt.dispatch(target, self, args, fr, fr)
 		if err != nil {
 			return err
 		}

@@ -356,9 +356,15 @@ func (w *World) newRuntime(name string, trusted bool, img *image.Image, hc heap.
 		err error
 	)
 	encl := w.enclave
+	tab := cycles.NewTab(w.clock)
 	if trusted {
 		h, err = heap.New(hc, func(size int) (heap.Backend, error) {
-			return encl.NewMemory(size)
+			m, err := encl.NewMemory(size)
+			if err != nil {
+				return nil, err
+			}
+			m.ChargeTo(tab)
+			return m, nil
 		})
 	} else {
 		h, err = heap.NewPlain(hc)
@@ -366,7 +372,7 @@ func (w *World) newRuntime(name string, trusted bool, img *image.Image, hc heap.
 	if err != nil {
 		return nil, fmt.Errorf("world: %s heap: %w", name, err)
 	}
-	rt, err := newRuntime(w, name, trusted, img, h)
+	rt, err := newRuntime(w, name, trusted, img, h, tab)
 	if err != nil {
 		return nil, err
 	}
@@ -398,7 +404,7 @@ func (w *World) runStaticInits() error {
 			if !rt.img.MethodCompiled(ref) {
 				continue
 			}
-			if _, err := rt.dispatch(rt.link(ref.Class, ref.Method), wire.Null(), nil, nil); err != nil {
+			if _, err := rt.dispatch(rt.link(ref.Class, ref.Method), wire.Null(), nil, nil, nil); err != nil {
 				return fmt.Errorf("world: <clinit> of %s: %w", c.Name, err)
 			}
 		}
@@ -461,7 +467,7 @@ func (w *World) RunMain() (wire.Value, error) {
 	var result wire.Value
 	run := func() error {
 		var err error
-		result, err = rt.dispatch(rt.link(prog.MainClass, prog.MainMethod), wire.Null(), nil, nil)
+		result, err = rt.dispatch(rt.link(prog.MainClass, prog.MainMethod), wire.Null(), nil, nil, nil)
 		return err
 	}
 	if w.mode == ModeUnpartitionedSGX {
@@ -581,7 +587,7 @@ func (w *World) sweep(rt *Runtime) error {
 	// SweepDead dereferences weak refs on rt's heap: hold rt's heap lock.
 	rt.heapMu.Lock()
 	dead, err := rt.weaks.SweepDead()
-	rt.heapMu.Unlock()
+	rt.unlockHeap()
 	if err != nil {
 		return err
 	}
