@@ -13,9 +13,10 @@ build:
 # path (mee, epc, heap, isolate: none of them locks, so their scratch
 # buffers and the EPC memory are safe only under the owning world
 # runtime's heapMu, which must wrap every isolate/heap call) and the
-# boundary-crossing packages (the ring consumers, world's crossing and
-# the batching queue and buffer pool of internal/boundary that it
-# shares across goroutines are concurrent, as are the telemetry
+# boundary-crossing packages (ring callers, each running its call's far
+# side on its own goroutine under a ring's producer lock, world's
+# crossing and the batching queue and buffer pool of internal/boundary
+# that it shares across goroutines are concurrent, as are the telemetry
 # instruments they all publish into; wire values share their payloads
 # between copies, and the pooled activation records in world and the
 # cached sealing cipher in sgx are reused across goroutines; a
@@ -28,8 +29,9 @@ build:
 # recovery passes', the void relays on every route, the GC-helper steps
 # (swept by the collecting goroutine, beside concurrent mutators) and the
 # gateway's lifecycle gate (Shutdown and Recover drains against typed
-# refusals) and the retentions a callee borrows from its caller are
-# re-run on 4 Ps, ten times, to show they repeat under real parallelism. The MEE's portable block path (other architectures,
+# refusals), the retentions a callee borrows from its caller and the
+# ring data plane (world's ring tests and internal/ring) are re-run on 4
+# Ps, ten times, to show they repeat under real parallelism. The MEE's portable block path (other architectures,
 # amd64 without AES-NI) is tested under -tags purego and cross-vetted for
 # arm64, since an amd64 host with AES-NI runs the assembly kernel. The benchmark
 # harness is its own module (benchmark/go.mod), so ./... does not reach
@@ -45,7 +47,8 @@ test:
 	GOARCH=arm64 $(GO) vet ./internal/mee ./internal/epc
 	GOFLAGS= GOWORK=off $(GO) -C benchmark vet ./...
 	GOFLAGS= GOWORK=off $(GO) -C benchmark test ./...
-	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestCycleLedgerGolden|TestLane|TestVoidRelay|TestGCHelper|TestHelpers|TestCalleeBorrowsCallerRetentions|TestBodyResolvesSelfOnce' ./internal/world
+	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestCycleLedgerGolden|TestLane|TestVoidRelay|TestGCHelper|TestHelpers|TestCalleeBorrowsCallerRetentions|TestBodyResolvesSelfOnce|TestRing' ./internal/world
+	GOMAXPROCS=4 $(GO) test -count=10 ./internal/ring
 	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestRecovery' ./internal/persist
 	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestGatewayLifecycleGate|TestServeDrain|TestGateway|TestRecoverReentersLanes' ./internal/serve
 	$(GO) test -run NONE -bench . -benchtime 1x -benchmem ./internal/heap ./internal/epc ./internal/isolate ./internal/world

@@ -20,7 +20,6 @@ package montsalvat
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"montsalvat/internal/bench"
@@ -341,16 +340,9 @@ func TestTelemetryCycleNeutral(t *testing.T) {
 		t.Fatal("KV demo charged no cycles")
 	}
 
-	// A ring submission costs a doorbell or a plain hand-off according to
-	// whether the consumer has gone to sleep, which on several Ps is up to
-	// the host scheduler; on one P the sequence repeats exactly (the
-	// benchmark pins its ledger passes the same way).
-	ringOff, ringOn := func() (int64, int64) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		ringCfg := simcfg.Default()
-		ringCfg.Rings = true
-		return runKVCycles(t, nil, ringCfg), runKVCycles(t, fullTel(), ringCfg)
-	}()
+	ringCfg := simcfg.Default()
+	ringCfg.Rings = true
+	ringOff, ringOn := runKVCycles(t, nil, ringCfg), runKVCycles(t, fullTel(), ringCfg)
 	if ringOff != ringOn {
 		t.Fatalf("telemetry changed the ring-path cycle ledger: off=%d on=%d", ringOff, ringOn)
 	}

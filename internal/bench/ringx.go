@@ -49,7 +49,7 @@ type ringPoint struct {
 	// Cycle components, per op, recovered from the world's counters.
 	CopyCycles    float64 // frame-path MEE per-byte copy charges
 	CryptoCycles  float64 // ring-path in-place sealing charges
-	HandoffCycles float64 // ring submit/doorbell charges
+	HandoffCycles float64 // ring hand-off charges, both ways
 	Oversize      uint64  // calls that exceeded the slot and fell back
 }
 
@@ -84,10 +84,8 @@ func runRingPoint(cfg simcfg.Config, payload, iters int) (ringPoint, error) {
 		p.CyclesPerOp = float64(charged) / ops
 		p.CopyCycles = float64(ds1.MEECopiedBytes-ds0.MEECopiedBytes) * simcfg.MEEBytesPerCycle / ops
 		p.CryptoCycles = float64(ds1.RingSealedBytes-ds0.RingSealedBytes) / simcfg.RingCryptoBytesPerCycle / ops
-		doorbells := ds1.RingDoorbells - ds0.RingDoorbells
-		submits := ds1.RingSubmits - ds0.RingSubmits
-		p.HandoffCycles = (float64(doorbells)*simcfg.RingDoorbellCycles +
-			float64(submits-doorbells)*simcfg.RingSubmitCycles) / ops
+		// A ring call pays one hand-off each way.
+		p.HandoffCycles = float64(2*(ds1.RingSubmits-ds0.RingSubmits)) * simcfg.RingSubmitCycles / ops
 		p.Oversize = ds1.RingOversize - ds0.RingOversize
 		return nil
 	})

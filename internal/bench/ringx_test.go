@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+
+	"montsalvat/internal/simcfg"
 )
 
 // ringSweepTable is the quick-scale ring sweep, computed once for both
@@ -13,7 +15,7 @@ var ringSweepTable = sync.OnceValues(func() (*Table, error) { return RingSweep(q
 // TestRingSweepShape pins the zero-copy claim at quick scale: the ring
 // path never loses to the frame path, wins clearly at the largest
 // payload, and is crypto-dominated there (copies dominate the frame
-// path instead).
+// path instead). Every ring call pays exactly one hand-off each way.
 func TestRingSweepShape(t *testing.T) {
 	tab, err := ringSweepTable()
 	if err != nil {
@@ -22,8 +24,14 @@ func TestRingSweepShape(t *testing.T) {
 	frame, _ := tab.Row("frame-path")
 	ring, _ := tab.Row("ring-path")
 	share, _ := tab.Row("ring-crypto-share")
-	if len(frame.Values) == 0 || len(frame.Values) != len(ring.Values) {
+	handoff, _ := tab.Row("ring-handoff-cycles")
+	if len(frame.Values) == 0 || len(frame.Values) != len(ring.Values) || len(handoff.Values) != len(ring.Values) {
 		t.Fatalf("malformed table: %+v", tab)
+	}
+	for i, h := range handoff.Values {
+		if h != 2*simcfg.RingSubmitCycles {
+			t.Errorf("col %d (%s B): hand-off %g cycles/call, want 2 x %d", i, tab.Columns[i], h, simcfg.RingSubmitCycles)
+		}
 	}
 	for i := range frame.Values {
 		// Small payloads: within noise means the ring path must at

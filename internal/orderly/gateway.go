@@ -45,7 +45,7 @@ var gwPlatform = sgx.NewPlatformFromSeed([]byte("orderly-gateway-platform"))
 // another's), the drain check (no session admitted while recovery is
 // draining), the acked-durability audit after every recovery, and the
 // lane-residency check (the TCS slots held are the gateway's lanes and
-// the ring consumers', before and after every recovery).
+// the ecall rings', before and after every recovery).
 type gatewaySystem struct {
 	cfg GatewayConfig
 	wld *world.World
@@ -280,9 +280,9 @@ func (g *gatewaySystem) Check() error {
 
 // checkResidency asserts the lane-residency invariant: between actions,
 // crash recovery included, the enclave's TCS slots are held by the
-// gateway's lanes and the ring consumers and nothing else. Ring
-// consumers and session teardown's sweep enter asynchronously, so the
-// count gets a moment to settle.
+// gateway's lanes and the ecall rings and nothing else. Session
+// teardown's sweep enters asynchronously, so the count gets a moment
+// to settle.
 func (g *gatewaySystem) checkResidency(lanes int) error {
 	rings := orderlyWorldOptions().Cfg.RingWorkers
 	held := -1 // no enclave
@@ -293,7 +293,7 @@ func (g *gatewaySystem) checkResidency(lanes int) error {
 			}
 		}
 	}
-	return Violated("lane-residency", "%d TCS slots held, want %d lanes + %d ring consumers", held, lanes, rings)
+	return Violated("lane-residency", "%d TCS slots held, want %d lanes + %d ecall rings", held, lanes, rings)
 }
 
 func (g *gatewaySystem) Close() {

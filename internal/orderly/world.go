@@ -78,12 +78,9 @@ func orderlyWorldOptions() world.Options {
 	cfg := simcfg.Default()
 	cfg.Batching = true
 	cfg.Rings = true
-	// One small ring per direction: the default geometry (2 workers x
-	// 64 slots x 64 KiB) allocates 16 MB of slot buffers per world,
-	// which dominates the ~1 ms rebuild the explorer pays per edge.
-	// 8 x 4 KiB slots still fit the ring-put payload.
+	// One small ring per direction: a 4 KiB slot still fits the
+	// ring-put payload.
 	cfg.RingWorkers = 1
-	cfg.RingSlots = 8
 	cfg.RingSlotBytes = 4 << 10
 	// The EPC residency tracker and arena are sized per world and the
 	// arena is zeroed on allocation, so a small modelled EPC keeps

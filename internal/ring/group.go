@@ -1,8 +1,8 @@
 package ring
 
 import (
+	"crypto/cipher"
 	"errors"
-	"math/bits"
 	"sync/atomic"
 
 	"montsalvat/internal/cycles"
@@ -10,34 +10,32 @@ import (
 	"montsalvat/internal/telemetry"
 )
 
+// Handler runs one call on the far side. req is the opened (decrypted)
+// request payload and resp the zero-length response area — both alias
+// the SAME slot memory, so the handler must fully decode req before
+// writing resp. The returned out must be append-derived from resp (the
+// in-place path); when the response does not fit the slot, the handler
+// returns a separately allocated buffer with overflow=true, which
+// crosses as a plain bounce buffer charged at MEE rate. sp is the
+// caller's trace span (nil when unsampled).
+type Handler func(id int, req, resp []byte, sp *telemetry.Span) (out []byte, overflow bool, err error)
+
 // Config sizes one ring group (one crossing direction).
 type Config struct {
-	// Workers is the number of rings, each with its own resident
-	// consumer worker.
+	// Workers is the number of rings, so the number of calls the group
+	// carries at once; on the trusted side each holds a TCS slot.
 	Workers int
-	// Slots is the submission-queue depth per ring (rounded up to a
-	// power of two).
-	Slots int
-	// SlotBytes is the plaintext payload capacity of one slot; the
+	// SlotBytes is the plaintext payload capacity of a ring's slot; the
 	// backing buffer adds the 16-byte GCM tag.
 	SlotBytes int
-	// PollSpins is the poll budget before the sleep protocol engages
-	// (DefaultPollSpins when zero).
-	PollSpins int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = simcfg.DefaultRingWorkers
 	}
-	if c.Slots <= 0 {
-		c.Slots = simcfg.DefaultRingSlots
-	}
 	if c.SlotBytes <= 0 {
 		c.SlotBytes = simcfg.DefaultRingSlotBytes
-	}
-	if c.PollSpins <= 0 {
-		c.PollSpins = DefaultPollSpins
 	}
 	return c
 }
@@ -52,21 +50,11 @@ type BatchEntry struct {
 
 // Stats is an aggregate snapshot of a ring group's activity counters.
 type Stats struct {
-	// Submits counts published submission entries.
+	// Submits counts requests handed across.
 	Submits uint64
-	// Doorbells counts submissions that found the consumer asleep and
-	// paid the futex-wake cost (the doorbell rate is Doorbells/Submits).
-	Doorbells uint64
-	// Stalls counts slot-full producer stalls (ring backpressure).
-	Stalls uint64
 	// Busy counts TryCall/TryBatch attempts that found every producer
 	// occupied and fell back to the frame path.
 	Busy uint64
-	// Wakeups counts consumer drain passes; Consumed/Wakeups is the
-	// adaptive batch size.
-	Wakeups uint64
-	// Consumed counts entries drained by consumers.
-	Consumed uint64
 	// Overflows counts responses too large for in-place sealing that
 	// crossed as plain bounce buffers instead.
 	Overflows uint64
@@ -77,75 +65,69 @@ type Stats struct {
 	OverflowBytes uint64
 }
 
-// Group is a set of SPSC rings serving one crossing direction. Callers
+// Group is a set of rings serving one crossing direction. Callers
 // submit through TryCall/TryBatch, which are strictly non-blocking on
 // ring acquisition: when every ring's producer side is occupied the
-// group reports ErrBusy and the caller falls back to the frame
-// path, so nested call chains can never deadlock on ring capacity.
+// group reports ErrBusy and the caller falls back to the frame path,
+// so nested call chains can never deadlock on ring capacity.
 type Group struct {
-	cfg   Config
-	rings []*Ring
+	cfg     Config
+	rings   []*Ring
+	aead    cipher.AEAD
+	clock   *cycles.Clock
+	handler Handler
 
-	next   atomic.Uint32
-	busy   atomic.Uint64
-	stalls atomic.Uint64
+	next atomic.Uint32
 
-	hBatch *telemetry.Histogram
+	submits   atomic.Uint64
+	busy      atomic.Uint64
+	overflows atomic.Uint64
+	sealed    atomic.Uint64 // bytes through the in-place crypto pass
+	overBytes atomic.Uint64 // bytes bounced via overflow buffers
 
 	closed atomic.Bool
 }
 
-// Slots is the slot memory of a group. A group owns it from NewGroup
-// until its Close returns; then it may back the next group of the same
-// Config. A slot's fields but its buffer are set anew on every reserve.
-type Slots []slot
+// Slots is the slot memory of a group, one buffer per ring. A group
+// owns it from NewGroup until its Close returns; then it may back the
+// next group of the same Config.
+type Slots [][]byte
 
 // NewSlots allocates the slot memory of a group of cfg.
 func NewSlots(cfg Config) Slots {
 	cfg = cfg.withDefaults()
-	mem := make(Slots, cfg.Workers<<bits.Len(uint(cfg.Slots-1)))
+	mem := make(Slots, cfg.Workers)
 	for i := range mem {
-		mem[i].buf = make([]byte, 0, cfg.SlotBytes+gcmOverhead)
+		mem[i] = make([]byte, 0, cfg.SlotBytes+gcmOverhead)
 	}
 	return mem
 }
 
-// NewGroup builds the rings over mem (from NewSlots(cfg)), generates the
-// group's AES-256-GCM session key, and starts one resident consumer
-// worker per ring. enter, when non-nil, establishes the worker's
-// residency on the consuming side (e.g. taking an enclave TCS slot) and
-// returns the matching leave.
+// NewGroup builds the rings over mem (from NewSlots(cfg)) and generates
+// the group's AES-256-GCM session key. enter, when non-nil, establishes
+// a ring's residency on the far side (an enclave TCS slot) and returns
+// the matching leave; NewGroup enters once per ring, and Close leaves.
 func NewGroup(cfg Config, mem Slots, clock *cycles.Clock, h Handler, enter func() (func(), error)) (*Group, error) {
 	cfg = cfg.withDefaults()
-	n := len(mem) / cfg.Workers
 	aead, err := newAEAD()
 	if err != nil {
 		return nil, err
 	}
-	g := &Group{cfg: cfg}
-	for i := 0; i < cfg.Workers; i++ {
-		r := newRing(i, mem[i*n:(i+1)*n:(i+1)*n], cfg.PollSpins, aead, clock, h)
+	g := &Group{cfg: cfg, aead: aead, clock: clock, handler: h}
+	for i, buf := range mem {
+		r := &Ring{idx: i, buf: buf}
+		if enter != nil {
+			if r.leave, err = enter(); err != nil {
+				g.Close()
+				return nil, err
+			}
+		}
 		g.rings = append(g.rings, r)
-		go r.serve(enter, g.observeBatch)
 	}
 	return g, nil
 }
 
-// SetTelemetry attaches the adaptive-batching histogram (entries
-// consumed per consumer wakeup) for this group's direction.
-func (g *Group) SetTelemetry(reg *telemetry.Registry, dir string) {
-	if g == nil || reg == nil {
-		return
-	}
-	g.hBatch = reg.Histogram("montsalvat_ring_batch_per_wakeup", "dir", dir)
-}
-
-func (g *Group) observeBatch(n int) {
-	g.hBatch.Observe(int64(n))
-}
-
-// Workers reports the group's resident consumer workers, one per ring;
-// 0 for a nil group.
+// Workers reports the group's rings; 0 for a nil group.
 func (g *Group) Workers() int {
 	if g == nil {
 		return 0
@@ -159,7 +141,7 @@ func (g *Group) acquire() *Ring {
 	start := int(g.next.Add(1))
 	for i := 0; i < len(g.rings); i++ {
 		r := g.rings[(start+i)%len(g.rings)]
-		if r.prodMu.TryLock() {
+		if r.mu.TryLock() {
 			return r
 		}
 	}
@@ -167,14 +149,14 @@ func (g *Group) acquire() *Ring {
 	return nil
 }
 
-// TryCall submits one call through a ring: fill encodes the request
+// TryCall runs one call through a ring: fill encodes the request
 // directly into the slot (zero intermediate copies), the sealed slot
 // crosses, and done — when non-nil — receives the opened response,
 // which aliases slot memory and is valid only until TryCall returns.
 // need is the exact encoded request size (from the wire size
 // precomputes). Returns ErrTooLarge / ErrBusy / ErrStopped without
-// side effects when the call cannot ride the ring; any other error is
-// from the remote handler or from done.
+// running the handler when the call cannot ride the ring; any other
+// error is from the remote handler or from done.
 func (g *Group) TryCall(id, need int, sp *telemetry.Span, fill func(slot []byte) ([]byte, error), done func(resp []byte) error) error {
 	if g == nil || g.closed.Load() {
 		return ErrStopped
@@ -186,153 +168,125 @@ func (g *Group) TryCall(id, need int, sp *telemetry.Span, fill func(slot []byte)
 	if r == nil {
 		return ErrBusy
 	}
-	defer r.prodMu.Unlock()
-	s, idx, err := g.reserve(r)
+	defer r.mu.Unlock()
+	plain, err := fill(r.buf[:0])
 	if err != nil {
 		return err
 	}
-	plain, err := fill(s.buf[:0])
-	if err != nil {
-		return err
+	if g.closed.Load() {
+		// Close has begun: no call starts on its rings any more.
+		return ErrStopped
 	}
-	s.id = id
-	s.sp = sp
-	s.reqN = len(r.seal(s, plain, nonceReq))
-	r.publish(idx)
-	if err := r.awaitComp(idx); err != nil {
-		return err
-	}
-	err = r.finish(s, done)
-	r.reaped = idx + 1
-	return err
+	return g.run(r, id, plain, sp, done)
 }
 
-// TryBatch submits a set of void calls as individual ring entries —
-// the adaptive-batching shape: every entry published while the
-// consumer is draining rides the same wakeup. When the ring fills
-// mid-batch the producer stalls on the oldest completion and drains
-// (backpressure), so batches larger than the ring depth still go
-// through. sp is the flush's trace span (nil when unsampled), handed to
-// every entry's handler. It returns how many leading entries ran; the
-// rest did not and must cross another way. Returns ErrTooLarge (before
-// submitting anything) when any entry exceeds the slot, ErrBusy when no
-// producer slot is free, ErrStopped when the group closed before any
-// entry ran; otherwise the handler errors of the entries that ran,
-// joined. A Close part-way through the batch stops it after the entry
-// the consumer is running.
+// TryBatch runs a set of void calls as individual ring entries, one
+// after another on one ring. sp is the flush's trace span (nil when
+// unsampled), handed to every entry's handler. It returns how many
+// leading entries ran; the rest did not and must cross another way.
+// Returns ErrTooLarge (before running anything) when any entry exceeds
+// the slot, ErrBusy when no producer is free, ErrStopped when the group
+// closed before any entry ran; otherwise the handler errors of the
+// entries that ran, joined. A Close part-way through the batch stops it
+// after the entry that is running.
 func (g *Group) TryBatch(sp *telemetry.Span, entries []BatchEntry) (int, error) {
 	if g == nil || g.closed.Load() {
 		return 0, ErrStopped
-	}
-	if len(entries) == 0 {
-		return 0, nil
 	}
 	for _, e := range entries {
 		if len(e.Req) > g.cfg.SlotBytes {
 			return 0, ErrTooLarge
 		}
 	}
+	if len(entries) == 0 {
+		return 0, nil
+	}
 	r := g.acquire()
 	if r == nil {
 		return 0, ErrBusy
 	}
-	defer r.prodMu.Unlock()
+	defer r.mu.Unlock()
 	var errs []error
-	base := r.tail.Load()
-	first := r.reaped // next completion whose outcome we still owe the caller
-	reap := func(end uint64) {
-		for ; first < end; first++ {
-			if ferr := r.finish(&r.slots[first&r.mask], nil); ferr != nil {
-				errs = append(errs, ferr)
+	for i, e := range entries {
+		if g.closed.Load() {
+			if i == 0 {
+				return 0, ErrStopped
 			}
+			return i, errors.Join(errs...)
+		}
+		if err := g.run(r, e.ID, append(r.buf[:0], e.Req...), sp, nil); err != nil {
+			errs = append(errs, err)
 		}
 	}
-	var stop error
-	for _, e := range entries {
-		s, idx, err := g.reserve(r)
-		if err != nil {
-			stop = err
-			break
+	return len(entries), errors.Join(errs...)
+}
+
+// run carries one call whose request plain sits in r's slot; the
+// caller holds r.mu. The request is sealed and handed across, opened in
+// place and handled; the response is sealed in place (or, when it
+// overflows the slot, bounced at MEE rate) and handed back, where done
+// — when non-nil — receives it opened. Each hand-off pays
+// RingSubmitCycles, whatever the handler returned. Errors cross out of
+// band, as on the frame path: a failed call answers no payload.
+func (g *Group) run(r *Ring, id int, plain []byte, sp *telemetry.Span, done func(resp []byte) error) error {
+	r.seq++
+	sealed := g.seal(r, id, plain, nonceReq)
+	g.submits.Add(1)
+	g.clock.Charge(simcfg.RingSubmitCycles)
+	var out []byte
+	overflow := false
+	req, err := g.open(r, id, sealed, nonceReq)
+	if err == nil {
+		out, overflow, err = g.handler(id, req, r.buf[:0], sp)
+	}
+	if err == nil && !overflow {
+		out = g.seal(r, id, out, nonceResp)
+	}
+	g.clock.Charge(simcfg.RingSubmitCycles)
+	switch {
+	case err != nil:
+		return err
+	case overflow:
+		g.overflows.Add(1)
+		g.overBytes.Add(uint64(len(out)))
+		g.clock.ChargeBytes(len(out), simcfg.MEEBytesPerCycle)
+	case done != nil:
+		if out, err = g.open(r, id, out, nonceResp); err != nil {
+			return err
 		}
-		// A full ring makes reserve drain completed slots (backpressure);
-		// collect their handler errors as reaped advances past them.
-		reap(r.reaped)
-		s.id = e.ID
-		s.sp = sp
-		s.reqN = len(r.seal(s, append(s.buf[:0], e.Req...), nonceReq))
-		r.publish(idx)
 	}
-	if stop == nil {
-		stop = r.awaitComp(r.tail.Load() - 1)
+	if done == nil {
+		return nil
 	}
-	end := r.tail.Load()
-	if stop != nil {
-		// The consumer has left (awaitComp saw it exit), so the
-		// completion count is final: the entries it covers ran, and the
-		// rest never will.
-		end = r.comp.Load()
-	}
-	reap(end)
-	r.reaped = first
-	if end <= base {
-		return 0, stop
-	}
-	return int(end - base), errors.Join(errs...)
-}
-
-// reserve wraps Ring.reserve with the group's stall accounting.
-func (g *Group) reserve(r *Ring) (*slot, uint64, error) {
-	if r.tail.Load()-r.reaped >= uint64(len(r.slots)) {
-		g.stalls.Add(1)
-	}
-	return r.reserve()
-}
-
-// Occupancy reports submissions currently in flight across all rings.
-func (g *Group) Occupancy() int {
-	if g == nil {
-		return 0
-	}
-	total := 0
-	for _, r := range g.rings {
-		total += r.occupancy()
-	}
-	return total
+	return done(out)
 }
 
 // Stats aggregates the group's counters.
 func (g *Group) Stats() Stats {
-	var st Stats
 	if g == nil {
-		return st
+		return Stats{}
 	}
-	st.Busy = g.busy.Load()
-	st.Stalls = g.stalls.Load()
-	for _, r := range g.rings {
-		st.Submits += r.stats.submits.Load()
-		st.Doorbells += r.stats.doorbells.Load()
-		st.Wakeups += r.stats.wakeups.Load()
-		st.Consumed += r.stats.consumed.Load()
-		st.Overflows += r.stats.overflows.Load()
-		st.SealedBytes += r.stats.sealed.Load()
-		st.OverflowBytes += r.stats.overBytes.Load()
+	return Stats{
+		Submits:       g.submits.Load(),
+		Busy:          g.busy.Load(),
+		Overflows:     g.overflows.Load(),
+		SealedBytes:   g.sealed.Load(),
+		OverflowBytes: g.overBytes.Load(),
 	}
-	return st
 }
 
-// Close stops the consumer workers and rejects further submissions.
-// On return no goroutine touches the slot memory: the consumers have
-// left, and every producer lock is taken and kept. Safe to call more
-// than once.
+// Close rejects further calls, waits for the running ones and releases
+// every ring's residency. On return no goroutine touches the slot
+// memory: every producer lock is taken and kept. Safe to call more than
+// once.
 func (g *Group) Close() {
 	if g == nil || !g.closed.CompareAndSwap(false, true) {
 		return
 	}
 	for _, r := range g.rings {
-		close(r.stop)
-	}
-	for _, r := range g.rings {
-		<-r.exited
-		r.prodMu.Lock()
+		r.mu.Lock()
+		if r.leave != nil {
+			r.leave()
+		}
 	}
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"montsalvat/internal/cycles"
+	"montsalvat/internal/simcfg"
 	"montsalvat/internal/telemetry"
 )
 
@@ -26,11 +29,11 @@ func echoGroup(t *testing.T, cfg Config) (*Group, *atomic.Uint64) {
 	return newGroup(t, cfg, h), &served
 }
 
-// newGroup builds a group of cfg over fresh slot memory, with no clock
-// and no residency, and closes it at cleanup.
+// newGroup builds a group of cfg over fresh slot memory, with a fresh
+// clock and no residency, and closes it at cleanup.
 func newGroup(t *testing.T, cfg Config, h Handler) *Group {
 	t.Helper()
-	g, err := NewGroup(cfg, NewSlots(cfg), nil, h, nil)
+	g, err := NewGroup(cfg, NewSlots(cfg), cycles.New(simcfg.CPUHz), h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +53,7 @@ func callEcho(g *Group, payload []byte) ([]byte, error) {
 }
 
 func TestRoundTrip(t *testing.T) {
-	g, served := echoGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 256})
+	g, served := echoGroup(t, Config{Workers: 1, SlotBytes: 256})
 	payload := []byte("sealed through the slot")
 	got, err := callEcho(g, payload)
 	if err != nil {
@@ -63,22 +66,26 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("served %d calls, want 1", served.Load())
 	}
 	st := g.Stats()
-	if st.Submits != 1 || st.Consumed != 1 {
-		t.Fatalf("stats %+v, want 1 submit / 1 consumed", st)
+	if st.Submits != 1 {
+		t.Fatalf("stats %+v, want 1 submit", st)
 	}
 	// Request and response each sealed once: plaintext + 16-byte tag.
 	wantSealed := uint64(2 * (len(payload) + gcmOverhead))
 	if st.SealedBytes != wantSealed {
 		t.Fatalf("sealed %d bytes, want %d", st.SealedBytes, wantSealed)
 	}
+	// One hand-off each way plus the crypto pass of each direction.
+	want := 2*simcfg.RingSubmitCycles + 2*int64(float64(len(payload)+gcmOverhead)/simcfg.RingCryptoBytesPerCycle)
+	if got := g.clock.Total(); got != want {
+		t.Fatalf("call charged %d cycles, want %d", got, want)
+	}
 }
 
-// TestSlotWraparound pushes many sequential calls through a tiny ring so
-// the indices wrap the slot array repeatedly, with distinct payloads to
-// catch any slot/sequence confusion (a wrong nonce would also fail the
-// GCM open).
+// TestSlotWraparound pushes many sequential calls through one ring,
+// whose one slot every call reuses, with distinct payloads to catch any
+// slot/sequence confusion (a wrong nonce would also fail the GCM open).
 func TestSlotWraparound(t *testing.T) {
-	g, served := echoGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 128})
+	g, served := echoGroup(t, Config{Workers: 1, SlotBytes: 128})
 	for i := 0; i < 64; i++ {
 		payload := []byte(fmt.Sprintf("call-%d", i))
 		got, err := callEcho(g, payload)
@@ -94,63 +101,71 @@ func TestSlotWraparound(t *testing.T) {
 	}
 }
 
-// TestBatchBackpressure submits a batch much larger than the ring so the
-// producer must stall on completions and drain mid-batch.
-func TestBatchBackpressure(t *testing.T) {
-	g, served := echoGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 128})
-	const n = 37 // deliberately not a multiple of the ring size
+// TestBatchRunsEachEntryOnOneSlot runs a batch of many entries through
+// a one-slot ring: each entry runs once, in order, and pays its own two
+// hand-offs.
+func TestBatchRunsEachEntryOnOneSlot(t *testing.T) {
+	var order []string
+	h := func(id int, req, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
+		order = append(order, string(req))
+		return resp, false, nil
+	}
+	g := newGroup(t, Config{Workers: 1, SlotBytes: 128}, h)
+	const n = 37
 	entries := make([]BatchEntry, n)
 	for i := range entries {
-		entries[i] = BatchEntry{ID: 3, Req: []byte(fmt.Sprintf("batched-%d", i))}
+		entries[i] = BatchEntry{ID: 3, Req: []byte(fmt.Sprintf("batched-%02d", i))}
 	}
 	if ran, err := g.TryBatch(nil, entries); err != nil || ran != n {
 		t.Fatalf("TryBatch = %d, %v; want %d, nil", ran, err, n)
 	}
-	if served.Load() != n {
-		t.Fatalf("served %d, want %d", served.Load(), n)
+	if len(order) != n {
+		t.Fatalf("handler ran %d times, want %d", len(order), n)
 	}
-	st := g.Stats()
-	if st.Stalls == 0 {
-		t.Fatalf("expected slot-full stalls for a %d-entry batch on a 4-slot ring, got stats %+v", n, st)
+	for i, e := range entries {
+		if order[i] != string(e.Req) {
+			t.Fatalf("entry %d ran as %q, want %q", i, order[i], e.Req)
+		}
 	}
-	if st.Submits != n || st.Consumed != n {
-		t.Fatalf("stats %+v, want %d submits/consumed", st, n)
+	if st := g.Stats(); st.Submits != n {
+		t.Fatalf("stats %+v, want %d submits", st, n)
+	}
+	// Each entry: its request and an empty response sealed, and two
+	// hand-offs.
+	per := 2*simcfg.RingSubmitCycles +
+		int64(float64(len(entries[0].Req)+gcmOverhead)/simcfg.RingCryptoBytesPerCycle) +
+		int64(float64(gcmOverhead)/simcfg.RingCryptoBytesPerCycle)
+	if got := g.clock.Total(); got != n*per {
+		t.Fatalf("batch charged %d cycles, want %d x %d", got, n, per)
 	}
 }
 
-// TestDoorbellRace forces the consumer to sleep constantly (poll budget
-// 1) while a producer publishes at arrival gaps longer than the spin
-// window: every submission races the consumer's check-then-wait, and
-// the Dekker protocol (publish asleep, re-check tail, then block) must
-// never lose a wakeup.
-func TestDoorbellRace(t *testing.T) {
-	g, _ := echoGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 128, PollSpins: 1})
-	for i := 0; i < 200; i++ {
-		payload := []byte(fmt.Sprintf("ding-%d", i))
-		done := make(chan error, 1)
-		go func() {
-			_, err := callEcho(g, payload)
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("call %d: %v", i, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("call %d: lost wakeup — doorbell race", i)
+// TestIdleGapsChargeNoWakeup: a call's ledger does not depend on how
+// long the ring sat idle before it. Calls spaced by idle gaps, long and
+// short, each charge exactly what a back-to-back call charges.
+func TestIdleGapsChargeNoWakeup(t *testing.T) {
+	g, _ := echoGroup(t, Config{Workers: 1, SlotBytes: 128})
+	payload := []byte("ding")
+	var per int64
+	for i := 0; i < 20; i++ {
+		before := g.clock.Total()
+		if _, err := callEcho(g, payload); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		spent := g.clock.Total() - before
+		if i == 0 {
+			per = spent
+		} else if spent != per {
+			t.Fatalf("call %d charged %d cycles, call 0 charged %d", i, spent, per)
 		}
 		if i%3 == 0 {
-			time.Sleep(50 * time.Microsecond) // let the consumer go back to sleep
+			time.Sleep(2 * time.Millisecond)
 		}
-	}
-	if st := g.Stats(); st.Doorbells == 0 {
-		t.Fatalf("expected doorbell rings with poll budget 1, got stats %+v", st)
 	}
 }
 
 func TestTooLarge(t *testing.T) {
-	g, served := echoGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 64})
+	g, served := echoGroup(t, Config{Workers: 1, SlotBytes: 64})
 	if _, err := callEcho(g, make([]byte, 65)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("got %v, want ErrTooLarge", err)
 	}
@@ -167,13 +182,13 @@ func TestTooLarge(t *testing.T) {
 // group reports ErrBusy instead of blocking (the deadlock-freedom
 // contract the caller's frame fallback relies on).
 func TestBusyFallback(t *testing.T) {
-	g, _ := echoGroup(t, Config{Workers: 2, Slots: 4, SlotBytes: 64})
+	g, _ := echoGroup(t, Config{Workers: 2, SlotBytes: 64})
 	for _, r := range g.rings {
-		r.prodMu.Lock()
+		r.mu.Lock()
 	}
 	defer func() {
 		for _, r := range g.rings {
-			r.prodMu.Unlock()
+			r.mu.Unlock()
 		}
 	}()
 	if _, err := callEcho(g, []byte("x")); !errors.Is(err, ErrBusy) {
@@ -189,7 +204,7 @@ func TestHandlerError(t *testing.T) {
 	h := func(id int, req, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
 		return nil, false, boom
 	}
-	g := newGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 64}, h)
+	g := newGroup(t, Config{Workers: 1, SlotBytes: 64}, h)
 	_, cerr := callEcho(g, []byte("x"))
 	if !errors.Is(cerr, boom) {
 		t.Fatalf("got %v, want handler error", cerr)
@@ -203,7 +218,7 @@ func TestOverflowResponse(t *testing.T) {
 	h := func(id int, req, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
 		return append([]byte(nil), big...), true, nil
 	}
-	g := newGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 64}, h)
+	g := newGroup(t, Config{Workers: 1, SlotBytes: 64}, h)
 	var got []byte
 	err := g.TryCall(1, 1, nil,
 		func(slot []byte) ([]byte, error) { return append(slot, 'q'), nil },
@@ -233,7 +248,7 @@ func TestCloseMidCallReportsTheRun(t *testing.T) {
 		<-release
 		return append(resp, 'k'), false, nil
 	}
-	g := newGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 64, PollSpins: 1}, h)
+	g := newGroup(t, Config{Workers: 1, SlotBytes: 64}, h)
 	callErr := make(chan error, 1)
 	go func() {
 		_, err := callEcho(g, []byte("x"))
@@ -261,8 +276,8 @@ func TestCloseMidCallReportsTheRun(t *testing.T) {
 	}
 }
 
-// TestCloseMidBatchRunsEachEntryOnce: a Close while the second of three
-// void entries runs stops the batch after it. TryBatch reports the two
+// TestCloseMidBatchRunsEachEntryOnce: a Close that begins while the
+// second of three void entries runs stops the batch after it. TryBatch reports the two
 // that ran, so a caller that sends the rest another way, as the world's
 // batch flush does, runs every entry exactly once.
 func TestCloseMidBatchRunsEachEntryOnce(t *testing.T) {
@@ -273,11 +288,13 @@ func TestCloseMidBatchRunsEachEntryOnce(t *testing.T) {
 		runs[req[0]].Add(1)
 		if req[0] == 1 {
 			close(entered)
-			<-g.rings[0].stop
+			for !g.closed.Load() {
+				runtime.Gosched()
+			}
 		}
 		return resp, false, nil
 	}
-	g = newGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 64, PollSpins: 1}, h)
+	g = newGroup(t, Config{Workers: 1, SlotBytes: 64}, h)
 	entries := []BatchEntry{{Req: []byte{0}}, {Req: []byte{1}}, {Req: []byte{2}}}
 	type result struct {
 		ran int
@@ -306,14 +323,15 @@ func TestCloseMidBatchRunsEachEntryOnce(t *testing.T) {
 
 // TestCloseWaitsForProducers: Close does not return while a producer
 // that got past the closed check still fills a slot, so the slot memory
-// it hands on is free: a new group over it serves calls.
+// it hands on is free: a new group over it serves calls. The call whose
+// fill Close overtook runs nothing and says so.
 func TestCloseWaitsForProducers(t *testing.T) {
-	cfg := Config{Workers: 1, Slots: 4, SlotBytes: 64}
+	cfg := Config{Workers: 1, SlotBytes: 64}
 	mem := NewSlots(cfg)
 	echo := func(id int, req, resp []byte, sp *telemetry.Span) ([]byte, bool, error) {
 		return append(resp, req...), false, nil
 	}
-	g, err := NewGroup(cfg, mem, nil, echo, nil)
+	g, err := NewGroup(cfg, mem, cycles.New(simcfg.CPUHz), echo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,9 +358,9 @@ func TestCloseWaitsForProducers(t *testing.T) {
 	close(release)
 	<-closed
 	if err := <-callErr; !errors.Is(err, ErrStopped) {
-		t.Fatalf("a call its consumer never took returned %v, want ErrStopped", err)
+		t.Fatalf("a call filled while Close began returned %v, want ErrStopped", err)
 	}
-	next, err := NewGroup(cfg, mem, nil, echo, nil)
+	next, err := NewGroup(cfg, mem, cycles.New(simcfg.CPUHz), echo, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +370,47 @@ func TestCloseWaitsForProducers(t *testing.T) {
 	}
 }
 
+// TestResidencyPerRing: NewGroup enters once per ring before it
+// returns, and Close leaves each of them once.
+func TestResidencyPerRing(t *testing.T) {
+	var held, entered atomic.Int32
+	enter := func() (func(), error) {
+		held.Add(1)
+		entered.Add(1)
+		return func() { held.Add(-1) }, nil
+	}
+	cfg := Config{Workers: 3, SlotBytes: 64}
+	g, err := NewGroup(cfg, NewSlots(cfg), cycles.New(simcfg.CPUHz), nil, enter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := held.Load(); n != 3 {
+		t.Fatalf("%d residencies held after NewGroup, want 3", n)
+	}
+	g.Close()
+	g.Close()
+	if n, e := held.Load(), entered.Load(); n != 0 || e != 3 {
+		t.Fatalf("after Close: %d held of %d entered, want 0 of 3", n, e)
+	}
+	// An entry that fails leaves the ones before it.
+	fail := errors.New("no slot")
+	enter = func() (func(), error) {
+		if held.Load() == 2 {
+			return nil, fail
+		}
+		held.Add(1)
+		return func() { held.Add(-1) }, nil
+	}
+	if _, err := NewGroup(cfg, NewSlots(cfg), cycles.New(simcfg.CPUHz), nil, enter); !errors.Is(err, fail) {
+		t.Fatalf("NewGroup = %v, want the entry error", err)
+	}
+	if n := held.Load(); n != 0 {
+		t.Fatalf("%d residencies held after a failed NewGroup, want 0", n)
+	}
+}
+
 func TestClosedGroup(t *testing.T) {
-	g, _ := echoGroup(t, Config{Workers: 1, Slots: 4, SlotBytes: 64})
+	g, _ := echoGroup(t, Config{Workers: 1, SlotBytes: 64})
 	g.Close()
 	if _, err := callEcho(g, []byte("x")); !errors.Is(err, ErrStopped) {
 		t.Fatalf("got %v, want ErrStopped", err)
@@ -363,9 +420,9 @@ func TestClosedGroup(t *testing.T) {
 
 // TestConcurrentStress hammers one small group from many producers
 // mixing single calls and batches; run with -race this exercises the
-// publication ordering of tail/comp and both doorbell directions.
+// producer locks' hand-over of the slots and the shared counters.
 func TestConcurrentStress(t *testing.T) {
-	g, served := echoGroup(t, Config{Workers: 2, Slots: 8, SlotBytes: 256, PollSpins: 4})
+	g, served := echoGroup(t, Config{Workers: 2, SlotBytes: 256})
 	const (
 		producers = 8
 		perProd   = 50
@@ -418,7 +475,7 @@ func TestConcurrentStress(t *testing.T) {
 	if riding.Load() == 0 {
 		t.Fatal("no call rode the rings")
 	}
-	if g.Occupancy() != 0 {
-		t.Fatalf("occupancy %d after quiesce, want 0", g.Occupancy())
+	if st := g.Stats(); st.Submits != riding.Load() {
+		t.Fatalf("%d submits for %d calls that rode", st.Submits, riding.Load())
 	}
 }

@@ -350,9 +350,9 @@ func (e *Enclave) Ocall(id int, fn func() error) error {
 // transition. The returned leave releases the slot; it is idempotent.
 // A resident thread executes enclave code only inside RunResident or
 // Switchless, so between calls it does not count as executing
-// (InEnclave). The ring data plane uses this for its trusted-side
-// resident consumers, which poll shared memory, and the world for its
-// gateway lanes.
+// (InEnclave). The ring data plane takes one residency per ecall ring,
+// the in-enclave thread modelled as polling the ring's slot, and the
+// world one per gateway lane.
 func (e *Enclave) EnterResident() (func(), error) {
 	if err := e.checkRunnable(); err != nil {
 		return nil, err
@@ -370,7 +370,7 @@ func (e *Enclave) EnterResident() (func(), error) {
 // RunResident runs fn as enclave code on a thread that is already
 // resident (EnterResident), charging nothing: the thread is executing
 // inside the enclave for as long as fn runs, so nested ocalls are
-// legal. A ring consumer runs each slot it handles this way.
+// legal. A call through an ecall ring runs its far side this way.
 func (e *Enclave) RunResident(fn func() error) error {
 	e.depth.Add(1)
 	defer e.depth.Add(-1)
@@ -415,8 +415,8 @@ func (e *Enclave) InEnclave() bool { return e.depth.Load() > 0 }
 func (e *Enclave) TCSCap() int { return cap(e.tcs) }
 
 // TCSInUse returns how many TCS slots are currently held — by in-flight
-// ecalls and by resident threads (ring consumers, gateway lanes) pinning
-// a slot each.
+// ecalls and by residencies (ecall rings, gateway lanes) pinning a slot
+// each.
 func (e *Enclave) TCSInUse() int { return cap(e.tcs) - len(e.tcs) }
 
 // NewMemory allocates an encrypted memory region of the given size inside

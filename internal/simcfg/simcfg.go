@@ -88,24 +88,23 @@ const (
 // (internal/boundary.Queue).
 const BatchFlushDepth = 32
 
-// Zero-copy ring data plane constants (internal/ring): per-worker
-// shared-memory SPSC submission/completion rings replacing the
-// marshal-copy path. Arguments are encoded straight into an untrusted
-// ring slot and sealed in place with AES-GCM, so the per-byte cost is
-// one streaming crypto pass instead of an MEE-taxed buffer copy.
+// Zero-copy ring data plane constants (internal/ring): shared-memory
+// slots replacing the marshal-copy path. Arguments are encoded straight
+// into an untrusted ring slot and sealed in place with AES-GCM, so the
+// per-byte cost is one streaming crypto pass instead of an MEE-taxed
+// buffer copy.
 const (
-	// RingSubmitCycles is the hand-off cost of publishing a submission
-	// (or completion) while the other side is actively polling: a
-	// cross-core cache-line transfer of the ring indices, well under the
-	// switchless mailbox hand-off (HotCalls [56] measures ~600 cycles
-	// for a polled shared-memory call; the index bump alone is cheaper).
+	// RingSubmitCycles is the one hand-off price of a ring call, paid
+	// each way: the request to the far side and the response back. It
+	// prices a polled shared-memory hand-off — a cross-core cache-line
+	// transfer to a thread already polling the slot — where a full
+	// transition costs up to 13,100 cycles (§2.1, EcallCycles): the
+	// cost the switchless calls the paper leaves as future work (§7)
+	// avoid. It is well under the switchless mailbox hand-off (HotCalls
+	// [56] measures ~600 cycles for a polled shared-memory call; the
+	// slot hand-off alone is cheaper). The model has no sleeping far
+	// side, so no call pays a wake-up.
 	RingSubmitCycles = 200
-
-	// RingDoorbellCycles is charged instead of RingSubmitCycles when the
-	// resident consumer has gone to sleep and the producer must ring the
-	// doorbell — a futex-style wake, the same scale as the switchless
-	// mailbox hand-off.
-	RingDoorbellCycles = 1200
 
 	// RingCryptoBytesPerCycle is the streaming AES-GCM rate of the
 	// in-place slot seal (AES-NI/CLMUL pipelines sustain ~0.5
@@ -117,15 +116,10 @@ const (
 	// the slot; this constant is used only by the virtual ledger.
 	RingCryptoBytesPerCycle = 2.0
 
-	// DefaultRingWorkers is the number of SPSC rings (each with one
-	// resident consumer worker) per direction when Config.RingWorkers is
-	// unset: a small number, since each trusted-side consumer pins a TCS
-	// slot, and two suffice for the evaluation workloads.
+	// DefaultRingWorkers is the number of rings per direction when
+	// Config.RingWorkers is unset: a small number, since each trusted-side
+	// ring pins a TCS slot, and two suffice for the evaluation workloads.
 	DefaultRingWorkers = 2
-
-	// DefaultRingSlots is the submission-queue depth per ring when
-	// Config.RingSlots is unset (io_uring's default SQ depth region).
-	DefaultRingSlots = 64
 
 	// DefaultRingSlotBytes is the plaintext payload capacity of one ring
 	// slot when Config.RingSlotBytes is unset. Calls whose encoded
@@ -198,19 +192,15 @@ type Config struct {
 	Batching bool
 
 	// Rings enables the zero-copy ring data plane: partitioned worlds
-	// start per-worker SPSC submission/completion rings in both
-	// directions and the world routes fitting proxy calls
-	// through them, falling back to the frame path when a payload
-	// exceeds the slot capacity or every ring producer is busy.
+	// build shared-memory rings in both directions and the world routes
+	// fitting proxy calls through them, falling back to the frame path
+	// when a payload exceeds the slot capacity or every ring is busy.
 	Rings bool
 
-	// RingWorkers is the ring (and resident consumer) count per
-	// direction when Rings is set (<=0 means DefaultRingWorkers).
+	// RingWorkers is the ring count per direction when Rings is set
+	// (<=0 means DefaultRingWorkers): how many calls each direction
+	// carries at once.
 	RingWorkers int
-
-	// RingSlots is the submission-queue depth per ring (<=0 means
-	// DefaultRingSlots).
-	RingSlots int
 
 	// RingSlotBytes is the plaintext payload capacity of one slot (<=0
 	// means DefaultRingSlotBytes).

@@ -160,7 +160,7 @@ func TestNilSafety(t *testing.T) {
 	sp.SetRoute("full")
 	sp.SetRoutine(1)
 	sp.AddMarshalBytes(1)
-	sp.SetBodyCycles(1)
+	sp.AddBodyCycles(1)
 	sp.SetQueueWait(time.Second)
 	sp.SetBatchSize(1)
 	sp.Finish(nil)
@@ -458,7 +458,7 @@ func BenchmarkNilSpanSetters(b *testing.B) {
 	var sp *Span
 	for i := 0; i < b.N; i++ {
 		sp.SetRoute("full")
-		sp.SetBodyCycles(int64(i))
+		sp.AddBodyCycles(int64(i))
 		sp.Finish(nil)
 	}
 }

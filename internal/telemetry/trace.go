@@ -121,12 +121,13 @@ func (sp *Span) AddMarshalBytes(n int) {
 	sp.MarshalBytes += n
 }
 
-// SetBodyCycles records the far-side body cost.
-func (sp *Span) SetBodyCycles(c int64) {
+// AddBodyCycles accumulates the far-side body cost: a batch flush adds
+// each of its calls' bodies.
+func (sp *Span) AddBodyCycles(c int64) {
 	if sp == nil {
 		return
 	}
-	sp.BodyCycles = c
+	sp.BodyCycles += c
 }
 
 // SetQueueWait records time spent queued before the transition.

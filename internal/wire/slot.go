@@ -40,7 +40,7 @@ func AppendValuesSlot(slot []byte, vs []Value) ([]byte, error) {
 const (
 	// CallWantResult marks a submission whose completion carries a
 	// marshalled result vector; a void call, batched or not, leaves it
-	// clear so the consumer skips (and never charges for) result
+	// clear so the far side skips (and never charges for) result
 	// serialization.
 	CallWantResult = 1 << 0
 )

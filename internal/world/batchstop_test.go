@@ -38,8 +38,8 @@ func TestBatchFlushRunsEachCallOnceAfterRingClose(t *testing.T) {
 			first := runs[s] == 1
 			mu.Unlock()
 			if s == "2" && first {
-				// Hold the ring's consumer in this call until CloseRings
-				// has begun, so the third call finds the ring stopped.
+				// Hold the ring in this call until CloseRings has begun,
+				// so the third call finds the ring stopped.
 				close(entered)
 				for !w.Untrusted().RingsClosed() {
 					runtime.Gosched()

@@ -20,7 +20,7 @@ func (rt *Runtime) TableRefs(hash int64) int {
 	return 0
 }
 
-// RingHandler is the consumer callback a ring worker runs for each
+// RingHandler is the far-side callback a ring call runs for each
 // submission addressed to rt.
 func (w *World) RingHandler(rt *Runtime) ring.Handler { return w.ringHandler(rt) }
 

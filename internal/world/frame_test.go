@@ -15,8 +15,8 @@ import (
 
 // parkedEnvs holds, per token, a closure over the Env of a trusted
 // activation that is blocked in an outgoing call. The untrusted body that
-// call reaches — on a switchless host worker, a ring consumer or, after a
-// fallback, the caller's own goroutine — runs it.
+// call reaches — on a lane, a ring or, after a fallback, the full route,
+// all on the caller's own goroutine — runs it.
 var parkedEnvs sync.Map // token string -> func() (wire.Value, error)
 
 // parkingProgram extends the two-way program with a trusted Parker whose

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/core"
@@ -275,6 +276,96 @@ func TestCycleLedgerGolden(t *testing.T) {
 		got := ledgerOf(w)
 		checkLedger(t, ledger{Cycles: got.Cycles, Ecalls: got.Ecalls, Ocalls: got.Ocalls, MEECopiedBytes: got.MEECopiedBytes},
 			ledger{Cycles: 356487, Ecalls: 12, Ocalls: 2, MEECopiedBytes: 5175})
+	})
+
+	t.Run("rings", func(t *testing.T) {
+		// The ring data plane on one goroutine, batching on: valued and
+		// void calls each way, a flush of queued void calls and a flush of
+		// GC releases, all riding the rings. Idle gaps of 2 ms separate
+		// the steps, long enough for a thread polling a ring to give up
+		// and sleep; every hand-off is priced as polled
+		// (simcfg.RingSubmitCycles), so the gaps must not move the ledger.
+		opts := world.DefaultOptions()
+		opts.Cfg.Batching = true
+		opts.Cfg.Rings = true
+		w, _, err := core.NewPartitionedWorld(twoWayProgram(t), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		idle := func() { time.Sleep(2 * time.Millisecond) }
+		boot, ds0 := ledgerOf(w), w.DispatchStats()
+		idle()
+		err = w.Exec(false, func(env classmodel.Env) error {
+			acct, err := env.New(demo.Account, wire.Str("Ring"), wire.Int(5))
+			if err != nil {
+				return err
+			}
+			idle()
+			for j := int64(1); j <= 3; j++ {
+				if _, err := env.Call(acct, "updateBalance", wire.Int(j)); err != nil {
+					return err
+				}
+			}
+			idle()
+			// The read flushes the three queued updates first.
+			bal, err := env.Call(acct, "getBalance")
+			if err != nil {
+				return err
+			}
+			if !bal.Equal(wire.Int(11)) {
+				return fmt.Errorf("balance = %v, want 11", bal)
+			}
+			idle()
+			_, err = env.Call(acct, "updateBalance", wire.Int(1))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idle()
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		idle()
+		err = w.Exec(true, func(env classmodel.Env) error {
+			p, err := env.New(demo.Person, wire.Str("Dave"), wire.Int(1))
+			if err != nil {
+				return err
+			}
+			idle()
+			name, err := env.Call(p, "getName")
+			if err != nil {
+				return err
+			}
+			if !name.Equal(wire.Str("Dave")) {
+				return fmt.Errorf("name = %v, want Dave", name)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
+			idle()
+			if err := rt.Collect(); err != nil {
+				t.Fatal(err)
+			}
+			idle()
+			if err := w.SweepOnce(rt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Every crossing rode a ring; the two ecalls are Exec's and the
+		// trusted sweep's entries.
+		ds := w.DispatchStats()
+		if ring, full, flushes := ds.RingCalls-ds0.RingCalls, ds.FullCalls-ds0.FullCalls, ds.BatchFlushes-ds0.BatchFlushes; ring != 11 || full != 0 || flushes != 5 {
+			t.Fatalf("%d ring calls, %d full, %d flushes; want 11, 0, 5", ring, full, flushes)
+		}
+		got := ledgerOf(w)
+		checkLedger(t, ledger{Cycles: got.Cycles - boot.Cycles, Ecalls: got.Ecalls - boot.Ecalls, Ocalls: got.Ocalls - boot.Ocalls,
+			MEECopiedBytes: got.MEECopiedBytes - boot.MEECopiedBytes},
+			ledger{Cycles: 70700, Ecalls: 2})
 	})
 
 	t.Run("helpers-lifecycle", func(t *testing.T) {

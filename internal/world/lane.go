@@ -14,9 +14,9 @@ var ErrLaneClosed = errors.New("world: lane closed")
 // that in-enclave thread (sgx.Enclave.Switchless) instead of paying a
 // full ecall, and the ocalls they make to the worker, which polls for
 // the result meanwhile (sgx.Enclave.SwitchlessOcall), instead of a full
-// exit; MEE traffic and marshalling are unchanged. Like ring consumers,
-// lanes belong to the generation: Kill releases their TCS slots and
-// Restart re-enters every open lane.
+// exit; MEE traffic and marshalling are unchanged. Like the ecall rings'
+// residencies, lanes belong to the generation: Kill releases their TCS
+// slots and Restart re-enters every open lane.
 type Lane struct {
 	w *World
 	// leave releases the residency in the current generation; nil while
@@ -25,7 +25,7 @@ type Lane struct {
 }
 
 // OpenLanes enters up to n lanes, as many as the TCS budget allows: the
-// ring consumers' slots and a spare one — for sweeps, session teardown,
+// ecall rings' slots and a spare one — for sweeps, session teardown,
 // recovery and trusted Exec — are never taken.
 // It holds the world's state lock while it waits for the slots, so it
 // belongs at set-up, as in serve.New and in persist's recovery passes,
@@ -37,7 +37,7 @@ func (w *World) OpenLanes(n int) ([]*Lane, error) {
 	if w.mode != ModePartitioned || w.killed {
 		return nil, ErrWrongRuntime
 	}
-	// Open lanes, the spare and the ring consumers'.
+	// Open lanes, the spare and the ecall rings'.
 	reserved := len(w.lanes) + 1 + w.erings.Workers()
 	lanes := make([]*Lane, max(0, min(n, w.enclave.TCSCap()-reserved)))
 	for i := range lanes {

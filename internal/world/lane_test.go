@@ -102,7 +102,7 @@ func laneDelta(t *testing.T, w *world.World, fn func() error) (ledger, world.Dis
 		}
 }
 
-// TestLanesKeepOcallGuard: an open lane — or an idle ring consumer —
+// TestLanesKeepOcallGuard: an open lane — or an idle ecall ring —
 // holds its TCS slot but is not executing enclave code, so the enclave
 // still refuses an ocall from outside and World.Flush still enters the
 // enclave to flush the trusted runtime's queue. Started GC helpers hold
@@ -126,8 +126,8 @@ func TestLanesKeepOcallGuard(t *testing.T) {
 				t.Fatal(err)
 			}
 			e := w.Enclave()
-			for e.TCSInUse() != 2+opts.Cfg.RingWorkers {
-				time.Sleep(time.Millisecond) // ring consumers enter asynchronously
+			if n := e.TCSInUse(); n != 2+opts.Cfg.RingWorkers {
+				t.Fatalf("%d TCS slots held, want 2 lanes + %d ecall rings", n, opts.Cfg.RingWorkers)
 			}
 			if helpers {
 				// A trusted helper step enters and leaves: the KVStore
@@ -369,7 +369,7 @@ func TestLaneRelayChainNeedsNoSlot(t *testing.T) {
 	}
 }
 
-// TestLaneBudget: lanes never take the ring consumers' slots or the
+// TestLaneBudget: lanes never take the ecall rings' slots or the
 // spare one, however many are asked for.
 func TestLaneBudget(t *testing.T) {
 	opts := world.DefaultOptions()
@@ -385,7 +385,7 @@ func TestLaneBudget(t *testing.T) {
 	if err != nil || len(first) != 3 {
 		t.Fatalf("OpenLanes(3) = %d lanes, %v", len(first), err)
 	}
-	// 8 slots - 2 ring consumers - the spare - 3 open.
+	// 8 slots - 2 ecall rings - the spare - 3 open.
 	more, err := w.OpenLanes(100)
 	if err != nil || len(more) != 2 {
 		t.Fatalf("OpenLanes(100) = %d lanes, %v; want the 2 left", len(more), err)

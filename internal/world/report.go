@@ -85,9 +85,12 @@ type DispatchStats struct {
 	RingCalls     uint64
 	RingFallbacks uint64
 	RingOversize  uint64
-	// RingSubmits/RingDoorbells/RingStalls/RingSealedBytes aggregate the
-	// ring groups' activity counters (both directions); RingOverflowBytes
-	// is response bytes that crossed as plain bounce buffers.
+	// RingSubmits/RingSealedBytes aggregate the ring groups' activity
+	// counters (both directions); RingOverflowBytes is response bytes that
+	// crossed as plain bounce buffers. RingDoorbells and RingStalls are
+	// always 0 (a ring call runs on its caller, so nothing sleeps or
+	// queues), but benchmark/layers.go reads them; remove with the next
+	// benchmark PR.
 	RingSubmits       uint64
 	RingDoorbells     uint64
 	RingStalls        uint64
@@ -106,8 +109,6 @@ func (w *World) DispatchStats() DispatchStats {
 	for _, g := range []*ring.Group{w.erings, w.orings} {
 		gs := g.Stats() // nil-safe: zero for a missing group
 		ds.RingSubmits += gs.Submits
-		ds.RingDoorbells += gs.Doorbells
-		ds.RingStalls += gs.Stalls
 		ds.RingSealedBytes += gs.SealedBytes
 		ds.RingOverflowBytes += gs.OverflowBytes
 	}

@@ -9,8 +9,8 @@ import (
 var ErrNotKilled = errors.New("world: restart of a live world (call Kill first)")
 
 // Kill tears down the trusted side of a partitioned world in place: the
-// ring groups shut down (their consumers exit), lanes release their
-// slots, and the enclave is destroyed — the simulation of
+// ring groups close (the ecall rings release their TCS slots), lanes
+// release theirs, and the enclave is destroyed — the simulation of
 // the enclave process dying (crash, host restart, EPC eviction storm).
 // The World object itself survives: the clock keeps running, telemetry
 // stays registered, and the retained build inputs (images, options,
@@ -35,7 +35,7 @@ func (w *World) Kill() {
 }
 
 // teardownLocked takes the current generation — whole or half-built —
-// down to the killed shape: ring consumers stopped and lanes left (their
+// down to the killed shape: ring groups closed and lanes left (their
 // TCS slots released), the enclave destroyed, every rebuildable pointer
 // nil. Caller holds stateMu, or is the only one who can reach w.
 func (w *World) teardownLocked() {

@@ -171,8 +171,8 @@ func TestRestartRevivesGCHelpers(t *testing.T) {
 
 // TestFailedFirstBootLeavesNothingBehind: a trusted static initialiser
 // that fails aborts NewPartitioned after the ring groups are up; the
-// half-built generation must be torn down — the resident ring consumers
-// gone, not parked on their TCS slots for the life of the process.
+// half-built generation must be torn down — the ecall rings' TCS slots
+// released, not held for the life of the process.
 func TestFailedFirstBootLeavesNothingBehind(t *testing.T) {
 	errBoot := errors.New("static initialiser refused")
 	build, err := core.BuildPartitioned(bankWithFailingInit(t, errBoot))

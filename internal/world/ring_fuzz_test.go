@@ -23,7 +23,7 @@ const fuzzSlotBytes = 4096
 // claimed bytes the slot does not hold would blow far past it.
 const fuzzAllocPerSlotByte = 64
 
-// FuzzRingSlot feeds arbitrary slot bytes to the ring consumer's decode
+// FuzzRingSlot feeds arbitrary slot bytes to the ring handler's decode
 // and dispatch path: the handler a ring worker runs on each opened
 // submission (wire.DecodeSlot, then the one executor of a decoded call
 // record: a relay dispatch or a registry release), on a fresh bank world per input (twoWayProgram, so trusted
@@ -121,7 +121,7 @@ func FuzzRingSlot(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		// The ecall group's consumers run inside the enclave, the ocall
+		// The ecall group's handler runs inside the enclave, the ocall
 		// group's outside it.
 		if err := w.Exec(toTrusted, run); err != nil {
 			t.Fatal(err)

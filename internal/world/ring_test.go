@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/core"
@@ -137,14 +136,10 @@ func TestRingKillRestart(t *testing.T) {
 // TestRingConcurrentStress hammers the rings from both directions while
 // collections trigger GC-helper sweeps and the batch queues flush — run
 // under -race (internal/world is in the Makefile race list) this
-// exercises the ring producer locks and Dekker doorbells against the
-// crossing engine's shard and heap locks.
+// exercises the ring producer locks, held by callers that run the far
+// side themselves, against the crossing engine's shard and heap locks.
 func TestRingConcurrentStress(t *testing.T) {
-	opts := func(o *world.Options) {
-		o.Cfg.Batching = true
-		o.Cfg.RingSlots = 8 // small rings: force wraparound and stalls
-	}
-	w := ringWorld(t, twoWayProgram(t), opts)
+	w := ringWorld(t, twoWayProgram(t), func(o *world.Options) { o.Cfg.Batching = true })
 	w.StartGCHelpers()
 
 	const goroutines = 6
@@ -291,72 +286,39 @@ func TestRingStoppedFallsThrough(t *testing.T) {
 	}
 }
 
-// TestKillStopsRingConsumers: Kill stops the consumers of both ring
-// groups — the ecall group's, resident in the enclave, and the ocall
-// group's host goroutines — not only the enclave they serve. It counts
-// the goroutines in a consumer loop rather than all goroutines, which
-// other tests' leftovers still winding down would blur.
-func TestKillStopsRingConsumers(t *testing.T) {
-	before := settledRingConsumers()
+// TestKillReleasesRingSlots: each ecall ring holds one TCS slot from
+// boot, and Kill releases every one of them; a Restart takes them again.
+// The ocall rings hold none.
+func TestKillReleasesRingSlots(t *testing.T) {
 	w := ringWorld(t, demo.MustBankProgram(), nil)
 	if _, err := w.RunMain(); err != nil {
 		t.Fatal(err)
 	}
-	if running := ringConsumers() - before; running != 2*simcfg.DefaultRingWorkers {
-		t.Fatalf("%d ring consumers for two groups of %d workers", running, simcfg.DefaultRingWorkers)
+	e := w.Enclave()
+	if n := e.TCSInUse(); n != simcfg.DefaultRingWorkers {
+		t.Fatalf("%d TCS slots held, want the %d ecall rings'", n, simcfg.DefaultRingWorkers)
 	}
 	w.Kill()
-	deadline := time.Now().Add(5 * time.Second)
-	for ringConsumers() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("ring consumers: %d before the world, %d after Kill", before, ringConsumers())
-		}
-		time.Sleep(time.Millisecond)
+	if n := e.TCSInUse(); n != 0 {
+		t.Fatalf("killed enclave: %d TCS slots held", n)
 	}
-}
-
-// settledRingConsumers is ringConsumers once earlier tests' consumers
-// have left. Group.Close returns when every consumer has closed its
-// exited channel, a deferred call still inside the consumer loop's
-// frame, so a consumer of a world closed just before can still be
-// counted here and gone a moment later. It waits until the count holds
-// for 10 ms (at most 5 s).
-func settledRingConsumers() int {
-	n := ringConsumers()
-	deadline := time.Now().Add(5 * time.Second)
-	for held := 0; held < 10 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-		if m := ringConsumers(); m == n {
-			held++
-		} else {
-			n, held = m, 0
-		}
+	if err := w.Restart(); err != nil {
+		t.Fatal(err)
 	}
-	return n
-}
-
-// ringConsumers counts the goroutines running a ring consumer loop.
-func ringConsumers() int {
-	buf := make([]byte, 1<<20)
-	for {
-		if n := runtime.Stack(buf, true); n < len(buf) {
-			return strings.Count(string(buf[:n]), "internal/ring.(*Ring).serve(")
-		}
-		buf = make([]byte, 2*len(buf))
+	if n := w.Enclave().TCSInUse(); n != simcfg.DefaultRingWorkers {
+		t.Fatalf("after Restart: %d TCS slots held, want %d", n, simcfg.DefaultRingWorkers)
 	}
 }
 
 // TestRestartReusesRingSlotsRaceFree: a World killed with ring traffic
 // in flight in both directions hands its slot memory to the groups
-// Restart builds. Calls of the killed generation keep running through
+// Restart builds, each ring's one slot reused by every call on it. Calls of the killed generation keep running through
 // the kill while calls on the new generation ride the same slots; a
 // write by a goroutine of the killed generation to a slot the new group
 // owns is a data race under -race (internal/world is in make test's race
 // list) and a failed slot authentication or a wrong balance without it.
 func TestRestartReusesRingSlotsRaceFree(t *testing.T) {
-	w := ringWorld(t, twoWayProgram(t), func(o *world.Options) {
-		o.Cfg.RingSlots = 4 // small rings: every slot is reused soon
-	})
+	w := ringWorld(t, twoWayProgram(t), nil)
 	// traffic runs one round of calls in each direction. A round that
 	// meets a kill fails, typed; one that succeeds read correct results.
 	traffic := func() error {

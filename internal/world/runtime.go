@@ -1166,17 +1166,7 @@ func (rt *Runtime) cross(id int, lane *Lane, sp *telemetry.Span, fn func() error
 	if w.hDispatchNS != nil {
 		start = time.Now()
 	}
-	if sp != nil || w.hBodyCycles != nil {
-		body := fn
-		fn = func() error {
-			before := w.clock.Total()
-			err := body()
-			spent := w.clock.Total() - before
-			sp.SetBodyCycles(spent)
-			w.hBodyCycles.Observe(spent)
-			return err
-		}
-	}
+	fn = w.measureBody(sp, fn)
 	var err error
 	switch {
 	case lane != nil:
@@ -1198,6 +1188,23 @@ func (rt *Runtime) cross(id int, lane *Lane, sp *telemetry.Span, fn func() error
 		w.hDispatchNS.ObserveDuration(time.Since(start))
 	}
 	return err
+}
+
+// measureBody wraps fn, the far side of a crossing, so that the cycles
+// it charges reach sp and the body-cycles histogram; fn itself when
+// neither is on.
+func (w *World) measureBody(sp *telemetry.Span, fn func() error) func() error {
+	if sp == nil && w.hBodyCycles == nil {
+		return fn
+	}
+	return func() error {
+		before := w.clock.Total()
+		err := fn()
+		spent := w.clock.Total() - before
+		sp.AddBodyCycles(spent)
+		w.hBodyCycles.Observe(spent)
+		return err
+	}
 }
 
 // rode reports whether a ring submission rode the ring, from the error

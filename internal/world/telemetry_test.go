@@ -190,7 +190,15 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 // TestFullTransitionSpanCarriesBodyCycles: the sampled span of a full
 // transition records what the far side charged — here a known memory
 // touch plus the relay's own small bookkeeping — and not the transition.
+// A call that rides a ring records its far side the same way, and both
+// routes feed the body-cycles histogram.
 func TestFullTransitionSpanCarriesBodyCycles(t *testing.T) {
+	for _, route := range []string{"full", "ring"} {
+		t.Run(route, func(t *testing.T) { spanCarriesBodyCycles(t, route) })
+	}
+}
+
+func spanCarriesBodyCycles(t *testing.T, route string) {
 	var (
 		w       *world.World
 		touched int64
@@ -241,6 +249,7 @@ func TestFullTransitionSpanCarriesBodyCycles(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{TraceSampleRate: 1, TraceBuffer: 64})
 	opts := world.DefaultOptions()
 	opts.Telemetry = tel
+	opts.Cfg.Rings = route == "ring"
 	var err error
 	if w, _, err = core.NewPartitionedWorld(prog, opts); err != nil {
 		t.Fatal(err)
@@ -255,11 +264,14 @@ func TestFullTransitionSpanCarriesBodyCycles(t *testing.T) {
 			burn = &sp
 		}
 	}
-	if burn == nil || burn.Route != "full" {
-		t.Fatalf("no full-route span of the burn relay: %+v", burn)
+	if burn == nil || burn.Route != route {
+		t.Fatalf("no %s-route span of the burn relay: %+v", route, burn)
 	}
 	transition := opts.Cfg.TransitionCycles(true)
 	if touched == 0 || burn.BodyCycles < touched || burn.BodyCycles >= touched+transition {
 		t.Fatalf("span body cycles %d, want the body's %d touch cycles plus less than a transition (%d)", burn.BodyCycles, touched, transition)
+	}
+	if n := tel.Registry().Histogram("montsalvat_boundary_body_cycles").Count(); n == 0 {
+		t.Fatal("no crossing reached the body-cycles histogram")
 	}
 }

@@ -104,8 +104,8 @@ type Options struct {
 	// HostFS is the untrusted filesystem (defaults to an in-memory FS).
 	HostFS shim.FS
 	// NumTCS bounds concurrent enclave threads (default 64; relay chains
-	// consume one slot per nesting level, and every ring consumer and
-	// each gateway lane holds one for its life).
+	// consume one slot per nesting level, and every ecall ring and each
+	// gateway lane holds one for its life).
 	NumTCS int
 	// Signer signs the trusted image (sgx.DefaultSigner when nil). A
 	// restart re-signs with the same author, so MRSIGNER-sealed state
@@ -168,8 +168,8 @@ type World struct {
 	// tel is the optional observability layer (nil when disabled). The
 	// cached histograms are nil when it is off: hMarshal takes the bytes
 	// each call marshals; hDispatchNS (wall time of a crossing) and
-	// hBodyCycles (far-side cost of a full transition) exist only in a
-	// partitioned world.
+	// hBodyCycles (far-side cost of a full or ring crossing) exist only
+	// in a partitioned world.
 	tel         *telemetry.Telemetry
 	hMarshal    *telemetry.Histogram
 	hDispatchNS *telemetry.Histogram
@@ -216,15 +216,13 @@ func (w *World) initBoundary() error {
 	if w.cfg.Rings {
 		rcfg := ring.Config{
 			Workers:   w.cfg.RingWorkers,
-			Slots:     w.cfg.RingSlots,
 			SlotBytes: w.cfg.RingSlotBytes,
 		}
 		if w.slots[0] == nil {
 			w.slots = [2]ring.Slots{ring.NewSlots(rcfg), ring.NewSlots(rcfg)}
 		}
-		// The ecall group's consumers are resident INSIDE the enclave
-		// (each holds a TCS slot for the group's lifetime); the ocall
-		// group's consumers are plain host goroutines.
+		// Each ecall ring is resident INSIDE the enclave: it holds a TCS
+		// slot for the group's lifetime. The ocall rings hold nothing.
 		erings, err := ring.NewGroup(rcfg, w.slots[0], w.clock, w.ringHandler(w.trusted), w.enclave.EnterResident)
 		if err != nil {
 			return fmt.Errorf("world: ecall ring group: %w", err)
@@ -234,8 +232,6 @@ func (w *World) initBoundary() error {
 			erings.Close()
 			return fmt.Errorf("world: ocall ring group: %w", err)
 		}
-		erings.SetTelemetry(w.tel.Registry(), "ecall")
-		orings.SetTelemetry(w.tel.Registry(), "ocall")
 		w.erings, w.orings = erings, orings
 	}
 	w.trusted.queue = boundary.NewQueue(simcfg.BatchFlushDepth, w.batchRun(w.trusted))
@@ -667,9 +663,8 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry, time.Duration, *Lan
 			}
 		}()
 
-		// Ring route first: each queued call becomes its own submission
-		// entry, published back to back so the consumer drains them in
-		// shared wakeups — adaptive batching without building (and MEE-
+		// Ring route first: each queued call becomes its own ring entry,
+		// run one after another on one ring, without building (and MEE-
 		// copying) a coalesced frame. Oversized or busy rings fall through
 		// to the frame path; a ring closed part-way ran a prefix of the
 		// batch, whose errors are kept, and only the rest goes by frame.
@@ -730,22 +725,24 @@ func (w *World) batchRun(rt *Runtime) func([]boundary.Entry, time.Duration, *Lan
 	}
 }
 
-// ringHandler builds the ring consumer callback executing submissions
-// on the receiving runtime rt. req and resp alias the same slot, which
-// is safe because decoding copies every argument into Values before the
-// dispatch runs and the response is encoded only afterwards. A trusted
-// consumer is resident in the enclave and runs each slot as enclave code
-// (sgx.Enclave.RunResident).
+// ringHandler builds the far side of a ring call: it runs the opened
+// slot on the receiving runtime rt, on the caller's goroutine. req and
+// resp alias the same slot, which is safe because decoding copies every
+// argument into Values before the dispatch runs and the response is
+// encoded only afterwards. A trusted ring is resident in the enclave and
+// runs each slot as enclave code (sgx.Enclave.RunResident). The cycles
+// the call charges reach sp and the body-cycles histogram, as a full
+// transition's do (Runtime.cross).
 func (w *World) ringHandler(rt *Runtime) ring.Handler {
 	return func(id int, req, resp []byte, sp *telemetry.Span) (out []byte, overflow bool, err error) {
 		c, flags, err := wire.DecodeSlot(req)
 		if err != nil {
 			return nil, false, err
 		}
-		run := func() error {
+		run := w.measureBody(sp, func() error {
 			out, overflow, err = rt.execCall(c, flags&wire.CallWantResult != 0, resp, sp, nil)
 			return err
-		}
+		})
 		if rt.trusted {
 			err = rt.encl.RunResident(run)
 		} else {
@@ -779,7 +776,7 @@ func (w *World) flushQueue(rt *Runtime) error {
 	return rt.queue.Flush(nil)
 }
 
-// Close flushes pending batched calls, stops helpers and ring consumers,
+// Close flushes pending batched calls, stops helpers, closes the rings
 // and destroys the enclave. Flush errors are dropped; callers that must
 // observe them (e.g. the gateway's graceful drain) use CloseErr.
 func (w *World) Close() { _ = w.CloseErr() }
@@ -843,11 +840,8 @@ func (w *World) collectMetrics(reg *telemetry.Registry) {
 		}
 		gs := g.Stats()
 		reg.Counter("montsalvat_ring_submits_total", "dir", dir).Set(gs.Submits)
-		reg.Counter("montsalvat_ring_doorbells_total", "dir", dir).Set(gs.Doorbells)
-		reg.Counter("montsalvat_ring_stalls_total", "dir", dir).Set(gs.Stalls)
 		reg.Counter("montsalvat_ring_overflows_total", "dir", dir).Set(gs.Overflows)
 		reg.Counter("montsalvat_ring_sealed_bytes_total", "dir", dir).Set(gs.SealedBytes)
-		reg.Gauge("montsalvat_ring_occupancy", "dir", dir).Set(int64(g.Occupancy()))
 	}
 	if w.bufs != nil {
 		ps := w.bufs.Stats()
