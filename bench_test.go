@@ -108,7 +108,7 @@ func BenchmarkMEELine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		version[0] = uint64(i)
-		if err := eng.EncryptLines(&s, ct, line[:], uint64(i), version, tag); err != nil {
+		if err := eng.SealLines(&s, ct, line[:], uint64(i), version, tag); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := eng.DecryptLines(&s, out, ct, uint64(i), version, tag); err != nil {

@@ -125,38 +125,92 @@ type MethodRef struct {
 
 func (r MethodRef) String() string { return r.Class + "." + r.Method }
 
-// Env is the runtime interface available to method bodies. It is
-// implemented by the partitioned runtime (internal/world); bodies observe
-// the same behaviour whether they execute inside or outside the enclave —
+// Env is the runtime environment available to method bodies: the
+// services of the activation a body runs in. The partitioned runtime
+// (internal/world) supplies the Activation behind it; bodies observe the
+// same behaviour whether they execute inside or outside the enclave —
 // only the costs differ.
-type Env interface {
-	// New instantiates class with the given constructor arguments and
-	// returns an object reference. Instantiating a class of the opposite
-	// runtime creates a proxy and performs an enclave transition (§5.2).
-	New(class string, args ...wire.Value) (wire.Value, error)
-	// Call invokes an instance method on recv (a ref value). Calls on
-	// proxies become remote method invocations.
-	Call(recv wire.Value, method string, args ...wire.Value) (wire.Value, error)
-	// CallStatic invokes a static method of a class.
-	CallStatic(class, method string, args ...wire.Value) (wire.Value, error)
-	// GetField and SetField access fields of a LOCAL concrete object
-	// (per the encapsulation assumption, only a class's own methods use
-	// them on self).
+//
+// Env is a value rather than the Activation interface itself so that a
+// call's arguments stay off the host heap: New, Call and CallStatic copy
+// their variadic arguments into the activation's own storage before they
+// reach the interface, through which the compiler would otherwise have
+// to assume the argument slice escapes. The three stay small enough to
+// inline into the body that calls them.
+type Env struct {
+	a    Activation
+	argv *[EnvArgs]wire.Value
+}
+
+// EnvArgs is the longest argument vector an Env copies into its
+// activation's storage; a longer one is copied to the host heap.
+const EnvArgs = 4
+
+// NewEnv returns the Env of an activation whose argument vectors are
+// copied into argv, which must stay the activation's for as long as the
+// Env is used.
+func NewEnv(a Activation, argv *[EnvArgs]wire.Value) Env { return Env{a, argv} }
+
+// Activation is what an Env runs against. Argument vectors reach New,
+// Call and CallStatic in the activation's own storage (NewEnv's argv),
+// which the next call overwrites, so neither the activation nor the
+// bodies it hands a vector to keep the slice past the call.
+type Activation interface {
+	New(class string, args []wire.Value) (wire.Value, error)
+	Call(recv wire.Value, method string, args []wire.Value) (wire.Value, error)
+	CallStatic(class, method string, args []wire.Value) (wire.Value, error)
 	GetField(recv wire.Value, field string) (wire.Value, error)
 	SetField(recv wire.Value, field string, v wire.Value) error
-	// MemTouch charges the cost of streaming n bytes of workload data
-	// through this runtime's memory (enclave traffic pays MEE cost).
 	MemTouch(n int)
-	// Trusted reports whether the body is executing inside the enclave.
 	Trusted() bool
-	// FS returns this runtime's filesystem. Inside the enclave every
-	// operation is a shim-relayed ocall (§5.4); outside it is direct.
 	FS() shim.FS
 }
 
+// New instantiates class with the given constructor arguments and
+// returns an object reference. Instantiating a class of the opposite
+// runtime creates a proxy and performs an enclave transition (§5.2).
+func (e Env) New(class string, args ...wire.Value) (wire.Value, error) {
+	return e.a.New(class, append(e.argv[:0], args...))
+}
+
+// Call invokes an instance method on recv (a ref value). Calls on
+// proxies become remote method invocations.
+func (e Env) Call(recv wire.Value, method string, args ...wire.Value) (wire.Value, error) {
+	return e.a.Call(recv, method, append(e.argv[:0], args...))
+}
+
+// CallStatic invokes a static method of a class.
+func (e Env) CallStatic(class, method string, args ...wire.Value) (wire.Value, error) {
+	return e.a.CallStatic(class, method, append(e.argv[:0], args...))
+}
+
+// GetField and SetField access fields of a LOCAL concrete object (per the
+// encapsulation assumption, only a class's own methods use them on self).
+func (e Env) GetField(recv wire.Value, field string) (wire.Value, error) {
+	return e.a.GetField(recv, field)
+}
+
+// SetField stores v in a field of a LOCAL concrete object (see GetField).
+func (e Env) SetField(recv wire.Value, field string, v wire.Value) error {
+	return e.a.SetField(recv, field, v)
+}
+
+// MemTouch charges the cost of streaming n bytes of workload data through
+// this runtime's memory (enclave traffic pays MEE cost).
+func (e Env) MemTouch(n int) { e.a.MemTouch(n) }
+
+// Trusted reports whether the body is executing inside the enclave.
+func (e Env) Trusted() bool { return e.a.Trusted() }
+
+// FS returns this runtime's filesystem. Inside the enclave every
+// operation is a shim-relayed ocall (§5.4); outside it is direct.
+func (e Env) FS() shim.FS { return e.a.FS() }
+
 // Body is the executable implementation of a method. self is a ref value
-// for instance methods and null for static methods. The returned value
-// must be a wire.Value (use wire.Null() for void).
+// for instance methods and null for static methods; args may live in the
+// calling activation's storage (see Activation) and is valid until the
+// body returns. The returned value must be a wire.Value (use
+// wire.Null() for void).
 type Body func(env Env, self wire.Value, args []wire.Value) (wire.Value, error)
 
 // Param declares one method parameter.

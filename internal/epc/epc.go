@@ -1,11 +1,20 @@
 // Package epc simulates the SGX enclave page cache.
 //
-// Enclave memory is a flat address space whose backing bytes are always
-// stored encrypted (paper §2.1: "All EPC pages in DRAM are encrypted and
-// only decrypted by a memory encryption engine (MEE) when they are loaded
-// into a CPU cache line"). Every Read and Write passes through the MEE at
-// 64-byte cache-line granularity, performing real AES work and charging
-// MEE cycles.
+// Enclave memory is a flat address space whose backing bytes are stored
+// encrypted (paper §2.1: "All EPC pages in DRAM are encrypted and only
+// decrypted by a memory encryption engine (MEE) when they are loaded
+// into a CPU cache line"). Every Read and Write is charged MEE cycles at
+// 64-byte cache-line granularity; the host AES work is done where its
+// output can be used. A page keeps a plaintext shadow beside its
+// ciphertext, and works like a write-back cache in front of the MEE: a
+// Write updates the shadow and bumps each stored line's version, marking
+// the line dirty, and a dirty line is sealed — encrypted and tagged under
+// its current version — only when its ciphertext can be observed, which
+// today is Tamper. An observer therefore sees exactly the ciphertext and
+// tags that sealing every store at once would have left, and the MEE's
+// counters count each stored line when it is stored. A Read is served
+// from the shadow, except for lines whose ciphertext was changed behind
+// the MEE's back: those it verifies and decrypts first.
 //
 // A Memory backs a 4 KB page (ciphertext, plaintext shadow, line
 // metadata) on its first write; a never-written page reads as zeros and
@@ -23,6 +32,7 @@ package epc
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"montsalvat/internal/cycles"
@@ -34,8 +44,9 @@ const (
 	lineBytes    = mee.LineBytes
 	pageBytes    = simcfg.PageBytes
 	linesPerPage = pageBytes / lineBytes
-	// A page's stale lines are the bits of one uint64 (backing.stale):
-	// this constant overflows, failing the build, past 64 lines a page.
+	// A page's stale and dirty lines are the bits of one uint64 each
+	// (backing.stale, backing.dirty): this constant overflows, failing
+	// the build, past 64 lines a page.
 	_ = uint64(1) << (linesPerPage - 1)
 )
 
@@ -172,10 +183,14 @@ type lineMeta struct {
 	// version counts writes to the line (keystream freshness). Zero means
 	// the line was never written: it reads as zero and has no ciphertext.
 	version uint64
-	tag     mee.Tag
+	// tag is the line's integrity tag under version, once the line is
+	// sealed; a dirty line's tag is that of an older version.
+	tag mee.Tag
 }
 
 // backing is one page's ciphertext, plaintext shadow and line metadata.
+// A line is never both stale and dirty: a store that makes it dirty
+// clears stale, and Tamper seals a dirty line before it changes it.
 type backing struct {
 	// stale has bit li set while pt does not hold what a read of line li
 	// must return: the line was written and its ciphertext has been
@@ -183,16 +198,17 @@ type backing struct {
 	// A read opens exactly those lines; every other line reads from pt,
 	// and a read that finds no bit of its lines set reads no metadata.
 	stale uint64
+	// dirty has bit li set while pt holds the line's plaintext under its
+	// current version but ct and tag do not yet: the line was stored and
+	// has not been sealed since (see sealDirty).
+	dirty uint64
 	ct    [pageBytes]byte
 	meta  [linesPerPage]lineMeta
-	// pt memoises the plaintext of lines whose current ciphertext has
-	// already been decrypted (or was just encrypted), so repeated reads
-	// of a hot line skip redundant AES work in the emulator. The memo is
-	// semantically transparent — it holds exactly the bytes DecryptLines
-	// would produce for the current (ct, version, tag), and zeros for a
-	// line never written — and is dropped for a line whenever the
-	// ciphertext is changed behind the MEE's back (Tamper). Charged MEE
-	// cycles are unaffected.
+	// pt is the page's plaintext: what a store wrote, or what the MEE
+	// decrypted from the current (ct, version, tag), and zeros for a line
+	// never written. Reads are served from it, so repeated reads of a hot
+	// line do no AES work in the emulator; charged MEE cycles are the
+	// same either way.
 	pt [pageBytes]byte
 }
 
@@ -332,10 +348,11 @@ func (pg *backing) isStale(li int) bool { return pg.stale&(1<<li) != 0 }
 // lineBits is the stale mask of the n lines from li on.
 func lineBits(li, n int) uint64 { return (1<<n - 1) << li }
 
-// Write encrypts src into the memory starting at off. Whole lines go to
-// the MEE as one run per page; a partial first or last line is handled
-// read-modify-write, as a real cache does. On return every touched line's
-// ciphertext, tag and version in the backing store are current.
+// Write stores src into the memory starting at off. A partial first or
+// last line is handled read-modify-write, as a real cache does: a stale
+// line is opened before it is patched. On return every touched line holds
+// src in the plaintext shadow under a fresh version and is dirty; its
+// ciphertext and tag catch up when they can be observed (sealDirty).
 func (m *Memory) Write(off int, src []byte) error {
 	if err := m.check(off, len(src)); err != nil {
 		return err
@@ -387,17 +404,25 @@ func (m *Memory) Grow(newSize int) error {
 
 // Tamper XORs a byte of the ciphertext backing store directly, bypassing
 // the MEE — the simulation analog of a physical attacker flipping bits in
-// DRAM. A subsequent Read of that line fails integrity verification. A
-// line never written has no ciphertext to verify and still reads zeros.
+// DRAM. The page's dirty lines are sealed first, so the attacker sees the
+// ciphertext of what was stored. A subsequent Read of that line fails
+// integrity verification. A line never written has no ciphertext to
+// verify and still reads zeros.
 func (m *Memory) Tamper(off int) error {
 	if off < 0 || off >= m.size {
 		return ErrOutOfRange
 	}
-	if pg := m.pages[off/pageBytes]; pg != nil {
-		pg.ct[off%pageBytes] ^= 0xff
-		if li := off % pageBytes / lineBytes; pg.meta[li].version != 0 {
-			pg.stale |= lineBits(li, 1) // the memo is stale
-		}
+	p := off / pageBytes
+	pg := m.pages[p]
+	if pg == nil {
+		return nil
+	}
+	if err := m.sealDirty(p); err != nil {
+		return err
+	}
+	pg.ct[off%pageBytes] ^= 0xff
+	if li := off % pageBytes / lineBytes; pg.meta[li].version != 0 {
+		pg.stale |= lineBits(li, 1) // pt no longer matches ct
 	}
 	return nil
 }
@@ -436,9 +461,7 @@ func (m *Memory) storePage(pos int, src []byte) error {
 	}
 	if n := len(src) / lineBytes * lineBytes; n > 0 {
 		copy(m.pages[p].pt[pos:pos+n], src)
-		if err := m.sealLines(p, pos/lineBytes, n/lineBytes); err != nil {
-			return err
-		}
+		m.stored(p, pos/lineBytes, n/lineBytes)
 		pos, src = pos+n, src[n:]
 	}
 	if len(src) > 0 {
@@ -451,7 +474,7 @@ func (m *Memory) storePage(pos int, src []byte) error {
 
 // patchLine stores up to max bytes of src into the middle of one line of
 // page p, at pos within the page: the line's plaintext is brought up to
-// date, patched and re-encrypted.
+// date and patched.
 func (m *Memory) patchLine(p, pos int, src []byte, max int) (int, error) {
 	pg, li := m.pages[p], pos/lineBytes
 	if pg.isStale(li) {
@@ -463,27 +486,47 @@ func (m *Memory) patchLine(p, pos int, src []byte, max int) (int, error) {
 		src = src[:max]
 	}
 	copy(pg.pt[pos:], src)
-	return len(src), m.sealLines(p, li, 1)
+	m.stored(p, li, 1)
+	return len(src), nil
 }
 
-// sealLines encrypts the n lines of page p from its line li on out of
-// the plaintext shadow into the backing store, under a fresh version
-// each.
-func (m *Memory) sealLines(p, li, n int) error {
+// stored records that the n lines of page p from its line li on now hold
+// new plaintext in the shadow: each takes a fresh version and turns
+// dirty, and the MEE counts them as encrypted.
+func (m *Memory) stored(p, li, n int) {
 	pg := m.pages[p]
 	meta := pg.meta[li : li+n]
 	for i := range meta {
 		meta[i].version++
-		m.versions[i] = meta[i].version
 	}
-	lo, hi := li*lineBytes, (li+n)*lineBytes
-	if err := m.eng.EncryptLines(&m.scratch, pg.ct[lo:hi], pg.pt[lo:hi], uint64(p*linesPerPage+li), m.versions[:n], m.tags[:n]); err != nil {
-		return err
+	mask := lineBits(li, n)
+	pg.dirty |= mask
+	pg.stale &^= mask
+	m.eng.CountEncrypted(n)
+}
+
+// sealDirty seals every dirty line of page p: each run of them is
+// encrypted out of the plaintext shadow into the backing store, and
+// tagged, under the lines' current versions.
+func (m *Memory) sealDirty(p int) error {
+	pg := m.pages[p]
+	for d := pg.dirty; d != 0; {
+		li := bits.TrailingZeros64(d)
+		n := bits.TrailingZeros64(^(d >> li)) // the run of dirty lines from li
+		meta := pg.meta[li : li+n]
+		for i := range meta {
+			m.versions[i] = meta[i].version
+		}
+		lo, hi := li*lineBytes, (li+n)*lineBytes
+		if err := m.eng.SealLines(&m.scratch, pg.ct[lo:hi], pg.pt[lo:hi], uint64(p*linesPerPage+li), m.versions[:n], m.tags[:n]); err != nil {
+			return err
+		}
+		for i := range meta {
+			meta[i].tag = m.tags[i]
+		}
+		d &^= lineBits(li, n)
+		pg.dirty = d
 	}
-	for i := range meta {
-		meta[i].tag = m.tags[i]
-	}
-	pg.stale &^= lineBits(li, n)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package epc
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"montsalvat/internal/cycles"
@@ -293,11 +294,14 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 
 // FuzzMemoryModel drives random Read/Write/Touch/Grow/Tamper sequences
 // against the model: bytes, errors, paging counters and charged cycles
-// must agree after every step.
+// must agree after every step. A tamper whose op byte has its top bit set
+// is followed by a read of the bytes it would have written, so the line
+// the tamper sealed and flipped is opened at once.
 func FuzzMemoryModel(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 255, 255, 0, 0, 0, 255, 255})
 	f.Add([]byte{1, 15, 200, 1, 44, 4, 16, 0, 0, 0, 0, 15, 190, 0, 90, 1, 16, 0, 0, 64, 0, 15, 190, 0, 90})
 	f.Add([]byte{3, 0, 0, 0, 5, 1, 47, 255, 8, 0, 2, 40, 0, 9, 0, 0, 0, 0, 80, 0})
+	f.Add([]byte{1, 0, 30, 16, 200, 0x84, 4, 16, 0, 64, 0x84, 4, 16, 0, 64, 1, 16, 0, 0, 9, 0x84, 16, 4, 0, 8})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		x := newModelled(t, 3*pageBytes+100, 2)
 		const maxSize = 6 * pageBytes
@@ -317,10 +321,85 @@ func FuzzMemoryModel(f *testing.F) {
 				x.grow(off)
 			case 4:
 				x.tamper(off)
+				if ops[0]&0x80 != 0 {
+					x.read(off, n)
+				}
 			}
 		}
 		x.read(0, len(x.md.data))
 	})
+}
+
+// TestTamperSeesEagerSealing: after random writes — aligned, partial-line
+// and page-crossing — a tamper on each written page shows the ciphertext
+// and tags that sealing every store at once leaves: each written line of
+// the page is the engine's sealing of the final plaintext under a version
+// that counts the writes to the line, and the tampered line fails its
+// next read.
+func TestTamperSeesEagerSealing(t *testing.T) {
+	const pages = 4
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 20; iter++ {
+		m, _, _ := testMemory(t, pages*pageBytes, 2*pageBytes)
+		plain := make([]byte, pages*pageBytes)
+		versions := make([]uint64, pages*linesPerPage)
+		for w := 0; w < 1+rng.Intn(40); w++ {
+			var off, n int
+			switch rng.Intn(3) {
+			case 0: // whole lines
+				off, n = rng.Intn(pages*linesPerPage)*lineBytes, (1+rng.Intn(8))*lineBytes
+			case 1: // inside one line
+				off = rng.Intn(pages * pageBytes)
+				n = 1 + rng.Intn(lineBytes-off%lineBytes)
+			default: // across a page boundary
+				off = (1+rng.Intn(pages-1))*pageBytes - 1 - rng.Intn(300)
+				n = 2 + rng.Intn(600)
+			}
+			n = min(n, len(plain)-off)
+			src := make([]byte, n)
+			rng.Read(src)
+			if err := m.Write(off, src); err != nil {
+				t.Fatal(err)
+			}
+			copy(plain[off:], src)
+			for li := off / lineBytes; li <= (off+n-1)/lineBytes; li++ {
+				versions[li]++
+			}
+		}
+		var s mee.Scratch
+		for p, pg := range m.pages {
+			if pg == nil {
+				continue
+			}
+			off := p*pageBytes + rng.Intn(pageBytes)
+			if err := m.Tamper(off); err != nil {
+				t.Fatal(err)
+			}
+			pg.ct[off%pageBytes] ^= 0xff // look at what the tamper found
+			for li := 0; li < linesPerPage; li++ {
+				g := p*linesPerPage + li
+				if pg.meta[li].version != versions[g] {
+					t.Fatalf("iter %d: line %d at version %d, want %d", iter, g, pg.meta[li].version, versions[g])
+				}
+				if versions[g] == 0 {
+					continue
+				}
+				want := make([]byte, lineBytes)
+				tag := make([]mee.Tag, 1)
+				if err := m.eng.SealLines(&s, want, plain[g*lineBytes:(g+1)*lineBytes], uint64(g), versions[g:g+1], tag); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(pg.ct[li*lineBytes:(li+1)*lineBytes], want) || pg.meta[li].tag != tag[0] {
+					t.Fatalf("iter %d: line %d: ciphertext or tag differs from eager sealing", iter, g)
+				}
+			}
+			pg.ct[off%pageBytes] ^= 0xff
+			err := m.Read(off, make([]byte, 1))
+			if versions[off/lineBytes] != 0 && !errors.Is(err, mee.ErrIntegrity) {
+				t.Fatalf("iter %d: read of tampered line %d: err = %v, want ErrIntegrity", iter, off/lineBytes, err)
+			}
+		}
+	}
 }
 
 func benchMemory(b *testing.B) *Memory {

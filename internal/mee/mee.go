@@ -3,22 +3,30 @@
 //
 // On real SGX hardware, all EPC pages in DRAM are encrypted and only
 // decrypted by the MEE when loaded into a CPU cache line (paper §2.1). The
-// simulator reproduces this with real cryptographic work: every 64-byte
-// cache line written to simulated EPC memory is encrypted with AES-CTR
-// under a per-enclave key, and authenticated with a keyed tag bound to the
-// line address and a version counter (a flat stand-in for the MEE's
-// integrity tree). Reads decrypt and verify.
+// simulator reproduces this with real cryptographic work: a 64-byte cache
+// line of simulated EPC memory is encrypted with AES-CTR under a
+// per-enclave key, and authenticated with a keyed tag bound to the line
+// address and a version counter (a flat stand-in for the MEE's integrity
+// tree). Opening a line verifies and decrypts it.
 //
-// The AES work is real and per line: every line stored costs four
-// keystream blocks and one tag block, whether it arrives alone or in a
-// run. A run goes through the cipher up to eight lines at a time, one
-// block call for the chunk's keystream and one for its tags; on amd64
-// with AES-NI that call keeps eight blocks in flight. What makes
-// memory-bound enclave workloads slower than their untrusted counterparts
-// in the figures, though, is not this host work but the cycle ledger: the
-// EPC layer charges simcfg.MEEBytesPerCycle for every byte moved, and a
-// measurement adds that charge to the host time it took. Pipelining moves
-// neither; it keeps the simulator's own overhead out of the measurements.
+// The engine does the AES work only where its output is used. The EPC
+// layer (internal/epc) keeps each page's plaintext beside its ciphertext:
+// a store updates the plaintext and the line's version and counts the
+// line here (CountEncrypted), and the line is sealed (SealLines) when its
+// ciphertext can be observed; a read is served from the plaintext unless
+// the ciphertext changed behind the MEE's back, and only then opens the
+// line (DecryptLines). The counters therefore read as if every store
+// sealed its lines at once. A sealed line costs four keystream blocks and
+// one tag block, whether it is sealed alone or in a run. A run goes
+// through the cipher up to eight lines at a time, one block call for the
+// chunk's keystream and one for its tags; on amd64 with AES-NI that call
+// keeps eight blocks in flight. What makes memory-bound enclave workloads
+// slower than their untrusted counterparts in the figures, though, is
+// not this host work but the cycle ledger: the EPC layer charges
+// simcfg.MEEBytesPerCycle for every byte moved, and a measurement adds
+// that charge to the host time it took. Neither pipelining nor deferred
+// sealing moves it; they keep the simulator's own overhead out of the
+// measurements.
 //
 // The tag is AES over the ciphertext XOR-folded to one block. It binds
 // content, address and version against the replay, relocation and
@@ -120,14 +128,15 @@ type Scratch struct {
 	fold [chunkLines * aes.BlockSize]byte
 }
 
-// EncryptLines encrypts a run of len(versions) consecutive cache lines
+// SealLines encrypts a run of len(versions) consecutive cache lines
 // from src into dst (which may be the same slice as src). Line i of the
 // run has address addr+i, uses a keystream bound to (addr+i, versions[i])
 // and leaves its integrity tag in tags[i]. The caller must increment a
 // line's version on every write to it to keep keystreams fresh (the EPC
 // layer does this). Every line costs the same AES work as a run of one:
-// four keystream blocks and one tag block.
-func (e *Engine) EncryptLines(s *Scratch, dst, src []byte, addr uint64, versions []uint64, tags []Tag) error {
+// four keystream blocks and one tag block. SealLines counts nothing: the
+// store that gave a line its version counted it (CountEncrypted).
+func (e *Engine) SealLines(s *Scratch, dst, src []byte, addr uint64, versions []uint64, tags []Tag) error {
 	n := len(versions)
 	if err := checkRun(n, len(dst), len(src), len(tags)); err != nil {
 		return err
@@ -142,13 +151,20 @@ func (e *Engine) EncryptLines(s *Scratch, dst, src []byte, addr uint64, versions
 			tags[i+j] = Tag(fold[j*aes.BlockSize:])
 		}
 	}
-	e.linesEnc.Add(uint64(n))
-	e.bytesEnc.Add(uint64(n) * LineBytes)
 	return nil
 }
 
+// CountEncrypted counts n lines, and their bytes, as encrypted: a store
+// of n whole or patched lines, each under a fresh version. The EPC seals
+// a stored line only when its ciphertext can be observed, but counts it
+// when it is stored, so the counters read as eager sealing's did.
+func (e *Engine) CountEncrypted(n int) {
+	e.linesEnc.Add(uint64(n))
+	e.bytesEnc.Add(uint64(n) * LineBytes)
+}
+
 // DecryptLines verifies and decrypts a run of consecutive cache lines
-// laid out as for EncryptLines. A line is decrypted only once its tag
+// laid out as for SealLines. A line is decrypted only once its tag
 // and the tags of every line ahead of it have checked; at the first
 // mismatch it stops and returns ErrIntegrity, leaving dst at and behind
 // that line unwritten. The first return value is the number of leading

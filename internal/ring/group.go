@@ -52,9 +52,6 @@ type BatchEntry struct {
 type Stats struct {
 	// Submits counts requests handed across.
 	Submits uint64
-	// Busy counts TryCall/TryBatch attempts that found every producer
-	// occupied and fell back to the frame path.
-	Busy uint64
 	// Overflows counts responses too large for in-place sealing that
 	// crossed as plain bounce buffers instead.
 	Overflows uint64
@@ -80,7 +77,6 @@ type Group struct {
 	next atomic.Uint32
 
 	submits   atomic.Uint64
-	busy      atomic.Uint64
 	overflows atomic.Uint64
 	sealed    atomic.Uint64 // bytes through the in-place crypto pass
 	overBytes atomic.Uint64 // bytes bounced via overflow buffers
@@ -145,7 +141,6 @@ func (g *Group) acquire() *Ring {
 			return r
 		}
 	}
-	g.busy.Add(1)
 	return nil
 }
 
@@ -268,7 +263,6 @@ func (g *Group) Stats() Stats {
 	}
 	return Stats{
 		Submits:       g.submits.Load(),
-		Busy:          g.busy.Load(),
 		Overflows:     g.overflows.Load(),
 		SealedBytes:   g.sealed.Load(),
 		OverflowBytes: g.overBytes.Load(),

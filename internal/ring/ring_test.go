@@ -194,8 +194,8 @@ func TestBusyFallback(t *testing.T) {
 	if _, err := callEcho(g, []byte("x")); !errors.Is(err, ErrBusy) {
 		t.Fatalf("got %v, want ErrBusy", err)
 	}
-	if st := g.Stats(); st.Busy != 1 {
-		t.Fatalf("busy stat %d, want 1", st.Busy)
+	if st := g.Stats(); st.Submits != 0 {
+		t.Fatalf("a refused call counted %d submits, want 0", st.Submits)
 	}
 }
 

@@ -11,13 +11,14 @@ import (
 	"montsalvat/internal/wire"
 )
 
-// A frame is the classmodel.Env of its activation. Method bodies observe
-// identical semantics in either runtime; only the costs differ —
-// instantiating or calling a proxy class triggers an enclave transition.
-var _ classmodel.Env = (*frame)(nil)
+// A frame is the classmodel.Activation behind its activation's Env.
+// Method bodies observe identical semantics in either runtime; only the
+// costs differ — instantiating or calling a proxy class triggers an
+// enclave transition.
+var _ classmodel.Activation = (*frame)(nil)
 
-// New implements classmodel.Env.
-func (fr *frame) New(class string, args ...wire.Value) (wire.Value, error) {
+// New implements classmodel.Activation.
+func (fr *frame) New(class string, args []wire.Value) (wire.Value, error) {
 	rt := fr.rt
 	if classmodel.IsBuiltin(class) {
 		return fr.newBuiltin(class, args)
@@ -68,8 +69,8 @@ func (fr *frame) New(class string, args ...wire.Value) (wire.Value, error) {
 	return self, nil
 }
 
-// Call implements classmodel.Env.
-func (fr *frame) Call(recv wire.Value, method string, args ...wire.Value) (wire.Value, error) {
+// Call implements classmodel.Activation.
+func (fr *frame) Call(recv wire.Value, method string, args []wire.Value) (wire.Value, error) {
 	class, hash, ok := recv.AsRef()
 	if !ok {
 		return wire.Value{}, fmt.Errorf("%w: cannot call %s on %s", ErrNotRef, method, recv.Kind())
@@ -88,8 +89,8 @@ func (fr *frame) Call(recv wire.Value, method string, args ...wire.Value) (wire.
 	return rt.dispatch(lk, recv, args, fr, fr)
 }
 
-// CallStatic implements classmodel.Env.
-func (fr *frame) CallStatic(class, method string, args ...wire.Value) (wire.Value, error) {
+// CallStatic implements classmodel.Activation.
+func (fr *frame) CallStatic(class, method string, args []wire.Value) (wire.Value, error) {
 	rt := fr.rt
 	lk := rt.link(class, method)
 	if lk.declErr != nil {
@@ -107,7 +108,7 @@ func (fr *frame) CallStatic(class, method string, args ...wire.Value) (wire.Valu
 	return rt.dispatch(lk, wire.Null(), args, fr, fr)
 }
 
-// GetField implements classmodel.Env.
+// GetField implements classmodel.Activation.
 func (fr *frame) GetField(recv wire.Value, field string) (wire.Value, error) {
 	rt := fr.rt
 	class, hash, ok := recv.AsRef()
@@ -145,7 +146,7 @@ func (fr *frame) GetField(recv wire.Value, field string) (wire.Value, error) {
 	return v, nil
 }
 
-// SetField implements classmodel.Env.
+// SetField implements classmodel.Activation.
 func (fr *frame) SetField(recv wire.Value, field string, v wire.Value) error {
 	rt := fr.rt
 	class, hash, ok := recv.AsRef()
@@ -208,10 +209,10 @@ func (fr *frame) MemTouch(n int) {
 	}
 }
 
-// Trusted implements classmodel.Env.
+// Trusted implements classmodel.Activation.
 func (fr *frame) Trusted() bool { return fr.rt.trusted }
 
-// FS implements classmodel.Env.
+// FS implements classmodel.Activation.
 func (fr *frame) FS() shim.FS { return fr.rt.fs }
 
 // ---- builtin (neutral utility class) dispatch -------------------------
@@ -361,7 +362,7 @@ func (fr *frame) callList(list heap.Handle, method string, args []wire.Value) (w
 			return wire.Value{}, fmt.Errorf("world: List.get index must be int")
 		}
 		// Element handle, hash and class id come from one isolate call;
-		// the fresh handle is then adopted into the table.
+		// the fresh handle is then adopted (adoptElement).
 		rt.heapMu.Lock()
 		eh, elemHash, cid, err := rt.iso.ListGet(list, int(i))
 		var name string
@@ -377,7 +378,7 @@ func (fr *frame) callList(list heap.Handle, method string, args []wire.Value) (w
 		if eh == 0 {
 			return wire.Null(), nil
 		}
-		if _, err := rt.adoptHandle(fr, elemHash, eh); err != nil {
+		if _, err := rt.adoptElement(fr, elemHash, eh); err != nil {
 			return wire.Value{}, err
 		}
 		return wire.Ref(name, elemHash), nil

@@ -224,12 +224,18 @@ func TestLocalCallAllocs(t *testing.T) {
 }
 
 // kvGetAllocCeiling bounds the host allocations of one in-enclave
-// KVStore get on 8 keys per bucket: a string key read per Entry scanned,
-// the value read and the relay values around them. 18 until a string
-// field read stopped copying its payload twice; raceAllocSlack covers the
-// activation records sync.Pool drops under the race detector.
+// KVStore get on 8 keys per bucket: a string key read per Entry scanned
+// and the value read. 13 while every call with arguments allocated its
+// argument slice and every element a scan read took an object-table
+// entry, 18 until a string field read stopped copying its payload twice.
+// kvPutAllocCeiling bounds a fresh put on 16 keys per bucket the same
+// way (24 before arguments stayed off the host heap). raceAllocSlack
+// covers the activation records sync.Pool drops under the race detector
+// in a get; a fresh put takes about twice a get's records (it scans
+// about twice the elements) and is allowed twice the slack.
 const (
-	kvGetAllocCeiling = 13
+	kvGetAllocCeiling = 5
+	kvPutAllocCeiling = 10
 	raceAllocSlack    = 8
 )
 
@@ -277,6 +283,52 @@ func TestKVGetAllocBound(t *testing.T) {
 		}
 		if allocs > float64(ceiling) {
 			t.Errorf("one in-enclave get = %v allocs, want <= %d", allocs, ceiling)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKVPutAllocBound: a fresh in-enclave KVStore put — a bucket scan,
+// a new Entry, two list adds and the audit ocall — allocates at most
+// kvPutAllocCeiling times on the host.
+func TestKVPutAllocBound(t *testing.T) {
+	prog, err := demo.KVProgramWithBuckets(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := core.NewPartitionedWorld(prog, world.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	const puts = 16 * 16
+	keys := make([]wire.Value, puts)
+	for i := range keys {
+		keys[i] = wire.Str(fmt.Sprintf("key:%04d", i))
+	}
+	value := wire.Str(strings.Repeat("v", 64))
+	err = w.Exec(true, func(env classmodel.Env) error {
+		store, err := env.New(demo.KVStoreCls)
+		if err != nil {
+			return err
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(puts-1, func() {
+			if _, err := env.Call(store, "put", keys[i], value); err != nil {
+				t.Error(err)
+			}
+			i++
+		})
+		t.Logf("one fresh in-enclave put: %v allocations", allocs)
+		ceiling := kvPutAllocCeiling
+		if raceEnabled {
+			ceiling += 2 * raceAllocSlack
+		}
+		if allocs > float64(ceiling) {
+			t.Errorf("one fresh in-enclave put = %v allocs, want <= %d", allocs, ceiling)
 		}
 		return nil
 	})

@@ -474,3 +474,88 @@ func checkLedger(t *testing.T, got, want ledger) {
 		t.Errorf("ledger moved:\n got  %#v\n want %#v", got, want)
 	}
 }
+
+// TestKVPutLedgerGolden pins the ledger of BenchmarkKVPut's two put
+// streams — a fresh Entry per put, or an in-place setvalue over a filled
+// store — for four rounds, under a 3-page EPC and a 64 KiB trusted heap
+// that collects inside the stream (values of commit d447c42). Collections evacuate in
+// handle-slot order, so the faults, evictions and lines encrypted after
+// the first one also pin the order in which the stream's frames take and
+// drop heap handles; Handles sums the live handles after each round.
+// Cycles, LinesEncrypted and the paging counts must repeat exactly on
+// any change that moves only host work.
+func TestKVPutLedgerGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		overwrite bool
+		want      ledger
+		handles   int
+	}{
+		{"fresh", false, ledger{Cycles: 232398772, Ecalls: 4, Ocalls: 1028, PageFaults: 8419, Evictions: 8416, Collections: 3,
+			ObjectsCopied: 666, BytesCopied: 37256, MEECopiedBytes: 17164, LinesEncrypted: 19273}, 4},
+		{"overwrite", true, ledger{Cycles: 780626828, Ecalls: 4, Ocalls: 2052, PageFaults: 28982, Evictions: 28979, Collections: 7,
+			ObjectsCopied: 3677, BytesCopied: 213872, MEECopiedBytes: 34572, LinesEncrypted: 35402}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := demo.KVProgramWithBuckets(16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := world.DefaultOptions()
+			opts.Cfg.EPCBytes = 3 * 4096
+			opts.TrustedHeap = heap.Config{InitialSemi: 64 << 10, MaxSemi: 64 << 10}
+			w, _, err := core.NewPartitionedWorld(prog, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			handles, err := kvPutRounds(w, 4, tc.overwrite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLedger(t, ledgerOf(w), tc.want)
+			if handles != tc.handles {
+				t.Errorf("live handles summed over the rounds = %d, want %d", handles, tc.handles)
+			}
+		})
+	}
+}
+
+// kvPutRounds runs BenchmarkKVPut's put stream rounds times in the
+// trusted runtime: 16 x 16 keys with 64 B values put into a store of the
+// round's own (filled with the same keys first when overwrite is set).
+// It returns the trusted heap's live handles summed over the ends of the
+// rounds, read while the round's store is still held.
+func kvPutRounds(w *world.World, rounds int, overwrite bool) (int, error) {
+	keys := make([]wire.Value, 16*16)
+	for i := range keys {
+		keys[i] = wire.Str(fmt.Sprintf("key:%04d", i))
+	}
+	value := wire.Str(strings.Repeat("v", 64))
+	handles := 0
+	for r := 0; r < rounds; r++ {
+		err := w.Exec(true, func(env classmodel.Env) error {
+			store, err := env.New(demo.KVStoreCls)
+			if err != nil {
+				return err
+			}
+			passes := 1
+			if overwrite {
+				passes = 2
+			}
+			for p := 0; p < passes; p++ {
+				for _, k := range keys {
+					if _, err := env.Call(store, "put", k, value); err != nil {
+						return err
+					}
+				}
+			}
+			handles += w.Trusted().HeapStats().Handles
+			return nil
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
+	return handles, nil
+}

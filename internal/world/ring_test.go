@@ -1,11 +1,13 @@
 package world_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"montsalvat/internal/classmodel"
 	"montsalvat/internal/core"
@@ -387,6 +389,52 @@ func TestRestartReusesRingSlotsRaceFree(t *testing.T) {
 		}
 		if err := traffic(); err != nil {
 			t.Fatalf("generation %d: calls on the new generation: %v", gen+1, err)
+		}
+	}
+}
+
+// TestRingsNeedASpareTCS: ecall rings that would hold every TCS slot of
+// the enclave fail the boot with ErrTCSBudget instead of waiting for a
+// slot no one frees; with one slot to spare the world boots and a
+// trusted Exec enters beside the rings. Each boot runs under a deadline,
+// so a boot that hangs fails the test.
+func TestRingsNeedASpareTCS(t *testing.T) {
+	for _, c := range []struct {
+		tcs, rings int
+		ok         bool
+	}{{1, 0, false}, {2, 2, false}, {3, 2, true}, {2, 1, true}} {
+		opts := world.DefaultOptions()
+		opts.Cfg.Rings = true
+		opts.Cfg.RingWorkers = c.rings
+		opts.NumTCS = c.tcs
+		type boot struct {
+			w   *world.World
+			err error
+		}
+		done := make(chan boot, 1)
+		go func() {
+			w, _, err := core.NewPartitionedWorld(demo.MustBankProgram(), opts)
+			if err == nil {
+				err = w.Exec(true, func(env classmodel.Env) error {
+					_, err := env.New(demo.Account, wire.Str("Tess"), wire.Int(1))
+					return err
+				})
+			}
+			done <- boot{w, err}
+		}()
+		select {
+		case b := <-done:
+			if b.w != nil {
+				b.w.Close()
+			}
+			if c.ok && b.err != nil {
+				t.Errorf("%d TCS, RingWorkers %d: %v", c.tcs, c.rings, b.err)
+			}
+			if !c.ok && !errors.Is(b.err, world.ErrTCSBudget) {
+				t.Errorf("%d TCS, RingWorkers %d: err = %v, want ErrTCSBudget", c.tcs, c.rings, b.err)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%d TCS, RingWorkers %d: boot and Exec did not return in 3 s", c.tcs, c.rings)
 		}
 	}
 }

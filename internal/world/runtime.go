@@ -3,6 +3,7 @@ package world
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -266,7 +267,10 @@ func (rt *Runtime) Stats() RuntimeStats {
 
 // Pin adds a permanent strong root for the object behind a ref — the
 // analog of storing it in a static field. The object must currently be
-// live in this runtime.
+// live in this runtime where Pin can find it: in the object table, the
+// registry or the weak list. An element a method body read with
+// List.get is none of these while the body holds it as a local ref
+// (adoptElement), so a body does not pin one.
 func (rt *Runtime) Pin(v wire.Value) error {
 	_, hash, ok := v.AsRef()
 	if !ok {
@@ -350,20 +354,32 @@ func (rt *Runtime) unlockHeap() {
 // record never changes, so an Env kept for those (a reader that charges
 // its memory traffic through env.MemTouch) stays good.
 type frame struct {
-	rt    *Runtime
-	span  *telemetry.Span
-	lane  *Lane
+	rt   *Runtime
+	span *telemetry.Span
+	lane *Lane
+	// up is the activation that called this one when it runs a method
+	// body (dispatch); nil for an Exec, relay or pin frame.
+	up    *frame
 	owned []ownedRef
-	// drops is releaseFrame's scratch list, kept across uses.
+	// local has bit i set when owned[i] is a local ref: a heap handle of
+	// the frame's own with no object-table entry behind it (see
+	// adoptElement). Only the first frameLocalMax refs can be local.
+	local uint64
+	// drops is releaseFrame's scratch list, kept across uses; between
+	// uses it holds the handles promote left to drop at release.
 	drops []heap.Handle
 	// inline backs owned until an activation retains more than it holds.
 	inline [frameInlineOwned]ownedRef
+	// argv holds the argument vectors of the calls the body makes (see
+	// classmodel.NewEnv).
+	argv [classmodel.EnvArgs]wire.Value
 }
 
-// ownedRef is one object-table retention of a frame and the handle the
-// table holds for it, which cannot change while the retention lasts. A
-// borrowed ref is a retention of the caller's that the callee uses
-// without taking one of its own (see borrow): releaseFrame skips it.
+// ownedRef is one retention of a frame and its handle, which cannot
+// change while the retention lasts: an object-table retention, a local
+// ref (frame.local), or a borrowed ref — the retention or local ref of
+// an activation up the call chain, which the frame uses without taking
+// one of its own (see borrow): releaseFrame skips it.
 type ownedRef struct {
 	hash     int64
 	handle   heap.Handle
@@ -378,6 +394,10 @@ const (
 	frameInlineOwned = 8
 	frameKeepOwned   = 256
 )
+
+// frameLocalMax is the number of a frame's first refs that can be local:
+// the bits of frame.local.
+const frameLocalMax = 64
 
 // own records a table retention taken on behalf of this frame. A frame
 // belongs to exactly one activation, so no lock guards the slice.
@@ -409,6 +429,37 @@ func (fr *frame) held(hash int64) (heap.Handle, bool) {
 	return 0, false
 }
 
+// localIndex returns the index in owned of the frame's local ref of
+// hash, or -1.
+func (fr *frame) localIndex(hash int64) int {
+	for m := fr.local; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); fr.owned[i].hash == hash {
+			return i
+		}
+	}
+	return -1
+}
+
+// localRef finds a local ref of hash in the frame or up its call chain.
+// A local ref has no table entry to fall back on, so a lookup that held
+// does not answer tries localRef before the table. The activations up
+// the chain outlive the frame, so it records one of theirs as borrowed.
+func (fr *frame) localRef(hash int64) (heap.Handle, bool) {
+	for f := fr; f != nil; f = f.up {
+		if i := f.localIndex(hash); i >= 0 {
+			h := f.owned[i].handle
+			if f != fr {
+				fr.owned = append(fr.owned, ownedRef{hash: hash, handle: h, borrowed: true})
+			}
+			return h, true
+		}
+	}
+	return 0, false
+}
+
+// env returns the Env a body runs against in this frame.
+func (fr *frame) env() classmodel.Env { return classmodel.NewEnv(fr, &fr.argv) }
+
 // newFrame takes an activation record for a body about to run in rt,
 // carrying the trace span of the chain it continues.
 func (rt *Runtime) newFrame(span *telemetry.Span) *frame {
@@ -425,13 +476,16 @@ func (rt *Runtime) newFrame(span *telemetry.Span) *frame {
 // the table eagerly — making the objects collectable. The handle drops
 // batch into one heap critical section.
 func (rt *Runtime) releaseFrame(fr *frame) {
-	drops := fr.drops[:0]
-	for _, o := range fr.owned {
-		if o.borrowed {
-			continue
-		}
-		if d := rt.table.release(o.hash); d != 0 {
-			drops = append(drops, d)
+	drops := fr.drops
+	for i, o := range fr.owned {
+		switch {
+		case o.borrowed:
+		case i < frameLocalMax && fr.local&(1<<i) != 0:
+			drops = append(drops, o.handle)
+		default:
+			if d := rt.table.release(o.hash); d != 0 {
+				drops = append(drops, d)
+			}
 		}
 	}
 	if len(drops) > 0 {
@@ -442,7 +496,11 @@ func (rt *Runtime) releaseFrame(fr *frame) {
 		}
 		rt.unlockHeap()
 	}
-	fr.span, fr.lane = nil, nil
+	fr.span, fr.lane, fr.up, fr.local = nil, nil, nil, 0
+	if fr.argv[0].Kind() != wire.KindInvalid {
+		// A call with arguments wrote argv from its first value on.
+		clear(fr.argv[:])
+	}
 	fr.drops = drops[:0]
 	if cap(fr.owned) > frameKeepOwned {
 		fr.owned, fr.drops = nil, nil
@@ -453,12 +511,15 @@ func (rt *Runtime) releaseFrame(fr *frame) {
 }
 
 // adoptHandle installs a freshly created strong handle into the object
-// table and retains it in fr. When fr already holds the hash, or a racing
-// goroutine adopted it first, the established handle is kept and the
-// redundant fresh one is dropped here, under the heap lock, outside all
-// table locks.
+// table and retains it in fr. When fr or an activation up its call chain
+// already holds the hash (held, localRef), or a racing goroutine adopted it
+// first, the established handle is kept and the redundant fresh one is
+// dropped here, under the heap lock, outside all table locks.
 func (rt *Runtime) adoptHandle(fr *frame, hash int64, fresh heap.Handle) (heap.Handle, error) {
 	kept, ok := fr.held(hash)
+	if !ok {
+		kept, ok = fr.localRef(hash)
+	}
 	dup := fresh
 	if !ok {
 		kept, dup = rt.table.adopt(hash, fresh)
@@ -476,10 +537,14 @@ func (rt *Runtime) adoptHandle(fr *frame, hash int64, fresh heap.Handle) (heap.H
 }
 
 // retain makes hash live in fr without touching the heap: the handle fr
-// already holds, or one more table retention of an existing entry. It
-// reports false when neither has the hash.
+// or an activation up its call chain already holds (held, localRef), or one more
+// table retention of an existing entry. It reports false when none has
+// the hash.
 func (rt *Runtime) retain(fr *frame, hash int64) (heap.Handle, bool) {
 	if h, ok := fr.held(hash); ok {
+		return h, true
+	}
+	if h, ok := fr.localRef(hash); ok {
 		return h, true
 	}
 	h, ok := rt.table.retain(hash)
@@ -489,11 +554,11 @@ func (rt *Runtime) retain(fr *frame, hash int64) (heap.Handle, bool) {
 	return h, ok
 }
 
-// resolve finds a live local object for hash, looking through the frame,
-// the object table, the mirror–proxy registry, and the weak list
-// (canonical proxies). The returned handle is retained in fr. The slow
-// path materialises a fresh handle under the heap lock, then adopts it —
-// losing an adoption race only costs the redundant handle.
+// resolve finds a live local object for hash, looking through the frame
+// and its call chain, the object table, the mirror–proxy registry, and
+// the weak list (canonical proxies). The returned handle is retained in
+// fr. The slow path materialises a fresh handle under the heap lock, then
+// adopts it — losing an adoption race only costs the redundant handle.
 func (rt *Runtime) resolve(fr *frame, hash int64) (heap.Handle, error) {
 	if h, ok := rt.retain(fr, hash); ok {
 		return h, nil
@@ -539,7 +604,8 @@ func (rt *Runtime) resolveRef(fr *frame, v wire.Value) (heap.Handle, error) {
 // synchronous callee — it is released only after its own body returns,
 // which is after every call the body made has returned — so the caller's
 // retention covers the callee's whole activation. Otherwise the callee
-// resolves the object as any activation does.
+// resolves the object as any activation does, which finds a local ref
+// further up the chain too.
 func (rt *Runtime) borrow(callee, caller *frame, hash int64) error {
 	if _, ok := callee.held(hash); ok {
 		return nil
@@ -552,6 +618,57 @@ func (rt *Runtime) borrow(callee, caller *frame, hash int64) error {
 	}
 	_, err := rt.resolve(callee, hash)
 	return err
+}
+
+// adoptElement takes a fresh strong handle to an element a List.get read
+// into fr. A method body's frame keeps it as a local ref — dropped at
+// release in the place the table retention would have been, with no
+// table entry in between — unless fr or its call chain already holds
+// the element, as adoptHandle does. Local refs are visible only to the
+// frame and the activations it calls (held, localRef), so a ref that goes
+// further is promoted first (see promote). An Exec or relay frame,
+// whose refs host code reads (a Pin, a session's export), and a frame
+// past frameLocalMax refs adopt the handle into the table.
+func (rt *Runtime) adoptElement(fr *frame, hash int64, fresh heap.Handle) (heap.Handle, error) {
+	if fr.up == nil || len(fr.owned) >= frameLocalMax {
+		return rt.adoptHandle(fr, hash, fresh)
+	}
+	h, ok := fr.held(hash)
+	if !ok {
+		h, ok = fr.localRef(hash)
+	}
+	if ok {
+		rt.heapMu.Lock()
+		err := rt.iso.Release(fresh)
+		rt.unlockHeap()
+		return h, err
+	}
+	fr.local |= 1 << len(fr.owned)
+	fr.owned = append(fr.owned, ownedRef{hash: hash, handle: fresh})
+	return fresh, nil
+}
+
+// promote turns the local ref of hash held by fr or an activation up its
+// call chain, if any, into a table retention of that activation, as if
+// its List.get had adopted the element: a ref returned to a caller or
+// sent across the boundary may be looked up where no frame can see it.
+// If the table gained an entry for the hash meanwhile (an activation off
+// the chain adopted the object), that entry is retained and the local
+// handle, which a caller may still be using, is dropped at release.
+func (rt *Runtime) promote(fr *frame, hash int64) {
+	for f := fr; f != nil; f = f.up {
+		i := f.localIndex(hash)
+		if i < 0 {
+			continue
+		}
+		f.local &^= 1 << i
+		kept, dup := rt.table.adopt(hash, f.owned[i].handle)
+		if dup != 0 {
+			f.owned[i].handle = kept
+			f.drops = append(f.drops, dup)
+		}
+		return
+	}
 }
 
 // classDecl returns the image declaration of a ref's class.
@@ -757,6 +874,9 @@ func (rt *Runtime) marshalRef(fr *frame, v wire.Value) error {
 	if classmodel.IsBuiltin(class) {
 		return fmt.Errorf("%w: %s#%d", ErrNeutralByValue, class, hash)
 	}
+	// The ref may come back in a call from the opposite runtime, which
+	// looks it up in the table.
+	rt.promote(fr, hash)
 	decl, err := rt.classDecl(class)
 	if err != nil {
 		return err
@@ -939,6 +1059,7 @@ func (rt *Runtime) dispatch(lk *link, self wire.Value, args []wire.Value, caller
 	}
 	rt.w.clock.Charge(simcfg.LocalCallCycles)
 	fr := rt.newFrame(nil)
+	fr.up = caller
 	if adoptInto != nil {
 		fr.span, fr.lane = adoptInto.span, adoptInto.lane
 	}
@@ -957,12 +1078,12 @@ func (rt *Runtime) dispatch(lk *link, self wire.Value, args []wire.Value, caller
 			}
 		}
 	}
-	result, err := m.Body(fr, self, args)
+	result, err := m.Body(fr.env(), self, args)
 	if err != nil {
 		return wire.Value{}, fmt.Errorf("%s: %w", lk.ref, err)
 	}
 	if adoptInto != nil {
-		if err := rt.adoptResult(adoptInto, result); err != nil {
+		if err := rt.adoptResult(adoptInto, fr, result); err != nil {
 			return wire.Value{}, err
 		}
 	}
@@ -970,15 +1091,20 @@ func (rt *Runtime) dispatch(lk *link, self wire.Value, args []wire.Value, caller
 }
 
 // adoptResult re-retains any refs inside a callee's result into the
-// caller's frame, so they survive the callee frame release.
-func (rt *Runtime) adoptResult(fr *frame, v wire.Value) error {
+// caller's frame fr, so they survive the release of the callee's frame
+// from; a local ref of the callee's is promoted first.
+func (rt *Runtime) adoptResult(fr, from *frame, v wire.Value) error {
 	switch v.Kind() {
 	case wire.KindRef:
-		_, err := rt.resolveRef(fr, v)
+		_, hash, _ := v.AsRef()
+		if from.localIndex(hash) >= 0 {
+			rt.promote(from, hash)
+		}
+		_, err := rt.resolve(fr, hash)
 		return err
 	case wire.KindList:
 		for i, l := 0, v.Len(); i < l; i++ {
-			if err := rt.adoptResult(fr, v.Index(i)); err != nil {
+			if err := rt.adoptResult(fr, from, v.Index(i)); err != nil {
 				return err
 			}
 		}

@@ -92,6 +92,9 @@ var (
 	ErrBadArity       = errors.New("world: argument count mismatch")
 	ErrNotRef         = errors.New("world: receiver is not an object reference")
 	ErrWrongRuntime   = errors.New("world: operation not available in this mode")
+	// ErrTCSBudget reports rings (Config.RingWorkers) that would hold
+	// every TCS slot of the enclave (Options.NumTCS).
+	ErrTCSBudget = errors.New("world: ecall rings leave no TCS slot free")
 )
 
 // Options configures a World.
@@ -222,7 +225,12 @@ func (w *World) initBoundary() error {
 			w.slots = [2]ring.Slots{ring.NewSlots(rcfg), ring.NewSlots(rcfg)}
 		}
 		// Each ecall ring is resident INSIDE the enclave: it holds a TCS
-		// slot for the group's lifetime. The ocall rings hold nothing.
+		// slot for the group's lifetime, and one slot must stay free for
+		// the ecalls that do not ride a ring, or the next would wait for
+		// good. The ocall rings hold nothing.
+		if n, tcs := len(w.slots[0]), w.enclave.TCSCap(); n >= tcs {
+			return fmt.Errorf("%w: %d ecall rings need %d TCS slots, the enclave has %d", ErrTCSBudget, n, n+1, tcs)
+		}
 		erings, err := ring.NewGroup(rcfg, w.slots[0], w.clock, w.ringHandler(w.trusted), w.enclave.EnterResident)
 		if err != nil {
 			return fmt.Errorf("world: ecall ring group: %w", err)
@@ -520,7 +528,7 @@ func (w *World) ExecSpan(trusted bool, sp *telemetry.Span, lane *Lane, fn func(e
 		fr := rt.newFrame(sp)
 		fr.lane = lane
 		defer rt.releaseFrame(fr)
-		return fn(fr)
+		return fn(fr.env())
 	}
 	switch {
 	case trusted && encl != nil && lane != nil:
