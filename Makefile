@@ -29,9 +29,10 @@ build:
 # recovery passes', the void relays on every route, the GC-helper steps
 # (swept by the collecting goroutine, beside concurrent mutators) and the
 # gateway's lifecycle gate (Shutdown and Recover drains against typed
-# refusals), the retentions a callee borrows from its caller, the list
-# elements a method body keeps off the object table, the in-enclave put
-# stream's ledger and the ring data plane (world's ring tests and
+# refusals), the handles a callee uses on its caller's behalf, the one
+# handle a list element a method body reads takes, a ref whose handle
+# slot went to another object, the in-enclave put stream's ledger and
+# the ring data plane (world's ring tests and
 # internal/ring) are re-run on 4 Ps, ten times, to show they repeat
 # under real parallelism. The MEE's portable block path (other architectures,
 # amd64 without AES-NI) is tested under -tags purego and cross-vetted for
@@ -49,7 +50,7 @@ test:
 	GOARCH=arm64 $(GO) vet ./internal/mee ./internal/epc
 	GOFLAGS= GOWORK=off $(GO) -C benchmark vet ./...
 	GOFLAGS= GOWORK=off $(GO) -C benchmark test ./...
-	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestCycleLedgerGolden|TestKVPutLedgerGolden|TestScannedElementsSkipTheTable|TestLane|TestVoidRelay|TestGCHelper|TestHelpers|TestCalleeBorrowsCallerRetentions|TestBodyResolvesSelfOnce|TestRing' ./internal/world
+	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestCycleLedgerGolden|TestKVPutLedgerGolden|TestScannedElementsHoldOneHandle|TestStaleRefNeverAliases|TestLane|TestVoidRelay|TestGCHelper|TestHelpers|TestCalleeBorrowsCallerRetentions|TestBodyResolvesSelfOnce|TestRing' ./internal/world
 	GOMAXPROCS=4 $(GO) test -count=10 ./internal/ring
 	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestRecovery' ./internal/persist
 	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestGatewayLifecycleGate|TestServeDrain|TestGateway|TestRecoverReentersLanes' ./internal/serve

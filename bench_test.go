@@ -217,7 +217,7 @@ func benchmarkGC(b *testing.B, inEnclave bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := h.NewHandle(o); err != nil {
+		if _, err := h.NewHandle(o, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

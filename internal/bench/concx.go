@@ -28,7 +28,7 @@ type concResult struct {
 // runConcurrentRMI drives iters proxy invocations from each of n
 // goroutines against a fresh micro world: every goroutine owns one
 // trusted-class proxy and hammers its setter, so each call crosses the
-// boundary and exercises the registries, the object tables, and the
+// boundary and exercises the registries, the frames' handles, and the
 // marshal path concurrently.
 func runConcurrentRMI(cfg simcfg.Config, n, iters int) (concResult, error) {
 	w, err := microWorldCfg(cfg)
@@ -109,7 +109,7 @@ func runConcurrentRMI(cfg simcfg.Config, n, iters int) (concResult, error) {
 // concurrently crossing goroutines grows (the scaling ablation of the
 // concurrent crossing engine): near-flat speedup means the crossings
 // queue on a global mutator lock; scaling speedup means they proceed in
-// parallel through the sharded registries and object tables.
+// parallel through the sharded registries and per-frame handles.
 func ConcurrentRMI(opts Options) (*Table, error) {
 	iters := opts.scale(300, 40)
 	// Regular transition cost, and no batching reordering the call stream.

@@ -392,7 +392,7 @@ func Fig5a(opts Options) (*Table, error) {
 			if err != nil {
 				return timing{}, err
 			}
-			if _, err := h.NewHandle(o); err != nil {
+			if _, err := h.NewHandle(o, 0); err != nil {
 				return timing{}, err
 			}
 		}

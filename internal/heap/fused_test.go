@@ -128,7 +128,7 @@ func TestAllocDataMatchesAllocThenWriteData(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if *x.hd, err = x.h.NewHandle(x.o); err != nil {
+			if *x.hd, err = x.h.NewHandle(x.o, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -217,7 +217,7 @@ func BenchmarkHeaderRead(b *testing.B) {
 func BenchmarkCollect(b *testing.B) {
 	h := newEPCHeap(b, Config{InitialSemi: 1 << 20, MaxSemi: 1 << 20}, simcfg.DefaultEPCBytes/simcfg.PageBytes)
 	const live = 64
-	rootHd, err := h.NewHandle(mustAlloc(b, h.Heap, 1, live, 0))
+	rootHd, err := h.NewHandle(mustAlloc(b, h.Heap, 1, live, 0), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

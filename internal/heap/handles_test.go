@@ -16,14 +16,14 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 	h := testHeap(t, smallCfg())
 	a := mustAlloc(t, h, 1, 0, 8)
 	b := mustAlloc(t, h, 2, 0, 8)
-	stale, err := h.NewHandle(a)
+	stale, err := h.NewHandle(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Release(stale); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := h.NewHandle(b)
+	fresh, err := h.NewHandle(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestStatsCountLiveHandles(t *testing.T) {
 	addr := mustAlloc(t, h, 1, 0, 8)
 	var hds []Handle
 	for i := 0; i < 5; i++ {
-		hd, err := h.NewHandle(addr)
+		hd, err := h.NewHandle(addr, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestStatsCountLiveHandles(t *testing.T) {
 	if got := h.Stats().Handles; got != 2 {
 		t.Fatalf("Handles = %d after 5 issued and 3 released, want 2", got)
 	}
-	if _, err := h.NewHandle(addr); err != nil {
+	if _, err := h.NewHandle(addr, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, slots := h.Stats().Handles, len(h.handles); got != 3 || slots != 5 {
@@ -89,7 +89,7 @@ func TestHandleSlotsAreReused(t *testing.T) {
 	var live []Handle
 	peak := 0
 	for i := 0; i < 1_000_000; i++ {
-		hd, err := h.NewHandle(addr)
+		hd, err := h.NewHandle(addr, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestCollectIsDeterministic(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			hd, err := h.NewHandle(addr)
+			hd, err := h.NewHandle(addr, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +235,7 @@ func TestWeakFixupLedgerRepeats(t *testing.T) {
 			}
 			weaks = append(weaks, w)
 			if i%3 == 0 {
-				if _, err := h.NewHandle(o); err != nil {
+				if _, err := h.NewHandle(o, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -280,5 +280,65 @@ func TestWeakFixupLedgerRepeats(t *testing.T) {
 		if again := run(); again != first {
 			t.Fatalf("run %d charged %+v, the first %+v", i+2, again, first)
 		}
+	}
+}
+
+// Identify answers a short handle only while its slot holds a handle the
+// owner named with the same id: not once the handle is dropped, and not
+// when the slot is reissued to another object under a generation whose
+// low 16 bits read the same again. Retain adds an owner, so the handle
+// takes one more Release to drop.
+func TestIdentifyAndRetain(t *testing.T) {
+	h := testHeap(t, smallCfg())
+	a := mustAlloc(t, h, 1, 0, 8)
+	b := mustAlloc(t, h, 2, 0, 8)
+	short := func(hd Handle) uint64 { return uint64(hd) & (1<<48 - 1) }
+	hd, err := h.NewHandle(a, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := h.Identify(short(hd), 7); !ok || got != hd {
+		t.Fatalf("Identify(own handle) = %#x, %v; want %#x", uint64(got), ok, uint64(hd))
+	}
+	if _, ok := h.Identify(short(hd), 8); ok {
+		t.Fatal("Identify answered for another id")
+	}
+	if err := h.Retain(hd); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Release(hd); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := h.Identify(short(hd), 7); !ok {
+		t.Fatal("a retained handle dropped at its first release")
+	}
+	if err := h.Release(hd); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := h.Identify(short(hd), 7); ok {
+		t.Fatal("Identify answered for a dropped handle")
+	}
+	// Reissue the slot until its generation's low 16 bits wrap around to
+	// the dropped handle's.
+	var other Handle
+	for {
+		if other, err = h.NewHandle(b, 9); err != nil {
+			t.Fatal(err)
+		}
+		if other.slot() != hd.slot() {
+			t.Fatalf("slot %d not reused (got %d)", hd.slot(), other.slot())
+		}
+		if short(other) == short(hd) {
+			break
+		}
+		if err := h.Release(other); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := h.Identify(short(hd), 7); ok {
+		t.Fatal("Identify answered for a slot reissued to another object under a wrapped generation")
+	}
+	if got, ok := h.Identify(short(hd), 9); !ok || got != other {
+		t.Fatalf("Identify(reissued handle) = %#x, %v; want %#x", uint64(got), ok, uint64(other))
 	}
 }

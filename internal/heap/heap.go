@@ -68,9 +68,14 @@ func (hd Handle) gen() uint32  { return uint32(hd >> 32) }
 
 // handleSlot is one entry of the handle table. A free slot holds addr 0:
 // a live handle always points at an object, and no object lives at 0.
+// owners counts the holders of the handle (NewHandle's one, plus one per
+// Retain); id is the name its owner gave the object (Identify). Both
+// live on the host, beside the table, and reading them charges nothing.
 type handleSlot struct {
-	addr Addr
-	gen  uint32
+	addr   Addr
+	gen    uint32
+	owners uint32
+	id     int64
 }
 
 // WeakRef is a GC-stable weak reference: it does not keep its target
@@ -398,8 +403,9 @@ func (h *Heap) WriteData(o Obj, off int, src []byte) error {
 	return h.from.Write(base, src)
 }
 
-// NewHandle registers a strong reference to the object o.
-func (h *Heap) NewHandle(o Obj) (Handle, error) {
+// NewHandle registers a strong reference to the object o, which its
+// owner names id (the isolate's identity hash; see Identify).
+func (h *Heap) NewHandle(o Obj, id int64) (Handle, error) {
 	if o.addr == 0 {
 		return 0, fmt.Errorf("%w: handle to null", ErrBadAddress)
 	}
@@ -412,8 +418,37 @@ func (h *Heap) NewHandle(o Obj) (Handle, error) {
 		h.handles = append(h.handles, handleSlot{gen: 1})
 	}
 	s := &h.handles[slot]
-	s.addr = o.addr
+	s.addr, s.owners, s.id = o.addr, 1, id
 	return makeHandle(slot, s.gen), nil
+}
+
+// Identify returns the live handle whose low 48 bits are short — its
+// slot and the low 16 bits of its generation — when its owner named the
+// object id. It reads the handle table only, never the object, so it
+// charges nothing. A handle released and reissued to another object
+// fails on id whatever the generation reads, so a short generation that
+// wrapped on a busy slot cannot alias.
+func (h *Heap) Identify(short uint64, id int64) (Handle, bool) {
+	i := uint32(short)
+	if int(i) >= len(h.handles) {
+		return 0, false
+	}
+	s := &h.handles[i]
+	if s.addr == 0 || s.id != id || uint16(s.gen) != uint16(short>>32) {
+		return 0, false
+	}
+	return makeHandle(i, s.gen), true
+}
+
+// Retain adds an owner to a live handle: it takes one more Release to
+// drop.
+func (h *Heap) Retain(hd Handle) error {
+	s, err := h.lookup(hd)
+	if err != nil {
+		return err
+	}
+	s.owners++
+	return nil
 }
 
 // lookup returns the table slot of a live handle.
@@ -435,12 +470,16 @@ func (h *Heap) Deref(hd Handle) (Addr, error) {
 	return s.addr, nil
 }
 
-// Release drops a strong handle. Releasing an unknown or already released
-// handle is an error.
+// Release drops one owner of a strong handle, and the handle with its
+// last owner. Releasing an unknown or already released handle is an
+// error.
 func (h *Heap) Release(hd Handle) error {
 	s, err := h.lookup(hd)
 	if err != nil {
 		return err
+	}
+	if s.owners--; s.owners > 0 {
+		return nil
 	}
 	s.addr = 0
 	if s.gen++; s.gen == 0 {

@@ -136,7 +136,7 @@ func TestRefSlots(t *testing.T) {
 	if err := h.WriteData(Obj{}, 0, []byte{1}); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("WriteData on null: err = %v, want ErrBadAddress", err)
 	}
-	if _, err := h.NewHandle(Obj{}); !errors.Is(err, ErrBadAddress) {
+	if _, err := h.NewHandle(Obj{}, 0); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("NewHandle on null: err = %v, want ErrBadAddress", err)
 	}
 	if _, err := h.NewWeak(Obj{}); !errors.Is(err, ErrBadAddress) {
@@ -168,7 +168,7 @@ func TestCollectPreservesReachableGraph(t *testing.T) {
 	if err := h.WriteData(a, 0, []byte("midmidmi")); err != nil {
 		t.Fatal(err)
 	}
-	root, err := h.NewHandle(a)
+	root, err := h.NewHandle(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestCollectPreservesReachableGraph(t *testing.T) {
 func TestCollectReclaimsGarbage(t *testing.T) {
 	h := testHeap(t, Config{InitialSemi: 1 << 16, MaxSemi: 1 << 16})
 	keep := mustAlloc(t, h, 1, 0, 16)
-	hd, _ := h.NewHandle(keep)
+	hd, _ := h.NewHandle(keep, 0)
 	for i := 0; i < 100; i++ {
 		if _, err := h.Alloc(2, 0, 32); err != nil {
 			t.Fatalf("Alloc %d: %v", i, err)
@@ -231,8 +231,8 @@ func TestSharedObjectCopiedOnce(t *testing.T) {
 	if err := h.SetRef(b, 0, shared); err != nil {
 		t.Fatal(err)
 	}
-	ha, _ := h.NewHandle(a)
-	hb, _ := h.NewHandle(b)
+	ha, _ := h.NewHandle(a, 0)
+	hb, _ := h.NewHandle(b, 0)
 	if err := h.Collect(); err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestCycleSurvivesCollection(t *testing.T) {
 	if err := h.SetRef(b, 0, a); err != nil {
 		t.Fatal(err)
 	}
-	ha, _ := h.NewHandle(a)
+	ha, _ := h.NewHandle(a, 0)
 	if err := h.Collect(); err != nil {
 		t.Fatalf("Collect on cyclic graph: %v", err)
 	}
@@ -292,7 +292,7 @@ func TestWeakRefUpdatedForSurvivor(t *testing.T) {
 	if err := h.WriteData(obj, 0, []byte("survivor")); err != nil {
 		t.Fatal(err)
 	}
-	hd, _ := h.NewHandle(obj)
+	hd, _ := h.NewHandle(obj, 0)
 	w, _ := h.NewWeak(obj)
 	if err := h.Collect(); err != nil {
 		t.Fatal(err)
@@ -332,7 +332,7 @@ func TestWeakDoesNotKeepAlive(t *testing.T) {
 func TestWeaksClearedCounts(t *testing.T) {
 	h := testHeap(t, smallCfg())
 	live := mustAlloc(t, h, 1, 0, 8)
-	if _, err := h.NewHandle(live); err != nil {
+	if _, err := h.NewHandle(live, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range []Obj{live, mustAlloc(t, h, 1, 0, 8), mustAlloc(t, h, 1, 0, 8)} {
@@ -353,7 +353,7 @@ func TestWeaksClearedCounts(t *testing.T) {
 func TestHandleReleaseMakesGarbage(t *testing.T) {
 	h := testHeap(t, smallCfg())
 	obj := mustAlloc(t, h, 1, 0, 8)
-	hd, _ := h.NewHandle(obj)
+	hd, _ := h.NewHandle(obj, 0)
 	w, _ := h.NewWeak(obj)
 	if err := h.Collect(); err != nil {
 		t.Fatal(err)
@@ -400,7 +400,7 @@ func TestOutOfMemoryAtMax(t *testing.T) {
 			break
 		}
 		var hd Handle
-		hd, err = h.NewHandle(mustView(t, h, addr))
+		hd, err = h.NewHandle(mustView(t, h, addr), 0)
 		if err != nil {
 			break
 		}
@@ -416,7 +416,7 @@ func TestHeapGrowsUpToMax(t *testing.T) {
 	h := testHeap(t, Config{InitialSemi: 1 << 12, MaxSemi: 1 << 16})
 	var handles []Handle
 	for i := 0; i < 100; i++ {
-		hd, err := h.NewHandle(mustAlloc(t, h, 1, 0, 256))
+		hd, err := h.NewHandle(mustAlloc(t, h, 1, 0, 256), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,7 +449,7 @@ func TestEPCBackedHeap(t *testing.T) {
 	if err := h.WriteData(obj, 0, []byte("secret in the enclave heap!!")); err != nil {
 		t.Fatal(err)
 	}
-	hd, _ := h.NewHandle(obj)
+	hd, _ := h.NewHandle(obj, 0)
 	if err := h.Collect(); err != nil {
 		t.Fatalf("Collect on EPC heap: %v", err)
 	}
@@ -468,7 +468,7 @@ func TestEPCBackedHeap(t *testing.T) {
 
 func TestStatsProgression(t *testing.T) {
 	h := testHeap(t, smallCfg())
-	if _, err := h.NewHandle(mustAlloc(t, h, 1, 0, 8)); err != nil {
+	if _, err := h.NewHandle(mustAlloc(t, h, 1, 0, 8), 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.Collect(); err != nil {
@@ -537,7 +537,7 @@ func TestQuickGCPreservesGraph(t *testing.T) {
 					return false
 				}
 			}
-			hd, err := h.NewHandle(objs[i])
+			hd, err := h.NewHandle(objs[i], 0)
 			if err != nil {
 				return false
 			}
@@ -589,7 +589,7 @@ func TestHugeObjectForcesGrowth(t *testing.T) {
 	// A single object far larger than the current semispace must grow
 	// the heap rather than fail.
 	addr := mustAlloc(t, h, 1, 0, 200_000)
-	hd, err := h.NewHandle(addr)
+	hd, err := h.NewHandle(addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,7 +141,7 @@ func (iso *Isolate) NewObject(class string, hash int64) (heap.Handle, error) {
 	if err := iso.writeHash(o, hash); err != nil {
 		return 0, err
 	}
-	return iso.heap.NewHandle(o)
+	return iso.heap.NewHandle(o, hash)
 }
 
 // alloc allocates an object and takes its view.
@@ -176,10 +176,11 @@ func (iso *Isolate) NewList() (heap.Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := iso.writeHash(arr, iso.nextHash()); err != nil {
+	arrHash := iso.nextHash()
+	if err := iso.writeHash(arr, arrHash); err != nil {
 		return 0, err
 	}
-	arrHd, err := iso.heap.NewHandle(arr)
+	arrHd, err := iso.heap.NewHandle(arr, arrHash)
 	if err != nil {
 		return 0, err
 	}
@@ -191,7 +192,8 @@ func (iso *Isolate) NewList() (heap.Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := iso.writeHash(list, iso.nextHash()); err != nil {
+	hash := iso.nextHash()
+	if err := iso.writeHash(list, hash); err != nil {
 		return 0, err
 	}
 	if arr, err = iso.view(arrHd); err != nil {
@@ -203,31 +205,33 @@ func (iso *Isolate) NewList() (heap.Handle, error) {
 	if err := iso.writeInt(list, hashBytes, 0); err != nil {
 		return 0, err
 	}
-	return iso.heap.NewHandle(list)
+	return iso.heap.NewHandle(list, hash)
 }
 
 // newHandled allocates a builtin data object and hands out a strong
 // handle to it.
 func (iso *Isolate) newHandled(classID int32, payload []byte) (heap.Handle, error) {
-	o, err := iso.newDataObject(classID, payload)
+	o, hash, err := iso.newDataObject(classID, payload)
 	if err != nil {
 		return 0, err
 	}
-	return iso.heap.NewHandle(o)
+	return iso.heap.NewHandle(o, hash)
 }
 
 // newDataObject allocates a builtin data object, identity hash then
-// payload, and returns its view. The modelled program allocates, views
-// the new object, stores the hash and — if there is one — stores the
-// payload; AllocData charges exactly that while encrypting each line
-// once.
-func (iso *Isolate) newDataObject(classID int32, payload []byte) (heap.Obj, error) {
-	binary.LittleEndian.PutUint64(iso.word[:], uint64(iso.nextHash()))
+// payload, and returns its view and hash. The modelled program
+// allocates, views the new object, stores the hash and — if there is
+// one — stores the payload; AllocData charges exactly that while
+// encrypting each line once.
+func (iso *Isolate) newDataObject(classID int32, payload []byte) (heap.Obj, int64, error) {
+	hash := iso.nextHash()
+	binary.LittleEndian.PutUint64(iso.word[:], uint64(hash))
 	parts := [][]byte{iso.word[:], payload}
 	if len(payload) == 0 {
 		parts = parts[:1] // the modelled program skips an empty store
 	}
-	return iso.heap.AllocData(classID, parts...)
+	o, err := iso.heap.AllocData(classID, parts...)
+	return o, hash, err
 }
 
 // view resolves a handle and takes the view of its object: the one header
@@ -282,14 +286,15 @@ func (iso *Isolate) NewWeak(h heap.Handle) (heap.WeakRef, error) {
 	return iso.heap.NewWeak(o)
 }
 
-// HandleAt wraps a raw address in a fresh strong handle. The address must
-// be current (no allocation since it was obtained).
-func (iso *Isolate) HandleAt(addr heap.Addr) (heap.Handle, error) {
+// HandleAt wraps a raw address of the object with identity hash in a
+// fresh strong handle. The address must be current (no allocation since
+// it was obtained).
+func (iso *Isolate) HandleAt(addr heap.Addr, hash int64) (heap.Handle, error) {
 	o, err := iso.heap.View(addr)
 	if err != nil {
 		return 0, err
 	}
-	return iso.heap.NewHandle(o)
+	return iso.heap.NewHandle(o, hash)
 }
 
 // Collect runs a stop-and-copy GC cycle on the isolate heap.
@@ -362,7 +367,7 @@ func (iso *Isolate) SetFieldData(h heap.Handle, field string, v wire.Value) erro
 	}
 	// Nothing allocates between the child's allocation and the store, so
 	// its view stays current and no handle has to pin it.
-	child, err := iso.newDataObject(classID, payload)
+	child, _, err := iso.newDataObject(classID, payload)
 	if err != nil {
 		return err
 	}
@@ -464,7 +469,7 @@ func (iso *Isolate) getField(h heap.Handle, field string, wantHandle bool) (wire
 		}
 		var ch heap.Handle
 		if wantHandle {
-			if ch, err = iso.heap.NewHandle(child); err != nil {
+			if ch, err = iso.heap.NewHandle(child, hash); err != nil {
 				return wire.Value{}, 0, err
 			}
 		}
@@ -585,7 +590,7 @@ func (iso *Isolate) ListGet(list heap.Handle, i int) (heap.Handle, int64, int32,
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	h, err := iso.heap.NewHandle(e)
+	h, err := iso.heap.NewHandle(e, hash)
 	if err != nil {
 		return 0, 0, 0, err
 	}

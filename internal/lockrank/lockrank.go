@@ -36,14 +36,13 @@ import (
 // through the boundary), so every world rank sits inside every
 // fabric/persist rank.
 const (
-	RankFabricNode int32 = 20  // fabric shardNode.mu
-	RankShipIO     int32 = 30  // fabric shipper.ioMu
-	RankGroupQueue int32 = 50  // persist Manager.qmu (commit queue)
-	RankManager    int32 = 60  // persist Manager.mu
-	RankWorldPin   int32 = 70  // world Runtime.pinMu
-	RankWorldHeap  int32 = 80  // world Runtime.heapMu
-	RankWorldWeaks int32 = 90  // registry WeakList.mu
-	RankWorldTable int32 = 100 // world object-table shard mu
+	RankFabricNode int32 = 20 // fabric shardNode.mu
+	RankShipIO     int32 = 30 // fabric shipper.ioMu
+	RankGroupQueue int32 = 50 // persist Manager.qmu (commit queue)
+	RankManager    int32 = 60 // persist Manager.mu
+	RankWorldPin   int32 = 70 // world Runtime.pinMu
+	RankWorldHeap  int32 = 80 // world Runtime.heapMu
+	RankWorldWeaks int32 = 90 // registry WeakList.mu
 )
 
 // maxViolations bounds the retained violation log; a broken hierarchy
@@ -112,17 +111,6 @@ func (m *Mutex) Lock() {
 		acquire(m.rank, m.name)
 	}
 	m.mu.Lock()
-}
-
-// TryLock attempts the acquisition without blocking.
-func (m *Mutex) TryLock() bool {
-	if !m.mu.TryLock() {
-		return false
-	}
-	if m.rank != 0 && enabled.Load() {
-		acquire(m.rank, m.name)
-	}
-	return true
 }
 
 // Unlock releases the mutex and drops its rank from the holder's set.

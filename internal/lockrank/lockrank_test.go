@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// TryLock attempts the acquisition without blocking.
+func (m *Mutex) TryLock() bool {
+	if !m.mu.TryLock() {
+		return false
+	}
+	if m.rank != 0 && enabled.Load() {
+		acquire(m.rank, m.name)
+	}
+	return true
+}
+
 func ranked(rank int32, name string) *Mutex {
 	m := &Mutex{}
 	m.SetRank(rank, name)
@@ -69,7 +80,7 @@ func TestDisabledIsSilent(t *testing.T) {
 
 func TestTryLockAndConcurrency(t *testing.T) {
 	defer Enable()()
-	m := ranked(RankWorldTable, "shard")
+	m := ranked(RankWorldWeaks, "weaks")
 	if !m.TryLock() {
 		t.Fatal("TryLock on free mutex failed")
 	}

@@ -66,7 +66,8 @@ type Stats struct {
 	// LinesEncrypted and LinesDecrypted count cache-line operations.
 	LinesEncrypted uint64
 	LinesDecrypted uint64
-	// BytesEncrypted and BytesDecrypted count payload bytes processed.
+	// BytesEncrypted and BytesDecrypted count payload bytes processed:
+	// LineBytes per line.
 	BytesEncrypted uint64
 	BytesDecrypted uint64
 	// IntegrityFailures counts failed verifications.
@@ -81,8 +82,6 @@ type Engine struct {
 
 	linesEnc atomic.Uint64
 	linesDec atomic.Uint64
-	bytesEnc atomic.Uint64
-	bytesDec atomic.Uint64
 	integErr atomic.Uint64
 }
 
@@ -160,7 +159,6 @@ func (e *Engine) SealLines(s *Scratch, dst, src []byte, addr uint64, versions []
 // when it is stored, so the counters read as eager sealing's did.
 func (e *Engine) CountEncrypted(n int) {
 	e.linesEnc.Add(uint64(n))
-	e.bytesEnc.Add(uint64(n) * LineBytes)
 }
 
 // DecryptLines verifies and decrypts a run of consecutive cache lines
@@ -193,7 +191,6 @@ func (e *Engine) DecryptLines(s *Scratch, dst, src []byte, addr uint64, versions
 		done += ok
 	}
 	e.linesDec.Add(uint64(done))
-	e.bytesDec.Add(uint64(done) * LineBytes)
 	return done, err
 }
 
@@ -206,11 +203,12 @@ func checkRun(n, dst, src, tags int) error {
 
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
+	enc, dec := e.linesEnc.Load(), e.linesDec.Load()
 	return Stats{
-		LinesEncrypted:    e.linesEnc.Load(),
-		LinesDecrypted:    e.linesDec.Load(),
-		BytesEncrypted:    e.bytesEnc.Load(),
-		BytesDecrypted:    e.bytesDec.Load(),
+		LinesEncrypted:    enc,
+		LinesDecrypted:    dec,
+		BytesEncrypted:    enc * LineBytes,
+		BytesDecrypted:    dec * LineBytes,
 		IntegrityFailures: e.integErr.Load(),
 	}
 }

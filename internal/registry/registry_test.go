@@ -32,7 +32,7 @@ func alloc(t *testing.T, h *heap.Heap, dataBytes int) heap.Obj {
 
 func allocHandle(t *testing.T, h *heap.Heap) heap.Handle {
 	t.Helper()
-	hd, err := h.NewHandle(alloc(t, h, 16))
+	hd, err := h.NewHandle(alloc(t, h, 16), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestReleaseFreesMirror(t *testing.T) {
 	h := testHeap(t)
 	r := New(h)
 	addr := alloc(t, h, 16)
-	hd, err := h.NewHandle(addr)
+	hd, err := h.NewHandle(addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestWeakListSweep(t *testing.T) {
 
 	// Proxy A stays referenced; proxy B becomes garbage.
 	addrA := alloc(t, h, 8)
-	hdA, _ := h.NewHandle(addrA)
+	hdA, _ := h.NewHandle(addrA, 0)
 	wA, _ := h.NewWeak(addrA)
 	l.Track(wA, 100)
 
@@ -185,7 +185,7 @@ func TestLiveHash(t *testing.T) {
 	h := testHeap(t)
 	l := NewWeakList(h)
 	addr := alloc(t, h, 8)
-	hd, _ := h.NewHandle(addr)
+	hd, _ := h.NewHandle(addr, 0)
 	w, _ := h.NewWeak(addr)
 	l.Track(w, 5)
 
@@ -220,7 +220,7 @@ func TestSweepScalesToManyEntries(t *testing.T) {
 		}
 		l.Track(w, int64(i))
 		if i%2 == 0 {
-			hd, err := h.NewHandle(addr)
+			hd, err := h.NewHandle(addr, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -260,3 +260,20 @@ func TestMapRefs(t *testing.T) {
 		t.Fatalf("deepening rename: %v, want ErrTooDeep", err)
 	}
 }
+
+// TestRefHandleIsHostSide: the handle a ref carries keeps its low 48
+// bits, leaves the encoding and Equal as they are, and rides only on
+// refs.
+func TestRefHandleIsHostSide(t *testing.T) {
+	r := Ref("Account", 42)
+	h := r.WithHandle(0xfedc_ba98_7654_3210)
+	if got := h.Handle(); got != 0xba98_7654_3210 {
+		t.Fatalf("Handle() = %#x, want the low 48 bits", got)
+	}
+	if r.Handle() != 0 || !h.Equal(r) || string(Marshal(h)) != string(Marshal(r)) {
+		t.Fatalf("a carried handle shows: Equal %v, encodings %x and %x", h.Equal(r), Marshal(h), Marshal(r))
+	}
+	if v := Int(7).WithHandle(1); v.Handle() != 0 {
+		t.Fatalf("an int carries handle %#x", v.Handle())
+	}
+}

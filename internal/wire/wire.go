@@ -92,7 +92,7 @@ var (
 //	int    0      the integer          -             -
 //	float  0      IEEE-754 bits        -             -
 //	string 0      -                    the payload   -
-//	ref    0      identity hash        class name    -
+//	ref    0      identity hash        class name    -    (+ hd)
 //	bytes  0      length               -             first byte
 //	list   1+max  element count        -             first element (Value)
 //
@@ -102,9 +102,17 @@ var (
 // shared freely between copies of the Value. Callers get at it through
 // Index (one element, by value) or AsBytes/AsList (a copy of the whole
 // payload); nothing hands out the array itself.
+//
+// A ref may also carry hd, in the six bytes the layout would otherwise
+// pad: the low 48 bits of the heap handle by which the runtime that made
+// the ref holds its object (WithHandle). It is a host-side hint the
+// runtime checks before it trusts it; the encoding, Equal and String
+// ignore it, and Ref makes a ref without one.
 type Value struct {
 	kind  Kind
 	depth uint8
+	hdLo  uint16
+	hdHi  uint32
 	w     uint64
 	s     string
 	p     unsafe.Pointer
@@ -175,6 +183,21 @@ func listOf(owned []Value) (Value, error) {
 // Ref wraps a cross-runtime object reference.
 func Ref(class string, hash int64) Value {
 	return Value{kind: KindRef, w: uint64(hash), s: class}
+}
+
+// WithHandle returns ref v carrying the low 48 bits of hd (see Value);
+// any other value is returned as it is.
+func (v Value) WithHandle(hd uint64) Value {
+	if v.kind == KindRef {
+		v.hdLo, v.hdHi = uint16(hd), uint32(hd>>16)
+	}
+	return v
+}
+
+// Handle returns the handle bits a ref carries: 0 for none, and for any
+// value that is not a ref.
+func (v Value) Handle() uint64 {
+	return uint64(v.hdHi)<<16 | uint64(v.hdLo)
 }
 
 // MapRefs returns v with every object reference in it — v itself, or one

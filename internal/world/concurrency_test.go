@@ -13,11 +13,11 @@ import (
 	"montsalvat/internal/world"
 )
 
-// TestObjectTableDrainsAfterFrames pins the eager-removal contract of
-// the sharded object table: every entry is frame- or pin-owned, so once
-// all frames close (and nothing is pinned) both runtimes' tables must be
-// empty — the table never accumulates garbage across calls.
-func TestObjectTableDrainsAfterFrames(t *testing.T) {
+// TestFrameHandlesDrain pins the ownership rule: every heap handle a
+// frame's operations made is the frame's own and goes with it, so once
+// all frames close (and nothing is pinned) the only live handles left on
+// either side are registry exports — nothing accumulates across calls.
+func TestFrameHandlesDrain(t *testing.T) {
 	w := bankWorld(t)
 	if _, err := w.RunMain(); err != nil {
 		t.Fatal(err)
@@ -36,12 +36,12 @@ func TestObjectTableDrainsAfterFrames(t *testing.T) {
 		}
 	}
 	for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
-		if got := rt.Stats().ObjectTableLen; got != 0 {
-			t.Errorf("%s object table has %d entries after all frames closed, want 0", sideOf(w, rt), got)
+		if got := frameHandles(rt); got != 0 {
+			t.Errorf("%s heap holds %d handles besides registry exports after all frames closed, want 0", sideOf(w, rt), got)
 		}
 	}
 
-	// A pin keeps its entry alive past the frame; unpinning drops it.
+	// A pin keeps its object's handle past the frame; unpinning drops it.
 	var pinned wire.Value
 	err := w.Exec(false, func(env classmodel.Env) error {
 		v, err := env.New(demo.Account, wire.Str("Pin"), wire.Int(1))
@@ -54,14 +54,14 @@ func TestObjectTableDrainsAfterFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Untrusted().Stats().ObjectTableLen; got == 0 {
-		t.Fatal("pinned object not retained in table")
+	if got := frameHandles(w.Untrusted()); got != 1 {
+		t.Fatalf("%d handles besides registry exports with one object pinned, want 1", got)
 	}
 	if err := w.Untrusted().Unpin(pinned); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Untrusted().Stats().ObjectTableLen; got != 0 {
-		t.Errorf("object table has %d entries after unpin, want 0", got)
+	if got := frameHandles(w.Untrusted()); got != 0 {
+		t.Errorf("%d handles besides registry exports after unpin, want 0", got)
 	}
 }
 
@@ -200,8 +200,8 @@ func TestConcurrentCrossingStress(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, rt := range []*world.Runtime{w.Untrusted(), w.Trusted()} {
-				if got := rt.Stats().ObjectTableLen; got != 0 {
-					t.Errorf("%s object table has %d entries after stress, want 0", sideOf(w, rt), got)
+				if got := frameHandles(rt); got != 0 {
+					t.Errorf("%s heap holds %d handles besides registry exports after stress, want 0", sideOf(w, rt), got)
 				}
 			}
 		})
@@ -209,6 +209,12 @@ func TestConcurrentCrossingStress(t *testing.T) {
 }
 
 // sideOf names the side rt runs on, for failure messages.
+// frameHandles is the number of rt's live heap handles that no registry
+// export accounts for: the handles frames and pins hold.
+func frameHandles(rt *world.Runtime) int {
+	return rt.HeapStats().Handles - rt.Stats().RegistrySize
+}
+
 func sideOf(w *world.World, rt *world.Runtime) string {
 	if rt == w.Trusted() {
 		return "trusted"

@@ -33,7 +33,9 @@ func (fr *frame) New(class string, args []wire.Value) (wire.Value, error) {
 		// local proxy object, then transition to create the mirror
 		// (Listing 2/3 constructor stubs).
 		hash := rt.w.nextHash()
-		if err := rt.newProxy(fr, class, hash); err != nil {
+		fr.note(hash)
+		h, err := rt.newProxy(fr, class, hash)
+		if err != nil {
 			return wire.Value{}, err
 		}
 		// Constructor relays return no value, so under Config.Batching
@@ -44,7 +46,7 @@ func (fr *frame) New(class string, args []wire.Value) (wire.Value, error) {
 		if _, err := rt.remoteCall(fr, ctor, hash, args); err != nil {
 			return wire.Value{}, err
 		}
-		return wire.Ref(class, hash), nil
+		return wire.Ref(class, hash).WithHandle(uint64(h)), nil
 	}
 
 	// Local concrete instantiation.
@@ -56,13 +58,11 @@ func (fr *frame) New(class string, args []wire.Value) (wire.Value, error) {
 	rt.heapMu.Lock()
 	h, err := rt.iso.NewObject(class, hash)
 	rt.unlockHeap()
-	if err == nil {
-		_, err = rt.adoptHandle(fr, hash, h)
-	}
 	if err != nil {
 		return wire.Value{}, err
 	}
-	self := wire.Ref(class, hash)
+	fr.made(hash, h)
+	self := wire.Ref(class, hash).WithHandle(uint64(h))
 	if _, err := rt.dispatch(ctor, self, args, fr, nil); err != nil {
 		return wire.Value{}, err
 	}
@@ -111,7 +111,7 @@ func (fr *frame) CallStatic(class, method string, args []wire.Value) (wire.Value
 // GetField implements classmodel.Activation.
 func (fr *frame) GetField(recv wire.Value, field string) (wire.Value, error) {
 	rt := fr.rt
-	class, hash, ok := recv.AsRef()
+	class, _, ok := recv.AsRef()
 	if !ok {
 		return wire.Value{}, ErrNotRef
 	}
@@ -123,33 +123,27 @@ func (fr *frame) GetField(recv wire.Value, field string) (wire.Value, error) {
 		return wire.Value{}, fmt.Errorf("world: proxy %s has no fields (access fields via methods)", class)
 	}
 	rt.w.clock.Charge(simcfg.FieldAccessCycles)
-	h, err := rt.resolve(fr, hash)
-	if err != nil {
-		return wire.Value{}, err
-	}
 	// The field read and the ref-handle creation are one isolate call, so
 	// the slot cannot change between them; the fresh handle is then
-	// adopted (a racing adopter's entry wins, the duplicate handle is
-	// dropped).
-	rt.heapMu.Lock()
-	v, fh, err := rt.iso.GetFieldRef(h, field)
-	rt.unlockHeap()
+	// adopted.
+	h, err := rt.lockRef(fr, recv)
 	if err != nil {
 		return wire.Value{}, err
 	}
-	if fh != 0 {
-		_, refHash, _ := v.AsRef()
-		if _, err := rt.adoptHandle(fr, refHash, fh); err != nil {
-			return wire.Value{}, err
-		}
+	v, fh, err := rt.iso.GetFieldRef(h, field)
+	rt.unlockHeap()
+	if err != nil || fh == 0 {
+		return v, err
 	}
-	return v, nil
+	_, refHash, _ := v.AsRef()
+	kept, err := rt.adopt(fr, refHash, fh, false)
+	return v.WithHandle(uint64(kept)), err
 }
 
 // SetField implements classmodel.Activation.
 func (fr *frame) SetField(recv wire.Value, field string, v wire.Value) error {
 	rt := fr.rt
-	class, hash, ok := recv.AsRef()
+	class, _, ok := recv.AsRef()
 	if !ok {
 		return ErrNotRef
 	}
@@ -165,38 +159,28 @@ func (fr *frame) SetField(recv wire.Value, field string, v wire.Value) error {
 		return fmt.Errorf("world: unknown field %s.%s", class, field)
 	}
 	rt.w.clock.Charge(simcfg.FieldAccessCycles)
-	h, err := rt.resolve(fr, hash)
-	if err != nil {
-		return err
-	}
-	// Receiver and target stay live across the heap critical section via
-	// the frame's retentions; handles are GC-stable, so resolving first
-	// and writing second is safe.
-	switch f.Kind {
-	case classmodel.FieldRef:
-		if v.IsNull() {
-			rt.heapMu.Lock()
-			defer rt.unlockHeap()
-			return rt.iso.SetFieldRef(h, field, 0)
-		}
-		_, targetHash, isRef := v.AsRef()
-		if !isRef {
+	if f.Kind == classmodel.FieldRef && !v.IsNull() {
+		if v.Kind() != wire.KindRef {
 			return fmt.Errorf("world: field %s.%s wants a reference, got %s", class, field, v.Kind())
 		}
-		th, err := rt.resolve(fr, targetHash)
+		h, th, err := rt.lockRefs(fr, recv, v)
 		if err != nil {
 			return err
 		}
-		rt.heapMu.Lock()
 		defer rt.unlockHeap()
 		return rt.iso.SetFieldRef(h, field, th)
+	}
+	h, err := rt.lockRef(fr, recv)
+	if err != nil {
+		return err
+	}
+	defer rt.unlockHeap()
+	switch f.Kind {
+	case classmodel.FieldRef:
+		return rt.iso.SetFieldRef(h, field, 0)
 	case classmodel.FieldInt, classmodel.FieldFloat, classmodel.FieldBool:
-		rt.heapMu.Lock()
-		defer rt.unlockHeap()
 		return rt.iso.SetFieldScalar(h, field, v)
 	default:
-		rt.heapMu.Lock()
-		defer rt.unlockHeap()
 		return rt.iso.SetFieldData(h, field, v)
 	}
 }
@@ -257,27 +241,25 @@ func (fr *frame) newBuiltin(class string, args []wire.Value) (wire.Value, error)
 	if err != nil {
 		return wire.Value{}, err
 	}
-	if _, err := rt.adoptHandle(fr, hash, h); err != nil {
-		return wire.Value{}, err
-	}
-	return wire.Ref(class, hash), nil
+	fr.made(hash, h)
+	return wire.Ref(class, hash).WithHandle(uint64(h)), nil
 }
 
 func (fr *frame) callBuiltin(recv wire.Value, method string, args []wire.Value) (wire.Value, error) {
 	rt := fr.rt
-	class, hash, _ := recv.AsRef()
+	class, _, _ := recv.AsRef()
 	rt.w.clock.Charge(simcfg.LocalCallCycles)
-	h, err := rt.resolve(fr, hash)
+	if class == classmodel.BuiltinList {
+		return fr.callList(recv, method, args)
+	}
+	h, err := rt.lockRef(fr, recv)
 	if err != nil {
 		return wire.Value{}, err
 	}
+	defer rt.unlockHeap()
 	switch class {
-	case classmodel.BuiltinList:
-		return fr.callList(h, method, args)
 	case classmodel.BuiltinString:
-		rt.heapMu.Lock()
 		s, err := rt.iso.StrValue(h)
-		rt.unlockHeap()
 		if err != nil {
 			return wire.Value{}, err
 		}
@@ -288,9 +270,7 @@ func (fr *frame) callBuiltin(recv wire.Value, method string, args []wire.Value) 
 			return wire.Int(int64(len(s))), nil
 		}
 	case classmodel.BuiltinBytes:
-		rt.heapMu.Lock()
 		b, err := rt.iso.BytesValue(h)
-		rt.unlockHeap()
 		if err != nil {
 			return wire.Value{}, err
 		}
@@ -302,23 +282,22 @@ func (fr *frame) callBuiltin(recv wire.Value, method string, args []wire.Value) 
 		}
 	case classmodel.BuiltinBlob:
 		if method == "value" {
-			rt.heapMu.Lock()
-			defer rt.unlockHeap()
 			return rt.iso.BlobValue(h)
 		}
 	}
 	return wire.Value{}, fmt.Errorf("%w: method %s.%s", image.ErrClosedWorld, class, method)
 }
 
-// callList dispatches List methods. The list handle is retained by the
-// activation frame, so it stays valid across the heap critical sections
-// below.
-func (fr *frame) callList(list heap.Handle, method string, args []wire.Value) (wire.Value, error) {
+// callList dispatches List methods on the list behind ref list.
+func (fr *frame) callList(list wire.Value, method string, args []wire.Value) (wire.Value, error) {
 	rt := fr.rt
 	switch method {
 	case "size":
-		rt.heapMu.Lock()
-		n, err := rt.iso.ListSize(list)
+		h, err := rt.lockRef(fr, list)
+		if err != nil {
+			return wire.Value{}, err
+		}
+		n, err := rt.iso.ListSize(h)
 		rt.unlockHeap()
 		if err != nil {
 			return wire.Value{}, err
@@ -339,20 +318,18 @@ func (fr *frame) callList(list heap.Handle, method string, args []wire.Value) (w
 		} else if len(args) != 1 {
 			return wire.Value{}, fmt.Errorf("%w: List.add(element)", ErrBadArity)
 		}
-		_, elemHash, ok := args[0].AsRef()
-		if !ok {
+		if args[0].Kind() != wire.KindRef {
 			return wire.Value{}, fmt.Errorf("world: List elements are object references, got %s", args[0].Kind())
 		}
-		eh, err := rt.resolve(fr, elemHash)
+		h, eh, err := rt.lockRefs(fr, list, args[0])
 		if err != nil {
 			return wire.Value{}, err
 		}
-		rt.heapMu.Lock()
 		defer rt.unlockHeap()
 		if method == "add" {
-			return wire.Null(), rt.iso.ListAdd(list, eh)
+			return wire.Null(), rt.iso.ListAdd(h, eh)
 		}
-		return wire.Null(), rt.iso.ListSet(list, idx, eh)
+		return wire.Null(), rt.iso.ListSet(h, idx, eh)
 	case "get":
 		if len(args) != 1 {
 			return wire.Value{}, fmt.Errorf("%w: List.get(index)", ErrBadArity)
@@ -362,9 +339,12 @@ func (fr *frame) callList(list heap.Handle, method string, args []wire.Value) (w
 			return wire.Value{}, fmt.Errorf("world: List.get index must be int")
 		}
 		// Element handle, hash and class id come from one isolate call;
-		// the fresh handle is then adopted (adoptElement).
-		rt.heapMu.Lock()
-		eh, elemHash, cid, err := rt.iso.ListGet(list, int(i))
+		// the fresh handle is then adopted.
+		h, err := rt.lockRef(fr, list)
+		if err != nil {
+			return wire.Value{}, err
+		}
+		eh, elemHash, cid, err := rt.iso.ListGet(h, int(i))
 		var name string
 		if err == nil && eh != 0 {
 			if name, err = rt.iso.ClassName(cid); err != nil {
@@ -378,10 +358,8 @@ func (fr *frame) callList(list heap.Handle, method string, args []wire.Value) (w
 		if eh == 0 {
 			return wire.Null(), nil
 		}
-		if _, err := rt.adoptElement(fr, elemHash, eh); err != nil {
-			return wire.Value{}, err
-		}
-		return wire.Ref(name, elemHash), nil
+		kept, err := rt.adopt(fr, elemHash, eh, true)
+		return wire.Ref(name, elemHash).WithHandle(uint64(kept)), err
 	default:
 		return wire.Value{}, fmt.Errorf("%w: method List.%s", image.ErrClosedWorld, method)
 	}

@@ -8,16 +8,11 @@ import (
 	"montsalvat/internal/ring"
 )
 
-// TableRefs reports the object-table reference count of hash in rt: the
-// retentions frames and pins hold on it (0 when the table has no entry).
-func (rt *Runtime) TableRefs(hash int64) int {
-	s := rt.table.shard(hash)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i := s.find(hash); i >= 0 {
-		return s.slots[i].refs
-	}
-	return 0
+// Pins reports how many times hash is pinned in rt.
+func (rt *Runtime) Pins(hash int64) int {
+	rt.pinMu.Lock()
+	defer rt.pinMu.Unlock()
+	return rt.pins[hash].n
 }
 
 // RingHandler is the far-side callback a ring call runs for each

@@ -3,7 +3,6 @@ package world
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +40,6 @@ type RuntimeStats struct {
 	// RegistrySize and WeakListLen snapshot the GC-sync structures.
 	RegistrySize int
 	WeakListLen  int
-	// ObjectTableLen snapshots the live entries of the sharded object
-	// table (frames and pins currently retaining objects).
-	ObjectTableLen int
 }
 
 // SweepStats describes the GC helper's sweep activity over one runtime's
@@ -94,10 +90,10 @@ type Runtime struct {
 	// engine: it serialises actual heap mutation (allocation — which may
 	// trigger a collection — field access, GC, weak dereference) and
 	// nothing else. It is never held across a boundary transition, while
-	// calling into the opposite runtime, or around a table/registry
-	// mutation. Handles are GC-stable and may cross heapMu critical
-	// sections; raw heap addresses may not (a collection between
-	// sections moves objects). It is the one lock of the trusted heap
+	// calling into the opposite runtime, or around a registry mutation.
+	// Handles are GC-stable and may cross heapMu critical sections; raw
+	// heap addresses may not (a collection between sections moves
+	// objects). It is the one lock of the trusted heap
 	// path: the isolate, the heap and the heap's epc.Memory semispaces
 	// are owner-serialised and take none of their own, so every call
 	// into them must hold it.
@@ -107,13 +103,14 @@ type Runtime struct {
 	// charges on the clock at once, so outside the sections the ledger
 	// reads exactly as if every access had charged it.
 	tab *cycles.Tab
-	// table is the sharded object table: identity hash → refcounted
-	// strong handle, retained and released by activation frames.
-	table *objTable
-	// pinMu guards the permanent-root frame (static-field analog);
-	// outermost in the lock order.
-	pinMu lockrank.Mutex
-	pins  *frame
+	// pinMu guards pins, the permanent roots (static-field analog):
+	// identity hash → the pinned handle, of which the pin holds one owner,
+	// and its pin count. pinned is len(pins), read without the lock to
+	// skip the lookup while nothing is pinned. pinMu is taken before
+	// heapMu.
+	pinMu  lockrank.Mutex
+	pins   map[int64]pin
+	pinned atomic.Int32
 	// frames recycles the activation records of bodies run in this
 	// runtime (see frame).
 	frames sync.Pool
@@ -197,10 +194,9 @@ func newRuntime(w *World, name string, trusted bool, img *image.Image, h *heap.H
 		iso:     iso,
 		reg:     registry.New(h),
 		weaks:   registry.NewWeakList(h),
-		table:   newObjTable(),
+		pins:    make(map[int64]pin),
 		tab:     tab,
 	}
-	rt.pins = &frame{rt: rt}
 	rt.frames.New = func() any { return &frame{rt: rt} }
 	rt.pinMu.SetRank(lockrank.RankWorldPin, "world."+name+".pinMu")
 	rt.heapMu.SetRank(lockrank.RankWorldHeap, "world."+name+".heapMu")
@@ -261,16 +257,22 @@ func (rt *Runtime) Stats() RuntimeStats {
 		MarshalledBytes: rt.marshalled.Load(),
 		RegistrySize:    rt.reg.Size(),
 		WeakListLen:     rt.weaks.Len(),
-		ObjectTableLen:  rt.table.len(),
 	}
 }
 
+// pin is a pinned object's handle and its pin count.
+type pin struct {
+	handle heap.Handle
+	n      int
+}
+
 // Pin adds a permanent strong root for the object behind a ref — the
-// analog of storing it in a static field. The object must currently be
-// live in this runtime where Pin can find it: in the object table, the
-// registry or the weak list. An element a method body read with
-// List.get is none of these while the body holds it as a local ref
-// (adoptElement), so a body does not pin one.
+// analog of storing it in a static field. The object must be live where
+// Pin can find it: behind the handle the ref carries (an object a frame
+// holds, an element a body read with List.get), already pinned, or in
+// the registry or the weak list. A ref whose handle has gone, or that
+// never carried one, is found by its identity hash only in those three;
+// a frame's handles are its own.
 func (rt *Runtime) Pin(v wire.Value) error {
 	_, hash, ok := v.AsRef()
 	if !ok {
@@ -278,8 +280,26 @@ func (rt *Runtime) Pin(v wire.Value) error {
 	}
 	rt.pinMu.Lock()
 	defer rt.pinMu.Unlock()
-	_, err := rt.resolve(rt.pins, hash)
-	return err
+	if p, ok := rt.pins[hash]; ok {
+		p.n++
+		rt.pins[hash] = p
+		return nil
+	}
+	rt.heapMu.Lock()
+	h, ok := rt.iso.Heap().Identify(v.Handle(), hash)
+	var err error
+	if ok {
+		err = rt.iso.Heap().Retain(h)
+	} else {
+		h, err = rt.fresh(hash)
+	}
+	rt.unlockHeap()
+	if err != nil {
+		return err
+	}
+	rt.pins[hash] = pin{handle: h, n: 1}
+	rt.pinned.Add(1)
+	return nil
 }
 
 // Unpin removes one permanent retention added by Pin.
@@ -290,19 +310,18 @@ func (rt *Runtime) Unpin(v wire.Value) error {
 	}
 	rt.pinMu.Lock()
 	defer rt.pinMu.Unlock()
-	for i, o := range rt.pins.owned {
-		if o.hash != hash {
-			continue
-		}
-		rt.pins.owned = append(rt.pins.owned[:i], rt.pins.owned[i+1:]...)
-		if drop := rt.table.release(hash); drop != 0 {
-			rt.heapMu.Lock()
-			_ = rt.iso.Release(drop)
-			rt.unlockHeap()
-		}
+	p, ok := rt.pins[hash]
+	switch {
+	case !ok:
+		return fmt.Errorf("%w: %d not pinned", ErrNoSuchObject, hash)
+	case p.n > 1:
+		p.n--
+		rt.pins[hash] = p
 		return nil
 	}
-	return fmt.Errorf("%w: %d not pinned", ErrNoSuchObject, hash)
+	delete(rt.pins, hash)
+	rt.pinned.Add(-1)
+	return rt.release(p.handle)
 }
 
 // PinNamed pins the object behind ref and names it in ns, returning its
@@ -334,10 +353,10 @@ func (rt *Runtime) unlockHeap() {
 
 // ---- frames ----------------------------------------------------------
 
-// frame is the activation record of one method execution: the object-
-// table retentions taken on its behalf (the stand-in for stack/register
-// roots in a real VM), the trace span and the lane (see cross) of the
-// chain it belongs to, and — it implements classmodel.Env (env.go) — the
+// frame is the activation record of one method execution: the heap
+// handles its operations made (the stand-in for stack/register roots in
+// a real VM), the trace span and the lane (see cross) of the chain it
+// belongs to, and — it implements classmodel.Env (env.go) — the
 // environment its body runs against. A relay executing a sampled
 // cross-boundary call stores the call's span here, so proxy invocations
 // the body makes become child spans of the same trace. Nil span when the
@@ -358,103 +377,167 @@ type frame struct {
 	span *telemetry.Span
 	lane *Lane
 	// up is the activation that called this one when it runs a method
-	// body (dispatch); nil for an Exec, relay or pin frame.
-	up    *frame
+	// body (dispatch); nil for an Exec or relay frame.
+	up *frame
+	// owned lists the handles the activation's operations made, one per
+	// object (adopt), each one owner of its heap handle until release,
+	// in the order release drops them. index locates the refs past the
+	// first frameScanOwned by hash; it is nil until a frame owns that
+	// many.
 	owned []ownedRef
-	// local has bit i set when owned[i] is a local ref: a heap handle of
-	// the frame's own with no object-table entry behind it (see
-	// adoptElement). Only the first frameLocalMax refs can be local.
-	local uint64
-	// drops is releaseFrame's scratch list, kept across uses; between
-	// uses it holds the handles promote left to drop at release.
-	drops []heap.Handle
-	// inline backs owned until an activation retains more than it holds.
+	index map[int64]int32
+	// noted, first and last order the drops (see note).
+	noted int
+	first [frameInlineOwned]int64
+	last  int64
+	// inline backs owned until an activation owns more than it holds.
 	inline [frameInlineOwned]ownedRef
 	// argv holds the argument vectors of the calls the body makes (see
 	// classmodel.NewEnv).
 	argv [classmodel.EnvArgs]wire.Value
 }
 
-// ownedRef is one retention of a frame and its handle, which cannot
-// change while the retention lasts: an object-table retention, a local
-// ref (frame.local), or a borrowed ref — the retention or local ref of
-// an activation up the call chain, which the frame uses without taking
-// one of its own (see borrow): releaseFrame skips it.
+// ownedRef is one handle a frame owns and the identity hash of its
+// object; elem marks an element the frame read with List.get. A handle
+// handed on to the caller with a result (adoptResult), or moved to a
+// later place (note), reads 0.
 type ownedRef struct {
-	hash     int64
-	handle   heap.Handle
-	borrowed bool
+	hash   int64
+	handle heap.Handle
+	elem   bool
 }
 
 // frameInlineOwned covers a leaf activation (self, a few arguments, a
-// field or element it reads) and bounds the search of held;
-// frameKeepOwned bounds what a pooled frame keeps of a larger list, so
-// one scan of a long bucket does not pin its storage in the pool.
+// field or element it reads) without allocating; find scans the first
+// frameScanOwned refs, about what one map lookup costs, and indexes the
+// rest; frameKeepOwned bounds what a pooled frame keeps of a larger
+// list, so one scan of a long bucket does not pin its storage in the
+// pool; a List.get element read after frameElemMax notes, or in an Exec
+// or relay frame, is noted as any handle is (see note).
 const (
 	frameInlineOwned = 8
+	frameScanOwned   = 32
 	frameKeepOwned   = 256
+	frameElemMax     = 64
 )
 
-// frameLocalMax is the number of a frame's first refs that can be local:
-// the bits of frame.local.
-const frameLocalMax = 64
-
-// own records a table retention taken on behalf of this frame. A frame
-// belongs to exactly one activation, so no lock guards the slice.
-func (fr *frame) own(hash int64, h heap.Handle) {
-	fr.owned = append(fr.owned, ownedRef{hash: hash, handle: h})
+// own records a handle the activation's operation made, or one it took
+// over; the caller notes the use (see note).
+func (fr *frame) own(hash int64, h heap.Handle, elem bool) {
+	if n := len(fr.owned); n >= frameScanOwned {
+		if fr.index == nil {
+			fr.index = make(map[int64]int32)
+		}
+		fr.index[hash] = int32(n)
+	}
+	fr.owned = append(fr.owned, ownedRef{hash: hash, handle: h, elem: elem})
 }
 
-// held returns the handle of hash when one of the frame's first
-// frameInlineOwned retentions, or its latest, is of it: what an activation
-// resolves again and again — self, its arguments, the list it scans — it
-// resolved first, and what it hands a callee next — the element it just
-// read — it resolved last. The window keeps the search O(1) in a frame
-// that owns thousands of refs (a recovery pass, a snapshot walk); a hash
-// beyond it is retained in the table once more, as before. The pin frame
-// never answers: each Pin is one retention, which Unpin drops.
-func (fr *frame) held(hash int64) (heap.Handle, bool) {
-	if fr == fr.rt.pins {
-		return 0, false
-	}
+// find returns the index in owned of the frame's handle of hash, or -1:
+// a scan of the first frameScanOwned, then the index, so the search
+// stays O(1) in a frame that owns thousands of refs (a recovery pass, a
+// snapshot walk).
+func (fr *frame) find(hash int64) int {
 	n := len(fr.owned)
-	for _, o := range fr.owned[:min(n, frameInlineOwned)] {
-		if o.hash == hash {
-			return o.handle, true
+	for i, o := range fr.owned[:min(n, frameScanOwned)] {
+		if o.hash == hash && o.handle != 0 {
+			return i
 		}
 	}
-	if n > frameInlineOwned && fr.owned[n-1].hash == hash {
-		return fr.owned[n-1].handle, true
-	}
-	return 0, false
-}
-
-// localIndex returns the index in owned of the frame's local ref of
-// hash, or -1.
-func (fr *frame) localIndex(hash int64) int {
-	for m := fr.local; m != 0; m &= m - 1 {
-		if i := bits.TrailingZeros64(m); fr.owned[i].hash == hash {
-			return i
+	if n > frameScanOwned {
+		if i, ok := fr.index[hash]; ok && fr.owned[i].handle != 0 {
+			return int(i)
 		}
 	}
 	return -1
 }
 
-// localRef finds a local ref of hash in the frame or up its call chain.
-// A local ref has no table entry to fall back on, so a lookup that held
-// does not answer tries localRef before the table. The activations up
-// the chain outlive the frame, so it records one of theirs as borrowed.
-func (fr *frame) localRef(hash int64) (heap.Handle, bool) {
+// held returns the handle by which fr or an activation up its call chain
+// holds hash. The activations up the chain outlive fr, so fr uses their
+// handles without owning one.
+func (fr *frame) held(hash int64) (heap.Handle, bool) {
 	for f := fr; f != nil; f = f.up {
-		if i := f.localIndex(hash); i >= 0 {
-			h := f.owned[i].handle
-			if f != fr {
-				fr.owned = append(fr.owned, ownedRef{hash: hash, handle: h, borrowed: true})
-			}
-			return h, true
+		if i := f.find(hash); i >= 0 {
+			return f.owned[i].handle, true
 		}
 	}
 	return 0, false
+}
+
+// The order a frame drops its handles in is part of the cycle ledger:
+// the collector evacuates roots in handle-slot order, and the heap
+// reissues the slot dropped last first. A frame drops each handle where
+// it last noted the object. An operation notes an object it uses unless
+// the frame noted it among its first frameInlineOwned notes or as its
+// latest one, or it is an element the frame read itself (List.get).
+// That is the order the frames' bounded search — first eight, latest —
+// gave before refs carried their handles, and the ledger goldens pin
+// it. noted counts the notes, first holds the first frameInlineOwned
+// noted hashes and last the latest.
+
+// note records that the frame used hash.
+func (fr *frame) note(hash int64) {
+	if fr.noted < frameInlineOwned {
+		fr.first[fr.noted] = hash
+	}
+	fr.noted++
+	fr.last = hash
+}
+
+// recent reports whether a use of hash goes unnoted: it is among the
+// first notes or the latest.
+func (fr *frame) recent(hash int64) bool {
+	for _, h := range fr.first[:min(fr.noted, frameInlineOwned)] {
+		if h == hash {
+			return true
+		}
+	}
+	return fr.noted > frameInlineOwned && fr.last == hash
+}
+
+// use notes an operation's use of hash (see note) and returns the
+// handle fr or an activation up its chain holds it by, if one does. A
+// noted use of a handle fr owns moves its drop to the end of owned.
+func (fr *frame) use(hash int64) (heap.Handle, bool) {
+	if i := fr.find(hash); i >= 0 {
+		o := fr.owned[i]
+		if !o.elem && !fr.recent(hash) {
+			fr.owned[i].handle = 0
+			fr.own(hash, o.handle, false)
+			fr.note(hash)
+		}
+		return o.handle, true
+	}
+	if !fr.recent(hash) {
+		fr.note(hash)
+	}
+	if fr.up == nil {
+		return 0, false
+	}
+	return fr.up.held(hash)
+}
+
+// useArg notes self or an argument of a body about to run in fr, which
+// holds them on its caller's handles.
+func (fr *frame) useArg(v wire.Value) {
+	if _, hash, ok := v.AsRef(); ok && !fr.recent(hash) {
+		fr.note(hash)
+	}
+}
+
+// touch notes a use of hash by an operation that has its handle already
+// (see lockRef).
+func (fr *frame) touch(hash int64) {
+	if !fr.recent(hash) {
+		fr.use(hash)
+	}
+}
+
+// made records a handle to an object the operation has just made, which
+// nothing else holds yet.
+func (fr *frame) made(hash int64, h heap.Handle) {
+	fr.note(hash)
+	fr.own(hash, h, false)
 }
 
 // env returns the Env a body runs against in this frame.
@@ -471,204 +554,167 @@ func (rt *Runtime) newFrame(span *telemetry.Span) *frame {
 	return fr
 }
 
-// releaseFrame drops the frame's retentions and returns the record to
-// the pool; entries reaching zero lose their strong handle — and leave
-// the table eagerly — making the objects collectable. The handle drops
-// batch into one heap critical section.
+// releaseFrame drops the frame's handles, in one heap critical section,
+// and returns the record to the pool: an object no other frame or pin
+// holds becomes collectable.
 func (rt *Runtime) releaseFrame(fr *frame) {
-	drops := fr.drops
-	for i, o := range fr.owned {
-		switch {
-		case o.borrowed:
-		case i < frameLocalMax && fr.local&(1<<i) != 0:
-			drops = append(drops, o.handle)
-		default:
-			if d := rt.table.release(o.hash); d != 0 {
-				drops = append(drops, d)
-			}
-		}
-	}
-	if len(drops) > 0 {
+	if len(fr.owned) > 0 {
 		rt.heapMu.Lock()
-		for _, d := range drops {
-			// Best effort: a released handle only pins memory.
-			_ = rt.iso.Release(d)
+		for _, o := range fr.owned {
+			if o.handle != 0 {
+				// Best effort: a released handle only pins memory.
+				_ = rt.iso.Release(o.handle)
+			}
 		}
 		rt.unlockHeap()
 	}
-	fr.span, fr.lane, fr.up, fr.local = nil, nil, nil, 0
+	fr.span, fr.lane, fr.up, fr.noted = nil, nil, nil, 0
 	if fr.argv[0].Kind() != wire.KindInvalid {
 		// A call with arguments wrote argv from its first value on.
 		clear(fr.argv[:])
 	}
-	fr.drops = drops[:0]
-	if cap(fr.owned) > frameKeepOwned {
-		fr.owned, fr.drops = nil, nil
-	} else {
+	switch n := len(fr.owned); {
+	case cap(fr.owned) > frameKeepOwned:
+		fr.owned, fr.index = nil, nil
+	case n > frameScanOwned:
+		clear(fr.index)
+		fallthrough
+	default:
 		fr.owned = fr.owned[:0]
 	}
 	rt.frames.Put(fr)
 }
 
-// adoptHandle installs a freshly created strong handle into the object
-// table and retains it in fr. When fr or an activation up its call chain
-// already holds the hash (held, localRef), or a racing goroutine adopted it
-// first, the established handle is kept and the redundant fresh one is
-// dropped here, under the heap lock, outside all table locks.
-func (rt *Runtime) adoptHandle(fr *frame, hash int64, fresh heap.Handle) (heap.Handle, error) {
-	kept, ok := fr.held(hash)
-	if !ok {
-		kept, ok = fr.localRef(hash)
-	}
-	dup := fresh
-	if !ok {
-		kept, dup = rt.table.adopt(hash, fresh)
-		fr.own(hash, kept)
-	}
-	if dup != 0 {
-		rt.heapMu.Lock()
-		err := rt.iso.Release(dup)
-		rt.unlockHeap()
-		if err != nil {
-			return 0, err
-		}
-	}
-	return kept, nil
+// release drops one owner of handle h.
+func (rt *Runtime) release(h heap.Handle) error {
+	rt.heapMu.Lock()
+	defer rt.unlockHeap()
+	return rt.iso.Release(h)
 }
 
-// retain makes hash live in fr without touching the heap: the handle fr
-// or an activation up its call chain already holds (held, localRef), or one more
-// table retention of an existing entry. It reports false when none has
-// the hash.
+// retain finds the object hash where fr may use it without making a
+// handle (use): held by fr or an activation up its chain, or pinned — a
+// pinned handle gains an owner in fr, so a concurrent Unpin cannot drop
+// it from under the activation.
 func (rt *Runtime) retain(fr *frame, hash int64) (heap.Handle, bool) {
-	if h, ok := fr.held(hash); ok {
+	if h, ok := fr.use(hash); ok {
 		return h, true
 	}
-	if h, ok := fr.localRef(hash); ok {
-		return h, true
+	if rt.pinned.Load() == 0 {
+		return 0, false
 	}
-	h, ok := rt.table.retain(hash)
-	if ok {
-		fr.own(hash, h)
+	rt.pinMu.Lock()
+	defer rt.pinMu.Unlock()
+	p, ok := rt.pins[hash]
+	if !ok {
+		return 0, false
 	}
-	return h, ok
+	rt.heapMu.Lock()
+	err := rt.iso.Heap().Retain(p.handle)
+	rt.unlockHeap()
+	if err != nil {
+		return 0, false
+	}
+	fr.own(hash, p.handle, false)
+	return p.handle, true
 }
 
-// resolve finds a live local object for hash, looking through the frame
-// and its call chain, the object table, the mirror–proxy registry, and
-// the weak list (canonical proxies). The returned handle is retained in
-// fr. The slow path materialises a fresh handle under the heap lock, then
-// adopts it — losing an adoption race only costs the redundant handle.
+// adopt gives fr the fresh handle an operation made to the object hash;
+// elem marks an element a method body read with List.get. When fr's
+// chain or the pins already hold the object (retain), the fresh handle
+// is dropped at once and theirs is used: an object has one handle per
+// chain.
+func (rt *Runtime) adopt(fr *frame, hash int64, fresh heap.Handle, elem bool) (heap.Handle, error) {
+	if h, ok := rt.retain(fr, hash); ok {
+		return h, rt.release(fresh)
+	}
+	fr.own(hash, fresh, elem && fr.up != nil && fr.noted <= frameElemMax)
+	return fresh, nil
+}
+
+// resolve finds the handle of hash for fr when the ref at hand carries
+// none that passes the identity check (lockRef) — a ref that crossed the
+// boundary, one host code kept, one inside a list: retain's, or a fresh
+// one to a mirror in the registry or a canonical proxy in the weak list,
+// which fr owns.
 func (rt *Runtime) resolve(fr *frame, hash int64) (heap.Handle, error) {
 	if h, ok := rt.retain(fr, hash); ok {
 		return h, nil
 	}
 	rt.heapMu.Lock()
-	var (
-		fresh heap.Handle
-		err   error
-	)
-	// reg.Resolve is a read — it never triggers the registry's releaser
-	// hook — so calling it under heapMu preserves the lock order.
-	if regHandle, ok := rt.reg.Resolve(hash); ok {
-		var addr heap.Addr
-		addr, err = rt.iso.Heap().Deref(regHandle)
-		if err == nil {
-			fresh, err = rt.iso.HandleAt(addr)
-		}
-	} else if addr, ok := rt.weaks.LiveHash(hash); ok {
-		fresh, err = rt.iso.HandleAt(addr)
-	}
+	h, err := rt.fresh(hash)
 	rt.unlockHeap()
 	if err != nil {
 		return 0, err
 	}
-	if fresh == 0 {
-		return 0, fmt.Errorf("%w: %d", ErrNoSuchObject, hash)
-	}
-	return rt.adoptHandle(fr, hash, fresh)
+	fr.own(hash, h, false)
+	return h, nil
 }
 
-// resolveRef resolves a ref value to a live handle retained in fr.
-func (rt *Runtime) resolveRef(fr *frame, v wire.Value) (heap.Handle, error) {
-	_, hash, ok := v.AsRef()
-	if !ok {
-		return 0, fmt.Errorf("%w: got %s", ErrNotRef, v.Kind())
-	}
-	return rt.resolve(fr, hash)
-}
-
-// borrow makes the object behind hash live in callee for its activation.
-// When caller holds it (held), callee records the caller's handle as
-// borrowed and the table is not touched: the caller frame outlives its
-// synchronous callee — it is released only after its own body returns,
-// which is after every call the body made has returned — so the caller's
-// retention covers the callee's whole activation. Otherwise the callee
-// resolves the object as any activation does, which finds a local ref
-// further up the chain too.
-func (rt *Runtime) borrow(callee, caller *frame, hash int64) error {
-	if _, ok := callee.held(hash); ok {
-		return nil
-	}
-	if caller != nil {
-		if h, ok := caller.held(hash); ok {
-			callee.owned = append(callee.owned, ownedRef{hash: hash, handle: h, borrowed: true})
-			return nil
+// fresh makes a new handle to the object hash the registry (a mirror) or
+// the weak list (a canonical proxy) names. The caller holds heapMu;
+// reg.Resolve is a read — it never triggers the registry's releaser hook
+// — so calling it under heapMu preserves the lock order.
+func (rt *Runtime) fresh(hash int64) (heap.Handle, error) {
+	if regHandle, ok := rt.reg.Resolve(hash); ok {
+		addr, err := rt.iso.Heap().Deref(regHandle)
+		if err != nil {
+			return 0, err
 		}
+		return rt.iso.HandleAt(addr, hash)
 	}
-	_, err := rt.resolve(callee, hash)
-	return err
+	if addr, ok := rt.weaks.LiveHash(hash); ok {
+		return rt.iso.HandleAt(addr, hash)
+	}
+	return 0, fmt.Errorf("%w: %d", ErrNoSuchObject, hash)
 }
 
-// adoptElement takes a fresh strong handle to an element a List.get read
-// into fr. A method body's frame keeps it as a local ref — dropped at
-// release in the place the table retention would have been, with no
-// table entry in between — unless fr or its call chain already holds
-// the element, as adoptHandle does. Local refs are visible only to the
-// frame and the activations it calls (held, localRef), so a ref that goes
-// further is promoted first (see promote). An Exec or relay frame,
-// whose refs host code reads (a Pin, a session's export), and a frame
-// past frameLocalMax refs adopt the handle into the table.
-func (rt *Runtime) adoptElement(fr *frame, hash int64, fresh heap.Handle) (heap.Handle, error) {
-	if fr.up == nil || len(fr.owned) >= frameLocalMax {
-		return rt.adoptHandle(fr, hash, fresh)
+// lockRef takes heapMu for an operation of fr on ref v and returns the
+// handle of v's object: the one v carries when it passes the identity
+// check, which reads only the heap's handle table and so charges
+// nothing, or else the one resolve finds. On error heapMu is not held.
+func (rt *Runtime) lockRef(fr *frame, v wire.Value) (heap.Handle, error) {
+	_, hash, _ := v.AsRef()
+	rt.heapMu.Lock()
+	if h, ok := rt.iso.Heap().Identify(v.Handle(), hash); ok {
+		fr.touch(hash)
+		return h, nil
 	}
-	h, ok := fr.held(hash)
-	if !ok {
-		h, ok = fr.localRef(hash)
+	rt.unlockHeap()
+	h, err := rt.resolve(fr, hash)
+	if err != nil {
+		return 0, err
 	}
-	if ok {
-		rt.heapMu.Lock()
-		err := rt.iso.Release(fresh)
-		rt.unlockHeap()
-		return h, err
-	}
-	fr.local |= 1 << len(fr.owned)
-	fr.owned = append(fr.owned, ownedRef{hash: hash, handle: fresh})
-	return fresh, nil
+	rt.heapMu.Lock()
+	return h, nil
 }
 
-// promote turns the local ref of hash held by fr or an activation up its
-// call chain, if any, into a table retention of that activation, as if
-// its List.get had adopted the element: a ref returned to a caller or
-// sent across the boundary may be looked up where no frame can see it.
-// If the table gained an entry for the hash meanwhile (an activation off
-// the chain adopted the object), that entry is retained and the local
-// handle, which a caller may still be using, is dropped at release.
-func (rt *Runtime) promote(fr *frame, hash int64) {
-	for f := fr; f != nil; f = f.up {
-		i := f.localIndex(hash)
-		if i < 0 {
-			continue
-		}
-		f.local &^= 1 << i
-		kept, dup := rt.table.adopt(hash, f.owned[i].handle)
-		if dup != 0 {
-			f.owned[i].handle = kept
-			f.drops = append(f.drops, dup)
-		}
-		return
+// lockRefs is lockRef for an operation on two refs, recv then arg. When
+// arg must be resolved, recv is checked again afterwards: a handle that
+// passed the check unheld is good only inside the section that checked
+// it.
+func (rt *Runtime) lockRefs(fr *frame, recv, arg wire.Value) (heap.Handle, heap.Handle, error) {
+	h, err := rt.lockRef(fr, recv)
+	if err != nil {
+		return 0, 0, err
 	}
+	_, hash, _ := arg.AsRef()
+	if ah, ok := rt.iso.Heap().Identify(arg.Handle(), hash); ok {
+		fr.touch(hash)
+		return h, ah, nil
+	}
+	rt.unlockHeap()
+	ah, err := rt.resolve(fr, hash)
+	if err != nil {
+		return 0, 0, err
+	}
+	_, rh, _ := recv.AsRef()
+	rt.heapMu.Lock()
+	if h, ok := rt.iso.Heap().Identify(uint64(h), rh); ok {
+		return h, ah, nil
+	}
+	rt.unlockHeap()
+	return 0, 0, fmt.Errorf("%w: %d", ErrNoSuchObject, rh)
 }
 
 // classDecl returns the image declaration of a ref's class.
@@ -875,8 +921,13 @@ func (rt *Runtime) marshalRef(fr *frame, v wire.Value) error {
 		return fmt.Errorf("%w: %s#%d", ErrNeutralByValue, class, hash)
 	}
 	// The ref may come back in a call from the opposite runtime, which
-	// looks it up in the table.
-	rt.promote(fr, hash)
+	// finds it by hash: from here on it is used as any handle is (note).
+	for f := fr; f != nil; f = f.up {
+		if i := f.find(hash); i >= 0 {
+			f.owned[i].elem = false
+			break
+		}
+	}
 	decl, err := rt.classDecl(class)
 	if err != nil {
 		return err
@@ -892,19 +943,17 @@ func (rt *Runtime) marshalRef(fr *frame, v wire.Value) error {
 	default:
 		// A local concrete annotated object leaves the runtime: export
 		// a strong reference into OUR registry so the opposite runtime's
-		// new proxy keeps the mirror alive (§5.2). The frame's retention
-		// keeps h valid between the critical sections; the address is
-		// derefed and re-handled inside one, so no collection can move
-		// the object in between.
-		h, err := rt.resolve(fr, hash)
+		// new proxy keeps the mirror alive (§5.2). The address is derefed
+		// and re-handled inside one heap critical section, so no
+		// collection can move the object in between.
+		h, err := rt.lockRef(fr, v)
 		if err != nil {
 			return err
 		}
-		rt.heapMu.Lock()
 		addr, err := rt.iso.Heap().Deref(h)
 		var regHandle heap.Handle
 		if err == nil {
-			regHandle, err = rt.iso.HandleAt(addr)
+			regHandle, err = rt.iso.HandleAt(addr, hash)
 		}
 		rt.unlockHeap()
 		if err != nil {
@@ -927,8 +976,8 @@ func (rt *Runtime) unmarshalIn(fr *frame, buf []byte) ([]wire.Value, error) {
 	}
 	rt.chargeSerialization(vals, simcfg.DeserializeCyclesPerValue)
 	rt.marshalled.Add(uint64(len(buf)))
-	for _, v := range vals {
-		if err := rt.localiseValue(fr, v, 0); err != nil {
+	for i, v := range vals {
+		if vals[i], err = rt.localiseValue(fr, v, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -936,91 +985,83 @@ func (rt *Runtime) unmarshalIn(fr *frame, buf []byte) ([]wire.Value, error) {
 }
 
 // localiseValue gives every ref inside an incoming value its local
-// representative (localiseRef); the value itself is used as decoded.
-func (rt *Runtime) localiseValue(fr *frame, v wire.Value, depth int) error {
+// representative (localiseRef). A ref returns carrying its handle; a
+// list returns as decoded.
+func (rt *Runtime) localiseValue(fr *frame, v wire.Value, depth int) (wire.Value, error) {
 	if depth > maxNeutralDepth {
-		return errors.New("world: neutral value too deep (cycle?)")
+		return v, errors.New("world: neutral value too deep (cycle?)")
 	}
 	switch v.Kind() {
 	case wire.KindList:
 		for i, l := 0, v.Len(); i < l; i++ {
-			if err := rt.localiseValue(fr, v.Index(i), depth+1); err != nil {
-				return err
+			if _, err := rt.localiseValue(fr, v.Index(i), depth+1); err != nil {
+				return v, err
 			}
 		}
 	case wire.KindRef:
-		return rt.localiseRef(fr, v)
+		h, err := rt.localiseRef(fr, v)
+		return v.WithHandle(uint64(h)), err
 	}
-	return nil
+	return v, nil
 }
 
-// localiseRef ensures a live local object exists for an incoming ref.
-// It never touches the opposite runtime while holding the local heap
-// lock (lock-order discipline: at most one runtime's heap lock at a
-// time — the duplicate-export release below takes the opposite one via
-// the registry's releaser hook).
-func (rt *Runtime) localiseRef(fr *frame, v wire.Value) error {
+// localiseRef ensures a live local object exists for an incoming ref
+// and returns its handle. It never touches the opposite runtime while
+// holding the local heap lock (lock-order discipline: at most one
+// runtime's heap lock at a time — the duplicate-export release below
+// takes the opposite one via the registry's releaser hook).
+func (rt *Runtime) localiseRef(fr *frame, v wire.Value) (heap.Handle, error) {
 	class, hash, _ := v.AsRef()
 	decl, err := rt.classDecl(class)
 	if err != nil {
-		return err
+		return 0, err
 	}
 
 	if !decl.Proxy {
 		// The object lives here: it must be a registered mirror (or an
 		// already-known local object).
-		if _, err := rt.resolve(fr, hash); err != nil {
-			return fmt.Errorf("%w (class %s, hash %d)", ErrStaleMirror, class, hash)
+		h, err := rt.resolve(fr, hash)
+		if err != nil {
+			return 0, fmt.Errorf("%w (class %s, hash %d)", ErrStaleMirror, class, hash)
 		}
-		return nil
+		return h, nil
 	}
 
 	// The ref names a remote object: reuse the canonical live proxy if
 	// one exists, otherwise materialise a new proxy instance. Two
 	// goroutines importing the same hash at once may both materialise;
-	// the adoption race keeps one canonical proxy, the loser's becomes
-	// garbage and its sender export is reclaimed by a later sweep.
-	dropDuplicateExport := false
-	if _, ok := rt.retain(fr, hash); ok {
-		dropDuplicateExport = true
-	} else {
+	// the weak list keeps one canonical proxy, the other becomes garbage
+	// once its frame drops it, and its sender export is reclaimed by a
+	// later sweep.
+	h, ok := rt.retain(fr, hash)
+	if !ok {
 		rt.heapMu.Lock()
-		var fresh heap.Handle
 		addr, live := rt.weaks.LiveHash(hash)
 		if live {
-			fresh, err = rt.iso.HandleAt(addr)
+			h, err = rt.iso.HandleAt(addr, hash)
 		}
 		rt.unlockHeap()
 		if err != nil {
-			return err
+			return 0, err
 		}
-		switch {
-		case live:
-			if _, err := rt.adoptHandle(fr, hash, fresh); err != nil {
-				return err
-			}
-			dropDuplicateExport = true
-		default:
-			if err := rt.newProxy(fr, class, hash); err != nil {
-				return err
-			}
+		if !live {
+			return rt.newProxy(fr, class, hash)
+		}
+		fr.own(hash, h, false)
+	}
+	// A live local representative already holds a registry export; drop
+	// the duplicate export made by the sender.
+	if opp := rt.peer; opp != nil {
+		if _, rerr := opp.reg.Release(hash); rerr != nil {
+			return 0, rerr
 		}
 	}
-	if dropDuplicateExport {
-		// A live local representative already holds a registry export;
-		// drop the duplicate export made by the sender.
-		if opp := rt.peer; opp != nil {
-			if _, rerr := opp.reg.Release(hash); rerr != nil {
-				return rerr
-			}
-		}
-	}
-	return nil
+	return h, nil
 }
 
-// newProxy materialises a proxy instance for a remote object and
-// weak-tracks it.
-func (rt *Runtime) newProxy(fr *frame, class string, hash int64) error {
+// newProxy materialises a proxy instance for a remote object, which fr
+// owns, and weak-tracks it; the caller notes the use.
+func (rt *Runtime) newProxy(fr *frame, class string, hash int64) (heap.Handle, error) {
 	rt.heapMu.Lock()
 	h, err := rt.iso.NewObject(class, hash)
 	var w heap.WeakRef
@@ -1029,23 +1070,23 @@ func (rt *Runtime) newProxy(fr *frame, class string, hash int64) error {
 	}
 	rt.unlockHeap()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	rt.weaks.Track(w, hash)
 	rt.proxiesNew.Add(1)
-	_, err = rt.adoptHandle(fr, hash, h)
-	return err
+	fr.own(hash, h, false)
+	return h, nil
 }
 
 // ---- dispatch ---------------------------------------------------------
 
 // dispatch runs a method body locally. self is a ref (or null for static
-// methods); refs in args must already be live locally. caller is the
-// activation making the call (nil for none), whose retentions of self and
-// of ref arguments the callee borrows. adoptInto (nil, or caller) hands
-// the callee its trace span and lane, and refs inside the result are
-// re-retained into it before the callee frame is released, so they stay
-// live for the caller.
+// methods); refs in args must already be live locally, and the callee
+// records none of them: the activation making the call, caller (nil for
+// none), or one up its chain holds them for the callee's whole
+// activation. adoptInto (nil, or caller) hands the callee its trace span
+// and lane, and the refs inside the result to keep before the callee
+// frame is released (adoptResult).
 func (rt *Runtime) dispatch(lk *link, self wire.Value, args []wire.Value, caller, adoptInto *frame) (wire.Value, error) {
 	if lk.lookErr != nil {
 		return wire.Value{}, lk.lookErr
@@ -1064,19 +1105,9 @@ func (rt *Runtime) dispatch(lk *link, self wire.Value, args []wire.Value, caller
 		fr.span, fr.lane = adoptInto.span, adoptInto.lane
 	}
 	defer rt.releaseFrame(fr)
-	// Self and ref arguments stay live for the duration of the
-	// activation, on the caller's retentions where it holds them.
-	if _, hash, ok := self.AsRef(); ok {
-		if err := rt.borrow(fr, caller, hash); err != nil {
-			return wire.Value{}, err
-		}
-	}
+	fr.useArg(self)
 	for _, v := range args {
-		if _, hash, ok := v.AsRef(); ok {
-			if err := rt.borrow(fr, caller, hash); err != nil {
-				return wire.Value{}, err
-			}
-		}
+		fr.useArg(v)
 	}
 	result, err := m.Body(fr.env(), self, args)
 	if err != nil {
@@ -1090,15 +1121,20 @@ func (rt *Runtime) dispatch(lk *link, self wire.Value, args []wire.Value, caller
 	return result, nil
 }
 
-// adoptResult re-retains any refs inside a callee's result into the
-// caller's frame fr, so they survive the release of the callee's frame
-// from; a local ref of the callee's is promoted first.
+// adoptResult keeps the refs inside a callee's result live for the
+// caller fr past the release of the callee's frame from: a handle from
+// made passes to fr as it is; a ref from did not make is held up the
+// chain already, or fr resolves it.
 func (rt *Runtime) adoptResult(fr, from *frame, v wire.Value) error {
 	switch v.Kind() {
 	case wire.KindRef:
 		_, hash, _ := v.AsRef()
-		if from.localIndex(hash) >= 0 {
-			rt.promote(from, hash)
+		if i := from.find(hash); i >= 0 {
+			if _, ok := fr.use(hash); !ok {
+				fr.own(hash, from.owned[i].handle, false)
+				from.owned[i].handle = 0
+			}
+			return nil
 		}
 		_, err := rt.resolve(fr, hash)
 		return err
@@ -1466,20 +1502,18 @@ func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte,
 			var addr heap.Addr
 			addr, err = rt.iso.Heap().Deref(h)
 			if err == nil {
-				regHandle, err = rt.iso.HandleAt(addr)
+				regHandle, err = rt.iso.HandleAt(addr, hash)
 			}
 		}
 		rt.unlockHeap()
 		if err != nil {
 			return err
 		}
-		if _, err := rt.adoptHandle(fr, hash, h); err != nil {
-			return err
-		}
+		fr.made(hash, h)
 		if err := rt.reg.Export(hash, regHandle); err != nil {
 			return err
 		}
-		self := wire.Ref(class, hash)
+		self := wire.Ref(class, hash).WithHandle(uint64(h))
 		// The relay frame is passed through so the ctor body inherits
 		// the trace span (its null result adopts nothing).
 		if _, err := rt.dispatch(target, self, args, fr, fr); err != nil {
@@ -1494,10 +1528,11 @@ func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte,
 		}
 		if !target.method.Static {
 			// Resolve the mirror: it must still be registered.
-			if _, rerr := rt.resolve(fr, hash); rerr != nil {
+			h, rerr := rt.resolve(fr, hash)
+			if rerr != nil {
 				return fmt.Errorf("%w: %s#%d", ErrStaleMirror, class, hash)
 			}
-			self = wire.Ref(class, hash)
+			self = wire.Ref(class, hash).WithHandle(uint64(h))
 		}
 		result, err = rt.dispatch(target, self, args, fr, fr)
 		if err != nil {

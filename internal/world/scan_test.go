@@ -17,16 +17,13 @@ const shelfItems = 12
 
 // shelfWorld is the bank program plus a trusted Shelf that lists
 // shelfItems Accounts and an untrusted Echo that reads an Account handed
-// to it, in a partitioned world. refs reports the trusted object-table
-// retentions of a ref; each Shelf method body records, under its own
-// name, the retentions of the elements it read while it still held them.
+// to it, in a partitioned world. Each Shelf method body records, under
+// its own name, the trusted heap's live handles after it read an
+// element, while it still held it.
 func shelfWorld(t *testing.T) (w *world.World, seen map[string][]int) {
 	t.Helper()
 	seen = map[string][]int{}
-	refs := func(v wire.Value) int {
-		_, hash, _ := v.AsRef()
-		return w.Trusted().TableRefs(hash)
-	}
+	handles := func() int { return w.Trusted().HeapStats().Handles }
 	item := func(env classmodel.Env, self wire.Value, i int) (wire.Value, error) {
 		items, err := env.GetField(self, "items")
 		if err != nil {
@@ -101,7 +98,7 @@ func shelfWorld(t *testing.T) (w *world.World, seen map[string][]int) {
 						return wire.Value{}, err
 					}
 					items = append(items, a)
-					seen["far"] = append(seen["far"], refs(a))
+					seen["far"] = append(seen["far"], handles())
 				}
 				a, err := balance(env, items[0])
 				if err != nil {
@@ -155,7 +152,7 @@ func shelfWorld(t *testing.T) (w *world.World, seen map[string][]int) {
 					return wire.Value{}, err
 				}
 				n, err := env.Call(self, "readLast")
-				seen["stash"] = append(seen["stash"], refs(a))
+				seen["stash"] = append(seen["stash"], handles())
 				return n, err
 			},
 		},
@@ -166,7 +163,7 @@ func shelfWorld(t *testing.T) (w *world.World, seen map[string][]int) {
 				if err != nil {
 					return wire.Value{}, err
 				}
-				seen["readLast"] = append(seen["readLast"], refs(a))
+				seen["readLast"] = append(seen["readLast"], handles())
 				n, err := balance(env, a)
 				return wire.Int(n), err
 			},
@@ -207,16 +204,17 @@ func shelfWorld(t *testing.T) (w *world.World, seen map[string][]int) {
 	return w, seen
 }
 
-// TestScannedElementsSkipTheTable: an element a method body reads from a
-// list takes no object-table retention while the body holds it — not
-// one past the frame's first refs either — and every way it leaves the
-// body still resolves: read again past those refs, passed to a callee,
-// returned, stored and read back by a callee, and handed across the
-// boundary and called back on. Every frame closed, both tables are empty
-// and the trusted heap holds no handle it did not hold before.
-func TestScannedElementsSkipTheTable(t *testing.T) {
+// TestScannedElementsHoldOneHandle: an element a method body reads from
+// a list takes one heap handle while the body holds it, and no more
+// however it is used: read again past the frame's first refs, passed to
+// a callee, stored and read back by a callee, and handed across the
+// boundary and called back on. A returned element's handle passes to
+// the caller. Every frame closed, the trusted heap holds no handle it
+// did not hold before but the one export the crossing made.
+func TestScannedElementsHoldOneHandle(t *testing.T) {
 	w, seen := shelfWorld(t)
 	handles := w.Trusted().HeapStats().Handles
+	bases := map[string]int{}
 	err := w.Exec(true, func(env classmodel.Env) error {
 		s, err := env.New("Shelf")
 		if err != nil {
@@ -231,6 +229,7 @@ func TestScannedElementsSkipTheTable(t *testing.T) {
 			{"stash", []wire.Value{wire.Int(5)}, 5},
 			{"cross", []wire.Value{wire.Int(7)}, 7},
 		} {
+			bases[c.method] = w.Trusted().HeapStats().Handles
 			v, err := env.Call(s, c.method, c.args...)
 			if err != nil {
 				return err
@@ -239,12 +238,13 @@ func TestScannedElementsSkipTheTable(t *testing.T) {
 				return fmt.Errorf("%s = %v, want %d", c.method, v, c.want)
 			}
 		}
+		base := w.Trusted().HeapStats().Handles
 		a, err := env.Call(s, "pick", wire.Int(3))
 		if err != nil {
 			return err
 		}
-		if _, hash, _ := a.AsRef(); w.Trusted().TableRefs(hash) != 1 {
-			return fmt.Errorf("a picked element holds %d table retentions in its caller, want 1", w.Trusted().TableRefs(hash))
+		if got := w.Trusted().HeapStats().Handles - base; got != 1 {
+			return fmt.Errorf("a picked element left %d handles in its caller, want 1", got)
 		}
 		if bal, err := env.Call(a, "getBalance"); err != nil || !bal.Equal(wire.Int(3)) {
 			return fmt.Errorf("picked getBalance = %v, %v; want 3", bal, err)
@@ -254,17 +254,30 @@ func TestScannedElementsSkipTheTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// far: the items list, then one handle per element read.
+	var far []int
+	for i := range shelfItems {
+		far = append(far, i+2)
+	}
 	for name, want := range map[string][]int{
-		"far":   make([]int, shelfItems),
-		"stash": {0}, "readLast": {0},
+		"far":   far,
+		"stash": {2}, "readLast": {2},
 	} {
-		if fmt.Sprint(seen[name]) != fmt.Sprint(want) {
-			t.Errorf("%s: elements held %v table retentions, want %v", name, seen[name], want)
+		base := bases[name]
+		if name == "readLast" {
+			base = bases["stash"]
+		}
+		var got []int
+		for _, n := range seen[name] {
+			got = append(got, n-base)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: handles made %v, want %v", name, got, want)
 		}
 	}
 	for _, rt := range []*world.Runtime{w.Trusted(), w.Untrusted()} {
-		if n := rt.Stats().ObjectTableLen; n != 0 {
-			t.Errorf("object table has %d entries after all frames closed, want 0", n)
+		if n := frameHandles(rt); n != 0 {
+			t.Errorf("%s heap holds %d handles besides registry exports after all frames closed, want 0", sideOf(w, rt), n)
 		}
 	}
 	// The crossing exported one Account into the registry, whose handle

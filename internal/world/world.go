@@ -884,11 +884,9 @@ func (w *World) collectMetrics(reg *telemetry.Registry) {
 		reg.Counter("montsalvat_world_proxies_created_total", "runtime", rt.name).Set(rs.ProxiesCreated)
 		reg.Gauge("montsalvat_world_registry_size", "runtime", rt.name).Set(int64(rs.RegistrySize))
 		reg.Gauge("montsalvat_world_weak_list_len", "runtime", rt.name).Set(int64(rs.WeakListLen))
-		reg.Gauge("montsalvat_world_object_table_len", "runtime", rt.name).Set(int64(rs.ObjectTableLen))
 		// Shard contention of the concurrent crossing engine: lock
-		// acquisitions that found a registry/object-table shard held.
+		// acquisitions that found a registry shard held.
 		reg.Gauge("montsalvat_registry_shard_waits", "runtime", rt.name).Set(int64(rt.reg.Waits()))
-		reg.Gauge("montsalvat_objtable_shard_waits", "runtime", rt.name).Set(int64(rt.table.waits.Load()))
 	}
 }
 
@@ -916,9 +914,9 @@ func (w *World) Stats() Stats {
 	return s
 }
 
-// LiveObjects folds the live strong-entry count of both runtimes'
-// object tables plus their tracked proxy weak refs — the retention the
-// crossing engine holds on behalf of frames and proxies. At quiescence
+// LiveObjects folds the pinned objects of both runtimes plus their
+// tracked proxy weak refs — the retention the crossing engine holds
+// beyond its frames, which hold nothing once they close. At quiescence
 // (queues flushed, sweeps drained, no frames active) the count is a
 // pure function of the reachable cross-boundary objects, which is what
 // the orderly explorer's refcount-drain invariant checks. Returns 0
@@ -931,7 +929,7 @@ func (w *World) LiveObjects() int {
 		if rt == nil {
 			continue
 		}
-		n += rt.table.len()
+		n += int(rt.pinned.Load())
 		n += rt.weaks.Len()
 	}
 	return n
