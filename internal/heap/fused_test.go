@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"montsalvat/internal/cycles"
@@ -239,6 +240,37 @@ func BenchmarkCollect(b *testing.B) {
 		}
 	}
 	if got := h.Stats().ObjectsCopied; got != uint64(b.N)*(live+1) {
+		b.Fatalf("copied %d objects in %d collections", got, b.N)
+	}
+}
+
+// BenchmarkCollectManyRoots evacuates 2,048 small objects, each its own
+// root, whose handle slots are in shuffled order against their addresses
+// (a frame that walked a 2,001-entry snapshot holds as many).
+func BenchmarkCollectManyRoots(b *testing.B) {
+	h := newEPCHeap(b, Config{InitialSemi: 1 << 20, MaxSemi: 1 << 20}, simcfg.DefaultEPCBytes/simcfg.PageBytes)
+	const live = 2048
+	objs := make([]Obj, live)
+	for i := range objs {
+		var err error
+		if objs[i], err = h.AllocData(2, []byte(fmt.Sprintf("%08d", i)), make([]byte, 56)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, i := range rand.New(rand.NewSource(1)).Perm(live) {
+		if _, err := h.NewHandle(objs[i], 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(h.Stats().LiveBytes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := h.Collect(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if got := h.Stats().ObjectsCopied; got != uint64(b.N)*live {
 		b.Fatalf("copied %d objects in %d collections", got, b.N)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"montsalvat/internal/epc"
@@ -114,9 +115,9 @@ func TestHandleSlotsAreReused(t *testing.T) {
 	}
 }
 
-// Roots are evacuated in slot order, so two heaps fed the same operations
-// — many roots, shared children, released handles whose slots are reused —
-// hold byte-identical to-space after every collection.
+// Collection is a function of the operations alone, so two heaps fed the
+// same operations — many roots, shared children, released handles whose
+// slots are reused — hold byte-identical to-space after every collection.
 func TestCollectIsDeterministic(t *testing.T) {
 	build := func() *Heap {
 		h := testHeap(t, Config{InitialSemi: 1 << 16, MaxSemi: 1 << 20})
@@ -169,6 +170,141 @@ func TestCollectIsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(sa, sb) {
 		t.Fatalf("to-space differs between two runs of the same operations (%d and %d bytes live)", len(sa), len(sb))
+	}
+}
+
+// Roots evacuate in address order, each object once, so two heaps that
+// make the same objects and graph and root the same set after each round
+// hold byte-identical to-space after every collection, and charge the
+// same ledger under a 3-page EPC, however their handles name the roots:
+// one heap takes one handle per root in allocation order and releases
+// in that order, the other takes them in reverse, two or three handles
+// to every third root, and releases in reverse too, so its free list
+// reissues other slots to other objects.
+func TestCollectIgnoresHandleOrder(t *testing.T) {
+	type step struct {
+		dataBytes int
+		child     int  // index into the roots of the round's start, or -1
+		root      bool // the object stays rooted after the round
+	}
+	r := rand.New(rand.NewSource(11))
+	var rounds [][]step
+	for i := 0; i < 6; i++ {
+		var round []step
+		for j := 0; j < 60; j++ {
+			round = append(round, step{dataBytes: 1 + r.Intn(300), child: r.Intn(40) - 1, root: r.Intn(2) == 0})
+		}
+		rounds = append(rounds, round)
+	}
+	// drops lists, per round, the indices of the roots of its start that
+	// are unrooted at its end.
+	drops := make([][]int, len(rounds))
+	for i := range drops {
+		for j := 0; j < 40; j++ {
+			if r.Intn(4) == 0 {
+				drops[i] = append(drops[i], j)
+			}
+		}
+	}
+
+	type heapRoots struct {
+		epcHeap
+		roots [][]Handle // the handles of each rooted object, oldest root first
+	}
+	run := func(h *heapRoots, reorder bool, i int) {
+		var made []Obj
+		var rooted []int
+		for j, st := range rounds[i] {
+			o := mustAlloc(t, h.Heap, int32(j+1), 1, st.dataBytes)
+			if st.child >= 0 && st.child < len(h.roots) {
+				if err := h.SetRef(o, 0, deref(t, h.Heap, h.roots[st.child][0])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			made = append(made, o)
+			if st.root {
+				rooted = append(rooted, j)
+			}
+		}
+		// Unroot the round's drops, then root its new objects.
+		dropped := make(map[int]bool)
+		var gone []Handle
+		for _, j := range drops[i] {
+			if j < len(h.roots) {
+				dropped[j] = true
+				gone = append(gone, h.roots[j]...)
+			}
+		}
+		if reorder {
+			slices.Reverse(gone)
+		}
+		for _, hd := range gone {
+			if err := h.Release(hd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var kept [][]Handle
+		for j, hds := range h.roots {
+			if !dropped[j] {
+				kept = append(kept, hds)
+			}
+		}
+		fresh := make([][]Handle, len(rooted))
+		for k := range rooted {
+			if reorder {
+				k = len(rooted) - 1 - k
+			}
+			n := 1
+			if reorder && k%3 == 0 {
+				n = 2 + k%2
+			}
+			for range n {
+				hd, err := h.NewHandle(made[rooted[k]], 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh[k] = append(fresh[k], hd)
+			}
+		}
+		h.roots = append(kept, fresh...)
+		if err := h.Collect(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := Config{InitialSemi: 128 << 10, MaxSemi: 128 << 10}
+	a := &heapRoots{epcHeap: newEPCHeap(t, cfg, 3)}
+	b := &heapRoots{epcHeap: newEPCHeap(t, cfg, 3)}
+	for i := range rounds {
+		run(a, false, i)
+		run(b, true, i)
+		sa, sb := a.Stats(), b.Stats()
+		if sb.Handles <= sa.Handles {
+			t.Fatalf("round %d: %d and %d handles: the duplicates are missing", i, sa.Handles, sb.Handles)
+		}
+		sa.LastPause, sa.TotalPause, sa.Handles = 0, 0, 0
+		sb.LastPause, sb.TotalPause, sb.Handles = 0, 0, 0
+		if sa != sb {
+			t.Fatalf("round %d: heap stats %+v and %+v", i, sa, sb)
+		}
+		if ca, cb := a.clk.Total(), b.clk.Total(); ca != cb {
+			t.Fatalf("round %d: charged %d and %d cycles", i, ca, cb)
+		}
+		if pa, pb := a.res.Stats(), b.res.Stats(); pa != pb {
+			t.Fatalf("round %d: paging %+v and %+v", i, pa, pb)
+		}
+		ta, tb := make([]byte, a.allocPtr), make([]byte, b.allocPtr)
+		if err := a.from.Read(0, ta); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.from.Read(0, tb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ta, tb) {
+			t.Fatalf("round %d: to-space differs (%d and %d bytes live)", i, len(ta), len(tb))
+		}
+	}
+	if a.res.Stats().Evictions == 0 {
+		t.Fatalf("the stream never evicted: %+v", a.res.Stats())
 	}
 }
 

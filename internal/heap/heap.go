@@ -29,6 +29,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -170,8 +171,13 @@ type Config struct {
 	// InitialSemi is the initial semispace size in bytes.
 	InitialSemi int
 	// MaxSemi bounds semispace growth (the enclave heap bound, §6.1).
+	// It is at most 4 GiB (maxSemiLimit).
 	MaxSemi int
 }
+
+// maxSemiLimit bounds Config.MaxSemi: an address fits in 32 bits, so
+// Collect sorts its roots on one word, the address above the slot.
+const maxSemiLimit = 1 << 32
 
 // Heap is a semispace managed heap. It is not safe for concurrent use;
 // its owner serialises every call (stop-the-world discipline).
@@ -190,6 +196,9 @@ type Heap struct {
 	// released slots, reused last-in first-out.
 	weaks     []weakSlot
 	freeWeaks []uint32
+	// roots is Collect's scratch: the live handle slots, each keyed by
+	// its address above its slot, sorted.
+	roots []uint64
 
 	// Scratch for the bytes that cross the Backend interface (a buffer
 	// declared in the caller would escape to the Go heap on every call):
@@ -214,6 +223,9 @@ func New(cfg Config, newBackend func(size int) (Backend, error)) (*Heap, error) 
 	}
 	if cfg.MaxSemi < cfg.InitialSemi {
 		cfg.MaxSemi = cfg.InitialSemi
+	}
+	if cfg.MaxSemi > maxSemiLimit {
+		return nil, fmt.Errorf("heap: semispace bound %d above %d bytes", cfg.MaxSemi, maxSemiLimit)
 	}
 	if newBackend == nil {
 		return nil, errors.New("heap: nil backend factory")
@@ -560,6 +572,13 @@ func (h *Heap) WeaksCleared() uint64 { return h.weaksCleared.Load() }
 // Collect runs one stop-and-copy cycle: objects reachable from the handle
 // table are evacuated to to-space (Cheney's algorithm), weak references to
 // unreached objects are cleared, and the spaces are flipped.
+//
+// Roots evacuate in from-space address order, each object once: the
+// handles to one object share its new address, and the object's header
+// is read once. To-space layout, and every header read and page touch of
+// a collection, are a function of the set of live roots and the object
+// graph alone — not of how many handles name an object, nor of the slots
+// they hold.
 func (h *Heap) Collect() error {
 	start := time.Now()
 
@@ -574,19 +593,25 @@ func (h *Heap) Collect() error {
 	scan := wordBytes
 	free := wordBytes
 
-	// Evacuate roots: the handle table, in slot order, so to-space
-	// placement is a function of the operation sequence.
-	for i := range h.handles {
-		s := &h.handles[i]
-		if s.addr == 0 {
-			continue
+	// Evacuate roots in address order.
+	h.roots = h.roots[:0]
+	for i, s := range h.handles {
+		if s.addr != 0 {
+			h.roots = append(h.roots, uint64(s.addr)<<32|uint64(i))
 		}
-		na, nf, err := h.evacuate(s.addr, free)
-		if err != nil {
-			return err
+	}
+	slices.Sort(h.roots)
+	var last, moved Addr
+	for _, r := range h.roots {
+		if addr := Addr(r >> 32); addr != last {
+			last = addr
+			na, nf, err := h.evacuate(addr, free)
+			if err != nil {
+				return err
+			}
+			moved, free = na, nf
 		}
-		s.addr = na
-		free = nf
+		h.handles[uint32(r)].addr = moved
 	}
 
 	// Cheney scan of to-space.

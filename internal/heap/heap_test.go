@@ -490,6 +490,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(smallCfg(), nil); err == nil {
 		t.Fatal("accepted nil backend factory")
 	}
+	if _, err := NewPlain(Config{InitialSemi: 1 << 10, MaxSemi: maxSemiLimit + 1}); err == nil {
+		t.Fatal("accepted a semispace bound above maxSemiLimit")
+	}
 }
 
 // Property: a randomly built object graph survives collection with all

@@ -33,7 +33,6 @@ func (fr *frame) New(class string, args []wire.Value) (wire.Value, error) {
 		// local proxy object, then transition to create the mirror
 		// (Listing 2/3 constructor stubs).
 		hash := rt.w.nextHash()
-		fr.note(hash)
 		h, err := rt.newProxy(fr, class, hash)
 		if err != nil {
 			return wire.Value{}, err
@@ -61,7 +60,7 @@ func (fr *frame) New(class string, args []wire.Value) (wire.Value, error) {
 	if err != nil {
 		return wire.Value{}, err
 	}
-	fr.made(hash, h)
+	fr.own(hash, h)
 	self := wire.Ref(class, hash).WithHandle(uint64(h))
 	if _, err := rt.dispatch(ctor, self, args, fr, nil); err != nil {
 		return wire.Value{}, err
@@ -136,7 +135,7 @@ func (fr *frame) GetField(recv wire.Value, field string) (wire.Value, error) {
 		return v, err
 	}
 	_, refHash, _ := v.AsRef()
-	kept, err := rt.adopt(fr, refHash, fh, false)
+	kept, err := rt.adopt(fr, refHash, fh)
 	return v.WithHandle(uint64(kept)), err
 }
 
@@ -241,7 +240,7 @@ func (fr *frame) newBuiltin(class string, args []wire.Value) (wire.Value, error)
 	if err != nil {
 		return wire.Value{}, err
 	}
-	fr.made(hash, h)
+	fr.own(hash, h)
 	return wire.Ref(class, hash).WithHandle(uint64(h)), nil
 }
 
@@ -358,7 +357,7 @@ func (fr *frame) callList(list wire.Value, method string, args []wire.Value) (wi
 		if eh == 0 {
 			return wire.Null(), nil
 		}
-		kept, err := rt.adopt(fr, elemHash, eh, true)
+		kept, err := rt.adopt(fr, elemHash, eh)
 		return wire.Ref(name, elemHash).WithHandle(uint64(kept)), err
 	default:
 		return wire.Value{}, fmt.Errorf("%w: method List.%s", image.ErrClosedWorld, method)

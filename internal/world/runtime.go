@@ -380,16 +380,11 @@ type frame struct {
 	// body (dispatch); nil for an Exec or relay frame.
 	up *frame
 	// owned lists the handles the activation's operations made, one per
-	// object (adopt), each one owner of its heap handle until release,
-	// in the order release drops them. index locates the refs past the
-	// first frameScanOwned by hash; it is nil until a frame owns that
-	// many.
+	// object (adopt), each one owner of its heap handle until release.
+	// index locates the refs past the first frameScanOwned by hash; it is
+	// nil until a frame owns that many.
 	owned []ownedRef
 	index map[int64]int32
-	// noted, first and last order the drops (see note).
-	noted int
-	first [frameInlineOwned]int64
-	last  int64
 	// inline backs owned until an activation owns more than it holds.
 	inline [frameInlineOwned]ownedRef
 	// argv holds the argument vectors of the calls the body makes (see
@@ -398,13 +393,11 @@ type frame struct {
 }
 
 // ownedRef is one handle a frame owns and the identity hash of its
-// object; elem marks an element the frame read with List.get. A handle
-// handed on to the caller with a result (adoptResult), or moved to a
-// later place (note), reads 0.
+// object. A handle handed on to the caller with a result (adoptResult)
+// reads 0.
 type ownedRef struct {
 	hash   int64
 	handle heap.Handle
-	elem   bool
 }
 
 // frameInlineOwned covers a leaf activation (self, a few arguments, a
@@ -412,25 +405,23 @@ type ownedRef struct {
 // frameScanOwned refs, about what one map lookup costs, and indexes the
 // rest; frameKeepOwned bounds what a pooled frame keeps of a larger
 // list, so one scan of a long bucket does not pin its storage in the
-// pool; a List.get element read after frameElemMax notes, or in an Exec
-// or relay frame, is noted as any handle is (see note).
+// pool.
 const (
 	frameInlineOwned = 8
 	frameScanOwned   = 32
 	frameKeepOwned   = 256
-	frameElemMax     = 64
 )
 
 // own records a handle the activation's operation made, or one it took
-// over; the caller notes the use (see note).
-func (fr *frame) own(hash int64, h heap.Handle, elem bool) {
+// over.
+func (fr *frame) own(hash int64, h heap.Handle) {
 	if n := len(fr.owned); n >= frameScanOwned {
 		if fr.index == nil {
 			fr.index = make(map[int64]int32)
 		}
 		fr.index[hash] = int32(n)
 	}
-	fr.owned = append(fr.owned, ownedRef{hash: hash, handle: h, elem: elem})
+	fr.owned = append(fr.owned, ownedRef{hash: hash, handle: h})
 }
 
 // find returns the index in owned of the frame's handle of hash, or -1:
@@ -464,82 +455,6 @@ func (fr *frame) held(hash int64) (heap.Handle, bool) {
 	return 0, false
 }
 
-// The order a frame drops its handles in is part of the cycle ledger:
-// the collector evacuates roots in handle-slot order, and the heap
-// reissues the slot dropped last first. A frame drops each handle where
-// it last noted the object. An operation notes an object it uses unless
-// the frame noted it among its first frameInlineOwned notes or as its
-// latest one, or it is an element the frame read itself (List.get).
-// That is the order the frames' bounded search — first eight, latest —
-// gave before refs carried their handles, and the ledger goldens pin
-// it. noted counts the notes, first holds the first frameInlineOwned
-// noted hashes and last the latest.
-
-// note records that the frame used hash.
-func (fr *frame) note(hash int64) {
-	if fr.noted < frameInlineOwned {
-		fr.first[fr.noted] = hash
-	}
-	fr.noted++
-	fr.last = hash
-}
-
-// recent reports whether a use of hash goes unnoted: it is among the
-// first notes or the latest.
-func (fr *frame) recent(hash int64) bool {
-	for _, h := range fr.first[:min(fr.noted, frameInlineOwned)] {
-		if h == hash {
-			return true
-		}
-	}
-	return fr.noted > frameInlineOwned && fr.last == hash
-}
-
-// use notes an operation's use of hash (see note) and returns the
-// handle fr or an activation up its chain holds it by, if one does. A
-// noted use of a handle fr owns moves its drop to the end of owned.
-func (fr *frame) use(hash int64) (heap.Handle, bool) {
-	if i := fr.find(hash); i >= 0 {
-		o := fr.owned[i]
-		if !o.elem && !fr.recent(hash) {
-			fr.owned[i].handle = 0
-			fr.own(hash, o.handle, false)
-			fr.note(hash)
-		}
-		return o.handle, true
-	}
-	if !fr.recent(hash) {
-		fr.note(hash)
-	}
-	if fr.up == nil {
-		return 0, false
-	}
-	return fr.up.held(hash)
-}
-
-// useArg notes self or an argument of a body about to run in fr, which
-// holds them on its caller's handles.
-func (fr *frame) useArg(v wire.Value) {
-	if _, hash, ok := v.AsRef(); ok && !fr.recent(hash) {
-		fr.note(hash)
-	}
-}
-
-// touch notes a use of hash by an operation that has its handle already
-// (see lockRef).
-func (fr *frame) touch(hash int64) {
-	if !fr.recent(hash) {
-		fr.use(hash)
-	}
-}
-
-// made records a handle to an object the operation has just made, which
-// nothing else holds yet.
-func (fr *frame) made(hash int64, h heap.Handle) {
-	fr.note(hash)
-	fr.own(hash, h, false)
-}
-
 // env returns the Env a body runs against in this frame.
 func (fr *frame) env() classmodel.Env { return classmodel.NewEnv(fr, &fr.argv) }
 
@@ -568,7 +483,7 @@ func (rt *Runtime) releaseFrame(fr *frame) {
 		}
 		rt.unlockHeap()
 	}
-	fr.span, fr.lane, fr.up, fr.noted = nil, nil, nil, 0
+	fr.span, fr.lane, fr.up = nil, nil, nil
 	if fr.argv[0].Kind() != wire.KindInvalid {
 		// A call with arguments wrote argv from its first value on.
 		clear(fr.argv[:])
@@ -593,11 +508,11 @@ func (rt *Runtime) release(h heap.Handle) error {
 }
 
 // retain finds the object hash where fr may use it without making a
-// handle (use): held by fr or an activation up its chain, or pinned — a
+// handle: held by fr or an activation up its chain, or pinned — a
 // pinned handle gains an owner in fr, so a concurrent Unpin cannot drop
 // it from under the activation.
 func (rt *Runtime) retain(fr *frame, hash int64) (heap.Handle, bool) {
-	if h, ok := fr.use(hash); ok {
+	if h, ok := fr.held(hash); ok {
 		return h, true
 	}
 	if rt.pinned.Load() == 0 {
@@ -615,20 +530,19 @@ func (rt *Runtime) retain(fr *frame, hash int64) (heap.Handle, bool) {
 	if err != nil {
 		return 0, false
 	}
-	fr.own(hash, p.handle, false)
+	fr.own(hash, p.handle)
 	return p.handle, true
 }
 
-// adopt gives fr the fresh handle an operation made to the object hash;
-// elem marks an element a method body read with List.get. When fr's
-// chain or the pins already hold the object (retain), the fresh handle
-// is dropped at once and theirs is used: an object has one handle per
-// chain.
-func (rt *Runtime) adopt(fr *frame, hash int64, fresh heap.Handle, elem bool) (heap.Handle, error) {
+// adopt gives fr the fresh handle an operation made to the object hash.
+// When fr's chain or the pins already hold the object (retain), the
+// fresh handle is dropped at once and theirs is used: an object has one
+// handle per chain.
+func (rt *Runtime) adopt(fr *frame, hash int64, fresh heap.Handle) (heap.Handle, error) {
 	if h, ok := rt.retain(fr, hash); ok {
 		return h, rt.release(fresh)
 	}
-	fr.own(hash, fresh, elem && fr.up != nil && fr.noted <= frameElemMax)
+	fr.own(hash, fresh)
 	return fresh, nil
 }
 
@@ -647,7 +561,7 @@ func (rt *Runtime) resolve(fr *frame, hash int64) (heap.Handle, error) {
 	if err != nil {
 		return 0, err
 	}
-	fr.own(hash, h, false)
+	fr.own(hash, h)
 	return h, nil
 }
 
@@ -677,7 +591,6 @@ func (rt *Runtime) lockRef(fr *frame, v wire.Value) (heap.Handle, error) {
 	_, hash, _ := v.AsRef()
 	rt.heapMu.Lock()
 	if h, ok := rt.iso.Heap().Identify(v.Handle(), hash); ok {
-		fr.touch(hash)
 		return h, nil
 	}
 	rt.unlockHeap()
@@ -700,7 +613,6 @@ func (rt *Runtime) lockRefs(fr *frame, recv, arg wire.Value) (heap.Handle, heap.
 	}
 	_, hash, _ := arg.AsRef()
 	if ah, ok := rt.iso.Heap().Identify(arg.Handle(), hash); ok {
-		fr.touch(hash)
 		return h, ah, nil
 	}
 	rt.unlockHeap()
@@ -920,14 +832,6 @@ func (rt *Runtime) marshalRef(fr *frame, v wire.Value) error {
 	if classmodel.IsBuiltin(class) {
 		return fmt.Errorf("%w: %s#%d", ErrNeutralByValue, class, hash)
 	}
-	// The ref may come back in a call from the opposite runtime, which
-	// finds it by hash: from here on it is used as any handle is (note).
-	for f := fr; f != nil; f = f.up {
-		if i := f.find(hash); i >= 0 {
-			f.owned[i].elem = false
-			break
-		}
-	}
 	decl, err := rt.classDecl(class)
 	if err != nil {
 		return err
@@ -1047,7 +951,7 @@ func (rt *Runtime) localiseRef(fr *frame, v wire.Value) (heap.Handle, error) {
 		if !live {
 			return rt.newProxy(fr, class, hash)
 		}
-		fr.own(hash, h, false)
+		fr.own(hash, h)
 	}
 	// A live local representative already holds a registry export; drop
 	// the duplicate export made by the sender.
@@ -1060,7 +964,7 @@ func (rt *Runtime) localiseRef(fr *frame, v wire.Value) (heap.Handle, error) {
 }
 
 // newProxy materialises a proxy instance for a remote object, which fr
-// owns, and weak-tracks it; the caller notes the use.
+// owns, and weak-tracks it.
 func (rt *Runtime) newProxy(fr *frame, class string, hash int64) (heap.Handle, error) {
 	rt.heapMu.Lock()
 	h, err := rt.iso.NewObject(class, hash)
@@ -1074,7 +978,7 @@ func (rt *Runtime) newProxy(fr *frame, class string, hash int64) (heap.Handle, e
 	}
 	rt.weaks.Track(w, hash)
 	rt.proxiesNew.Add(1)
-	fr.own(hash, h, false)
+	fr.own(hash, h)
 	return h, nil
 }
 
@@ -1105,10 +1009,6 @@ func (rt *Runtime) dispatch(lk *link, self wire.Value, args []wire.Value, caller
 		fr.span, fr.lane = adoptInto.span, adoptInto.lane
 	}
 	defer rt.releaseFrame(fr)
-	fr.useArg(self)
-	for _, v := range args {
-		fr.useArg(v)
-	}
 	result, err := m.Body(fr.env(), self, args)
 	if err != nil {
 		return wire.Value{}, fmt.Errorf("%s: %w", lk.ref, err)
@@ -1130,8 +1030,8 @@ func (rt *Runtime) adoptResult(fr, from *frame, v wire.Value) error {
 	case wire.KindRef:
 		_, hash, _ := v.AsRef()
 		if i := from.find(hash); i >= 0 {
-			if _, ok := fr.use(hash); !ok {
-				fr.own(hash, from.owned[i].handle, false)
+			if _, ok := fr.held(hash); !ok {
+				fr.own(hash, from.owned[i].handle)
 				from.owned[i].handle = 0
 			}
 			return nil
@@ -1509,7 +1409,7 @@ func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte,
 		if err != nil {
 			return err
 		}
-		fr.made(hash, h)
+		fr.own(hash, h)
 		if err := rt.reg.Export(hash, regHandle); err != nil {
 			return err
 		}
