@@ -31,10 +31,13 @@ build:
 # gateway's lifecycle gate (Shutdown and Recover drains against typed
 # refusals), the handles a callee uses on its caller's behalf, the one
 # handle a list element a method body reads takes, a ref whose handle
-# slot went to another object, the in-enclave put stream's ledger and
-# the ring data plane (world's ring tests and
-# internal/ring) are re-run on 4 Ps, ten times, to show they repeat
-# under real parallelism. The MEE's portable block path (other architectures,
+# slot went to another object, the in-enclave put stream's ledger, two
+# proxies that racing imports made for one hash (each releases one
+# export), a relay frame that finds what its caller's chain holds, the
+# collector's weak fix-up in address order (the same ledger whatever
+# order the weak references were made in) and the ring data plane
+# (world's ring tests and internal/ring) are re-run on 4 Ps, ten times,
+# to show they repeat under real parallelism. The MEE's portable block path (other architectures,
 # amd64 without AES-NI) is tested under -tags purego and cross-vetted for
 # arm64, since an amd64 host with AES-NI runs the assembly kernel. The benchmark
 # harness is its own module (benchmark/go.mod), so ./... does not reach
@@ -50,7 +53,8 @@ test:
 	GOARCH=arm64 $(GO) vet ./internal/mee ./internal/epc
 	GOFLAGS= GOWORK=off $(GO) -C benchmark vet ./...
 	GOFLAGS= GOWORK=off $(GO) -C benchmark test ./...
-	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestCycleLedgerGolden|TestKVPutLedgerGolden|TestScannedElementsHoldOneHandle|TestStaleRefNeverAliases|TestLane|TestVoidRelay|TestGCHelper|TestHelpers|TestCalleeBorrowsCallerRetentions|TestBodyResolvesSelfOnce|TestRing' ./internal/world
+	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestCycleLedgerGolden|TestKVPutLedgerGolden|TestScannedElementsHoldOneHandle|TestStaleRefNeverAliases|TestLane|TestVoidRelay|TestGCHelper|TestHelpers|TestCalleeBorrowsCallerRetentions|TestBodyResolvesSelfOnce|TestRing|TestRacingImportsReleaseEachExport|TestRelayContinuesCallerChain' ./internal/world
+	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestCollectIgnoresWeakOrder|TestWeakFixupLedgerRepeats' ./internal/heap
 	GOMAXPROCS=4 $(GO) test -count=10 ./internal/ring
 	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestRecovery' ./internal/persist
 	GOMAXPROCS=4 $(GO) test -count=10 -run 'TestGatewayLifecycleGate|TestServeDrain|TestGateway|TestRecoverReentersLanes' ./internal/serve
@@ -83,9 +87,10 @@ orderly-smoke:
 	$(GO) run ./cmd/montsalvat-fabric -orderly-check
 
 # Model-checker throughput: the orderly-rate experiment (the orderly
-# explorer's budgeted deep mode) appends its distinct states/sec per
-# configuration to BENCH.json as one record labelled LABEL; an invariant
-# violation fails the run.
+# explorer's deep mode, run to a fixed number of distinct states per
+# configuration) appends the time that took and its states/sec to
+# BENCH.json as one record labelled LABEL; an invariant violation fails
+# the run.
 LABEL ?= run
 bench-orderly:
 	$(GO) run ./cmd/montsalvat-bench -experiment orderly-rate -quick -json BENCH.json -label $(LABEL)

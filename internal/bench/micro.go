@@ -507,7 +507,7 @@ func Fig5b(opts Options) (*Table, error) {
 		if err := w.SweepOnce(w.Untrusted()); err != nil {
 			return nil, err
 		}
-		proxiesOut = append(proxiesOut, float64(w.Untrusted().WeakList().Len()))
+		proxiesOut = append(proxiesOut, float64(w.Untrusted().HeapStats().Weaks))
 		mirrorsIn = append(mirrorsIn, float64(w.Trusted().Registry().Size()))
 	}
 	t.AddRow("proxy-objs-out", proxiesOut...)

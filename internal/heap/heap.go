@@ -84,9 +84,12 @@ type handleSlot struct {
 // the primitive the Montsalvat GC helper scans (§5.5).
 //
 // Like a Handle, a WeakRef names a slot of a table — the weak table — and
-// the slot's generation: slot | generation<<32. The collector fixes weak
-// references up in slot order, so the order of its header reads, and with
-// it the EPC paging order, is a function of the operation sequence.
+// the slot's generation: slot | generation<<32. A slot also carries the
+// name its owner gave the referent (the proxy's identity hash), by which
+// LiveWeak finds it. The collector fixes weak references up in from-space
+// address order, so the order of its header reads, and with it the EPC
+// paging order, follows the referents alone, not the order the weak
+// references were made in or the slots they hold.
 type WeakRef uint64
 
 func makeWeak(slot, gen uint32) WeakRef { return WeakRef(uint64(gen)<<32 | uint64(slot)) }
@@ -95,12 +98,15 @@ func (w WeakRef) slot() uint32 { return uint32(w) }
 func (w WeakRef) gen() uint32  { return uint32(w >> 32) }
 
 // weakSlot is one entry of the weak table. addr is 0 once the referent
-// has been collected; used tells a registered weak reference from a free
-// slot.
+// has been collected, and in a free slot. id is the referent's name, and
+// next (slot+1, 0 for none) links the slots registered under the same
+// id, newest first, from the head weakIDs holds: two proxies made for
+// one hash share a chain.
 type weakSlot struct {
 	addr Addr
 	gen  uint32
-	used bool
+	next uint32
+	id   int64
 }
 
 // Obj is a validated view of one object: its address and the header
@@ -135,7 +141,6 @@ var (
 	ErrOutOfMemory    = errors.New("heap: out of memory")
 	ErrBadAddress     = errors.New("heap: bad object address")
 	ErrBadHandle      = errors.New("heap: unknown handle")
-	ErrBadWeak        = errors.New("heap: unknown weak reference")
 	ErrBadSlot        = errors.New("heap: reference slot out of range")
 	ErrDataOutOfRange = errors.New("heap: data access out of range")
 	ErrTooManyRefs    = errors.New("heap: too many reference slots")
@@ -156,8 +161,9 @@ type Stats struct {
 	// allocation ever performed.
 	LiveBytes      int
 	AllocatedBytes uint64
-	// SemiSize is the current semispace size; Handles and Weaks count
-	// live external references.
+	// SemiSize is the current semispace size; Handles counts live
+	// handles, Weaks the weak references registered and not yet swept
+	// (SweepWeaks), cleared or not.
 	SemiSize int
 	Handles  int
 	Weaks    int
@@ -193,11 +199,16 @@ type Heap struct {
 	handles   []handleSlot
 	freeSlots []uint32
 	// weaks is the weak table, indexed by slot; freeWeaks lists its
-	// released slots, reused last-in first-out.
+	// swept slots, reused last-in first-out; weakIDs maps an id to the
+	// newest slot registered under it; cleared lists the slots
+	// collections have cleared since the last SweepWeaks, in the order
+	// they were cleared.
 	weaks     []weakSlot
 	freeWeaks []uint32
-	// roots is Collect's scratch: the live handle slots, each keyed by
-	// its address above its slot, sorted.
+	weakIDs   map[int64]uint32
+	cleared   []uint32
+	// roots is Collect's scratch: the live handle slots, then the live
+	// weak slots, each keyed by its address above its slot, sorted.
 	roots []uint64
 
 	// Scratch for the bytes that cross the Backend interface (a buffer
@@ -244,6 +255,7 @@ func New(cfg Config, newBackend func(size int) (Backend, error)) (*Heap, error) 
 		semiSize: cfg.InitialSemi,
 		maxSemi:  cfg.MaxSemi,
 		allocPtr: wordBytes, // Addr 0 is reserved for null.
+		weakIDs:  make(map[int64]uint32),
 	}, nil
 }
 
@@ -501,8 +513,9 @@ func (h *Heap) Release(hd Handle) error {
 	return nil
 }
 
-// NewWeak registers a weak reference to the object o.
-func (h *Heap) NewWeak(o Obj) (WeakRef, error) {
+// NewWeak registers a weak reference to the object o, which its owner
+// names id (the isolate's identity hash; see LiveWeak).
+func (h *Heap) NewWeak(o Obj, id int64) (WeakRef, error) {
 	if o.addr == 0 {
 		return 0, fmt.Errorf("%w: weak reference to null", ErrBadAddress)
 	}
@@ -515,43 +528,65 @@ func (h *Heap) NewWeak(o Obj) (WeakRef, error) {
 		h.weaks = append(h.weaks, weakSlot{gen: 1})
 	}
 	s := &h.weaks[slot]
-	s.addr, s.used = o.addr, true
+	s.addr, s.id, s.next = o.addr, id, 0
+	if head, ok := h.weakIDs[id]; ok {
+		s.next = head + 1
+	}
+	h.weakIDs[id] = slot
 	return makeWeak(slot, s.gen), nil
 }
 
-// weak returns the table slot of a registered weak reference.
-func (h *Heap) weak(w WeakRef) (*weakSlot, error) {
-	if i := w.slot(); int(i) < len(h.weaks) {
-		if s := &h.weaks[i]; s.gen == w.gen() && s.used {
-			return s, nil
+// LiveWeak returns the current address of a live referent its owner
+// named id: one map probe, then the chain of the slots registered under
+// id, which holds more than one only when two were made for one id.
+// It reads the weak table only, never the object, so it charges nothing.
+func (h *Heap) LiveWeak(id int64) (Addr, bool) {
+	i, ok := h.weakIDs[id]
+	for ok {
+		s := &h.weaks[i]
+		if s.addr != 0 {
+			return s.addr, true
 		}
+		i, ok = s.next-1, s.next != 0
 	}
-	return nil, fmt.Errorf("%w: %#x", ErrBadWeak, uint64(w))
+	return 0, false
 }
 
-// WeakGet resolves a weak reference. ok is false once the referent has
-// been collected ("null referent", §5.5).
-func (h *Heap) WeakGet(w WeakRef) (Addr, bool, error) {
-	s, err := h.weak(w)
-	if err != nil {
-		return 0, false, err
+// SweepWeaks appends to dead the ids of the weak references collections
+// have cleared since the last sweep, in the order they were cleared
+// (from-space address order within each collection), frees their slots
+// for reuse under a new generation, and returns dead.
+func (h *Heap) SweepWeaks(dead []int64) []int64 {
+	for _, i := range h.cleared {
+		s := &h.weaks[i]
+		dead = append(dead, s.id)
+		h.unlinkWeak(i)
+		s.next, s.id = 0, 0
+		if s.gen++; s.gen == 0 {
+			s.gen = 1
+		}
+		h.freeWeaks = append(h.freeWeaks, i)
 	}
-	return s.addr, s.addr != 0, nil
+	h.cleared = h.cleared[:0]
+	return dead
 }
 
-// ReleaseWeak drops a weak reference. Its slot is freed for reuse under
-// a new generation, so the released WeakRef fails with ErrBadWeak.
-func (h *Heap) ReleaseWeak(w WeakRef) error {
-	s, err := h.weak(w)
-	if err != nil {
-		return err
+// unlinkWeak takes slot i out of its id's chain.
+func (h *Heap) unlinkWeak(i uint32) {
+	s := &h.weaks[i]
+	p := h.weakIDs[s.id]
+	if p == i {
+		if s.next == 0 {
+			delete(h.weakIDs, s.id)
+		} else {
+			h.weakIDs[s.id] = s.next - 1
+		}
+		return
 	}
-	s.addr, s.used = 0, false
-	if s.gen++; s.gen == 0 {
-		s.gen = 1
+	for h.weaks[p].next != i+1 {
+		p = h.weaks[p].next - 1
 	}
-	h.freeWeaks = append(h.freeWeaks, w.slot())
-	return nil
+	h.weaks[p].next = s.next
 }
 
 // Stats returns a snapshot of collector statistics.
@@ -575,9 +610,11 @@ func (h *Heap) WeaksCleared() uint64 { return h.weaksCleared.Load() }
 //
 // Roots evacuate in from-space address order, each object once: the
 // handles to one object share its new address, and the object's header
-// is read once. To-space layout, and every header read and page touch of
-// a collection, are a function of the set of live roots and the object
-// graph alone — not of how many handles name an object, nor of the slots
+// is read once. Weak referents are fixed up the same way, after the
+// scan. To-space layout, and every header read and page touch of a
+// collection, are a function of the set of live roots, the set of weak
+// referents and the object graph alone — not of how many handles or weak
+// references name an object, the order they were made in, nor the slots
 // they hold.
 func (h *Heap) Collect() error {
 	start := time.Now()
@@ -644,24 +681,35 @@ func (h *Heap) Collect() error {
 		scan += size
 	}
 
-	// Fix up weak references, in slot order: forwarded targets are
-	// updated, unreached targets are cleared.
-	for i := range h.weaks {
-		s := &h.weaks[i]
-		if s.addr == 0 {
-			continue
-		}
-		w0, w1, err := h.header(s.addr)
-		if err != nil {
-			return fmt.Errorf("heap: weak fixup: %w", err)
-		}
-		if w0&uint64(flagForwarded) != 0 {
-			s.addr = Addr(w1)
-		} else {
-			s.addr = 0
-			h.weaksCleared.Add(1)
+	// Fix up weak references in address order, each referent's header
+	// read once: forwarded referents are updated, unreached ones cleared.
+	h.roots = h.roots[:0]
+	for i, s := range h.weaks {
+		if s.addr != 0 {
+			h.roots = append(h.roots, uint64(s.addr)<<32|uint64(i))
 		}
 	}
+	slices.Sort(h.roots)
+	last, moved = 0, 0
+	cleared := len(h.cleared)
+	for _, r := range h.roots {
+		if addr := Addr(r >> 32); addr != last {
+			last = addr
+			w0, w1, err := h.header(addr)
+			if err != nil {
+				return fmt.Errorf("heap: weak fixup: %w", err)
+			}
+			moved = 0
+			if w0&uint64(flagForwarded) != 0 {
+				moved = Addr(w1)
+			}
+		}
+		h.weaks[uint32(r)].addr = moved
+		if moved == 0 {
+			h.cleared = append(h.cleared, uint32(r))
+		}
+	}
+	h.weaksCleared.Add(uint64(len(h.cleared) - cleared))
 
 	// Flip.
 	h.from, h.to = h.to, h.from

@@ -139,7 +139,7 @@ func TestRefSlots(t *testing.T) {
 	if _, err := h.NewHandle(Obj{}, 0); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("NewHandle on null: err = %v, want ErrBadAddress", err)
 	}
-	if _, err := h.NewWeak(Obj{}); !errors.Is(err, ErrBadAddress) {
+	if _, err := h.NewWeak(Obj{}, 0); !errors.Is(err, ErrBadAddress) {
 		t.Fatalf("NewWeak on null: err = %v, want ErrBadAddress", err)
 	}
 }
@@ -271,7 +271,7 @@ func TestCycleSurvivesCollection(t *testing.T) {
 func TestWeakRefClearedForGarbage(t *testing.T) {
 	h := testHeap(t, smallCfg())
 	obj := mustAlloc(t, h, 1, 0, 8)
-	w, err := h.NewWeak(obj)
+	w, err := h.NewWeak(obj, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestWeakRefUpdatedForSurvivor(t *testing.T) {
 		t.Fatal(err)
 	}
 	hd, _ := h.NewHandle(obj, 0)
-	w, _ := h.NewWeak(obj)
+	w, _ := h.NewWeak(obj, 0)
 	if err := h.Collect(); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestWeakRefUpdatedForSurvivor(t *testing.T) {
 func TestWeakDoesNotKeepAlive(t *testing.T) {
 	h := testHeap(t, Config{InitialSemi: 1 << 14, MaxSemi: 1 << 14})
 	obj := mustAlloc(t, h, 1, 0, 1024)
-	if _, err := h.NewWeak(obj); err != nil {
+	if _, err := h.NewWeak(obj, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Allocate enough to force collections; the weakly-referenced object
@@ -336,7 +336,7 @@ func TestWeaksClearedCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range []Obj{live, mustAlloc(t, h, 1, 0, 8), mustAlloc(t, h, 1, 0, 8)} {
-		if _, err := h.NewWeak(o); err != nil {
+		if _, err := h.NewWeak(o, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,7 +354,7 @@ func TestHandleReleaseMakesGarbage(t *testing.T) {
 	h := testHeap(t, smallCfg())
 	obj := mustAlloc(t, h, 1, 0, 8)
 	hd, _ := h.NewHandle(obj, 0)
-	w, _ := h.NewWeak(obj)
+	w, _ := h.NewWeak(obj, 0)
 	if err := h.Collect(); err != nil {
 		t.Fatal(err)
 	}

@@ -277,13 +277,15 @@ func (iso *Isolate) ClassName(id int32) (string, error) {
 // Release drops a strong handle.
 func (iso *Isolate) Release(h heap.Handle) error { return iso.heap.Release(h) }
 
-// NewWeak creates a weak reference to the object behind h.
-func (iso *Isolate) NewWeak(h heap.Handle) (heap.WeakRef, error) {
+// NewWeak weak-tracks the object behind h under its identity hash,
+// by which heap.LiveWeak finds it and heap.SweepWeaks reports its death.
+func (iso *Isolate) NewWeak(h heap.Handle, hash int64) error {
 	o, err := iso.view(h)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return iso.heap.NewWeak(o)
+	_, err = iso.heap.NewWeak(o, hash)
+	return err
 }
 
 // HandleAt wraps a raw address of the object with identity hash in a

@@ -219,7 +219,7 @@ func TestTamperBetweenCallsFailsIntegrity(t *testing.T) {
 		"HashOf":         func(iso *Isolate, obj, _ heap.Handle) error { _, err := iso.HashOf(obj); return err },
 		"ListAdd":        func(iso *Isolate, obj, list heap.Handle) error { return iso.ListAdd(list, obj) },
 		"ListSet":        func(iso *Isolate, obj, list heap.Handle) error { return iso.ListSet(list, 0, obj) },
-		"NewWeak":        func(iso *Isolate, obj, _ heap.Handle) error { _, err := iso.NewWeak(obj); return err },
+		"NewWeak":        func(iso *Isolate, obj, _ heap.Handle) error { return iso.NewWeak(obj, 1) },
 	}
 	for name, call := range calls {
 		t.Run("header/"+name, func(t *testing.T) {

@@ -5,7 +5,7 @@
 // field comments in world/runtime.go and fabric/shard.go):
 //
 //	fabric/persist:  n.mu > shipper ioMu > commit queue > manager mutex
-//	world:           pin < heap < {weaks, table shard}
+//	world:           pin < heap
 //
 // Both read outermost-first: a goroutine holding an outer lock may take
 // an inner one, never the reverse. lockrank.Mutex is a drop-in
@@ -42,7 +42,6 @@ const (
 	RankManager    int32 = 60 // persist Manager.mu
 	RankWorldPin   int32 = 70 // world Runtime.pinMu
 	RankWorldHeap  int32 = 80 // world Runtime.heapMu
-	RankWorldWeaks int32 = 90 // registry WeakList.mu
 )
 
 // maxViolations bounds the retained violation log; a broken hierarchy

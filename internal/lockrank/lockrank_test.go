@@ -80,7 +80,7 @@ func TestDisabledIsSilent(t *testing.T) {
 
 func TestTryLockAndConcurrency(t *testing.T) {
 	defer Enable()()
-	m := ranked(RankWorldWeaks, "weaks")
+	m := ranked(RankWorldHeap, "heapMu")
 	if !m.TryLock() {
 		t.Fatal("TryLock on free mutex failed")
 	}

@@ -26,11 +26,9 @@ type Options struct {
 	// their canonical hashes into it, and MaxStates bounds the union.
 	States *StateSet
 	// MaxStates stops the exploration once this many distinct
-	// canonical states have been seen (0 = unbounded).
+	// canonical states have been seen (0 = unbounded). The deep bench
+	// mode uses it to time a fixed amount of exploration.
 	MaxStates int
-	// Budget bounds wall-clock time (0 = unbounded). The deep bench
-	// mode uses it to measure states/sec at a fixed spend.
-	Budget time.Duration
 	// LockCheck arms the lockrank shims for the duration of the
 	// exploration, folding lock-hierarchy inversions into the checked
 	// invariants. It taxes every instrumented lock acquisition, so
@@ -79,7 +77,7 @@ type Result struct {
 	MaxDepth int
 	// Elapsed is wall-clock exploration time.
 	Elapsed time.Duration
-	// Bounded reports that MaxStates or Budget stopped the
+	// Bounded reports that MaxStates stopped the
 	// exploration before the depth-MaxDepth round completed.
 	Bounded bool
 	// Violation is the first falsified invariant, nil when every
@@ -156,9 +154,6 @@ func Explore(opts Options) (*Result, error) {
 		states: states,
 		res:    &Result{},
 	}
-	if opts.Budget > 0 {
-		e.deadline = time.Now().Add(opts.Budget)
-	}
 	start := time.Now()
 	err := e.run()
 	e.res.Elapsed = time.Since(start)
@@ -194,15 +189,14 @@ func Explore(opts Options) (*Result, error) {
 // e.trace from a fresh build, unless dirty is set, in which case the
 // next step rebuilds and replays the prefix first.
 type explorer struct {
-	opts     Options
-	sys      System
-	acts     []Action
-	trace    []int
-	visited  map[uint64]int // canonical hash -> shallowest depth seen this round
-	states   *StateSet
-	dirty    bool
-	deadline time.Time
-	res      *Result
+	opts    Options
+	sys     System
+	acts    []Action
+	trace   []int
+	visited map[uint64]int // canonical hash -> shallowest depth seen this round
+	states  *StateSet
+	dirty   bool
+	res     *Result
 }
 
 func (e *explorer) run() error {
@@ -277,9 +271,6 @@ func (e *explorer) dfs(remaining int) error {
 		return nil
 	}
 	if e.opts.MaxStates > 0 && e.states.Len() >= e.opts.MaxStates {
-		return errStop
-	}
-	if !e.deadline.IsZero() && time.Now().After(e.deadline) {
 		return errStop
 	}
 	if err := e.atNode(); err != nil {

@@ -469,9 +469,9 @@ func (s *worldSystem) drain() error {
 }
 
 // checkQuiesce drains and asserts the refcount invariant: at
-// quiescence the pins and weak lists hold exactly the permanent
-// references (the pinned store and its audit proxy), so the live count
-// returns to the boot baseline.
+// quiescence the pins and the heaps' weak tables hold exactly the
+// permanent references (the pinned store and its audit proxy), so the
+// live count returns to the boot baseline.
 func (s *worldSystem) checkQuiesce() error {
 	if err := s.drain(); err != nil {
 		return err

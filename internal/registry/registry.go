@@ -1,6 +1,5 @@
-// Package registry implements the mirror–proxy registry and the weak
-// reference list that Montsalvat's GC synchronisation is built on (§5.2,
-// §5.5).
+// Package registry implements the mirror–proxy registry that Montsalvat's
+// GC synchronisation is built on (§5.2, §5.5).
 //
 // Each runtime owns one Registry mapping proxy identity hashes to strong
 // handles of the local mirror objects ("code to add the mirror object
@@ -19,12 +18,12 @@
 // guard heap access with its own lock without ever nesting it inside a
 // shard lock.
 //
-// Each runtime also owns one WeakList tracking (weak reference, hash)
-// pairs for the proxy objects living locally ("When a proxy object is
-// created, Montsalvat stores a weak reference and the hash of the former
-// in a global list"). The GC helper sweeps the list for dead proxies
-// after a collection has cleared a weak reference, and releases the
-// corresponding mirrors in the opposite registry (§5.5).
+// The other half of §5.5 — a weak reference and the hash of each proxy
+// living locally ("When a proxy object is created, Montsalvat stores a
+// weak reference and the hash of the former in a global list") — is the
+// runtime heap's weak table (heap.NewWeak, heap.SweepWeaks): the GC
+// helper takes the hashes of the proxies a collection found dead from
+// it and releases their mirrors here, in the opposite registry.
 package registry
 
 import (
@@ -35,7 +34,6 @@ import (
 	"time"
 
 	"montsalvat/internal/heap"
-	"montsalvat/internal/lockrank"
 )
 
 // ErrUnknownHash is returned by Release for a hash the registry holds no
@@ -216,92 +214,4 @@ func (r *Registry) Size() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// WeakList tracks the proxies living in one runtime via weak references.
-// Its own mutex guards the entry list, so Track/Len may run from any
-// goroutine; LiveHash and SweepDead additionally dereference weak
-// references on the runtime's heap, which is not thread-safe — callers
-// must hold the lock guarding that heap (the runtime's heap lock) across
-// those two calls.
-type WeakList struct {
-	mu      lockrank.Mutex
-	heap    *heap.Heap
-	entries []weakEntry
-}
-
-type weakEntry struct {
-	weak heap.WeakRef
-	hash int64
-}
-
-// NewWeakList creates a weak list over h.
-func NewWeakList(h *heap.Heap) *WeakList {
-	l := &WeakList{heap: h}
-	l.mu.SetRank(lockrank.RankWorldWeaks, "registry.WeakList.mu")
-	return l
-}
-
-// Track registers a freshly created proxy object.
-func (l *WeakList) Track(w heap.WeakRef, hash int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.entries = append(l.entries, weakEntry{weak: w, hash: hash})
-}
-
-// Len returns the number of tracked (live or not-yet-swept) proxies.
-func (l *WeakList) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
-}
-
-// LiveHash returns the address of a live proxy for hash, so a runtime can
-// reuse a canonical proxy instance instead of duplicating it. The caller
-// must hold the heap's lock.
-func (l *WeakList) LiveHash(hash int64) (heap.Addr, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, e := range l.entries {
-		if e.hash != hash {
-			continue
-		}
-		addr, ok, err := l.heap.WeakGet(e.weak)
-		if err == nil && ok {
-			return addr, true
-		}
-	}
-	return 0, false
-}
-
-// SweepDead scans for "null referents of weak references" (§5.5):
-// entries whose proxy has been collected are removed from the list, their
-// weak references released, and their hashes returned so the caller can
-// release the mirrors in the opposite runtime's registry. The caller
-// must hold the heap's lock.
-func (l *WeakList) SweepDead() ([]int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var dead []int64
-	kept := l.entries[:0]
-	for _, e := range l.entries {
-		_, alive, err := l.heap.WeakGet(e.weak)
-		if err != nil {
-			return nil, fmt.Errorf("registry: sweep: %w", err)
-		}
-		if alive {
-			kept = append(kept, e)
-			continue
-		}
-		dead = append(dead, e.hash)
-		if err := l.heap.ReleaseWeak(e.weak); err != nil {
-			return nil, fmt.Errorf("registry: sweep: %w", err)
-		}
-	}
-	// Zero the tail so dropped entries do not pin the backing array.
-	for i := len(kept); i < len(l.entries); i++ {
-		l.entries[i] = weakEntry{}
-	}
-	l.entries = kept
-	return dead, nil
 }

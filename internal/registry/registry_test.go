@@ -101,8 +101,7 @@ func TestReleaseFreesMirror(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := h.NewWeak(addr)
-	if err != nil {
+	if _, err := h.NewWeak(addr, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Export(1, hd); err != nil {
@@ -111,7 +110,7 @@ func TestReleaseFreesMirror(t *testing.T) {
 	if err := h.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	if _, alive, _ := h.WeakGet(w); !alive {
+	if _, alive := h.LiveWeak(1); !alive {
 		t.Fatal("registry did not keep mirror alive")
 	}
 	if _, err := r.Release(1); err != nil {
@@ -120,7 +119,7 @@ func TestReleaseFreesMirror(t *testing.T) {
 	if err := h.Collect(); err != nil {
 		t.Fatal(err)
 	}
-	if _, alive, _ := h.WeakGet(w); alive {
+	if _, alive := h.LiveWeak(1); alive {
 		t.Fatal("mirror survived registry release")
 	}
 }
@@ -141,104 +140,4 @@ func TestHashes(t *testing.T) {
 	if _, ok := r.Resolve(40); ok || r.Size() != 3 {
 		t.Fatalf("Resolve(40) = %v, Size = %d; want false, 3", ok, r.Size())
 	}
-}
-
-func TestWeakListSweep(t *testing.T) {
-	h := testHeap(t)
-	l := NewWeakList(h)
-
-	// Proxy A stays referenced; proxy B becomes garbage.
-	addrA := alloc(t, h, 8)
-	hdA, _ := h.NewHandle(addrA, 0)
-	wA, _ := h.NewWeak(addrA)
-	l.Track(wA, 100)
-
-	addrB := alloc(t, h, 8)
-	wB, _ := h.NewWeak(addrB)
-	l.Track(wB, 200)
-
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	if err := h.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	dead, err := l.SweepDead()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dead) != 1 || dead[0] != 200 {
-		t.Fatalf("dead = %v, want [200]", dead)
-	}
-	if l.Len() != 1 {
-		t.Fatalf("Len after sweep = %d, want 1", l.Len())
-	}
-	// A second sweep finds nothing new.
-	dead, err = l.SweepDead()
-	if err != nil || len(dead) != 0 {
-		t.Fatalf("second sweep = %v, %v", dead, err)
-	}
-	_ = hdA
-}
-
-func TestLiveHash(t *testing.T) {
-	h := testHeap(t)
-	l := NewWeakList(h)
-	addr := alloc(t, h, 8)
-	hd, _ := h.NewHandle(addr, 0)
-	w, _ := h.NewWeak(addr)
-	l.Track(w, 5)
-
-	got, ok := l.LiveHash(5)
-	if !ok || got != addr.Addr() {
-		t.Fatalf("LiveHash = %v, %v", got, ok)
-	}
-	if _, ok := l.LiveHash(6); ok {
-		t.Fatal("found unknown hash")
-	}
-	// After the proxy dies, LiveHash misses.
-	if err := h.Release(hd); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := l.LiveHash(5); ok {
-		t.Fatal("LiveHash returned dead proxy")
-	}
-}
-
-func TestSweepScalesToManyEntries(t *testing.T) {
-	h := testHeap(t)
-	l := NewWeakList(h)
-	var handles []heap.Handle
-	for i := 0; i < 500; i++ {
-		addr := alloc(t, h, 8)
-		w, err := h.NewWeak(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Track(w, int64(i))
-		if i%2 == 0 {
-			hd, err := h.NewHandle(addr, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			handles = append(handles, hd)
-		}
-	}
-	if err := h.Collect(); err != nil {
-		t.Fatal(err)
-	}
-	dead, err := l.SweepDead()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dead) != 250 {
-		t.Fatalf("dead = %d, want 250", len(dead))
-	}
-	if l.Len() != 250 {
-		t.Fatalf("Len = %d, want 250", l.Len())
-	}
-	_ = handles
 }

@@ -103,7 +103,7 @@ func TestHelpersUnderChurn(t *testing.T) {
 	if err := w.Untrusted().Collect(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := w.Trusted().Registry().Size(), w.Untrusted().WeakList().Len(); got != want {
+	if got, want := w.Trusted().Registry().Size(), w.Untrusted().HeapStats().Weaks; got != want {
 		t.Fatalf("registry %d != live proxies %d", got, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"montsalvat/internal/boundary"
 	"montsalvat/internal/ring"
+	"montsalvat/internal/wire"
 )
 
 // Pins reports how many times hash is pinned in rt.
@@ -40,3 +41,27 @@ func (rt *Runtime) Enqueue(e boundary.Entry) error { return rt.queue.Enqueue(e, 
 // IDExec is the enclave entry of trusted Exec and of a flush entered
 // from outside.
 const IDExec = idExec
+
+// ImportRacing makes in rt what two imports of ref that race make: the
+// peer exports ref's object once per import, as each sender's marshal
+// does, and rt materialises a proxy for each, as two importers that both
+// found no live proxy do. The frames that held the proxies are released
+// before it returns.
+func (rt *Runtime) ImportRacing(ref wire.Value) error {
+	class, hash, _ := ref.AsRef()
+	for range 2 {
+		from := rt.peer.newFrame(nil)
+		err := rt.peer.marshalRef(from, ref)
+		rt.peer.releaseFrame(from)
+		if err != nil {
+			return err
+		}
+		fr := rt.newFrame(nil)
+		_, err = rt.newProxy(fr, class, hash)
+		rt.releaseFrame(fr)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -37,17 +37,19 @@ type RuntimeStats struct {
 	ProxiesCreated uint64
 	// MarshalledBytes counts serialized argument/result traffic.
 	MarshalledBytes uint64
-	// RegistrySize and WeakListLen snapshot the GC-sync structures.
+	// RegistrySize and WeakListLen snapshot the GC-sync structures: the
+	// mirrors registered here, and the proxies living here that the
+	// heap weak-tracks (heap.Stats.Weaks).
 	RegistrySize int
 	WeakListLen  int
 }
 
 // SweepStats describes the GC helper's sweep activity over one runtime's
-// weak list: how often it ran, how much it reclaimed, and when it last
-// fired.
+// weak-tracked proxies: how often it ran, how much it reclaimed, and
+// when it last fired.
 type SweepStats struct {
-	// Sweeps counts completed weak-list scans (GC-helper steps plus
-	// explicit SweepOnce calls).
+	// Sweeps counts completed sweeps (GC-helper steps plus explicit
+	// SweepOnce calls).
 	Sweeps uint64
 	// Released is the total number of dead proxies whose mirrors were
 	// released in the opposite registry.
@@ -80,7 +82,6 @@ type Runtime struct {
 	img   *image.Image
 	iso   *isolate.Isolate
 	reg   *registry.Registry // mirrors for proxies living in the opposite runtime
-	weaks *registry.WeakList // weak refs to proxies living here
 	fs    shim.FS
 	// queue batches this runtime's outbound result-independent calls
 	// (nil unless partitioned; active only with Config.Batching).
@@ -149,8 +150,8 @@ type Runtime struct {
 	swept atomic.Uint64
 }
 
-// recordSweep accounts one completed weak-list sweep and the number of
-// dead proxies it found.
+// recordSweep accounts one completed sweep and the number of dead
+// proxies it found.
 func (rt *Runtime) recordSweep(dead int) {
 	rt.sweepMu.Lock()
 	rt.sweeps.Sweeps++
@@ -193,7 +194,6 @@ func newRuntime(w *World, name string, trusted bool, img *image.Image, h *heap.H
 		img:     img,
 		iso:     iso,
 		reg:     registry.New(h),
-		weaks:   registry.NewWeakList(h),
 		pins:    make(map[int64]pin),
 		tab:     tab,
 	}
@@ -230,9 +230,6 @@ func (rt *Runtime) Image() *image.Image { return rt.img }
 // Registry returns the runtime's mirror–proxy registry.
 func (rt *Runtime) Registry() *registry.Registry { return rt.reg }
 
-// WeakList returns the runtime's proxy weak-reference list.
-func (rt *Runtime) WeakList() *registry.WeakList { return rt.weaks }
-
 // Collect forces a stop-and-copy GC cycle on the runtime's heap, then
 // runs the world's GC-helper step.
 func (rt *Runtime) Collect() error {
@@ -256,7 +253,7 @@ func (rt *Runtime) Stats() RuntimeStats {
 		ProxiesCreated:  rt.proxiesNew.Load(),
 		MarshalledBytes: rt.marshalled.Load(),
 		RegistrySize:    rt.reg.Size(),
-		WeakListLen:     rt.weaks.Len(),
+		WeakListLen:     rt.HeapStats().Weaks,
 	}
 }
 
@@ -270,7 +267,7 @@ type pin struct {
 // analog of storing it in a static field. The object must be live where
 // Pin can find it: behind the handle the ref carries (an object a frame
 // holds, an element a body read with List.get), already pinned, or in
-// the registry or the weak list. A ref whose handle has gone, or that
+// the registry or the heap's weak table. A ref whose handle has gone, or that
 // never carried one, is found by its identity hash only in those three;
 // a frame's handles are its own.
 func (rt *Runtime) Pin(v wire.Value) error {
@@ -376,8 +373,11 @@ type frame struct {
 	rt   *Runtime
 	span *telemetry.Span
 	lane *Lane
-	// up is the activation that called this one when it runs a method
-	// body (dispatch); nil for an Exec or relay frame.
+	// up is the activation that called this one: the caller of a method
+	// body (dispatch), the frame on the opposite runtime whose crossing
+	// a relay runs inside (relayCore), nil for an Exec frame or a relay
+	// detached from its caller. A chain crosses the boundary at relays;
+	// held looks only at the frames of its own runtime.
 	up *frame
 	// owned lists the handles the activation's operations made, one per
 	// object (adopt), each one owner of its heap handle until release.
@@ -443,11 +443,14 @@ func (fr *frame) find(hash int64) int {
 	return -1
 }
 
-// held returns the handle by which fr or an activation up its call chain
-// holds hash. The activations up the chain outlive fr, so fr uses their
-// handles without owning one.
+// held returns the handle by which fr or an activation of its runtime up
+// its call chain holds hash. The activations up the chain outlive fr, so
+// fr uses their handles without owning one.
 func (fr *frame) held(hash int64) (heap.Handle, bool) {
 	for f := fr; f != nil; f = f.up {
+		if f.rt != fr.rt {
+			continue
+		}
 		if i := f.find(hash); i >= 0 {
 			return f.owned[i].handle, true
 		}
@@ -549,8 +552,8 @@ func (rt *Runtime) adopt(fr *frame, hash int64, fresh heap.Handle) (heap.Handle,
 // resolve finds the handle of hash for fr when the ref at hand carries
 // none that passes the identity check (lockRef) — a ref that crossed the
 // boundary, one host code kept, one inside a list: retain's, or a fresh
-// one to a mirror in the registry or a canonical proxy in the weak list,
-// which fr owns.
+// one to a mirror in the registry or a canonical proxy in the heap's
+// weak table, which fr owns.
 func (rt *Runtime) resolve(fr *frame, hash int64) (heap.Handle, error) {
 	if h, ok := rt.retain(fr, hash); ok {
 		return h, nil
@@ -566,7 +569,7 @@ func (rt *Runtime) resolve(fr *frame, hash int64) (heap.Handle, error) {
 }
 
 // fresh makes a new handle to the object hash the registry (a mirror) or
-// the weak list (a canonical proxy) names. The caller holds heapMu;
+// the heap's weak table (a canonical proxy) names. The caller holds heapMu;
 // reg.Resolve is a read — it never triggers the registry's releaser hook
 // — so calling it under heapMu preserves the lock order.
 func (rt *Runtime) fresh(hash int64) (heap.Handle, error) {
@@ -577,7 +580,7 @@ func (rt *Runtime) fresh(hash int64) (heap.Handle, error) {
 		}
 		return rt.iso.HandleAt(addr, hash)
 	}
-	if addr, ok := rt.weaks.LiveHash(hash); ok {
+	if addr, ok := rt.iso.Heap().LiveWeak(hash); ok {
 		return rt.iso.HandleAt(addr, hash)
 	}
 	return 0, fmt.Errorf("%w: %d", ErrNoSuchObject, hash)
@@ -934,13 +937,12 @@ func (rt *Runtime) localiseRef(fr *frame, v wire.Value) (heap.Handle, error) {
 	// The ref names a remote object: reuse the canonical live proxy if
 	// one exists, otherwise materialise a new proxy instance. Two
 	// goroutines importing the same hash at once may both materialise;
-	// the weak list keeps one canonical proxy, the other becomes garbage
-	// once its frame drops it, and its sender export is reclaimed by a
-	// later sweep.
+	// the heap's weak table finds whichever is live, each becomes garbage
+	// once no frame holds it, and a sweep reclaims its sender export.
 	h, ok := rt.retain(fr, hash)
 	if !ok {
 		rt.heapMu.Lock()
-		addr, live := rt.weaks.LiveHash(hash)
+		addr, live := rt.iso.Heap().LiveWeak(hash)
 		if live {
 			h, err = rt.iso.HandleAt(addr, hash)
 		}
@@ -968,15 +970,13 @@ func (rt *Runtime) localiseRef(fr *frame, v wire.Value) (heap.Handle, error) {
 func (rt *Runtime) newProxy(fr *frame, class string, hash int64) (heap.Handle, error) {
 	rt.heapMu.Lock()
 	h, err := rt.iso.NewObject(class, hash)
-	var w heap.WeakRef
 	if err == nil {
-		w, err = rt.iso.NewWeak(h)
+		err = rt.iso.NewWeak(h, hash)
 	}
 	rt.unlockHeap()
 	if err != nil {
 		return 0, err
 	}
-	rt.weaks.Track(w, hash)
 	rt.proxiesNew.Add(1)
 	fr.own(hash, h)
 	return h, nil
@@ -1165,7 +1165,7 @@ func (rt *Runtime) remoteCall(fr *frame, lk *link, hash int64, args []wire.Value
 	)
 	invoke := func() error {
 		var rerr error
-		resultBuf, rerr = to.dispatchRelay(class, relayName, hash, argBuf, want, sp, fr.lane)
+		resultBuf, rerr = to.dispatchRelay(class, relayName, hash, argBuf, want, sp, fr)
 		return rerr
 	}
 	if rt.encl != nil {
@@ -1302,7 +1302,7 @@ func (rt *Runtime) execCall(c wire.Call, want bool, resp []byte, sp *telemetry.S
 	case want:
 		return rt.dispatchRelaySlot(c.Class, c.Method, c.Hash, c.Args, resp, sp)
 	}
-	if err := rt.relayCore(c.Class, c.Method, c.Hash, c.Args, sp, lane, nil); err != nil {
+	if err := rt.relayCore(c.Class, c.Method, c.Hash, c.Args, sp, lane, nil, nil); err != nil {
 		return nil, false, fmt.Errorf("world: void call %s.%s: %w", c.Class, c.Method, err)
 	}
 	return nil, false, nil
@@ -1315,13 +1315,15 @@ func (rt *Runtime) execCall(c wire.Call, want bool, resp []byte, sp *telemetry.S
 // result if want; a void relay answers nothing. parent is the caller's
 // trace span (nil when unsampled), threaded into the relay's frame so
 // calls the body makes back across the boundary become children of the
-// same trace. lane is the caller's (see relayCore).
-func (rt *Runtime) dispatchRelay(class, relayName string, hash int64, argBuf []byte, want bool, parent *telemetry.Span, lane *Lane) ([]byte, error) {
+// same trace. caller is the frame that made the call, on the opposite
+// runtime, blocked in the crossing until the relay returns; the relay
+// runs on its lane and continues its chain (see relayCore).
+func (rt *Runtime) dispatchRelay(class, relayName string, hash int64, argBuf []byte, want bool, parent *telemetry.Span, caller *frame) ([]byte, error) {
 	if !want {
-		return nil, rt.relayCore(class, relayName, hash, argBuf, parent, lane, nil)
+		return nil, rt.relayCore(class, relayName, hash, argBuf, parent, caller.lane, caller, nil)
 	}
 	var out []byte
-	err := rt.relayCore(class, relayName, hash, argBuf, parent, lane, func(fr *frame, result wire.Value) error {
+	err := rt.relayCore(class, relayName, hash, argBuf, parent, caller.lane, caller, func(fr *frame, result wire.Value) error {
 		vals := [1]wire.Value{result}
 		if err := rt.marshalVals(fr, vals[:]); err != nil {
 			return err
@@ -1338,7 +1340,7 @@ func (rt *Runtime) dispatchRelay(class, relayName string, hash int64, argBuf []b
 // overflow buffer reported with overflow=true, which the ring producer
 // side charges at MEE rate as a plain copy.
 func (rt *Runtime) dispatchRelaySlot(class, relayName string, hash int64, argBuf, slot []byte, parent *telemetry.Span) (out []byte, overflow bool, err error) {
-	err = rt.relayCore(class, relayName, hash, argBuf, parent, nil, func(fr *frame, result wire.Value) error {
+	err = rt.relayCore(class, relayName, hash, argBuf, parent, nil, nil, func(fr *frame, result wire.Value) error {
 		one := [1]wire.Value{result}
 		vals := one[:]
 		if merr := rt.marshalVals(fr, vals); merr != nil {
@@ -1366,8 +1368,13 @@ func (rt *Runtime) dispatchRelaySlot(class, relayName string, hash int64, argBuf
 // frame carries the caller's lane: a call back into the enclave made
 // under an ocall from a lane is handed to the same resident thread, as
 // a nested ecall in SGX reuses the calling thread's TCS, so no chain a
-// lane started waits for a free slot.
-func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte, parent *telemetry.Span, lane *Lane, finish func(fr *frame, result wire.Value) error) error {
+// lane started waits for a free slot. On the full and lane routes, where
+// the relay runs inside its caller's crossing, up is the calling frame:
+// the relay frame continues the crossing chain, and finds an object a
+// frame of its own runtime further up holds (held) without resolving it
+// again. A ring call or a batched one runs detached from its caller, up
+// nil.
+func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte, parent *telemetry.Span, lane *Lane, up *frame, finish func(fr *frame, result wire.Value) error) error {
 	relay := rt.link(class, relayName)
 	if relay.lookErr != nil {
 		return relay.lookErr
@@ -1378,7 +1385,7 @@ func (rt *Runtime) relayCore(class, relayName string, hash int64, argBuf []byte,
 	target := rt.link(class, relay.method.RelayFor)
 
 	fr := rt.newFrame(parent)
-	fr.lane = lane
+	fr.lane, fr.up = lane, up
 	defer rt.releaseFrame(fr)
 
 	args, err := rt.unmarshalIn(fr, argBuf)

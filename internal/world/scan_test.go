@@ -60,6 +60,15 @@ func shelfWorld(t *testing.T) (w *world.World, seen map[string][]int) {
 				return wire.Int(n), err
 			},
 		},
+		{
+			// back calls the Shelf handed to it back on the Account
+			// handed beside it.
+			Name: "back", Public: true, Returns: wire.KindInt, Calls: []classmodel.MethodRef{{Class: "Shelf", Method: "weigh"}},
+			Params: []classmodel.Param{{Name: "s", Kind: wire.KindRef, ClassName: "Shelf"}, {Name: "a", Kind: wire.KindRef, ClassName: demo.Account}},
+			Body: func(env classmodel.Env, self wire.Value, args []wire.Value) (wire.Value, error) {
+				return env.Call(args[0], "weigh", args[1])
+			},
+		},
 	} {
 		if err := echo.AddMethod(m); err != nil {
 			t.Fatal(err)
@@ -165,6 +174,33 @@ func shelfWorld(t *testing.T) (w *world.World, seen map[string][]int) {
 				}
 				seen["readLast"] = append(seen["readLast"], handles())
 				n, err := balance(env, a)
+				return wire.Int(n), err
+			},
+		},
+		{
+			// crossBack hands itself and an item to untrusted code,
+			// which calls weigh back on both.
+			Name: "crossBack", Public: true, Returns: wire.KindInt, Allocates: []string{"Echo"}, Calls: []classmodel.MethodRef{{Class: "Echo", Method: "back"}},
+			Params: []classmodel.Param{{Name: "i", Kind: wire.KindInt}},
+			Body: func(env classmodel.Env, self wire.Value, args []wire.Value) (wire.Value, error) {
+				i, _ := args[0].AsInt()
+				a, err := item(env, self, int(i))
+				if err != nil {
+					return wire.Value{}, err
+				}
+				e, err := env.New("Echo")
+				if err != nil {
+					return wire.Value{}, err
+				}
+				return env.Call(e, "back", self, a)
+			},
+		},
+		{
+			Name: "weigh", Public: true, Returns: wire.KindInt, Calls: []classmodel.MethodRef{acct},
+			Params: []classmodel.Param{{Name: "a", Kind: wire.KindRef, ClassName: demo.Account}},
+			Body: func(env classmodel.Env, self wire.Value, args []wire.Value) (wire.Value, error) {
+				seen["weigh"] = append(seen["weigh"], handles())
+				n, err := balance(env, args[0])
 				return wire.Int(n), err
 			},
 		},
@@ -284,5 +320,49 @@ func TestScannedElementsHoldOneHandle(t *testing.T) {
 	// lives until the untrusted proxy is collected and swept.
 	if got := w.Trusted().HeapStats().Handles; got != handles+1 {
 		t.Errorf("trusted heap holds %d handles after the frames closed, want %d", got, handles+1)
+	}
+}
+
+// TestRelayContinuesCallerChain: on the full route a relay frame
+// continues the chain of the call it runs inside, so a call back into
+// the enclave finds the objects that trusted frames further up hold
+// there, not in the registry. In crossBack's call back, weigh sees the
+// handles crossBack holds and the two exports the crossing made, and
+// none the relay made for the Shelf or the element; a cross call, whose
+// call back reads the element's balance, charges no header read to
+// look the element up.
+func TestRelayContinuesCallerChain(t *testing.T) {
+	w, seen := shelfWorld(t)
+	var base int
+	var crossCycles int64
+	err := w.Exec(true, func(env classmodel.Env) error {
+		s, err := env.New("Shelf")
+		if err != nil {
+			return err
+		}
+		base = w.Trusted().HeapStats().Handles
+		if v, err := env.Call(s, "crossBack", wire.Int(4)); err != nil || !v.Equal(wire.Int(4)) {
+			return fmt.Errorf("crossBack = %v, %v; want 4", v, err)
+		}
+		before := w.Clock().Total()
+		if v, err := env.Call(s, "cross", wire.Int(7)); err != nil || !v.Equal(wire.Int(7)) {
+			return fmt.Errorf("cross = %v, %v; want 7", v, err)
+		}
+		crossCycles = w.Clock().Total() - before
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// crossBack's items list, element and Echo proxy, and the exports of
+	// the Shelf and the element; 7 when the relay resolved both in the
+	// registry.
+	if got := seen["weigh"]; len(got) != 1 || got[0]-base != 5 {
+		t.Errorf("weigh ran with %v trusted handles, %d before crossBack; want 5 more", got, base)
+	}
+	// 34,280 when the relay frame started a chain of its own and found
+	// the element through the registry.
+	if crossCycles != 34264 {
+		t.Errorf("cross charged %d cycles, want 34264", crossCycles)
 	}
 }

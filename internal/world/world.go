@@ -12,10 +12,10 @@
 // runtime, which resolves the mirror object in its mirror–proxy registry.
 //
 // GC synchronisation follows §5.5: each runtime weak-tracks its proxy
-// objects; a GC helper per runtime sweeps the weak list after its
-// collector has cleared a weak reference and releases the mirrors of
-// dead proxies in the opposite runtime's registry, making them
-// collectable.
+// objects in its heap's weak table, under their identity hashes; a GC
+// helper per runtime takes the hashes of the proxies its collector found
+// dead and releases their mirrors in the opposite runtime's registry,
+// making them collectable.
 package world
 
 import (
@@ -540,8 +540,8 @@ func (w *World) ExecSpan(trusted bool, sp *telemetry.Span, lane *Lane, fn func(e
 }
 
 // StartGCHelpers turns on the GC helpers of a partitioned world (§5.5:
-// one scans the trusted list in the enclave, the other the untrusted
-// list). A helper is a step, not a thread: at the exit of ExecSpan,
+// one sweeps the trusted heap's dead proxies in the enclave, the other
+// the untrusted heap's). A helper is a step, not a thread: at the exit of ExecSpan,
 // RunMain and Runtime.Collect, the runtime they ran on and its peer are
 // each scanned once, on the calling goroutine, if its collector has
 // cleared a weak reference since its last scan (gcStep). The setting
@@ -571,9 +571,10 @@ func (w *World) gcStep(rt *Runtime) {
 	}
 }
 
-// SweepOnce performs one GC-helper scan for rt: dead proxies are removed
-// from the weak list and their mirrors released in the opposite runtime's
-// registry, via a single batched transition. Sweeping the trusted runtime
+// SweepOnce performs one GC-helper sweep for rt: the weak slots of the
+// proxies rt's collector found dead are freed (heap.SweepWeaks, in the
+// order the collector cleared them) and their mirrors released in the
+// opposite runtime's registry, via a single batched transition. Sweeping the trusted runtime
 // enters the enclave first (idGCHelper).
 func (w *World) SweepOnce(rt *Runtime) error {
 	if rt == nil {
@@ -588,13 +589,9 @@ func (w *World) SweepOnce(rt *Runtime) error {
 // sweep is SweepOnce's body, run inside the enclave for the trusted
 // runtime.
 func (w *World) sweep(rt *Runtime) error {
-	// SweepDead dereferences weak refs on rt's heap: hold rt's heap lock.
 	rt.heapMu.Lock()
-	dead, err := rt.weaks.SweepDead()
+	dead := rt.iso.Heap().SweepWeaks(nil)
 	rt.unlockHeap()
-	if err != nil {
-		return err
-	}
 	rt.recordSweep(len(dead))
 	if len(dead) == 0 {
 		return nil
@@ -813,8 +810,8 @@ type Stats struct {
 	UntrustedHeap heap.Stats
 	Trusted       RuntimeStats
 	Untrusted     RuntimeStats
-	// TrustedSweeps and UntrustedSweeps report each runtime's weak-list
-	// scans (GC-helper steps and SweepOnce calls) and the mirrors they
+	// TrustedSweeps and UntrustedSweeps report each runtime's sweeps
+	// (GC-helper steps and SweepOnce calls) and the mirrors they
 	// released.
 	TrustedSweeps   SweepStats
 	UntrustedSweeps SweepStats
@@ -915,7 +912,7 @@ func (w *World) Stats() Stats {
 }
 
 // LiveObjects folds the pinned objects of both runtimes plus their
-// tracked proxy weak refs — the retention the crossing engine holds
+// weak-tracked proxies not yet swept — the retention the crossing engine holds
 // beyond its frames, which hold nothing once they close. At quiescence
 // (queues flushed, sweeps drained, no frames active) the count is a
 // pure function of the reachable cross-boundary objects, which is what
@@ -930,7 +927,7 @@ func (w *World) LiveObjects() int {
 			continue
 		}
 		n += int(rt.pinned.Load())
-		n += rt.weaks.Len()
+		n += rt.HeapStats().Weaks
 	}
 	return n
 }

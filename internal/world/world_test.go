@@ -377,6 +377,65 @@ func TestProxyCanonicalisation(t *testing.T) {
 	}
 }
 
+// TestRacingImportsReleaseEachExport: two imports of one hash that race
+// make two proxies, each holding one of the two exports its senders
+// made. A lookup by the hash finds a live one (Pin resolves it through
+// the heap's weak table), and each proxy's death releases exactly one
+// export: the first collection and helper sweep the unpinned one, the
+// second, after Unpin, the other, and the trusted registry drains.
+func TestRacingImportsReleaseEachExport(t *testing.T) {
+	w := bankWorld(t)
+	w.StartGCHelpers()
+	var acct wire.Value
+	err := w.Exec(true, func(env classmodel.Env) error {
+		a, err := env.New(demo.Account, wire.Str("Ida"), wire.Int(7))
+		if err != nil {
+			return err
+		}
+		_, hash, _ := a.AsRef()
+		acct = wire.Ref(demo.Account, hash)
+		return w.Trusted().Pin(a)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hash, _ := acct.AsRef()
+	if err := w.Untrusted().ImportRacing(acct); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Untrusted().Stats().WeakListLen; got != 2 {
+		t.Fatalf("weak-tracked proxies = %d, want 2", got)
+	}
+	if err := w.Untrusted().Pin(acct); err != nil {
+		t.Fatalf("Pin finds no live proxy of the raced hash: %v", err)
+	}
+	for i, want := range []struct {
+		released uint64
+		exported bool
+	}{{1, true}, {2, false}} {
+		if i == 1 {
+			if err := w.Untrusted().Unpin(acct); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Untrusted().Collect(); err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Untrusted().SweepStats().Released; got != want.released {
+			t.Fatalf("collection %d: Released = %d, want %d", i+1, got, want.released)
+		}
+		if _, ok := w.Trusted().Registry().Resolve(hash); ok != want.exported {
+			t.Fatalf("collection %d: hash %d exported = %v, want %v", i+1, hash, ok, want.exported)
+		}
+	}
+	if got := w.Trusted().Registry().Size(); got != 0 {
+		t.Fatalf("registry = %d after both proxies died, want 0", got)
+	}
+	if got := w.Untrusted().Stats().WeakListLen; got != 0 {
+		t.Fatalf("weak-tracked proxies = %d after the sweeps, want 0", got)
+	}
+}
+
 func TestArityMismatch(t *testing.T) {
 	w := bankWorld(t)
 	err := w.Exec(false, func(env classmodel.Env) error {
